@@ -20,7 +20,7 @@ pub enum TransportMode {
     /// Partition-local execution over an explicit batched transport
     /// (`trinity_sim::transport`): exploration runs frontier/superstep style
     /// — collect remote vertex ids per owner, flush one batched `Load`
-    /// request per destination per round, continue on owned `CellBuf`
+    /// request per destination per round, continue on the owned label
     /// replies — and binding sync + load-set shipping are actual messages.
     /// The cost model charges the envelopes really sent. Performs **zero**
     /// direct cross-partition reads.

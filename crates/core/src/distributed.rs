@@ -28,8 +28,8 @@
 //! dereference remote partitions in place (the legacy simulation shortcut;
 //! traffic is a per-access estimate). Under [`TransportMode::Messages`] every
 //! machine is strictly partition-local: exploration runs frontier/superstep
-//! style over a [`trinity_sim::transport::Transport`] (batched `Load`
-//! requests → owned cell replies), binding synchronization posts
+//! style over a [`trinity_sim::transport::Transport`] (batched projected
+//! `Load` requests → owned label replies), binding synchronization posts
 //! `BindingDelta` messages, the join phase ships load-set tables as
 //! `JoinRows` messages, and single-vertex queries gather postings with
 //! `GetIds` exchanges. Result tables and `matches_found` are bit-identical

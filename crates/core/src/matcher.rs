@@ -8,11 +8,11 @@
 //! * [`match_stwig`] — the `DirectRead` path: candidate labels are checked
 //!   with `Index.hasLabel`, which may dereference a remote partition in
 //!   place (tallied as a direct remote read).
-//! * [`match_stwig_batched`] — the partition-local path: a frontier pass
-//!   collects every remote neighbor id, one batched `Load` request per
-//!   owning machine is exchanged over the [`Transport`], and matching then
-//!   runs entirely against the local partition plus the owned
-//!   [`trinity_sim::partition::CellBuf`] replies.
+//! * [`match_stwig_batched`] — the partition-local path: one pass decodes
+//!   every live root's adjacency into a flat, label-resolved [`Frontier`],
+//!   one batched projected `Load` per owning machine is exchanged over the
+//!   [`Transport`], and emission compares labels by position — no second
+//!   cell load, no second decode, no hash probe.
 
 use crate::bindings::Bindings;
 use crate::config::{FailurePolicy, MatchConfig};
@@ -24,9 +24,12 @@ use crate::retry::{retry_exchange, ExchangeOutcome};
 use crate::stream::QueryControl;
 use crate::stwig::STwig;
 use crate::table::ResultTable;
+use std::cell::RefCell;
+use std::ops::Range;
+use trinity_sim::compact::{NeighborScratch, Neighbors};
 use trinity_sim::ids::{LabelId, MachineId, VertexId};
 use trinity_sim::partition::Cell;
-use trinity_sim::transport::{Message, Transport};
+use trinity_sim::transport::{Message, Transport, NOT_OWNED};
 use trinity_sim::MemoryCloud;
 
 /// Matches one STwig from the given root candidates.
@@ -55,35 +58,91 @@ pub fn match_stwig(
     control: Option<&QueryControl>,
     counters: &mut ExploreCounters,
 ) -> ResultTable {
-    explore_roots(
-        query,
-        stwig,
-        roots,
-        bindings,
-        config,
-        control,
-        counters,
-        |n| cloud.load(machine, n),
-        |m, label| cloud.has_label(machine, m, label),
-        |n| cloud.signature_of(n),
-    )
+    with_scratch(|scratch| {
+        let filter = RootFilter::new(query, stwig, config);
+        explore_roots(
+            query,
+            stwig,
+            roots,
+            bindings,
+            config,
+            control,
+            counters,
+            &mut scratch.child_candidates,
+            &mut scratch.row,
+            |n| {
+                let neighbors = filter.admit(cloud.load(machine, n), || cloud.signature_of(n))?;
+                Ok((neighbors, ()))
+            },
+            |(), _, m, label| cloud.has_label(machine, m, label),
+        )
+    })
 }
 
-/// The signature prune of one root: `true` when the root provably cannot
-/// satisfy the STwig, so its neighbors need never be collected or probed.
-/// Sound on both prongs — a root with fewer neighbors than the STwig has
-/// children admits no injective child assignment, and a signature missing a
-/// required child-label bit proves no neighbor carries that label (the
-/// signature over-approximates the neighbor-label set). A root without a
-/// signature (`None`) is never pruned on labels.
-///
-/// Both the frontier pass of [`match_stwig_batched`] and the emission core
-/// call exactly this predicate, so a root pruned before frontier collection
-/// is guaranteed to also be pruned at emission (no row can need a label the
-/// frontier never fetched).
-#[inline]
-fn root_pruned(num_neighbors: usize, num_children: usize, sig: Option<u64>, required: u64) -> bool {
-    num_neighbors < num_children || sig.is_some_and(|s| s & required != required)
+/// Why a binding-admitted root candidate emits nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Skip {
+    /// No such vertex on the loading machine: nothing was loaded.
+    Missing,
+    /// Loaded, but it does not carry the STwig root's label.
+    WrongLabel,
+    /// Loaded, but the signature prune proved it emits no row.
+    Pruned,
+}
+
+/// The root-level filter of one STwig exploration — the one place a loaded
+/// root is judged, for the frontier pass and the emission core alike.
+#[derive(Clone, Copy)]
+struct RootFilter {
+    root_label: LabelId,
+    num_children: usize,
+    /// Signature bits a root must have to cover every child label; `None`
+    /// with pruning off.
+    required: Option<u64>,
+}
+
+impl RootFilter {
+    fn new(query: &QueryGraph, stwig: &STwig, config: &MatchConfig) -> Self {
+        let child_labels = stwig.children.iter().map(|&c| query.label(c));
+        RootFilter {
+            root_label: query.label(stwig.root),
+            num_children: stwig.children.len(),
+            required: config
+                .pruning
+                .then(|| trinity_sim::neighbor_index::required_mask(child_labels)),
+        }
+    }
+
+    /// The neighbor run of a loaded root worth exploring, or why it is not.
+    ///
+    /// The signature prune skips roots that provably cannot satisfy the
+    /// STwig before a single neighbor is decoded or probed. It is sound on
+    /// both prongs — a root with fewer neighbors than the STwig has children
+    /// admits no injective child assignment, and a signature missing a
+    /// required child-label bit proves no neighbor carries that label (the
+    /// signature over-approximates the neighbor-label set); a root without a
+    /// signature (`None`) is never pruned on labels. A pruned root would
+    /// have emitted zero rows anyway, so tables and `rows_emitted` are
+    /// bit-identical with pruning on and off; only `label_probes` (and, in
+    /// `Messages` mode, the frontier and its `Load` traffic) shrink.
+    fn admit<'a>(
+        &self,
+        cell: Option<Cell<'a>>,
+        signature: impl FnOnce() -> Option<u64>,
+    ) -> Result<Neighbors<'a>, Skip> {
+        let cell = cell.ok_or(Skip::Missing)?;
+        if cell.label != self.root_label {
+            return Err(Skip::WrongLabel);
+        }
+        if let Some(required) = self.required {
+            if cell.neighbors.len() < self.num_children
+                || signature().is_some_and(|s| s & required != required)
+            {
+                return Err(Skip::Pruned);
+            }
+        }
+        Ok(cell.neighbors)
+    }
 }
 
 /// [`match_stwig`] over the explicit message transport: frontier/superstep
@@ -94,7 +153,7 @@ fn root_pruned(num_neighbors: usize, num_children: usize, sig: Option<u64>, requ
 /// * `roots` must be **owned by `machine`** (the distributed executor's root
 ///   candidates always are — `Index.getID` is a local index); unowned roots
 ///   are skipped exactly like nonexistent vertices.
-/// * Remote neighbor labels arrive as owned cells in batched `Load` replies
+/// * Remote neighbor labels arrive in batched, label-only `Load` replies
 ///   (one request per owning machine, split at
 ///   `config.transport_batch_ids` ids per envelope) instead of per-neighbor
 ///   `Index.hasLabel` probes.
@@ -103,13 +162,14 @@ fn root_pruned(num_neighbors: usize, num_children: usize, sig: Option<u64>, requ
 /// bit-identical to the `DirectRead` path; only the recorded network traffic
 /// differs (actual envelopes instead of per-access estimates).
 ///
-/// A transport protocol violation (a peer answering `LoadRequest` with the
-/// wrong variant) fails this exploration with [`StwigError::Transport`] —
-/// the malformed peer degrades one query, never the process. A pending
-/// `control` interrupt is honored at every superstep flush: outstanding
-/// envelopes are skipped and the emission pass runs against whatever labels
-/// already arrived (missing labels only suppress rows, so every emitted row
-/// stays a valid partial match).
+/// A transport protocol violation (a peer answering the projected
+/// `LoadRequest` with the wrong variant or the wrong number of labels) fails
+/// this exploration with [`StwigError::Transport`] — the malformed peer
+/// degrades one query, never the process. A pending `control` interrupt is
+/// honored at every superstep flush: outstanding envelopes are skipped and
+/// the emission pass runs against whatever labels already arrived (missing
+/// labels only suppress rows, so every emitted row stays a valid partial
+/// match).
 ///
 /// Every exchange runs under `config.retry` (see [`crate::retry`]); what the
 /// retry layer absorbed is tallied into `faults`. A machine that stays
@@ -133,148 +193,264 @@ pub fn match_stwig_batched(
     counters: &mut ExploreCounters,
     faults: &mut FaultCounters,
 ) -> Result<ResultTable, StwigError> {
-    // ---- Superstep 1: frontier collection (local-only reads) ----
-    // Visit every root that could emit rows and gather the neighbor ids
-    // whose labels live on other machines, deduplicated as they stream in
-    // (hubs are many roots' neighbor, so the set stays far smaller than the
-    // scan). The root-level binding/label filters mirror the emission pass;
-    // the `max_stwig_rows` early exit deliberately does not — a prefetch
-    // cannot know where the cap will land before the frontier labels
-    // arrive, so capped configs fetch labels for roots the emission pass
-    // may never reach (extra prefetch traffic only; rows stay identical).
-    let root_label = query.label(stwig.root);
-    let required =
-        trinity_sim::neighbor_index::required_mask(stwig.children.iter().map(|&c| query.label(c)));
-    let mut frontier: crate::hash::VertexSet = crate::hash::VertexSet::default();
-    for (root_idx, &n) in roots.iter().enumerate() {
-        if root_idx % CONTROL_CHECK_ROOTS == 0 && control.is_some_and(QueryControl::interrupted) {
-            // Ship only what was collected; the emission pass (and the
-            // caller) observe the same interrupt.
-            break;
+    with_scratch(|scratch| {
+        let filter = RootFilter::new(query, stwig, config);
+        let frontier = &mut scratch.frontier;
+        frontier.collect(
+            cloud, machine, stwig, &filter, roots, bindings, config, control,
+        );
+        frontier.exchange(transport, machine, config, control, faults)?;
+        // Emission, entirely partition-local: the core replays the frontier's
+        // root entries in order (it applies the same binding admission, so
+        // the sequences line up) and tests labels by position.
+        let mut entries = frontier.roots.iter();
+        let (ids, slots) = (&frontier.ids, &frontier.slots);
+        Ok(explore_roots(
+            query,
+            stwig,
+            roots,
+            bindings,
+            config,
+            control,
+            counters,
+            &mut scratch.child_candidates,
+            &mut scratch.row,
+            |_| {
+                // An interrupted collection stops short of `roots`; the
+                // interrupt is latched, so emission stops before it gets here.
+                let span = entries.next().cloned().unwrap_or(Err(Skip::Missing))?;
+                Ok((Neighbors::Slice(&ids[span.clone()]), &slots[span]))
+            },
+            |slots, i, _, label| slots[i] == label.0,
+        ))
+    })
+}
+
+/// Label slot of a neighbor whose label is unknown: a dangling or self edge,
+/// or a remote vertex whose owner never answered (interrupt, `Degrade`) or
+/// disowned it. Equal to no real label, so it never matches a child.
+const NO_LABEL: u32 = NOT_OWNED.0;
+
+/// Tag bit of a label slot that still holds a remote neighbor's dense slot
+/// number rather than a label. Labels are dense small integers, far below.
+const REMOTE_SLOT: u32 = 1 << 31;
+
+/// The label-resolved neighbor arena of one `Messages`-mode exploration.
+#[derive(Default)]
+struct Frontier {
+    /// Neighbor ids of every live root, one contiguous span per root.
+    ids: Vec<VertexId>,
+    /// Parallel to `ids`: the neighbor's label. Between [`Frontier::collect`]
+    /// and the end of [`Frontier::exchange`] a remote neighbor holds
+    /// `REMOTE_SLOT | slot` instead.
+    slots: Vec<u32>,
+    /// One entry per binding-admitted root, in root order: its span of
+    /// `ids`/`slots`, or why it has none.
+    roots: Vec<Result<Range<usize>, Skip>>,
+    /// Dense slot of each distinct remote neighbor, in first-appearance
+    /// order — the dedup insert, and the only hash operation per neighbor.
+    slot_of: FxHashMap<VertexId, u32>,
+    /// Label per remote slot; [`NO_LABEL`] until its owner answers.
+    slot_labels: Vec<u32>,
+    /// Per owning machine: the ids to request and the slot each answer
+    /// fills, in first-appearance order. That order is a pure function of
+    /// the root order, so envelopes are deterministic without a sort.
+    per_owner: Vec<OwnerBatch>,
+}
+
+#[derive(Default)]
+struct OwnerBatch {
+    ids: Vec<VertexId>,
+    slots: Vec<u32>,
+}
+
+impl Frontier {
+    /// Superstep 1, local-only reads: decodes every live root's adjacency
+    /// once into the arena. The root-level filters are the emission core's
+    /// (binding admission here, [`RootFilter::admit`] for the rest), so
+    /// a root pruned here is pruned there and no row can need a label that
+    /// was never requested; counting is left to the emission pass. The
+    /// `max_stwig_rows` early exit deliberately is not mirrored — a prefetch
+    /// cannot know where the cap will land before the labels arrive, so
+    /// capped configs resolve roots the emission pass may never reach (extra
+    /// prefetch traffic only; rows stay identical).
+    #[allow(clippy::too_many_arguments)]
+    fn collect(
+        &mut self,
+        cloud: &MemoryCloud,
+        machine: MachineId,
+        stwig: &STwig,
+        filter: &RootFilter,
+        roots: &[VertexId],
+        bindings: &Bindings,
+        config: &MatchConfig,
+        control: Option<&QueryControl>,
+    ) {
+        self.ids.clear();
+        self.slots.clear();
+        self.roots.clear();
+        self.slot_of.clear();
+        self.slot_labels.clear();
+        self.per_owner
+            .resize_with(cloud.num_machines(), OwnerBatch::default);
+        for batch in &mut self.per_owner {
+            batch.ids.clear();
+            batch.slots.clear();
         }
-        if config.use_bindings && !bindings.admits(stwig.root, n) {
-            continue;
-        }
-        let Some(cell) = cloud.load_local(machine, n) else {
-            continue;
-        };
-        if cell.label != root_label {
-            continue;
-        }
-        // Signature prune *before* neighbor collection: a pruned root's
-        // neighbors never enter the frontier, so no Load envelope is spent
-        // on them — this is where the exploration-phase traffic saving
-        // comes from. The predicate is identical to the emission pass's, so
-        // the skip can never starve a row of its labels; counting
-        // (`roots_pruned`) happens only in the emission pass — this
-        // frontier pass touches no counters, exactly like Degrade-mode
-        // placeholder tables carry default counters.
-        if config.pruning
-            && root_pruned(
-                cell.neighbors.len(),
-                stwig.children.len(),
-                cloud.signature_of(n),
-                required,
-            )
-        {
-            continue;
-        }
-        for m in cell.neighbors {
-            if m != n && !cloud.owns_local(machine, m) {
-                frontier.insert(m);
+
+        for (root_idx, &n) in roots.iter().enumerate() {
+            if root_idx % CONTROL_CHECK_ROOTS == 0 && control.is_some_and(QueryControl::interrupted)
+            {
+                // Ship only what was collected; the emission pass (and the
+                // caller) observe the same interrupt.
+                break;
             }
+            if config.use_bindings && !bindings.admits(stwig.root, n) {
+                continue;
+            }
+            let loaded = filter.admit(cloud.load_local(machine, n), || cloud.signature_of(n));
+            let entry = loaded.map(|neighbors| {
+                let start = self.ids.len();
+                for m in neighbors {
+                    let owner = cloud.machine_of(m);
+                    let slot = if m == n {
+                        NO_LABEL // never probed: a root is not its own child
+                    } else if owner == machine {
+                        cloud.label_of_local(machine, m).map_or(NO_LABEL, |l| l.0)
+                    } else {
+                        // Each distinct remote neighbor gets the next dense
+                        // slot and joins its owner's batch on first sight
+                        // (hubs are many roots' neighbor, so the distinct set
+                        // stays far smaller than the scan).
+                        let next = self.slot_labels.len() as u32;
+                        assert!(next < REMOTE_SLOT, "frontier exceeds 2^31 vertices");
+                        let slot = *self.slot_of.entry(m).or_insert(next);
+                        if slot == next {
+                            self.slot_labels.push(NO_LABEL);
+                            let batch = &mut self.per_owner[owner.index()];
+                            batch.ids.push(m);
+                            batch.slots.push(slot);
+                        }
+                        REMOTE_SLOT | slot
+                    };
+                    self.ids.push(m);
+                    self.slots.push(slot);
+                }
+                start..self.ids.len()
+            });
+            self.roots.push(entry);
         }
     }
 
-    // ---- Superstep 2: one batched Load request per owning machine ----
-    // (split into `transport_batch_ids`-sized envelopes), replies are owned
-    // cells. STwig matching only consumes the frontier's *labels* (children
-    // are depth-1), so the cells are requested projected — the owners keep
-    // their adjacency at home. Ids are sorted per owner so the envelopes
-    // are deterministic byte for byte.
-    let mut remote_labels: FxHashMap<VertexId, LabelId> = FxHashMap::default();
-    remote_labels.reserve(frontier.len());
-    let mut per_owner: Vec<Vec<VertexId>> = vec![Vec::new(); cloud.num_machines()];
-    for id in frontier {
-        per_owner[cloud.machine_of(id).index()].push(id);
-    }
-    'flush: for (owner, mut ids) in per_owner.into_iter().enumerate() {
-        if ids.is_empty() {
-            continue;
-        }
-        ids.sort_unstable();
-        let owner = MachineId(owner as u16);
-        // A machine already lost earlier in this query stays lost — don't
-        // burn another retry ladder rediscovering the same corpse.
-        if faults.is_lost(owner.0) {
-            continue;
-        }
-        for chunk in ids.chunks(config.transport_batch_ids.max(1)) {
-            // Cooperative check at every superstep flush: a cancelled or
-            // deadline-expired query stops issuing envelopes immediately.
-            if control.is_some_and(QueryControl::interrupted) {
-                break 'flush;
+    /// Superstep 2: one batched projected `Load` per owning machine (split
+    /// into `transport_batch_ids`-sized envelopes), then one linear pass
+    /// that replaces every remote slot in the arena by the label that
+    /// arrived for it. STwig matching only consumes the frontier's *labels*
+    /// (children are depth-1), so the owners keep their adjacency at home.
+    /// Every attempt of an envelope carries the same ids in the same order,
+    /// which keeps retries idempotent.
+    fn exchange(
+        &mut self,
+        transport: &dyn Transport,
+        machine: MachineId,
+        config: &MatchConfig,
+        control: Option<&QueryControl>,
+        faults: &mut FaultCounters,
+    ) -> Result<(), StwigError> {
+        let cap = config.transport_batch_ids.max(1);
+        'flush: for (owner, batch) in self.per_owner.iter().enumerate() {
+            let owner = MachineId(owner as u16);
+            // A machine already lost earlier in this query stays lost — don't
+            // burn another retry ladder rediscovering the same corpse.
+            if faults.is_lost(owner.0) {
+                continue;
             }
-            let reply = match retry_exchange(
-                transport,
-                &config.retry,
-                machine,
-                owner,
-                &|| Message::LoadRequest {
-                    ids: chunk.to_vec(),
-                    with_neighbors: false,
-                },
-                control,
-                faults,
-            ) {
-                Ok(ExchangeOutcome::Reply(reply)) => reply,
-                Ok(ExchangeOutcome::Interrupted) => break 'flush,
-                Err(StwigError::MachineUnavailable { machine: lost, .. })
-                    if config.failure_policy == FailurePolicy::Degrade =>
-                {
-                    // Graceful degradation: this owner's labels stay
-                    // unknown, which only suppresses rows needing them.
-                    faults.record_lost(lost);
-                    continue 'flush;
+            for (ids, slots) in batch.ids.chunks(cap).zip(batch.slots.chunks(cap)) {
+                // Cooperative check at every superstep flush: a cancelled or
+                // deadline-expired query stops issuing envelopes immediately.
+                if control.is_some_and(QueryControl::interrupted) {
+                    break 'flush;
                 }
-                Err(err) => return Err(err),
-            };
-            let cells = match reply {
-                Message::LoadReply { cells } => cells,
-                other => {
-                    return Err(StwigError::Transport(
-                        trinity_sim::transport::TransportError::UnexpectedReply {
-                            expected: "LoadReply",
-                            got: other.kind(),
-                        },
-                    ))
+                let reply = match retry_exchange(
+                    transport,
+                    &config.retry,
+                    machine,
+                    owner,
+                    &|| Message::LoadRequest {
+                        ids: ids.to_vec(),
+                        with_neighbors: false,
+                    },
+                    control,
+                    faults,
+                ) {
+                    Ok(ExchangeOutcome::Reply(reply)) => reply,
+                    Ok(ExchangeOutcome::Interrupted) => break 'flush,
+                    Err(StwigError::MachineUnavailable { machine: lost, .. })
+                        if config.failure_policy == FailurePolicy::Degrade =>
+                    {
+                        // Graceful degradation: this owner's slots stay
+                        // unknown, which only suppresses rows needing them.
+                        faults.record_lost(lost);
+                        continue 'flush;
+                    }
+                    Err(err) => return Err(err),
+                };
+                let labels = reply
+                    .into_labels(ids.len())
+                    .map_err(StwigError::Transport)?;
+                for (&slot, label) in slots.iter().zip(labels) {
+                    self.slot_labels[slot as usize] = label.0;
                 }
-            };
-            for cell in cells {
-                remote_labels.insert(cell.id, cell.label);
             }
         }
+        if !self.slot_labels.is_empty() {
+            for slot in &mut self.slots {
+                if *slot != NO_LABEL && *slot & REMOTE_SLOT != 0 {
+                    *slot = self.slot_labels[(*slot ^ REMOTE_SLOT) as usize];
+                }
+            }
+        }
+        Ok(())
     }
+}
 
-    // ---- Superstep 3: emission, entirely partition-local ----
-    Ok(explore_roots(
-        query,
-        stwig,
-        roots,
-        bindings,
-        config,
-        control,
-        counters,
-        |n| cloud.load_local(machine, n),
-        |m, label| {
-            if cloud.owns_local(machine, m) {
-                cloud.label_of_local(machine, m) == Some(label)
-            } else {
-                remote_labels.get(&m) == Some(&label)
-            }
-        },
-        |n| cloud.signature_of(n),
-    ))
+/// Everything an exploration allocates besides its output table, kept per
+/// thread between explorations.
+#[derive(Default)]
+struct ExploreScratch {
+    /// Candidate data vertices per STwig child, rebuilt per root.
+    child_candidates: Vec<Vec<VertexId>>,
+    /// The row under construction: `[root, child_1, ..]`.
+    row: Vec<VertexId>,
+    frontier: Frontier,
+}
+
+/// Elements a scratch buffer may hold and still be kept for the next
+/// exploration: enough for ordinary explorations to run warm, small enough
+/// that a worker thread's idle scratch stays around a megabyte.
+const SCRATCH_RETAIN: usize = 1 << 15;
+
+thread_local! {
+    static SCRATCH: RefCell<ExploreScratch> = RefCell::default();
+}
+
+/// Runs `f` with this thread's exploration scratch. The scratch is taken out
+/// of its slot for the duration, so a re-entrant call (or one after a panic
+/// mid-exploration) simply starts from an empty scratch; one that a
+/// hub-heavy exploration grew past [`SCRATCH_RETAIN`] is freed instead of
+/// kept, so resident memory cannot creep.
+fn with_scratch<R>(f: impl FnOnce(&mut ExploreScratch) -> R) -> R {
+    let mut scratch = SCRATCH.take();
+    let out = f(&mut scratch);
+    // `ids` bounds every other frontier buffer except the root entries.
+    let frontier = &scratch.frontier;
+    let largest = (scratch.child_candidates.iter().map(Vec::capacity))
+        .chain([frontier.ids.capacity(), frontier.roots.capacity()])
+        .max();
+    if largest.unwrap_or(0) <= SCRATCH_RETAIN {
+        SCRATCH.set(scratch);
+    }
+    out
 }
 
 /// How many roots are processed between cooperative `control` checks: small
@@ -290,12 +466,15 @@ const CONTROL_CHECK_ROWS: u64 = 256;
 
 /// The shared emission core of [`match_stwig`] / [`match_stwig_batched`]:
 /// the root loop, child-candidate construction and injective cross-product
-/// emission of Algorithm 1, parameterized over how a cell is loaded and how
-/// a neighbor's label is checked. Both callers must present the same data
-/// through `load` / `has_label` for the outputs to agree — which is exactly
-/// what the transport's owned replies guarantee.
+/// emission of Algorithm 1, parameterized over how a root is loaded and how
+/// a neighbor's label is checked. `load` hands back the root's neighbor run
+/// plus a context `L` that `has_label` receives with each neighbor's
+/// position in the run (nothing for `DirectRead`, the run's resolved labels
+/// for `Messages`). Both callers must present the same data through `load` /
+/// `has_label` for the outputs to agree — which is exactly what the
+/// transport's owned replies guarantee.
 #[allow(clippy::too_many_arguments)]
-fn explore_roots<'a>(
+fn explore_roots<'a, L: Copy>(
     query: &QueryGraph,
     stwig: &STwig,
     roots: &[VertexId],
@@ -303,26 +482,26 @@ fn explore_roots<'a>(
     config: &MatchConfig,
     control: Option<&QueryControl>,
     counters: &mut ExploreCounters,
-    load: impl Fn(VertexId) -> Option<Cell<'a>>,
-    has_label: impl Fn(VertexId, LabelId) -> bool,
-    signature: impl Fn(VertexId) -> Option<u64>,
+    child_candidates: &mut Vec<Vec<VertexId>>,
+    row_buf: &mut Vec<VertexId>,
+    mut load: impl FnMut(VertexId) -> Result<(Neighbors<'a>, L), Skip>,
+    has_label: impl Fn(L, usize, VertexId, LabelId) -> bool,
 ) -> ResultTable {
     let mut columns = Vec::with_capacity(1 + stwig.children.len());
     columns.push(stwig.root);
     columns.extend(stwig.children.iter().copied());
     let mut table = ResultTable::new(columns);
 
-    let root_label = query.label(stwig.root);
-    let child_labels: Vec<_> = stwig.children.iter().map(|&c| query.label(c)).collect();
-    let required = trinity_sim::neighbor_index::required_mask(child_labels.iter().copied());
-
-    let mut row_buf: Vec<VertexId> = Vec::with_capacity(1 + stwig.children.len());
-    let mut child_candidates: Vec<Vec<VertexId>> = vec![Vec::new(); stwig.children.len()];
+    if child_candidates.len() < stwig.children.len() {
+        child_candidates.resize_with(stwig.children.len(), Vec::new);
+    }
+    let child_candidates = &mut child_candidates[..stwig.children.len()];
     // Compact-tier cells hand out encoded neighbor runs. The per-child scan
     // below walks the run once per child, so decode it once per root into a
-    // reusable scratch (inline stack array for small degrees); plain-tier
-    // cells pass their slice through `materialize` untouched.
-    let mut scratch = trinity_sim::compact::NeighborScratch::new();
+    // reusable scratch (inline stack array for small degrees); plain slices
+    // — plain-tier cells, frontier spans — pass through `materialize`
+    // untouched.
+    let mut scratch = NeighborScratch::new();
 
     'roots: for (root_idx, &n) in roots.iter().enumerate() {
         if let Some(limit) = config.max_stwig_rows {
@@ -342,44 +521,32 @@ fn explore_roots<'a>(
             counters.rows_pruned_by_bindings += 1;
             continue;
         }
-        let cell = match load(n) {
-            Some(c) => c,
-            None => continue,
+        let (neighbors, label_ctx) = match load(n) {
+            Err(Skip::Missing) => continue,
+            Err(skip) => {
+                counters.cells_loaded += 1;
+                if skip == Skip::Pruned {
+                    counters.roots_pruned += 1;
+                }
+                continue;
+            }
+            Ok(run) => {
+                counters.cells_loaded += 1;
+                run
+            }
         };
-        counters.cells_loaded += 1;
-        if cell.label != root_label {
-            continue;
-        }
-        // Signature prune: skip roots that provably cannot cover the
-        // STwig's child-label multiset, before a single neighbor is probed.
-        // A pruned root would have emitted zero rows anyway (some child's
-        // candidate set is empty, or injectivity is impossible by
-        // pigeonhole), so the emitted table — and `rows_emitted` — are
-        // bit-identical with pruning on and off; only `label_probes` (and
-        // binding-filter work) shrink.
-        if config.pruning
-            && root_pruned(
-                cell.neighbors.len(),
-                stwig.children.len(),
-                signature(n),
-                required,
-            )
-        {
-            counters.roots_pruned += 1;
-            continue;
-        }
 
         // Candidate children per child query vertex.
-        let neighbors = cell.neighbors.materialize(&mut scratch);
-        for (ci, (&child, &label)) in stwig.children.iter().zip(child_labels.iter()).enumerate() {
-            let cands = &mut child_candidates[ci];
+        let neighbors = neighbors.materialize(&mut scratch);
+        for (cands, &child) in child_candidates.iter_mut().zip(&stwig.children) {
+            let label = query.label(child);
             cands.clear();
-            for &m in neighbors {
+            for (i, &m) in neighbors.iter().enumerate() {
                 if m == n {
                     continue;
                 }
                 counters.label_probes += 1;
-                if !has_label(m, label) {
+                if !has_label(label_ctx, i, m, label) {
                     continue;
                 }
                 if config.use_bindings && !bindings.admits(child, m) {
@@ -397,9 +564,9 @@ fn explore_roots<'a>(
         row_buf.clear();
         row_buf.push(n);
         emit_rows(
-            &child_candidates,
+            child_candidates,
             0,
-            &mut row_buf,
+            row_buf,
             &mut table,
             config.max_stwig_rows,
             control,
@@ -779,19 +946,22 @@ mod tests {
 
     #[test]
     fn malformed_peer_reply_degrades_the_query_not_the_process() {
-        use trinity_sim::transport::TransportError;
-        // A peer that answers every request with the wrong variant: the
-        // batched matcher must surface a typed `StwigError::Transport`
-        // instead of panicking the worker.
-        struct LyingTransport;
+        use trinity_sim::transport::{ChannelTransport, TransportError};
+        // A peer that answers every projected load with whatever `reply`
+        // makes of the request: the batched matcher must surface a typed
+        // `StwigError::Transport` instead of panicking the worker.
+        struct LyingTransport(fn(&[VertexId]) -> Message);
         impl Transport for LyingTransport {
             fn exchange(
                 &self,
                 _src: MachineId,
                 _dst: MachineId,
-                _msg: Message,
+                msg: Message,
             ) -> Result<Message, TransportError> {
-                Ok(Message::GetIdsReply { ids: vec![] })
+                let Message::LoadRequest { ids, .. } = msg else {
+                    panic!("the matcher only sends loads");
+                };
+                Ok((self.0)(&ids))
             }
             fn alloc_seq(&self, _src: MachineId, _dst: MachineId) -> u64 {
                 0
@@ -805,15 +975,11 @@ mod tests {
         let (query, a, b, c) = simple_query(&cloud);
         let stwig = STwig::new(a, vec![b, c]);
         let bindings = Bindings::new(query.num_vertices());
-        // Find a machine whose frontier actually crosses partitions so an
-        // exchange happens.
-        let mut saw_error = false;
-        for k in cloud.machines() {
+        let explore = |transport: &dyn Transport, k: MachineId| {
             let roots = cloud.get_ids(k, query.label(a)).to_vec();
-            let mut counters = ExploreCounters::default();
-            match match_stwig_batched(
+            match_stwig_batched(
                 &cloud,
-                &LyingTransport,
+                transport,
                 k,
                 &query,
                 &stwig,
@@ -821,22 +987,51 @@ mod tests {
                 &bindings,
                 &MatchConfig::default(),
                 None,
-                &mut counters,
+                &mut ExploreCounters::default(),
                 &mut FaultCounters::default(),
-            ) {
-                Err(crate::error::StwigError::Transport(TransportError::UnexpectedReply {
-                    expected,
-                    got,
-                })) => {
-                    assert_eq!(expected, "LoadReply");
-                    assert_eq!(got, "GetIdsReply");
-                    saw_error = true;
+            )
+        };
+        let honest = ChannelTransport::new(&cloud);
+
+        let wrong_variant = LyingTransport(|_| Message::GetIdsReply { ids: vec![] });
+        // One label short, one label long: every label after the gap would
+        // land on the wrong vertex, so neither may be accepted.
+        let short = LyingTransport(|ids| Message::LabelReply {
+            labels: vec![LabelId(0); ids.len() - 1],
+        });
+        let long = LyingTransport(|ids| Message::LabelReply {
+            labels: vec![LabelId(0); ids.len() + 1],
+        });
+        for liar in [&wrong_variant, &short, &long] {
+            // Find a machine whose frontier actually crosses partitions so
+            // an exchange happens.
+            let mut saw_error = false;
+            for k in cloud.machines() {
+                match explore(liar, k) {
+                    Err(StwigError::Transport(TransportError::UnexpectedReply {
+                        expected,
+                        got,
+                    })) => {
+                        assert_eq!((expected, got), ("LabelReply", "GetIdsReply"));
+                        saw_error = true;
+                    }
+                    Err(StwigError::Transport(TransportError::MalformedPayload { detail })) => {
+                        assert!(detail.contains("requested ids"), "{detail}");
+                        saw_error = true;
+                    }
+                    Err(other) => panic!("unexpected error kind: {other}"),
+                    Ok(_) => {} // machine had no remote frontier
                 }
-                Err(other) => panic!("unexpected error kind: {other}"),
-                Ok(_) => {} // machine had no remote frontier
             }
+            assert!(saw_error, "some machine must need a remote exchange");
+            // The process serves on: the next query on this very thread (and
+            // its scratch) gets every row.
+            let rows: usize = cloud
+                .machines()
+                .map(|k| explore(&honest, k).unwrap().num_rows())
+                .sum();
+            assert_eq!(rows, 10);
         }
-        assert!(saw_error, "some machine must need a remote exchange");
     }
 
     /// Fig-5-like cloud plus two dead "a" roots: one with only b-neighbors

@@ -1,30 +1,52 @@
-//! Allocation audit of the join hot path: with exactly one shared column,
-//! `hash_join` must perform **zero per-row heap allocations** — the key is a
-//! bare `u64`, the build index is a pre-sized chained index, and the output
-//! row buffer is reused. The test counts global-allocator calls around a
-//! large join and asserts the total stays far below the row count (only
-//! setup costs and the output buffer's geometric growth remain).
+//! Allocation audits of the two hot paths, on one counting allocator.
+//!
+//! * Join: with exactly one shared column, `hash_join` must perform **zero
+//!   per-row heap allocations** — the key is a bare `u64`, the build index is
+//!   a pre-sized chained index, and the output row buffer is reused. The test
+//!   counts allocator calls around a large join and asserts the total stays
+//!   far below the row count (only setup costs and the output buffer's
+//!   geometric growth remain).
+//! * Exploration: a `Messages`-mode exploration on a warm scratch allocates
+//!   its output table and its message payloads, nothing else.
+//!
+//! Counters are **per thread**: cargo runs the tests of this file on parallel
+//! threads, and a process-global counter would charge each test with its
+//! neighbours' allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
+use stwig::bindings::Bindings;
 use stwig::join::hash_join;
-use stwig::metrics::JoinCounters;
+use stwig::matcher::match_stwig_batched;
+use stwig::metrics::{ExploreCounters, FaultCounters, JoinCounters};
 use stwig::pipeline::pipelined_join;
-use stwig::query::QVid;
+use stwig::query::{QVid, QueryGraph};
+use stwig::stwig::STwig;
 use stwig::table::ResultTable;
 use stwig::MatchConfig;
+use trinity_sim::builder::GraphBuilder;
 use trinity_sim::ids::VertexId;
+use trinity_sim::network::CostModel;
+use trinity_sim::transport::ChannelTransport;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without destructors, so touching them from
+    // inside the allocator neither allocates nor runs into a torn-down slot.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_alloc(size: usize) {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    ALLOCATED_BYTES.with(|b| b.set(b.get() + size as u64));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        note_alloc(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -33,8 +55,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        note_alloc(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,16 +63,18 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Allocator calls the calling thread makes while running `f`.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.get();
     let result = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
+    (ALLOCATIONS.get() - before, result)
 }
 
+/// Bytes the calling thread requests from the allocator while running `f`.
 fn allocated_bytes_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let before = ALLOCATED_BYTES.get();
     let result = f();
-    (ALLOCATED_BYTES.load(Ordering::Relaxed) - before, result)
+    (ALLOCATED_BYTES.get() - before, result)
 }
 
 /// `rows`-row tables sharing exactly column 1, joining 1:1.
@@ -156,5 +179,86 @@ fn wide_key_fallback_demonstrates_the_counter_works() {
     assert!(
         allocs > ROWS,
         "Vec-keyed fallback must allocate per row ({ROWS} rows, {allocs} allocations)"
+    );
+}
+
+#[test]
+fn warm_exploration_allocates_only_its_table_and_its_messages() {
+    // 3000 vertices, 3 labels, ~8 pseudo-random edges each, over 4 machines:
+    // three quarters of every root's neighbors are remote, so the frontier,
+    // the slot map and every per-owner batch are exercised.
+    const N: u64 = 3000;
+    let mut b = GraphBuilder::new_undirected();
+    for i in 0..N {
+        b.add_vertex(VertexId(i), ["a", "b", "c"][(i % 3) as usize]);
+    }
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for i in 0..N {
+        for _ in 0..4 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            b.add_edge(VertexId(i), VertexId((x >> 33) % N));
+        }
+    }
+    let cloud = b.build(4, CostModel::default());
+    let mut builder = QueryGraph::builder();
+    let qa = builder.vertex_by_name(&cloud, "a").unwrap();
+    let qb = builder.vertex_by_name(&cloud, "b").unwrap();
+    let qc = builder.vertex_by_name(&cloud, "c").unwrap();
+    builder.edge(qa, qb).edge(qa, qc);
+    let query = builder.build().unwrap();
+    let stwig = STwig::new(qa, vec![qb, qc]);
+    let bindings = Bindings::new(query.num_vertices());
+    // Several envelopes per owner, so payload allocations are visible.
+    let config = MatchConfig::default().with_transport_batch_ids(256);
+    let transport = ChannelTransport::new(&cloud);
+    let machine = cloud.machines().next().unwrap();
+    let roots = cloud.get_ids(machine, query.label(qa)).to_vec();
+    let explore = || {
+        match_stwig_batched(
+            &cloud,
+            &transport,
+            machine,
+            &query,
+            &stwig,
+            &roots,
+            &bindings,
+            &config,
+            None,
+            &mut ExploreCounters::default(),
+            &mut FaultCounters::default(),
+        )
+        .unwrap()
+    };
+
+    // This test's thread starts with an empty scratch: the first exploration
+    // grows it, the second finds it warm.
+    let (cold, first) = allocations_during(explore);
+    cloud.reset_traffic();
+    let (warm, second) = allocations_during(explore);
+    let envelopes = cloud.traffic().total_messages() / 2;
+    assert_eq!(first, second);
+    assert!(second.num_rows() > 1000, "a table worth growing");
+    assert!(envelopes > 3, "more than one envelope per owner");
+
+    // What the output table alone costs: its column vector plus the
+    // geometric growth of its row buffer.
+    let (table_allocs, _) = allocations_during(|| {
+        let mut table = ResultTable::new(second.columns().to_vec());
+        second.rows().for_each(|row| table.push_row(row));
+        table
+    });
+    // Each envelope owns two payloads the transport hands over: the request's
+    // id vector and the reply's label vector.
+    assert_eq!(
+        warm,
+        table_allocs + 2 * envelopes,
+        "a warm exploration must allocate only its table ({table_allocs}) and \
+         two payloads per envelope ({envelopes} envelopes); cold run: {cold}"
+    );
+    assert!(
+        cold > warm,
+        "the counter sees the scratch grow ({cold} vs {warm})"
     );
 }

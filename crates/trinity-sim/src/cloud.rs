@@ -33,8 +33,8 @@ pub fn machine_for(id: VertexId, num_machines: usize) -> MachineId {
 ///
 /// Data crosses a partition boundary **by value only**: a machine that needs
 /// another machine's cells or postings sends a batched request over a
-/// [`crate::transport::Transport`] and receives owned
-/// [`crate::partition::CellBuf`]s / id vectors back. The remaining access
+/// [`crate::transport::Transport`] and receives owned labels,
+/// [`crate::partition::CellBuf`]s or id vectors back. The remaining access
 /// surfaces fall into three tiers:
 ///
 /// * **Partition-local** (`load_local`, `label_of_local`, `owns_local`,

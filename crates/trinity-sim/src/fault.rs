@@ -621,7 +621,10 @@ mod tests {
                 }
             }
         };
-        assert!(matches!(reply, Message::LoadReply { .. }));
+        // The fault layer passes the projected load's label-only reply
+        // through untouched: header + 4 bytes for the one requested id.
+        assert!(matches!(&reply, Message::LabelReply { labels } if labels.len() == 1));
+        assert_eq!(reply.wire_bytes(), 16 + 4);
         assert!(failures >= 1);
     }
 

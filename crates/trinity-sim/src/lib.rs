@@ -21,10 +21,10 @@
 //!   ([`network::Network`], [`cost::CostModel`]);
 //! * an explicit **batched message transport** between machines
 //!   ([`transport::Transport`], [`transport::ChannelTransport`]) carrying
-//!   typed messages — batched `Load` requests answered with owned
-//!   [`partition::CellBuf`]s, posting requests, binding deltas and shipped
-//!   join rows — so partition-local execution never dereferences foreign
-//!   memory (§4.2, §6.2);
+//!   typed messages — batched `Load` requests answered with owned labels
+//!   or [`partition::CellBuf`]s, posting requests, binding deltas and
+//!   shipped join rows — so partition-local execution never dereferences
+//!   foreign memory (§4.2, §6.2);
 //! * the **label-pair catalog** and query-specific **cluster graph** of §5.3
 //!   used for head-STwig and load-set selection
 //!   ([`cluster_graph::LabelPairCatalog`], [`cluster_graph::ClusterGraph`]);

@@ -6,8 +6,9 @@
 //! into batches. This module is that boundary made explicit:
 //!
 //! * [`Message`] is the typed vocabulary: batched `Cloud.Load` requests
-//!   answered with **owned** [`CellBuf`] replies, `Index.getID` posting
-//!   requests, binding-exchange deltas, and shipped join rows;
+//!   answered with **owned** replies ([`CellBuf`]s, or bare labels for a
+//!   projected load), `Index.getID` posting requests, binding-exchange
+//!   deltas, and shipped join rows;
 //! * [`Transport`] is the pluggable carrier: synchronous request/reply
 //!   round-trips ([`Transport::exchange`]) plus one-way posts into
 //!   per-machine mailboxes ([`Transport::post`] / [`Transport::drain`]);
@@ -40,6 +41,11 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// The label a [`Message::LabelReply`] carries for a requested id its sender
+/// does not own (or that does not exist): the reply stays aligned with the
+/// request instead of silently skipping the id.
+pub const NOT_OWNED: LabelId = LabelId(u32::MAX);
 
 /// A failure observed on the transport: a protocol violation (malformed
 /// peer) or a delivery fault (timeout, transient unavailability, corrupted
@@ -164,6 +170,8 @@ impl std::error::Error for TransportError {}
 
 /// Size, in bytes, charged for one vertex id on the wire.
 const ID_BYTES: u64 = 8;
+/// Size, in bytes, charged for one label on the wire.
+const LABEL_BYTES: u64 = 4;
 /// Fixed per-envelope header charge (source, destination, type tag, length).
 const HEADER_BYTES: u64 = 16;
 
@@ -174,24 +182,33 @@ const HEADER_BYTES: u64 = 16;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Message {
     /// Batched `Cloud.Load`: "send me the cells of these vertices you own".
-    /// Ids are expected sorted and deduplicated (one batch per destination
-    /// per superstep).
+    /// Ids are expected deduplicated (one batch per destination per
+    /// superstep).
     LoadRequest {
         /// Vertices to load, all owned by the destination.
         ids: Vec<VertexId>,
-        /// Whether reply cells should carry their adjacency. STwig
-        /// exploration is depth-1 — it consumes only the *labels* of
-        /// frontier vertices — so the executor requests projected cells and
-        /// the owner keeps hub adjacency lists at home (shipping them would
-        /// dominate traffic on skewed graphs for data nobody reads). A
-        /// multi-hop explorer would request full cells.
+        /// Whether the reply carries adjacency ([`Message::LoadReply`]) or
+        /// only labels ([`Message::LabelReply`]). STwig exploration is
+        /// depth-1 — it consumes only the *labels* of frontier vertices —
+        /// so the executor requests the projection and the owner keeps hub
+        /// adjacency lists at home (shipping them would dominate traffic on
+        /// skewed graphs for data nobody reads). A multi-hop explorer would
+        /// request full cells.
         with_neighbors: bool,
     },
-    /// Reply to [`Message::LoadRequest`]: owned cells, in request order.
-    /// Ids the destination does not own are silently skipped.
+    /// Reply to a [`Message::LoadRequest`] with `with_neighbors: true`:
+    /// owned cells, in request order. Ids the destination does not own are
+    /// silently skipped (each cell names its id).
     LoadReply {
         /// The loaded cells (label + copied neighbor list).
         cells: Vec<CellBuf>,
+    },
+    /// Reply to a projected [`Message::LoadRequest`] (`with_neighbors:
+    /// false`): exactly one label per requested id, in request order, with
+    /// [`NOT_OWNED`] standing in for ids the destination does not own.
+    LabelReply {
+        /// `labels[i]` is the label of the request's `ids[i]`.
+        labels: Vec<LabelId>,
     },
     /// `Index.getID` forwarded to another machine: "send me your local
     /// postings for this label".
@@ -230,6 +247,7 @@ impl Message {
             + match self {
                 Message::LoadRequest { ids, .. } => 1 + ids.len() as u64 * ID_BYTES,
                 Message::LoadReply { cells } => cells.iter().map(CellBuf::wire_bytes).sum(),
+                Message::LabelReply { labels } => labels.len() as u64 * LABEL_BYTES,
                 Message::GetIdsRequest { .. } => 4,
                 Message::GetIdsReply { ids } => ids.len() as u64 * ID_BYTES,
                 Message::BindingDelta { cols } => cols
@@ -250,11 +268,33 @@ impl Message {
         )
     }
 
+    /// Consumes the reply to a projected load of `requested` ids. The peer is
+    /// not trusted: any other variant is [`TransportError::UnexpectedReply`],
+    /// and a reply that is not aligned with the request — too short or too
+    /// long — is [`TransportError::MalformedPayload`], because every label
+    /// after the first gap would otherwise land on the wrong vertex.
+    pub fn into_labels(self, requested: usize) -> Result<Vec<LabelId>, TransportError> {
+        match self {
+            Message::LabelReply { labels } if labels.len() == requested => Ok(labels),
+            Message::LabelReply { labels } => Err(TransportError::MalformedPayload {
+                detail: format!(
+                    "LabelReply carries {} labels for {requested} requested ids",
+                    labels.len()
+                ),
+            }),
+            other => Err(TransportError::UnexpectedReply {
+                expected: "LabelReply",
+                got: other.kind(),
+            }),
+        }
+    }
+
     /// The variant name, for protocol-violation diagnostics.
     pub fn kind(&self) -> &'static str {
         match self {
             Message::LoadRequest { .. } => "LoadRequest",
             Message::LoadReply { .. } => "LoadReply",
+            Message::LabelReply { .. } => "LabelReply",
             Message::GetIdsRequest { .. } => "GetIdsRequest",
             Message::GetIdsReply { .. } => "GetIdsReply",
             Message::BindingDelta { .. } => "BindingDelta",
@@ -331,12 +371,12 @@ pub trait Transport: Send + Sync {
 ///
 /// Requests are served inline against the **destination's** partition only —
 /// the handler plays the role of the remote machine's message loop, so the
-/// requester never touches foreign memory; it gets owned [`CellBuf`]s /
-/// id vectors back. One-way messages go through per-machine mailboxes
-/// (mutex-guarded vectors). All envelopes are recorded on the cloud's
-/// traffic matrix with their actual [`Message::wire_bytes`] size; envelopes
-/// between co-located endpoints are recorded on the diagonal and therefore
-/// free, like every other local access.
+/// requester never touches foreign memory; it gets owned [`CellBuf`]s,
+/// label vectors or id vectors back. One-way messages go through
+/// per-machine mailboxes (mutex-guarded vectors). All envelopes are recorded
+/// on the cloud's traffic matrix with their actual [`Message::wire_bytes`]
+/// size; envelopes between co-located endpoints are recorded on the diagonal
+/// and therefore free, like every other local access.
 pub struct ChannelTransport<'c> {
     cloud: &'c MemoryCloud,
     mailboxes: Vec<Mutex<Mailbox>>,
@@ -344,8 +384,10 @@ pub struct ChannelTransport<'c> {
     seqs: Vec<AtomicU64>,
     /// Cooperative per-exchange deadline; `None` waits forever.
     exchange_timeout: Option<Duration>,
-    /// Injected handler stalls per machine (chaos/test instrumentation).
-    stalls: Mutex<Vec<Option<Duration>>>,
+    /// Injected handler stall per machine in nanoseconds, 0 = none
+    /// (chaos/test instrumentation; an atomic so the exchange path of an
+    /// uninstrumented transport takes no lock).
+    stall_nanos: Vec<AtomicU64>,
     duplicates_suppressed: AtomicU64,
 }
 
@@ -374,7 +416,7 @@ impl<'c> ChannelTransport<'c> {
             mailboxes: (0..n).map(|_| Mutex::new(Mailbox::default())).collect(),
             seqs: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
             exchange_timeout: None,
-            stalls: Mutex::new(vec![None; n]),
+            stall_nanos: (0..n).map(|_| AtomicU64::new(0)).collect(),
             duplicates_suppressed: AtomicU64::new(0),
         }
     }
@@ -393,7 +435,8 @@ impl<'c> ChannelTransport<'c> {
     /// the caller gets [`TransportError::Timeout`] at the deadline instead
     /// of waiting out the full stall.
     pub fn stall_machine(&self, m: MachineId, stall: Duration) {
-        self.stalls.lock().expect("stalls poisoned")[m.index()] = Some(stall);
+        let nanos = u64::try_from(stall.as_nanos()).unwrap_or(u64::MAX);
+        self.stall_nanos[m.index()].store(nanos, Ordering::Relaxed);
     }
 
     /// Number of duplicate envelope deliveries suppressed on drain.
@@ -407,22 +450,21 @@ impl<'c> ChannelTransport<'c> {
         match msg {
             Message::LoadRequest {
                 ids,
-                with_neighbors,
+                with_neighbors: true,
             } => Ok(Message::LoadReply {
                 cells: ids
                     .iter()
                     .filter_map(|&id| partition.load(id))
-                    .map(|c| {
-                        if *with_neighbors {
-                            c.to_owned()
-                        } else {
-                            CellBuf {
-                                id: c.id,
-                                label: c.label,
-                                neighbors: Vec::new(),
-                            }
-                        }
-                    })
+                    .map(|c| c.to_owned())
+                    .collect(),
+            }),
+            Message::LoadRequest {
+                ids,
+                with_neighbors: false,
+            } => Ok(Message::LabelReply {
+                labels: ids
+                    .iter()
+                    .map(|&id| partition.label_of(id).unwrap_or(NOT_OWNED))
                     .collect(),
             }),
             Message::GetIdsRequest { label } => Ok(Message::GetIdsReply {
@@ -449,36 +491,33 @@ impl Transport for ChannelTransport<'_> {
             return Err(TransportError::NotARequest { got: msg.kind() });
         }
         self.record(src, dst, &msg);
-        let started = Instant::now();
-        let stall = self.stalls.lock().expect("stalls poisoned")[dst.index()];
-        if let Some(stall) = stall {
-            // Simulate the wedged handler in bounded slices so a configured
-            // timeout aborts the wait instead of sleeping out the stall.
-            let mut served = Duration::ZERO;
-            while served < stall {
-                if let Some(limit) = self.exchange_timeout {
-                    if started.elapsed() >= limit {
-                        return Err(TransportError::Timeout {
-                            dst,
-                            phase: msg.kind(),
-                        });
-                    }
-                }
-                let slice = (stall - served).min(Duration::from_micros(500));
-                std::thread::sleep(slice);
-                served += slice;
+        // Timeouts and stalls exist for chaos and timeout tests; without
+        // them an exchange reads no clock.
+        let deadline = self
+            .exchange_timeout
+            .and_then(|limit| Instant::now().checked_add(limit));
+        let timed_out = || deadline.is_some_and(|d| Instant::now() >= d);
+        let timeout = || TransportError::Timeout {
+            dst,
+            phase: msg.kind(),
+        };
+        let stall = Duration::from_nanos(self.stall_nanos[dst.index()].load(Ordering::Relaxed));
+        // Simulate the wedged handler in bounded slices so a configured
+        // timeout aborts the wait instead of sleeping out the stall.
+        let mut served = Duration::ZERO;
+        while served < stall {
+            if timed_out() {
+                return Err(timeout());
             }
+            let slice = (stall - served).min(Duration::from_micros(500));
+            std::thread::sleep(slice);
+            served += slice;
         }
         let reply = self.handle(dst, &msg)?;
-        if let Some(limit) = self.exchange_timeout {
-            if started.elapsed() >= limit {
-                // The reply exists but arrived past the deadline; the caller
-                // has already given up on this attempt.
-                return Err(TransportError::Timeout {
-                    dst,
-                    phase: msg.kind(),
-                });
-            }
+        if timed_out() {
+            // The reply exists but arrived past the deadline; the caller
+            // has already given up on this attempt.
+            return Err(timeout());
         }
         self.record(dst, src, &reply);
         Ok(reply)
@@ -756,7 +795,8 @@ mod tests {
                 },
             )
             .unwrap();
-        assert!(matches!(reply, Message::LoadReply { .. }));
+        let a = cloud.labels().get("a").unwrap();
+        assert_eq!(reply, Message::LabelReply { labels: vec![a] });
     }
 
     #[test]
@@ -805,23 +845,26 @@ mod tests {
         let transport = ChannelTransport::new(&cloud);
         let owner = cloud.machine_of(v(2));
         let src = cloud.machines().find(|&m| m != owner).unwrap();
+        // v(999) does not exist: its position is kept, marked not-owned.
+        let ids = vec![v(999), v(2)];
         let reply = transport
             .exchange(
                 src,
                 owner,
                 Message::LoadRequest {
-                    ids: vec![v(2)],
+                    ids: ids.clone(),
                     with_neighbors: false,
                 },
             )
             .unwrap();
-        let Message::LoadReply { cells } = &reply else {
-            panic!("expected LoadReply");
-        };
-        assert_eq!(cells[0].label, cloud.labels().get("c").unwrap());
-        assert!(
-            cells[0].neighbors.is_empty(),
-            "projected cells must not ship adjacency"
+        // Header plus one 4-byte label per requested id — no adjacency, no
+        // ids (the reply is aligned with the request).
+        assert_eq!(reply.wire_bytes(), HEADER_BYTES + 2 * LABEL_BYTES);
+        assert_eq!(
+            reply,
+            Message::LabelReply {
+                labels: vec![NOT_OWNED, cloud.labels().get("c").unwrap()]
+            }
         );
         // The projection is what the wire is charged for.
         let full = transport
@@ -829,12 +872,39 @@ mod tests {
                 src,
                 owner,
                 Message::LoadRequest {
-                    ids: vec![v(2)],
+                    ids,
                     with_neighbors: true,
                 },
             )
             .unwrap();
         assert!(full.wire_bytes() > reply.wire_bytes());
+    }
+
+    #[test]
+    fn misaligned_or_mistyped_label_reply_is_a_typed_error() {
+        let c = LabelId(2);
+        assert_eq!(
+            Message::LabelReply { labels: vec![c; 3] }.into_labels(3),
+            Ok(vec![c; 3])
+        );
+        for wrong in [2usize, 4] {
+            let err = Message::LabelReply { labels: vec![c; 3] }
+                .into_labels(wrong)
+                .unwrap_err();
+            assert!(
+                matches!(&err, TransportError::MalformedPayload { detail }
+                    if detail.contains("3 labels") && detail.contains(&wrong.to_string())),
+                "{err}"
+            );
+            assert!(!err.is_transient(), "replaying a bug yields the same bug");
+        }
+        assert_eq!(
+            Message::LoadReply { cells: vec![] }.into_labels(0),
+            Err(TransportError::UnexpectedReply {
+                expected: "LabelReply",
+                got: "LoadReply"
+            })
+        );
     }
 
     #[test]

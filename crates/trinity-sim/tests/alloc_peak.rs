@@ -6,7 +6,7 @@
 //! peaks. A live-bytes watermark allocator measures exactly that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use trinity_sim::compact::CompactCsr;
 use trinity_sim::csr::Csr;
@@ -14,30 +14,43 @@ use trinity_sim::ids::VertexId;
 
 struct PeakAllocator;
 
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread: cargo runs this file's tests on parallel threads, and each
+    // test allocates and frees its data on its own thread, so a process-wide
+    // watermark would charge a test with its neighbours' megabytes.
+    // Const-initialized and without destructors, so touching them from
+    // inside the allocator neither allocates nor meets a torn-down slot.
+    // Signed: a thread may free a block another thread allocated.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
+}
 
-fn note_alloc(size: u64) {
-    let live = LIVE_BYTES.fetch_add(size, Ordering::Relaxed) + size;
-    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+fn note_alloc(size: usize) {
+    let live = LIVE_BYTES.get() + size as i64;
+    LIVE_BYTES.set(live);
+    PEAK_BYTES.set(PEAK_BYTES.get().max(live));
+}
+
+fn note_free(size: usize) {
+    LIVE_BYTES.set(LIVE_BYTES.get() - size as i64);
 }
 
 unsafe impl GlobalAlloc for PeakAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc(layout.size() as u64);
+        note_alloc(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        note_free(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // The old block is live until the copy completes, so count the new
         // block in full before subtracting the old one.
-        note_alloc(new_size as u64);
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        note_alloc(new_size);
+        note_free(layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -45,13 +58,13 @@ unsafe impl GlobalAlloc for PeakAllocator {
 #[global_allocator]
 static ALLOC: PeakAllocator = PeakAllocator;
 
-/// Runs `f` and returns the allocation high-water mark *above* the bytes
-/// live at entry, plus the result.
+/// Runs `f` and returns the calling thread's allocation high-water mark
+/// *above* the bytes it held live at entry, plus the result.
 fn peak_above_baseline<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let baseline = LIVE_BYTES.load(Ordering::Relaxed);
-    PEAK_BYTES.store(baseline, Ordering::Relaxed);
+    let baseline = LIVE_BYTES.get();
+    PEAK_BYTES.set(baseline);
     let result = f();
-    let peak = PEAK_BYTES.load(Ordering::Relaxed).saturating_sub(baseline);
+    let peak = (PEAK_BYTES.get() - baseline).max(0) as u64;
     (peak, result)
 }
 
