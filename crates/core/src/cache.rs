@@ -44,12 +44,26 @@
 //! it was explored under, and probes carry the probing snapshot. An entry
 //! whose epoch differs from the snapshot's is *never served as-is*:
 //!
-//! * entry epoch **older** than the snapshot — the entry is revalidated in
-//!   place when the lineage's touched-label log proves no intervening epoch
-//!   touched any of the shape's labels (root postings and child neighbor
-//!   scans read only those labels' vertices, so the canonical tables are
-//!   bit-identical and the tag simply advances); otherwise it is lazily
-//!   evicted (`stale_evictions`) and the probe misses.
+//! * entry epoch **older** than the snapshot — exploration of shape
+//!   `(r; c1..ck)` reads the graph only as adjacency entries "root labelled
+//!   `r` → neighbour labelled `ci`", and a root's rows are a function of its
+//!   own such entries alone. The lineage's
+//!   [`trinity_sim::epoch::EpochTouchLog`] records, per epoch, every entry
+//!   that appeared or disappeared keyed by exactly that ordered pair, so
+//!   the probe asks it for the roots touched under the shape's pairs since
+//!   the entry's epoch. *None*: the canonical tables are bit-identical at
+//!   both epochs, the tag advances and the probe hits — a touched pair that
+//!   is not one of the shape's (the same labels in another combination)
+//!   costs nothing. *Some*: the probe reports [`CacheLookup::Repair`] — the
+//!   resident tables plus the touched roots — and the caller re-explores
+//!   just those roots against its pinned snapshot and splices their rows
+//!   into the old tables ([`splice_roots`]); every other row is provably
+//!   unchanged, so the result equals a fresh populate. Machines owning no
+//!   touched root keep sharing their `Arc`'d table. A repaired probe counts
+//!   as a miss plus a `repairs`. *Unknown* (the log's ring no longer covers
+//!   the range, no log, or the entry is an uncacheable tombstone with a
+//!   touched pair): the entry is lazily evicted (`stale_evictions`) and the
+//!   probe misses.
 //! * entry epoch **newer** than the snapshot — a reader still pinned to an
 //!   old epoch; the probe misses but the entry stays resident for
 //!   current-epoch queries.
@@ -61,7 +75,7 @@
 //!
 //! The cache is sharded by key hash; each shard is an LRU map under its own
 //! mutex with a per-shard slice of the byte budget. Entries hand out
-//! `Arc<Vec<ResultTable>>`, so eviction never invalidates a table a
+//! [`CachedTables`], so eviction never invalidates a table a
 //! concurrent query is still reading — the reader's `Arc` keeps the data
 //! alive and the shard simply drops its reference.
 
@@ -75,7 +89,7 @@ use crate::table::ResultTable;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use trinity_sim::ids::LabelId;
+use trinity_sim::ids::{LabelId, VertexId};
 use trinity_sim::MemoryCloud;
 
 /// Tuning knobs of the [`StwigCache`].
@@ -152,28 +166,32 @@ impl StwigShape {
     fn key_bytes(&self) -> usize {
         std::mem::size_of::<LabelId>() * (1 + self.child_labels.len()) + 1
     }
-
-    /// Every label the shape's exploration reads — root, then the sorted
-    /// child labels — for the touched-label revalidation probe.
-    fn labels(&self) -> Vec<LabelId> {
-        let mut labels = Vec::with_capacity(1 + self.child_labels.len());
-        labels.push(self.root_label);
-        labels.extend_from_slice(&self.child_labels);
-        labels
-    }
 }
 
-/// The three outcomes of a cache probe.
+/// One entry's canonical tables, one per machine. The tables are shared
+/// individually so a repair can keep the machines it did not touch.
+pub type CachedTables = Arc<Vec<Arc<ResultTable>>>;
+
+/// The outcomes of a cache probe.
 #[derive(Debug, Clone)]
 pub enum CacheLookup {
     /// The canonical per-machine tables are resident.
-    Hit(Arc<Vec<ResultTable>>),
+    Hit(CachedTables),
     /// Nothing is known about this shape; the caller should populate.
     Miss,
     /// The shape is marked uncacheable (its unbound exploration exceeded the
     /// populate row cap); the caller should run plain bound exploration and
     /// not attempt to populate again.
     Bypass,
+    /// The resident tables are exact for the probing snapshot except at the
+    /// `touched` roots (sorted ascending): the caller re-explores those and
+    /// inserts the spliced tables.
+    Repair {
+        /// The resident, older-epoch canonical tables.
+        tables: CachedTables,
+        /// Roots whose rows may have changed since the tables' epoch.
+        touched: Vec<VertexId>,
+    },
 }
 
 /// One cached entry: the canonical per-machine tables — or an uncacheable
@@ -181,13 +199,14 @@ pub enum CacheLookup {
 struct Entry {
     /// `None` marks an uncacheable shape (negative entry). Tombstones are
     /// tiny but participate in LRU so a budget squeeze can reclaim them.
-    tables: Option<Arc<Vec<ResultTable>>>,
+    tables: Option<CachedTables>,
     bytes: usize,
     last_used: u64,
     /// The cloud epoch the entry was explored under. Always 0 against a
     /// static cloud; against a dynamic lineage, a probe from a different
-    /// epoch either revalidates, misses, or lazily evicts — it never serves
-    /// the tables across an epoch boundary unproven (see the module docs).
+    /// epoch revalidates, asks for a repair, misses, or lazily evicts — it
+    /// never serves the tables across an epoch boundary unproven (see the
+    /// module docs).
     epoch: u64,
 }
 
@@ -228,6 +247,7 @@ pub struct StwigCache<'c> {
     insertions: AtomicU64,
     evictions: AtomicU64,
     stale_evictions: AtomicU64,
+    repairs: AtomicU64,
 }
 
 impl std::fmt::Debug for StwigCache<'_> {
@@ -262,6 +282,7 @@ impl<'c> StwigCache<'c> {
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             stale_evictions: AtomicU64::new(0),
+            repairs: AtomicU64::new(0),
         }
     }
 
@@ -288,9 +309,9 @@ impl<'c> StwigCache<'c> {
     }
 
     /// Probes the cache for `shape` on behalf of a query pinned to `cloud`,
-    /// counting a hit, miss or bypass. The entry's epoch tag is compared to
-    /// the snapshot's epoch; see the module docs for the revalidate /
-    /// lazy-evict / leave-resident trichotomy.
+    /// counting exactly one of hit, miss or bypass. The entry's epoch tag is
+    /// compared to the snapshot's epoch; see the module docs for the
+    /// revalidate / repair / lazy-evict / leave-resident cases.
     pub fn lookup(&self, shape: &StwigShape, cloud: &MemoryCloud) -> CacheLookup {
         let epoch = cloud.epoch();
         let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
@@ -308,28 +329,43 @@ impl<'c> StwigCache<'c> {
             return CacheLookup::Miss;
         }
         if entry.epoch < epoch {
-            // Stale tag. Serve only on *proof* that no epoch in
-            // (entry.epoch, epoch] touched any of the shape's labels — then
-            // the canonical tables are bit-identical at both epochs and the
-            // tag simply advances. Anything short of proof (a label was
-            // touched, no log, or the log doesn't cover the range) lazily
-            // evicts the entry and reports a miss so the caller repopulates
-            // against the pinned snapshot.
-            let untouched = cloud
-                .epoch_label_log()
-                .and_then(|log| log.touched_in_range(entry.epoch, epoch, &shape.labels()))
-                == Some(false);
-            if !untouched {
-                let previous = entry.last_used;
-                let bytes = entry.bytes;
-                shard.lru.remove(&previous).expect("LRU index out of sync");
-                shard.map.remove(shape);
-                shard.bytes -= bytes;
-                self.stale_evictions.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return CacheLookup::Miss;
+            // Stale tag: which roots did (entry.epoch, epoch] touch under the
+            // shape's (root, child) pairs? A childless shape would read the
+            // postings alone, which the log does not describe.
+            let touched = cloud
+                .epoch_touch_log()
+                .filter(|_| !shape.child_labels.is_empty())
+                .and_then(|log| {
+                    log.touched_roots(entry.epoch, epoch, shape.root_label, &shape.child_labels)
+                });
+            match (touched, &entry.tables) {
+                // Proof that nothing the shape reads moved: the tables (or
+                // the uncacheable verdict) hold at `epoch` too.
+                (Some(touched), _) if touched.is_empty() => entry.epoch = epoch,
+                // Exact everywhere but at the touched roots. The entry stays
+                // resident until the caller's repair replaces it.
+                (Some(touched), Some(tables)) => {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    self.repairs.fetch_add(1, Ordering::Relaxed);
+                    return CacheLookup::Repair {
+                        tables: Arc::clone(tables),
+                        touched,
+                    };
+                }
+                // Nothing can be proved (range not covered, no log) or
+                // nothing to repair (a tombstone): lazily evict and miss, so
+                // the caller repopulates against the pinned snapshot.
+                _ => {
+                    let previous = entry.last_used;
+                    let bytes = entry.bytes;
+                    shard.lru.remove(&previous).expect("LRU index out of sync");
+                    shard.map.remove(shape);
+                    shard.bytes -= bytes;
+                    self.stale_evictions.fetch_add(1, Ordering::Relaxed);
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    return CacheLookup::Miss;
+                }
             }
-            entry.epoch = epoch;
         }
         let previous = std::mem::replace(&mut entry.last_used, stamp);
         let result = match &entry.tables {
@@ -349,10 +385,11 @@ impl<'c> StwigCache<'c> {
 
     /// Inserts the canonical per-machine tables for `shape`, explored
     /// against `cloud`, evicting least-recently-used entries if the shard
-    /// exceeds its byte budget. If another query populated the same shape
-    /// first at the same (or a newer) epoch, the resident entry wins (at
-    /// equal epochs both were derived from identical exploration); a
-    /// resident entry from an older epoch is replaced.
+    /// exceeds its byte budget. If another query populated or repaired the
+    /// same shape first at the same (or a newer) epoch, the resident entry
+    /// wins (at equal epochs both were derived from identical exploration);
+    /// a resident entry from an older epoch is replaced — the shape stays
+    /// resident, so that is not an eviction.
     ///
     /// An entry that could never fit its shard's budget is recorded as an
     /// uncacheable tombstone instead: re-populating it on every occurrence
@@ -361,15 +398,15 @@ impl<'c> StwigCache<'c> {
     pub fn insert(
         &self,
         shape: StwigShape,
-        tables: Vec<ResultTable>,
+        tables: Vec<Arc<ResultTable>>,
         cloud: &MemoryCloud,
-    ) -> Arc<Vec<ResultTable>> {
+    ) -> CachedTables {
         assert_eq!(
             tables.len(),
             self.num_machines,
             "cache entries hold one table per machine"
         );
-        let bytes = tables.iter().map(ResultTable::memory_bytes).sum::<usize>() + shape.key_bytes();
+        let bytes = tables.iter().map(|t| t.memory_bytes()).sum::<usize>() + shape.key_bytes();
         let tables = Arc::new(tables);
         if bytes > self.shard_budget {
             self.mark_uncacheable(shape, cloud);
@@ -390,7 +427,7 @@ impl<'c> StwigCache<'c> {
     fn insert_entry(
         &self,
         shape: StwigShape,
-        tables: Option<Arc<Vec<ResultTable>>>,
+        tables: Option<CachedTables>,
         bytes: usize,
         epoch: u64,
     ) {
@@ -406,13 +443,12 @@ impl<'c> StwigCache<'c> {
                 return;
             }
             // The resident entry is from an older epoch than the incoming
-            // one — replace it, counting the stale eviction.
+            // one (typically its own repair) — replace it.
             let previous = resident.last_used;
             let old_bytes = resident.bytes;
             shard.lru.remove(&previous).expect("LRU index out of sync");
             shard.map.remove(&shape);
             shard.bytes -= old_bytes;
-            self.stale_evictions.fetch_add(1, Ordering::Relaxed);
         }
         shard.bytes += bytes;
         shard.lru.insert(stamp, shape.clone());
@@ -457,6 +493,7 @@ impl<'c> StwigCache<'c> {
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             stale_evictions: self.stale_evictions.load(Ordering::Relaxed),
+            repairs: self.repairs.load(Ordering::Relaxed),
             entries,
             bytes_resident,
         }
@@ -559,6 +596,36 @@ pub fn canonicalize_table(table: &ResultTable, query: &QueryGraph, stwig: &STwig
         out.push_row(&row_buf);
     }
     out.sort_rows();
+    out
+}
+
+/// Repairs one machine's canonical table: the rows of every root in
+/// `touched` (sorted ascending) are dropped from `old` and `fresh` — the
+/// canonical rows re-explored for those roots, possibly none — takes their
+/// place. Canonical rows are sorted root-major and the two inputs then share
+/// no root, so one linear merge on the root column keeps the order.
+pub fn splice_roots(old: &ResultTable, touched: &[VertexId], fresh: &ResultTable) -> ResultTable {
+    debug_assert!(touched.windows(2).all(|w| w[0] < w[1]));
+    debug_assert!(old.rows_are_sorted() && fresh.rows_are_sorted());
+    let mut out =
+        ResultTable::with_capacity(old.columns().to_vec(), old.num_rows() + fresh.num_rows());
+    let mut fresh_rows = fresh.rows().peekable();
+    let mut next_touched = 0;
+    for row in old.rows() {
+        while touched.get(next_touched).is_some_and(|&t| t < row[0]) {
+            next_touched += 1;
+        }
+        if touched.get(next_touched) == Some(&row[0]) {
+            continue;
+        }
+        while let Some(fresh_row) = fresh_rows.next_if(|f| f[0] < row[0]) {
+            out.push_row(fresh_row);
+        }
+        out.push_row(row);
+    }
+    for fresh_row in fresh_rows {
+        out.push_row(fresh_row);
+    }
     out
 }
 
@@ -706,7 +773,6 @@ mod tests {
     use super::*;
     use crate::query::QVid;
     use trinity_sim::builder::GraphBuilder;
-    use trinity_sim::ids::VertexId;
     use trinity_sim::network::CostModel;
 
     fn v(x: u64) -> VertexId {
@@ -723,6 +789,10 @@ mod tests {
             t.push_row(&row);
         }
         t
+    }
+
+    fn shared<const N: usize>(tables: [ResultTable; N]) -> Vec<Arc<ResultTable>> {
+        tables.into_iter().map(Arc::new).collect()
     }
 
     fn small_cloud() -> MemoryCloud {
@@ -768,7 +838,7 @@ mod tests {
         let cloud = small_cloud();
         let cache = StwigCache::new(&cloud, CacheConfig::default());
         let t = table(&[0, 1, 2], &[&[1, 2, 3]]);
-        cache.insert(unpruned, vec![t.clone(), t], &cloud);
+        cache.insert(unpruned, shared([t.clone(), t]), &cloud);
         assert!(
             matches!(cache.lookup(&pruned, &cloud), CacheLookup::Miss),
             "a table populated without pruning must not serve the pruned configuration"
@@ -837,7 +907,7 @@ mod tests {
         let (query, stwig) = unsorted_query();
         let shape = StwigShape::of(&query, &stwig, false);
         assert!(matches!(cache.lookup(&shape, &cloud), CacheLookup::Miss));
-        let tables = vec![table(&[0, 1, 2], &[&[1, 2, 3]]), table(&[0, 1, 2], &[])];
+        let tables = shared([table(&[0, 1, 2], &[&[1, 2, 3]]), table(&[0, 1, 2], &[])]);
         let arc = cache.insert(shape.clone(), tables, &cloud);
         assert_eq!(arc.len(), 2);
         let CacheLookup::Hit(hit) = cache.lookup(&shape, &cloud) else {
@@ -861,12 +931,12 @@ mod tests {
         let shape = StwigShape::of(&query, &stwig, false);
         cache.insert(
             shape.clone(),
-            vec![table(&[0], &[&[1]]), table(&[0], &[&[2]])],
+            shared([table(&[0], &[&[1]]), table(&[0], &[&[2]])]),
             &cloud,
         );
         cache.insert(
             shape.clone(),
-            vec![table(&[0], &[&[1]]), table(&[0], &[&[2]])],
+            shared([table(&[0], &[&[1]]), table(&[0], &[&[2]])]),
             &cloud,
         );
         assert_eq!(cache.stats().insertions, 1, "resident entry wins the race");
@@ -962,7 +1032,7 @@ mod tests {
             let rows: Vec<Vec<u64>> = (0..10u64).map(|r| vec![r, r + 1]).collect();
             let refs: Vec<&[u64]> = rows.iter().map(|r| r.as_slice()).collect();
             let t = table(&[0, 1], &refs);
-            held.push(cache.insert(shape, vec![t.clone(), t], &cloud));
+            held.push(cache.insert(shape, shared([t.clone(), t]), &cloud));
         }
         let stats = cache.stats();
         assert!(stats.evictions > 0, "tiny budget must evict");
@@ -1007,19 +1077,20 @@ mod tests {
     }
 
     #[test]
-    fn stale_entry_with_touched_labels_is_evicted_not_served() {
+    fn stale_entry_with_a_touched_pair_is_repaired_not_served() {
         use trinity_sim::epoch::{GraphEpochs, UpdateBatch};
         let epochs = GraphEpochs::new(small_cloud());
         let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
         let (query, stwig) = unsorted_query();
         let shape = StwigShape::of(&query, &stwig, false);
         let snap0 = epochs.pin();
-        cache.insert(
+        let stale = cache.insert(
             shape.clone(),
-            vec![table(&[0], &[&[1]]), table(&[0], &[&[2]])],
+            shared([table(&[0], &[&[1]]), table(&[0], &[&[2]])]),
             &snap0,
         );
-        // Touch label "b": add a b-vertex and wire it to the a-root.
+        // Touch pair (a, b) at root 0: add a b-vertex and wire it to the
+        // a-root.
         let batch = UpdateBatch::new()
             .add_vertex(v(10), "b")
             .add_edge(v(0), v(10));
@@ -1031,17 +1102,113 @@ mod tests {
             graph_fingerprint(&snap1),
             "epoch advance must change the fingerprint"
         );
-        assert!(
-            matches!(cache.lookup(&shape, &snap1), CacheLookup::Miss),
-            "an epoch-0 entry whose labels were touched must not serve epoch 1"
-        );
+        let CacheLookup::Repair { tables, touched } = cache.lookup(&shape, &snap1) else {
+            panic!("an epoch-0 entry with a touched pair must not serve epoch 1 as-is");
+        };
+        assert!(Arc::ptr_eq(&tables, &stale));
+        assert_eq!(touched, vec![v(0)], "only the a-root's rows can have moved");
         let stats = cache.stats();
-        assert_eq!(stats.stale_evictions, 1);
-        assert_eq!(stats.entries, 0, "the stale entry is gone");
+        assert_eq!((stats.hits, stats.misses, stats.repairs), (0, 1, 1));
+        assert_eq!(stats.stale_evictions, 0);
+        assert_eq!(stats.entries, 1, "resident until its repair replaces it");
+        // The repair lands at epoch 1 and is what later probes hit; taking
+        // the place of the entry it repaired is not an eviction.
+        let repaired = cache.insert(
+            shape.clone(),
+            shared([table(&[0], &[&[7]]), table(&[0], &[&[2]])]),
+            &snap1,
+        );
+        let CacheLookup::Hit(hit) = cache.lookup(&shape, &snap1) else {
+            panic!("the repaired entry must be resident");
+        };
+        assert!(Arc::ptr_eq(&hit, &repaired));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.stale_evictions), (1, 0));
     }
 
     #[test]
-    fn label_disjoint_update_revalidates_entry_in_place() {
+    fn touched_pair_outside_the_shape_still_hits() {
+        use trinity_sim::epoch::{GraphEpochs, UpdateBatch};
+        let epochs = GraphEpochs::new(small_cloud());
+        let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
+        let (query, stwig) = unsorted_query();
+        // Shape (a; b, c) reads pairs (a, b) and (a, c). A b–c edge touches
+        // both child labels, but only as pairs (b, c) and (c, b).
+        let shape = StwigShape::of(&query, &stwig, false);
+        let snap0 = epochs.pin();
+        let arc = cache.insert(
+            shape.clone(),
+            shared([table(&[0], &[&[1]]), table(&[0], &[&[2]])]),
+            &snap0,
+        );
+        epochs
+            .apply(&UpdateBatch::new().add_edge(v(1), v(2)))
+            .unwrap();
+        let CacheLookup::Hit(hit) = cache.lookup(&shape, &epochs.pin()) else {
+            panic!("same labels in another combination must not cost the entry");
+        };
+        assert!(Arc::ptr_eq(&arc, &hit));
+        assert_eq!(cache.stats().repairs, 0);
+    }
+
+    #[test]
+    fn tombstone_with_a_touched_pair_is_evicted_not_repaired() {
+        use trinity_sim::epoch::{GraphEpochs, UpdateBatch};
+        let epochs = GraphEpochs::new(small_cloud());
+        let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
+        let (query, stwig) = unsorted_query();
+        let shape = StwigShape::of(&query, &stwig, false);
+        cache.mark_uncacheable(shape.clone(), &epochs.pin());
+        // Untouched pairs: the verdict carries over.
+        epochs
+            .apply(&UpdateBatch::new().add_edge(v(1), v(2)))
+            .unwrap();
+        let snap1 = epochs.pin();
+        assert!(matches!(cache.lookup(&shape, &snap1), CacheLookup::Bypass));
+        // Touched pair (a, b): nothing to repair, so it goes.
+        epochs
+            .apply(&UpdateBatch::new().remove_edge(v(0), v(1)))
+            .unwrap();
+        assert!(matches!(
+            cache.lookup(&shape, &epochs.pin()),
+            CacheLookup::Miss
+        ));
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.stale_evictions, stats.repairs, stats.entries),
+            (1, 0, 0)
+        );
+        assert_eq!((stats.hits, stats.misses, stats.bypasses), (0, 1, 1));
+    }
+
+    #[test]
+    fn splice_replaces_touched_roots_rows_in_order() {
+        let old = table(
+            &[0, 1],
+            &[&[1, 10], &[2, 10], &[2, 11], &[3, 12], &[5, 13], &[6, 14]],
+        );
+        // Root 2 changed, root 4 appeared, root 5 lost its rows, root 9 was
+        // touched but never had any.
+        let fresh = table(&[0, 1], &[&[2, 11], &[2, 19], &[4, 10]]);
+        let spliced = splice_roots(&old, &[v(2), v(4), v(5), v(9)], &fresh);
+        let want = table(
+            &[0, 1],
+            &[&[1, 10], &[2, 11], &[2, 19], &[3, 12], &[4, 10], &[6, 14]],
+        );
+        assert_eq!(spliced, want);
+        // Nothing resident is a populate; nothing fresh is a deletion.
+        assert_eq!(
+            splice_roots(&table(&[0, 1], &[]), &[v(2), v(4)], &fresh),
+            fresh
+        );
+        assert_eq!(
+            splice_roots(&want, &[v(2), v(4)], &table(&[0, 1], &[])),
+            table(&[0, 1], &[&[1, 10], &[3, 12], &[6, 14]])
+        );
+    }
+
+    #[test]
+    fn entry_untouched_update_revalidates_entry_in_place() {
         use trinity_sim::epoch::{GraphEpochs, UpdateBatch};
         let epochs = GraphEpochs::new(small_cloud());
         let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
@@ -1050,16 +1217,17 @@ mod tests {
         let snap0 = epochs.pin();
         let arc = cache.insert(
             shape.clone(),
-            vec![table(&[0], &[&[1]]), table(&[0], &[&[2]])],
+            shared([table(&[0], &[&[1]]), table(&[0], &[&[2]])]),
             &snap0,
         );
-        // An isolated "d" vertex touches no label the shape reads.
+        // An isolated vertex changes no adjacency entry — even one carrying
+        // a label the shape reads roots no row and is nobody's child.
         epochs
-            .apply(&UpdateBatch::new().add_vertex(v(10), "d"))
+            .apply(&UpdateBatch::new().add_vertex(v(10), "b"))
             .unwrap();
         let snap1 = epochs.pin();
         let CacheLookup::Hit(hit) = cache.lookup(&shape, &snap1) else {
-            panic!("label-disjoint epoch advance must keep the entry servable");
+            panic!("an epoch that touched none of the shape's pairs must keep the entry servable");
         };
         assert!(Arc::ptr_eq(&arc, &hit));
         let stats = cache.stats();
@@ -1083,7 +1251,7 @@ mod tests {
         let snap1 = epochs.pin();
         cache.insert(
             shape.clone(),
-            vec![table(&[0], &[&[7]]), table(&[0], &[&[8]])],
+            shared([table(&[0], &[&[7]]), table(&[0], &[&[8]])]),
             &snap1,
         );
         assert!(
@@ -1106,7 +1274,7 @@ mod tests {
         let snap0 = epochs.pin();
         cache.insert(
             shape.clone(),
-            vec![table(&[0], &[&[1]]), table(&[0], &[&[2]])],
+            shared([table(&[0], &[&[1]]), table(&[0], &[&[2]])]),
             &snap0,
         );
         epochs
@@ -1116,18 +1284,22 @@ mod tests {
         // The epoch-1 populate replaces the epoch-0 resident …
         cache.insert(
             shape.clone(),
-            vec![table(&[0], &[&[7]]), table(&[0], &[&[8]])],
+            shared([table(&[0], &[&[7]]), table(&[0], &[&[8]])]),
             &snap1,
         );
         let CacheLookup::Hit(hit) = cache.lookup(&shape, &snap1) else {
             panic!("replacement entry must be resident");
         };
         assert_eq!(hit[0].row(0), &[v(7)]);
-        assert_eq!(cache.stats().stale_evictions, 1);
+        assert_eq!(
+            cache.stats().stale_evictions,
+            0,
+            "the shape stayed resident: a replacement is not an eviction"
+        );
         // … and an epoch-0 straggler does not clobber it back.
         cache.insert(
             shape.clone(),
-            vec![table(&[0], &[&[1]]), table(&[0], &[&[2]])],
+            shared([table(&[0], &[&[1]]), table(&[0], &[&[2]])]),
             &snap0,
         );
         let CacheLookup::Hit(hit) = cache.lookup(&shape, &snap1) else {

@@ -59,8 +59,8 @@
 
 use crate::bindings::Bindings;
 use crate::cache::{
-    apply_bindings_and_cap, canonicalize_table, derive_bound_table, CacheLookup, StwigCache,
-    StwigShape,
+    apply_bindings_and_cap, canonicalize_table, derive_bound_table, splice_roots, CacheLookup,
+    StwigCache, StwigShape,
 };
 use crate::config::{FailurePolicy, MatchConfig, TransportMode};
 use crate::decompose::{decompose_ordered, PairAwareStats};
@@ -79,6 +79,7 @@ use crate::stwig::STwig;
 use crate::table::ResultTable;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 use trinity_sim::cluster_graph::ClusterGraph;
 use trinity_sim::fault::FaultyTransport;
@@ -786,10 +787,12 @@ fn record_phase(
     *bytes += after.total_bytes().saturating_sub(before.total_bytes());
 }
 
-/// One machine's bound exploration of one STwig, dispatched on the transport
-/// mode: partition-local batched matching over the transport when one is in
-/// play, the direct-read matcher otherwise. Both emit bit-identical tables
-/// and counters. Only the transport path can fail (protocol violations).
+/// One machine's exploration of one STwig over `roots`, dispatched on the
+/// transport mode: partition-local batched matching over the transport when
+/// one is in play, the direct-read matcher otherwise. Both emit bit-identical
+/// tables and counters. Only the transport path can fail (protocol
+/// violations). `started` is when the caller began collecting `roots`, so
+/// `compute_us` covers that too.
 #[allow(clippy::too_many_arguments)]
 fn explore_machine(
     cloud: &MemoryCloud,
@@ -801,23 +804,47 @@ fn explore_machine(
     bindings: &Bindings,
     config: &MatchConfig,
     control: Option<&QueryControl>,
-    counters: &mut ExploreCounters,
-    faults: &mut FaultCounters,
-) -> Result<ResultTable, StwigError> {
-    match transport {
+    started: Instant,
+) -> Result<MachineExplore, StwigError> {
+    let mut counters = ExploreCounters::default();
+    let mut faults = FaultCounters::default();
+    let table = match transport {
         Some(tp) => match_stwig_batched(
-            cloud, tp, k, query, stwig, roots, bindings, config, control, counters, faults,
+            cloud,
+            tp,
+            k,
+            query,
+            stwig,
+            roots,
+            bindings,
+            config,
+            control,
+            &mut counters,
+            &mut faults,
+        )?,
+        None => match_stwig(
+            cloud,
+            k,
+            query,
+            stwig,
+            roots,
+            bindings,
+            config,
+            control,
+            &mut counters,
         ),
-        None => Ok(match_stwig(
-            cloud, k, query, stwig, roots, bindings, config, control, counters,
-        )),
-    }
+    };
+    Ok(MachineExplore {
+        table,
+        counters,
+        faults,
+        compute_us: started.elapsed().as_secs_f64() * 1e6,
+    })
 }
 
-/// Produces one STwig's per-machine tables: from the cache when it holds the
-/// canonical shape, by cache-populating unbound exploration on a miss, or by
-/// plain bound exploration when no cache is in play (or the populate row cap
-/// was hit). All three paths return bit-identical tables — see
+/// Produces one STwig's per-machine tables: through the cache when one is in
+/// play and can serve the shape ([`explore_via_cache`]), by plain bound
+/// exploration otherwise. Both return bit-identical tables — see
 /// [`crate::cache`] for the argument.
 #[allow(clippy::too_many_arguments)]
 fn explore_one_stwig(
@@ -831,156 +858,182 @@ fn explore_one_stwig(
     control: Option<&QueryControl>,
     threads: usize,
 ) -> Result<Vec<MachineExplore>, StwigError> {
-    let num_machines = cloud.num_machines();
     if let Some(cache) = cache {
-        let shape = StwigShape::of(query, stwig, config.pruning);
-        match cache.lookup(&shape, cloud) {
-            CacheLookup::Hit(entry) => {
-                // Hit: derive each machine's exploration table from the
-                // canonical entry under the current bindings and row cap
-                // (one fused pass; see `derive_bound_table`).
-                return Ok(run_work_stealing(num_machines, threads, |ki| {
-                    let t0 = Instant::now();
-                    let table = derive_bound_table(&entry[ki], query, stwig, bindings, config);
-                    MachineExplore {
-                        table,
-                        counters: ExploreCounters::default(),
-                        faults: FaultCounters::default(),
-                        compute_us: t0.elapsed().as_secs_f64() * 1e6,
-                    }
-                }));
-            }
-            CacheLookup::Bypass => {
-                // Known-uncacheable shape: go straight to bound exploration.
-            }
-            CacheLookup::Miss => {
-                // Explore unbound and untruncated (up to the populate row
-                // cap), so the result is reusable under any binding context.
-                let populate_cfg = MatchConfig {
-                    max_stwig_rows: cache.populate_row_cap(),
-                    ..config.clone()
-                };
-                let unbound_bindings = Bindings::new(query.num_vertices());
-                let unbound = collect_explore_results(
-                    run_work_stealing(num_machines, threads, |ki| {
-                        let k = MachineId(ki as u16);
-                        let t0 = Instant::now();
-                        let roots = cloud.get_ids(k, query.label(stwig.root)).to_vec();
-                        let mut counters = ExploreCounters::default();
-                        let mut faults = FaultCounters::default();
-                        let table = explore_machine(
-                            cloud,
-                            transport,
-                            k,
-                            query,
-                            stwig,
-                            &roots,
-                            &unbound_bindings,
-                            &populate_cfg,
-                            control,
-                            &mut counters,
-                            &mut faults,
-                        )?;
-                        Ok(MachineExplore {
-                            table,
-                            counters,
-                            faults,
-                            compute_us: t0.elapsed().as_secs_f64() * 1e6,
-                        })
-                    }),
-                    stwig,
-                    config,
-                )?;
-                // An interrupted populate run may hold truncated tables; do
-                // not let them into the cache (or stand in for bound
-                // exploration below) — fall through to plain exploration,
-                // which the interrupt will also cut short, and let the
-                // caller abort.
-                let interrupted = control.is_some_and(QueryControl::interrupted);
-                let capped = cache
-                    .populate_row_cap()
-                    .is_some_and(|cap| unbound.iter().any(|r| r.table.num_rows() >= cap));
-                // A populate run that lost a machine holds *degraded* tables
-                // — sound for this query under `Degrade`, but poison for the
-                // cache, which must only ever hold fault-free exploration
-                // output. Use them once, cache nothing.
-                let degraded = unbound.iter().any(|r| !r.faults.machines_lost.is_empty());
-                if !capped && !interrupted {
-                    if !degraded {
-                        let canonical: Vec<ResultTable> = unbound
-                            .iter()
-                            .map(|r| canonicalize_table(&r.table, query, stwig))
-                            .collect();
-                        cache.insert(shape, canonical, cloud);
-                    }
-                    // Derive this query's tables from the full unbound
-                    // tables — the exact derivation a future hit performs.
-                    return Ok(unbound
-                        .into_iter()
-                        .map(|mut r| {
-                            let t0 = Instant::now();
-                            r.table = apply_bindings_and_cap(r.table, bindings, config);
-                            r.compute_us += t0.elapsed().as_secs_f64() * 1e6;
-                            r
-                        })
-                        .collect());
-                }
-                if capped && !interrupted {
-                    // The unbound exploration hit the populate cap (a
-                    // potentially pathological cross product): remember the
-                    // shape as uncacheable so future queries skip the
-                    // populate attempt entirely — unless a lost machine may
-                    // have shrunk the tables, in which case the verdict
-                    // isn't trustworthy.
-                    if !degraded {
-                        cache.mark_uncacheable(shape, cloud);
-                    }
-                    // When nothing distinguishes this run from bound
-                    // exploration — no binding constrains the STwig's
-                    // vertices and the config's own row cap matches the
-                    // populate cap — the capped result *is* the bound
-                    // exploration output; reuse it instead of exploring
-                    // again.
-                    let bindings_unused =
-                        !config.use_bindings || stwig.vertices().all(|v| bindings.get(v).is_none());
-                    if bindings_unused && config.max_stwig_rows == cache.populate_row_cap() {
-                        return Ok(unbound);
-                    }
-                }
-                // Otherwise fall through to plain bound exploration.
-            }
+        let served = explore_via_cache(
+            cloud, transport, query, stwig, bindings, config, cache, control, threads,
+        )?;
+        if let Some(results) = served {
+            return Ok(results);
         }
     }
     collect_explore_results(
-        run_work_stealing(num_machines, threads, |ki| {
+        run_work_stealing(cloud.num_machines(), threads, |ki| {
             let k = MachineId(ki as u16);
             let t0 = Instant::now();
             let roots = local_roots(cloud, k, query, stwig, bindings, config);
-            let mut counters = ExploreCounters::default();
-            let mut faults = FaultCounters::default();
-            let table = explore_machine(
+            explore_machine(
+                cloud, transport, k, query, stwig, &roots, bindings, config, control, t0,
+            )
+        }),
+        stwig,
+        config,
+    )
+}
+
+/// One STwig's per-machine tables by way of the cache: derived from the
+/// canonical entry on a hit; on a miss or a repair, by unbound exploration
+/// whose canonical result is inserted for the next query. A miss explores
+/// every local root into an empty table; a repair explores only the touched
+/// roots and splices their rows into the resident tables — one path, a
+/// populate being the repair of nothing. `None` hands the STwig back to bound
+/// exploration: the shape is uncacheable, or the run hit the populate row cap
+/// or an interrupt.
+#[allow(clippy::too_many_arguments)]
+fn explore_via_cache(
+    cloud: &MemoryCloud,
+    transport: Option<&QueryTransport<'_>>,
+    query: &QueryGraph,
+    stwig: &STwig,
+    bindings: &Bindings,
+    config: &MatchConfig,
+    cache: &StwigCache,
+    control: Option<&QueryControl>,
+    threads: usize,
+) -> Result<Option<Vec<MachineExplore>>, StwigError> {
+    let num_machines = cloud.num_machines();
+    let shape = StwigShape::of(query, stwig, config.pruning);
+    // On a repair: the resident tables and, per machine, the touched roots
+    // it owns (ascending, like the log's answer).
+    let stale = match cache.lookup(&shape, cloud) {
+        CacheLookup::Hit(entry) => {
+            // Derive each machine's exploration table from the canonical
+            // entry under the current bindings and row cap (one fused pass;
+            // see `derive_bound_table`).
+            return Ok(Some(run_work_stealing(num_machines, threads, |ki| {
+                let t0 = Instant::now();
+                let table = derive_bound_table(&entry[ki], query, stwig, bindings, config);
+                MachineExplore {
+                    table,
+                    counters: ExploreCounters::default(),
+                    faults: FaultCounters::default(),
+                    compute_us: t0.elapsed().as_secs_f64() * 1e6,
+                }
+            })));
+        }
+        CacheLookup::Bypass => return Ok(None),
+        CacheLookup::Miss => None,
+        CacheLookup::Repair { tables, touched } => {
+            let mut owned = vec![Vec::new(); num_machines];
+            for root in touched {
+                owned[cloud.machine_of(root).index()].push(root);
+            }
+            Some((tables, owned))
+        }
+    };
+    // Explore unbound and untruncated (up to the populate row cap), so the
+    // result is reusable under any binding context.
+    let root_label = query.label(stwig.root);
+    let populate_cfg = MatchConfig {
+        max_stwig_rows: cache.populate_row_cap(),
+        ..config.clone()
+    };
+    let unbound_bindings = Bindings::new(query.num_vertices());
+    let unbound = collect_explore_results(
+        run_work_stealing(num_machines, threads, |ki| {
+            let k = MachineId(ki as u16);
+            let t0 = Instant::now();
+            let roots: Vec<VertexId> = match &stale {
+                None => cloud.get_ids(k, root_label).to_vec(),
+                // A touched root that was removed or relabelled away has no
+                // rows left; its old ones go in the splice.
+                Some((_, owned)) => owned[ki]
+                    .iter()
+                    .copied()
+                    .filter(|&root| cloud.label_of_local(k, root) == Some(root_label))
+                    .collect(),
+            };
+            explore_machine(
                 cloud,
                 transport,
                 k,
                 query,
                 stwig,
                 &roots,
-                bindings,
-                config,
+                &unbound_bindings,
+                &populate_cfg,
                 control,
-                &mut counters,
-                &mut faults,
-            )?;
-            Ok(MachineExplore {
-                table,
-                counters,
-                faults,
-                compute_us: t0.elapsed().as_secs_f64() * 1e6,
-            })
+                t0,
+            )
         }),
         stwig,
         config,
-    )
+    )?;
+    // An interrupted run may hold truncated tables; do not let them into the
+    // cache or stand in for bound exploration — which the interrupt will
+    // also cut short, letting the caller abort.
+    if control.is_some_and(QueryControl::interrupted) {
+        return Ok(None);
+    }
+    let canonical: Vec<Arc<ResultTable>> = unbound
+        .iter()
+        .enumerate()
+        .map(|(ki, r)| match &stale {
+            // No touched root here: the repaired entry shares the table.
+            Some((old, owned)) if owned[ki].is_empty() => Arc::clone(&old[ki]),
+            Some((old, owned)) => {
+                let fresh = canonicalize_table(&r.table, query, stwig);
+                Arc::new(splice_roots(&old[ki], &owned[ki], &fresh))
+            }
+            None => Arc::new(canonicalize_table(&r.table, query, stwig)),
+        })
+        .collect();
+    // A run that lost a machine holds *degraded* tables — sound for this
+    // query under `Degrade`, but poison for the cache, which must only ever
+    // hold fault-free exploration output. Use them once, cache nothing (and
+    // do not trust a row-cap verdict a lost machine may have shrunk).
+    let degraded = unbound.iter().any(|r| !r.faults.machines_lost.is_empty());
+    let capped = cache
+        .populate_row_cap()
+        .is_some_and(|cap| canonical.iter().any(|t| t.num_rows() >= cap));
+    if !capped {
+        if !degraded {
+            cache.insert(shape, canonical.clone(), cloud);
+        }
+        // Derive this query's tables from the full unbound tables — the
+        // exact derivation a future hit performs. A populate still owns
+        // them; a repair reads them off the spliced canonical ones.
+        return Ok(Some(
+            unbound
+                .into_iter()
+                .zip(&canonical)
+                .map(|(mut r, canonical)| {
+                    let t0 = Instant::now();
+                    r.table = match &stale {
+                        None => apply_bindings_and_cap(r.table, bindings, config),
+                        Some(_) => derive_bound_table(canonical, query, stwig, bindings, config),
+                    };
+                    r.compute_us += t0.elapsed().as_secs_f64() * 1e6;
+                    r
+                })
+                .collect(),
+        ));
+    }
+    // The unbound table reached the populate cap (a potentially pathological
+    // cross product): remember the shape as uncacheable so future queries
+    // skip the attempt entirely.
+    if !degraded {
+        cache.mark_uncacheable(shape, cloud);
+    }
+    // When nothing distinguishes a populate run from bound exploration — no
+    // binding constrains the STwig's vertices and the config's own row cap
+    // matches the populate cap — the capped result *is* the bound
+    // exploration output; reuse it instead of exploring again.
+    let bindings_unused =
+        !config.use_bindings || stwig.vertices().all(|v| bindings.get(v).is_none());
+    if stale.is_none() && bindings_unused && config.max_stwig_rows == cache.populate_row_cap() {
+        return Ok(Some(unbound));
+    }
+    Ok(None)
 }
 
 /// Collapses per-machine exploration results: the first transport error (in
@@ -2165,6 +2218,221 @@ mod tests {
                 assert_eq!(plain.metrics.matches_found, hit.metrics.matches_found);
             }
         }
+    }
+
+    /// The sample graph under an epoch manager, the triangle query, and a
+    /// batch wiring unused `b`/`c` vertices into every `a`: each of the
+    /// query's (root label, child label) pairs is touched at several roots
+    /// on several machines, and every unbound STwig table grows.
+    fn churned_triangle(
+        machines: usize,
+    ) -> (
+        trinity_sim::epoch::GraphEpochs,
+        QueryGraph,
+        trinity_sim::epoch::UpdateBatch,
+    ) {
+        let epochs = trinity_sim::epoch::GraphEpochs::new(sample_cloud(machines));
+        let query = triangle_query(epochs.base_cloud());
+        let mut batch = trinity_sim::epoch::UpdateBatch::new();
+        for i in 0..10u64 {
+            batch = batch
+                .add_edge(v(i), v(11 + 2 * i))
+                .add_edge(v(11 + 2 * i), v(31 + 2 * i))
+                .add_edge(v(31 + 2 * i), v(i));
+        }
+        (epochs, query, batch)
+    }
+
+    /// The resident canonical tables of every shape in the query's plan
+    /// (`None`: tombstoned or absent).
+    fn resident(
+        cache: &StwigCache,
+        cloud: &MemoryCloud,
+        query: &QueryGraph,
+        config: &MatchConfig,
+    ) -> Vec<(StwigShape, Option<crate::cache::CachedTables>)> {
+        let plan = plan_query_with_config(cloud, query, config).unwrap();
+        plan.stwigs
+            .iter()
+            .map(|stwig| {
+                let shape = StwigShape::of(query, stwig, config.pruning);
+                let tables = match cache.lookup(&shape, cloud) {
+                    CacheLookup::Hit(tables) => Some(tables),
+                    _ => None,
+                };
+                (shape, tables)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn repair_equals_populate_and_shares_untouched_machines() {
+        use crate::cache::{CacheConfig, StwigCache};
+        let (epochs, query, batch) = churned_triangle(4);
+        // No injected faults: retries would blur the traffic comparison.
+        let config = MatchConfig::default()
+            .with_num_threads(Some(1))
+            .with_fault_plan(None);
+        let warm = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
+        let snap0 = epochs.pin();
+        match_query_distributed_with_cache(&snap0, &query, &config, Some(&warm)).unwrap();
+        let before = resident(&warm, &snap0, &query, &config);
+
+        // One new a–b edge touches roots on at most two machines; then the
+        // big batch touches every pair on every machine.
+        let one_edge = trinity_sim::epoch::UpdateBatch::new().add_edge(v(0), v(11));
+        for (step, update) in [one_edge, batch].iter().enumerate() {
+            epochs.apply(update).unwrap();
+            let snap = epochs.pin();
+            let repairs = warm.stats().repairs;
+            let repaired =
+                match_query_distributed_with_cache(&snap, &query, &config, Some(&warm)).unwrap();
+            let cold = StwigCache::new(&snap, CacheConfig::default());
+            let populated =
+                match_query_distributed_with_cache(&snap, &query, &config, Some(&cold)).unwrap();
+            assert!(warm.stats().repairs > repairs, "step {step} touched a pair");
+            assert_eq!(warm.stats().stale_evictions, 0);
+            assert_eq!(repaired.table, populated.table);
+            let after = resident(&warm, &snap, &query, &config);
+            assert_eq!(
+                after,
+                resident(&cold, &snap, &query, &config),
+                "repaired tables diverged from a cold populate (step {step})"
+            );
+            // A repair explores a subset of what a populate explores.
+            let (r, p) = (&repaired.metrics, &populated.metrics);
+            assert!(r.explore.roots_scanned < p.explore.roots_scanned);
+            assert!(r.explore.cells_loaded <= p.explore.cells_loaded);
+            assert!(r.explore.rows_emitted <= p.explore.rows_emitted);
+            assert!(r.network_bytes <= p.network_bytes);
+            if step == 0 {
+                // Machines owning neither endpoint keep their table by
+                // reference in the repaired entry (shapes the plan kept).
+                let touched = [snap.machine_of(v(0)), snap.machine_of(v(11))];
+                for (shape, new) in &after {
+                    let Some((_, old)) = before.iter().find(|(s, _)| s == shape) else {
+                        continue;
+                    };
+                    let (old, new) = (old.as_ref().unwrap(), new.as_ref().unwrap());
+                    for k in snap.machines().filter(|k| !touched.contains(k)) {
+                        assert!(
+                            Arc::ptr_eq(&old[k.index()], &new[k.index()]),
+                            "machine {k:?} was copied for {shape:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repair_that_crosses_the_row_cap_tombstones_and_explores_bound() {
+        use crate::cache::{CacheConfig, StwigCache};
+        let (epochs, query, batch) = churned_triangle(3);
+        let config = MatchConfig::default().with_num_threads(Some(1));
+        let snap0 = epochs.pin();
+        // The largest table any shape holds before the batch; the batch
+        // grows every shape, so a cap just above it is crossed by a repair
+        // and by nothing at epoch 0.
+        let probe = StwigCache::new(&snap0, CacheConfig::default());
+        match_query_distributed_with_cache(&snap0, &query, &config, Some(&probe)).unwrap();
+        let cap = resident(&probe, &snap0, &query, &config)
+            .iter()
+            .flat_map(|(_, tables)| tables.as_ref().unwrap().iter())
+            .map(|t| t.num_rows())
+            .max()
+            .unwrap()
+            + 1;
+        let capped = CacheConfig {
+            populate_row_cap: Some(cap),
+            ..CacheConfig::default()
+        };
+        let cache = StwigCache::new(epochs.base_cloud(), capped);
+        match_query_distributed_with_cache(&snap0, &query, &config, Some(&cache)).unwrap();
+        assert_eq!(cache.stats().bypasses, 0);
+        epochs.apply(&batch).unwrap();
+        let snap = epochs.pin();
+        let plain = match_query_distributed(&snap, &query, &config).unwrap();
+        let out = match_query_distributed_with_cache(&snap, &query, &config, Some(&cache)).unwrap();
+        assert_eq!(out.table, plain.table);
+        assert!(cache.stats().repairs > 0);
+        let tombstoned = resident(&cache, &snap, &query, &config)
+            .iter()
+            .filter(|(_, tables)| tables.is_none())
+            .count();
+        assert!(tombstoned > 0, "the outgrown shape must be tombstoned");
+        assert!(cache.stats().bypasses > 0);
+    }
+
+    #[test]
+    fn interrupted_repair_inserts_nothing() {
+        use crate::cache::{CacheConfig, StwigCache};
+        use crate::stream::{CancelToken, QueryOptions};
+        let (epochs, query, batch) = churned_triangle(3);
+        let config = MatchConfig::default().with_num_threads(Some(1));
+        let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
+        match_query_distributed_with_cache(&epochs.pin(), &query, &config, Some(&cache)).unwrap();
+        epochs.apply(&batch).unwrap();
+        let snap = epochs.pin();
+        let plan = plan_query_with_config(&snap, &query, &config).unwrap();
+        let stwig = &plan.stwigs[0];
+        let shape = StwigShape::of(&query, stwig, config.pruning);
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let control = QueryControl::new(&QueryOptions::none().with_cancel(cancel), Instant::now());
+        let insertions = cache.stats().insertions;
+        explore_one_stwig(
+            &snap,
+            None,
+            &query,
+            stwig,
+            &Bindings::new(query.num_vertices()),
+            &config,
+            Some(&cache),
+            Some(&control),
+            1,
+        )
+        .unwrap();
+        assert_eq!(cache.stats().insertions, insertions);
+        assert!(
+            matches!(cache.lookup(&shape, &snap), CacheLookup::Repair { .. }),
+            "the stale entry must still be waiting for an uninterrupted repair"
+        );
+    }
+
+    #[test]
+    fn degraded_repair_is_used_once_and_never_cached() {
+        use crate::cache::{CacheConfig, StwigCache};
+        use trinity_sim::fault::FaultPlan;
+        let (epochs, query, batch) = churned_triangle(4);
+        let clean = MatchConfig::default()
+            .with_num_threads(Some(1))
+            .with_transport_mode(TransportMode::Messages);
+        let crashed = clean
+            .clone()
+            .with_failure_policy(FailurePolicy::Degrade)
+            .with_fault_plan(Some(FaultPlan::lossy(5).with_crash(1, 0)));
+        let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
+        match_query_distributed_with_cache(&epochs.pin(), &query, &clean, Some(&cache)).unwrap();
+        epochs.apply(&batch).unwrap();
+        let snap = epochs.pin();
+        let insertions = cache.stats().insertions;
+        let partial =
+            match_query_distributed_with_cache(&snap, &query, &crashed, Some(&cache)).unwrap();
+        assert_eq!(partial.metrics.outcome, QueryOutcome::Partial);
+        assert!(partial.metrics.fault.machines_lost.contains(&1));
+        verify_all(&snap, &query, &partial.table).unwrap();
+        assert!(cache.stats().repairs > 0);
+        assert_eq!(
+            cache.stats().insertions,
+            insertions,
+            "degraded tables must never enter the cache"
+        );
+        // The entry is still there for a healthy repair, which is exact.
+        let full = match_query_distributed_with_cache(&snap, &query, &clean, Some(&cache)).unwrap();
+        let plain = match_query_distributed(&snap, &query, &clean).unwrap();
+        assert_eq!(full.table, plain.table);
+        assert!(cache.stats().insertions > insertions);
     }
 
     #[test]

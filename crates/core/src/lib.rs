@@ -105,7 +105,7 @@ pub use table::ResultTable;
 
 /// Commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::cache::{CacheConfig, StwigCache, StwigShape};
+    pub use crate::cache::{CacheConfig, CacheLookup, StwigCache, StwigShape};
     pub use crate::config::{FailurePolicy, MatchConfig, ResultMode, RetryPolicy, TransportMode};
     pub use crate::decompose::{
         decompose_ordered, decompose_random, LabelStatistics, PairAwareStats, UniformStats,

@@ -178,10 +178,15 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Entries evicted to stay within the byte budget.
     pub evictions: u64,
-    /// Entries lazily evicted (or replaced) because their build epoch went
-    /// stale and the touched-label log could not prove them still valid.
+    /// Entries lazily evicted because their build epoch went stale and
+    /// nothing could be proved about them: the touched-entry log no longer
+    /// covers the range, or the entry is a tombstone with a touched pair.
     /// Always 0 against a static cloud.
     pub stale_evictions: u64,
+    /// Probes that found a stale entry exact except at a few touched roots
+    /// and handed it out for repair. Each is also counted in `misses`: a
+    /// repaired probe explores, so it must never raise the hit rate.
+    pub repairs: u64,
     /// Entries currently resident.
     pub entries: u64,
     /// Bytes currently resident (table payloads).

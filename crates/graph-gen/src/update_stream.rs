@@ -38,7 +38,7 @@ pub struct UpdateStreamConfig {
     /// Probability a structural operation inserts rather than deletes.
     pub insert_bias: f64,
     /// Probability a vertex insertion becomes a relabel of an existing
-    /// vertex instead (exercises the label-touch log).
+    /// vertex instead (exercises the touched-entry log).
     pub relabel_bias: f64,
 }
 

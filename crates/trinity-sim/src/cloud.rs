@@ -81,8 +81,8 @@ pub struct MemoryCloud {
     /// together (0 for static clouds never handed to an epoch manager).
     /// Snapshots of the same lineage differ only by their epoch's deltas.
     pub(crate) lineage: u64,
-    /// Per-epoch touched-label log of this lineage, when managed.
-    pub(crate) epoch_labels: Option<std::sync::Arc<crate::epoch::EpochLabelLog>>,
+    /// Per-epoch touched-entry log of this lineage, when managed.
+    pub(crate) touch_log: Option<std::sync::Arc<crate::epoch::EpochTouchLog>>,
 }
 
 // The distributed executor — and, one level up, the multi-query engine's
@@ -130,7 +130,7 @@ impl MemoryCloud {
             directed,
             epoch: 0,
             lineage: 0,
-            epoch_labels: None,
+            touch_log: None,
         }
     }
 
@@ -156,11 +156,12 @@ impl MemoryCloud {
         self.lineage
     }
 
-    /// The lineage's per-epoch touched-label log, when this snapshot is
+    /// The lineage's per-epoch touched-entry log, when this snapshot is
     /// managed by a [`crate::epoch::GraphEpochs`]. Caches use it to prove a
-    /// stale entry's labels were untouched and revalidate it in place.
-    pub fn epoch_label_log(&self) -> Option<&crate::epoch::EpochLabelLog> {
-        self.epoch_labels.as_deref()
+    /// stale entry's label pairs untouched, or to learn which roots to
+    /// re-explore.
+    pub fn epoch_touch_log(&self) -> Option<&crate::epoch::EpochTouchLog> {
+        self.touch_log.as_deref()
     }
 
     // ------------------------------------------------------------------
@@ -246,11 +247,12 @@ impl MemoryCloud {
     /// Cloud-wide count of adjacency entries whose endpoint labels are
     /// `(a, b)` in either order — the selectivity statistic behind the
     /// label-pair-aware cost models. Every (symmetrized) edge with resolved
-    /// endpoint labels is counted once per endpoint.
+    /// endpoint labels is counted once per endpoint. Exact at every epoch,
+    /// sealed or not.
     pub fn label_pair_count(&self, a: LabelId, b: LabelId) -> u64 {
         self.partitions
             .iter()
-            .map(|p| p.pair_table().count(a, b))
+            .map(|p| p.label_pair_count(a, b))
             .sum()
     }
 
@@ -259,7 +261,7 @@ impl MemoryCloud {
     pub fn label_pair_total(&self) -> u64 {
         self.partitions
             .iter()
-            .map(|p| p.pair_table().total_entries())
+            .map(Partition::label_pair_total)
             .sum()
     }
 

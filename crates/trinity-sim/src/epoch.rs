@@ -17,10 +17,27 @@
 //!   (both tiers) from the merged view, refreshing signatures, id maps and
 //!   label-pair statistics; content is observationally identical, so the
 //!   epoch number is kept and pinned readers are unaffected.
-//! * **Caches revalidate by label.** Every effective apply records the set
-//!   of labels it touched in the lineage's [`EpochLabelLog`]; a cache entry
-//!   built at an older epoch whose labels were never touched since is
-//!   provably still exact and may be served after retagging.
+//! * **Caches revalidate by label pair, root by root.** Exploration reads
+//!   the graph only as adjacency entries "root `x` labelled `r` has a
+//!   neighbour labelled `c`", so an STwig table for shape `(r; c1..ck)` can
+//!   change only at a root where such an entry appeared or disappeared.
+//!   Every effective apply records exactly those entries — the symmetric
+//!   difference of the pre- and post-batch labelled adjacency — in the
+//!   lineage's [`EpochTouchLog`] as sorted `((r, c), x)` triples, both
+//!   directions of every edge. Per op kind: an added or removed edge
+//!   touches its two entries, a removed edge under the *pre*-batch labels of
+//!   its endpoints and an added one under the *post*-batch labels (the labels
+//!   the entry was, or will be, read under — which is why both sides of a
+//!   batch are logged); `RemoveVertex` is the removal of its incident edges;
+//!   a relabel `old → new` of `v` leaves `v`'s edges in place but rewrites
+//!   the pair of every one of them, so each surviving entry `v → n` and
+//!   `n → v` is logged once under `old` and once under `new` — both labels ×
+//!   every neighbour label; an `AddVertex` of an isolated vertex changes no
+//!   entry and logs nothing (a vertex without neighbours roots no row and is
+//!   nobody's child). A cache entry none of whose pairs were touched since
+//!   it was built is provably still exact; otherwise only the touched roots
+//!   need re-exploring (see `stwig::cache`). The same signed list, summed per
+//!   owning machine, keeps the label-pair statistics exact under overlays.
 //!
 //! Update semantics follow [`crate::builder::GraphBuilder`]: edges are
 //! undirected and symmetrized, self-loops are ignored, adding an existing
@@ -34,7 +51,7 @@ use crate::error::TrinityError;
 use crate::ids::{LabelId, VertexId};
 use crate::neighbor_index::{label_bit, FULL_SIGNATURE};
 use crate::partition::{Partition, PartitionOverlay};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -135,55 +152,123 @@ impl UpdateBatch {
     }
 }
 
-/// Per-epoch log of the labels each effective update batch touched, shared
-/// by every snapshot of a lineage. This is what lets a cache prove a stale
-/// entry is still exact: if an entry's labels are disjoint from everything
-/// touched since it was built, no table row it holds could have changed.
-#[derive(Debug, Default)]
-pub struct EpochLabelLog {
-    /// `(epoch, sorted touched labels)`, appended in epoch order — one
-    /// entry per effective apply (epoch `e ≥ 1`).
-    entries: Mutex<Vec<(u64, Vec<LabelId>)>>,
+/// One changed adjacency entry as exploration reads it: the ordered label
+/// pair `(root label, neighbour label)` and the root vertex.
+type Touch = ((LabelId, LabelId), VertexId);
+
+/// Most triples an [`EpochTouchLog`] retains (16 B each, so 1 MiB): hundreds
+/// of hub-heavy batches, thousands of small ones. Entries are retagged on
+/// every successful probe, so only shapes left unprobed for that long ever
+/// look behind the ring's horizon — and those fall back to eviction, which
+/// is always sound.
+const LOG_TRIPLE_CAP: usize = 1 << 16;
+
+/// Per-epoch log of the adjacency entries each effective update batch
+/// changed, shared by every snapshot of a lineage. This is what lets a cache
+/// prove a stale entry still exact, or name the roots whose rows moved: an
+/// STwig table for shape `(r; c1..ck)` reads nothing but entries keyed
+/// `(r, ci)`. A ring of consecutive epochs capped at [`LOG_TRIPLE_CAP`]
+/// triples; ranges reaching behind the ring are reported uncovered.
+#[derive(Debug)]
+pub struct EpochTouchLog {
+    ring: RwLock<TouchRing>,
 }
 
-impl EpochLabelLog {
-    /// Records the labels epoch `epoch` touched. Called by the epoch
-    /// manager, under its writer lock, *before* the epoch is published.
-    fn record(&self, epoch: u64, labels: Vec<LabelId>) {
-        let mut entries = self.entries.lock().expect("epoch label log lock");
-        debug_assert!(entries.last().is_none_or(|(e, _)| *e < epoch));
-        entries.push((epoch, labels));
+#[derive(Debug)]
+struct TouchRing {
+    /// Epoch of `batches[0]`; slot `i` holds epoch `first_epoch + i`.
+    first_epoch: u64,
+    /// Per epoch, its touches sorted and deduplicated.
+    batches: VecDeque<Vec<Touch>>,
+    /// Total triples across `batches`.
+    triples: usize,
+}
+
+impl EpochTouchLog {
+    /// An empty log whose first recorded epoch will be `first_epoch`.
+    fn starting_at(first_epoch: u64) -> Self {
+        EpochTouchLog {
+            ring: RwLock::new(TouchRing {
+                first_epoch,
+                batches: VecDeque::new(),
+                triples: 0,
+            }),
+        }
     }
 
-    /// Whether any of `labels` was touched by an epoch in `(after, upto]`.
-    /// Returns `None` when the log does not cover the whole range (the
-    /// caller must then assume "touched").
-    pub fn touched_in_range(&self, after: u64, upto: u64, labels: &[LabelId]) -> Option<bool> {
-        if after >= upto {
-            return Some(false);
+    /// Records the (sorted, deduplicated) touches of epoch `epoch`, dropping
+    /// the oldest epochs while the ring exceeds its cap. Called by the epoch
+    /// manager, under its writer lock, *before* the epoch is published.
+    fn record(&self, epoch: u64, touches: Vec<Touch>) {
+        let mut ring = self.ring.write().expect("epoch touch log lock");
+        debug_assert_eq!(epoch, ring.first_epoch + ring.batches.len() as u64);
+        ring.triples += touches.len();
+        ring.batches.push_back(touches);
+        while ring.triples > LOG_TRIPLE_CAP {
+            let dropped = ring.batches.pop_front().expect("triples > 0");
+            ring.triples -= dropped.len();
+            ring.first_epoch += 1;
         }
-        let entries = self.entries.lock().expect("epoch label log lock");
-        let mut covered = 0u64;
-        let mut touched = false;
-        for (e, touched_labels) in entries.iter() {
-            if *e > after && *e <= upto {
-                covered += 1;
-                if touched_labels.iter().any(|l| labels.contains(l)) {
-                    touched = true;
+    }
+
+    /// The roots of every entry keyed `(root_label, c)`, `c` in
+    /// `child_labels`, that an epoch in `(after, upto]` touched — sorted
+    /// ascending, deduplicated. `None` when the ring does not hold the whole
+    /// range (the caller must then assume everything was touched).
+    pub fn touched_roots(
+        &self,
+        after: u64,
+        upto: u64,
+        root_label: LabelId,
+        child_labels: &[LabelId],
+    ) -> Option<Vec<VertexId>> {
+        let mut roots = Vec::new();
+        if after >= upto {
+            return Some(roots);
+        }
+        let ring = self.ring.read().expect("epoch touch log lock");
+        let first = (after + 1).checked_sub(ring.first_epoch)? as usize;
+        let last = (upto - ring.first_epoch) as usize;
+        if last >= ring.batches.len() {
+            return None;
+        }
+        for batch in ring.batches.range(first..=last) {
+            for (i, &child) in child_labels.iter().enumerate() {
+                if i > 0 && child_labels[i - 1] == child {
+                    continue;
                 }
+                let pair = (root_label, child);
+                let start = batch.partition_point(|&(p, _)| p < pair);
+                roots.extend(
+                    batch[start..]
+                        .iter()
+                        .take_while(|&&(p, _)| p == pair)
+                        .map(|&(_, root)| root),
+                );
             }
         }
-        (covered == upto - after).then_some(touched)
+        roots.sort_unstable();
+        roots.dedup();
+        Some(roots)
     }
 
-    /// Number of epochs recorded so far.
+    /// Number of epochs currently held.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("epoch label log lock").len()
+        self.ring
+            .read()
+            .expect("epoch touch log lock")
+            .batches
+            .len()
     }
 
-    /// Whether no epoch has been recorded.
+    /// Whether no epoch is held.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Resident bytes of the retained triples; bounded by the ring's cap.
+    pub fn memory_bytes(&self) -> usize {
+        self.ring.read().expect("epoch touch log lock").triples * std::mem::size_of::<Touch>()
     }
 }
 
@@ -230,8 +315,8 @@ pub struct GraphEpochs {
     current: RwLock<Arc<MemoryCloud>>,
     /// Serializes `apply` and `seal_epoch`. Readers never take it.
     writer: Mutex<()>,
-    /// Touched-label log shared with every snapshot of the lineage.
-    log: Arc<EpochLabelLog>,
+    /// Touched-entry log shared with every snapshot of the lineage.
+    log: Arc<EpochTouchLog>,
 }
 
 // Engines share one `&GraphEpochs` across worker threads (queries pin
@@ -241,7 +326,7 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync + ?Sized>() {}
     assert_send_sync::<GraphEpochs>();
     assert_send_sync::<SnapshotRef>();
-    assert_send_sync::<EpochLabelLog>();
+    assert_send_sync::<EpochTouchLog>();
 };
 
 /// Canonical undirected edge key.
@@ -268,9 +353,9 @@ enum VertexChange {
 impl GraphEpochs {
     /// Takes ownership of `cloud` as epoch 0 of a fresh lineage.
     pub fn new(mut cloud: MemoryCloud) -> Self {
-        let log = Arc::new(EpochLabelLog::default());
+        let log = Arc::new(EpochTouchLog::starting_at(cloud.epoch() + 1));
         cloud.lineage = NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed);
-        cloud.epoch_labels = Some(Arc::clone(&log));
+        cloud.touch_log = Some(Arc::clone(&log));
         let current = RwLock::new(Arc::new(cloud.clone()));
         GraphEpochs {
             base: cloud,
@@ -482,6 +567,47 @@ impl GraphEpochs {
             merged_adj.insert(u, list);
         }
 
+        // Post-batch neighbours of a surviving vertex.
+        let post_neighbors = |id: VertexId| -> Vec<VertexId> {
+            merged_adj
+                .get(&id)
+                .cloned()
+                .unwrap_or_else(|| prev.neighbors_global(id).to_vec())
+        };
+
+        // ---- Changed labelled adjacency entries -------------------------
+        // The symmetric difference of the pre- and post-batch sets of
+        // `(x, label(x), y, label(y))` entries, signed: removed edges under
+        // pre-batch labels, added edges under post-batch labels, and every
+        // surviving entry with a relabelled endpoint once each way. This one
+        // list feeds the touched-root log and the overlays' pair-count
+        // deltas (see the module docs).
+        let pre_label = |id: VertexId| prev.label_of_global(id).expect("pre-batch endpoint");
+        let post_label = |id: VertexId| final_label(id).expect("post-batch endpoint");
+        let mut relabeled_entries: BTreeSet<(VertexId, VertexId)> = BTreeSet::new();
+        for &(id, _, _) in &relabeled {
+            let added = adj_add.get(&id);
+            for n in post_neighbors(id) {
+                if !added.is_some_and(|a| a.contains(&n)) {
+                    relabeled_entries.insert((id, n));
+                    relabeled_entries.insert((n, id));
+                }
+            }
+        }
+        let mut changed: Vec<(Touch, i64)> = Vec::new();
+        for &(a, b) in &removed_edges {
+            changed.push((((pre_label(a), pre_label(b)), a), -1));
+            changed.push((((pre_label(b), pre_label(a)), b), -1));
+        }
+        for &(a, b) in &added_edges {
+            changed.push((((post_label(a), post_label(b)), a), 1));
+            changed.push((((post_label(b), post_label(a)), b), 1));
+        }
+        for &(x, y) in &relabeled_entries {
+            changed.push((((pre_label(x), pre_label(y)), x), -1));
+            changed.push((((post_label(x), post_label(y)), x), 1));
+        }
+
         // ---- Per-machine overlays ---------------------------------------
         let num_machines = prev.num_machines();
         let mut overlays: HashMap<usize, PartitionOverlay> = HashMap::new();
@@ -547,6 +673,15 @@ impl GraphEpochs {
             o.adj.insert(u, list);
         }
 
+        for &(((own, nbr), root), sign) in &changed {
+            let machine = prev.machine_of(root).index();
+            // Partitions built without the pruning indexes keep no pair
+            // statistics, sealed or not.
+            if prev.partitions[machine].signature_bits().is_some() {
+                overlay_entry(&mut overlays, &prev, machine).add_pair_delta(own, nbr, sign);
+            }
+        }
+
         // ---- Merged postings of every touched (machine, label) ----------
         let mut post_add: HashMap<(usize, LabelId), Vec<VertexId>> = HashMap::new();
         let mut post_del: HashMap<(usize, LabelId), Vec<VertexId>> = HashMap::new();
@@ -585,27 +720,15 @@ impl GraphEpochs {
         // ---- Exact signature refresh of every signature-touched vertex --
         let mut sig_touched: BTreeSet<VertexId> = adj_touched.clone();
         for &(id, _, _) in &relabeled {
-            for n in merged_adj
-                .get(&id)
-                .cloned()
-                .unwrap_or_else(|| prev.neighbors_global(id).to_vec())
-            {
-                if !removed_set.contains(&n) {
-                    sig_touched.insert(n);
-                }
-            }
+            sig_touched.extend(post_neighbors(id));
         }
         for &u in &sig_touched {
             let machine = prev.machine_of(u).index();
             if prev.partitions[machine].signature_bits().is_none() {
                 continue;
             }
-            let neighbors = merged_adj
-                .get(&u)
-                .cloned()
-                .unwrap_or_else(|| prev.neighbors_global(u).to_vec());
             let mut sig = 0u64;
-            for n in neighbors {
+            for n in post_neighbors(u) {
                 match final_label(n) {
                     Some(l) => sig |= label_bit(l),
                     None => sig = FULL_SIGNATURE,
@@ -631,11 +754,7 @@ impl GraphEpochs {
                 record_both(&mut c, a, b);
             }
             for &(id, _, _) in &relabeled {
-                let neighbors = merged_adj
-                    .get(&id)
-                    .cloned()
-                    .unwrap_or_else(|| prev.neighbors_global(id).to_vec());
-                for n in neighbors {
+                for n in post_neighbors(id) {
                     record_both(&mut c, id, n);
                 }
             }
@@ -660,29 +779,6 @@ impl GraphEpochs {
         let num_edges = (prev.num_edges() as i64 + added_edges.len() as i64
             - removed_edges.len() as i64) as u64;
 
-        // ---- Touched labels for the cache-revalidation log --------------
-        let mut touched_labels: BTreeSet<LabelId> = BTreeSet::new();
-        for &(_, l) in &added_vertices {
-            touched_labels.insert(l);
-        }
-        for &(_, old) in &removed_vertices {
-            touched_labels.insert(old);
-        }
-        for &(_, old, new) in &relabeled {
-            touched_labels.insert(old);
-            touched_labels.insert(new);
-        }
-        for &(a, b) in added_edges.iter().chain(removed_edges.iter()) {
-            for end in [a, b] {
-                if let Some(l) = prev.label_of_global(end) {
-                    touched_labels.insert(l);
-                }
-                if let Some(l) = final_label(end) {
-                    touched_labels.insert(l);
-                }
-            }
-        }
-
         // ---- Assemble and publish the successor snapshot ----------------
         let mut partitions: Vec<Partition> = Vec::with_capacity(num_machines);
         for machine in 0..num_machines {
@@ -700,8 +796,10 @@ impl GraphEpochs {
         }
 
         let next_epoch = prev.epoch() + 1;
-        self.log
-            .record(next_epoch, touched_labels.into_iter().collect());
+        let mut touches: Vec<Touch> = changed.into_iter().map(|(touch, _)| touch).collect();
+        touches.sort_unstable();
+        touches.dedup();
+        self.log.record(next_epoch, touches);
         let next = MemoryCloud {
             partitions,
             interner,
@@ -713,7 +811,7 @@ impl GraphEpochs {
             directed: prev.is_directed(),
             epoch: next_epoch,
             lineage: prev.lineage(),
-            epoch_labels: prev.epoch_labels.clone(),
+            touch_log: prev.touch_log.clone(),
         };
         *self.current.write().expect("epoch lock") = Arc::new(next);
         Ok(next_epoch)
@@ -774,7 +872,7 @@ impl GraphEpochs {
             directed: prev.is_directed(),
             epoch: prev.epoch(),
             lineage: prev.lineage(),
-            epoch_labels: prev.epoch_labels.clone(),
+            touch_log: prev.touch_log.clone(),
         };
         *self.current.write().expect("epoch lock") = Arc::new(next);
         prev.epoch()
@@ -952,6 +1050,10 @@ mod tests {
             let lc = sealed.labels().get("c").unwrap();
             assert_eq!(sealed.label_pair_count(la, lb), 4, "a-b edges: 0-1, 0-5");
             assert_eq!(sealed.label_pair_count(lb, lc), 0, "1-2 was removed");
+            // … and the overlay's delta had already kept them exact.
+            assert_eq!(dirty.label_pair_count(la, lb), 4);
+            assert_eq!(dirty.label_pair_count(lb, lc), 0);
+            assert_eq!(dirty.label_pair_total(), sealed.label_pair_total());
             // Sealing an already-clean lineage is a no-op.
             assert_eq!(epochs.seal_epoch(), 1);
         }
@@ -1040,28 +1142,118 @@ mod tests {
     }
 
     #[test]
-    fn label_log_tracks_touched_labels_per_epoch() {
+    fn touch_log_records_changed_entries_per_epoch() {
         let epochs = GraphEpochs::new(small_cloud(3));
+        let snap = epochs.pin();
+        let log = snap.epoch_touch_log().expect("managed cloud has a log");
+        let label = |cloud: &MemoryCloud, name: &str| cloud.labels().get(name).unwrap();
+        let (la, lb, lc, ld) = (
+            label(&snap, "a"),
+            label(&snap, "b"),
+            label(&snap, "c"),
+            label(&snap, "d"),
+        );
+
+        // Epoch 1, an added edge: its two entries, under post-batch labels.
         epochs
             .apply(&UpdateBatch::new().add_edge(v(0), v(3)))
-            .unwrap(); // touches a, d
+            .unwrap();
+        assert_eq!(log.touched_roots(0, 1, la, &[ld]), Some(vec![v(0)]));
+        assert_eq!(log.touched_roots(0, 1, ld, &[la]), Some(vec![v(3)]));
+        // The same labels in another combination were not touched.
+        assert_eq!(log.touched_roots(0, 1, la, &[lb, lc]), Some(vec![]));
+        assert_eq!(log.touched_roots(0, 1, ld, &[lc]), Some(vec![]));
+
+        // Epoch 2, a relabel b → b2 of v(1): every surviving entry of v(1)
+        // under the old and the new label, both directions.
         epochs
             .apply(&UpdateBatch::new().add_vertex(v(1), "b2"))
-            .unwrap(); // touches b, b2
-        let snap = epochs.pin();
-        let log = snap.epoch_label_log().expect("managed cloud has a log");
-        let la = snap.labels().get("a").unwrap();
-        let lb = snap.labels().get("b").unwrap();
-        let lc = snap.labels().get("c").unwrap();
-        assert_eq!(log.touched_in_range(0, 2, &[lc]), Some(false));
-        assert_eq!(log.touched_in_range(0, 1, &[la]), Some(true));
-        assert_eq!(log.touched_in_range(1, 2, &[la]), Some(false));
-        assert_eq!(log.touched_in_range(1, 2, &[lb]), Some(true));
-        assert_eq!(log.touched_in_range(2, 2, &[la, lb, lc]), Some(false));
+            .unwrap();
+        let lb2 = label(&epochs.pin(), "b2");
+        for own in [lb, lb2] {
+            assert_eq!(log.touched_roots(1, 2, own, &[la, lc]), Some(vec![v(1)]));
+            assert_eq!(log.touched_roots(1, 2, la, &[own]), Some(vec![v(0)]));
+            assert_eq!(log.touched_roots(1, 2, lc, &[own]), Some(vec![v(2)]));
+        }
+        assert_eq!(log.touched_roots(1, 2, la, &[lc, ld]), Some(vec![]));
+        // Ranges union epochs; repeated child labels are one pair.
+        assert_eq!(log.touched_roots(0, 2, la, &[lb, lb, ld]), Some(vec![v(0)]));
+        assert_eq!(log.touched_roots(2, 2, la, &[lb]), Some(vec![]));
+
+        // Epoch 3, an isolated vertex — even one labelled `a` — changes no
+        // entry: the epoch is covered and empty.
+        epochs
+            .apply(&UpdateBatch::new().add_vertex(v(9), "a"))
+            .unwrap();
+        for own in [la, lb, lb2, lc, ld] {
+            assert_eq!(
+                log.touched_roots(2, 3, own, &[la, lb, lb2, lc, ld]),
+                Some(vec![])
+            );
+        }
+
+        // Epoch 4, removing hub v(2) is the removal of its incident edges,
+        // under pre-batch labels; an add-then-remove inside the batch nets
+        // out and logs nothing.
+        epochs
+            .apply(
+                &UpdateBatch::new()
+                    .add_edge(v(9), v(3))
+                    .remove_edge(v(9), v(3))
+                    .remove_vertex(v(2)),
+            )
+            .unwrap();
         assert_eq!(
-            log.touched_in_range(0, 3, &[lc]),
+            log.touched_roots(3, 4, lc, &[la, lb2, ld]),
+            Some(vec![v(2)])
+        );
+        assert_eq!(log.touched_roots(3, 4, la, &[lc]), Some(vec![v(0)]));
+        assert_eq!(log.touched_roots(3, 4, lb2, &[lc]), Some(vec![v(1)]));
+        assert_eq!(log.touched_roots(3, 4, ld, &[lc]), Some(vec![v(3)]));
+        assert_eq!(log.touched_roots(3, 4, la, &[ld]), Some(vec![]));
+        assert_eq!(log.len(), 4);
+        assert_eq!(
+            log.touched_roots(0, 5, lc, &[la]),
             None,
-            "epoch 3 not recorded yet: coverage is incomplete"
+            "epoch 5 not recorded yet: coverage is incomplete"
+        );
+    }
+
+    #[test]
+    fn touch_log_is_a_ring_capped_by_triples() {
+        let batch = |n: usize| -> Vec<Touch> {
+            (0..n as u64)
+                .map(|i| ((LabelId(0), LabelId(1)), v(i)))
+                .collect()
+        };
+        let log = EpochTouchLog::starting_at(1);
+        log.record(1, batch(LOG_TRIPLE_CAP / 2));
+        log.record(2, batch(LOG_TRIPLE_CAP / 2));
+        assert_eq!(log.len(), 2, "exactly at the cap: nothing dropped");
+        assert!(log.touched_roots(0, 2, LabelId(0), &[LabelId(1)]).is_some());
+        log.record(3, batch(1));
+        assert_eq!(log.len(), 2, "over the cap: the oldest epoch goes");
+        assert!(log.memory_bytes() <= LOG_TRIPLE_CAP * std::mem::size_of::<Touch>());
+        assert_eq!(
+            log.touched_roots(0, 3, LabelId(0), &[LabelId(1)]),
+            None,
+            "a range starting behind the ring is not covered"
+        );
+        assert_eq!(
+            log.touched_roots(1, 3, LabelId(0), &[LabelId(1)])
+                .map(|r| r.len()),
+            Some(LOG_TRIPLE_CAP / 2)
+        );
+        // One batch larger than the whole cap empties the ring; the next
+        // epoch starts a fresh one.
+        log.record(4, batch(LOG_TRIPLE_CAP + 1));
+        assert!(log.is_empty());
+        assert_eq!(log.memory_bytes(), 0);
+        assert_eq!(log.touched_roots(3, 4, LabelId(0), &[LabelId(1)]), None);
+        log.record(5, batch(1));
+        assert_eq!(
+            log.touched_roots(4, 5, LabelId(0), &[LabelId(1)]),
+            Some(vec![v(0)])
         );
     }
 

@@ -76,7 +76,7 @@ pub mod prelude {
     pub use crate::cloud::{machine_for, MemoryCloud};
     pub use crate::cluster_graph::{ClusterGraph, LabelPairCatalog};
     pub use crate::compact::{CompactCsr, NeighborScratch, Neighbors, Postings, StorageTier};
-    pub use crate::epoch::{EpochLabelLog, GraphEpochs, SnapshotRef, UpdateBatch, UpdateOp};
+    pub use crate::epoch::{EpochTouchLog, GraphEpochs, SnapshotRef, UpdateBatch, UpdateOp};
     pub use crate::error::TrinityError;
     pub use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultyTransport, MachineCrash};
     pub use crate::ids::{LabelId, LabelInterner, MachineId, VertexId};

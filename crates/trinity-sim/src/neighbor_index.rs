@@ -137,7 +137,8 @@ impl LabelPairTable {
         self.counts.len() * (std::mem::size_of::<(u32, u32)>() + std::mem::size_of::<u64>())
     }
 
-    fn key(a: LabelId, b: LabelId) -> (u32, u32) {
+    /// The canonical (unordered) key of a label pair.
+    pub(crate) fn key(a: LabelId, b: LabelId) -> (u32, u32) {
         if a.0 <= b.0 {
             (a.0, b.0)
         } else {

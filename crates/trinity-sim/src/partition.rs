@@ -411,6 +411,11 @@ pub(crate) struct PartitionOverlay {
     /// Exact recomputed signatures of signature-touched vertices (only
     /// populated when the base carries a pruning index).
     pub(crate) signatures: HashMap<VertexId, u64>,
+    /// Signed change, since the base was sealed, of the base pair table's
+    /// count per canonical label pair (zero entries dropped).
+    pub(crate) pair_delta: HashMap<(u32, u32), i64>,
+    /// Sum of `pair_delta`: the change of the table's total.
+    pub(crate) pair_total_delta: i64,
     /// Merged vertex count for this machine.
     pub(crate) num_vertices: usize,
     /// Merged adjacency-entry count for this machine.
@@ -418,23 +423,35 @@ pub(crate) struct PartitionOverlay {
 }
 
 impl PartitionOverlay {
+    /// Counts one appearing (`sign` = 1) or disappearing (-1) adjacency
+    /// entry of an owned vertex labelled `own` to a neighbour labelled `nbr`.
+    pub(crate) fn add_pair_delta(&mut self, own: LabelId, nbr: LabelId, sign: i64) {
+        let key = LabelPairTable::key(own, nbr);
+        let count = self.pair_delta.entry(key).or_insert(0);
+        *count += sign;
+        if *count == 0 {
+            self.pair_delta.remove(&key);
+        }
+        self.pair_total_delta += sign;
+    }
+
     /// Rough resident bytes of the overlay's maps (hash overhead estimated
-    /// at 16 bytes/entry, matching the plain id-map estimate).
-    fn approx_bytes(&self) -> (usize, usize, usize, usize, usize) {
-        let adj = self
-            .adj
-            .values()
-            .map(|v| 16 + v.len() * std::mem::size_of::<VertexId>())
-            .sum::<usize>();
-        let labels = self.labels.len() * 24;
-        let postings = self
-            .postings
-            .values()
-            .map(|v| 16 + v.len() * std::mem::size_of::<VertexId>())
-            .sum::<usize>();
-        let signatures = self.signatures.len() * 24;
-        let id_map = (self.added.len() + self.deleted.len()) * 16;
-        (adj, labels, postings, signatures, id_map)
+    /// at 16 bytes/entry, matching the plain id-map estimate), charged to
+    /// the components they shadow.
+    fn approx_bytes(&self) -> StorageBytes {
+        fn lists<'a>(lists: impl Iterator<Item = &'a Vec<VertexId>>) -> usize {
+            lists
+                .map(|v| 16 + v.len() * std::mem::size_of::<VertexId>())
+                .sum()
+        }
+        StorageBytes {
+            adjacency: lists(self.adj.values()),
+            labels: self.labels.len() * 24,
+            id_map: (self.added.len() + self.deleted.len()) * 16,
+            postings: lists(self.postings.values()),
+            signatures: self.signatures.len() * 24,
+            pair_table: self.pair_delta.len() * 24,
+        }
     }
 }
 
@@ -867,18 +884,34 @@ impl Partition {
             .map(|_| crate::neighbor_index::SIGNATURE_BITS as u32)
     }
 
-    /// This partition's adjacency-entry counts by endpoint-label pair.
-    ///
-    /// The pair table is a **cost heuristic**, not a correctness surface:
-    /// under an overlay it reflects the sealed base (a sound-enough
-    /// estimate for join ordering) and is rebuilt exactly at
-    /// `seal_epoch()`.
-    pub fn pair_table(&self) -> &LabelPairTable {
-        &self.base.pair_table
+    /// Adjacency entries of this partition's vertices whose endpoint labels
+    /// are `(a, b)` in either order: the sealed base's table plus the
+    /// overlay's signed delta, so a snapshot, its sealed successor and a
+    /// rebuild from scratch report the same count (the planner's
+    /// decomposition must not change across a seal).
+    pub fn label_pair_count(&self, a: LabelId, b: LabelId) -> u64 {
+        let delta = self.overlay.as_deref().map_or(0, |o| {
+            o.pair_delta
+                .get(&LabelPairTable::key(a, b))
+                .copied()
+                .unwrap_or(0)
+        });
+        self.base
+            .pair_table
+            .count(a, b)
+            .saturating_add_signed(delta)
+    }
+
+    /// Total adjacency entries counted by [`Partition::label_pair_count`].
+    pub fn label_pair_total(&self) -> u64 {
+        let delta = self.overlay.as_deref().map_or(0, |o| o.pair_total_delta);
+        self.base
+            .pair_table
+            .total_entries()
+            .saturating_add_signed(delta)
     }
 
     /// Resident bytes of this partition, broken down by storage component.
-    /// An overlay's maps are charged to the components they shadow.
     pub fn storage_bytes(&self) -> StorageBytes {
         let base = &self.base;
         let mut bytes = StorageBytes {
@@ -894,12 +927,7 @@ impl Partition {
             pair_table: base.pair_table.memory_bytes(),
         };
         if let Some(o) = self.overlay.as_deref() {
-            let (adj, labels, postings, signatures, id_map) = o.approx_bytes();
-            bytes.adjacency += adj;
-            bytes.labels += labels;
-            bytes.postings += postings;
-            bytes.signatures += signatures;
-            bytes.id_map += id_map;
+            bytes += o.approx_bytes();
         }
         bytes
     }
@@ -1018,7 +1046,7 @@ mod tests {
         let p = sample_partition();
         assert_eq!(p.signature_of(v(10)), None);
         assert_eq!(p.signature_bits(), None);
-        assert_eq!(p.pair_table().total_entries(), 0);
+        assert_eq!(p.label_pair_total(), 0);
     }
 
     #[test]
@@ -1093,8 +1121,8 @@ mod tests {
             assert_eq!(p.signature_bits(), Some(64));
             // Pair table counts only resolvable endpoints: 10-20 seen from
             // both sides; 10-99 skipped.
-            assert_eq!(p.pair_table().count(l(0), l(1)), 2);
-            assert_eq!(p.pair_table().total_entries(), 2);
+            assert_eq!(p.label_pair_count(l(0), l(1)), 2);
+            assert_eq!(p.label_pair_total(), 2);
             // The indexes are part of the partition's memory accounting.
             let plain = sample_partition_tier(tier);
             assert!(p.memory_bytes() > plain.memory_bytes());

@@ -142,9 +142,9 @@ fn interleaved_updates_match_vf2_on_the_mutated_reference() {
     );
 }
 
-/// Satellite 3, engine level: an entry cached at epoch `N` is never served
-/// at `N + 1` after an update that touches the shape's labels — and *is*
-/// still served (revalidated in place) after an update that provably
+/// Engine level: an entry cached at epoch `N` is never served as-is at
+/// `N + 1` after an update that touches one of the shape's label pairs — and
+/// *is* still served (revalidated in place) after an update that provably
 /// doesn't.
 #[test]
 fn cache_survives_label_disjoint_updates_and_never_serves_stale_entries() {
@@ -188,18 +188,14 @@ fn cache_survives_label_disjoint_updates_and_never_serves_stale_entries() {
         "label-disjoint update must not evict"
     );
 
-    // Now remove a vertex that carries one of the query's labels: the entry
-    // is stale, must be lazily evicted, and the re-computed answer must
-    // match VF2 on the mutated reference.
+    // Now remove a vertex taken from a match row: the data edges that row
+    // maps the query's edges onto go with it, so a (root label, child label)
+    // pair of a cached shape is provably touched. The stale entry must not
+    // be served as-is — it is repaired at the touched roots — and the
+    // re-computed answer must match VF2 on the mutated reference.
     let mut mirror = GraphMirror::from_cloud(&epochs.pin());
-    let snap = epochs.pin();
-    let target = snap
-        .iter_vertices()
-        .find(|&id| {
-            snap.label_of_global(id) == Some(query.label(QVid(0))) && snap.degree_global(id) > 0
-        })
-        .expect("some vertex carries the query's root label");
-    drop(snap);
+    let target = engine.run_one(&query).unwrap().table.row(0)[0];
+    let before = engine.cache_stats().unwrap();
     let batch = UpdateBatch::new().remove_vertex(target);
     engine.apply_updates(batch.clone()).expect_accepted();
     engine.drain();
@@ -208,14 +204,128 @@ fn cache_survives_label_disjoint_updates_and_never_serves_stale_entries() {
     let out = engine.run_one(&query).unwrap();
     let stale = engine.cache_stats().unwrap();
     assert!(
-        stale.stale_evictions > 0,
-        "touching update must lazily evict the stale entry"
+        stale.repairs > before.repairs,
+        "touching update must send the stale entry to repair, not serve it"
+    );
+    assert!(
+        stale.misses - before.misses >= stale.repairs - before.repairs,
+        "a repaired probe counts as a miss, never as a hit"
+    );
+    assert_eq!(
+        stale.stale_evictions, 0,
+        "a repairable entry is not dropped"
     );
     let reference = mirror.build_cloud(1, trinity_sim::network::CostModel::default());
     assert_eq!(
         canonical_rows(&query, &out.table),
         canonical_rows(&query, &vf2(&reference, &query, None)),
         "post-eviction recompute diverged from VF2"
+    );
+}
+
+/// Long-running behaviour of the touched-entry log and the cache that reads
+/// it: 10,000 applies (sealed every 128) with queries every 50 batches. The
+/// log stays a bounded ring, warm-cache answers stay equal to VF2 on the
+/// mirror throughout, and an entry last probed before the ring's horizon is
+/// evicted — the log can no longer vouch for it — never served.
+#[test]
+fn soak_keeps_the_touch_log_bounded_and_the_cache_exact() {
+    const APPLIES: usize = 10_000;
+    // 2^16 triples of 16 bytes: `LOG_TRIPLE_CAP` in `trinity_sim::epoch`.
+    const LOG_BYTES_CAP: usize = 1 << 20;
+    let cost = trinity_sim::network::CostModel::default;
+    let base = base_graph(0x50A4).build_cloud(2, cost());
+    let queries: Vec<QueryGraph> = (0..3).filter_map(|j| dfs_query(&base, 3, 40 + j)).collect();
+    assert!(!queries.is_empty());
+    let epochs = GraphEpochs::new(base);
+    let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
+    let config = MatchConfig::exhaustive().with_num_threads(Some(1));
+    let mut mirror = GraphMirror::from_cloud(epochs.base_cloud());
+
+    // An island under labels of its own, matched once at epoch 1 and then
+    // left alone: no generated query reads its shape again.
+    let island = UpdateBatch::new()
+        .add_vertex(VertexId(9_000), "soak-x")
+        .add_vertex(VertexId(9_001), "soak-y")
+        .add_edge(VertexId(9_000), VertexId(9_001));
+    epochs.apply(&island).unwrap();
+    mirror.apply(&island);
+    let first = epochs.pin();
+    let rare = {
+        let mut qb = QueryGraph::builder();
+        let x = qb.vertex_by_name(&first, "soak-x").unwrap();
+        let y = qb.vertex_by_name(&first, "soak-y").unwrap();
+        qb.edge(x, y);
+        qb.build().unwrap()
+    };
+    let rare_shapes: Vec<StwigShape> = plan_query_with_config(&first, &rare, &config)
+        .unwrap()
+        .stwigs
+        .iter()
+        .map(|s| StwigShape::of(&rare, s, config.pruning))
+        .collect();
+    stwig::match_query_distributed_with_cache(&first, &rare, &config, Some(&cache)).unwrap();
+    let log = first.epoch_touch_log().expect("managed cloud has a log");
+
+    let mut applied = 1usize;
+    let mut checks = 0usize;
+    while applied < APPLIES {
+        // Streams are generated against the snapshot they start from.
+        let stream = update_stream(
+            &epochs.pin(),
+            &UpdateStreamConfig {
+                num_batches: 50,
+                ops_per_batch: 12,
+                seed: applied as u64,
+                ..UpdateStreamConfig::default()
+            },
+        );
+        for batch in &stream {
+            epochs.apply(batch).unwrap();
+            mirror.apply(batch);
+            applied += 1;
+            if applied.is_multiple_of(128) {
+                epochs.seal_epoch();
+            }
+        }
+        assert!(log.memory_bytes() <= LOG_BYTES_CAP);
+        assert!(log.len() <= epochs.epoch() as usize);
+        let snap = epochs.pin();
+        let reference = mirror.build_cloud(1, cost());
+        for q in &queries {
+            let out =
+                stwig::match_query_distributed_with_cache(&snap, q, &config, Some(&cache)).unwrap();
+            assert_eq!(
+                canonical_rows(q, &out.table),
+                canonical_rows(q, &vf2(&reference, q, None)),
+                "warm cache diverged from VF2 after {applied} applies"
+            );
+            checks += 1;
+        }
+    }
+    assert!(checks >= 3 * (APPLIES / 50 - 1) / 2, "too few query points");
+    let stats = cache.stats();
+    assert!(stats.repairs > 0, "{stats:?}");
+
+    // The ring dropped its oldest epochs, the island's among them.
+    let snap = epochs.pin();
+    assert!(log.len() < snap.epoch() as usize, "the ring never wrapped");
+    for shape in &rare_shapes {
+        assert!(
+            matches!(cache.lookup(shape, &snap), CacheLookup::Miss),
+            "an entry from behind the ring's horizon must not be served"
+        );
+    }
+    assert_eq!(
+        cache.stats().stale_evictions - stats.stale_evictions,
+        rare_shapes.len() as u64
+    );
+    let reference = mirror.build_cloud(1, cost());
+    let out =
+        stwig::match_query_distributed_with_cache(&snap, &rare, &config, Some(&cache)).unwrap();
+    assert_eq!(
+        canonical_rows(&rare, &out.table),
+        canonical_rows(&rare, &vf2(&reference, &rare, None))
     );
 }
 
@@ -297,6 +407,192 @@ proptest! {
             let fresh_out = stwig::match_query_distributed(&fresh, &query, &config).unwrap();
             prop_assert_eq!(&pre_seal.table, &fresh_out.table,
                 "sealed base diverged from the overlay it replaced (tier = {:?})", tier);
+        }
+    }
+
+    /// The label-pair statistics the planner reads are exact at every
+    /// epoch: for every label pair, an unsealed snapshot (base table plus
+    /// overlay delta), its sealed successor (table rebuilt from scratch) and
+    /// an independent rebuild of the mirrored graph agree — so a seal can
+    /// never change a decomposition.
+    #[test]
+    fn label_pair_counts_agree_unsealed_sealed_and_rebuilt(
+        n in 8u64..40,
+        labels in proptest::collection::vec(0u32..3, 40),
+        edges in proptest::collection::vec((0u64..40, 0u64..40), 8..60),
+        machines in 1usize..4,
+        seed in 0u64..500,
+    ) {
+        for tier in [StorageTier::Plain, StorageTier::Compact] {
+            let cloud = tiered_cloud(n, &labels, &edges, machines, tier);
+            let batches = update_stream(&cloud, &UpdateStreamConfig {
+                num_batches: 4,
+                ops_per_batch: 8,
+                seed,
+                relabel_bias: 0.5,
+                ..UpdateStreamConfig::default()
+            });
+            let mut mirror = GraphMirror::from_cloud(&cloud);
+            let epochs = GraphEpochs::new(cloud);
+            let pair_counts = |cloud: &MemoryCloud| -> Vec<u64> {
+                let num_labels = cloud.labels().len() as u32;
+                let mut counts = vec![cloud.label_pair_total()];
+                for a in 0..num_labels {
+                    for b in a..num_labels {
+                        counts.push(cloud.label_pair_count(LabelId(a), LabelId(b)));
+                    }
+                }
+                counts
+            };
+            for (i, batch) in batches.iter().enumerate() {
+                epochs.apply(batch).expect("generated batches are valid");
+                mirror.apply(batch);
+                let unsealed = pair_counts(&epochs.pin());
+                let rebuilt = pair_counts(&mirror.build_cloud(machines, CostModel::default()));
+                prop_assert_eq!(&unsealed, &rebuilt,
+                    "overlay delta drifted from a rebuild (tier = {:?}, batch {})", tier, i);
+                if i % 2 == 1 {
+                    epochs.seal_epoch();
+                    prop_assert_eq!(&pair_counts(&epochs.pin()), &unsealed,
+                        "seal changed the pair statistics (tier = {:?}, batch {})", tier, i);
+                }
+            }
+        }
+    }
+}
+
+/// One step of churn for the repair proptest: a generated batch (edge
+/// add/remove, random `RemoveVertex`, relabel, add-vertex-plus-edge) that
+/// also adds and removes one edge inside the batch and, every third step,
+/// removes the current hub.
+fn churn_batch(snap: &MemoryCloud, mirror: &GraphMirror, seed: u64, step: u64) -> UpdateBatch {
+    let mut batch = update_stream(
+        snap,
+        &UpdateStreamConfig {
+            num_batches: 1,
+            ops_per_batch: 5,
+            seed: seed ^ (step << 32),
+            relabel_bias: 0.4,
+            ..UpdateStreamConfig::default()
+        },
+    )
+    .pop()
+    .expect("one batch");
+    let mut after = mirror.clone();
+    after.apply(&batch);
+    let mut survivors: Vec<VertexId> = snap
+        .iter_vertices()
+        .filter(|&id| after.label_of(id).is_some())
+        .collect();
+    survivors.sort_unstable_by_key(|&id| std::cmp::Reverse(snap.degree_global(id)));
+    if let [hub, a, b, ..] = survivors[..] {
+        if !after.has_edge(a, b) {
+            batch = batch.add_edge(a, b).remove_edge(a, b);
+        }
+        if step % 3 == 1 {
+            batch = batch.remove_vertex(hub);
+        }
+    }
+    batch
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 8,
+        .. ProptestConfig::default()
+    })]
+
+    /// `repaired == repopulated`: under random churn, every table a warm
+    /// cache serves — revalidated or repaired across one epoch or (queries
+    /// skip steps) a gap of several, with a reader still pinned to an older
+    /// epoch probing the same cache — is bit-identical to what a cold cache
+    /// populates on the same snapshot, on both tiers, with pruning on and
+    /// off; a repair's counters and traffic never exceed a populate's; and
+    /// the answers equal VF2 on the mirrored graph.
+    #[test]
+    fn repaired_tables_equal_a_cold_populate(
+        n in 12u64..40,
+        labels in proptest::collection::vec(0u32..3, 40),
+        edges in proptest::collection::vec((0u64..40, 0u64..40), 20..80),
+        machines in 1usize..=4,
+        seed in 0u64..500,
+    ) {
+        let modes = [TransportMode::DirectRead, TransportMode::Messages];
+        for (c, (tier, pruning)) in [
+            (StorageTier::Plain, false),
+            (StorageTier::Compact, true),
+            (StorageTier::Plain, true),
+            (StorageTier::Compact, false),
+        ].into_iter().enumerate() {
+            let cloud = tiered_cloud(n, &labels, &edges, machines, tier);
+            let queries: Vec<QueryGraph> =
+                (0..4u64).filter_map(|j| dfs_query(&cloud, 3 + (j as usize % 2), seed + j)).collect();
+            let config = MatchConfig::exhaustive()
+                .with_num_threads(Some(1))
+                .with_pruning(pruning)
+                .with_transport_mode(modes[(c + seed as usize) % 2])
+                .with_fault_plan(None);
+            let mut mirror = GraphMirror::from_cloud(&cloud);
+            let epochs = GraphEpochs::new(cloud);
+            let warm = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
+            let mut pinned: Option<(SnapshotRef, Vec<ResultTable>)> = None;
+            for step in 0..6u64 {
+                let batch = churn_batch(&epochs.pin(), &mirror, seed, step);
+                epochs.apply(&batch).expect("churn batches are valid");
+                mirror.apply(&batch);
+                let snap = epochs.pin();
+                let reference = mirror.build_cloud(1, CostModel::default());
+                let cold = StwigCache::new(&snap, CacheConfig::default());
+                for (j, q) in queries.iter().enumerate() {
+                    if (step as usize + j) % 3 == 2 {
+                        continue;
+                    }
+                    let w = stwig::match_query_distributed_with_cache(&snap, q, &config, Some(&warm)).unwrap();
+                    let p = stwig::match_query_distributed_with_cache(&snap, q, &config, Some(&cold)).unwrap();
+                    prop_assert_eq!(&w.table, &p.table);
+                    prop_assert_eq!(
+                        canonical_rows(q, &w.table),
+                        canonical_rows(q, &vf2(&reference, q, None)),
+                        "warm cache diverged from VF2 (step {}, query {})", step, j
+                    );
+                    for stwig in &plan_query_with_config(&snap, q, &config).unwrap().stwigs {
+                        let shape = StwigShape::of(q, stwig, pruning);
+                        match (warm.lookup(&shape, &snap), cold.lookup(&shape, &snap)) {
+                            (CacheLookup::Hit(a), CacheLookup::Hit(b)) => prop_assert_eq!(
+                                a, b, "repaired {} != repopulated (step {})", stwig, step
+                            ),
+                            (CacheLookup::Bypass, CacheLookup::Bypass) => {}
+                            // An STwig after one that matched nowhere is
+                            // never explored, by either cache.
+                            (_, CacheLookup::Miss) => {}
+                            (a, b) => prop_assert!(false, "warm {:?} vs cold {:?}", a, b),
+                        }
+                    }
+                    let (we, pe) = (&w.metrics.explore, &p.metrics.explore);
+                    prop_assert!(we.roots_scanned <= pe.roots_scanned);
+                    prop_assert!(we.cells_loaded <= pe.cells_loaded);
+                    prop_assert!(we.label_probes <= pe.label_probes);
+                    prop_assert!(we.rows_emitted <= pe.rows_emitted);
+                    prop_assert!(w.metrics.network_messages <= p.metrics.network_messages);
+                    prop_assert!(w.metrics.network_bytes <= p.metrics.network_bytes);
+                }
+                match &pinned {
+                    // A reader pinned three epochs back shares the warm
+                    // cache and still gets its own epoch's answers.
+                    Some((old, answers)) => for (q, want) in queries.iter().zip(answers) {
+                        let got = stwig::match_query_distributed_with_cache(old, q, &config, Some(&warm)).unwrap();
+                        prop_assert_eq!(&got.table, want, "pinned reader saw another epoch");
+                    },
+                    None if step == 2 => {
+                        let answers = queries.iter()
+                            .map(|q| stwig::match_query_distributed(&snap, q, &config).unwrap().table)
+                            .collect();
+                        pinned = Some((snap.clone(), answers));
+                    }
+                    None => {}
+                }
+            }
+            prop_assert!(queries.is_empty() || warm.stats().hits > 0);
         }
     }
 }
