@@ -24,11 +24,20 @@
 //!
 //! The cache key is the canonical shape — root label plus **sorted** child
 //! labels — and the stored value is the per-machine table in canonical
-//! column order. A query whose STwig lists the same child labels in a
-//! different order recovers its exact exploration table by permuting the
-//! columns and re-sorting the rows ([`decanonicalize_table`]): because the
-//! exploration output is lexicographically sorted, the permuted rows sorted
-//! lexicographically *are* the exploration order.
+//! column order: root, then children by ascending `(label, query-vertex id)`.
+//! That is the order the planner gives every STwig's children
+//! ([`STwig::sort_children_canonically`]), so the table exploration emits
+//! *is* the canonical table — same columns, same lexicographic row order —
+//! and two queries that number the same shape's vertices differently plan
+//! STwigs whose tables are equal up to the column names. Populating stores
+//! the explored table under placeholder names ([`canonicalize_table`]); a
+//! hit copies it back under the query's names ([`derive_bound_table`]).
+//! Children with equal labels need no rule beyond the id tie-break: their
+//! unbound candidate lists are the same list, so the table is symmetric
+//! under swapping their columns and whichever of them the query numbered
+//! lower may take the first. A hand-built STwig whose children are in some
+//! other order is explored, never cached
+//! ([`STwig::has_canonical_children`]).
 //!
 //! Binding-based pruning (§4.2) and the per-STwig row cap are pure
 //! order-preserving row filters of the unbound output, so
@@ -131,9 +140,9 @@ impl CacheConfig {
 }
 
 /// The canonical shape of an STwig: root label plus sorted child labels,
-/// tagged with the pruning setting it was explored under. Two STwigs with
-/// the same shape have identical unbound exploration output up to a column
-/// permutation (see the module docs).
+/// tagged with the pruning setting it was explored under. Two planned
+/// STwigs with the same shape have identical unbound exploration output up
+/// to the column names (see the module docs).
 ///
 /// Pruned and unpruned explorations produce identical *rows* (pruning is
 /// sound), but their `ExploreCounters` and traffic differ — and the
@@ -562,41 +571,21 @@ pub fn graph_fingerprint(cloud: &MemoryCloud) -> u64 {
     hasher.finish()
 }
 
-/// The permutation taking the STwig's children (in their query-vertex order)
-/// to canonical (label-sorted) positions: `perm[j]` is the index within
-/// `stwig.children` of the child occupying canonical child position `j`.
-/// Ties between equal labels keep query-vertex order; same-label columns are
-/// content-symmetric, so any stable choice yields the same canonical data.
-fn canonical_child_order(query: &QueryGraph, stwig: &STwig) -> Vec<usize> {
-    let mut perm: Vec<usize> = (0..stwig.children.len()).collect();
-    perm.sort_by_key(|&i| (query.label(stwig.children[i]), i));
-    perm
-}
-
 /// Converts one machine's *unbound, untruncated* exploration table for
-/// `stwig` into canonical form: columns permuted to (root, label-sorted
-/// children) with placeholder names, rows re-sorted lexicographically.
+/// `stwig` into canonical form. The planner's child order is the canonical
+/// column order and exploration emits rows lexicographically, so this is the
+/// same data under placeholder column names: one bulk copy.
 pub fn canonicalize_table(table: &ResultTable, query: &QueryGraph, stwig: &STwig) -> ResultTable {
+    debug_assert!(
+        stwig.has_canonical_children(query),
+        "only STwigs in canonical child order are offered to the cache"
+    );
     debug_assert!(
         table.rows_are_sorted(),
         "unbound exploration must emit lexicographically sorted rows"
     );
-    let placeholder: Vec<QVid> = (0..table.width() as u16).map(QVid).collect();
-    let perm = canonical_child_order(query, stwig);
-    if perm.iter().enumerate().all(|(j, &i)| j == i) {
-        // Identity permutation: one bulk buffer clone under new names.
-        return table.cloned_with_columns(placeholder);
-    }
-    let mut out = ResultTable::with_capacity(placeholder, table.num_rows());
-    let mut row_buf = Vec::with_capacity(table.width());
-    for row in table.rows() {
-        row_buf.clear();
-        row_buf.push(row[0]);
-        row_buf.extend(perm.iter().map(|&i| row[1 + i]));
-        out.push_row(&row_buf);
-    }
-    out.sort_rows();
-    out
+    let placeholder = (0..table.width() as u16).map(QVid).collect();
+    table.prefix_with_columns(placeholder, table.num_rows())
 }
 
 /// Repairs one machine's canonical table: the rows of every root in
@@ -629,46 +618,12 @@ pub fn splice_roots(old: &ResultTable, touched: &[VertexId], fresh: &ResultTable
     out
 }
 
-/// Reconstructs the exact unbound exploration table of `stwig` from a
-/// canonical cached table: columns are renamed to the STwig's query
-/// vertices, permuted back from label-sorted to query-vertex order, and rows
-/// re-sorted into the lexicographic order exploration emits.
-pub fn decanonicalize_table(
-    canonical: &ResultTable,
-    query: &QueryGraph,
-    stwig: &STwig,
-) -> ResultTable {
-    let mut columns = Vec::with_capacity(1 + stwig.children.len());
-    columns.push(stwig.root);
-    columns.extend(stwig.children.iter().copied());
-    debug_assert_eq!(columns.len(), canonical.width());
-    let perm = canonical_child_order(query, stwig);
-    if perm.iter().enumerate().all(|(j, &i)| j == i) {
-        // Identity permutation: one bulk buffer clone under new names.
-        return canonical.cloned_with_columns(columns);
-    }
-    let mut out = ResultTable::with_capacity(columns, canonical.num_rows());
-    let mut row_buf = vec![trinity_sim::ids::VertexId(0); canonical.width()];
-    for row in canonical.rows() {
-        row_buf[0] = row[0];
-        for (j, &i) in perm.iter().enumerate() {
-            row_buf[1 + i] = row[1 + j];
-        }
-        out.push_row(&row_buf);
-    }
-    out.sort_rows();
-    out
-}
-
-/// The cache-hit derivation, fused into the minimum number of passes:
-/// produces, directly from a canonical cached table, the table that bound
-/// exploration of `stwig` under `bindings` and `config` would emit —
-/// equivalent to [`decanonicalize_table`] followed by
-/// [`apply_bindings_and_cap`], without materializing the intermediate full
-/// table. (Binding filtering is per-row, so it commutes with the column
-/// permutation and the row re-sort; the row cap is applied last — after the
-/// sort when one is needed — because it must keep a prefix of the
-/// exploration order.)
+/// The cache-hit derivation: produces, directly from a canonical cached
+/// table, the table that bound exploration of `stwig` under `bindings` and
+/// `config` would emit. The canonical table is the unbound exploration table
+/// under other column names (see the module docs), and binding pruning and
+/// the row cap are an order-preserving row filter and a prefix of it — so a
+/// hit is one bulk copy, or one filtered pass when a binding applies.
 pub fn derive_bound_table(
     canonical: &ResultTable,
     query: &QueryGraph,
@@ -676,70 +631,35 @@ pub fn derive_bound_table(
     bindings: &Bindings,
     config: &MatchConfig,
 ) -> ResultTable {
-    let mut columns = Vec::with_capacity(1 + stwig.children.len());
-    columns.push(stwig.root);
-    columns.extend(stwig.children.iter().copied());
+    debug_assert!(
+        stwig.has_canonical_children(query),
+        "only STwigs in canonical child order are offered to the cache"
+    );
+    let columns: Vec<QVid> = stwig.vertices().collect();
     debug_assert_eq!(columns.len(), canonical.width());
-    let perm = canonical_child_order(query, stwig);
-    let identity = perm.iter().enumerate().all(|(j, &i)| j == i);
-
-    // In canonical-column space, `col_sets[j]` is the binding set (if any)
-    // of the query vertex occupying canonical position `j` — resolved once,
+    // The binding set (if any) of each column's query vertex, resolved once
     // so the per-row filter is a plain set probe per bound column.
     let col_sets: Vec<Option<&crate::hash::VertexSet>> = if config.use_bindings {
-        std::iter::once(bindings.get(stwig.root))
-            .chain(perm.iter().map(|&i| bindings.get(stwig.children[i])))
-            .collect()
+        columns.iter().map(|&q| bindings.get(q)).collect()
     } else {
-        vec![None; canonical.width()]
+        Vec::new()
     };
-    let filtering = col_sets.iter().any(Option::is_some);
-    let admits = |row: &[trinity_sim::ids::VertexId]| -> bool {
-        col_sets
-            .iter()
-            .zip(row.iter())
-            .all(|(set, v)| set.is_none_or(|s| s.contains(v)))
-    };
-
-    if identity && !filtering {
-        // Pure copy (plus cap): the canonical data is the exploration
-        // output verbatim.
-        let mut out = canonical.cloned_with_columns(columns);
-        if let Some(cap) = config.max_stwig_rows {
-            out.truncate(cap);
-        }
-        return out;
+    let cap = config.max_stwig_rows.unwrap_or(usize::MAX);
+    if col_sets.iter().all(Option::is_none) {
+        return canonical.prefix_with_columns(columns, cap);
     }
-    let mut out = ResultTable::with_capacity(columns, canonical.num_rows());
-    if identity {
-        // Already in exploration order: one filtered pass with the cap.
-        let cap = config.max_stwig_rows.unwrap_or(usize::MAX);
-        for row in canonical.rows() {
-            if out.num_rows() >= cap {
-                break;
-            }
-            if admits(row) {
-                out.push_row(row);
-            }
-        }
-        return out;
-    }
-    // Permute (and filter) every row, re-sort into exploration order, then
-    // cap — the cap must keep a prefix of the *sorted* order.
-    let mut row_buf = vec![trinity_sim::ids::VertexId(0); canonical.width()];
+    let mut out = ResultTable::with_capacity(columns, canonical.num_rows().min(cap));
     for row in canonical.rows() {
-        if !admits(row) {
-            continue;
+        if out.num_rows() >= cap {
+            break;
         }
-        row_buf[0] = row[0];
-        for (j, &i) in perm.iter().enumerate() {
-            row_buf[1 + i] = row[1 + j];
+        let admitted = col_sets
+            .iter()
+            .zip(row)
+            .all(|(set, v)| set.is_none_or(|s| s.contains(v)));
+        if admitted {
+            out.push_row(row);
         }
-        out.push_row(&row_buf);
-    }
-    out.sort_rows();
-    if let Some(cap) = config.max_stwig_rows {
-        out.truncate(cap);
     }
     out
 }
@@ -771,6 +691,7 @@ pub fn apply_bindings_and_cap(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decompose::{decompose_ordered, UniformStats};
     use crate::query::QVid;
     use trinity_sim::builder::GraphBuilder;
     use trinity_sim::network::CostModel;
@@ -805,28 +726,41 @@ mod tests {
         gb.build(2, CostModel::free())
     }
 
-    /// A query whose STwig children are *not* in label-sorted order: q0
-    /// labeled "a" with children q1 ("c") and q2 ("b").
-    fn unsorted_query() -> (QueryGraph, STwig) {
+    /// The star query q0 ("a") with one leaf per name in `leaves`, numbered
+    /// q1, q2 in that order, and the planner's one STwig for it.
+    fn star_query(leaves: [&str; 2]) -> (QueryGraph, STwig) {
         let cloud = small_cloud();
         let mut qb = QueryGraph::builder();
         let r = qb.vertex_by_name(&cloud, "a").unwrap();
-        let c1 = qb.vertex_by_name(&cloud, "c").unwrap();
-        let c2 = qb.vertex_by_name(&cloud, "b").unwrap();
-        qb.edge(r, c1).edge(r, c2);
+        for name in leaves {
+            let leaf = qb.vertex_by_name(&cloud, name).unwrap();
+            qb.edge(r, leaf);
+        }
         let query = qb.build().unwrap();
-        let stwig = STwig::new(r, vec![c1, c2]);
+        let mut cover = decompose_ordered(&query, &UniformStats).unwrap();
+        assert_eq!(cover.len(), 1, "a star is one STwig");
+        (query, cover.pop().unwrap())
+    }
+
+    /// A query whose vertex numbering runs against its labels: q1 is "c" and
+    /// q2 is "b", so the planned STwig lists its children as [q2, q1].
+    fn unsorted_query() -> (QueryGraph, STwig) {
+        let (query, stwig) = star_query(["c", "b"]);
+        assert_eq!(stwig.children, vec![q(2), q(1)]);
         (query, stwig)
     }
 
     #[test]
-    fn shape_sorts_child_labels() {
-        let (query, stwig) = unsorted_query();
-        let shape = StwigShape::of(&query, &stwig, false);
-        let mut sorted = shape.child_labels.clone();
-        sorted.sort_unstable();
-        assert_eq!(shape.child_labels, sorted);
-        assert_eq!(shape.root_label, query.label(stwig.root));
+    fn shape_sorts_child_labels_of_any_stwig() {
+        let (query, planned) = unsorted_query();
+        // `STwig::new` orders by id: labels [c, b].
+        let hand_built = STwig::new(planned.root, planned.children.clone());
+        assert!(planned.has_canonical_children(&query));
+        assert!(!hand_built.has_canonical_children(&query));
+        let shape = StwigShape::of(&query, &hand_built, false);
+        assert!(shape.child_labels.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(shape.root_label, query.label(planned.root));
+        assert_eq!(shape, StwigShape::of(&query, &planned, false));
     }
 
     #[test]
@@ -846,34 +780,44 @@ mod tests {
     }
 
     #[test]
-    fn canonicalize_roundtrips_through_decanonicalize() {
-        let (query, stwig) = unsorted_query();
-        // Exploration table for (root=a, children=[c, b]) with rows in the
-        // lexicographic order exploration emits.
-        let exploration = table(&[0, 1, 2], &[&[10, 31, 20], &[10, 31, 21], &[11, 30, 22]]);
-        let canonical = canonicalize_table(&exploration, &query, &stwig);
-        assert!(canonical.rows_are_sorted());
-        // Canonical column 1 holds the "b" child values (label-sorted).
-        assert_eq!(canonical.row(0), &[v(10), v(20), v(31)]);
-        let back = decanonicalize_table(&canonical, &query, &stwig);
-        assert_eq!(back, exploration, "round trip must be bit-identical");
+    fn renumbered_queries_share_one_canonical_table() {
+        // (a; b, c) numbered both ways round. Either plan explores the "b"
+        // child first, so both emit the same rows — under different names.
+        let (reversed, stwig_r) = unsorted_query();
+        let (forward, stwig_f) = star_query(["b", "c"]);
+        assert_eq!(stwig_f.children, vec![q(1), q(2)]);
+        assert_eq!(
+            StwigShape::of(&reversed, &stwig_r, false),
+            StwigShape::of(&forward, &stwig_f, false)
+        );
+        let rows: [&[u64]; 3] = [&[10, 20, 31], &[10, 21, 31], &[11, 22, 30]];
+        let explored_r = table(&[0, 2, 1], &rows);
+        let explored_f = table(&[0, 1, 2], &rows);
+        let canonical = canonicalize_table(&explored_r, &reversed, &stwig_r);
+        assert_eq!(
+            canonical,
+            canonicalize_table(&explored_f, &forward, &stwig_f)
+        );
+        // A hit hands each query its own exploration table back.
+        let unbound = Bindings::new(3);
+        let config = MatchConfig::default();
+        assert_eq!(
+            derive_bound_table(&canonical, &reversed, &stwig_r, &unbound, &config),
+            explored_r
+        );
+        assert_eq!(
+            derive_bound_table(&canonical, &forward, &stwig_f, &unbound, &config),
+            explored_f
+        );
     }
 
+    #[cfg(debug_assertions)]
     #[test]
-    fn canonicalize_identity_when_labels_already_sorted() {
-        let cloud = small_cloud();
-        let mut qb = QueryGraph::builder();
-        let r = qb.vertex_by_name(&cloud, "a").unwrap();
-        let c1 = qb.vertex_by_name(&cloud, "b").unwrap();
-        let c2 = qb.vertex_by_name(&cloud, "c").unwrap();
-        qb.edge(r, c1).edge(r, c2);
-        let query = qb.build().unwrap();
-        let stwig = STwig::new(r, vec![c1, c2]);
-        let exploration = table(&[0, 1, 2], &[&[1, 2, 3], &[1, 2, 4]]);
-        let canonical = canonicalize_table(&exploration, &query, &stwig);
-        assert_eq!(canonical.row(0), exploration.row(0));
-        let back = decanonicalize_table(&canonical, &query, &stwig);
-        assert_eq!(back, exploration);
+    #[should_panic(expected = "canonical child order")]
+    fn cache_functions_refuse_a_non_canonical_stwig() {
+        let (query, planned) = unsorted_query();
+        let hand_built = STwig::new(planned.root, planned.children);
+        canonicalize_table(&table(&[0, 1, 2], &[]), &query, &hand_built);
     }
 
     #[test]
@@ -959,18 +903,18 @@ mod tests {
     }
 
     #[test]
-    fn derive_bound_table_equals_decanonicalize_then_filter() {
+    fn derive_bound_table_equals_rename_then_filter() {
         let (query, stwig) = unsorted_query();
-        // Full unbound exploration table in exploration (lexicographic) order
-        // for children [c ("c"), b ("b")]; canonical order swaps the columns.
+        // Full unbound exploration table of children [q2 ("b"), q1 ("c")],
+        // in exploration (lexicographic) order.
         let exploration = table(
-            &[0, 1, 2],
+            &[0, 2, 1],
             &[
-                &[10, 30, 20],
-                &[10, 30, 21],
-                &[10, 31, 20],
-                &[11, 30, 22],
-                &[11, 32, 20],
+                &[10, 20, 30],
+                &[10, 20, 31],
+                &[10, 21, 30],
+                &[11, 20, 32],
+                &[11, 22, 30],
             ],
         );
         let canonical = canonicalize_table(&exploration, &query, &stwig);
@@ -986,30 +930,12 @@ mod tests {
         ] {
             let fused = derive_bound_table(&canonical, &query, &stwig, &bindings, &config);
             let two_pass = apply_bindings_and_cap(
-                decanonicalize_table(&canonical, &query, &stwig),
+                canonical.prefix_with_columns(exploration.columns().to_vec(), usize::MAX),
                 &bindings,
                 &config,
             );
             assert_eq!(fused, two_pass, "config = {config:?}");
         }
-        // Identity-permutation shape: root "a" with sorted-label children.
-        let cloud = small_cloud();
-        let mut qb = QueryGraph::builder();
-        let r = qb.vertex_by_name(&cloud, "a").unwrap();
-        let c1 = qb.vertex_by_name(&cloud, "b").unwrap();
-        let c2 = qb.vertex_by_name(&cloud, "c").unwrap();
-        qb.edge(r, c1).edge(r, c2);
-        let query2 = qb.build().unwrap();
-        let stwig2 = STwig::new(r, vec![c1, c2]);
-        let canonical2 = canonicalize_table(&exploration, &query2, &stwig2);
-        let cfg = MatchConfig::default().with_max_stwig_rows(Some(2));
-        let fused = derive_bound_table(&canonical2, &query2, &stwig2, &bindings, &cfg);
-        let two_pass = apply_bindings_and_cap(
-            decanonicalize_table(&canonical2, &query2, &stwig2),
-            &bindings,
-            &cfg,
-        );
-        assert_eq!(fused, two_pass);
     }
 
     #[test]

@@ -142,7 +142,16 @@ fn f_value<S: LabelStatistics>(query: &QueryGraph, residual: &Residual, stats: &
 /// The returned STwigs, processed in order, guarantee (for connected queries)
 /// that every STwig after the first has its root bound by an earlier STwig.
 /// The cover size is at most twice the minimum STwig cover (Theorem 2).
+/// Every STwig lists its children in canonical `(label, id)` order.
 pub fn decompose_ordered<S: LabelStatistics>(
+    query: &QueryGraph,
+    stats: &S,
+) -> Result<Vec<STwig>, StwigError> {
+    Ok(with_canonical_children(query, ordered_cover(query, stats)?))
+}
+
+/// Algorithm 2 proper: which STwigs, in which order.
+fn ordered_cover<S: LabelStatistics>(
     query: &QueryGraph,
     stats: &S,
 ) -> Result<Vec<STwig>, StwigError> {
@@ -228,6 +237,17 @@ pub fn decompose_ordered<S: LabelStatistics>(
     Ok(order)
 }
 
+/// The last step of every decomposition: each STwig lists its children by
+/// `(label, query-vertex id)`, the one order the executors and the
+/// cross-query cache agree on (see [`STwig::sort_children_canonically`]).
+/// Which edges an STwig covers, and the order of the STwigs, are untouched.
+fn with_canonical_children(query: &QueryGraph, mut stwigs: Vec<STwig>) -> Vec<STwig> {
+    for stwig in &mut stwigs {
+        stwig.sort_children_canonically(query);
+    }
+    stwigs
+}
+
 /// Decides which endpoint of the selected edge becomes the root `v` of the
 /// first STwig of this round: a bound endpoint wins (Algorithm 2 requires
 /// `v ∈ S`), otherwise the endpoint with the larger f-value.
@@ -253,8 +273,13 @@ fn pick_root_order<S: LabelStatistics>(
 }
 
 /// The plain randomized 2-approximate STwig cover of §5.1 (no ordering rules,
-/// no f-values). Used as the ablation baseline for the ordering strategy.
+/// no f-values), children in canonical order like [`decompose_ordered`]'s.
+/// Used as the ablation baseline for the ordering strategy.
 pub fn decompose_random(query: &QueryGraph, seed: u64) -> Result<Vec<STwig>, StwigError> {
+    Ok(with_canonical_children(query, random_cover(query, seed)?))
+}
+
+fn random_cover(query: &QueryGraph, seed: u64) -> Result<Vec<STwig>, StwigError> {
     if query.num_vertices() == 0 {
         return Err(StwigError::EmptyQuery);
     }
@@ -510,6 +535,78 @@ mod tests {
             let cover = decompose_random(&q, seed).unwrap();
             validate_cover(&q, &cover).unwrap();
         }
+    }
+
+    /// A connected random labelled query: a random spanning tree plus a few
+    /// extra edges, labels drawn from few enough values that children share
+    /// labels and numbering runs against label order.
+    fn random_query(rng: &mut rand::rngs::SmallRng) -> QueryGraph {
+        use rand::Rng;
+        let n = rng.gen_range(2..9usize);
+        let mut b = QueryGraph::builder();
+        let vs: Vec<QVid> = (0..n)
+            .map(|_| b.vertex(l(rng.gen_range(0..4u32))))
+            .collect();
+        for i in 1..n {
+            b.edge(vs[i], vs[rng.gen_range(0..i)]);
+        }
+        for _ in 0..rng.gen_range(0..n) {
+            let (x, y) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if x != y {
+                b.edge(vs[x], vs[y]);
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn canonical_child_order_moves_nothing_but_the_order_inside_children() {
+        // `ordered_cover` / `random_cover` are the decompositions as they
+        // were before children were put in canonical order: the public
+        // functions must return the same roots in the same sequence, each
+        // with the same child *set*, sorted by (label, id).
+        struct SkewStats;
+        impl LabelStatistics for SkewStats {
+            fn frequency(&self, label: LabelId) -> u64 {
+                1 + 7 * u64::from(label.0)
+            }
+            fn pair_count(&self, a: LabelId, b: LabelId) -> Option<u64> {
+                Some(u64::from(a.0 * b.0))
+            }
+        }
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0xC0FFEE);
+        let mut reordered = 0;
+        for seed in 0..300u64 {
+            let q = random_query(&mut rng);
+            for (raw, public) in [
+                (
+                    ordered_cover(&q, &UniformStats).unwrap(),
+                    decompose_ordered(&q, &UniformStats).unwrap(),
+                ),
+                (
+                    ordered_cover(&q, &SkewStats).unwrap(),
+                    decompose_ordered(&q, &SkewStats).unwrap(),
+                ),
+                (
+                    random_cover(&q, seed).unwrap(),
+                    decompose_random(&q, seed).unwrap(),
+                ),
+            ] {
+                validate_cover(&q, &public).unwrap();
+                assert_eq!(raw.len(), public.len());
+                for (before, after) in raw.iter().zip(&public) {
+                    assert!(after.has_canonical_children(&q), "{after} in {q:?}");
+                    assert_eq!(before.root, after.root);
+                    assert_eq!(
+                        *before,
+                        STwig::new(after.root, after.children.clone()),
+                        "child set changed"
+                    );
+                    reordered += usize::from(before != after);
+                }
+            }
+        }
+        assert!(reordered > 100, "the sample must exercise reordering");
     }
 
     #[test]

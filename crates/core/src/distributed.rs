@@ -886,8 +886,9 @@ fn explore_one_stwig(
 /// every local root into an empty table; a repair explores only the touched
 /// roots and splices their rows into the resident tables — one path, a
 /// populate being the repair of nothing. `None` hands the STwig back to bound
-/// exploration: the shape is uncacheable, or the run hit the populate row cap
-/// or an interrupt.
+/// exploration: its children are not in the planner's canonical order (a
+/// hand-built STwig — the cache is not even probed), the shape is
+/// uncacheable, or the run hit the populate row cap or an interrupt.
 #[allow(clippy::too_many_arguments)]
 fn explore_via_cache(
     cloud: &MemoryCloud,
@@ -900,6 +901,9 @@ fn explore_via_cache(
     control: Option<&QueryControl>,
     threads: usize,
 ) -> Result<Option<Vec<MachineExplore>>, StwigError> {
+    if !stwig.has_canonical_children(query) {
+        return Ok(None);
+    }
     let num_machines = cloud.num_machines();
     let shape = StwigShape::of(query, stwig, config.pruning);
     // On a repair: the resident tables and, per machine, the touched roots
@@ -907,8 +911,7 @@ fn explore_via_cache(
     let stale = match cache.lookup(&shape, cloud) {
         CacheLookup::Hit(entry) => {
             // Derive each machine's exploration table from the canonical
-            // entry under the current bindings and row cap (one fused pass;
-            // see `derive_bound_table`).
+            // entry under the current bindings and row cap.
             return Ok(Some(run_work_stealing(num_machines, threads, |ki| {
                 let t0 = Instant::now();
                 let table = derive_bound_table(&entry[ki], query, stwig, bindings, config);
@@ -1416,7 +1419,7 @@ const FIRST_K_MIN_SLAB: usize = 256;
 const SLAB_GROWTH: usize = 8;
 
 /// Tracks streamed delivery: rows handed to the sink, and when the first
-/// one left.
+/// one became readable.
 struct StreamState<'s> {
     sink: &'s mut dyn ResultSink,
     started: Instant,
@@ -1424,34 +1427,82 @@ struct StreamState<'s> {
     first_us: Option<f64>,
 }
 
-impl StreamState<'_> {
+impl<'s> StreamState<'s> {
+    fn new(sink: &'s mut dyn ResultSink, started: Instant) -> Self {
+        StreamState {
+            sink,
+            started,
+            streamed: 0,
+            first_us: None,
+        }
+    }
+
     fn deliver(&mut self, row: &[VertexId]) {
+        self.sink.row(row);
+        self.streamed += 1;
         if self.first_us.is_none() {
+            // The first row does not wait in a buffering sink for company:
+            // the stamp is when the consumer could read it.
+            self.sink.flush();
             self.first_us = Some(self.started.elapsed().as_secs_f64() * 1e6);
         }
-        self.streamed += 1;
-        self.sink.row(row);
+    }
+
+    /// Ends delivery — whatever stopped the query, the rows it delivered
+    /// are flushed before its metrics say so — and records the stream's
+    /// counters.
+    fn finish(self, metrics: &mut QueryMetrics) {
+        self.sink.flush();
+        metrics.matches_found = self.streamed;
+        metrics.rows_streamed = self.streamed;
+        metrics.time_to_first_result_us = self.first_us;
+    }
+}
+
+/// Where a streamed join pass puts its rows: the live stream for a committed
+/// round, or a staging table for a slab round that may still be discarded
+/// and retried bigger.
+enum RowTarget<'a, 's> {
+    Live(&'a mut StreamState<'s>),
+    Staged(&'a mut ResultTable),
+}
+
+impl RowTarget<'_, '_> {
+    fn push(&mut self, row: &[VertexId]) {
+        match self {
+            RowTarget::Live(state) => state.deliver(row),
+            RowTarget::Staged(table) => table.push_row(row),
+        }
+    }
+
+    /// A join round has ended: a live stream hands over what it buffered.
+    fn end_round(&mut self) {
+        if let RowTarget::Live(state) = self {
+            state.sink.flush();
+        }
     }
 }
 
 /// [`RoundSink`] adapter: re-projects each machine's join output (whose
 /// column order depends on its join-order choice) into the canonical column
-/// order announced to the client, then forwards row by row — to the live
-/// stream for a committed round, or into a staging table for a slab round
-/// that may still be discarded and retried bigger (the caller's closure
-/// decides). Checks `control` before each forwarded row — an atomic load
-/// (the clock is only read while an untripped deadline is armed) — so a
-/// cancellation raised by the consumer mid-stream stops delivery without
-/// waiting for the round boundary.
-struct ProjectingSink<'a, 'c> {
-    canonical: &'c [QVid],
+/// order announced to the client, then forwards row by row to its
+/// [`RowTarget`], flushing the live stream at the end of every round. Checks
+/// `control` before each forwarded row — an atomic load (the clock is only
+/// read while an untripped deadline is armed) — so a cancellation raised by
+/// the consumer mid-stream stops delivery without waiting for the round
+/// boundary.
+struct ProjectingSink<'a, 't, 's> {
+    canonical: &'a [QVid],
     projection: Vec<usize>,
     row_buf: Vec<VertexId>,
     control: &'a QueryControl,
-    emit: &'a mut dyn FnMut(&[VertexId]),
+    target: &'a mut RowTarget<'t, 's>,
+    /// Rows forwarded — what the target accepted, not what the join
+    /// produced: rows are dropped once an interrupt latches.
+    delivered: u64,
 }
 
-impl RoundSink for ProjectingSink<'_, '_> {
+impl RoundSink for ProjectingSink<'_, '_, '_> {
     fn on_schema(&mut self, columns: &[QVid]) {
         self.projection = self
             .canonical
@@ -1468,12 +1519,14 @@ impl RoundSink for ProjectingSink<'_, '_> {
     fn on_rows(&mut self, rows: &ResultTable) {
         for row in rows.rows() {
             if self.control.interrupted() {
-                return;
+                break;
             }
             self.row_buf.clear();
             self.row_buf.extend(self.projection.iter().map(|&p| row[p]));
-            (self.emit)(&self.row_buf);
+            self.target.push(&self.row_buf);
+            self.delivered += 1;
         }
+        self.target.end_round();
     }
 }
 
@@ -1489,7 +1542,7 @@ struct StreamJoinPass {
 }
 
 /// Runs the per-machine load-set joins over `tables`, streaming surviving
-/// rows through `emit` up to `limit`. Machines run in machine order with a
+/// rows into `target` up to `limit`. Machines run in machine order with a
 /// cooperative `control` check before each; in `Messages` mode each
 /// machine's incoming load-set rows are shipped as `JoinRows` posts
 /// **lazily, right before that machine joins** — a first-k query satisfied
@@ -1508,7 +1561,7 @@ fn stream_join_pass(
     canonical: &[QVid],
     metrics: &mut QueryMetrics,
     machine_metrics: &mut [MachineMetrics],
-    emit: &mut dyn FnMut(&[VertexId]),
+    target: &mut RowTarget<'_, '_>,
 ) -> Result<StreamJoinPass, StwigError> {
     let num_machines = cloud.num_machines();
     let per_machine_tables = &tables.per_machine;
@@ -1552,32 +1605,25 @@ fn stream_join_pass(
             continue;
         }
         let mut counters = JoinCounters::default();
-        // Count what the sink actually accepted, not what the join produced:
-        // `ProjectingSink` drops rows once an interrupt latches, and the
-        // first-k "satisfied" decision must reflect delivered rows only.
-        let mut delivered = 0u64;
-        let run = {
-            let mut counted = |row: &[VertexId]| {
-                delivered += 1;
-                emit(row)
-            };
-            let mut sink = ProjectingSink {
-                canonical,
-                projection: Vec::new(),
-                row_buf: Vec::with_capacity(canonical.len()),
-                control,
-                emit: &mut counted,
-            };
-            pipelined_join_streaming(
-                &rk_tables,
-                config,
-                priors,
-                remaining,
-                Some(control),
-                &mut counters,
-                &mut sink,
-            )
+        let mut sink = ProjectingSink {
+            canonical,
+            projection: Vec::new(),
+            row_buf: Vec::with_capacity(canonical.len()),
+            control,
+            target,
+            delivered: 0,
         };
+        let run = pipelined_join_streaming(
+            &rk_tables,
+            config,
+            priors,
+            remaining,
+            Some(control),
+            &mut counters,
+            &mut sink,
+        );
+        // The first-k "satisfied" decision must reflect delivered rows only.
+        let delivered = sink.delivered;
         if !run.exhausted {
             exhausted = false;
         }
@@ -1692,12 +1738,7 @@ pub fn match_query_streaming_with_cache(
     if query.num_edges() == 0 {
         let v0 = query.vertices().next().ok_or(StwigError::EmptyQuery)?;
         sink.begin(&[v0]);
-        let mut state = StreamState {
-            sink,
-            started,
-            streamed: 0,
-            first_us: None,
-        };
+        let mut state = StreamState::new(sink, started);
         let label = query.label(v0);
         let transport = (config.transport_mode == TransportMode::Messages)
             .then(|| QueryTransport::for_config(cloud, config));
@@ -1733,9 +1774,7 @@ pub fn match_query_streaming_with_cache(
             metrics.fault.duplicates_suppressed += tp.duplicates_suppressed();
         }
         metrics.truncated = limit_hit;
-        metrics.matches_found = state.streamed;
-        metrics.rows_streamed = state.streamed;
-        metrics.time_to_first_result_us = state.first_us;
+        state.finish(&mut metrics);
         metrics.explore_rounds = 1;
         if let Some(interrupt) = control.check() {
             metrics.outcome = match interrupt {
@@ -1762,12 +1801,7 @@ pub fn match_query_streaming_with_cache(
     let canonical: Vec<QVid> = query.vertices().collect();
     let priors = stwig_join_priors(cloud, query, &plan.stwigs, config);
     sink.begin(&canonical);
-    let mut state = StreamState {
-        sink,
-        started,
-        streamed: 0,
-        first_us: None,
-    };
+    let mut state = StreamState::new(sink, started);
 
     // Slab schedule: `All` explores uncapped in one round; `FirstK`/`Exists`
     // start from a slab sized for k and grow geometrically on undershoot.
@@ -1847,7 +1881,6 @@ pub fn match_query_streaming_with_cache(
             // Final round: every row the join produces is part of the full
             // answer — stream it live.
             let remaining = limit.map(|l| (l as u64).saturating_sub(state.streamed) as usize);
-            let mut emit = |row: &[VertexId]| state.deliver(row);
             let pass = stream_join_pass(
                 cloud,
                 &plan,
@@ -1859,7 +1892,7 @@ pub fn match_query_streaming_with_cache(
                 &canonical,
                 &mut metrics,
                 &mut machine_metrics,
-                &mut emit,
+                &mut RowTarget::Live(&mut state),
             )?;
             truncated = limit.is_some() && !pass.exhausted && !pass.interrupted;
             if pass.interrupted {
@@ -1873,7 +1906,6 @@ pub fn match_query_streaming_with_cache(
         // re-explore with a bigger slab — rows must never be streamed twice,
         // and a bigger slab's join output is not a superset of this one's.
         let mut staging = ResultTable::new(canonical.clone());
-        let mut emit = |row: &[VertexId]| staging.push_row(row);
         let pass = stream_join_pass(
             cloud,
             &plan,
@@ -1885,7 +1917,7 @@ pub fn match_query_streaming_with_cache(
             &canonical,
             &mut metrics,
             &mut machine_metrics,
-            &mut emit,
+            &mut RowTarget::Staged(&mut staging),
         )?;
         metrics.peak_table_bytes = metrics.peak_table_bytes.max(staging.memory_bytes() as u64);
         let satisfied = limit.is_some_and(|l| pass.rows >= l as u64);
@@ -1913,9 +1945,7 @@ pub fn match_query_streaming_with_cache(
         Some(Interrupt::DeadlineExceeded) => QueryOutcome::DeadlineExceeded,
     };
     metrics.truncated = truncated;
-    metrics.matches_found = state.streamed;
-    metrics.rows_streamed = state.streamed;
-    metrics.time_to_first_result_us = state.first_us;
+    state.finish(&mut metrics);
     metrics.machines = machine_metrics;
     finalize(&mut metrics, cloud, started);
     Ok(metrics)
@@ -2216,6 +2246,140 @@ mod tests {
                 assert_eq!(plain.metrics.stwig_rows, hit.metrics.stwig_rows);
                 assert_eq!(plain.metrics.join, hit.metrics.join);
                 assert_eq!(plain.metrics.matches_found, hit.metrics.matches_found);
+            }
+        }
+    }
+
+    /// A query over labels "a", "b", "c" whose vertices are created in the
+    /// order of `names` (so the numbering can run with or against the label
+    /// order): the star a–b, a–c, closed into a triangle when asked.
+    fn abc_query(cloud: &MemoryCloud, names: [&str; 3], triangle: bool) -> QueryGraph {
+        let mut qb = QueryGraph::builder();
+        let mut id = std::collections::HashMap::new();
+        for name in names {
+            id.insert(name, qb.vertex_by_name(cloud, name).unwrap());
+        }
+        qb.edge(id["a"], id["b"]).edge(id["a"], id["c"]);
+        if triangle {
+            qb.edge(id["b"], id["c"]);
+        }
+        qb.build().unwrap()
+    }
+
+    #[test]
+    fn renumbered_queries_share_one_entry_and_match_uncached_exploration() {
+        use crate::cache::{CacheConfig, StwigCache};
+        for machines in 1usize..=4 {
+            let cloud = sample_cloud(machines);
+            for mode in [TransportMode::DirectRead, TransportMode::Messages] {
+                for pruning in [false, true] {
+                    let config = MatchConfig::default()
+                        .with_transport_mode(mode)
+                        .with_pruning(pruning);
+                    let ctx = format!("machines = {machines}, {mode:?}, pruning = {pruning}");
+                    // The star is one STwig (a; b, c); numbering "c" before
+                    // "b" reverses its children against the id order.
+                    let forward = abc_query(&cloud, ["a", "b", "c"], false);
+                    let reversed = abc_query(&cloud, ["a", "c", "b"], false);
+                    let cache = StwigCache::new(&cloud, CacheConfig::default());
+                    let mut outputs = Vec::new();
+                    for query in [&forward, &reversed, &forward] {
+                        let plain = match_query_distributed(&cloud, query, &config).unwrap();
+                        let cached = match_query_distributed_with_cache(
+                            &cloud,
+                            query,
+                            &config,
+                            Some(&cache),
+                        )
+                        .unwrap();
+                        assert_eq!(plain.table, cached.table, "{ctx}");
+                        outputs.push(cached.table);
+                    }
+                    let stats = cache.stats();
+                    assert_eq!(
+                        (stats.misses, stats.insertions, stats.entries, stats.hits),
+                        (1, 1, 1, 2),
+                        "one populate serves both numberings ({ctx})"
+                    );
+                    // Same rows, the "b" column first — only the names differ.
+                    assert_eq!(outputs[0].columns(), &[QVid(0), QVid(1), QVid(2)]);
+                    assert_eq!(outputs[1].columns(), &[QVid(0), QVid(2), QVid(1)]);
+                    assert!(outputs[0].rows().eq(outputs[1].rows()), "{ctx}");
+
+                    // The triangle's STwigs bind each other: the renumbered
+                    // twin is served from the first one's entries through
+                    // the binding-filtered derivation.
+                    let forward = abc_query(&cloud, ["a", "b", "c"], true);
+                    let reversed = abc_query(&cloud, ["c", "b", "a"], true);
+                    let cache = StwigCache::new(&cloud, CacheConfig::default());
+                    for query in [&forward, &reversed] {
+                        let plain = match_query_distributed(&cloud, query, &config).unwrap();
+                        let cached = match_query_distributed_with_cache(
+                            &cloud,
+                            query,
+                            &config,
+                            Some(&cache),
+                        )
+                        .unwrap();
+                        assert_eq!(plain.table, cached.table, "{ctx}");
+                        assert_eq!(plain.metrics.stwig_rows, cached.metrics.stwig_rows);
+                    }
+                    assert!(cache.stats().hits > 0, "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hand_built_non_canonical_stwig_is_explored_and_never_cached() {
+        use crate::cache::{CacheConfig, StwigCache};
+        for machines in [1usize, 3] {
+            let cloud = sample_cloud(machines);
+            // q1 is "c", q2 is "b": `STwig::new` lists them by id, against
+            // the label order the planner would use.
+            let query = abc_query(&cloud, ["a", "c", "b"], false);
+            let config = MatchConfig::default().with_num_threads(Some(1));
+            let planned = plan_query_with_config(&cloud, &query, &config)
+                .unwrap()
+                .stwigs;
+            assert_eq!(
+                planned,
+                [STwig {
+                    root: QVid(0),
+                    children: vec![QVid(2), QVid(1)],
+                }]
+            );
+            let hand_built = STwig::new(QVid(0), vec![QVid(1), QVid(2)]);
+            assert!(!hand_built.has_canonical_children(&query));
+            let unbound = Bindings::new(query.num_vertices());
+            let explore = |stwig: &STwig, cache: Option<&StwigCache>| -> Vec<ResultTable> {
+                explore_one_stwig(
+                    &cloud, None, &query, stwig, &unbound, &config, cache, None, 1,
+                )
+                .unwrap()
+                .into_iter()
+                .map(|r| r.table)
+                .collect()
+            };
+            let cache = StwigCache::new(&cloud, CacheConfig::default());
+            // Cold cache: explored, not probed, nothing inserted.
+            let uncached = explore(&hand_built, None);
+            assert_eq!(explore(&hand_built, Some(&cache)), uncached);
+            assert_eq!(cache.stats(), crate::metrics::CacheStats::default());
+            // Warm cache (its planned twin's entry is resident): still
+            // explored — a served entry would carry the "b" column first.
+            let twin = explore(&planned[0], Some(&cache));
+            let warm = cache.stats();
+            assert_eq!((warm.misses, warm.insertions), (1, 1));
+            assert_eq!(explore(&hand_built, Some(&cache)), uncached);
+            assert_eq!(cache.stats(), warm);
+            let c_label = query.label(QVid(1));
+            for (table, twin) in uncached.iter().zip(&twin) {
+                assert_eq!(table.columns(), &[QVid(0), QVid(1), QVid(2)]);
+                assert_eq!(table.num_rows(), twin.num_rows());
+                for row in table.rows() {
+                    assert_eq!(cloud.label_of_global(row[1]), Some(c_label));
+                }
             }
         }
     }

@@ -61,7 +61,7 @@ use crate::serve::{
     CostEstimator, QueryHandle, QueryRequest, QueryResponse, RejectReason, ServeConfig, Submit,
     SubmitDisposition, TenantId,
 };
-use crate::stream::{ChannelSink, CollectSink, QueryOptions, ResultSink};
+use crate::stream::{ChannelSink, CollectSink, QueryOptions, ResultSink, RowStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -355,14 +355,18 @@ impl<'c> QueryEngine<'c> {
     }
 
     /// Like [`QueryEngine::submit`], but delivers rows through a channel as
-    /// they are produced: take the receiver with [`QueryHandle::rows`]
-    /// *before* the query is served. The response's `table` is `None`; the
-    /// channel closes when the query finishes.
+    /// they are produced: take the [`RowStream`] with [`QueryHandle::rows`]
+    /// *before* the query is served. Rows cross the channel in batches
+    /// (see [`ChannelSink`]); the response's `table` is `None`; the stream
+    /// ends when the query finishes, after its last row. Dropping the
+    /// `RowStream` while rows are still coming cancels the query: it stops
+    /// at its next cooperative check and resolves
+    /// [`QueryOutcome::Cancelled`].
     pub fn submit_streaming(&self, request: QueryRequest) -> Submit {
         let (sender, receiver) = std::sync::mpsc::channel();
         let submitted = self.submit_with(request, Delivery::Channel(sender), true, true);
         if let Submit::Accepted(handle) = &submitted {
-            handle.shared().set_rows(receiver);
+            handle.shared().set_rows(RowStream::new(receiver));
         }
         submitted
     }
@@ -790,7 +794,13 @@ impl<'c> QueryEngine<'c> {
                     .map(|metrics| (sink.into_table(), metrics))
                 }
                 Delivery::Channel(sender) => {
-                    let mut sink = ChannelSink::new(sender);
+                    // A consumer that dropped its `RowStream` stops the
+                    // query instead of leaving it to enumerate for nobody.
+                    // The sink (and with it the channel) goes away at the
+                    // end of this arm, after its last batch and before the
+                    // handle resolves.
+                    let mut sink = ChannelSink::new(sender)
+                        .cancel_on_disconnect(shared.cancel_token().clone());
                     match_query_streaming_with_cache(
                         cloud,
                         &query,

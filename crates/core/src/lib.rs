@@ -99,7 +99,9 @@ pub use serve::{
     QueryResponse, QueryStatus, RejectReason, SchedulerConfig, ServeConfig, Submit, TenantId,
     TenantStats,
 };
-pub use stream::{CancelToken, ChannelSink, CollectSink, QueryOptions, ResultSink};
+pub use stream::{
+    CancelToken, ChannelSink, CollectSink, QueryOptions, ResultSink, RowBatch, RowStream,
+};
 pub use stwig::STwig;
 pub use table::ResultTable;
 
@@ -130,7 +132,9 @@ pub mod prelude {
         QueryResponse, QueryStatus, RejectReason, SchedulerConfig, ServeConfig, Submit, TenantId,
         TenantStats,
     };
-    pub use crate::stream::{CancelToken, ChannelSink, CollectSink, QueryOptions, ResultSink};
+    pub use crate::stream::{
+        CancelToken, ChannelSink, CollectSink, QueryOptions, ResultSink, RowBatch, RowStream,
+    };
     pub use crate::stwig::STwig;
     pub use crate::table::ResultTable;
     pub use crate::verify::{canonical_rows, is_valid_embedding, verify_all};

@@ -415,8 +415,12 @@ pub struct QueryMetrics {
     /// Rows delivered through the streaming sink (0 for the materialized
     /// entry points, which return a table instead of streaming).
     pub rows_streamed: u64,
-    /// Wall-clock from admission to the first row reaching the sink, in µs.
-    /// `None` when no row was ever streamed.
+    /// Wall-clock from admission until the first row was the consumer's to
+    /// read, in µs: stamped after the executor handed the row to the sink
+    /// *and* flushed it ([`crate::stream::ResultSink::flush`] — the first
+    /// row of a query is never held back in a batching sink), so it is as
+    /// true through a channel as into a closure. `None` when no row was
+    /// ever streamed.
     pub time_to_first_result_us: Option<f64>,
     /// Exploration passes the streaming executor ran: 1 for `All` and for
     /// first-k requests satisfied by the initial slab, +1 per resume (each

@@ -37,11 +37,10 @@ pub use tenant::{Priority, TenantId, TenantStats};
 use crate::error::StwigError;
 use crate::metrics::{QueryMetrics, QueryOutcome};
 use crate::query::QueryGraph;
-use crate::stream::{CancelToken, QueryOptions};
+use crate::stream::{CancelToken, QueryOptions, RowStream};
 use crate::table::ResultTable;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use trinity_sim::ids::VertexId;
 
 /// Configuration of the serving layer (admission + scheduling), carried by
 /// [`crate::engine::EngineConfig::serve`].
@@ -287,7 +286,7 @@ pub(crate) struct HandleShared {
     finished: Condvar,
     /// Receiver side of the row stream, for channel-delivery requests;
     /// taken (at most once) by [`QueryHandle::rows`].
-    rows: Mutex<Option<std::sync::mpsc::Receiver<Vec<VertexId>>>>,
+    rows: Mutex<Option<RowStream>>,
 }
 
 impl HandleShared {
@@ -302,8 +301,8 @@ impl HandleShared {
         }
     }
 
-    pub(crate) fn set_rows(&self, receiver: std::sync::mpsc::Receiver<Vec<VertexId>>) {
-        *self.rows.lock().expect("rows lock") = Some(receiver);
+    pub(crate) fn set_rows(&self, rows: RowStream) {
+        *self.rows.lock().expect("rows lock") = Some(rows);
     }
 
     pub(crate) fn mark_running(&self) {
@@ -376,8 +375,9 @@ impl QueryHandle {
     /// Takes the row stream of a channel-delivery request
     /// ([`crate::engine::QueryEngine::submit_streaming`]); `None` for
     /// collect-delivery requests or if already taken. Rows arrive while the
-    /// query runs; the channel closes when it finishes.
-    pub fn rows(&self) -> Option<std::sync::mpsc::Receiver<Vec<VertexId>>> {
+    /// query runs; the stream ends when it finishes. Dropping the stream
+    /// early cancels the query.
+    pub fn rows(&self) -> Option<RowStream> {
         self.shared.rows.lock().expect("rows lock").take()
     }
 

@@ -78,9 +78,9 @@ pub(crate) enum Delivery {
     /// has neither deadline, cancel token, nor first-k mode, so results are
     /// bit-identical to the historical entry points).
     Collect,
-    /// Stream rows into the handle's channel as they are produced; the
-    /// response carries no table.
-    Channel(std::sync::mpsc::Sender<Vec<trinity_sim::ids::VertexId>>),
+    /// Stream rows into the handle's channel, in batches, as they are
+    /// produced; the response carries no table.
+    Channel(std::sync::mpsc::Sender<crate::stream::RowBatch>),
 }
 
 /// One admitted query waiting for dispatch.

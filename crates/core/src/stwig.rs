@@ -22,11 +22,34 @@ pub struct STwig {
 }
 
 impl STwig {
-    /// Creates an STwig, sorting children for canonical form.
+    /// Creates an STwig with its children deduplicated and sorted by
+    /// query-vertex id. That is *not* the canonical child order — the
+    /// canonical one needs the query's labels and is the planner's:
+    /// [`STwig::sort_children_canonically`], applied by
+    /// [`crate::decompose`] to every STwig it returns.
     pub fn new(root: QVid, mut children: Vec<QVid>) -> Self {
         children.sort_unstable();
         children.dedup();
         STwig { root, children }
+    }
+
+    /// Puts the children into canonical order: ascending
+    /// `(label, query-vertex id)`. Exploration emits one column per child in
+    /// `children` order, so an STwig in this order explores straight into
+    /// the column and row order the cross-query cache stores
+    /// ([`crate::cache`], "Key canonicalization") and a cached table can be
+    /// served to it by copy.
+    pub fn sort_children_canonically(&mut self, query: &QueryGraph) {
+        self.children.sort_unstable_by_key(|&c| (query.label(c), c));
+    }
+
+    /// Whether the children are in canonical order (see
+    /// [`STwig::sort_children_canonically`]). Every planner-produced STwig
+    /// is; a hand-built one that is not is never offered to the cache.
+    pub fn has_canonical_children(&self, query: &QueryGraph) -> bool {
+        self.children
+            .windows(2)
+            .all(|w| (query.label(w[0]), w[0]) < (query.label(w[1]), w[1]))
     }
 
     /// Number of query edges this STwig covers (= number of children).

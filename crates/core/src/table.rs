@@ -183,29 +183,6 @@ impl ResultTable {
         }
     }
 
-    /// Sorts the rows lexicographically (ascending), keeping duplicates.
-    ///
-    /// Sorting operates on row indices over the flat buffer, like
-    /// [`ResultTable::dedup_rows`]. Used by the STwig-result cache to restore
-    /// exploration order after a column permutation.
-    pub fn sort_rows(&mut self) {
-        let w = self.width();
-        if w == 0 || self.data.is_empty() {
-            return;
-        }
-        let n = self.num_rows();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&a, &b| self.row(a as usize).cmp(self.row(b as usize)));
-        if order.windows(2).all(|pair| pair[0] < pair[1]) {
-            return; // already sorted
-        }
-        let mut out: Vec<VertexId> = Vec::with_capacity(self.data.len());
-        for &i in &order {
-            out.extend_from_slice(self.row(i as usize));
-        }
-        self.data = out;
-    }
-
     /// Whether the rows are in ascending lexicographic order (duplicates
     /// allowed). Exploration emits rows in this order (sorted postings ×
     /// sorted adjacency); the STwig-result cache relies on it.
@@ -250,14 +227,16 @@ impl ResultTable {
         self.data = out;
     }
 
-    /// Returns a copy of this table carrying different column names (same
-    /// width) — one bulk buffer clone. Used by the STwig-result cache to
-    /// rebrand canonical placeholder columns as the query's vertices.
-    pub fn cloned_with_columns(&self, columns: Vec<QVid>) -> ResultTable {
+    /// Returns a copy of the first `rows` rows (all of them when the table
+    /// has fewer) under different column names (same width) — one bulk
+    /// buffer copy. Used by the STwig-result cache to rebrand canonical
+    /// placeholder columns as the query's vertices, up to the row cap.
+    pub fn prefix_with_columns(&self, columns: Vec<QVid>, rows: usize) -> ResultTable {
         debug_assert_eq!(columns.len(), self.width());
+        let end = rows.saturating_mul(self.width()).min(self.data.len());
         ResultTable {
             columns,
-            data: self.data.clone(),
+            data: self.data[..end].to_vec(),
         }
     }
 
@@ -417,20 +396,15 @@ mod tests {
     }
 
     #[test]
-    fn sort_rows_orders_lexicographically_and_keeps_duplicates() {
+    fn rows_are_sorted_is_lexicographic_and_allows_duplicates() {
         let mut t = ResultTable::new(vec![q(0), q(1)]);
-        t.push_row(&[v(3), v(4)]);
+        t.push_row(&[v(1), v(2)]);
+        t.push_row(&[v(1), v(2)]);
         t.push_row(&[v(1), v(9)]);
-        t.push_row(&[v(1), v(2)]);
-        t.push_row(&[v(1), v(2)]);
-        assert!(!t.rows_are_sorted());
-        t.sort_rows();
+        t.push_row(&[v(3), v(4)]);
         assert!(t.rows_are_sorted());
-        assert_eq!(t.num_rows(), 4, "sort_rows must not dedup");
-        assert_eq!(t.row(0), &[v(1), v(2)]);
-        assert_eq!(t.row(1), &[v(1), v(2)]);
-        assert_eq!(t.row(2), &[v(1), v(9)]);
-        assert_eq!(t.row(3), &[v(3), v(4)]);
+        t.push_row(&[v(3), v(1)]);
+        assert!(!t.rows_are_sorted());
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //!   geometric growth remain).
 //! * Exploration: a `Messages`-mode exploration on a warm scratch allocates
 //!   its output table and its message payloads, nothing else.
+//! * Delivery: streaming a warm cache-hit first-1024 answer into a
+//!   `ChannelSink` costs the serving thread a few blocks per *batch* on top
+//!   of what the same query costs into a counting closure — not one per row.
 //!
 //! Counters are **per thread**: cargo runs the tests of this file on parallel
 //! threads, and a process-global counter would charge each test with its
@@ -17,6 +20,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use stwig::bindings::Bindings;
+use stwig::cache::{CacheConfig, StwigCache};
+use stwig::distributed::match_query_streaming_with_cache;
 use stwig::join::hash_join;
 use stwig::matcher::match_stwig_batched;
 use stwig::metrics::{ExploreCounters, FaultCounters, JoinCounters};
@@ -24,7 +29,7 @@ use stwig::pipeline::pipelined_join;
 use stwig::query::{QVid, QueryGraph};
 use stwig::stwig::STwig;
 use stwig::table::ResultTable;
-use stwig::MatchConfig;
+use stwig::{ChannelSink, MatchConfig, QueryOptions, ResultMode, RowStream};
 use trinity_sim::builder::GraphBuilder;
 use trinity_sim::ids::VertexId;
 use trinity_sim::network::CostModel;
@@ -182,11 +187,10 @@ fn wide_key_fallback_demonstrates_the_counter_works() {
     );
 }
 
-#[test]
-fn warm_exploration_allocates_only_its_table_and_its_messages() {
-    // 3000 vertices, 3 labels, ~8 pseudo-random edges each, over 4 machines:
-    // three quarters of every root's neighbors are remote, so the frontier,
-    // the slot map and every per-owner batch are exercised.
+/// 3000 vertices, 3 labels, ~8 pseudo-random edges each, over 4 machines
+/// (three quarters of every vertex's neighbors are remote), and the star
+/// query a → {b, c} over it with its three query vertices.
+fn star_over_random_graph() -> (trinity_sim::MemoryCloud, QueryGraph, [QVid; 3]) {
     const N: u64 = 3000;
     let mut b = GraphBuilder::new_undirected();
     for i in 0..N {
@@ -208,6 +212,14 @@ fn warm_exploration_allocates_only_its_table_and_its_messages() {
     let qc = builder.vertex_by_name(&cloud, "c").unwrap();
     builder.edge(qa, qb).edge(qa, qc);
     let query = builder.build().unwrap();
+    (cloud, query, [qa, qb, qc])
+}
+
+#[test]
+fn warm_exploration_allocates_only_its_table_and_its_messages() {
+    // Remote neighbors exercise the frontier, the slot map and every
+    // per-owner batch.
+    let (cloud, query, [qa, qb, qc]) = star_over_random_graph();
     let stwig = STwig::new(qa, vec![qb, qc]);
     let bindings = Bindings::new(query.num_vertices());
     // Several envelopes per owner, so payload allocations are visible.
@@ -260,5 +272,45 @@ fn warm_exploration_allocates_only_its_table_and_its_messages() {
     assert!(
         cold > warm,
         "the counter sees the scratch grow ({cold} vs {warm})"
+    );
+}
+
+#[test]
+fn channel_delivery_allocates_per_batch_not_per_row() {
+    const K: u64 = 1024;
+    let (cloud, query, _) = star_over_random_graph();
+    let cache = StwigCache::new(&cloud, CacheConfig::default());
+    let config = MatchConfig::default()
+        .with_num_threads(Some(1))
+        .with_result_mode(ResultMode::FirstK(K as usize));
+    let options = QueryOptions::none();
+    let run = |sink: &mut dyn stwig::ResultSink| {
+        let metrics =
+            match_query_streaming_with_cache(&cloud, &query, &config, &options, Some(&cache), sink)
+                .unwrap();
+        assert_eq!(metrics.rows_streamed, K);
+    };
+    // Populate the cache, then measure warm hits only.
+    let mut rows = 0u64;
+    run(&mut |_row: &[VertexId]| rows += 1);
+    assert_eq!(cache.stats().insertions, 1);
+    let (into_closure, ()) = allocations_during(|| run(&mut |_row: &[VertexId]| rows += 1));
+    assert_eq!(rows, 2 * K);
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (into_channel, ()) = allocations_during(|| run(&mut ChannelSink::new(tx)));
+    assert_eq!((cache.stats().hits, cache.stats().misses), (2, 1));
+    let batches = RowStream::new(rx).batches().count() as u64;
+    assert!(
+        (K / 256..=K / 256 + 2).contains(&batches),
+        "{batches} batches"
+    );
+    // Per batch: its buffer and, now and then, a block of the channel's
+    // queue. One `Vec` per row — what this replaced — would be K more.
+    assert!(
+        into_channel <= into_closure + 64,
+        "delivering {K} rows in {batches} batches cost {} allocations more than \
+         counting them in a closure ({into_channel} vs {into_closure})",
+        into_channel - into_closure.min(into_channel)
     );
 }

@@ -79,8 +79,9 @@ proptest! {
     }
 
     /// Algorithm 2 always produces a valid STwig cover (every query edge in
-    /// exactly one STwig) whose size respects the 2-approximation bound, and
-    /// every non-head STwig root is bound by an earlier STwig.
+    /// exactly one STwig) whose size respects the 2-approximation bound,
+    /// every non-head STwig root is bound by an earlier STwig, and every
+    /// STwig's children are in canonical `(label, id)` order.
     #[test]
     fn decomposition_is_valid_cover(g in random_graph(20, 3), qsize in 3usize..7, seed in 0u64..1000) {
         let cloud = build_cloud(&g, 1);
@@ -97,9 +98,22 @@ proptest! {
                 }
                 bound.extend(t.vertices());
             }
-            // the random decomposition is also a valid cover
-            let random_cover = decompose_random(&query, seed).unwrap();
-            stwig::stwig::validate_cover(&query, &random_cover).unwrap();
+            // Whatever the statistics source — and for the random ablation
+            // cover too — the planner hands out a valid cover whose STwigs
+            // list their children in canonical (label, id) order.
+            for other in [
+                decompose_ordered(&query, &PairAwareStats(&cloud)).unwrap(),
+                decompose_ordered(&query, &UniformStats).unwrap(),
+                decompose_random(&query, seed).unwrap(),
+                cover,
+            ] {
+                stwig::stwig::validate_cover(&query, &other).unwrap();
+                for t in &other {
+                    prop_assert!(t.has_canonical_children(&query), "{} of {:?}", t, query);
+                    let keys: Vec<_> = t.children.iter().map(|&c| (query.label(c), c)).collect();
+                    prop_assert!(keys.windows(2).all(|w| w[0] < w[1]));
+                }
+            }
         }
     }
 

@@ -2,12 +2,17 @@
 //! must deliver exactly k valid embeddings (each verified against the full
 //! enumeration), `Exists` must answer zero-match queries, and deadlines /
 //! cancellation must stop a query cooperatively with partial delivery —
-//! across **both** transport modes (`DirectRead` and `Messages`).
+//! across **both** transport modes (`DirectRead` and `Messages`). Rows that
+//! cross a thread boundary do so in batches (`ChannelSink` → `RowStream`):
+//! the consumer must see exactly the rows, in exactly the order, a
+//! same-thread sink sees, and a consumer that goes away stops its query.
 
 use graph_gen::prelude::*;
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use stwig::prelude::*;
+use trinity_sim::builder::GraphBuilder;
 use trinity_sim::ids::VertexId;
 use trinity_sim::network::CostModel;
 use trinity_sim::MemoryCloud;
@@ -263,4 +268,202 @@ fn first_k_is_consistent_across_threads_and_cache() {
             }
         }
     }
+}
+
+/// One `a` hub fanning out to `fan` b's and `fan` c's; the only b–c edge
+/// joins the last of each, so the triangle a–b–c has exactly one embedding
+/// and it is the last row of the hub's `fan`² -row star.
+fn hub_cloud(fan: u64) -> MemoryCloud {
+    let mut gb = GraphBuilder::new_undirected();
+    gb.add_vertex(VertexId(0), "a");
+    for i in 0..fan {
+        gb.add_vertex(VertexId(1_000 + i), "b");
+        gb.add_vertex(VertexId(10_000 + i), "c");
+        gb.add_edge(VertexId(0), VertexId(1_000 + i));
+        gb.add_edge(VertexId(0), VertexId(10_000 + i));
+    }
+    gb.add_edge(VertexId(1_000 + fan - 1), VertexId(10_000 + fan - 1));
+    gb.build(2, CostModel::default())
+}
+
+/// A query over `labels` (one vertex each, in that order) with `edges`
+/// between their positions.
+fn labelled_query(cloud: &MemoryCloud, labels: &[&str], edges: &[(usize, usize)]) -> QueryGraph {
+    let mut qb = QueryGraph::builder();
+    let vs: Vec<QVid> = labels
+        .iter()
+        .map(|name| qb.vertex_by_name(cloud, name).unwrap())
+        .collect();
+    for &(x, y) in edges {
+        qb.edge(vs[x], vs[y]);
+    }
+    qb.build().unwrap()
+}
+
+/// The cap on a `ChannelSink` batch (`stream.rs`, private `BATCH_ROWS`).
+const BATCH_CAP: usize = 256;
+
+#[test]
+fn row_stream_yields_exactly_what_collect_sink_collects() {
+    let hub = hub_cloud(300);
+    let star = labelled_query(&hub, &["a", "b", "c"], &[(0, 1), (0, 2)]);
+    let triangle = labelled_query(&hub, &["a", "b", "c"], &[(0, 1), (0, 2), (1, 2)]);
+    let lone_b = labelled_query(&hub, &["b"], &[]);
+    let no_match = labelled_query(&hub, &["b", "b"], &[(0, 1)]);
+    let mixed = test_cloud(4);
+    let all = MatchConfig::default();
+    let first = |k| MatchConfig::default().with_result_mode(ResultMode::FirstK(k));
+    let exists = MatchConfig::default().with_result_mode(ResultMode::Exists);
+    // (what, cloud, query, config, rows expected — when known by design)
+    let mut cases: Vec<(String, &MemoryCloud, QueryGraph, MatchConfig, Option<u64>)> = vec![
+        (
+            "star/All".into(),
+            &hub,
+            star.clone(),
+            all.clone(),
+            Some(90_000),
+        ),
+        (
+            "star/FirstK(1024)".into(),
+            &hub,
+            star.clone(),
+            first(1024),
+            Some(1024),
+        ),
+        ("star/Exists".into(), &hub, star, exists.clone(), Some(1)),
+        // The first slab (256 rows a machine) misses the one triangle.
+        (
+            "triangle/FirstK(1), growing slab".into(),
+            &hub,
+            triangle,
+            first(1),
+            Some(1),
+        ),
+        (
+            "single vertex/All".into(),
+            &hub,
+            lone_b.clone(),
+            all.clone(),
+            Some(300),
+        ),
+        (
+            "single vertex/FirstK(2)".into(),
+            &hub,
+            lone_b,
+            first(2),
+            Some(2),
+        ),
+        (
+            "no match/All".into(),
+            &hub,
+            no_match.clone(),
+            all.clone(),
+            Some(0),
+        ),
+        (
+            "no match/Exists".into(),
+            &hub,
+            no_match,
+            exists.clone(),
+            Some(0),
+        ),
+    ];
+    for (qi, query) in workload(&mixed).into_iter().enumerate() {
+        for mode in MODES {
+            for (name, config) in [("All", &all), ("FirstK(4)", &first(4)), ("Exists", &exists)] {
+                cases.push((
+                    format!("workload {qi}/{name}/{mode:?}"),
+                    &mixed,
+                    query.clone(),
+                    config.clone().with_transport_mode(mode),
+                    None,
+                ));
+            }
+        }
+    }
+    for (what, cloud, query, config, expected) in cases {
+        let mut collect = CollectSink::new();
+        let collected =
+            match_query_streaming(cloud, &query, &config, &QueryOptions::none(), &mut collect)
+                .unwrap();
+        let table = collect.into_table().unwrap();
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut sink = ChannelSink::new(tx);
+        let streamed =
+            match_query_streaming(cloud, &query, &config, &QueryOptions::none(), &mut sink)
+                .unwrap();
+        drop(sink);
+        let batches: Vec<RowBatch> = RowStream::new(rx).batches().collect();
+
+        if let Some(rows) = expected {
+            assert_eq!(table.num_rows() as u64, rows, "{what}");
+        }
+        assert_eq!(streamed.outcome, QueryOutcome::Complete, "{what}");
+        assert_eq!(streamed.rows_streamed, collected.rows_streamed, "{what}");
+        assert_eq!(streamed.explore_rounds, collected.explore_rounds, "{what}");
+        assert_eq!(
+            streamed.time_to_first_result_us.is_some(),
+            table.num_rows() > 0,
+            "{what}"
+        );
+        for batch in &batches {
+            assert_eq!(batch.width(), query.num_vertices(), "{what}");
+            assert!((1..=BATCH_CAP).contains(&batch.num_rows()), "{what}");
+        }
+        assert!(
+            batches.iter().flat_map(RowBatch::rows).eq(table.rows()),
+            "the stream must carry the collected rows in the collected order ({what})"
+        );
+        // Bounded by batches: full ones, plus one flush per round and query.
+        let full = table.num_rows() / BATCH_CAP;
+        assert!(
+            batches.len() <= full + 2 + 2 * streamed.join.pipeline_rounds as usize,
+            "{what}"
+        );
+    }
+}
+
+#[test]
+fn dropped_row_stream_cancels_its_query_and_frees_the_worker() {
+    // 490 000 rows from one hub: far more than a worker gets through in the
+    // time the client needs to read one row and let go.
+    let cloud = hub_cloud(700);
+    let star = labelled_query(&cloud, &["a", "b", "c"], &[(0, 1), (0, 2)]);
+    let full = 700 * 700;
+    let engine = QueryEngine::new(&cloud, EngineConfig::default().with_workers(Some(1)));
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let worker = s.spawn(|| engine.serve(&stop));
+        let handle = engine
+            .submit_streaming(QueryRequest::new(star.clone()))
+            .expect_accepted();
+        let rows = handle.rows().expect("a streaming handle has a row stream");
+        assert!(handle.rows().is_none(), "the stream is taken once");
+        let first = rows.recv().expect("the first row arrives on its own");
+        assert_eq!(first.len(), 3);
+        drop(rows);
+        let response = handle.wait().unwrap();
+        assert_eq!(response.metrics.outcome, QueryOutcome::Cancelled);
+        assert!(
+            (1..full / 2).contains(&response.metrics.rows_streamed),
+            "the worker must stop soon after the stream is dropped, not enumerate \
+             {full} rows for nobody (streamed {})",
+            response.metrics.rows_streamed
+        );
+        // The worker is free again, and an intact stream still completes.
+        let handle = engine
+            .submit_streaming(
+                QueryRequest::new(star)
+                    .with_options(QueryOptions::none().with_result_mode(ResultMode::FirstK(500))),
+            )
+            .expect_accepted();
+        let rows = handle.rows().unwrap();
+        assert_eq!(rows.iter().count(), 500);
+        let response = handle.wait().unwrap();
+        assert_eq!(response.metrics.outcome, QueryOutcome::Complete);
+        assert_eq!(response.metrics.rows_streamed, 500);
+        stop.store(true, Ordering::Release);
+        worker.join().unwrap();
+    });
 }
