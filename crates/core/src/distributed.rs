@@ -1193,6 +1193,12 @@ pub fn join_stwig_tables(
 
     let mut join_counters = JoinCounters::default();
     let mut final_table: Option<ResultTable> = None;
+    // The union's exact size, so the first contributor's table is regrown
+    // at most once for all the others.
+    let union_rows: usize = (join_results.iter())
+        .filter_map(|result| result.joined.as_ref())
+        .map(ResultTable::num_rows)
+        .sum();
     // Rows each machine appended to the final table, in append order; used to
     // re-attribute per-machine match counts after global truncation.
     let mut contributions: Vec<(usize, u64)> = Vec::new();
@@ -1209,7 +1215,11 @@ pub fn join_stwig_tables(
         contributions.push((ki, joined.num_rows() as u64));
 
         match &mut final_table {
-            None => final_table = Some(joined),
+            None => {
+                let mut first = joined;
+                first.reserve_rows(union_rows - first.num_rows());
+                final_table = Some(first);
+            }
             // Columns may differ in order across machines; re-project.
             Some(acc) => acc.append_projected(&joined),
         }
@@ -1389,8 +1399,14 @@ fn assemble_rk_tables(
         }
     } else {
         for (t, _stwig) in plan.stwigs.iter().enumerate() {
-            let mut rk = per_machine_tables[ki][t].clone();
-            for j in load_set(&plan.cluster, &plan.head, k, t) {
+            let own = &per_machine_tables[ki][t];
+            // Sized once for the machine's own rows plus its whole load set.
+            let senders: Vec<MachineId> = load_set(&plan.cluster, &plan.head, k, t);
+            let shipped = |j: &MachineId| per_machine_tables[j.index()][t].num_rows();
+            let rows = own.num_rows() + senders.iter().map(shipped).sum::<usize>();
+            let mut rk = ResultTable::with_capacity(own.columns().to_vec(), rows);
+            rk.append(own);
+            for j in senders {
                 let remote = &per_machine_tables[j.index()][t];
                 if remote.is_empty() {
                     continue;
@@ -1978,20 +1994,22 @@ fn stwig_vertices(stwig: &STwig) -> Vec<crate::query::QVid> {
 }
 
 fn finalize(metrics: &mut QueryMetrics, cloud: &MemoryCloud, started: Instant) {
+    // One snapshot of the P×P counters serves every figure below.
     let traffic = cloud.traffic();
+    let cost = cloud.network().cost_model();
     metrics.network_messages = traffic.total_messages();
     metrics.network_bytes = traffic.total_bytes();
     metrics.wall_us = started.elapsed().as_secs_f64() * 1e6;
     // Per-machine communication time and simulated makespan.
     let mut makespan: f64 = 0.0;
     for mm in &mut metrics.machines {
-        mm.comm_us = cloud
-            .network()
-            .simulated_send_time_us(MachineId(mm.machine));
+        let m = MachineId(mm.machine);
+        mm.comm_us = cost.time_us(traffic.messages_from(m), traffic.bytes_from(m));
         makespan = makespan.max(mm.compute_us + mm.comm_us);
     }
     if metrics.machines.is_empty() {
-        metrics.simulated_us = metrics.wall_us + cloud.network().simulated_total_time_us();
+        metrics.simulated_us =
+            metrics.wall_us + cost.time_us(metrics.network_messages, metrics.network_bytes);
     } else {
         metrics.simulated_us = makespan;
     }

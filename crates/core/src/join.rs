@@ -196,110 +196,122 @@ impl<'a> PreparedJoin<'a> {
         control: Option<&QueryControl>,
         counters: &mut JoinCounters,
     ) -> ResultTable {
+        let mut out = ResultTable::new(self.output_columns(left.columns()));
+        self.join_into(left, limit, control, counters, &mut out);
+        out
+    }
+
+    /// [`PreparedJoin::join_with_control`] appending to `out`, whose columns
+    /// must be [`PreparedJoin::output_columns`] of `left`'s. Each surviving
+    /// row is written once, in place at the end of `out`, and room for one
+    /// row per `left` row is reserved up front. `limit` counts the rows
+    /// *this call* appends, whatever `out` held before.
+    pub fn join_into(
+        &self,
+        left: &ResultTable,
+        limit: Option<usize>,
+        control: Option<&QueryControl>,
+        counters: &mut JoinCounters,
+        out: &mut ResultTable,
+    ) {
         debug_assert!(
             self.shared
                 .iter()
                 .all(|&(lc, rc)| left.columns()[lc] == self.right.columns()[rc]),
             "left table does not match the schema this join was prepared for"
         );
+        debug_assert_eq!(out.columns(), self.output_columns(left.columns()));
         counters.joins_performed += 1;
-        let mut out = ResultTable::new(self.output_columns(left.columns()));
+        let budget = limit.unwrap_or(usize::MAX);
+        if budget == 0 {
+            return;
+        }
+        out.reserve_rows(left.num_rows().min(budget));
+        let mut emit = Emit {
+            right_extra: &self.right_extra,
+            budget,
+            control,
+            counters,
+            out,
+        };
         match &self.index {
             BuildIndex::Cross => {
-                cross_join_into(
-                    left,
-                    self.right,
-                    &self.right_extra,
-                    limit,
-                    control,
-                    counters,
-                    &mut out,
-                );
+                'outer: for lrow in left.rows() {
+                    for rrow in self.right.rows() {
+                        if !emit.row(lrow, rrow) {
+                            break 'outer;
+                        }
+                    }
+                }
             }
             BuildIndex::Single(index) => {
                 let lc = self.shared[0].0;
-                self.probe_into(
-                    left,
-                    index,
-                    |row| row[lc].0,
-                    limit,
-                    control,
-                    counters,
-                    &mut out,
-                );
+                self.probe_into(left, index, |row| row[lc].0, &mut emit);
             }
             BuildIndex::Inline(index) => {
                 let left_cols: Vec<usize> = self.shared.iter().map(|&(lc, _)| lc).collect();
-                self.probe_into(
-                    left,
-                    index,
-                    |row| InlineKey::from_row(row, &left_cols),
-                    limit,
-                    control,
-                    counters,
-                    &mut out,
-                );
+                let key = |row: &[VertexId]| InlineKey::from_row(row, &left_cols);
+                self.probe_into(left, index, key, &mut emit);
             }
             BuildIndex::Wide(index) => {
                 let left_cols: Vec<usize> = self.shared.iter().map(|&(lc, _)| lc).collect();
-                self.probe_into(
-                    left,
-                    index,
-                    |row| left_cols.iter().map(|&c| row[c]).collect::<Vec<VertexId>>(),
-                    limit,
-                    control,
-                    counters,
-                    &mut out,
-                );
+                let key = |row: &[VertexId]| left_cols.iter().map(|&c| row[c]).collect::<Vec<_>>();
+                self.probe_into(left, index, key, &mut emit);
             }
         }
-        out
     }
 
     /// The keyed probe core, generic over the key type so each shared-column
     /// arity monomorphizes to its own allocation-free loop.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_into<K, LK>(
+    fn probe_into<K: Hash + Eq>(
         &self,
         left: &ResultTable,
         index: &ChainedIndex<K>,
-        left_key: LK,
-        limit: Option<usize>,
-        control: Option<&QueryControl>,
-        counters: &mut JoinCounters,
-        out: &mut ResultTable,
-    ) where
-        K: Hash + Eq,
-        LK: Fn(&[VertexId]) -> K,
-    {
-        let mut row_buf: Vec<VertexId> = Vec::with_capacity(out.width());
-        'outer: for lrow in left.rows() {
-            let key = left_key(lrow);
-            for ri in index.probe(&key) {
-                let rrow = self.right.row(ri);
-                row_buf.clear();
-                row_buf.extend_from_slice(lrow);
-                row_buf.extend(self.right_extra.iter().map(|&rc| rrow[rc]));
-                if ResultTable::row_has_duplicates(&row_buf) {
-                    counters.rows_pruned_injective += 1;
-                    continue;
-                }
-                if counters
-                    .intermediate_rows
-                    .is_multiple_of(CONTROL_CHECK_JOIN_ROWS)
-                    && control.is_some_and(QueryControl::interrupted)
-                {
-                    break 'outer;
-                }
-                out.push_row(&row_buf);
-                counters.intermediate_rows += 1;
-                if let Some(l) = limit {
-                    if out.num_rows() >= l {
-                        break 'outer;
-                    }
+        left_key: impl Fn(&[VertexId]) -> K,
+        emit: &mut Emit<'_>,
+    ) {
+        for lrow in left.rows() {
+            for ri in index.probe(&left_key(lrow)) {
+                if !emit.row(lrow, self.right.row(ri)) {
+                    return;
                 }
             }
         }
+    }
+}
+
+/// The per-row tail every probe path shares: build the output row in place,
+/// drop it if it is not injective, observe an interrupt, spend the budget.
+struct Emit<'a> {
+    right_extra: &'a [usize],
+    /// Rows this join may still append; never zero while probing.
+    budget: usize,
+    control: Option<&'a QueryControl>,
+    counters: &'a mut JoinCounters,
+    out: &'a mut ResultTable,
+}
+
+impl Emit<'_> {
+    /// Joins one (left row, matching right row) pair into the output; `false`
+    /// when the probe must stop (budget spent, or an interrupt observed).
+    #[inline]
+    fn row(&mut self, lrow: &[VertexId], rrow: &[VertexId]) -> bool {
+        if !self.out.push_joined(lrow, rrow, self.right_extra) {
+            self.counters.rows_pruned_injective += 1;
+            return true;
+        }
+        if self
+            .counters
+            .intermediate_rows
+            .is_multiple_of(CONTROL_CHECK_JOIN_ROWS)
+            && self.control.is_some_and(QueryControl::interrupted)
+        {
+            self.out.truncate(self.out.num_rows() - 1);
+            return false;
+        }
+        self.counters.intermediate_rows += 1;
+        self.budget -= 1;
+        self.budget > 0
     }
 }
 
@@ -324,7 +336,12 @@ where
 ///   dropped (`enforce injectivity`): a valid embedding is a bijection.
 /// * If the tables share no column the result is the (injectivity-filtered)
 ///   cartesian product.
-/// * `limit` caps the number of output rows.
+/// * `limit` caps the number of output rows; `Some(0)` yields none.
+///
+/// **Precondition:** every row of `left` is injective, as every row that
+/// exploration emits or a join returns is. Only the values the join appends
+/// are tested against the row they extend, so a repeat *within* a left row
+/// goes unnoticed (debug builds assert it).
 ///
 /// With exactly one shared column the key is a bare `u64` and neither side
 /// allocates per row; 2–4 shared columns use a stack [`InlineKey`]; only a
@@ -337,45 +354,6 @@ pub fn hash_join(
     counters: &mut JoinCounters,
 ) -> ResultTable {
     PreparedJoin::new(left.columns(), right).join(left, limit, counters)
-}
-
-/// Cartesian product (no shared column), with the same injectivity filter,
-/// limit handling and interrupt checks as the keyed paths.
-fn cross_join_into(
-    left: &ResultTable,
-    right: &ResultTable,
-    right_extra: &[usize],
-    limit: Option<usize>,
-    control: Option<&QueryControl>,
-    counters: &mut JoinCounters,
-    out: &mut ResultTable,
-) {
-    let mut row_buf: Vec<VertexId> = Vec::with_capacity(out.width());
-    'outer: for lrow in left.rows() {
-        for rrow in right.rows() {
-            row_buf.clear();
-            row_buf.extend_from_slice(lrow);
-            row_buf.extend(right_extra.iter().map(|&rc| rrow[rc]));
-            if ResultTable::row_has_duplicates(&row_buf) {
-                counters.rows_pruned_injective += 1;
-                continue;
-            }
-            if counters
-                .intermediate_rows
-                .is_multiple_of(CONTROL_CHECK_JOIN_ROWS)
-                && control.is_some_and(QueryControl::interrupted)
-            {
-                break 'outer;
-            }
-            out.push_row(&row_buf);
-            counters.intermediate_rows += 1;
-            if let Some(l) = limit {
-                if out.num_rows() >= l {
-                    break 'outer;
-                }
-            }
-        }
-    }
 }
 
 /// Estimates the number of rows `left ⨝ right` would produce, by sampling up
@@ -752,6 +730,77 @@ mod tests {
         let mut c = JoinCounters::default();
         let joined = hash_join(&a, &b, Some(4), &mut c);
         assert_eq!(joined.num_rows(), 4);
+    }
+
+    #[test]
+    fn limit_is_spent_before_a_row_is_produced_on_every_path() {
+        // Two left rows, each matching a chain of three right rows, over
+        // `shared` key columns: 1 is the bare-u64 path, 2 the inline key,
+        // 5 the `Vec` key, 0 the cross product (one chain of three for all).
+        for shared in [1u16, 2, 5, 0] {
+            let key = |base: u64| (0..shared).map(move |j| base + u64::from(j));
+            let mut left = ResultTable::new((0..shared).chain([50]).map(q).collect());
+            let mut right = ResultTable::new((0..shared).chain([60]).map(q).collect());
+            for (base, own) in [(1000, 10), (2000, 11)] {
+                let row: Vec<VertexId> = key(base).chain([own]).map(v).collect();
+                left.push_row(&row);
+                for extra in 0..3 {
+                    if shared == 0 && base == 2000 {
+                        break;
+                    }
+                    let row: Vec<VertexId> = key(base).chain([base + 100 + extra]).map(v).collect();
+                    right.push_row(&row);
+                }
+            }
+            let full = hash_join(&left, &right, None, &mut JoinCounters::default());
+            assert_eq!(full.num_rows(), 6, "{shared} shared columns");
+            // Nothing, one row, inside the first chain, at its end, inside
+            // the second, everything, more than everything.
+            for limit in [0usize, 1, 2, 3, 4, 6, 9] {
+                let mut c = JoinCounters::default();
+                let out = hash_join(&left, &right, Some(limit), &mut c);
+                assert!(out.rows().eq(full.rows().take(limit)), "limit {limit}");
+                assert_eq!(c.intermediate_rows, limit.min(6) as u64);
+                assert_eq!(c.joins_performed, 1);
+
+                // Onto a table that already holds rows, the limit counts
+                // what this call appends.
+                let mut c = JoinCounters::default();
+                let mut out = full.clone();
+                PreparedJoin::new(left.columns(), &right).join_into(
+                    &left,
+                    Some(limit),
+                    None,
+                    &mut c,
+                    &mut out,
+                );
+                assert!(out.rows().eq(full.rows().chain(full.rows().take(limit))));
+                assert_eq!(c.intermediate_rows, limit.min(6) as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn an_interrupted_probe_keeps_no_half_accepted_row() {
+        use crate::stream::{CancelToken, QueryOptions};
+        let token = CancelToken::new();
+        token.cancel();
+        let options = QueryOptions::none().with_cancel(token);
+        let control = QueryControl::new(&options, std::time::Instant::now());
+        // The first pair is pruned (and counted) before the interrupt is
+        // seen at the first row that would have been kept.
+        let a = table(&[0, 1], &[&[10, 5], &[11, 5]]);
+        let b = table(&[1, 2], &[&[5, 10], &[5, 12]]);
+        let mut out = a.clone();
+        let mut c = JoinCounters::default();
+        let joined = PreparedJoin::new(a.columns(), &b);
+        let rows = joined.join_with_control(&a, None, Some(&control), &mut c);
+        assert!(rows.is_empty());
+        assert_eq!((c.intermediate_rows, c.rows_pruned_injective), (0, 1));
+        // Same onto a table that holds rows: they stay, nothing is added.
+        let wide = PreparedJoin::new(a.columns(), &a);
+        wide.join_into(&a, None, Some(&control), &mut c, &mut out);
+        assert_eq!(out, a);
     }
 
     #[test]

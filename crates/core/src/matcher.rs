@@ -3,16 +3,18 @@
 //! previously-processed STwigs.
 //!
 //! Two entry points share one emission core ([`explore_roots`]), so their
-//! output tables are bit-identical row for row:
+//! output tables are bit-identical row for row. The core compares labels by
+//! position in a slice aligned with the root's neighbor run; the entry
+//! points differ only in who fills that slice ([`RootSource`]):
 //!
-//! * [`match_stwig`] — the `DirectRead` path: candidate labels are checked
-//!   with `Index.hasLabel`, which may dereference a remote partition in
-//!   place (tallied as a direct remote read).
+//! * [`match_stwig`] — the `DirectRead` path: a neighbor's label is looked
+//!   up once per root, in place in its owner's partition, and the
+//!   `Index.hasLabel` probes this stands for are charged in bulk.
 //! * [`match_stwig_batched`] — the partition-local path: one pass decodes
 //!   every live root's adjacency into a flat, label-resolved [`Frontier`],
 //!   one batched projected `Load` per owning machine is exchanged over the
-//!   [`Transport`], and emission compares labels by position — no second
-//!   cell load, no second decode, no hash probe.
+//!   [`Transport`], and emission reads the arena's spans as they stand — no
+//!   second cell load, no second decode, no hash probe, no copy.
 
 use crate::bindings::Bindings;
 use crate::config::{FailurePolicy, MatchConfig};
@@ -46,6 +48,12 @@ use trinity_sim::MemoryCloud;
 ///    is injective).
 ///
 /// The output table's columns are `[root, child_1, .., child_k]`.
+///
+/// Step 2 is *charged* as written — one [`MemoryCloud::has_label`] probe per
+/// (child scanned, neighbor) — but a label is looked up once per root and
+/// the remote probes are tallied per owner and flushed once, before this
+/// returns on any path ([`MemoryCloud::charge_label_probes`]): a capped or
+/// interrupted exploration charges exactly what it probed.
 #[allow(clippy::too_many_arguments)]
 pub fn match_stwig(
     cloud: &MemoryCloud,
@@ -59,8 +67,20 @@ pub fn match_stwig(
     counters: &mut ExploreCounters,
 ) -> ResultTable {
     with_scratch(|scratch| {
-        let filter = RootFilter::new(query, stwig, config);
-        explore_roots(
+        for tally in [&mut scratch.root_owned, &mut scratch.probes] {
+            tally.clear();
+            tally.resize(cloud.num_machines(), 0);
+        }
+        let mut source = DirectSource {
+            cloud,
+            machine,
+            filter: RootFilter::new(query, stwig, config),
+            decoded: NeighborScratch::new(),
+            labels: &mut scratch.labels,
+            root_owned: &mut scratch.root_owned,
+            probes: &mut scratch.probes,
+        };
+        let table = explore_roots(
             query,
             stwig,
             roots,
@@ -70,13 +90,70 @@ pub fn match_stwig(
             counters,
             &mut scratch.child_candidates,
             &mut scratch.row,
-            |n| {
-                let neighbors = filter.admit(cloud.load(machine, n), || cloud.signature_of(n))?;
-                Ok((neighbors, ()))
-            },
-            |(), _, m, label| cloud.has_label(machine, m, label),
-        )
+            &mut source,
+        );
+        for (owner, &probes) in scratch.probes.iter().enumerate() {
+            cloud.charge_label_probes(machine, MachineId(owner as u16), probes);
+        }
+        table
     })
+}
+
+/// One loaded root as the emission core reads it, `(neighbors, labels,
+/// probed)`: `labels[i]` is the label of `neighbors[i]`, or [`NO_LABEL`] when
+/// it is unknown or `neighbors[i]` is the root itself (not its own child);
+/// `probed` is how many neighbors are not the root — one child scan's probes.
+type RootRun<'r> = (&'r [VertexId], &'r [u32], u64);
+
+/// Where [`explore_roots`] gets its roots: all the transport modes differ in.
+trait RootSource {
+    /// Loads binding-admitted root `n`, or says why it emits nothing.
+    fn load(&mut self, n: VertexId) -> Result<RootRun<'_>, Skip>;
+
+    /// The core scanned the run last loaded once for each of `children`
+    /// children — what a per-probe traffic estimate charges for.
+    fn scanned(&mut self, _children: u64) {}
+}
+
+/// `DirectRead`: roots and neighbor labels are read in place, wherever they
+/// live, and the probes that stands for are tallied per owning machine.
+struct DirectSource<'a> {
+    cloud: &'a MemoryCloud,
+    machine: MachineId,
+    filter: RootFilter,
+    /// Compact-tier runs are decoded once per root, not once per child scan.
+    decoded: NeighborScratch,
+    labels: &'a mut Vec<u32>,
+    /// Neighbors of the root last loaded, per owner.
+    root_owned: &'a mut Vec<u64>,
+    /// Label probes of the whole exploration, per owner (its own are free).
+    probes: &'a mut Vec<u64>,
+}
+
+impl RootSource for DirectSource<'_> {
+    fn load(&mut self, n: VertexId) -> Result<RootRun<'_>, Skip> {
+        let (cloud, machine) = (self.cloud, self.machine);
+        let cell = cloud.load(machine, n);
+        let neighbors = self.filter.admit(cell, || cloud.signature_of(n))?;
+        let neighbors = neighbors.materialize(&mut self.decoded);
+        self.root_owned.fill(0);
+        self.labels.clear();
+        self.labels.extend(neighbors.iter().map(|&m| {
+            if m == n {
+                return NO_LABEL;
+            }
+            let owner = cloud.machine_of(m);
+            self.root_owned[owner.index()] += 1;
+            cloud.partition(owner).label_of(m).map_or(NO_LABEL, |l| l.0)
+        }));
+        Ok((neighbors, self.labels, self.root_owned.iter().sum()))
+    }
+
+    fn scanned(&mut self, children: u64) {
+        for (probes, &owned) in self.probes.iter_mut().zip(&*self.root_owned) {
+            *probes += children * owned;
+        }
+    }
 }
 
 /// Why a binding-admitted root candidate emits nothing.
@@ -202,9 +279,7 @@ pub fn match_stwig_batched(
         frontier.exchange(transport, machine, config, control, faults)?;
         // Emission, entirely partition-local: the core replays the frontier's
         // root entries in order (it applies the same binding admission, so
-        // the sequences line up) and tests labels by position.
-        let mut entries = frontier.roots.iter();
-        let (ids, slots) = (&frontier.ids, &frontier.slots);
+        // the sequences line up) and reads the arena's spans as they stand.
         Ok(explore_roots(
             query,
             stwig,
@@ -215,15 +290,24 @@ pub fn match_stwig_batched(
             counters,
             &mut scratch.child_candidates,
             &mut scratch.row,
-            |_| {
-                // An interrupted collection stops short of `roots`; the
-                // interrupt is latched, so emission stops before it gets here.
-                let span = entries.next().cloned().unwrap_or(Err(Skip::Missing))?;
-                Ok((Neighbors::Slice(&ids[span.clone()]), &slots[span]))
-            },
-            |slots, i, _, label| slots[i] == label.0,
+            frontier,
         ))
     })
+}
+
+/// `Messages`: the exchanged arena lends its spans as they stand, in the
+/// order it collected them; the transport recorded the real envelopes.
+impl RootSource for Frontier {
+    fn load(&mut self, _n: VertexId) -> Result<RootRun<'_>, Skip> {
+        // An interrupted collection stops short of `roots`; the interrupt is
+        // latched, so emission stops before it gets here.
+        let entry = self.roots.get(self.replayed).cloned();
+        self.replayed += 1;
+        let span = entry.unwrap_or(Err(Skip::Missing))?;
+        // `collect` left the root itself out of its span: all of it is probed.
+        let (ids, slots) = (&self.ids[span.clone()], &self.slots[span]);
+        Ok((ids, slots, ids.len() as u64))
+    }
 }
 
 /// Label slot of a neighbor whose label is unknown: a dangling or self edge,
@@ -247,6 +331,8 @@ struct Frontier {
     /// One entry per binding-admitted root, in root order: its span of
     /// `ids`/`slots`, or why it has none.
     roots: Vec<Result<Range<usize>, Skip>>,
+    /// Entries of `roots` the emission pass has consumed.
+    replayed: usize,
     /// Dense slot of each distinct remote neighbor, in first-appearance
     /// order — the dedup insert, and the only hash operation per neighbor.
     slot_of: FxHashMap<VertexId, u32>,
@@ -289,6 +375,7 @@ impl Frontier {
         self.ids.clear();
         self.slots.clear();
         self.roots.clear();
+        self.replayed = 0;
         self.slot_of.clear();
         self.slot_labels.clear();
         self.per_owner
@@ -312,10 +399,11 @@ impl Frontier {
             let entry = loaded.map(|neighbors| {
                 let start = self.ids.len();
                 for m in neighbors {
+                    if m == n {
+                        continue; // never probed: a root is not its own child
+                    }
                     let owner = cloud.machine_of(m);
-                    let slot = if m == n {
-                        NO_LABEL // never probed: a root is not its own child
-                    } else if owner == machine {
+                    let slot = if owner == machine {
                         cloud.label_of_local(machine, m).map_or(NO_LABEL, |l| l.0)
                     } else {
                         // Each distinct remote neighbor gets the next dense
@@ -423,6 +511,10 @@ struct ExploreScratch {
     /// The row under construction: `[root, child_1, ..]`.
     row: Vec<VertexId>,
     frontier: Frontier,
+    /// [`DirectSource`]'s label run and its two per-machine probe tallies.
+    labels: Vec<u32>,
+    root_owned: Vec<u64>,
+    probes: Vec<u64>,
 }
 
 /// Elements a scratch buffer may hold and still be kept for the next
@@ -446,6 +538,7 @@ fn with_scratch<R>(f: impl FnOnce(&mut ExploreScratch) -> R) -> R {
     let frontier = &scratch.frontier;
     let largest = (scratch.child_candidates.iter().map(Vec::capacity))
         .chain([frontier.ids.capacity(), frontier.roots.capacity()])
+        .chain([scratch.labels.capacity()])
         .max();
     if largest.unwrap_or(0) <= SCRATCH_RETAIN {
         SCRATCH.set(scratch);
@@ -466,15 +559,15 @@ const CONTROL_CHECK_ROWS: u64 = 256;
 
 /// The shared emission core of [`match_stwig`] / [`match_stwig_batched`]:
 /// the root loop, child-candidate construction and injective cross-product
-/// emission of Algorithm 1, parameterized over how a root is loaded and how
-/// a neighbor's label is checked. `load` hands back the root's neighbor run
-/// plus a context `L` that `has_label` receives with each neighbor's
-/// position in the run (nothing for `DirectRead`, the run's resolved labels
-/// for `Messages`). Both callers must present the same data through `load` /
-/// `has_label` for the outputs to agree — which is exactly what the
-/// transport's owned replies guarantee.
+/// emission of Algorithm 1. One contract with its [`RootSource`]: `load(n)`
+/// hands back root `n`'s neighbor run and a label slice aligned with it
+/// ([`RootRun`]), and the child scans only compare `labels[i] == label`.
+/// Sources that present the same runs and labels therefore produce the same
+/// table and counters — exactly what the transport's owned replies
+/// guarantee. `label_probes` is what Algorithm 1 would have probed: every
+/// neighbor but the root, once per child scanned.
 #[allow(clippy::too_many_arguments)]
-fn explore_roots<'a, L: Copy>(
+fn explore_roots(
     query: &QueryGraph,
     stwig: &STwig,
     roots: &[VertexId],
@@ -484,30 +577,23 @@ fn explore_roots<'a, L: Copy>(
     counters: &mut ExploreCounters,
     child_candidates: &mut Vec<Vec<VertexId>>,
     row_buf: &mut Vec<VertexId>,
-    mut load: impl FnMut(VertexId) -> Result<(Neighbors<'a>, L), Skip>,
-    has_label: impl Fn(L, usize, VertexId, LabelId) -> bool,
+    source: &mut impl RootSource,
 ) -> ResultTable {
     let mut columns = Vec::with_capacity(1 + stwig.children.len());
     columns.push(stwig.root);
     columns.extend(stwig.children.iter().copied());
     let mut table = ResultTable::new(columns);
+    // Rows the table may still take under `max_stwig_rows`.
+    let mut budget = config.max_stwig_rows.unwrap_or(usize::MAX);
 
     if child_candidates.len() < stwig.children.len() {
         child_candidates.resize_with(stwig.children.len(), Vec::new);
     }
     let child_candidates = &mut child_candidates[..stwig.children.len()];
-    // Compact-tier cells hand out encoded neighbor runs. The per-child scan
-    // below walks the run once per child, so decode it once per root into a
-    // reusable scratch (inline stack array for small degrees); plain slices
-    // — plain-tier cells, frontier spans — pass through `materialize`
-    // untouched.
-    let mut scratch = NeighborScratch::new();
 
-    'roots: for (root_idx, &n) in roots.iter().enumerate() {
-        if let Some(limit) = config.max_stwig_rows {
-            if table.num_rows() >= limit {
-                break;
-            }
+    for (root_idx, &n) in roots.iter().enumerate() {
+        if budget == 0 {
+            break;
         }
         if root_idx % CONTROL_CHECK_ROOTS == 0 && control.is_some_and(QueryControl::interrupted) {
             // Stop exploring; every row already emitted is a valid partial
@@ -521,7 +607,7 @@ fn explore_roots<'a, L: Copy>(
             counters.rows_pruned_by_bindings += 1;
             continue;
         }
-        let (neighbors, label_ctx) = match load(n) {
+        let (neighbors, labels, probed) = match source.load(n) {
             Err(Skip::Missing) => continue,
             Err(skip) => {
                 counters.cells_loaded += 1;
@@ -536,17 +622,14 @@ fn explore_roots<'a, L: Copy>(
             }
         };
 
-        // Candidate children per child query vertex.
-        let neighbors = neighbors.materialize(&mut scratch);
+        // Candidate children per child query vertex, up to the first dead one.
+        let (mut scanned, mut dead) = (0, false);
         for (cands, &child) in child_candidates.iter_mut().zip(&stwig.children) {
-            let label = query.label(child);
+            let label = query.label(child).0;
+            scanned += 1;
             cands.clear();
-            for (i, &m) in neighbors.iter().enumerate() {
-                if m == n {
-                    continue;
-                }
-                counters.label_probes += 1;
-                if !has_label(label_ctx, i, m, label) {
+            for (&m, &l) in neighbors.iter().zip(labels) {
+                if l != label {
                     continue;
                 }
                 if config.use_bindings && !bindings.admits(child, m) {
@@ -556,8 +639,14 @@ fn explore_roots<'a, L: Copy>(
                 cands.push(m);
             }
             if cands.is_empty() {
-                continue 'roots;
+                dead = true;
+                break;
             }
+        }
+        counters.label_probes += scanned * probed;
+        source.scanned(scanned);
+        if dead {
+            continue;
         }
 
         // Emit the cross product with injectivity among the STwig's vertices.
@@ -568,7 +657,7 @@ fn explore_roots<'a, L: Copy>(
             0,
             row_buf,
             &mut table,
-            config.max_stwig_rows,
+            &mut budget,
             control,
             counters,
         );
@@ -578,23 +667,21 @@ fn explore_roots<'a, L: Copy>(
 
 /// Recursively enumerates the cross product of child candidate lists,
 /// skipping assignments that reuse a data vertex already in the row.
-/// Returns `false` when emission must stop entirely — the row cap was
-/// reached, or an interrupt was observed (a hub root mid-emission must not
-/// outlive the deadline; rows already emitted remain valid partial matches).
-#[allow(clippy::too_many_arguments)]
+/// `budget` counts down the rows the table may still take. Returns `false`
+/// when emission must stop entirely — the budget ran out, or an interrupt
+/// was observed (a hub root mid-emission must not outlive the deadline; rows
+/// already emitted remain valid partial matches).
 fn emit_rows(
     child_candidates: &[Vec<VertexId>],
     depth: usize,
     row: &mut Vec<VertexId>,
     table: &mut ResultTable,
-    limit: Option<usize>,
+    budget: &mut usize,
     control: Option<&QueryControl>,
     counters: &mut ExploreCounters,
 ) -> bool {
-    if let Some(l) = limit {
-        if table.num_rows() >= l {
-            return false;
-        }
+    if *budget == 0 {
+        return false;
     }
     if depth == child_candidates.len() {
         if counters.rows_emitted.is_multiple_of(CONTROL_CHECK_ROWS)
@@ -604,6 +691,7 @@ fn emit_rows(
         }
         table.push_row(row);
         counters.rows_emitted += 1;
+        *budget -= 1;
         return true;
     }
     for &cand in &child_candidates[depth] {
@@ -616,7 +704,7 @@ fn emit_rows(
             depth + 1,
             row,
             table,
-            limit,
+            budget,
             control,
             counters,
         );
@@ -1155,6 +1243,51 @@ mod tests {
             bytes[1],
             bytes[0]
         );
+    }
+
+    #[test]
+    fn a_self_loop_is_neither_a_child_nor_a_probe() {
+        // Every graph builder drops self-loops, so no cloud can present one;
+        // hand the core a run that contains its own root directly. The label
+        // contract gives that position `NO_LABEL` and leaves it out of
+        // `probed`.
+        struct OneRoot {
+            neighbors: Vec<VertexId>,
+            labels: Vec<u32>,
+            scans: u64,
+        }
+        impl RootSource for OneRoot {
+            fn load(&mut self, _n: VertexId) -> Result<RootRun<'_>, Skip> {
+                Ok((&self.neighbors, &self.labels, 2))
+            }
+            fn scanned(&mut self, children: u64) {
+                self.scans += children;
+            }
+        }
+        let cloud = fig5_like_cloud(1);
+        let (query, a, b, c) = simple_query(&cloud);
+        let stwig = STwig::new(a, vec![b, c]);
+        let mut source = OneRoot {
+            neighbors: vec![v(0), v(10), v(20)],
+            labels: vec![NO_LABEL, query.label(b).0, query.label(c).0],
+            scans: 0,
+        };
+        let mut counters = ExploreCounters::default();
+        let table = explore_roots(
+            &query,
+            &stwig,
+            &[v(0)],
+            &Bindings::new(query.num_vertices()),
+            &MatchConfig::default(),
+            None,
+            &mut counters,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            &mut source,
+        );
+        assert_eq!(table.rows().collect::<Vec<_>>(), [&[v(0), v(10), v(20)]]);
+        assert_eq!(counters.label_probes, 4, "two neighbors, two children");
+        assert_eq!(source.scans, 2);
     }
 
     #[test]

@@ -18,12 +18,51 @@ use crate::table::ResultTable;
 /// Receives the pipeline's output incrementally: the schema once, then each
 /// round's surviving rows as the round completes. This is what lets the
 /// streaming executor deliver first-k rows while later rounds (or later
-/// machines) are still pending.
+/// machines) are still pending. A sink that only collects lends its table
+/// instead, and each row is written once, where it stays ([`fill_round`]).
 pub(crate) trait RoundSink {
-    /// The column order of every subsequent `on_rows` table.
+    /// The column order of the lent table and of every `on_rows` table.
     fn on_schema(&mut self, columns: &[QVid]);
-    /// One round's surviving rows (already limit-capped).
+    /// The table to append a round's rows to, if the sink keeps one.
+    fn lend(&mut self) -> Option<&mut ResultTable> {
+        None
+    }
+    /// One round's surviving rows (already limit-capped), if nothing is lent.
     fn on_rows(&mut self, rows: &ResultTable);
+}
+
+/// The collecting sink: the output table, once the schema is known.
+impl RoundSink for Option<ResultTable> {
+    fn on_schema(&mut self, columns: &[QVid]) {
+        *self = Some(ResultTable::new(columns.to_vec()));
+    }
+    fn lend(&mut self) -> Option<&mut ResultTable> {
+        self.as_mut()
+    }
+    fn on_rows(&mut self, rows: &ResultTable) {
+        let out = self.as_mut().expect("schema precedes rows");
+        out.append_projected(rows);
+    }
+}
+
+/// Runs `fill` on the table `sink` lends, else on a new one of `columns`
+/// that `on_rows` then receives; returns the rows `fill` added.
+fn fill_round(
+    sink: &mut dyn RoundSink,
+    columns: &[QVid],
+    fill: impl FnOnce(&mut ResultTable),
+) -> usize {
+    if let Some(out) = sink.lend() {
+        let before = out.num_rows();
+        fill(out);
+        return out.num_rows() - before;
+    }
+    let mut rows = ResultTable::new(columns.to_vec());
+    fill(&mut rows);
+    if !rows.is_empty() {
+        sink.on_rows(&rows);
+    }
+    rows.num_rows()
 }
 
 /// Report of one (possibly streamed) pipelined join.
@@ -74,23 +113,7 @@ pub fn pipelined_join_with_priors(
     priors: Option<&[f64]>,
     counters: &mut JoinCounters,
 ) -> ResultTable {
-    struct Collect {
-        output: Option<ResultTable>,
-    }
-    impl RoundSink for Collect {
-        fn on_schema(&mut self, columns: &[QVid]) {
-            self.output = Some(ResultTable::new(columns.to_vec()));
-        }
-        fn on_rows(&mut self, rows: &ResultTable) {
-            // Column orders are identical by construction; append_projected
-            // re-projects defensively if they ever diverge.
-            self.output
-                .as_mut()
-                .expect("schema precedes rows")
-                .append_projected(rows);
-        }
-    }
-    let mut collect = Collect { output: None };
+    let mut output = None;
     pipelined_join_streaming(
         tables,
         config,
@@ -98,9 +121,9 @@ pub fn pipelined_join_with_priors(
         config.result_limit(),
         None,
         counters,
-        &mut collect,
+        &mut output,
     );
-    collect.output.expect("join always announces a schema")
+    output.expect("join always announces a schema")
 }
 
 /// The streaming core behind [`pipelined_join`]: identical join semantics,
@@ -125,22 +148,19 @@ pub(crate) fn pipelined_join_streaming(
         (0..tables.len()).collect()
     };
 
-    if tables.len() == 1 {
+    if let [table] = tables {
         // Single-table fast path: copy at most `limit` rows — cloning a
         // 1M-row table to then truncate it to one row would allocate the
         // whole buffer for nothing.
-        sink.on_schema(tables[0].columns());
+        sink.on_schema(table.columns());
         counters.pipeline_rounds += 1;
-        let out = match limit {
-            Some(l) if l < tables[0].num_rows() => tables[0].take_block(0, l),
-            _ => tables[0].clone(),
-        };
-        let rows_emitted = out.num_rows();
-        let exhausted = limit.is_none_or(|l| tables[0].num_rows() <= l);
-        sink.on_rows(&out);
+        let take = limit.map_or(table.num_rows(), |l| l.min(table.num_rows()));
+        let rows_emitted = fill_round(sink, table.columns(), |out| {
+            out.append_prefix(table, take);
+        });
         return JoinRun {
             rows_emitted,
-            exhausted,
+            exhausted: rows_emitted == table.num_rows(),
             interrupted: false,
         };
     }
@@ -160,6 +180,7 @@ pub(crate) fn pipelined_join_streaming(
         prepared.push(join);
     }
     sink.on_schema(&schema);
+    let (last, earlier) = prepared.split_last().expect("two tables or more");
 
     let block_rows = config.block_rows.max(1);
     let mut start = 0usize;
@@ -186,25 +207,18 @@ pub(crate) fn pipelined_join_streaming(
         // handle reaches into each probe pass so even one fat block cannot
         // blow through a deadline.
         let mut acc = block;
-        for (i, join) in prepared.iter().enumerate() {
-            let step_limit = if i + 1 == prepared.len() {
-                remaining_limit
-            } else {
-                None
-            };
-            acc = join.join_with_control(&acc, step_limit, control, counters);
+        for join in earlier {
             if acc.is_empty() {
                 break;
             }
+            acc = join.join_with_control(&acc, None, control, counters);
         }
-        if !acc.is_empty() {
-            if let Some(l) = remaining_limit {
-                // Defensive: the last join's step limit already caps this.
-                acc.truncate(l);
-            }
-            emitted += acc.num_rows();
-            sink.on_rows(&acc);
+        if acc.is_empty() {
+            continue;
         }
+        emitted += fill_round(sink, &schema, |out| {
+            last.join_into(&acc, remaining_limit, control, counters, out);
+        });
     }
     JoinRun {
         rows_emitted: emitted,
@@ -348,6 +362,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn collecting_sink_takes_rows_lent_or_handed_over() {
+        let round = table(&[0, 1], &[&[1, 2], &[3, 4]]);
+        let mut sink: Option<ResultTable> = None;
+        sink.on_schema(round.columns());
+        sink.lend()
+            .expect("lends once it has a schema")
+            .append(&round);
+        sink.on_rows(&round);
+        let out = sink.expect("schema announced");
+        assert!(out.rows().eq(round.rows().chain(round.rows())));
     }
 
     #[test]

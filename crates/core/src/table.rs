@@ -79,6 +79,45 @@ impl ResultTable {
         self.data.extend_from_slice(row);
     }
 
+    /// Makes room for `rows` more rows, so that appending them does not
+    /// regrow the buffer.
+    pub fn reserve_rows(&mut self, rows: usize) {
+        self.data.reserve(rows * self.columns.len());
+    }
+
+    /// Appends the join of `left` with the `extra` positions of `right` as
+    /// one row, built in place at the end of the buffer — unless the row
+    /// would map two query vertices to one data vertex, in which case the
+    /// table is left as it was. Returns whether the row was kept.
+    ///
+    /// Only the appended values are tested, each against everything already
+    /// in the row: `left` must be injective, as every row exploration emits
+    /// or a join keeps is.
+    #[inline]
+    pub(crate) fn push_joined(
+        &mut self,
+        left: &[VertexId],
+        right: &[VertexId],
+        extra: &[usize],
+    ) -> bool {
+        debug_assert_eq!(left.len() + extra.len(), self.columns.len());
+        debug_assert!(
+            !Self::row_has_duplicates(left),
+            "the left row of a join must be injective"
+        );
+        let start = self.data.len();
+        self.data.extend_from_slice(left);
+        for &rc in extra {
+            let value = right[rc];
+            if self.data[start..].contains(&value) {
+                self.data.truncate(start);
+                return false;
+            }
+            self.data.push(value);
+        }
+        true
+    }
+
     /// Returns row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[VertexId] {
@@ -151,8 +190,15 @@ impl ResultTable {
 
     /// Appends all rows of `other`, which must have identical columns.
     pub fn append(&mut self, other: &ResultTable) {
+        self.append_prefix(other, usize::MAX);
+    }
+
+    /// Appends the first `rows` rows of `other` (all of them when it has
+    /// fewer), which must have identical columns.
+    pub fn append_prefix(&mut self, other: &ResultTable, rows: usize) {
         assert_eq!(self.columns, other.columns, "column mismatch in append");
-        self.data.extend_from_slice(&other.data);
+        let end = rows.saturating_mul(other.width()).min(other.data.len());
+        self.data.extend_from_slice(&other.data[..end]);
     }
 
     /// Appends all rows of `other`, re-projecting each row into this table's
@@ -340,6 +386,29 @@ mod tests {
         assert_eq!(block.row(0), &[v(1), v(2)]);
         // out-of-range block is empty
         assert_eq!(t.take_block(100, 5).num_rows(), 0);
+    }
+
+    #[test]
+    fn joined_rows_are_built_in_place_or_not_at_all() {
+        let mut t = ResultTable::new(vec![q(0), q(1), q(2), q(3)]);
+        // Right row (shared, x, y): positions 1 and 2 are appended.
+        assert!(t.push_joined(&[v(1), v(2)], &[v(2), v(3), v(4)], &[1, 2]));
+        // An appended value repeats a left value; one repeats the other.
+        assert!(!t.push_joined(&[v(1), v(2)], &[v(2), v(3), v(1)], &[1, 2]));
+        assert!(!t.push_joined(&[v(1), v(2)], &[v(2), v(5), v(5)], &[1, 2]));
+        assert!(t.push_joined(&[v(5), v(6)], &[v(6), v(7), v(8)], &[1, 2]));
+        assert_eq!(t.num_rows(), 2);
+        assert_eq!(t.row(1), &[v(5), v(6), v(7), v(8)]);
+        assert_eq!(t.row(0), &[v(1), v(2), v(3), v(4)]);
+        t.reserve_rows(100);
+        assert_eq!(t.num_rows(), 2);
+        let mut u = ResultTable::new(t.columns().to_vec());
+        u.append_prefix(&t, 0);
+        assert!(u.is_empty());
+        u.append_prefix(&t, 1);
+        assert_eq!(u.rows().collect::<Vec<_>>(), [t.row(0)]);
+        u.append_prefix(&t, 7);
+        assert_eq!(u.num_rows(), 3);
     }
 
     #[test]

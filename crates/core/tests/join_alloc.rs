@@ -2,10 +2,12 @@
 //!
 //! * Join: with exactly one shared column, `hash_join` must perform **zero
 //!   per-row heap allocations** — the key is a bare `u64`, the build index is
-//!   a pre-sized chained index, and the output row buffer is reused. The test
+//!   a pre-sized chained index, and output rows are built in place. The test
 //!   counts allocator calls around a large join and asserts the total stays
-//!   far below the row count (only setup costs and the output buffer's
-//!   geometric growth remain).
+//!   far below the row count (only setup costs and the output buffer
+//!   remain).
+//! * Join output: a materialized pipelined join writes each answer row once,
+//!   into the table it returns — no per-round table that is then copied.
 //! * Exploration: a `Messages`-mode exploration on a warm scratch allocates
 //!   its output table and its message payloads, nothing else.
 //! * Delivery: streaming a warm cache-hit first-1024 answer into a
@@ -22,7 +24,7 @@ use std::cell::Cell;
 use stwig::bindings::Bindings;
 use stwig::cache::{CacheConfig, StwigCache};
 use stwig::distributed::match_query_streaming_with_cache;
-use stwig::join::hash_join;
+use stwig::join::{hash_join, PreparedJoin};
 use stwig::matcher::match_stwig_batched;
 use stwig::metrics::{ExploreCounters, FaultCounters, JoinCounters};
 use stwig::pipeline::pipelined_join;
@@ -100,9 +102,8 @@ fn single_shared_column_join_does_not_allocate_per_row() {
     let mut counters = JoinCounters::default();
     let (allocs, joined) = allocations_during(|| hash_join(&left, &right, None, &mut counters));
     assert_eq!(joined.num_rows() as u64, ROWS);
-    // Setup (schema vectors, index map + chain array, row buffer) plus ~20
-    // geometric growths of the output buffer; anything per-row would add
-    // tens of thousands.
+    // Setup (schema vectors, index map + chain array) and the output buffer,
+    // reserved up front; anything per-row would add tens of thousands.
     assert!(
         allocs < 100,
         "expected O(1) + O(log rows) allocations for {ROWS} rows, got {allocs}"
@@ -137,6 +138,42 @@ fn pipelined_join_memory_is_bounded_by_the_block() {
         "pipelined join allocated {bytes} bytes over {} rounds — rest tables \
          are being copied or re-indexed per round",
         counters.pipeline_rounds
+    );
+}
+
+#[test]
+fn materialized_join_output_is_written_once() {
+    // A `ResultMode::All` join through `pipelined_join` appends every round
+    // straight into the table it returns. What it allocates beyond what no
+    // join can avoid — the build index and one copy of each driver block
+    // (two tables: no intermediate) — is that one table's geometric growth:
+    // measured 1.94x the output's bytes here. Building each round in a table
+    // of its own and copying that into the output, as this used to, grows
+    // two buffers per row: measured 4.60x.
+    const ROWS: u64 = 65_536;
+    let (left, right) = single_key_tables(ROWS);
+    let cfg = MatchConfig {
+        optimize_join_order: false,
+        ..MatchConfig::default()
+    };
+    let (index_bytes, _) = allocated_bytes_during(|| PreparedJoin::new(left.columns(), &right));
+    let (block_bytes, _) = allocated_bytes_during(|| {
+        for start in (0..ROWS as usize).step_by(cfg.block_rows) {
+            std::hint::black_box(left.take_block(start, cfg.block_rows));
+        }
+    });
+    let tables = vec![left, right];
+    let mut counters = JoinCounters::default();
+    let (bytes, joined) = allocated_bytes_during(|| pipelined_join(&tables, &cfg, &mut counters));
+    assert_eq!(joined.num_rows() as u64, ROWS);
+    assert!(counters.pipeline_rounds > 1);
+    let output = joined.memory_bytes() as u64;
+    let beyond = bytes - index_bytes - block_bytes;
+    assert!(
+        2 * beyond <= 5 * output,
+        "a {output}-byte answer cost {beyond} bytes of allocation beyond the build \
+         index ({index_bytes}) and the driver blocks ({block_bytes}): {:.2}x, limit 2.5x",
+        beyond as f64 / output as f64
     );
 }
 

@@ -40,11 +40,12 @@ pub fn machine_for(id: VertexId, num_machines: usize) -> MachineId {
 /// * **Partition-local** (`load_local`, `label_of_local`, `owns_local`,
 ///   `get_ids`): only ever touch the calling machine's own partition — the
 ///   operators a message-passing executor is allowed to use.
-/// * **Direct-read** (`load`, `has_label`): may dereference a *remote*
-///   partition in place, handing out borrows of foreign memory
-///   (`Cell<'_>` borrowing the owner's adjacency). They model Trinity's
-///   one-sided reads for the legacy `DirectRead` execution mode, charge
-///   estimated traffic, and tally every remote dereference via
+/// * **Direct-read** (`load`, `has_label`, and the matcher's bulk
+///   equivalent `partition(owner).label_of` + `charge_label_probes`): may
+///   dereference a *remote* partition in place, handing out borrows of
+///   foreign memory (`Cell<'_>` borrowing the owner's adjacency). They model
+///   Trinity's one-sided reads for the legacy `DirectRead` execution mode,
+///   charge estimated traffic, and tally every remote dereference via
 ///   [`Network::direct_remote_reads`] so tests can prove an execution
 ///   performed none.
 /// * **Global** (`*_global`, `all_ids_with_label`, `iter_vertices`,
@@ -329,7 +330,7 @@ impl MemoryCloud {
         let cell = self.partitions[owner.index()].load(id)?;
         if owner != caller {
             // Request + reply carrying the neighbor list.
-            self.network.record_direct_remote_read();
+            self.network.record_direct_remote_reads(1);
             self.network.record(caller, owner, PROBE_BYTES);
             self.network
                 .record(owner, caller, cell.neighbors.len() as u64 * VERTEX_ID_BYTES);
@@ -374,14 +375,33 @@ impl MemoryCloud {
     /// `Index.hasLabel(id, label)`: whether vertex `id` carries `label`.
     /// Charged as a small probe — and tallied as a direct remote read — when
     /// `id` is remote to `caller`.
+    ///
+    /// This is the cloud's public single-probe operator and the *reference*
+    /// for what one probe costs. The `DirectRead` matcher does not call it
+    /// per probe: it resolves each neighbor's label once per root and
+    /// charges the same estimate through
+    /// [`MemoryCloud::charge_label_probes`], one call per owner per
+    /// exploration (`tests/direct_read_accounting.rs` pins that the two
+    /// account identically, cell for cell).
     pub fn has_label(&self, caller: MachineId, id: VertexId, label: LabelId) -> bool {
         let owner = self.machine_of(id);
-        if owner != caller {
-            self.network.record_direct_remote_read();
-            self.network.record(caller, owner, PROBE_BYTES);
-            self.network.record(owner, caller, 1);
-        }
+        self.charge_label_probes(caller, owner, 1);
         self.partitions[owner.index()].label_of(id) == Some(label)
+    }
+
+    /// Charges `probes` `Index.hasLabel` probes by `caller` against vertices
+    /// owned by `owner`, exactly as that many [`MemoryCloud::has_label`]
+    /// calls would: per probe one direct remote read, one
+    /// [`PROBE_BYTES`] request and one 1-byte reply. Free when `owner` is
+    /// the caller.
+    pub fn charge_label_probes(&self, caller: MachineId, owner: MachineId, probes: u64) {
+        if owner == caller || probes == 0 {
+            return;
+        }
+        self.network.record_direct_remote_reads(probes);
+        self.network
+            .record_bulk(caller, owner, probes, probes * PROBE_BYTES);
+        self.network.record_bulk(owner, caller, probes, probes);
     }
 
     /// Ships `rows` result rows of `row_width` vertex ids each from machine
@@ -609,6 +629,29 @@ mod tests {
         assert!(cloud.has_label(caller, v(0), la));
         assert!(!cloud.has_label(caller, v(0), lb));
         assert!(!cloud.has_label(caller, v(999), la));
+    }
+
+    #[test]
+    fn bulk_probe_charge_equals_that_many_single_probes() {
+        let cloud = small_cloud(3);
+        let la = cloud.labels().get("a").unwrap();
+        let caller = MachineId(0);
+        let remote = (0..4u64)
+            .map(v)
+            .find(|&id| cloud.machine_of(id) != caller)
+            .expect("some vertex is remote to machine 0");
+        cloud.reset_traffic();
+        for _ in 0..5 {
+            cloud.has_label(caller, remote, la);
+        }
+        let (single, single_reads) = (cloud.traffic(), cloud.direct_remote_reads());
+        assert_eq!(single_reads, 5);
+        cloud.reset_traffic();
+        cloud.charge_label_probes(caller, cloud.machine_of(remote), 5);
+        cloud.charge_label_probes(caller, caller, 5); // local probes are free
+        cloud.charge_label_probes(caller, cloud.machine_of(remote), 0);
+        assert_eq!(cloud.traffic(), single);
+        assert_eq!(cloud.direct_remote_reads(), single_reads);
     }
 
     #[test]

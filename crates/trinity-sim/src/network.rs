@@ -138,13 +138,14 @@ impl Network {
         self.bytes[cell].fetch_add(payload_bytes, Ordering::Relaxed);
     }
 
-    /// Tallies one access that dereferenced a remote partition in place
-    /// (without a transport round-trip). Called by the cloud's
+    /// Tallies `count` accesses that dereferenced a remote partition in place
+    /// (without a transport round-trip): one per remote `load`, an
+    /// exploration's label probes in bulk. Called by the cloud's
     /// `DirectRead`-style operators; message-passing execution must never
     /// trigger it.
     #[inline]
-    pub fn record_direct_remote_read(&self) {
-        self.direct_remote_reads.fetch_add(1, Ordering::Relaxed);
+    pub fn record_direct_remote_reads(&self, count: u64) {
+        self.direct_remote_reads.fetch_add(count, Ordering::Relaxed);
     }
 
     /// Number of direct remote reads since the last [`Network::reset`].
@@ -178,16 +179,6 @@ impl Network {
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
         }
-    }
-
-    /// Simulated communication time, in microseconds, charged to machine
-    /// `src`: the time to push all its outbound cross-machine traffic through
-    /// the cost model.
-    pub fn simulated_send_time_us(&self, src: MachineId) -> f64 {
-        let snap = self.snapshot();
-        let msgs = snap.messages_from(src);
-        let bytes = snap.bytes_from(src);
-        self.cost.time_us(msgs, bytes)
     }
 
     /// Total simulated communication time across the cluster in microseconds.
@@ -233,7 +224,7 @@ mod tests {
     fn reset_clears_counters() {
         let net = Network::new(2, CostModel::default());
         net.record(m(0), m(1), 10);
-        net.record_direct_remote_read();
+        net.record_direct_remote_reads(1);
         net.reset();
         assert_eq!(net.snapshot().total_messages(), 0);
         assert_eq!(net.direct_remote_reads(), 0);
@@ -243,9 +234,11 @@ mod tests {
     fn direct_remote_reads_tally() {
         let net = Network::new(2, CostModel::default());
         assert_eq!(net.direct_remote_reads(), 0);
-        net.record_direct_remote_read();
-        net.record_direct_remote_read();
+        net.record_direct_remote_reads(1);
+        net.record_direct_remote_reads(1);
         assert_eq!(net.direct_remote_reads(), 2);
+        net.record_direct_remote_reads(5);
+        assert_eq!(net.direct_remote_reads(), 7);
         // The tally is separate from the message matrix.
         assert_eq!(net.snapshot().total_messages(), 0);
     }
@@ -254,12 +247,20 @@ mod tests {
     fn simulated_times_scale_with_traffic() {
         let net = Network::new(2, CostModel::default());
         net.record_bulk(m(0), m(1), 100, 10_000_000);
-        let t1 = net.simulated_send_time_us(m(0));
+        let t1 = net.simulated_total_time_us();
         net.record_bulk(m(0), m(1), 100, 10_000_000);
-        let t2 = net.simulated_send_time_us(m(0));
+        let t2 = net.simulated_total_time_us();
         assert!(t2 > t1);
-        assert!(net.simulated_total_time_us() >= t2);
-        assert_eq!(net.simulated_send_time_us(m(1)), 0.0);
+        // All of it is charged to the sender.
+        let (snap, cost) = (net.snapshot(), net.cost_model());
+        assert_eq!(
+            cost.time_us(snap.messages_from(m(0)), snap.bytes_from(m(0))),
+            t2
+        );
+        assert_eq!(
+            cost.time_us(snap.messages_from(m(1)), snap.bytes_from(m(1))),
+            0.0
+        );
     }
 
     #[test]

@@ -1,0 +1,393 @@
+//! The `DirectRead` matcher's bulk-tallied traffic accounting against its
+//! reference: Algorithm 1 walked literally, one `MemoryCloud::has_label`
+//! probe per (child, neighbor), each remote probe charging its direct remote
+//! read, request and reply on the spot.
+//!
+//! [`match_stwig`] resolves a neighbor's label once per root and flushes the
+//! probes it stands for once per exploration; nothing observable may tell
+//! the two apart — the `Network` matrix cell for cell (messages and bytes),
+//! `direct_remote_reads`, the table row for row, every [`ExploreCounters`]
+//! field — also when the exploration stops early, where only what was
+//! probed before the stop may be charged.
+
+use proptest::prelude::*;
+use std::time::Instant;
+use stwig::bindings::Bindings;
+use stwig::distributed::{plan_query_with_config, produce_stwig_tables};
+use stwig::matcher::match_stwig;
+use stwig::metrics::{ExploreCounters, MachineMetrics, QueryMetrics};
+use stwig::stream::{CancelToken, QueryControl, QueryOptions};
+use stwig::stwig::STwig;
+use stwig::table::ResultTable;
+use stwig_match::prelude::*;
+use trinity_sim::ids::{MachineId, VertexId};
+use trinity_sim::neighbor_index::required_mask;
+
+/// Algorithm 1 with `Index.hasLabel` called per probe. Mirrors the
+/// matcher's stop conditions (row cap before each root and each row, the
+/// interrupt check every 32 roots) and its counters, and nothing of its
+/// structure.
+#[allow(clippy::too_many_arguments)]
+fn reference_explore(
+    cloud: &MemoryCloud,
+    machine: MachineId,
+    query: &QueryGraph,
+    stwig: &STwig,
+    roots: &[VertexId],
+    bindings: &Bindings,
+    config: &MatchConfig,
+    control: Option<&QueryControl>,
+    counters: &mut ExploreCounters,
+) -> ResultTable {
+    let mut table = ResultTable::new(stwig.vertices().collect());
+    let full = |t: &ResultTable| config.max_stwig_rows.is_some_and(|cap| t.num_rows() >= cap);
+    let admits = |q, v| !config.use_bindings || bindings.admits(q, v);
+    let required = required_mask(stwig.children.iter().map(|&c| query.label(c)));
+    for (i, &n) in roots.iter().enumerate() {
+        if full(&table) || (i % 32 == 0 && control.is_some_and(QueryControl::interrupted)) {
+            break;
+        }
+        counters.roots_scanned += 1;
+        if !admits(stwig.root, n) {
+            counters.rows_pruned_by_bindings += 1;
+            continue;
+        }
+        let Some(cell) = cloud.load(machine, n) else {
+            continue;
+        };
+        counters.cells_loaded += 1;
+        if cell.label != query.label(stwig.root) {
+            continue;
+        }
+        if config.pruning
+            && (cell.neighbors.len() < stwig.children.len()
+                || cloud
+                    .signature_of(n)
+                    .is_some_and(|s| s & required != required))
+        {
+            counters.roots_pruned += 1;
+            continue;
+        }
+        let mut candidates: Vec<Vec<VertexId>> = Vec::new();
+        for &child in &stwig.children {
+            let mut found = Vec::new();
+            for m in cell.neighbors.iter().filter(|&m| m != n) {
+                counters.label_probes += 1;
+                if !cloud.has_label(machine, m, query.label(child)) {
+                    continue;
+                }
+                if admits(child, m) {
+                    found.push(m);
+                } else {
+                    counters.rows_pruned_by_bindings += 1;
+                }
+            }
+            if found.is_empty() {
+                break;
+            }
+            candidates.push(found);
+        }
+        if candidates.len() < stwig.children.len() {
+            continue;
+        }
+        // Injective cross product, first child outermost.
+        let mut rows = vec![vec![n]];
+        for found in &candidates {
+            rows = rows
+                .iter()
+                .flat_map(|row| {
+                    found.iter().filter(|m| !row.contains(m)).map(|&m| {
+                        let mut row = row.clone();
+                        row.push(m);
+                        row
+                    })
+                })
+                .collect();
+        }
+        for row in rows {
+            if full(&table) {
+                break;
+            }
+            table.push_row(&row);
+            counters.rows_emitted += 1;
+        }
+    }
+    table
+}
+
+/// Everything the accounting of one exploration leaves behind.
+type Observed = (ResultTable, ExploreCounters, TrafficSnapshot, u64);
+
+/// Runs `explore` on a freshly reset network and collects what it left.
+fn observe(
+    cloud: &MemoryCloud,
+    explore: impl FnOnce(&mut ExploreCounters) -> ResultTable,
+) -> Observed {
+    cloud.reset_traffic();
+    let mut counters = ExploreCounters::default();
+    let table = explore(&mut counters);
+    (
+        table,
+        counters,
+        cloud.traffic(),
+        cloud.direct_remote_reads(),
+    )
+}
+
+/// Explores every (machine, STwig) pair of the query's cover both ways under
+/// `config`, unbound for the first STwig and bound by the earlier tables for
+/// the rest, and requires equal observations. Returns how many pairs probed
+/// a remote vertex.
+fn check_explorations(
+    cloud: &MemoryCloud,
+    query: &QueryGraph,
+    config: &MatchConfig,
+    control: Option<&QueryControl>,
+) -> usize {
+    let mut remote = 0;
+    let mut bindings = Bindings::new(query.num_vertices());
+    for stwig in decompose_ordered(query, cloud).unwrap() {
+        let mut merged = ResultTable::new(stwig.vertices().collect());
+        for k in cloud.machines() {
+            // Every local posting, not only the bound ones: the matcher's
+            // own root-admission branch then runs too.
+            let roots = cloud.get_ids(k, query.label(stwig.root)).to_vec();
+            let tallied = observe(cloud, |c| {
+                match_stwig(
+                    cloud, k, query, &stwig, &roots, &bindings, config, control, c,
+                )
+            });
+            let probed = observe(cloud, |c| {
+                reference_explore(
+                    cloud, k, query, &stwig, &roots, &bindings, config, control, c,
+                )
+            });
+            assert_eq!(tallied, probed, "machine {k}, STwig {stwig:?}, {config:?}");
+            remote += usize::from(tallied.3 > 0);
+            merged.append(&tallied.0);
+        }
+        bindings.update_from_table(&merged);
+    }
+    remote
+}
+
+fn pre_cancelled() -> QueryControl {
+    let token = CancelToken::new();
+    token.cancel();
+    QueryControl::new(&QueryOptions::none().with_cancel(token), Instant::now())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 48,
+        .. ProptestConfig::default()
+    })]
+
+    #[test]
+    fn bulk_tally_equals_per_probe_accounting(
+        n in 6u64..40,
+        labels in proptest::collection::vec(0u32..3, 40),
+        edges in proptest::collection::vec((0u64..40, 0u64..40), 12..160),
+        machines in 1usize..5,
+        seed in 0u64..1000,
+        cap in 1usize..6,
+    ) {
+        // `(u, u)` pairs survive the modulo and the builder drops them: no
+        // cloud holds a self-loop, so the matcher's "a root is not its own
+        // child" guard is pinned on its own (`matcher::tests`).
+        let edges: Vec<_> = edges.into_iter().map(|(u, v)| (u % n, v % n)).collect();
+        let labels = labels[..n as usize].to_vec();
+        let cloud = SyntheticGraph::unlabeled(n, edges)
+            .with_labels(labels, 3)
+            .build_cloud(machines, CostModel::default());
+        if let Some(query) = dfs_query(&cloud, 4, seed) {
+            check_case(&cloud, &query, cap);
+        }
+    }
+}
+
+fn check_case(cloud: &MemoryCloud, query: &QueryGraph, cap: usize) {
+    let base = MatchConfig::exhaustive().with_transport_mode(TransportMode::DirectRead);
+    for pruning in [false, true] {
+        let config = base.clone().with_pruning(pruning);
+        // Whole explorations, unbound then bound.
+        check_explorations(cloud, query, &config, None);
+        // Bindings carried but ignored.
+        check_explorations(cloud, query, &config.clone().with_bindings(false), None);
+        // A row cap that lands inside a root's cross product: the root's
+        // probes were all made, later roots' were not.
+        let capped = config.clone().with_max_stwig_rows(Some(cap));
+        check_explorations(cloud, query, &capped, None);
+        // Cancelled before the first root: nothing probed, nothing charged.
+        let control = pre_cancelled();
+        let remote = check_explorations(cloud, query, &config, Some(&control));
+        assert_eq!(remote, 0);
+    }
+}
+
+/// A hub whose neighbours are spread over every machine, so that every
+/// owner's tally is non-trivial, the early exit of a childless root is
+/// charged for the child it did scan, and a cap lands mid-root.
+#[test]
+fn early_exits_charge_exactly_what_was_probed() {
+    // 0..4 are `a` roots; 4..12 `b`; 12..20 `c`. Roots 0 and 1 see both
+    // child labels, root 2 only `b` (its second child scan comes up empty),
+    // root 3 only `c` (its first does, and the second is never made).
+    let mut edges = Vec::new();
+    for m in 4..20u64 {
+        edges.extend([(0, m), (1, m)]);
+    }
+    edges.extend((4..12u64).map(|m| (2, m)));
+    edges.extend((12..20u64).map(|m| (3, m)));
+    let labels: Vec<u32> = (0..20u32)
+        .map(|v| match v {
+            0..=3 => 0,
+            4..=11 => 1,
+            _ => 2,
+        })
+        .collect();
+    for machines in 1..=4usize {
+        let cloud = SyntheticGraph::unlabeled(20, edges.clone())
+            .with_labels(labels.clone(), 3)
+            .build_cloud(machines, CostModel::default());
+        let labels_of = |v: u64| cloud.label_of_global(VertexId(v)).unwrap();
+        let mut qb = QueryGraph::builder();
+        let (a, b, c) = (
+            qb.vertex(labels_of(0)),
+            qb.vertex(labels_of(4)),
+            qb.vertex(labels_of(12)),
+        );
+        qb.edge(a, b).edge(a, c);
+        let query = qb.build().unwrap();
+        let stwig = STwig::new(a, vec![b, c]);
+        let bindings = Bindings::new(query.num_vertices());
+        let base = MatchConfig::exhaustive().with_transport_mode(TransportMode::DirectRead);
+        // 64 rows per live root: 10 stops inside root 0, 64 at its end, 70
+        // inside root 1.
+        for cap in [None, Some(1), Some(10), Some(64), Some(70)] {
+            for pruning in [false, true] {
+                let config = base.clone().with_pruning(pruning).with_max_stwig_rows(cap);
+                // The coordinator's view: every root from machine 0, so
+                // remote roots are loaded (and charged) in place too.
+                let roots: Vec<VertexId> = (0..4).map(VertexId).collect();
+                let k = MachineId(0);
+                let tallied = observe(&cloud, |counters| {
+                    match_stwig(
+                        &cloud, k, &query, &stwig, &roots, &bindings, &config, None, counters,
+                    )
+                });
+                let probed = observe(&cloud, |counters| {
+                    reference_explore(
+                        &cloud, k, &query, &stwig, &roots, &bindings, &config, None, counters,
+                    )
+                });
+                assert_eq!(tallied, probed, "{machines} machines, {config:?}");
+                if cap.is_none() {
+                    assert_eq!(tallied.0.num_rows(), 128);
+                    // Roots 0 and 1 probe 16 neighbours twice; unpruned,
+                    // root 2 probes 8 twice and root 3 probes 8 once.
+                    let expected = if pruning { 64 } else { 64 + 16 + 8 };
+                    assert_eq!(tallied.1.label_probes, expected);
+                }
+                if machines > 1 {
+                    assert!(tallied.3 > 0, "some neighbour is remote to machine 0");
+                }
+            }
+        }
+    }
+}
+
+/// The whole exploration phase through `produce_stwig_tables`: equal under 1
+/// and 4 worker threads, and equal — tables, counters, the explore share of
+/// the traffic, `direct_remote_reads` — to the reference explorer driven
+/// through the same plan.
+#[test]
+fn exploration_phase_accounts_like_the_reference_on_any_thread_count() {
+    let graph = rmat(&RmatConfig::with_avg_degree(2_000, 8.0, 7));
+    let labels = LabelModel::Uniform { num_labels: 6 }.assign(graph.num_vertices, 7);
+    let graph = graph.with_labels(labels, 6);
+    for machines in [1usize, 3, 4] {
+        let cloud = graph.build_cloud(machines, CostModel::default());
+        for (seed, pruning) in [(1u64, false), (2, true), (3, false)] {
+            let Some(query) = dfs_query(&cloud, 5, seed) else {
+                continue;
+            };
+            let config = MatchConfig::exhaustive()
+                .with_transport_mode(TransportMode::DirectRead)
+                .with_pruning(pruning);
+            let plan = plan_query_with_config(&cloud, &query, &config).unwrap();
+            let run = |threads: usize| {
+                cloud.reset_traffic();
+                let config = config.clone().with_num_threads(Some(threads));
+                let mut metrics = QueryMetrics::default();
+                let mut per_machine = vec![MachineMetrics::default(); machines];
+                let tables = produce_stwig_tables(
+                    &cloud,
+                    &query,
+                    &plan,
+                    &config,
+                    None,
+                    None,
+                    &mut metrics,
+                    &mut per_machine,
+                )
+                .unwrap()
+                .map(|set| set.per_machine);
+                (
+                    tables,
+                    metrics.explore,
+                    metrics.phase_traffic,
+                    cloud.traffic(),
+                    cloud.direct_remote_reads(),
+                )
+            };
+            let serial = run(1);
+            assert_eq!(serial, run(4), "{machines} machines, seed {seed}");
+
+            // The reference, STwig by STwig under the same binding barrier.
+            cloud.reset_traffic();
+            let mut counters = ExploreCounters::default();
+            let mut bindings = Bindings::new(query.num_vertices());
+            let mut reference: Vec<Vec<ResultTable>> = vec![Vec::new(); machines];
+            for stwig in &plan.stwigs {
+                let mut merged = ResultTable::new(stwig.vertices().collect());
+                for k in cloud.machines() {
+                    let bound = bindings.get(stwig.root);
+                    let roots: Vec<VertexId> = cloud
+                        .get_ids(k, query.label(stwig.root))
+                        .iter()
+                        .filter(|v| bound.is_none_or(|set| set.contains(v)))
+                        .collect();
+                    let table = reference_explore(
+                        &cloud,
+                        k,
+                        &query,
+                        stwig,
+                        &roots,
+                        &bindings,
+                        &config,
+                        None,
+                        &mut counters,
+                    );
+                    merged.append(&table);
+                    reference[k.index()].push(table);
+                }
+                if merged.is_empty() {
+                    break;
+                }
+                bindings.update_from_table(&merged);
+            }
+            let (tables, explore, phases, _, reads) = serial;
+            if let Some(tables) = tables {
+                assert_eq!(tables, reference, "{machines} machines, seed {seed}");
+            }
+            assert_eq!(explore, counters);
+            let traffic = cloud.traffic();
+            assert_eq!(
+                (phases.explore_messages, phases.explore_bytes),
+                (traffic.total_messages(), traffic.total_bytes())
+            );
+            assert_eq!(reads, cloud.direct_remote_reads());
+        }
+    }
+}
