@@ -28,8 +28,9 @@
 //! dereference remote partitions in place (the legacy simulation shortcut;
 //! traffic is a per-access estimate). Under [`TransportMode::Messages`] every
 //! machine is strictly partition-local: exploration runs frontier/superstep
-//! style over a [`trinity_sim::transport::Transport`] (batched projected
-//! `Load` requests → owned label replies), binding synchronization posts
+//! style over a [`trinity_sim::transport::Transport`] (per owner either the
+//! child labels' postings or batched projected `Load` requests → owned
+//! label replies, whichever side is smaller), binding synchronization posts
 //! `BindingDelta` messages, the join phase ships load-set tables as
 //! `JoinRows` messages, and single-vertex queries gather postings with
 //! `GetIds` exchanges. Result tables and `matches_found` are bit-identical
@@ -73,7 +74,7 @@ use crate::metrics::{
 };
 use crate::pipeline::{pipelined_join_streaming, pipelined_join_with_priors, RoundSink};
 use crate::query::{QVid, QueryGraph};
-use crate::retry::{retry_exchange, ExchangeOutcome};
+use crate::retry::fetch_postings;
 use crate::stream::{Interrupt, QueryControl, QueryOptions, ResultSink};
 use crate::stwig::STwig;
 use crate::table::ResultTable;
@@ -424,18 +425,18 @@ pub fn match_query_distributed_with_cache(
                     }
                     continue;
                 }
-                if let Some(ids) = remote_postings(
+                let fetched = fetch_postings(
                     &transport,
+                    cloud,
                     config,
                     proxy,
                     k,
-                    label,
+                    &[label],
                     None,
                     &mut metrics.fault,
-                )? {
-                    for id in ids {
-                        table.push_row(&[id]);
-                    }
+                )?;
+                for id in fetched.into_iter().flatten().flatten() {
+                    table.push_row(&[id]);
                 }
             }
             metrics.fault.duplicates_suppressed += transport.duplicates_suppressed();
@@ -1244,55 +1245,6 @@ pub fn join_stwig_tables(
     Ok(table)
 }
 
-/// Fetches machine `k`'s postings for `label` over the transport (one
-/// `GetIds` exchange from the proxy, retried under `config.retry`),
-/// type-checking the reply. Shared by the materialized and streaming
-/// single-vertex paths.
-///
-/// Returns `Ok(None)` when the postings are unavailable but the query goes
-/// on: the machine stayed unreachable under [`FailurePolicy::Degrade`]
-/// (recorded in `faults.machines_lost`), or the query was interrupted
-/// mid-backoff.
-fn remote_postings(
-    tp: &dyn Transport,
-    config: &MatchConfig,
-    proxy: MachineId,
-    k: MachineId,
-    label: trinity_sim::ids::LabelId,
-    control: Option<&QueryControl>,
-    faults: &mut FaultCounters,
-) -> Result<Option<Vec<VertexId>>, StwigError> {
-    if faults.is_lost(k.0) {
-        return Ok(None);
-    }
-    let reply = match retry_exchange(
-        tp,
-        &config.retry,
-        proxy,
-        k,
-        &|| Message::GetIdsRequest { label },
-        control,
-        faults,
-    ) {
-        Ok(ExchangeOutcome::Reply(reply)) => reply,
-        Ok(ExchangeOutcome::Interrupted) => return Ok(None),
-        Err(StwigError::MachineUnavailable { machine, .. })
-            if config.failure_policy == FailurePolicy::Degrade =>
-        {
-            faults.record_lost(machine);
-            return Ok(None);
-        }
-        Err(err) => return Err(err),
-    };
-    match reply {
-        Message::GetIdsReply { ids } => Ok(Some(ids)),
-        other => Err(StwigError::Transport(TransportError::UnexpectedReply {
-            expected: "GetIdsReply",
-            got: other.kind(),
-        })),
-    }
-}
-
 /// Ships every load-set table destined for machine `dest` as `JoinRows`
 /// posts (Theorem 4 bounds the senders): one envelope per non-empty
 /// (STwig, sender) pair, in (STwig, sender) order — the order
@@ -1766,15 +1718,18 @@ pub fn match_query_streaming_with_cache(
                 break;
             }
             let owned: Vec<VertexId> = match &transport {
-                Some(tp) if k != proxy => remote_postings(
+                Some(tp) if k != proxy => fetch_postings(
                     tp,
+                    cloud,
                     config,
                     proxy,
                     k,
-                    label,
+                    &[label],
                     Some(&control),
                     &mut metrics.fault,
                 )?
+                // One label asked, one run back (checked by the fetch).
+                .and_then(|mut runs| runs.pop())
                 .unwrap_or_default(),
                 _ => cloud.get_ids(k, label).to_vec(),
             };

@@ -11,18 +11,20 @@
 //!   up once per root, in place in its owner's partition, and the
 //!   `Index.hasLabel` probes this stands for are charged in bulk.
 //! * [`match_stwig_batched`] — the partition-local path: one pass decodes
-//!   every live root's adjacency into a flat, label-resolved [`Frontier`],
-//!   one batched projected `Load` per owning machine is exchanged over the
-//!   [`Transport`], and emission reads the arena's spans as they stand — no
-//!   second cell load, no second decode, no hash probe, no copy.
+//!   every live root's adjacency into a flat [`Frontier`] arena, one
+//!   round-trip per owning machine over the [`Transport`] resolves its labels
+//!   — from the child labels' `Index.getID` postings when those are fewer
+//!   than the neighbors collected, from `Index.hasLabel`-style batched
+//!   projected `Load`s otherwise — and emission reads the arena's spans as
+//!   they stand: no second cell load, no second decode, no copy.
 
 use crate::bindings::Bindings;
-use crate::config::{FailurePolicy, MatchConfig};
+use crate::config::MatchConfig;
 use crate::error::StwigError;
 use crate::hash::FxHashMap;
 use crate::metrics::{ExploreCounters, FaultCounters};
 use crate::query::QueryGraph;
-use crate::retry::{retry_exchange, ExchangeOutcome};
+use crate::retry::{exchange_or_skip, fetch_postings};
 use crate::stream::QueryControl;
 use crate::stwig::STwig;
 use crate::table::ResultTable;
@@ -230,32 +232,44 @@ impl RootFilter {
 /// * `roots` must be **owned by `machine`** (the distributed executor's root
 ///   candidates always are — `Index.getID` is a local index); unowned roots
 ///   are skipped exactly like nonexistent vertices.
-/// * Remote neighbor labels arrive in batched, label-only `Load` replies
-///   (one request per owning machine, split at
-///   `config.transport_batch_ids` ids per envelope) instead of per-neighbor
-///   `Index.hasLabel` probes.
+/// * Neighbor labels are resolved in one superstep of at most one
+///   round-trip per owning machine, **about the smaller side**. The
+///   extension set of a child is `N(root) ∩ C(child)`, and the cloud knows
+///   the size of both sides before anything travels: the arena holds the
+///   neighbors, `label_frequency` the carriers of each child label. When the
+///   carriers of the STwig's distinct child labels are fewer than the
+///   neighbors collected, their postings are fetched (`Index.getID`: local
+///   index here, one `GetIdsRequest` naming all the labels per other owner)
+///   and a neighbor found in none of them gets `NO_LABEL`, which the
+///   emission core cannot tell from a non-child label. Otherwise every
+///   distinct remote neighbor is asked about (`Index.hasLabel`, batched:
+///   one projected `LoadRequest` per owner, split at
+///   `config.transport_batch_ids` ids per envelope). The rule reads two
+///   exact counts and no knob; postings traffic is therefore bounded by
+///   8 B × neighbors collected.
 ///
 /// The emitted table — and every [`ExploreCounters`] field — is
-/// bit-identical to the `DirectRead` path; only the recorded network traffic
-/// differs (actual envelopes instead of per-access estimates).
+/// bit-identical to the `DirectRead` path on either side of the rule; only
+/// the recorded network traffic differs (actual envelopes instead of
+/// per-access estimates).
 ///
-/// A transport protocol violation (a peer answering the projected
-/// `LoadRequest` with the wrong variant or the wrong number of labels) fails
+/// A transport protocol violation (a peer answering with the wrong variant,
+/// the wrong number of labels or runs, or postings it does not own) fails
 /// this exploration with [`StwigError::Transport`] — the malformed peer
 /// degrades one query, never the process. A pending `control` interrupt is
-/// honored at every superstep flush: outstanding envelopes are skipped and
-/// the emission pass runs against whatever labels already arrived (missing
+/// honored before every envelope: outstanding ones are skipped and the
+/// emission pass runs against whatever labels already arrived (missing
 /// labels only suppress rows, so every emitted row stays a valid partial
 /// match).
 ///
-/// Every exchange runs under `config.retry` (see [`crate::retry`]); what the
-/// retry layer absorbed is tallied into `faults`. A machine that stays
-/// unreachable after the budget fails the exploration with
-/// [`StwigError::MachineUnavailable`] under [`FailurePolicy::Fail`]; under
-/// [`FailurePolicy::Degrade`] the machine is recorded in
-/// `faults.machines_lost` and its frontier labels stay unknown — rows
-/// needing them are pruned, so every emitted row remains a verified partial
-/// match over the surviving machines.
+/// Every exchange runs under `config.retry` and the query's failure policy
+/// ([`exchange_or_skip`]); what the retry layer absorbed is tallied into
+/// `faults`. A machine that stays unreachable after the budget fails the
+/// exploration with [`StwigError::MachineUnavailable`] under
+/// [`crate::config::FailurePolicy::Fail`]; under `Degrade` the machine is
+/// recorded in `faults.machines_lost` and the labels of its vertices stay
+/// unknown — rows needing them are pruned, so every emitted row remains a
+/// verified partial match over the surviving machines.
 #[allow(clippy::too_many_arguments)]
 pub fn match_stwig_batched(
     cloud: &MemoryCloud,
@@ -276,7 +290,26 @@ pub fn match_stwig_batched(
         frontier.collect(
             cloud, machine, stwig, &filter, roots, bindings, config, control,
         );
-        frontier.exchange(transport, machine, config, control, faults)?;
+        let child_labels = &mut scratch.child_labels;
+        child_labels.clear();
+        child_labels.extend(stwig.children.iter().map(|&c| query.label(c)));
+        child_labels.sort_unstable();
+        child_labels.dedup();
+        // Ask about the smaller side; both counts are exact and already here.
+        let carriers: u64 = child_labels.iter().map(|&l| cloud.label_frequency(l)).sum();
+        if carriers < frontier.ids.len() as u64 {
+            frontier.resolve_from_postings(
+                cloud,
+                transport,
+                machine,
+                child_labels,
+                config,
+                control,
+                faults,
+            )?;
+        } else {
+            frontier.resolve_by_asking(cloud, transport, machine, config, control, faults)?;
+        }
         // Emission, entirely partition-local: the core replays the frontier's
         // root entries in order (it applies the same binding admission, so
         // the sequences line up) and reads the arena's spans as they stand.
@@ -310,37 +343,45 @@ impl RootSource for Frontier {
     }
 }
 
-/// Label slot of a neighbor whose label is unknown: a dangling or self edge,
-/// or a remote vertex whose owner never answered (interrupt, `Degrade`) or
-/// disowned it. Equal to no real label, so it never matches a child.
+/// Label slot of a neighbor that is no child candidate as far as this
+/// exploration knows: a dangling edge, a vertex whose owner never answered
+/// (interrupt, `Degrade`) or disowned it, or — on the postings side — one
+/// that carries none of the child labels. Equal to no real label, so it
+/// never matches a child.
 const NO_LABEL: u32 = NOT_OWNED.0;
 
 /// Tag bit of a label slot that still holds a remote neighbor's dense slot
 /// number rather than a label. Labels are dense small integers, far below.
 const REMOTE_SLOT: u32 = 1 << 31;
 
-/// The label-resolved neighbor arena of one `Messages`-mode exploration.
+/// The neighbor arena of one `Messages`-mode exploration: [`Frontier::collect`]
+/// decodes it, one of [`Frontier::resolve_from_postings`] /
+/// [`Frontier::resolve_by_asking`] labels it, and the emission core reads it
+/// ([`RootSource`]). The two resolutions agree on every position either
+/// gives a child label; elsewhere one may say [`NO_LABEL`] where the other
+/// names a label no child carries, which no comparison in the core can see.
 #[derive(Default)]
 struct Frontier {
     /// Neighbor ids of every live root, one contiguous span per root.
     ids: Vec<VertexId>,
-    /// Parallel to `ids`: the neighbor's label. Between [`Frontier::collect`]
-    /// and the end of [`Frontier::exchange`] a remote neighbor holds
-    /// `REMOTE_SLOT | slot` instead.
+    /// Parallel to `ids` once resolved: the neighbor's label.
     slots: Vec<u32>,
     /// One entry per binding-admitted root, in root order: its span of
     /// `ids`/`slots`, or why it has none.
     roots: Vec<Result<Range<usize>, Skip>>,
     /// Entries of `roots` the emission pass has consumed.
     replayed: usize,
-    /// Dense slot of each distinct remote neighbor, in first-appearance
-    /// order — the dedup insert, and the only hash operation per neighbor.
+    /// The resolution's one hash table. Postings side: label of every
+    /// vertex, cloud-wide, that carries a child label. Asking side: dense
+    /// slot of each distinct remote neighbor, in first-appearance order —
+    /// the dedup insert.
     slot_of: FxHashMap<VertexId, u32>,
-    /// Label per remote slot; [`NO_LABEL`] until its owner answers.
+    /// Asking side: label per remote slot; [`NO_LABEL`] until its owner
+    /// answers.
     slot_labels: Vec<u32>,
-    /// Per owning machine: the ids to request and the slot each answer
-    /// fills, in first-appearance order. That order is a pure function of
-    /// the root order, so envelopes are deterministic without a sort.
+    /// Asking side, per owning machine: the ids to request and the slot each
+    /// answer fills, in first-appearance order. That order is a pure function
+    /// of the root order, so envelopes are deterministic without a sort.
     per_owner: Vec<OwnerBatch>,
 }
 
@@ -351,15 +392,16 @@ struct OwnerBatch {
 }
 
 impl Frontier {
-    /// Superstep 1, local-only reads: decodes every live root's adjacency
-    /// once into the arena. The root-level filters are the emission core's
-    /// (binding admission here, [`RootFilter::admit`] for the rest), so
-    /// a root pruned here is pruned there and no row can need a label that
-    /// was never requested; counting is left to the emission pass. The
-    /// `max_stwig_rows` early exit deliberately is not mirrored — a prefetch
-    /// cannot know where the cap will land before the labels arrive, so
-    /// capped configs resolve roots the emission pass may never reach (extra
-    /// prefetch traffic only; rows stay identical).
+    /// Superstep 1, local-only reads and nothing but decoding: every live
+    /// root's adjacency goes into the arena once, ids only. The root-level
+    /// filters are the emission core's (binding admission here,
+    /// [`RootFilter::admit`] for the rest), so a root pruned here is pruned
+    /// there and no row can need a label that was never resolved; counting
+    /// is left to the emission pass. The `max_stwig_rows` early exit
+    /// deliberately is not mirrored — a prefetch cannot know where the cap
+    /// will land before the labels arrive, so capped configs resolve roots
+    /// the emission pass may never reach (extra prefetch traffic only; rows
+    /// stay identical).
     #[allow(clippy::too_many_arguments)]
     fn collect(
         &mut self,
@@ -373,23 +415,13 @@ impl Frontier {
         control: Option<&QueryControl>,
     ) {
         self.ids.clear();
-        self.slots.clear();
         self.roots.clear();
         self.replayed = 0;
-        self.slot_of.clear();
-        self.slot_labels.clear();
-        self.per_owner
-            .resize_with(cloud.num_machines(), OwnerBatch::default);
-        for batch in &mut self.per_owner {
-            batch.ids.clear();
-            batch.slots.clear();
-        }
-
         for (root_idx, &n) in roots.iter().enumerate() {
             if root_idx % CONTROL_CHECK_ROOTS == 0 && control.is_some_and(QueryControl::interrupted)
             {
-                // Ship only what was collected; the emission pass (and the
-                // caller) observe the same interrupt.
+                // Resolve only what was collected; the emission pass (and
+                // the caller) observe the same interrupt.
                 break;
             }
             if config.use_bindings && !bindings.admits(stwig.root, n) {
@@ -398,90 +430,130 @@ impl Frontier {
             let loaded = filter.admit(cloud.load_local(machine, n), || cloud.signature_of(n));
             let entry = loaded.map(|neighbors| {
                 let start = self.ids.len();
-                for m in neighbors {
-                    if m == n {
-                        continue; // never probed: a root is not its own child
-                    }
-                    let owner = cloud.machine_of(m);
-                    let slot = if owner == machine {
-                        cloud.label_of_local(machine, m).map_or(NO_LABEL, |l| l.0)
-                    } else {
-                        // Each distinct remote neighbor gets the next dense
-                        // slot and joins its owner's batch on first sight
-                        // (hubs are many roots' neighbor, so the distinct set
-                        // stays far smaller than the scan).
-                        let next = self.slot_labels.len() as u32;
-                        assert!(next < REMOTE_SLOT, "frontier exceeds 2^31 vertices");
-                        let slot = *self.slot_of.entry(m).or_insert(next);
-                        if slot == next {
-                            self.slot_labels.push(NO_LABEL);
-                            let batch = &mut self.per_owner[owner.index()];
-                            batch.ids.push(m);
-                            batch.slots.push(slot);
-                        }
-                        REMOTE_SLOT | slot
-                    };
-                    self.ids.push(m);
-                    self.slots.push(slot);
-                }
+                // The root itself is never probed: it is not its own child.
+                self.ids.extend(neighbors.into_iter().filter(|&m| m != n));
                 start..self.ids.len()
             });
             self.roots.push(entry);
         }
     }
 
-    /// Superstep 2: one batched projected `Load` per owning machine (split
-    /// into `transport_batch_ids`-sized envelopes), then one linear pass
-    /// that replaces every remote slot in the arena by the label that
-    /// arrived for it. STwig matching only consumes the frontier's *labels*
-    /// (children are depth-1), so the owners keep their adjacency at home.
-    /// Every attempt of an envelope carries the same ids in the same order,
-    /// which keeps retries idempotent.
-    fn exchange(
+    /// Superstep 2, the postings side (`Index.getID`): gathers, for every
+    /// child label, who carries it — this machine's own postings from its
+    /// index, every other live owner's in one validated round-trip
+    /// ([`fetch_postings`]) — and labels the arena from that in one linear
+    /// pass. An owner that is lost or not asked any more (interrupt) leaves
+    /// its vertices out, hence unknown.
+    #[allow(clippy::too_many_arguments)]
+    fn resolve_from_postings(
         &mut self,
+        cloud: &MemoryCloud,
+        transport: &dyn Transport,
+        machine: MachineId,
+        child_labels: &[LabelId],
+        config: &MatchConfig,
+        control: Option<&QueryControl>,
+        faults: &mut FaultCounters,
+    ) -> Result<(), StwigError> {
+        self.slot_of.clear();
+        for owner in cloud.machines() {
+            if control.is_some_and(QueryControl::interrupted) {
+                break;
+            }
+            if owner == machine {
+                for &label in child_labels {
+                    let local = cloud.get_ids(machine, label);
+                    self.slot_of.extend(local.iter().map(|id| (id, label.0)));
+                }
+                continue;
+            }
+            let fetched = fetch_postings(
+                transport,
+                cloud,
+                config,
+                machine,
+                owner,
+                child_labels,
+                control,
+                faults,
+            )?;
+            for (label, run) in child_labels.iter().zip(fetched.into_iter().flatten()) {
+                self.slot_of.extend(run.into_iter().map(|id| (id, label.0)));
+            }
+        }
+        self.slots.clear();
+        let label_of = |m| self.slot_of.get(m).copied().unwrap_or(NO_LABEL);
+        self.slots.extend(self.ids.iter().map(label_of));
+        Ok(())
+    }
+
+    /// Superstep 2, the asking side (`Index.hasLabel`, batched): a second
+    /// pass over the arena reads local labels in place and gives each
+    /// *distinct* remote neighbor a dense slot (hubs are many roots'
+    /// neighbor, so the distinct set stays far smaller than the scan); one
+    /// projected `Load` per owning machine (split into
+    /// `transport_batch_ids`-sized envelopes) brings their labels, and one
+    /// linear pass writes them into the arena. STwig matching only consumes
+    /// the frontier's *labels* (children are depth-1), so the owners keep
+    /// their adjacency at home. Every attempt of an envelope carries the
+    /// same ids in the same order, which keeps retries idempotent.
+    fn resolve_by_asking(
+        &mut self,
+        cloud: &MemoryCloud,
         transport: &dyn Transport,
         machine: MachineId,
         config: &MatchConfig,
         control: Option<&QueryControl>,
         faults: &mut FaultCounters,
     ) -> Result<(), StwigError> {
+        self.slot_of.clear();
+        self.slot_labels.clear();
+        self.per_owner
+            .resize_with(cloud.num_machines(), OwnerBatch::default);
+        for batch in &mut self.per_owner {
+            batch.ids.clear();
+            batch.slots.clear();
+        }
+        self.slots.clear();
+        for &m in &self.ids {
+            let owner = cloud.machine_of(m);
+            let slot = if owner == machine {
+                cloud.label_of_local(machine, m).map_or(NO_LABEL, |l| l.0)
+            } else {
+                let next = self.slot_labels.len() as u32;
+                assert!(next < REMOTE_SLOT, "frontier exceeds 2^31 vertices");
+                let slot = *self.slot_of.entry(m).or_insert(next);
+                if slot == next {
+                    self.slot_labels.push(NO_LABEL);
+                    let batch = &mut self.per_owner[owner.index()];
+                    batch.ids.push(m);
+                    batch.slots.push(slot);
+                }
+                REMOTE_SLOT | slot
+            };
+            self.slots.push(slot);
+        }
+
         let cap = config.transport_batch_ids.max(1);
         'flush: for (owner, batch) in self.per_owner.iter().enumerate() {
             let owner = MachineId(owner as u16);
-            // A machine already lost earlier in this query stays lost — don't
-            // burn another retry ladder rediscovering the same corpse.
-            if faults.is_lost(owner.0) {
-                continue;
-            }
             for (ids, slots) in batch.ids.chunks(cap).zip(batch.slots.chunks(cap)) {
                 // Cooperative check at every superstep flush: a cancelled or
                 // deadline-expired query stops issuing envelopes immediately.
                 if control.is_some_and(QueryControl::interrupted) {
                     break 'flush;
                 }
-                let reply = match retry_exchange(
-                    transport,
-                    &config.retry,
-                    machine,
-                    owner,
-                    &|| Message::LoadRequest {
-                        ids: ids.to_vec(),
-                        with_neighbors: false,
-                    },
-                    control,
-                    faults,
-                ) {
-                    Ok(ExchangeOutcome::Reply(reply)) => reply,
-                    Ok(ExchangeOutcome::Interrupted) => break 'flush,
-                    Err(StwigError::MachineUnavailable { machine: lost, .. })
-                        if config.failure_policy == FailurePolicy::Degrade =>
-                    {
-                        // Graceful degradation: this owner's slots stay
-                        // unknown, which only suppresses rows needing them.
-                        faults.record_lost(lost);
-                        continue 'flush;
-                    }
-                    Err(err) => return Err(err),
+                let request = || Message::LoadRequest {
+                    ids: ids.to_vec(),
+                    with_neighbors: false,
+                };
+                let Some(reply) =
+                    exchange_or_skip(transport, config, machine, owner, &request, control, faults)?
+                else {
+                    // Graceful degradation: this owner's slots stay unknown,
+                    // which only suppresses rows needing them. (After an
+                    // interrupt the next flush check ends the superstep.)
+                    continue 'flush;
                 };
                 let labels = reply
                     .into_labels(ids.len())
@@ -511,6 +583,8 @@ struct ExploreScratch {
     /// The row under construction: `[root, child_1, ..]`.
     row: Vec<VertexId>,
     frontier: Frontier,
+    /// The STwig's distinct child labels, sorted ([`match_stwig_batched`]).
+    child_labels: Vec<LabelId>,
     /// [`DirectSource`]'s label run and its two per-machine probe tallies.
     labels: Vec<u32>,
     root_owned: Vec<u64>,
@@ -719,6 +793,7 @@ fn emit_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FailurePolicy;
     use crate::query::QVid;
     use trinity_sim::builder::GraphBuilder;
     use trinity_sim::network::CostModel;
@@ -1032,31 +1107,51 @@ mod tests {
         );
     }
 
+    /// A peer that lies: `lie` answers the requests it cares about with a
+    /// reply made up from the request, everything else is served honestly.
+    struct LyingTransport<'c> {
+        honest: trinity_sim::transport::ChannelTransport<'c>,
+        lie: fn(&Message) -> Option<Message>,
+    }
+
+    impl<'c> LyingTransport<'c> {
+        fn new(cloud: &'c MemoryCloud, lie: fn(&Message) -> Option<Message>) -> Self {
+            let honest = trinity_sim::transport::ChannelTransport::new(cloud);
+            LyingTransport { honest, lie }
+        }
+    }
+
+    impl Transport for LyingTransport<'_> {
+        fn exchange(
+            &self,
+            src: MachineId,
+            dst: MachineId,
+            msg: Message,
+        ) -> Result<Message, trinity_sim::transport::TransportError> {
+            match (self.lie)(&msg) {
+                Some(reply) => Ok(reply),
+                None => self.honest.exchange(src, dst, msg),
+            }
+        }
+        fn alloc_seq(&self, _src: MachineId, _dst: MachineId) -> u64 {
+            0
+        }
+        fn post_envelope(&self, _dst: MachineId, _env: trinity_sim::transport::Envelope) {}
+        fn drain(&self, _dst: MachineId) -> Vec<trinity_sim::transport::Envelope> {
+            Vec::new()
+        }
+    }
+
     #[test]
     fn malformed_peer_reply_degrades_the_query_not_the_process() {
-        use trinity_sim::transport::{ChannelTransport, TransportError};
-        // A peer that answers every projected load with whatever `reply`
-        // makes of the request: the batched matcher must surface a typed
+        use trinity_sim::transport::TransportError;
+        // A peer that answers every projected load with whatever `lie` makes
+        // of the request: the batched matcher must surface a typed
         // `StwigError::Transport` instead of panicking the worker.
-        struct LyingTransport(fn(&[VertexId]) -> Message);
-        impl Transport for LyingTransport {
-            fn exchange(
-                &self,
-                _src: MachineId,
-                _dst: MachineId,
-                msg: Message,
-            ) -> Result<Message, TransportError> {
-                let Message::LoadRequest { ids, .. } = msg else {
-                    panic!("the matcher only sends loads");
-                };
-                Ok((self.0)(&ids))
-            }
-            fn alloc_seq(&self, _src: MachineId, _dst: MachineId) -> u64 {
-                0
-            }
-            fn post_envelope(&self, _dst: MachineId, _env: trinity_sim::transport::Envelope) {}
-            fn drain(&self, _dst: MachineId) -> Vec<trinity_sim::transport::Envelope> {
-                Vec::new()
+        fn requested(msg: &Message) -> Option<usize> {
+            match msg {
+                Message::LoadRequest { ids, .. } => Some(ids.len()),
+                _ => None,
             }
         }
         let cloud = fig5_like_cloud(4);
@@ -1079,20 +1174,23 @@ mod tests {
                 &mut FaultCounters::default(),
             )
         };
-        let honest = ChannelTransport::new(&cloud);
+        let honest = LyingTransport::new(&cloud, |_| None);
 
-        let wrong_variant = LyingTransport(|_| Message::GetIdsReply { ids: vec![] });
+        let wrong_variant = LyingTransport::new(&cloud, |msg| {
+            requested(msg).map(|_| Message::GetIdsReply { runs: vec![] })
+        });
         // One label short, one label long: every label after the gap would
         // land on the wrong vertex, so neither may be accepted.
-        let short = LyingTransport(|ids| Message::LabelReply {
-            labels: vec![LabelId(0); ids.len() - 1],
+        let short = LyingTransport::new(&cloud, |msg| {
+            let labels = vec![LabelId(0); requested(msg)? - 1];
+            Some(Message::LabelReply { labels })
         });
-        let long = LyingTransport(|ids| Message::LabelReply {
-            labels: vec![LabelId(0); ids.len() + 1],
+        let long = LyingTransport::new(&cloud, |msg| {
+            let labels = vec![LabelId(0); requested(msg)? + 1];
+            Some(Message::LabelReply { labels })
         });
         for liar in [&wrong_variant, &short, &long] {
-            // Find a machine whose frontier actually crosses partitions so
-            // an exchange happens.
+            // Find a machine that asks an owner about its neighbors.
             let mut saw_error = false;
             for k in cloud.machines() {
                 match explore(liar, k) {
@@ -1108,7 +1206,7 @@ mod tests {
                         saw_error = true;
                     }
                     Err(other) => panic!("unexpected error kind: {other}"),
-                    Ok(_) => {} // machine had no remote frontier
+                    Ok(_) => {} // nothing asked: no remote neighbor, or the postings side
                 }
             }
             assert!(saw_error, "some machine must need a remote exchange");
@@ -1119,6 +1217,292 @@ mod tests {
                 .map(|k| explore(&honest, k).unwrap().num_rows())
                 .sum();
             assert_eq!(rows, 10);
+        }
+    }
+
+    /// Eight "a" roots, six "b", four "c" and ten "d" vertices: every root is
+    /// adjacent to three b's, one c and two d's (19 carriers of a child label
+    /// of the star a → {b, b, c}, 48 neighbors in all).
+    fn star_cloud(machines: usize) -> MemoryCloud {
+        let mut g = GraphBuilder::new_undirected();
+        for (name, ids) in [("a", 0..8u64), ("b", 10..16), ("c", 20..24), ("d", 30..40)] {
+            for i in ids {
+                g.add_vertex(v(i), name);
+            }
+        }
+        for i in 0..8u64 {
+            for j in 0..3 {
+                g.add_edge(v(i), v(10 + (i + j) % 6));
+            }
+            g.add_edge(v(i), v(20 + i % 4));
+            g.add_edge(v(i), v(30 + i));
+            g.add_edge(v(i), v(30 + (i + 1) % 10));
+        }
+        g.build(machines, CostModel::default())
+    }
+
+    /// The star a → {b, b, c} over [`star_cloud`]: a duplicate child label.
+    fn star_query(cloud: &MemoryCloud) -> (QueryGraph, STwig) {
+        let mut qb = QueryGraph::builder();
+        let a = qb.vertex_by_name(cloud, "a").unwrap();
+        let b1 = qb.vertex_by_name(cloud, "b").unwrap();
+        let b2 = qb.vertex_by_name(cloud, "b").unwrap();
+        let c = qb.vertex_by_name(cloud, "c").unwrap();
+        qb.edge(a, b1).edge(a, b2).edge(a, c);
+        (qb.build().unwrap(), STwig::new(a, vec![b1, b2, c]))
+    }
+
+    #[test]
+    fn a_lying_postings_reply_fails_the_query_typed() {
+        use trinity_sim::transport::TransportError;
+        // Postings decide child labels (and, for single-vertex queries, the
+        // answer itself): a reply listing a vertex its sender does not own,
+        // or not one run per requested label, must not be believed.
+        fn asked(msg: &Message) -> Option<usize> {
+            match msg {
+                Message::GetIdsRequest { labels } => Some(labels.len()),
+                _ => None,
+            }
+        }
+        let cloud = star_cloud(3);
+        let (query, stwig) = star_query(&cloud);
+        let child_labels = [
+            query.label(stwig.children[0]),
+            query.label(stwig.children[2]),
+        ];
+        let machine = MachineId(0);
+        let roots = cloud.get_ids(machine, query.label(stwig.root)).to_vec();
+        assert!(roots.len() * 6 > 10, "the postings side of the rule");
+        let explore = |transport: &dyn Transport| {
+            match_stwig_batched(
+                &cloud,
+                transport,
+                machine,
+                &query,
+                &stwig,
+                &roots,
+                &Bindings::new(query.num_vertices()),
+                &MatchConfig::default(),
+                None,
+                &mut ExploreCounters::default(),
+                &mut FaultCounters::default(),
+            )
+        };
+        let fetch = |transport: &dyn Transport| {
+            fetch_postings(
+                transport,
+                &cloud,
+                &MatchConfig::default(),
+                machine,
+                MachineId(1),
+                &child_labels,
+                None,
+                &mut FaultCounters::default(),
+            )
+        };
+        // Vertex 0 is an "a" owned by machine 0 — the asker itself.
+        assert_eq!(cloud.machine_of(v(0)), machine);
+        let foreign = LyingTransport::new(&cloud, |msg| {
+            let mut runs = vec![Vec::new(); asked(msg)?];
+            runs[0].push(v(0));
+            Some(Message::GetIdsReply { runs })
+        });
+        let short = LyingTransport::new(&cloud, |msg| {
+            let runs = vec![Vec::new(); asked(msg)? - 1];
+            Some(Message::GetIdsReply { runs })
+        });
+        let wrong_variant = LyingTransport::new(&cloud, |msg| {
+            asked(msg).map(|_| Message::LabelReply { labels: vec![] })
+        });
+        let honest = LyingTransport::new(&cloud, |_| None);
+        let want = explore(&honest).unwrap();
+        assert!(!want.is_empty());
+        for (liar, needle) in [(&foreign, "does not own"), (&short, "requested labels")] {
+            for err in [explore(liar).unwrap_err(), fetch(liar).unwrap_err()] {
+                let StwigError::Transport(TransportError::MalformedPayload { detail }) = err else {
+                    panic!("unexpected error kind: {err}");
+                };
+                assert!(detail.contains(needle), "{detail}");
+            }
+        }
+        for err in [
+            explore(&wrong_variant).unwrap_err(),
+            fetch(&wrong_variant).unwrap_err(),
+        ] {
+            let want = TransportError::UnexpectedReply {
+                expected: "GetIdsReply",
+                got: "LabelReply",
+            };
+            assert_eq!(err, StwigError::Transport(want));
+        }
+        // The process serves on, on this very thread and its scratch.
+        assert_eq!(explore(&honest).unwrap(), want);
+        assert_eq!(fetch(&honest).unwrap().map(|runs| runs.len()), Some(2));
+    }
+
+    /// What each resolution must leave in `slots`, position by position.
+    /// `known(m)` says whether `m`'s owner could be consulted at all.
+    fn check_resolution(
+        cloud: &MemoryCloud,
+        frontier: &Frontier,
+        child_labels: &[LabelId],
+        from_postings: bool,
+        known: impl Fn(VertexId) -> bool,
+    ) {
+        assert_eq!(frontier.slots.len(), frontier.ids.len());
+        for (&m, &slot) in frontier.ids.iter().zip(&frontier.slots) {
+            let label = cloud.label_of_global(m).filter(|_| known(m));
+            let want = match label {
+                // The postings side only ever learns child labels.
+                Some(l) if !from_postings || child_labels.contains(&l) => l.0,
+                _ => NO_LABEL,
+            };
+            assert_eq!(slot, want, "neighbor {m}, from_postings = {from_postings}");
+        }
+    }
+
+    #[test]
+    fn both_resolutions_label_the_same_arena_alike() {
+        use crate::stream::{CancelToken, QueryOptions};
+        use std::time::Instant;
+        use trinity_sim::fault::{FaultPlan, FaultyTransport};
+        use trinity_sim::transport::ChannelTransport;
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = QueryControl::new(&QueryOptions::none().with_cancel(token), Instant::now());
+
+        for machines in 1..=4usize {
+            let cloud = star_cloud(machines);
+            let (query, stwig) = star_query(&cloud);
+            let child_labels = [
+                query.label(stwig.children[0]),
+                query.label(stwig.children[2]),
+            ];
+            let transport = ChannelTransport::new(&cloud);
+            let mut unbound = Bindings::new(query.num_vertices());
+            let mut bound = unbound.clone();
+            bound.bind(stwig.root, (0..6).map(v).collect());
+            bound.bind(stwig.children[0], (10..13).map(v).collect());
+            unbound.bind(stwig.children[2], (20..24).map(v).collect()); // admits every c
+            for (pruning, bindings) in [(false, &unbound), (true, &unbound), (true, &bound)] {
+                let config = MatchConfig::default().with_pruning(pruning);
+                for k in cloud.machines() {
+                    let roots = cloud.get_ids(k, query.label(stwig.root)).to_vec();
+                    let filter = RootFilter::new(&query, &stwig, &config);
+                    let mut frontier = Frontier::default();
+                    frontier.collect(&cloud, k, &stwig, &filter, &roots, bindings, &config, None);
+                    // A dangling neighbor — an id no machine has a vertex for
+                    // — in the last root's span.
+                    if let Some(Ok(span)) = frontier.roots.last_mut() {
+                        span.end += 1;
+                        frontier.ids.push(v(999));
+                    }
+                    let down = MachineId(((k.0 as usize + 1) % machines) as u16);
+                    let asks_down = frontier.ids.iter().any(|&m| cloud.machine_of(m) == down);
+                    let crashed = FaultyTransport::new(
+                        ChannelTransport::new(&cloud),
+                        FaultPlan::default().with_crash(down.0, 0),
+                    );
+
+                    for from_postings in [true, false] {
+                        let resolve =
+                            |frontier: &mut Frontier,
+                             tp: &dyn Transport,
+                             config: &MatchConfig,
+                             control: Option<&QueryControl>,
+                             faults: &mut FaultCounters| {
+                                if from_postings {
+                                    frontier.resolve_from_postings(
+                                        &cloud,
+                                        tp,
+                                        k,
+                                        &child_labels,
+                                        config,
+                                        control,
+                                        faults,
+                                    )
+                                } else {
+                                    frontier
+                                        .resolve_by_asking(&cloud, tp, k, config, control, faults)
+                                }
+                            };
+                        let mut faults = FaultCounters::default();
+                        resolve(&mut frontier, &transport, &config, None, &mut faults).unwrap();
+                        assert!(!faults.any());
+                        check_resolution(&cloud, &frontier, &child_labels, from_postings, |_| true);
+
+                        // A pre-set cancel: no envelope leaves, and only what
+                        // is read in place (asking: local labels) is known.
+                        cloud.reset_traffic();
+                        resolve(
+                            &mut frontier,
+                            &transport,
+                            &config,
+                            Some(&cancelled),
+                            &mut faults,
+                        )
+                        .unwrap();
+                        assert_eq!(cloud.traffic().total_messages(), 0);
+                        check_resolution(&cloud, &frontier, &child_labels, from_postings, |m| {
+                            !from_postings && cloud.machine_of(m) == k
+                        });
+
+                        if down == k {
+                            continue; // one machine: nobody else to lose
+                        }
+                        // The postings side asks every other owner, the
+                        // asking side only owners of a collected neighbor.
+                        let asked = from_postings || asks_down;
+                        let degrade = config.clone().with_failure_policy(FailurePolicy::Degrade);
+                        resolve(&mut frontier, &crashed, &degrade, None, &mut faults).unwrap();
+                        resolve(&mut frontier, &crashed, &degrade, None, &mut faults).unwrap();
+                        assert_eq!(
+                            faults.machines_lost,
+                            if asked { vec![down.0] } else { vec![] }
+                        );
+                        check_resolution(&cloud, &frontier, &child_labels, from_postings, |m| {
+                            cloud.machine_of(m) != down
+                        });
+                        let failed = resolve(
+                            &mut frontier,
+                            &crashed,
+                            &config,
+                            None,
+                            &mut FaultCounters::default(),
+                        );
+                        match failed {
+                            Err(StwigError::MachineUnavailable { machine, .. }) if asked => {
+                                assert_eq!(machine, down.0)
+                            }
+                            Ok(()) if !asked => {}
+                            other => panic!("asked = {asked}: {other:?}"),
+                        }
+                    }
+                }
+            }
+            // The whole exploration under the pre-set cancel: no row, no
+            // envelope, nothing counted.
+            cloud.reset_traffic();
+            let mut counters = ExploreCounters::default();
+            let table = match_stwig_batched(
+                &cloud,
+                &transport,
+                MachineId(0),
+                &query,
+                &stwig,
+                &cloud
+                    .get_ids(MachineId(0), query.label(stwig.root))
+                    .to_vec(),
+                &unbound,
+                &MatchConfig::default(),
+                Some(&cancelled),
+                &mut counters,
+                &mut FaultCounters::default(),
+            )
+            .unwrap();
+            assert!(table.is_empty());
+            assert_eq!(counters, ExploreCounters::default());
+            assert_eq!(cloud.traffic().total_messages(), 0);
         }
     }
 

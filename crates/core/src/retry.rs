@@ -15,13 +15,14 @@
 //! cancelled or expired query never sits out the remainder of a backoff
 //! ladder.
 
-use crate::config::RetryPolicy;
+use crate::config::{FailurePolicy, MatchConfig, RetryPolicy};
 use crate::error::StwigError;
 use crate::metrics::FaultCounters;
 use crate::stream::QueryControl;
 use std::time::{Duration, Instant};
-use trinity_sim::ids::MachineId;
+use trinity_sim::ids::{LabelId, MachineId, VertexId};
 use trinity_sim::transport::{Message, Transport, TransportError};
+use trinity_sim::MemoryCloud;
 
 /// How a retried exchange resolved.
 #[derive(Debug)]
@@ -86,6 +87,66 @@ pub fn retry_exchange(
             return Ok(ExchangeOutcome::Interrupted);
         }
     }
+}
+
+/// [`retry_exchange`] under the query's [`FailurePolicy`]: the one place an
+/// exchange decides that the query goes on without its reply. `Ok(None)`
+/// says it does — `dst` was already lost earlier in this query (no second
+/// retry ladder rediscovering the same corpse), it stayed unreachable under
+/// [`FailurePolicy::Degrade`] (now recorded in `faults.machines_lost`), or
+/// the query was interrupted mid-backoff (latched in `control`).
+pub fn exchange_or_skip(
+    tp: &dyn Transport,
+    config: &MatchConfig,
+    src: MachineId,
+    dst: MachineId,
+    make_msg: &dyn Fn() -> Message,
+    control: Option<&QueryControl>,
+    faults: &mut FaultCounters,
+) -> Result<Option<Message>, StwigError> {
+    if faults.is_lost(dst.0) {
+        return Ok(None);
+    }
+    match retry_exchange(tp, &config.retry, src, dst, make_msg, control, faults) {
+        Ok(ExchangeOutcome::Reply(reply)) => Ok(Some(reply)),
+        Ok(ExchangeOutcome::Interrupted) => Ok(None),
+        Err(StwigError::MachineUnavailable { machine, .. })
+            if config.failure_policy == FailurePolicy::Degrade =>
+        {
+            faults.record_lost(machine);
+            Ok(None)
+        }
+        Err(err) => Err(err),
+    }
+}
+
+/// `Index.getID` over the transport, the one postings fetch (single-vertex
+/// queries and the exploration superstep): machine `dst`'s postings for each
+/// of `labels`, one run per label in order, or `None` when the query goes on
+/// without them ([`exchange_or_skip`]). The reply is validated before any id
+/// of it can reach an answer ([`Message::into_postings`]): its run count,
+/// and that `dst` owns every id it lists.
+#[allow(clippy::too_many_arguments)]
+pub fn fetch_postings(
+    tp: &dyn Transport,
+    cloud: &MemoryCloud,
+    config: &MatchConfig,
+    src: MachineId,
+    dst: MachineId,
+    labels: &[LabelId],
+    control: Option<&QueryControl>,
+    faults: &mut FaultCounters,
+) -> Result<Option<Vec<Vec<VertexId>>>, StwigError> {
+    let request = || Message::GetIdsRequest {
+        labels: labels.to_vec(),
+    };
+    let Some(reply) = exchange_or_skip(tp, config, src, dst, &request, control, faults)? else {
+        return Ok(None);
+    };
+    reply
+        .into_postings(labels.len(), |id| cloud.machine_of(id) == dst)
+        .map(Some)
+        .map_err(StwigError::Transport)
 }
 
 /// Sleeps for `wait`, polling `control` at millisecond granularity; returns

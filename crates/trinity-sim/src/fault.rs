@@ -504,8 +504,10 @@ fn message_fingerprint(msg: &Message) -> u64 {
                 h = mix(h ^ id.0);
             }
         }
-        Message::GetIdsRequest { label } => {
-            h = mix(h ^ label.0 as u64);
+        Message::GetIdsRequest { labels } => {
+            for label in labels {
+                h = mix(h ^ label.0 as u64);
+            }
         }
         // Only requests are fingerprinted; other variants never reach the
         // exchange fault path.

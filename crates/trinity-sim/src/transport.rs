@@ -211,15 +211,22 @@ pub enum Message {
         labels: Vec<LabelId>,
     },
     /// `Index.getID` forwarded to another machine: "send me your local
-    /// postings for this label".
+    /// postings for these labels". One request carries every label the
+    /// caller needs from this owner — a single-vertex query's one, or all
+    /// the distinct child labels of an STwig — so a superstep stays one
+    /// round-trip per owner.
     GetIdsRequest {
-        /// The label to look up in the destination's string index.
-        label: LabelId,
+        /// The labels to look up in the destination's string index.
+        labels: Vec<LabelId>,
     },
-    /// Reply to [`Message::GetIdsRequest`]: the destination's local postings.
+    /// Reply to [`Message::GetIdsRequest`]: the destination's local
+    /// postings, one run per requested label, in request order. Consumed
+    /// through [`Message::into_postings`], which trusts neither the run
+    /// count nor the ids.
     GetIdsReply {
-        /// Locally-owned vertices with the requested label, sorted.
-        ids: Vec<VertexId>,
+        /// `runs[i]`: locally-owned vertices with the request's `labels[i]`,
+        /// sorted.
+        runs: Vec<Vec<VertexId>>,
     },
     /// Binding-exchange delta: the distinct data vertices the sender newly
     /// bound per synchronized query-vertex column (raw `QVid` values — the
@@ -248,8 +255,10 @@ impl Message {
                 Message::LoadRequest { ids, .. } => 1 + ids.len() as u64 * ID_BYTES,
                 Message::LoadReply { cells } => cells.iter().map(CellBuf::wire_bytes).sum(),
                 Message::LabelReply { labels } => labels.len() as u64 * LABEL_BYTES,
-                Message::GetIdsRequest { .. } => 4,
-                Message::GetIdsReply { ids } => ids.len() as u64 * ID_BYTES,
+                Message::GetIdsRequest { labels } => labels.len() as u64 * LABEL_BYTES,
+                Message::GetIdsReply { runs } => {
+                    runs.iter().map(|run| run.len() as u64 * ID_BYTES).sum()
+                }
                 Message::BindingDelta { cols } => cols
                     .iter()
                     .map(|(_, ids)| 2 + ids.len() as u64 * ID_BYTES)
@@ -284,6 +293,39 @@ impl Message {
             }),
             other => Err(TransportError::UnexpectedReply {
                 expected: "LabelReply",
+                got: other.kind(),
+            }),
+        }
+    }
+
+    /// Consumes the reply to a [`Message::GetIdsRequest`] for `requested`
+    /// labels. The peer is not trusted: any other variant is
+    /// [`TransportError::UnexpectedReply`]; a run count that differs from
+    /// the request (every later run would land on the wrong label) or an id
+    /// the sender does not own by `sender_owns` — ownership is a pure hash of
+    /// the id, and postings decide answers and child labels — is
+    /// [`TransportError::MalformedPayload`].
+    pub fn into_postings(
+        self,
+        requested: usize,
+        sender_owns: impl Fn(VertexId) -> bool,
+    ) -> Result<Vec<Vec<VertexId>>, TransportError> {
+        let malformed = |detail| Err(TransportError::MalformedPayload { detail });
+        match self {
+            Message::GetIdsReply { runs } if runs.len() != requested => malformed(format!(
+                "GetIdsReply carries {} runs for {requested} requested labels",
+                runs.len()
+            )),
+            Message::GetIdsReply { runs } => {
+                match runs.iter().flatten().find(|&&id| !sender_owns(id)) {
+                    Some(id) => malformed(format!(
+                        "GetIdsReply lists {id}, which its sender does not own"
+                    )),
+                    None => Ok(runs),
+                }
+            }
+            other => Err(TransportError::UnexpectedReply {
+                expected: "GetIdsReply",
                 got: other.kind(),
             }),
         }
@@ -467,8 +509,10 @@ impl<'c> ChannelTransport<'c> {
                     .map(|&id| partition.label_of(id).unwrap_or(NOT_OWNED))
                     .collect(),
             }),
-            Message::GetIdsRequest { label } => Ok(Message::GetIdsReply {
-                ids: partition.vertices_with_label(*label).to_vec(),
+            Message::GetIdsRequest { labels } => Ok(Message::GetIdsReply {
+                runs: (labels.iter())
+                    .map(|&label| partition.vertices_with_label(label).to_vec())
+                    .collect(),
             }),
             other => Err(TransportError::NotARequest { got: other.kind() }),
         }
@@ -627,9 +671,23 @@ mod tests {
         let owner = cloud.machine_of(v(3));
         let src = cloud.machines().find(|&m| m != owner).unwrap();
         let reply = transport
-            .exchange(src, owner, Message::GetIdsRequest { label })
+            .exchange(
+                src,
+                owner,
+                Message::GetIdsRequest {
+                    labels: vec![label, NOT_OWNED, label],
+                },
+            )
             .unwrap();
-        assert_eq!(reply, Message::GetIdsReply { ids: vec![v(3)] });
+        // One run per requested label, in request order; a label nobody
+        // carries keeps its (empty) position.
+        let runs = vec![vec![v(3)], vec![], vec![v(3)]];
+        assert_eq!(reply, Message::GetIdsReply { runs });
+        // 4 B per label out, 8 B per id back, plus the two headers.
+        assert_eq!(
+            cloud.traffic().total_bytes(),
+            2 * HEADER_BYTES + 3 * 4 + 2 * 8
+        );
     }
 
     #[test]
@@ -833,7 +891,9 @@ mod tests {
         transport.post(
             MachineId(0),
             MachineId(0),
-            Message::GetIdsRequest { label: LabelId(0) },
+            Message::GetIdsRequest {
+                labels: vec![LabelId(0)],
+            },
         );
         assert_eq!(cloud.traffic().total_messages(), 0);
         assert_eq!(transport.drain(MachineId(0)).len(), 1);
@@ -903,6 +963,36 @@ mod tests {
             Err(TransportError::UnexpectedReply {
                 expected: "LabelReply",
                 got: "LoadReply"
+            })
+        );
+    }
+
+    #[test]
+    fn postings_reply_is_checked_for_shape_and_ownership() {
+        let reply = || Message::GetIdsReply {
+            runs: vec![vec![v(2), v(4)], vec![]],
+        };
+        let even = |id: VertexId| id.0.is_multiple_of(2);
+        assert_eq!(
+            reply().into_postings(2, even),
+            Ok(vec![vec![v(2), v(4)], vec![]])
+        );
+        // A run too few or too many, or an id the sender cannot own.
+        for (requested, owns_four) in [(1, true), (3, true), (2, false)] {
+            let err = reply()
+                .into_postings(requested, |id| even(id) && (owns_four || id != v(4)))
+                .unwrap_err();
+            assert!(
+                matches!(err, TransportError::MalformedPayload { .. }),
+                "{err}"
+            );
+            assert!(!err.is_transient(), "replaying a bug yields the same bug");
+        }
+        assert_eq!(
+            Message::LabelReply { labels: vec![] }.into_postings(0, even),
+            Err(TransportError::UnexpectedReply {
+                expected: "GetIdsReply",
+                got: "LabelReply"
             })
         );
     }

@@ -459,6 +459,61 @@ proptest! {
             }
         }
     }
+
+    /// `Index.getID` and `Index.hasLabel` describe the same thing: on every
+    /// machine, for every label, the postings list exactly the owned
+    /// vertices whose label look-up names it — on both tiers, on a static
+    /// base, on an overlay after relabel / delete / add batches, and on the
+    /// sealed base that replaces it — and the cloud-wide `label_frequency`
+    /// is their total. This is what lets `Messages` exploration resolve a
+    /// child label from either operator and choose between them by count.
+    #[test]
+    fn postings_list_exactly_the_vertices_that_carry_the_label(
+        n in 8u64..40,
+        labels in proptest::collection::vec(0u32..3, 40),
+        edges in proptest::collection::vec((0u64..40, 0u64..40), 8..60),
+        machines in 1usize..4,
+        seed in 0u64..500,
+    ) {
+        for tier in [StorageTier::Plain, StorageTier::Compact] {
+            let cloud = tiered_cloud(n, &labels, &edges, machines, tier);
+            let batches = update_stream(&cloud, &UpdateStreamConfig {
+                num_batches: 4,
+                ops_per_batch: 8,
+                seed,
+                relabel_bias: 0.5,
+                ..UpdateStreamConfig::default()
+            });
+            let check = |cloud: &MemoryCloud, state: &str| {
+                for l in (0..cloud.labels().len() as u32).map(LabelId) {
+                    let mut carriers = 0;
+                    for k in cloud.machines() {
+                        let partition = cloud.partition(k);
+                        let listed = partition.vertices_with_label(l).to_vec();
+                        let labelled: Vec<_> = partition
+                            .iter_vertices()
+                            .filter(|&v| partition.label_of(v) == Some(l))
+                            .collect();
+                        assert_eq!(listed, labelled,
+                            "{state}: label {l:?} on machine {k} (tier = {tier:?})");
+                        carriers += listed.len() as u64;
+                    }
+                    assert_eq!(cloud.label_frequency(l), carriers,
+                        "{state}: frequency of {l:?} (tier = {tier:?})");
+                }
+            };
+            check(&cloud, "base");
+            let epochs = GraphEpochs::new(cloud);
+            for (i, batch) in batches.iter().enumerate() {
+                epochs.apply(batch).expect("generated batches are valid");
+                check(&epochs.pin(), &format!("overlay after batch {i}"));
+                if i % 2 == 1 {
+                    epochs.seal_epoch();
+                    check(&epochs.pin(), &format!("sealed after batch {i}"));
+                }
+            }
+        }
+    }
 }
 
 /// One step of churn for the repair proptest: a generated batch (edge

@@ -1,12 +1,15 @@
 //! Property tests of the `Messages`-mode exploration against its oracle, the
 //! `DirectRead` matcher, at the level of one machine × STwig exploration:
 //! the label-resolved frontier must reproduce the in-place probes **bit for
-//! bit** — table rows in order and every [`ExploreCounters`] field — also on
-//! the paths that end an exploration early (row cap, interrupt) or thin it
-//! out (signature pruning, bindings), and under `FailurePolicy::Degrade` a
-//! lost owner may only remove the rows that needed its labels.
+//! bit** — table rows in order and every [`ExploreCounters`] field — on both
+//! sides of its resolution rule (child-label postings fetched, or neighbors
+//! asked about), also on the paths that end an exploration early (row cap,
+//! interrupt) or thin it out (signature pruning, bindings), and under
+//! `FailurePolicy::Degrade` a lost owner may only remove the rows that
+//! needed its labels.
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use stwig::bindings::Bindings;
 use stwig::config::FailurePolicy;
@@ -17,7 +20,40 @@ use stwig::table::ResultTable;
 use stwig_match::prelude::*;
 use trinity_sim::fault::{FaultPlan, FaultyTransport};
 use trinity_sim::ids::{MachineId, VertexId};
-use trinity_sim::transport::{ChannelTransport, Transport};
+use trinity_sim::transport::{ChannelTransport, Envelope, Message, Transport, TransportError};
+
+/// Requests the sweep's explorations sent, by kind: a `GetIdsRequest` is the
+/// postings side of the resolution rule at work, a `LoadRequest` the asking
+/// side.
+static POSTINGS_REQUESTS: AtomicU64 = AtomicU64::new(0);
+static LOAD_REQUESTS: AtomicU64 = AtomicU64::new(0);
+
+/// Passes everything through and records the kind of every request.
+struct Recording<'a>(&'a dyn Transport);
+
+impl Transport for Recording<'_> {
+    fn exchange(
+        &self,
+        src: MachineId,
+        dst: MachineId,
+        msg: Message,
+    ) -> Result<Message, TransportError> {
+        match msg {
+            Message::GetIdsRequest { .. } => POSTINGS_REQUESTS.fetch_add(1, Ordering::Relaxed),
+            _ => LOAD_REQUESTS.fetch_add(1, Ordering::Relaxed),
+        };
+        self.0.exchange(src, dst, msg)
+    }
+    fn alloc_seq(&self, src: MachineId, dst: MachineId) -> u64 {
+        self.0.alloc_seq(src, dst)
+    }
+    fn post_envelope(&self, dst: MachineId, env: Envelope) {
+        self.0.post_envelope(dst, env)
+    }
+    fn drain(&self, dst: MachineId) -> Vec<Envelope> {
+        self.0.drain(dst)
+    }
+}
 
 /// A random labeled graph over `machines` machines plus a query sampled from
 /// it, or `None` when the graph has no usable component.
@@ -59,10 +95,10 @@ fn for_each_exploration(
         let plan = FaultPlan::default().with_crash(m.0, 0);
         FaultyTransport::new(ChannelTransport::new(cloud), plan)
     });
-    let transport: &dyn Transport = match &faulty {
+    let transport = Recording(match &faulty {
         Some(tp) => tp,
         None => &plain,
-    };
+    });
     let mut bindings = Bindings::new(query.num_vertices());
     for stwig in decompose_ordered(query, cloud).unwrap() {
         let mut merged = ResultTable::new(stwig.vertices().collect());
@@ -84,7 +120,7 @@ fn for_each_exploration(
             let mut faults = FaultCounters::default();
             let batched = match_stwig_batched(
                 cloud,
-                transport,
+                &transport,
                 k,
                 query,
                 &stwig,
@@ -111,8 +147,7 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    #[test]
-    fn frontier_reproduces_direct_reads_bit_for_bit(
+    fn sweep(
         n in 6u64..40,
         labels in proptest::collection::vec(0u32..3, 40),
         edges in proptest::collection::vec((0u64..40, 0u64..40), 12..160),
@@ -127,6 +162,18 @@ proptest! {
             check_case(&cloud, &query, machines, seed, cap, batch);
         }
     }
+}
+
+#[test]
+fn frontier_reproduces_direct_reads_bit_for_bit() {
+    sweep();
+    // The sweep is only an oracle for the rule if it lands on both sides.
+    let postings = POSTINGS_REQUESTS.load(Ordering::Relaxed);
+    let loads = LOAD_REQUESTS.load(Ordering::Relaxed);
+    assert!(
+        postings > 0 && loads > 0,
+        "one resolution was never exercised: {postings} postings fetches, {loads} projected loads"
+    );
 }
 
 fn check_case(
@@ -206,18 +253,26 @@ fn check_case(
     );
 }
 
-/// The frontier ships each distinct remote neighbor once, however many roots
-/// share it, and only to machines that own one.
-#[test]
-fn frontier_requests_each_remote_neighbor_once() {
-    // Six a-hubs (0..6), each adjacent to all six b-vertices (6..12), over
-    // three machines: some machine owns at least two hubs, and they share
-    // every neighbor.
+/// One exploration of the star a → b from the machine that owns the most
+/// hubs: six a-hubs (0..6), each adjacent to all six b-vertices (6..12), over
+/// three machines — some machine owns at least two hubs, and they share
+/// every neighbor — plus `extra_b` isolated b-vertices (12..), which only
+/// make the child label more frequent.
+struct HubStar {
+    traffic: trinity_sim::network::TrafficSnapshot,
+    /// The hubs' neighbors that live on the other machines.
+    remote: u64,
+    /// How many of the other machines own one.
+    owners: u64,
+}
+
+fn explore_hub_star(extra_b: u64) -> HubStar {
+    let n = 12 + extra_b;
     let edges = (0..6u64)
         .flat_map(|hub| (6..12u64).map(move |m| (hub, m)))
         .collect();
-    let labels = (0..12).map(|v| u32::from(v >= 6)).collect();
-    let cloud = SyntheticGraph::unlabeled(12, edges)
+    let labels = (0..n).map(|v| u32::from(v >= 6)).collect();
+    let cloud = SyntheticGraph::unlabeled(n, edges)
         .with_labels(labels, 2)
         .build_cloud(3, CostModel::default());
     let cloud = &cloud;
@@ -233,11 +288,10 @@ fn frontier_requests_each_remote_neighbor_once() {
     let roots: Vec<_> = hubs_of(machine).collect();
     assert!(roots.len() >= 2, "pigeonhole");
     let remote: Vec<_> = (6..12u64)
-        .map(VertexId)
-        .filter(|&m| cloud.machine_of(m) != machine)
+        .map(|m| cloud.machine_of(VertexId(m)))
+        .filter(|&owner| owner != machine)
         .collect();
-    let owners: std::collections::BTreeSet<_> =
-        remote.iter().map(|&m| cloud.machine_of(m)).collect();
+    let owners: std::collections::BTreeSet<_> = remote.iter().collect();
 
     let mut qb = QueryGraph::builder();
     let a = qb.vertex(cloud.label_of_global(VertexId(0)).unwrap());
@@ -262,12 +316,41 @@ fn frontier_requests_each_remote_neighbor_once() {
     )
     .unwrap();
     assert_eq!(table.num_rows(), 6 * roots.len());
-    let traffic = cloud.traffic();
+    HubStar {
+        traffic: cloud.traffic(),
+        remote: remote.len() as u64,
+        owners: owners.len() as u64,
+    }
+}
+
+/// The asking side of the rule (36 b-vertices, at most 36 neighbors
+/// collected): the frontier ships each distinct remote neighbor once, however
+/// many roots share it, and only to machines that own one.
+#[test]
+fn frontier_requests_each_remote_neighbor_once() {
+    let HubStar {
+        traffic,
+        remote,
+        owners,
+    } = explore_hub_star(30);
     // One request and one reply per owner; each remote id costs 8 B out and
     // 4 B back on top of the 17 B + 16 B of the two headers.
-    assert_eq!(traffic.total_messages(), 2 * owners.len() as u64);
-    assert_eq!(
-        traffic.total_bytes(),
-        33 * owners.len() as u64 + 12 * remote.len() as u64
-    );
+    assert_eq!(traffic.total_messages(), 2 * owners);
+    assert_eq!(traffic.total_bytes(), 33 * owners + 12 * remote);
+}
+
+/// The postings side (6 b-vertices, at least 12 neighbors collected): no
+/// owner is asked about any neighbor; each of the two other machines is sent
+/// the one child label and lists the b-vertices it owns — here exactly the
+/// hubs' remote neighbors.
+#[test]
+fn frontier_fetches_rare_child_postings_once_per_owner() {
+    let HubStar {
+        traffic, remote, ..
+    } = explore_hub_star(0);
+    // One request and one reply per other machine, whether it owns a b or
+    // not: 4 B per label out and 8 B per listed id back on top of the two
+    // 16 B headers.
+    assert_eq!(traffic.total_messages(), 2 * 2);
+    assert_eq!(traffic.total_bytes(), 2 * (16 + 4 + 16) + 8 * remote);
 }

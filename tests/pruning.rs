@@ -11,9 +11,11 @@
 //! * Proptest soundness: any root the prune predicate would skip is a root
 //!   VF2 finds no embedding at.
 //! * The headline claim: on a skewed-label (Zipf) R-MAT workload, pruning
-//!   cuts exploration-phase bytes by at least 2× (`DirectRead`) / 1.6×
-//!   (`Messages`) at equal results, with `roots_pruned` surfaced through
-//!   the metrics.
+//!   cuts exploration-phase bytes by at least 2× under `DirectRead` at equal
+//!   results, with `roots_pruned` surfaced through the metrics. Under
+//!   `Messages` rare child labels are resolved from their postings whether
+//!   the roots are pruned or not, so pruning saves root decodes there and
+//!   must merely never add traffic.
 
 use proptest::prelude::*;
 use stwig_match::prelude::*;
@@ -198,23 +200,29 @@ fn pruning_cuts_explore_traffic_at_least_2x_on_zipf_rmat() {
     let on_bytes = on.metrics.phase_traffic.explore_bytes;
     // Per-mode gates. `DirectRead` charges every remote label probe
     // individually, so pruning's savings show up one-for-one and the 2x bar
-    // holds. `Messages` batches the frontier into deduplicated per-owner
-    // Load envelopes before anything travels: hub neighbors reachable from
-    // several roots are shipped once no matter how many of those roots
-    // survive the prune, and envelope headers don't shrink with the id list.
-    // Batching therefore compresses the *unpruned* baseline — the same
-    // workload measures 1.694x here since replies carry 4-byte labels —
-    // so the gate for that mode is pinned at 1.6x rather than scoping the
-    // scenario down until 2x holds.
-    let (num, den) = match mode {
-        TransportMode::DirectRead => (2, 1),
-        TransportMode::Messages => (16, 10),
-    };
-    assert!(
-        off_bytes * den >= num * on_bytes,
-        "expected >= {num}/{den}x exploration-byte reduction ({mode:?}): \
-         off = {off_bytes}, on = {on_bytes}"
-    );
+    // holds. `Messages` resolves labels about the smaller side: the children
+    // here carry rare labels, so pruned or not an exploration fetches the
+    // same small postings instead of asking about the neighbors of every
+    // root. Pruning then saves the decode of the dead roots, not bytes — the
+    // *unpruned* run already ships fewer bytes than the pruned one did when
+    // every neighbor was asked about (2619 B on this fixture, against
+    // 4437 B unpruned) — and it may never add any.
+    match mode {
+        TransportMode::DirectRead => assert!(
+            off_bytes >= 2 * on_bytes,
+            "expected >= 2x exploration-byte reduction: off = {off_bytes}, on = {on_bytes}"
+        ),
+        TransportMode::Messages => {
+            assert!(
+                on_bytes <= off_bytes,
+                "pruning must not add exploration bytes: off = {off_bytes}, on = {on_bytes}"
+            );
+            assert!(
+                off_bytes < 2619,
+                "rare child labels must be resolved from their postings: off = {off_bytes}"
+            );
+        }
+    }
     let off_msgs = off.metrics.phase_traffic.explore_messages;
     let on_msgs = on.metrics.phase_traffic.explore_messages;
     assert!(
