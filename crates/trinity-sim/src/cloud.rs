@@ -62,7 +62,9 @@ pub fn machine_for(id: VertexId, num_machines: usize) -> MachineId {
 #[derive(Debug, Clone)]
 pub struct MemoryCloud {
     pub(crate) partitions: Vec<Partition>,
-    pub(crate) interner: LabelInterner,
+    /// `Arc`-shared between snapshots like the catalog: an update copies it
+    /// only when it interns a new label.
+    pub(crate) interner: std::sync::Arc<LabelInterner>,
     /// Shared across every snapshot of a lineage: traffic accounting spans
     /// epochs, and queries pinned to different epochs charge one ledger.
     pub(crate) network: std::sync::Arc<Network>,
@@ -122,7 +124,7 @@ impl MemoryCloud {
         let network = std::sync::Arc::new(Network::new(partitions.len(), cost));
         MemoryCloud {
             partitions,
-            interner,
+            interner: std::sync::Arc::new(interner),
             network,
             label_frequency,
             catalog: std::sync::Arc::new(catalog),

@@ -8,6 +8,7 @@
 //! joinable partial matches (Theorem 3) and therefore define the load sets
 //! (Theorem 4).
 
+use crate::hash::FxHashSet;
 use crate::ids::{LabelId, MachineId};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -21,7 +22,7 @@ pub const UNREACHABLE: u32 = u32::MAX;
 pub struct LabelPairCatalog {
     num_machines: usize,
     /// `pairs[i * num_machines + j]` = label pairs observed from machine i to j.
-    pairs: Vec<HashSet<(LabelId, LabelId)>>,
+    pairs: Vec<FxHashSet<(LabelId, LabelId)>>,
 }
 
 impl LabelPairCatalog {
@@ -29,7 +30,7 @@ impl LabelPairCatalog {
     pub fn new(num_machines: usize) -> Self {
         LabelPairCatalog {
             num_machines,
-            pairs: vec![HashSet::new(); num_machines * num_machines],
+            pairs: vec![FxHashSet::default(); num_machines * num_machines],
         }
     }
 

@@ -575,6 +575,21 @@ impl CompactCsrBuilder {
         self.offsets.push(self.data.len() as u64);
     }
 
+    /// Appends the next local vertex's run from a [`Neighbors`] view. An
+    /// encoded run already is what [`CompactCsrBuilder::push_run`] would
+    /// write for it, so it is copied byte for byte; a plain slice is encoded.
+    pub fn push_neighbors(&mut self, run: Neighbors<'_>) {
+        match run {
+            Neighbors::Slice(ids) => self.push_run(ids),
+            Neighbors::Compact { data, len } => {
+                push_varint(&mut self.data, u64::from(len));
+                self.data.extend_from_slice(data);
+                self.num_entries += u64::from(len);
+                self.offsets.push(self.data.len() as u64);
+            }
+        }
+    }
+
     /// Finalizes the CSR, narrowing the offset width where possible.
     pub fn finish(self) -> CompactCsr {
         let CompactCsrBuilder {

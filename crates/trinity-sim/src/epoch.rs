@@ -13,10 +13,10 @@
 //!   into per-partition [`crate::partition::PartitionOverlay`]s — fully
 //!   merged views of every touched vertex and label laid over the `Arc`-
 //!   shared immutable base — and publishes a new cloud at epoch N+1.
-//!   [`GraphEpochs::seal_epoch`] rebuilds touched partitions' base storage
-//!   (both tiers) from the merged view, refreshing signatures, id maps and
-//!   label-pair statistics; content is observationally identical, so the
-//!   epoch number is kept and pinned readers are unaffected.
+//!   [`GraphEpochs::seal_epoch`] re-encodes each overlaid partition's
+//!   merged view into a fresh base (both tiers), carrying signatures and
+//!   label-pair statistics over; content is observationally identical, so
+//!   the epoch number is kept and pinned readers are unaffected.
 //! * **Caches revalidate by label pair, root by root.** Exploration reads
 //!   the graph only as adjacency entries "root `x` labelled `r` has a
 //!   neighbour labelled `c`", so an STwig table for shape `(r; c1..ck)` can
@@ -46,12 +46,13 @@
 //! epoch untouched.
 
 use crate::cloud::MemoryCloud;
-use crate::cluster_graph::LabelPairCatalog;
+use crate::compact::Neighbors;
 use crate::error::TrinityError;
+use crate::hash::FxHashMap;
 use crate::ids::{LabelId, VertexId};
 use crate::neighbor_index::{label_bit, FULL_SIGNATURE};
-use crate::partition::{Partition, PartitionOverlay};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use crate::partition::{LiveVertex, Partition, PartitionOverlay, Touched};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -400,11 +401,12 @@ impl GraphEpochs {
         let prev = Arc::clone(&self.current.read().expect("epoch lock"));
 
         // ---- Fold the ops into pending vertex/edge change maps ----------
-        let mut interner = prev.interner.clone();
-        let mut vchanges: HashMap<VertexId, VertexChange> = HashMap::new();
-        let mut echanges: HashMap<(VertexId, VertexId), bool> = HashMap::new();
+        // Copied only if the batch names a label the lineage has not seen.
+        let mut interner = Arc::clone(&prev.interner);
+        let mut vchanges: FxHashMap<VertexId, VertexChange> = FxHashMap::default();
+        let mut echanges: FxHashMap<(VertexId, VertexId), bool> = FxHashMap::default();
 
-        let pending_exists = |vch: &HashMap<VertexId, VertexChange>, id: VertexId| -> bool {
+        let pending_exists = |vch: &FxHashMap<VertexId, VertexChange>, id: VertexId| -> bool {
             match vch.get(&id) {
                 Some(VertexChange::Removed) => false,
                 Some(_) => true,
@@ -412,7 +414,7 @@ impl GraphEpochs {
             }
         };
         let pending_has_edge =
-            |ech: &HashMap<(VertexId, VertexId), bool>, u: VertexId, v: VertexId| -> bool {
+            |ech: &FxHashMap<(VertexId, VertexId), bool>, u: VertexId, v: VertexId| -> bool {
                 match ech.get(&ekey(u, v)) {
                     Some(&present) => present,
                     None => prev.has_edge_global(u, v),
@@ -422,7 +424,10 @@ impl GraphEpochs {
         for op in batch.ops() {
             match op {
                 UpdateOp::AddVertex { id, label } => {
-                    let lid = interner.intern(label);
+                    let lid = match interner.get(label) {
+                        Some(lid) => lid,
+                        None => Arc::make_mut(&mut interner).intern(label),
+                    };
                     let change = if pending_exists(&vchanges, *id) {
                         match vchanges.get(id) {
                             Some(VertexChange::Added(_)) => VertexChange::Added(lid),
@@ -524,7 +529,7 @@ impl GraphEpochs {
         }
 
         // Post-batch label of any surviving vertex.
-        let mut finals: HashMap<VertexId, LabelId> = HashMap::new();
+        let mut finals: FxHashMap<VertexId, LabelId> = FxHashMap::default();
         for &(id, l) in &added_vertices {
             finals.insert(id, l);
         }
@@ -537,11 +542,10 @@ impl GraphEpochs {
                 .copied()
                 .or_else(|| prev.label_of_global(id))
         };
-        let removed_set: HashSet<VertexId> = removed_vertices.iter().map(|&(id, _)| id).collect();
 
         // ---- Merged adjacency of every adjacency-touched vertex ---------
-        let mut adj_add: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
-        let mut adj_del: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
+        let mut adj_add: FxHashMap<VertexId, Vec<VertexId>> = FxHashMap::default();
+        let mut adj_del: FxHashMap<VertexId, Vec<VertexId>> = FxHashMap::default();
         for &(a, b) in &added_edges {
             adj_add.entry(a).or_default().push(b);
             adj_add.entry(b).or_default().push(a);
@@ -553,26 +557,25 @@ impl GraphEpochs {
         let mut adj_touched: BTreeSet<VertexId> = adj_add.keys().copied().collect();
         adj_touched.extend(adj_del.keys().copied());
         adj_touched.extend(added_vertices.iter().map(|&(id, _)| id));
-        adj_touched.retain(|id| !removed_set.contains(id));
-        let mut merged_adj: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
+        adj_touched.retain(|id| removed_vertices.binary_search_by_key(id, |r| r.0).is_err());
+        let mut merged_adj: FxHashMap<VertexId, Arc<[VertexId]>> = FxHashMap::default();
         for &u in &adj_touched {
-            let mut list = prev.neighbors_global(u).to_vec();
-            if let Some(del) = adj_del.get(&u) {
-                list.retain(|n| !del.contains(n));
+            let before = prev.neighbors_global(u);
+            let del = adj_del.get(&u).map_or(&[][..], Vec::as_slice);
+            let add = adj_add.get(&u).map_or(&[][..], Vec::as_slice);
+            let mut list = Vec::with_capacity(before.len() + add.len());
+            list.extend(before.iter().filter(|n| !del.contains(n)));
+            if !add.is_empty() {
+                list.extend_from_slice(add);
+                list.sort_unstable();
             }
-            if let Some(add) = adj_add.get(&u) {
-                list.extend(add.iter().copied());
-            }
-            list.sort_unstable();
-            merged_adj.insert(u, list);
+            merged_adj.insert(u, list.into());
         }
 
         // Post-batch neighbours of a surviving vertex.
-        let post_neighbors = |id: VertexId| -> Vec<VertexId> {
-            merged_adj
-                .get(&id)
-                .cloned()
-                .unwrap_or_else(|| prev.neighbors_global(id).to_vec())
+        let post_neighbors = |id: VertexId| match merged_adj.get(&id) {
+            Some(list) => Neighbors::Slice(list),
+            None => prev.neighbors_global(id),
         };
 
         // ---- Changed labelled adjacency entries -------------------------
@@ -610,67 +613,56 @@ impl GraphEpochs {
 
         // ---- Per-machine overlays ---------------------------------------
         let num_machines = prev.num_machines();
-        let mut overlays: HashMap<usize, PartitionOverlay> = HashMap::new();
+        let mut overlays: Vec<Option<PartitionOverlay>> = vec![None; num_machines];
         let mut vertex_delta = vec![0i64; num_machines];
         let mut entry_delta = vec![0i64; num_machines];
-        fn overlay_entry<'a>(
-            overlays: &'a mut HashMap<usize, PartitionOverlay>,
+        /// The successor overlay of `machine`, started on first touch.
+        fn overlay_of<'a>(
+            overlays: &'a mut [Option<PartitionOverlay>],
             prev: &MemoryCloud,
             machine: usize,
         ) -> &'a mut PartitionOverlay {
-            overlays.entry(machine).or_insert_with(|| {
-                let p = &prev.partitions[machine];
-                match p.overlay() {
-                    Some(o) => o.clone(),
-                    None => PartitionOverlay {
-                        num_vertices: p.num_vertices(),
-                        num_edge_entries: p.num_edge_entries(),
-                        ..PartitionOverlay::default()
-                    },
-                }
-            })
+            overlays[machine].get_or_insert_with(|| prev.partitions[machine].next_overlay())
         }
 
-        for &(id, old) in &removed_vertices {
+        for &(id, _) in &removed_vertices {
             let machine = prev.machine_of(id).index();
             entry_delta[machine] -= prev.partitions[machine].degree_of(id).unwrap_or(0) as i64;
             vertex_delta[machine] -= 1;
-            let _ = old;
-            let o = overlay_entry(&mut overlays, &prev, machine);
-            if let Some(pos) = o.added.iter().position(|&a| a == id) {
+            let o = overlay_of(&mut overlays, &prev, machine);
+            if let Ok(pos) = o.added.binary_search(&id) {
                 // Added in an earlier epoch of this lineage: it is not in
                 // the base, so forgetting it entirely removes it.
                 o.added.remove(pos);
+                o.vertices.remove(&id);
             } else {
-                o.deleted.insert(id);
+                o.vertices.insert(id, Touched::Deleted);
             }
-            o.labels.remove(&id);
-            o.adj.remove(&id);
-            o.signatures.remove(&id);
         }
         for &(id, label) in &added_vertices {
             let machine = prev.machine_of(id).index();
             vertex_delta[machine] += 1;
-            let o = overlay_entry(&mut overlays, &prev, machine);
-            // A base vertex deleted in an earlier epoch comes back by
-            // un-deleting; a brand-new id joins the overlay's added run.
-            if !o.deleted.remove(&id) {
+            let live = LiveVertex {
+                label: Some(label),
+                ..LiveVertex::default()
+            };
+            let o = overlay_of(&mut overlays, &prev, machine);
+            // A base vertex deleted in an earlier epoch comes back in place
+            // of its tombstone; a brand-new id joins the overlay's added run.
+            if o.vertices.insert(id, Touched::Live(live)).is_none() {
                 o.added.push(id);
             }
-            o.labels.insert(id, label);
         }
         for &(id, _, new) in &relabeled {
             let machine = prev.machine_of(id).index();
-            let o = overlay_entry(&mut overlays, &prev, machine);
-            o.labels.insert(id, new);
+            overlay_of(&mut overlays, &prev, machine).live_mut(id).label = Some(new);
         }
         for &u in &adj_touched {
             let machine = prev.machine_of(u).index();
-            let list = merged_adj.get(&u).expect("merged above").clone();
+            let list = Arc::clone(&merged_adj[&u]);
             entry_delta[machine] +=
                 list.len() as i64 - prev.partitions[machine].degree_of(u).unwrap_or(0) as i64;
-            let o = overlay_entry(&mut overlays, &prev, machine);
-            o.adj.insert(u, list);
+            overlay_of(&mut overlays, &prev, machine).live_mut(u).adj = Some(list);
         }
 
         for &(((own, nbr), root), sign) in &changed {
@@ -678,13 +670,13 @@ impl GraphEpochs {
             // Partitions built without the pruning indexes keep no pair
             // statistics, sealed or not.
             if prev.partitions[machine].signature_bits().is_some() {
-                overlay_entry(&mut overlays, &prev, machine).add_pair_delta(own, nbr, sign);
+                overlay_of(&mut overlays, &prev, machine).add_pair_delta(own, nbr, sign);
             }
         }
 
         // ---- Merged postings of every touched (machine, label) ----------
-        let mut post_add: HashMap<(usize, LabelId), Vec<VertexId>> = HashMap::new();
-        let mut post_del: HashMap<(usize, LabelId), Vec<VertexId>> = HashMap::new();
+        let mut post_add: FxHashMap<(usize, LabelId), Vec<VertexId>> = FxHashMap::default();
+        let mut post_del: FxHashMap<(usize, LabelId), Vec<VertexId>> = FxHashMap::default();
         for &(id, l) in &added_vertices {
             post_add
                 .entry((prev.machine_of(id).index(), l))
@@ -713,11 +705,21 @@ impl GraphEpochs {
                 list.extend(add.iter().copied());
             }
             list.sort_unstable();
-            let o = overlay_entry(&mut overlays, &prev, machine);
-            o.postings.insert(label, list);
+            let o = overlay_of(&mut overlays, &prev, machine);
+            o.postings.insert(label, list.into());
         }
 
         // ---- Exact signature refresh of every signature-touched vertex --
+        // A signature is the OR of the neighbours' label bits, and `changed`
+        // holds every entry a root gained or lost (a relabelled neighbour
+        // is one of each). Only a bit lost and not gained again may have
+        // lost its last carrier: the post-batch neighbourhood is scanned
+        // until each such bit has found one. Gain-only vertices scan nothing.
+        let mut bit_changes: FxHashMap<VertexId, (u64, u64)> = FxHashMap::default();
+        for &(((_, nbr), root), sign) in &changed {
+            let (gained, lost) = bit_changes.entry(root).or_default();
+            *(if sign > 0 { gained } else { lost }) |= label_bit(nbr);
+        }
         let mut sig_touched: BTreeSet<VertexId> = adj_touched.clone();
         for &(id, _, _) in &relabeled {
             sig_touched.extend(post_neighbors(id));
@@ -727,39 +729,55 @@ impl GraphEpochs {
             if prev.partitions[machine].signature_bits().is_none() {
                 continue;
             }
-            let mut sig = 0u64;
-            for n in post_neighbors(u) {
-                match final_label(n) {
-                    Some(l) => sig |= label_bit(l),
-                    None => sig = FULL_SIGNATURE,
+            // An added vertex starts from no neighbours.
+            let old = prev.partitions[machine].signature_of(u).unwrap_or(0);
+            let sig = if old == FULL_SIGNATURE {
+                // Possibly widened for a neighbour without a label: which
+                // bits have carriers is unknown, so recompute.
+                post_neighbors(u)
+                    .iter()
+                    .fold(0, |sig, n| match final_label(n) {
+                        Some(l) => sig | label_bit(l),
+                        None => FULL_SIGNATURE,
+                    })
+            } else {
+                let (gained, lost) = bit_changes.get(&u).copied().unwrap_or_default();
+                let mut orphaned = lost & !gained;
+                for n in post_neighbors(u) {
+                    if orphaned == 0 {
+                        break;
+                    }
+                    orphaned &= !label_bit(post_label(n));
                 }
-            }
-            let o = overlay_entry(&mut overlays, &prev, machine);
-            o.signatures.insert(u, sig);
+                (old | gained) & !orphaned
+            };
+            overlay_of(&mut overlays, &prev, machine)
+                .live_mut(u)
+                .signature = Some(sig);
         }
 
         // ---- Catalog (copy-on-write; over-approximates on removal) ------
-        let catalog = if added_edges.is_empty() && relabeled.is_empty() {
-            Arc::clone(&prev.catalog)
-        } else {
-            let mut c = (*prev.catalog).clone();
-            let record_both = |c: &mut LabelPairCatalog, a: VertexId, b: VertexId| {
-                if let (Some(la), Some(lb)) = (final_label(a), final_label(b)) {
-                    let (ma, mb) = (prev.machine_of(a), prev.machine_of(b));
-                    c.record_edge(ma, la, mb, lb);
-                    c.record_edge(mb, lb, ma, la);
-                }
-            };
-            for &(a, b) in &added_edges {
-                record_both(&mut c, a, b);
-            }
-            for &(id, _, _) in &relabeled {
-                for n in post_neighbors(id) {
-                    record_both(&mut c, id, n);
+        // Copied only if the batch realises a label pair between two
+        // machines that the catalog lacks.
+        let mut catalog = Arc::clone(&prev.catalog);
+        let mut record_both = |a: VertexId, b: VertexId| {
+            if let (Some(la), Some(lb)) = (final_label(a), final_label(b)) {
+                let (ma, mb) = (prev.machine_of(a), prev.machine_of(b));
+                for (src, src_label, dst, dst_label) in [(ma, la, mb, lb), (mb, lb, ma, la)] {
+                    if !catalog.has_pair(src, src_label, dst, dst_label) {
+                        Arc::make_mut(&mut catalog).record_edge(src, src_label, dst, dst_label);
+                    }
                 }
             }
-            Arc::new(c)
         };
+        for &(a, b) in &added_edges {
+            record_both(a, b);
+        }
+        for &(id, _, _) in &relabeled {
+            for n in post_neighbors(id) {
+                record_both(id, n);
+            }
+        }
 
         // ---- Global metadata --------------------------------------------
         let mut label_frequency = prev.label_frequency.clone();
@@ -780,20 +798,19 @@ impl GraphEpochs {
             - removed_edges.len() as i64) as u64;
 
         // ---- Assemble and publish the successor snapshot ----------------
-        let mut partitions: Vec<Partition> = Vec::with_capacity(num_machines);
-        for machine in 0..num_machines {
-            match overlays.remove(&machine) {
+        let partitions: Vec<Partition> = overlays
+            .into_iter()
+            .enumerate()
+            .map(|(machine, overlay)| match overlay {
                 Some(mut o) => {
-                    o.added.sort_unstable();
-                    o.added.dedup();
                     o.num_vertices = (o.num_vertices as i64 + vertex_delta[machine]) as usize;
                     o.num_edge_entries =
                         (o.num_edge_entries as i64 + entry_delta[machine]) as usize;
-                    partitions.push(prev.partitions[machine].with_overlay(Some(o)));
+                    prev.partitions[machine].with_overlay(Some(o))
                 }
-                None => partitions.push(prev.partitions[machine].clone()),
-            }
-        }
+                None => prev.partitions[machine].clone(),
+            })
+            .collect();
 
         let next_epoch = prev.epoch() + 1;
         let mut touches: Vec<Touch> = changed.into_iter().map(|(touch, _)| touch).collect();
@@ -817,62 +834,27 @@ impl GraphEpochs {
         Ok(next_epoch)
     }
 
-    /// Merges every partition's overlay into a fresh immutable base (same
-    /// storage tier), rebuilding id maps, postings, signatures and the
-    /// label-pair statistics exactly. Observable content is unchanged, so
-    /// the epoch number is kept: pinned readers hold the previous `Arc`
-    /// untouched, and caches keyed on `(lineage, epoch)` stay valid.
-    /// Returns the (unchanged) current epoch.
+    /// Merges every overlaid partition's overlay into a fresh immutable base
+    /// of the same storage tier (`Partition::sealed`: one pass over the
+    /// merged view, nothing recounted); partitions without an overlay are
+    /// shared as they are. Observable content is unchanged, so the epoch
+    /// number is kept: pinned readers hold the previous `Arc` untouched, and
+    /// caches keyed on `(lineage, epoch)` stay valid. Returns the
+    /// (unchanged) current epoch.
     pub fn seal_epoch(&self) -> u64 {
         let _writer = self.writer.lock().expect("epoch writer lock");
         let prev = Arc::clone(&self.current.read().expect("epoch lock"));
         if !prev.partitions.iter().any(Partition::has_overlay) {
             return prev.epoch();
         }
-        let num_machines = prev.num_machines();
         let num_labels = prev.interner.len();
-        let mut partitions: Vec<Partition> = Vec::with_capacity(num_machines);
-        for machine in 0..num_machines {
-            let p = &prev.partitions[machine];
-            if !p.has_overlay() {
-                partitions.push(p.clone());
-                continue;
-            }
-            let mut ids = Vec::with_capacity(p.num_vertices());
-            let mut labels = Vec::with_capacity(p.num_vertices());
-            let mut adjacency = Vec::with_capacity(p.num_vertices());
-            for cell in p.iter_cells() {
-                ids.push(cell.id);
-                labels.push(cell.label);
-                adjacency.push(cell.neighbors.to_vec());
-            }
-            let tier = p.storage_tier();
-            let rebuilt = if p.signature_bits().is_some() {
-                Partition::with_neighbor_labels_tier(
-                    ids,
-                    labels,
-                    adjacency,
-                    num_labels,
-                    tier,
-                    |n| prev.label_of_global(n),
-                )
-            } else {
-                Partition::new_with_tier(ids, labels, adjacency, num_labels, tier)
-            };
-            partitions.push(rebuilt);
-        }
         let next = MemoryCloud {
-            partitions,
-            interner: prev.interner.clone(),
-            network: Arc::clone(&prev.network),
-            label_frequency: prev.label_frequency.clone(),
-            catalog: Arc::clone(&prev.catalog),
-            num_vertices: prev.num_vertices(),
-            num_edges: prev.num_edges(),
-            directed: prev.is_directed(),
-            epoch: prev.epoch(),
-            lineage: prev.lineage(),
-            touch_log: prev.touch_log.clone(),
+            partitions: prev
+                .partitions
+                .iter()
+                .map(|p| p.sealed(num_labels))
+                .collect(),
+            ..(*prev).clone()
         };
         *self.current.write().expect("epoch lock") = Arc::new(next);
         prev.epoch()
@@ -993,6 +975,90 @@ mod tests {
         let sig = snap.signature_of(v(2)).expect("builder always indexes");
         assert_ne!(sig & label_bit(la), 0);
         assert_eq!(sig & label_bit(ld), 0);
+    }
+
+    /// The signature a from-scratch build would give `id`: the OR of its
+    /// neighbours' label bits.
+    fn recomputed_signature(cloud: &MemoryCloud, id: VertexId) -> u64 {
+        cloud
+            .neighbors_global(id)
+            .iter()
+            .map(|n| label_bit(cloud.label_of_global(n).expect("neighbour exists")))
+            .fold(0, |sig, bit| sig | bit)
+    }
+
+    fn assert_signatures_exact(cloud: &MemoryCloud, state: &str) {
+        for id in cloud.iter_vertices() {
+            assert_eq!(
+                cloud.signature_of(id),
+                Some(recomputed_signature(cloud, id)),
+                "{state}: signature of {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn carried_signatures_equal_a_full_recompute() {
+        for machines in [1, 3] {
+            let epochs = GraphEpochs::new(small_cloud(machines));
+            let bit = |name: &str| label_bit(epochs.pin().labels().get(name).unwrap());
+
+            // Gain-only batches: new edges between old vertices, and a new
+            // vertex attached to two of them. Nothing is scanned; every
+            // touched signature is its old one ORed with the new bits.
+            epochs
+                .apply(&UpdateBatch::new().add_edge(v(0), v(3)).add_edge(v(1), v(3)))
+                .unwrap();
+            assert_signatures_exact(&epochs.pin(), "edges gained");
+            assert_eq!(
+                epochs.pin().signature_of(v(3)),
+                Some(bit("a") | bit("b") | bit("c"))
+            );
+            epochs
+                .apply(
+                    &UpdateBatch::new()
+                        .add_vertex(v(4), "d")
+                        .add_edge(v(4), v(2))
+                        .add_edge(v(4), v(0)),
+                )
+                .unwrap();
+            assert_signatures_exact(&epochs.pin(), "vertex gained");
+            assert_eq!(epochs.pin().signature_of(v(4)), Some(bit("a") | bit("c")));
+
+            // c(2) now has two `d` neighbours, 3 and 4. Losing one of two
+            // carriers keeps the bit; losing the last one clears it.
+            epochs
+                .apply(&UpdateBatch::new().remove_edge(v(2), v(3)))
+                .unwrap();
+            assert_signatures_exact(&epochs.pin(), "one of two carriers lost");
+            assert_ne!(epochs.pin().signature_of(v(2)).unwrap() & bit("d"), 0);
+            epochs
+                .apply(&UpdateBatch::new().remove_vertex(v(4)))
+                .unwrap();
+            assert_signatures_exact(&epochs.pin(), "last carrier lost");
+            assert_eq!(epochs.pin().signature_of(v(2)), Some(bit("a") | bit("b")));
+
+            // A relabel is a loss and a gain for every neighbour; a bit lost
+            // and gained back in the same batch stays.
+            epochs
+                .apply(&UpdateBatch::new().add_vertex(v(1), "a"))
+                .unwrap();
+            assert_signatures_exact(&epochs.pin(), "neighbour relabelled");
+            assert_eq!(epochs.pin().signature_of(v(2)), Some(bit("a")));
+            epochs
+                .apply(
+                    &UpdateBatch::new()
+                        .remove_edge(v(0), v(1))
+                        .add_vertex(v(5), "a")
+                        .add_edge(v(0), v(5)),
+                )
+                .unwrap();
+            assert_signatures_exact(&epochs.pin(), "lost and gained back");
+
+            // The seal carries the signatures over unchanged.
+            epochs.seal_epoch();
+            assert_signatures_exact(&epochs.pin(), "sealed");
+        }
     }
 
     #[test]

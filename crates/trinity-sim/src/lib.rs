@@ -61,6 +61,7 @@ pub mod edge_list;
 pub mod epoch;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod ids;
 pub mod label_index;
 pub mod loader;

@@ -16,9 +16,9 @@
 //! selectivity of a query edge (how many data edges can bind it), which the
 //! decomposition and join-order cost models consume.
 
+use crate::hash::FxHashMap;
 use crate::ids::LabelId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Width of a neighborhood signature in bits. With at most 64 labels the
 /// signature is exact; beyond that, labels share bits and the signature
@@ -100,7 +100,7 @@ impl NeighborLabelIndex {
 /// relative measure of how many data edges can bind a query edge.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LabelPairTable {
-    counts: HashMap<(u32, u32), u64>,
+    counts: FxHashMap<(u32, u32), u64>,
     total: u64,
 }
 
@@ -135,6 +135,22 @@ impl LabelPairTable {
     /// Approximate memory footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.counts.len() * (std::mem::size_of::<(u32, u32)>() + std::mem::size_of::<u64>())
+    }
+
+    /// This table with a signed per-pair `delta` folded in. A pair whose
+    /// count reaches zero is dropped, so the result is the table a recount
+    /// of the changed adjacency would build.
+    pub(crate) fn with_delta(&self, delta: &FxHashMap<(u32, u32), i64>) -> Self {
+        let mut table = self.clone();
+        for (&key, &change) in delta {
+            let count = table.counts.entry(key).or_insert(0);
+            *count = count.saturating_add_signed(change);
+            if *count == 0 {
+                table.counts.remove(&key);
+            }
+            table.total = table.total.saturating_add_signed(change);
+        }
+        table
     }
 
     /// The canonical (unordered) key of a label pair.

@@ -9,14 +9,16 @@
 //! so static partitions (no overlay) run the exact pre-refactor code path.
 
 use crate::compact::{
-    CompactCsr, CompactIdMap, CompactLabelIndex, Neighbors, Postings, StorageTier,
+    CompactCsr, CompactCsrBuilder, CompactIdMap, CompactLabelIndex, Neighbors, Postings,
+    StorageTier,
 };
 use crate::csr::Csr;
+use crate::hash::FxHashMap;
 use crate::ids::{LabelId, VertexId};
 use crate::label_index::LabelIndex;
 use crate::neighbor_index::{LabelPairTable, NeighborLabelIndex, FULL_SIGNATURE};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A vertex record as returned by `Cloud.Load`: the vertex's label and the
@@ -379,47 +381,77 @@ impl PartitionBase {
         let local = self.local_of(id)?;
         index.signature(local)
     }
+
+    /// The cell of a merged-view vertex: overlay facets first, base position
+    /// for the rest (an added vertex carries both facets in the overlay).
+    fn merged_cell<'a>(&'a self, m: &Merged<'a>) -> Cell<'a> {
+        let local = || m.local.expect("a vertex outside the base has every facet");
+        Cell {
+            id: m.id,
+            label: match m.live.and_then(|live| live.label) {
+                Some(label) => label,
+                None => self.labels[local()],
+            },
+            neighbors: match m.live.and_then(|live| live.adj.as_deref()) {
+                Some(list) => Neighbors::Slice(list),
+                None => self.adjacency.neighbors(local()),
+            },
+        }
+    }
+}
+
+/// What the overlay holds for one touched vertex that is alive: the facets
+/// the updates changed. A `None` facet reads through to the base.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub(crate) struct LiveVertex {
+    /// Label of an added or relabeled vertex.
+    pub(crate) label: Option<LabelId>,
+    /// Complete merged adjacency of an adjacency-touched vertex, sorted.
+    pub(crate) adj: Option<Arc<[VertexId]>>,
+    /// Exact signature of a signature-touched vertex (only set when the
+    /// base carries a pruning index).
+    pub(crate) signature: Option<u64>,
+}
+
+/// The overlay's record of one touched vertex.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) enum Touched {
+    /// A base vertex removed since the base was sealed.
+    Deleted,
+    /// A vertex this machine owns in the merged view.
+    Live(LiveVertex),
 }
 
 /// A materialized delta laid over an immutable [`PartitionBase`] by the
 /// epoch manager (`crate::epoch`). Rather than merge lazily at read time,
 /// the overlay stores the **fully merged** view of every touched vertex and
-/// label: reads stay a single map probe plus base fallthrough, no per-read
-/// merge iterators, and the compact tier's encodings are never touched.
-///
-/// Invariants (maintained by the epoch manager):
-/// * `added` is sorted ascending and disjoint from the base's vertex ids.
-/// * Every added vertex has entries in `labels` and `adj` (and `signatures`
-///   when the base carries a pruning index).
-/// * Any vertex whose merged adjacency differs from the base appears in
-///   `adj` with its **complete** sorted neighbor list; in particular, if a
-///   deleted vertex was a neighbor of `u`, then `u` is in `adj`.
-/// * Any label whose merged posting list differs from the base appears in
-///   `postings` with its complete sorted id list.
+/// label, so a read is one probe of one map, then base fall-through; lists
+/// sit behind `Arc`s, so a successor overlay copies pointers. The invariants
+/// the epoch manager maintains are in DESIGN.md, "Overlay reads".
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub(crate) struct PartitionOverlay {
-    /// Base vertices removed in this epoch range.
-    pub(crate) deleted: HashSet<VertexId>,
+    /// Every vertex an update touched since the base was sealed.
+    pub(crate) vertices: FxHashMap<VertexId, Touched>,
     /// Vertices added since the base was sealed, sorted ascending.
     pub(crate) added: Vec<VertexId>,
-    /// Labels of added and relabeled vertices.
-    pub(crate) labels: HashMap<VertexId, LabelId>,
-    /// Complete merged adjacency of every adjacency-touched vertex.
-    pub(crate) adj: HashMap<VertexId, Vec<VertexId>>,
     /// Complete merged posting list of every touched label.
-    pub(crate) postings: HashMap<LabelId, Vec<VertexId>>,
-    /// Exact recomputed signatures of signature-touched vertices (only
-    /// populated when the base carries a pruning index).
-    pub(crate) signatures: HashMap<VertexId, u64>,
+    pub(crate) postings: FxHashMap<LabelId, Arc<[VertexId]>>,
     /// Signed change, since the base was sealed, of the base pair table's
     /// count per canonical label pair (zero entries dropped).
-    pub(crate) pair_delta: HashMap<(u32, u32), i64>,
+    pub(crate) pair_delta: FxHashMap<(u32, u32), i64>,
     /// Sum of `pair_delta`: the change of the table's total.
     pub(crate) pair_total_delta: i64,
     /// Merged vertex count for this machine.
     pub(crate) num_vertices: usize,
     /// Merged adjacency-entry count for this machine.
     pub(crate) num_edge_entries: usize,
+    /// One bit per key of `vertices`, at `filter_bit`: a clear bit proves an
+    /// id untouched without probing the map. Built by `publish`.
+    filter: Vec<u64>,
+    /// `64 - log2(filter bits)`.
+    filter_shift: u32,
+    /// `measure()` as of `publish`.
+    bytes: StorageBytes,
 }
 
 impl PartitionOverlay {
@@ -435,23 +467,72 @@ impl PartitionOverlay {
         self.pair_total_delta += sign;
     }
 
+    /// The live record of `id`, created empty if the overlay had none.
+    pub(crate) fn live_mut(&mut self, id: VertexId) -> &mut LiveVertex {
+        match self
+            .vertices
+            .entry(id)
+            .or_insert_with(|| Touched::Live(LiveVertex::default()))
+        {
+            Touched::Live(live) => live,
+            Touched::Deleted => unreachable!("update to deleted vertex {id}"),
+        }
+    }
+
+    #[inline]
+    fn filter_bit(&self, id: VertexId) -> usize {
+        (id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.filter_shift) as usize
+    }
+
+    /// What the overlay holds for `id`; `None` for an untouched vertex.
+    #[inline]
+    fn touched(&self, id: VertexId) -> Option<&Touched> {
+        let bit = self.filter_bit(id);
+        if self.filter.get(bit / 64)? >> (bit % 64) & 1 == 0 {
+            return None;
+        }
+        self.vertices.get(&id)
+    }
+
+    /// Seals the overlay for reading: sorts the added run, rebuilds the
+    /// filter (16 bits per touched vertex, a power of two) and sizes the maps.
+    fn publish(mut self) -> Arc<Self> {
+        self.added.sort_unstable();
+        self.added.dedup();
+        let bits = (self.vertices.len() * 16).next_power_of_two().max(64);
+        self.filter_shift = 64 - bits.trailing_zeros();
+        self.filter.clear();
+        self.filter.resize(bits / 64, 0);
+        for &id in self.vertices.keys() {
+            let bit = self.filter_bit(id);
+            self.filter[bit / 64] |= 1 << (bit % 64);
+        }
+        self.bytes = self.measure();
+        Arc::new(self)
+    }
+
     /// Rough resident bytes of the overlay's maps (hash overhead estimated
     /// at 16 bytes/entry, matching the plain id-map estimate), charged to
     /// the components they shadow.
-    fn approx_bytes(&self) -> StorageBytes {
-        fn lists<'a>(lists: impl Iterator<Item = &'a Vec<VertexId>>) -> usize {
-            lists
-                .map(|v| 16 + v.len() * std::mem::size_of::<VertexId>())
-                .sum()
-        }
-        StorageBytes {
-            adjacency: lists(self.adj.values()),
-            labels: self.labels.len() * 24,
-            id_map: (self.added.len() + self.deleted.len()) * 16,
-            postings: lists(self.postings.values()),
-            signatures: self.signatures.len() * 24,
+    fn measure(&self) -> StorageBytes {
+        let list = |len: usize| 16 + len * std::mem::size_of::<VertexId>();
+        let mut bytes = StorageBytes {
+            id_map: self.added.len() * 16 + self.filter.len() * 8,
+            postings: self.postings.values().map(|l| list(l.len())).sum(),
             pair_table: self.pair_delta.len() * 24,
+            ..StorageBytes::default()
+        };
+        for touched in self.vertices.values() {
+            match touched {
+                Touched::Deleted => bytes.id_map += 16,
+                Touched::Live(live) => {
+                    bytes.labels += live.label.map_or(0, |_| 24);
+                    bytes.adjacency += live.adj.as_ref().map_or(0, |l| list(l.len()));
+                    bytes.signatures += live.signature.map_or(0, |_| 24);
+                }
+            }
         }
+        bytes
     }
 }
 
@@ -465,72 +546,47 @@ pub struct Partition {
     overlay: Option<Arc<PartitionOverlay>>,
 }
 
-/// Merge-iterates base vertex ids (minus deleted) with overlay-added ids;
-/// both runs are sorted ascending and disjoint, so the merged run is too.
-struct MergedVertexIter<'a> {
-    base: std::iter::Peekable<std::slice::Iter<'a, VertexId>>,
-    added: std::iter::Peekable<std::slice::Iter<'a, VertexId>>,
-    deleted: Option<&'a HashSet<VertexId>>,
+/// One vertex of the merged view: its base position when the base holds it,
+/// and the overlay's record when an update touched it.
+struct Merged<'a> {
+    id: VertexId,
+    local: Option<usize>,
+    live: Option<&'a LiveVertex>,
 }
 
-impl Iterator for MergedVertexIter<'_> {
-    type Item = VertexId;
+/// Merge-iterates base vertex ids (minus deleted) with overlay-added ids;
+/// both runs are sorted ascending and disjoint, so the merged run is too.
+struct MergedIter<'a> {
+    base_ids: &'a [VertexId],
+    next_local: usize,
+    added: std::iter::Peekable<std::slice::Iter<'a, VertexId>>,
+    overlay: Option<&'a PartitionOverlay>,
+}
 
-    fn next(&mut self) -> Option<VertexId> {
+impl<'a> Iterator for MergedIter<'a> {
+    type Item = Merged<'a>;
+
+    fn next(&mut self) -> Option<Merged<'a>> {
         loop {
-            let take_base = match (self.base.peek(), self.added.peek()) {
-                (Some(&&b), Some(&&a)) => b < a,
+            let take_base = match (self.base_ids.get(self.next_local), self.added.peek()) {
+                (Some(b), Some(a)) => b < *a,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => return None,
             };
-            if take_base {
-                let b = *self.base.next().expect("peeked");
-                if self.deleted.is_some_and(|d| d.contains(&b)) {
-                    continue;
-                }
-                return Some(b);
-            }
-            return Some(*self.added.next().expect("peeked"));
-        }
-    }
-}
-
-/// Cell iteration: local-index order on a static partition (no id-map
-/// probes), merged-id order plus `load` on an overlaid one. The two orders
-/// coincide — local-index order is ascending-id order.
-enum CellIter<'a> {
-    Base {
-        base: &'a PartitionBase,
-        range: std::ops::Range<usize>,
-    },
-    Overlay {
-        partition: &'a Partition,
-        ids: MergedVertexIter<'a>,
-    },
-}
-
-impl<'a> Iterator for CellIter<'a> {
-    type Item = Cell<'a>;
-
-    fn next(&mut self) -> Option<Cell<'a>> {
-        match self {
-            CellIter::Base { base, range } => {
-                let local = range.next()?;
-                Some(Cell {
-                    id: base.vertex_ids[local],
-                    label: base.labels[local],
-                    neighbors: base.adjacency.neighbors(local),
-                })
-            }
-            CellIter::Overlay { partition, ids } => {
-                let id = ids.next()?;
-                Some(
-                    partition
-                        .load(id)
-                        .expect("merged vertex id must load from overlay or base"),
-                )
-            }
+            let (id, local) = if take_base {
+                self.next_local += 1;
+                let local = self.next_local - 1;
+                (self.base_ids[local], Some(local))
+            } else {
+                (*self.added.next().expect("peeked"), None)
+            };
+            let live = match self.overlay.and_then(|o| o.touched(id)) {
+                Some(Touched::Deleted) => continue,
+                Some(Touched::Live(live)) => Some(live),
+                None => None,
+            };
+            return Some(Merged { id, local, live });
         }
     }
 }
@@ -639,9 +695,9 @@ impl Partition {
         }
     }
 
-    /// Assembles a partition from components the streaming bulk loader has
-    /// already built in final form (ids sorted ascending, adjacency encoded,
-    /// indexes filled). Crate-internal: invariants are the loader's job.
+    /// Assembles a partition from components the streaming bulk loader (or
+    /// a seal) has built in final form: ids sorted ascending, adjacency
+    /// encoded, indexes filled. Crate-internal: invariants are the caller's.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_encoded_parts(
         vertex_ids: Vec<VertexId>,
@@ -673,14 +729,73 @@ impl Partition {
     pub(crate) fn with_overlay(&self, overlay: Option<PartitionOverlay>) -> Partition {
         Partition {
             base: Arc::clone(&self.base),
-            overlay: overlay.map(Arc::new),
+            overlay: overlay.map(PartitionOverlay::publish),
         }
     }
 
-    /// This partition's overlay, when the epoch manager has laid one over
-    /// the base (used to build the next cumulative overlay).
-    pub(crate) fn overlay(&self) -> Option<&PartitionOverlay> {
-        self.overlay.as_deref()
+    /// This partition with its overlay merged into a fresh base of the same
+    /// tier (itself when it has none), in one pass over the merged view:
+    /// adjacency runs go into one buffer (a compact run byte for byte), and
+    /// signatures and the pair table are carried over — the overlay keeps
+    /// both exact (DESIGN.md, "Seal"), so nothing is recounted.
+    pub(crate) fn sealed(&self, num_labels: usize) -> Partition {
+        let Some(overlay) = self.overlay.as_deref() else {
+            return self.clone();
+        };
+        let (base, tier, n) = (&*self.base, self.storage_tier(), overlay.num_vertices);
+        let mut ids = Vec::with_capacity(n);
+        let mut labels = Vec::with_capacity(n);
+        let mut signatures = base.neighbor_index.as_ref().map(|_| Vec::with_capacity(n));
+        let compact_runs = if tier == StorageTier::Compact { n } else { 0 };
+        let mut compact = CompactCsrBuilder::with_capacity(compact_runs);
+        let (mut offsets, mut flat) = (vec![0], Vec::new());
+        for m in self.merged() {
+            let cell = base.merged_cell(&m);
+            ids.push(cell.id);
+            labels.push(cell.label);
+            if let (Some(signatures), Some(index)) = (&mut signatures, &base.neighbor_index) {
+                let carried = m.live.and_then(|live| live.signature);
+                signatures.push(carried.or_else(|| index.signature(m.local?)).expect(
+                    "a vertex of an indexed partition has a signature in the overlay or the base",
+                ));
+            }
+            match tier {
+                StorageTier::Compact => compact.push_neighbors(cell.neighbors),
+                StorageTier::Plain => {
+                    flat.extend(cell.neighbors);
+                    offsets.push(flat.len());
+                }
+            }
+        }
+        let adjacency = match tier {
+            StorageTier::Compact => Adjacency::Compact(compact.finish()),
+            StorageTier::Plain => Adjacency::Plain(Csr::from_sorted_flat(offsets, flat)),
+        };
+        let id_map = IdMap::build(tier, &ids);
+        let postings = LabelPostings::build(tier, &ids, &labels, num_labels);
+        Partition::from_encoded_parts(
+            ids,
+            labels,
+            id_map,
+            adjacency,
+            postings,
+            signatures.map(NeighborLabelIndex::from_signatures),
+            base.pair_table.with_delta(&overlay.pair_delta),
+        )
+    }
+
+    /// The overlay the next update batch builds on: a copy of this
+    /// partition's — lists sit behind `Arc`s, so the copy is of pointers —
+    /// or an empty one over the base.
+    pub(crate) fn next_overlay(&self) -> PartitionOverlay {
+        match self.overlay.as_deref() {
+            Some(o) => o.clone(),
+            None => PartitionOverlay {
+                num_vertices: self.num_vertices(),
+                num_edge_entries: self.num_edge_entries(),
+                ..PartitionOverlay::default()
+            },
+        }
     }
 
     /// Whether this partition carries an unmerged delta overlay.
@@ -711,70 +826,61 @@ impl Partition {
         }
     }
 
+    /// What the overlay, if any, holds for `id`. `None` — always, on a
+    /// static partition — sends the read to the base.
+    #[inline]
+    fn touched(&self, id: VertexId) -> Option<&Touched> {
+        self.overlay.as_deref()?.touched(id)
+    }
+
     /// Whether this machine owns vertex `id`.
     #[inline]
     pub fn owns(&self, id: VertexId) -> bool {
-        match self.overlay.as_deref() {
+        match self.touched(id) {
             None => self.base.owns(id),
-            Some(o) => {
-                !o.deleted.contains(&id) && (o.labels.contains_key(&id) || self.base.owns(id))
-            }
+            Some(touched) => matches!(touched, Touched::Live(_)),
         }
     }
 
     /// Loads the cell of a locally-owned vertex. Returns `None` when the
     /// vertex is not owned by this machine.
     pub fn load(&self, id: VertexId) -> Option<Cell<'_>> {
-        let Some(o) = self.overlay.as_deref() else {
-            return self.base.load(id);
-        };
-        if o.deleted.contains(&id) {
-            return None;
-        }
-        let label = match o.labels.get(&id) {
-            Some(&l) => l,
-            None => self.base.label_of(id)?,
-        };
-        let neighbors = match o.adj.get(&id) {
-            Some(list) => Neighbors::Slice(list),
-            None => self.base.neighbors_of(id)?,
+        let live = match self.touched(id) {
+            None => return self.base.load(id),
+            Some(Touched::Deleted) => return None,
+            Some(Touched::Live(live)) => live,
         };
         Some(Cell {
             id,
-            label,
-            neighbors,
+            label: match live.label {
+                Some(label) => label,
+                None => self.base.label_of(id)?,
+            },
+            neighbors: match live.adj.as_deref() {
+                Some(list) => Neighbors::Slice(list),
+                None => self.base.neighbors_of(id)?,
+            },
         })
     }
 
     /// Label of a locally-owned vertex.
     pub fn label_of(&self, id: VertexId) -> Option<LabelId> {
-        match self.overlay.as_deref() {
+        match self.touched(id) {
             None => self.base.label_of(id),
-            Some(o) => {
-                if o.deleted.contains(&id) {
-                    return None;
-                }
-                o.labels
-                    .get(&id)
-                    .copied()
-                    .or_else(|| self.base.label_of(id))
-            }
+            Some(Touched::Deleted) => None,
+            Some(Touched::Live(live)) => live.label.or_else(|| self.base.label_of(id)),
         }
     }
 
     /// Degree of a locally-owned vertex.
     pub fn degree_of(&self, id: VertexId) -> Option<usize> {
-        match self.overlay.as_deref() {
+        match self.touched(id) {
             None => self.base.degree_of(id),
-            Some(o) => {
-                if o.deleted.contains(&id) {
-                    return None;
-                }
-                match o.adj.get(&id) {
-                    Some(list) => Some(list.len()),
-                    None => self.base.degree_of(id),
-                }
-            }
+            Some(Touched::Deleted) => None,
+            Some(Touched::Live(live)) => match live.adj.as_deref() {
+                Some(list) => Some(list.len()),
+                None => self.base.degree_of(id),
+            },
         }
     }
 
@@ -807,52 +913,39 @@ impl Partition {
 
     /// Whether a locally-owned vertex has a given neighbor.
     pub fn has_edge(&self, from: VertexId, to: VertexId) -> bool {
-        match self.overlay.as_deref() {
+        match self.touched(from) {
+            // A deleted `to` forces `from` into the overlay with its merged
+            // list (overlay invariant), so base fall-through never sees a
+            // stale edge to a removed vertex.
             None => self.base.has_edge(from, to),
-            Some(o) => {
-                if o.deleted.contains(&from) {
-                    return false;
-                }
-                match o.adj.get(&from) {
-                    Some(list) => list.binary_search(&to).is_ok(),
-                    // A deleted `to` forces `from` into `adj` (overlay
-                    // invariant), so base fallthrough never sees a stale
-                    // edge to a removed vertex.
-                    None => self.base.has_edge(from, to),
-                }
-            }
+            Some(Touched::Deleted) => false,
+            Some(Touched::Live(live)) => match live.adj.as_deref() {
+                Some(list) => list.binary_search(&to).is_ok(),
+                None => self.base.has_edge(from, to),
+            },
+        }
+    }
+
+    fn merged(&self) -> MergedIter<'_> {
+        let overlay = self.overlay.as_deref();
+        MergedIter {
+            base_ids: &self.base.vertex_ids,
+            next_local: 0,
+            added: overlay.map_or(&[][..], |o| &o.added).iter().peekable(),
+            overlay,
         }
     }
 
     /// Iterates over all locally-owned vertices in ascending-id order.
     pub fn iter_vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        let (added, deleted) = match self.overlay.as_deref() {
-            Some(o) => (o.added.as_slice(), Some(&o.deleted)),
-            None => (&[][..], None),
-        };
-        MergedVertexIter {
-            base: self.base.vertex_ids.iter().peekable(),
-            added: added.iter().peekable(),
-            deleted,
-        }
+        self.merged().map(|m| m.id)
     }
 
-    /// Iterates over `(vertex, label, neighbors)` of every local vertex.
+    /// Iterates over `(vertex, label, neighbors)` of every local vertex, in
+    /// ascending-id order. Base positions advance with the merge, so no id
+    /// map is probed — on a static partition this is a walk of the arrays.
     pub fn iter_cells(&self) -> impl Iterator<Item = Cell<'_>> {
-        match self.overlay.as_deref() {
-            None => CellIter::Base {
-                base: &self.base,
-                range: 0..self.base.vertex_ids.len(),
-            },
-            Some(o) => CellIter::Overlay {
-                partition: self,
-                ids: MergedVertexIter {
-                    base: self.base.vertex_ids.iter().peekable(),
-                    added: o.added.iter().peekable(),
-                    deleted: Some(&o.deleted),
-                },
-            },
-        }
+        self.merged().map(|m| self.base.merged_cell(&m))
     }
 
     /// The neighborhood-label signature of a locally-owned vertex, or
@@ -860,17 +953,10 @@ impl Partition {
     /// without the pruning index.
     #[inline]
     pub fn signature_of(&self, id: VertexId) -> Option<u64> {
-        match self.overlay.as_deref() {
+        match self.touched(id) {
             None => self.base.signature_of(id),
-            Some(o) => {
-                if o.deleted.contains(&id) {
-                    return None;
-                }
-                o.signatures
-                    .get(&id)
-                    .copied()
-                    .or_else(|| self.base.signature_of(id))
-            }
+            Some(Touched::Deleted) => None,
+            Some(Touched::Live(live)) => live.signature.or_else(|| self.base.signature_of(id)),
         }
     }
 
@@ -927,7 +1013,8 @@ impl Partition {
             pair_table: base.pair_table.memory_bytes(),
         };
         if let Some(o) = self.overlay.as_deref() {
-            bytes += o.approx_bytes();
+            debug_assert_eq!(o.bytes, o.measure(), "overlay changed after publish");
+            bytes += o.bytes;
         }
         bytes
     }
@@ -942,6 +1029,7 @@ impl Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn v(x: u64) -> VertexId {
         VertexId(x)
@@ -1158,13 +1246,16 @@ mod tests {
             num_edge_entries: 4,
             ..PartitionOverlay::default()
         };
-        overlay.deleted.insert(v(30));
+        overlay.vertices.insert(v(30), Touched::Deleted);
         overlay.added.push(v(40));
-        overlay.labels.insert(v(40), l(1));
-        overlay.adj.insert(v(40), vec![v(20)]);
-        overlay.adj.insert(v(20), vec![v(10), v(40)]);
-        overlay.postings.insert(l(0), vec![v(10)]);
-        overlay.postings.insert(l(1), vec![v(20), v(40)]);
+        *overlay.live_mut(v(40)) = LiveVertex {
+            label: Some(l(1)),
+            adj: Some([v(20)].into()),
+            signature: None,
+        };
+        overlay.live_mut(v(20)).adj = Some([v(10), v(40)].into());
+        overlay.postings.insert(l(0), [v(10)].into());
+        overlay.postings.insert(l(1), [v(20), v(40)].into());
         base.with_overlay(Some(overlay))
     }
 
@@ -1218,5 +1309,105 @@ mod tests {
             restored.iter_vertices().collect::<Vec<_>>(),
             base.iter_vertices().collect::<Vec<_>>()
         );
+    }
+    /// The six per-vertex reads of an overlaid partition against its sealed
+    /// successor, for every kind of id: touched (adjacency, label), its
+    /// untouched neighbours, deleted, added, deleted-then-re-added, never
+    /// existing — and, of the untouched and the never-existing, ids whose
+    /// filter bit is set by somebody else's key, which must still read
+    /// through to the base.
+    #[test]
+    fn overlay_reads_agree_with_the_sealed_successor_for_every_kind_of_id() {
+        use crate::builder::GraphBuilder;
+        use crate::epoch::{GraphEpochs, UpdateBatch};
+        use crate::network::CostModel;
+        const BASE: u64 = 600;
+        for tier in TIERS {
+            let mut b = GraphBuilder::new_undirected().with_storage_tier(tier);
+            for i in 0..BASE {
+                b.add_vertex(v(i), ["a", "b", "c"][(i % 3) as usize]);
+            }
+            for i in 0..BASE {
+                b.add_edge(v(i), v((i + 1) % BASE));
+                b.add_edge(v(i), v((i * 7 + 3) % BASE));
+            }
+            let epochs = GraphEpochs::new(b.build(1, CostModel::default()));
+            let batches = [
+                UpdateBatch::new().remove_vertex(v(5)).remove_vertex(v(7)),
+                UpdateBatch::new()
+                    .add_vertex(v(7), "c")
+                    .add_edge(v(7), v(300))
+                    .add_vertex(v(1_000), "d")
+                    .add_edge(v(1_000), v(10))
+                    .add_vertex(v(20), "a")
+                    .remove_edge(v(30), v(31))
+                    .add_edge(v(40), v(50)),
+            ];
+            for batch in &batches {
+                epochs.apply(batch).unwrap();
+            }
+            let snap = epochs.pin();
+            let overlaid = &snap.partitions[0];
+            let overlay = overlaid.overlay.as_deref().expect("the batches touched it");
+            let sealed = overlaid.sealed(snap.labels().len());
+            assert!(!sealed.has_overlay());
+
+            let set_bits: HashSet<usize> = overlay
+                .vertices
+                .keys()
+                .map(|&id| overlay.filter_bit(id))
+                .collect();
+            let collides = |id: &VertexId| {
+                !overlay.vertices.contains_key(id) && set_bits.contains(&overlay.filter_bit(*id))
+            };
+            let colliding_base: Vec<VertexId> = (0..BASE).map(v).filter(collides).collect();
+            let colliding_absent: Vec<VertexId> =
+                (2_000..12_000).map(v).filter(collides).take(8).collect();
+            assert!(!colliding_base.is_empty() && !colliding_absent.is_empty());
+            for id in &colliding_base {
+                assert!(overlay.touched(*id).is_none() && overlaid.owns(*id));
+            }
+
+            // deleted, re-added, added, relabelled, adjacency-touched (and
+            // the neighbours of every one of them), untouched, never existing.
+            let mut probes = vec![v(5), v(7), v(1_000), v(20), v(30), v(31), v(40), v(50)];
+            probes.extend([
+                v(4),
+                v(6),
+                v(8),
+                v(300),
+                v(10),
+                v(19),
+                v(21),
+                v(100),
+                v(599),
+            ]);
+            probes.extend([v(BASE), v(1_001), v(u64::MAX)]);
+            probes.extend(colliding_base.iter().chain(&colliding_absent).copied());
+            for &id in &probes {
+                assert_eq!(overlaid.owns(id), sealed.owns(id), "owns {id} ({tier})");
+                assert_eq!(overlaid.load(id), sealed.load(id), "load {id} ({tier})");
+                assert_eq!(overlaid.label_of(id), sealed.label_of(id), "label {id}");
+                assert_eq!(overlaid.degree_of(id), sealed.degree_of(id), "degree {id}");
+                assert_eq!(
+                    overlaid.signature_of(id),
+                    sealed.signature_of(id),
+                    "sig {id}"
+                );
+                for &to in &probes {
+                    assert_eq!(
+                        overlaid.has_edge(id, to),
+                        sealed.has_edge(id, to),
+                        "{id} – {to}"
+                    );
+                }
+            }
+            assert!(!overlaid.owns(v(5)) && overlaid.owns(v(7)) && overlaid.owns(v(1_000)));
+            assert_eq!(overlaid.load(v(7)).unwrap().neighbors, &[v(300)]);
+            assert!(!overlaid.has_edge(v(6), v(5)) && !overlaid.has_edge(v(30), v(31)));
+            // The stored overlay figure is the walk's, filter included.
+            assert_eq!(overlay.bytes, overlay.measure());
+            assert!(overlay.bytes.id_map >= overlay.filter.len() * 8);
+        }
     }
 }

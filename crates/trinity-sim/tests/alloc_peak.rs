@@ -4,13 +4,19 @@
 //! mark *above the already-live input* is one output copy — not input plus a
 //! staged clone plus the output, the way a clone-and-collect implementation
 //! peaks. A live-bytes watermark allocator measures exactly that.
+//!
+//! The same allocator counts allocations and allocated bytes for the epoch
+//! manager's two writes: an `apply` over a large overlay must copy pointers,
+//! not the overlay's lists, and a `seal_epoch` must re-encode the merged
+//! view into a few flat buffers, not one `Vec` per vertex.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use trinity_sim::compact::CompactCsr;
+use trinity_sim::compact::{CompactCsr, StorageTier};
 use trinity_sim::csr::Csr;
 use trinity_sim::ids::VertexId;
+use trinity_sim::{CostModel, GraphBuilder, GraphEpochs, UpdateBatch};
 
 struct PeakAllocator;
 
@@ -23,12 +29,17 @@ thread_local! {
     // Signed: a thread may free a block another thread allocated.
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
     static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
+    // Allocations (a `realloc` is one) and bytes asked for, never decreasing.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 fn note_alloc(size: usize) {
     let live = LIVE_BYTES.get() + size as i64;
     LIVE_BYTES.set(live);
     PEAK_BYTES.set(PEAK_BYTES.get().max(live));
+    ALLOCS.set(ALLOCS.get() + 1);
+    ALLOC_BYTES.set(ALLOC_BYTES.get() + size as u64);
 }
 
 fn note_free(size: usize) {
@@ -66,6 +77,14 @@ fn peak_above_baseline<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let result = f();
     let peak = (PEAK_BYTES.get() - baseline).max(0) as u64;
     (peak, result)
+}
+
+/// Runs `f` and returns how many allocations the calling thread made and
+/// how many bytes they asked for, plus the result.
+fn allocations_of<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
+    let (allocs, bytes) = (ALLOCS.get(), ALLOC_BYTES.get());
+    let result = f();
+    (ALLOCS.get() - allocs, ALLOC_BYTES.get() - bytes, result)
 }
 
 const N: usize = 10_000;
@@ -138,4 +157,76 @@ fn compact_csr_build_stays_within_the_plain_bound() {
         csr.memory_bytes() < entries * 8 / 2,
         "compact encoding should be well under half the plain 8 B/entry"
     );
+}
+
+/// One machine holding a ring lattice: vertex `i` is adjacent to `i ± 1 ..=
+/// i ± reach`, so every adjacency list has `2 * reach` entries.
+fn ring_epochs(n: u64, reach: u64, tier: StorageTier) -> GraphEpochs {
+    let mut b = GraphBuilder::new_undirected().with_storage_tier(tier);
+    for i in 0..n {
+        b.add_vertex(VertexId(i), if i % 2 == 0 { "even" } else { "odd" });
+    }
+    for i in 0..n {
+        for k in 1..=reach {
+            b.add_edge(VertexId(i), VertexId((i + k) % n));
+        }
+    }
+    GraphEpochs::new(b.build(1, CostModel::default()))
+}
+
+#[test]
+fn epoch_apply_over_a_large_overlay_copies_no_list() {
+    // 4,096 touched vertices — every vertex gains the chord to its antipode
+    // — then one more edge. What that last batch allocates may grow with the
+    // number of overlay entries (the successor's map of pointers) and with
+    // the two lists it merges, but not with the length of the 4,094 lists it
+    // leaves alone: short (2 entries) and long (64) must cost the same.
+    const TOUCHED: u64 = 4_096;
+    let one_more_edge = |reach: u64| {
+        let epochs = ring_epochs(TOUCHED, reach, StorageTier::Compact);
+        let mut chords = UpdateBatch::new();
+        for i in 0..TOUCHED / 2 {
+            chords = chords.add_edge(VertexId(i), VertexId(i + TOUCHED / 2));
+        }
+        epochs.apply(&chords).unwrap();
+        let batch = UpdateBatch::new().add_edge(VertexId(0), VertexId(1_000));
+        let (_, bytes, epoch) = allocations_of(|| epochs.apply(&batch).unwrap());
+        assert_eq!(epoch, 2);
+        bytes
+    };
+    let (short, long) = (one_more_edge(1), one_more_edge(32));
+    assert!(
+        short < (1 << 20),
+        "a 1-op batch over 4,096 overlay entries allocated {short} bytes"
+    );
+    assert!(
+        long < short + (16 << 10),
+        "lists 32x longer cost {long} bytes against {short}: \
+         the overlay's untouched lists are being copied"
+    );
+}
+
+#[test]
+fn epoch_seal_re_encodes_into_a_few_flat_buffers() {
+    for tier in [StorageTier::Plain, StorageTier::Compact] {
+        let epochs = ring_epochs(N as u64, DEG / 2, tier);
+        epochs
+            .apply(
+                &UpdateBatch::new()
+                    .add_vertex(VertexId(N as u64), "odd")
+                    .add_edge(VertexId(N as u64), VertexId(7))
+                    .remove_vertex(VertexId(100))
+                    .remove_edge(VertexId(5_000), VertexId(5_001)),
+            )
+            .unwrap();
+        let (allocs, _, _) = allocations_of(|| epochs.seal_epoch());
+        let sealed = epochs.pin();
+        assert_eq!(sealed.num_vertices(), N as u64);
+        assert!(!sealed.partition(trinity_sim::MachineId(0)).has_overlay());
+        assert!(
+            allocs < 200,
+            "sealing a {N}-vertex {tier} partition made {allocs} allocations — \
+             one per vertex is the rebuild this replaced"
+        );
+    }
 }

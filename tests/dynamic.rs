@@ -460,6 +460,114 @@ proptest! {
         }
     }
 
+    /// A seal re-encodes the merged view and carries signatures and pair
+    /// counts over instead of recounting them, so query answers alone would
+    /// not show a drifted signature or table. After arbitrary churn — hub
+    /// removals, relabels, an edge added and removed inside one batch
+    /// (`churn_batch`), a deleted base vertex re-added, a label the lineage
+    /// never saw — on both tiers, every seal must leave a cloud equal to a
+    /// `GraphBuilder` rebuild of the mirrored graph *component by
+    /// component*. Before each seal the unsealed snapshot's stored
+    /// `storage_bytes()` is read too: debug builds check it there against
+    /// a fresh walk of the overlay.
+    #[test]
+    fn sealed_cloud_equals_a_rebuild_component_by_component(
+        n in 8u64..40,
+        labels in proptest::collection::vec(0u32..3, 40),
+        edges in proptest::collection::vec((0u64..40, 0u64..40), 8..60),
+        machines in 1usize..4,
+        seed in 0u64..500,
+    ) {
+        for tier in [StorageTier::Plain, StorageTier::Compact] {
+            let cloud = tiered_cloud(n, &labels, &edges, machines, tier);
+            let mut mirror = GraphMirror::from_cloud(&cloud);
+            let epochs = GraphEpochs::new(cloud);
+            for step in 0..6u64 {
+                let snap = epochs.pin();
+                let mut batch = churn_batch(&snap, &mirror, seed, step);
+                let mut after = mirror.clone();
+                after.apply(&batch);
+                let anchor = snap.iter_vertices().find(|&id| after.label_of(id).is_some());
+                if let Some(anchor) = anchor {
+                    // A base vertex an earlier batch deleted comes back,
+                    // under the label no earlier epoch interned at step 2.
+                    let gone = (0..n).map(VertexId).find(|&id| after.label_of(id).is_none());
+                    let label = if step == 2 { "brand-new" } else { "l0" };
+                    if let Some(gone) = gone {
+                        batch = batch.add_vertex(gone, label).add_edge(gone, anchor);
+                    } else if step == 2 {
+                        batch = batch.add_vertex(VertexId(1_000), label).add_edge(VertexId(1_000), anchor);
+                    }
+                }
+                epochs.apply(&batch).expect("churn batches are valid");
+                mirror.apply(&batch);
+                let unsealed = epochs.pin();
+                let overlay_bytes = unsealed.storage_bytes();
+                if step % 2 == 0 {
+                    continue;
+                }
+                epochs.seal_epoch();
+                let sealed = epochs.pin();
+                let rebuilt = mirror
+                    .to_builder()
+                    .with_storage_tier(tier)
+                    .build(machines, CostModel::default());
+                let ctx = format!("tier = {tier:?}, step {step}");
+                // The pinned pre-seal snapshot's accounting does not move.
+                prop_assert_eq!(unsealed.storage_bytes(), overlay_bytes, "{}", ctx);
+                prop_assert_eq!(sealed.num_vertices(), rebuilt.num_vertices(), "{}", ctx);
+                prop_assert_eq!(sealed.num_edges(), rebuilt.num_edges(), "{}", ctx);
+                let all_labels: Vec<LabelId> =
+                    (0..rebuilt.labels().len() as u32).map(LabelId).collect();
+                prop_assert_eq!(sealed.labels().len(), all_labels.len(), "{}", ctx);
+                for k in sealed.machines() {
+                    let (s, r) = (sealed.partition(k), rebuilt.partition(k));
+                    prop_assert!(!s.has_overlay());
+                    prop_assert_eq!(s.storage_tier(), tier);
+                    let ids: Vec<VertexId> = r.iter_vertices().collect();
+                    prop_assert_eq!(&s.iter_vertices().collect::<Vec<_>>(), &ids, "{}", ctx);
+                    prop_assert_eq!(s.num_vertices(), ids.len());
+                    prop_assert_eq!(s.num_edge_entries(), r.num_edge_entries(), "{}", ctx);
+                    for (id, (a, b)) in ids.iter().zip(s.iter_cells().zip(r.iter_cells())) {
+                        prop_assert_eq!((a.id, b.id), (*id, *id));
+                        prop_assert_eq!(a.label, b.label, "{} label of {}", ctx, id);
+                        prop_assert_eq!(a.neighbors.to_vec(), b.neighbors.to_vec(), "{} run of {}", ctx, id);
+                        prop_assert_eq!(s.load(*id), Some(a));
+                        prop_assert_eq!(s.degree_of(*id), r.degree_of(*id));
+                        prop_assert_eq!(
+                            s.signature_of(*id), r.signature_of(*id),
+                            "{} signature of {}", ctx, id
+                        );
+                    }
+                    for (i, &a) in all_labels.iter().enumerate() {
+                        prop_assert_eq!(
+                            s.vertices_with_label(a).to_vec(), r.vertices_with_label(a).to_vec(),
+                            "{} postings of {:?} on {}", ctx, a, k
+                        );
+                        prop_assert_eq!(s.label_frequency(a), r.label_frequency(a));
+                        for &b in &all_labels[i..] {
+                            prop_assert_eq!(
+                                s.label_pair_count(a, b), r.label_pair_count(a, b),
+                                "{} pair ({:?}, {:?}) on {}", ctx, a, b, k
+                            );
+                        }
+                    }
+                    prop_assert_eq!(s.label_pair_total(), r.label_pair_total(), "{}", ctx);
+                    let (mut sb, mut rb) = (s.storage_bytes(), r.storage_bytes());
+                    if !unsealed.partition(k).has_overlay() {
+                        // Shared as it was, so its postings keep one slot
+                        // per label interned when its base was built.
+                        (sb.postings, rb.postings) = (0, 0);
+                    }
+                    prop_assert_eq!(sb, rb, "{} storage of {}", ctx, k);
+                }
+                for &l in &all_labels {
+                    prop_assert_eq!(sealed.label_frequency(l), rebuilt.label_frequency(l));
+                }
+            }
+        }
+    }
+
     /// `Index.getID` and `Index.hasLabel` describe the same thing: on every
     /// machine, for every label, the postings list exactly the owned
     /// vertices whose label look-up names it — on both tiers, on a static
