@@ -215,6 +215,9 @@ pub struct MatchConfig {
     pub result_mode: ResultMode,
     /// Number of rows of the driver table joined per pipeline round
     /// (derived from available memory in the paper; a fixed row budget here).
+    /// The join extends one driver row at a time, so this only places the
+    /// round boundaries: where a streaming sink flushes and the limit and
+    /// the query's control are checked before the next round is counted.
     pub block_rows: usize,
     /// Whether to use binding information from previously-processed STwigs to
     /// prune candidates during exploration (§4.2). Disabling this reproduces

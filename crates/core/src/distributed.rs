@@ -1451,14 +1451,14 @@ impl RowTarget<'_, '_> {
     }
 }
 
-/// [`RoundSink`] adapter: re-projects each machine's join output (whose
-/// column order depends on its join-order choice) into the canonical column
-/// order announced to the client, then forwards row by row to its
-/// [`RowTarget`], flushing the live stream at the end of every round. Checks
-/// `control` before each forwarded row — an atomic load (the clock is only
-/// read while an untripped deadline is armed) — so a cancellation raised by
-/// the consumer mid-stream stops delivery without waiting for the round
-/// boundary.
+/// [`RoundSink`] adapter: re-projects each row of a machine's join output
+/// (whose column order depends on its join-order choice) into the canonical
+/// column order announced to the client and forwards it to its
+/// [`RowTarget`] as the join finishes it, flushing the live stream at the
+/// end of every round. Checks `control` before each forwarded row — an
+/// atomic load (the clock is only read while an untripped deadline is
+/// armed) — so no row is delivered after a cancellation the consumer
+/// raised mid-stream, even before the join's own next check stops it.
 struct ProjectingSink<'a, 't, 's> {
     canonical: &'a [QVid],
     projection: Vec<usize>,
@@ -1484,16 +1484,17 @@ impl RoundSink for ProjectingSink<'_, '_, '_> {
             .collect();
     }
 
-    fn on_rows(&mut self, rows: &ResultTable) {
-        for row in rows.rows() {
-            if self.control.interrupted() {
-                break;
-            }
-            self.row_buf.clear();
-            self.row_buf.extend(self.projection.iter().map(|&p| row[p]));
-            self.target.push(&self.row_buf);
-            self.delivered += 1;
+    fn on_row(&mut self, row: &[VertexId]) {
+        if self.control.interrupted() {
+            return;
         }
+        self.row_buf.clear();
+        self.row_buf.extend(self.projection.iter().map(|&p| row[p]));
+        self.target.push(&self.row_buf);
+        self.delivered += 1;
+    }
+
+    fn end_round(&mut self) {
         self.target.end_round();
     }
 }

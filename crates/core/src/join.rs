@@ -11,6 +11,7 @@
 
 use crate::hash::{FxHashMap, InlineKey, INLINE_KEY_COLUMNS};
 use crate::metrics::JoinCounters;
+use crate::pipeline::RoundSink;
 use crate::query::QVid;
 use crate::stream::QueryControl;
 use crate::table::ResultTable;
@@ -112,35 +113,34 @@ enum BuildIndex {
     Wide(ChainedIndex<Vec<VertexId>>),
 }
 
-/// A hash join whose build side has been indexed once and can be probed by
-/// many left tables sharing one column schema.
+/// A hash join whose build side has been indexed once and is probed by left
+/// rows of one column schema.
 ///
 /// This is the shape of the block-based pipelined join (§4.2 step 3): every
-/// round probes the *same* rest tables with a different driver block, so
-/// rebuilding (or worse, cloning) the build side per round would make
-/// per-round work proportional to the rest tables instead of the block.
-/// Prepare once against the left schema, then [`PreparedJoin::join`] each
-/// block.
+/// driver row probes the *same* rest tables, so rebuilding (or worse,
+/// cloning) the build side per round would make per-round work proportional
+/// to the rest tables instead of the block. Prepare once against the left
+/// schema, then extend rows through a `ProbeChain`.
 pub struct PreparedJoin<'a> {
     right: &'a ResultTable,
-    /// Shared columns as `(left_index, right_index)` pairs, in left-schema
-    /// order.
-    shared: Vec<(usize, usize)>,
+    /// Left-row positions of the shared columns, in left-schema order.
+    left_cols: Vec<usize>,
     /// Right-side columns that are not shared (appended to the output).
     right_extra: Vec<usize>,
     index: BuildIndex,
 }
 
 impl<'a> PreparedJoin<'a> {
-    /// Indexes `right` for natural joins against left tables whose columns
-    /// are exactly `left_columns`.
-    pub fn new(left_columns: &[QVid], right: &'a ResultTable) -> Self {
+    /// Indexes `right` for natural joins against left rows whose columns
+    /// are exactly `left_columns`, counting the rows indexed in
+    /// `counters.build_rows` (none for a cross product).
+    pub fn new(left_columns: &[QVid], right: &'a ResultTable, counters: &mut JoinCounters) -> Self {
         let shared = shared_columns(left_columns, right);
         let right_extra: Vec<usize> = (0..right.width())
             .filter(|ri| !shared.iter().any(|&(_, r)| r == *ri))
             .collect();
-        let right_cols: Vec<usize> = shared.iter().map(|&(_, rc)| rc).collect();
-        let index = match shared.len() {
+        let (left_cols, right_cols): (Vec<usize>, Vec<usize>) = shared.into_iter().unzip();
+        let index = match right_cols.len() {
             0 => BuildIndex::Cross,
             1 => {
                 let rc = right_cols[0];
@@ -149,16 +149,14 @@ impl<'a> PreparedJoin<'a> {
             2..=INLINE_KEY_COLUMNS => BuildIndex::Inline(build_index(right, |row| {
                 InlineKey::from_row(row, &right_cols)
             })),
-            _ => BuildIndex::Wide(build_index(right, |row| {
-                right_cols
-                    .iter()
-                    .map(|&c| row[c])
-                    .collect::<Vec<VertexId>>()
-            })),
+            _ => BuildIndex::Wide(build_index(right, |row| wide_key(row, &right_cols))),
         };
+        if !right_cols.is_empty() {
+            counters.build_rows += right.num_rows() as u64;
+        }
         PreparedJoin {
             right,
-            shared,
+            left_cols,
             right_extra,
             index,
         }
@@ -172,144 +170,127 @@ impl<'a> PreparedJoin<'a> {
         columns.extend(self.right_extra.iter().map(|&ri| self.right.columns()[ri]));
         columns
     }
+}
 
-    /// Probes the prepared index with every row of `left`. Semantics are
-    /// identical to [`hash_join`]; `left` must have the column schema this
-    /// join was prepared for.
-    pub fn join(
-        &self,
-        left: &ResultTable,
-        limit: Option<usize>,
-        counters: &mut JoinCounters,
-    ) -> ResultTable {
-        self.join_with_control(left, limit, None, counters)
-    }
+/// The `Vec` key of a join on more than [`INLINE_KEY_COLUMNS`] columns.
+fn wide_key(row: &[VertexId], columns: &[usize]) -> Vec<VertexId> {
+    columns.iter().map(|&c| row[c]).collect()
+}
 
-    /// [`PreparedJoin::join`] with a cooperative interrupt check every
-    /// [`CONTROL_CHECK_JOIN_ROWS`] output rows: an interrupted probe stops
-    /// early and returns the (valid) rows produced so far. With
-    /// `control = None` the output is identical to `join`.
-    pub fn join_with_control(
-        &self,
-        left: &ResultTable,
-        limit: Option<usize>,
-        control: Option<&QueryControl>,
-        counters: &mut JoinCounters,
-    ) -> ResultTable {
-        let mut out = ResultTable::new(self.output_columns(left.columns()));
-        self.join_into(left, limit, control, counters, &mut out);
-        out
-    }
+/// One depth-first probe chain through prepared joins: a single row buffer
+/// of output width starts as a driver row, level *d* probes `levels[d]` with
+/// the prefix built so far, appends each matching right row's extra values
+/// in place and recurses; the last level hands the finished row to the sink.
+/// A partial row is extended one match at a time, so the row budget and an
+/// interrupt stop *every* level at once and nothing is materialized between
+/// levels. Output order is lexicographic in (driver row, chain position at
+/// level 0, at level 1, …) — what joining level by level over whole tables
+/// produces.
+pub(crate) struct ProbeChain<'a, S: ?Sized> {
+    levels: &'a [PreparedJoin<'a>],
+    /// The row under construction: a driver row, then each level's extras.
+    row: Vec<VertexId>,
+    /// Finished rows the chain may still emit.
+    pub(crate) budget: usize,
+    control: Option<&'a QueryControl>,
+    pub(crate) counters: &'a mut JoinCounters,
+    pub(crate) sink: &'a mut S,
+    /// Levels probed since the caller last reset this.
+    pub(crate) deepest: u64,
+    /// Whether a cooperative deadline/cancel check stopped the chain.
+    pub(crate) interrupted: bool,
+}
 
-    /// [`PreparedJoin::join_with_control`] appending to `out`, whose columns
-    /// must be [`PreparedJoin::output_columns`] of `left`'s. Each surviving
-    /// row is written once, in place at the end of `out`, and room for one
-    /// row per `left` row is reserved up front. `limit` counts the rows
-    /// *this call* appends, whatever `out` held before.
-    pub fn join_into(
-        &self,
-        left: &ResultTable,
+impl<'a, S: RoundSink + ?Sized> ProbeChain<'a, S> {
+    /// A chain over `levels` (at least one) emitting rows of `width` values
+    /// — the driver's columns plus every level's extras — to `sink`, at most
+    /// `limit` of them.
+    pub(crate) fn new(
+        levels: &'a [PreparedJoin<'a>],
+        width: usize,
         limit: Option<usize>,
-        control: Option<&QueryControl>,
-        counters: &mut JoinCounters,
-        out: &mut ResultTable,
-    ) {
-        debug_assert!(
-            self.shared
-                .iter()
-                .all(|&(lc, rc)| left.columns()[lc] == self.right.columns()[rc]),
-            "left table does not match the schema this join was prepared for"
-        );
-        debug_assert_eq!(out.columns(), self.output_columns(left.columns()));
-        counters.joins_performed += 1;
-        let budget = limit.unwrap_or(usize::MAX);
-        if budget == 0 {
-            return;
-        }
-        out.reserve_rows(left.num_rows().min(budget));
-        let mut emit = Emit {
-            right_extra: &self.right_extra,
-            budget,
+        control: Option<&'a QueryControl>,
+        counters: &'a mut JoinCounters,
+        sink: &'a mut S,
+    ) -> Self {
+        ProbeChain {
+            levels,
+            row: vec![VertexId(0); width],
+            budget: limit.unwrap_or(usize::MAX),
             control,
             counters,
-            out,
-        };
-        match &self.index {
-            BuildIndex::Cross => {
-                'outer: for lrow in left.rows() {
-                    for rrow in self.right.rows() {
-                        if !emit.row(lrow, rrow) {
-                            break 'outer;
-                        }
-                    }
-                }
-            }
+            sink,
+            deepest: 0,
+            interrupted: false,
+        }
+    }
+
+    /// Extends one driver row through every level. `false` once the chain
+    /// must stop: the budget — not zero on entry — is spent, or an interrupt
+    /// was observed.
+    pub(crate) fn drive(&mut self, driver_row: &[VertexId]) -> bool {
+        debug_assert!(
+            !ResultTable::row_has_duplicates(driver_row),
+            "the left row of a join must be injective"
+        );
+        self.counters.driver_rows += 1;
+        self.row[..driver_row.len()].copy_from_slice(driver_row);
+        self.probe(0, driver_row.len())
+    }
+
+    /// Probes level `depth` with the `len`-value prefix of the row buffer.
+    /// The key is taken before the buffer is extended, and the chain it
+    /// selects borrows the level, not the buffer.
+    fn probe(&mut self, depth: usize, len: usize) -> bool {
+        let join = &self.levels[depth];
+        self.deepest = self.deepest.max(depth as u64 + 1);
+        let right = join.right;
+        match &join.index {
+            BuildIndex::Cross => right.rows().all(|rrow| self.extend(depth, len, rrow)),
             BuildIndex::Single(index) => {
-                let lc = self.shared[0].0;
-                self.probe_into(left, index, |row| row[lc].0, &mut emit);
+                let key = self.row[join.left_cols[0]].0;
+                (index.probe(&key)).all(|ri| self.extend(depth, len, right.row(ri)))
             }
             BuildIndex::Inline(index) => {
-                let left_cols: Vec<usize> = self.shared.iter().map(|&(lc, _)| lc).collect();
-                let key = |row: &[VertexId]| InlineKey::from_row(row, &left_cols);
-                self.probe_into(left, index, key, &mut emit);
+                let key = InlineKey::from_row(&self.row, &join.left_cols);
+                (index.probe(&key)).all(|ri| self.extend(depth, len, right.row(ri)))
             }
             BuildIndex::Wide(index) => {
-                let left_cols: Vec<usize> = self.shared.iter().map(|&(lc, _)| lc).collect();
-                let key = |row: &[VertexId]| left_cols.iter().map(|&c| row[c]).collect::<Vec<_>>();
-                self.probe_into(left, index, key, &mut emit);
+                let key = wide_key(&self.row, &join.left_cols);
+                (index.probe(&key)).all(|ri| self.extend(depth, len, right.row(ri)))
             }
         }
     }
 
-    /// The keyed probe core, generic over the key type so each shared-column
-    /// arity monomorphizes to its own allocation-free loop.
-    fn probe_into<K: Hash + Eq>(
-        &self,
-        left: &ResultTable,
-        index: &ChainedIndex<K>,
-        left_key: impl Fn(&[VertexId]) -> K,
-        emit: &mut Emit<'_>,
-    ) {
-        for lrow in left.rows() {
-            for ri in index.probe(&left_key(lrow)) {
-                if !emit.row(lrow, self.right.row(ri)) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// The per-row tail every probe path shares: build the output row in place,
-/// drop it if it is not injective, observe an interrupt, spend the budget.
-struct Emit<'a> {
-    right_extra: &'a [usize],
-    /// Rows this join may still append; never zero while probing.
-    budget: usize,
-    control: Option<&'a QueryControl>,
-    counters: &'a mut JoinCounters,
-    out: &'a mut ResultTable,
-}
-
-impl Emit<'_> {
-    /// Joins one (left row, matching right row) pair into the output; `false`
-    /// when the probe must stop (budget spent, or an interrupt observed).
+    /// Appends `rrow`'s extra values to the `len`-value prefix — unless one
+    /// repeats a value already in the row, which a valid embedding forbids —
+    /// then observes an interrupt, counts the row and passes it on: to the
+    /// next level, or finished to the sink. Only the appended values are
+    /// tested, each against everything before it: the driver row is
+    /// injective, as every row exploration emits or a join keeps is.
     #[inline]
-    fn row(&mut self, lrow: &[VertexId], rrow: &[VertexId]) -> bool {
-        if !self.out.push_joined(lrow, rrow, self.right_extra) {
-            self.counters.rows_pruned_injective += 1;
-            return true;
+    fn extend(&mut self, depth: usize, len: usize, rrow: &[VertexId]) -> bool {
+        let mut end = len;
+        for &rc in &self.levels[depth].right_extra {
+            let value = rrow[rc];
+            if self.row[..end].contains(&value) {
+                self.counters.rows_pruned_injective += 1;
+                return true;
+            }
+            self.row[end] = value;
+            end += 1;
         }
-        if self
-            .counters
-            .intermediate_rows
-            .is_multiple_of(CONTROL_CHECK_JOIN_ROWS)
+        if (self.counters.intermediate_rows).is_multiple_of(CONTROL_CHECK_JOIN_ROWS)
             && self.control.is_some_and(QueryControl::interrupted)
         {
-            self.out.truncate(self.out.num_rows() - 1);
+            self.interrupted = true;
             return false;
         }
         self.counters.intermediate_rows += 1;
+        if depth + 1 < self.levels.len() {
+            return self.probe(depth + 1, end);
+        }
+        self.sink.on_row(&self.row);
         self.budget -= 1;
         self.budget > 0
     }
@@ -345,15 +326,28 @@ where
 ///
 /// With exactly one shared column the key is a bare `u64` and neither side
 /// allocates per row; 2–4 shared columns use a stack [`InlineKey`]; only a
-/// wider overlap falls back to `Vec` keys. Callers that probe the same build
-/// side repeatedly should hold a [`PreparedJoin`] instead.
+/// wider overlap falls back to `Vec` keys. This is a one-level `ProbeChain`;
+/// the pipelined join runs one chain through all its [`PreparedJoin`]s.
 pub fn hash_join(
     left: &ResultTable,
     right: &ResultTable,
     limit: Option<usize>,
     counters: &mut JoinCounters,
 ) -> ResultTable {
-    PreparedJoin::new(left.columns(), right).join(left, limit, counters)
+    let join = PreparedJoin::new(left.columns(), right, counters);
+    let mut out = ResultTable::new(join.output_columns(left.columns()));
+    out.reserve_rows(left.num_rows().min(limit.unwrap_or(usize::MAX)));
+    counters.joins_performed += 1;
+    let levels = std::slice::from_ref(&join);
+    let mut chain = ProbeChain::new(levels, out.width(), limit, None, counters, &mut out);
+    if limit != Some(0) {
+        for row in left.rows() {
+            if !chain.drive(row) {
+                break;
+            }
+        }
+    }
+    out
 }
 
 /// Estimates the number of rows `left ⨝ right` would produce, by sampling up
@@ -392,13 +386,8 @@ pub fn estimate_join_size(left: &ResultTable, right: &ResultTable, sample_size: 
                 left,
                 right,
                 sample_size,
-                |row| left_cols.iter().map(|&c| row[c]).collect::<Vec<VertexId>>(),
-                |row| {
-                    right_cols
-                        .iter()
-                        .map(|&c| row[c])
-                        .collect::<Vec<VertexId>>()
-                },
+                |row| wide_key(row, &left_cols),
+                |row| wide_key(row, &right_cols),
             )
         }
     }
@@ -517,7 +506,8 @@ pub fn select_join_order_with_priors(
     let mut joined_columns: Vec<QVid> = tables[first].columns().to_vec();
     let mut current_size = tables[first].num_rows() as f64 * prior(first);
 
-    while !remaining.is_empty() {
+    // The last position is decided once one table remains: no estimate.
+    while remaining.len() > 1 {
         let mut best: Option<(usize, f64, bool)> = None; // (pos in remaining, est, shares)
         for (pos, &ti) in remaining.iter().enumerate() {
             let shares = tables[ti]
@@ -544,6 +534,7 @@ pub fn select_join_order_with_priors(
         current_size = est;
         order.push(ti);
     }
+    order.extend(remaining);
     order
 }
 
@@ -762,45 +753,46 @@ mod tests {
                 assert!(out.rows().eq(full.rows().take(limit)), "limit {limit}");
                 assert_eq!(c.intermediate_rows, limit.min(6) as u64);
                 assert_eq!(c.joins_performed, 1);
-
-                // Onto a table that already holds rows, the limit counts
-                // what this call appends.
-                let mut c = JoinCounters::default();
-                let mut out = full.clone();
-                PreparedJoin::new(left.columns(), &right).join_into(
-                    &left,
-                    Some(limit),
-                    None,
-                    &mut c,
-                    &mut out,
-                );
-                assert!(out.rows().eq(full.rows().chain(full.rows().take(limit))));
-                assert_eq!(c.intermediate_rows, limit.min(6) as u64);
+                // The chain stops at the left row that fills the budget.
+                let consumed = [0, 1, 1, 1, 2, 2, 2][limit.min(6)];
+                assert_eq!(c.driver_rows, consumed, "limit {limit}");
+                let indexed = if shared == 0 { 0 } else { 6 };
+                assert_eq!(c.build_rows, indexed);
             }
         }
     }
 
     #[test]
-    fn an_interrupted_probe_keeps_no_half_accepted_row() {
+    fn an_interrupted_chain_keeps_no_half_accepted_row() {
         use crate::stream::{CancelToken, QueryOptions};
         let token = CancelToken::new();
         token.cancel();
         let options = QueryOptions::none().with_cancel(token);
         let control = QueryControl::new(&options, std::time::Instant::now());
         // The first pair is pruned (and counted) before the interrupt is
-        // seen at the first row that would have been kept.
+        // seen at the first row that would have been kept — at the first
+        // level, so the second is never reached.
         let a = table(&[0, 1], &[&[10, 5], &[11, 5]]);
         let b = table(&[1, 2], &[&[5, 10], &[5, 12]]);
-        let mut out = a.clone();
+        let d = table(&[2, 3], &[&[12, 13]]);
         let mut c = JoinCounters::default();
-        let joined = PreparedJoin::new(a.columns(), &b);
-        let rows = joined.join_with_control(&a, None, Some(&control), &mut c);
-        assert!(rows.is_empty());
+        let levels = [
+            PreparedJoin::new(a.columns(), &b, &mut c),
+            PreparedJoin::new(&[q(0), q(1), q(2)], &d, &mut c),
+        ];
+        let mut out = ResultTable::new(vec![q(0), q(1), q(2), q(3)]);
+        let mut chain = ProbeChain::new(&levels, 4, None, Some(&control), &mut c, &mut out);
+        assert!(!chain.drive(a.row(0)));
+        assert!(chain.interrupted);
+        assert_eq!(chain.deepest, 1);
+        assert!(out.is_empty());
         assert_eq!((c.intermediate_rows, c.rows_pruned_injective), (0, 1));
-        // Same onto a table that holds rows: they stay, nothing is added.
-        let wide = PreparedJoin::new(a.columns(), &a);
-        wide.join_into(&a, None, Some(&control), &mut c, &mut out);
-        assert_eq!(out, a);
+        // Uninterrupted, the same chain finishes both left rows.
+        let mut chain = ProbeChain::new(&levels, 4, None, None, &mut c, &mut out);
+        assert!(a.rows().all(|row| chain.drive(row)));
+        assert_eq!(chain.deepest, 2);
+        let rows = [[10, 5, 12, 13], [11, 5, 12, 13]];
+        assert_eq!(out, table(&[0, 1, 2, 3], &[&rows[0], &rows[1]]));
     }
 
     #[test]

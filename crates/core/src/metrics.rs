@@ -143,7 +143,8 @@ impl ExploreCounters {
 /// Counters collected during the join phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JoinCounters {
-    /// Number of binary joins performed.
+    /// Number of binary joins performed: one per `hash_join`, and in the
+    /// pipelined join the levels of the probe chain each round reached.
     pub joins_performed: u64,
     /// Rows produced across all intermediate join results.
     pub intermediate_rows: u64,
@@ -151,6 +152,10 @@ pub struct JoinCounters {
     pub rows_pruned_injective: u64,
     /// Number of pipeline rounds executed.
     pub pipeline_rounds: u64,
+    /// Build-side rows hash-indexed (`PreparedJoin::new`).
+    pub build_rows: u64,
+    /// Driver (left) rows the probe chain consumed.
+    pub driver_rows: u64,
 }
 
 impl JoinCounters {
@@ -160,6 +165,8 @@ impl JoinCounters {
         self.intermediate_rows += other.intermediate_rows;
         self.rows_pruned_injective += other.rows_pruned_injective;
         self.pipeline_rounds += other.pipeline_rounds;
+        self.build_rows += other.build_rows;
+        self.driver_rows += other.driver_rows;
     }
 }
 
@@ -493,10 +500,13 @@ mod tests {
             intermediate_rows: 10,
             rows_pruned_injective: 2,
             pipeline_rounds: 1,
+            build_rows: 7,
+            driver_rows: 3,
         };
         j.merge(&j.clone());
         assert_eq!(j.joins_performed, 2);
         assert_eq!(j.intermediate_rows, 20);
+        assert_eq!((j.build_rows, j.driver_rows), (14, 6));
     }
 
     #[test]

@@ -9,26 +9,35 @@
 //! experiments) has been produced.
 
 use crate::config::MatchConfig;
-use crate::join::{select_join_order_with_priors, PreparedJoin};
+use crate::join::{select_join_order_with_priors, PreparedJoin, ProbeChain};
 use crate::metrics::JoinCounters;
 use crate::query::QVid;
 use crate::stream::QueryControl;
 use crate::table::ResultTable;
+use trinity_sim::ids::VertexId;
 
 /// Receives the pipeline's output incrementally: the schema once, then each
-/// round's surviving rows as the round completes. This is what lets the
-/// streaming executor deliver first-k rows while later rounds (or later
-/// machines) are still pending. A sink that only collects lends its table
-/// instead, and each row is written once, where it stays ([`fill_round`]).
+/// surviving row the moment the probe chain finishes it, and a mark at every
+/// round boundary. This is what lets the streaming executor deliver the
+/// first row while the rest of its driver block — let alone later rounds or
+/// later machines — is still pending.
 pub(crate) trait RoundSink {
-    /// The column order of the lent table and of every `on_rows` table.
+    /// The column order of every `on_row` row.
     fn on_schema(&mut self, columns: &[QVid]);
-    /// The table to append a round's rows to, if the sink keeps one.
-    fn lend(&mut self) -> Option<&mut ResultTable> {
-        None
+    /// One finished row (the limit is already applied).
+    fn on_row(&mut self, row: &[VertexId]);
+    /// A round has ended: the moment to hand over anything buffered.
+    fn end_round(&mut self) {}
+}
+
+/// A table collects the rows it is handed; its columns are the schema.
+impl RoundSink for ResultTable {
+    fn on_schema(&mut self, columns: &[QVid]) {
+        debug_assert_eq!(self.columns(), columns);
     }
-    /// One round's surviving rows (already limit-capped), if nothing is lent.
-    fn on_rows(&mut self, rows: &ResultTable);
+    fn on_row(&mut self, row: &[VertexId]) {
+        self.push_row(row);
+    }
 }
 
 /// The collecting sink: the output table, once the schema is known.
@@ -36,40 +45,14 @@ impl RoundSink for Option<ResultTable> {
     fn on_schema(&mut self, columns: &[QVid]) {
         *self = Some(ResultTable::new(columns.to_vec()));
     }
-    fn lend(&mut self) -> Option<&mut ResultTable> {
-        self.as_mut()
+    fn on_row(&mut self, row: &[VertexId]) {
+        self.as_mut().expect("schema precedes rows").push_row(row);
     }
-    fn on_rows(&mut self, rows: &ResultTable) {
-        let out = self.as_mut().expect("schema precedes rows");
-        out.append_projected(rows);
-    }
-}
-
-/// Runs `fill` on the table `sink` lends, else on a new one of `columns`
-/// that `on_rows` then receives; returns the rows `fill` added.
-fn fill_round(
-    sink: &mut dyn RoundSink,
-    columns: &[QVid],
-    fill: impl FnOnce(&mut ResultTable),
-) -> usize {
-    if let Some(out) = sink.lend() {
-        let before = out.num_rows();
-        fill(out);
-        return out.num_rows() - before;
-    }
-    let mut rows = ResultTable::new(columns.to_vec());
-    fill(&mut rows);
-    if !rows.is_empty() {
-        sink.on_rows(&rows);
-    }
-    rows.num_rows()
 }
 
 /// Report of one (possibly streamed) pipelined join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct JoinRun {
-    /// Rows handed to the sink.
-    pub rows_emitted: usize,
     /// Whether the driver table was fully consumed with no limit cut — i.e.
     /// the emitted rows are *all* the embeddings these tables contain.
     /// Conservative: a limit reached on the final block reports `false`.
@@ -83,18 +66,16 @@ pub(crate) struct JoinRun {
 ///
 /// * The join order is chosen by [`crate::join::select_join_order`] (unless
 ///   disabled in the config, in which case the given table order is used).
-/// * The first table in the join order becomes the *driver*; it is processed
-///   in blocks of `config.block_rows` rows.
-/// * The non-driver tables are indexed **once**, before the block loop
-///   ([`PreparedJoin`]); each round probes those prepared indexes with one
-///   driver block, so per-round memory stays bounded by the block and its
-///   join output, as §4.2 intends — the rest tables are never copied or
-///   re-indexed.
-/// * Each round appends the surviving rows to the output, stopping as soon
-///   as the configured result limit (`MatchConfig::result_limit`) has been
-///   produced. The limit is checked *before* a round starts, so a satisfied
-///   limit costs neither a phantom `pipeline_rounds` increment nor a wasted
-///   driver-block copy.
+/// * The first table in the join order becomes the *driver*; the other
+///   tables are indexed **once** ([`PreparedJoin`]) and never copied.
+/// * Each driver row is extended depth-first through those indexes by one
+///   `ProbeChain`: nothing is materialized between the joins, a finished
+///   row goes straight to the output, and the configured result limit
+///   (`MatchConfig::result_limit`) stops every level the moment it is
+///   reached — memory beyond the output is one row.
+/// * `config.block_rows` driver rows make a round; a round boundary is where
+///   a satisfied limit or an interrupt is noticed *before* the next round is
+///   counted, and where a streaming sink flushes.
 pub fn pipelined_join(
     tables: &[ResultTable],
     config: &MatchConfig,
@@ -127,19 +108,20 @@ pub fn pipelined_join_with_priors(
 }
 
 /// The streaming core behind [`pipelined_join`]: identical join semantics,
-/// but rows flow to `sink` round by round, the row budget is an explicit
-/// `limit` (the caller's *remaining* first-k budget rather than the config's
-/// own), an optional [`QueryControl`] is checked at every round boundary
-/// so a deadline or cancellation stops the join between blocks, and optional
-/// per-table selectivity `priors` bias the join-order choice.
-pub(crate) fn pipelined_join_streaming(
+/// but rows flow to `sink` one by one, the row budget is an explicit `limit`
+/// (the caller's *remaining* first-k budget rather than the config's own),
+/// an optional [`QueryControl`] is checked at every round boundary and every
+/// few hundred rows inside a round, so a deadline or cancellation stops the
+/// join promptly, and optional per-table selectivity `priors` bias the
+/// join-order choice.
+pub(crate) fn pipelined_join_streaming<S: RoundSink + ?Sized>(
     tables: &[ResultTable],
     config: &MatchConfig,
     priors: Option<&[f64]>,
     limit: Option<usize>,
     control: Option<&QueryControl>,
     counters: &mut JoinCounters,
-    sink: &mut dyn RoundSink,
+    sink: &mut S,
 ) -> JoinRun {
     assert!(!tables.is_empty(), "cannot join zero tables");
     let order: Vec<usize> = if config.optimize_join_order {
@@ -149,81 +131,54 @@ pub(crate) fn pipelined_join_streaming(
     };
 
     if let [table] = tables {
-        // Single-table fast path: copy at most `limit` rows — cloning a
-        // 1M-row table to then truncate it to one row would allocate the
-        // whole buffer for nothing.
+        // Single-table fast path: hand over at most `limit` rows.
         sink.on_schema(table.columns());
         counters.pipeline_rounds += 1;
         let take = limit.map_or(table.num_rows(), |l| l.min(table.num_rows()));
-        let rows_emitted = fill_round(sink, table.columns(), |out| {
-            out.append_prefix(table, take);
-        });
+        table.rows().take(take).for_each(|row| sink.on_row(row));
+        sink.end_round();
         return JoinRun {
-            rows_emitted,
-            exhausted: rows_emitted == table.num_rows(),
+            exhausted: take == table.num_rows(),
             interrupted: false,
         };
     }
 
     let driver = &tables[order[0]];
-    let rest: Vec<&ResultTable> = order[1..].iter().map(|&i| &tables[i]).collect();
-
-    // Index every rest table once against the schema the accumulated join
-    // has when it reaches that table. The schemas are data-independent, so
-    // this also yields the output schema (an empty driver then still
-    // produces a table with the right columns).
+    // Index every rest table once against the schema the chain has when it
+    // reaches that table. The schemas are data-independent, so this also
+    // yields the output schema (an empty driver then still produces a table
+    // with the right columns).
     let mut schema: Vec<QVid> = driver.columns().to_vec();
-    let mut prepared: Vec<PreparedJoin<'_>> = Vec::with_capacity(rest.len());
-    for t in &rest {
-        let join = PreparedJoin::new(&schema, t);
+    let mut prepared: Vec<PreparedJoin<'_>> = Vec::with_capacity(order.len() - 1);
+    for &i in &order[1..] {
+        let join = PreparedJoin::new(&schema, &tables[i], counters);
         schema = join.output_columns(&schema);
         prepared.push(join);
     }
     sink.on_schema(&schema);
-    let (last, earlier) = prepared.split_last().expect("two tables or more");
 
     let block_rows = config.block_rows.max(1);
+    let mut chain = ProbeChain::new(&prepared, schema.len(), limit, control, counters, sink);
     let mut start = 0usize;
-    let mut emitted = 0usize;
-    let mut interrupted = false;
-    while start < driver.num_rows() {
-        // Both stop conditions come *before* the round is counted and the
-        // driver block copied.
-        let remaining_limit = limit.map(|l| l.saturating_sub(emitted));
-        if remaining_limit == Some(0) {
-            break;
-        }
+    // Both stop conditions come *before* the round is counted.
+    while start < driver.num_rows() && chain.budget > 0 {
         if control.is_some_and(QueryControl::interrupted) {
-            interrupted = true;
+            chain.interrupted = true;
             break;
         }
-        counters.pipeline_rounds += 1;
-        let block = driver.take_block(start, block_rows);
-        start += block_rows;
-
-        // Probe the prepared rest-table indexes with this block (in order).
-        // A limit is only safe on the last join: earlier truncation could
-        // drop rows that would survive the remaining joins. The control
-        // handle reaches into each probe pass so even one fat block cannot
-        // blow through a deadline.
-        let mut acc = block;
-        for join in earlier {
-            if acc.is_empty() {
-                break;
-            }
-            acc = join.join_with_control(&acc, None, control, counters);
+        chain.counters.pipeline_rounds += 1;
+        let end = driver.num_rows().min(start.saturating_add(block_rows));
+        while start < end && chain.drive(driver.row(start)) {
+            start += 1;
         }
-        if acc.is_empty() {
-            continue;
-        }
-        emitted += fill_round(sink, &schema, |out| {
-            last.join_into(&acc, remaining_limit, control, counters, out);
-        });
+        start = end;
+        // `joins_performed` counts the levels each round reached.
+        chain.counters.joins_performed += std::mem::take(&mut chain.deepest);
+        chain.sink.end_round();
     }
     JoinRun {
-        rows_emitted: emitted,
-        exhausted: start >= driver.num_rows() && !interrupted && limit.is_none_or(|l| emitted < l),
-        interrupted,
+        exhausted: start >= driver.num_rows() && !chain.interrupted && chain.budget > 0,
+        interrupted: chain.interrupted,
     }
 }
 
@@ -335,52 +290,23 @@ mod tests {
     }
 
     #[test]
-    fn round_result_reprojection_matches_schema_order() {
-        // The re-projection branch of the round append: per-round results and
-        // the output schema are produced by the same data-independent chain,
-        // so their column orders only diverge if that invariant is ever
-        // broken — the append is routed through `append_projected`, which
-        // re-projects instead of corrupting rows. Exercise exactly the
-        // mismatch the pipeline would hit: a round result carrying the same
-        // column set in a different order.
-        let mut output = ResultTable::new(vec![q(0), q(1), q(2)]);
-        output.push_row(&[v(1), v(1001), v(2001)]);
-        let mut round_result = ResultTable::new(vec![q(1), q(2), q(0)]);
-        round_result.push_row(&[v(1002), v(2002), v(2)]);
-        round_result.push_row(&[v(1003), v(2003), v(3)]);
-        assert_ne!(round_result.columns(), output.columns());
-        output.append_projected(&round_result);
-        assert_eq!(output.num_rows(), 3);
-        assert_eq!(output.row(1), &[v(2), v(1002), v(2002)]);
-        assert_eq!(output.row(2), &[v(3), v(1003), v(2003)]);
-        // The re-projected rows agree with a value() lookup by column name.
-        for r in 0..output.num_rows() {
-            for &c in output.columns() {
-                assert_eq!(
-                    output.value(r, c),
-                    output.row(r)[output.column_index(c).unwrap()]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn collecting_sink_takes_rows_lent_or_handed_over() {
+    fn collecting_sinks_take_rows_one_at_a_time() {
         let round = table(&[0, 1], &[&[1, 2], &[3, 4]]);
         let mut sink: Option<ResultTable> = None;
         sink.on_schema(round.columns());
-        sink.lend()
-            .expect("lends once it has a schema")
-            .append(&round);
-        sink.on_rows(&round);
-        let out = sink.expect("schema announced");
-        assert!(out.rows().eq(round.rows().chain(round.rows())));
+        round.rows().for_each(|row| sink.on_row(row));
+        sink.end_round();
+        assert_eq!(sink.as_ref(), Some(&round));
+        let mut out = sink.expect("schema announced");
+        out.on_schema(round.columns());
+        out.on_row(round.row(0));
+        assert!(out.rows().eq(round.rows().chain([round.row(0)])));
     }
 
     #[test]
     fn satisfied_limit_costs_no_phantom_round() {
-        // Regression: the block loop used to count a round (and copy a
-        // driver block) *before* noticing the limit was already satisfied.
+        // Regression: the block loop used to count a round *before*
+        // noticing the limit was already satisfied.
         // With the check hoisted, a zero budget runs zero rounds, and a
         // limit satisfied mid-driver never adds a round that produces
         // nothing.
@@ -415,59 +341,46 @@ mod tests {
             block_rows: 10,
             ..MatchConfig::default()
         };
+        #[derive(Default)]
         struct Count {
             rows: usize,
             rounds_seen: usize,
         }
         impl RoundSink for Count {
-            fn on_schema(&mut self, columns: &[QVid]) {
-                assert_eq!(columns.len(), 3);
+            fn on_schema(&mut self, _columns: &[QVid]) {}
+            fn on_row(&mut self, _row: &[VertexId]) {
+                self.rows += 1;
             }
-            fn on_rows(&mut self, rows: &ResultTable) {
-                self.rows += rows.num_rows();
+            fn end_round(&mut self) {
                 self.rounds_seen += 1;
             }
         }
         // Unlimited: everything flows through, driver exhausted.
-        let mut sink = Count {
-            rows: 0,
-            rounds_seen: 0,
-        };
+        let mut sink = Count::default();
         let mut c = JoinCounters::default();
         let run = pipelined_join_streaming(&tables, &cfg, None, None, None, &mut c, &mut sink);
-        assert_eq!(run.rows_emitted, 50);
         assert_eq!(sink.rows, 50);
         assert_eq!(sink.rounds_seen, 5);
         assert!(run.exhausted);
         assert!(!run.interrupted);
+        assert_eq!((c.driver_rows, c.build_rows), (50, 50));
 
-        // Limited: stops early, reports non-exhaustion.
-        let mut sink = Count {
-            rows: 0,
-            rounds_seen: 0,
-        };
+        // Limited: stops early — inside the third round, at the driver row
+        // that fills the budget — and reports non-exhaustion.
+        let mut sink = Count::default();
         let mut c = JoinCounters::default();
         let run = pipelined_join_streaming(&tables, &cfg, None, Some(25), None, &mut c, &mut sink);
-        assert_eq!(run.rows_emitted, 25);
+        assert_eq!((sink.rows, sink.rounds_seen), (25, 3));
         assert!(!run.exhausted);
         assert_eq!(c.pipeline_rounds, 3);
+        assert_eq!((c.driver_rows, c.intermediate_rows), (25, 25));
 
-        // Single-table path streams the limited copy.
+        // Single-table path streams the limited prefix.
         let single = vec![tables[0].clone()];
-        struct CountAny {
-            rows: usize,
-        }
-        impl RoundSink for CountAny {
-            fn on_schema(&mut self, _c: &[QVid]) {}
-            fn on_rows(&mut self, rows: &ResultTable) {
-                self.rows += rows.num_rows();
-            }
-        }
-        let mut any = CountAny { rows: 0 };
+        let mut any = Count::default();
         let mut c = JoinCounters::default();
         let run = pipelined_join_streaming(&single, &cfg, None, Some(3), None, &mut c, &mut any);
-        assert_eq!(run.rows_emitted, 3);
-        assert_eq!(any.rows, 3);
+        assert_eq!((any.rows, any.rounds_seen), (3, 1));
         assert!(!run.exhausted);
     }
 
@@ -475,43 +388,53 @@ mod tests {
     fn streaming_join_stops_at_an_interrupt() {
         use crate::stream::{CancelToken, QueryOptions};
         use std::time::Instant;
-        let tables = chain_tables(100);
-        let cfg = MatchConfig {
-            block_rows: 10,
-            ..MatchConfig::default()
-        };
+        // One round would cover the whole 1000-row driver.
+        let tables = chain_tables(1000);
+        let cfg = MatchConfig::default();
         let token = CancelToken::new();
         let control = QueryControl::new(
             &QueryOptions::none().with_cancel(token.clone()),
             Instant::now(),
         );
-        struct CancelAfter {
-            rows: usize,
+        struct CancelAtFirstRow {
+            rows: u64,
             token: CancelToken,
         }
-        impl RoundSink for CancelAfter {
+        impl RoundSink for CancelAtFirstRow {
             fn on_schema(&mut self, _c: &[QVid]) {}
-            fn on_rows(&mut self, rows: &ResultTable) {
-                self.rows += rows.num_rows();
-                // Cancel after the first round lands: the next round
-                // boundary must observe it.
+            fn on_row(&mut self, _row: &[VertexId]) {
+                self.rows += 1;
+                // The chain must observe this at its next check, not at
+                // the round boundary.
                 self.token.cancel();
             }
         }
-        let mut sink = CancelAfter { rows: 0, token };
+        let mut sink = CancelAtFirstRow { rows: 0, token };
         let mut c = JoinCounters::default();
         let run =
             pipelined_join_streaming(&tables, &cfg, None, None, Some(&control), &mut c, &mut sink);
         assert!(run.interrupted);
         assert!(!run.exhausted);
-        assert_eq!(run.rows_emitted, 10, "exactly the pre-cancel round");
         assert_eq!(c.pipeline_rounds, 1);
+        // Checks come every 256 kept rows: the row that would have been the
+        // 257th is dropped, and nothing after it is probed.
+        assert_eq!(
+            (sink.rows, c.intermediate_rows, c.driver_rows),
+            (256, 256, 257)
+        );
+
+        // Already interrupted at the first boundary: no round at all.
+        let mut c = JoinCounters::default();
+        let run =
+            pipelined_join_streaming(&tables, &cfg, None, None, Some(&control), &mut c, &mut sink);
+        assert!(run.interrupted);
+        assert_eq!((c.pipeline_rounds, c.driver_rows, sink.rows), (0, 0, 256));
     }
 
     #[test]
     fn pipeline_join_counters_stay_proportional_to_rounds() {
-        // Each round performs exactly `rest.len()` binary joins against the
-        // prepared indexes — no extra joins (or table copies) per round.
+        // Each round reaches exactly `rest.len()` levels of the prepared
+        // indexes — a level counts once per round, not once per row.
         let tables = chain_tables(100);
         let cfg = MatchConfig {
             block_rows: 10,

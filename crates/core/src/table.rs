@@ -85,39 +85,6 @@ impl ResultTable {
         self.data.reserve(rows * self.columns.len());
     }
 
-    /// Appends the join of `left` with the `extra` positions of `right` as
-    /// one row, built in place at the end of the buffer — unless the row
-    /// would map two query vertices to one data vertex, in which case the
-    /// table is left as it was. Returns whether the row was kept.
-    ///
-    /// Only the appended values are tested, each against everything already
-    /// in the row: `left` must be injective, as every row exploration emits
-    /// or a join keeps is.
-    #[inline]
-    pub(crate) fn push_joined(
-        &mut self,
-        left: &[VertexId],
-        right: &[VertexId],
-        extra: &[usize],
-    ) -> bool {
-        debug_assert_eq!(left.len() + extra.len(), self.columns.len());
-        debug_assert!(
-            !Self::row_has_duplicates(left),
-            "the left row of a join must be injective"
-        );
-        let start = self.data.len();
-        self.data.extend_from_slice(left);
-        for &rc in extra {
-            let value = right[rc];
-            if self.data[start..].contains(&value) {
-                self.data.truncate(start);
-                return false;
-            }
-            self.data.push(value);
-        }
-        true
-    }
-
     /// Returns row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[VertexId] {
@@ -190,15 +157,8 @@ impl ResultTable {
 
     /// Appends all rows of `other`, which must have identical columns.
     pub fn append(&mut self, other: &ResultTable) {
-        self.append_prefix(other, usize::MAX);
-    }
-
-    /// Appends the first `rows` rows of `other` (all of them when it has
-    /// fewer), which must have identical columns.
-    pub fn append_prefix(&mut self, other: &ResultTable, rows: usize) {
         assert_eq!(self.columns, other.columns, "column mismatch in append");
-        let end = rows.saturating_mul(other.width()).min(other.data.len());
-        self.data.extend_from_slice(&other.data[..end]);
+        self.data.extend_from_slice(&other.data);
     }
 
     /// Appends all rows of `other`, re-projecting each row into this table's
@@ -206,7 +166,7 @@ impl ResultTable {
     /// of this table's columns.
     ///
     /// This is the append used when unioning results whose producers chose
-    /// different column orders (per-machine join outputs, pipeline rounds).
+    /// different column orders (per-machine join outputs).
     pub fn append_projected(&mut self, other: &ResultTable) {
         if self.columns == other.columns {
             self.append(other);
@@ -221,11 +181,9 @@ impl ResultTable {
                     .expect("append_projected requires identical column sets")
             })
             .collect();
-        let mut row_buf: Vec<VertexId> = Vec::with_capacity(self.width());
+        self.data.reserve(other.data.len());
         for row in other.rows() {
-            row_buf.clear();
-            row_buf.extend(projection.iter().map(|&p| row[p]));
-            self.data.extend_from_slice(&row_buf);
+            self.data.extend(projection.iter().map(|&p| row[p]));
         }
     }
 
@@ -283,18 +241,6 @@ impl ResultTable {
         ResultTable {
             columns,
             data: self.data[..end].to_vec(),
-        }
-    }
-
-    /// Splits off the first `rows` rows into a new table (used by the
-    /// block-based pipeline join).
-    pub fn take_block(&self, start_row: usize, rows: usize) -> ResultTable {
-        let w = self.width();
-        let start = (start_row * w).min(self.data.len());
-        let end = ((start_row + rows) * w).min(self.data.len());
-        ResultTable {
-            columns: self.columns.clone(),
-            data: self.data[start..end].to_vec(),
         }
     }
 
@@ -376,39 +322,14 @@ mod tests {
     }
 
     #[test]
-    fn append_and_blocks() {
+    fn append_and_reserve() {
         let mut t = sample();
         let t2 = sample();
         t.append(&t2);
         assert_eq!(t.num_rows(), 6);
-        let block = t.take_block(2, 2);
-        assert_eq!(block.num_rows(), 2);
-        assert_eq!(block.row(0), &[v(1), v(2)]);
-        // out-of-range block is empty
-        assert_eq!(t.take_block(100, 5).num_rows(), 0);
-    }
-
-    #[test]
-    fn joined_rows_are_built_in_place_or_not_at_all() {
-        let mut t = ResultTable::new(vec![q(0), q(1), q(2), q(3)]);
-        // Right row (shared, x, y): positions 1 and 2 are appended.
-        assert!(t.push_joined(&[v(1), v(2)], &[v(2), v(3), v(4)], &[1, 2]));
-        // An appended value repeats a left value; one repeats the other.
-        assert!(!t.push_joined(&[v(1), v(2)], &[v(2), v(3), v(1)], &[1, 2]));
-        assert!(!t.push_joined(&[v(1), v(2)], &[v(2), v(5), v(5)], &[1, 2]));
-        assert!(t.push_joined(&[v(5), v(6)], &[v(6), v(7), v(8)], &[1, 2]));
-        assert_eq!(t.num_rows(), 2);
-        assert_eq!(t.row(1), &[v(5), v(6), v(7), v(8)]);
-        assert_eq!(t.row(0), &[v(1), v(2), v(3), v(4)]);
+        assert_eq!(t.row(5), t2.row(2));
         t.reserve_rows(100);
-        assert_eq!(t.num_rows(), 2);
-        let mut u = ResultTable::new(t.columns().to_vec());
-        u.append_prefix(&t, 0);
-        assert!(u.is_empty());
-        u.append_prefix(&t, 1);
-        assert_eq!(u.rows().collect::<Vec<_>>(), [t.row(0)]);
-        u.append_prefix(&t, 7);
-        assert_eq!(u.num_rows(), 3);
+        assert_eq!(t.num_rows(), 6);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!   counts allocator calls around a large join and asserts the total stays
 //!   far below the row count (only setup costs and the output buffer
 //!   remain).
-//! * Join output: a materialized pipelined join writes each answer row once,
-//!   into the table it returns — no per-round table that is then copied.
+//! * Join output: a materialized pipelined join allocates the table it
+//!   returns and O(1) more — no driver-block copy, no table between two
+//!   joins — and a round of a streamed one allocates nothing.
 //! * Exploration: a `Messages`-mode exploration on a warm scratch allocates
 //!   its output table and its message payloads, nothing else.
 //! * Delivery: streaming a warm cache-hit first-1024 answer into a
@@ -28,7 +29,7 @@ use stwig::join::{hash_join, PreparedJoin};
 use stwig::matcher::match_stwig_batched;
 use stwig::metrics::{ExploreCounters, FaultCounters, JoinCounters};
 use stwig::pipeline::pipelined_join;
-use stwig::query::{QVid, QueryGraph};
+use stwig::query::{QVid, QueryGraph, QueryGraphBuilder};
 use stwig::stwig::STwig;
 use stwig::table::ResultTable;
 use stwig::{ChannelSink, MatchConfig, QueryOptions, ResultMode, RowStream};
@@ -72,16 +73,22 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Allocator calls the calling thread makes while running `f`.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.get();
-    let result = f();
-    (ALLOCATIONS.get() - before, result)
+    let ((calls, _), result) = allocated_during(f);
+    (calls, result)
 }
 
 /// Bytes the calling thread requests from the allocator while running `f`.
 fn allocated_bytes_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATED_BYTES.get();
+    let ((_, bytes), result) = allocated_during(f);
+    (bytes, result)
+}
+
+/// Both: `(calls, bytes)`.
+fn allocated_during<R>(f: impl FnOnce() -> R) -> ((u64, u64), R) {
+    let before = (ALLOCATIONS.get(), ALLOCATED_BYTES.get());
     let result = f();
-    (ALLOCATED_BYTES.get() - before, result)
+    let after = (ALLOCATIONS.get(), ALLOCATED_BYTES.get());
+    ((after.0 - before.0, after.1 - before.1), result)
 }
 
 /// `rows`-row tables sharing exactly column 1, joining 1:1.
@@ -118,7 +125,7 @@ fn pipelined_join_memory_is_bounded_by_the_block() {
     // allocates `rounds × |rest|` bytes — here 64 rounds × ~1.5 MB of rest
     // table (plus its rebuilt index) ≈ 200+ MB. With the indexes prepared
     // once outside the block loop, total allocation is one index build plus
-    // per-round blocks and outputs: a few MB.
+    // the output table: a few MB.
     const ROWS: u64 = 65_536;
     let (left, right) = single_key_tables(ROWS);
     let tables = vec![left, right];
@@ -142,38 +149,53 @@ fn pipelined_join_memory_is_bounded_by_the_block() {
 }
 
 #[test]
-fn materialized_join_output_is_written_once() {
-    // A `ResultMode::All` join through `pipelined_join` appends every round
-    // straight into the table it returns. What it allocates beyond what no
-    // join can avoid — the build index and one copy of each driver block
-    // (two tables: no intermediate) — is that one table's geometric growth:
-    // measured 1.94x the output's bytes here. Building each round in a table
-    // of its own and copying that into the output, as this used to, grows
-    // two buffers per row: measured 4.60x.
+fn materialized_join_allocates_its_output_and_little_else() {
+    // A three-table `ResultMode::All` join through `pipelined_join` extends
+    // one row buffer depth-first and pushes each finished row into the table
+    // it returns. Beyond the two build indexes it allocates that table —
+    // its geometric growth, under 2x the output's bytes — and a handful of
+    // small vectors: no copy of a driver block, no table between the joins
+    // (which alone would be three quarters of the output again), nothing
+    // per round.
     const ROWS: u64 = 65_536;
-    let (left, right) = single_key_tables(ROWS);
+    let (left, mid) = single_key_tables(ROWS);
+    let mut right = ResultTable::new(vec![QVid(2), QVid(3)]);
+    for i in 0..ROWS {
+        right.push_row(&[VertexId(2_000_000 + i), VertexId(3_000_000 + i)]);
+    }
     let cfg = MatchConfig {
         optimize_join_order: false,
         ..MatchConfig::default()
     };
-    let (index_bytes, _) = allocated_bytes_during(|| PreparedJoin::new(left.columns(), &right));
-    let (block_bytes, _) = allocated_bytes_during(|| {
-        for start in (0..ROWS as usize).step_by(cfg.block_rows) {
-            std::hint::black_box(left.take_block(start, cfg.block_rows));
-        }
-    });
-    let tables = vec![left, right];
     let mut counters = JoinCounters::default();
-    let (bytes, joined) = allocated_bytes_during(|| pipelined_join(&tables, &cfg, &mut counters));
+    let ((index_allocs, index_bytes), _) = allocated_during(|| {
+        let first = PreparedJoin::new(left.columns(), &mid, &mut counters);
+        let schema = first.output_columns(left.columns());
+        (PreparedJoin::new(&schema, &right, &mut counters), first)
+    });
+    let tables = vec![left, mid, right];
+    let mut counters = JoinCounters::default();
+    let ((allocs, bytes), joined) =
+        allocated_during(|| pipelined_join(&tables, &cfg, &mut counters));
     assert_eq!(joined.num_rows() as u64, ROWS);
-    assert!(counters.pipeline_rounds > 1);
+    assert_eq!(
+        (counters.pipeline_rounds, counters.joins_performed),
+        (16, 32)
+    );
     let output = joined.memory_bytes() as u64;
-    let beyond = bytes - index_bytes - block_bytes;
+    let beyond = bytes - index_bytes;
     assert!(
-        2 * beyond <= 5 * output,
+        beyond <= 2 * output + 4096,
         "a {output}-byte answer cost {beyond} bytes of allocation beyond the build \
-         index ({index_bytes}) and the driver blocks ({block_bytes}): {:.2}x, limit 2.5x",
+         indexes ({index_bytes}): {:.2}x, limit 2x",
         beyond as f64 / output as f64
+    );
+    // The output's doublings (16 from one row to 65,536) plus setup.
+    assert!(
+        allocs - index_allocs <= 32,
+        "{} allocations beyond the indexes' {index_allocs} over {} rounds",
+        allocs - index_allocs,
+        counters.pipeline_rounds
     );
 }
 
@@ -228,6 +250,14 @@ fn wide_key_fallback_demonstrates_the_counter_works() {
 /// (three quarters of every vertex's neighbors are remote), and the star
 /// query a → {b, c} over it with its three query vertices.
 fn star_over_random_graph() -> (trinity_sim::MemoryCloud, QueryGraph, [QVid; 3]) {
+    let (cloud, [qa, qb, qc], mut builder) = random_graph_and_vertices();
+    builder.edge(qa, qb).edge(qa, qc);
+    let query = builder.build().unwrap();
+    (cloud, query, [qa, qb, qc])
+}
+
+/// That graph, and a query builder holding one vertex per label.
+fn random_graph_and_vertices() -> (trinity_sim::MemoryCloud, [QVid; 3], QueryGraphBuilder) {
     const N: u64 = 3000;
     let mut b = GraphBuilder::new_undirected();
     for i in 0..N {
@@ -247,9 +277,7 @@ fn star_over_random_graph() -> (trinity_sim::MemoryCloud, QueryGraph, [QVid; 3])
     let qa = builder.vertex_by_name(&cloud, "a").unwrap();
     let qb = builder.vertex_by_name(&cloud, "b").unwrap();
     let qc = builder.vertex_by_name(&cloud, "c").unwrap();
-    builder.edge(qa, qb).edge(qa, qc);
-    let query = builder.build().unwrap();
-    (cloud, query, [qa, qb, qc])
+    (cloud, [qa, qb, qc], builder)
 }
 
 #[test]
@@ -349,5 +377,49 @@ fn channel_delivery_allocates_per_batch_not_per_row() {
         "delivering {K} rows in {batches} batches cost {} allocations more than \
          counting them in a closure ({into_channel} vs {into_closure})",
         into_channel - into_closure.min(into_channel)
+    );
+}
+
+#[test]
+fn a_round_of_a_streamed_join_allocates_nothing() {
+    // The path a – b – c – a' takes two STwigs, so its warm first-1024 answer
+    // goes through the probe chain. With one driver row per round the join
+    // runs hundreds of rounds, with 4096 one per machine: the allocator must
+    // not see the difference — no per-round table, block copy or schema.
+    const K: u64 = 1024;
+    let (cloud, [qa, qb, qc], mut builder) = random_graph_and_vertices();
+    let qa2 = builder.vertex_by_name(&cloud, "a").unwrap();
+    builder.edge(qa, qb).edge(qb, qc).edge(qc, qa2);
+    let query = builder.build().unwrap();
+    let cache = StwigCache::new(&cloud, CacheConfig::default());
+    let options = QueryOptions::none();
+    let run = |block_rows: usize| {
+        let config = MatchConfig {
+            block_rows,
+            ..MatchConfig::default()
+                .with_num_threads(Some(1))
+                .with_result_mode(ResultMode::FirstK(K as usize))
+        };
+        let mut rows = 0u64;
+        let mut sink = |_row: &[VertexId]| rows += 1;
+        let (allocs, metrics) = allocations_during(|| {
+            let cache = Some(&cache);
+            match_query_streaming_with_cache(&cloud, &query, &config, &options, cache, &mut sink)
+                .unwrap()
+        });
+        assert_eq!((rows, metrics.rows_streamed), (K, K));
+        assert!(metrics.join.joins_performed > 0, "a joined answer");
+        (allocs, metrics.join.pipeline_rounds)
+    };
+    run(4096); // populates the cache
+    let (few_allocs, few_rounds) = run(4096);
+    let (many_allocs, many_rounds) = run(1);
+    assert!(
+        many_rounds > 100 * few_rounds.max(1),
+        "{many_rounds} rounds"
+    );
+    assert_eq!(
+        many_allocs, few_allocs,
+        "{many_rounds} rounds against {few_rounds}"
     );
 }

@@ -1,14 +1,14 @@
-//! The hash join against a nested loop: `hash_join`,
-//! `PreparedJoin::join_into` and `pipelined_join` must write exactly the
-//! rows — in exactly the order — that the textbook double loop over
-//! (left row, right row) writes, stop where it stops under a limit, and
-//! count what it counts. The joins build each row in place and test only
-//! the values they append; the reference builds the whole row and runs the
-//! full pairwise duplicate check, so any row the shortcut let through (or
+//! The joins against a nested loop: `hash_join` and `pipelined_join` must
+//! write exactly the rows — in exactly the order — that the textbook loop
+//! nest over (driver row, table-1 row, table-2 row, …) writes, stop where it
+//! stops under a limit — at every level, not only the last — and count what
+//! it counts. The probe chain builds each row in place and tests only the
+//! values it appends; the reference builds the whole row and runs the full
+//! pairwise duplicate check, so any row the shortcut let through (or
 //! dropped) shows up here.
 
 use proptest::prelude::*;
-use stwig::join::{hash_join, PreparedJoin};
+use stwig::join::hash_join;
 use stwig::metrics::JoinCounters;
 use stwig::pipeline::pipelined_join;
 use stwig::query::QVid;
@@ -16,43 +16,79 @@ use stwig::table::ResultTable;
 use stwig::{MatchConfig, ResultMode};
 use trinity_sim::ids::VertexId;
 
-/// Nested-loop natural join with the injectivity filter. Returns the table
-/// and `(intermediate_rows, rows_pruned_injective)` as a join stopping at
-/// `limit` kept rows counts them.
-fn nested_loop(
-    left: &ResultTable,
-    right: &ResultTable,
+/// The loop nest under construction: the tables, the output, and
+/// `(intermediate_rows, rows_pruned_injective)` as a join stopping at `limit`
+/// finished rows counts them.
+struct LoopNest<'a> {
+    tables: &'a [&'a ResultTable],
     limit: Option<usize>,
-) -> (ResultTable, (u64, u64)) {
-    let shared: Vec<(usize, usize)> = (left.columns().iter().enumerate())
-        .filter_map(|(li, &c)| right.column_index(c).map(|ri| (li, ri)))
-        .collect();
-    let extra: Vec<usize> = (0..right.width())
-        .filter(|ri| shared.iter().all(|&(_, r)| r != *ri))
-        .collect();
-    let mut columns = left.columns().to_vec();
-    columns.extend(extra.iter().map(|&ri| right.columns()[ri]));
-    let mut out = ResultTable::new(columns);
-    let (mut kept, mut pruned) = (0u64, 0u64);
-    'rows: for lrow in left.rows() {
-        for rrow in right.rows() {
-            if limit.is_some_and(|l| kept as usize >= l) {
-                break 'rows;
+    out: ResultTable,
+    counts: (u64, u64),
+}
+
+impl LoopNest<'_> {
+    /// One loop of the nest: every row of `tables[depth]` against the partial
+    /// row `prefix` over `columns`. `false` once the limit stopped the nest.
+    fn level(&mut self, depth: usize, columns: &[QVid], prefix: &[VertexId]) -> bool {
+        let Some(table) = self.tables.get(depth) else {
+            self.out.push_row(prefix);
+            return true;
+        };
+        let position = |c: &QVid| columns.iter().position(|have| have == c);
+        for rrow in table.rows() {
+            if self.limit.is_some_and(|l| self.out.num_rows() >= l) {
+                return false;
             }
-            if shared.iter().any(|&(li, ri)| lrow[li] != rrow[ri]) {
+            let agrees =
+                |(c, &value): (&QVid, &VertexId)| position(c).is_none_or(|p| prefix[p] == value);
+            if !table.columns().iter().zip(rrow).all(agrees) {
                 continue;
             }
-            let mut row = lrow.to_vec();
-            row.extend(extra.iter().map(|&ri| rrow[ri]));
+            let mut wider = columns.to_vec();
+            let mut row = prefix.to_vec();
+            for (c, &value) in table.columns().iter().zip(rrow) {
+                if position(c).is_none() {
+                    wider.push(*c);
+                    row.push(value);
+                }
+            }
             if ResultTable::row_has_duplicates(&row) {
-                pruned += 1;
-            } else {
-                out.push_row(&row);
-                kept += 1;
+                self.counts.1 += 1;
+                continue;
+            }
+            self.counts.0 += 1;
+            if !self.level(depth + 1, &wider, &row) {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// Nested-loop natural join of `tables`, in that order, with the injectivity
+/// filter. Returns the table and its counts.
+fn nested_loops(tables: &[&ResultTable], limit: Option<usize>) -> (ResultTable, (u64, u64)) {
+    let (driver, rest) = tables.split_first().expect("a driver");
+    let mut columns = driver.columns().to_vec();
+    for table in rest {
+        for c in table.columns() {
+            if !columns.contains(c) {
+                columns.push(*c);
             }
         }
     }
-    (out, (kept, pruned))
+    let mut nest = LoopNest {
+        tables: rest,
+        limit,
+        out: ResultTable::new(columns),
+        counts: (0, 0),
+    };
+    for lrow in driver.rows() {
+        if limit == Some(0) || !nest.level(0, driver.columns(), lrow) {
+            break;
+        }
+    }
+    (nest.out, nest.counts)
 }
 
 /// A table over `columns` whose value at position `p` of a row is
@@ -93,7 +129,6 @@ proptest! {
         left_rows in proptest::collection::vec(proptest::collection::vec(0u64..63, 8), 0..40),
         right_rows in proptest::collection::vec(proptest::collection::vec(0u64..63, 8), 0..40),
         limit in 0usize..60,
-        prefill in 0usize..3,
     ) {
         // Left: shared columns then its own; right: its own then the shared
         // ones reversed, so key positions differ on the two sides. With no
@@ -115,35 +150,21 @@ proptest! {
         let third = table(&[0, 200], &right_rows, |column, raw| {
             if column == 0 { left_value(column, raw) } else { raw % 21 }
         });
-        // Unlimited, and a limit that may land anywhere: at zero, inside a
-        // chain of equal keys, past the last row.
-        let limits = [None, Some(limit)];
+        // Unlimited, nothing, a limit that may land anywhere — inside a
+        // chain of equal keys, on a round's last row, past the last row —
+        // and one that is exactly the number of rows there are.
+        let all_three = nested_loops(&[&left, &right, &third], None).0.num_rows();
+        let limits = [None, Some(0), Some(limit), Some(all_three)];
 
-        let expected_all = nested_loop(&left, &right, None).0;
         for limit in limits {
-            let (expected, counts) = nested_loop(&left, &right, limit);
+            let (expected, counts) = nested_loops(&[&left, &right], limit);
 
             let mut c = JoinCounters::default();
             prop_assert_eq!(&hash_join(&left, &right, limit, &mut c), &expected);
             prop_assert_eq!(counted(&c), counts);
             prop_assert_eq!(c.joins_performed, 1);
 
-            // Appending to a table that already holds rows: the limit counts
-            // the appended ones only, and what was there stays.
-            let prepared = PreparedJoin::new(left.columns(), &right);
-            let mut out = ResultTable::new(prepared.output_columns(left.columns()));
-            let filler: Vec<VertexId> = (0..out.width() as u64).map(|x| VertexId(1000 + x)).collect();
-            for _ in 0..prefill {
-                out.push_row(&filler);
-            }
-            let mut c = JoinCounters::default();
-            prepared.join_into(&left, limit, None, &mut c, &mut out);
-            prop_assert_eq!(out.num_rows(), prefill + expected.num_rows());
-            prop_assert!(out.rows().take(prefill).all(|row| row == filler));
-            prop_assert!(out.rows().skip(prefill).eq(expected.rows()));
-            prop_assert_eq!(counted(&c), counts);
-
-            // The block pipeline over the same two tables in the same order.
+            // The block pipeline over the same tables in the same order.
             for block_rows in [1usize, 7, 4096] {
                 let config = MatchConfig {
                     block_rows,
@@ -156,21 +177,51 @@ proptest! {
                 prop_assert_eq!(&piped, &expected, "block_rows {}", block_rows);
                 prop_assert_eq!(counted(&c), counts, "block_rows {}", block_rows);
 
-                // Three tables: the limit caps the last join only, so the
-                // answer is a prefix of the unlimited chain — and without a
-                // limit every join of the chain counts what its loop counts.
-                let (chained, last_counts) = nested_loop(&expected_all, &third, limit);
+                // Three tables: the limit stops all three loops at once, so
+                // no level counts a row the answer did not need.
+                let (chained, chain_counts) = nested_loops(&[&left, &right, &third], limit);
                 let tables = [left.clone(), right.clone(), third.clone()];
                 let mut c = JoinCounters::default();
                 let piped = pipelined_join(&tables, &config, &mut c);
                 prop_assert_eq!(&piped, &chained, "block_rows {}", block_rows);
-                if limit.is_none() {
-                    let both = (counts.0 + last_counts.0, counts.1 + last_counts.1);
-                    prop_assert_eq!(counted(&c), both, "block_rows {}", block_rows);
-                }
+                prop_assert_eq!(counted(&c), chain_counts, "block_rows {}", block_rows);
             }
         }
     }
+}
+
+/// First-k work is bounded by the answer, not by the driver block: one block
+/// holds the whole 4096-row driver, each driver row fans out to three rows
+/// at the first level and each of those to two at the second, and ten rows
+/// are asked for.
+#[test]
+fn first_k_work_is_the_oracles_not_the_blocks() {
+    let raw = |n: u64, f: fn(u64) -> Vec<u64>| (0..n).map(f).collect::<Vec<_>>();
+    let driver = table(&[0, 1], &raw(4096, |i| vec![i, 10_000 + i]), |_, x| x);
+    let first = table(
+        &[1, 2],
+        &raw(3 * 4096, |i| vec![10_000 + i / 3, 100_000 + i]),
+        |_, x| x,
+    );
+    let second = table(
+        &[2, 3],
+        &raw(6 * 4096, |i| vec![100_000 + i / 2, 1_000_000 + i]),
+        |_, x| x,
+    );
+    let config = MatchConfig {
+        block_rows: 4096,
+        optimize_join_order: false,
+        result_mode: ResultMode::FirstK(10),
+        ..MatchConfig::default()
+    };
+    let (expected, counts) = nested_loops(&[&driver, &first, &second], Some(10));
+    let mut c = JoinCounters::default();
+    let piped = pipelined_join(&[driver, first, second], &config, &mut c);
+    assert_eq!(piped, expected);
+    assert_eq!(counted(&c), counts);
+    // Two driver rows, five first-level rows, the ten answers — of 4096.
+    assert_eq!((c.driver_rows, c.intermediate_rows), (2, 15));
+    assert_eq!(c.pipeline_rounds, 1);
 }
 
 /// A left row that maps two query vertices to one data vertex breaks the
