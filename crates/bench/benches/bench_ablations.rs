@@ -54,14 +54,14 @@ fn bench_bindings_ablation(c: &mut Criterion) {
     group.bench_function("with_bindings", |b| {
         b.iter(|| {
             for q in &queries {
-                let _ = stwig::match_query(&cloud, q, &with).unwrap();
+                let _ = stwig::match_query_distributed(&cloud, q, &with).unwrap();
             }
         })
     });
     group.bench_function("no_bindings", |b| {
         b.iter(|| {
             for q in &queries {
-                let _ = stwig::match_query(&cloud, q, &without).unwrap();
+                let _ = stwig::match_query_distributed(&cloud, q, &without).unwrap();
             }
         })
     });
@@ -80,14 +80,14 @@ fn bench_join_strategies(c: &mut Criterion) {
     group.bench_function("join_order_optimized", |b| {
         b.iter(|| {
             for q in &queries {
-                let _ = stwig::match_query(&cloud, q, &optimized).unwrap();
+                let _ = stwig::match_query_distributed(&cloud, q, &optimized).unwrap();
             }
         })
     });
     group.bench_function("join_order_naive", |b| {
         b.iter(|| {
             for q in &queries {
-                let _ = stwig::match_query(&cloud, q, &unoptimized).unwrap();
+                let _ = stwig::match_query_distributed(&cloud, q, &unoptimized).unwrap();
             }
         })
     });

@@ -11,8 +11,8 @@
 //! - the p99 latency of *accepted and completed* queries at 10x is at most
 //!   2x the 1x p99 — overload hurts the excess, not the admitted work.
 //!
-//! A `run_batch` contrast run (no admission, no deadlines) is reported
-//! alongside: the legacy path executes everything to completion, so under
+//! A `run_batch` contrast run (no deadlines, so nothing is refused or shed)
+//! is reported alongside: it executes everything to completion, so under
 //! the same 10x burst nearly all queries would have been served long past
 //! the deadline instead of being refused up front.
 
@@ -272,8 +272,8 @@ fn measure_shed_fast_path(cloud: &MemoryCloud) -> f64 {
     per_query_us
 }
 
-/// The legacy path under the same burst: `run_batch` has no admission and no
-/// deadlines, so it executes every query to completion no matter how late.
+/// The same burst without deadlines: `run_batch` drains a full queue and
+/// resubmits, so it executes every query to completion no matter how late.
 fn run_batch_contrast(
     engine: &QueryEngine<'_>,
     cloud: &MemoryCloud,

@@ -181,12 +181,11 @@ pub fn ablation_head(scale: Scale) -> Vec<Row> {
 pub fn ablation_explore(scale: Scale) -> Vec<Row> {
     let cloud = wordnet_like(scale.base_vertices(), 0xB0B).build_cloud(4, CostModel::default());
     let queries = query_batch(&cloud, scale.queries_per_point(), 6, Some(9), 0xAB3);
-    let with = run_suite(&cloud, &queries, &MatchConfig::paper_default(), false);
+    let with = run_suite(&cloud, &queries, &MatchConfig::paper_default());
     let without = run_suite(
         &cloud,
         &queries,
         &MatchConfig::paper_default().with_bindings(false),
-        false,
     );
     vec![
         Row::new(
@@ -266,7 +265,7 @@ pub fn figure3_candidate_counts(k: u64) -> Vec<Row> {
     // Join strategy: per-edge candidates.
     let (_result, stats) = baselines::edge_join(&cloud, &query, None);
     // Exploration strategy: STwig exploration rows.
-    let out = stwig::match_query(&cloud, &query, &MatchConfig::default()).unwrap();
+    let out = stwig::match_query_distributed(&cloud, &query, &MatchConfig::default()).unwrap();
     vec![
         Row::new(
             "figure3",

@@ -73,7 +73,7 @@ pub fn table1(scale: Scale) -> Vec<Row> {
         let config = MatchConfig::paper_default();
 
         // STwig (distributed executor, as in the paper).
-        let stwig_res = run_suite(&cloud, &queries, &config, true);
+        let stwig_res = run_suite(&cloud, &queries, &config);
         rows.push(Row::new(
             "table1",
             name,
@@ -179,7 +179,7 @@ pub fn fig8a(scale: Scale) -> Vec<Row> {
     ] {
         for n in 3..=10usize {
             let queries = query_batch(&cloud, scale.queries_per_point(), n, None, 0x8A0 + n as u64);
-            let res = run_suite(&cloud, &queries, &config, true);
+            let res = run_suite(&cloud, &queries, &config);
             rows.push(Row::new(
                 "fig8a",
                 name,
@@ -216,7 +216,7 @@ pub fn fig8b(scale: Scale) -> Vec<Row> {
                 Some(2 * n),
                 0x8B0 + n as u64,
             );
-            let res = run_suite(&cloud, &queries, &config, true);
+            let res = run_suite(&cloud, &queries, &config);
             rows.push(Row::new(
                 "fig8b",
                 name,
@@ -253,7 +253,7 @@ pub fn fig8c(scale: Scale) -> Vec<Row> {
                 Some(e),
                 0x8C0 + e as u64,
             );
-            let res = run_suite(&cloud, &queries, &config, true);
+            let res = run_suite(&cloud, &queries, &config);
             rows.push(Row::new(
                 "fig8c",
                 name,
@@ -303,7 +303,7 @@ fn speedup_experiment(experiment: &str, scale: Scale, edges_factor: Option<usize
                 edges_factor.map(|k| k * query_nodes),
                 0x9A0,
             );
-            let res = run_suite(&cloud, &queries, &config, true);
+            let res = run_suite(&cloud, &queries, &config);
             let ms = res.avg_simulated_ms;
             rows.push(Row::new(
                 experiment,
@@ -405,7 +405,7 @@ fn synthetic_point(experiment: &str, cloud: &MemoryCloud, x: f64, scale: Scale) 
     let config = MatchConfig::paper_default();
     let mut rows = Vec::new();
     let dfs = query_batch(cloud, scale.queries_per_point(), 6, None, 0xD0 + x as u64);
-    let res = run_suite(cloud, &dfs, &config, true);
+    let res = run_suite(cloud, &dfs, &config);
     rows.push(Row::new(
         experiment,
         "dfs",
@@ -421,7 +421,7 @@ fn synthetic_point(experiment: &str, cloud: &MemoryCloud, x: f64, scale: Scale) 
         Some(9),
         0xD1 + x as u64,
     );
-    let res = run_suite(cloud, &random, &config, true);
+    let res = run_suite(cloud, &random, &config);
     rows.push(Row::new(
         experiment,
         "random",
@@ -452,7 +452,7 @@ pub fn chaos(scale: Scale) -> Vec<Row> {
             .with_transport_mode(stwig::TransportMode::Messages)
             .with_fault_plan(plan);
         let x = 0.0;
-        let res = run_suite(&cloud, &queries, &config, true);
+        let res = run_suite(&cloud, &queries, &config);
         rows.push(Row::new("chaos", series, x, "run_time_ms", res.avg_wall_ms));
         rows.push(Row::new("chaos", series, x, "messages", res.avg_messages));
         rows.extend(res.fault_rows("chaos", series, x));
@@ -481,7 +481,7 @@ pub fn pruning(scale: Scale) -> Vec<Row> {
     let mut rows = Vec::new();
     for (series, prune) in [("prune-off", false), ("prune-on", true)] {
         let config = MatchConfig::paper_default().with_pruning(prune);
-        let res = run_suite(&cloud, &queries, &config, true);
+        let res = run_suite(&cloud, &queries, &config);
         let x = 0.0;
         rows.push(Row::new(
             "pruning",
@@ -566,7 +566,7 @@ pub fn storage(scale: Scale) -> Vec<Row> {
                 bytes.total() as f64 / vertices,
             ));
             let queries = query_batch(&cloud, scale.queries_per_point(), 5, None, 0x57);
-            let res = run_suite(&cloud, &queries, &MatchConfig::paper_default(), true);
+            let res = run_suite(&cloud, &queries, &MatchConfig::paper_default());
             rows.push(Row::new(
                 "storage",
                 &series,

@@ -177,14 +177,9 @@ impl SuiteResult {
     }
 }
 
-/// Runs a suite of queries with the single-machine or distributed executor
-/// and averages the metrics (the paper reports averages over 100 queries).
-pub fn run_suite(
-    cloud: &MemoryCloud,
-    queries: &[QueryGraph],
-    config: &MatchConfig,
-    distributed: bool,
-) -> SuiteResult {
+/// Runs a suite of queries and averages the metrics (the paper reports
+/// averages over 100 queries).
+pub fn run_suite(cloud: &MemoryCloud, queries: &[QueryGraph], config: &MatchConfig) -> SuiteResult {
     let mut out = SuiteResult {
         queries: queries.len(),
         ..Default::default()
@@ -193,12 +188,8 @@ pub fn run_suite(
         return out;
     }
     for q in queries {
-        let result = if distributed {
-            stwig::match_query_distributed(cloud, q, config)
-        } else {
-            stwig::match_query(cloud, q, config)
-        }
-        .expect("query execution failed");
+        let result =
+            stwig::match_query_distributed(cloud, q, config).expect("query execution failed");
         let m = &result.metrics;
         out.avg_wall_ms += m.wall_ms();
         out.avg_simulated_ms += m.simulated_ms();
@@ -269,12 +260,10 @@ mod tests {
         let cloud = g.build_cloud(2, CostModel::default());
         let queries = query_batch(&cloud, 3, 4, None, 11);
         assert!(!queries.is_empty());
-        let res = run_suite(&cloud, &queries, &MatchConfig::paper_default(), false);
+        let res = run_suite(&cloud, &queries, &MatchConfig::paper_default());
         assert_eq!(res.queries, queries.len());
         assert!(res.avg_wall_ms > 0.0);
         assert!(res.avg_matches >= 1.0);
-        let dist = run_suite(&cloud, &queries, &MatchConfig::paper_default(), true);
-        assert_eq!(dist.queries, queries.len());
     }
 
     #[test]
@@ -282,7 +271,7 @@ mod tests {
         let g = wordnet_like(500, 1);
         let cloud = g.build_cloud(4, CostModel::default());
         let queries = query_batch(&cloud, 3, 4, None, 11);
-        let res = run_suite(&cloud, &queries, &MatchConfig::paper_default(), true);
+        let res = run_suite(&cloud, &queries, &MatchConfig::paper_default());
         // The phases partition the totals (serial suite, one query at a
         // time), so their sum can never exceed the average total bytes.
         let phase_sum = res.avg_explore_bytes + res.avg_sync_bytes + res.avg_join_bytes;

@@ -75,8 +75,8 @@ impl Default for TransportMode {
 /// "First-k early stop").
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ResultMode {
-    /// Enumerate every match. This is the default and keeps every execution
-    /// path bit-identical to the non-streaming executor.
+    /// Enumerate every match: one uncapped exploration round, then the join
+    /// delivers every row. The default.
     #[default]
     All,
     /// Stop after `k` valid embeddings; exploration is bounded to slabs
@@ -206,9 +206,9 @@ pub enum FailurePolicy {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MatchConfig {
     /// What to produce: everything, the first k valid embeddings, or a bare
-    /// existence check (see [`ResultMode`]). `All` reproduces the legacy
-    /// behavior exactly; `FirstK`/`Exists` additionally let the streaming
-    /// executor bound exploration. This is the **only** result-limit knob —
+    /// existence check (see [`ResultMode`]). `All` enumerates in one
+    /// exploration round; `FirstK`/`Exists` additionally let the executor
+    /// bound exploration. This is the **only** result-limit knob —
     /// the historical `max_results` cap is expressed as
     /// `ResultMode::FirstK(n)` — and [`MatchConfig::result_limit`] is its
     /// single interpreter.

@@ -40,23 +40,35 @@
 //! direct cross-partition reads (`MemoryCloud::direct_remote_reads`).
 //!
 //! **Threading model.** Logical machines really run in parallel: each
-//! machine's exploration step (per STwig) and its load-set join step are work
-//! items fanned out over `MatchConfig::num_threads` worker threads via
-//! [`std::thread::scope`], with dynamic work-stealing over the machine list.
-//! Binding synchronization stays a barrier between STwigs, as the algorithm
-//! requires. Per-machine counters and tables are produced thread-locally and
-//! merged on the coordinating thread in machine order, so results and
-//! metrics totals are identical for every thread count — `num_threads = 1`
-//! reproduces the serial execution bit-for-bit. See DESIGN.md for the full
-//! determinism argument.
+//! machine's exploration step (per STwig) is a work item fanned out over
+//! `MatchConfig::num_threads` worker threads via [`std::thread::scope`],
+//! with dynamic work-stealing over the machine list, and so is its load-set
+//! join into a table no result limit can cut short (with a limit, or into a
+//! sink — which gets each row as it is joined — the machines join in machine
+//! order). Binding synchronization stays a barrier between STwigs, as the
+//! algorithm requires. Per-machine counters and rows are produced
+//! thread-locally and merged on the coordinating thread in machine order, so
+//! results and metrics totals are identical for every thread count —
+//! `num_threads = 1` reproduces the serial execution bit-for-bit. See
+//! DESIGN.md for the full determinism argument.
 //!
-//! **Split API.** The execution is factored into two public phases so that
-//! the multi-query [`crate::engine::QueryEngine`] and the single-query entry
-//! point share one code path: [`produce_stwig_tables`] runs exploration with
-//! binding synchronization (optionally consulting a [`StwigCache`], which is
-//! transparent — a hit yields tables bit-identical to exploration), and
-//! [`join_stwig_tables`] runs the per-machine load-set joins and the final
-//! union. [`match_query_distributed`] is the composition with no cache.
+//! **One executor, two outputs.** Every entry point — this module's
+//! [`match_query_distributed`] / [`match_query_streaming`] (and their
+//! `_with_cache` forms) and the engine's `submit` / `submit_streaming` — runs
+//! the same function, `execute_query`, which differs only in where rows go:
+//! a table it fills and hands back, or the caller's
+//! [`crate::stream::ResultSink`]. Everywhere, rows are in **canonical column
+//! order** (query vertices ascending) whichever machine produced them and
+//! whatever join order it chose, and `FirstK(k)` / `Exists` mean the
+//! **slab-bounded early stop**: k genuine embeddings, not a prefix of the
+//! full enumeration.
+//!
+//! **Split API.** The two phases are public on their own (the repo
+//! benchmark times them separately): [`produce_stwig_tables`] runs
+//! exploration with binding synchronization (optionally consulting a
+//! [`StwigCache`], which is transparent — a hit yields tables bit-identical
+//! to exploration), and [`join_stwig_tables`] is the executor's join pass
+//! with a table output.
 
 use crate::bindings::Bindings;
 use crate::cache::{
@@ -66,13 +78,12 @@ use crate::cache::{
 use crate::config::{FailurePolicy, MatchConfig, TransportMode};
 use crate::decompose::{decompose_ordered, PairAwareStats};
 use crate::error::StwigError;
-use crate::executor::MatchOutput;
 use crate::head::{load_set, select_head, HeadSelection};
 use crate::matcher::{match_stwig, match_stwig_batched};
 use crate::metrics::{
     ExploreCounters, FaultCounters, JoinCounters, MachineMetrics, QueryMetrics, QueryOutcome,
 };
-use crate::pipeline::{pipelined_join_streaming, pipelined_join_with_priors, RoundSink};
+use crate::pipeline::{pipelined_join_streaming, RoundSink};
 use crate::query::{QVid, QueryGraph};
 use crate::retry::fetch_postings;
 use crate::stream::{Interrupt, QueryControl, QueryOptions, ResultSink};
@@ -84,7 +95,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use trinity_sim::cluster_graph::ClusterGraph;
 use trinity_sim::fault::FaultyTransport;
-use trinity_sim::ids::{MachineId, VertexId};
+use trinity_sim::ids::{LabelId, MachineId, VertexId};
 use trinity_sim::network::TrafficSnapshot;
 use trinity_sim::transport::{ChannelTransport, Message, Transport, TransportError};
 use trinity_sim::MemoryCloud;
@@ -294,19 +305,6 @@ struct MachineExplore {
     compute_us: f64,
 }
 
-/// Per-machine output of the load-set join step.
-struct MachineJoin {
-    /// `None` when the machine had no head-STwig results (it contributes
-    /// nothing, per §5.3).
-    joined: Option<ResultTable>,
-    counters: JoinCounters,
-    compute_us: f64,
-    rows_received: u64,
-    /// Bytes resident on this machine during its join (assembled R_k tables
-    /// plus the join output) — feeds `QueryMetrics::peak_table_bytes`.
-    table_bytes: u64,
-}
-
 /// The centrally-computed query plan broadcast to every machine.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
@@ -354,9 +352,27 @@ pub fn plan_query_with_config(
     })
 }
 
+/// The output of a query execution: the embeddings and the metrics collected
+/// along the way.
+#[derive(Debug, Clone)]
+pub struct MatchOutput {
+    /// One row per embedding; columns are the query's vertices, ascending.
+    pub table: ResultTable,
+    /// Execution statistics.
+    pub metrics: QueryMetrics,
+}
+
+impl MatchOutput {
+    /// Number of embeddings found.
+    pub fn num_matches(&self) -> usize {
+        self.table.num_rows()
+    }
+}
+
 /// Runs a subgraph query with every logical machine participating, as in
-/// §4.3. Returns the union of per-machine results (disjoint by construction)
-/// plus per-machine metrics and the simulated makespan.
+/// §4.3. Returns the per-machine answers (disjoint by construction) as one
+/// table, plus per-machine metrics and the simulated makespan. A cloud of
+/// one partition is the paper's "cluster of size 1".
 pub fn match_query_distributed(
     cloud: &MemoryCloud,
     query: &QueryGraph,
@@ -365,7 +381,8 @@ pub fn match_query_distributed(
     match_query_distributed_with_cache(cloud, query, config, None)
 }
 
-/// [`match_query_distributed`] with an optional cross-query [`StwigCache`].
+/// [`match_query_distributed`] with an optional cross-query [`StwigCache`]:
+/// the executor with the table output and neither deadline nor cancellation.
 ///
 /// The cache is transparent: for every STwig, the per-machine tables fed
 /// into the join are bit-identical to what exploration would produce, so the
@@ -378,133 +395,8 @@ pub fn match_query_distributed_with_cache(
     config: &MatchConfig,
     cache: Option<&StwigCache>,
 ) -> Result<MatchOutput, StwigError> {
-    #[cfg(test)]
-    if fault::poisoned(cloud, query) {
-        return Err(fault::injected_error());
-    }
-    let started = Instant::now();
-    cloud.reset_traffic();
-    let num_machines = cloud.num_machines();
-    let mut metrics = QueryMetrics {
-        storage: Some(cloud.storage_bytes()),
-        ..QueryMetrics::default()
-    };
-    let mut machine_metrics: Vec<MachineMetrics> = (0..num_machines)
-        .map(|k| MachineMetrics {
-            machine: k as u16,
-            ..Default::default()
-        })
-        .collect();
-    if let Some(cache) = cache {
-        if !cache.matches_cloud(cloud) {
-            return Err(StwigError::Internal(
-                "STwig cache was built for a different memory cloud".into(),
-            ));
-        }
-    }
-
-    // Single-vertex queries: a per-machine label scan. In `Messages` mode
-    // the proxy (machine 0) gathers every other machine's postings with one
-    // `GetIds` exchange each instead of reading their string indexes in
-    // place; the table is identical (postings in machine order).
-    if query.num_edges() == 0 {
-        let v0 = query.vertices().next().ok_or(StwigError::EmptyQuery)?;
-        let label = query.label(v0);
-        let mut table = ResultTable::new(vec![v0]);
-        if config.transport_mode == TransportMode::Messages {
-            // The posting gather is the query's whole exploration; attribute
-            // its envelopes to the explore phase so the breakdown still
-            // partitions the totals.
-            let before = cloud.traffic();
-            let transport = QueryTransport::for_config(cloud, config);
-            let proxy = MachineId(0);
-            for k in cloud.machines() {
-                if k == proxy {
-                    for id in cloud.get_ids(k, label) {
-                        table.push_row(&[id]);
-                    }
-                    continue;
-                }
-                let fetched = fetch_postings(
-                    &transport,
-                    cloud,
-                    config,
-                    proxy,
-                    k,
-                    &[label],
-                    None,
-                    &mut metrics.fault,
-                )?;
-                for id in fetched.into_iter().flatten().flatten() {
-                    table.push_row(&[id]);
-                }
-            }
-            metrics.fault.duplicates_suppressed += transport.duplicates_suppressed();
-            let after = cloud.traffic();
-            record_phase(
-                &before,
-                &after,
-                &mut metrics.phase_traffic.explore_messages,
-                &mut metrics.phase_traffic.explore_bytes,
-            );
-        } else {
-            for k in cloud.machines() {
-                for id in cloud.get_ids(k, label) {
-                    table.push_row(&[id]);
-                }
-            }
-        }
-        if let Some(limit) = config.result_limit() {
-            if table.num_rows() > limit {
-                metrics.truncated = true;
-            }
-            table.truncate(limit);
-        }
-        metrics.matches_found = table.num_rows() as u64;
-        metrics.machines = machine_metrics;
-        if !metrics.fault.machines_lost.is_empty() {
-            metrics.outcome = QueryOutcome::Partial;
-        }
-        finalize(&mut metrics, cloud, started);
-        return Ok(MatchOutput { table, metrics });
-    }
-
-    // ---- 1. Planning (proxy side) ----
-    let plan = plan_query_with_config(cloud, query, config)?;
-    metrics.num_stwigs = plan.stwigs.len();
-
-    // ---- 2 + 3. Exploration, then per-machine joins ----
-    let tables = produce_stwig_tables(
-        cloud,
-        query,
-        &plan,
-        config,
-        cache,
-        None,
-        &mut metrics,
-        &mut machine_metrics,
-    )?;
-    let table = match tables {
-        // Some STwig matched nowhere: the query provably has no answer.
-        None => ResultTable::new(query.vertices().collect()),
-        Some(tables) => join_stwig_tables(
-            cloud,
-            query,
-            &plan,
-            &tables,
-            config,
-            &mut metrics,
-            &mut machine_metrics,
-        )?,
-    };
-    metrics.matches_found = table.num_rows() as u64;
-    metrics.machines = machine_metrics;
-    if !metrics.fault.machines_lost.is_empty() {
-        // Every delivered row is join-verified; rows needing a lost machine
-        // are simply absent (see `FailurePolicy::Degrade`).
-        metrics.outcome = QueryOutcome::Partial;
-    }
-    finalize(&mut metrics, cloud, started);
+    let (table, metrics) = execute_query(cloud, query, config, &QueryOptions::none(), cache, None)?;
+    let table = table.expect("the table output hands its table back");
     Ok(MatchOutput { table, metrics })
 }
 
@@ -524,13 +416,12 @@ pub struct StwigTableSet {
 /// query has no answer (exploration counters and the partial `stwig_rows`
 /// are still recorded in `metrics`) — **unless** a `control` interrupt is
 /// pending, in which case an empty table may simply mean exploration was
-/// cut short; streaming callers check `control` before trusting the `None`.
+/// cut short; the executor checks `control` before trusting the `None`.
 ///
 /// `control` is the per-query deadline/cancellation handle: it is checked at
 /// every superstep flush inside exploration and at every STwig barrier, and
 /// a pending interrupt makes this phase return early with whatever tables it
-/// completed. Pass `None` (the materialized entry points do) for the exact
-/// legacy behavior.
+/// completed. `None` never interrupts.
 #[allow(clippy::too_many_arguments)]
 pub fn produce_stwig_tables(
     cloud: &MemoryCloud,
@@ -543,8 +434,8 @@ pub fn produce_stwig_tables(
     machine_metrics: &mut [MachineMetrics],
 ) -> Result<Option<StwigTableSet>, StwigError> {
     if let Some(cache) = cache {
-        // Guard here too, not only in the composed entry point: this phase
-        // is public, and a foreign cache would serve another cloud's tables.
+        // The only cache/cloud guard — every executor path reaches the cache
+        // through here — lest a foreign cache serve another cloud's tables.
         if !cache.matches_cloud(cloud) {
             return Err(StwigError::Internal(
                 "STwig cache was built for a different memory cloud".into(),
@@ -561,7 +452,9 @@ pub fn produce_stwig_tables(
     let mut per_machine_tables: Vec<Vec<ResultTable>> =
         vec![Vec::with_capacity(plan.stwigs.len()); num_machines];
     let mut bindings = Bindings::new(query.num_vertices());
-    let mut explore = ExploreCounters::default();
+    // Counters accumulate into `metrics` (the executor calls this once per
+    // slab round); the per-STwig row totals describe this call alone.
+    metrics.stwig_rows.clear();
 
     // A binding set is only ever read while exploring a *later* STwig, so
     // vertices that never appear again need no set built (and no broadcast):
@@ -575,18 +468,13 @@ pub fn produce_stwig_tables(
         needed_after[t] = needed;
     }
 
+    let mut no_answer = false;
     for (t, stwig) in plan.stwigs.iter().enumerate() {
         // Cooperative check at the STwig barrier: an interrupted query stops
         // producing tables (the caller decides what to do with the partial
         // set).
         if control.is_some_and(QueryControl::interrupted) {
-            metrics.explore = explore;
-            if let Some(tp) = &transport {
-                metrics.fault.duplicates_suppressed += tp.duplicates_suppressed();
-            }
-            return Ok(Some(StwigTableSet {
-                per_machine: per_machine_tables,
-            }));
+            break;
         }
         // Every machine produces this STwig's table in parallel against the
         // bindings snapshot from the previous barrier — by exploration, or
@@ -613,7 +501,7 @@ pub fn produce_stwig_tables(
         );
         let mut new_tables: Vec<ResultTable> = Vec::with_capacity(num_machines);
         for (ki, result) in results.into_iter().enumerate() {
-            explore.merge(&result.counters);
+            metrics.explore.merge(&result.counters);
             metrics.fault.merge(&result.faults);
             let mm = &mut machine_metrics[ki];
             mm.compute_us += result.compute_us;
@@ -756,18 +644,14 @@ pub fn produce_stwig_tables(
         metrics.peak_table_bytes = metrics.peak_table_bytes.max(resident);
         if total_rows == 0 {
             // No machine found a match for this STwig: the query has no answer.
-            metrics.explore = explore;
-            if let Some(tp) = &transport {
-                metrics.fault.duplicates_suppressed += tp.duplicates_suppressed();
-            }
-            return Ok(None);
+            no_answer = true;
+            break;
         }
     }
-    metrics.explore = explore;
     if let Some(tp) = &transport {
         metrics.fault.duplicates_suppressed += tp.duplicates_suppressed();
     }
-    Ok(Some(StwigTableSet {
+    Ok((!no_answer).then_some(StwigTableSet {
         per_machine: per_machine_tables,
     }))
 }
@@ -1082,7 +966,7 @@ fn collect_explore_results(
 /// will filter harder", pulling that table earlier in the join order. Only
 /// available when pruning is on and the cloud was built with pair tables;
 /// `None` falls back to the sampled-only estimator.
-pub(crate) fn stwig_join_priors(
+fn stwig_join_priors(
     cloud: &MemoryCloud,
     query: &QueryGraph,
     stwigs: &[STwig],
@@ -1112,13 +996,14 @@ pub(crate) fn stwig_join_priors(
     )
 }
 
-/// Phase 2 of the distributed execution: each machine fetches its load-set
-/// tables (Theorem 4), joins them with the block-based pipeline, and the
-/// per-machine answers — disjoint by construction — are unioned on the
-/// coordinating thread in machine order. Applies the configured result
-/// limit (`MatchConfig::result_limit`) and records join counters,
-/// per-machine receive/match counts and the truncation flag in the supplied
-/// metrics. Fails with [`StwigError::Transport`] if a peer ships a
+/// Phase 2 of the distributed execution on its own: the executor's one join
+/// pass ([`join_pass`]) over already-explored `tables`, into a table in
+/// canonical column order. Each machine fetches its load-set tables
+/// (Theorem 4) and joins them with the block-based pipeline; the per-machine
+/// answers — disjoint by construction — land in machine order. Applies the
+/// configured result limit (`MatchConfig::result_limit`) and records join
+/// counters, per-machine receive/match counts and the truncation flag in the
+/// supplied metrics. Fails with [`StwigError::Transport`] if a peer ships a
 /// malformed `JoinRows` message.
 pub fn join_stwig_tables(
     cloud: &MemoryCloud,
@@ -1129,128 +1014,34 @@ pub fn join_stwig_tables(
     metrics: &mut QueryMetrics,
     machine_metrics: &mut [MachineMetrics],
 ) -> Result<ResultTable, StwigError> {
-    let num_machines = cloud.num_machines();
-    let priors = stwig_join_priors(cloud, query, &plan.stwigs, config);
-    let threads = config.resolved_num_threads();
-    let per_machine_tables = &tables.per_machine;
-    let before_join = cloud.traffic();
-    // `Messages`: ship every load-set table as an explicit `JoinRows`
-    // message before the per-machine join work items run — machine `j`
-    // pushes its STwig-`t` rows to every machine whose load set names it
-    // (Theorem 4 bounds the destinations). Each machine then assembles its
-    // R_k from its own tables plus its inbox; the drained envelopes are
-    // canonicalized to (STwig, sender, seq) order, so R_k is row-for-row
-    // identical to the direct-read assembly below even under fault-injected
-    // reordering.
-    let transport = (config.transport_mode == TransportMode::Messages)
-        .then(|| QueryTransport::for_config(cloud, config));
-    if let Some(tp) = &transport {
-        for ki in 0..num_machines {
-            post_join_rows_to(tp, plan, per_machine_tables, MachineId(ki as u16));
-        }
-    }
-    let join_results: Vec<Result<MachineJoin, StwigError>> =
-        run_work_stealing(num_machines, threads, |ki| {
-            let t0 = Instant::now();
-            let (rk_tables, received) =
-                assemble_rk_tables(cloud, plan, per_machine_tables, transport.as_ref(), ki)?;
-
-            let rk_bytes: u64 = rk_tables.iter().map(|t| t.memory_bytes() as u64).sum();
-            // If this machine has no head-STwig results it contributes
-            // nothing.
-            if rk_tables[plan.head.head_index].is_empty() {
-                return Ok(MachineJoin {
-                    joined: None,
-                    counters: JoinCounters::default(),
-                    compute_us: t0.elapsed().as_secs_f64() * 1e6,
-                    rows_received: received,
-                    table_bytes: rk_bytes,
-                });
-            }
-            let mut counters = JoinCounters::default();
-            let joined =
-                pipelined_join_with_priors(&rk_tables, config, priors.as_deref(), &mut counters);
-            let table_bytes = rk_bytes + joined.memory_bytes() as u64;
-            Ok(MachineJoin {
-                joined: Some(joined),
-                counters,
-                compute_us: t0.elapsed().as_secs_f64() * 1e6,
-                rows_received: received,
-                table_bytes,
-            })
-        });
-    let join_results: Vec<MachineJoin> = join_results.into_iter().collect::<Result<_, _>>()?;
-
-    if let Some(tp) = &transport {
-        metrics.fault.duplicates_suppressed += tp.duplicates_suppressed();
-    }
-    let after_join = cloud.traffic();
-    record_phase(
-        &before_join,
-        &after_join,
-        &mut metrics.phase_traffic.join_ship_messages,
-        &mut metrics.phase_traffic.join_ship_bytes,
-    );
-
-    let mut join_counters = JoinCounters::default();
-    let mut final_table: Option<ResultTable> = None;
-    // The union's exact size, so the first contributor's table is regrown
-    // at most once for all the others.
-    let union_rows: usize = (join_results.iter())
-        .filter_map(|result| result.joined.as_ref())
-        .map(ResultTable::num_rows)
-        .sum();
-    // Rows each machine appended to the final table, in append order; used to
-    // re-attribute per-machine match counts after global truncation.
-    let mut contributions: Vec<(usize, u64)> = Vec::new();
-    for (ki, result) in join_results.into_iter().enumerate() {
-        join_counters.merge(&result.counters);
-        metrics.peak_table_bytes = metrics.peak_table_bytes.max(result.table_bytes);
-        let mm = &mut machine_metrics[ki];
-        mm.rows_received += result.rows_received;
-        mm.compute_us += result.compute_us;
-        let Some(joined) = result.joined else {
-            continue;
-        };
-        mm.matches_found = joined.num_rows() as u64;
-        contributions.push((ki, joined.num_rows() as u64));
-
-        match &mut final_table {
-            None => {
-                let mut first = joined;
-                first.reserve_rows(union_rows - first.num_rows());
-                final_table = Some(first);
-            }
-            // Columns may differ in order across machines; re-project.
-            Some(acc) => acc.append_projected(&joined),
-        }
-    }
-    metrics.join = join_counters;
-
-    let mut table = final_table.unwrap_or_else(|| ResultTable::new(query.vertices().collect()));
-    if let Some(limit) = config.result_limit() {
-        if table.num_rows() > limit {
-            metrics.truncated = true;
-        }
-        table.truncate(limit);
-        // Re-attribute per-machine match counts to the rows that survived the
-        // global truncation (the final table keeps a prefix in append order).
-        let mut remaining = table.num_rows() as u64;
-        for &(machine, produced) in &contributions {
-            let kept = produced.min(remaining);
-            machine_metrics[machine].matches_found = kept;
-            remaining -= kept;
-        }
-    }
-    Ok(table)
+    let started = Instant::now();
+    let control = QueryControl::new(&QueryOptions::none(), started);
+    let canonical: Vec<QVid> = query.vertices().collect();
+    let limit = config.result_limit();
+    let mut state = StreamState::begin(None, &canonical, started);
+    let pass = join_pass(
+        cloud,
+        query,
+        plan,
+        tables,
+        config,
+        limit,
+        &control,
+        &canonical,
+        metrics,
+        machine_metrics,
+        &mut state,
+    )?;
+    metrics.truncated = limit.is_some() && !pass.exhausted;
+    Ok(state
+        .finish(metrics)
+        .expect("the table output hands its table back"))
 }
 
 /// Ships every load-set table destined for machine `dest` as `JoinRows`
 /// posts (Theorem 4 bounds the senders): one envelope per non-empty
 /// (STwig, sender) pair, in (STwig, sender) order — the order
-/// [`assemble_rk_tables`] relies on for row-for-row determinism. Shared by
-/// the materialized join phase (which posts to every machine up front) and
-/// the streaming pass (which posts lazily per machine).
+/// [`assemble_rk_tables`] relies on for row-for-row determinism.
 fn post_join_rows_to(
     tp: &dyn Transport,
     plan: &QueryPlan,
@@ -1386,91 +1177,135 @@ const FIRST_K_MIN_SLAB: usize = 256;
 /// of the final round.
 const SLAB_GROWTH: usize = 8;
 
-/// Tracks streamed delivery: rows handed to the sink, and when the first
-/// one became readable.
+/// Where rows end up: the caller's sink, or a table.
+enum Output<'s> {
+    Sink {
+        sink: &'s mut dyn ResultSink,
+        /// A re-projected row on its way to `sink.row`.
+        row_buf: Vec<VertexId>,
+    },
+    Table(ResultTable),
+}
+
+/// A destination for canonical-order rows that tracks delivery: how many
+/// rows it took, and when the first one became readable. The query's output
+/// is one; so is a staging table (a slab round's rows, or one machine's
+/// share of a parallel join pass), whose stamp nobody reads.
 struct StreamState<'s> {
-    sink: &'s mut dyn ResultSink,
+    output: Output<'s>,
     started: Instant,
     streamed: u64,
     first_us: Option<f64>,
 }
 
 impl<'s> StreamState<'s> {
-    fn new(sink: &'s mut dyn ResultSink, started: Instant) -> Self {
+    /// Opens the output for rows in `columns` order: announces them to the
+    /// sink when there is one, creates the table otherwise.
+    fn begin(sink: Option<&'s mut dyn ResultSink>, columns: &[QVid], started: Instant) -> Self {
+        let output = match sink {
+            Some(sink) => {
+                sink.begin(columns);
+                Output::Sink {
+                    sink,
+                    row_buf: Vec::with_capacity(columns.len()),
+                }
+            }
+            None => Output::Table(ResultTable::new(columns.to_vec())),
+        };
         StreamState {
-            sink,
+            output,
             started,
             streamed: 0,
             first_us: None,
         }
     }
 
+    /// Delivers a row that is already in the output's column order.
     fn deliver(&mut self, row: &[VertexId]) {
-        self.sink.row(row);
-        self.streamed += 1;
-        if self.first_us.is_none() {
+        match &mut self.output {
+            Output::Sink { sink, .. } => sink.row(row),
+            Output::Table(table) => table.push_row(row),
+        }
+        self.delivered(1);
+    }
+
+    /// Delivers a staged table's rows, already in the output's column order.
+    fn deliver_all(&mut self, rows: &ResultTable) {
+        match &mut self.output {
+            Output::Sink { .. } => rows.rows().for_each(|row| self.deliver(row)),
+            Output::Table(table) => {
+                table.append(rows);
+                self.delivered(rows.num_rows() as u64);
+            }
+        }
+    }
+
+    /// Delivers `row` re-projected into the output's column order: one
+    /// write per value into a table, through the row buffer into a sink.
+    fn deliver_projected(&mut self, row: &[VertexId], projection: &[usize]) {
+        match &mut self.output {
+            Output::Sink { sink, row_buf } => {
+                row_buf.clear();
+                row_buf.extend(projection.iter().map(|&p| row[p]));
+                sink.row(row_buf);
+            }
+            Output::Table(table) => table.push_projected(row, projection),
+        }
+        self.delivered(1);
+    }
+
+    fn delivered(&mut self, rows: u64) {
+        self.streamed += rows;
+        if self.first_us.is_none() && rows > 0 {
             // The first row does not wait in a buffering sink for company:
             // the stamp is when the consumer could read it.
-            self.sink.flush();
+            self.flush();
             self.first_us = Some(self.started.elapsed().as_secs_f64() * 1e6);
         }
     }
 
-    /// Ends delivery — whatever stopped the query, the rows it delivered
-    /// are flushed before its metrics say so — and records the stream's
-    /// counters.
-    fn finish(self, metrics: &mut QueryMetrics) {
-        self.sink.flush();
-        metrics.matches_found = self.streamed;
-        metrics.rows_streamed = self.streamed;
-        metrics.time_to_first_result_us = self.first_us;
-    }
-}
-
-/// Where a streamed join pass puts its rows: the live stream for a committed
-/// round, or a staging table for a slab round that may still be discarded
-/// and retried bigger.
-enum RowTarget<'a, 's> {
-    Live(&'a mut StreamState<'s>),
-    Staged(&'a mut ResultTable),
-}
-
-impl RowTarget<'_, '_> {
-    fn push(&mut self, row: &[VertexId]) {
-        match self {
-            RowTarget::Live(state) => state.deliver(row),
-            RowTarget::Staged(table) => table.push_row(row),
+    /// Has a buffering sink hand over what it holds.
+    fn flush(&mut self) {
+        if let Output::Sink { sink, .. } = &mut self.output {
+            sink.flush();
         }
     }
 
-    /// A join round has ended: a live stream hands over what it buffered.
-    fn end_round(&mut self) {
-        if let RowTarget::Live(state) = self {
-            state.sink.flush();
+    /// Ends delivery — whatever stopped the query, the rows it delivered
+    /// are flushed before its metrics say so — records the stream's
+    /// counters, and hands back the table of a table output.
+    fn finish(mut self, metrics: &mut QueryMetrics) -> Option<ResultTable> {
+        self.flush();
+        metrics.matches_found = self.streamed;
+        metrics.rows_streamed = self.streamed;
+        metrics.time_to_first_result_us = self.first_us;
+        self.into_table()
+    }
+
+    /// The table of a table output.
+    fn into_table(self) -> Option<ResultTable> {
+        match self.output {
+            Output::Sink { .. } => None,
+            Output::Table(table) => Some(table),
         }
     }
 }
 
 /// [`RoundSink`] adapter: re-projects each row of a machine's join output
 /// (whose column order depends on its join-order choice) into the canonical
-/// column order announced to the client and forwards it to its
-/// [`RowTarget`] as the join finishes it, flushing the live stream at the
-/// end of every round. Checks `control` before each forwarded row — an
-/// atomic load (the clock is only read while an untripped deadline is
-/// armed) — so no row is delivered after a cancellation the consumer
-/// raised mid-stream, even before the join's own next check stops it.
-struct ProjectingSink<'a, 't, 's> {
+/// column order and delivers it as the join finishes it, flushing at the end
+/// of every round. Checks `control` before each row — an atomic load (the
+/// clock is only read while an untripped deadline is armed) — so no row is
+/// delivered after a cancellation the consumer raised mid-stream, even
+/// before the join's own next check stops it.
+struct ProjectingSink<'a, 's> {
     canonical: &'a [QVid],
     projection: Vec<usize>,
-    row_buf: Vec<VertexId>,
     control: &'a QueryControl,
-    target: &'a mut RowTarget<'t, 's>,
-    /// Rows forwarded — what the target accepted, not what the join
-    /// produced: rows are dropped once an interrupt latches.
-    delivered: u64,
+    state: &'a mut StreamState<'s>,
 }
 
-impl RoundSink for ProjectingSink<'_, '_, '_> {
+impl RoundSink for ProjectingSink<'_, '_> {
     fn on_schema(&mut self, columns: &[QVid]) {
         self.projection = self
             .canonical
@@ -1485,147 +1320,177 @@ impl RoundSink for ProjectingSink<'_, '_, '_> {
     }
 
     fn on_row(&mut self, row: &[VertexId]) {
-        if self.control.interrupted() {
-            return;
+        if !self.control.interrupted() {
+            self.state.deliver_projected(row, &self.projection);
         }
-        self.row_buf.clear();
-        self.row_buf.extend(self.projection.iter().map(|&p| row[p]));
-        self.target.push(&self.row_buf);
-        self.delivered += 1;
     }
 
     fn end_round(&mut self) {
-        self.target.end_round();
+        self.state.flush();
     }
 }
 
-/// Outcome of one streamed join pass over all machines.
-struct StreamJoinPass {
-    /// Rows emitted (to the live sink or the staging table).
+/// Outcome of one join pass over all machines.
+struct JoinPass {
+    /// Rows the pass delivered.
     rows: u64,
     /// Whether every contributing machine's join ran its driver dry — i.e.
-    /// the pass enumerated everything these tables contain.
+    /// the pass enumerated everything these tables contain. Means nothing
+    /// once `control` reports an interrupt.
     exhausted: bool,
-    /// Whether a cooperative interrupt stopped the pass.
-    interrupted: bool,
 }
 
-/// Runs the per-machine load-set joins over `tables`, streaming surviving
-/// rows into `target` up to `limit`. Machines run in machine order with a
-/// cooperative `control` check before each; in `Messages` mode each
-/// machine's incoming load-set rows are shipped as `JoinRows` posts
-/// **lazily, right before that machine joins** — a first-k query satisfied
-/// by machine 0 never pays the copy or the simulated traffic for envelopes
-/// no one would drain (per-destination posting order is identical to the
-/// materialized phase, so assembled tables match row for row).
+/// One machine's share of a join pass.
+#[derive(Default)]
+struct MachineJoin {
+    counters: JoinCounters,
+    compute_us: f64,
+    rows_received: u64,
+    /// Bytes resident on this machine during its join (the assembled R_k
+    /// tables, plus its staged rows in a parallel pass) — feeds
+    /// `QueryMetrics::peak_table_bytes`.
+    table_bytes: u64,
+    /// Whether its join ran its driver dry.
+    exhausted: bool,
+}
+
+/// The one join pass: runs the per-machine load-set joins over `tables`,
+/// delivering surviving rows to `state` in canonical column order, machine
+/// by machine, up to `limit`.
+///
+/// With a limit, machines run in machine order and the pass stops at the
+/// machine that satisfies it; in `Messages` mode a machine's incoming
+/// load-set rows are shipped as `JoinRows` posts right before it joins, so a
+/// machine the pass never reaches costs neither the copy nor the simulated
+/// traffic. A sink takes this in-order pass whatever the limit: each row is
+/// delivered as it is joined and stays delivered if an interrupt follows.
+/// Only a table without a limit has its machines join in parallel when
+/// `MatchConfig::num_threads` allows, each into a staging table of its own,
+/// appended in machine order — the same rows in the same order, pinned by
+/// `tests/parallel_equality.rs`.
 #[allow(clippy::too_many_arguments)]
-fn stream_join_pass(
+fn join_pass(
     cloud: &MemoryCloud,
+    query: &QueryGraph,
     plan: &QueryPlan,
     tables: &StwigTableSet,
     config: &MatchConfig,
-    priors: Option<&[f64]>,
     limit: Option<usize>,
     control: &QueryControl,
     canonical: &[QVid],
     metrics: &mut QueryMetrics,
     machine_metrics: &mut [MachineMetrics],
-    target: &mut RowTarget<'_, '_>,
-) -> Result<StreamJoinPass, StwigError> {
+    state: &mut StreamState<'_>,
+) -> Result<JoinPass, StwigError> {
     let num_machines = cloud.num_machines();
     let per_machine_tables = &tables.per_machine;
+    let priors = stwig_join_priors(cloud, query, &plan.stwigs, config);
     let before_join = cloud.traffic();
     let transport = (config.transport_mode == TransportMode::Messages)
         .then(|| QueryTransport::for_config(cloud, config));
-
-    let mut rows = 0u64;
-    let mut exhausted = true;
-    let mut interrupted = false;
-    // A discarded slab round must not leave stale per-machine match counts.
-    for mm in machine_metrics.iter_mut() {
-        mm.matches_found = 0;
-    }
-    // `ki` indexes `per_machine_tables` and the transport alongside
-    // `machine_metrics`, which needs two disjoint borrows per iteration.
-    #[allow(clippy::needless_range_loop)]
-    for ki in 0..num_machines {
-        if control.interrupted() {
-            interrupted = true;
-            exhausted = false;
-            break;
-        }
-        let remaining = limit.map(|l| (l as u64).saturating_sub(rows) as usize);
-        if remaining == Some(0) {
-            exhausted = false;
-            break;
-        }
+    // Machine `ki`'s load-set join: at most `remaining` rows into `state`.
+    let join_machine = |ki: usize, remaining: Option<usize>, state: &mut StreamState<'_>| {
         let t0 = Instant::now();
+        let mut joined = MachineJoin::default();
+        if control.interrupted() {
+            return Ok::<_, StwigError>(joined);
+        }
         if let Some(tp) = &transport {
             post_join_rows_to(tp, plan, per_machine_tables, MachineId(ki as u16));
         }
         let (rk_tables, received) =
             assemble_rk_tables(cloud, plan, per_machine_tables, transport.as_ref(), ki)?;
-        let rk_bytes: u64 = rk_tables.iter().map(|t| t.memory_bytes() as u64).sum();
-        metrics.peak_table_bytes = metrics.peak_table_bytes.max(rk_bytes);
-        let mm = &mut machine_metrics[ki];
-        mm.rows_received += received;
-        if rk_tables[plan.head.head_index].is_empty() {
-            mm.compute_us += t0.elapsed().as_secs_f64() * 1e6;
-            continue;
-        }
-        let mut counters = JoinCounters::default();
-        let mut sink = ProjectingSink {
-            canonical,
-            projection: Vec::new(),
-            row_buf: Vec::with_capacity(canonical.len()),
-            control,
-            target,
-            delivered: 0,
+        joined.rows_received = received;
+        joined.table_bytes = rk_tables.iter().map(|t| t.memory_bytes() as u64).sum();
+        // A machine with no head-STwig results contributes nothing (§5.3),
+        // and nothing is all there was to enumerate.
+        joined.exhausted = rk_tables[plan.head.head_index].is_empty() || {
+            let mut sink = ProjectingSink {
+                canonical,
+                projection: Vec::new(),
+                control,
+                state,
+            };
+            pipelined_join_streaming(
+                &rk_tables,
+                config,
+                priors.as_deref(),
+                remaining,
+                Some(control),
+                &mut joined.counters,
+                &mut sink,
+            )
+            .exhausted
         };
-        let run = pipelined_join_streaming(
-            &rk_tables,
-            config,
-            priors,
-            remaining,
-            Some(control),
-            &mut counters,
-            &mut sink,
-        );
-        // The first-k "satisfied" decision must reflect delivered rows only.
-        let delivered = sink.delivered;
-        if !run.exhausted {
-            exhausted = false;
-        }
-        if run.interrupted {
-            interrupted = true;
-        }
-        rows += delivered;
-        metrics.join.merge(&counters);
+        joined.compute_us = t0.elapsed().as_secs_f64() * 1e6;
+        Ok(joined)
+    };
+
+    let mut pass = JoinPass {
+        rows: 0,
+        exhausted: true,
+    };
+    // A discarded slab round must not leave stale per-machine match counts.
+    for mm in machine_metrics.iter_mut() {
+        mm.matches_found = 0;
+    }
+    // `delivered` is what the pass's output took of the machine's rows — a
+    // first-k "satisfied" decision must reflect delivered rows only.
+    let mut absorb = |ki: usize, joined: MachineJoin, delivered: u64, pass: &mut JoinPass| {
+        pass.rows += delivered;
+        pass.exhausted &= joined.exhausted;
+        metrics.join.merge(&joined.counters);
+        metrics.peak_table_bytes = metrics.peak_table_bytes.max(joined.table_bytes);
         let mm = &mut machine_metrics[ki];
-        mm.compute_us += t0.elapsed().as_secs_f64() * 1e6;
+        mm.rows_received += joined.rows_received;
+        mm.compute_us += joined.compute_us;
         mm.matches_found = delivered;
-        if interrupted {
-            break;
+    };
+    let threads = config.resolved_num_threads();
+    let parallel = threads > 1 && num_machines > 1 && matches!(state.output, Output::Table(_));
+    if limit.is_none() && parallel {
+        let started = state.started;
+        let staged = run_work_stealing(num_machines, threads, |ki| {
+            let mut rows = StreamState::begin(None, canonical, started);
+            let mut joined = join_machine(ki, None, &mut rows)?;
+            let rows = rows.into_table().expect("a sinkless state holds a table");
+            joined.table_bytes += rows.memory_bytes() as u64;
+            Ok::<_, StwigError>((joined, rows))
+        });
+        // Staged rows were joined before any interrupt: all of them count.
+        for (ki, result) in staged.into_iter().enumerate() {
+            let (joined, rows) = result?;
+            state.deliver_all(&rows);
+            absorb(ki, joined, rows.num_rows() as u64, &mut pass);
+        }
+    } else {
+        for ki in 0..num_machines {
+            let remaining = limit.map(|l| (l as u64).saturating_sub(pass.rows) as usize);
+            if remaining == Some(0) {
+                pass.exhausted = false;
+                break;
+            }
+            let before = state.streamed;
+            let joined = join_machine(ki, remaining, state)?;
+            absorb(ki, joined, state.streamed - before, &mut pass);
+            if control.interrupted() {
+                break;
+            }
         }
     }
     if let Some(tp) = &transport {
         metrics.fault.duplicates_suppressed += tp.duplicates_suppressed();
     }
-    let after_join = cloud.traffic();
     record_phase(
         &before_join,
-        &after_join,
+        &cloud.traffic(),
         &mut metrics.phase_traffic.join_ship_messages,
         &mut metrics.phase_traffic.join_ship_bytes,
     );
-    Ok(StreamJoinPass {
-        rows,
-        exhausted,
-        interrupted,
-    })
+    Ok(pass)
 }
 
-/// [`match_query_streaming_with_cache`] without a cache.
+/// The streaming entry point without a cache.
 pub fn match_query_streaming(
     cloud: &MemoryCloud,
     query: &QueryGraph,
@@ -1636,13 +1501,26 @@ pub fn match_query_streaming(
     match_query_streaming_with_cache(cloud, query, config, options, None, sink)
 }
 
-/// The streaming entry point of the distributed executor: rows are delivered
-/// through `sink` (in canonical column order — query vertices ascending) as
-/// they are produced, under the per-query deadline/cancellation in
-/// `options`, instead of a materialized [`MatchOutput`].
+/// The executor with a sink output: rows are delivered through `sink` (in
+/// canonical column order — query vertices ascending) as they are produced,
+/// under the per-query deadline/cancellation in `options`.
+pub fn match_query_streaming_with_cache(
+    cloud: &MemoryCloud,
+    query: &QueryGraph,
+    config: &MatchConfig,
+    options: &QueryOptions,
+    cache: Option<&StwigCache>,
+    sink: &mut dyn ResultSink,
+) -> Result<QueryMetrics, StwigError> {
+    execute_query(cloud, query, config, options, cache, Some(sink)).map(|(_, metrics)| metrics)
+}
+
+/// **The** query executor. Rows go to `sink` as they are produced, or —
+/// with no sink — into a table that is handed back; either way in canonical
+/// column order, under the per-query deadline/cancellation in `options`.
 ///
 /// Under [`crate::config::ResultMode::All`] exploration runs exactly once
-/// (uncapped) and the join streams every row. Under `FirstK(k)` / `Exists`
+/// (uncapped) and the join delivers every row. Under `FirstK(k)` / `Exists`
 /// the executor interleaves exploration and join incrementally:
 ///
 /// 1. every machine explores each STwig with a bounded slab
@@ -1663,18 +1541,17 @@ pub fn match_query_streaming(
 ///
 /// On a deadline or cancellation the query stops at the next cooperative
 /// check (superstep flush, STwig barrier, join round, machine boundary),
-/// delivers the valid rows of the round in progress, and reports
+/// keeps the valid rows it delivered, and reports
 /// [`QueryOutcome::Cancelled`] / [`QueryOutcome::DeadlineExceeded`] in the
-/// returned metrics. `rows_streamed`, `time_to_first_result_us`,
-/// `explore_rounds` and `peak_table_bytes` describe the streamed execution.
-pub fn match_query_streaming_with_cache(
+/// returned metrics.
+pub(crate) fn execute_query(
     cloud: &MemoryCloud,
     query: &QueryGraph,
     config: &MatchConfig,
     options: &QueryOptions,
     cache: Option<&StwigCache>,
-    sink: &mut dyn ResultSink,
-) -> Result<QueryMetrics, StwigError> {
+    sink: Option<&mut dyn ResultSink>,
+) -> Result<(Option<ResultTable>, QueryMetrics), StwigError> {
     #[cfg(test)]
     if fault::poisoned(cloud, query) {
         return Err(fault::injected_error());
@@ -1682,98 +1559,131 @@ pub fn match_query_streaming_with_cache(
     let started = Instant::now();
     let control = QueryControl::new(options, started);
     cloud.reset_traffic();
-    let num_machines = cloud.num_machines();
     let mut metrics = QueryMetrics {
         storage: Some(cloud.storage_bytes()),
         ..QueryMetrics::default()
     };
-    let mut machine_metrics: Vec<MachineMetrics> = (0..num_machines)
+    let mut machine_metrics: Vec<MachineMetrics> = (0..cloud.num_machines())
         .map(|k| MachineMetrics {
             machine: k as u16,
             ..Default::default()
         })
         .collect();
-    if let Some(cache) = cache {
-        if !cache.matches_cloud(cloud) {
-            return Err(StwigError::Internal(
-                "STwig cache was built for a different memory cloud".into(),
-            ));
-        }
-    }
-    let limit = config.result_limit();
-
-    // Single-vertex queries: stream the per-machine label postings directly,
-    // stopping at the limit, with a cooperative check per machine.
-    if query.num_edges() == 0 {
-        let v0 = query.vertices().next().ok_or(StwigError::EmptyQuery)?;
-        sink.begin(&[v0]);
-        let mut state = StreamState::new(sink, started);
+    let canonical: Vec<QVid> = query.vertices().collect();
+    let v0 = *canonical.first().ok_or(StwigError::EmptyQuery)?;
+    let mut state = StreamState::begin(sink, &canonical, started);
+    metrics.truncated = if query.num_edges() == 0 {
         let label = query.label(v0);
-        let transport = (config.transport_mode == TransportMode::Messages)
-            .then(|| QueryTransport::for_config(cloud, config));
-        let before = cloud.traffic();
-        let proxy = MachineId(0);
-        let mut limit_hit = false;
-        'scan: for k in cloud.machines() {
-            if control.interrupted() {
-                break;
-            }
-            let owned: Vec<VertexId> = match &transport {
-                Some(tp) if k != proxy => fetch_postings(
-                    tp,
-                    cloud,
-                    config,
-                    proxy,
-                    k,
-                    &[label],
-                    Some(&control),
-                    &mut metrics.fault,
-                )?
-                // One label asked, one run back (checked by the fetch).
-                .and_then(|mut runs| runs.pop())
-                .unwrap_or_default(),
-                _ => cloud.get_ids(k, label).to_vec(),
-            };
-            for id in owned {
-                if limit.is_some_and(|l| state.streamed >= l as u64) {
-                    limit_hit = true;
-                    break 'scan;
-                }
-                state.deliver(&[id]);
-            }
-        }
-        if let Some(tp) = &transport {
-            metrics.fault.duplicates_suppressed += tp.duplicates_suppressed();
-        }
-        metrics.truncated = limit_hit;
-        state.finish(&mut metrics);
-        metrics.explore_rounds = 1;
-        if let Some(interrupt) = control.check() {
-            metrics.outcome = match interrupt {
-                Interrupt::Cancelled => QueryOutcome::Cancelled,
-                Interrupt::DeadlineExceeded => QueryOutcome::DeadlineExceeded,
-            };
-        } else if !metrics.fault.machines_lost.is_empty() {
-            metrics.outcome = QueryOutcome::Partial;
-        }
-        let after = cloud.traffic();
-        record_phase(
-            &before,
-            &after,
-            &mut metrics.phase_traffic.explore_messages,
-            &mut metrics.phase_traffic.explore_bytes,
-        );
-        metrics.machines = machine_metrics;
-        finalize(&mut metrics, cloud, started);
-        return Ok(metrics);
-    }
+        scan_single_vertex(cloud, label, config, &control, &mut metrics, &mut state)?
+    } else {
+        explore_and_join(
+            cloud,
+            query,
+            config,
+            cache,
+            &control,
+            &canonical,
+            &mut metrics,
+            &mut machine_metrics,
+            &mut state,
+        )?
+    };
+    // Interrupts latch, so this check also reports one an inner layer
+    // already acted on.
+    metrics.outcome = match control.check() {
+        // An interrupt outranks degradation: the client asked to stop.
+        None if !metrics.fault.machines_lost.is_empty() => QueryOutcome::Partial,
+        None => QueryOutcome::Complete,
+        Some(Interrupt::Cancelled) => QueryOutcome::Cancelled,
+        Some(Interrupt::DeadlineExceeded) => QueryOutcome::DeadlineExceeded,
+    };
+    let table = state.finish(&mut metrics);
+    metrics.machines = machine_metrics;
+    finalize(&mut metrics, cloud, started);
+    Ok((table, metrics))
+}
 
+/// A single-vertex query: delivers the per-machine postings of its label in
+/// machine order, stopping at the limit, with a cooperative check per
+/// machine. In `Messages` mode the proxy (machine 0) gathers every other
+/// machine's postings with one `GetIds` exchange each instead of reading
+/// their string indexes in place. Returns whether the limit cut the scan.
+fn scan_single_vertex(
+    cloud: &MemoryCloud,
+    label: LabelId,
+    config: &MatchConfig,
+    control: &QueryControl,
+    metrics: &mut QueryMetrics,
+    state: &mut StreamState<'_>,
+) -> Result<bool, StwigError> {
+    let limit = config.result_limit();
+    let transport = (config.transport_mode == TransportMode::Messages)
+        .then(|| QueryTransport::for_config(cloud, config));
+    let before = cloud.traffic();
+    let proxy = MachineId(0);
+    let mut limit_hit = false;
+    'scan: for k in cloud.machines() {
+        if control.interrupted() {
+            break;
+        }
+        let owned: Vec<VertexId> = match &transport {
+            Some(tp) if k != proxy => fetch_postings(
+                tp,
+                cloud,
+                config,
+                proxy,
+                k,
+                &[label],
+                Some(control),
+                &mut metrics.fault,
+            )?
+            // One label asked, one run back (checked by the fetch).
+            .and_then(|mut runs| runs.pop())
+            .unwrap_or_default(),
+            _ => cloud.get_ids(k, label).to_vec(),
+        };
+        for id in owned {
+            if limit.is_some_and(|l| state.streamed >= l as u64) {
+                limit_hit = true;
+                break 'scan;
+            }
+            state.deliver(&[id]);
+        }
+    }
+    if let Some(tp) = &transport {
+        metrics.fault.duplicates_suppressed += tp.duplicates_suppressed();
+    }
+    metrics.explore_rounds = 1;
+    // The posting gather is the query's whole exploration; attribute its
+    // envelopes to the explore phase so the breakdown still partitions the
+    // totals.
+    record_phase(
+        &before,
+        &cloud.traffic(),
+        &mut metrics.phase_traffic.explore_messages,
+        &mut metrics.phase_traffic.explore_bytes,
+    );
+    Ok(limit_hit)
+}
+
+/// A query with at least one edge: plans it, then explores and joins in
+/// rounds (one for `All`, slab by slab for `FirstK` / `Exists`) into
+/// `state`. Returns whether the result limit cut the answer short.
+#[allow(clippy::too_many_arguments)]
+fn explore_and_join(
+    cloud: &MemoryCloud,
+    query: &QueryGraph,
+    config: &MatchConfig,
+    cache: Option<&StwigCache>,
+    control: &QueryControl,
+    canonical: &[QVid],
+    metrics: &mut QueryMetrics,
+    machine_metrics: &mut [MachineMetrics],
+    state: &mut StreamState<'_>,
+) -> Result<bool, StwigError> {
     let plan = plan_query_with_config(cloud, query, config)?;
     metrics.num_stwigs = plan.stwigs.len();
-    let canonical: Vec<QVid> = query.vertices().collect();
-    let priors = stwig_join_priors(cloud, query, &plan.stwigs, config);
-    sink.begin(&canonical);
-    let mut state = StreamState::new(sink, started);
+    let limit = config.result_limit();
 
     // Slab schedule: `All` explores uncapped in one round; `FirstK`/`Exists`
     // start from a slab sized for k and grow geometrically on undershoot.
@@ -1784,9 +1694,6 @@ pub fn match_query_streaming_with_cache(
         (crate::config::ResultMode::All, _) | (_, None) => None,
         (_, Some(k)) => Some(k.saturating_mul(4).max(FIRST_K_MIN_SLAB)),
     };
-
-    let mut truncated = false;
-    let mut interrupt: Option<Interrupt> = None;
     loop {
         metrics.explore_rounds += 1;
         let effective_cap = match (slab, user_cap) {
@@ -1803,26 +1710,19 @@ pub fn match_query_streaming_with_cache(
             max_stwig_rows: effective_cap,
             ..config.clone()
         };
-        let mut round_metrics = QueryMetrics::default();
         let produced = produce_stwig_tables(
             cloud,
             query,
             &plan,
             &round_cfg,
             cache,
-            Some(&control),
-            &mut round_metrics,
-            &mut machine_metrics,
+            Some(control),
+            metrics,
+            machine_metrics,
         )?;
-        metrics.explore.merge(&round_metrics.explore);
-        metrics.stwig_rows = round_metrics.stwig_rows.clone();
-        metrics.phase_traffic.merge(&round_metrics.phase_traffic);
-        metrics.fault.merge(&round_metrics.fault);
-        metrics.peak_table_bytes = metrics.peak_table_bytes.max(round_metrics.peak_table_bytes);
 
-        if let Some(i) = control.check() {
-            interrupt = Some(i);
-            break;
+        if control.interrupted() {
+            return Ok(false);
         }
 
         let Some(tables) = produced else {
@@ -1831,10 +1731,9 @@ pub fn match_query_streaming_with_cache(
             // per-STwig totals below the cap bound every machine's table
             // below it too.
             let maybe_capped = can_grow
-                && effective_cap
-                    .is_some_and(|c| round_metrics.stwig_rows.iter().any(|&r| r >= c as u64));
+                && effective_cap.is_some_and(|c| metrics.stwig_rows.iter().any(|&r| r >= c as u64));
             if !maybe_capped {
-                break; // provably no (further) answer
+                return Ok(false); // provably no (further) answer
             }
             slab = slab.map(|s| s.saturating_mul(SLAB_GROWTH));
             continue;
@@ -1851,76 +1750,54 @@ pub fn match_query_streaming_with_cache(
 
         if !capped {
             // Final round: every row the join produces is part of the full
-            // answer — stream it live.
+            // answer — deliver it live.
             let remaining = limit.map(|l| (l as u64).saturating_sub(state.streamed) as usize);
-            let pass = stream_join_pass(
+            let pass = join_pass(
                 cloud,
+                query,
                 &plan,
                 &tables,
                 config,
-                priors.as_deref(),
                 remaining,
-                &control,
-                &canonical,
-                &mut metrics,
-                &mut machine_metrics,
-                &mut RowTarget::Live(&mut state),
+                control,
+                canonical,
+                metrics,
+                machine_metrics,
+                state,
             )?;
-            truncated = limit.is_some() && !pass.exhausted && !pass.interrupted;
-            if pass.interrupted {
-                interrupt = control.check();
-            }
-            break;
+            return Ok(limit.is_some() && !pass.exhausted && !control.interrupted());
         }
 
         // Slab round: join into staging; commit only if it satisfies k (or
         // an interrupt forces partial delivery). Otherwise discard and
-        // re-explore with a bigger slab — rows must never be streamed twice,
-        // and a bigger slab's join output is not a superset of this one's.
-        let mut staging = ResultTable::new(canonical.clone());
-        let pass = stream_join_pass(
+        // re-explore with a bigger slab — rows must never be delivered
+        // twice, and a bigger slab's join output is not a superset of this
+        // one's.
+        let mut staging = StreamState::begin(None, canonical, state.started);
+        let pass = join_pass(
             cloud,
+            query,
             &plan,
             &tables,
             config,
-            priors.as_deref(),
             limit,
-            &control,
-            &canonical,
-            &mut metrics,
-            &mut machine_metrics,
-            &mut RowTarget::Staged(&mut staging),
+            control,
+            canonical,
+            metrics,
+            machine_metrics,
+            &mut staging,
         )?;
+        let staging = staging
+            .into_table()
+            .expect("a sinkless state holds a table");
         metrics.peak_table_bytes = metrics.peak_table_bytes.max(staging.memory_bytes() as u64);
         let satisfied = limit.is_some_and(|l| pass.rows >= l as u64);
-        if satisfied || pass.interrupted {
-            for row in staging.rows() {
-                state.deliver(row);
-            }
-            truncated = satisfied;
-            if pass.interrupted {
-                interrupt = control.check();
-            }
-            break;
+        if satisfied || control.interrupted() {
+            state.deliver_all(&staging);
+            return Ok(satisfied);
         }
         slab = slab.map(|s| s.saturating_mul(SLAB_GROWTH));
     }
-
-    if interrupt.is_none() {
-        interrupt = control.check();
-    }
-    metrics.outcome = match interrupt {
-        // An interrupt outranks degradation: the client asked to stop.
-        None if !metrics.fault.machines_lost.is_empty() => QueryOutcome::Partial,
-        None => QueryOutcome::Complete,
-        Some(Interrupt::Cancelled) => QueryOutcome::Cancelled,
-        Some(Interrupt::DeadlineExceeded) => QueryOutcome::DeadlineExceeded,
-    };
-    metrics.truncated = truncated;
-    state.finish(&mut metrics);
-    metrics.machines = machine_metrics;
-    finalize(&mut metrics, cloud, started);
-    Ok(metrics)
 }
 
 /// Root candidates for `stwig` on machine `k`: locally-owned vertices with
@@ -1974,7 +1851,6 @@ fn finalize(metrics: &mut QueryMetrics, cloud: &MemoryCloud, started: Instant) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::match_query;
     use crate::verify::{canonical_rows, verify_all};
     use trinity_sim::builder::GraphBuilder;
     use trinity_sim::network::CostModel;
@@ -2021,12 +1897,74 @@ mod tests {
         qb.build().unwrap()
     }
 
+    /// The running example of the paper (Figure 1): the query d–a, a–b,
+    /// a–c, b–c has the answers (a1,b1,c1,d1) and (a2,b1,c1,d1).
+    #[test]
+    fn figure1_example_produces_expected_matches() {
+        for machines in [1usize, 2, 4, 7] {
+            let mut gb = GraphBuilder::new_undirected();
+            // a1=1, a2=2, b1=11, b2=12, c1=21, d1=31
+            for (id, label) in [
+                (1, "a"),
+                (2, "a"),
+                (11, "b"),
+                (12, "b"),
+                (21, "c"),
+                (31, "d"),
+            ] {
+                gb.add_vertex(v(id), label);
+            }
+            for (x, y) in [
+                (1, 31),
+                (1, 11),
+                (1, 21),
+                (2, 31),
+                (2, 11),
+                (2, 21),
+                (11, 21),
+                (12, 1),
+            ] {
+                gb.add_edge(v(x), v(y));
+            }
+            let cloud = gb.build(machines, CostModel::default());
+            let mut qb = QueryGraph::builder();
+            let a = qb.vertex_by_name(&cloud, "a").unwrap();
+            let b = qb.vertex_by_name(&cloud, "b").unwrap();
+            let c = qb.vertex_by_name(&cloud, "c").unwrap();
+            let d = qb.vertex_by_name(&cloud, "d").unwrap();
+            qb.edge(d, a).edge(a, b).edge(a, c).edge(b, c);
+            let query = qb.build().unwrap();
+            let out = match_query_distributed(&cloud, &query, &MatchConfig::default()).unwrap();
+            verify_all(&cloud, &query, &out.table).unwrap();
+            // Canonical column order: [a, b, c, d] by query vertex index.
+            assert_eq!(out.table.columns(), &[a, b, c, d], "machines = {machines}");
+            assert_eq!(
+                canonical_rows(&query, &out.table),
+                vec![
+                    vec![v(1), v(11), v(21), v(31)],
+                    vec![v(2), v(11), v(21), v(31)],
+                ],
+                "machines = {machines}"
+            );
+            // The single edge a–b: a1–b1, a2–b1, a1–b2.
+            let mut qb = QueryGraph::builder();
+            let a = qb.vertex_by_name(&cloud, "a").unwrap();
+            let b = qb.vertex_by_name(&cloud, "b").unwrap();
+            qb.edge(a, b);
+            let edge = qb.build().unwrap();
+            let out = match_query_distributed(&cloud, &edge, &MatchConfig::default()).unwrap();
+            assert_eq!(out.num_matches(), 3, "machines = {machines}");
+        }
+    }
+
     #[test]
     fn distributed_equals_single_machine() {
-        for machines in [1usize, 2, 4, 8] {
+        let one = sample_cloud(1);
+        let single =
+            match_query_distributed(&one, &triangle_query(&one), &MatchConfig::default()).unwrap();
+        for machines in [2usize, 4, 8] {
             let cloud = sample_cloud(machines);
             let query = triangle_query(&cloud);
-            let single = match_query(&cloud, &query, &MatchConfig::default()).unwrap();
             let distributed =
                 match_query_distributed(&cloud, &query, &MatchConfig::default()).unwrap();
             assert_eq!(
@@ -2059,7 +1997,8 @@ mod tests {
         let d = qb.vertex_by_name(&cloud, "d").unwrap();
         qb.edge(a, b).edge(b, c).edge(c, a).edge(d, a).edge(d, b);
         let query = qb.build().unwrap();
-        let single = match_query(&cloud, &query, &MatchConfig::default()).unwrap();
+        let single =
+            match_query_distributed(&sample_cloud(1), &query, &MatchConfig::default()).unwrap();
         let distributed = match_query_distributed(&cloud, &query, &MatchConfig::default()).unwrap();
         assert_eq!(
             canonical_rows(&query, &single.table),
@@ -2275,10 +2214,12 @@ mod tests {
                         (1, 1, 1, 2),
                         "one populate serves both numberings ({ctx})"
                     );
-                    // Same rows, the "b" column first — only the names differ.
+                    // Columns are canonical for both numberings; the rows
+                    // are equal once "c" and "b" swap back.
                     assert_eq!(outputs[0].columns(), &[QVid(0), QVid(1), QVid(2)]);
-                    assert_eq!(outputs[1].columns(), &[QVid(0), QVid(2), QVid(1)]);
-                    assert!(outputs[0].rows().eq(outputs[1].rows()), "{ctx}");
+                    assert_eq!(outputs[1].columns(), &[QVid(0), QVid(1), QVid(2)]);
+                    let swapped = outputs[1].rows().map(|r| [r[0], r[2], r[1]]);
+                    assert!(outputs[0].rows().eq(swapped), "{ctx}");
 
                     // The triangle's STwigs bind each other: the renumbered
                     // twin is served from the first one's entries through

@@ -27,41 +27,38 @@
 //!   [`MetricsSnapshot`]: engine counters, admission/scheduling counters,
 //!   and per-tenant goodput.
 //!
-//! The historical entry points (`run_one`, `run_batch`, `run_streaming`,
-//! `run_first_k`, `run_exists`) remain as thin wrappers over the same core
-//! and are **deprecated in favor of `submit()`**; they bypass admission
-//! (pre-admitted, never shed) so their semantics are exactly what they were
-//! before the serving layer existed.
+//! [`QueryEngine::run_one`] / [`QueryEngine::run_batch`] are conveniences
+//! composed from that same door (`submit` → `drain` → `wait`); they hold no
+//! route of their own.
 //!
 //! ## Determinism
 //!
 //! Execution is deterministic in its *results*: the cache is transparent
 //! (hit, miss and cache-free paths produce bit-identical STwig tables — see
-//! [`crate::cache`]), so each query's result table is a pure function of
-//! the cloud, the query and the `MatchConfig`, regardless of scheduling,
-//! interleaving or eviction. A collect-delivery submission with no
-//! deadline, cancel token or result-mode override runs the same
-//! materialized executor the legacy batch path used, so its table is
-//! bit-identical to [`crate::distributed::match_query_distributed`]'s.
-//! Timing-derived metrics and the shared simulated-traffic counters are
-//! best-effort under concurrency, as before.
+//! [`crate::cache`]) and every submission runs the one executor
+//! ([`crate::distributed`]), so each query's result table is a pure
+//! function of the cloud, the query and the `MatchConfig`, regardless of
+//! scheduling, interleaving or eviction — the table
+//! [`crate::distributed::match_query_distributed`] returns. Timing-derived
+//! metrics and the shared simulated-traffic counters are best-effort under
+//! concurrency.
 
 use crate::cache::{CacheConfig, StwigCache};
-use crate::config::{MatchConfig, ResultMode};
-use crate::distributed::{match_query_distributed_with_cache, match_query_streaming_with_cache};
+use crate::config::MatchConfig;
+use crate::distributed::{execute_query, MatchOutput};
 use crate::error::StwigError;
-use crate::executor::MatchOutput;
 use crate::metrics::{
     CacheStats, EngineStats, MetricsSnapshot, QueryMetrics, QueryOutcome, SchedulerStats,
 };
 use crate::query::QueryGraph;
 use crate::serve::breaker::{BreakerBank, BreakerDecision};
-use crate::serve::scheduler::{Delivery, QueueEntry, Scheduler};
+use crate::serve::scheduler::{Delivery, QueueEntry, Scheduler, Work};
 use crate::serve::{
     CostEstimator, QueryHandle, QueryRequest, QueryResponse, RejectReason, ServeConfig, Submit,
     SubmitDisposition, TenantId,
 };
-use crate::stream::{ChannelSink, CollectSink, QueryOptions, ResultSink, RowStream};
+use crate::stream::{ChannelSink, QueryOptions, ResultSink, RowStream};
+use crate::table::ResultTable;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -71,10 +68,9 @@ use trinity_sim::MemoryCloud;
 /// Configuration of a [`QueryEngine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads legacy batches are fanned out over, and the server
-    /// count the admission wait predictor assumes. `None` uses the host's
-    /// available parallelism; `Some(1)` executes batches serially (in input
-    /// order).
+    /// Threads [`QueryEngine::run_batch`] drains the queue on. `None` uses
+    /// the host's available parallelism; `Some(1)` executes batches
+    /// serially (in input order).
     pub workers: Option<usize>,
     /// STwig-result cache configuration; `None` disables caching.
     pub cache: Option<CacheConfig>,
@@ -187,7 +183,6 @@ pub struct QueryEngine<'c> {
     breakers: Mutex<BreakerBank>,
     work_available: Condvar,
     queries_run: AtomicU64,
-    batches_run: AtomicU64,
     /// Accumulated execution wall-clock, in integer µs.
     busy_us: AtomicU64,
     cancelled: AtomicU64,
@@ -241,7 +236,6 @@ impl<'c> QueryEngine<'c> {
             breakers: Mutex::new(breakers),
             work_available: Condvar::new(),
             queries_run: AtomicU64::new(0),
-            batches_run: AtomicU64::new(0),
             busy_us: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
@@ -343,15 +337,13 @@ impl<'c> QueryEngine<'c> {
     ///
     /// Admitted queries execute when a thread serves the queue — a
     /// [`QueryEngine::serve`] worker, or any call to
-    /// [`QueryEngine::drain`] / [`QueryEngine::run_next`]. The result is a
-    /// materialized table ([`QueryResponse::table`]); to stream rows
-    /// instead, use [`QueryEngine::submit_streaming`]. A request with no
-    /// deadline, no cancel token and no result-mode override runs the exact
-    /// materialized executor the legacy entry points used, so its table is
-    /// bit-identical to theirs; a deadline or cancel token routes through
-    /// the streaming executor for cooperative interruption.
+    /// [`QueryEngine::drain`] / [`QueryEngine::run_next`]. The executor
+    /// fills a table in canonical column order ([`QueryResponse::table`]);
+    /// to stream rows instead, use [`QueryEngine::submit_streaming`]. Both
+    /// run the same executor under the request's deadline, cancel token
+    /// and result mode.
     pub fn submit(&self, request: QueryRequest) -> Submit {
-        self.submit_with(request, Delivery::Collect, true, true)
+        self.submit_with(request, Delivery::Collect)
     }
 
     /// Like [`QueryEngine::submit`], but delivers rows through a channel as
@@ -364,24 +356,15 @@ impl<'c> QueryEngine<'c> {
     /// [`QueryOutcome::Cancelled`].
     pub fn submit_streaming(&self, request: QueryRequest) -> Submit {
         let (sender, receiver) = std::sync::mpsc::channel();
-        let submitted = self.submit_with(request, Delivery::Channel(sender), true, true);
+        let submitted = self.submit_with(request, Delivery::Channel(sender));
         if let Submit::Accepted(handle) = &submitted {
             handle.shared().set_rows(RowStream::new(receiver));
         }
         submitted
     }
 
-    /// Shared admission path. `enforce` applies queue bounds and the
-    /// too-late predictor (the legacy wrappers pre-admit); `sheddable`
-    /// allows dispatch-time shedding (the legacy wrappers keep their
-    /// historical run-then-interrupt-cooperatively semantics).
-    fn submit_with(
-        &self,
-        request: QueryRequest,
-        delivery: Delivery,
-        enforce: bool,
-        sheddable: bool,
-    ) -> Submit {
+    /// The admission path behind both query doors.
+    fn submit_with(&self, request: QueryRequest, delivery: Delivery) -> Submit {
         let now = Instant::now();
         let QueryRequest {
             query,
@@ -389,68 +372,67 @@ impl<'c> QueryEngine<'c> {
             priority,
             options,
         } = request;
-        let units = CostEstimator::units(self.cloud, &query);
+        // Pin the snapshot at admission: the query sees exactly the epoch
+        // that was current when it was accepted, no matter how long it
+        // queues or how many updates apply meanwhile — and it is priced on
+        // that epoch's label frequencies, not the base cloud's.
+        let snapshot = self.epochs.map(GraphEpochs::pin);
+        let units = CostEstimator::units(snapshot.as_deref().unwrap_or(self.cloud), &query);
         let admission = &self.config.serve.admission;
         self.submitted.fetch_add(1, Ordering::Relaxed);
 
         let mut sched = self.sched.lock().expect("scheduler lock");
-        if enforce {
-            if sched.depth() >= admission.queue_capacity {
-                self.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-                sched.account_submit(&tenant, SubmitDisposition::Rejected);
-                return Submit::Rejected(RejectReason::QueueFull {
-                    capacity: admission.queue_capacity,
-                });
-            }
-            if admission.reject_estimated_late {
-                if let (Some(deadline), Some(service_us)) =
-                    (options.deadline, self.estimator.estimate_us(units))
-                {
-                    // Predicted wait: everything queued ahead, drained by
-                    // the configured number of servers. The queue is
-                    // per-tenant but the prediction is aggregate — an upper
-                    // bound for light tenants, accurate under symmetry.
-                    let wait_us = self
-                        .estimator
-                        .estimate_us(sched.queued_cost())
-                        .unwrap_or(0.0)
-                        / admission.servers.max(1) as f64;
-                    let predicted_us = (wait_us + service_us) * admission.estimate_slack;
-                    let deadline_us = deadline.as_secs_f64() * 1e6;
-                    if predicted_us > deadline_us {
-                        self.rejected_estimated_late.fetch_add(1, Ordering::Relaxed);
-                        sched.account_submit(&tenant, SubmitDisposition::Rejected);
-                        return Submit::Rejected(RejectReason::EstimatedTooLate {
-                            predicted_us,
-                            deadline_us,
-                        });
-                    }
+        if sched.depth() >= admission.queue_capacity {
+            self.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
+            sched.account_submit(&tenant, SubmitDisposition::Rejected);
+            return Submit::Rejected(RejectReason::QueueFull {
+                capacity: admission.queue_capacity,
+            });
+        }
+        if admission.reject_estimated_late {
+            if let (Some(deadline), Some(service_us)) =
+                (options.deadline, self.estimator.estimate_us(units))
+            {
+                // Predicted wait: everything queued ahead, drained by the
+                // configured number of servers. The queue is per-tenant but
+                // the prediction is aggregate — an upper bound for light
+                // tenants, accurate under symmetry.
+                let wait_us = self
+                    .estimator
+                    .estimate_us(sched.queued_cost())
+                    .unwrap_or(0.0)
+                    / admission.servers.max(1) as f64;
+                let predicted_us = (wait_us + service_us) * admission.estimate_slack;
+                let deadline_us = deadline.as_secs_f64() * 1e6;
+                if predicted_us > deadline_us {
+                    self.rejected_estimated_late.fetch_add(1, Ordering::Relaxed);
+                    sched.account_submit(&tenant, SubmitDisposition::Rejected);
+                    return Submit::Rejected(RejectReason::EstimatedTooLate {
+                        predicted_us,
+                        deadline_us,
+                    });
                 }
             }
         }
 
         self.accepted.fetch_add(1, Ordering::Relaxed);
         sched.account_submit(&tenant, SubmitDisposition::Accepted);
-        let cancel = options.cancel.clone().unwrap_or_default();
+        let cancel = options.cancel.unwrap_or_default();
         let shared = Arc::new(crate::serve::HandleShared::new(tenant.clone(), cancel));
         let (seq, aged_rank) = sched.next_seq(priority.head_start());
         let entry = QueueEntry {
+            work: Work::Query {
+                query,
+                mode: options.result_mode,
+                delivery,
+                snapshot,
+            },
             deadline: options.deadline.map(|d| now + d),
-            mode: options.result_mode,
-            query,
-            options,
             submitted: now,
             cost: units,
-            sheddable,
-            delivery,
             shared: Arc::clone(&shared),
             seq,
             aged_rank,
-            // Pin the snapshot at admission: the query sees exactly the
-            // epoch that was current when it was accepted, no matter how
-            // long it queues or how many updates apply meanwhile.
-            snapshot: self.epochs.map(GraphEpochs::pin),
-            update: None,
         };
         sched.enqueue(&tenant, entry);
         drop(sched);
@@ -505,38 +487,20 @@ impl<'c> QueryEngine<'c> {
         ));
         let (seq, aged_rank) = sched.next_seq(0);
         let entry = QueueEntry {
-            // Placeholder; never executed — `update: Some` short-circuits
-            // dispatch into the epochs manager.
-            query: Self::update_placeholder_query(),
-            options: QueryOptions::none(),
-            mode: None,
-            deadline: None,
-            submitted: now,
             // DRR cost: one unit per op, so a huge batch debits the
             // updates tenant proportionally more than a single-edge tweak.
             cost: (batch.len() as f64).max(1.0),
-            sheddable: false,
-            delivery: Delivery::Collect,
+            work: Work::Update(batch),
+            deadline: None,
+            submitted: now,
             shared: Arc::clone(&shared),
             seq,
             aged_rank,
-            snapshot: None,
-            update: Some(batch),
         };
         sched.enqueue(&tenant, entry);
         drop(sched);
         self.work_available.notify_one();
         Submit::Accepted(QueryHandle::from_shared(shared))
-    }
-
-    /// The never-executed query carried by update entries (the scheduler's
-    /// entry type is query-shaped).
-    fn update_placeholder_query() -> QueryGraph {
-        let mut qb = QueryGraph::builder();
-        let a = qb.vertex(trinity_sim::ids::LabelId(0));
-        let b = qb.vertex(trinity_sim::ids::LabelId(0));
-        qb.edge(a, b);
-        qb.build().expect("placeholder query is valid")
     }
 
     // ------------------------------------------------------------------
@@ -618,24 +582,19 @@ impl<'c> QueryEngine<'c> {
             .fetch_add(fault.duplicates_suppressed, Ordering::Relaxed);
     }
 
-    /// Dispatches one queued query: sheds it if its deadline is hopeless,
-    /// resolves it if cancelled while queued, otherwise executes it and
-    /// publishes the response through the handle.
+    /// Dispatches one queue entry: resolves it if cancelled while queued,
+    /// applies it if it is an update batch, sheds it if its deadline is
+    /// hopeless, otherwise executes it and publishes the response through
+    /// the handle.
     fn execute_entry(&self, entry: QueueEntry) {
         let QueueEntry {
-            query,
-            options,
-            mode,
+            work,
             deadline,
             submitted,
             cost,
-            sheddable,
-            delivery,
             shared,
             seq: _,
             aged_rank: _,
-            snapshot,
-            update,
         } = entry;
         let now = Instant::now();
         let served_seq = self.served_seq.fetch_add(1, Ordering::Relaxed);
@@ -669,38 +628,46 @@ impl<'c> QueryEngine<'c> {
             return;
         }
 
-        // Update application: the batch routes through the epochs manager
-        // and the handle resolves with the post-apply epoch. No snapshot,
-        // no executor, no shed/breaker checks (updates are local,
-        // unsheddable work).
-        if let Some(batch) = update {
-            let epochs = self
-                .epochs
-                .expect("update entries only enqueue on a dynamic engine");
-            shared.mark_running();
-            let started = Instant::now();
-            let applied = epochs.apply(&batch).map_err(StwigError::from);
-            let wall_us = started.elapsed().as_secs_f64() * 1e6;
-            self.busy_us.fetch_add(wall_us as u64, Ordering::Relaxed);
-            let mut sched = self.sched.lock().expect("scheduler lock");
-            let stats = sched.tenant_stats_mut(&tenant);
-            stats.busy_us += wall_us;
-            if applied.is_ok() {
-                stats.completed += 1;
+        let (query, mode, delivery, snapshot) = match work {
+            Work::Query {
+                query,
+                mode,
+                delivery,
+                snapshot,
+            } => (query, mode, delivery, snapshot),
+            // Update application: the batch routes through the epochs
+            // manager and the handle resolves with the post-apply epoch. No
+            // snapshot, no executor, no shed/breaker checks (updates are
+            // local, unsheddable work).
+            Work::Update(batch) => {
+                let epochs = self
+                    .epochs
+                    .expect("update entries only enqueue on a dynamic engine");
+                shared.mark_running();
+                let started = Instant::now();
+                let applied = epochs.apply(&batch).map_err(StwigError::from);
+                let wall_us = started.elapsed().as_secs_f64() * 1e6;
+                self.busy_us.fetch_add(wall_us as u64, Ordering::Relaxed);
+                let mut sched = self.sched.lock().expect("scheduler lock");
+                let stats = sched.tenant_stats_mut(&tenant);
+                stats.busy_us += wall_us;
+                if applied.is_ok() {
+                    stats.completed += 1;
+                }
+                drop(sched);
+                if applied.is_ok() {
+                    self.updates_applied.fetch_add(1, Ordering::Relaxed);
+                }
+                shared.finish(applied.map(|epoch| QueryResponse {
+                    table: None,
+                    metrics: QueryMetrics::default(),
+                    served_seq,
+                    queue_wait_us,
+                    epoch: Some(epoch),
+                }));
+                return;
             }
-            drop(sched);
-            if applied.is_ok() {
-                self.updates_applied.fetch_add(1, Ordering::Relaxed);
-            }
-            shared.finish(applied.map(|epoch| QueryResponse {
-                table: None,
-                metrics: QueryMetrics::default(),
-                served_seq,
-                queue_wait_us,
-                epoch: Some(epoch),
-            }));
-            return;
-        }
+        };
 
         // The graph this query runs on: the snapshot pinned at admission
         // (dynamic engine), or the engine's static cloud.
@@ -708,34 +675,32 @@ impl<'c> QueryEngine<'c> {
         let epoch = snapshot.as_ref().map(|snap| snap.epoch());
 
         // Shed checks — before any exploration work or transport envelope.
-        if sheddable {
-            if let Some(deadline) = deadline {
-                let shed_reason = if now >= deadline {
-                    Some(&self.shed_deadline_passed)
-                } else if let Some(service_us) = self.estimator.estimate_us(cost) {
-                    let remaining_us = deadline.duration_since(now).as_secs_f64() * 1e6;
-                    let slack = self.config.serve.admission.estimate_slack;
-                    (service_us * slack > remaining_us).then_some(&self.shed_predicted_late)
-                } else {
-                    None
-                };
-                if let Some(counter) = shed_reason {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    self.shed.fetch_add(1, Ordering::Relaxed);
-                    let mut sched = self.sched.lock().expect("scheduler lock");
-                    sched.tenant_stats_mut(&tenant).shed += 1;
-                    drop(sched);
-                    respond_without_running(QueryOutcome::Shed);
-                    return;
-                }
+        if let Some(deadline) = deadline {
+            let shed_reason = if now >= deadline {
+                Some(&self.shed_deadline_passed)
+            } else if let Some(service_us) = self.estimator.estimate_us(cost) {
+                let remaining_us = deadline.duration_since(now).as_secs_f64() * 1e6;
+                let slack = self.config.serve.admission.estimate_slack;
+                (service_us * slack > remaining_us).then_some(&self.shed_predicted_late)
+            } else {
+                None
+            };
+            if let Some(counter) = shed_reason {
+                counter.fetch_add(1, Ordering::Relaxed);
+                self.shed.fetch_add(1, Ordering::Relaxed);
+                let mut sched = self.sched.lock().expect("scheduler lock");
+                sched.tenant_stats_mut(&tenant).shed += 1;
+                drop(sched);
+                respond_without_running(QueryOutcome::Shed);
+                return;
             }
         }
 
         // Circuit-breaker check: every query fans out over the whole
-        // cluster, so an open breaker on any machine sheds a sheddable
-        // query in O(1) — no exploration work, no transport envelope.
+        // cluster, so an open breaker on any machine sheds the query in
+        // O(1) — no exploration work, no transport envelope.
         let mut probing: Option<u16> = None;
-        if sheddable && self.config.serve.breaker.enabled {
+        if self.config.serve.breaker.enabled {
             let mut breakers = self.breakers.lock().expect("breaker lock");
             if breakers.any_tripped() {
                 match breakers.admit(now) {
@@ -765,63 +730,35 @@ impl<'c> QueryEngine<'c> {
         let run_options = QueryOptions {
             deadline: deadline.map(|d| d.saturating_duration_since(now)),
             cancel: Some(shared.cancel_token().clone()),
-            tenant: None,
-            priority: Default::default(),
-            result_mode: None,
+            ..QueryOptions::none()
         };
-        // An uninterruptible request (no deadline, no caller token, no mode
-        // override) runs the legacy materialized executor — bit-identical
-        // tables; anything interruptible goes through the streaming
-        // executor's cooperative checks.
-        let materialized = mode.is_none() && deadline.is_none() && options.cancel.is_none();
+        // One executor, two outputs: a table it fills and hands back, or
+        // the handle's channel. A consumer that dropped its `RowStream`
+        // stops the query instead of leaving it to enumerate for nobody;
+        // the sink (and with it the channel) goes away after its last batch
+        // and before the handle resolves.
+        let mut channel = match delivery {
+            Delivery::Collect => None,
+            Delivery::Channel(sender) => {
+                Some(ChannelSink::new(sender).cancel_on_disconnect(shared.cancel_token().clone()))
+            }
+        };
         let started = Instant::now();
-        let result: Result<(Option<crate::table::ResultTable>, QueryMetrics), StwigError> =
-            match delivery {
-                Delivery::Collect if materialized => {
-                    match_query_distributed_with_cache(cloud, &query, &config, self.cache.as_ref())
-                        .map(|out| (Some(out.table), out.metrics))
-                }
-                Delivery::Collect => {
-                    let mut sink = CollectSink::new();
-                    match_query_streaming_with_cache(
-                        cloud,
-                        &query,
-                        &config,
-                        &run_options,
-                        self.cache.as_ref(),
-                        &mut sink,
-                    )
-                    .map(|metrics| (sink.into_table(), metrics))
-                }
-                Delivery::Channel(sender) => {
-                    // A consumer that dropped its `RowStream` stops the
-                    // query instead of leaving it to enumerate for nobody.
-                    // The sink (and with it the channel) goes away at the
-                    // end of this arm, after its last batch and before the
-                    // handle resolves.
-                    let mut sink = ChannelSink::new(sender)
-                        .cancel_on_disconnect(shared.cancel_token().clone());
-                    match_query_streaming_with_cache(
-                        cloud,
-                        &query,
-                        &config,
-                        &run_options,
-                        self.cache.as_ref(),
-                        &mut sink,
-                    )
-                    .map(|metrics| (None, metrics))
-                }
-            };
+        let result = execute_query(
+            cloud,
+            &query,
+            &config,
+            &run_options,
+            self.cache.as_ref(),
+            channel.as_mut().map(|sink| sink as &mut dyn ResultSink),
+        );
+        drop(channel);
         let wall_us = started.elapsed().as_secs_f64() * 1e6;
 
         self.queries_run.fetch_add(1, Ordering::Relaxed);
-        if sheddable {
-            // Legacy wrappers time themselves batch-level; counting here
-            // too would double-charge busy_us.
-            self.busy_us.fetch_add(wall_us as u64, Ordering::Relaxed);
-        }
+        self.busy_us.fetch_add(wall_us as u64, Ordering::Relaxed);
         match &result {
-            Ok((table, metrics)) => {
+            Ok((_, metrics)) => {
                 match metrics.outcome {
                     QueryOutcome::Cancelled => {
                         self.cancelled.fetch_add(1, Ordering::Relaxed);
@@ -841,10 +778,6 @@ impl<'c> QueryEngine<'c> {
                     self.estimator.observe(cost, wall_us);
                 }
                 self.observe_fault_counters(&metrics.fault);
-                let rows = table
-                    .as_ref()
-                    .map(|t| t.num_rows() as u64)
-                    .unwrap_or(metrics.rows_streamed);
                 let mut sched = self.sched.lock().expect("scheduler lock");
                 let stats = sched.tenant_stats_mut(&tenant);
                 match metrics.outcome {
@@ -855,7 +788,7 @@ impl<'c> QueryEngine<'c> {
                     QueryOutcome::DeadlineExceeded => stats.deadline_exceeded += 1,
                     QueryOutcome::Shed => {}
                 }
-                stats.rows_delivered += rows;
+                stats.rows_delivered += metrics.rows_streamed;
                 stats.busy_us += wall_us;
             }
             Err(_) => {
@@ -901,194 +834,68 @@ impl<'c> QueryEngine<'c> {
     }
 
     // ------------------------------------------------------------------
-    // Legacy entry points (thin wrappers; prefer submit())
+    // Conveniences over the door
     // ------------------------------------------------------------------
 
-    /// Pre-admits a legacy query: admission bounds don't apply and the
-    /// query is never shed, preserving the historical semantics exactly.
-    fn submit_legacy(&self, query: QueryGraph) -> QueryHandle {
-        match self.submit_with(QueryRequest::new(query), Delivery::Collect, false, false) {
-            Submit::Accepted(handle) => handle,
-            Submit::Rejected(reason) => unreachable!("pre-admitted submit rejected: {reason}"),
-        }
-    }
-
-    /// Runs one query through the engine (cache-aware, counted in the
-    /// engine stats as a batch of one).
+    /// Runs one query through the door and waits for it: [`run_batch`] of
+    /// one.
     ///
-    /// **Deprecated** in favor of [`QueryEngine::submit`]; kept as a thin
-    /// wrapper (`submit` + `drain` + `wait`) for existing callers.
+    /// [`run_batch`]: QueryEngine::run_batch
     pub fn run_one(&self, query: &QueryGraph) -> Result<MatchOutput, StwigError> {
         let mut outputs = self.run_batch(std::slice::from_ref(query));
         outputs.pop().expect("batch of one yields one output")
     }
 
-    /// Runs a batch of queries concurrently over the shared cloud, returning
-    /// one output per query **in input order**. The batch is submitted
-    /// through the scheduler and drained by this thread plus
-    /// `workers - 1` helpers, so long-running queries don't starve the rest
-    /// of the batch. Each query resolves through its own handle — a
-    /// per-query error (e.g. an empty query, or a transport failure on one
-    /// machine) fails that slot only and can never be attributed to another
-    /// query of the batch.
-    ///
-    /// **Deprecated** in favor of [`QueryEngine::submit`]; kept as a thin
-    /// wrapper for existing callers.
+    /// Runs a batch of queries over the shared cloud, returning one output
+    /// per query **in input order**: [`QueryEngine::submit`] for each,
+    /// [`QueryEngine::drain`] on `workers` threads, [`QueryHandle::wait`]
+    /// for each. When the door answers [`RejectReason::QueueFull`] the
+    /// queue is drained and the query resubmitted, so a batch larger than
+    /// the queue still runs. Each query resolves through its own handle — a
+    /// per-query error (an empty query, a transport failure on one machine)
+    /// fails that slot only. A query the engine sheds comes back with an
+    /// empty table and `metrics.outcome` [`QueryOutcome::Shed`]; one the
+    /// door refuses for any other reason, as [`StwigError::Rejected`].
     pub fn run_batch(&self, queries: &[QueryGraph]) -> Vec<Result<MatchOutput, StwigError>> {
-        let started = Instant::now();
-        let handles: Vec<QueryHandle> = queries
-            .iter()
-            .map(|query| self.submit_legacy(query.clone()))
-            .collect();
         let workers = self.config.resolved_workers().min(queries.len().max(1));
-        if workers <= 1 {
-            self.drain();
-        } else {
+        let drain = || {
             std::thread::scope(|scope| {
                 for _ in 1..workers {
                     scope.spawn(|| self.drain());
                 }
                 self.drain();
-            });
-        }
-        self.batches_run.fetch_add(1, Ordering::Relaxed);
-        self.busy_us.fetch_add(
-            (started.elapsed().as_secs_f64() * 1e6) as u64,
-            Ordering::Relaxed,
-        );
+            })
+        };
+        let handles: Vec<Result<QueryHandle, StwigError>> = queries
+            .iter()
+            .map(|query| loop {
+                match self.submit(QueryRequest::new(query.clone())) {
+                    Submit::Accepted(handle) => break Ok(handle),
+                    Submit::Rejected(RejectReason::QueueFull { capacity }) if capacity > 0 => {
+                        drain()
+                    }
+                    Submit::Rejected(reason) => {
+                        break Err(StwigError::Rejected(reason.to_string()))
+                    }
+                }
+            })
+            .collect();
+        drain();
         handles
             .into_iter()
-            .map(|handle| {
+            .zip(queries)
+            .map(|(handle, query)| {
                 // drain() above ran our entries (or a concurrent server
                 // did); wait() only blocks in the latter, in-flight case.
-                let response = handle.wait()?;
+                let response = handle?.wait()?;
                 Ok(MatchOutput {
                     table: response
                         .table
-                        .expect("collect delivery materializes a table"),
+                        .unwrap_or_else(|| ResultTable::new(query.vertices().collect())),
                     metrics: response.metrics,
                 })
             })
             .collect()
-    }
-
-    /// Runs one query in **streaming mode**: rows flow to `sink` (canonical
-    /// column order) as they are produced, under the deadline/cancellation
-    /// in `options`, honoring the engine config's
-    /// [`crate::config::ResultMode`]. Cache-aware like `run_one`; counted in
-    /// the engine stats as a batch of one, with interrupted outcomes tallied
-    /// in [`EngineStats::queries_cancelled`] /
-    /// [`EngineStats::queries_deadline_exceeded`].
-    ///
-    /// **Deprecated** in favor of [`QueryEngine::submit_streaming`] (which
-    /// delivers rows through the handle instead of borrowing a sink); kept
-    /// for existing callers. Executes inline on this thread, pre-admitted
-    /// and never shed.
-    pub fn run_streaming(
-        &self,
-        query: &QueryGraph,
-        options: &QueryOptions,
-        sink: &mut dyn ResultSink,
-    ) -> Result<QueryMetrics, StwigError> {
-        self.run_streaming_with_config(query, &self.config.match_config, options, sink)
-    }
-
-    fn run_streaming_with_config(
-        &self,
-        query: &QueryGraph,
-        config: &MatchConfig,
-        options: &QueryOptions,
-        sink: &mut dyn ResultSink,
-    ) -> Result<QueryMetrics, StwigError> {
-        let started = Instant::now();
-        // Inline execution still honors epoch semantics: pin the current
-        // snapshot so a concurrent `apply` can never tear this query.
-        let snapshot = self.epochs.map(GraphEpochs::pin);
-        let cloud: &MemoryCloud = snapshot.as_deref().unwrap_or(self.cloud);
-        let result = match_query_streaming_with_cache(
-            cloud,
-            query,
-            config,
-            options,
-            self.cache.as_ref(),
-            sink,
-        );
-        self.queries_run.fetch_add(1, Ordering::Relaxed);
-        self.batches_run.fetch_add(1, Ordering::Relaxed);
-        self.busy_us.fetch_add(
-            (started.elapsed().as_secs_f64() * 1e6) as u64,
-            Ordering::Relaxed,
-        );
-        if let Ok(metrics) = &result {
-            match metrics.outcome {
-                QueryOutcome::Cancelled => {
-                    self.cancelled.fetch_add(1, Ordering::Relaxed);
-                }
-                QueryOutcome::DeadlineExceeded => {
-                    self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                }
-                QueryOutcome::Partial => {
-                    self.partial_completions.fetch_add(1, Ordering::Relaxed);
-                }
-                QueryOutcome::Complete | QueryOutcome::Shed => {}
-            }
-            self.observe_fault_counters(&metrics.fault);
-        }
-        result
-    }
-
-    /// Serves the first `k` valid embeddings of `query` as a materialized
-    /// table. The rows are genuine matches but not a prefix of the full
-    /// enumeration; an interrupted query returns the rows produced before
-    /// the interrupt (check `metrics.outcome`).
-    ///
-    /// **Deprecated** in favor of [`QueryEngine::submit`] with
-    /// [`QueryRequest::with_result_mode`] (`ResultMode::FirstK(k)`); kept
-    /// for existing callers.
-    pub fn run_first_k(
-        &self,
-        query: &QueryGraph,
-        k: usize,
-        options: &QueryOptions,
-    ) -> Result<MatchOutput, StwigError> {
-        let config = self
-            .config
-            .match_config
-            .clone()
-            .with_result_mode(ResultMode::FirstK(k));
-        let mut sink = CollectSink::new();
-        let metrics = self.run_streaming_with_config(query, &config, options, &mut sink)?;
-        Ok(MatchOutput {
-            table: sink
-                .into_table()
-                .expect("streaming always announces a schema"),
-            metrics,
-        })
-    }
-
-    /// Answers whether `query` has at least one embedding
-    /// ([`ResultMode::Exists`]): the executor stops at the first valid row.
-    /// An interrupted existence check that produced no row reports `false`
-    /// with the interrupt recorded in the returned metrics — inspect
-    /// `metrics.outcome` before trusting a negative.
-    ///
-    /// **Deprecated** in favor of [`QueryEngine::submit`] with
-    /// [`QueryRequest::with_result_mode`] (`ResultMode::Exists`); kept for
-    /// existing callers.
-    pub fn run_exists(
-        &self,
-        query: &QueryGraph,
-        options: &QueryOptions,
-    ) -> Result<(bool, QueryMetrics), StwigError> {
-        let config = self
-            .config
-            .match_config
-            .clone()
-            .with_result_mode(ResultMode::Exists);
-        let mut found = false;
-        let mut sink = |_row: &[trinity_sim::ids::VertexId]| found = true;
-        let metrics = self.run_streaming_with_config(query, &config, options, &mut sink)?;
-        Ok((found, metrics))
     }
 
     // ------------------------------------------------------------------
@@ -1102,20 +909,12 @@ impl<'c> QueryEngine<'c> {
 
     /// Snapshot of the engine-level counters.
     pub fn stats(&self) -> EngineStats {
-        let queries = self.queries_run.load(Ordering::Relaxed);
-        let busy_us = self.busy_us.load(Ordering::Relaxed) as f64;
         EngineStats {
-            queries_executed: queries,
-            batches_executed: self.batches_run.load(Ordering::Relaxed),
+            queries_executed: self.queries_run.load(Ordering::Relaxed),
             queries_cancelled: self.cancelled.load(Ordering::Relaxed),
             queries_deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
             queries_shed: self.shed.load(Ordering::Relaxed),
-            busy_us,
-            queries_per_sec: if busy_us > 0.0 {
-                queries as f64 / (busy_us / 1e6)
-            } else {
-                0.0
-            },
+            busy_us: self.busy_us.load(Ordering::Relaxed) as f64,
             updates_applied: self.updates_applied.load(Ordering::Relaxed),
             epochs_sealed: self.epochs_sealed.load(Ordering::Relaxed),
             current_epoch: self.current_epoch(),
@@ -1124,7 +923,7 @@ impl<'c> QueryEngine<'c> {
     }
 
     /// One coherent export of everything the engine counts: engine-level
-    /// throughput, admission/scheduling counters, and per-tenant goodput
+    /// counters, admission/scheduling counters, and per-tenant goodput
     /// (sorted by tenant name). The scheduler section is taken under the
     /// scheduler lock, so queue depth and tenant counters agree.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
@@ -1167,6 +966,7 @@ impl<'c> QueryEngine<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ResultMode;
     use crate::distributed::match_query_distributed;
     use crate::serve::{AdmissionConfig, Priority, QueryStatus, TenantId};
     use trinity_sim::builder::GraphBuilder;
@@ -1268,7 +1068,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_queries_batches_and_throughput() {
+    fn stats_track_queries_and_throughput() {
         let cloud = sample_cloud(2);
         let engine = QueryEngine::new(&cloud, EngineConfig::default().with_workers(Some(1)));
         let queries = vec![triangle_query(&cloud), chain_query(&cloud)];
@@ -1276,68 +1076,79 @@ mod tests {
         engine.run_one(&triangle_query(&cloud)).unwrap();
         let stats = engine.stats();
         assert_eq!(stats.queries_executed, 3);
-        assert_eq!(stats.batches_executed, 2);
         assert!(stats.busy_us > 0.0);
-        assert!(stats.queries_per_sec > 0.0);
     }
 
     #[test]
-    fn engine_first_k_and_exists_serve_streamed_queries() {
-        use crate::stream::QueryOptions;
+    fn first_k_and_exists_requests_stop_early() {
         let cloud = sample_cloud(3);
         let engine = QueryEngine::new(&cloud, EngineConfig::default());
         let full = engine.run_one(&triangle_query(&cloud)).unwrap();
         assert_eq!(full.num_matches(), 12);
-        let first = engine
-            .run_first_k(&triangle_query(&cloud), 5, &QueryOptions::none())
-            .unwrap();
-        assert_eq!(first.num_matches(), 5);
+        let submit = |mode| {
+            let request = QueryRequest::new(triangle_query(&cloud)).with_result_mode(mode);
+            let handle = engine.submit(request).expect_accepted();
+            engine.drain();
+            handle.wait().unwrap()
+        };
+        let first = submit(ResultMode::FirstK(5));
+        let table = first.table.unwrap();
+        assert_eq!(table.num_rows(), 5);
         assert_eq!(first.metrics.rows_streamed, 5);
         // Every first-k row is one of the full enumeration's embeddings.
         let full_rows: std::collections::HashSet<Vec<_>> =
             crate::verify::canonical_rows(&triangle_query(&cloud), &full.table)
                 .into_iter()
                 .collect();
-        for row in crate::verify::canonical_rows(&triangle_query(&cloud), &first.table) {
+        for row in crate::verify::canonical_rows(&triangle_query(&cloud), &table) {
             assert!(full_rows.contains(&row));
         }
-        let (exists, metrics) = engine
-            .run_exists(&triangle_query(&cloud), &QueryOptions::none())
-            .unwrap();
-        assert!(exists);
-        assert_eq!(metrics.rows_streamed, 1);
+        let exists = submit(ResultMode::Exists);
+        assert_eq!(exists.table.unwrap().num_rows(), 1);
+        assert_eq!(exists.metrics.rows_streamed, 1);
     }
 
     #[test]
-    fn engine_streaming_outcomes_are_tallied() {
-        use crate::stream::{CancelToken, QueryOptions};
+    fn interrupted_outcomes_are_tallied() {
         let cloud = sample_cloud(2);
         let engine = QueryEngine::new(&cloud, EngineConfig::default());
-        let token = CancelToken::new();
-        token.cancel();
-        let mut rows = 0u64;
-        let mut sink = |_row: &[trinity_sim::ids::VertexId]| rows += 1;
-        let metrics = engine
-            .run_streaming(
-                &triangle_query(&cloud),
-                &QueryOptions::none().with_cancel(token),
-                &mut sink,
-            )
-            .unwrap();
-        assert_eq!(metrics.outcome, crate::metrics::QueryOutcome::Cancelled);
-        assert_eq!(rows, 0);
-        let mut sink = |_row: &[trinity_sim::ids::VertexId]| {};
-        engine
-            .run_streaming(
-                &triangle_query(&cloud),
-                &QueryOptions::none().with_deadline(std::time::Duration::ZERO),
-                &mut sink,
-            )
-            .unwrap();
+        // The consumer lets go before the query is served: the first batch
+        // finds no receiver, which cancels the query mid-execution.
+        let handle = engine
+            .submit_streaming(QueryRequest::new(triangle_query(&cloud)))
+            .expect_accepted();
+        drop(handle.rows().expect("channel delivery exposes rows"));
+        engine.drain();
+        let response = handle.wait().unwrap();
+        assert_eq!(response.metrics.outcome, QueryOutcome::Cancelled);
+        assert!(response.metrics.rows_streamed < 12);
         let stats = engine.stats();
         assert_eq!(stats.queries_cancelled, 1);
-        assert_eq!(stats.queries_deadline_exceeded, 1);
-        assert_eq!(stats.queries_executed, 2);
+        assert_eq!(stats.queries_executed, 1);
+
+        // A deadline alive at dispatch (so the door does not shed it) that
+        // runs out mid-execution: every exchange is refused once, and the
+        // first backoff outlasts the deadline.
+        let refusing = MatchConfig::default()
+            .with_transport_mode(crate::config::TransportMode::Messages)
+            .with_fault_plan(Some(trinity_sim::fault::FaultPlan {
+                unavailable: 1.0,
+                ..Default::default()
+            }))
+            .with_retry(crate::config::RetryPolicy {
+                base_backoff_us: 2_000_000,
+                max_backoff_us: 2_000_000,
+                ..Default::default()
+            });
+        let engine = QueryEngine::new(&cloud, EngineConfig::default().with_match_config(refusing));
+        let request = QueryRequest::new(triangle_query(&cloud))
+            .with_deadline(std::time::Duration::from_millis(100));
+        let handle = engine.submit(request).expect_accepted();
+        engine.drain();
+        let response = handle.wait().unwrap();
+        assert_eq!(response.metrics.outcome, QueryOutcome::DeadlineExceeded);
+        assert_eq!(engine.stats().queries_deadline_exceeded, 1);
+        assert_eq!(engine.metrics_snapshot().tenants[0].deadline_exceeded, 1);
     }
 
     #[test]
@@ -1386,7 +1197,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_drain_wait_matches_the_legacy_path() {
+    fn submit_drain_wait_returns_the_executors_table() {
         let cloud = sample_cloud(3);
         let engine = QueryEngine::new(&cloud, EngineConfig::default());
         let expected = match_query_distributed(
@@ -1448,11 +1259,14 @@ mod tests {
             Submit::Rejected(RejectReason::QueueFull { capacity }) => assert_eq!(capacity, 2),
             other => panic!("expected QueueFull, got {other:?}"),
         }
-        // Legacy wrappers are pre-admitted: they bypass the bound.
-        assert!(engine.run_one(&q).is_ok());
+        // `run_batch` meets the same bound, drains, and resubmits: a batch
+        // larger than the queue still runs whole.
+        let outputs = engine.run_batch(&[q.clone(), q.clone(), q.clone(), q]);
+        assert!(outputs.iter().all(|out| out.is_ok()));
         let snapshot = engine.metrics_snapshot();
-        assert_eq!(snapshot.scheduler.rejected_queue_full, 1);
-        assert_eq!(snapshot.scheduler.queue_depth, 0, "run_one drained all");
+        assert!(snapshot.scheduler.rejected_queue_full >= 2);
+        assert_eq!(snapshot.scheduler.queue_depth, 0, "run_batch drained all");
+        assert_eq!(snapshot.engine.queries_executed, 6);
     }
 
     #[test]
@@ -1685,21 +1499,5 @@ mod tests {
             .run_one(&triangle_query(epochs.base_cloud()))
             .unwrap();
         assert_eq!(out.table.num_rows(), 12);
-    }
-
-    #[test]
-    fn legacy_inline_paths_see_the_current_epoch() {
-        let epochs = GraphEpochs::new(sample_cloud(1));
-        let engine = QueryEngine::for_epochs(&epochs, EngineConfig::default());
-        let query = triangle_query(epochs.base_cloud());
-
-        assert_eq!(engine.run_one(&query).unwrap().table.num_rows(), 12);
-        epochs
-            .apply(&UpdateBatch::new().remove_vertex(v(0)))
-            .expect("valid batch applies");
-        // run_one / run_exists pin the *current* snapshot, not epoch 0.
-        assert_eq!(engine.run_one(&query).unwrap().table.num_rows(), 11);
-        let (found, _) = engine.run_exists(&query, &QueryOptions::none()).unwrap();
-        assert!(found);
     }
 }

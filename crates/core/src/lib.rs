@@ -18,7 +18,7 @@
 //! |---|---|
 //! | §2.1 query model | [`query`] |
 //! | §4.1 STwig + Algorithm 1 | [`stwig`], [`matcher`] |
-//! | §4.2 exploration & bindings | [`bindings`], [`executor`] |
+//! | §4.2 exploration & bindings | [`bindings`], [`distributed`] |
 //! | §4.2 step 3 joins | [`table`], [`join`], [`pipeline`] |
 //! | §5.1–5.2 decomposition + ordering (Algorithm 2) | [`decompose`] |
 //! | §5.3 head STwig & load sets | [`head`] |
@@ -49,7 +49,7 @@
 //! qb.edge(p1, p2).edge(p1, c).edge(p2, c);
 //! let query = qb.build().unwrap();
 //!
-//! let out = stwig::match_query(&cloud, &query, &MatchConfig::default()).unwrap();
+//! let out = stwig::match_query_distributed(&cloud, &query, &MatchConfig::default()).unwrap();
 //! assert_eq!(out.num_matches(), 2); // (1,2,3) and (2,1,3)
 //! ```
 
@@ -62,7 +62,6 @@ pub mod decompose;
 pub mod distributed;
 pub mod engine;
 pub mod error;
-pub mod executor;
 pub mod hash;
 pub mod head;
 pub mod join;
@@ -83,11 +82,10 @@ pub use config::{FailurePolicy, MatchConfig, ResultMode, RetryPolicy, TransportM
 pub use distributed::{
     join_stwig_tables, match_query_distributed, match_query_distributed_with_cache,
     match_query_streaming, match_query_streaming_with_cache, plan_query, plan_query_with_config,
-    produce_stwig_tables, QueryPlan, StwigTableSet,
+    produce_stwig_tables, MatchOutput, QueryPlan, StwigTableSet,
 };
 pub use engine::{EngineConfig, QueryEngine};
 pub use error::StwigError;
-pub use executor::{match_query, MatchOutput};
 pub use metrics::{
     CacheStats, EngineStats, FaultCounters, MetricsSnapshot, PhaseTraffic, QueryMetrics,
     QueryOutcome, SchedulerStats,
@@ -115,11 +113,10 @@ pub mod prelude {
     pub use crate::distributed::{
         join_stwig_tables, match_query_distributed, match_query_distributed_with_cache,
         match_query_streaming, match_query_streaming_with_cache, plan_query,
-        plan_query_with_config, produce_stwig_tables, QueryPlan, StwigTableSet,
+        plan_query_with_config, produce_stwig_tables, MatchOutput, QueryPlan, StwigTableSet,
     };
     pub use crate::engine::{EngineConfig, QueryEngine};
     pub use crate::error::StwigError;
-    pub use crate::executor::{match_query, MatchOutput};
     pub use crate::head::{load_set, select_head, HeadSelection};
     pub use crate::metrics::{
         CacheStats, EngineStats, FaultCounters, MetricsSnapshot, PhaseTraffic, QueryMetrics,

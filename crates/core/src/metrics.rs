@@ -218,22 +218,19 @@ impl CacheStats {
 /// Engine-level counters for a [`crate::engine::QueryEngine`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct EngineStats {
-    /// Queries completed across all batches.
+    /// Queries executed (shed and cancelled-while-queued ones are not).
     pub queries_executed: u64,
-    /// Batches completed.
-    pub batches_executed: u64,
-    /// Streamed queries that ended [`QueryOutcome::Cancelled`].
+    /// Queries that ended [`QueryOutcome::Cancelled`] mid-execution.
     pub queries_cancelled: u64,
-    /// Streamed queries that ended [`QueryOutcome::DeadlineExceeded`].
+    /// Queries that ended [`QueryOutcome::DeadlineExceeded`] mid-execution.
     pub queries_deadline_exceeded: u64,
     /// Admitted queries shed at dispatch without executing
     /// ([`QueryOutcome::Shed`]). Not counted in `queries_executed`.
     pub queries_shed: u64,
-    /// Wall-clock time spent inside `run_batch`, in µs (batches are timed
-    /// end to end, so concurrent per-query work is not double-counted).
+    /// Execution wall-clock summed over executed queries and applied update
+    /// batches, in µs (work on concurrent workers adds up, so this is not
+    /// elapsed time and yields no throughput figure).
     pub busy_us: f64,
-    /// Completed queries per second of batch wall-clock.
-    pub queries_per_sec: f64,
     /// Update batches applied through
     /// [`crate::engine::QueryEngine::apply_updates`] (dynamic engines
     /// only; failed validations are not counted).
@@ -419,8 +416,8 @@ pub struct QueryMetrics {
     pub truncated: bool,
     /// How the execution ended (complete / cancelled / deadline exceeded).
     pub outcome: QueryOutcome,
-    /// Rows delivered through the streaming sink (0 for the materialized
-    /// entry points, which return a table instead of streaming).
+    /// Rows the executor delivered to its output — the caller's sink, or
+    /// the table it hands back.
     pub rows_streamed: u64,
     /// Wall-clock from admission until the first row was the consumer's to
     /// read, in µs: stamped after the executor handed the row to the sink
@@ -429,14 +426,15 @@ pub struct QueryMetrics {
     /// true through a channel as into a closure. `None` when no row was
     /// ever streamed.
     pub time_to_first_result_us: Option<f64>,
-    /// Exploration passes the streaming executor ran: 1 for `All` and for
-    /// first-k requests satisfied by the initial slab, +1 per resume (each
-    /// resume grows the slab geometrically — 8x). 0 for the materialized
-    /// entry points, which do not slab.
+    /// Exploration passes the executor ran: 1 for `All` and for first-k
+    /// requests satisfied by the initial slab, +1 per resume (each resume
+    /// grows the slab geometrically — 8x).
     pub explore_rounds: u64,
     /// High-water mark of resident intermediate-table bytes (per-machine
-    /// STwig tables during exploration; assembled load-set tables plus the
-    /// join output during the join). The number first-k serving bounds.
+    /// STwig tables during exploration; a machine's assembled load-set
+    /// tables during the join, plus whatever the pass stages before
+    /// delivering — a slab round's rows, a parallel pass's per-machine
+    /// rows). The number first-k serving bounds.
     pub peak_table_bytes: u64,
     /// Measured wall-clock time of the whole query, in µs.
     pub wall_us: f64,

@@ -238,8 +238,9 @@ pub enum QueryStatus {
 /// at dispatch with zero execution work (no table, no rows, no envelopes).
 #[derive(Debug)]
 pub struct QueryResponse {
-    /// The materialized result, for requests served in collect mode (the
-    /// default). `None` for shed queries and row-streamed requests.
+    /// The result table (canonical column order), for requests submitted
+    /// with [`crate::engine::QueryEngine::submit`]. `None` for shed queries
+    /// and row-streamed requests.
     pub table: Option<ResultTable>,
     /// Full per-query metrics (zeroed except `outcome` for shed queries).
     pub metrics: QueryMetrics,

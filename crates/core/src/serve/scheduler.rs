@@ -29,7 +29,6 @@ use super::tenant::{TenantId, TenantStats};
 use super::{HandleShared, SubmitDisposition};
 use crate::config::ResultMode;
 use crate::query::QueryGraph;
-use crate::stream::QueryOptions;
 use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -73,53 +72,53 @@ impl SchedulerConfig {
 /// How a finished query is delivered to its handle.
 #[derive(Debug)]
 pub(crate) enum Delivery {
-    /// Materialize a [`crate::table::ResultTable`] into the response (the
-    /// legacy batch shape; uses the non-streaming executor when the request
-    /// has neither deadline, cancel token, nor first-k mode, so results are
-    /// bit-identical to the historical entry points).
+    /// The executor fills a [`crate::table::ResultTable`] (canonical column
+    /// order) that the response carries.
     Collect,
     /// Stream rows into the handle's channel, in batches, as they are
     /// produced; the response carries no table.
     Channel(std::sync::mpsc::Sender<crate::stream::RowBatch>),
 }
 
-/// One admitted query waiting for dispatch.
+/// What a queue entry asks the engine to do when it is dispatched.
+#[derive(Debug)]
+pub(crate) enum Work {
+    /// Execute a query.
+    Query {
+        /// The query to execute.
+        query: QueryGraph,
+        /// Per-query result mode override (`None` = engine default).
+        mode: Option<ResultMode>,
+        /// How results reach the caller.
+        delivery: Delivery,
+        /// The graph snapshot pinned at admission, when the engine serves a
+        /// dynamic cloud: the query executes against exactly this epoch, no
+        /// matter how many updates apply (or seals run) while it waits.
+        snapshot: Option<trinity_sim::epoch::SnapshotRef>,
+    },
+    /// Apply a graph-update batch through the engine's
+    /// [`trinity_sim::epoch::GraphEpochs`].
+    Update(trinity_sim::epoch::UpdateBatch),
+}
+
+/// One admitted query or update batch waiting for dispatch.
 #[derive(Debug)]
 pub(crate) struct QueueEntry {
-    /// The query to execute.
-    pub query: QueryGraph,
-    /// Serving options as submitted (deadline still relative).
-    pub options: QueryOptions,
-    /// Per-query result mode override (`None` = engine default).
-    pub mode: Option<ResultMode>,
+    /// What to do at dispatch.
+    pub work: Work,
     /// Absolute deadline, pinned at submission so queue wait counts
     /// against it.
     pub deadline: Option<Instant>,
-    /// When the query was submitted.
+    /// When the entry was submitted.
     pub submitted: Instant,
     /// Estimated work units (DRR cost and shed predictor input).
     pub cost: f64,
-    /// Whether dispatch may shed this query (false for the pre-admitted
-    /// legacy entry points, which keep their historical
-    /// run-then-interrupt-cooperatively semantics).
-    pub sheddable: bool,
-    /// How results reach the caller.
-    pub delivery: Delivery,
     /// The waiter's side of the handle.
     pub shared: Arc<HandleShared>,
     /// Global submission index (total order tie-break).
     pub seq: u64,
     /// `seq` minus the priority head start: the aging key.
     pub aged_rank: i64,
-    /// The graph snapshot pinned at admission, when the engine serves a
-    /// dynamic cloud: the query executes against exactly this epoch, no
-    /// matter how many updates apply (or seals run) while it waits.
-    pub snapshot: Option<trinity_sim::epoch::SnapshotRef>,
-    /// When `Some`, this entry is a graph-update application rather than a
-    /// query: dispatch applies the batch through the engine's
-    /// [`trinity_sim::epoch::GraphEpochs`] and the `query` field is an
-    /// unused placeholder.
-    pub update: Option<trinity_sim::epoch::UpdateBatch>,
 }
 
 /// Heap wrapper ordering entries min-first: deadline-carrying entries first
@@ -401,19 +400,18 @@ mod tests {
         let now = Instant::now();
         let (seq, aged_rank) = sched.next_seq(priority.head_start());
         QueueEntry {
-            query: chain_query(),
-            options: QueryOptions::none(),
-            mode: None,
+            work: Work::Query {
+                query: chain_query(),
+                mode: None,
+                delivery: Delivery::Collect,
+                snapshot: None,
+            },
             deadline: deadline.map(|d| now + d),
             submitted: now,
             cost,
-            sheddable: true,
-            delivery: Delivery::Collect,
             shared: Arc::new(HandleShared::new(tenant.clone(), Default::default())),
             seq,
             aged_rank,
-            snapshot: None,
-            update: None,
         }
     }
 

@@ -97,8 +97,7 @@ pub struct TenantStats {
     pub tenant: String,
     /// Requests submitted (accepted + rejected).
     pub submitted: u64,
-    /// Requests admitted into the queue (or executed inline by a legacy
-    /// entry point, which is pre-admitted by definition).
+    /// Requests admitted into the queue.
     pub accepted: u64,
     /// Requests rejected at admission (queue full or estimated too late).
     pub rejected: u64,

@@ -161,30 +161,14 @@ impl ResultTable {
         self.data.extend_from_slice(&other.data);
     }
 
-    /// Appends all rows of `other`, re-projecting each row into this table's
-    /// column order when the orders differ. Panics if `other` is missing one
-    /// of this table's columns.
-    ///
-    /// This is the append used when unioning results whose producers chose
-    /// different column orders (per-machine join outputs).
-    pub fn append_projected(&mut self, other: &ResultTable) {
-        if self.columns == other.columns {
-            self.append(other);
-            return;
-        }
-        let projection: Vec<usize> = self
-            .columns
-            .iter()
-            .map(|&c| {
-                other
-                    .column_index(c)
-                    .expect("append_projected requires identical column sets")
-            })
-            .collect();
-        self.data.reserve(other.data.len());
-        for row in other.rows() {
-            self.data.extend(projection.iter().map(|&p| row[p]));
-        }
+    /// Appends one row given in another column order: entry `i` of the new
+    /// row is `row[projection[i]]`. One write per value, no intermediate
+    /// buffer — how the executor lands a machine's join output (whose column
+    /// order follows its join order) in a canonical-order table.
+    #[inline]
+    pub fn push_projected(&mut self, row: &[VertexId], projection: &[usize]) {
+        debug_assert_eq!(projection.len(), self.columns.len());
+        self.data.extend(projection.iter().map(|&p| row[p]));
     }
 
     /// Whether the rows are in ascending lexicographic order (duplicates
@@ -355,34 +339,13 @@ mod tests {
     }
 
     #[test]
-    fn append_projected_same_columns_is_plain_append() {
-        let mut t = sample();
-        t.append_projected(&sample());
-        assert_eq!(t.num_rows(), 6);
-        assert_eq!(t.row(3), &[v(1), v(2)]);
-    }
-
-    #[test]
-    fn append_projected_reorders_columns() {
-        // Re-projection branch: same column set, different order.
+    fn push_projected_reorders_columns() {
         let mut t = ResultTable::new(vec![q(0), q(1), q(2)]);
         t.push_row(&[v(1), v(2), v(3)]);
-        let mut other = ResultTable::new(vec![q(2), q(0), q(1)]);
-        other.push_row(&[v(30), v(10), v(20)]);
-        other.push_row(&[v(31), v(11), v(21)]);
-        t.append_projected(&other);
-        assert_eq!(t.num_rows(), 3);
+        // Source rows are in (q2, q0, q1) order.
+        t.push_projected(&[v(30), v(10), v(20)], &[1, 2, 0]);
+        assert_eq!(t.num_rows(), 2);
         assert_eq!(t.row(1), &[v(10), v(20), v(30)]);
-        assert_eq!(t.row(2), &[v(11), v(21), v(31)]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn append_projected_missing_column_panics() {
-        let mut t = ResultTable::new(vec![q(0), q(1)]);
-        let mut other = ResultTable::new(vec![q(0), q(9)]);
-        other.push_row(&[v(1), v(2)]);
-        t.append_projected(&other);
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //!   remain).
 //! * Join output: a materialized pipelined join allocates the table it
 //!   returns and O(1) more — no driver-block copy, no table between two
-//!   joins — and a round of a streamed one allocates nothing.
+//!   joins — and a round of a streamed one allocates nothing. A whole query
+//!   into the executor's table output likewise: its answer table's growth
+//!   on top of what the same query costs into a counting closure — no
+//!   per-machine joined table, no union.
 //! * Exploration: a `Messages`-mode exploration on a warm scratch allocates
 //!   its output table and its message payloads, nothing else.
 //! * Delivery: streaming a warm cache-hit first-1024 answer into a
@@ -24,7 +27,7 @@ use std::cell::Cell;
 
 use stwig::bindings::Bindings;
 use stwig::cache::{CacheConfig, StwigCache};
-use stwig::distributed::match_query_streaming_with_cache;
+use stwig::distributed::{match_query_distributed_with_cache, match_query_streaming_with_cache};
 use stwig::join::{hash_join, PreparedJoin};
 use stwig::matcher::match_stwig_batched;
 use stwig::metrics::{ExploreCounters, FaultCounters, JoinCounters};
@@ -377,6 +380,50 @@ fn channel_delivery_allocates_per_batch_not_per_row() {
         "delivering {K} rows in {batches} batches cost {} allocations more than \
          counting them in a closure ({into_channel} vs {into_closure})",
         into_channel - into_closure.min(into_channel)
+    );
+}
+
+#[test]
+fn table_output_allocates_its_answer_and_no_joined_tables() {
+    // The path a – b – c – a' over four machines: every machine joins, so a
+    // per-machine joined table plus their union would cost about three times
+    // the answer where the table output's own growth costs under two.
+    let (cloud, [qa, qb, qc], mut builder) = random_graph_and_vertices();
+    let qa2 = builder.vertex_by_name(&cloud, "a").unwrap();
+    builder.edge(qa, qb).edge(qb, qc).edge(qc, qa2);
+    let query = builder.build().unwrap();
+    let cache = StwigCache::new(&cloud, CacheConfig::default());
+    let config = MatchConfig::default().with_num_threads(Some(1));
+    let into_table =
+        || match_query_distributed_with_cache(&cloud, &query, &config, Some(&cache)).unwrap();
+    let answer = into_table().table; // populates the cache
+    assert!(answer.num_rows() > 10_000, "an answer worth growing");
+    let mut rows = 0usize;
+    let mut count = |_row: &[VertexId]| rows += 1;
+    let options = QueryOptions::none();
+    let ((closure_allocs, closure_bytes), _) = allocated_during(|| {
+        let cache = Some(&cache);
+        match_query_streaming_with_cache(&cloud, &query, &config, &options, cache, &mut count)
+            .unwrap()
+    });
+    assert_eq!(rows, answer.num_rows());
+    let ((allocs, bytes), out) = allocated_during(into_table);
+    assert_eq!(out.table, answer);
+    // What the answer table alone costs: its column vector plus the
+    // geometric growth of its row buffer.
+    let ((table_allocs, table_bytes), _) = allocated_during(|| {
+        let mut table = ResultTable::new(answer.columns().to_vec());
+        answer.rows().for_each(|row| table.push_row(row));
+        table
+    });
+    assert!(
+        bytes <= closure_bytes + table_bytes + 4096,
+        "a table of {table_bytes} bytes of growth cost {} bytes more than a closure",
+        bytes - closure_bytes.min(bytes)
+    );
+    assert!(
+        allocs <= closure_allocs + table_allocs + 8,
+        "{allocs} allocations into a table ({table_allocs} its own), {closure_allocs} into a closure"
     );
 }
 

@@ -51,7 +51,7 @@ fn main() {
     let query = qb.build().unwrap();
 
     // --- 3. Run the STwig matcher. ---
-    let out = stwig::match_query(&cloud, &query, &MatchConfig::default()).unwrap();
+    let out = stwig::match_query_distributed(&cloud, &query, &MatchConfig::default()).unwrap();
     println!(
         "query: 2 friends in the same city -> {} embeddings",
         out.num_matches()

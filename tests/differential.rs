@@ -171,9 +171,9 @@ fn cached_engine_is_bit_identical_to_uncached_serial_run() {
                     );
                 }
             }
-            // Third pass: the same queries through the submit() front door
-            // (default options — no deadline, no token) must stay
-            // bit-identical to the legacy reference, cache now warm.
+            // Third pass: the same queries submitted and awaited by hand
+            // must stay bit-identical to the cache-free reference, cache
+            // now warm.
             let handles: Vec<QueryHandle> = queries
                 .iter()
                 .map(|q| {
@@ -188,7 +188,7 @@ fn cached_engine_is_bit_identical_to_uncached_serial_run() {
                 assert_eq!(
                     response.table.as_ref(),
                     Some(&want.table),
-                    "submit() diverged from the legacy path \
+                    "submit() diverged from the cache-free reference \
                      (graph = {}, query = {i}, mode = {mode:?})",
                     case.name
                 );

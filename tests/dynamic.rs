@@ -228,6 +228,47 @@ fn cache_survives_label_disjoint_updates_and_never_serves_stale_entries() {
 /// log stays a bounded ring, warm-cache answers stay equal to VF2 on the
 /// mirror throughout, and an entry last probed before the ring's horizon is
 /// evicted — the log can no longer vouch for it — never served.
+/// Admission prices a query on the snapshot it will run on, not on the
+/// epoch-0 cloud the engine was built over: after a batch that multiplies a
+/// label's frequency, a calibrated engine's too-late prediction for a query
+/// on that label rises by exactly the added work units.
+#[test]
+fn admission_prices_queries_on_the_current_epoch() {
+    const ADDED: u64 = 400;
+    let base = base_graph(0xAD41).build_cloud(2, trinity_sim::network::CostModel::default());
+    let mut qb = QueryGraph::builder();
+    let a = qb.vertex_by_name(&base, "L0").unwrap();
+    let b = qb.vertex_by_name(&base, "L1").unwrap();
+    qb.edge(a, b);
+    let query = qb.build().unwrap();
+    let epochs = GraphEpochs::new(base);
+    let engine = QueryEngine::for_epochs(&epochs, EngineConfig::default());
+    // Calibrate the estimator at one µs per work unit.
+    for _ in 0..16 {
+        engine.cost_estimator().observe(1_000.0, 1_000.0);
+    }
+    let predicted = || {
+        let hopeless = std::time::Duration::from_nanos(1);
+        match engine.submit(QueryRequest::new(query.clone()).with_deadline(hopeless)) {
+            Submit::Rejected(RejectReason::EstimatedTooLate { predicted_us, .. }) => predicted_us,
+            other => panic!("expected EstimatedTooLate, got {other:?}"),
+        }
+    };
+    let before = predicted();
+    let mut batch = UpdateBatch::new();
+    for i in 0..ADDED {
+        batch = batch.add_vertex(VertexId(50_000 + i), "L0");
+    }
+    engine.apply_updates(batch).expect_accepted();
+    engine.drain();
+    // `L0` has degree 1 in the query: each new vertex is 1 + 1 work units.
+    let rise = predicted() - before;
+    assert!(
+        (rise - 2.0 * ADDED as f64).abs() < 1e-6,
+        "{ADDED} more `L0` vertices moved the prediction by {rise} µs"
+    );
+}
+
 #[test]
 fn soak_keeps_the_touch_log_bounded_and_the_cache_exact() {
     const APPLIES: usize = 10_000;

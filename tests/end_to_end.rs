@@ -19,7 +19,7 @@ fn stwig_matches_vf2_on_dfs_queries() {
     let queries = query_batch(&cloud, 12, 5, None, 100);
     assert!(!queries.is_empty());
     for q in &queries {
-        let ours = stwig::match_query(&cloud, q, &MatchConfig::exhaustive()).unwrap();
+        let ours = stwig::match_query_distributed(&cloud, q, &MatchConfig::exhaustive()).unwrap();
         let reference = vf2(&cloud, q, None);
         assert_eq!(
             canonical_rows(q, &ours.table),
@@ -37,7 +37,7 @@ fn stwig_matches_ullmann_on_random_queries() {
     let cloud = rmat_cloud(600, 5.0, 5, 2, 2);
     let queries = query_batch(&cloud, 10, 4, Some(5), 200);
     for q in &queries {
-        let ours = stwig::match_query(&cloud, q, &MatchConfig::exhaustive()).unwrap();
+        let ours = stwig::match_query_distributed(&cloud, q, &MatchConfig::exhaustive()).unwrap();
         let reference = ullmann(&cloud, q, None);
         assert_eq!(
             canonical_rows(q, &ours.table),
@@ -51,7 +51,7 @@ fn stwig_matches_edge_join_baseline() {
     let cloud = rmat_cloud(500, 5.0, 4, 2, 3);
     let queries = query_batch(&cloud, 8, 4, Some(4), 300);
     for q in &queries {
-        let ours = stwig::match_query(&cloud, q, &MatchConfig::exhaustive()).unwrap();
+        let ours = stwig::match_query_distributed(&cloud, q, &MatchConfig::exhaustive()).unwrap();
         let (reference, _stats) = edge_join(&cloud, q, None);
         assert_eq!(
             canonical_rows(q, &ours.table),
@@ -71,7 +71,9 @@ fn distributed_equals_single_machine_across_cluster_sizes() {
     let expected: Vec<_> = queries
         .iter()
         .map(|q| {
-            let out = stwig::match_query(&reference_cloud, q, &MatchConfig::exhaustive()).unwrap();
+            let out =
+                stwig::match_query_distributed(&reference_cloud, q, &MatchConfig::exhaustive())
+                    .unwrap();
             canonical_rows(q, &out.table)
         })
         .collect();
@@ -91,10 +93,14 @@ fn bindings_and_join_order_do_not_change_answers() {
     let cloud = rmat_cloud(600, 6.0, 5, 4, 5);
     let queries = query_batch(&cloud, 6, 5, Some(7), 500);
     for q in &queries {
-        let base = stwig::match_query(&cloud, q, &MatchConfig::exhaustive()).unwrap();
-        let no_bind =
-            stwig::match_query(&cloud, q, &MatchConfig::exhaustive().with_bindings(false)).unwrap();
-        let no_order = stwig::match_query(
+        let base = stwig::match_query_distributed(&cloud, q, &MatchConfig::exhaustive()).unwrap();
+        let no_bind = stwig::match_query_distributed(
+            &cloud,
+            q,
+            &MatchConfig::exhaustive().with_bindings(false),
+        )
+        .unwrap();
+        let no_order = stwig::match_query_distributed(
             &cloud,
             q,
             &MatchConfig::exhaustive().with_join_order_optimization(false),

@@ -6,7 +6,10 @@
 //! the serial `DirectRead` run is the reference, and `DirectRead` × 4
 //! threads, `Messages` × 1 thread and `Messages` × 4 threads must all agree
 //! with it. `Messages` runs must additionally perform zero direct
-//! cross-partition reads.
+//! cross-partition reads. The exhaustive configuration has no result limit,
+//! so its 4-thread runs take the join pass's parallel arm (every machine
+//! into a staging table of its own) and its 1-thread runs the serial one:
+//! same table, columns in canonical order (query vertices ascending).
 
 use graph_gen::prelude::*;
 use stwig::prelude::*;
@@ -74,6 +77,8 @@ fn assert_parallel_matches_serial(cost_name: &str, cost: CostModel) {
                         // same order, so truncating configs pick the same
                         // witnesses in every mode and thread count.
                         assert_eq!(serial.table, run.table, "tables diverged: {ctx}");
+                        let canonical: Vec<QVid> = query.vertices().collect();
+                        assert_eq!(run.table.columns(), canonical, "columns: {ctx}");
                         assert_eq!(
                             serial.metrics.matches_found, run.metrics.matches_found,
                             "matches_found diverged: {ctx}"

@@ -55,7 +55,7 @@ proptest! {
     fn stwig_agrees_with_vf2(g in random_graph(24, 3), qsize in 3usize..6, seed in 0u64..1000) {
         let cloud = build_cloud(&g, 2);
         if let Some(query) = query_from(&cloud, qsize, seed) {
-            let ours = stwig::match_query(&cloud, &query, &MatchConfig::exhaustive()).unwrap();
+            let ours = stwig::match_query_distributed(&cloud, &query, &MatchConfig::exhaustive()).unwrap();
             let reference = vf2(&cloud, &query, None);
             prop_assert_eq!(canonical_rows(&query, &ours.table), canonical_rows(&query, &reference));
             prop_assert!(verify_all(&cloud, &query, &ours.table).is_ok());
@@ -68,7 +68,7 @@ proptest! {
     fn distributed_equals_single(g in random_graph(24, 3), machines in 2usize..6, seed in 0u64..1000) {
         let single_cloud = build_cloud(&g, 1);
         if let Some(query) = query_from(&single_cloud, 4, seed) {
-            let single = stwig::match_query(&single_cloud, &query, &MatchConfig::exhaustive()).unwrap();
+            let single = stwig::match_query_distributed(&single_cloud, &query, &MatchConfig::exhaustive()).unwrap();
             let multi_cloud = build_cloud(&g, machines);
             let multi = stwig::match_query_distributed(&multi_cloud, &query, &MatchConfig::exhaustive()).unwrap();
             prop_assert_eq!(

@@ -36,7 +36,7 @@ fn triangle_on_two_machines_matches_vf2() {
     let cloud = tiny_cloud();
     let query = triangle_query(&cloud);
 
-    let ours = stwig::match_query(&cloud, &query, &MatchConfig::exhaustive()).unwrap();
+    let ours = stwig::match_query_distributed(&cloud, &query, &MatchConfig::exhaustive()).unwrap();
     assert_eq!(ours.num_matches(), 1, "exactly one labeled triangle");
     verify_all(&cloud, &query, &ours.table).unwrap();
 

@@ -23,8 +23,8 @@ fn pattern_text_equals_builder_query() {
     qb.edge(x, y).edge(y, z);
     let built = qb.build().unwrap();
 
-    let a = stwig::match_query(&cloud, &parsed, &MatchConfig::exhaustive()).unwrap();
-    let b = stwig::match_query(&cloud, &built, &MatchConfig::exhaustive()).unwrap();
+    let a = stwig::match_query_distributed(&cloud, &parsed, &MatchConfig::exhaustive()).unwrap();
+    let b = stwig::match_query_distributed(&cloud, &built, &MatchConfig::exhaustive()).unwrap();
     assert_eq!(
         canonical_rows(&parsed, &a.table),
         canonical_rows(&built, &b.table)
@@ -35,7 +35,7 @@ fn pattern_text_equals_builder_query() {
 fn pattern_query_matches_vf2() {
     let cloud = sample_graph(400, 2).build_cloud(3, CostModel::default());
     let query = stwig::parse_pattern(&cloud, "(a:L0)-(b:L1), (b)-(c:L0), (a)-(c)").unwrap();
-    let ours = stwig::match_query(&cloud, &query, &MatchConfig::exhaustive()).unwrap();
+    let ours = stwig::match_query_distributed(&cloud, &query, &MatchConfig::exhaustive()).unwrap();
     let reference = vf2(&cloud, &query, None);
     assert_eq!(
         canonical_rows(&query, &ours.table),
@@ -50,7 +50,7 @@ fn signature_baseline_agrees_with_stwig() {
     assert_eq!(index.len() as u64, cloud.num_vertices());
     let queries = query_batch(&cloud, 6, 4, None, 30);
     for q in &queries {
-        let ours = stwig::match_query(&cloud, q, &MatchConfig::exhaustive()).unwrap();
+        let ours = stwig::match_query_distributed(&cloud, q, &MatchConfig::exhaustive()).unwrap();
         let sig = signature_match(&cloud, &index, q, None);
         assert_eq!(canonical_rows(q, &ours.table), canonical_rows(q, &sig));
     }
@@ -141,7 +141,7 @@ fn edge_list_roundtrip_preserves_query_answers() {
     assert_eq!(original.num_edges(), reloaded.num_edges());
 
     let query = dfs_query(&original, 4, 3).unwrap();
-    let a = stwig::match_query(&original, &query, &MatchConfig::exhaustive()).unwrap();
+    let a = stwig::match_query_distributed(&original, &query, &MatchConfig::exhaustive()).unwrap();
     // Label ids may be interned in a different order in the reloaded cloud, so
     // rebuild the query by label names.
     let text: Vec<String> = query
@@ -157,7 +157,8 @@ fn edge_list_roundtrip_preserves_query_answers() {
         qb.edge(qvids[u.index()], qvids[v.index()]);
     }
     let reloaded_query = qb.build().unwrap();
-    let b = stwig::match_query(&reloaded, &reloaded_query, &MatchConfig::exhaustive()).unwrap();
+    let b = stwig::match_query_distributed(&reloaded, &reloaded_query, &MatchConfig::exhaustive())
+        .unwrap();
     assert_eq!(a.num_matches(), b.num_matches());
 
     std::fs::remove_dir_all(&dir).ok();

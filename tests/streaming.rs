@@ -238,6 +238,51 @@ fn deadline_exceeded_query_returns_promptly_with_partial_rows() {
 }
 
 #[test]
+fn a_sink_gets_rows_as_machines_join_them_whatever_the_thread_count() {
+    // Full enumeration into a sink with threads to spare: the join pass must
+    // not stage the machines' answers and hand them over at the end.
+    // Few labels, so the one query has matches on every machine.
+    let cloud =
+        synthetic_experiment_graph(1_500, 6.0, 1e-2, 0xBEEF).build_cloud(4, CostModel::default());
+    let query = &query_batch(&cloud, 1, 4, None, 0xA0)[0];
+    for mode in MODES {
+        let config = MatchConfig::default()
+            .with_transport_mode(mode)
+            .with_num_threads(Some(4));
+        // (a) When the first row arrives, later machines have not yet been
+        // shipped their load sets.
+        let mut bytes_at_first_row = None;
+        let mut sink = |_row: &[VertexId]| {
+            bytes_at_first_row.get_or_insert_with(|| cloud.traffic().total_bytes());
+        };
+        let live = match_query_streaming(&cloud, query, &config, &QueryOptions::none(), &mut sink)
+            .unwrap();
+        assert!(live.rows_streamed > 1, "{mode:?}");
+        assert!(bytes_at_first_row.unwrap() < live.network_bytes, "{mode:?}");
+        // ... and nothing beyond a machine's R_k tables is ever resident.
+        let serial = config.clone().with_num_threads(Some(1));
+        let mut rows = 0u64;
+        let mut sink = |_row: &[VertexId]| rows += 1;
+        let one = match_query_streaming(&cloud, query, &serial, &QueryOptions::none(), &mut sink)
+            .unwrap();
+        assert_eq!(live.peak_table_bytes, one.peak_table_bytes, "{mode:?}");
+        // (b) Rows delivered before a deadline stay delivered: the consumer
+        // sits on its first row until the deadline has passed.
+        let deadline = Duration::from_millis(250);
+        let mut rows = 0u64;
+        let mut sink = |_row: &[VertexId]| {
+            rows += 1;
+            std::thread::sleep(if rows == 1 { deadline } else { Duration::ZERO });
+        };
+        let options = QueryOptions::none().with_deadline(deadline);
+        let cut = match_query_streaming(&cloud, query, &config, &options, &mut sink).unwrap();
+        assert_eq!(cut.outcome, QueryOutcome::DeadlineExceeded, "{mode:?}");
+        assert_eq!(cut.rows_streamed, rows, "{mode:?}");
+        assert!((1..live.rows_streamed).contains(&rows), "{mode:?}");
+    }
+}
+
+#[test]
 fn first_k_is_consistent_across_threads_and_cache() {
     // The k delivered rows may legitimately differ between configurations
     // (first-k is not a canonical prefix), but every configuration must
@@ -259,10 +304,14 @@ fn first_k_is_consistent_across_threads_and_cache() {
             );
             // Twice, so the cache-on pass exercises a warm cache.
             for pass in 0..2 {
-                let out = engine.run_first_k(query, k, &QueryOptions::none()).unwrap();
+                let request =
+                    QueryRequest::new(query.clone()).with_result_mode(ResultMode::FirstK(k));
+                let handle = engine.submit(request).expect_accepted();
+                engine.drain();
+                let table = handle.wait().unwrap().table.unwrap();
                 let ctx = format!("threads = {threads}, cache = {cache_on}, pass = {pass}");
-                assert_eq!(out.num_matches(), k, "{ctx}");
-                for row in canonical_rows(query, &out.table) {
+                assert_eq!(table.num_rows(), k, "{ctx}");
+                for row in canonical_rows(query, &table) {
                     assert!(full_rows.contains(&row), "{ctx}");
                 }
             }
@@ -303,9 +352,15 @@ fn labelled_query(cloud: &MemoryCloud, labels: &[&str], edges: &[(usize, usize)]
 /// The cap on a `ChannelSink` batch (`stream.rs`, private `BATCH_ROWS`).
 const BATCH_CAP: usize = 256;
 
+/// The executor's three outputs — the table it hands back, a same-thread
+/// `CollectSink`, a `RowStream` across a channel — carry the same rows in the
+/// same order with the same counters, in every result mode, under both
+/// transports, serial and with the parallel join pass.
 #[test]
 fn row_stream_yields_exactly_what_collect_sink_collects() {
     let hub = hub_cloud(300);
+    let small_hub = hub_cloud(20);
+    let small_star = labelled_query(&small_hub, &["a", "b", "c"], &[(0, 1), (0, 2)]);
     let star = labelled_query(&hub, &["a", "b", "c"], &[(0, 1), (0, 2)]);
     let triangle = labelled_query(&hub, &["a", "b", "c"], &[(0, 1), (0, 2), (1, 2)]);
     let lone_b = labelled_query(&hub, &["b"], &[]);
@@ -331,6 +386,14 @@ fn row_stream_yields_exactly_what_collect_sink_collects() {
             Some(1024),
         ),
         ("star/Exists".into(), &hub, star, exists.clone(), Some(1)),
+        // k is the exact answer size: the limit is met on the last row.
+        (
+            "small star/FirstK(400)".into(),
+            &small_hub,
+            small_star,
+            first(400),
+            Some(400),
+        ),
         // The first slab (256 rows a machine) misses the one triangle.
         (
             "triangle/FirstK(1), growing slab".into(),
@@ -349,9 +412,16 @@ fn row_stream_yields_exactly_what_collect_sink_collects() {
         (
             "single vertex/FirstK(2)".into(),
             &hub,
-            lone_b,
+            lone_b.clone(),
             first(2),
             Some(2),
+        ),
+        (
+            "single vertex/FirstK(300)".into(),
+            &hub,
+            lone_b,
+            first(300),
+            Some(300),
         ),
         (
             "no match/All".into(),
@@ -369,19 +439,30 @@ fn row_stream_yields_exactly_what_collect_sink_collects() {
         ),
     ];
     for (qi, query) in workload(&mixed).into_iter().enumerate() {
-        for mode in MODES {
-            for (name, config) in [("All", &all), ("FirstK(4)", &first(4)), ("Exists", &exists)] {
-                cases.push((
-                    format!("workload {qi}/{name}/{mode:?}"),
-                    &mixed,
-                    query.clone(),
-                    config.clone().with_transport_mode(mode),
-                    None,
-                ));
-            }
+        for (name, config) in [("All", &all), ("FirstK(4)", &first(4)), ("Exists", &exists)] {
+            cases.push((
+                format!("workload {qi}/{name}"),
+                &mixed,
+                query.clone(),
+                config.clone(),
+                None,
+            ));
         }
     }
-    for (what, cloud, query, config, expected) in cases {
+    let sweep = MODES
+        .into_iter()
+        .flat_map(|mode| [1usize, 4].map(|threads| (mode, threads)));
+    let cases = cases
+        .iter()
+        .flat_map(|case| sweep.clone().map(move |s| (case, s)));
+    for ((what, cloud, query, config, expected), (mode, threads)) in cases {
+        let what = format!("{what}/{mode:?}/{threads} threads");
+        let (query, expected) = (query.clone(), *expected);
+        let config = config
+            .clone()
+            .with_transport_mode(mode)
+            .with_num_threads(Some(threads));
+        let out = match_query_distributed(cloud, &query, &config).unwrap();
         let mut collect = CollectSink::new();
         let collected =
             match_query_streaming(cloud, &query, &config, &QueryOptions::none(), &mut collect)
@@ -399,6 +480,14 @@ fn row_stream_yields_exactly_what_collect_sink_collects() {
         if let Some(rows) = expected {
             assert_eq!(table.num_rows() as u64, rows, "{what}");
         }
+        assert_eq!(out.table, table, "table output vs CollectSink ({what})");
+        let (t, c) = (&out.metrics, &collected);
+        assert_eq!(
+            (t.matches_found, t.truncated, t.explore_rounds),
+            (c.matches_found, c.truncated, c.explore_rounds),
+            "{what}"
+        );
+        assert_eq!((&t.explore, &t.join), (&c.explore, &c.join), "{what}");
         assert_eq!(streamed.outcome, QueryOutcome::Complete, "{what}");
         assert_eq!(streamed.rows_streamed, collected.rows_streamed, "{what}");
         assert_eq!(streamed.explore_rounds, collected.explore_rounds, "{what}");
