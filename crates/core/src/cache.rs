@@ -29,22 +29,62 @@
 //! ([`STwig::sort_children_canonically`]), so the table exploration emits
 //! *is* the canonical table — same columns, same lexicographic row order —
 //! and two queries that number the same shape's vertices differently plan
-//! STwigs whose tables are equal up to the column names. Populating stores
-//! the explored table under placeholder names ([`canonicalize_table`]); a
-//! hit copies it back under the query's names ([`derive_bound_table`]).
-//! Children with equal labels need no rule beyond the id tie-break: their
+//! STwigs whose tables are equal up to the column names. Populating files
+//! the explored table under placeholder names ([`canonicalize_table`], a
+//! rename, not a copy); column `i` of a served table is the `i`-th of the
+//! STwig's `vertices()`. Children with equal labels need no rule beyond the id tie-break: their
 //! unbound candidate lists are the same list, so the table is symmetric
 //! under swapping their columns and whichever of them the query numbered
 //! lower may take the first. A hand-built STwig whose children are in some
 //! other order is explored, never cached
 //! ([`STwig::has_canonical_children`]).
 //!
-//! Binding-based pruning (§4.2) and the per-STwig row cap are pure
-//! order-preserving row filters of the unbound output, so
-//! [`apply_bindings_and_cap`] derives, from a cached table, a table
-//! bit-identical to what bound exploration would have produced. A
-//! fingerprint of the cloud guards against a cache being reused across
+//! A fingerprint of the cloud guards against a cache being reused across
 //! clouds.
+//!
+//! ## What a served STwig contributes (the contract)
+//!
+//! An STwig the cache serves — a hit, a repair, or the populate a miss
+//! performs — contributes its **complete unbound per-machine tables, shared
+//! (`Arc`), to the join**: no per-query copy, no binding filter, no row cap,
+//! and no binding synchronization for it. Bindings (§4.2 step 2) exist to
+//! prune *exploration*, and a served STwig has none left to prune; the first-k
+//! slab and `max_stwig_rows` bound exploration too, and none happens. Hit,
+//! repair and populate hand the join the same tables, so at one cache state
+//! a query returns the same rows every time. Two guards keep older promises:
+//! a table with more rows than the *user's* `max_stwig_rows` is not served
+//! (that STwig explores bound, as without a cache), and the executor counts
+//! only explored tables when it asks whether a slab round was cut short.
+//!
+//! Binding sets are folded **lazily**: only when a later STwig of the same
+//! query must actually explore (hand-built child order, uncacheable
+//! tombstone, interrupted populate, user cap) are the served tables before
+//! it run through the binding filter — in plan order, reading the rows in
+//! place — and their columns a later STwig reads unioned into the bindings,
+//! charged as the synchronization it is. An explored STwig of a mixed query
+//! is therefore pruned exactly as hard as without a cache.
+//!
+//! What callers may rely on: `ResultMode::All` returns the same row *set* as
+//! the cache-free executor; `FirstK(k)` / `Exists` return `min(k, |answer|)`
+//! distinct valid embeddings. Not promised: that a cached and a cache-free
+//! run pick the same k witnesses, or the same row order.
+//!
+//! ## The join-index memo
+//!
+//! The join indexes every rest table R_k(q_t) on the columns it shares with
+//! the rows before it ([`crate::join`]). When R_k(q_t) was concatenated from
+//! one entry's tables alone, that index is a function of the entry, the
+//! destination machine `k`, the machines whose tables were appended (the
+//! load set) and the key columns — so it is built once and kept in the
+//! entry, beside the tables, under that key ([`RkMemo`]). It is built on
+//! first use with no lock held, its key map sized to the distinct keys (a
+//! slot per row would be 41 B a row; this is about 6), charged to the
+//! entry's shard like the tables are (evicting least-recently-used entries
+//! if that overflows the budget; an index its entry has no room for is used
+//! once and not kept), and dropped with the entry. A repair makes a new
+//! entry with an empty memo, so only repaired shapes index again, lazily.
+//! The memo owns nothing but the indexes: a reader that holds the entry
+//! holds its tables, and no index can outlive or be matched to other rows.
 //!
 //! ## Epochs
 //!
@@ -88,17 +128,16 @@
 //! concurrent query is still reading — the reader's `Arc` keeps the data
 //! alive and the shard simply drops its reference.
 
-use crate::bindings::Bindings;
-use crate::config::MatchConfig;
 use crate::hash::{FxHashMap, FxHasher};
+use crate::join::BuildIndex;
 use crate::metrics::CacheStats;
 use crate::query::{QVid, QueryGraph};
 use crate::stwig::STwig;
 use crate::table::ResultTable;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use trinity_sim::ids::{LabelId, VertexId};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use trinity_sim::ids::{LabelId, MachineId, VertexId};
 use trinity_sim::MemoryCloud;
 
 /// Tuning knobs of the [`StwigCache`].
@@ -177,9 +216,134 @@ impl StwigShape {
     }
 }
 
-/// One entry's canonical tables, one per machine. The tables are shared
-/// individually so a repair can keep the machines it did not touch.
-pub type CachedTables = Arc<Vec<Arc<ResultTable>>>;
+/// One entry's canonical tables, one per machine (it derefs to them), and
+/// beside them the memo of the join indexes built over them. The tables are
+/// shared individually so a repair can keep the machines it did not touch.
+pub struct CachedStwig {
+    tables: Vec<Arc<ResultTable>>,
+    memo: Mutex<Vec<(IndexKey, Arc<BuildIndex>)>>,
+    /// The cache the tables are resident in and their key there — where the
+    /// memo's bytes are charged. `None` for tables that are shared for one
+    /// query and never offered to a cache (degraded): their indexes are
+    /// per-query.
+    home: Option<(Weak<CacheCore>, StwigShape)>,
+}
+
+/// A shared handle on one entry.
+pub type CachedTables = Arc<CachedStwig>;
+
+/// What an index in an entry's memo was built over and on: the tables of
+/// `dest` then of each of `senders`, keyed on columns `key_cols`.
+struct IndexKey {
+    dest: MachineId,
+    senders: Vec<MachineId>,
+    key_cols: Vec<usize>,
+}
+
+impl CachedStwig {
+    /// Tables that belong to no cache: shared for one query.
+    pub(crate) fn detached(tables: Vec<Arc<ResultTable>>) -> CachedTables {
+        Arc::new(CachedStwig {
+            tables,
+            memo: Mutex::default(),
+            home: None,
+        })
+    }
+
+    fn lock_memo(&self) -> MutexGuard<'_, Vec<(IndexKey, Arc<BuildIndex>)>> {
+        self.memo.lock().expect("index memo poisoned")
+    }
+
+    /// The cache core, while the cache lives.
+    fn core(&self) -> Option<(Arc<CacheCore>, &StwigShape)> {
+        let (core, shape) = self.home.as_ref()?;
+        Some((core.upgrade()?, shape))
+    }
+}
+
+impl std::ops::Deref for CachedStwig {
+    type Target = [Arc<ResultTable>];
+
+    fn deref(&self) -> &Self::Target {
+        &self.tables
+    }
+}
+
+/// Entries are equal when their tables are.
+impl PartialEq for CachedStwig {
+    fn eq(&self, other: &Self) -> bool {
+        self.tables == other.tables
+    }
+}
+
+impl std::fmt::Debug for CachedStwig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(&self.tables).finish()
+    }
+}
+
+/// The index memo of the entry an assembled R_k(q_t) was concatenated from,
+/// addressed for that concatenation: `dest`'s table, then each sender's.
+pub(crate) struct RkMemo<'a> {
+    entry: &'a CachedStwig,
+    dest: MachineId,
+    senders: Vec<MachineId>,
+}
+
+impl<'a> RkMemo<'a> {
+    pub(crate) fn new(entry: &'a CachedStwig, dest: MachineId, senders: Vec<MachineId>) -> Self {
+        RkMemo {
+            entry,
+            dest,
+            senders,
+        }
+    }
+
+    /// The index of this concatenation on `key_cols`, and whether this call
+    /// had to `build` it. A built index stays in the memo if the entry is
+    /// still resident and its shard has room; `build` runs with no lock held
+    /// (of two racing builders the second adopts the first's index).
+    pub(crate) fn index(
+        &self,
+        key_cols: &[usize],
+        build: impl FnOnce() -> BuildIndex,
+    ) -> (Arc<BuildIndex>, bool) {
+        let find = |memo: &[(IndexKey, Arc<BuildIndex>)]| {
+            memo.iter()
+                .find(|(key, _)| {
+                    key.dest == self.dest && key.senders == self.senders && key.key_cols == key_cols
+                })
+                .map(|(_, index)| Arc::clone(index))
+        };
+        let core = self.entry.core();
+        let resident = find(&self.entry.lock_memo());
+        if let Some(index) = resident {
+            if let Some((core, _)) = &core {
+                core.index_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            return (index, false);
+        }
+        let built = Arc::new(build());
+        // Lock order: memo, then (inside `charge_index`) the shard. Nothing
+        // takes them the other way round.
+        let mut memo = self.entry.lock_memo();
+        if let Some(index) = find(&memo) {
+            return (index, true);
+        }
+        let kept = core.is_some_and(|(core, shape)| {
+            core.charge_index(shape, self.entry, built.memory_bytes())
+        });
+        if kept {
+            let key = IndexKey {
+                dest: self.dest,
+                senders: self.senders.clone(),
+                key_cols: key_cols.to_vec(),
+            };
+            memo.push((key, Arc::clone(&built)));
+        }
+        (built, true)
+    }
+}
 
 /// The outcomes of a cache probe.
 #[derive(Debug, Clone)]
@@ -209,7 +373,10 @@ struct Entry {
     /// `None` marks an uncacheable shape (negative entry). Tombstones are
     /// tiny but participate in LRU so a budget squeeze can reclaim them.
     tables: Option<CachedTables>,
+    /// Everything charged for the entry: key, tables and `index_bytes`.
     bytes: usize,
+    /// The memoized join indexes' share of `bytes`.
+    index_bytes: usize,
     last_used: u64,
     /// The cloud epoch the entry was explored under. Always 0 against a
     /// static cloud; against a dynamic lineage, a probe from a different
@@ -227,6 +394,83 @@ struct Shard {
     /// in O(log n) instead of scanning the map.
     lru: std::collections::BTreeMap<u64, StwigShape>,
     bytes: usize,
+    index_bytes: usize,
+}
+
+impl Shard {
+    /// Takes `shape`'s entry out of the map, the LRU index and the byte
+    /// counts.
+    fn remove(&mut self, shape: &StwigShape) -> Option<Entry> {
+        let entry = self.map.remove(shape)?;
+        self.lru
+            .remove(&entry.last_used)
+            .expect("LRU index out of sync");
+        self.bytes -= entry.bytes;
+        self.index_bytes -= entry.index_bytes;
+        Some(entry)
+    }
+
+    /// Evicts LRU-first (smallest stamp) until the shard fits `budget`.
+    fn evict_to(&mut self, budget: usize, evictions: &AtomicU64) {
+        while self.bytes > budget {
+            let Some(victim) = self.lru.values().next().cloned() else {
+                break;
+            };
+            self.remove(&victim);
+            evictions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The shards and counters: the part of the cache an entry's index memo
+/// reaches back into (through a `Weak`, so entries a reader still holds do
+/// not keep a dropped cache's other entries alive).
+struct CacheCore {
+    shards: Vec<Mutex<Shard>>,
+    shard_budget: usize,
+    tick: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    bypasses: AtomicU64,
+    insertions: AtomicU64,
+    evictions: AtomicU64,
+    stale_evictions: AtomicU64,
+    repairs: AtomicU64,
+    index_builds: AtomicU64,
+    index_hits: AtomicU64,
+}
+
+impl CacheCore {
+    fn shard_for(&self, shape: &StwigShape) -> MutexGuard<'_, Shard> {
+        let mut hasher = FxHasher::default();
+        shape.hash(&mut hasher);
+        self.shards[(hasher.finish() as usize) % self.shards.len()]
+            .lock()
+            .expect("cache shard poisoned")
+    }
+
+    /// Charges `bytes` of join index to `shape`'s entry — if `entry` is
+    /// still the resident one and has the room — evicting LRU-first if the
+    /// shard then overflows. `false`: nothing was charged, and the index
+    /// must not be kept.
+    fn charge_index(&self, shape: &StwigShape, entry: &CachedStwig, bytes: usize) -> bool {
+        let mut shard = self.shard_for(shape);
+        let shard = &mut *shard;
+        let Some(resident) = shard.map.get_mut(shape) else {
+            return false;
+        };
+        let same = (resident.tables.as_ref()).is_some_and(|t| std::ptr::eq(Arc::as_ptr(t), entry));
+        if !same || resident.bytes + bytes > self.shard_budget {
+            return false;
+        }
+        resident.bytes += bytes;
+        resident.index_bytes += bytes;
+        shard.bytes += bytes;
+        shard.index_bytes += bytes;
+        self.index_builds.fetch_add(1, Ordering::Relaxed);
+        shard.evict_to(self.shard_budget, &self.evictions);
+        true
+    }
 }
 
 /// A sharded, byte-budgeted LRU cache of per-machine STwig result tables,
@@ -238,8 +482,7 @@ struct Shard {
 /// [`StwigCache::matches_cloud`] sound.
 pub struct StwigCache<'c> {
     cloud: &'c MemoryCloud,
-    shards: Vec<Mutex<Shard>>,
-    shard_budget: usize,
+    core: Arc<CacheCore>,
     populate_row_cap: Option<usize>,
     /// Fingerprint of the cloud this cache serves (graph + partitioning).
     fingerprint: u64,
@@ -249,21 +492,13 @@ pub struct StwigCache<'c> {
     /// — the per-entry epoch tags carry the version discipline.
     lineage: u64,
     num_machines: usize,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    bypasses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    stale_evictions: AtomicU64,
-    repairs: AtomicU64,
 }
 
 impl std::fmt::Debug for StwigCache<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StwigCache")
-            .field("shards", &self.shards.len())
-            .field("shard_budget", &self.shard_budget)
+            .field("shards", &self.core.shards.len())
+            .field("shard_budget", &self.core.shard_budget)
             .field("stats", &self.stats())
             .finish()
     }
@@ -278,20 +513,24 @@ impl<'c> StwigCache<'c> {
         shard_vec.resize_with(shards, || Mutex::new(Shard::default()));
         StwigCache {
             cloud,
-            shards: shard_vec,
-            shard_budget: (config.budget_bytes / shards).max(1),
+            core: Arc::new(CacheCore {
+                shards: shard_vec,
+                shard_budget: (config.budget_bytes / shards).max(1),
+                tick: AtomicU64::new(0),
+                hits: AtomicU64::new(0),
+                misses: AtomicU64::new(0),
+                bypasses: AtomicU64::new(0),
+                insertions: AtomicU64::new(0),
+                evictions: AtomicU64::new(0),
+                stale_evictions: AtomicU64::new(0),
+                repairs: AtomicU64::new(0),
+                index_builds: AtomicU64::new(0),
+                index_hits: AtomicU64::new(0),
+            }),
             populate_row_cap: config.populate_row_cap,
             fingerprint: graph_fingerprint(cloud),
             lineage: cloud.lineage(),
             num_machines: cloud.num_machines(),
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            bypasses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            stale_evictions: AtomicU64::new(0),
-            repairs: AtomicU64::new(0),
         }
     }
 
@@ -322,19 +561,20 @@ impl<'c> StwigCache<'c> {
     /// compared to the snapshot's epoch; see the module docs for the
     /// revalidate / repair / lazy-evict / leave-resident cases.
     pub fn lookup(&self, shape: &StwigShape, cloud: &MemoryCloud) -> CacheLookup {
+        let core = &*self.core;
         let epoch = cloud.epoch();
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard_for(shape).lock().expect("cache shard poisoned");
+        let stamp = core.tick.fetch_add(1, Ordering::Relaxed);
+        let mut shard = core.shard_for(shape);
         let shard = &mut *shard;
         let Some(entry) = shard.map.get_mut(shape) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            core.misses.fetch_add(1, Ordering::Relaxed);
             return CacheLookup::Miss;
         };
         if entry.epoch > epoch {
             // The probing query is pinned to an epoch older than the entry.
             // Serving would leak the future into the snapshot; evicting
             // would punish current-epoch queries. Miss, leave it resident.
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            core.misses.fetch_add(1, Ordering::Relaxed);
             return CacheLookup::Miss;
         }
         if entry.epoch < epoch {
@@ -354,8 +594,8 @@ impl<'c> StwigCache<'c> {
                 // Exact everywhere but at the touched roots. The entry stays
                 // resident until the caller's repair replaces it.
                 (Some(touched), Some(tables)) => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    self.repairs.fetch_add(1, Ordering::Relaxed);
+                    core.misses.fetch_add(1, Ordering::Relaxed);
+                    core.repairs.fetch_add(1, Ordering::Relaxed);
                     return CacheLookup::Repair {
                         tables: Arc::clone(tables),
                         touched,
@@ -365,13 +605,9 @@ impl<'c> StwigCache<'c> {
                 // nothing to repair (a tombstone): lazily evict and miss, so
                 // the caller repopulates against the pinned snapshot.
                 _ => {
-                    let previous = entry.last_used;
-                    let bytes = entry.bytes;
-                    shard.lru.remove(&previous).expect("LRU index out of sync");
-                    shard.map.remove(shape);
-                    shard.bytes -= bytes;
-                    self.stale_evictions.fetch_add(1, Ordering::Relaxed);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    shard.remove(shape);
+                    core.stale_evictions.fetch_add(1, Ordering::Relaxed);
+                    core.misses.fetch_add(1, Ordering::Relaxed);
                     return CacheLookup::Miss;
                 }
             }
@@ -379,11 +615,11 @@ impl<'c> StwigCache<'c> {
         let previous = std::mem::replace(&mut entry.last_used, stamp);
         let result = match &entry.tables {
             Some(tables) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                core.hits.fetch_add(1, Ordering::Relaxed);
                 CacheLookup::Hit(Arc::clone(tables))
             }
             None => {
-                self.bypasses.fetch_add(1, Ordering::Relaxed);
+                core.bypasses.fetch_add(1, Ordering::Relaxed);
                 CacheLookup::Bypass
             }
         };
@@ -394,35 +630,42 @@ impl<'c> StwigCache<'c> {
 
     /// Inserts the canonical per-machine tables for `shape`, explored
     /// against `cloud`, evicting least-recently-used entries if the shard
-    /// exceeds its byte budget. If another query populated or repaired the
-    /// same shape first at the same (or a newer) epoch, the resident entry
-    /// wins (at equal epochs both were derived from identical exploration);
-    /// a resident entry from an older epoch is replaced — the shape stays
-    /// resident, so that is not an eviction.
+    /// exceeds its byte budget, and returns the entry to read them through.
+    /// If another query populated or repaired the same shape first at the
+    /// same epoch, the resident entry wins and is the one returned (both
+    /// were derived from identical exploration, and it may already hold
+    /// indexes); a resident entry from an older epoch is replaced — the
+    /// shape stays resident, so that is not an eviction.
     ///
     /// An entry that could never fit its shard's budget is recorded as an
-    /// uncacheable tombstone instead: re-populating it on every occurrence
-    /// (unbound exploration + canonicalization, instantly evicted) would be
-    /// strictly slower than running without the cache.
+    /// uncacheable tombstone instead, and `None` comes back: re-populating
+    /// it on every occurrence (unbound exploration + canonicalization,
+    /// instantly evicted) would be strictly slower than running without the
+    /// cache, so this query explores the STwig bound like every later one
+    /// will.
     pub fn insert(
         &self,
         shape: StwigShape,
         tables: Vec<Arc<ResultTable>>,
         cloud: &MemoryCloud,
-    ) -> CachedTables {
+    ) -> Option<CachedTables> {
         assert_eq!(
             tables.len(),
             self.num_machines,
             "cache entries hold one table per machine"
         );
         let bytes = tables.iter().map(|t| t.memory_bytes()).sum::<usize>() + shape.key_bytes();
-        let tables = Arc::new(tables);
-        if bytes > self.shard_budget {
+        if bytes > self.core.shard_budget {
             self.mark_uncacheable(shape, cloud);
-            return tables;
+            return None;
         }
-        self.insert_entry(shape, Some(Arc::clone(&tables)), bytes, cloud.epoch());
-        tables
+        let entry = Arc::new(CachedStwig {
+            tables,
+            memo: Mutex::default(),
+            home: Some((Arc::downgrade(&self.core), shape.clone())),
+        });
+        let resident = self.insert_entry(shape, Some(Arc::clone(&entry)), bytes, cloud.epoch());
+        Some(resident.unwrap_or(entry))
     }
 
     /// Marks `shape` uncacheable: its unbound exploration exceeded the
@@ -433,15 +676,18 @@ impl<'c> StwigCache<'c> {
         self.insert_entry(shape, None, bytes, cloud.epoch());
     }
 
+    /// Files the entry unless one of the same or a newer epoch is resident;
+    /// returns that one's tables when it is of the *same* epoch.
     fn insert_entry(
         &self,
         shape: StwigShape,
         tables: Option<CachedTables>,
         bytes: usize,
         epoch: u64,
-    ) {
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard_for(&shape).lock().expect("cache shard poisoned");
+    ) -> Option<CachedTables> {
+        let core = &*self.core;
+        let stamp = core.tick.fetch_add(1, Ordering::Relaxed);
+        let mut shard = core.shard_for(&shape);
         let shard = &mut *shard;
         if let Some(resident) = shard.map.get(&shape) {
             if resident.epoch >= epoch {
@@ -449,15 +695,13 @@ impl<'c> StwigCache<'c> {
                 // epochs both entries were derived from identical
                 // exploration; a newer one must not be clobbered by a
                 // pinned straggler).
-                return;
+                return (resident.epoch == epoch)
+                    .then(|| resident.tables.clone())
+                    .flatten();
             }
             // The resident entry is from an older epoch than the incoming
             // one (typically its own repair) — replace it.
-            let previous = resident.last_used;
-            let old_bytes = resident.bytes;
-            shard.lru.remove(&previous).expect("LRU index out of sync");
-            shard.map.remove(&shape);
-            shard.bytes -= old_bytes;
+            shard.remove(&shape);
         }
         shard.bytes += bytes;
         shard.lru.insert(stamp, shape.clone());
@@ -466,52 +710,45 @@ impl<'c> StwigCache<'c> {
             Entry {
                 tables,
                 bytes,
+                index_bytes: 0,
                 last_used: stamp,
                 epoch,
             },
         );
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        // Evict LRU-first (smallest stamp) until the shard fits its budget.
+        core.insertions.fetch_add(1, Ordering::Relaxed);
         // `insert` tombstones data entries larger than the whole shard
         // budget up front, so the entry just inserted is only its own victim
         // in the degenerate case of a budget smaller than a tombstone.
-        while shard.bytes > self.shard_budget {
-            let Some((&oldest, _)) = shard.lru.iter().next() else {
-                break;
-            };
-            let victim = shard.lru.remove(&oldest).expect("just observed");
-            let evicted = shard.map.remove(&victim).expect("LRU index out of sync");
-            shard.bytes -= evicted.bytes;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        shard.evict_to(core.shard_budget, &core.evictions);
+        None
     }
 
     /// Snapshot of the cache counters.
     pub fn stats(&self) -> CacheStats {
+        let core = &*self.core;
         let mut entries = 0u64;
         let mut bytes_resident = 0u64;
-        for shard in &self.shards {
+        let mut index_bytes = 0u64;
+        for shard in &core.shards {
             let shard = shard.lock().expect("cache shard poisoned");
             entries += shard.map.len() as u64;
             bytes_resident += shard.bytes as u64;
+            index_bytes += shard.index_bytes as u64;
         }
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            bypasses: self.bypasses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            stale_evictions: self.stale_evictions.load(Ordering::Relaxed),
-            repairs: self.repairs.load(Ordering::Relaxed),
+            hits: core.hits.load(Ordering::Relaxed),
+            misses: core.misses.load(Ordering::Relaxed),
+            bypasses: core.bypasses.load(Ordering::Relaxed),
+            insertions: core.insertions.load(Ordering::Relaxed),
+            evictions: core.evictions.load(Ordering::Relaxed),
+            stale_evictions: core.stale_evictions.load(Ordering::Relaxed),
+            repairs: core.repairs.load(Ordering::Relaxed),
+            index_builds: core.index_builds.load(Ordering::Relaxed),
+            index_hits: core.index_hits.load(Ordering::Relaxed),
             entries,
             bytes_resident,
+            index_bytes,
         }
-    }
-
-    fn shard_for(&self, shape: &StwigShape) -> &Mutex<Shard> {
-        let mut hasher = FxHasher::default();
-        shape.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
     }
 }
 
@@ -571,11 +808,11 @@ pub fn graph_fingerprint(cloud: &MemoryCloud) -> u64 {
     hasher.finish()
 }
 
-/// Converts one machine's *unbound, untruncated* exploration table for
-/// `stwig` into canonical form. The planner's child order is the canonical
-/// column order and exploration emits rows lexicographically, so this is the
-/// same data under placeholder column names: one bulk copy.
-pub fn canonicalize_table(table: &ResultTable, query: &QueryGraph, stwig: &STwig) -> ResultTable {
+/// Files one machine's *unbound, untruncated* exploration table for `stwig`
+/// in canonical form. The planner's child order is the canonical column
+/// order and exploration emits rows lexicographically, so this is the same
+/// table under placeholder column names.
+pub fn canonicalize_table(table: ResultTable, query: &QueryGraph, stwig: &STwig) -> ResultTable {
     debug_assert!(
         stwig.has_canonical_children(query),
         "only STwigs in canonical child order are offered to the cache"
@@ -585,7 +822,7 @@ pub fn canonicalize_table(table: &ResultTable, query: &QueryGraph, stwig: &STwig
         "unbound exploration must emit lexicographically sorted rows"
     );
     let placeholder = (0..table.width() as u16).map(QVid).collect();
-    table.prefix_with_columns(placeholder, table.num_rows())
+    table.with_columns(placeholder)
 }
 
 /// Repairs one machine's canonical table: the rows of every root in
@@ -616,76 +853,6 @@ pub fn splice_roots(old: &ResultTable, touched: &[VertexId], fresh: &ResultTable
         out.push_row(fresh_row);
     }
     out
-}
-
-/// The cache-hit derivation: produces, directly from a canonical cached
-/// table, the table that bound exploration of `stwig` under `bindings` and
-/// `config` would emit. The canonical table is the unbound exploration table
-/// under other column names (see the module docs), and binding pruning and
-/// the row cap are an order-preserving row filter and a prefix of it — so a
-/// hit is one bulk copy, or one filtered pass when a binding applies.
-pub fn derive_bound_table(
-    canonical: &ResultTable,
-    query: &QueryGraph,
-    stwig: &STwig,
-    bindings: &Bindings,
-    config: &MatchConfig,
-) -> ResultTable {
-    debug_assert!(
-        stwig.has_canonical_children(query),
-        "only STwigs in canonical child order are offered to the cache"
-    );
-    let columns: Vec<QVid> = stwig.vertices().collect();
-    debug_assert_eq!(columns.len(), canonical.width());
-    // The binding set (if any) of each column's query vertex, resolved once
-    // so the per-row filter is a plain set probe per bound column.
-    let col_sets: Vec<Option<&crate::hash::VertexSet>> = if config.use_bindings {
-        columns.iter().map(|&q| bindings.get(q)).collect()
-    } else {
-        Vec::new()
-    };
-    let cap = config.max_stwig_rows.unwrap_or(usize::MAX);
-    if col_sets.iter().all(Option::is_none) {
-        return canonical.prefix_with_columns(columns, cap);
-    }
-    let mut out = ResultTable::with_capacity(columns, canonical.num_rows().min(cap));
-    for row in canonical.rows() {
-        if out.num_rows() >= cap {
-            break;
-        }
-        let admitted = col_sets
-            .iter()
-            .zip(row)
-            .all(|(set, v)| set.is_none_or(|s| s.contains(v)));
-        if admitted {
-            out.push_row(row);
-        }
-    }
-    out
-}
-
-/// Derives, from the full unbound exploration table, the table that *bound*
-/// exploration under `bindings` and `config` would have produced: binding
-/// pruning is an order-preserving per-row filter and the per-STwig row cap
-/// stops after that many surviving rows, so filter-then-cap reproduces the
-/// exploration output bit for bit.
-pub fn apply_bindings_and_cap(
-    mut table: ResultTable,
-    bindings: &Bindings,
-    config: &MatchConfig,
-) -> ResultTable {
-    let columns = table.columns().to_vec();
-    if config.use_bindings {
-        table.retain_rows_with_limit(config.max_stwig_rows, |row| {
-            columns
-                .iter()
-                .zip(row.iter())
-                .all(|(&q, &v)| bindings.admits(q, v))
-        });
-    } else if let Some(cap) = config.max_stwig_rows {
-        table.truncate(cap);
-    }
-    table
 }
 
 #[cfg(test)]
@@ -793,22 +960,16 @@ mod tests {
         let rows: [&[u64]; 3] = [&[10, 20, 31], &[10, 21, 31], &[11, 22, 30]];
         let explored_r = table(&[0, 2, 1], &rows);
         let explored_f = table(&[0, 1, 2], &rows);
-        let canonical = canonicalize_table(&explored_r, &reversed, &stwig_r);
+        // Filing renames; the rows — which column holds which label — stay.
+        let canonical = canonicalize_table(explored_r.clone(), &reversed, &stwig_r);
         assert_eq!(
             canonical,
-            canonicalize_table(&explored_f, &forward, &stwig_f)
+            canonicalize_table(explored_f, &forward, &stwig_f)
         );
-        // A hit hands each query its own exploration table back.
-        let unbound = Bindings::new(3);
-        let config = MatchConfig::default();
-        assert_eq!(
-            derive_bound_table(&canonical, &reversed, &stwig_r, &unbound, &config),
-            explored_r
-        );
-        assert_eq!(
-            derive_bound_table(&canonical, &forward, &stwig_f, &unbound, &config),
-            explored_f
-        );
+        assert_eq!(canonical.columns(), &[q(0), q(1), q(2)]);
+        assert!(canonical.rows().eq(explored_r.rows()));
+        // Served back, column `i` is the `i`-th of each STwig's vertices.
+        assert!(stwig_r.vertices().eq(explored_r.columns().iter().copied()));
     }
 
     #[cfg(debug_assertions)]
@@ -817,31 +978,7 @@ mod tests {
     fn cache_functions_refuse_a_non_canonical_stwig() {
         let (query, planned) = unsorted_query();
         let hand_built = STwig::new(planned.root, planned.children);
-        canonicalize_table(&table(&[0, 1, 2], &[]), &query, &hand_built);
-    }
-
-    #[test]
-    fn apply_bindings_filters_and_caps_in_order() {
-        let full = table(&[0, 1], &[&[1, 10], &[2, 11], &[3, 12], &[4, 13]]);
-        let mut bindings = Bindings::new(2);
-        bindings.bind(q(0), [v(1), v(3), v(4)].into_iter().collect());
-        let cfg = MatchConfig {
-            max_stwig_rows: Some(2),
-            ..MatchConfig::default()
-        };
-        let derived = apply_bindings_and_cap(full.clone(), &bindings, &cfg);
-        assert_eq!(derived.num_rows(), 2);
-        assert_eq!(derived.row(0), &[v(1), v(10)]);
-        assert_eq!(derived.row(1), &[v(3), v(12)]);
-        // With bindings disabled the cap is a plain prefix truncation.
-        let cfg_nb = MatchConfig {
-            max_stwig_rows: Some(3),
-            use_bindings: false,
-            ..MatchConfig::default()
-        };
-        let derived_nb = apply_bindings_and_cap(full, &bindings, &cfg_nb);
-        assert_eq!(derived_nb.num_rows(), 3);
-        assert_eq!(derived_nb.row(2), &[v(3), v(12)]);
+        canonicalize_table(table(&[0, 1, 2], &[]), &query, &hand_built);
     }
 
     #[test]
@@ -852,7 +989,7 @@ mod tests {
         let shape = StwigShape::of(&query, &stwig, false);
         assert!(matches!(cache.lookup(&shape, &cloud), CacheLookup::Miss));
         let tables = shared([table(&[0, 1, 2], &[&[1, 2, 3]]), table(&[0, 1, 2], &[])]);
-        let arc = cache.insert(shape.clone(), tables, &cloud);
+        let arc = cache.insert(shape.clone(), tables, &cloud).unwrap();
         assert_eq!(arc.len(), 2);
         let CacheLookup::Hit(hit) = cache.lookup(&shape, &cloud) else {
             panic!("entry must be resident after insert");
@@ -873,16 +1010,11 @@ mod tests {
         let cache = StwigCache::new(&cloud, CacheConfig::default());
         let (query, stwig) = unsorted_query();
         let shape = StwigShape::of(&query, &stwig, false);
-        cache.insert(
-            shape.clone(),
-            shared([table(&[0], &[&[1]]), table(&[0], &[&[2]])]),
-            &cloud,
-        );
-        cache.insert(
-            shape.clone(),
-            shared([table(&[0], &[&[1]]), table(&[0], &[&[2]])]),
-            &cloud,
-        );
+        let entry = || shared([table(&[0], &[&[1]]), table(&[0], &[&[2]])]);
+        let first = cache.insert(shape.clone(), entry(), &cloud).unwrap();
+        // The loser reads through the resident entry — and its index memo.
+        let second = cache.insert(shape.clone(), entry(), &cloud).unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.stats().insertions, 1, "resident entry wins the race");
         assert_eq!(cache.stats().entries, 1);
     }
@@ -900,42 +1032,6 @@ mod tests {
         assert_eq!(stats.bypasses, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 0);
-    }
-
-    #[test]
-    fn derive_bound_table_equals_rename_then_filter() {
-        let (query, stwig) = unsorted_query();
-        // Full unbound exploration table of children [q2 ("b"), q1 ("c")],
-        // in exploration (lexicographic) order.
-        let exploration = table(
-            &[0, 2, 1],
-            &[
-                &[10, 20, 30],
-                &[10, 20, 31],
-                &[10, 21, 30],
-                &[11, 20, 32],
-                &[11, 22, 30],
-            ],
-        );
-        let canonical = canonicalize_table(&exploration, &query, &stwig);
-        let mut bindings = Bindings::new(3);
-        bindings.bind(q(2), [v(20), v(22)].into_iter().collect());
-        for config in [
-            MatchConfig::default(),
-            MatchConfig::default().with_max_stwig_rows(Some(2)),
-            MatchConfig::default().with_bindings(false),
-            MatchConfig::default()
-                .with_bindings(false)
-                .with_max_stwig_rows(Some(3)),
-        ] {
-            let fused = derive_bound_table(&canonical, &query, &stwig, &bindings, &config);
-            let two_pass = apply_bindings_and_cap(
-                canonical.prefix_with_columns(exploration.columns().to_vec(), usize::MAX),
-                &bindings,
-                &config,
-            );
-            assert_eq!(fused, two_pass, "config = {config:?}");
-        }
     }
 
     #[test]
@@ -958,7 +1054,7 @@ mod tests {
             let rows: Vec<Vec<u64>> = (0..10u64).map(|r| vec![r, r + 1]).collect();
             let refs: Vec<&[u64]> = rows.iter().map(|r| r.as_slice()).collect();
             let t = table(&[0, 1], &refs);
-            held.push(cache.insert(shape, shared([t.clone(), t]), &cloud));
+            held.push(cache.insert(shape, shared([t.clone(), t]), &cloud).unwrap());
         }
         let stats = cache.stats();
         assert!(stats.evictions > 0, "tiny budget must evict");
@@ -972,6 +1068,114 @@ mod tests {
             assert_eq!(tables[0].num_rows(), 10);
             assert_eq!(tables[0].row(9), &[v(9), v(10)]);
         }
+    }
+
+    /// Two equal ten-row machine tables over five keys in column 0, the
+    /// R_0 they concatenate to, and a shape numbered `i` to file them under.
+    fn keyed_entry(i: u32) -> (StwigShape, Vec<Arc<ResultTable>>, ResultTable) {
+        let shape = StwigShape {
+            root_label: LabelId(i),
+            child_labels: vec![LabelId(i + 100)],
+            pruned: false,
+        };
+        let rows: Vec<Vec<u64>> = (0..10u64).map(|r| vec![r / 2, r]).collect();
+        let refs: Vec<&[u64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let t = table(&[0, 1], &refs);
+        let mut rk = t.clone();
+        rk.append(&t);
+        (shape, shared([t.clone(), t]), rk)
+    }
+
+    fn one_shard(budget_bytes: usize) -> CacheConfig {
+        CacheConfig {
+            budget_bytes,
+            shards: 1,
+            populate_row_cap: None,
+        }
+    }
+
+    #[test]
+    fn index_memo_builds_once_per_key_and_is_charged_to_the_shard() {
+        let cloud = small_cloud();
+        let cache = StwigCache::new(&cloud, one_shard(1 << 20));
+        let (shape, tables, rk) = keyed_entry(0);
+        let entry = cache.insert(shape, tables, &cloud).unwrap();
+        let tables_only = cache.stats().bytes_resident;
+        let rk = &rk;
+        let on = |cols: &'static [usize]| move || BuildIndex::build(rk, cols, true);
+        let memo = RkMemo::new(&entry, MachineId(0), vec![MachineId(1)]);
+        let (first, built) = memo.index(&[0], on(&[0]));
+        assert!(built);
+        let (again, built) = memo.index(&[0], || unreachable!("memoized"));
+        assert!(!built && Arc::ptr_eq(&first, &again));
+        // Other key columns, another destination or another sender list are
+        // other rows or another order: each its own index.
+        assert!(memo.index(&[1], on(&[1])).1);
+        let alone = RkMemo::new(&entry, MachineId(0), Vec::new());
+        assert!(alone.index(&[0], on(&[0])).1);
+        let elsewhere = RkMemo::new(&entry, MachineId(1), vec![MachineId(0)]);
+        assert!(elsewhere.index(&[0], on(&[0])).1);
+        let stats = cache.stats();
+        assert_eq!((stats.index_builds, stats.index_hits), (4, 1));
+        assert!(stats.index_bytes >= 4 * first.memory_bytes() as u64);
+        assert_eq!(stats.bytes_resident, tables_only + stats.index_bytes);
+        assert_eq!((stats.entries, stats.evictions), (1, 0));
+    }
+
+    #[test]
+    fn an_index_that_overflows_the_shard_evicts_lru_entries_not_readers() {
+        let cloud = small_cloud();
+        let (shape_a, tables_a, _) = keyed_entry(0);
+        let (shape_b, tables_b, rk) = keyed_entry(1);
+        let index_bytes = BuildIndex::build(&rk, &[0], true).memory_bytes();
+        assert!(index_bytes > 0);
+        let entry_bytes = {
+            let probe = StwigCache::new(&cloud, one_shard(1 << 20));
+            probe.insert(shape_a.clone(), tables_a.clone(), &cloud);
+            probe.stats().bytes_resident as usize
+        };
+        // Room for both entries, not for an index on top of them.
+        let budget = 2 * entry_bytes + index_bytes - 1;
+        let cache = StwigCache::new(&cloud, one_shard(budget));
+        let a = cache.insert(shape_a.clone(), tables_a, &cloud).unwrap();
+        let b = cache.insert(shape_b.clone(), tables_b, &cloud).unwrap();
+        assert_eq!((cache.stats().entries, cache.stats().evictions), (2, 0));
+        let memo = RkMemo::new(&b, MachineId(0), vec![MachineId(1)]);
+        assert!(memo.index(&[0], || BuildIndex::build(&rk, &[0], true)).1);
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.entries, stats.evictions, stats.index_builds),
+            (1, 1, 1)
+        );
+        assert!(stats.bytes_resident as usize <= budget);
+        assert_eq!(stats.index_bytes as usize, index_bytes);
+        // The least recently used entry went; its reader keeps the tables.
+        assert!(matches!(cache.lookup(&shape_a, &cloud), CacheLookup::Miss));
+        assert_eq!(a[1].row(9), &[v(4), v(9)]);
+        // The charged index stayed with its entry.
+        assert!(!memo.index(&[0], || unreachable!("memoized")).1);
+        assert!(matches!(
+            cache.lookup(&shape_b, &cloud),
+            CacheLookup::Hit(_)
+        ));
+
+        // An index its own entry has no room for is used once, never kept —
+        // and one built over tables that are no longer resident likewise.
+        let tight = StwigCache::new(&cloud, one_shard(entry_bytes + index_bytes - 1));
+        let (shape, tables, _) = keyed_entry(2);
+        let only = tight.insert(shape, tables, &cloud).unwrap();
+        for memo in [
+            RkMemo::new(&only, MachineId(0), vec![MachineId(1)]),
+            RkMemo::new(&a, MachineId(0), vec![MachineId(1)]),
+        ] {
+            for _ in 0..2 {
+                assert!(memo.index(&[0], || BuildIndex::build(&rk, &[0], true)).1);
+            }
+        }
+        let stats = tight.stats();
+        assert_eq!((stats.index_builds, stats.index_bytes), (0, 0));
+        assert_eq!((stats.entries, stats.evictions), (1, 0));
+        assert_eq!(cache.stats().index_builds, 1);
     }
 
     #[test]
@@ -1010,11 +1214,13 @@ mod tests {
         let (query, stwig) = unsorted_query();
         let shape = StwigShape::of(&query, &stwig, false);
         let snap0 = epochs.pin();
-        let stale = cache.insert(
-            shape.clone(),
-            shared([table(&[0], &[&[1]]), table(&[0], &[&[2]])]),
-            &snap0,
-        );
+        let stale = cache
+            .insert(
+                shape.clone(),
+                shared([table(&[0], &[&[1]]), table(&[0], &[&[2]])]),
+                &snap0,
+            )
+            .unwrap();
         // Touch pair (a, b) at root 0: add a b-vertex and wire it to the
         // a-root.
         let batch = UpdateBatch::new()
@@ -1039,11 +1245,13 @@ mod tests {
         assert_eq!(stats.entries, 1, "resident until its repair replaces it");
         // The repair lands at epoch 1 and is what later probes hit; taking
         // the place of the entry it repaired is not an eviction.
-        let repaired = cache.insert(
-            shape.clone(),
-            shared([table(&[0], &[&[7]]), table(&[0], &[&[2]])]),
-            &snap1,
-        );
+        let repaired = cache
+            .insert(
+                shape.clone(),
+                shared([table(&[0], &[&[7]]), table(&[0], &[&[2]])]),
+                &snap1,
+            )
+            .unwrap();
         let CacheLookup::Hit(hit) = cache.lookup(&shape, &snap1) else {
             panic!("the repaired entry must be resident");
         };
@@ -1062,11 +1270,13 @@ mod tests {
         // both child labels, but only as pairs (b, c) and (c, b).
         let shape = StwigShape::of(&query, &stwig, false);
         let snap0 = epochs.pin();
-        let arc = cache.insert(
-            shape.clone(),
-            shared([table(&[0], &[&[1]]), table(&[0], &[&[2]])]),
-            &snap0,
-        );
+        let arc = cache
+            .insert(
+                shape.clone(),
+                shared([table(&[0], &[&[1]]), table(&[0], &[&[2]])]),
+                &snap0,
+            )
+            .unwrap();
         epochs
             .apply(&UpdateBatch::new().add_edge(v(1), v(2)))
             .unwrap();
@@ -1141,11 +1351,13 @@ mod tests {
         let (query, stwig) = unsorted_query();
         let shape = StwigShape::of(&query, &stwig, false);
         let snap0 = epochs.pin();
-        let arc = cache.insert(
-            shape.clone(),
-            shared([table(&[0], &[&[1]]), table(&[0], &[&[2]])]),
-            &snap0,
-        );
+        let arc = cache
+            .insert(
+                shape.clone(),
+                shared([table(&[0], &[&[1]]), table(&[0], &[&[2]])]),
+                &snap0,
+            )
+            .unwrap();
         // An isolated vertex changes no adjacency entry — even one carrying
         // a label the shape reads roots no row and is nobody's child.
         epochs

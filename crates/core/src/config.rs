@@ -230,7 +230,8 @@ pub struct MatchConfig {
     /// joined in STwig processing order (ablation knob).
     pub optimize_join_order: bool,
     /// Maximum rows MatchSTwig may emit per machine per STwig (guard against
-    /// pathological cross products). `None` is unbounded.
+    /// pathological cross products). `None` is unbounded. A cache serves an
+    /// STwig only when no machine's complete table exceeds it.
     pub max_stwig_rows: Option<usize>,
     /// Worker threads the distributed executor fans logical machines out
     /// over (each machine's exploration step and load-set join step run as

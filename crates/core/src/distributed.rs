@@ -63,21 +63,35 @@
 //! **slab-bounded early stop**: k genuine embeddings, not a prefix of the
 //! full enumeration.
 //!
+//! **Served STwigs.** With a [`StwigCache`], an STwig the cache serves — a
+//! hit, a repair, or the populate a miss performs — skips step 2 whole: its
+//! complete unbound tables enter the join shared, with no binding filter,
+//! row cap or synchronization, and the index the join builds over them is
+//! kept beside them in the cache entry for the next query
+//! ([`crate::cache`], "What a served STwig contributes" and "The join-index
+//! memo"). Binding sets are folded lazily: only when a later STwig of the
+//! query has to explore are the served tables before it run through the
+//! binding filter and synchronized, so that STwig is pruned exactly as
+//! without a cache. The answer is the cache-free executor's — the same row
+//! set under `All`, `k` distinct valid embeddings under `FirstK(k)`, the
+//! same rows every time at one cache state — but not its choice of
+//! witnesses or its row order.
+//!
 //! **Split API.** The two phases are public on their own (the repo
 //! benchmark times them separately): [`produce_stwig_tables`] runs
 //! exploration with binding synchronization (optionally consulting a
-//! [`StwigCache`], which is transparent — a hit yields tables bit-identical
-//! to exploration), and [`join_stwig_tables`] is the executor's join pass
-//! with a table output.
+//! [`StwigCache`]) into a [`StwigTableSet`], and [`join_stwig_tables`] is
+//! the executor's join pass over one with a table output.
 
 use crate::bindings::Bindings;
 use crate::cache::{
-    apply_bindings_and_cap, canonicalize_table, derive_bound_table, splice_roots, CacheLookup,
-    StwigCache, StwigShape,
+    canonicalize_table, splice_roots, CacheLookup, CachedStwig, CachedTables, RkMemo, StwigCache,
+    StwigShape,
 };
 use crate::config::{FailurePolicy, MatchConfig, TransportMode};
 use crate::decompose::{decompose_ordered, PairAwareStats};
 use crate::error::StwigError;
+use crate::hash::VertexSet;
 use crate::head::{load_set, select_head, HeadSelection};
 use crate::matcher::{match_stwig, match_stwig_batched};
 use crate::metrics::{
@@ -89,7 +103,6 @@ use crate::retry::fetch_postings;
 use crate::stream::{Interrupt, QueryControl, QueryOptions, ResultSink};
 use crate::stwig::STwig;
 use crate::table::ResultTable;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -300,9 +313,29 @@ impl Transport for QueryTransport<'_> {
 /// Per-machine output of one exploration step.
 struct MachineExplore {
     table: ResultTable,
+    work: MachineWork,
+}
+
+/// What one machine spent on one exploration step.
+#[derive(Default)]
+struct MachineWork {
     counters: ExploreCounters,
     faults: FaultCounters,
     compute_us: f64,
+}
+
+impl MachineWork {
+    /// Adds the step to the query's totals and the machine's.
+    fn merge_into(
+        &self,
+        explore: &mut ExploreCounters,
+        fault: &mut FaultCounters,
+        machine: &mut MachineMetrics,
+    ) {
+        explore.merge(&self.counters);
+        fault.merge(&self.faults);
+        machine.compute_us += self.compute_us;
+    }
 }
 
 /// The centrally-computed query plan broadcast to every machine.
@@ -384,11 +417,11 @@ pub fn match_query_distributed(
 /// [`match_query_distributed`] with an optional cross-query [`StwigCache`]:
 /// the executor with the table output and neither deadline nor cancellation.
 ///
-/// The cache is transparent: for every STwig, the per-machine tables fed
-/// into the join are bit-identical to what exploration would produce, so the
-/// result table — including row order and truncation behavior — is
-/// independent of the cache's presence and state. Only exploration-side
-/// counters and simulated traffic differ (a hit performs no graph accesses).
+/// The answer is the cache-free one — the same row set, or under a result
+/// limit `k` distinct valid embeddings — and the same table every time at
+/// the same cache state; a served STwig joins as its complete table, so the
+/// row order and the choice of witnesses are not the cache-free run's (see
+/// the module docs, "Served STwigs").
 pub fn match_query_distributed_with_cache(
     cloud: &MemoryCloud,
     query: &QueryGraph,
@@ -400,12 +433,82 @@ pub fn match_query_distributed_with_cache(
     Ok(MatchOutput { table, metrics })
 }
 
-/// The per-machine STwig result tables of the exploration phase:
-/// `per_machine[k][t]` is G_k(q_t), machine `k`'s matches of STwig `t`.
+/// The per-machine STwig result tables of the exploration phase: G_k(q_t),
+/// machine `k`'s matches of STwig `t`, for every STwig the phase completed
+/// (in plan order). An explored STwig's tables are the query's own, under
+/// its column names; one the cache served lends the cache's complete unbound
+/// tables — shared, under the cache's positional column names (column `i` is
+/// the `i`-th of the STwig's `vertices()`), with the entry's join-index memo
+/// riding along for the join phase.
 #[derive(Debug, Clone)]
 pub struct StwigTableSet {
-    /// Outer index: machine; inner index: STwig (in plan order).
-    pub per_machine: Vec<Vec<ResultTable>>,
+    stwigs: Vec<StwigTables>,
+}
+
+/// One STwig's tables, one per machine.
+#[derive(Debug, Clone)]
+enum StwigTables {
+    /// Exploration output under the bindings and row cap of the moment.
+    Explored(Vec<ResultTable>),
+    /// A cache entry (see [`crate::cache`], "What a served STwig
+    /// contributes").
+    Served(CachedTables),
+}
+
+impl StwigTables {
+    fn table(&self, machine: usize) -> &ResultTable {
+        match self {
+            StwigTables::Explored(tables) => &tables[machine],
+            StwigTables::Served(entry) => &entry[machine],
+        }
+    }
+
+    /// The query's own tables; `None` for ones the cache lends.
+    fn explored(&self) -> Option<&[ResultTable]> {
+        match self {
+            StwigTables::Explored(tables) => Some(tables),
+            StwigTables::Served(_) => None,
+        }
+    }
+}
+
+impl StwigTableSet {
+    /// How many STwigs (a prefix of the plan's) the set holds tables for.
+    pub fn num_stwigs(&self) -> usize {
+        self.stwigs.len()
+    }
+
+    /// G_k(q_t): the rows `machine` contributes for STwig `stwig`.
+    pub fn table(&self, machine: usize, stwig: usize) -> &ResultTable {
+        self.stwigs[stwig].table(machine)
+    }
+
+    /// The cache entry STwig `stwig`'s tables are lent from, if any.
+    fn served(&self, stwig: usize) -> Option<&CachedStwig> {
+        match &self.stwigs[stwig] {
+            StwigTables::Served(entry) => Some(entry),
+            StwigTables::Explored(_) => None,
+        }
+    }
+
+    /// Every table exploration produced for this query — the ones its row
+    /// cap bounds and the query holds; a served table is complete and lent.
+    fn explored(&self) -> impl Iterator<Item = &ResultTable> {
+        (self.stwigs.iter())
+            .filter_map(StwigTables::explored)
+            .flatten()
+    }
+}
+
+/// The bit of query vertex `v` in a vertex mask
+/// ([`crate::query::MAX_QUERY_VERTICES`] is 64).
+fn vertex_bit(v: QVid) -> u64 {
+    1 << v.0
+}
+
+/// The vertices of `stwig` as a mask.
+fn vertex_mask(stwig: &STwig) -> u64 {
+    stwig.vertices().map(vertex_bit).fold(0, |m, b| m | b)
 }
 
 /// Phase 1 of the distributed execution: every machine matches every STwig
@@ -433,6 +536,39 @@ pub fn produce_stwig_tables(
     metrics: &mut QueryMetrics,
     machine_metrics: &mut [MachineMetrics],
 ) -> Result<Option<StwigTableSet>, StwigError> {
+    // No slab: the config's own row cap bounds exploration.
+    let (tables, answerable) = produce_tables(
+        cloud,
+        query,
+        plan,
+        config,
+        config.max_stwig_rows,
+        cache,
+        control,
+        metrics,
+        machine_metrics,
+    )?;
+    Ok(answerable.then_some(tables))
+}
+
+/// [`produce_stwig_tables`] with the exploration row cap of the round
+/// (`explore_cap`: the first-k slab, never above the user's cap) travelling
+/// beside `config`, whose `max_stwig_rows` stays the user's — the bound on
+/// what the cache may serve. Returns the tables of the STwigs it completed
+/// and whether the query can still have an answer (`false`: the last of
+/// them matched nowhere).
+#[allow(clippy::too_many_arguments)]
+fn produce_tables(
+    cloud: &MemoryCloud,
+    query: &QueryGraph,
+    plan: &QueryPlan,
+    config: &MatchConfig,
+    explore_cap: Option<usize>,
+    cache: Option<&StwigCache>,
+    control: Option<&QueryControl>,
+    metrics: &mut QueryMetrics,
+    machine_metrics: &mut [MachineMetrics],
+) -> Result<(StwigTableSet, bool), StwigError> {
     if let Some(cache) = cache {
         // The only cache/cloud guard — every executor path reaches the cache
         // through here — lest a foreign cache serve another cloud's tables.
@@ -442,15 +578,16 @@ pub fn produce_stwig_tables(
             ));
         }
     }
-    let num_machines = cloud.num_machines();
     let threads = config.resolved_num_threads();
     // In `Messages` mode all exploration-phase communication — batched cell
     // loads and binding deltas — travels over this transport; machines never
     // dereference each other's partitions.
     let transport = (config.transport_mode == TransportMode::Messages)
         .then(|| QueryTransport::for_config(cloud, config));
-    let mut per_machine_tables: Vec<Vec<ResultTable>> =
-        vec![Vec::with_capacity(plan.stwigs.len()); num_machines];
+    let transport = transport.as_ref();
+    let mut set = StwigTableSet {
+        stwigs: Vec::with_capacity(plan.stwigs.len()),
+    };
     let mut bindings = Bindings::new(query.num_vertices());
     // Counters accumulate into `metrics` (the executor calls this once per
     // slab round); the per-STwig row totals describe this call alone.
@@ -460,15 +597,22 @@ pub fn produce_stwig_tables(
     // vertices that never appear again need no set built (and no broadcast):
     // `needed_after[t]` is the union of the vertices of stwigs t+1.. — for
     // the last STwig the whole synchronization barrier is skipped.
-    let mut needed_after: Vec<HashSet<crate::query::QVid>> =
-        vec![HashSet::new(); plan.stwigs.len()];
-    for t in (0..plan.stwigs.len().saturating_sub(1)).rev() {
-        let mut needed = needed_after[t + 1].clone();
-        needed.extend(plan.stwigs[t + 1].vertices());
-        needed_after[t] = needed;
+    let mut needed_after = vec![0u64; plan.stwigs.len()];
+    for t in (1..plan.stwigs.len()).rev() {
+        needed_after[t - 1] = needed_after[t] | vertex_mask(&plan.stwigs[t]);
     }
+    // STwigs `..synced` have had their columns folded into `bindings`. An
+    // explored table is synchronized at once, as the algorithm has it; a
+    // served one waits until a later STwig has to explore (if one ever
+    // does) — see `crate::cache`, "What a served STwig contributes".
+    let mut synced = 0usize;
+    // The config exploration runs under, made when a first STwig explores.
+    let mut explore_cfg: Option<MatchConfig> = None;
 
-    let mut no_answer = false;
+    // The vertices of the STwigs before the current one.
+    let mut earlier = 0u64;
+
+    let mut answerable = true;
     for (t, stwig) in plan.stwigs.iter().enumerate() {
         // Cooperative check at the STwig barrier: an interrupted query stops
         // producing tables (the caller decides what to do with the partial
@@ -476,184 +620,279 @@ pub fn produce_stwig_tables(
         if control.is_some_and(QueryControl::interrupted) {
             break;
         }
-        // Every machine produces this STwig's table in parallel against the
-        // bindings snapshot from the previous barrier — by exploration, or
-        // from the cache when one is supplied; counters and tables come back
-        // thread-locally and are merged in machine order.
-        let before_explore = cloud.traffic();
-        let results = explore_one_stwig(
-            cloud,
-            transport.as_ref(),
-            query,
-            stwig,
-            &bindings,
-            config,
-            cache,
-            control,
-            threads,
-        )?;
-        let after_explore = cloud.traffic();
-        record_phase(
-            &before_explore,
-            &after_explore,
-            &mut metrics.phase_traffic.explore_messages,
-            &mut metrics.phase_traffic.explore_bytes,
-        );
-        let mut new_tables: Vec<ResultTable> = Vec::with_capacity(num_machines);
-        for (ki, result) in results.into_iter().enumerate() {
-            metrics.explore.merge(&result.counters);
-            metrics.fault.merge(&result.faults);
-            let mm = &mut machine_metrics[ki];
-            mm.compute_us += result.compute_us;
-            mm.rows_produced += result.table.num_rows() as u64;
-            new_tables.push(result.table);
-        }
-
-        // Synchronize bindings (barrier): the global binding of each STwig
-        // vertex that a later STwig will read is the union of what every
-        // machine discovered, intersected (by `bind`) with what previous
-        // STwigs already established for shared vertices.
-        let synced_cols: Vec<crate::query::QVid> = if config.use_bindings {
-            stwig_vertices(stwig)
-                .into_iter()
-                .filter(|v| needed_after[t].contains(v))
-                .collect()
-        } else {
-            Vec::new()
+        // Every machine produces this STwig's table in parallel — from the
+        // cache when one is supplied and can serve the shape, by exploration
+        // against the bindings of the STwigs before it otherwise; counters
+        // and tables come back thread-locally and are merged in machine
+        // order.
+        let mut before = cloud.traffic();
+        let mut record = |messages: &mut u64, bytes: &mut u64| {
+            let now = cloud.traffic();
+            record_phase(&before, &now, messages, bytes);
+            before = now;
         };
-        if !synced_cols.is_empty() {
-            match &transport {
-                // `Messages`: every machine posts one `BindingDelta` — its
-                // *distinct* newly-discovered values per synced column — to
-                // every other machine, and the union is assembled from
-                // machine 0's view (its own delta plus its inbox). Every
-                // machine's view is the same union; building it once keeps
-                // the in-process run cheap without changing what traveled.
-                Some(tp) => {
-                    let deltas: Vec<Vec<(u16, Vec<VertexId>)>> = new_tables
-                        .iter()
-                        .map(|table| {
-                            synced_cols
-                                .iter()
-                                .map(|&col| {
-                                    let mut vals: Vec<VertexId> = if table.columns().contains(&col)
-                                    {
-                                        table.distinct_values(col).into_iter().collect()
-                                    } else {
-                                        Vec::new()
-                                    };
-                                    // Sorted payloads make the envelope
-                                    // deterministic byte for byte.
-                                    vals.sort_unstable();
-                                    (col.0, vals)
-                                })
-                                .collect()
-                        })
-                        .collect();
-                    for (k, cols) in deltas.iter().enumerate() {
-                        for j in cloud.machines() {
-                            if j.index() != k {
-                                tp.post(
-                                    MachineId(k as u16),
-                                    j,
-                                    Message::BindingDelta { cols: cols.clone() },
-                                );
-                            }
+        let pt = &mut metrics.phase_traffic;
+        let via_cache = match cache {
+            Some(cache) => {
+                let via_cache = explore_via_cache(
+                    cloud, transport, query, stwig, config, cache, control, threads,
+                )?;
+                record(&mut pt.explore_messages, &mut pt.explore_bytes);
+                via_cache
+            }
+            None => ViaCache::Unserved,
+        };
+        let tables = match via_cache {
+            ViaCache::Served(entry, work) => {
+                for (mm, work) in machine_metrics.iter_mut().zip(&work) {
+                    work.merge_into(&mut metrics.explore, &mut metrics.fault, mm);
+                }
+                StwigTables::Served(entry)
+            }
+            unserved => {
+                // A populate that hit its row cap stands in for bound
+                // exploration when nothing would distinguish the two: no
+                // earlier STwig binds one of this one's vertices, and the
+                // caps agree.
+                let unbound_is_bound = (!config.use_bindings || earlier & vertex_mask(stwig) == 0)
+                    && cache.is_some_and(|c| c.populate_row_cap() == explore_cap);
+                let results = match unserved {
+                    ViaCache::Capped(results) if unbound_is_bound => results,
+                    _ => {
+                        // Fold in the served tables still waiting, in plan
+                        // order, then explore under the bindings.
+                        let waiting = (plan.stwigs[synced..t].iter())
+                            .zip(&needed_after[synced..t])
+                            .zip(&set.stwigs[synced..t]);
+                        for ((served, &needed), tables) in waiting {
+                            sync_bindings(
+                                cloud,
+                                transport,
+                                served,
+                                needed,
+                                tables,
+                                config,
+                                &mut bindings,
+                            )?;
                         }
+                        if synced < t {
+                            record(&mut pt.binding_sync_messages, &mut pt.binding_sync_bytes);
+                        }
+                        let explore_cfg = explore_cfg.get_or_insert_with(|| MatchConfig {
+                            max_stwig_rows: explore_cap,
+                            ..config.clone()
+                        });
+                        let results = explore_bound(
+                            cloud,
+                            transport,
+                            query,
+                            stwig,
+                            &bindings,
+                            explore_cfg,
+                            control,
+                            threads,
+                        )?;
+                        record(&mut pt.explore_messages, &mut pt.explore_bytes);
+                        results
                     }
-                    // Drain every mailbox (each machine consumes its inbox);
-                    // machine 0's is the one we materialize the union from.
-                    // The union is a set, so fault-injected reordering of
-                    // the deltas cannot change it; duplicates were already
-                    // suppressed by the drain-side dedup.
-                    let inboxes: Vec<Vec<trinity_sim::transport::Envelope>> =
-                        cloud.machines().map(|m| tp.drain(m)).collect();
-                    for (ci, &col) in synced_cols.iter().enumerate() {
-                        let mut set = crate::hash::VertexSet::default();
-                        set.extend(deltas[0][ci].1.iter().copied());
-                        for env in &inboxes[0] {
-                            let msg = &env.msg;
-                            let Message::BindingDelta { cols } = msg else {
-                                // A malformed peer degrades this query only.
-                                return Err(StwigError::Transport(
-                                    TransportError::UnexpectedMessage {
-                                        phase: "binding sync",
-                                        got: msg.kind(),
-                                    },
-                                ));
-                            };
-                            let Some((_, vals)) = cols.get(ci) else {
-                                return Err(StwigError::Transport(
-                                    TransportError::MalformedPayload {
-                                        detail: format!(
-                                            "binding delta carries {} columns, expected {}",
-                                            cols.len(),
-                                            synced_cols.len()
-                                        ),
-                                    },
-                                ));
-                            };
-                            set.extend(vals.iter().copied());
-                        }
-                        bindings.bind(col, set);
+                };
+                let mut tables = Vec::with_capacity(results.len());
+                for (mm, result) in machine_metrics.iter_mut().zip(results) {
+                    (result.work).merge_into(&mut metrics.explore, &mut metrics.fault, mm);
+                    tables.push(result.table);
+                }
+                let tables = StwigTables::Explored(tables);
+                // Synchronize bindings (barrier): the global binding of each
+                // STwig vertex that a later STwig will read is the union of
+                // what every machine discovered, intersected (by `bind`)
+                // with what previous STwigs already established for shared
+                // vertices.
+                sync_bindings(
+                    cloud,
+                    transport,
+                    stwig,
+                    needed_after[t],
+                    &tables,
+                    config,
+                    &mut bindings,
+                )?;
+                synced = t + 1;
+                record(&mut pt.binding_sync_messages, &mut pt.binding_sync_bytes);
+                tables
+            }
+        };
+        let mut total_rows = 0u64;
+        for (k, mm) in machine_metrics.iter_mut().enumerate() {
+            let rows = tables.table(k).num_rows() as u64;
+            mm.rows_produced += rows;
+            total_rows += rows;
+        }
+        metrics.stwig_rows.push(total_rows);
+        set.stwigs.push(tables);
+        earlier |= vertex_mask(stwig);
+        // What the query holds of its own: explored tables, not lent ones.
+        let resident: u64 = set.explored().map(|t| t.memory_bytes() as u64).sum();
+        metrics.peak_table_bytes = metrics.peak_table_bytes.max(resident);
+        if total_rows == 0 {
+            // No machine found a match for this STwig: the query has no answer.
+            answerable = false;
+            break;
+        }
+    }
+    if let Some(tp) = transport {
+        metrics.fault.duplicates_suppressed += tp.duplicates_suppressed();
+    }
+    Ok((set, answerable))
+}
+
+/// Binding synchronization for one STwig's per-machine `tables`: each of its
+/// vertices a later STwig reads (`needed`, a vertex mask) is bound to the
+/// union over machines of the column's values, and the broadcast that makes
+/// every machine's view that union is charged to the simulated network.
+///
+/// A served table is the *unbound* one, so only its rows the bindings so far
+/// admit take part — the rows bound exploration would have emitted; an
+/// explored table holds nothing else.
+fn sync_bindings(
+    cloud: &MemoryCloud,
+    transport: Option<&QueryTransport<'_>>,
+    stwig: &STwig,
+    needed: u64,
+    tables: &StwigTables,
+    config: &MatchConfig,
+    bindings: &mut Bindings,
+) -> Result<(), StwigError> {
+    if !config.use_bindings {
+        return Ok(());
+    }
+    // (vertex, column, the set it will be bound to) of every synchronized
+    // column, by ascending vertex.
+    let mut synced_cols: Vec<(QVid, usize, VertexSet)> = (stwig.vertices().enumerate())
+        .filter(|&(_, v)| needed & vertex_bit(v) != 0)
+        .map(|(ci, v)| (v, ci, VertexSet::default()))
+        .collect();
+    if synced_cols.is_empty() {
+        return Ok(());
+    }
+    synced_cols.sort_unstable_by_key(|&(v, ..)| v);
+    // The binding filter of a served table: a set probe per bound column.
+    // `None`: every row takes part, and the column scans keep their exact
+    // size hints.
+    let admit: Option<Vec<Option<&VertexSet>>> = match tables {
+        StwigTables::Served(_) => Some(stwig.vertices().map(|v| bindings.get(v)).collect()),
+        StwigTables::Explored(_) => None,
+    }
+    .filter(|sets: &Vec<_>| sets.iter().any(Option::is_some));
+    fn admitted<'a>(
+        table: &'a ResultTable,
+        sets: &'a [Option<&VertexSet>],
+    ) -> impl Iterator<Item = &'a [VertexId]> {
+        (table.rows()).filter(move |row| {
+            (sets.iter().zip(*row)).all(|(set, v)| set.is_none_or(|s| s.contains(v)))
+        })
+    }
+    // Adds column `ci` of `table`'s admitted rows to `set`.
+    let extend = |set: &mut VertexSet, table: &ResultTable, ci: usize| match &admit {
+        None => set.extend(table.rows().map(|row| row[ci])),
+        Some(sets) => set.extend(admitted(table, sets).map(|row| row[ci])),
+    };
+    let num_machines = cloud.num_machines();
+    match transport {
+        // `Messages`: every machine posts one `BindingDelta` — its
+        // *distinct* newly-discovered values per synced column — to
+        // every other machine, and the union is assembled from
+        // machine 0's view (its own delta plus its inbox). Every
+        // machine's view is the same union; building it once keeps
+        // the in-process run cheap without changing what traveled.
+        Some(tp) => {
+            let deltas: Vec<Vec<(u16, Vec<VertexId>)>> = (0..num_machines)
+                .map(|k| {
+                    let table = tables.table(k);
+                    synced_cols
+                        .iter()
+                        .map(|&(col, ci, _)| {
+                            let mut distinct = VertexSet::default();
+                            extend(&mut distinct, table, ci);
+                            let mut vals: Vec<VertexId> = distinct.into_iter().collect();
+                            // Sorted payloads make the envelope
+                            // deterministic byte for byte.
+                            vals.sort_unstable();
+                            (col.0, vals)
+                        })
+                        .collect()
+                })
+                .collect();
+            for (k, cols) in deltas.iter().enumerate() {
+                for j in cloud.machines() {
+                    if j.index() != k {
+                        tp.post(
+                            MachineId(k as u16),
+                            j,
+                            Message::BindingDelta { cols: cols.clone() },
+                        );
                     }
                 }
-                // `DirectRead`: fill the union set per vertex directly,
-                // machine by machine in machine order, and charge the
-                // broadcast as a per-entry estimate (each machine ships its
-                // newly-discovered entries to every other machine).
-                None => {
-                    for &col in &synced_cols {
-                        let mut set = crate::hash::VertexSet::default();
-                        for table in new_tables.iter() {
-                            if let Some(ci) = table.columns().iter().position(|&c| c == col) {
-                                set.extend(table.rows().map(|r| r[ci]));
-                            }
-                        }
-                        bindings.bind(col, set);
-                    }
-                    for (k, table) in new_tables.iter().enumerate() {
-                        let entries = table.num_rows() as u64 * synced_cols.len() as u64;
-                        for j in cloud.machines() {
-                            if j.index() != k {
-                                cloud.ship_rows(MachineId(k as u16), j, entries, 1);
-                            }
-                        }
+            }
+            // Drain every mailbox (each machine consumes its inbox);
+            // machine 0's is the one we materialize the union from.
+            // The union is a set, so fault-injected reordering of
+            // the deltas cannot change it; duplicates were already
+            // suppressed by the drain-side dedup.
+            let inboxes: Vec<Vec<trinity_sim::transport::Envelope>> =
+                cloud.machines().map(|m| tp.drain(m)).collect();
+            let columns = synced_cols.len();
+            for (ci, (.., set)) in synced_cols.iter_mut().enumerate() {
+                set.extend(deltas[0][ci].1.iter().copied());
+                for env in &inboxes[0] {
+                    let msg = &env.msg;
+                    let Message::BindingDelta { cols } = msg else {
+                        // A malformed peer degrades this query only.
+                        return Err(StwigError::Transport(TransportError::UnexpectedMessage {
+                            phase: "binding sync",
+                            got: msg.kind(),
+                        }));
+                    };
+                    let Some((_, vals)) = cols.get(ci) else {
+                        return Err(StwigError::Transport(TransportError::MalformedPayload {
+                            detail: format!(
+                                "binding delta carries {} columns, expected {columns}",
+                                cols.len()
+                            ),
+                        }));
+                    };
+                    set.extend(vals.iter().copied());
+                }
+            }
+        }
+        // `DirectRead`: fill the union set per vertex directly,
+        // machine by machine in machine order, and charge the
+        // broadcast as a per-entry estimate (each machine ships its
+        // newly-discovered entries to every other machine).
+        None => {
+            for (_, ci, set) in &mut synced_cols {
+                for k in 0..num_machines {
+                    extend(set, tables.table(k), *ci);
+                }
+            }
+            for k in 0..num_machines {
+                let table = tables.table(k);
+                let rows = match &admit {
+                    None => table.num_rows(),
+                    Some(sets) => admitted(table, sets).count(),
+                };
+                let entries = rows as u64 * synced_cols.len() as u64;
+                for j in cloud.machines() {
+                    if j.index() != k {
+                        cloud.ship_rows(MachineId(k as u16), j, entries, 1);
                     }
                 }
             }
         }
-        let after_sync = cloud.traffic();
-        record_phase(
-            &after_explore,
-            &after_sync,
-            &mut metrics.phase_traffic.binding_sync_messages,
-            &mut metrics.phase_traffic.binding_sync_bytes,
-        );
-
-        let total_rows: usize = new_tables.iter().map(|t| t.num_rows()).sum();
-        metrics.stwig_rows.push(total_rows as u64);
-        for (k, table) in new_tables.into_iter().enumerate() {
-            per_machine_tables[k].push(table);
-        }
-        let resident: u64 = per_machine_tables
-            .iter()
-            .flatten()
-            .map(|t| t.memory_bytes() as u64)
-            .sum();
-        metrics.peak_table_bytes = metrics.peak_table_bytes.max(resident);
-        if total_rows == 0 {
-            // No machine found a match for this STwig: the query has no answer.
-            no_answer = true;
-            break;
-        }
     }
-    if let Some(tp) = &transport {
-        metrics.fault.duplicates_suppressed += tp.duplicates_suppressed();
+    for (col, _, set) in synced_cols {
+        bindings.bind(col, set);
     }
-    Ok((!no_answer).then_some(StwigTableSet {
-        per_machine: per_machine_tables,
-    }))
+    Ok(())
 }
 
 /// Accumulates the traffic-total delta between two snapshots into a phase's
@@ -691,66 +930,33 @@ fn explore_machine(
     control: Option<&QueryControl>,
     started: Instant,
 ) -> Result<MachineExplore, StwigError> {
-    let mut counters = ExploreCounters::default();
-    let mut faults = FaultCounters::default();
+    let mut work = MachineWork::default();
+    let (counters, faults) = (&mut work.counters, &mut work.faults);
     let table = match transport {
         Some(tp) => match_stwig_batched(
-            cloud,
-            tp,
-            k,
-            query,
-            stwig,
-            roots,
-            bindings,
-            config,
-            control,
-            &mut counters,
-            &mut faults,
+            cloud, tp, k, query, stwig, roots, bindings, config, control, counters, faults,
         )?,
         None => match_stwig(
-            cloud,
-            k,
-            query,
-            stwig,
-            roots,
-            bindings,
-            config,
-            control,
-            &mut counters,
+            cloud, k, query, stwig, roots, bindings, config, control, counters,
         ),
     };
-    Ok(MachineExplore {
-        table,
-        counters,
-        faults,
-        compute_us: started.elapsed().as_secs_f64() * 1e6,
-    })
+    work.compute_us = started.elapsed().as_secs_f64() * 1e6;
+    Ok(MachineExplore { table, work })
 }
 
-/// Produces one STwig's per-machine tables: through the cache when one is in
-/// play and can serve the shape ([`explore_via_cache`]), by plain bound
-/// exploration otherwise. Both return bit-identical tables — see
-/// [`crate::cache`] for the argument.
+/// One STwig's per-machine tables by bound exploration: every machine
+/// matches it from its own roots under `bindings` and `config`'s row cap.
 #[allow(clippy::too_many_arguments)]
-fn explore_one_stwig(
+fn explore_bound(
     cloud: &MemoryCloud,
     transport: Option<&QueryTransport<'_>>,
     query: &QueryGraph,
     stwig: &STwig,
     bindings: &Bindings,
     config: &MatchConfig,
-    cache: Option<&StwigCache>,
     control: Option<&QueryControl>,
     threads: usize,
 ) -> Result<Vec<MachineExplore>, StwigError> {
-    if let Some(cache) = cache {
-        let served = explore_via_cache(
-            cloud, transport, query, stwig, bindings, config, cache, control, threads,
-        )?;
-        if let Some(results) = served {
-            return Ok(results);
-        }
-    }
     collect_explore_results(
         run_work_stealing(cloud.num_machines(), threads, |ki| {
             let k = MachineId(ki as u16);
@@ -765,50 +971,58 @@ fn explore_one_stwig(
     )
 }
 
-/// One STwig's per-machine tables by way of the cache: derived from the
-/// canonical entry on a hit; on a miss or a repair, by unbound exploration
-/// whose canonical result is inserted for the next query. A miss explores
-/// every local root into an empty table; a repair explores only the touched
-/// roots and splices their rows into the resident tables — one path, a
-/// populate being the repair of nothing. `None` hands the STwig back to bound
-/// exploration: its children are not in the planner's canonical order (a
-/// hand-built STwig — the cache is not even probed), the shape is
-/// uncacheable, or the run hit the populate row cap or an interrupt.
+/// What asking the cache for one STwig came to.
+enum ViaCache {
+    /// The entry whose complete tables stand for the STwig's (resident, just
+    /// inserted, or — degraded — shared for this query only), and what
+    /// populating or repairing it cost each machine (nothing on a hit).
+    Served(CachedTables, Vec<MachineWork>),
+    /// A populate that reached its row cap (the shape is tombstoned): the
+    /// capped unbound tables — bound exploration's own output when nothing
+    /// binds the STwig and the two row caps agree.
+    Capped(Vec<MachineExplore>),
+    /// The STwig must be explored under the bindings.
+    Unserved,
+}
+
+/// One STwig by way of the cache: the resident entry on a hit; on a miss or
+/// a repair, the entry made of unbound exploration and inserted for the next
+/// query. A miss explores every local root into an empty table; a repair
+/// explores only the touched roots and splices their rows into the resident
+/// tables — one path, a populate being the repair of nothing — and all three
+/// serve the same tables. [`ViaCache::Unserved`] hands the STwig back to
+/// bound exploration: its children are not in the planner's canonical order
+/// (a hand-built STwig — the cache is not even probed), the shape is
+/// uncacheable (tombstoned before, or found too large just now), some table
+/// exceeds the user's row cap (`config`'s), a repair grew past the populate
+/// row cap, or the run hit an interrupt.
 #[allow(clippy::too_many_arguments)]
 fn explore_via_cache(
     cloud: &MemoryCloud,
     transport: Option<&QueryTransport<'_>>,
     query: &QueryGraph,
     stwig: &STwig,
-    bindings: &Bindings,
     config: &MatchConfig,
     cache: &StwigCache,
     control: Option<&QueryControl>,
     threads: usize,
-) -> Result<Option<Vec<MachineExplore>>, StwigError> {
+) -> Result<ViaCache, StwigError> {
     if !stwig.has_canonical_children(query) {
-        return Ok(None);
+        return Ok(ViaCache::Unserved);
     }
+    // A table the user's row cap would have cut is not served whole.
+    let within_user_cap = |entry: &CachedStwig| {
+        (config.max_stwig_rows).is_none_or(|cap| entry.iter().all(|t| t.num_rows() <= cap))
+    };
     let num_machines = cloud.num_machines();
     let shape = StwigShape::of(query, stwig, config.pruning);
     // On a repair: the resident tables and, per machine, the touched roots
     // it owns (ascending, like the log's answer).
     let stale = match cache.lookup(&shape, cloud) {
-        CacheLookup::Hit(entry) => {
-            // Derive each machine's exploration table from the canonical
-            // entry under the current bindings and row cap.
-            return Ok(Some(run_work_stealing(num_machines, threads, |ki| {
-                let t0 = Instant::now();
-                let table = derive_bound_table(&entry[ki], query, stwig, bindings, config);
-                MachineExplore {
-                    table,
-                    counters: ExploreCounters::default(),
-                    faults: FaultCounters::default(),
-                    compute_us: t0.elapsed().as_secs_f64() * 1e6,
-                }
-            })));
+        CacheLookup::Hit(entry) if within_user_cap(&entry) => {
+            return Ok(ViaCache::Served(entry, Vec::new()));
         }
-        CacheLookup::Bypass => return Ok(None),
+        CacheLookup::Hit(_) | CacheLookup::Bypass => return Ok(ViaCache::Unserved),
         CacheLookup::Miss => None,
         CacheLookup::Repair { tables, touched } => {
             let mut owned = vec![Vec::new(); num_machines];
@@ -860,68 +1074,53 @@ fn explore_via_cache(
     // cache or stand in for bound exploration — which the interrupt will
     // also cut short, letting the caller abort.
     if control.is_some_and(QueryControl::interrupted) {
-        return Ok(None);
+        return Ok(ViaCache::Unserved);
     }
-    let canonical: Vec<Arc<ResultTable>> = unbound
-        .iter()
-        .enumerate()
-        .map(|(ki, r)| match &stale {
-            // No touched root here: the repaired entry shares the table.
-            Some((old, owned)) if owned[ki].is_empty() => Arc::clone(&old[ki]),
-            Some((old, owned)) => {
-                let fresh = canonicalize_table(&r.table, query, stwig);
-                Arc::new(splice_roots(&old[ki], &owned[ki], &fresh))
-            }
-            None => Arc::new(canonicalize_table(&r.table, query, stwig)),
-        })
-        .collect();
     // A run that lost a machine holds *degraded* tables — sound for this
     // query under `Degrade`, but poison for the cache, which must only ever
     // hold fault-free exploration output. Use them once, cache nothing (and
     // do not trust a row-cap verdict a lost machine may have shrunk).
-    let degraded = unbound.iter().any(|r| !r.faults.machines_lost.is_empty());
-    let capped = cache
-        .populate_row_cap()
-        .is_some_and(|cap| canonical.iter().any(|t| t.num_rows() >= cap));
-    if !capped {
+    let degraded = (unbound.iter()).any(|r| !r.work.faults.machines_lost.is_empty());
+    let reached_cap = |rows: usize| cache.populate_row_cap().is_some_and(|cap| rows >= cap);
+    if stale.is_none() && unbound.iter().any(|r| reached_cap(r.table.num_rows())) {
+        // The unbound table reached the populate cap (a potentially
+        // pathological cross product): remember the shape as uncacheable so
+        // future queries skip the attempt entirely.
         if !degraded {
-            cache.insert(shape, canonical.clone(), cloud);
+            cache.mark_uncacheable(shape, cloud);
         }
-        // Derive this query's tables from the full unbound tables — the
-        // exact derivation a future hit performs. A populate still owns
-        // them; a repair reads them off the spliced canonical ones.
-        return Ok(Some(
-            unbound
-                .into_iter()
-                .zip(&canonical)
-                .map(|(mut r, canonical)| {
-                    let t0 = Instant::now();
-                    r.table = match &stale {
-                        None => apply_bindings_and_cap(r.table, bindings, config),
-                        Some(_) => derive_bound_table(canonical, query, stwig, bindings, config),
-                    };
-                    r.compute_us += t0.elapsed().as_secs_f64() * 1e6;
-                    r
-                })
-                .collect(),
-        ));
+        return Ok(ViaCache::Capped(unbound));
     }
-    // The unbound table reached the populate cap (a potentially pathological
-    // cross product): remember the shape as uncacheable so future queries
-    // skip the attempt entirely.
-    if !degraded {
-        cache.mark_uncacheable(shape, cloud);
+    let (fresh, work): (Vec<_>, Vec<_>) = unbound.into_iter().map(|r| (r.table, r.work)).unzip();
+    let canonical: Vec<Arc<ResultTable>> = fresh
+        .into_iter()
+        .enumerate()
+        .map(|(ki, fresh)| {
+            let fresh = canonicalize_table(fresh, query, stwig);
+            match &stale {
+                // No touched root here: the repaired entry shares the table.
+                Some((old, owned)) if owned[ki].is_empty() => Arc::clone(&old[ki]),
+                Some((old, owned)) => Arc::new(splice_roots(&old[ki], &owned[ki], &fresh)),
+                None => Arc::new(fresh),
+            }
+        })
+        .collect();
+    if canonical.iter().any(|t| reached_cap(t.num_rows())) {
+        // A repair grew the shape past the cap: tombstone it likewise.
+        if !degraded {
+            cache.mark_uncacheable(shape, cloud);
+        }
+        return Ok(ViaCache::Unserved);
     }
-    // When nothing distinguishes a populate run from bound exploration — no
-    // binding constrains the STwig's vertices and the config's own row cap
-    // matches the populate cap — the capped result *is* the bound
-    // exploration output; reuse it instead of exploring again.
-    let bindings_unused =
-        !config.use_bindings || stwig.vertices().all(|v| bindings.get(v).is_none());
-    if stale.is_none() && bindings_unused && config.max_stwig_rows == cache.populate_row_cap() {
-        return Ok(Some(unbound));
-    }
-    Ok(None)
+    let entry = if degraded {
+        Some(CachedStwig::detached(canonical))
+    } else {
+        cache.insert(shape, canonical, cloud)
+    };
+    Ok(match entry {
+        Some(entry) if within_user_cap(&entry) => ViaCache::Served(entry, work),
+        _ => ViaCache::Unserved,
+    })
 }
 
 /// Collapses per-machine exploration results: the first transport error (in
@@ -950,9 +1149,10 @@ fn collect_explore_results(
                 faults.record_lost(machine);
                 Ok(MachineExplore {
                     table: ResultTable::new(columns),
-                    counters: ExploreCounters::default(),
-                    faults,
-                    compute_us: 0.0,
+                    work: MachineWork {
+                        faults,
+                        ..MachineWork::default()
+                    },
                 })
             }
             other => other,
@@ -1045,12 +1245,12 @@ pub fn join_stwig_tables(
 fn post_join_rows_to(
     tp: &dyn Transport,
     plan: &QueryPlan,
-    per_machine_tables: &[Vec<ResultTable>],
+    tables: &StwigTableSet,
     dest: MachineId,
 ) {
-    for (t, _stwig) in plan.stwigs.iter().enumerate() {
+    for (t, stwig) in plan.stwigs.iter().enumerate() {
         for j in load_set(&plan.cluster, &plan.head, dest, t) {
-            let remote = &per_machine_tables[j.index()][t];
+            let remote = tables.table(j.index(), t);
             if remote.is_empty() {
                 continue;
             }
@@ -1059,7 +1259,7 @@ fn post_join_rows_to(
                 dest,
                 Message::JoinRows {
                     stwig: t as u32,
-                    columns: remote.columns().iter().map(|c| c.0).collect(),
+                    columns: stwig.vertices().map(|c| c.0).collect(),
                     rows: remote.rows().flatten().copied().collect(),
                 },
             );
@@ -1067,25 +1267,53 @@ fn post_join_rows_to(
     }
 }
 
+/// Machine `k`'s assembled R_k(q_t) tables, one per STwig and under the
+/// query's column names, beside the index memo of each one that holds
+/// nothing but one cache entry's rows.
+struct Assembled<'a> {
+    tables: Vec<ResultTable>,
+    memos: Vec<Option<RkMemo<'a>>>,
+    /// Rows received from other machines.
+    received: u64,
+}
+
 /// Assembles machine `ki`'s `R_k(q_t)` tables for every STwig `t`: its own
 /// exploration tables plus the load-set rows — drained from its transport
 /// mailbox in `Messages` mode, fetched (and charged) in place in
-/// `DirectRead` mode. Returns the tables and the number of rows received
-/// from other machines. A malformed `JoinRows` envelope (wrong variant,
-/// out-of-range STwig index, foreign columns, ragged row payload) fails with
-/// [`StwigError::Transport`].
-fn assemble_rk_tables(
+/// `DirectRead` mode. An R_k(q_t) concatenated from a served STwig's tables
+/// alone keeps that entry's index memo, addressed by what was concatenated;
+/// one whose rows really came through `JoinRows` does not (the rows are
+/// what arrived, not by construction what is cached). A malformed
+/// `JoinRows` envelope (wrong variant, out-of-range STwig index, foreign
+/// columns, ragged row payload) fails with [`StwigError::Transport`].
+fn assemble_rk_tables<'a>(
     cloud: &MemoryCloud,
     plan: &QueryPlan,
-    per_machine_tables: &[Vec<ResultTable>],
+    tables: &'a StwigTableSet,
     transport: Option<&QueryTransport<'_>>,
     ki: usize,
-) -> Result<(Vec<ResultTable>, u64), StwigError> {
+) -> Result<Assembled<'a>, StwigError> {
     let k = MachineId(ki as u16);
-    let mut rk_tables: Vec<ResultTable> = Vec::with_capacity(plan.stwigs.len());
-    let mut received = 0u64;
+    let n = plan.stwigs.len();
+    let mut rk = Assembled {
+        tables: Vec::with_capacity(n),
+        memos: Vec::new(),
+        received: 0,
+    };
+    // Without a served STwig there is no memo to keep, and no list of them.
+    let memoized = (0..n).any(|t| tables.served(t).is_some());
     if let Some(tp) = transport {
-        rk_tables.extend(per_machine_tables[ki].iter().cloned());
+        for (t, stwig) in plan.stwigs.iter().enumerate() {
+            let own = tables.table(ki, t);
+            let mut table = ResultTable::with_capacity(stwig.vertices().collect(), own.num_rows());
+            table.append_rows(own);
+            rk.tables.push(table);
+            rk.memos.push(
+                tables
+                    .served(t)
+                    .map(|entry| RkMemo::new(entry, k, Vec::new())),
+            );
+        }
         let mut inbox = tp.drain(k);
         // Canonicalize arrival order. The fault-free posting order per
         // destination is (STwig ascending, sender ascending) with at most
@@ -1109,7 +1337,7 @@ fn assemble_rk_tables(
                     got: env.msg.kind(),
                 }));
             };
-            let Some(rk) = rk_tables.get_mut(stwig as usize) else {
+            let Some(table) = rk.tables.get_mut(stwig as usize) else {
                 return Err(StwigError::Transport(TransportError::MalformedPayload {
                     detail: format!(
                         "machine {src} shipped rows for STwig {stwig}, but the plan has {}",
@@ -1117,7 +1345,7 @@ fn assemble_rk_tables(
                     ),
                 }));
             };
-            let expected: Vec<u16> = rk.columns().iter().map(|c| c.0).collect();
+            let expected: Vec<u16> = table.columns().iter().map(|c| c.0).collect();
             if columns != expected {
                 return Err(StwigError::Transport(TransportError::MalformedPayload {
                     detail: format!(
@@ -1126,7 +1354,7 @@ fn assemble_rk_tables(
                     ),
                 }));
             }
-            let width = rk.width();
+            let width = table.width();
             if width == 0 || rows.len() % width != 0 {
                 return Err(StwigError::Transport(TransportError::MalformedPayload {
                     detail: format!(
@@ -1136,37 +1364,44 @@ fn assemble_rk_tables(
                 }));
             }
             for row in rows.chunks(width) {
-                rk.push_row(row);
+                table.push_row(row);
             }
-            received += (rows.len() / width) as u64;
+            if let Some(memo) = rk.memos.get_mut(stwig as usize) {
+                *memo = None;
+            }
+            rk.received += (rows.len() / width) as u64;
         }
     } else {
-        for (t, _stwig) in plan.stwigs.iter().enumerate() {
-            let own = &per_machine_tables[ki][t];
+        for (t, stwig) in plan.stwigs.iter().enumerate() {
+            let own = tables.table(ki, t);
             // Sized once for the machine's own rows plus its whole load set.
             let senders: Vec<MachineId> = load_set(&plan.cluster, &plan.head, k, t);
-            let shipped = |j: &MachineId| per_machine_tables[j.index()][t].num_rows();
+            let shipped = |j: &MachineId| tables.table(j.index(), t).num_rows();
             let rows = own.num_rows() + senders.iter().map(shipped).sum::<usize>();
-            let mut rk = ResultTable::with_capacity(own.columns().to_vec(), rows);
-            rk.append(own);
-            for j in senders {
-                let remote = &per_machine_tables[j.index()][t];
+            let mut table = ResultTable::with_capacity(stwig.vertices().collect(), rows);
+            table.append_rows(own);
+            for j in &senders {
+                let remote = tables.table(j.index(), t);
                 if remote.is_empty() {
                     continue;
                 }
-                cloud.ship_rows(j, k, remote.num_rows() as u64, remote.width() as u64);
-                received += remote.num_rows() as u64;
-                rk.append(remote);
+                cloud.ship_rows(*j, k, remote.num_rows() as u64, remote.width() as u64);
+                rk.received += remote.num_rows() as u64;
+                table.append_rows(remote);
             }
             // No dedup pass: rows within one machine's table are
             // distinct (the cross product emits each assignment once),
             // and tables from different machines are root-disjoint
             // because STwig roots are restricted to locally-owned
             // vertices — so R_k is duplicate-free by construction.
-            rk_tables.push(rk);
+            rk.tables.push(table);
+            if memoized {
+                let memo = |entry| RkMemo::new(entry, k, senders);
+                rk.memos.push(tables.served(t).map(memo));
+            }
         }
     }
-    Ok((rk_tables, received))
+    Ok(rk)
 }
 
 /// Initial per-machine, per-STwig exploration slab (in rows) for
@@ -1383,7 +1618,6 @@ fn join_pass(
     state: &mut StreamState<'_>,
 ) -> Result<JoinPass, StwigError> {
     let num_machines = cloud.num_machines();
-    let per_machine_tables = &tables.per_machine;
     let priors = stwig_join_priors(cloud, query, &plan.stwigs, config);
     let before_join = cloud.traffic();
     let transport = (config.transport_mode == TransportMode::Messages)
@@ -1396,15 +1630,14 @@ fn join_pass(
             return Ok::<_, StwigError>(joined);
         }
         if let Some(tp) = &transport {
-            post_join_rows_to(tp, plan, per_machine_tables, MachineId(ki as u16));
+            post_join_rows_to(tp, plan, tables, MachineId(ki as u16));
         }
-        let (rk_tables, received) =
-            assemble_rk_tables(cloud, plan, per_machine_tables, transport.as_ref(), ki)?;
-        joined.rows_received = received;
-        joined.table_bytes = rk_tables.iter().map(|t| t.memory_bytes() as u64).sum();
+        let rk = assemble_rk_tables(cloud, plan, tables, transport.as_ref(), ki)?;
+        joined.rows_received = rk.received;
+        joined.table_bytes = rk.tables.iter().map(|t| t.memory_bytes() as u64).sum();
         // A machine with no head-STwig results contributes nothing (§5.3),
         // and nothing is all there was to enumerate.
-        joined.exhausted = rk_tables[plan.head.head_index].is_empty() || {
+        joined.exhausted = rk.tables[plan.head.head_index].is_empty() || {
             let mut sink = ProjectingSink {
                 canonical,
                 projection: Vec::new(),
@@ -1412,7 +1645,8 @@ fn join_pass(
                 state,
             };
             pipelined_join_streaming(
-                &rk_tables,
+                &rk.tables,
+                &rk.memos,
                 config,
                 priors.as_deref(),
                 remaining,
@@ -1706,15 +1940,12 @@ fn explore_and_join(
             (Some(s), Some(u)) => s < u,
             (Some(_), None) => true,
         };
-        let round_cfg = MatchConfig {
-            max_stwig_rows: effective_cap,
-            ..config.clone()
-        };
-        let produced = produce_stwig_tables(
+        let (tables, answerable) = produce_tables(
             cloud,
             query,
             &plan,
-            &round_cfg,
+            config,
+            effective_cap,
             cache,
             Some(control),
             metrics,
@@ -1725,28 +1956,27 @@ fn explore_and_join(
             return Ok(false);
         }
 
-        let Some(tables) = produced else {
+        // Only exploration is bounded by the round's slab: a table the
+        // cache served is complete whatever its size.
+        if !answerable {
             // Some STwig matched nowhere. Under a resumable slab that only
             // proves "no answer" if no slab could have truncated a table:
             // per-STwig totals below the cap bound every machine's table
             // below it too.
+            let explored_rows = (metrics.stwig_rows.iter().enumerate())
+                .filter(|&(t, _)| tables.served(t).is_none())
+                .map(|(_, &rows)| rows);
             let maybe_capped = can_grow
-                && effective_cap.is_some_and(|c| metrics.stwig_rows.iter().any(|&r| r >= c as u64));
+                && effective_cap.is_some_and(|c| explored_rows.into_iter().any(|r| r >= c as u64));
             if !maybe_capped {
                 return Ok(false); // provably no (further) answer
             }
             slab = slab.map(|s| s.saturating_mul(SLAB_GROWTH));
             continue;
-        };
+        }
 
-        let capped = can_grow
-            && effective_cap.is_some_and(|c| {
-                tables
-                    .per_machine
-                    .iter()
-                    .flatten()
-                    .any(|t| t.num_rows() >= c)
-            });
+        let capped =
+            can_grow && effective_cap.is_some_and(|c| tables.explored().any(|t| t.num_rows() >= c));
 
         if !capped {
             // Final round: every row the join produces is part of the full
@@ -1819,13 +2049,6 @@ fn local_roots(
     postings.to_vec()
 }
 
-fn stwig_vertices(stwig: &STwig) -> Vec<crate::query::QVid> {
-    let set: HashSet<_> = stwig.vertices().collect();
-    let mut v: Vec<_> = set.into_iter().collect();
-    v.sort_unstable();
-    v
-}
-
 fn finalize(metrics: &mut QueryMetrics, cloud: &MemoryCloud, started: Instant) {
     // One snapshot of the P×P counters serves every figure below.
     let traffic = cloud.traffic();
@@ -1851,7 +2074,7 @@ fn finalize(metrics: &mut QueryMetrics, cloud: &MemoryCloud, started: Instant) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{canonical_rows, verify_all};
+    use crate::verify::{canonical_rows, same_answer, verify_all};
     use trinity_sim::builder::GraphBuilder;
     use trinity_sim::network::CostModel;
 
@@ -2148,19 +2371,162 @@ mod tests {
                     stats.hits >= stats.insertions,
                     "second run must hit ({name})"
                 );
-                assert_eq!(
-                    plain.table, miss.table,
-                    "miss path diverged (machines = {machines}, {name})"
-                );
-                assert_eq!(
-                    plain.table, hit.table,
-                    "hit path diverged (machines = {machines}, {name})"
-                );
-                assert_eq!(plain.metrics.stwig_rows, hit.metrics.stwig_rows);
-                assert_eq!(plain.metrics.join, hit.metrics.join);
+                // The cached executor answers from complete STwig tables:
+                // the same answer as exploration (the same rows wherever the
+                // limit does not choose among them), and the populating run
+                // and every hit after it serve the very same tables.
+                let ctx = format!("machines = {machines}, {name}");
+                let limit = config.result_limit();
+                same_answer(&cloud, &query, &miss.table, &plain.table, limit)
+                    .unwrap_or_else(|e| panic!("miss path diverged: {e} ({ctx})"));
+                assert_eq!(miss.table, hit.table, "hit != populate ({ctx})");
+                assert_eq!(miss.metrics.stwig_rows, hit.metrics.stwig_rows);
                 assert_eq!(plain.metrics.matches_found, hit.metrics.matches_found);
+                // Only the populating run had the join indexes to build.
+                let unbuilt = |join: JoinCounters| JoinCounters {
+                    build_rows: 0,
+                    ..join
+                };
+                assert_eq!(unbuilt(miss.metrics.join), unbuilt(hit.metrics.join));
             }
         }
+    }
+
+    #[test]
+    fn warm_repeat_indexes_nothing_and_syncs_nothing() {
+        use crate::cache::{CacheConfig, StwigCache};
+        let cloud = sample_cloud(4);
+        let query = triangle_query(&cloud);
+        let direct = MatchConfig::default()
+            .with_num_threads(Some(1))
+            .with_transport_mode(TransportMode::DirectRead);
+        let cache = StwigCache::new(&cloud, CacheConfig::default());
+        let run = |config: &MatchConfig, cache: &StwigCache| {
+            match_query_distributed_with_cache(&cloud, &query, config, Some(cache)).unwrap()
+        };
+        let cold = run(&direct, &cache);
+        let built = cache.stats();
+        let warm = run(&direct, &cache);
+        // The populating run is served like a hit — nothing to synchronize
+        // for either — but it is the one that finds the memo empty.
+        assert!(cold.metrics.join.build_rows > 0);
+        assert_eq!(warm.metrics.join.build_rows, 0);
+        for out in [&cold, &warm] {
+            assert_eq!(out.metrics.phase_traffic.binding_sync_bytes, 0);
+            assert_eq!(out.metrics.phase_traffic.binding_sync_messages, 0);
+        }
+        assert_eq!(warm.table, cold.table);
+        assert_eq!(warm.metrics.explore, ExploreCounters::default());
+        let stats = cache.stats();
+        assert!(built.index_builds > 0 && built.index_hits == 0);
+        assert_eq!(stats.index_builds, built.index_builds);
+        assert_eq!(stats.index_hits, built.index_builds, "one hit per index");
+        assert!(stats.index_bytes > 0 && stats.index_bytes < stats.bytes_resident);
+        // What the query holds is its assembled copies, not the cache's
+        // tables: nothing during exploration, which lent them.
+        let plain = match_query_distributed(&cloud, &query, &direct).unwrap();
+        assert!(warm.metrics.peak_table_bytes > 0);
+        assert!(plain.metrics.peak_table_bytes > 0);
+
+        // `Messages`: rows that came through `JoinRows` are indexed by the
+        // query that received them; an R_k made of the machine's own served
+        // table alone (one machine: nobody to receive from) is not.
+        let messages = direct.clone().with_transport_mode(TransportMode::Messages);
+        let cache = StwigCache::new(&cloud, CacheConfig::default());
+        run(&messages, &cache);
+        let warm = run(&messages, &cache);
+        assert!(warm.metrics.join.build_rows > 0);
+        assert_eq!(warm.metrics.phase_traffic.binding_sync_messages, 0);
+        let single = sample_cloud(1);
+        let cache = StwigCache::new(&single, CacheConfig::default());
+        let run = || {
+            match_query_distributed_with_cache(&single, &query, &messages, Some(&cache)).unwrap()
+        };
+        assert!(run().metrics.join.build_rows > 0);
+        assert_eq!(run().metrics.join.build_rows, 0);
+    }
+
+    #[test]
+    fn a_table_over_the_users_row_cap_is_explored_not_served() {
+        use crate::cache::{CacheConfig, StwigCache};
+        // One machine: every STwig table of the triangle holds ten rows or
+        // more, so under a cap of three none may be served whole.
+        let cloud = sample_cloud(1);
+        let query = triangle_query(&cloud);
+        let roomy = MatchConfig::default().with_num_threads(Some(1));
+        let capped = roomy.clone().with_max_stwig_rows(Some(3));
+        let cache = StwigCache::new(&cloud, CacheConfig::default());
+        match_query_distributed_with_cache(&cloud, &query, &roomy, Some(&cache)).unwrap();
+        let warm = cache.stats();
+        assert!(warm.insertions > 0);
+        let plain = match_query_distributed(&cloud, &query, &capped).unwrap();
+        let cached =
+            match_query_distributed_with_cache(&cloud, &query, &capped, Some(&cache)).unwrap();
+        assert!(cache.stats().hits > warm.hits, "the entries were found");
+        assert_eq!(cached.table, plain.table);
+        assert_eq!(cached.metrics.stwig_rows, plain.metrics.stwig_rows);
+        assert_eq!(cached.metrics.explore, plain.metrics.explore);
+        assert_eq!(cached.metrics.join, plain.metrics.join);
+        // A cold cache under the same cap populates, then explores too.
+        let cold = StwigCache::new(&cloud, CacheConfig::default());
+        let populated =
+            match_query_distributed_with_cache(&cloud, &query, &capped, Some(&cold)).unwrap();
+        assert!(cold.stats().insertions > 0);
+        assert_eq!(populated.table, plain.table);
+    }
+
+    #[test]
+    fn a_served_table_is_never_a_capped_slab() {
+        use crate::cache::{CacheConfig, StwigCache};
+        use crate::config::ResultMode;
+        // The path a – b – c – d over 300 a–b–c chains and not one c–d edge:
+        // the (b; a, c) STwig has 300 rows — more than the first slab of a
+        // first-1 query — and the (c; d) STwig after it matches nowhere.
+        // (Spare c's and many d's make b the rarest root, so the planner
+        // starts there.)
+        let mut gb = GraphBuilder::new_undirected();
+        for i in 0..300u64 {
+            gb.add_vertex(v(i), "a");
+            gb.add_vertex(v(1000 + i), "b");
+            gb.add_vertex(v(2000 + i), "c");
+            gb.add_vertex(v(2300 + i), "c");
+            gb.add_edge(v(i), v(1000 + i));
+            gb.add_edge(v(1000 + i), v(2000 + i));
+        }
+        for i in 0..700u64 {
+            gb.add_vertex(v(3000 + i), "d");
+        }
+        let cloud = gb.build(2, CostModel::default());
+        let mut qb = QueryGraph::builder();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|l| qb.vertex_by_name(&cloud, l).unwrap());
+        qb.edge(a, b).edge(b, c).edge(c, d);
+        let query = qb.build().unwrap();
+        // (Pair-aware planning would see that no c – d edge exists and start
+        // with the empty STwig: frequency-only planning, whatever the
+        // environment's default.)
+        let config = MatchConfig::default()
+            .with_num_threads(Some(1))
+            .with_pruning(false)
+            .with_result_mode(ResultMode::FirstK(1));
+        let plan = plan_query_with_config(&cloud, &query, &config).unwrap();
+        assert_eq!((plan.stwigs[0].root, plan.stwigs[1].root), (b, c));
+        // Without a cache the full slab of the first STwig could have hidden
+        // the rows that join: exploration must grow it once to be sure.
+        let plain = match_query_distributed(&cloud, &query, &config).unwrap();
+        assert_eq!(plain.metrics.explore_rounds, 2);
+        // A served table is complete whatever its size: one round proves
+        // there is no answer, populating or hitting.
+        let cache = StwigCache::new(&cloud, CacheConfig::default());
+        for _ in 0..2 {
+            let out =
+                match_query_distributed_with_cache(&cloud, &query, &config, Some(&cache)).unwrap();
+            assert_eq!(out.metrics.stwig_rows, [300, 0]);
+            assert_eq!(out.metrics.explore_rounds, 1);
+            assert_eq!(out.metrics.outcome, QueryOutcome::Complete);
+            assert_eq!(out.table.num_rows(), 0);
+            assert!(!out.metrics.truncated);
+        }
+        assert!(cache.stats().hits > 0);
     }
 
     /// A query over labels "a", "b", "c" whose vertices are created in the
@@ -2266,30 +2632,40 @@ mod tests {
             );
             let hand_built = STwig::new(QVid(0), vec![QVid(1), QVid(2)]);
             assert!(!hand_built.has_canonical_children(&query));
-            let unbound = Bindings::new(query.num_vertices());
-            let explore = |stwig: &STwig, cache: Option<&StwigCache>| -> Vec<ResultTable> {
-                explore_one_stwig(
-                    &cloud, None, &query, stwig, &unbound, &config, cache, None, 1,
-                )
-                .unwrap()
-                .into_iter()
-                .map(|r| r.table)
-                .collect()
+            let via_cache = |stwig: &STwig, cache: &StwigCache| {
+                explore_via_cache(&cloud, None, &query, stwig, &config, cache, None, 1).unwrap()
             };
             let cache = StwigCache::new(&cloud, CacheConfig::default());
-            // Cold cache: explored, not probed, nothing inserted.
-            let uncached = explore(&hand_built, None);
-            assert_eq!(explore(&hand_built, Some(&cache)), uncached);
+            // Cold cache: handed back for exploration, not probed, nothing
+            // inserted.
+            assert!(matches!(via_cache(&hand_built, &cache), ViaCache::Unserved));
             assert_eq!(cache.stats(), crate::metrics::CacheStats::default());
             // Warm cache (its planned twin's entry is resident): still
             // explored — a served entry would carry the "b" column first.
-            let twin = explore(&planned[0], Some(&cache));
+            let ViaCache::Served(twin, _) = via_cache(&planned[0], &cache) else {
+                panic!("the planned twin populates and is served");
+            };
             let warm = cache.stats();
             assert_eq!((warm.misses, warm.insertions), (1, 1));
-            assert_eq!(explore(&hand_built, Some(&cache)), uncached);
+            assert!(matches!(via_cache(&hand_built, &cache), ViaCache::Unserved));
             assert_eq!(cache.stats(), warm);
+            let unbound = Bindings::new(query.num_vertices());
+            let uncached: Vec<ResultTable> = explore_bound(
+                &cloud,
+                None,
+                &query,
+                &hand_built,
+                &unbound,
+                &config,
+                None,
+                1,
+            )
+            .unwrap()
+            .into_iter()
+            .map(|r| r.table)
+            .collect();
             let c_label = query.label(QVid(1));
-            for (table, twin) in uncached.iter().zip(&twin) {
+            for (table, twin) in uncached.iter().zip(twin.iter()) {
                 assert_eq!(table.columns(), &[QVid(0), QVid(1), QVid(2)]);
                 assert_eq!(table.num_rows(), twin.num_rows());
                 for row in table.rows() {
@@ -2460,18 +2836,18 @@ mod tests {
         cancel.cancel();
         let control = QueryControl::new(&QueryOptions::none().with_cancel(cancel), Instant::now());
         let insertions = cache.stats().insertions;
-        explore_one_stwig(
+        let repaired = explore_via_cache(
             &snap,
             None,
             &query,
             stwig,
-            &Bindings::new(query.num_vertices()),
             &config,
-            Some(&cache),
+            &cache,
             Some(&control),
             1,
         )
         .unwrap();
+        assert!(matches!(repaired, ViaCache::Unserved));
         assert_eq!(cache.stats().insertions, insertions);
         assert!(
             matches!(cache.lookup(&shape, &snap), CacheLookup::Repair { .. }),

@@ -33,13 +33,17 @@
 //!
 //! ## Determinism
 //!
-//! Execution is deterministic in its *results*: the cache is transparent
-//! (hit, miss and cache-free paths produce bit-identical STwig tables — see
-//! [`crate::cache`]) and every submission runs the one executor
-//! ([`crate::distributed`]), so each query's result table is a pure
-//! function of the cloud, the query and the `MatchConfig`, regardless of
-//! scheduling, interleaving or eviction — the table
-//! [`crate::distributed::match_query_distributed`] returns. Timing-derived
+//! Execution is deterministic in its *results*: every submission runs the
+//! one executor ([`crate::distributed`]), and an STwig the cache serves —
+//! hit, repair or the populate of a miss — contributes the same complete
+//! tables whoever explored them (see [`crate::cache`]), so each query's
+//! result table is a pure function of the cloud, the query, the
+//! `MatchConfig` and whether a cache serves its shapes, regardless of
+//! scheduling, interleaving or eviction. Without a cache it is the table
+//! [`crate::distributed::match_query_distributed`] returns; with one it is
+//! the same answer — the same row set under `ResultMode::All`, `k` distinct
+//! valid embeddings under `FirstK(k)` — in the order, and with the
+//! witnesses, the join over the complete tables yields. Timing-derived
 //! metrics and the shared simulated-traffic counters are best-effort under
 //! concurrency.
 
@@ -1051,6 +1055,37 @@ mod tests {
             cache.hits > 0,
             "identical queries must share cached STwig tables: {cache:?}"
         );
+    }
+
+    #[test]
+    fn a_warm_repeat_through_the_door_indexes_and_syncs_nothing() {
+        let cloud = sample_cloud(3);
+        let query = triangle_query(&cloud);
+        let engine = QueryEngine::new(
+            &cloud,
+            EngineConfig::default()
+                .with_workers(Some(1))
+                .with_match_config(
+                    MatchConfig::paper_default()
+                        .with_transport_mode(crate::config::TransportMode::DirectRead),
+                ),
+        );
+        let ask = || {
+            let handle = engine
+                .submit(QueryRequest::new(query.clone()))
+                .expect_accepted();
+            engine.drain();
+            handle.wait().unwrap()
+        };
+        let first = ask();
+        let second = ask();
+        assert!(first.metrics.join.build_rows > 0);
+        assert_eq!(second.metrics.join.build_rows, 0);
+        assert_eq!(second.metrics.phase_traffic.binding_sync_bytes, 0);
+        assert_eq!(second.table, first.table);
+        assert!(second.table.is_some_and(|t| t.num_rows() > 0));
+        let cache = engine.cache_stats().unwrap();
+        assert!(cache.index_hits > 0 && cache.index_bytes > 0);
     }
 
     #[test]

@@ -8,7 +8,13 @@
 //! a `Vec` key beyond that. The build index is a chained hash index —
 //! one pre-sized map from key to chain head/tail plus one pre-sized `next`
 //! array — so building it performs no per-row allocation either.
+//!
+//! An index is a pure function of the build side's rows and key columns, so
+//! a build side concatenated from cache-resident STwig tables takes its
+//! index from the memo kept beside those tables ([`RkMemo`]) instead of
+//! building one per query.
 
+use crate::cache::RkMemo;
 use crate::hash::{FxHashMap, InlineKey, INLINE_KEY_COLUMNS};
 use crate::metrics::JoinCounters;
 use crate::pipeline::RoundSink;
@@ -17,6 +23,7 @@ use crate::stream::QueryControl;
 use crate::table::ResultTable;
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
+use std::sync::Arc;
 use trinity_sim::ids::VertexId;
 
 /// Output rows between cooperative deadline/cancel checks inside one probe
@@ -31,23 +38,34 @@ const NO_ROW: u32 = u32::MAX;
 
 /// A chained hash index over the rows of a build-side table: `map` points at
 /// the first and last row of each key's chain and `next` links rows with the
-/// same key in insertion (ascending) order. Both structures are pre-sized
-/// from the row count, so inserting performs no per-row allocation.
-struct ChainedIndex<K> {
+/// same key in insertion (ascending) order.
+pub(crate) struct ChainedIndex<K> {
     map: FxHashMap<K, (u32, u32)>,
     next: Vec<u32>,
 }
 
 impl<K: Hash + Eq> ChainedIndex<K> {
-    fn with_rows(rows: usize) -> Self {
+    /// An empty index over `rows` rows whose key map starts with room for
+    /// `keys` keys. An index used once is sized for a key per row, so that
+    /// inserting never rehashes; one that stays resident starts empty and
+    /// grows to its distinct keys — a slot per row would cost 41 B a row
+    /// where most rows share their key with others.
+    fn with_rows(rows: usize, keys: usize) -> Self {
         assert!(
             rows < NO_ROW as usize,
             "build side exceeds u32 row indexing"
         );
         ChainedIndex {
-            map: FxHashMap::with_capacity_and_hasher(rows, Default::default()),
+            map: FxHashMap::with_capacity_and_hasher(keys, Default::default()),
             next: vec![NO_ROW; rows],
         }
+    }
+
+    /// Heap bytes held: the chain links plus the key map's buckets (entry
+    /// and control byte each; `capacity` is 7/8 of the buckets).
+    fn memory_bytes(&self) -> usize {
+        let bucket = std::mem::size_of::<(K, (u32, u32))>() + 1;
+        self.next.len() * std::mem::size_of::<u32>() + self.map.capacity() * 8 / 7 * bucket
     }
 
     #[inline]
@@ -105,12 +123,40 @@ fn shared_columns(left_columns: &[QVid], right: &ResultTable) -> Vec<(usize, usi
 
 /// The build-side hash index, pre-built over the shared columns at one of
 /// the three key widths [`hash_join`] monomorphizes over.
-enum BuildIndex {
+pub(crate) enum BuildIndex {
     /// No shared column: cartesian product, nothing to index.
     Cross,
     Single(ChainedIndex<u64>),
     Inline(ChainedIndex<InlineKey>),
     Wide(ChainedIndex<Vec<VertexId>>),
+}
+
+impl BuildIndex {
+    /// Indexes `right` on `key_cols` (its positions of the shared columns).
+    /// `resident` says the index will outlive the query (see
+    /// [`ChainedIndex::with_rows`]).
+    pub(crate) fn build(right: &ResultTable, key_cols: &[usize], resident: bool) -> BuildIndex {
+        match key_cols {
+            [] => BuildIndex::Cross,
+            &[rc] => BuildIndex::Single(build_index(right, resident, |row| row[rc].0)),
+            _ if key_cols.len() <= INLINE_KEY_COLUMNS => {
+                BuildIndex::Inline(build_index(right, resident, |row| {
+                    InlineKey::from_row(row, key_cols)
+                }))
+            }
+            _ => BuildIndex::Wide(build_index(right, resident, |row| wide_key(row, key_cols))),
+        }
+    }
+
+    /// Heap bytes held (a `Vec` key's own buffer is not counted).
+    pub(crate) fn memory_bytes(&self) -> usize {
+        match self {
+            BuildIndex::Cross => 0,
+            BuildIndex::Single(index) => index.memory_bytes(),
+            BuildIndex::Inline(index) => index.memory_bytes(),
+            BuildIndex::Wide(index) => index.memory_bytes(),
+        }
+    }
 }
 
 /// A hash join whose build side has been indexed once and is probed by left
@@ -127,7 +173,26 @@ pub struct PreparedJoin<'a> {
     left_cols: Vec<usize>,
     /// Right-side columns that are not shared (appended to the output).
     right_extra: Vec<usize>,
-    index: BuildIndex,
+    index: IndexRef,
+}
+
+/// A build index: made for this join (held inline — a query that builds its
+/// own indexes allocates no handle for them), or shared with every query
+/// whose build side holds the same rows ([`PreparedJoin::with_memo`]).
+enum IndexRef {
+    Own(BuildIndex),
+    Memo(Arc<BuildIndex>),
+}
+
+impl std::ops::Deref for IndexRef {
+    type Target = BuildIndex;
+
+    fn deref(&self) -> &BuildIndex {
+        match self {
+            IndexRef::Own(index) => index,
+            IndexRef::Memo(index) => index,
+        }
+    }
 }
 
 impl<'a> PreparedJoin<'a> {
@@ -135,23 +200,36 @@ impl<'a> PreparedJoin<'a> {
     /// are exactly `left_columns`, counting the rows indexed in
     /// `counters.build_rows` (none for a cross product).
     pub fn new(left_columns: &[QVid], right: &'a ResultTable, counters: &mut JoinCounters) -> Self {
+        Self::with_memo(left_columns, right, None, counters)
+    }
+
+    /// [`PreparedJoin::new`] for a `right` whose rows `memo` vouches for:
+    /// the index comes from the memo when it holds one for these key
+    /// columns, and is built for it otherwise. `counters.build_rows` counts
+    /// only rows this call indexed.
+    pub(crate) fn with_memo(
+        left_columns: &[QVid],
+        right: &'a ResultTable,
+        memo: Option<&RkMemo<'_>>,
+        counters: &mut JoinCounters,
+    ) -> Self {
         let shared = shared_columns(left_columns, right);
         let right_extra: Vec<usize> = (0..right.width())
             .filter(|ri| !shared.iter().any(|&(_, r)| r == *ri))
             .collect();
         let (left_cols, right_cols): (Vec<usize>, Vec<usize>) = shared.into_iter().unzip();
-        let index = match right_cols.len() {
-            0 => BuildIndex::Cross,
-            1 => {
-                let rc = right_cols[0];
-                BuildIndex::Single(build_index(right, |row| row[rc].0))
+        let (index, built) = match memo {
+            Some(memo) if !right_cols.is_empty() => {
+                let (index, built) =
+                    memo.index(&right_cols, || BuildIndex::build(right, &right_cols, true));
+                (IndexRef::Memo(index), built)
             }
-            2..=INLINE_KEY_COLUMNS => BuildIndex::Inline(build_index(right, |row| {
-                InlineKey::from_row(row, &right_cols)
-            })),
-            _ => BuildIndex::Wide(build_index(right, |row| wide_key(row, &right_cols))),
+            _ => (
+                IndexRef::Own(BuildIndex::build(right, &right_cols, false)),
+                !right_cols.is_empty(),
+            ),
         };
-        if !right_cols.is_empty() {
+        if built {
             counters.build_rows += right.num_rows() as u64;
         }
         PreparedJoin {
@@ -245,7 +323,7 @@ impl<'a, S: RoundSink + ?Sized> ProbeChain<'a, S> {
         let join = &self.levels[depth];
         self.deepest = self.deepest.max(depth as u64 + 1);
         let right = join.right;
-        match &join.index {
+        match &*join.index {
             BuildIndex::Cross => right.rows().all(|rrow| self.extend(depth, len, rrow)),
             BuildIndex::Single(index) => {
                 let key = self.row[join.left_cols[0]].0;
@@ -296,13 +374,14 @@ impl<'a, S: RoundSink + ?Sized> ProbeChain<'a, S> {
     }
 }
 
-/// Builds a chained hash index over `right`, pre-sized from its row count.
-fn build_index<K, F>(right: &ResultTable, key: F) -> ChainedIndex<K>
+/// Builds a chained hash index over `right`.
+fn build_index<K, F>(right: &ResultTable, resident: bool, key: F) -> ChainedIndex<K>
 where
     K: Hash + Eq,
     F: Fn(&[VertexId]) -> K,
 {
-    let mut index = ChainedIndex::with_rows(right.num_rows());
+    let rows = right.num_rows();
+    let mut index = ChainedIndex::with_rows(rows, if resident { 0 } else { rows });
     for (ri, row) in right.rows().enumerate() {
         index.insert(key(row), ri as u32);
     }

@@ -134,5 +134,5 @@ pub mod prelude {
     };
     pub use crate::stwig::STwig;
     pub use crate::table::ResultTable;
-    pub use crate::verify::{canonical_rows, is_valid_embedding, verify_all};
+    pub use crate::verify::{canonical_rows, is_valid_embedding, same_answer, verify_all};
 }

@@ -152,7 +152,8 @@ pub struct JoinCounters {
     pub rows_pruned_injective: u64,
     /// Number of pipeline rounds executed.
     pub pipeline_rounds: u64,
-    /// Build-side rows hash-indexed (`PreparedJoin::new`).
+    /// Build-side rows *this query* hash-indexed (`PreparedJoin::new`): a
+    /// rest table whose index came from a cache entry's memo adds none.
     pub build_rows: u64,
     /// Driver (left) rows the probe chain consumed.
     pub driver_rows: u64,
@@ -194,10 +195,17 @@ pub struct CacheStats {
     /// and handed it out for repair. Each is also counted in `misses`: a
     /// repaired probe explores, so it must never raise the hit rate.
     pub repairs: u64,
+    /// Join indexes built over an entry's tables and kept in its memo.
+    pub index_builds: u64,
+    /// Joins that took their index from an entry's memo instead of building
+    /// one.
+    pub index_hits: u64,
     /// Entries currently resident.
     pub entries: u64,
-    /// Bytes currently resident (table payloads).
+    /// Bytes currently resident: table payloads plus `index_bytes`.
     pub bytes_resident: u64,
+    /// Bytes of memoized join indexes currently resident.
+    pub index_bytes: u64,
 }
 
 impl CacheStats {
@@ -404,7 +412,9 @@ pub struct MachineMetrics {
 pub struct QueryMetrics {
     /// Number of STwigs the query was decomposed into.
     pub num_stwigs: usize,
-    /// Result-row count per STwig, in processing order.
+    /// Rows each STwig contributed to the join, in processing order: what
+    /// exploration emitted under the bindings and row cap of the moment, or
+    /// — for an STwig the cache served — its complete unbound table.
     pub stwig_rows: Vec<u64>,
     /// Exploration counters.
     pub explore: ExploreCounters,
@@ -430,11 +440,12 @@ pub struct QueryMetrics {
     /// requests satisfied by the initial slab, +1 per resume (each resume
     /// grows the slab geometrically — 8x).
     pub explore_rounds: u64,
-    /// High-water mark of resident intermediate-table bytes (per-machine
-    /// STwig tables during exploration; a machine's assembled load-set
-    /// tables during the join, plus whatever the pass stages before
+    /// High-water mark of the intermediate-table bytes the query itself
+    /// allocated (explored per-machine STwig tables; a machine's assembled
+    /// load-set tables during the join, plus whatever the pass stages before
     /// delivering — a slab round's rows, a parallel pass's per-machine
-    /// rows). The number first-k serving bounds.
+    /// rows). Tables the cache holds and lends are not the query's. The
+    /// number first-k serving bounds.
     pub peak_table_bytes: u64,
     /// Measured wall-clock time of the whole query, in µs.
     pub wall_us: f64,

@@ -8,6 +8,7 @@
 //! as soon as the requested number of matches (1024 in the paper's
 //! experiments) has been produced.
 
+use crate::cache::RkMemo;
 use crate::config::MatchConfig;
 use crate::join::{select_join_order_with_priors, PreparedJoin, ProbeChain};
 use crate::metrics::JoinCounters;
@@ -97,6 +98,7 @@ pub fn pipelined_join_with_priors(
     let mut output = None;
     pipelined_join_streaming(
         tables,
+        &[],
         config,
         priors,
         config.result_limit(),
@@ -113,9 +115,13 @@ pub fn pipelined_join_with_priors(
 /// an optional [`QueryControl`] is checked at every round boundary and every
 /// few hundred rows inside a round, so a deadline or cancellation stops the
 /// join promptly, and optional per-table selectivity `priors` bias the
-/// join-order choice.
+/// join-order choice. `memos[i]`, where present, is the index memo of the
+/// cache-resident tables `tables[i]` was concatenated from: a rest table
+/// that has one is not indexed again ([`PreparedJoin::with_memo`]).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn pipelined_join_streaming<S: RoundSink + ?Sized>(
     tables: &[ResultTable],
+    memos: &[Option<RkMemo<'_>>],
     config: &MatchConfig,
     priors: Option<&[f64]>,
     limit: Option<usize>,
@@ -151,7 +157,8 @@ pub(crate) fn pipelined_join_streaming<S: RoundSink + ?Sized>(
     let mut schema: Vec<QVid> = driver.columns().to_vec();
     let mut prepared: Vec<PreparedJoin<'_>> = Vec::with_capacity(order.len() - 1);
     for &i in &order[1..] {
-        let join = PreparedJoin::new(&schema, &tables[i], counters);
+        let memo = memos.get(i).and_then(Option::as_ref);
+        let join = PreparedJoin::with_memo(&schema, &tables[i], memo, counters);
         schema = join.output_columns(&schema);
         prepared.push(join);
     }
@@ -358,7 +365,7 @@ mod tests {
         // Unlimited: everything flows through, driver exhausted.
         let mut sink = Count::default();
         let mut c = JoinCounters::default();
-        let run = pipelined_join_streaming(&tables, &cfg, None, None, None, &mut c, &mut sink);
+        let run = pipelined_join_streaming(&tables, &[], &cfg, None, None, None, &mut c, &mut sink);
         assert_eq!(sink.rows, 50);
         assert_eq!(sink.rounds_seen, 5);
         assert!(run.exhausted);
@@ -369,7 +376,8 @@ mod tests {
         // that fills the budget — and reports non-exhaustion.
         let mut sink = Count::default();
         let mut c = JoinCounters::default();
-        let run = pipelined_join_streaming(&tables, &cfg, None, Some(25), None, &mut c, &mut sink);
+        let run =
+            pipelined_join_streaming(&tables, &[], &cfg, None, Some(25), None, &mut c, &mut sink);
         assert_eq!((sink.rows, sink.rounds_seen), (25, 3));
         assert!(!run.exhausted);
         assert_eq!(c.pipeline_rounds, 3);
@@ -379,7 +387,8 @@ mod tests {
         let single = vec![tables[0].clone()];
         let mut any = Count::default();
         let mut c = JoinCounters::default();
-        let run = pipelined_join_streaming(&single, &cfg, None, Some(3), None, &mut c, &mut any);
+        let run =
+            pipelined_join_streaming(&single, &[], &cfg, None, Some(3), None, &mut c, &mut any);
         assert_eq!((any.rows, any.rounds_seen), (3, 1));
         assert!(!run.exhausted);
     }
@@ -411,8 +420,16 @@ mod tests {
         }
         let mut sink = CancelAtFirstRow { rows: 0, token };
         let mut c = JoinCounters::default();
-        let run =
-            pipelined_join_streaming(&tables, &cfg, None, None, Some(&control), &mut c, &mut sink);
+        let run = pipelined_join_streaming(
+            &tables,
+            &[],
+            &cfg,
+            None,
+            None,
+            Some(&control),
+            &mut c,
+            &mut sink,
+        );
         assert!(run.interrupted);
         assert!(!run.exhausted);
         assert_eq!(c.pipeline_rounds, 1);
@@ -425,8 +442,16 @@ mod tests {
 
         // Already interrupted at the first boundary: no round at all.
         let mut c = JoinCounters::default();
-        let run =
-            pipelined_join_streaming(&tables, &cfg, None, None, Some(&control), &mut c, &mut sink);
+        let run = pipelined_join_streaming(
+            &tables,
+            &[],
+            &cfg,
+            None,
+            None,
+            Some(&control),
+            &mut c,
+            &mut sink,
+        );
         assert!(run.interrupted);
         assert_eq!((c.pipeline_rounds, c.driver_rows, sink.rows), (0, 0, 256));
     }

@@ -158,6 +158,15 @@ impl ResultTable {
     /// Appends all rows of `other`, which must have identical columns.
     pub fn append(&mut self, other: &ResultTable) {
         assert_eq!(self.columns, other.columns, "column mismatch in append");
+        self.append_rows(other);
+    }
+
+    /// Appends all rows of `other` whatever its columns are called; only the
+    /// widths must agree. A cache-served STwig table keeps the cache's
+    /// placeholder names, and lands in a table under the query's names this
+    /// way.
+    pub fn append_rows(&mut self, other: &ResultTable) {
+        assert_eq!(self.width(), other.width(), "width mismatch in append");
         self.data.extend_from_slice(&other.data);
     }
 
@@ -187,45 +196,13 @@ impl ResultTable {
         true
     }
 
-    /// Keeps only rows for which `keep` returns true, with access to the row
-    /// index (used by the cache's binding filter to stop at a row budget).
-    pub fn retain_rows_with_limit<F: FnMut(&[VertexId]) -> bool>(
-        &mut self,
-        limit: Option<usize>,
-        mut keep: F,
-    ) {
-        let w = self.width();
-        let mut out = Vec::with_capacity(
-            self.data
-                .len()
-                .min(limit.unwrap_or(usize::MAX).saturating_mul(w)),
-        );
-        let mut kept = 0usize;
-        for r in self.data.chunks_exact(w) {
-            if let Some(l) = limit {
-                if kept >= l {
-                    break;
-                }
-            }
-            if keep(r) {
-                out.extend_from_slice(r);
-                kept += 1;
-            }
-        }
-        self.data = out;
-    }
-
-    /// Returns a copy of the first `rows` rows (all of them when the table
-    /// has fewer) under different column names (same width) — one bulk
-    /// buffer copy. Used by the STwig-result cache to rebrand canonical
-    /// placeholder columns as the query's vertices, up to the row cap.
-    pub fn prefix_with_columns(&self, columns: Vec<QVid>, rows: usize) -> ResultTable {
+    /// The same rows under other column names (same width), without a copy.
+    /// The STwig-result cache files an explored table under positional
+    /// placeholder names this way.
+    pub fn with_columns(mut self, columns: Vec<QVid>) -> ResultTable {
         debug_assert_eq!(columns.len(), self.width());
-        let end = rows.saturating_mul(self.width()).min(self.data.len());
-        ResultTable {
-            columns,
-            data: self.data[..end].to_vec(),
-        }
+        self.columns = columns;
+        self
     }
 
     /// Approximate memory footprint in bytes.
@@ -314,6 +291,12 @@ mod tests {
         assert_eq!(t.row(5), t2.row(2));
         t.reserve_rows(100);
         assert_eq!(t.num_rows(), 6);
+        // Renamed in place, and appended across names: same rows.
+        let renamed = sample().with_columns(vec![q(7), q(8)]);
+        assert_eq!(renamed.columns(), &[q(7), q(8)]);
+        assert!(renamed.rows().eq(t2.rows()));
+        t.append_rows(&renamed);
+        assert_eq!((t.num_rows(), t.row(8)), (9, t2.row(2)));
     }
 
     #[test]
@@ -358,22 +341,5 @@ mod tests {
         assert!(t.rows_are_sorted());
         t.push_row(&[v(3), v(1)]);
         assert!(!t.rows_are_sorted());
-    }
-
-    #[test]
-    fn retain_rows_with_limit_stops_at_budget() {
-        let mut t = ResultTable::new(vec![q(0)]);
-        for i in 0..10u64 {
-            t.push_row(&[v(i)]);
-        }
-        t.retain_rows_with_limit(Some(3), |r| r[0].0 % 2 == 0);
-        assert_eq!(t.num_rows(), 3);
-        assert_eq!(t.row(2), &[v(4)]);
-        let mut u = ResultTable::new(vec![q(0)]);
-        for i in 0..4u64 {
-            u.push_row(&[v(i)]);
-        }
-        u.retain_rows_with_limit(None, |r| r[0].0 > 1);
-        assert_eq!(u.num_rows(), 2);
     }
 }

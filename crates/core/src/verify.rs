@@ -84,6 +84,42 @@ pub fn canonical_rows(query: &QueryGraph, table: &ResultTable) -> Vec<Vec<Vertex
     out
 }
 
+/// Checks `got` against `want`, a reference answer to the same query under
+/// the same result limit, as an *answer* rather than a table: the row counts
+/// must agree; when the limit did not cut the answer short (fewer than
+/// `limit` rows) the two hold the same embeddings, in whatever order; when
+/// it did, which `limit` witnesses an executor returns is its own choice
+/// (see [`crate::cache`], "What a served STwig contributes"), so every row
+/// of `got` must be a valid embedding and none may repeat.
+pub fn same_answer(
+    cloud: &MemoryCloud,
+    query: &QueryGraph,
+    got: &ResultTable,
+    want: &ResultTable,
+    limit: Option<usize>,
+) -> Result<(), String> {
+    if got.num_rows() != want.num_rows() {
+        return Err(format!(
+            "{} rows, reference has {}",
+            got.num_rows(),
+            want.num_rows()
+        ));
+    }
+    let rows = canonical_rows(query, got);
+    if limit.is_none_or(|l| got.num_rows() < l) {
+        return if rows == canonical_rows(query, want) {
+            Ok(())
+        } else {
+            Err("complete answers hold different embeddings".into())
+        };
+    }
+    verify_all(cloud, query, got).map_err(|row| format!("row {row} is not an embedding"))?;
+    if rows.len() != got.num_rows() {
+        return Err("an embedding was returned twice".into());
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,5 +220,31 @@ mod tests {
         let mut t2 = ResultTable::new(vec![QVid(2), QVid(0), QVid(1)]);
         t2.push_row(&[v(3), v(1), v(2)]);
         assert_eq!(canonical_rows(&q, &t1), canonical_rows(&q, &t2));
+    }
+
+    #[test]
+    fn same_answer_compares_sets_until_the_limit_cuts() {
+        let cloud = triangle_cloud();
+        let mut qb = QueryGraph::builder();
+        let a = qb.vertex_by_name(&cloud, "a").unwrap();
+        let b = qb.vertex_by_name(&cloud, "b").unwrap();
+        qb.edge(a, b);
+        let q = qb.build().unwrap();
+        let table = |rows: &[[u64; 2]]| {
+            let mut t = ResultTable::new(vec![QVid(0), QVid(1)]);
+            rows.iter().for_each(|r| t.push_row(&[v(r[0]), v(r[1])]));
+            t
+        };
+        let want = table(&[[1, 2], [1, 4]]);
+        // Complete answers: the same embeddings in any order.
+        assert!(same_answer(&cloud, &q, &table(&[[1, 4], [1, 2]]), &want, None).is_ok());
+        assert!(same_answer(&cloud, &q, &table(&[[1, 4], [1, 2]]), &want, Some(3)).is_ok());
+        assert!(same_answer(&cloud, &q, &table(&[[1, 2], [1, 2]]), &want, None).is_err());
+        assert!(same_answer(&cloud, &q, &table(&[[1, 2]]), &want, None).is_err());
+        // Cut by the limit: any distinct valid witnesses.
+        let first = table(&[[1, 2]]);
+        assert!(same_answer(&cloud, &q, &table(&[[1, 4]]), &first, Some(1)).is_ok());
+        assert!(same_answer(&cloud, &q, &table(&[[1, 3]]), &first, Some(1)).is_err());
+        assert!(same_answer(&cloud, &q, &table(&[[1, 2], [1, 2]]), &want, Some(2)).is_err());
     }
 }

@@ -14,6 +14,9 @@
 //!   per-machine joined table, no union.
 //! * Exploration: a `Messages`-mode exploration on a warm scratch allocates
 //!   its output table and its message payloads, nothing else.
+//! * Warm repeat: a query whose STwigs the cache serves allocates the
+//!   assembled R_k copies the join reads and O(1) more — no per-table bound
+//!   copy, no binding set, and (the index memo being warm too) no index.
 //! * Delivery: streaming a warm cache-hit first-1024 answer into a
 //!   `ChannelSink` costs the serving thread a few blocks per *batch* on top
 //!   of what the same query costs into a counting closure — not one per row.
@@ -26,8 +29,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use stwig::bindings::Bindings;
-use stwig::cache::{CacheConfig, StwigCache};
-use stwig::distributed::{match_query_distributed_with_cache, match_query_streaming_with_cache};
+use stwig::cache::{CacheConfig, CacheLookup, StwigCache, StwigShape};
+use stwig::distributed::{
+    match_query_distributed_with_cache, match_query_streaming_with_cache, plan_query_with_config,
+};
+use stwig::head::load_set;
 use stwig::join::{hash_join, PreparedJoin};
 use stwig::matcher::match_stwig_batched;
 use stwig::metrics::{ExploreCounters, FaultCounters, JoinCounters};
@@ -425,6 +431,65 @@ fn table_output_allocates_its_answer_and_no_joined_tables() {
         allocs <= closure_allocs + table_allocs + 8,
         "{allocs} allocations into a table ({table_allocs} its own), {closure_allocs} into a closure"
     );
+}
+
+#[test]
+fn a_warm_repeat_allocates_its_assembled_tables_and_little_else() {
+    // The path a – b – c – a' again: two STwigs or more over four machines,
+    // every row of the answer counted by a closure, so there is no output.
+    let (cloud, [qa, qb, qc], mut builder) = random_graph_and_vertices();
+    let qa2 = builder.vertex_by_name(&cloud, "a").unwrap();
+    builder.edge(qa, qb).edge(qb, qc).edge(qc, qa2);
+    let query = builder.build().unwrap();
+    let cache = StwigCache::new(&cloud, CacheConfig::default());
+    let config = MatchConfig::default()
+        .with_num_threads(Some(1))
+        .with_transport_mode(stwig::TransportMode::DirectRead);
+    let options = QueryOptions::none();
+    let mut rows = 0usize;
+    let mut run = || {
+        let mut count = |_row: &[VertexId]| rows += 1;
+        let cache = Some(&cache);
+        allocated_during(|| {
+            match_query_streaming_with_cache(&cloud, &query, &config, &options, cache, &mut count)
+                .unwrap()
+        })
+    };
+    let ((_, cold_bytes), cold) = run();
+    let ((allocs, bytes), warm) = run();
+    assert!(rows > 20_000 && cold.join.build_rows > 10_000);
+    assert_eq!(warm.join.build_rows, 0);
+    assert_eq!(warm.phase_traffic.binding_sync_bytes, 0);
+    // What the join reads: per machine and STwig, the machine's own served
+    // table and its load set's, copied into one table under the query's
+    // column names.
+    let plan = plan_query_with_config(&cloud, &query, &config).unwrap();
+    let mut assembled = 0u64;
+    for (t, stwig) in plan.stwigs.iter().enumerate() {
+        let shape = StwigShape::of(&query, stwig, config.pruning);
+        let CacheLookup::Hit(entry) = cache.lookup(&shape, &cloud) else {
+            panic!("every shape of the plan is resident");
+        };
+        for k in cloud.machines() {
+            let parts = std::iter::once(k).chain(load_set(&plan.cluster, &plan.head, k, t));
+            let values = parts.map(|j| entry[j.index()].num_rows() * entry[j.index()].width());
+            assembled += (values.sum::<usize>() * std::mem::size_of::<VertexId>()) as u64;
+        }
+    }
+    assert!(assembled > 200_000, "copies worth measuring ({assembled})");
+    assert!(
+        bytes <= assembled + 16_384,
+        "a warm repeat allocated {bytes} bytes for {assembled} bytes of assembled tables"
+    );
+    // A handful of blocks per (machine, STwig) — the table, its columns, the
+    // load set, the join's schema — and none per row.
+    let steps = (cloud.num_machines() * plan.stwigs.len()) as u64;
+    assert!(allocs <= 20 * steps + 32, "{allocs} allocations");
+    // The populating run is the one that paid for the indexes (and for
+    // exploring); its tables it moved into the cache.
+    let index_bytes = cache.stats().index_bytes;
+    assert!(index_bytes > 0);
+    assert!(cold_bytes >= bytes + index_bytes);
 }
 
 #[test]

@@ -10,6 +10,7 @@
 //! STwig pipeline — including the cache's canonicalization and derivation —
 //! rather than comparing the engine with itself.
 
+use stwig::metrics::MachineMetrics;
 use stwig_match::prelude::*;
 
 const MACHINES: [usize; 2] = [1, 4];
@@ -135,11 +136,16 @@ fn engine_matches_vf2_across_machines_threads_and_cache() {
 
 #[test]
 fn cached_engine_is_bit_identical_to_uncached_serial_run() {
-    // Stronger than set equality: with a result limit in play, the exact
-    // table (row order included) must be independent of the cache — and of
-    // the transport mode — or truncation would silently select different
-    // witnesses. The uncached serial DirectRead run is the single reference
-    // for both modes.
+    // Stronger than set equality with VF2: with a result limit in play, the
+    // engine must return the cache-free executor's answer — the same rows
+    // wherever the limit does not choose among them, `k` distinct valid
+    // embeddings where it does (a cache serves complete STwig tables, so
+    // which witnesses survive the cut is not the cache-free run's choice) —
+    // and the exact table (row order included) must not depend on whether a
+    // pass populated the cache or hit it, on `run_batch` vs `submit()`, or
+    // on the transport mode, or truncation would silently select different
+    // witnesses from one request to the next. The uncached serial DirectRead
+    // run is the single reference for both modes.
     for case in graph_cases() {
         let cloud = case
             .graph
@@ -149,10 +155,13 @@ fn cached_engine_is_bit_identical_to_uncached_serial_run() {
         let reference_config = MatchConfig::paper_default()
             .with_num_threads(Some(1))
             .with_transport_mode(TransportMode::DirectRead);
+        let limit = reference_config.result_limit();
         let plain: Vec<_> = queries
             .iter()
             .map(|q| stwig::match_query_distributed(&cloud, q, &reference_config).unwrap())
             .collect();
+        // The populating pass's tables, which every later pass must repeat.
+        let mut populated: Option<Vec<ResultTable>> = None;
         for mode in [TransportMode::DirectRead, TransportMode::Messages] {
             let engine = QueryEngine::new(
                 &cloud,
@@ -162,18 +171,26 @@ fn cached_engine_is_bit_identical_to_uncached_serial_run() {
             );
             for pass in 0..2 {
                 let outputs = engine.run_batch(&queries);
-                for (i, (out, want)) in outputs.iter().zip(&plain).enumerate() {
-                    assert_eq!(
-                        out.as_ref().unwrap().table,
-                        want.table,
+                let tables: Vec<ResultTable> = (outputs.into_iter())
+                    .map(|out| out.unwrap().table)
+                    .collect();
+                for (i, (table, want)) in tables.iter().zip(&plain).enumerate() {
+                    let ctx = format!(
                         "graph = {}, query = {i}, mode = {mode:?}, pass = {pass}",
                         case.name
                     );
+                    same_answer(&cloud, &queries[i], table, &want.table, limit)
+                        .unwrap_or_else(|e| panic!("{e}: {ctx}"));
                 }
+                let populated = populated.get_or_insert_with(|| tables.clone());
+                assert_eq!(
+                    &tables, populated,
+                    "graph = {}, mode = {mode:?}, pass = {pass}",
+                    case.name
+                );
             }
             // Third pass: the same queries submitted and awaited by hand
-            // must stay bit-identical to the cache-free reference, cache
-            // now warm.
+            // must repeat the populating pass bit for bit, cache now warm.
             let handles: Vec<QueryHandle> = queries
                 .iter()
                 .map(|q| {
@@ -183,12 +200,13 @@ fn cached_engine_is_bit_identical_to_uncached_serial_run() {
                 })
                 .collect();
             engine.drain();
-            for (i, (handle, want)) in handles.into_iter().zip(&plain).enumerate() {
+            let populated = populated.as_ref().expect("two passes ran");
+            for (i, (handle, want)) in handles.into_iter().zip(populated).enumerate() {
                 let response = handle.wait().unwrap();
                 assert_eq!(
                     response.table.as_ref(),
-                    Some(&want.table),
-                    "submit() diverged from the cache-free reference \
+                    Some(want),
+                    "submit() diverged from the populating pass \
                      (graph = {}, query = {i}, mode = {mode:?})",
                     case.name
                 );
@@ -204,4 +222,119 @@ fn cached_engine_is_bit_identical_to_uncached_serial_run() {
             }
         }
     }
+}
+
+/// A mixed query: when the cache serves every STwig but one (here the one
+/// with the largest table, tombstoned by a populate row cap just under its
+/// size), that one is explored under the bindings the served tables before
+/// it fold in when it comes to it — the very tables the cache-free run
+/// explores, for the very synchronization traffic — and the answer is still
+/// VF2's.
+#[test]
+fn an_explored_stwig_among_served_ones_is_pruned_as_without_a_cache() {
+    let mut mixed = 0usize;
+    let mut filtered_folds = 0usize;
+    for case in graph_cases() {
+        let cloud = case
+            .graph
+            .clone()
+            .build_cloud(4, trinity_sim::network::CostModel::default());
+        // Six-vertex queries too: three STwigs and more, so that a served
+        // table is folded under bindings an earlier one left.
+        let mut queries = workload(&cloud);
+        queries.extend(query_batch(&cloud, 12, 6, None, 0x6F01D));
+        for mode in [TransportMode::DirectRead, TransportMode::Messages] {
+            let config = MatchConfig::exhaustive()
+                .with_num_threads(Some(1))
+                .with_transport_mode(mode);
+            for (i, q) in queries.iter().enumerate() {
+                let plan = plan_query_with_config(&cloud, q, &config).unwrap();
+                // The largest per-machine table of every STwig's shape.
+                let probe = StwigCache::new(&cloud, CacheConfig::default());
+                stwig::match_query_distributed_with_cache(&cloud, q, &config, Some(&probe))
+                    .unwrap();
+                let largest: Vec<usize> = (plan.stwigs.iter())
+                    .filter_map(|s| {
+                        match probe.lookup(&StwigShape::of(q, s, config.pruning), &cloud) {
+                            CacheLookup::Hit(e) => e.iter().map(|t| t.num_rows()).max(),
+                            _ => None,
+                        }
+                    })
+                    .collect();
+                if largest.len() < plan.stwigs.len() {
+                    continue; // some STwig matched nowhere
+                }
+                // The one STwig to tombstone: strictly the largest, and not
+                // the first (which nothing binds).
+                let t = (0..largest.len()).max_by_key(|&t| largest[t]).unwrap();
+                let cap = (largest.iter().enumerate())
+                    .filter(|&(j, _)| j != t)
+                    .map(|(_, rows)| rows + 1)
+                    .max();
+                let Some(cap) = cap.filter(|&cap| t > 0 && largest[t] >= cap) else {
+                    continue;
+                };
+                let ctx = format!("graph = {}, mode = {mode:?}, query = {i}", case.name);
+                let cache = StwigCache::new(
+                    &cloud,
+                    CacheConfig {
+                        populate_row_cap: Some(cap),
+                        ..CacheConfig::default()
+                    },
+                );
+                // Populates the other shapes, tombstones the largest.
+                let out =
+                    stwig::match_query_distributed_with_cache(&cloud, q, &config, Some(&cache))
+                        .unwrap();
+                assert_eq!(
+                    canonical_rows(q, &out.table),
+                    canonical_rows(q, &vf2(&cloud, q, None)),
+                    "{ctx}"
+                );
+                let explore = |cache: Option<&StwigCache>| {
+                    let mut metrics = QueryMetrics::default();
+                    let mut machines = vec![MachineMetrics::default(); 4];
+                    cloud.reset_traffic();
+                    let tables = produce_stwig_tables(
+                        &cloud,
+                        q,
+                        &plan,
+                        &config,
+                        cache,
+                        None,
+                        &mut metrics,
+                        &mut machines,
+                    )
+                    .unwrap()
+                    .expect("the probe run found every STwig somewhere");
+                    (tables, metrics)
+                };
+                let before = cache.stats();
+                let (warm, warm_metrics) = explore(Some(&cache));
+                let (plain, plain_metrics) = explore(None);
+                let served = cache.stats();
+                assert_eq!(served.hits - before.hits, largest.len() as u64 - 1);
+                assert_eq!(served.bypasses - before.bypasses, 1, "{ctx}");
+                for k in 0..4 {
+                    assert_eq!(warm.table(k, t), plain.table(k, t), "machine {k}, {ctx}");
+                }
+                let (w, p) = (&warm_metrics, &plain_metrics);
+                assert!(w.explore.roots_scanned < p.explore.roots_scanned, "{ctx}");
+                // Tables after the explored one are served and fold nothing.
+                if t + 1 == largest.len() {
+                    assert_eq!(
+                        w.phase_traffic.binding_sync_bytes, p.phase_traffic.binding_sync_bytes,
+                        "{ctx}"
+                    );
+                }
+                mixed += 1;
+                // Did a served table need the binding filter, or did every
+                // row of it take part?
+                let rows = |m: &QueryMetrics| m.stwig_rows[..t].iter().sum::<u64>();
+                filtered_folds += usize::from(rows(w) > rows(p));
+            }
+        }
+    }
+    assert!(mixed >= 4, "only {mixed} mixed queries");
+    assert!(filtered_folds > 0, "no fold had rows to filter");
 }

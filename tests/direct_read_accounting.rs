@@ -332,7 +332,15 @@ fn exploration_phase_accounts_like_the_reference_on_any_thread_count() {
                     &mut per_machine,
                 )
                 .unwrap()
-                .map(|set| set.per_machine);
+                .map(|set| -> Vec<Vec<ResultTable>> {
+                    (0..machines)
+                        .map(|k| {
+                            (0..set.num_stwigs())
+                                .map(|t| set.table(k, t).clone())
+                                .collect()
+                        })
+                        .collect()
+                });
                 (
                     tables,
                     metrics.explore,

@@ -370,6 +370,104 @@ fn soak_keeps_the_touch_log_bounded_and_the_cache_exact() {
     );
 }
 
+/// A repair makes a new cache entry, so the join indexes memoized beside
+/// the old tables go with them — and only with them: after a batch that
+/// touches one of a query's two shapes, the untouched shape's index is hit,
+/// not rebuilt, a second query over other labels indexes nothing at all,
+/// and the answers equal VF2 on the mirror throughout.
+#[test]
+fn a_repair_reindexes_the_repaired_shape_only() {
+    let v = VertexId;
+    // Twenty chains e – f – g with two d's on every e, and a disjoint copy
+    // under labels p, r, s, t. One machine, so every query is one join whose
+    // build side is the larger table: (e; d, f), 40 rows against 20.
+    let mut builder = trinity_sim::builder::GraphBuilder::new_undirected();
+    for (labels, base) in [(["d", "e", "f", "g"], 0u64), (["p", "r", "s", "t"], 10_000)] {
+        for i in 0..20 {
+            let [d, e, f, g] = [0, 1_000, 2_000, 3_000].map(|row| v(base + row + i));
+            let d2 = v(base + 500 + i);
+            for (id, label) in [d, e, f, g].into_iter().zip(labels) {
+                builder.add_vertex(id, label);
+            }
+            builder.add_vertex(d2, labels[0]);
+            for (x, y) in [(d, e), (d2, e), (e, f), (f, g)] {
+                builder.add_edge(x, y);
+            }
+        }
+    }
+    let cloud = builder.build(1, trinity_sim::network::CostModel::default());
+    let path = |labels: [&str; 4]| {
+        let mut qb = QueryGraph::builder();
+        let [a, b, c, d] = labels.map(|l| qb.vertex_by_name(&cloud, l).unwrap());
+        qb.edge(a, b).edge(b, c).edge(c, d);
+        qb.build().unwrap()
+    };
+    let (churned, quiet) = (path(["d", "e", "f", "g"]), path(["p", "r", "s", "t"]));
+    // Pruning off whatever the environment says: its label-pair priors
+    // would pick the driver, and the test counts on the row counts doing it.
+    let config = MatchConfig::exhaustive()
+        .with_num_threads(Some(1))
+        .with_transport_mode(TransportMode::DirectRead)
+        .with_pruning(false);
+    let plan = plan_query_with_config(&cloud, &churned, &config).unwrap();
+    assert_eq!(plan.stwigs.len(), 2, "one join");
+
+    let mut mirror = GraphMirror::from_cloud(&cloud);
+    let epochs = GraphEpochs::new(cloud);
+    let engine = QueryEngine::for_epochs(
+        &epochs,
+        EngineConfig::default()
+            .with_workers(Some(1))
+            .with_match_config(config),
+    );
+    let ask = |query: &QueryGraph, mirror: &GraphMirror| {
+        let out = engine.run_one(query).unwrap();
+        let reference = mirror.build_cloud(1, trinity_sim::network::CostModel::default());
+        assert_eq!(
+            canonical_rows(query, &out.table),
+            canonical_rows(query, &vf2(&reference, query, None))
+        );
+        (out.metrics.join.build_rows, engine.cache_stats().unwrap())
+    };
+    // Cold: each query builds its one index; warm: each hits it.
+    assert_eq!(ask(&churned, &mirror).0, 40);
+    assert_eq!(ask(&quiet, &mirror).0, 40);
+    let (built, warm) = ask(&churned, &mirror);
+    assert_eq!((built, warm.index_builds, warm.index_hits), (0, 2, 1));
+
+    // A new f – g edge touches the driver's shape alone: it is repaired,
+    // and the build side's index serves the grown driver as it stands.
+    let batch = UpdateBatch::new()
+        .add_vertex(v(3_500), "g")
+        .add_edge(v(2_000), v(3_500));
+    engine.apply_updates(batch.clone()).expect_accepted();
+    engine.drain();
+    mirror.apply(&batch);
+    let (built, stats) = ask(&churned, &mirror);
+    assert_eq!(stats.repairs, 1);
+    assert_eq!((built, stats.index_builds, stats.index_hits), (0, 2, 2));
+
+    // A new d – e edge touches the build side's shape: its repair starts
+    // from an empty memo, so the next query — and only that one — indexes
+    // the new table, 41 rows now.
+    let batch = UpdateBatch::new()
+        .add_vertex(v(700), "d")
+        .add_edge(v(700), v(1_000));
+    engine.apply_updates(batch.clone()).expect_accepted();
+    engine.drain();
+    mirror.apply(&batch);
+    let (built, stats) = ask(&churned, &mirror);
+    assert_eq!(stats.repairs, 2);
+    assert_eq!((built, stats.index_builds, stats.index_hits), (41, 3, 2));
+    let (built, stats) = ask(&churned, &mirror);
+    assert_eq!((built, stats.index_builds, stats.index_hits), (0, 3, 3));
+    // The other labels' entries never noticed.
+    let (built, stats) = ask(&quiet, &mirror);
+    assert_eq!((built, stats.index_builds, stats.index_hits), (0, 3, 4));
+    assert_eq!((stats.stale_evictions, stats.evictions), (0, 0));
+    assert!(stats.index_bytes > 0 && stats.index_bytes < stats.bytes_resident);
+}
+
 /// Builds a cloud from plain data at a given storage tier.
 fn tiered_cloud(
     num_vertices: u64,
@@ -782,10 +880,13 @@ proptest! {
                 }
                 match &pinned {
                     // A reader pinned three epochs back shares the warm
-                    // cache and still gets its own epoch's answers.
+                    // cache and still gets its own epoch's answers (the
+                    // cache-free run's rows; a cached join orders them its
+                    // own way).
                     Some((old, answers)) => for (q, want) in queries.iter().zip(answers) {
                         let got = stwig::match_query_distributed_with_cache(old, q, &config, Some(&warm)).unwrap();
-                        prop_assert_eq!(&got.table, want, "pinned reader saw another epoch");
+                        let same = same_answer(old, q, &got.table, want, config.result_limit());
+                        prop_assert!(same.is_ok(), "pinned reader saw another epoch: {:?}", same);
                     },
                     None if step == 2 => {
                         let answers = queries.iter()

@@ -1,8 +1,8 @@
 //! Property tests (vendored proptest) for the multi-query engine and its
 //! STwig-result cache: on randomly generated graphs and query batches,
-//! interleaved concurrent cached execution must produce results — tables,
-//! not just embedding sets — identical to the uncached serial executor, and
-//! a byte budget small enough to evict on every insert must never corrupt a
+//! interleaved concurrent cached execution must give the uncached serial
+//! executor's answers — and, pass after pass, the very same tables — and a
+//! byte budget small enough to evict on every insert must never corrupt a
 //! table a concurrent query is reading.
 
 use proptest::prelude::*;
@@ -59,9 +59,13 @@ fn batch(cloud: &MemoryCloud, seed: u64) -> Vec<QueryGraph> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
-    /// Interleaved concurrent cached queries return tables bit-identical to
-    /// the uncached serial executor — same rows, same order, same
-    /// `matches_found` — for exhaustive and truncating configs alike.
+    /// Interleaved concurrent cached queries return the uncached serial
+    /// executor's answer — the same rows and `matches_found`; `k` distinct
+    /// valid embeddings where the limit cuts (the cache serves complete
+    /// STwig tables, so the witnesses are its join's choice) — for
+    /// exhaustive and truncating configs alike, and a second batch, all
+    /// hits, repeats the first's tables bit for bit whatever the
+    /// interleaving was.
     #[test]
     fn concurrent_cached_batches_equal_uncached_serial(
         g in random_graph(200, 6),
@@ -87,15 +91,21 @@ proptest! {
             let outputs = engine.run_batch(&queries);
             for (i, (out, want)) in outputs.iter().zip(&expected).enumerate() {
                 let out = out.as_ref().expect("query succeeds");
-                prop_assert_eq!(&out.table, &want.table, "query {} diverged", i);
+                let same = same_answer(&cloud, &queries[i], &out.table, &want.table, config.result_limit());
+                prop_assert!(same.is_ok(), "query {} diverged: {:?}", i, same);
                 prop_assert_eq!(out.metrics.matches_found, want.metrics.matches_found);
+            }
+            let again = engine.run_batch(&queries);
+            for (i, (out, first)) in again.iter().zip(&outputs).enumerate() {
+                let (out, first) = (out.as_ref().unwrap(), first.as_ref().unwrap());
+                prop_assert_eq!(&out.table, &first.table, "query {}: hit != populate", i);
             }
         }
     }
 
-    /// A budget so small that almost every insert evicts: results stay
-    /// bit-identical and every handed-out table stays readable (evictions
-    /// drop the cache's reference, never the reader's).
+    /// A budget so small that almost every insert evicts: answers stay those
+    /// of the uncached executor and every handed-out table stays readable
+    /// (evictions drop the cache's reference, never the reader's).
     #[test]
     fn evictions_never_corrupt_concurrently_read_tables(
         g in random_graph(150, 5),
@@ -124,7 +134,8 @@ proptest! {
             let outputs = engine.run_batch(&queries);
             for (i, (out, want)) in outputs.iter().zip(&expected).enumerate() {
                 let out = out.as_ref().expect("query succeeds");
-                prop_assert_eq!(&out.table, &want.table, "query {} diverged", i);
+                let same = same_answer(&cloud, &queries[i], &out.table, &want.table, None);
+                prop_assert!(same.is_ok(), "query {} diverged: {:?}", i, same);
             }
         }
         let stats = engine.cache_stats().expect("cache enabled");
