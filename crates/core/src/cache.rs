@@ -40,7 +40,9 @@
 //! ([`STwig::has_canonical_children`]).
 //!
 //! A fingerprint of the cloud guards against a cache being reused across
-//! clouds.
+//! clouds. It is computed on the first check against a cloud that is
+//! neither the cache's own nor of its lineage — the only check that reads
+//! it — so building a cache costs no pass over the graph.
 //!
 //! ## What a served STwig contributes (the contract)
 //!
@@ -86,6 +88,40 @@
 //! The memo owns nothing but the indexes: a reader that holds the entry
 //! holds its tables, and no index can outlive or be matched to other rows.
 //!
+//! ## The plan and join-order memo
+//!
+//! Before its first row a query is optimized twice: the plan (STwig
+//! decomposition and order, cluster graph, head STwig — §5.1–5.3) and, on
+//! every machine, a sampled join order over its R_k tables (§4.2 step 3).
+//! For a query the cache serves both are functions of inputs that do not
+//! change, so the cache keeps them ([`StwigCache::plan`], [`PlanMemo`]):
+//!
+//! * **Key** — the query as submitted (vertex labels and edge list, in the
+//!   order given: no canonicalization) plus the config fields planning and
+//!   ordering read, `pruning`, `optimize_join_order` and `join_sample_size`.
+//! * **Plan validity** — a plan holds for the snapshot epoch it was made at:
+//!   the label statistics it reads are fixed within an epoch, and a seal
+//!   keeps both the epoch and the statistics. A request at a later epoch
+//!   plans again and replaces the memo; one pinned to an older epoch plans
+//!   fresh and leaves it resident (as `lookup` treats tables).
+//! * **Orders** — machine `k`'s order is kept with the R_k(q_t) tables it
+//!   was selected over, named by each one's entry *serial* (unique within
+//!   the cache, assigned when an entry is made, never an address — a repair
+//!   or re-populate is a new entry with a new serial) and the machines whose
+//!   tables followed `k`'s. It is consulted only when every R_k(q_t) was
+//!   concatenated from one entry's tables (all its [`RkMemo`]s present), and
+//!   selected again only when those differ. A re-plan at a later epoch keeps
+//!   the orders when its STwigs are the old ones and no label-pair priors
+//!   feed the order (`pruning` off): the tables then say everything.
+//! * **Bound** — a memo is charged to its shard's slice of the byte budget
+//!   (its orders at their largest, up front), counts in `bytes_resident`,
+//!   is evicted least-recently-used-first with the tables, and is dropped
+//!   with the cache. One too large for its shard is used once, not kept.
+//!
+//! The contract: the memo never changes which plan or order runs, only
+//! whether it is computed again — every answer is the one the same cache
+//! state gives without it.
+//!
 //! ## Epochs
 //!
 //! Against a dynamic cloud (one managed by
@@ -128,6 +164,9 @@
 //! concurrent query is still reading — the reader's `Arc` keeps the data
 //! alive and the shard simply drops its reference.
 
+use crate::config::MatchConfig;
+use crate::distributed::QueryPlan;
+use crate::error::StwigError;
 use crate::hash::{FxHashMap, FxHasher};
 use crate::join::BuildIndex;
 use crate::metrics::CacheStats;
@@ -135,8 +174,9 @@ use crate::query::{QVid, QueryGraph};
 use crate::stwig::STwig;
 use crate::table::ResultTable;
 use std::hash::{Hash, Hasher};
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use trinity_sim::ids::{LabelId, MachineId, VertexId};
 use trinity_sim::MemoryCloud;
 
@@ -222,11 +262,21 @@ impl StwigShape {
 pub struct CachedStwig {
     tables: Vec<Arc<ResultTable>>,
     memo: Mutex<Vec<(IndexKey, Arc<BuildIndex>)>>,
-    /// The cache the tables are resident in and their key there — where the
-    /// memo's bytes are charged. `None` for tables that are shared for one
-    /// query and never offered to a cache (degraded): their indexes are
-    /// per-query.
-    home: Option<(Weak<CacheCore>, StwigShape)>,
+    /// Where the tables are resident. `None` for tables that are shared for
+    /// one query and never offered to a cache (degraded): their indexes are
+    /// per-query, and no join order is memoized over them.
+    home: Option<Home>,
+}
+
+/// The cache an entry's tables are resident in — where its memo's bytes
+/// are charged — its key there, and its serial.
+struct Home {
+    core: Weak<CacheCore>,
+    shape: StwigShape,
+    /// Unique within the cache and assigned when the entry is made, so it
+    /// names these tables for as long as the cache lives (a memoized join
+    /// order is keyed by it; an address could be reused).
+    serial: u64,
 }
 
 /// A shared handle on one entry.
@@ -256,8 +306,13 @@ impl CachedStwig {
 
     /// The cache core, while the cache lives.
     fn core(&self) -> Option<(Arc<CacheCore>, &StwigShape)> {
-        let (core, shape) = self.home.as_ref()?;
-        Some((core.upgrade()?, shape))
+        let home = self.home.as_ref()?;
+        Some((home.core.upgrade()?, &home.shape))
+    }
+
+    /// The entry's serial in its cache; `None` for detached tables.
+    fn serial(&self) -> Option<u64> {
+        self.home.as_ref().map(|home| home.serial)
     }
 }
 
@@ -297,6 +352,13 @@ impl<'a> RkMemo<'a> {
             dest,
             senders,
         }
+    }
+
+    /// What names the concatenated rows for a memoized join order: the
+    /// entry's serial and the senders (`dest` is the order's machine).
+    /// `None` for detached tables.
+    fn rows(&self) -> Option<(u64, &[MachineId])> {
+        Some((self.entry.serial()?, &self.senders))
     }
 
     /// The index of this concatenation on `key_cols`, and whether this call
@@ -345,6 +407,164 @@ impl<'a> RkMemo<'a> {
     }
 }
 
+/// A plan memo's key: the query as submitted — vertex labels and edge list,
+/// in the order given — and the config fields planning and join-order
+/// selection read.
+struct PlanKey {
+    labels: Vec<LabelId>,
+    edges: Vec<(QVid, QVid)>,
+    knobs: PlanKnobs,
+}
+
+/// The fields of a [`MatchConfig`] a plan or a join order depends on.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct PlanKnobs {
+    pruning: bool,
+    optimize_join_order: bool,
+    join_sample_size: usize,
+}
+
+impl PlanKnobs {
+    fn of(config: &MatchConfig) -> Self {
+        PlanKnobs {
+            pruning: config.pruning,
+            optimize_join_order: config.optimize_join_order,
+            join_sample_size: config.join_sample_size,
+        }
+    }
+}
+
+impl PlanKey {
+    fn of(query: &QueryGraph, config: &MatchConfig) -> Self {
+        PlanKey {
+            labels: query.vertices().map(|v| query.label(v)).collect(),
+            edges: query.edges().collect(),
+            knobs: PlanKnobs::of(config),
+        }
+    }
+
+    /// The hash `query` under `config` is filed under, computed without
+    /// building its key.
+    fn hash(query: &QueryGraph, config: &MatchConfig) -> u64 {
+        let mut hasher = FxHasher::default();
+        PlanKnobs::of(config).hash(&mut hasher);
+        query
+            .vertices()
+            .for_each(|v| query.label(v).hash(&mut hasher));
+        query.edges().for_each(|e| e.hash(&mut hasher));
+        hasher.finish()
+    }
+
+    fn matches(&self, query: &QueryGraph, config: &MatchConfig) -> bool {
+        self.knobs == PlanKnobs::of(config)
+            && (self.labels.iter().copied()).eq(query.vertices().map(|v| query.label(v)))
+            && self.edges.iter().copied().eq(query.edges())
+    }
+}
+
+/// Bytes charged for memoizing `plan` under `key` on `machines` machines: the
+/// key, the plan (its cluster graph a distance matrix and adjacency over the
+/// machines) and every machine's order slot at its largest — per STwig a
+/// serial, a load set of every machine and a position.
+fn plan_bytes(key: &PlanKey, plan: &QueryPlan, machines: usize) -> usize {
+    let key_bytes = key.labels.len() * size_of::<LabelId>()
+        + key.edges.len() * size_of::<(QVid, QVid)>()
+        + size_of::<PlanSlot>();
+    let stwigs: usize = (plan.stwigs.iter())
+        .map(|s| size_of::<STwig>() + s.children.len() * size_of::<QVid>())
+        .sum();
+    let cluster =
+        machines * (machines * (size_of::<u32>() + size_of::<u16>()) + size_of::<Vec<u16>>());
+    let head = plan.head.root_distances.len() * size_of::<u32>();
+    let n = plan.stwigs.len();
+    let order = size_of::<Mutex<Option<OrderMemo>>>()
+        + n * (size_of::<(u64, Vec<MachineId>)>() + machines * size_of::<MachineId>())
+        + n * size_of::<usize>();
+    key_bytes + size_of::<PlanMemo>() + stwigs + cluster + head + machines * order
+}
+
+/// A memoized [`QueryPlan`], made for one query at one snapshot epoch, and
+/// beside it each machine's memoized join order (see the module docs, "The
+/// plan and join-order memo"). Readers share it; evicting it drops only the
+/// cache's reference.
+pub(crate) struct PlanMemo {
+    plan: QueryPlan,
+    epoch: u64,
+    /// One slot per machine — shared with the memo of an earlier epoch when
+    /// the re-plan kept its orders.
+    orders: Arc<[Mutex<Option<OrderMemo>>]>,
+    core: Weak<CacheCore>,
+}
+
+/// One machine's memoized join order and the R_k tables it was selected
+/// over: per STwig, what [`RkMemo::rows`] names.
+struct OrderMemo {
+    over: Vec<(u64, Vec<MachineId>)>,
+    order: Arc<[usize]>,
+}
+
+impl PlanMemo {
+    /// The plan.
+    pub(crate) fn plan(&self) -> &QueryPlan {
+        &self.plan
+    }
+
+    /// Machine `k`'s join order over R_k tables each concatenated from one
+    /// entry of this cache, as `memos` describe them: the memoized one when
+    /// it was selected over the same tables (an `order_hits`), otherwise the
+    /// one `select` makes, memoized (an `order_misses`). `None` — `select`
+    /// not called, nothing counted — when some R_k(q_t) is not one entry's
+    /// rows.
+    pub(crate) fn join_order(
+        &self,
+        k: usize,
+        memos: &[Option<RkMemo<'_>>],
+        select: impl FnOnce() -> Vec<usize>,
+    ) -> Option<Arc<[usize]>> {
+        fn rows<'m>(memo: &'m Option<RkMemo<'_>>) -> Option<(u64, &'m [MachineId])> {
+            memo.as_ref()?.rows()
+        }
+        if memos.len() != self.plan.stwigs.len() || memos.iter().any(|m| rows(m).is_none()) {
+            return None;
+        }
+        let slot = &self.orders[k];
+        let same = |memo: &&OrderMemo| {
+            (memo.over.len() == memos.len())
+                && (memo.over.iter().zip(memos))
+                    .all(|((serial, senders), m)| rows(m) == Some((*serial, &senders[..])))
+        };
+        let memoized = lock_order(slot)
+            .as_ref()
+            .filter(same)
+            .map(|m| Arc::clone(&m.order));
+        let hit = memoized.is_some();
+        let order = memoized.unwrap_or_else(|| {
+            let order: Arc<[usize]> = select().into();
+            let over = (memos.iter().filter_map(rows))
+                .map(|(serial, senders)| (serial, senders.to_vec()))
+                .collect();
+            *lock_order(slot) = Some(OrderMemo {
+                over,
+                order: Arc::clone(&order),
+            });
+            order
+        });
+        if let Some(core) = self.core.upgrade() {
+            let counter = if hit {
+                &core.order_hits
+            } else {
+                &core.order_misses
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(order)
+    }
+}
+
+fn lock_order(slot: &Mutex<Option<OrderMemo>>) -> MutexGuard<'_, Option<OrderMemo>> {
+    slot.lock().expect("order memo poisoned")
+}
+
 /// The outcomes of a cache probe.
 #[derive(Debug, Clone)]
 pub enum CacheLookup {
@@ -386,13 +606,31 @@ struct Entry {
     epoch: u64,
 }
 
+/// One memoized plan in its shard: the full key (the map is keyed by its
+/// hash), the memo, and bookkeeping.
+struct PlanSlot {
+    key: PlanKey,
+    memo: Arc<PlanMemo>,
+    /// Everything charged for the slot (see [`plan_bytes`]).
+    bytes: usize,
+    last_used: u64,
+}
+
+/// What an LRU stamp names: an entry, or a plan memo by its key's hash.
+#[derive(Clone)]
+enum Resident {
+    Stwig(StwigShape),
+    Plan(u64),
+}
+
 #[derive(Default)]
 struct Shard {
     map: FxHashMap<StwigShape, Entry>,
+    plans: FxHashMap<u64, PlanSlot>,
     /// LRU side index: `last_used` stamp → key. Stamps are globally unique
     /// (one `tick` per lookup/insert), so eviction pops the smallest stamp
-    /// in O(log n) instead of scanning the map.
-    lru: std::collections::BTreeMap<u64, StwigShape>,
+    /// in O(log n) instead of scanning the maps.
+    lru: std::collections::BTreeMap<u64, Resident>,
     bytes: usize,
     index_bytes: usize,
 }
@@ -410,13 +648,45 @@ impl Shard {
         Some(entry)
     }
 
+    /// The plan memo of `query` under `config`, filed under their `hash`.
+    fn plan_slot(
+        &mut self,
+        hash: u64,
+        query: &QueryGraph,
+        config: &MatchConfig,
+    ) -> Option<&mut PlanSlot> {
+        (self.plans.get_mut(&hash)).filter(|slot| slot.key.matches(query, config))
+    }
+
+    /// Takes the plan memo filed under `hash` out of the map, the LRU index
+    /// and the byte count.
+    fn remove_plan(&mut self, hash: u64) {
+        if let Some(slot) = self.plans.remove(&hash) {
+            self.lru
+                .remove(&slot.last_used)
+                .expect("LRU index out of sync");
+            self.bytes -= slot.bytes;
+        }
+    }
+
+    /// Moves what was stamped `previous` to `stamp`.
+    fn touch(&mut self, previous: u64, stamp: u64) {
+        let key = self.lru.remove(&previous).expect("LRU index out of sync");
+        self.lru.insert(stamp, key);
+    }
+
     /// Evicts LRU-first (smallest stamp) until the shard fits `budget`.
     fn evict_to(&mut self, budget: usize, evictions: &AtomicU64) {
         while self.bytes > budget {
             let Some(victim) = self.lru.values().next().cloned() else {
                 break;
             };
-            self.remove(&victim);
+            match victim {
+                Resident::Stwig(shape) => {
+                    self.remove(&shape);
+                }
+                Resident::Plan(hash) => self.remove_plan(hash),
+            }
             evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -438,13 +708,23 @@ struct CacheCore {
     repairs: AtomicU64,
     index_builds: AtomicU64,
     index_hits: AtomicU64,
+    /// The next entry's serial.
+    serials: AtomicU64,
+    plan_hits: AtomicU64,
+    plan_misses: AtomicU64,
+    order_hits: AtomicU64,
+    order_misses: AtomicU64,
 }
 
 impl CacheCore {
     fn shard_for(&self, shape: &StwigShape) -> MutexGuard<'_, Shard> {
         let mut hasher = FxHasher::default();
         shape.hash(&mut hasher);
-        self.shards[(hasher.finish() as usize) % self.shards.len()]
+        self.shard_at(hasher.finish())
+    }
+
+    fn shard_at(&self, hash: u64) -> MutexGuard<'_, Shard> {
+        self.shards[(hash as usize) % self.shards.len()]
             .lock()
             .expect("cache shard poisoned")
     }
@@ -484,8 +764,9 @@ pub struct StwigCache<'c> {
     cloud: &'c MemoryCloud,
     core: Arc<CacheCore>,
     populate_row_cap: Option<usize>,
-    /// Fingerprint of the cloud this cache serves (graph + partitioning).
-    fingerprint: u64,
+    /// Fingerprint of the cloud this cache serves (graph + partitioning),
+    /// computed on the first check against a foreign cloud.
+    fingerprint: OnceLock<u64>,
     /// Lineage of the cloud this cache serves: nonzero when the cloud is a
     /// [`trinity_sim::epoch::GraphEpochs`] snapshot, in which case every
     /// same-lineage snapshot (any epoch) is accepted without refingerprinting
@@ -505,8 +786,7 @@ impl std::fmt::Debug for StwigCache<'_> {
 }
 
 impl<'c> StwigCache<'c> {
-    /// Creates a cache bound to `cloud` (borrowed for the cache's lifetime)
-    /// and its fingerprint.
+    /// Creates a cache bound to `cloud` (borrowed for the cache's lifetime).
     pub fn new(cloud: &'c MemoryCloud, config: CacheConfig) -> Self {
         let shards = config.shards.max(1);
         let mut shard_vec = Vec::with_capacity(shards);
@@ -526,9 +806,14 @@ impl<'c> StwigCache<'c> {
                 repairs: AtomicU64::new(0),
                 index_builds: AtomicU64::new(0),
                 index_hits: AtomicU64::new(0),
+                serials: AtomicU64::new(0),
+                plan_hits: AtomicU64::new(0),
+                plan_misses: AtomicU64::new(0),
+                order_hits: AtomicU64::new(0),
+                order_misses: AtomicU64::new(0),
             }),
             populate_row_cap: config.populate_row_cap,
-            fingerprint: graph_fingerprint(cloud),
+            fingerprint: OnceLock::new(),
             lineage: cloud.lineage(),
             num_machines: cloud.num_machines(),
         }
@@ -540,7 +825,9 @@ impl<'c> StwigCache<'c> {
     /// dynamic lineage — any epoch — is recognized by lineage id (sound:
     /// per-entry epoch tags keep versions from ever aliasing, see `lookup`);
     /// any other instance pays the full O(V + E) fingerprint comparison —
-    /// build the cache from the cloud you intend to query.
+    /// build the cache from the cloud you intend to query. The cache's own
+    /// fingerprint is taken from the borrowed (immutable) cloud on the first
+    /// such comparison and kept.
     pub fn matches_cloud(&self, cloud: &MemoryCloud) -> bool {
         if std::ptr::eq(self.cloud, cloud) {
             return true;
@@ -548,7 +835,13 @@ impl<'c> StwigCache<'c> {
         if self.lineage != 0 && cloud.lineage() == self.lineage {
             return true;
         }
-        self.num_machines == cloud.num_machines() && graph_fingerprint(cloud) == self.fingerprint
+        if self.num_machines != cloud.num_machines() {
+            return false;
+        }
+        let own = *self
+            .fingerprint
+            .get_or_init(|| graph_fingerprint(self.cloud));
+        graph_fingerprint(cloud) == own
     }
 
     /// The populate-time row cap per machine (see [`CacheConfig`]).
@@ -623,8 +916,7 @@ impl<'c> StwigCache<'c> {
                 CacheLookup::Bypass
             }
         };
-        let key = shard.lru.remove(&previous).expect("LRU index out of sync");
-        shard.lru.insert(stamp, key);
+        shard.touch(previous, stamp);
         result
     }
 
@@ -662,7 +954,11 @@ impl<'c> StwigCache<'c> {
         let entry = Arc::new(CachedStwig {
             tables,
             memo: Mutex::default(),
-            home: Some((Arc::downgrade(&self.core), shape.clone())),
+            home: Some(Home {
+                core: Arc::downgrade(&self.core),
+                shape: shape.clone(),
+                serial: self.core.serials.fetch_add(1, Ordering::Relaxed),
+            }),
         });
         let resident = self.insert_entry(shape, Some(Arc::clone(&entry)), bytes, cloud.epoch());
         Some(resident.unwrap_or(entry))
@@ -704,7 +1000,7 @@ impl<'c> StwigCache<'c> {
             shard.remove(&shape);
         }
         shard.bytes += bytes;
-        shard.lru.insert(stamp, shape.clone());
+        shard.lru.insert(stamp, Resident::Stwig(shape.clone()));
         shard.map.insert(
             shape,
             Entry {
@@ -721,6 +1017,90 @@ impl<'c> StwigCache<'c> {
         // in the degenerate case of a budget smaller than a tombstone.
         shard.evict_to(core.shard_budget, &core.evictions);
         None
+    }
+
+    /// The plan of `query` under `config` for a request pinned to `cloud`,
+    /// counting one of `plan_hits` or `plan_misses`: the memo made at
+    /// `cloud`'s epoch, or — on a miss — a memo of the plan `plan` makes,
+    /// filed for later requests unless the resident one is newer (this
+    /// request is pinned to an older epoch: it stays) or the memo cannot fit
+    /// its shard. See the module docs, "The plan and join-order memo".
+    pub(crate) fn plan(
+        &self,
+        query: &QueryGraph,
+        config: &MatchConfig,
+        cloud: &MemoryCloud,
+        plan: impl FnOnce() -> Result<QueryPlan, StwigError>,
+    ) -> Result<Arc<PlanMemo>, StwigError> {
+        let core = &*self.core;
+        let hash = PlanKey::hash(query, config);
+        let epoch = cloud.epoch();
+        // The memo an earlier epoch made, whose orders may carry over.
+        let earlier = {
+            let stamp = core.tick.fetch_add(1, Ordering::Relaxed);
+            let mut shard = core.shard_at(hash);
+            let shard = &mut *shard;
+            match shard.plan_slot(hash, query, config) {
+                Some(slot) if slot.memo.epoch == epoch => {
+                    let previous = std::mem::replace(&mut slot.last_used, stamp);
+                    let memo = Arc::clone(&slot.memo);
+                    shard.touch(previous, stamp);
+                    core.plan_hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(memo);
+                }
+                Some(slot) => (slot.memo.epoch < epoch).then(|| Arc::clone(&slot.memo)),
+                None => None,
+            }
+        };
+        core.plan_misses.fetch_add(1, Ordering::Relaxed);
+        let plan = plan()?;
+        let orders = match earlier {
+            // The same STwigs and no priors: an order is a function of the
+            // tables its key names, whatever the epoch.
+            Some(earlier) if !config.pruning && earlier.plan.stwigs == plan.stwigs => {
+                Arc::clone(&earlier.orders)
+            }
+            _ => (0..self.num_machines).map(|_| Mutex::default()).collect(),
+        };
+        let memo = Arc::new(PlanMemo {
+            plan,
+            epoch,
+            orders,
+            core: Arc::downgrade(&self.core),
+        });
+        let key = PlanKey::of(query, config);
+        let bytes = plan_bytes(&key, &memo.plan, self.num_machines);
+        if bytes > core.shard_budget {
+            return Ok(memo);
+        }
+        let stamp = core.tick.fetch_add(1, Ordering::Relaxed);
+        let mut shard = core.shard_at(hash);
+        let shard = &mut *shard;
+        let resident = shard.plan_slot(hash, query, config);
+        if let Some(slot) = resident.filter(|slot| slot.memo.epoch >= epoch) {
+            // A request racing this one filed the same epoch's plan first —
+            // the same plan: it wins — or this request is pinned to an epoch
+            // older than the resident memo's.
+            let same_epoch = slot.memo.epoch == epoch;
+            return Ok(if same_epoch {
+                Arc::clone(&slot.memo)
+            } else {
+                memo
+            });
+        }
+        // An earlier epoch's memo, or another query's under the same hash.
+        shard.remove_plan(hash);
+        shard.bytes += bytes;
+        shard.lru.insert(stamp, Resident::Plan(hash));
+        let slot = PlanSlot {
+            key,
+            memo: Arc::clone(&memo),
+            bytes,
+            last_used: stamp,
+        };
+        shard.plans.insert(hash, slot);
+        shard.evict_to(core.shard_budget, &core.evictions);
+        Ok(memo)
     }
 
     /// Snapshot of the cache counters.
@@ -745,6 +1125,10 @@ impl<'c> StwigCache<'c> {
             repairs: core.repairs.load(Ordering::Relaxed),
             index_builds: core.index_builds.load(Ordering::Relaxed),
             index_hits: core.index_hits.load(Ordering::Relaxed),
+            plan_hits: core.plan_hits.load(Ordering::Relaxed),
+            plan_misses: core.plan_misses.load(Ordering::Relaxed),
+            order_hits: core.order_hits.load(Ordering::Relaxed),
+            order_misses: core.order_misses.load(Ordering::Relaxed),
             entries,
             bytes_resident,
             index_bytes,
@@ -858,9 +1242,20 @@ pub fn splice_roots(old: &ResultTable, touched: &[VertexId], fresh: &ResultTable
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ResultMode, TransportMode};
     use crate::decompose::{decompose_ordered, UniformStats};
+    use crate::distributed::{
+        assemble_rk_tables, match_query_distributed_with_cache, plan_query_with_config,
+        produce_stwig_tables, stwig_join_priors,
+    };
+    use crate::engine::{EngineConfig, QueryEngine};
+    use crate::join::select_join_order_with_priors;
+    use crate::metrics::{MachineMetrics, QueryMetrics};
     use crate::query::QVid;
+    use crate::serve::QueryRequest;
+    use crate::verify::canonical_rows;
     use trinity_sim::builder::GraphBuilder;
+    use trinity_sim::epoch::{GraphEpochs, UpdateBatch};
     use trinity_sim::network::CostModel;
 
     fn v(x: u64) -> VertexId {
@@ -1208,7 +1603,6 @@ mod tests {
 
     #[test]
     fn stale_entry_with_a_touched_pair_is_repaired_not_served() {
-        use trinity_sim::epoch::{GraphEpochs, UpdateBatch};
         let epochs = GraphEpochs::new(small_cloud());
         let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
         let (query, stwig) = unsorted_query();
@@ -1262,7 +1656,6 @@ mod tests {
 
     #[test]
     fn touched_pair_outside_the_shape_still_hits() {
-        use trinity_sim::epoch::{GraphEpochs, UpdateBatch};
         let epochs = GraphEpochs::new(small_cloud());
         let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
         let (query, stwig) = unsorted_query();
@@ -1289,7 +1682,6 @@ mod tests {
 
     #[test]
     fn tombstone_with_a_touched_pair_is_evicted_not_repaired() {
-        use trinity_sim::epoch::{GraphEpochs, UpdateBatch};
         let epochs = GraphEpochs::new(small_cloud());
         let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
         let (query, stwig) = unsorted_query();
@@ -1345,7 +1737,6 @@ mod tests {
 
     #[test]
     fn entry_untouched_update_revalidates_entry_in_place() {
-        use trinity_sim::epoch::{GraphEpochs, UpdateBatch};
         let epochs = GraphEpochs::new(small_cloud());
         let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
         let (query, stwig) = unsorted_query();
@@ -1377,7 +1768,6 @@ mod tests {
 
     #[test]
     fn older_pinned_snapshot_misses_newer_entry_without_evicting() {
-        use trinity_sim::epoch::{GraphEpochs, UpdateBatch};
         let epochs = GraphEpochs::new(small_cloud());
         let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
         let (query, stwig) = unsorted_query();
@@ -1404,7 +1794,6 @@ mod tests {
 
     #[test]
     fn insert_replaces_older_epoch_resident_and_keeps_newer() {
-        use trinity_sim::epoch::{GraphEpochs, UpdateBatch};
         let epochs = GraphEpochs::new(small_cloud());
         let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
         let (query, stwig) = unsorted_query();
@@ -1457,5 +1846,393 @@ mod tests {
         gb.add_edge(v(0), v(1));
         let other = gb.build(2, CostModel::free());
         assert!(!cache.matches_cloud(&other));
+    }
+
+    #[test]
+    fn an_identical_rebuild_is_accepted_and_only_it_pays_the_fingerprint() {
+        let cloud = small_cloud();
+        let cache = StwigCache::new(&cloud, CacheConfig::default());
+        assert!(
+            cache.fingerprint.get().is_none(),
+            "a new cache reads no graph"
+        );
+        assert!(cache.matches_cloud(&cloud));
+        assert!(
+            cache.fingerprint.get().is_none(),
+            "its own cloud is known by address"
+        );
+        assert!(cache.matches_cloud(&small_cloud()), "an identical rebuild");
+        assert_eq!(cache.fingerprint.get(), Some(&graph_fingerprint(&cloud)));
+    }
+
+    // The plan and join-order memo.
+
+    /// The memo tests' graph as lists, so the graph an update stream made
+    /// can be rebuilt to check answers on: twenty chains d – e – f – g with
+    /// a second d on every e, and a copy of them under p, r, s, t.
+    #[derive(Clone)]
+    struct Mirror {
+        vertices: Vec<(u64, &'static str)>,
+        edges: Vec<(u64, u64)>,
+    }
+
+    impl Mirror {
+        fn chains() -> Self {
+            let mut mirror = Mirror {
+                vertices: Vec::new(),
+                edges: Vec::new(),
+            };
+            for (labels, base) in [(["d", "e", "f", "g"], 0u64), (["p", "r", "s", "t"], 10_000)] {
+                for i in 0..20 {
+                    let [d, e, f, g] = [0, 1_000, 2_000, 3_000].map(|row| base + row + i);
+                    let d2 = base + 500 + i;
+                    let ids = [d, e, f, g, d2];
+                    (mirror.vertices)
+                        .extend(ids.into_iter().zip(labels.into_iter().chain([labels[0]])));
+                    mirror.edges.extend([(d, e), (d2, e), (e, f), (f, g)]);
+                }
+            }
+            mirror
+        }
+
+        fn build(&self, machines: usize) -> MemoryCloud {
+            let mut gb = GraphBuilder::new_undirected();
+            for &(id, label) in &self.vertices {
+                gb.add_vertex(v(id), label);
+            }
+            for &(a, b) in &self.edges {
+                gb.add_edge(v(a), v(b));
+            }
+            gb.build(machines, CostModel::free())
+        }
+
+        /// Adds vertex `id`, labelled `label` and wired to `to`: here, and
+        /// as the batch that makes the same change.
+        fn grow(&mut self, id: u64, label: &'static str, to: u64) -> UpdateBatch {
+            self.vertices.push((id, label));
+            self.edges.push((id, to));
+            UpdateBatch::new()
+                .add_vertex(v(id), label)
+                .add_edge(v(id), v(to))
+        }
+
+        /// Every embedding of `query`, by plain backtracking over a rebuild —
+        /// the oracle an engine's answer is held to.
+        fn embeddings(&self, query: &QueryGraph) -> Vec<Vec<VertexId>> {
+            fn extend(
+                cloud: &MemoryCloud,
+                query: &QueryGraph,
+                row: &mut Vec<VertexId>,
+                out: &mut Vec<Vec<VertexId>>,
+            ) {
+                if row.len() == query.num_vertices() {
+                    out.push(row.clone());
+                    return;
+                }
+                let next = QVid(row.len() as u16);
+                for x in cloud.iter_vertices() {
+                    let fits = cloud.label_of_global(x) == Some(query.label(next))
+                        && !row.contains(&x)
+                        && (query.neighbors(next).filter(|u| u.index() < row.len()))
+                            .all(|u| cloud.has_edge_global(row[u.index()], x));
+                    if fits {
+                        row.push(x);
+                        extend(cloud, query, row, out);
+                        row.pop();
+                    }
+                }
+            }
+            let mut out = Vec::new();
+            extend(&self.build(1), query, &mut Vec::new(), &mut out);
+            out.sort_unstable();
+            out
+        }
+    }
+
+    /// The path query over four labels, in the order given.
+    fn path(cloud: &MemoryCloud, labels: [&str; 4]) -> QueryGraph {
+        let mut qb = QueryGraph::builder();
+        let [a, b, c, d] = labels.map(|l| qb.vertex_by_name(cloud, l).unwrap());
+        qb.edge(a, b).edge(b, c).edge(c, d);
+        qb.build().unwrap()
+    }
+
+    fn direct() -> MatchConfig {
+        MatchConfig::exhaustive()
+            .with_num_threads(Some(1))
+            .with_transport_mode(TransportMode::DirectRead)
+    }
+
+    /// The memo's four counters: plan hits and misses, order hits and misses.
+    fn memo_counts(s: &CacheStats) -> [u64; 4] {
+        [s.plan_hits, s.plan_misses, s.order_hits, s.order_misses]
+    }
+
+    #[test]
+    fn a_warm_repeat_through_the_door_takes_its_plan_and_orders_from_the_memo() {
+        let cloud = Mirror::chains().build(3);
+        let query = path(&cloud, ["d", "e", "f", "g"]);
+        let engine = QueryEngine::new(
+            &cloud,
+            EngineConfig::default()
+                .with_workers(Some(1))
+                .with_match_config(direct()),
+        );
+        let ask = || {
+            let handle = (engine.submit(QueryRequest::new(query.clone()))).expect_accepted();
+            engine.drain();
+            let table = handle.wait().unwrap().table.expect("a table output");
+            (table, engine.cache_stats().unwrap())
+        };
+        let (cold, planned) = ask();
+        let (warm, memoized) = ask();
+        assert_eq!(warm, cold, "bit for bit");
+        assert!(cold.num_rows() > 0);
+        // Every machine with head rows joined, over served tables alone.
+        let joins = planned.order_misses;
+        assert!(joins > 1, "{planned:?}");
+        assert_eq!(memo_counts(&planned), [0, 1, 0, joins]);
+        // The repeat moves the memo's hit counters and nothing else of it.
+        assert_eq!(memo_counts(&memoized), [1, 1, joins, joins]);
+        let unchanged = |s: &CacheStats| (s.misses, s.insertions, s.index_builds, s.bytes_resident);
+        assert_eq!(unchanged(&memoized), unchanged(&planned));
+    }
+
+    #[test]
+    fn memoized_orders_equal_a_fresh_selection_on_every_machine() {
+        let cloud = Mirror::chains().build(3);
+        for labels in [["d", "e", "f", "g"], ["g", "f", "e", "d"]] {
+            for pruning in [false, true] {
+                let query = path(&cloud, labels);
+                let config = direct().with_pruning(pruning);
+                let cache = StwigCache::new(&cloud, CacheConfig::default());
+                match_query_distributed_with_cache(&cloud, &query, &config, Some(&cache)).unwrap();
+                let memo =
+                    (cache.plan(&query, &config, &cloud, || unreachable!("memoized"))).unwrap();
+                let plan = memo.plan();
+                assert!(plan.stwigs.len() > 1, "a join to order");
+                let mut metrics = QueryMetrics::default();
+                let mut machines: Vec<MachineMetrics> = (0..cloud.num_machines())
+                    .map(|_| MachineMetrics::default())
+                    .collect();
+                let cached = Some(&cache);
+                let tables = (produce_stwig_tables(
+                    &cloud,
+                    &query,
+                    plan,
+                    &config,
+                    cached,
+                    None,
+                    &mut metrics,
+                    &mut machines,
+                ))
+                .unwrap()
+                .expect("an answer");
+                let priors = stwig_join_priors(&cloud, &query, &plan.stwigs, &config);
+                let mut checked = 0;
+                for k in 0..cloud.num_machines() {
+                    let rk = assemble_rk_tables(&cloud, plan, &tables, None, k).unwrap();
+                    if rk.tables[plan.head.head_index].is_empty() {
+                        continue; // the machine never joined
+                    }
+                    let sample = config.join_sample_size;
+                    let fresh =
+                        select_join_order_with_priors(&rk.tables, sample, priors.as_deref());
+                    let memoized = memo.join_order(k, &rk.memos, || unreachable!("memoized"));
+                    assert_eq!(memoized.as_deref(), Some(&fresh[..]), "machine {k}");
+                    checked += 1;
+                }
+                assert!(checked > 1, "{labels:?}, pruning = {pruning}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_plan_is_made_once_per_epoch_and_a_seal_keeps_it() {
+        let mut mirror = Mirror::chains();
+        let epochs = GraphEpochs::new(mirror.build(2));
+        let query = path(epochs.base_cloud(), ["d", "e", "f", "g"]);
+        let engine = QueryEngine::for_epochs(
+            &epochs,
+            EngineConfig::default()
+                .with_workers(Some(1))
+                .with_match_config(direct()),
+        );
+        let ask = |mirror: &Mirror| {
+            let out = engine.run_one(&query).unwrap();
+            assert_eq!(
+                canonical_rows(&query, &out.table),
+                mirror.embeddings(&query)
+            );
+            let stats = engine.cache_stats().unwrap();
+            (stats.plan_hits, stats.plan_misses)
+        };
+        ask(&mirror);
+        assert_eq!(ask(&mirror), (1, 1));
+        // An update moves the epoch: the next request plans again …
+        engine
+            .apply_updates(mirror.grow(3_500, "g", 2_000))
+            .expect_accepted();
+        engine.drain();
+        assert_eq!(ask(&mirror), (1, 2));
+        // … and a seal keeps the epoch and the statistics: the plan stays.
+        assert_eq!(engine.seal_epoch(), Some(1));
+        assert_eq!(ask(&mirror), (2, 2));
+
+        // A request pinned to an older snapshot than the memo plans fresh,
+        // answers for its snapshot and leaves the newer memo resident.
+        let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
+        let config = direct();
+        let run = |snap: &MemoryCloud| {
+            let out = match_query_distributed_with_cache(snap, &query, &config, Some(&cache));
+            canonical_rows(&query, &out.unwrap().table)
+        };
+        let (old, before) = (epochs.pin(), mirror.clone());
+        epochs.apply(&mirror.grow(3_501, "g", 2_001)).unwrap();
+        let new = epochs.pin();
+        assert_eq!(run(&new), mirror.embeddings(&query));
+        assert_eq!(run(&old), before.embeddings(&query));
+        assert_eq!(memo_counts(&cache.stats())[..2], [0, 2]);
+        run(&new);
+        assert_eq!(
+            memo_counts(&cache.stats())[..2],
+            [1, 2],
+            "the newer memo stayed"
+        );
+    }
+
+    #[test]
+    fn a_repair_reselects_only_the_orders_that_joined_it() {
+        let mut mirror = Mirror::chains();
+        let epochs = GraphEpochs::new(mirror.build(2));
+        let base = epochs.base_cloud();
+        let churned = path(base, ["d", "e", "f", "g"]);
+        let quiet = path(base, ["p", "r", "s", "t"]);
+        // Pruning off: no label-pair priors feed an order, so a re-plan with
+        // the same STwigs keeps the orders.
+        let config = direct().with_pruning(false);
+        let cache = StwigCache::new(base, CacheConfig::default());
+        let ask = |query: &QueryGraph, mirror: &Mirror| {
+            let out =
+                match_query_distributed_with_cache(&epochs.pin(), query, &config, Some(&cache));
+            assert_eq!(
+                canonical_rows(query, &out.unwrap().table),
+                mirror.embeddings(query)
+            );
+            cache.stats()
+        };
+        let churned_joins = ask(&churned, &mirror).order_misses;
+        let all_joins = ask(&quiet, &mirror).order_misses;
+        let quiet_joins = all_joins - churned_joins;
+        assert!(churned_joins > 1 && quiet_joins > 1);
+        ask(&churned, &mirror);
+        let warm = ask(&quiet, &mirror);
+        assert_eq!(memo_counts(&warm), [2, 2, all_joins, all_joins]);
+
+        // A new f – g edge touches one of the churned query's shapes.
+        epochs.apply(&mirror.grow(3_500, "g", 2_000)).unwrap();
+        let repaired = ask(&churned, &mirror);
+        assert_eq!(repaired.repairs, 1);
+        assert_eq!(
+            memo_counts(&repaired),
+            [2, 3, all_joins, all_joins + churned_joins],
+            "every machine that joined the repaired entry selects again"
+        );
+        let kept = ask(&quiet, &mirror);
+        assert_eq!(
+            memo_counts(&kept),
+            [2, 4, all_joins + quiet_joins, all_joins + churned_joins],
+            "the new epoch plans again, and keeps the orders over unrepaired entries"
+        );
+    }
+
+    #[test]
+    fn configs_that_plan_or_order_differently_never_share_a_memo() {
+        let cloud = Mirror::chains().build(2);
+        let query = path(&cloud, ["d", "e", "f", "g"]);
+        let sampled = |pruning: bool, join_sample_size: usize| MatchConfig {
+            join_sample_size,
+            ..direct().with_pruning(pruning)
+        };
+        let configs = [
+            sampled(false, 64),
+            sampled(true, 64),
+            sampled(false, 3),
+            sampled(false, 5),
+        ];
+        let cache = StwigCache::new(&cloud, CacheConfig::default());
+        let plan = |config: &MatchConfig| {
+            let make = || plan_query_with_config(&cloud, &query, config);
+            cache.plan(&query, config, &cloud, make).unwrap()
+        };
+        let memos: Vec<_> = configs.iter().map(plan).collect();
+        for (i, memo) in memos.iter().enumerate() {
+            assert!(Arc::ptr_eq(&plan(&configs[i]), memo));
+            for other in &memos[..i] {
+                assert!(!Arc::ptr_eq(memo, other), "config {i} shares a memo");
+            }
+        }
+        assert_eq!(memo_counts(&cache.stats())[..2], [4, 4]);
+        // Fields neither planning nor ordering reads share the memo.
+        let streamed = MatchConfig {
+            block_rows: 3,
+            ..configs[0].clone().with_result_mode(ResultMode::FirstK(5))
+        };
+        assert!(Arc::ptr_eq(&plan(&streamed), &memos[0]));
+        // Each config's first run selects its own orders; its second reuses them.
+        for config in &configs {
+            let run = || match_query_distributed_with_cache(&cloud, &query, config, Some(&cache));
+            let before = cache.stats();
+            run().unwrap();
+            let selected = cache.stats().order_misses - before.order_misses;
+            assert!(selected > 0);
+            run().unwrap();
+            let after = cache.stats();
+            assert_eq!(after.order_misses - before.order_misses, selected);
+            assert_eq!(after.order_hits - before.order_hits, selected);
+        }
+    }
+
+    #[test]
+    fn plan_memos_are_evicted_lru_first_with_the_tables() {
+        let cloud = small_cloud();
+        let config = MatchConfig::default();
+        let (query, _) = star_query(["b", "c"]);
+        let plan = |cache: &StwigCache| {
+            let make = || plan_query_with_config(&cloud, &query, &config);
+            cache.plan(&query, &config, &cloud, make).unwrap()
+        };
+        let (shape_a, tables_a, _) = keyed_entry(0);
+        let (shape_b, tables_b, _) = keyed_entry(1);
+        let probe = StwigCache::new(&cloud, one_shard(1 << 20));
+        plan(&probe);
+        let plan_bytes = probe.stats().bytes_resident as usize;
+        probe.insert(shape_a.clone(), tables_a.clone(), &cloud);
+        let entry_bytes = probe.stats().bytes_resident as usize - plan_bytes;
+        // Room for the memo and one entry, not for a second entry as well.
+        let budget = plan_bytes + 2 * entry_bytes - 1;
+        let cache = StwigCache::new(&cloud, one_shard(budget));
+        let held = plan(&cache);
+        cache.insert(shape_a.clone(), tables_a.clone(), &cloud);
+        cache.insert(shape_b.clone(), tables_b, &cloud);
+        // The memo was the least recently used: it went, the entries stayed,
+        // and its reader keeps it.
+        let stats = cache.stats();
+        assert_eq!((stats.evictions, stats.entries), (1, 2));
+        assert!(stats.bytes_resident as usize <= budget);
+        assert_eq!(held.plan().stwigs.len(), 1);
+        // Planned again, it evicts the least recently used entry …
+        let again = plan(&cache);
+        assert!(!Arc::ptr_eq(&again, &held));
+        assert!(matches!(cache.lookup(&shape_a, &cloud), CacheLookup::Miss));
+        // … and a hit keeps it ahead of the entry inserted before the hit.
+        assert!(Arc::ptr_eq(&plan(&cache), &again));
+        cache.insert(shape_a, tables_a, &cloud);
+        assert!(matches!(cache.lookup(&shape_b, &cloud), CacheLookup::Miss));
+        assert!(Arc::ptr_eq(&plan(&cache), &again));
+        let stats = cache.stats();
+        assert_eq!((stats.evictions, stats.entries), (3, 1));
+        assert_eq!(memo_counts(&stats)[..2], [2, 2]);
+        assert!(stats.bytes_resident as usize <= budget);
     }
 }

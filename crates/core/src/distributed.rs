@@ -4,7 +4,9 @@
 //!
 //! 1. The proxy decomposes the query and orders the STwigs (Algorithm 2),
 //!    builds the query-specific cluster graph, selects the head STwig and
-//!    computes per-machine load sets (§5.3). This happens once, centrally.
+//!    computes per-machine load sets (§5.3). This happens once, centrally —
+//!    and with a [`StwigCache`], once per query and snapshot epoch: the
+//!    cache keeps the plan (see "Served STwigs" below).
 //! 2. **Exploration.** Every machine matches each STwig in order with root
 //!    candidates restricted to *locally-owned* vertices (`Index.getID` is a
 //!    local index). After each STwig, binding sets are synchronized across
@@ -75,7 +77,11 @@
 //! without a cache. The answer is the cache-free executor's — the same row
 //! set under `All`, `k` distinct valid embeddings under `FirstK(k)`, the
 //! same rows every time at one cache state — but not its choice of
-//! witnesses or its row order.
+//! witnesses or its row order. The cache also keeps the query's plan, made
+//! once per snapshot epoch, and each machine's join order over served
+//! tables, selected once per set of entries ([`crate::cache`], "The plan
+//! and join-order memo"): a warm request neither plans nor selects, and
+//! runs exactly the plan and orders it would have computed.
 //!
 //! **Split API.** The two phases are public on their own (the repo
 //! benchmark times them separately): [`produce_stwig_tables`] runs
@@ -85,8 +91,8 @@
 
 use crate::bindings::Bindings;
 use crate::cache::{
-    canonicalize_table, splice_roots, CacheLookup, CachedStwig, CachedTables, RkMemo, StwigCache,
-    StwigShape,
+    canonicalize_table, splice_roots, CacheLookup, CachedStwig, CachedTables, PlanMemo, RkMemo,
+    StwigCache, StwigShape,
 };
 use crate::config::{FailurePolicy, MatchConfig, TransportMode};
 use crate::decompose::{decompose_ordered, PairAwareStats};
@@ -97,14 +103,14 @@ use crate::matcher::{match_stwig, match_stwig_batched};
 use crate::metrics::{
     ExploreCounters, FaultCounters, JoinCounters, MachineMetrics, QueryMetrics, QueryOutcome,
 };
-use crate::pipeline::{pipelined_join_streaming, RoundSink};
+use crate::pipeline::{join_order, pipelined_join_streaming, RoundSink};
 use crate::query::{QVid, QueryGraph};
 use crate::retry::fetch_postings;
 use crate::stream::{Interrupt, QueryControl, QueryOptions, ResultSink};
 use crate::stwig::STwig;
 use crate::table::ResultTable;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use trinity_sim::cluster_graph::ClusterGraph;
 use trinity_sim::fault::FaultyTransport;
@@ -244,7 +250,7 @@ where
 /// (`MatchConfig::fault_plan`, usually via `STWIG_FAULT_PLAN`). The wrapper
 /// is an enum rather than a boxed trait object so the fault-free path stays
 /// allocation-free.
-enum QueryTransport<'c> {
+pub(crate) enum QueryTransport<'c> {
     /// Fault-free mailboxes.
     Plain(ChannelTransport<'c>),
     /// Seeded fault injection around the mailboxes (boxed: the fault
@@ -536,6 +542,7 @@ pub fn produce_stwig_tables(
     metrics: &mut QueryMetrics,
     machine_metrics: &mut [MachineMetrics],
 ) -> Result<Option<StwigTableSet>, StwigError> {
+    check_cache(cloud, cache)?;
     // No slab: the config's own row cap bounds exploration.
     let (tables, answerable) = produce_tables(
         cloud,
@@ -551,12 +558,24 @@ pub fn produce_stwig_tables(
     Ok(answerable.then_some(tables))
 }
 
+/// The cache/cloud guard, lest a foreign cache serve another cloud's tables
+/// or plans. Every executor path that takes a cache checks it first.
+fn check_cache(cloud: &MemoryCloud, cache: Option<&StwigCache>) -> Result<(), StwigError> {
+    if cache.is_some_and(|cache| !cache.matches_cloud(cloud)) {
+        return Err(StwigError::Internal(
+            "STwig cache was built for a different memory cloud".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// [`produce_stwig_tables`] with the exploration row cap of the round
 /// (`explore_cap`: the first-k slab, never above the user's cap) travelling
 /// beside `config`, whose `max_stwig_rows` stays the user's — the bound on
 /// what the cache may serve. Returns the tables of the STwigs it completed
 /// and whether the query can still have an answer (`false`: the last of
-/// them matched nowhere).
+/// them matched nowhere). The caller has passed `cache` through
+/// [`check_cache`].
 #[allow(clippy::too_many_arguments)]
 fn produce_tables(
     cloud: &MemoryCloud,
@@ -569,15 +588,6 @@ fn produce_tables(
     metrics: &mut QueryMetrics,
     machine_metrics: &mut [MachineMetrics],
 ) -> Result<(StwigTableSet, bool), StwigError> {
-    if let Some(cache) = cache {
-        // The only cache/cloud guard — every executor path reaches the cache
-        // through here — lest a foreign cache serve another cloud's tables.
-        if !cache.matches_cloud(cloud) {
-            return Err(StwigError::Internal(
-                "STwig cache was built for a different memory cloud".into(),
-            ));
-        }
-    }
     let threads = config.resolved_num_threads();
     // In `Messages` mode all exploration-phase communication — batched cell
     // loads and binding deltas — travels over this transport; machines never
@@ -1166,7 +1176,7 @@ fn collect_explore_results(
 /// will filter harder", pulling that table earlier in the join order. Only
 /// available when pruning is on and the cloud was built with pair tables;
 /// `None` falls back to the sampled-only estimator.
-fn stwig_join_priors(
+pub(crate) fn stwig_join_priors(
     cloud: &MemoryCloud,
     query: &QueryGraph,
     stwigs: &[STwig],
@@ -1223,6 +1233,7 @@ pub fn join_stwig_tables(
         cloud,
         query,
         plan,
+        None,
         tables,
         config,
         limit,
@@ -1270,9 +1281,9 @@ fn post_join_rows_to(
 /// Machine `k`'s assembled R_k(q_t) tables, one per STwig and under the
 /// query's column names, beside the index memo of each one that holds
 /// nothing but one cache entry's rows.
-struct Assembled<'a> {
-    tables: Vec<ResultTable>,
-    memos: Vec<Option<RkMemo<'a>>>,
+pub(crate) struct Assembled<'a> {
+    pub(crate) tables: Vec<ResultTable>,
+    pub(crate) memos: Vec<Option<RkMemo<'a>>>,
     /// Rows received from other machines.
     received: u64,
 }
@@ -1286,7 +1297,7 @@ struct Assembled<'a> {
 /// what arrived, not by construction what is cached). A malformed
 /// `JoinRows` envelope (wrong variant, out-of-range STwig index, foreign
 /// columns, ragged row payload) fails with [`StwigError::Transport`].
-fn assemble_rk_tables<'a>(
+pub(crate) fn assemble_rk_tables<'a>(
     cloud: &MemoryCloud,
     plan: &QueryPlan,
     tables: &'a StwigTableSet,
@@ -1603,11 +1614,16 @@ struct MachineJoin {
 /// `MatchConfig::num_threads` allows, each into a staging table of its own,
 /// appended in machine order — the same rows in the same order, pinned by
 /// `tests/parallel_equality.rs`.
+///
+/// `memo` is the cache's memo of `plan`: a machine whose R_k tables are all
+/// served takes its join order from it ([`PlanMemo::join_order`]), and only
+/// a machine that selects an order reads the label-pair priors.
 #[allow(clippy::too_many_arguments)]
 fn join_pass(
     cloud: &MemoryCloud,
     query: &QueryGraph,
     plan: &QueryPlan,
+    memo: Option<&PlanMemo>,
     tables: &StwigTableSet,
     config: &MatchConfig,
     limit: Option<usize>,
@@ -1618,7 +1634,14 @@ fn join_pass(
     state: &mut StreamState<'_>,
 ) -> Result<JoinPass, StwigError> {
     let num_machines = cloud.num_machines();
-    let priors = stwig_join_priors(cloud, query, &plan.stwigs, config);
+    let priors = OnceLock::new();
+    let priors = || {
+        priors
+            .get_or_init(|| stwig_join_priors(cloud, query, &plan.stwigs, config))
+            .as_deref()
+    };
+    // A single table or the given order leaves nothing to select.
+    let memo = memo.filter(|_| config.optimize_join_order && plan.stwigs.len() > 1);
     let before_join = cloud.traffic();
     let transport = (config.transport_mode == TransportMode::Messages)
         .then(|| QueryTransport::for_config(cloud, config));
@@ -1638,6 +1661,18 @@ fn join_pass(
         // A machine with no head-STwig results contributes nothing (§5.3),
         // and nothing is all there was to enumerate.
         joined.exhausted = rk.tables[plan.head.head_index].is_empty() || {
+            let select = || join_order(&rk.tables, config, priors());
+            let (memoized, selected);
+            let order: &[usize] = match memo.and_then(|m| m.join_order(ki, &rk.memos, select)) {
+                Some(order) => {
+                    memoized = order;
+                    &memoized
+                }
+                None => {
+                    selected = select();
+                    &selected
+                }
+            };
             let mut sink = ProjectingSink {
                 canonical,
                 projection: Vec::new(),
@@ -1648,7 +1683,7 @@ fn join_pass(
                 &rk.tables,
                 &rk.memos,
                 config,
-                priors.as_deref(),
+                order,
                 remaining,
                 Some(control),
                 &mut joined.counters,
@@ -1900,7 +1935,8 @@ fn scan_single_vertex(
     Ok(limit_hit)
 }
 
-/// A query with at least one edge: plans it, then explores and joins in
+/// A query with at least one edge: plans it — or, with a cache, takes the
+/// plan its memo keeps ([`StwigCache::plan`]) — then explores and joins in
 /// rounds (one for `All`, slab by slab for `FirstK` / `Exists`) into
 /// `state`. Returns whether the result limit cut the answer short.
 #[allow(clippy::too_many_arguments)]
@@ -1915,7 +1951,17 @@ fn explore_and_join(
     machine_metrics: &mut [MachineMetrics],
     state: &mut StreamState<'_>,
 ) -> Result<bool, StwigError> {
-    let plan = plan_query_with_config(cloud, query, config)?;
+    check_cache(cloud, cache)?;
+    let make_plan = || plan_query_with_config(cloud, query, config);
+    let memo = (cache.map(|cache| cache.plan(query, config, cloud, make_plan))).transpose()?;
+    let fresh;
+    let plan = match &memo {
+        Some(memo) => memo.plan(),
+        None => {
+            fresh = make_plan()?;
+            &fresh
+        }
+    };
     metrics.num_stwigs = plan.stwigs.len();
     let limit = config.result_limit();
 
@@ -1943,7 +1989,7 @@ fn explore_and_join(
         let (tables, answerable) = produce_tables(
             cloud,
             query,
-            &plan,
+            plan,
             config,
             effective_cap,
             cache,
@@ -1985,7 +2031,8 @@ fn explore_and_join(
             let pass = join_pass(
                 cloud,
                 query,
-                &plan,
+                plan,
+                memo.as_deref(),
                 &tables,
                 config,
                 remaining,
@@ -2007,7 +2054,8 @@ fn explore_and_join(
         let pass = join_pass(
             cloud,
             query,
-            &plan,
+            plan,
+            memo.as_deref(),
             &tables,
             config,
             limit,

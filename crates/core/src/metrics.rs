@@ -184,7 +184,7 @@ pub struct CacheStats {
     pub bypasses: u64,
     /// Entries stored, including uncacheable markers.
     pub insertions: u64,
-    /// Entries evicted to stay within the byte budget.
+    /// Entries and plan memos evicted to stay within the byte budget.
     pub evictions: u64,
     /// Entries lazily evicted because their build epoch went stale and
     /// nothing could be proved about them: the touched-entry log no longer
@@ -200,9 +200,22 @@ pub struct CacheStats {
     /// Joins that took their index from an entry's memo instead of building
     /// one.
     pub index_hits: u64,
-    /// Entries currently resident.
+    /// Requests that took their plan from the cache's plan memo.
+    pub plan_hits: u64,
+    /// Requests that planned: nothing memoized for the query and config, a
+    /// memo of another epoch, or a request pinned to an older epoch than
+    /// the memo's.
+    pub plan_misses: u64,
+    /// Machine joins that took their join order from the plan memo.
+    pub order_hits: u64,
+    /// Machine joins over served tables alone that selected their join
+    /// order (and memoized it). A join over explored rows neither hits nor
+    /// misses: its order is never memoized.
+    pub order_misses: u64,
+    /// Entries currently resident (plan memos are not entries).
     pub entries: u64,
-    /// Bytes currently resident: table payloads plus `index_bytes`.
+    /// Bytes currently resident: table payloads plus `index_bytes`, plus the
+    /// plan memos with their join orders.
     pub bytes_resident: u64,
     /// Bytes of memoized join indexes currently resident.
     pub index_bytes: u64,

@@ -100,7 +100,7 @@ pub fn pipelined_join_with_priors(
         tables,
         &[],
         config,
-        priors,
+        &join_order(tables, config, priors),
         config.result_limit(),
         None,
         counters,
@@ -109,32 +109,45 @@ pub fn pipelined_join_with_priors(
     output.expect("join always announces a schema")
 }
 
+/// The order [`pipelined_join`] joins `tables` in: the cost model's choice
+/// under optional per-table selectivity `priors`
+/// ([`select_join_order_with_priors`]), or the given table order when
+/// `MatchConfig::optimize_join_order` is off.
+pub(crate) fn join_order(
+    tables: &[ResultTable],
+    config: &MatchConfig,
+    priors: Option<&[f64]>,
+) -> Vec<usize> {
+    if config.optimize_join_order {
+        select_join_order_with_priors(tables, config.join_sample_size, priors)
+    } else {
+        (0..tables.len()).collect()
+    }
+}
+
 /// The streaming core behind [`pipelined_join`]: identical join semantics,
 /// but rows flow to `sink` one by one, the row budget is an explicit `limit`
 /// (the caller's *remaining* first-k budget rather than the config's own),
 /// an optional [`QueryControl`] is checked at every round boundary and every
 /// few hundred rows inside a round, so a deadline or cancellation stops the
-/// join promptly, and optional per-table selectivity `priors` bias the
-/// join-order choice. `memos[i]`, where present, is the index memo of the
-/// cache-resident tables `tables[i]` was concatenated from: a rest table
-/// that has one is not indexed again ([`PreparedJoin::with_memo`]).
+/// join promptly, and the join `order` (a permutation of the tables, driver
+/// first) is the caller's — [`join_order`], or one it memoized.
+/// `memos[i]`, where present, is the index memo of the cache-resident tables
+/// `tables[i]` was concatenated from: a rest table that has one is not
+/// indexed again ([`PreparedJoin::with_memo`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pipelined_join_streaming<S: RoundSink + ?Sized>(
     tables: &[ResultTable],
     memos: &[Option<RkMemo<'_>>],
     config: &MatchConfig,
-    priors: Option<&[f64]>,
+    order: &[usize],
     limit: Option<usize>,
     control: Option<&QueryControl>,
     counters: &mut JoinCounters,
     sink: &mut S,
 ) -> JoinRun {
     assert!(!tables.is_empty(), "cannot join zero tables");
-    let order: Vec<usize> = if config.optimize_join_order {
-        select_join_order_with_priors(tables, config.join_sample_size, priors)
-    } else {
-        (0..tables.len()).collect()
-    };
+    debug_assert_eq!(order.len(), tables.len(), "the order is a permutation");
 
     if let [table] = tables {
         // Single-table fast path: hand over at most `limit` rows.
@@ -363,9 +376,11 @@ mod tests {
             }
         }
         // Unlimited: everything flows through, driver exhausted.
+        let order = join_order(&tables, &cfg, None);
         let mut sink = Count::default();
         let mut c = JoinCounters::default();
-        let run = pipelined_join_streaming(&tables, &[], &cfg, None, None, None, &mut c, &mut sink);
+        let run =
+            pipelined_join_streaming(&tables, &[], &cfg, &order, None, None, &mut c, &mut sink);
         assert_eq!(sink.rows, 50);
         assert_eq!(sink.rounds_seen, 5);
         assert!(run.exhausted);
@@ -376,8 +391,16 @@ mod tests {
         // that fills the budget — and reports non-exhaustion.
         let mut sink = Count::default();
         let mut c = JoinCounters::default();
-        let run =
-            pipelined_join_streaming(&tables, &[], &cfg, None, Some(25), None, &mut c, &mut sink);
+        let run = pipelined_join_streaming(
+            &tables,
+            &[],
+            &cfg,
+            &order,
+            Some(25),
+            None,
+            &mut c,
+            &mut sink,
+        );
         assert_eq!((sink.rows, sink.rounds_seen), (25, 3));
         assert!(!run.exhausted);
         assert_eq!(c.pipeline_rounds, 3);
@@ -388,7 +411,7 @@ mod tests {
         let mut any = Count::default();
         let mut c = JoinCounters::default();
         let run =
-            pipelined_join_streaming(&single, &[], &cfg, None, Some(3), None, &mut c, &mut any);
+            pipelined_join_streaming(&single, &[], &cfg, &[0], Some(3), None, &mut c, &mut any);
         assert_eq!((any.rows, any.rounds_seen), (3, 1));
         assert!(!run.exhausted);
     }
@@ -424,7 +447,7 @@ mod tests {
             &tables,
             &[],
             &cfg,
-            None,
+            &join_order(&tables, &cfg, None),
             None,
             Some(&control),
             &mut c,
@@ -446,7 +469,7 @@ mod tests {
             &tables,
             &[],
             &cfg,
-            None,
+            &join_order(&tables, &cfg, None),
             None,
             Some(&control),
             &mut c,

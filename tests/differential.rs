@@ -125,6 +125,17 @@ fn engine_matches_vf2_across_machines_threads_and_cache() {
                                  machines = {machines}, mode = {mode:?})",
                                 case.name
                             );
+                            // The plan memo filled while `threads` workers
+                            // raced; the second pass planned nothing.
+                            let planned = queries.iter().filter(|q| q.num_edges() > 0).count();
+                            assert!(
+                                stats.plan_hits >= planned as u64
+                                    && stats.plan_misses <= planned as u64,
+                                "second pass must take every plan from the memo \
+                                 (graph = {}, machines = {machines}, threads = {threads}, \
+                                 mode = {mode:?}): {stats:?}",
+                                case.name
+                            );
                         }
                     }
                 }
