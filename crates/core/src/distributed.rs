@@ -99,7 +99,7 @@ use crate::decompose::{decompose_ordered, PairAwareStats};
 use crate::error::StwigError;
 use crate::hash::VertexSet;
 use crate::head::{load_set, select_head, HeadSelection};
-use crate::matcher::{match_stwig, match_stwig_batched};
+use crate::matcher::{explore, Mode, Resolution, SharedPostings};
 use crate::metrics::{
     ExploreCounters, FaultCounters, JoinCounters, MachineMetrics, QueryMetrics, QueryOutcome,
 };
@@ -327,19 +327,18 @@ struct MachineExplore {
 struct MachineWork {
     counters: ExploreCounters,
     faults: FaultCounters,
+    resolution: Resolution,
     compute_us: f64,
 }
 
 impl MachineWork {
     /// Adds the step to the query's totals and the machine's.
-    fn merge_into(
-        &self,
-        explore: &mut ExploreCounters,
-        fault: &mut FaultCounters,
-        machine: &mut MachineMetrics,
-    ) {
-        explore.merge(&self.counters);
-        fault.merge(&self.faults);
+    fn merge_into(&self, metrics: &mut QueryMetrics, machine: &mut MachineMetrics) {
+        metrics.explore.merge(&self.counters);
+        metrics.fault.merge(&self.faults);
+        metrics.explore_from_postings += u64::from(self.resolution.from_postings);
+        metrics.explore_by_probing += u64::from(!self.resolution.from_postings);
+        metrics.explore_postings_entries += self.resolution.postings_entries;
         machine.compute_us += self.compute_us;
     }
 }
@@ -641,7 +640,8 @@ fn produce_tables(
             record_phase(&before, &now, messages, bytes);
             before = now;
         };
-        let pt = &mut metrics.phase_traffic;
+        // A copy, stored back below: merging a machine's work takes `metrics`.
+        let mut pt = metrics.phase_traffic;
         let via_cache = match cache {
             Some(cache) => {
                 let via_cache = explore_via_cache(
@@ -655,7 +655,7 @@ fn produce_tables(
         let tables = match via_cache {
             ViaCache::Served(entry, work) => {
                 for (mm, work) in machine_metrics.iter_mut().zip(&work) {
-                    work.merge_into(&mut metrics.explore, &mut metrics.fault, mm);
+                    work.merge_into(metrics, mm);
                 }
                 StwigTables::Served(entry)
             }
@@ -708,7 +708,7 @@ fn produce_tables(
                 };
                 let mut tables = Vec::with_capacity(results.len());
                 for (mm, result) in machine_metrics.iter_mut().zip(results) {
-                    (result.work).merge_into(&mut metrics.explore, &mut metrics.fault, mm);
+                    result.work.merge_into(metrics, mm);
                     tables.push(result.table);
                 }
                 let tables = StwigTables::Explored(tables);
@@ -731,6 +731,7 @@ fn produce_tables(
                 tables
             }
         };
+        metrics.phase_traffic = pt;
         let mut total_rows = 0u64;
         for (k, mm) in machine_metrics.iter_mut().enumerate() {
             let rows = tables.table(k).num_rows() as u64;
@@ -923,10 +924,10 @@ fn record_phase(
 
 /// One machine's exploration of one STwig over `roots`, dispatched on the
 /// transport mode: partition-local batched matching over the transport when
-/// one is in play, the direct-read matcher otherwise. Both emit bit-identical
-/// tables and counters. Only the transport path can fail (protocol
-/// violations). `started` is when the caller began collecting `roots`, so
-/// `compute_us` covers that too.
+/// one is in play, the direct-read matcher — over the STwig's `shared`
+/// postings — otherwise. Both emit bit-identical tables and counters. Only
+/// the transport path can fail (protocol violations). `started` is when the
+/// caller began collecting `roots`, so `compute_us` covers that too.
 #[allow(clippy::too_many_arguments)]
 fn explore_machine(
     cloud: &MemoryCloud,
@@ -938,18 +939,19 @@ fn explore_machine(
     bindings: &Bindings,
     config: &MatchConfig,
     control: Option<&QueryControl>,
+    shared: &SharedPostings,
     started: Instant,
 ) -> Result<MachineExplore, StwigError> {
     let mut work = MachineWork::default();
-    let (counters, faults) = (&mut work.counters, &mut work.faults);
-    let table = match transport {
-        Some(tp) => match_stwig_batched(
-            cloud, tp, k, query, stwig, roots, bindings, config, control, counters, faults,
-        )?,
-        None => match_stwig(
-            cloud, k, query, stwig, roots, bindings, config, control, counters,
-        ),
+    let mode = match transport {
+        Some(tp) => Mode::Messages(tp, &mut work.faults),
+        None => Mode::InPlace(shared),
     };
+    let counters = &mut work.counters;
+    let (table, resolution) = explore(
+        cloud, mode, k, query, stwig, roots, bindings, config, control, counters,
+    )?;
+    work.resolution = resolution;
     work.compute_us = started.elapsed().as_secs_f64() * 1e6;
     Ok(MachineExplore { table, work })
 }
@@ -967,13 +969,14 @@ fn explore_bound(
     control: Option<&QueryControl>,
     threads: usize,
 ) -> Result<Vec<MachineExplore>, StwigError> {
+    let shared = SharedPostings::new();
     collect_explore_results(
         run_work_stealing(cloud.num_machines(), threads, |ki| {
             let k = MachineId(ki as u16);
             let t0 = Instant::now();
             let roots = local_roots(cloud, k, query, stwig, bindings, config);
             explore_machine(
-                cloud, transport, k, query, stwig, &roots, bindings, config, control, t0,
+                cloud, transport, k, query, stwig, &roots, bindings, config, control, &shared, t0,
             )
         }),
         stwig,
@@ -1050,6 +1053,7 @@ fn explore_via_cache(
         ..config.clone()
     };
     let unbound_bindings = Bindings::new(query.num_vertices());
+    let shared = SharedPostings::new();
     let unbound = collect_explore_results(
         run_work_stealing(num_machines, threads, |ki| {
             let k = MachineId(ki as u16);
@@ -1074,6 +1078,7 @@ fn explore_via_cache(
                 &unbound_bindings,
                 &populate_cfg,
                 control,
+                &shared,
                 t0,
             )
         }),
@@ -2166,6 +2171,61 @@ mod tests {
         let c = qb.vertex_by_name(cloud, "c").unwrap();
         qb.edge(a, b).edge(b, c).edge(c, a);
         qb.build().unwrap()
+    }
+
+    #[test]
+    fn direct_read_machines_share_one_postings_map() {
+        // Four machines, and an id's owner is its residue mod 4. Nine a-roots,
+        // none on machine 0; each sees two of four b's and four d's of its
+        // own: 4 carriers against 18 neighbors per machine with roots.
+        let mut gb = GraphBuilder::new_undirected();
+        let roots: Vec<u64> = (1..12).filter(|i| i % 4 != 0).collect();
+        for &i in &roots {
+            gb.add_vertex(v(i), "a");
+            gb.add_edge(v(i), v(100 + i % 4));
+            gb.add_edge(v(i), v(100 + (i + 1) % 4));
+            for d in 0..4 {
+                gb.add_vertex(v(200 + 4 * i + d), "d");
+                gb.add_edge(v(i), v(200 + 4 * i + d));
+            }
+        }
+        for b in 100..104 {
+            gb.add_vertex(v(b), "b");
+        }
+        let cloud = gb.build(4, CostModel::default());
+        let mut qb = QueryGraph::builder();
+        let a = qb.vertex_by_name(&cloud, "a").unwrap();
+        let b = qb.vertex_by_name(&cloud, "b").unwrap();
+        qb.edge(a, b);
+        let query = qb.build().unwrap();
+        let stwig = STwig::new(a, vec![b]);
+        let bindings = Bindings::new(2);
+        let config = MatchConfig::default().with_transport_mode(TransportMode::DirectRead);
+        let run = |threads| {
+            let explored = explore_bound(
+                &cloud, None, &query, &stwig, &bindings, &config, None, threads,
+            );
+            let explored = explored.unwrap();
+            let sides: Vec<Resolution> = explored.iter().map(|r| r.work.resolution).collect();
+            let tables: Vec<ResultTable> = explored.into_iter().map(|r| r.table).collect();
+            (tables, sides)
+        };
+        let (serial, sides) = run(1);
+        assert_eq!(serial.iter().map(ResultTable::num_rows).sum::<usize>(), 18);
+        // Machine 0 collects nothing and reads in place; machine 1 builds the
+        // map, and machines 2 and 3 find it built.
+        let postings = sides.iter().map(|s| (s.from_postings, s.postings_entries));
+        assert_eq!(
+            postings.collect::<Vec<_>>(),
+            [(false, 0), (true, 4), (true, 0), (true, 0)]
+        );
+        for _ in 0..8 {
+            let (parallel, sides) = run(4);
+            assert_eq!(parallel, serial);
+            let entries: u64 = sides.iter().map(|s| s.postings_entries).sum();
+            assert_eq!(entries, 4, "built once: {sides:?}");
+            assert!(sides[1..].iter().all(|s| s.from_postings));
+        }
     }
 
     /// The running example of the paper (Figure 1): the query d–a, a–b,

@@ -2,21 +2,16 @@
 //! graph exploration, optionally pruned by binding information from
 //! previously-processed STwigs.
 //!
-//! Two entry points share one emission core ([`explore_roots`]), so their
-//! output tables are bit-identical row for row. The core compares labels by
-//! position in a slice aligned with the root's neighbor run; the entry
-//! points differ only in who fills that slice ([`RootSource`]):
-//!
-//! * [`match_stwig`] — the `DirectRead` path: a neighbor's label is looked
-//!   up once per root, in place in its owner's partition, and the
-//!   `Index.hasLabel` probes this stands for are charged in bulk.
-//! * [`match_stwig_batched`] — the partition-local path: one pass decodes
-//!   every live root's adjacency into a flat [`Frontier`] arena, one
-//!   round-trip per owning machine over the [`Transport`] resolves its labels
-//!   — from the child labels' `Index.getID` postings when those are fewer
-//!   than the neighbors collected, from `Index.hasLabel`-style batched
-//!   projected `Load`s otherwise — and emission reads the arena's spans as
-//!   they stand: no second cell load, no second decode, no copy.
+//! One core ([`explore`]) serves both transport modes in three steps:
+//! [`Frontier::collect`] decodes every live root's adjacency into one flat
+//! arena, one resolution labels it, and the emission core ([`explore_roots`])
+//! replays it, so the modes' tables are bit-identical row for row. They
+//! differ only in loading — [`match_stwig`] (`DirectRead`) reads any root in
+//! place, [`match_stwig_batched`] (`Messages`) only its own — in resolution,
+//! about the smaller side either way (`DirectRead`: a postings map shared by
+//! the STwig's machines, or in place; `Messages`: postings fetched, or the
+//! owners asked), and in charging (Algorithm 1's estimate as each root is
+//! replayed, or the envelopes sent).
 
 use crate::bindings::Bindings;
 use crate::config::MatchConfig;
@@ -30,7 +25,8 @@ use crate::stwig::STwig;
 use crate::table::ResultTable;
 use std::cell::RefCell;
 use std::ops::Range;
-use trinity_sim::compact::{NeighborScratch, Neighbors};
+use std::sync::OnceLock;
+use trinity_sim::compact::Neighbors;
 use trinity_sim::ids::{LabelId, MachineId, VertexId};
 use trinity_sim::partition::Cell;
 use trinity_sim::transport::{Message, Transport, NOT_OWNED};
@@ -51,11 +47,11 @@ use trinity_sim::MemoryCloud;
 ///
 /// The output table's columns are `[root, child_1, .., child_k]`.
 ///
-/// Step 2 is *charged* as written — one [`MemoryCloud::has_label`] probe per
-/// (child scanned, neighbor) — but a label is looked up once per root and
-/// the remote probes are tallied per owner and flushed once, before this
-/// returns on any path ([`MemoryCloud::charge_label_probes`]): a capped or
-/// interrupted exploration charges exactly what it probed.
+/// Steps 1–2 are *charged* as written — a remote root's `Cloud.Load`, one
+/// [`MemoryCloud::has_label`] probe per (child scanned, neighbor) — as
+/// emission reaches each root, the probes tallied per owner and flushed once
+/// ([`MemoryCloud::charge_label_probes`]): a capped or interrupted
+/// exploration charges exactly what it probed, however far it prefetched.
 #[allow(clippy::too_many_arguments)]
 pub fn match_stwig(
     cloud: &MemoryCloud,
@@ -68,20 +64,104 @@ pub fn match_stwig(
     control: Option<&QueryControl>,
     counters: &mut ExploreCounters,
 ) -> ResultTable {
+    let shared = SharedPostings::new();
+    let mode = Mode::InPlace(&shared);
+    let explored = explore(
+        cloud, mode, machine, query, stwig, roots, bindings, config, control, counters,
+    );
+    // Only a transport exchange can fail an exploration.
+    explored.map_or_else(|e| unreachable!("{e}"), |(table, _)| table)
+}
+
+/// One STwig's child-label carriers, `id → label`, built once per phase.
+pub(crate) type SharedPostings = OnceLock<FxHashMap<VertexId, u32>>;
+
+/// How an exploration meets the cloud: all the transport modes differ in.
+pub(crate) enum Mode<'a> {
+    /// `DirectRead`, over the STwig's shared postings.
+    InPlace(&'a SharedPostings),
+    /// `Messages`, tallying what the retry layer absorbed.
+    Messages(&'a dyn Transport, &'a mut FaultCounters),
+}
+
+/// Which side of its resolution rule one exploration took. Observability
+/// only — [`ExploreCounters`] are equal on either side.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Resolution {
+    /// Labels came from postings: a shared map, or fetched.
+    pub(crate) from_postings: bool,
+    /// Carriers this exploration inserted into a postings map.
+    pub(crate) postings_entries: u64,
+}
+
+/// [`match_stwig`] or [`match_stwig_batched`] by `mode`, telling which side
+/// labeled the arena. `DirectRead` builds the shared map when the STwig's
+/// child-label carriers are fewer than the neighbors collected times the
+/// machine count, and uses it whenever it is built; else it reads in place.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn explore(
+    cloud: &MemoryCloud,
+    mode: Mode<'_>,
+    machine: MachineId,
+    query: &QueryGraph,
+    stwig: &STwig,
+    roots: &[VertexId],
+    bindings: &Bindings,
+    config: &MatchConfig,
+    control: Option<&QueryControl>,
+    counters: &mut ExploreCounters,
+) -> Result<(ResultTable, Resolution), StwigError> {
     with_scratch(|scratch| {
-        for tally in [&mut scratch.root_owned, &mut scratch.probes] {
-            tally.clear();
-            tally.resize(cloud.num_machines(), 0);
+        let filter = RootFilter::new(query, stwig, config);
+        let frontier = &mut scratch.frontier;
+        let in_place = matches!(mode, Mode::InPlace(_));
+        frontier.collect(
+            cloud, machine, stwig, &filter, roots, bindings, config, control, in_place,
+        );
+        let child_labels = &mut scratch.child_labels;
+        child_labels.clear();
+        child_labels.extend(stwig.children.iter().map(|&c| query.label(c)));
+        child_labels.sort_unstable();
+        child_labels.dedup();
+        let carriers: u64 = child_labels.iter().map(|&l| cloud.label_frequency(l)).sum();
+        let (child_labels, neighbors) = (&child_labels[..], frontier.ids.len() as u64);
+        let mut resolution = Resolution::default();
+        match mode {
+            Mode::InPlace(shared) => {
+                let postings = match shared.get() {
+                    None if carriers >= neighbors * cloud.num_machines() as u64 => None,
+                    _ => Some(shared.get_or_init(|| {
+                        let mut map = FxHashMap::default();
+                        map.reserve(carriers as usize);
+                        for owner in cloud.machines() {
+                            for &label in child_labels {
+                                let carrying = cloud.get_ids(owner, label);
+                                map.extend(carrying.iter().map(|id| (id, label.0)));
+                            }
+                        }
+                        resolution.postings_entries = map.len() as u64;
+                        map
+                    })),
+                };
+                resolution.from_postings = postings.is_some();
+                let (slots, ids) = (&mut frontier.slots, &frontier.ids);
+                let read = |m| cloud.partition(cloud.machine_of(m)).label_of(m);
+                match postings {
+                    Some(map) => label_slots(slots, ids, |m| map.get(&m).copied()),
+                    None => label_slots(slots, ids, |m| read(m).map(|l| l.0)),
+                }
+            }
+            // Ask about the smaller side; both counts are exact and already here.
+            Mode::Messages(tp, faults) if carriers < neighbors => {
+                let (labels, cfg) = (child_labels, config);
+                frontier.resolve_from_postings(cloud, tp, machine, labels, cfg, control, faults)?;
+                resolution.from_postings = true;
+                resolution.postings_entries = frontier.slot_of.len() as u64;
+            }
+            Mode::Messages(tp, faults) => {
+                frontier.resolve_by_asking(cloud, tp, machine, config, control, faults)?
+            }
         }
-        let mut source = DirectSource {
-            cloud,
-            machine,
-            filter: RootFilter::new(query, stwig, config),
-            decoded: NeighborScratch::new(),
-            labels: &mut scratch.labels,
-            root_owned: &mut scratch.root_owned,
-            probes: &mut scratch.probes,
-        };
         let table = explore_roots(
             query,
             stwig,
@@ -92,12 +172,17 @@ pub fn match_stwig(
             counters,
             &mut scratch.child_candidates,
             &mut scratch.row,
-            &mut source,
+            &mut Replay {
+                cloud,
+                machine,
+                frontier,
+                span: 0..0,
+            },
         );
-        for (owner, &probes) in scratch.probes.iter().enumerate() {
+        for (owner, &probes) in frontier.probes.iter().enumerate() {
             cloud.charge_label_probes(machine, MachineId(owner as u16), probes);
         }
-        table
+        Ok((table, resolution))
     })
 }
 
@@ -107,7 +192,7 @@ pub fn match_stwig(
 /// `probed` is how many neighbors are not the root — one child scan's probes.
 type RootRun<'r> = (&'r [VertexId], &'r [u32], u64);
 
-/// Where [`explore_roots`] gets its roots: all the transport modes differ in.
+/// Where [`explore_roots`] gets its roots.
 trait RootSource {
     /// Loads binding-admitted root `n`, or says why it emits nothing.
     fn load(&mut self, n: VertexId) -> Result<RootRun<'_>, Skip>;
@@ -117,43 +202,43 @@ trait RootSource {
     fn scanned(&mut self, _children: u64) {}
 }
 
-/// `DirectRead`: roots and neighbor labels are read in place, wherever they
-/// live, and the probes that stands for are tallied per owning machine.
-struct DirectSource<'a> {
+/// A labeled [`Frontier`] replayed in the order it was collected (the core
+/// applies the same binding admission, so the sequences line up), charging
+/// Algorithm 1's estimate under `DirectRead`.
+struct Replay<'a> {
     cloud: &'a MemoryCloud,
     machine: MachineId,
-    filter: RootFilter,
-    /// Compact-tier runs are decoded once per root, not once per child scan.
-    decoded: NeighborScratch,
-    labels: &'a mut Vec<u32>,
-    /// Neighbors of the root last loaded, per owner.
-    root_owned: &'a mut Vec<u64>,
-    /// Label probes of the whole exploration, per owner (its own are free).
-    probes: &'a mut Vec<u64>,
+    frontier: &'a mut Frontier,
+    /// The span of the root last loaded.
+    span: Range<usize>,
 }
 
-impl RootSource for DirectSource<'_> {
+impl RootSource for Replay<'_> {
     fn load(&mut self, n: VertexId) -> Result<RootRun<'_>, Skip> {
-        let (cloud, machine) = (self.cloud, self.machine);
-        let cell = cloud.load(machine, n);
-        let neighbors = self.filter.admit(cell, || cloud.signature_of(n))?;
-        let neighbors = neighbors.materialize(&mut self.decoded);
-        self.root_owned.fill(0);
-        self.labels.clear();
-        self.labels.extend(neighbors.iter().map(|&m| {
-            if m == n {
-                return NO_LABEL;
-            }
-            let owner = cloud.machine_of(m);
-            self.root_owned[owner.index()] += 1;
-            cloud.partition(owner).label_of(m).map_or(NO_LABEL, |l| l.0)
-        }));
-        Ok((neighbors, self.labels, self.root_owned.iter().sum()))
+        let frontier = &mut *self.frontier;
+        // An interrupted collection stops short of `roots`; the interrupt is
+        // latched, so emission stops before it gets here.
+        let entry = frontier.roots.get(frontier.replayed).cloned();
+        frontier.replayed += 1;
+        let span = entry.unwrap_or(Err(Skip::Missing));
+        let remote = frontier.in_place && !self.cloud.owns_local(self.machine, n);
+        if remote && span != Err(Skip::Missing) {
+            // The remote root's `Cloud.Load`, charged as emission reaches it.
+            self.cloud.load(self.machine, n);
+        }
+        // `collect` left the root itself out of its span: all of it is probed.
+        self.span = span?;
+        let span = self.span.clone();
+        let (ids, slots) = (&frontier.ids[span.clone()], &frontier.slots[span]);
+        Ok((ids, slots, ids.len() as u64))
     }
 
     fn scanned(&mut self, children: u64) {
-        for (probes, &owned) in self.probes.iter_mut().zip(&*self.root_owned) {
-            *probes += children * owned;
+        let frontier = &mut *self.frontier;
+        if frontier.in_place {
+            for &m in &frontier.ids[self.span.clone()] {
+                frontier.probes[self.cloud.machine_of(m).index()] += children;
+            }
         }
     }
 }
@@ -233,25 +318,12 @@ impl RootFilter {
 ///   candidates always are — `Index.getID` is a local index); unowned roots
 ///   are skipped exactly like nonexistent vertices.
 /// * Neighbor labels are resolved in one superstep of at most one
-///   round-trip per owning machine, **about the smaller side**. The
-///   extension set of a child is `N(root) ∩ C(child)`, and the cloud knows
-///   the size of both sides before anything travels: the arena holds the
-///   neighbors, `label_frequency` the carriers of each child label. When the
-///   carriers of the STwig's distinct child labels are fewer than the
-///   neighbors collected, their postings are fetched (`Index.getID`: local
-///   index here, one `GetIdsRequest` naming all the labels per other owner)
-///   and a neighbor found in none of them gets `NO_LABEL`, which the
-///   emission core cannot tell from a non-child label. Otherwise every
-///   distinct remote neighbor is asked about (`Index.hasLabel`, batched:
-///   one projected `LoadRequest` per owner, split at
-///   `config.transport_batch_ids` ids per envelope). The rule reads two
-///   exact counts and no knob; postings traffic is therefore bounded by
-///   8 B × neighbors collected.
-///
-/// The emitted table — and every [`ExploreCounters`] field — is
-/// bit-identical to the `DirectRead` path on either side of the rule; only
-/// the recorded network traffic differs (actual envelopes instead of
-/// per-access estimates).
+///   round-trip per owning machine, **about the smaller side**: the child
+///   labels' postings (`Index.getID`, one `GetIdsRequest` per other owner)
+///   when their carriers are fewer than the neighbors collected, else the
+///   distinct remote neighbors (`Index.hasLabel`, batched into projected
+///   `LoadRequest`s of at most `config.transport_batch_ids` ids). Postings
+///   traffic is therefore bounded by 8 B × neighbors collected.
 ///
 /// A transport protocol violation (a peer answering with the wrong variant,
 /// the wrong number of labels or runs, or postings it does not own) fails
@@ -284,63 +356,18 @@ pub fn match_stwig_batched(
     counters: &mut ExploreCounters,
     faults: &mut FaultCounters,
 ) -> Result<ResultTable, StwigError> {
-    with_scratch(|scratch| {
-        let filter = RootFilter::new(query, stwig, config);
-        let frontier = &mut scratch.frontier;
-        frontier.collect(
-            cloud, machine, stwig, &filter, roots, bindings, config, control,
-        );
-        let child_labels = &mut scratch.child_labels;
-        child_labels.clear();
-        child_labels.extend(stwig.children.iter().map(|&c| query.label(c)));
-        child_labels.sort_unstable();
-        child_labels.dedup();
-        // Ask about the smaller side; both counts are exact and already here.
-        let carriers: u64 = child_labels.iter().map(|&l| cloud.label_frequency(l)).sum();
-        if carriers < frontier.ids.len() as u64 {
-            frontier.resolve_from_postings(
-                cloud,
-                transport,
-                machine,
-                child_labels,
-                config,
-                control,
-                faults,
-            )?;
-        } else {
-            frontier.resolve_by_asking(cloud, transport, machine, config, control, faults)?;
-        }
-        // Emission, entirely partition-local: the core replays the frontier's
-        // root entries in order (it applies the same binding admission, so
-        // the sequences line up) and reads the arena's spans as they stand.
-        Ok(explore_roots(
-            query,
-            stwig,
-            roots,
-            bindings,
-            config,
-            control,
-            counters,
-            &mut scratch.child_candidates,
-            &mut scratch.row,
-            frontier,
-        ))
-    })
+    let mode = Mode::Messages(transport, faults);
+    let explored = explore(
+        cloud, mode, machine, query, stwig, roots, bindings, config, control, counters,
+    );
+    explored.map(|(table, _)| table)
 }
 
-/// `Messages`: the exchanged arena lends its spans as they stand, in the
-/// order it collected them; the transport recorded the real envelopes.
-impl RootSource for Frontier {
-    fn load(&mut self, _n: VertexId) -> Result<RootRun<'_>, Skip> {
-        // An interrupted collection stops short of `roots`; the interrupt is
-        // latched, so emission stops before it gets here.
-        let entry = self.roots.get(self.replayed).cloned();
-        self.replayed += 1;
-        let span = entry.unwrap_or(Err(Skip::Missing))?;
-        // `collect` left the root itself out of its span: all of it is probed.
-        let (ids, slots) = (&self.ids[span.clone()], &self.slots[span]);
-        Ok((ids, slots, ids.len() as u64))
-    }
+/// Labels `ids` into `slots` with `label_of`; an id it knows no label for —
+/// from postings: one that carries no child label — gets [`NO_LABEL`].
+fn label_slots(slots: &mut Vec<u32>, ids: &[VertexId], label_of: impl Fn(VertexId) -> Option<u32>) {
+    slots.clear();
+    slots.extend(ids.iter().map(|&m| label_of(m).unwrap_or(NO_LABEL)));
 }
 
 /// Label slot of a neighbor that is no child candidate as far as this
@@ -354,11 +381,9 @@ const NO_LABEL: u32 = NOT_OWNED.0;
 /// number rather than a label. Labels are dense small integers, far below.
 const REMOTE_SLOT: u32 = 1 << 31;
 
-/// The neighbor arena of one `Messages`-mode exploration: [`Frontier::collect`]
-/// decodes it, one of [`Frontier::resolve_from_postings`] /
-/// [`Frontier::resolve_by_asking`] labels it, and the emission core reads it
-/// ([`RootSource`]). The two resolutions agree on every position either
-/// gives a child label; elsewhere one may say [`NO_LABEL`] where the other
+/// The neighbor arena of one exploration, labeled by one resolution and
+/// replayed by the emission core. The resolutions agree on every position
+/// any gives a child label; elsewhere one may say [`NO_LABEL`] where another
 /// names a label no child carries, which no comparison in the core can see.
 #[derive(Default)]
 struct Frontier {
@@ -371,6 +396,10 @@ struct Frontier {
     roots: Vec<Result<Range<usize>, Skip>>,
     /// Entries of `roots` the emission pass has consumed.
     replayed: usize,
+    /// `DirectRead`: roots were read in place, and replay charges probes.
+    in_place: bool,
+    /// `DirectRead`: the label probes replay charged, per owner.
+    probes: Vec<u64>,
     /// The resolution's one hash table. Postings side: label of every
     /// vertex, cloud-wide, that carries a child label. Asking side: dense
     /// slot of each distinct remote neighbor, in first-appearance order —
@@ -392,16 +421,17 @@ struct OwnerBatch {
 }
 
 impl Frontier {
-    /// Superstep 1, local-only reads and nothing but decoding: every live
-    /// root's adjacency goes into the arena once, ids only. The root-level
+    /// Step 1, nothing but decoding: every live root's adjacency goes into
+    /// the arena once, ids only — from any owner when `in_place`, else only
+    /// `machine`'s own (another root is [`Skip::Missing`]). The root-level
     /// filters are the emission core's (binding admission here,
     /// [`RootFilter::admit`] for the rest), so a root pruned here is pruned
     /// there and no row can need a label that was never resolved; counting
     /// is left to the emission pass. The `max_stwig_rows` early exit
     /// deliberately is not mirrored — a prefetch cannot know where the cap
     /// will land before the labels arrive, so capped configs resolve roots
-    /// the emission pass may never reach (extra prefetch traffic only; rows
-    /// stay identical).
+    /// the emission pass may never reach (extra prefetch work only; rows and
+    /// `DirectRead` charges stay identical).
     #[allow(clippy::too_many_arguments)]
     fn collect(
         &mut self,
@@ -413,10 +443,14 @@ impl Frontier {
         bindings: &Bindings,
         config: &MatchConfig,
         control: Option<&QueryControl>,
+        in_place: bool,
     ) {
         self.ids.clear();
         self.roots.clear();
         self.replayed = 0;
+        self.in_place = in_place;
+        self.probes.clear();
+        self.probes.resize(cloud.num_machines(), 0);
         for (root_idx, &n) in roots.iter().enumerate() {
             if root_idx % CONTROL_CHECK_ROOTS == 0 && control.is_some_and(QueryControl::interrupted)
             {
@@ -427,7 +461,12 @@ impl Frontier {
             if config.use_bindings && !bindings.admits(stwig.root, n) {
                 continue;
             }
-            let loaded = filter.admit(cloud.load_local(machine, n), || cloud.signature_of(n));
+            let cell = if in_place {
+                cloud.partition(cloud.machine_of(n)).load(n)
+            } else {
+                cloud.load_local(machine, n)
+            };
+            let loaded = filter.admit(cell, || cloud.signature_of(n));
             let entry = loaded.map(|neighbors| {
                 let start = self.ids.len();
                 // The root itself is never probed: it is not its own child.
@@ -438,7 +477,7 @@ impl Frontier {
         }
     }
 
-    /// Superstep 2, the postings side (`Index.getID`): gathers, for every
+    /// Step 2 of `Messages`, the postings side (`Index.getID`): gathers, for every
     /// child label, who carries it — this machine's own postings from its
     /// index, every other live owner's in one validated round-trip
     /// ([`fetch_postings`]) — and labels the arena from that in one linear
@@ -481,13 +520,13 @@ impl Frontier {
                 self.slot_of.extend(run.into_iter().map(|id| (id, label.0)));
             }
         }
-        self.slots.clear();
-        let label_of = |m| self.slot_of.get(m).copied().unwrap_or(NO_LABEL);
-        self.slots.extend(self.ids.iter().map(label_of));
+        label_slots(&mut self.slots, &self.ids, |m| {
+            self.slot_of.get(&m).copied()
+        });
         Ok(())
     }
 
-    /// Superstep 2, the asking side (`Index.hasLabel`, batched): a second
+    /// Step 2 of `Messages`, the asking side (`Index.hasLabel`, batched): a second
     /// pass over the arena reads local labels in place and gives each
     /// *distinct* remote neighbor a dense slot (hubs are many roots'
     /// neighbor, so the distinct set stays far smaller than the scan); one
@@ -583,12 +622,8 @@ struct ExploreScratch {
     /// The row under construction: `[root, child_1, ..]`.
     row: Vec<VertexId>,
     frontier: Frontier,
-    /// The STwig's distinct child labels, sorted ([`match_stwig_batched`]).
+    /// The STwig's distinct child labels, sorted.
     child_labels: Vec<LabelId>,
-    /// [`DirectSource`]'s label run and its two per-machine probe tallies.
-    labels: Vec<u32>,
-    root_owned: Vec<u64>,
-    probes: Vec<u64>,
 }
 
 /// Elements a scratch buffer may hold and still be kept for the next
@@ -612,7 +647,6 @@ fn with_scratch<R>(f: impl FnOnce(&mut ExploreScratch) -> R) -> R {
     let frontier = &scratch.frontier;
     let largest = (scratch.child_candidates.iter().map(Vec::capacity))
         .chain([frontier.ids.capacity(), frontier.roots.capacity()])
-        .chain([scratch.labels.capacity()])
         .max();
     if largest.unwrap_or(0) <= SCRATCH_RETAIN {
         SCRATCH.set(scratch);
@@ -631,14 +665,14 @@ const CONTROL_CHECK_ROOTS: usize = 32;
 /// deadline.
 const CONTROL_CHECK_ROWS: u64 = 256;
 
-/// The shared emission core of [`match_stwig`] / [`match_stwig_batched`]:
+/// The emission core of [`match_stwig`] / [`match_stwig_batched`]:
 /// the root loop, child-candidate construction and injective cross-product
 /// emission of Algorithm 1. One contract with its [`RootSource`]: `load(n)`
 /// hands back root `n`'s neighbor run and a label slice aligned with it
 /// ([`RootRun`]), and the child scans only compare `labels[i] == label`.
 /// Sources that present the same runs and labels therefore produce the same
-/// table and counters — exactly what the transport's owned replies
-/// guarantee. `label_probes` is what Algorithm 1 would have probed: every
+/// table and counters — exactly what every resolution guarantees.
+/// `label_probes` is what Algorithm 1 would have probed: every
 /// neighbor but the root, once per child scanned.
 #[allow(clippy::too_many_arguments)]
 fn explore_roots(
@@ -1390,7 +1424,9 @@ mod tests {
                     let roots = cloud.get_ids(k, query.label(stwig.root)).to_vec();
                     let filter = RootFilter::new(&query, &stwig, &config);
                     let mut frontier = Frontier::default();
-                    frontier.collect(&cloud, k, &stwig, &filter, &roots, bindings, &config, None);
+                    frontier.collect(
+                        &cloud, k, &stwig, &filter, &roots, bindings, &config, None, false,
+                    );
                     // A dangling neighbor — an id no machine has a vertex for
                     // — in the last root's span.
                     if let Some(Ok(span)) = frontier.roots.last_mut() {
@@ -1672,6 +1708,140 @@ mod tests {
         assert_eq!(table.rows().collect::<Vec<_>>(), [&[v(0), v(10), v(20)]]);
         assert_eq!(counters.label_probes, 4, "two neighbors, two children");
         assert_eq!(source.scans, 2);
+    }
+
+    /// The hub star of `tests/frontier_equivalence.rs`: six a-hubs (0..6),
+    /// each adjacent to all six b-vertices (6..12), over three machines, plus
+    /// `extra_b` isolated b-vertices (12..), and the star a → b.
+    fn hub_star(extra_b: u64) -> (MemoryCloud, QueryGraph, STwig) {
+        let mut g = GraphBuilder::new_undirected();
+        for i in 0..12 + extra_b {
+            g.add_vertex(v(i), if i < 6 { "a" } else { "b" });
+        }
+        for hub in 0..6 {
+            for m in 6..12 {
+                g.add_edge(v(hub), v(m));
+            }
+        }
+        let cloud = g.build(3, CostModel::default());
+        let mut qb = QueryGraph::builder();
+        let a = qb.vertex_by_name(&cloud, "a").unwrap();
+        let b = qb.vertex_by_name(&cloud, "b").unwrap();
+        qb.edge(a, b);
+        (cloud, qb.build().unwrap(), STwig::new(a, vec![b]))
+    }
+
+    /// Algorithm 1 for a one-child STwig, unbound and uncapped: one
+    /// `Index.hasLabel` per neighbor.
+    fn probe_each_neighbor(
+        cloud: &MemoryCloud,
+        machine: MachineId,
+        query: &QueryGraph,
+        stwig: &STwig,
+        roots: &[VertexId],
+        counters: &mut ExploreCounters,
+    ) -> ResultTable {
+        let mut table = ResultTable::new(stwig.vertices().collect());
+        let child = query.label(stwig.children[0]);
+        for &n in roots {
+            counters.roots_scanned += 1;
+            let Some(cell) = cloud.load(machine, n) else {
+                continue;
+            };
+            counters.cells_loaded += 1;
+            if cell.label != query.label(stwig.root) {
+                continue;
+            }
+            for m in cell.neighbors.iter() {
+                counters.label_probes += 1;
+                if cloud.has_label(machine, m, child) {
+                    table.push_row(&[n, m]);
+                    counters.rows_emitted += 1;
+                }
+            }
+        }
+        table
+    }
+
+    #[test]
+    fn direct_read_takes_either_side_and_accounts_alike() {
+        use trinity_sim::transport::ChannelTransport;
+        type Observed = (
+            ResultTable,
+            ExploreCounters,
+            trinity_sim::network::TrafficSnapshot,
+            u64,
+        );
+        fn observe(
+            cloud: &MemoryCloud,
+            explore: impl FnOnce(&mut ExploreCounters) -> ResultTable,
+        ) -> Observed {
+            cloud.reset_traffic();
+            let mut counters = ExploreCounters::default();
+            let table = explore(&mut counters);
+            (
+                table,
+                counters,
+                cloud.traffic(),
+                cloud.direct_remote_reads(),
+            )
+        }
+        // 6 carriers: fewer than any machine's neighbors × 3. 36: fewer only
+        // than those of the machine with three hubs (it owns 1, 2 or 3).
+        for extra_b in [0, 30] {
+            let (cloud, query, stwig) = hub_star(extra_b);
+            let transport = ChannelTransport::new(&cloud);
+            let (bindings, config) = (Bindings::new(2), MatchConfig::default());
+            let mut sides = Vec::new();
+            for k in cloud.machines() {
+                let roots = cloud.get_ids(k, query.label(stwig.root)).to_vec();
+                let mut resolution = Resolution::default();
+                let direct = observe(&cloud, |c| {
+                    let shared = SharedPostings::new();
+                    let mode = Mode::InPlace(&shared);
+                    let explored = explore(
+                        &cloud, mode, k, &query, &stwig, &roots, &bindings, &config, None, c,
+                    );
+                    let (table, side) = explored.unwrap();
+                    resolution = side;
+                    table
+                });
+                let reference = observe(&cloud, |c| {
+                    probe_each_neighbor(&cloud, k, &query, &stwig, &roots, c)
+                });
+                let batched = observe(&cloud, |c| {
+                    let mut faults = FaultCounters::default();
+                    match_stwig_batched(
+                        &cloud,
+                        &transport,
+                        k,
+                        &query,
+                        &stwig,
+                        &roots,
+                        &bindings,
+                        &config,
+                        None,
+                        c,
+                        &mut faults,
+                    )
+                    .unwrap()
+                });
+                assert_eq!(direct, reference, "{extra_b} extra b's, machine {k}");
+                assert_eq!((&direct.0, direct.1), (&batched.0, batched.1));
+                assert!(direct.3 > 0 && batched.3 == 0);
+                let carriers = 6 + extra_b;
+                let looked_up = 6 * roots.len() as u64 * 3;
+                assert_eq!(resolution.from_postings, carriers < looked_up);
+                let entries = if carriers < looked_up { carriers } else { 0 };
+                assert_eq!(resolution.postings_entries, entries);
+                sides.push(resolution.from_postings);
+            }
+            if extra_b == 0 {
+                assert!(sides.iter().all(|&postings| postings), "{sides:?}");
+            } else {
+                assert!(sides.contains(&false) && sides.contains(&true), "{sides:?}");
+            }
+        }
     }
 
     #[test]

@@ -431,6 +431,23 @@ pub struct QueryMetrics {
     pub stwig_rows: Vec<u64>,
     /// Exploration counters.
     pub explore: ExploreCounters,
+    /// (Machine, STwig) explorations whose neighbor labels came from the
+    /// child labels' postings: the STwig's shared map under `DirectRead`,
+    /// fetched postings under `Messages`. With `explore_by_probing` it counts
+    /// every exploration once. Which side a `DirectRead` machine takes can
+    /// depend on whether another machine built the map first, so the split
+    /// (not the sum) may vary with `num_threads > 1`.
+    pub explore_from_postings: u64,
+    /// (Machine, STwig) explorations that read their neighbors' labels in
+    /// place (`DirectRead`) or asked the owners (`Messages`).
+    pub explore_by_probing: u64,
+    /// Carriers inserted into postings maps: once per `DirectRead` STwig
+    /// phase that built its shared map, once per `Messages` exploration that
+    /// fetched. A cold `churn_mix` miss (seed 1: 4 machines, `DirectRead`,
+    /// two STwigs explored) averages ≈ 6 explorations from postings, ≈ 2 by
+    /// probing and ≈ 1,070 carriers: one map per STwig on the postings side,
+    /// where a map per machine would insert each carrier four times.
+    pub explore_postings_entries: u64,
     /// Join counters.
     pub join: JoinCounters,
     /// Number of final matches produced (possibly truncated by the result limit).

@@ -17,11 +17,20 @@ pub const PROBE_BYTES: u64 = 16;
 ///
 /// The paper randomly partitions the graph by hashing node ids; we use a
 /// Fibonacci-style multiplicative hash so that consecutive ids spread evenly.
+/// A power-of-two machine count reduces with a mask instead of a divide —
+/// the same owner for every id, at a fraction of the cost on a path every
+/// neighbor of every explored root takes.
 #[inline]
 pub fn machine_for(id: VertexId, num_machines: usize) -> MachineId {
     debug_assert!(num_machines > 0 && num_machines <= u16::MAX as usize);
     let h = id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    MachineId((h % num_machines as u64) as u16)
+    let n = num_machines as u64;
+    let owner = if n.is_power_of_two() {
+        h & (n - 1)
+    } else {
+        h % n
+    };
+    MachineId(owner as u16)
 }
 
 /// A labeled graph stored across `P` logical machines.
@@ -41,8 +50,9 @@ pub fn machine_for(id: VertexId, num_machines: usize) -> MachineId {
 ///   `get_ids`): only ever touch the calling machine's own partition — the
 ///   operators a message-passing executor is allowed to use.
 /// * **Direct-read** (`load`, `has_label`, and the matcher's bulk
-///   equivalent `partition(owner).label_of` + `charge_label_probes`): may
-///   dereference a *remote* partition in place, handing out borrows of
+///   equivalents — `partition(owner)` reads or every owner's `get_ids`,
+///   charged through `charge_label_probes`): may dereference a *remote*
+///   partition in place, handing out borrows of
 ///   foreign memory (`Cell<'_>` borrowing the owner's adjacency). They model
 ///   Trinity's one-sided reads for the legacy `DirectRead` execution mode,
 ///   charge estimated traffic, and tally every remote dereference via
@@ -204,6 +214,7 @@ impl MemoryCloud {
     }
 
     /// The partition owned by `machine`.
+    #[inline]
     pub fn partition(&self, machine: MachineId) -> &Partition {
         &self.partitions[machine.index()]
     }
@@ -380,8 +391,7 @@ impl MemoryCloud {
     ///
     /// This is the cloud's public single-probe operator and the *reference*
     /// for what one probe costs. The `DirectRead` matcher does not call it
-    /// per probe: it resolves each neighbor's label once per root and
-    /// charges the same estimate through
+    /// per probe: it charges the same estimate through
     /// [`MemoryCloud::charge_label_probes`], one call per owner per
     /// exploration (`tests/direct_read_accounting.rs` pins that the two
     /// account identically, cell for cell).
@@ -586,6 +596,17 @@ mod tests {
                 "machine_for({id}, {machines}) changed — cached fingerprints \
                  and partition layouts would silently go stale"
             );
+        }
+    }
+
+    #[test]
+    fn masked_reduction_equals_the_modulo() {
+        for n in 1..=9usize {
+            for id in 0..10_000u64 {
+                let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let want = MachineId((h % n as u64) as u16);
+                assert_eq!(machine_for(v(id), n), want, "id {id}, {n} machines");
+            }
         }
     }
 

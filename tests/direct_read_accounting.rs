@@ -3,12 +3,13 @@
 //! probe per (child, neighbor), each remote probe charging its direct remote
 //! read, request and reply on the spot.
 //!
-//! [`match_stwig`] resolves a neighbor's label once per root and flushes the
-//! probes it stands for once per exploration; nothing observable may tell
-//! the two apart — the `Network` matrix cell for cell (messages and bytes),
-//! `direct_remote_reads`, the table row for row, every [`ExploreCounters`]
-//! field — also when the exploration stops early, where only what was
-//! probed before the stop may be charged.
+//! [`match_stwig`] decodes every root into an arena up front, labels it in
+//! one pass (in place, or from the STwig's postings), charges as emission
+//! reaches each root and flushes the probes once per exploration; nothing
+//! observable may tell the two apart — the `Network` matrix cell for cell
+//! (messages and bytes), `direct_remote_reads`, the table row for row, every
+//! [`ExploreCounters`] field — also when the exploration stops early, where
+//! only what was probed before the stop may be charged.
 
 use proptest::prelude::*;
 use std::time::Instant;
@@ -294,6 +295,52 @@ fn early_exits_charge_exactly_what_was_probed() {
                 }
             }
         }
+    }
+}
+
+/// A root without the STwig root's label emits nothing, but Algorithm 1
+/// loaded it to find that out: a remote one is charged its read, although
+/// the arena keeps no span for it.
+#[test]
+fn remote_roots_of_the_wrong_label_are_charged_their_read() {
+    // 0..8 are `b`, 8..12 `a`, each `b` adjacent to one `a`; every root
+    // passed is a `b`. Four machines: an id's owner is its residue mod 4.
+    let edges = (0..8u64).map(|b| (b, 8 + b % 4)).collect();
+    let labels = (0..12u32).map(|v| u32::from(v >= 8)).collect();
+    let cloud = SyntheticGraph::unlabeled(12, edges)
+        .with_labels(labels, 2)
+        .build_cloud(4, CostModel::default());
+    let mut qb = QueryGraph::builder();
+    let a = qb.vertex(cloud.label_of_global(VertexId(8)).unwrap());
+    let b = qb.vertex(cloud.label_of_global(VertexId(0)).unwrap());
+    qb.edge(a, b);
+    let query = qb.build().unwrap();
+    let stwig = STwig::new(a, vec![b]);
+    let bindings = Bindings::new(query.num_vertices());
+    let roots: Vec<VertexId> = (0..8).map(VertexId).collect();
+    let k = MachineId(0);
+    let remote = roots.iter().filter(|&&n| cloud.machine_of(n) != k).count() as u64;
+    assert_eq!(remote, 6);
+    for pruning in [false, true] {
+        let config = MatchConfig::exhaustive()
+            .with_transport_mode(TransportMode::DirectRead)
+            .with_pruning(pruning);
+        let tallied = observe(&cloud, |counters| {
+            match_stwig(
+                &cloud, k, &query, &stwig, &roots, &bindings, &config, None, counters,
+            )
+        });
+        let probed = observe(&cloud, |counters| {
+            reference_explore(
+                &cloud, k, &query, &stwig, &roots, &bindings, &config, None, counters,
+            )
+        });
+        assert_eq!(tallied, probed, "{config:?}");
+        let (table, counters, traffic, reads) = tallied;
+        assert!(table.is_empty());
+        assert_eq!((counters.cells_loaded, counters.label_probes), (8, 0));
+        // Per remote root: the request, the reply, one direct remote read.
+        assert_eq!((traffic.total_messages(), reads), (2 * remote, remote));
     }
 }
 

@@ -1,12 +1,18 @@
-//! Property tests of the `Messages`-mode exploration against its oracle, the
-//! `DirectRead` matcher, at the level of one machine × STwig exploration:
-//! the label-resolved frontier must reproduce the in-place probes **bit for
+//! Property tests of the `Messages`-mode exploration against the
+//! `DirectRead` matcher, at the level of one machine × STwig exploration.
+//! Both modes run one core — the same frontier arena, collected once and
+//! replayed by the same emission pass — and differ in how the arena is
+//! labeled: `Messages` fetches postings or asks the owners over the
+//! transport, `DirectRead` reads in place or from the STwig's shared postings
+//! map. The `Messages` frontier must reproduce the `DirectRead` one **bit for
 //! bit** — table rows in order and every [`ExploreCounters`] field — on both
 //! sides of its resolution rule (child-label postings fetched, or neighbors
 //! asked about), also on the paths that end an exploration early (row cap,
 //! interrupt) or thin it out (signature pruning, bindings), and under
 //! `FailurePolicy::Degrade` a lost owner may only remove the rows that
-//! needed its labels.
+//! needed its labels. Sharing the arena makes this a check of the
+//! resolutions, not of the core: the independent anchor is Algorithm 1
+//! walked literally, `reference_explore` in `tests/direct_read_accounting.rs`.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
