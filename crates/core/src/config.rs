@@ -10,12 +10,13 @@ use trinity_sim::fault::FaultPlan;
 /// differential and parallel-equality suites sweep both); the modes differ
 /// only in how remote data travels and therefore in what the simulated
 /// network is charged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TransportMode {
     /// Legacy simulation shortcut: machines dereference remote partitions in
     /// place (`Cloud.Load` / `Index.hasLabel` on foreign vertices) and the
     /// network matrix is charged a per-access estimate. Every such access is
-    /// tallied by `MemoryCloud::direct_remote_reads`.
+    /// tallied by `MemoryCloud::direct_remote_reads`. The default.
+    #[default]
     DirectRead,
     /// Partition-local execution over an explicit batched transport
     /// (`trinity_sim::transport`): exploration runs frontier/superstep style
@@ -25,42 +26,6 @@ pub enum TransportMode {
     /// The cost model charges the envelopes really sent. Performs **zero**
     /// direct cross-partition reads.
     Messages,
-}
-
-impl TransportMode {
-    /// Parses a mode name (`"direct"`/`"direct-read"` or `"messages"`),
-    /// case-insensitively.
-    pub fn parse(s: &str) -> Option<TransportMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "direct" | "direct-read" | "direct_read" | "directread" => {
-                Some(TransportMode::DirectRead)
-            }
-            "messages" | "message" | "msg" => Some(TransportMode::Messages),
-            _ => None,
-        }
-    }
-
-    /// The process-wide default mode: `DirectRead`, overridable by setting
-    /// the `STWIG_TRANSPORT` environment variable (read once) — this is how
-    /// CI runs the whole test suite with `Messages` as the default without
-    /// touching every call site.
-    pub fn from_env() -> TransportMode {
-        static MODE: std::sync::OnceLock<TransportMode> = std::sync::OnceLock::new();
-        *MODE.get_or_init(|| {
-            std::env::var("STWIG_TRANSPORT")
-                .ok()
-                .and_then(|s| TransportMode::parse(&s))
-                .unwrap_or(TransportMode::DirectRead)
-        })
-    }
-}
-
-impl Default for TransportMode {
-    /// [`TransportMode::from_env`]: `DirectRead` unless `STWIG_TRANSPORT`
-    /// says otherwise.
-    fn default() -> Self {
-        TransportMode::from_env()
-    }
 }
 
 /// What the caller wants back from a query — and therefore how much work the
@@ -233,13 +198,14 @@ pub struct MatchConfig {
     /// pathological cross products). `None` is unbounded. A cache serves an
     /// STwig only when no machine's complete table exceeds it.
     pub max_stwig_rows: Option<usize>,
-    /// Worker threads the distributed executor fans logical machines out
-    /// over (each machine's exploration step and load-set join step run as
-    /// work items; see DESIGN.md). `None` uses the host's available
-    /// parallelism; `Some(1)` reproduces the serial execution bit-for-bit.
-    /// Result tables and algorithmic counters are identical for every
-    /// setting; only measured times (wall-clock, and the compute component
-    /// of the simulated makespan) change.
+    /// Worker threads exploration fans logical machines out over: each
+    /// machine's exploration step of an STwig is a work item (see
+    /// DESIGN.md). The join runs the machines' load-set joins in machine
+    /// order on the query's thread. `None` uses the host's available
+    /// parallelism; `Some(1)` explores serially. Result tables and
+    /// algorithmic counters are identical for every setting; only measured
+    /// times (wall-clock, and the compute component of the simulated
+    /// makespan) change.
     pub num_threads: Option<usize>,
     /// How the distributed executor moves data between machines (see
     /// [`TransportMode`]). Results are identical across modes.
@@ -257,30 +223,15 @@ pub struct MatchConfig {
     /// [`FailurePolicy`]).
     pub failure_policy: FailurePolicy,
     /// Fault-injection plan executed by wrapping the query's transport in a
-    /// `trinity_sim::fault::FaultyTransport`. Defaults to
-    /// [`FaultPlan::from_env`] (`STWIG_FAULT_PLAN`), which is how CI runs
-    /// the whole suite under seeded chaos; `None` when the variable is
-    /// unset. Only effective in [`TransportMode::Messages`].
+    /// `trinity_sim::fault::FaultyTransport` (default `None`). Only
+    /// effective in [`TransportMode::Messages`].
     pub fault_plan: Option<FaultPlan>,
     /// Whether exploration prunes root candidates on the neighborhood-label
     /// signatures (`trinity_sim::neighbor_index`) before collecting their
     /// neighbors, and the cost models consume label-pair selectivities.
     /// Sound — signatures over-approximate, so pruning never drops a true
-    /// match — and defaults to the `STWIG_PRUNING` environment variable
-    /// (read once; unset = off), which is how CI runs the whole suite
-    /// pruned without touching every call site.
+    /// match. Off by default.
     pub pruning: bool,
-}
-
-/// The process-wide pruning default: off, overridable by setting
-/// `STWIG_PRUNING` to `1`/`true`/`on` (read once).
-pub fn pruning_from_env() -> bool {
-    static PRUNING: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *PRUNING.get_or_init(|| {
-        std::env::var("STWIG_PRUNING")
-            .map(|s| matches!(s.to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes"))
-            .unwrap_or(false)
-    })
 }
 
 impl Default for MatchConfig {
@@ -297,8 +248,8 @@ impl Default for MatchConfig {
             transport_batch_ids: 4096,
             retry: RetryPolicy::default(),
             failure_policy: FailurePolicy::default(),
-            fault_plan: FaultPlan::from_env(),
-            pruning: pruning_from_env(),
+            fault_plan: None,
+            pruning: false,
         }
     }
 }
@@ -461,17 +412,11 @@ mod tests {
     }
 
     #[test]
-    fn transport_mode_parsing_and_setters() {
+    fn transport_mode_setters() {
         assert_eq!(
-            TransportMode::parse("messages"),
-            Some(TransportMode::Messages)
+            MatchConfig::default().transport_mode,
+            TransportMode::DirectRead
         );
-        assert_eq!(TransportMode::parse("MSG"), Some(TransportMode::Messages));
-        assert_eq!(
-            TransportMode::parse("direct-read"),
-            Some(TransportMode::DirectRead)
-        );
-        assert_eq!(TransportMode::parse("carrier-pigeon"), None);
         let c = MatchConfig::default()
             .with_transport_mode(TransportMode::Messages)
             .with_transport_batch_ids(0);
@@ -523,8 +468,8 @@ mod tests {
 
     #[test]
     fn pruning_knob() {
-        // The default follows STWIG_PRUNING (off in a plain test run);
-        // the setter overrides it either way.
+        assert!(!MatchConfig::default().pruning);
+        assert_eq!(MatchConfig::default().fault_plan, None);
         let on = MatchConfig::default().with_pruning(true);
         assert!(on.pruning);
         assert!(!on.with_pruning(false).pruning);

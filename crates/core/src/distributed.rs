@@ -41,18 +41,16 @@
 //! the envelopes actually sent — differs, and `Messages` performs **zero**
 //! direct cross-partition reads (`MemoryCloud::direct_remote_reads`).
 //!
-//! **Threading model.** Logical machines really run in parallel: each
+//! **Threading model.** Logical machines explore in parallel: each
 //! machine's exploration step (per STwig) is a work item fanned out over
 //! `MatchConfig::num_threads` worker threads via [`std::thread::scope`],
-//! with dynamic work-stealing over the machine list, and so is its load-set
-//! join into a table no result limit can cut short (with a limit, or into a
-//! sink — which gets each row as it is joined — the machines join in machine
-//! order). Binding synchronization stays a barrier between STwigs, as the
-//! algorithm requires. Per-machine counters and rows are produced
-//! thread-locally and merged on the coordinating thread in machine order, so
-//! results and metrics totals are identical for every thread count —
-//! `num_threads = 1` reproduces the serial execution bit-for-bit. See
-//! DESIGN.md for the full determinism argument.
+//! with dynamic work-stealing over the machine list. Binding synchronization
+//! stays a barrier between STwigs, as the algorithm requires. Per-machine
+//! counters and rows are produced thread-locally and merged on the
+//! coordinating thread in machine order. The join then runs the machines'
+//! load-set joins in machine order on the query's thread, each row delivered
+//! as it is joined. Results and metrics totals are therefore identical for
+//! every thread count. See DESIGN.md for the full determinism argument.
 //!
 //! **One executor, two outputs.** Every entry point — this module's
 //! [`match_query_distributed`] / [`match_query_streaming`] (and their
@@ -247,7 +245,7 @@ where
 /// The per-query transport stack of `Messages` mode: a [`ChannelTransport`]
 /// carrying the config's per-exchange timeout, wrapped in a
 /// [`FaultyTransport`] when a fault plan is armed
-/// (`MatchConfig::fault_plan`, usually via `STWIG_FAULT_PLAN`). The wrapper
+/// (`MatchConfig::fault_plan`). The wrapper
 /// is an enum rather than a boxed trait object so the fault-free path stays
 /// allocation-free.
 pub(crate) enum QueryTransport<'c> {
@@ -1440,8 +1438,7 @@ enum Output<'s> {
 
 /// A destination for canonical-order rows that tracks delivery: how many
 /// rows it took, and when the first one became readable. The query's output
-/// is one; so is a staging table (a slab round's rows, or one machine's
-/// share of a parallel join pass), whose stamp nobody reads.
+/// is one; so is a slab round's staging table, whose stamp nobody reads.
 struct StreamState<'s> {
     output: Output<'s>,
     started: Instant,
@@ -1591,34 +1588,15 @@ struct JoinPass {
     exhausted: bool,
 }
 
-/// One machine's share of a join pass.
-#[derive(Default)]
-struct MachineJoin {
-    counters: JoinCounters,
-    compute_us: f64,
-    rows_received: u64,
-    /// Bytes resident on this machine during its join (the assembled R_k
-    /// tables, plus its staged rows in a parallel pass) — feeds
-    /// `QueryMetrics::peak_table_bytes`.
-    table_bytes: u64,
-    /// Whether its join ran its driver dry.
-    exhausted: bool,
-}
-
-/// The one join pass: runs the per-machine load-set joins over `tables`,
-/// delivering surviving rows to `state` in canonical column order, machine
-/// by machine, up to `limit`.
+/// The one join pass: runs the per-machine load-set joins over `tables` in
+/// machine order on the calling thread, delivering surviving rows to `state`
+/// in canonical column order as they are joined, up to `limit`.
 ///
-/// With a limit, machines run in machine order and the pass stops at the
-/// machine that satisfies it; in `Messages` mode a machine's incoming
-/// load-set rows are shipped as `JoinRows` posts right before it joins, so a
-/// machine the pass never reaches costs neither the copy nor the simulated
-/// traffic. A sink takes this in-order pass whatever the limit: each row is
-/// delivered as it is joined and stays delivered if an interrupt follows.
-/// Only a table without a limit has its machines join in parallel when
-/// `MatchConfig::num_threads` allows, each into a staging table of its own,
-/// appended in machine order — the same rows in the same order, pinned by
-/// `tests/parallel_equality.rs`.
+/// The pass stops at the machine that satisfies the limit; in `Messages`
+/// mode a machine's incoming load-set rows are shipped as `JoinRows` posts
+/// right before it joins, so a machine the pass never reaches costs neither
+/// the copy nor the simulated traffic. Each row stays delivered if an
+/// interrupt follows.
 ///
 /// `memo` is the cache's memo of `plan`: a machine whose R_k tables are all
 /// served takes its join order from it ([`PlanMemo::join_order`]), and only
@@ -1638,7 +1616,13 @@ fn join_pass(
     machine_metrics: &mut [MachineMetrics],
     state: &mut StreamState<'_>,
 ) -> Result<JoinPass, StwigError> {
-    let num_machines = cloud.num_machines();
+    // The pass walks the machines through their metrics: a short slice would
+    // silently skip machines and return an incomplete answer.
+    assert_eq!(
+        machine_metrics.len(),
+        cloud.num_machines(),
+        "join_pass needs one MachineMetrics per machine"
+    );
     let priors = OnceLock::new();
     let priors = || {
         priors
@@ -1650,22 +1634,30 @@ fn join_pass(
     let before_join = cloud.traffic();
     let transport = (config.transport_mode == TransportMode::Messages)
         .then(|| QueryTransport::for_config(cloud, config));
-    // Machine `ki`'s load-set join: at most `remaining` rows into `state`.
-    let join_machine = |ki: usize, remaining: Option<usize>, state: &mut StreamState<'_>| {
-        let t0 = Instant::now();
-        let mut joined = MachineJoin::default();
-        if control.interrupted() {
-            return Ok::<_, StwigError>(joined);
+    let mut pass = JoinPass {
+        rows: 0,
+        exhausted: true,
+    };
+    // A discarded slab round must not leave stale per-machine match counts.
+    for mm in machine_metrics.iter_mut() {
+        mm.matches_found = 0;
+    }
+    for (ki, mm) in machine_metrics.iter_mut().enumerate() {
+        let remaining = limit.map(|l| (l as u64).saturating_sub(pass.rows) as usize);
+        if remaining == Some(0) || control.interrupted() {
+            pass.exhausted = false;
+            break;
         }
+        let t0 = Instant::now();
         if let Some(tp) = &transport {
             post_join_rows_to(tp, plan, tables, MachineId(ki as u16));
         }
         let rk = assemble_rk_tables(cloud, plan, tables, transport.as_ref(), ki)?;
-        joined.rows_received = rk.received;
-        joined.table_bytes = rk.tables.iter().map(|t| t.memory_bytes() as u64).sum();
+        let mut counters = JoinCounters::default();
+        let before = state.streamed;
         // A machine with no head-STwig results contributes nothing (§5.3),
         // and nothing is all there was to enumerate.
-        joined.exhausted = rk.tables[plan.head.head_index].is_empty() || {
+        let exhausted = rk.tables[plan.head.head_index].is_empty() || {
             let select = || join_order(&rk.tables, config, priors());
             let (memoized, selected);
             let order: &[usize] = match memo.and_then(|m| m.join_order(ki, &rk.memos, select)) {
@@ -1691,65 +1683,24 @@ fn join_pass(
                 order,
                 remaining,
                 Some(control),
-                &mut joined.counters,
+                &mut counters,
                 &mut sink,
             )
             .exhausted
         };
-        joined.compute_us = t0.elapsed().as_secs_f64() * 1e6;
-        Ok(joined)
-    };
-
-    let mut pass = JoinPass {
-        rows: 0,
-        exhausted: true,
-    };
-    // A discarded slab round must not leave stale per-machine match counts.
-    for mm in machine_metrics.iter_mut() {
-        mm.matches_found = 0;
-    }
-    // `delivered` is what the pass's output took of the machine's rows — a
-    // first-k "satisfied" decision must reflect delivered rows only.
-    let mut absorb = |ki: usize, joined: MachineJoin, delivered: u64, pass: &mut JoinPass| {
+        // `delivered` is what the output took of the machine's rows — a
+        // first-k "satisfied" decision must reflect delivered rows only.
+        let delivered = state.streamed - before;
         pass.rows += delivered;
-        pass.exhausted &= joined.exhausted;
-        metrics.join.merge(&joined.counters);
-        metrics.peak_table_bytes = metrics.peak_table_bytes.max(joined.table_bytes);
-        let mm = &mut machine_metrics[ki];
-        mm.rows_received += joined.rows_received;
-        mm.compute_us += joined.compute_us;
+        pass.exhausted &= exhausted;
+        metrics.join.merge(&counters);
+        let table_bytes = rk.tables.iter().map(|t| t.memory_bytes() as u64).sum();
+        metrics.peak_table_bytes = metrics.peak_table_bytes.max(table_bytes);
+        mm.rows_received += rk.received;
+        mm.compute_us += t0.elapsed().as_secs_f64() * 1e6;
         mm.matches_found = delivered;
-    };
-    let threads = config.resolved_num_threads();
-    let parallel = threads > 1 && num_machines > 1 && matches!(state.output, Output::Table(_));
-    if limit.is_none() && parallel {
-        let started = state.started;
-        let staged = run_work_stealing(num_machines, threads, |ki| {
-            let mut rows = StreamState::begin(None, canonical, started);
-            let mut joined = join_machine(ki, None, &mut rows)?;
-            let rows = rows.into_table().expect("a sinkless state holds a table");
-            joined.table_bytes += rows.memory_bytes() as u64;
-            Ok::<_, StwigError>((joined, rows))
-        });
-        // Staged rows were joined before any interrupt: all of them count.
-        for (ki, result) in staged.into_iter().enumerate() {
-            let (joined, rows) = result?;
-            state.deliver_all(&rows);
-            absorb(ki, joined, rows.num_rows() as u64, &mut pass);
-        }
-    } else {
-        for ki in 0..num_machines {
-            let remaining = limit.map(|l| (l as u64).saturating_sub(pass.rows) as usize);
-            if remaining == Some(0) {
-                pass.exhausted = false;
-                break;
-            }
-            let before = state.streamed;
-            let joined = join_machine(ki, remaining, state)?;
-            absorb(ki, joined, state.streamed - before, &mut pass);
-            if control.interrupted() {
-                break;
-            }
+        if control.interrupted() {
+            break;
         }
     }
     if let Some(tp) = &transport {
@@ -2459,11 +2410,17 @@ mod tests {
         use crate::cache::{CacheConfig, StwigCache};
         for machines in [1usize, 3, 4] {
             let cloud = sample_cloud(machines);
-            for (name, config) in [
-                ("exhaustive", MatchConfig::default()),
-                ("paper", MatchConfig::paper_default()),
-                ("no-bindings", MatchConfig::default().with_bindings(false)),
-            ] {
+            let configs = [TransportMode::DirectRead, TransportMode::Messages]
+                .into_iter()
+                .flat_map(|mode| {
+                    [
+                        ("exhaustive", MatchConfig::default()),
+                        ("paper", MatchConfig::paper_default()),
+                        ("no-bindings", MatchConfig::default().with_bindings(false)),
+                    ]
+                    .map(|(name, config)| (name, config.with_transport_mode(mode)))
+                });
+            for (name, config) in configs {
                 let query = triangle_query(&cloud);
                 let cache = StwigCache::new(&cloud, CacheConfig::default());
                 let plain = match_query_distributed(&cloud, &query, &config).unwrap();
@@ -2483,7 +2440,7 @@ mod tests {
                 // the same answer as exploration (the same rows wherever the
                 // limit does not choose among them), and the populating run
                 // and every hit after it serve the very same tables.
-                let ctx = format!("machines = {machines}, {name}");
+                let ctx = format!("machines = {machines}, {name}, {:?}", config.transport_mode);
                 let limit = config.result_limit();
                 same_answer(&cloud, &query, &miss.table, &plain.table, limit)
                     .unwrap_or_else(|e| panic!("miss path diverged: {e} ({ctx})"));

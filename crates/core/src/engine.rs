@@ -970,7 +970,7 @@ impl<'c> QueryEngine<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ResultMode;
+    use crate::config::{ResultMode, TransportMode};
     use crate::distributed::match_query_distributed;
     use crate::serve::{AdmissionConfig, Priority, QueryStatus, TenantId};
     use trinity_sim::builder::GraphBuilder;
@@ -1046,15 +1046,20 @@ mod tests {
     fn repeated_shapes_hit_the_cache() {
         let cloud = sample_cloud(3);
         let queries: Vec<QueryGraph> = (0..6).map(|_| triangle_query(&cloud)).collect();
-        let engine = QueryEngine::new(&cloud, EngineConfig::default().with_workers(Some(2)));
-        let outputs = engine.run_batch(&queries);
-        assert!(outputs.iter().all(|o| o.is_ok()));
-        let cache = engine.cache_stats().expect("cache enabled by default");
-        assert!(cache.insertions > 0);
-        assert!(
-            cache.hits > 0,
-            "identical queries must share cached STwig tables: {cache:?}"
-        );
+        for mode in [TransportMode::DirectRead, TransportMode::Messages] {
+            let config = EngineConfig::default()
+                .with_workers(Some(2))
+                .with_match_config(MatchConfig::default().with_transport_mode(mode));
+            let engine = QueryEngine::new(&cloud, config);
+            let outputs = engine.run_batch(&queries);
+            assert!(outputs.iter().all(|o| o.is_ok()));
+            let cache = engine.cache_stats().expect("cache enabled by default");
+            assert!(cache.insertions > 0);
+            assert!(
+                cache.hits > 0,
+                "identical queries must share cached STwig tables ({mode:?}): {cache:?}"
+            );
+        }
     }
 
     #[test]
@@ -1066,8 +1071,7 @@ mod tests {
             EngineConfig::default()
                 .with_workers(Some(1))
                 .with_match_config(
-                    MatchConfig::paper_default()
-                        .with_transport_mode(crate::config::TransportMode::DirectRead),
+                    MatchConfig::paper_default().with_transport_mode(TransportMode::DirectRead),
                 ),
         );
         let ask = || {
@@ -1091,15 +1095,18 @@ mod tests {
     #[test]
     fn engine_without_cache_still_answers() {
         let cloud = sample_cloud(2);
-        let engine = QueryEngine::new(
-            &cloud,
-            EngineConfig::default()
-                .with_cache(None)
-                .with_workers(Some(2)),
-        );
-        let out = engine.run_one(&triangle_query(&cloud)).unwrap();
-        assert_eq!(out.num_matches(), 12);
-        assert!(engine.stats().cache.is_none());
+        for mode in [TransportMode::DirectRead, TransportMode::Messages] {
+            let engine = QueryEngine::new(
+                &cloud,
+                EngineConfig::default()
+                    .with_cache(None)
+                    .with_workers(Some(2))
+                    .with_match_config(MatchConfig::default().with_transport_mode(mode)),
+            );
+            let out = engine.run_one(&triangle_query(&cloud)).unwrap();
+            assert_eq!(out.num_matches(), 12, "{mode:?}");
+            assert!(engine.stats().cache.is_none());
+        }
     }
 
     #[test]
@@ -1165,7 +1172,7 @@ mod tests {
         // runs out mid-execution: every exchange is refused once, and the
         // first backoff outlasts the deadline.
         let refusing = MatchConfig::default()
-            .with_transport_mode(crate::config::TransportMode::Messages)
+            .with_transport_mode(TransportMode::Messages)
             .with_fault_plan(Some(trinity_sim::fault::FaultPlan {
                 unavailable: 1.0,
                 ..Default::default()

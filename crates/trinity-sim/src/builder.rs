@@ -30,9 +30,8 @@ pub struct GraphBuilder {
     labels: HashMap<VertexId, LabelId>,
     edges: Vec<(VertexId, VertexId)>,
     directed: bool,
-    /// Storage tier the partitions are built in; `None` means the
-    /// process-wide default ([`StorageTier::from_env`]).
-    tier: Option<StorageTier>,
+    /// Storage tier the partitions are built in.
+    tier: StorageTier,
 }
 
 impl GraphBuilder {
@@ -53,10 +52,10 @@ impl GraphBuilder {
         }
     }
 
-    /// Overrides the storage tier the partitions are built in (the default
-    /// is [`StorageTier::from_env`], i.e. the `STWIG_STORAGE` knob).
+    /// Overrides the storage tier the partitions are built in (default
+    /// [`StorageTier::Compact`]).
     pub fn with_storage_tier(mut self, tier: StorageTier) -> Self {
-        self.tier = Some(tier);
+        self.tier = tier;
         self
     }
 
@@ -133,7 +132,6 @@ impl GraphBuilder {
             directed,
             tier,
         } = self;
-        let tier = tier.unwrap_or_else(StorageTier::from_env);
         let num_labels = interner.len();
 
         // Validate edges and symmetrize.

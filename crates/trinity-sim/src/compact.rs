@@ -25,14 +25,13 @@
 //!   local indices in 4 bytes per slot (~8 bytes per vertex at 50% load)
 //!   instead of `HashMap`'s ~50 bytes per vertex.
 //!
-//! The tier is selected by [`StorageTier`] (`STWIG_STORAGE` env knob,
-//! default [`StorageTier::Compact`]) and must be *observationally
-//! equivalent* to the plain tier: every query path produces bit-identical
-//! tables on either tier.
+//! The tier is selected by [`StorageTier`] (default
+//! [`StorageTier::Compact`]) and must be *observationally equivalent* to the
+//! plain tier: every query path produces bit-identical tables on either
+//! tier.
 
 use crate::ids::{LabelId, VertexId};
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
 // Storage tier knob
@@ -44,46 +43,23 @@ use std::sync::OnceLock;
 /// bytes and decode cost. `Plain` keeps the original flat `Vec` structures
 /// (8-byte neighbor entries, `Vec<Vec<_>>` postings, `HashMap` id map) and
 /// exists as the honest baseline the compact tier is measured against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StorageTier {
     /// Uncompressed flat arrays and a `HashMap` id map.
     Plain,
     /// Delta/varint CSR, bitmap-or-delta postings, open-addressed id map.
+    /// The default.
+    #[default]
     Compact,
 }
 
 impl StorageTier {
-    /// Parses a tier name as accepted by the `STWIG_STORAGE` environment
-    /// variable. Unknown strings return `None`.
-    pub fn parse(s: &str) -> Option<StorageTier> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "plain" => Some(StorageTier::Plain),
-            "compact" => Some(StorageTier::Compact),
-            _ => None,
-        }
-    }
-
     /// The tier name (`"plain"` / `"compact"`).
     pub fn as_str(self) -> &'static str {
         match self {
             StorageTier::Plain => "plain",
             StorageTier::Compact => "compact",
         }
-    }
-
-    /// Reads the process-wide default tier from `STWIG_STORAGE`, falling
-    /// back to [`StorageTier::Compact`]. Read once and cached: like
-    /// `STWIG_TRANSPORT`, the knob selects a deployment-wide default, and
-    /// flipping it mid-process would let two clouds that must never share
-    /// cache entries be built under one fingerprint discipline.
-    pub fn from_env() -> StorageTier {
-        static TIER: OnceLock<StorageTier> = OnceLock::new();
-        *TIER.get_or_init(|| {
-            std::env::var("STWIG_STORAGE")
-                .ok()
-                .and_then(|v| StorageTier::parse(&v))
-                .unwrap_or(StorageTier::Compact)
-        })
     }
 
     /// Stable one-byte tag hashed into cloud fingerprints. Explicit (rather
@@ -94,12 +70,6 @@ impl StorageTier {
             StorageTier::Plain => 0,
             StorageTier::Compact => 1,
         }
-    }
-}
-
-impl Default for StorageTier {
-    fn default() -> Self {
-        StorageTier::from_env()
     }
 }
 
@@ -1218,10 +1188,8 @@ mod tests {
     }
 
     #[test]
-    fn storage_tier_parse_and_tags() {
-        assert_eq!(StorageTier::parse("plain"), Some(StorageTier::Plain));
-        assert_eq!(StorageTier::parse(" Compact "), Some(StorageTier::Compact));
-        assert_eq!(StorageTier::parse("zstd"), None);
+    fn storage_tier_default_and_tags() {
+        assert_eq!(StorageTier::default(), StorageTier::Compact);
         assert_ne!(
             StorageTier::Plain.fingerprint_tag(),
             StorageTier::Compact.fingerprint_tag()

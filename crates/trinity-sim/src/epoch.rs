@@ -872,9 +872,11 @@ mod tests {
         VertexId(x)
     }
 
+    const TIERS: [StorageTier; 2] = [StorageTier::Plain, StorageTier::Compact];
+
     /// Triangle a(0)-b(1)-c(2)-a(0) plus a pendant d(3) on c.
-    fn small_cloud(machines: usize) -> MemoryCloud {
-        let mut b = GraphBuilder::new_undirected();
+    fn small_cloud(machines: usize, tier: StorageTier) -> MemoryCloud {
+        let mut b = GraphBuilder::new_undirected().with_storage_tier(tier);
         b.add_vertex(v(0), "a");
         b.add_vertex(v(1), "b");
         b.add_vertex(v(2), "c");
@@ -904,77 +906,85 @@ mod tests {
 
     #[test]
     fn fresh_manager_is_epoch_zero_with_lineage() {
-        let epochs = GraphEpochs::new(small_cloud(3));
-        assert_eq!(epochs.epoch(), 0);
-        assert_ne!(epochs.lineage(), 0);
-        let snap = epochs.pin();
-        assert_eq!(snap.epoch(), 0);
-        assert_eq!(snap.lineage(), epochs.lineage());
-        assert_eq!(observe(snap.cloud()), observe(epochs.base_cloud()));
+        for tier in TIERS {
+            let epochs = GraphEpochs::new(small_cloud(3, tier));
+            assert_eq!(epochs.epoch(), 0);
+            assert_ne!(epochs.lineage(), 0);
+            let snap = epochs.pin();
+            assert_eq!(snap.epoch(), 0);
+            assert_eq!(snap.lineage(), epochs.lineage());
+            assert_eq!(observe(snap.cloud()), observe(epochs.base_cloud()));
+        }
     }
 
     #[test]
     fn apply_adds_vertices_and_edges() {
-        let epochs = GraphEpochs::new(small_cloud(4));
-        let e = epochs
-            .apply(
-                &UpdateBatch::new()
-                    .add_vertex(v(9), "e")
-                    .add_edge(v(9), v(2)),
-            )
-            .unwrap();
-        assert_eq!(e, 1);
-        let snap = epochs.pin();
-        assert!(snap.contains_vertex(v(9)));
-        assert_eq!(snap.labels().get("e"), snap.label_of_global(v(9)));
-        assert_eq!(snap.neighbors_global(v(9)).to_vec(), vec![v(2)]);
-        assert!(snap.has_edge_global(v(2), v(9)));
-        assert_eq!(snap.num_vertices(), 5);
-        assert_eq!(snap.num_edges(), 5);
-        let le = snap.labels().get("e").unwrap();
-        assert_eq!(snap.label_frequency(le), 1);
-        assert_eq!(snap.all_ids_with_label(le), vec![v(9)]);
+        for tier in TIERS {
+            let epochs = GraphEpochs::new(small_cloud(4, tier));
+            let e = epochs
+                .apply(
+                    &UpdateBatch::new()
+                        .add_vertex(v(9), "e")
+                        .add_edge(v(9), v(2)),
+                )
+                .unwrap();
+            assert_eq!(e, 1);
+            let snap = epochs.pin();
+            assert!(snap.contains_vertex(v(9)));
+            assert_eq!(snap.labels().get("e"), snap.label_of_global(v(9)));
+            assert_eq!(snap.neighbors_global(v(9)).to_vec(), vec![v(2)]);
+            assert!(snap.has_edge_global(v(2), v(9)));
+            assert_eq!(snap.num_vertices(), 5);
+            assert_eq!(snap.num_edges(), 5);
+            let le = snap.labels().get("e").unwrap();
+            assert_eq!(snap.label_frequency(le), 1);
+            assert_eq!(snap.all_ids_with_label(le), vec![v(9)]);
+        }
     }
 
     #[test]
     fn apply_removes_vertex_and_incident_edges() {
-        let epochs = GraphEpochs::new(small_cloud(4));
-        epochs
-            .apply(&UpdateBatch::new().remove_vertex(v(2)))
-            .unwrap();
-        let snap = epochs.pin();
-        assert!(!snap.contains_vertex(v(2)));
-        assert!(!snap.has_edge_global(v(1), v(2)));
-        assert!(!snap.has_edge_global(v(2), v(3)));
-        assert_eq!(snap.neighbors_global(v(3)).to_vec(), Vec::<VertexId>::new());
-        assert_eq!(snap.neighbors_global(v(0)).to_vec(), vec![v(1)]);
-        assert_eq!(snap.num_vertices(), 3);
-        assert_eq!(snap.num_edges(), 1);
-        let lc = snap.labels().get("c").unwrap();
-        assert_eq!(snap.label_frequency(lc), 0);
-        assert!(snap.all_ids_with_label(lc).is_empty());
+        for tier in TIERS {
+            let epochs = GraphEpochs::new(small_cloud(4, tier));
+            epochs
+                .apply(&UpdateBatch::new().remove_vertex(v(2)))
+                .unwrap();
+            let snap = epochs.pin();
+            assert!(!snap.contains_vertex(v(2)));
+            assert!(!snap.has_edge_global(v(1), v(2)));
+            assert!(!snap.has_edge_global(v(2), v(3)));
+            assert_eq!(snap.neighbors_global(v(3)).to_vec(), Vec::<VertexId>::new());
+            assert_eq!(snap.neighbors_global(v(0)).to_vec(), vec![v(1)]);
+            assert_eq!(snap.num_vertices(), 3);
+            assert_eq!(snap.num_edges(), 1);
+            let lc = snap.labels().get("c").unwrap();
+            assert_eq!(snap.label_frequency(lc), 0);
+            assert!(snap.all_ids_with_label(lc).is_empty());
+        }
     }
 
     #[test]
     fn apply_relabel_updates_postings_frequency_and_signatures() {
-        let epochs = GraphEpochs::new(small_cloud(2));
-        epochs
-            .apply(&UpdateBatch::new().add_vertex(v(3), "a"))
-            .unwrap();
-        let snap = epochs.pin();
-        let la = snap.labels().get("a").unwrap();
-        let ld = snap.labels().get("d").unwrap();
-        assert_eq!(snap.label_of_global(v(3)), Some(la));
-        assert_eq!(snap.label_frequency(la), 2);
-        assert_eq!(snap.label_frequency(ld), 0);
-        let mut with_a = snap.all_ids_with_label(la);
-        with_a.sort_unstable();
-        assert_eq!(with_a, vec![v(0), v(3)]);
-        // v(2) is v(3)'s only neighbor: its signature must now claim `a`
-        // (and no longer `d`).
-        let sig = snap.signature_of(v(2)).expect("builder always indexes");
-        assert_ne!(sig & label_bit(la), 0);
-        assert_eq!(sig & label_bit(ld), 0);
+        for tier in TIERS {
+            let epochs = GraphEpochs::new(small_cloud(2, tier));
+            epochs
+                .apply(&UpdateBatch::new().add_vertex(v(3), "a"))
+                .unwrap();
+            let snap = epochs.pin();
+            let la = snap.labels().get("a").unwrap();
+            let ld = snap.labels().get("d").unwrap();
+            assert_eq!(snap.label_of_global(v(3)), Some(la));
+            assert_eq!(snap.label_frequency(la), 2);
+            assert_eq!(snap.label_frequency(ld), 0);
+            let mut with_a = snap.all_ids_with_label(la);
+            with_a.sort_unstable();
+            assert_eq!(with_a, vec![v(0), v(3)]);
+            // v(2) is v(3)'s only neighbor: its signature must now claim `a`
+            // (and no longer `d`).
+            let sig = snap.signature_of(v(2)).expect("builder always indexes");
+            assert_ne!(sig & label_bit(la), 0);
+            assert_eq!(sig & label_bit(ld), 0);
+        }
     }
 
     /// The signature a from-scratch build would give `id`: the OR of its
@@ -999,91 +1009,94 @@ mod tests {
 
     #[test]
     fn carried_signatures_equal_a_full_recompute() {
-        for machines in [1, 3] {
-            let epochs = GraphEpochs::new(small_cloud(machines));
-            let bit = |name: &str| label_bit(epochs.pin().labels().get(name).unwrap());
+        for tier in TIERS {
+            for machines in [1, 3] {
+                let epochs = GraphEpochs::new(small_cloud(machines, tier));
+                let bit = |name: &str| label_bit(epochs.pin().labels().get(name).unwrap());
 
-            // Gain-only batches: new edges between old vertices, and a new
-            // vertex attached to two of them. Nothing is scanned; every
-            // touched signature is its old one ORed with the new bits.
-            epochs
-                .apply(&UpdateBatch::new().add_edge(v(0), v(3)).add_edge(v(1), v(3)))
-                .unwrap();
-            assert_signatures_exact(&epochs.pin(), "edges gained");
-            assert_eq!(
-                epochs.pin().signature_of(v(3)),
-                Some(bit("a") | bit("b") | bit("c"))
-            );
-            epochs
-                .apply(
-                    &UpdateBatch::new()
-                        .add_vertex(v(4), "d")
-                        .add_edge(v(4), v(2))
-                        .add_edge(v(4), v(0)),
-                )
-                .unwrap();
-            assert_signatures_exact(&epochs.pin(), "vertex gained");
-            assert_eq!(epochs.pin().signature_of(v(4)), Some(bit("a") | bit("c")));
+                // Gain-only batches: new edges between old vertices, and a new
+                // vertex attached to two of them. Nothing is scanned; every
+                // touched signature is its old one ORed with the new bits.
+                epochs
+                    .apply(&UpdateBatch::new().add_edge(v(0), v(3)).add_edge(v(1), v(3)))
+                    .unwrap();
+                assert_signatures_exact(&epochs.pin(), "edges gained");
+                assert_eq!(
+                    epochs.pin().signature_of(v(3)),
+                    Some(bit("a") | bit("b") | bit("c"))
+                );
+                epochs
+                    .apply(
+                        &UpdateBatch::new()
+                            .add_vertex(v(4), "d")
+                            .add_edge(v(4), v(2))
+                            .add_edge(v(4), v(0)),
+                    )
+                    .unwrap();
+                assert_signatures_exact(&epochs.pin(), "vertex gained");
+                assert_eq!(epochs.pin().signature_of(v(4)), Some(bit("a") | bit("c")));
 
-            // c(2) now has two `d` neighbours, 3 and 4. Losing one of two
-            // carriers keeps the bit; losing the last one clears it.
-            epochs
-                .apply(&UpdateBatch::new().remove_edge(v(2), v(3)))
-                .unwrap();
-            assert_signatures_exact(&epochs.pin(), "one of two carriers lost");
-            assert_ne!(epochs.pin().signature_of(v(2)).unwrap() & bit("d"), 0);
-            epochs
-                .apply(&UpdateBatch::new().remove_vertex(v(4)))
-                .unwrap();
-            assert_signatures_exact(&epochs.pin(), "last carrier lost");
-            assert_eq!(epochs.pin().signature_of(v(2)), Some(bit("a") | bit("b")));
+                // c(2) now has two `d` neighbours, 3 and 4. Losing one of two
+                // carriers keeps the bit; losing the last one clears it.
+                epochs
+                    .apply(&UpdateBatch::new().remove_edge(v(2), v(3)))
+                    .unwrap();
+                assert_signatures_exact(&epochs.pin(), "one of two carriers lost");
+                assert_ne!(epochs.pin().signature_of(v(2)).unwrap() & bit("d"), 0);
+                epochs
+                    .apply(&UpdateBatch::new().remove_vertex(v(4)))
+                    .unwrap();
+                assert_signatures_exact(&epochs.pin(), "last carrier lost");
+                assert_eq!(epochs.pin().signature_of(v(2)), Some(bit("a") | bit("b")));
 
-            // A relabel is a loss and a gain for every neighbour; a bit lost
-            // and gained back in the same batch stays.
-            epochs
-                .apply(&UpdateBatch::new().add_vertex(v(1), "a"))
-                .unwrap();
-            assert_signatures_exact(&epochs.pin(), "neighbour relabelled");
-            assert_eq!(epochs.pin().signature_of(v(2)), Some(bit("a")));
-            epochs
-                .apply(
-                    &UpdateBatch::new()
-                        .remove_edge(v(0), v(1))
-                        .add_vertex(v(5), "a")
-                        .add_edge(v(0), v(5)),
-                )
-                .unwrap();
-            assert_signatures_exact(&epochs.pin(), "lost and gained back");
+                // A relabel is a loss and a gain for every neighbour; a bit lost
+                // and gained back in the same batch stays.
+                epochs
+                    .apply(&UpdateBatch::new().add_vertex(v(1), "a"))
+                    .unwrap();
+                assert_signatures_exact(&epochs.pin(), "neighbour relabelled");
+                assert_eq!(epochs.pin().signature_of(v(2)), Some(bit("a")));
+                epochs
+                    .apply(
+                        &UpdateBatch::new()
+                            .remove_edge(v(0), v(1))
+                            .add_vertex(v(5), "a")
+                            .add_edge(v(0), v(5)),
+                    )
+                    .unwrap();
+                assert_signatures_exact(&epochs.pin(), "lost and gained back");
 
-            // The seal carries the signatures over unchanged.
-            epochs.seal_epoch();
-            assert_signatures_exact(&epochs.pin(), "sealed");
+                // The seal carries the signatures over unchanged.
+                epochs.seal_epoch();
+                assert_signatures_exact(&epochs.pin(), "sealed");
+            }
         }
     }
 
     #[test]
     fn pinned_snapshot_is_isolated_from_later_epochs() {
-        let epochs = GraphEpochs::new(small_cloud(4));
-        let before = epochs.pin();
-        let baseline = observe(before.cloud());
-        epochs
-            .apply(&UpdateBatch::new().remove_vertex(v(0)).add_vertex(v(7), "x"))
-            .unwrap();
-        epochs
-            .apply(&UpdateBatch::new().add_edge(v(7), v(1)))
-            .unwrap();
-        assert_eq!(epochs.epoch(), 2);
-        // The old pin still sees epoch 0, bit-identical.
-        assert_eq!(before.epoch(), 0);
-        assert_eq!(observe(before.cloud()), baseline);
-        assert!(before.contains_vertex(v(0)));
-        assert!(!before.contains_vertex(v(7)));
+        for tier in TIERS {
+            let epochs = GraphEpochs::new(small_cloud(4, tier));
+            let before = epochs.pin();
+            let baseline = observe(before.cloud());
+            epochs
+                .apply(&UpdateBatch::new().remove_vertex(v(0)).add_vertex(v(7), "x"))
+                .unwrap();
+            epochs
+                .apply(&UpdateBatch::new().add_edge(v(7), v(1)))
+                .unwrap();
+            assert_eq!(epochs.epoch(), 2);
+            // The old pin still sees epoch 0, bit-identical.
+            assert_eq!(before.epoch(), 0);
+            assert_eq!(observe(before.cloud()), baseline);
+            assert!(before.contains_vertex(v(0)));
+            assert!(!before.contains_vertex(v(7)));
+        }
     }
 
     #[test]
     fn seal_keeps_epoch_and_content_and_drops_overlays() {
-        for tier in [StorageTier::Plain, StorageTier::Compact] {
-            std::env::remove_var("STWIG_STORAGE");
+        for tier in TIERS {
             let mut b = GraphBuilder::new_undirected().with_storage_tier(tier);
             b.add_vertex(v(0), "a");
             b.add_vertex(v(1), "b");
@@ -1127,162 +1140,172 @@ mod tests {
 
     #[test]
     fn apply_validates_and_is_atomic() {
-        let epochs = GraphEpochs::new(small_cloud(3));
-        let baseline = observe(epochs.pin().cloud());
-        let err = epochs
-            .apply(
-                &UpdateBatch::new()
-                    .add_vertex(v(8), "x")
-                    .add_edge(v(8), v(99)),
-            )
-            .unwrap_err();
-        assert_eq!(err, TrinityError::UnknownVertex(v(99)));
-        assert_eq!(epochs.epoch(), 0, "failed batch must not publish");
-        assert_eq!(observe(epochs.pin().cloud()), baseline);
-        assert!(matches!(
-            epochs.apply(&UpdateBatch::new().remove_vertex(v(42))),
-            Err(TrinityError::UnknownVertex(_))
-        ));
+        for tier in TIERS {
+            let epochs = GraphEpochs::new(small_cloud(3, tier));
+            let baseline = observe(epochs.pin().cloud());
+            let err = epochs
+                .apply(
+                    &UpdateBatch::new()
+                        .add_vertex(v(8), "x")
+                        .add_edge(v(8), v(99)),
+                )
+                .unwrap_err();
+            assert_eq!(err, TrinityError::UnknownVertex(v(99)));
+            assert_eq!(epochs.epoch(), 0, "failed batch must not publish");
+            assert_eq!(observe(epochs.pin().cloud()), baseline);
+            assert!(matches!(
+                epochs.apply(&UpdateBatch::new().remove_vertex(v(42))),
+                Err(TrinityError::UnknownVertex(_))
+            ));
+        }
     }
 
     #[test]
     fn no_op_batches_keep_the_epoch() {
-        let epochs = GraphEpochs::new(small_cloud(3));
-        // Absent-edge removal, existing-edge add, same-label relabel,
-        // self-loop: all no-ops.
-        let e = epochs
-            .apply(
-                &UpdateBatch::new()
-                    .remove_edge(v(0), v(3))
-                    .add_edge(v(0), v(1))
-                    .add_vertex(v(0), "a")
-                    .add_edge(v(2), v(2)),
-            )
-            .unwrap();
-        assert_eq!(e, 0);
-        // Add-then-remove within one batch nets out too.
-        let e = epochs
-            .apply(
-                &UpdateBatch::new()
-                    .add_vertex(v(9), "z")
-                    .add_edge(v(9), v(0))
-                    .remove_vertex(v(9)),
-            )
-            .unwrap();
-        assert_eq!(e, 0);
+        for tier in TIERS {
+            let epochs = GraphEpochs::new(small_cloud(3, tier));
+            // Absent-edge removal, existing-edge add, same-label relabel,
+            // self-loop: all no-ops.
+            let e = epochs
+                .apply(
+                    &UpdateBatch::new()
+                        .remove_edge(v(0), v(3))
+                        .add_edge(v(0), v(1))
+                        .add_vertex(v(0), "a")
+                        .add_edge(v(2), v(2)),
+                )
+                .unwrap();
+            assert_eq!(e, 0);
+            // Add-then-remove within one batch nets out too.
+            let e = epochs
+                .apply(
+                    &UpdateBatch::new()
+                        .add_vertex(v(9), "z")
+                        .add_edge(v(9), v(0))
+                        .remove_vertex(v(9)),
+                )
+                .unwrap();
+            assert_eq!(e, 0);
+        }
     }
 
     #[test]
     fn remove_then_readd_nets_to_edge_removal() {
-        let epochs = GraphEpochs::new(small_cloud(3));
-        let e = epochs
-            .apply(&UpdateBatch::new().remove_vertex(v(2)).add_vertex(v(2), "c"))
-            .unwrap();
-        assert_eq!(e, 1, "edges changed even though the vertex survived");
-        let snap = epochs.pin();
-        assert!(snap.contains_vertex(v(2)));
-        assert_eq!(snap.neighbors_global(v(2)).to_vec(), Vec::<VertexId>::new());
-        assert_eq!(snap.num_edges(), 1);
+        for tier in TIERS {
+            let epochs = GraphEpochs::new(small_cloud(3, tier));
+            let e = epochs
+                .apply(&UpdateBatch::new().remove_vertex(v(2)).add_vertex(v(2), "c"))
+                .unwrap();
+            assert_eq!(e, 1, "edges changed even though the vertex survived");
+            let snap = epochs.pin();
+            assert!(snap.contains_vertex(v(2)));
+            assert_eq!(snap.neighbors_global(v(2)).to_vec(), Vec::<VertexId>::new());
+            assert_eq!(snap.num_edges(), 1);
+        }
     }
 
     #[test]
     fn deleted_base_vertex_can_come_back() {
-        let epochs = GraphEpochs::new(small_cloud(3));
-        epochs
-            .apply(&UpdateBatch::new().remove_vertex(v(3)))
-            .unwrap();
-        epochs
-            .apply(
-                &UpdateBatch::new()
-                    .add_vertex(v(3), "d2")
-                    .add_edge(v(3), v(0)),
-            )
-            .unwrap();
-        let snap = epochs.pin();
-        assert_eq!(
-            snap.label_of_global(v(3)),
-            Some(snap.labels().get("d2").unwrap())
-        );
-        assert_eq!(snap.neighbors_global(v(3)).to_vec(), vec![v(0)]);
-        assert_eq!(snap.num_vertices(), 4);
+        for tier in TIERS {
+            let epochs = GraphEpochs::new(small_cloud(3, tier));
+            epochs
+                .apply(&UpdateBatch::new().remove_vertex(v(3)))
+                .unwrap();
+            epochs
+                .apply(
+                    &UpdateBatch::new()
+                        .add_vertex(v(3), "d2")
+                        .add_edge(v(3), v(0)),
+                )
+                .unwrap();
+            let snap = epochs.pin();
+            assert_eq!(
+                snap.label_of_global(v(3)),
+                Some(snap.labels().get("d2").unwrap())
+            );
+            assert_eq!(snap.neighbors_global(v(3)).to_vec(), vec![v(0)]);
+            assert_eq!(snap.num_vertices(), 4);
+        }
     }
 
     #[test]
     fn touch_log_records_changed_entries_per_epoch() {
-        let epochs = GraphEpochs::new(small_cloud(3));
-        let snap = epochs.pin();
-        let log = snap.epoch_touch_log().expect("managed cloud has a log");
-        let label = |cloud: &MemoryCloud, name: &str| cloud.labels().get(name).unwrap();
-        let (la, lb, lc, ld) = (
-            label(&snap, "a"),
-            label(&snap, "b"),
-            label(&snap, "c"),
-            label(&snap, "d"),
-        );
+        for tier in TIERS {
+            let epochs = GraphEpochs::new(small_cloud(3, tier));
+            let snap = epochs.pin();
+            let log = snap.epoch_touch_log().expect("managed cloud has a log");
+            let label = |cloud: &MemoryCloud, name: &str| cloud.labels().get(name).unwrap();
+            let (la, lb, lc, ld) = (
+                label(&snap, "a"),
+                label(&snap, "b"),
+                label(&snap, "c"),
+                label(&snap, "d"),
+            );
 
-        // Epoch 1, an added edge: its two entries, under post-batch labels.
-        epochs
-            .apply(&UpdateBatch::new().add_edge(v(0), v(3)))
-            .unwrap();
-        assert_eq!(log.touched_roots(0, 1, la, &[ld]), Some(vec![v(0)]));
-        assert_eq!(log.touched_roots(0, 1, ld, &[la]), Some(vec![v(3)]));
-        // The same labels in another combination were not touched.
-        assert_eq!(log.touched_roots(0, 1, la, &[lb, lc]), Some(vec![]));
-        assert_eq!(log.touched_roots(0, 1, ld, &[lc]), Some(vec![]));
+            // Epoch 1, an added edge: its two entries, under post-batch labels.
+            epochs
+                .apply(&UpdateBatch::new().add_edge(v(0), v(3)))
+                .unwrap();
+            assert_eq!(log.touched_roots(0, 1, la, &[ld]), Some(vec![v(0)]));
+            assert_eq!(log.touched_roots(0, 1, ld, &[la]), Some(vec![v(3)]));
+            // The same labels in another combination were not touched.
+            assert_eq!(log.touched_roots(0, 1, la, &[lb, lc]), Some(vec![]));
+            assert_eq!(log.touched_roots(0, 1, ld, &[lc]), Some(vec![]));
 
-        // Epoch 2, a relabel b → b2 of v(1): every surviving entry of v(1)
-        // under the old and the new label, both directions.
-        epochs
-            .apply(&UpdateBatch::new().add_vertex(v(1), "b2"))
-            .unwrap();
-        let lb2 = label(&epochs.pin(), "b2");
-        for own in [lb, lb2] {
-            assert_eq!(log.touched_roots(1, 2, own, &[la, lc]), Some(vec![v(1)]));
-            assert_eq!(log.touched_roots(1, 2, la, &[own]), Some(vec![v(0)]));
-            assert_eq!(log.touched_roots(1, 2, lc, &[own]), Some(vec![v(2)]));
-        }
-        assert_eq!(log.touched_roots(1, 2, la, &[lc, ld]), Some(vec![]));
-        // Ranges union epochs; repeated child labels are one pair.
-        assert_eq!(log.touched_roots(0, 2, la, &[lb, lb, ld]), Some(vec![v(0)]));
-        assert_eq!(log.touched_roots(2, 2, la, &[lb]), Some(vec![]));
+            // Epoch 2, a relabel b → b2 of v(1): every surviving entry of v(1)
+            // under the old and the new label, both directions.
+            epochs
+                .apply(&UpdateBatch::new().add_vertex(v(1), "b2"))
+                .unwrap();
+            let lb2 = label(&epochs.pin(), "b2");
+            for own in [lb, lb2] {
+                assert_eq!(log.touched_roots(1, 2, own, &[la, lc]), Some(vec![v(1)]));
+                assert_eq!(log.touched_roots(1, 2, la, &[own]), Some(vec![v(0)]));
+                assert_eq!(log.touched_roots(1, 2, lc, &[own]), Some(vec![v(2)]));
+            }
+            assert_eq!(log.touched_roots(1, 2, la, &[lc, ld]), Some(vec![]));
+            // Ranges union epochs; repeated child labels are one pair.
+            assert_eq!(log.touched_roots(0, 2, la, &[lb, lb, ld]), Some(vec![v(0)]));
+            assert_eq!(log.touched_roots(2, 2, la, &[lb]), Some(vec![]));
 
-        // Epoch 3, an isolated vertex — even one labelled `a` — changes no
-        // entry: the epoch is covered and empty.
-        epochs
-            .apply(&UpdateBatch::new().add_vertex(v(9), "a"))
-            .unwrap();
-        for own in [la, lb, lb2, lc, ld] {
+            // Epoch 3, an isolated vertex — even one labelled `a` — changes no
+            // entry: the epoch is covered and empty.
+            epochs
+                .apply(&UpdateBatch::new().add_vertex(v(9), "a"))
+                .unwrap();
+            for own in [la, lb, lb2, lc, ld] {
+                assert_eq!(
+                    log.touched_roots(2, 3, own, &[la, lb, lb2, lc, ld]),
+                    Some(vec![])
+                );
+            }
+
+            // Epoch 4, removing hub v(2) is the removal of its incident edges,
+            // under pre-batch labels; an add-then-remove inside the batch nets
+            // out and logs nothing.
+            epochs
+                .apply(
+                    &UpdateBatch::new()
+                        .add_edge(v(9), v(3))
+                        .remove_edge(v(9), v(3))
+                        .remove_vertex(v(2)),
+                )
+                .unwrap();
             assert_eq!(
-                log.touched_roots(2, 3, own, &[la, lb, lb2, lc, ld]),
-                Some(vec![])
+                log.touched_roots(3, 4, lc, &[la, lb2, ld]),
+                Some(vec![v(2)])
+            );
+            assert_eq!(log.touched_roots(3, 4, la, &[lc]), Some(vec![v(0)]));
+            assert_eq!(log.touched_roots(3, 4, lb2, &[lc]), Some(vec![v(1)]));
+            assert_eq!(log.touched_roots(3, 4, ld, &[lc]), Some(vec![v(3)]));
+            assert_eq!(log.touched_roots(3, 4, la, &[ld]), Some(vec![]));
+            assert_eq!(log.len(), 4);
+            assert_eq!(
+                log.touched_roots(0, 5, lc, &[la]),
+                None,
+                "epoch 5 not recorded yet: coverage is incomplete"
             );
         }
-
-        // Epoch 4, removing hub v(2) is the removal of its incident edges,
-        // under pre-batch labels; an add-then-remove inside the batch nets
-        // out and logs nothing.
-        epochs
-            .apply(
-                &UpdateBatch::new()
-                    .add_edge(v(9), v(3))
-                    .remove_edge(v(9), v(3))
-                    .remove_vertex(v(2)),
-            )
-            .unwrap();
-        assert_eq!(
-            log.touched_roots(3, 4, lc, &[la, lb2, ld]),
-            Some(vec![v(2)])
-        );
-        assert_eq!(log.touched_roots(3, 4, la, &[lc]), Some(vec![v(0)]));
-        assert_eq!(log.touched_roots(3, 4, lb2, &[lc]), Some(vec![v(1)]));
-        assert_eq!(log.touched_roots(3, 4, ld, &[lc]), Some(vec![v(3)]));
-        assert_eq!(log.touched_roots(3, 4, la, &[ld]), Some(vec![]));
-        assert_eq!(log.len(), 4);
-        assert_eq!(
-            log.touched_roots(0, 5, lc, &[la]),
-            None,
-            "epoch 5 not recorded yet: coverage is incomplete"
-        );
     }
 
     #[test]
@@ -1325,35 +1348,37 @@ mod tests {
 
     #[test]
     fn readers_pinned_across_concurrent_seal_see_identical_data() {
-        let epochs = GraphEpochs::new(small_cloud(4));
-        epochs
-            .apply(
-                &UpdateBatch::new()
-                    .add_vertex(v(10), "x")
-                    .add_edge(v(10), v(0))
-                    .remove_edge(v(2), v(3)),
-            )
-            .unwrap();
-        let pinned = epochs.pin();
-        let baseline = observe(pinned.cloud());
-        std::thread::scope(|scope| {
-            let reader = scope.spawn(|| {
-                for _ in 0..50 {
-                    assert_eq!(observe(pinned.cloud()), baseline);
-                }
+        for tier in TIERS {
+            let epochs = GraphEpochs::new(small_cloud(4, tier));
+            epochs
+                .apply(
+                    &UpdateBatch::new()
+                        .add_vertex(v(10), "x")
+                        .add_edge(v(10), v(0))
+                        .remove_edge(v(2), v(3)),
+                )
+                .unwrap();
+            let pinned = epochs.pin();
+            let baseline = observe(pinned.cloud());
+            std::thread::scope(|scope| {
+                let reader = scope.spawn(|| {
+                    for _ in 0..50 {
+                        assert_eq!(observe(pinned.cloud()), baseline);
+                    }
+                });
+                let writer = scope.spawn(|| {
+                    for i in 0..10u64 {
+                        epochs
+                            .apply(&UpdateBatch::new().add_vertex(v(100 + i), "y"))
+                            .unwrap();
+                        epochs.seal_epoch();
+                    }
+                });
+                reader.join().unwrap();
+                writer.join().unwrap();
             });
-            let writer = scope.spawn(|| {
-                for i in 0..10u64 {
-                    epochs
-                        .apply(&UpdateBatch::new().add_vertex(v(100 + i), "y"))
-                        .unwrap();
-                    epochs.seal_epoch();
-                }
-            });
-            reader.join().unwrap();
-            writer.join().unwrap();
-        });
-        assert_eq!(epochs.epoch(), 11);
-        assert_eq!(observe(pinned.cloud()), baseline, "pin survived 10 seals");
+            assert_eq!(epochs.epoch(), 11);
+            assert_eq!(observe(pinned.cloud()), baseline, "pin survived 10 seals");
+        }
     }
 }

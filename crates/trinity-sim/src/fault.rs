@@ -35,17 +35,14 @@
 //! Under such a plan the executor must produce **bit-identical** results to
 //! the fault-free run — the chaos differential suite pins exactly that.
 //!
-//! Set `STWIG_FAULT_PLAN` (e.g.
-//! `seed=7,drop=0.1,dup=0.08,delay=0.1,corrupt=0.02,unavail=0.04,timeout=0.02`)
-//! to run the whole suite under a plan via `MatchConfig`'s default.
+//! A plan is armed per query, as a value: `MatchConfig::fault_plan` in the
+//! `stwig` crate.
 
 use crate::ids::MachineId;
 use crate::transport::{Envelope, Message, Transport, TransportError};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::Mutex;
-use std::sync::OnceLock;
 
 /// Upper bound on consecutive injected failures of one distinct exchange.
 ///
@@ -53,8 +50,8 @@ use std::sync::OnceLock;
 /// attempts (chosen deterministically from the seed) and then lets it
 /// through, so a [`RetryPolicy`] with `max_attempts > MAX_TRANSIENT_FAILURES`
 /// always absorbs transient faults. Keeping this below the default retry
-/// budget is what makes whole-suite chaos runs deterministic-green instead
-/// of probabilistically flaky.
+/// budget is what makes chaos runs deterministic-green instead of
+/// probabilistically flaky.
 ///
 /// [`RetryPolicy`]: https://docs.rs/stwig
 pub const MAX_TRANSIENT_FAILURES: u32 = 2;
@@ -148,90 +145,6 @@ impl FaultPlan {
     /// plans preserve bit-identical query results.
     pub fn eventually_delivers(&self) -> bool {
         self.crash.is_none()
-    }
-
-    /// Parses the `STWIG_FAULT_PLAN` syntax: comma-separated `key=value`
-    /// pairs over `seed`, `drop`, `dup`, `delay`, `corrupt`, `unavail`,
-    /// `timeout` and `crash=MACHINE@OPS`. Unmentioned keys stay zero.
-    ///
-    /// ```
-    /// use trinity_sim::fault::FaultPlan;
-    /// let plan = FaultPlan::parse("seed=7,drop=0.1,dup=0.05,crash=1@0").unwrap();
-    /// assert_eq!(plan.seed, 7);
-    /// assert!(!plan.eventually_delivers());
-    /// ```
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let mut plan = FaultPlan::default();
-        for pair in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got `{pair}`"))?;
-            let prob = |v: &str| -> Result<f64, String> {
-                let p: f64 = v.parse().map_err(|_| format!("bad probability `{v}`"))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(format!("probability `{v}` outside [0, 1]"));
-                }
-                Ok(p)
-            };
-            match key.trim() {
-                "seed" => plan.seed = value.parse().map_err(|_| format!("bad seed `{value}`"))?,
-                "drop" => plan.drop = prob(value)?,
-                "dup" => plan.duplicate = prob(value)?,
-                "delay" => plan.delay = prob(value)?,
-                "corrupt" => plan.corrupt = prob(value)?,
-                "unavail" => plan.unavailable = prob(value)?,
-                "timeout" => plan.timeout = prob(value)?,
-                "crash" => {
-                    let (m, ops) = value
-                        .split_once('@')
-                        .ok_or_else(|| format!("expected crash=MACHINE@OPS, got `{value}`"))?;
-                    plan.crash = Some(MachineCrash {
-                        machine: m.parse().map_err(|_| format!("bad machine `{m}`"))?,
-                        after_ops: ops.parse().map_err(|_| format!("bad op count `{ops}`"))?,
-                    });
-                }
-                other => return Err(format!("unknown fault key `{other}`")),
-            }
-        }
-        Ok(plan)
-    }
-
-    /// The process-wide plan from `STWIG_FAULT_PLAN`, parsed once. `None`
-    /// when the variable is unset or empty; a malformed value panics (a
-    /// silently ignored chaos plan would report misleading green runs).
-    pub fn from_env() -> Option<FaultPlan> {
-        static PLAN: OnceLock<Option<FaultPlan>> = OnceLock::new();
-        PLAN.get_or_init(|| {
-            let raw = std::env::var("STWIG_FAULT_PLAN").ok()?;
-            if raw.trim().is_empty() {
-                return None;
-            }
-            Some(
-                FaultPlan::parse(&raw)
-                    .unwrap_or_else(|e| panic!("invalid STWIG_FAULT_PLAN `{raw}`: {e}")),
-            )
-        })
-        .clone()
-    }
-}
-
-impl fmt::Display for FaultPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "seed={},drop={},dup={},delay={},corrupt={},unavail={},timeout={}",
-            self.seed,
-            self.drop,
-            self.duplicate,
-            self.delay,
-            self.corrupt,
-            self.unavailable,
-            self.timeout
-        )?;
-        if let Some(c) = &self.crash {
-            write!(f, ",crash={}@{}", c.machine, c.after_ops)?;
-        }
-        Ok(())
     }
 }
 
@@ -537,17 +450,6 @@ mod tests {
             b.add_edge(v(i), v(i + 1));
         }
         b.build(machines, CostModel::default())
-    }
-
-    #[test]
-    fn plan_parse_round_trips_through_display() {
-        let plan = FaultPlan::lossy(42).with_crash(2, 17);
-        let reparsed = FaultPlan::parse(&plan.to_string()).unwrap();
-        assert_eq!(plan, reparsed);
-        assert!(FaultPlan::parse("drop=1.5").is_err());
-        assert!(FaultPlan::parse("nope=1").is_err());
-        assert!(FaultPlan::parse("crash=zz@1").is_err());
-        assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
     }
 
     #[test]

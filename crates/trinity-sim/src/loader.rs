@@ -44,7 +44,7 @@ use crate::partition::{Adjacency, IdMap, LabelPostings, Partition};
 pub struct StreamLoader {
     num_machines: usize,
     cost: CostModel,
-    tier: Option<StorageTier>,
+    tier: StorageTier,
     directed: bool,
 }
 
@@ -54,14 +54,14 @@ impl StreamLoader {
         StreamLoader {
             num_machines,
             cost,
-            tier: None,
+            tier: StorageTier::default(),
             directed: false,
         }
     }
 
-    /// Overrides the storage tier (default: [`StorageTier::from_env`]).
+    /// Overrides the storage tier (default [`StorageTier::Compact`]).
     pub fn with_storage_tier(mut self, tier: StorageTier) -> Self {
-        self.tier = Some(tier);
+        self.tier = tier;
         self
     }
 
@@ -99,7 +99,7 @@ impl StreamLoader {
         if m == 0 || m > u16::MAX as usize {
             return Err(TrinityError::InvalidMachineCount(m));
         }
-        let tier = self.tier.unwrap_or_else(StorageTier::from_env);
+        let tier = self.tier;
         let num_labels = interner.len();
 
         // ------------------------------------------------------------------

@@ -593,8 +593,8 @@ impl<'a> Iterator for MergedIter<'a> {
 
 impl Partition {
     /// Assembles a partition from parallel vectors of vertex IDs, labels and
-    /// adjacency lists, in the process-default [`StorageTier`]. The three
-    /// inputs must have the same length.
+    /// adjacency lists, in the default [`StorageTier`]. The three inputs must
+    /// have the same length.
     pub fn new(
         vertex_ids: Vec<VertexId>,
         labels: Vec<LabelId>,
@@ -606,7 +606,7 @@ impl Partition {
             labels,
             adjacency_lists,
             num_labels,
-            StorageTier::from_env(),
+            StorageTier::default(),
         )
     }
 
@@ -655,7 +655,7 @@ impl Partition {
             labels,
             adjacency_lists,
             num_labels,
-            StorageTier::from_env(),
+            StorageTier::default(),
             neighbor_label,
         )
     }
@@ -1049,10 +1049,6 @@ mod tests {
         )
     }
 
-    fn sample_partition() -> Partition {
-        sample_partition_tier(StorageTier::from_env())
-    }
-
     const TIERS: [StorageTier; 2] = [StorageTier::Plain, StorageTier::Compact];
 
     #[test]
@@ -1092,14 +1088,16 @@ mod tests {
 
     #[test]
     fn ownership_and_iteration() {
-        let p = sample_partition();
-        assert!(p.owns(v(10)));
-        assert!(!p.owns(v(11)));
-        let ids: Vec<_> = p.iter_vertices().collect();
-        assert_eq!(ids, vec![v(10), v(20), v(30)]);
-        assert_eq!(p.iter_cells().count(), 3);
-        assert_eq!(p.num_vertices(), 3);
-        assert_eq!(p.num_edge_entries(), 3);
+        for tier in TIERS {
+            let p = sample_partition_tier(tier);
+            assert!(p.owns(v(10)));
+            assert!(!p.owns(v(11)));
+            let ids: Vec<_> = p.iter_vertices().collect();
+            assert_eq!(ids, vec![v(10), v(20), v(30)]);
+            assert_eq!(p.iter_cells().count(), 3);
+            assert_eq!(p.num_vertices(), 3);
+            assert_eq!(p.num_edge_entries(), 3);
+        }
     }
 
     #[test]
@@ -1131,10 +1129,12 @@ mod tests {
 
     #[test]
     fn plain_partition_has_no_pruning_index() {
-        let p = sample_partition();
-        assert_eq!(p.signature_of(v(10)), None);
-        assert_eq!(p.signature_bits(), None);
-        assert_eq!(p.label_pair_total(), 0);
+        for tier in TIERS {
+            let p = sample_partition_tier(tier);
+            assert_eq!(p.signature_of(v(10)), None);
+            assert_eq!(p.signature_bits(), None);
+            assert_eq!(p.label_pair_total(), 0);
+        }
     }
 
     #[test]
@@ -1295,20 +1295,22 @@ mod tests {
 
     #[test]
     fn overlay_shares_base_storage() {
-        let base = sample_partition();
-        let overlaid = base.with_overlay(Some(PartitionOverlay {
-            num_vertices: base.num_vertices(),
-            num_edge_entries: base.num_edge_entries(),
-            ..PartitionOverlay::default()
-        }));
-        assert!(Arc::ptr_eq(&base.base, &overlaid.base));
-        // Dropping the overlay again restores the exact base view.
-        let restored = overlaid.with_overlay(None);
-        assert!(!restored.has_overlay());
-        assert_eq!(
-            restored.iter_vertices().collect::<Vec<_>>(),
-            base.iter_vertices().collect::<Vec<_>>()
-        );
+        for tier in TIERS {
+            let base = sample_partition_tier(tier);
+            let overlaid = base.with_overlay(Some(PartitionOverlay {
+                num_vertices: base.num_vertices(),
+                num_edge_entries: base.num_edge_entries(),
+                ..PartitionOverlay::default()
+            }));
+            assert!(Arc::ptr_eq(&base.base, &overlaid.base));
+            // Dropping the overlay again restores the exact base view.
+            let restored = overlaid.with_overlay(None);
+            assert!(!restored.has_overlay());
+            assert_eq!(
+                restored.iter_vertices().collect::<Vec<_>>(),
+                base.iter_vertices().collect::<Vec<_>>()
+            );
+        }
     }
     /// The six per-vertex reads of an overlaid partition against its sealed
     /// successor, for every kind of id: touched (adjacency, label), its

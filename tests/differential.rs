@@ -3,7 +3,7 @@
 //! `QueryEngine`, cache on and off) must return exactly the VF2 baseline's
 //! embedding set for generated DFS-family and random-family queries, across
 //! machines {1, 4} × worker threads {1, 4} × transport mode
-//! {DirectRead, Messages}.
+//! {DirectRead, Messages} × signature pruning {off, on}.
 //!
 //! VF2 is a completely independent implementation (state-space search, no
 //! decomposition, no joins, no cache), so agreement here certifies the whole
@@ -15,6 +15,22 @@ use stwig_match::prelude::*;
 
 const MACHINES: [usize; 2] = [1, 4];
 const THREADS: [usize; 2] = [1, 4];
+
+/// Every (worker threads, cache, transport, pruning) combination the oracle
+/// runs on each cloud.
+fn engine_axes() -> impl Iterator<Item = (usize, bool, TransportMode, bool)> {
+    THREADS.into_iter().flat_map(|threads| {
+        [false, true].into_iter().flat_map(move |cache_on| {
+            [TransportMode::DirectRead, TransportMode::Messages]
+                .into_iter()
+                .flat_map(move |mode| {
+                    [false, true]
+                        .into_iter()
+                        .map(move |pruning| (threads, cache_on, mode, pruning))
+                })
+        })
+    })
+}
 
 struct GraphCase {
     name: &'static str,
@@ -79,65 +95,61 @@ fn engine_matches_vf2_across_machines_threads_and_cache() {
                 .graph
                 .clone()
                 .build_cloud(machines, trinity_sim::network::CostModel::default());
-            for threads in THREADS {
-                for cache_on in [false, true] {
-                    for mode in [TransportMode::DirectRead, TransportMode::Messages] {
-                        let config = EngineConfig::default()
-                            .with_workers(Some(threads))
-                            .with_cache(cache_on.then(CacheConfig::default))
-                            .with_match_config(
-                                MatchConfig::exhaustive()
-                                    .with_num_threads(Some(1))
-                                    .with_transport_mode(mode),
-                            );
-                        let engine = QueryEngine::new(&cloud, config);
-                        // Run the batch twice: the first pass populates the
-                        // cache, the second is all hits — both must agree
-                        // with VF2.
-                        for pass in 0..2 {
-                            let outputs = engine.run_batch(&queries);
-                            for ((q, out), want) in queries.iter().zip(&outputs).zip(&expected) {
-                                let out = out.as_ref().expect("query succeeds");
-                                let ctx = format!(
-                                    "graph = {}, machines = {machines}, threads = {threads}, \
-                                     cache = {cache_on}, mode = {mode:?}, pass = {pass}",
-                                    case.name
-                                );
-                                assert_eq!(
-                                    &canonical_rows(q, &out.table),
-                                    want,
-                                    "embedding set diverged from VF2: {ctx}"
-                                );
-                                assert_eq!(
-                                    out.metrics.matches_found,
-                                    out.table.num_rows() as u64,
-                                    "metrics out of sync: {ctx}"
-                                );
-                                verify_all(&cloud, q, &out.table)
-                                    .unwrap_or_else(|r| panic!("invalid row {r}: {ctx}"));
-                            }
-                        }
-                        if cache_on {
-                            let stats = engine.cache_stats().expect("cache enabled");
-                            assert!(
-                                stats.hits > 0,
-                                "second pass must hit the cache (graph = {}, \
-                                 machines = {machines}, mode = {mode:?})",
-                                case.name
-                            );
-                            // The plan memo filled while `threads` workers
-                            // raced; the second pass planned nothing.
-                            let planned = queries.iter().filter(|q| q.num_edges() > 0).count();
-                            assert!(
-                                stats.plan_hits >= planned as u64
-                                    && stats.plan_misses <= planned as u64,
-                                "second pass must take every plan from the memo \
-                                 (graph = {}, machines = {machines}, threads = {threads}, \
-                                 mode = {mode:?}): {stats:?}",
-                                case.name
-                            );
-                        }
+            for (threads, cache_on, mode, pruning) in engine_axes() {
+                let config = EngineConfig::default()
+                    .with_workers(Some(threads))
+                    .with_cache(cache_on.then(CacheConfig::default))
+                    .with_match_config(
+                        MatchConfig::exhaustive()
+                            .with_num_threads(Some(1))
+                            .with_transport_mode(mode)
+                            .with_pruning(pruning),
+                    );
+                let engine = QueryEngine::new(&cloud, config);
+                // Run the batch twice: the first pass populates the cache,
+                // the second is all hits — both must agree with VF2.
+                for pass in 0..2 {
+                    let outputs = engine.run_batch(&queries);
+                    for ((q, out), want) in queries.iter().zip(&outputs).zip(&expected) {
+                        let out = out.as_ref().expect("query succeeds");
+                        let ctx = format!(
+                            "graph = {}, machines = {machines}, threads = {threads}, \
+                             cache = {cache_on}, mode = {mode:?}, pruning = {pruning}, \
+                             pass = {pass}",
+                            case.name
+                        );
+                        assert_eq!(
+                            &canonical_rows(q, &out.table),
+                            want,
+                            "embedding set diverged from VF2: {ctx}"
+                        );
+                        assert_eq!(
+                            out.metrics.matches_found,
+                            out.table.num_rows() as u64,
+                            "metrics out of sync: {ctx}"
+                        );
+                        verify_all(&cloud, q, &out.table)
+                            .unwrap_or_else(|r| panic!("invalid row {r}: {ctx}"));
                     }
+                }
+                if cache_on {
+                    let stats = engine.cache_stats().expect("cache enabled");
+                    assert!(
+                        stats.hits > 0,
+                        "second pass must hit the cache (graph = {}, \
+                         machines = {machines}, mode = {mode:?}, pruning = {pruning})",
+                        case.name
+                    );
+                    // The plan memo filled while `threads` workers raced; the
+                    // second pass planned nothing.
+                    let planned = queries.iter().filter(|q| q.num_edges() > 0).count();
+                    assert!(
+                        stats.plan_hits >= planned as u64 && stats.plan_misses <= planned as u64,
+                        "second pass must take every plan from the memo \
+                         (graph = {}, machines = {machines}, threads = {threads}, \
+                         mode = {mode:?}, pruning = {pruning}): {stats:?}",
+                        case.name
+                    );
                 }
             }
         }

@@ -8,15 +8,16 @@
 //! reference cloud — an independent matcher on an independently constructed
 //! graph, so agreement certifies the whole overlay/snapshot/cache pipeline.
 //!
-//! Transport and storage-tier defaults also come from `STWIG_TRANSPORT` /
-//! `STWIG_STORAGE`, which the CI `dynamic` job sweeps; transports are
-//! additionally iterated in-process below.
+//! Transport and storage tier are set per test, in code: the oracle rotates
+//! the transport across schedules and runs every machine count on both
+//! tiers, and the property tests sweep both tiers.
 
 use proptest::prelude::*;
 use stwig_match::prelude::*;
 use trinity_sim::ids::VertexId;
 
 const MACHINES: [usize; 2] = [1, 4];
+const TIERS: [StorageTier; 2] = [StorageTier::Compact, StorageTier::Plain];
 const SCHEDULE_SEEDS: [u64; 3] = [0xD1A1, 0xD1A2, 0xD1A3];
 
 /// A ~200-vertex Erdős–Rényi base graph with 4 labels, seeded per schedule.
@@ -36,7 +37,7 @@ fn stream_config(seed: u64) -> UpdateStreamConfig {
 }
 
 /// The interleaved differential oracle. For every schedule seed × machine
-/// count × transport × cache setting:
+/// count × storage tier × cache setting, with the transport rotating:
 ///
 /// 1. a probe query is admitted at epoch `N`, an update batch is then
 ///    admitted behind it, and both drain together — the probe must match
@@ -47,17 +48,17 @@ fn stream_config(seed: u64) -> UpdateStreamConfig {
 fn interleaved_updates_match_vf2_on_the_mutated_reference() {
     let mut query_points = 0usize;
     for (i, &seed) in SCHEDULE_SEEDS.iter().enumerate() {
-        // Rotate the in-process transport across schedules; the CI matrix
-        // sweeps the env-default transport over the whole suite as well.
+        // Rotate the transport across schedules; every machine count runs
+        // on both storage tiers.
         let mode = if i % 2 == 0 {
             TransportMode::DirectRead
         } else {
             TransportMode::Messages
         };
         for machines in MACHINES {
-            for cache_on in [false, true] {
-                let base = base_graph(seed)
-                    .build_cloud(machines, trinity_sim::network::CostModel::default());
+            for (tier, cache_on) in TIERS.into_iter().flat_map(|t| [(t, false), (t, true)]) {
+                let base = (base_graph(seed).to_builder().with_storage_tier(tier))
+                    .build(machines, trinity_sim::network::CostModel::default());
                 let batches = update_stream(&base, &stream_config(seed));
                 let mut mirror = GraphMirror::from_cloud(&base);
                 let epochs = GraphEpochs::new(base);
@@ -73,7 +74,7 @@ fn interleaved_updates_match_vf2_on_the_mutated_reference() {
                 let ctx = move |batch_no: usize| {
                     format!(
                         "seed = {seed:#x}, machines = {machines}, cache = {cache_on}, \
-                         mode = {mode:?}, batch = {batch_no}"
+                         mode = {mode:?}, tier = {tier}, batch = {batch_no}"
                     )
                 };
 
@@ -494,8 +495,10 @@ proptest! {
 
     /// Satellite 2: a reader pinned before a churn of applies and a
     /// `seal_epoch` sees bit-identical query results throughout — on both
-    /// storage tiers. Also checks seal itself is observationally invisible
-    /// to the *current* snapshot (same epoch, same answers).
+    /// storage tiers, with pruning (and with it pair-aware planning, whose
+    /// label-pair statistics must not move across a seal) off and on. Also
+    /// checks seal itself is observationally invisible to the *current*
+    /// snapshot (same epoch, same answers).
     #[test]
     fn pinned_readers_are_bit_identical_across_applies_and_seal(
         n in 8u64..40,
@@ -504,7 +507,7 @@ proptest! {
         machines in 1usize..4,
         seed in 0u64..500,
     ) {
-        for tier in [StorageTier::Plain, StorageTier::Compact] {
+        for (tier, pruning) in TIERS.into_iter().flat_map(|t| [(t, false), (t, true)]) {
             let cloud = tiered_cloud(n, &labels, &edges, machines, tier);
             let Some(query) = dfs_query(&cloud, 3, seed) else { continue };
             let batches = update_stream(&cloud, &UpdateStreamConfig {
@@ -516,7 +519,9 @@ proptest! {
             let epochs = GraphEpochs::new(cloud);
 
             let pinned = epochs.pin();
-            let config = MatchConfig::exhaustive().with_num_threads(Some(1));
+            let config = MatchConfig::exhaustive()
+                .with_num_threads(Some(1))
+                .with_pruning(pruning);
             let before = stwig::match_query_distributed(&pinned, &query, &config).unwrap();
 
             for batch in &batches {
@@ -527,25 +532,27 @@ proptest! {
             let sealed_epoch = epochs.seal_epoch();
             prop_assert_eq!(
                 sealed_epoch, current.epoch(),
-                "seal must keep the epoch number (tier = {:?})", tier
+                "seal must keep the epoch number (tier = {:?}, pruning = {})", tier, pruning
             );
 
             // The old pinned reader: bit-identical to its pre-churn answer.
             let after = stwig::match_query_distributed(&pinned, &query, &config).unwrap();
             prop_assert_eq!(
                 &before.table, &after.table,
-                "pinned reader's table changed across applies + seal (tier = {:?})", tier
+                "pinned reader's table changed across applies + seal (tier = {:?}, pruning = {})",
+                tier, pruning
             );
 
             // The pre-seal current snapshot: bit-identical across the seal,
             // and a fresh pin agrees too (seal is observationally invisible).
             let post_seal = stwig::match_query_distributed(&current, &query, &config).unwrap();
             prop_assert_eq!(&pre_seal.table, &post_seal.table,
-                "pre-seal snapshot changed across seal (tier = {:?})", tier);
+                "pre-seal snapshot changed across seal (tier = {:?}, pruning = {})", tier, pruning);
             let fresh = epochs.pin();
             let fresh_out = stwig::match_query_distributed(&fresh, &query, &config).unwrap();
             prop_assert_eq!(&pre_seal.table, &fresh_out.table,
-                "sealed base diverged from the overlay it replaced (tier = {:?})", tier);
+                "sealed base diverged from the overlay it replaced (tier = {:?}, pruning = {})",
+                tier, pruning);
         }
     }
 

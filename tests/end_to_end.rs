@@ -1,8 +1,20 @@
 //! Cross-crate integration tests: the STwig matcher against the baseline
 //! matchers, single-machine versus distributed execution, and the dataset
-//! profiles end to end.
+//! profiles end to end — each under both transports.
 
 use stwig_match::prelude::*;
+
+const MODES: [TransportMode; 2] = [TransportMode::DirectRead, TransportMode::Messages];
+
+/// [`MatchConfig::exhaustive`] under `mode`.
+fn exhaustive(mode: TransportMode) -> MatchConfig {
+    MatchConfig::exhaustive().with_transport_mode(mode)
+}
+
+/// [`MatchConfig::paper_default`] under `mode`.
+fn paper_default(mode: TransportMode) -> MatchConfig {
+    MatchConfig::paper_default().with_transport_mode(mode)
+}
 
 /// Builds a moderately-sized labeled R-MAT cloud for cross-checking.
 fn rmat_cloud(n: u64, degree: f64, labels: usize, machines: usize, seed: u64) -> MemoryCloud {
@@ -19,16 +31,18 @@ fn stwig_matches_vf2_on_dfs_queries() {
     let queries = query_batch(&cloud, 12, 5, None, 100);
     assert!(!queries.is_empty());
     for q in &queries {
-        let ours = stwig::match_query_distributed(&cloud, q, &MatchConfig::exhaustive()).unwrap();
-        let reference = vf2(&cloud, q, None);
-        assert_eq!(
-            canonical_rows(q, &ours.table),
-            canonical_rows(q, &reference),
-            "mismatch on query with {} vertices / {} edges",
-            q.num_vertices(),
-            q.num_edges()
-        );
-        verify_all(&cloud, q, &ours.table).unwrap();
+        let reference = canonical_rows(q, &vf2(&cloud, q, None));
+        for mode in MODES {
+            let ours = stwig::match_query_distributed(&cloud, q, &exhaustive(mode)).unwrap();
+            assert_eq!(
+                canonical_rows(q, &ours.table),
+                reference,
+                "mismatch on query with {} vertices / {} edges ({mode:?})",
+                q.num_vertices(),
+                q.num_edges()
+            );
+            verify_all(&cloud, q, &ours.table).unwrap();
+        }
     }
 }
 
@@ -37,12 +51,11 @@ fn stwig_matches_ullmann_on_random_queries() {
     let cloud = rmat_cloud(600, 5.0, 5, 2, 2);
     let queries = query_batch(&cloud, 10, 4, Some(5), 200);
     for q in &queries {
-        let ours = stwig::match_query_distributed(&cloud, q, &MatchConfig::exhaustive()).unwrap();
-        let reference = ullmann(&cloud, q, None);
-        assert_eq!(
-            canonical_rows(q, &ours.table),
-            canonical_rows(q, &reference)
-        );
+        let reference = canonical_rows(q, &ullmann(&cloud, q, None));
+        for mode in MODES {
+            let ours = stwig::match_query_distributed(&cloud, q, &exhaustive(mode)).unwrap();
+            assert_eq!(canonical_rows(q, &ours.table), reference, "{mode:?}");
+        }
     }
 }
 
@@ -51,12 +64,12 @@ fn stwig_matches_edge_join_baseline() {
     let cloud = rmat_cloud(500, 5.0, 4, 2, 3);
     let queries = query_batch(&cloud, 8, 4, Some(4), 300);
     for q in &queries {
-        let ours = stwig::match_query_distributed(&cloud, q, &MatchConfig::exhaustive()).unwrap();
         let (reference, _stats) = edge_join(&cloud, q, None);
-        assert_eq!(
-            canonical_rows(q, &ours.table),
-            canonical_rows(q, &reference)
-        );
+        let reference = canonical_rows(q, &reference);
+        for mode in MODES {
+            let ours = stwig::match_query_distributed(&cloud, q, &exhaustive(mode)).unwrap();
+            assert_eq!(canonical_rows(q, &ours.table), reference, "{mode:?}");
+        }
     }
 }
 
@@ -71,19 +84,20 @@ fn distributed_equals_single_machine_across_cluster_sizes() {
     let expected: Vec<_> = queries
         .iter()
         .map(|q| {
-            let out =
-                stwig::match_query_distributed(&reference_cloud, q, &MatchConfig::exhaustive())
-                    .unwrap();
+            let config = exhaustive(TransportMode::DirectRead);
+            let out = stwig::match_query_distributed(&reference_cloud, q, &config).unwrap();
             canonical_rows(q, &out.table)
         })
         .collect();
     for machines in [2usize, 3, 5, 8] {
         let cloud = graph.build_cloud(machines, CostModel::default());
-        for (q, want) in queries.iter().zip(&expected) {
-            let got =
-                stwig::match_query_distributed(&cloud, q, &MatchConfig::exhaustive()).unwrap();
-            assert_eq!(&canonical_rows(q, &got.table), want, "machines={machines}");
-            verify_all(&cloud, q, &got.table).unwrap();
+        for mode in MODES {
+            for (q, want) in queries.iter().zip(&expected) {
+                let got = stwig::match_query_distributed(&cloud, q, &exhaustive(mode)).unwrap();
+                let ctx = format!("machines={machines}, {mode:?}");
+                assert_eq!(&canonical_rows(q, &got.table), want, "{ctx}");
+                verify_all(&cloud, q, &got.table).unwrap();
+            }
         }
     }
 }
@@ -92,23 +106,20 @@ fn distributed_equals_single_machine_across_cluster_sizes() {
 fn bindings_and_join_order_do_not_change_answers() {
     let cloud = rmat_cloud(600, 6.0, 5, 4, 5);
     let queries = query_batch(&cloud, 6, 5, Some(7), 500);
-    for q in &queries {
-        let base = stwig::match_query_distributed(&cloud, q, &MatchConfig::exhaustive()).unwrap();
-        let no_bind = stwig::match_query_distributed(
-            &cloud,
-            q,
-            &MatchConfig::exhaustive().with_bindings(false),
-        )
-        .unwrap();
-        let no_order = stwig::match_query_distributed(
-            &cloud,
-            q,
-            &MatchConfig::exhaustive().with_join_order_optimization(false),
-        )
-        .unwrap();
-        let want = canonical_rows(q, &base.table);
-        assert_eq!(canonical_rows(q, &no_bind.table), want);
-        assert_eq!(canonical_rows(q, &no_order.table), want);
+    for mode in MODES {
+        for q in &queries {
+            let run = |config: MatchConfig| {
+                let out = stwig::match_query_distributed(&cloud, q, &config).unwrap();
+                canonical_rows(q, &out.table)
+            };
+            let want = run(exhaustive(mode));
+            assert_eq!(run(exhaustive(mode).with_bindings(false)), want, "{mode:?}");
+            assert_eq!(
+                run(exhaustive(mode).with_join_order_optimization(false)),
+                want,
+                "{mode:?}"
+            );
+        }
     }
 }
 
@@ -121,10 +132,12 @@ fn paper_default_truncates_but_returns_valid_matches() {
     let b = qb.vertex_by_name(&cloud, "L1").unwrap();
     qb.edge(a, b);
     let q = qb.build().unwrap();
-    let out = stwig::match_query_distributed(&cloud, &q, &MatchConfig::paper_default()).unwrap();
-    assert_eq!(out.num_matches(), 1024);
-    assert!(out.metrics.truncated);
-    verify_all(&cloud, &q, &out.table).unwrap();
+    for mode in MODES {
+        let out = stwig::match_query_distributed(&cloud, &q, &paper_default(mode)).unwrap();
+        assert_eq!(out.num_matches(), 1024, "{mode:?}");
+        assert!(out.metrics.truncated);
+        verify_all(&cloud, &q, &out.table).unwrap();
+    }
 }
 
 #[test]
@@ -137,12 +150,17 @@ fn dataset_profiles_answer_queries() {
         let cloud = graph.build_cloud(4, CostModel::default());
         let queries = query_batch(&cloud, 5, 4, None, 600);
         assert!(!queries.is_empty(), "{name}: no queries generated");
-        for q in &queries {
-            let out =
-                stwig::match_query_distributed(&cloud, q, &MatchConfig::paper_default()).unwrap();
-            // DFS queries are induced subgraphs, so at least one match exists.
-            assert!(out.num_matches() >= 1, "{name}: query lost its own witness");
-            verify_all(&cloud, q, &out.table).unwrap();
+        for mode in MODES {
+            for q in &queries {
+                let out = stwig::match_query_distributed(&cloud, q, &paper_default(mode)).unwrap();
+                // DFS queries are induced subgraphs, so at least one match
+                // exists.
+                assert!(
+                    out.num_matches() >= 1,
+                    "{name}: query lost its own witness ({mode:?})"
+                );
+                verify_all(&cloud, q, &out.table).unwrap();
+            }
         }
     }
 }
@@ -151,16 +169,18 @@ fn dataset_profiles_answer_queries() {
 fn per_machine_answers_are_disjoint_and_complete() {
     let cloud = rmat_cloud(900, 6.0, 4, 6, 11);
     let queries = query_batch(&cloud, 5, 5, None, 700);
-    for q in &queries {
-        let out = stwig::match_query_distributed(&cloud, q, &MatchConfig::exhaustive()).unwrap();
-        let rows = canonical_rows(q, &out.table);
-        // canonical_rows dedups: if per-machine answers overlapped, the
-        // deduplicated count would be smaller than the reported matches.
-        assert_eq!(
-            rows.len(),
-            out.num_matches(),
-            "duplicate answers across machines"
-        );
+    for mode in MODES {
+        for q in &queries {
+            let out = stwig::match_query_distributed(&cloud, q, &exhaustive(mode)).unwrap();
+            let rows = canonical_rows(q, &out.table);
+            // canonical_rows dedups: if per-machine answers overlapped, the
+            // deduplicated count would be smaller than the reported matches.
+            assert_eq!(
+                rows.len(),
+                out.num_matches(),
+                "duplicate answers across machines ({mode:?})"
+            );
+        }
     }
 }
 
@@ -168,14 +188,16 @@ fn per_machine_answers_are_disjoint_and_complete() {
 fn query_metrics_are_consistent() {
     let cloud = rmat_cloud(800, 8.0, 4, 4, 13);
     let q = dfs_query(&cloud, 6, 42).unwrap();
-    let out = stwig::match_query_distributed(&cloud, &q, &MatchConfig::paper_default()).unwrap();
-    let m = &out.metrics;
-    assert_eq!(m.stwig_rows.len(), m.num_stwigs);
-    assert_eq!(m.machines.len(), 4);
-    assert_eq!(
-        m.machines.iter().map(|x| x.matches_found).sum::<u64>(),
-        m.matches_found
-    );
-    assert!(m.simulated_us > 0.0);
-    assert!(m.explore.cells_loaded > 0);
+    for mode in MODES {
+        let out = stwig::match_query_distributed(&cloud, &q, &paper_default(mode)).unwrap();
+        let m = &out.metrics;
+        assert_eq!(m.stwig_rows.len(), m.num_stwigs);
+        assert_eq!(m.machines.len(), 4);
+        assert_eq!(
+            m.machines.iter().map(|x| x.matches_found).sum::<u64>(),
+            m.matches_found
+        );
+        assert!(m.simulated_us > 0.0);
+        assert!(m.explore.cells_loaded > 0, "{mode:?}");
+    }
 }

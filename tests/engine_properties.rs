@@ -3,7 +3,7 @@
 //! interleaved concurrent cached execution must give the uncached serial
 //! executor's answers — and, pass after pass, the very same tables — and a
 //! byte budget small enough to evict on every insert must never corrupt a
-//! table a concurrent query is reading.
+//! table a concurrent query is reading — under both transports.
 
 use proptest::prelude::*;
 use stwig_match::prelude::*;
@@ -29,6 +29,8 @@ fn random_graph(max_vertices: u64, max_labels: u32) -> impl Strategy<Value = Ran
         })
     })
 }
+
+const MODES: [TransportMode; 2] = [TransportMode::DirectRead, TransportMode::Messages];
 
 fn build_cloud(g: &RandomGraph, machines: usize) -> MemoryCloud {
     SyntheticGraph::unlabeled(g.num_vertices, g.edges.clone())
@@ -76,8 +78,11 @@ proptest! {
         prop_assume!(cloud.num_edges() > 0);
         let queries = batch(&cloud, seed);
         prop_assume!(!queries.is_empty());
-        for base in [MatchConfig::exhaustive(), MatchConfig::paper_default()] {
-            let config = base.with_num_threads(Some(1));
+        let configs = MODES.into_iter().flat_map(|mode| {
+            [MatchConfig::exhaustive(), MatchConfig::paper_default()]
+                .map(|base| base.with_num_threads(Some(1)).with_transport_mode(mode))
+        });
+        for config in configs {
             let expected: Vec<_> = queries
                 .iter()
                 .map(|q| stwig::match_query_distributed(&cloud, q, &config).unwrap())
@@ -92,7 +97,7 @@ proptest! {
             for (i, (out, want)) in outputs.iter().zip(&expected).enumerate() {
                 let out = out.as_ref().expect("query succeeds");
                 let same = same_answer(&cloud, &queries[i], &out.table, &want.table, config.result_limit());
-                prop_assert!(same.is_ok(), "query {} diverged: {:?}", i, same);
+                prop_assert!(same.is_ok(), "query {} diverged ({:?}): {:?}", i, config.transport_mode, same);
                 prop_assert_eq!(out.metrics.matches_found, want.metrics.matches_found);
             }
             let again = engine.run_batch(&queries);
@@ -116,39 +121,44 @@ proptest! {
         prop_assume!(cloud.num_edges() > 0);
         let queries = batch(&cloud, seed);
         prop_assume!(!queries.is_empty());
-        let config = MatchConfig::exhaustive().with_num_threads(Some(1));
-        let expected: Vec<_> = queries
-            .iter()
-            .map(|q| stwig::match_query_distributed(&cloud, q, &config).unwrap())
-            .collect();
-        let engine = QueryEngine::new(
-            &cloud,
-            EngineConfig::default()
-                .with_workers(Some(4))
-                .with_cache(Some(CacheConfig::default().with_budget_bytes(2_048)))
-                .with_match_config(config),
-        );
-        // Two passes so later lookups race against earlier entries being
-        // evicted by concurrent inserts.
-        for _ in 0..2 {
-            let outputs = engine.run_batch(&queries);
-            for (i, (out, want)) in outputs.iter().zip(&expected).enumerate() {
-                let out = out.as_ref().expect("query succeeds");
-                let same = same_answer(&cloud, &queries[i], &out.table, &want.table, None);
-                prop_assert!(same.is_ok(), "query {} diverged: {:?}", i, same);
+        for mode in MODES {
+            let config = MatchConfig::exhaustive()
+                .with_num_threads(Some(1))
+                .with_transport_mode(mode);
+            let expected: Vec<_> = queries
+                .iter()
+                .map(|q| stwig::match_query_distributed(&cloud, q, &config).unwrap())
+                .collect();
+            let engine = QueryEngine::new(
+                &cloud,
+                EngineConfig::default()
+                    .with_workers(Some(4))
+                    .with_cache(Some(CacheConfig::default().with_budget_bytes(2_048)))
+                    .with_match_config(config),
+            );
+            // Two passes so later lookups race against earlier entries being
+            // evicted by concurrent inserts.
+            for _ in 0..2 {
+                let outputs = engine.run_batch(&queries);
+                for (i, (out, want)) in outputs.iter().zip(&expected).enumerate() {
+                    let out = out.as_ref().expect("query succeeds");
+                    let same = same_answer(&cloud, &queries[i], &out.table, &want.table, None);
+                    prop_assert!(same.is_ok(), "query {} diverged ({:?}): {:?}", i, mode, same);
+                }
             }
+            let stats = engine.cache_stats().expect("cache enabled");
+            // The accounting must balance: every lookup is a hit, miss or
+            // bypass.
+            prop_assert_eq!(
+                stats.hits + stats.misses + stats.bypasses > 0,
+                true,
+                "cache was never consulted"
+            );
+            prop_assert!(
+                stats.bytes_resident <= 2_048,
+                "resident bytes {} exceed the budget",
+                stats.bytes_resident
+            );
         }
-        let stats = engine.cache_stats().expect("cache enabled");
-        // The accounting must balance: every lookup is a hit, miss or bypass.
-        prop_assert_eq!(
-            stats.hits + stats.misses + stats.bypasses > 0,
-            true,
-            "cache was never consulted"
-        );
-        prop_assert!(
-            stats.bytes_resident <= 2_048,
-            "resident bytes {} exceed the budget",
-            stats.bytes_resident
-        );
     }
 }

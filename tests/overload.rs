@@ -99,44 +99,50 @@ proptest! {
 }
 
 /// Backpressure refuses over-capacity submissions in O(query) — no
-/// exploration work, no transport envelopes — and everything that *was*
-/// admitted still runs to completion.
+/// exploration work, no transport envelopes (under `Messages`) and no remote
+/// reads (under `DirectRead`) — and everything that *was* admitted still
+/// runs to completion.
 #[test]
 fn rejected_submissions_cost_nothing_and_admitted_work_completes() {
     let cloud = overload_cloud(2);
     let query = shared_query(&cloud);
     let capacity = 4usize;
     let extra = 3usize;
-    let serve = ServeConfig::default()
-        .with_admission(AdmissionConfig::default().with_queue_capacity(capacity));
-    let engine = QueryEngine::new(&cloud, EngineConfig::default().with_serve(serve));
-    cloud.reset_traffic();
-    let direct_before = cloud.direct_remote_reads();
-    let mut accepted = Vec::new();
-    let mut rejected = 0usize;
-    for _ in 0..capacity + extra {
-        match engine.submit(QueryRequest::new(query.clone())) {
-            Submit::Accepted(handle) => accepted.push(handle),
-            Submit::Rejected(RejectReason::QueueFull { capacity: c }) => {
-                assert_eq!(c, capacity);
-                rejected += 1;
+    for mode in [TransportMode::DirectRead, TransportMode::Messages] {
+        let serve = ServeConfig::default()
+            .with_admission(AdmissionConfig::default().with_queue_capacity(capacity));
+        let config = EngineConfig::default()
+            .with_serve(serve)
+            .with_match_config(MatchConfig::default().with_transport_mode(mode));
+        let engine = QueryEngine::new(&cloud, config);
+        cloud.reset_traffic();
+        let direct_before = cloud.direct_remote_reads();
+        let mut accepted = Vec::new();
+        let mut rejected = 0usize;
+        for _ in 0..capacity + extra {
+            match engine.submit(QueryRequest::new(query.clone())) {
+                Submit::Accepted(handle) => accepted.push(handle),
+                Submit::Rejected(RejectReason::QueueFull { capacity: c }) => {
+                    assert_eq!(c, capacity);
+                    rejected += 1;
+                }
+                Submit::Rejected(other) => panic!("unexpected rejection: {other}"),
             }
-            Submit::Rejected(other) => panic!("unexpected rejection: {other}"),
         }
+        assert_eq!(accepted.len(), capacity, "{mode:?}");
+        assert_eq!(rejected, extra, "{mode:?}");
+        // Nothing has executed yet; rejection itself moved no data.
+        assert_eq!(cloud.traffic().total_messages(), 0, "{mode:?}");
+        assert_eq!(cloud.direct_remote_reads(), direct_before, "{mode:?}");
+        engine.drain();
+        for handle in accepted {
+            let response = handle.wait().expect("admitted query completes");
+            assert_eq!(response.metrics.outcome, QueryOutcome::Complete, "{mode:?}");
+        }
+        let snapshot = engine.metrics_snapshot();
+        assert_eq!(snapshot.scheduler.rejected_queue_full, extra as u64);
+        assert_eq!(snapshot.engine.queries_executed, capacity as u64);
     }
-    assert_eq!(accepted.len(), capacity);
-    assert_eq!(rejected, extra);
-    // Nothing has executed yet; rejection itself moved no data.
-    assert_eq!(cloud.traffic().total_messages(), 0);
-    assert_eq!(cloud.direct_remote_reads(), direct_before);
-    engine.drain();
-    for handle in accepted {
-        let response = handle.wait().expect("admitted query completes");
-        assert_eq!(response.metrics.outcome, QueryOutcome::Complete);
-    }
-    let snapshot = engine.metrics_snapshot();
-    assert_eq!(snapshot.scheduler.rejected_queue_full, extra as u64);
-    assert_eq!(snapshot.engine.queries_executed, capacity as u64);
 }
 
 /// Open-loop serving under deadline pressure: hopeless (already-expired)

@@ -6,10 +6,8 @@
 //! the serial `DirectRead` run is the reference, and `DirectRead` × 4
 //! threads, `Messages` × 1 thread and `Messages` × 4 threads must all agree
 //! with it. `Messages` runs must additionally perform zero direct
-//! cross-partition reads. The exhaustive configuration has no result limit,
-//! so its 4-thread runs take the join pass's parallel arm (every machine
-//! into a staging table of its own) and its 1-thread runs the serial one:
-//! same table, columns in canonical order (query vertices ascending).
+//! cross-partition reads. Every run returns the same table, columns in
+//! canonical order (query vertices ascending).
 
 use graph_gen::prelude::*;
 use stwig::prelude::*;

@@ -2,7 +2,7 @@
 //! queries: the STwig pipeline must agree with an independent baseline, its
 //! decomposition must be a valid cover within the 2-approximation bound, its
 //! distributed execution must be equivalent to the single-machine one, and
-//! every returned embedding must verify.
+//! every returned embedding must verify — under both transports.
 
 use proptest::prelude::*;
 use stwig_match::prelude::*;
@@ -31,6 +31,8 @@ fn random_graph(max_vertices: u64, max_labels: u32) -> impl Strategy<Value = Ran
     })
 }
 
+const MODES: [TransportMode; 2] = [TransportMode::DirectRead, TransportMode::Messages];
+
 fn build_cloud(g: &RandomGraph, machines: usize) -> MemoryCloud {
     SyntheticGraph::unlabeled(g.num_vertices, g.edges.clone())
         .with_labels(g.labels.clone(), g.num_labels)
@@ -55,10 +57,13 @@ proptest! {
     fn stwig_agrees_with_vf2(g in random_graph(24, 3), qsize in 3usize..6, seed in 0u64..1000) {
         let cloud = build_cloud(&g, 2);
         if let Some(query) = query_from(&cloud, qsize, seed) {
-            let ours = stwig::match_query_distributed(&cloud, &query, &MatchConfig::exhaustive()).unwrap();
-            let reference = vf2(&cloud, &query, None);
-            prop_assert_eq!(canonical_rows(&query, &ours.table), canonical_rows(&query, &reference));
-            prop_assert!(verify_all(&cloud, &query, &ours.table).is_ok());
+            let reference = canonical_rows(&query, &vf2(&cloud, &query, None));
+            for mode in MODES {
+                let config = MatchConfig::exhaustive().with_transport_mode(mode);
+                let ours = stwig::match_query_distributed(&cloud, &query, &config).unwrap();
+                prop_assert_eq!(canonical_rows(&query, &ours.table), reference.clone());
+                prop_assert!(verify_all(&cloud, &query, &ours.table).is_ok());
+            }
         }
     }
 
@@ -68,13 +73,16 @@ proptest! {
     fn distributed_equals_single(g in random_graph(24, 3), machines in 2usize..6, seed in 0u64..1000) {
         let single_cloud = build_cloud(&g, 1);
         if let Some(query) = query_from(&single_cloud, 4, seed) {
-            let single = stwig::match_query_distributed(&single_cloud, &query, &MatchConfig::exhaustive()).unwrap();
             let multi_cloud = build_cloud(&g, machines);
-            let multi = stwig::match_query_distributed(&multi_cloud, &query, &MatchConfig::exhaustive()).unwrap();
-            prop_assert_eq!(
-                canonical_rows(&query, &single.table),
-                canonical_rows(&query, &multi.table)
-            );
+            for mode in MODES {
+                let config = MatchConfig::exhaustive().with_transport_mode(mode);
+                let single = stwig::match_query_distributed(&single_cloud, &query, &config).unwrap();
+                let multi = stwig::match_query_distributed(&multi_cloud, &query, &config).unwrap();
+                prop_assert_eq!(
+                    canonical_rows(&query, &single.table),
+                    canonical_rows(&query, &multi.table)
+                );
+            }
         }
     }
 
@@ -123,10 +131,14 @@ proptest! {
     fn result_limit_is_sound(g in random_graph(30, 2), limit in 1usize..20, seed in 0u64..1000) {
         let cloud = build_cloud(&g, 3);
         if let Some(query) = query_from(&cloud, 3, seed) {
-            let config = MatchConfig::exhaustive().with_result_mode(ResultMode::FirstK(limit));
-            let out = stwig::match_query_distributed(&cloud, &query, &config).unwrap();
-            prop_assert!(out.num_matches() <= limit);
-            prop_assert!(verify_all(&cloud, &query, &out.table).is_ok());
+            for mode in MODES {
+                let config = MatchConfig::exhaustive()
+                    .with_result_mode(ResultMode::FirstK(limit))
+                    .with_transport_mode(mode);
+                let out = stwig::match_query_distributed(&cloud, &query, &config).unwrap();
+                prop_assert!(out.num_matches() <= limit);
+                prop_assert!(verify_all(&cloud, &query, &out.table).is_ok());
+            }
         }
     }
 

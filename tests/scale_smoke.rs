@@ -2,11 +2,11 @@
 //! cloud (no materialized edge list) under both storage tiers, the tiers
 //! must agree on every sampled table, the compact tier must hold the
 //! adjacency + indexes in at most half the plain tier's bytes, and the
-//! acceptance query workload must return identical embeddings on both.
+//! acceptance query workload must return identical embeddings on both,
+//! under either transport.
 //!
 //! Ignored by default — it takes minutes in a debug build. CI runs it in
-//! release mode (`cargo test --release --test scale_smoke -- --ignored`)
-//! under `STWIG_STORAGE=compact` for both transport defaults.
+//! release mode (`cargo test --release --test scale_smoke -- --ignored`).
 
 use stwig_match::prelude::*;
 use trinity_sim::compact::StorageTier;
@@ -55,20 +55,26 @@ fn streamed_million_vertex_rmat_is_tier_identical() {
         "compact adjacency+index ({compact_index} B) must be <= half of plain ({plain_index} B)"
     );
 
-    // Acceptance workload: identical embeddings on both tiers.
+    // Acceptance workload: identical embeddings on both tiers, under either
+    // transport.
     let queries = query_batch(&compact, 4, 4, None, 0xACCE);
-    let config = MatchConfig::paper_default();
-    let mut total_matches = 0u64;
-    for q in &queries {
-        let a = stwig::match_query_distributed(&plain, q, &config).expect("plain query");
-        let b = stwig::match_query_distributed(&compact, q, &config).expect("compact query");
-        assert_eq!(
-            canonical_rows(q, &a.table),
-            canonical_rows(q, &b.table),
-            "tiers returned different embeddings"
+    for mode in [TransportMode::DirectRead, TransportMode::Messages] {
+        let config = MatchConfig::paper_default().with_transport_mode(mode);
+        let mut total_matches = 0u64;
+        for q in &queries {
+            let a = stwig::match_query_distributed(&plain, q, &config).expect("plain query");
+            let b = stwig::match_query_distributed(&compact, q, &config).expect("compact query");
+            assert_eq!(
+                canonical_rows(q, &a.table),
+                canonical_rows(q, &b.table),
+                "tiers returned different embeddings ({mode:?})"
+            );
+            verify_all(&compact, q, &b.table).expect("embeddings verify");
+            total_matches += b.metrics.matches_found;
+        }
+        assert!(
+            total_matches > 0,
+            "acceptance workload found no matches ({mode:?})"
         );
-        verify_all(&compact, q, &b.table).expect("embeddings verify");
-        total_matches += b.metrics.matches_found;
     }
-    assert!(total_matches > 0, "acceptance workload found no matches");
 }

@@ -355,7 +355,7 @@ const BATCH_CAP: usize = 256;
 /// The executor's three outputs — the table it hands back, a same-thread
 /// `CollectSink`, a `RowStream` across a channel — carry the same rows in the
 /// same order with the same counters, in every result mode, under both
-/// transports, serial and with the parallel join pass.
+/// transports, with serial and with parallel exploration.
 #[test]
 fn row_stream_yields_exactly_what_collect_sink_collects() {
     let hub = hub_cloud(300);
