@@ -14,8 +14,7 @@ use graph_gen::prelude::*;
 use stwig::bindings::Bindings;
 use stwig::decompose::{decompose_ordered, decompose_random};
 use stwig::matcher::match_stwig;
-use stwig::metrics::{ExploreCounters, JoinCounters};
-use stwig::pipeline::pipelined_join;
+use stwig::metrics::ExploreCounters;
 use stwig::{MatchConfig, QueryGraph};
 use trinity_sim::ids::MachineId;
 use trinity_sim::network::CostModel;
@@ -289,17 +288,6 @@ pub fn figure3_candidate_counts(k: u64) -> Vec<Row> {
             out.num_matches() as f64,
         ),
     ]
-}
-
-/// Runs the pipelined join directly over pre-built tables — exposed so the
-/// criterion benches can isolate the join stage.
-pub fn join_only_cost(
-    tables: &[stwig::ResultTable],
-    config: &MatchConfig,
-) -> (usize, JoinCounters) {
-    let mut counters = JoinCounters::default();
-    let out = pipelined_join(tables, config, &mut counters);
-    (out.num_rows(), counters)
 }
 
 #[cfg(test)]

@@ -13,8 +13,12 @@
 //! | [`fig10b`]  | Fig. 10(b) | graph size at fixed graph density |
 //! | [`fig10c`]  | Fig. 10(c) | average degree |
 //! | [`fig10d`]  | Fig. 10(d) | label density |
+//!
+//! Beside them sit sweeps with no paper counterpart — [`chaos`], [`pruning`],
+//! [`storage`], [`updates`], [`parallel`], the ablations and the serving
+//! experiments — and [`EXPERIMENTS`] names every one.
 
-use crate::harness::{run_suite, timed, Row, Scale};
+use crate::harness::{percentile, run_suite, timed, Row, Scale};
 use graph_gen::prelude::*;
 use stwig::MatchConfig;
 use trinity_sim::network::CostModel;
@@ -30,14 +34,17 @@ pub const DEFAULT_MACHINES: usize = 8;
 /// derived alphabet would produce at laptop-scale node counts.
 pub const FIXED_LABELS: usize = 100;
 
-/// An R-MAT graph with the fixed label alphabet of [`FIXED_LABELS`] labels.
-fn rmat_fixed_labels(num_vertices: u64, avg_degree: f64, seed: u64) -> graph_gen::SyntheticGraph {
+/// An R-MAT graph with a fixed alphabet of `num_labels` uniform labels,
+/// whatever its size.
+pub(crate) fn rmat_fixed_labels(
+    num_vertices: u64,
+    avg_degree: f64,
+    num_labels: usize,
+    seed: u64,
+) -> graph_gen::SyntheticGraph {
     let g = rmat(&RmatConfig::with_avg_degree(num_vertices, avg_degree, seed));
-    let labels = LabelModel::Uniform {
-        num_labels: FIXED_LABELS,
-    }
-    .assign(num_vertices, seed ^ 0x1AB);
-    g.with_labels(labels, FIXED_LABELS)
+    let labels = LabelModel::Uniform { num_labels }.assign(num_vertices, seed ^ 0x1AB);
+    g.with_labels(labels, num_labels)
 }
 
 fn patents_cloud(scale: Scale, machines: usize) -> MemoryCloud {
@@ -334,7 +341,7 @@ pub fn fig10a(scale: Scale) -> Vec<Row> {
     };
     let mut rows = Vec::new();
     for &n in &sizes {
-        let graph = rmat_fixed_labels(n, 16.0, 0xF10A);
+        let graph = rmat_fixed_labels(n, 16.0, FIXED_LABELS, 0xF10A);
         let cloud = graph.build_cloud(DEFAULT_MACHINES, CostModel::default());
         rows.extend(synthetic_point("fig10a", &cloud, n as f64, scale));
     }
@@ -352,7 +359,7 @@ pub fn fig10b(scale: Scale) -> Vec<Row> {
     let mut rows = Vec::new();
     for &n in &sizes {
         let avg_degree = density * n as f64;
-        let graph = rmat_fixed_labels(n, avg_degree, 0xF10B);
+        let graph = rmat_fixed_labels(n, avg_degree, FIXED_LABELS, 0xF10B);
         let cloud = graph.build_cloud(DEFAULT_MACHINES, CostModel::default());
         rows.extend(synthetic_point("fig10b", &cloud, n as f64, scale));
     }
@@ -369,7 +376,7 @@ pub fn fig10c(scale: Scale) -> Vec<Row> {
     let n = scale.base_vertices();
     let mut rows = Vec::new();
     for &d in &degrees {
-        let graph = rmat_fixed_labels(n, d, 0xF10C);
+        let graph = rmat_fixed_labels(n, d, FIXED_LABELS, 0xF10C);
         let cloud = graph.build_cloud(DEFAULT_MACHINES, CostModel::default());
         rows.extend(synthetic_point("fig10c", &cloud, d, scale));
     }
@@ -592,14 +599,6 @@ pub fn storage(scale: Scale) -> Vec<Row> {
 pub fn updates(scale: Scale) -> Vec<Row> {
     use trinity_sim::epoch::GraphEpochs;
 
-    fn percentile(sorted: &[f64], q: f64) -> f64 {
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-        sorted[idx]
-    }
-
     let cloud = patents_cloud(scale, DEFAULT_MACHINES);
     let queries = query_batch(&cloud, scale.queries_per_point(), 4, None, 0xD1CE);
     let batches = update_stream(
@@ -694,55 +693,68 @@ pub fn updates(scale: Scale) -> Vec<Row> {
     rows
 }
 
-/// Returns every experiment name understood by [`run_experiment`].
-pub fn experiment_names() -> Vec<&'static str> {
-    vec![
-        "table1",
-        "table2",
-        "fig8a",
-        "fig8b",
-        "fig8c",
-        "fig9a",
-        "fig9b",
-        "fig10a",
-        "fig10b",
-        "fig10c",
-        "fig10d",
-        "chaos",
-        "ablation-order",
-        "ablation-head",
-        "ablation-explore",
-        "pruning",
-        "storage",
-        "updates",
-    ]
+/// Real parallelism, the measured side of Fig. 9's simulated speed-up: per
+/// machine count (the series), the mean wall-clock and simulated time of a
+/// DFS query batch as exploration threads (X) grow. Thirty labels keep the
+/// per-label candidate sets large, so each machine's exploration carries
+/// enough compute for its threads to pay off.
+pub fn parallel(scale: Scale) -> Vec<Row> {
+    let graph = rmat_fixed_labels(scale.base_vertices() * 5, 8.0, 30, 0x9A11);
+    let mut rows = Vec::new();
+    for machines in [1usize, 2, 4, 8] {
+        let cloud = graph.build_cloud(machines, CostModel::default());
+        let queries = query_batch(&cloud, scale.queries_per_point(), 6, None, 0xD0);
+        let series = format!("machines-{machines}");
+        let mut matches = Vec::new();
+        for threads in [1usize, 2, 4, 8] {
+            let config = MatchConfig::paper_default().with_num_threads(Some(threads));
+            let res = run_suite(&cloud, &queries, &config);
+            let x = threads as f64;
+            rows.push(Row::new("parallel", &series, x, "wall_ms", res.avg_wall_ms));
+            rows.push(Row::new(
+                "parallel",
+                &series,
+                x,
+                "simulated_ms",
+                res.avg_simulated_ms,
+            ));
+            matches.push(res.avg_matches);
+        }
+        assert!(
+            matches.windows(2).all(|w| w[0] == w[1]),
+            "the thread count changed an answer on {machines} machines: {matches:?}"
+        );
+    }
+    rows
 }
 
-/// Dispatches an experiment by name.
-pub fn run_experiment(name: &str, scale: Scale) -> Option<Vec<Row>> {
-    let rows = match name {
-        "table1" => table1(scale),
-        "table2" => table2(scale),
-        "fig8a" => fig8a(scale),
-        "fig8b" => fig8b(scale),
-        "fig8c" => fig8c(scale),
-        "fig9a" => fig9a(scale),
-        "fig9b" => fig9b(scale),
-        "fig10a" => fig10a(scale),
-        "fig10b" => fig10b(scale),
-        "fig10c" => fig10c(scale),
-        "fig10d" => fig10d(scale),
-        "chaos" => chaos(scale),
-        "ablation-order" => crate::ablations::ablation_order(scale),
-        "ablation-head" => crate::ablations::ablation_head(scale),
-        "ablation-explore" => crate::ablations::ablation_explore(scale),
-        "pruning" => pruning(scale),
-        "storage" => storage(scale),
-        "updates" => updates(scale),
-        _ => return None,
-    };
-    Some(rows)
-}
+/// An experiment: its name, and the function measuring its rows at a scale.
+pub type Experiment = (&'static str, fn(Scale) -> Vec<Row>);
+
+/// Every experiment, in the order `experiments all` runs them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("table1", table1),
+    ("table2", table2),
+    ("fig8a", fig8a),
+    ("fig8b", fig8b),
+    ("fig8c", fig8c),
+    ("fig9a", fig9a),
+    ("fig9b", fig9b),
+    ("fig10a", fig10a),
+    ("fig10b", fig10b),
+    ("fig10c", fig10c),
+    ("fig10d", fig10d),
+    ("chaos", chaos),
+    ("ablation-order", crate::ablations::ablation_order),
+    ("ablation-head", crate::ablations::ablation_head),
+    ("ablation-explore", crate::ablations::ablation_explore),
+    ("pruning", pruning),
+    ("storage", storage),
+    ("updates", updates),
+    ("parallel", parallel),
+    ("serving", crate::serving::serving),
+    ("overload", crate::serving::overload),
+];
 
 #[cfg(test)]
 mod tests {
@@ -760,18 +772,6 @@ mod tests {
             .map(|r| r.value)
             .collect();
         assert!(times.last().unwrap() > times.first().unwrap());
-    }
-
-    #[test]
-    fn experiment_dispatch_knows_all_names() {
-        for name in experiment_names() {
-            // Only dispatch (not run) — check the name is recognized by running
-            // the cheapest experiment for a couple of them.
-            if name == "table2" {
-                assert!(run_experiment(name, Scale::Small).is_some());
-            }
-        }
-        assert!(run_experiment("nonsense", Scale::Small).is_none());
     }
 
     #[test]

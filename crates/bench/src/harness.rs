@@ -7,13 +7,13 @@ use stwig::{MatchConfig, QueryGraph};
 use trinity_sim::MemoryCloud;
 
 /// Experiment scale. The paper runs on clusters with billions of vertices;
-/// `Small` keeps every experiment under a few seconds on one core (used by
-/// `cargo bench` and CI), `Medium` is the default for the `experiments`
-/// binary, `Large` stretches toward the largest sizes that stay reasonable on
-/// a laptop.
+/// `Small` keeps every experiment under a few seconds on one core (the unit
+/// tests and CI's `experiments all small` run use it), `Medium` is the
+/// default for the `experiments` binary, `Large` stretches toward the
+/// largest sizes that stay reasonable on a laptop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scale {
-    /// Tiny sizes for smoke tests and criterion benches.
+    /// Tiny sizes for smoke tests and CI.
     Small,
     /// Default sizes for the experiments binary.
     Medium,
@@ -231,6 +231,15 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let value = f();
     (value, start.elapsed().as_secs_f64() * 1000.0)
+}
+
+/// The `q`-quantile (0 ≤ q ≤ 1) of an ascending slice, by nearest rank;
+/// 0 for an empty slice.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
 
 #[cfg(test)]

@@ -2,20 +2,18 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! paper's evaluation section (§6) on the simulated substrate, plus the
-//! ablation studies listed in DESIGN.md.
+//! ablation studies listed in DESIGN.md and the serving-layer sweeps.
 //!
-//! Each experiment is a function returning a vector of [`Row`]s; the
-//! `experiments` binary prints them as CSV. Graph sizes are scaled down from
-//! the paper's cluster-scale numbers (see DESIGN.md, substitutions) and are
-//! controlled by [`Scale`].
+//! Each experiment is a function returning a vector of [`Row`]s, listed by
+//! name in [`experiments::EXPERIMENTS`]; the `experiments` binary prints them
+//! as CSV. Graph sizes are scaled down from the paper's cluster-scale
+//! numbers (see DESIGN.md, substitutions) and are controlled by [`Scale`].
 
 #![warn(missing_docs)]
 
 pub mod ablations;
 pub mod experiments;
 pub mod harness;
+pub mod serving;
 
-pub use experiments::{
-    fig10a, fig10b, fig10c, fig10d, fig8a, fig8b, fig8c, fig9a, fig9b, table1, table2,
-};
 pub use harness::{run_suite, Row, Scale, SuiteResult};

@@ -219,8 +219,8 @@ fn deadline_exceeded_query_returns_promptly_with_partial_rows() {
             .unwrap();
             let elapsed = started.elapsed();
             let ctx = format!("mode = {mode:?}, query = {qi}");
-            // Generous CI bound; the strict 2x-deadline acceptance check
-            // lives in bench_latency where the environment is controlled.
+            // Generous CI bound; `experiments serving` reports the strict
+            // elapsed/deadline ratio as a row, which nothing gates.
             assert!(
                 elapsed < deadline * 20 + Duration::from_millis(500),
                 "query overran its deadline by too much ({ctx}, elapsed = {elapsed:?})"
