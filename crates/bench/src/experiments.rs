@@ -467,11 +467,13 @@ pub fn chaos(scale: Scale) -> Vec<Row> {
     rows
 }
 
-/// Candidate-pruning ablation on a skewed-label (Zipf) R-MAT workload: run
-/// time, exploration traffic and pruned-root counts with the neighborhood-
-/// signature prune off vs on. Results are identical by construction
-/// (pruning is sound); the CSV shows what the signatures buy on the
-/// workload they target — rare query labels over a skewed alphabet.
+/// Planner-half ablation on a skewed-label (Zipf) R-MAT workload: run time,
+/// exploration traffic and pruned-root counts with the label-pair-aware
+/// planner (`MatchConfig::pruning`) off vs on. Both series prune roots on
+/// their neighborhood signatures, which every exploration does, and both pay
+/// the signature bytes; results are identical by construction. The CSV
+/// shows what the label-pair statistics buy on the workload they target —
+/// rare query labels over a skewed alphabet.
 pub fn pruning(scale: Scale) -> Vec<Row> {
     let n = scale.base_vertices();
     let graph = {
@@ -486,8 +488,8 @@ pub fn pruning(scale: Scale) -> Vec<Row> {
     let cloud = graph.build_cloud(DEFAULT_MACHINES, CostModel::default());
     let queries = query_batch(&cloud, scale.queries_per_point(), 4, None, 0x912F);
     let mut rows = Vec::new();
-    for (series, prune) in [("prune-off", false), ("prune-on", true)] {
-        let config = MatchConfig::paper_default().with_pruning(prune);
+    for (series, planner) in [("planner-off", false), ("planner-on", true)] {
+        let config = MatchConfig::paper_default().with_pruning(planner);
         let res = run_suite(&cloud, &queries, &config);
         let x = 0.0;
         rows.push(Row::new(
@@ -510,11 +512,7 @@ pub fn pruning(scale: Scale) -> Vec<Row> {
             series,
             x,
             "signature_bytes_per_vertex",
-            if prune {
-                cloud.signature_bytes_per_vertex() as f64
-            } else {
-                0.0
-            },
+            cloud.signature_bytes_per_vertex() as f64,
         ));
         rows.extend(res.phase_rows("pruning", series, x));
     }

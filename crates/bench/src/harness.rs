@@ -124,7 +124,7 @@ pub struct SuiteResult {
     /// Queries that completed degraded (`QueryOutcome::Partial`).
     pub partial_queries: usize,
     /// Mean root candidates skipped by the neighborhood-signature prune per
-    /// query (zero unless `MatchConfig::pruning` is on).
+    /// query (every exploration prunes).
     pub avg_roots_pruned: f64,
 }
 

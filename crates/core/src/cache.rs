@@ -219,27 +219,26 @@ impl CacheConfig {
 }
 
 /// The canonical shape of an STwig: root label plus sorted child labels,
-/// tagged with the pruning setting it was explored under. Two planned
-/// STwigs with the same shape have identical unbound exploration output up
-/// to the column names (see the module docs).
+/// tagged with the planner setting (`MatchConfig::pruning`) it was planned
+/// under. Two planned STwigs with the same shape have identical unbound
+/// exploration output up to the column names (see the module docs).
 ///
-/// Pruned and unpruned explorations produce identical *rows* (pruning is
-/// sound), but their `ExploreCounters` and traffic differ — and the
-/// population side-channel (the uncacheable tombstone threshold is reached
-/// at different probe costs) must stay deterministic per configuration, so
-/// the key keeps the two configurations from ever aliasing.
+/// Every exploration prunes roots on their signatures whatever the setting,
+/// so the tables, counters and traffic of one shape are equal under both;
+/// the `pruned` bit only keeps the two planner configurations apart. It
+/// stays while `benchmark/src/layers.rs` builds shapes with it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StwigShape {
     root_label: LabelId,
     /// Child labels, sorted ascending.
     child_labels: Vec<LabelId>,
-    /// Whether signature pruning was enabled for the exploration.
+    /// Whether the label-pair-aware planner was on.
     pruned: bool,
 }
 
 impl StwigShape {
     /// The canonical shape of `stwig` within `query`, under the given
-    /// pruning setting (`MatchConfig::pruning`).
+    /// planner setting (`MatchConfig::pruning`).
     pub fn of(query: &QueryGraph, stwig: &STwig, pruned: bool) -> StwigShape {
         let (root_label, mut child_labels) = stwig.labels(query);
         child_labels.sort_unstable();
@@ -1337,7 +1336,7 @@ mod tests {
         cache.insert(unpruned, shared([t.clone(), t]), &cloud);
         assert!(
             matches!(cache.lookup(&pruned, &cloud), CacheLookup::Miss),
-            "a table populated without pruning must not serve the pruned configuration"
+            "a table populated with the planner half off must not serve it on"
         );
     }
 

@@ -226,11 +226,12 @@ pub struct MatchConfig {
     /// `trinity_sim::fault::FaultyTransport` (default `None`). Only
     /// effective in [`TransportMode::Messages`].
     pub fault_plan: Option<FaultPlan>,
-    /// Whether exploration prunes root candidates on the neighborhood-label
-    /// signatures (`trinity_sim::neighbor_index`) before collecting their
-    /// neighbors, and the cost models consume label-pair selectivities.
-    /// Sound — signatures over-approximate, so pruning never drops a true
-    /// match. Off by default.
+    /// Whether the planner uses the label-pair statistics built next to the
+    /// neighborhood signatures: label-pair-aware decomposition
+    /// (`PairAwareStats`) and join-order priors. It also keys the STwig cache
+    /// and the plan memo. Exploration does not read it: every exploration
+    /// prunes roots on their signatures (`trinity_sim::neighbor_index`),
+    /// which is sound, so no answer depends on it. Off by default.
     pub pruning: bool,
 }
 
@@ -355,8 +356,9 @@ impl MatchConfig {
         self
     }
 
-    /// Enables or disables signature-based candidate pruning (and the
-    /// label-pair-aware cost models).
+    /// Enables or disables the label-pair-aware planner (see
+    /// [`MatchConfig::pruning`]); the signature root prune stays on either
+    /// way.
     pub fn with_pruning(mut self, on: bool) -> Self {
         self.pruning = on;
         self

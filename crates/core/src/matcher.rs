@@ -1,6 +1,6 @@
 //! `MatchSTwig` (Algorithm 1): match one STwig against the memory cloud by
-//! graph exploration, optionally pruned by binding information from
-//! previously-processed STwigs.
+//! graph exploration, its roots pruned on their neighborhood signatures and,
+//! optionally, by binding information from previously-processed STwigs.
 //!
 //! One core ([`explore`]) serves both transport modes in three steps:
 //! [`Frontier::collect`] decodes every live root's adjacency into one flat
@@ -37,7 +37,9 @@ use trinity_sim::MemoryCloud;
 /// For every root candidate `n` (the caller decides whether these come from
 /// the local string index or from a binding set, see §4.2):
 ///
-/// 1. `Cloud.Load(n)` fetches the cell (label + neighbors);
+/// 1. `Cloud.Load(n)` fetches the cell (label + neighbors), and a root whose
+///    degree or neighborhood signature rules the children out is dropped
+///    ([`RootFilter::admit`]);
 /// 2. for each child query vertex, candidate children are the neighbors of
 ///    `n` that carry the child's label (`Index.hasLabel`, a possibly-remote
 ///    probe) and are admitted by the child's binding set;
@@ -112,7 +114,7 @@ pub(crate) fn explore(
     counters: &mut ExploreCounters,
 ) -> Result<(ResultTable, Resolution), StwigError> {
     with_scratch(|scratch| {
-        let filter = RootFilter::new(query, stwig, config);
+        let filter = RootFilter::new(query, stwig);
         let frontier = &mut scratch.frontier;
         let in_place = matches!(mode, Mode::InPlace(_));
         frontier.collect(
@@ -260,35 +262,30 @@ enum Skip {
 struct RootFilter {
     root_label: LabelId,
     num_children: usize,
-    /// Signature bits a root must have to cover every child label; `None`
-    /// with pruning off.
-    required: Option<u64>,
+    /// Signature bits a root must have to cover every child label.
+    required: u64,
 }
 
 impl RootFilter {
-    fn new(query: &QueryGraph, stwig: &STwig, config: &MatchConfig) -> Self {
+    fn new(query: &QueryGraph, stwig: &STwig) -> Self {
         let child_labels = stwig.children.iter().map(|&c| query.label(c));
         RootFilter {
             root_label: query.label(stwig.root),
             num_children: stwig.children.len(),
-            required: config
-                .pruning
-                .then(|| trinity_sim::neighbor_index::required_mask(child_labels)),
+            required: trinity_sim::neighbor_index::required_mask(child_labels),
         }
     }
 
     /// The neighbor run of a loaded root worth exploring, or why it is not.
     ///
-    /// The signature prune skips roots that provably cannot satisfy the
-    /// STwig before a single neighbor is decoded or probed. It is sound on
-    /// both prongs — a root with fewer neighbors than the STwig has children
-    /// admits no injective child assignment, and a signature missing a
-    /// required child-label bit proves no neighbor carries that label (the
-    /// signature over-approximates the neighbor-label set); a root without a
-    /// signature (`None`) is never pruned on labels. A pruned root would
-    /// have emitted zero rows anyway, so tables and `rows_emitted` are
-    /// bit-identical with pruning on and off; only `label_probes` (and, in
-    /// `Messages` mode, the frontier and its `Load` traffic) shrink.
+    /// Every exploration prunes, before a single neighbor is decoded or
+    /// probed, the roots that provably cannot satisfy the STwig: one with
+    /// fewer neighbors than the STwig has children admits no injective child
+    /// assignment, and one whose signature misses a required child-label bit
+    /// has no neighbor carrying that label (a clear bit is exact). A root
+    /// without a signature (`None`) is never pruned on labels. A pruned root
+    /// would have emitted no row, so tables and every counter but
+    /// `label_probes`/`roots_pruned` are what Algorithm 1 unpruned gives.
     fn admit<'a>(
         &self,
         cell: Option<Cell<'a>>,
@@ -298,12 +295,10 @@ impl RootFilter {
         if cell.label != self.root_label {
             return Err(Skip::WrongLabel);
         }
-        if let Some(required) = self.required {
-            if cell.neighbors.len() < self.num_children
-                || signature().is_some_and(|s| s & required != required)
-            {
-                return Err(Skip::Pruned);
-            }
+        if cell.neighbors.len() < self.num_children
+            || signature().is_some_and(|s| s & self.required != self.required)
+        {
+            return Err(Skip::Pruned);
         }
         Ok(cell.neighbors)
     }
@@ -1041,62 +1036,53 @@ mod tests {
             let (query, a, b, c) = simple_query(&cloud);
             let stwig = STwig::new(a, vec![b, c]);
             let transport = ChannelTransport::new(&cloud);
-            // Sweep tiny batch caps so multi-envelope splitting is covered,
-            // and both prune settings so signature pruning provably keeps
-            // the two transports in lockstep.
+            // Sweep tiny batch caps so multi-envelope splitting is covered.
             for batch in [1usize, 2, 4096] {
-                for pruning in [false, true] {
-                    let cfg = MatchConfig::default()
-                        .with_transport_batch_ids(batch)
-                        .with_pruning(pruning);
-                    let mut total = 0usize;
-                    for k in cloud.machines() {
-                        let roots = cloud.get_ids(k, query.label(a)).to_vec();
-                        let bindings = Bindings::new(query.num_vertices());
-                        let mut direct_counters = ExploreCounters::default();
-                        let direct = match_stwig(
-                            &cloud,
-                            k,
-                            &query,
-                            &stwig,
-                            &roots,
-                            &bindings,
-                            &cfg,
-                            None,
-                            &mut direct_counters,
-                        );
-                        cloud.reset_traffic();
-                        let mut batched_counters = ExploreCounters::default();
-                        let mut faults = FaultCounters::default();
-                        let batched = match_stwig_batched(
-                            &cloud,
-                            &transport,
-                            k,
-                            &query,
-                            &stwig,
-                            &roots,
-                            &bindings,
-                            &cfg,
-                            None,
-                            &mut batched_counters,
-                            &mut faults,
-                        )
-                        .unwrap();
-                        assert!(!faults.any(), "fault-free run must count nothing");
-                        assert_eq!(direct, batched, "machine {k}, batch {batch}");
-                        assert_eq!(direct_counters, batched_counters);
-                        if !pruning {
-                            assert_eq!(direct_counters.roots_pruned, 0);
-                        }
-                        assert_eq!(
-                            cloud.direct_remote_reads(),
-                            0,
-                            "batched matching must never dereference a remote partition"
-                        );
-                        total += batched.num_rows();
-                    }
-                    assert_eq!(total, 10, "the G(q1) rows of the paper's Fig. 5");
+                let cfg = MatchConfig::default().with_transport_batch_ids(batch);
+                let mut total = 0usize;
+                for k in cloud.machines() {
+                    let roots = cloud.get_ids(k, query.label(a)).to_vec();
+                    let bindings = Bindings::new(query.num_vertices());
+                    let mut direct_counters = ExploreCounters::default();
+                    let direct = match_stwig(
+                        &cloud,
+                        k,
+                        &query,
+                        &stwig,
+                        &roots,
+                        &bindings,
+                        &cfg,
+                        None,
+                        &mut direct_counters,
+                    );
+                    cloud.reset_traffic();
+                    let mut batched_counters = ExploreCounters::default();
+                    let mut faults = FaultCounters::default();
+                    let batched = match_stwig_batched(
+                        &cloud,
+                        &transport,
+                        k,
+                        &query,
+                        &stwig,
+                        &roots,
+                        &bindings,
+                        &cfg,
+                        None,
+                        &mut batched_counters,
+                        &mut faults,
+                    )
+                    .unwrap();
+                    assert!(!faults.any(), "fault-free run must count nothing");
+                    assert_eq!(direct, batched, "machine {k}, batch {batch}");
+                    assert_eq!(direct_counters, batched_counters);
+                    assert_eq!(
+                        cloud.direct_remote_reads(),
+                        0,
+                        "batched matching must never dereference a remote partition"
+                    );
+                    total += batched.num_rows();
                 }
+                assert_eq!(total, 10, "the G(q1) rows of the paper's Fig. 5");
             }
         }
     }
@@ -1418,11 +1404,11 @@ mod tests {
             bound.bind(stwig.root, (0..6).map(v).collect());
             bound.bind(stwig.children[0], (10..13).map(v).collect());
             unbound.bind(stwig.children[2], (20..24).map(v).collect()); // admits every c
-            for (pruning, bindings) in [(false, &unbound), (true, &unbound), (true, &bound)] {
-                let config = MatchConfig::default().with_pruning(pruning);
+            let config = MatchConfig::default();
+            for bindings in [&unbound, &bound] {
                 for k in cloud.machines() {
                     let roots = cloud.get_ids(k, query.label(stwig.root)).to_vec();
-                    let filter = RootFilter::new(&query, &stwig, &config);
+                    let filter = RootFilter::new(&query, &stwig);
                     let mut frontier = Frontier::default();
                     frontier.collect(
                         &cloud, k, &stwig, &filter, &roots, bindings, &config, None, false,
@@ -1574,95 +1560,83 @@ mod tests {
         b.build(machines, CostModel::default())
     }
 
+    /// The unpruned reference of [`fig5_with_dead_roots`] is the same graph
+    /// without its dead roots: a pruned root must cost its cell load and
+    /// nothing else.
     #[test]
     fn pruning_skips_dead_roots_without_changing_rows() {
-        let cloud = fig5_with_dead_roots(1);
-        let (query, a, b, c) = simple_query(&cloud);
-        let stwig = STwig::new(a, vec![b, c]);
-        let roots = cloud.all_ids_with_label(query.label(a));
-        let bindings = Bindings::new(query.num_vertices());
-
-        let run = |pruning: bool| {
+        let run = |cloud: &MemoryCloud| {
+            let (query, a, b, c) = simple_query(cloud);
+            let stwig = STwig::new(a, vec![b, c]);
+            let roots = cloud.all_ids_with_label(query.label(a));
             let mut counters = ExploreCounters::default();
-            let cfg = MatchConfig::default().with_pruning(pruning);
             let table = match_stwig(
-                &cloud,
+                cloud,
                 MachineId(0),
                 &query,
                 &stwig,
                 &roots,
-                &bindings,
-                &cfg,
+                &Bindings::new(query.num_vertices()),
+                &MatchConfig::default(),
                 None,
                 &mut counters,
             );
             (table, counters)
         };
-        let (off_table, off) = run(false);
-        let (on_table, on) = run(true);
+        let (table, pruned) = run(&fig5_with_dead_roots(1));
+        let (want, live) = run(&fig5_like_cloud(1));
 
-        assert_eq!(off_table, on_table, "pruning must never change rows");
-        assert_eq!(off_table.num_rows(), 10);
-        assert_eq!(off.roots_pruned, 0);
-        assert_eq!(on.roots_pruned, 2, "both dead roots are pruned");
-        // Pruning happens after the cell load, so the scan-side counters
-        // stay equal; only the probe work shrinks.
-        assert_eq!(on.roots_scanned, off.roots_scanned);
-        assert_eq!(on.cells_loaded, off.cells_loaded);
-        assert_eq!(on.rows_emitted, off.rows_emitted);
-        assert!(
-            on.label_probes < off.label_probes,
-            "pruned roots must not be probed ({} vs {})",
-            on.label_probes,
-            off.label_probes
-        );
+        assert_eq!(table, want, "pruning must never change rows");
+        assert_eq!(table.num_rows(), 10);
+        assert_eq!((pruned.roots_pruned, live.roots_pruned), (2, 0));
+        // Pruning happens after the cell load: the dead roots are scanned
+        // and loaded, and not one of their neighbors is probed.
+        assert_eq!(pruned.roots_scanned, live.roots_scanned + 2);
+        assert_eq!(pruned.cells_loaded, live.cells_loaded + 2);
+        assert_eq!(pruned.label_probes, live.label_probes);
+        assert_eq!(pruned.rows_emitted, live.rows_emitted);
     }
 
     #[test]
-    fn pruning_reduces_batched_frontier_traffic() {
+    fn dead_roots_add_no_batched_frontier_traffic() {
         use trinity_sim::transport::ChannelTransport;
-        // Distribute the dead roots across machines: their neighbors must
-        // never enter the frontier, so fewer Load envelopes cross machines.
-        let cloud = fig5_with_dead_roots(4);
-        let (query, a, b, c) = simple_query(&cloud);
-        let stwig = STwig::new(a, vec![b, c]);
-        let transport = ChannelTransport::new(&cloud);
-        let bindings = Bindings::new(query.num_vertices());
-        let mut bytes = Vec::new();
-        let mut rows = Vec::new();
-        for pruning in [false, true] {
-            let cfg = MatchConfig::default().with_pruning(pruning);
+        // The dead roots sit on machines 3 and 0, each with a remote
+        // neighbor it would ask about unpruned; pruned, their neighbors never
+        // enter the frontier, so the cloud ships what it ships without them.
+        let explore_all = |cloud: &MemoryCloud| {
+            let (query, a, b, c) = simple_query(cloud);
+            let stwig = STwig::new(a, vec![b, c]);
+            let transport = ChannelTransport::new(cloud);
+            let bindings = Bindings::new(query.num_vertices());
             cloud.reset_traffic();
             let mut total = 0usize;
             for k in cloud.machines() {
                 let roots = cloud.get_ids(k, query.label(a)).to_vec();
-                let mut counters = ExploreCounters::default();
                 let t = match_stwig_batched(
-                    &cloud,
+                    cloud,
                     &transport,
                     k,
                     &query,
                     &stwig,
                     &roots,
                     &bindings,
-                    &cfg,
+                    &MatchConfig::default(),
                     None,
-                    &mut counters,
+                    &mut ExploreCounters::default(),
                     &mut FaultCounters::default(),
                 )
                 .unwrap();
                 total += t.num_rows();
             }
-            bytes.push(cloud.traffic().total_bytes());
-            rows.push(total);
+            (total, cloud.traffic().total_bytes())
+        };
+        let dead = fig5_with_dead_roots(4);
+        for (root, neighbor) in [(3, 12), (4, 10)] {
+            assert_ne!(dead.machine_of(v(root)), dead.machine_of(v(neighbor)));
         }
-        assert_eq!(rows[0], rows[1], "identical rows either way");
-        assert!(
-            bytes[1] < bytes[0],
-            "pruned frontier must ship fewer bytes ({} vs {})",
-            bytes[1],
-            bytes[0]
-        );
+        let (rows, bytes) = explore_all(&dead);
+        assert!(bytes > 0, "the live roots ask about remote neighbors");
+        assert_eq!((rows, bytes), explore_all(&fig5_like_cloud(4)));
     }
 
     #[test]

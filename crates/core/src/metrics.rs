@@ -115,16 +115,17 @@ pub struct ExploreCounters {
     pub roots_scanned: u64,
     /// `Cloud.Load` calls issued.
     pub cells_loaded: u64,
-    /// `Index.hasLabel` probes issued.
+    /// `Index.hasLabel` probes issued: one per neighbor of each root that
+    /// passed the signature prune, for every child scanned.
     pub label_probes: u64,
     /// Rows emitted by `MatchSTwig` across all STwigs.
     pub rows_emitted: u64,
     /// Rows discarded because a binding filtered a candidate.
     pub rows_pruned_by_bindings: u64,
-    /// Root candidates skipped by the neighborhood-signature prune before
-    /// any of their neighbors were probed (see `MatchConfig::pruning`).
-    /// Always zero with pruning disabled; pruned roots still count in
-    /// `roots_scanned` and `cells_loaded`.
+    /// Root candidates skipped by the neighborhood-signature prune, which
+    /// every exploration applies, before any of their neighbors were
+    /// probed. Pruned roots still count in `roots_scanned` and
+    /// `cells_loaded`.
     pub roots_pruned: u64,
 }
 

@@ -86,7 +86,7 @@ pub struct StorageBytes {
     pub id_map: usize,
     /// The label → vertex-id string index.
     pub postings: usize,
-    /// Per-vertex neighborhood-label signatures (0 when pruning is off).
+    /// Per-vertex neighborhood-label signatures (0 without a pruning index).
     pub signatures: usize,
     /// The label-pair selectivity table.
     pub pair_table: usize,

@@ -3,7 +3,8 @@
 //! `QueryEngine`, cache on and off) must return exactly the VF2 baseline's
 //! embedding set for generated DFS-family and random-family queries, across
 //! machines {1, 4} × worker threads {1, 4} × transport mode
-//! {DirectRead, Messages} × signature pruning {off, on}.
+//! {DirectRead, Messages} × label-pair planner (`MatchConfig::pruning`)
+//! {off, on}; every exploration prunes roots on their signatures.
 //!
 //! VF2 is a completely independent implementation (state-space search, no
 //! decomposition, no joins, no cache), so agreement here certifies the whole

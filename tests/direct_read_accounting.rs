@@ -1,7 +1,8 @@
 //! The `DirectRead` matcher's bulk-tallied traffic accounting against its
-//! reference: Algorithm 1 walked literally, one `MemoryCloud::has_label`
-//! probe per (child, neighbor), each remote probe charging its direct remote
-//! read, request and reply on the spot.
+//! reference: Algorithm 1 walked literally after the signature prune every
+//! exploration applies, one `MemoryCloud::has_label` probe per (child,
+//! neighbor), each remote probe charging its direct remote read, request and
+//! reply on the spot.
 //!
 //! [`match_stwig`] decodes every root into an arena up front, labels it in
 //! one pass (in place, or from the STwig's postings), charges as emission
@@ -60,11 +61,10 @@ fn reference_explore(
         if cell.label != query.label(stwig.root) {
             continue;
         }
-        if config.pruning
-            && (cell.neighbors.len() < stwig.children.len()
-                || cloud
-                    .signature_of(n)
-                    .is_some_and(|s| s & required != required))
+        if cell.neighbors.len() < stwig.children.len()
+            || cloud
+                .signature_of(n)
+                .is_some_and(|s| s & required != required)
         {
             counters.roots_pruned += 1;
             continue;
@@ -208,22 +208,19 @@ proptest! {
 }
 
 fn check_case(cloud: &MemoryCloud, query: &QueryGraph, cap: usize) {
-    let base = MatchConfig::exhaustive().with_transport_mode(TransportMode::DirectRead);
-    for pruning in [false, true] {
-        let config = base.clone().with_pruning(pruning);
-        // Whole explorations, unbound then bound.
-        check_explorations(cloud, query, &config, None);
-        // Bindings carried but ignored.
-        check_explorations(cloud, query, &config.clone().with_bindings(false), None);
-        // A row cap that lands inside a root's cross product: the root's
-        // probes were all made, later roots' were not.
-        let capped = config.clone().with_max_stwig_rows(Some(cap));
-        check_explorations(cloud, query, &capped, None);
-        // Cancelled before the first root: nothing probed, nothing charged.
-        let control = pre_cancelled();
-        let remote = check_explorations(cloud, query, &config, Some(&control));
-        assert_eq!(remote, 0);
-    }
+    let config = MatchConfig::exhaustive().with_transport_mode(TransportMode::DirectRead);
+    // Whole explorations, unbound then bound.
+    check_explorations(cloud, query, &config, None);
+    // Bindings carried but ignored.
+    check_explorations(cloud, query, &config.clone().with_bindings(false), None);
+    // A row cap that lands inside a root's cross product: the root's
+    // probes were all made, later roots' were not.
+    let capped = config.clone().with_max_stwig_rows(Some(cap));
+    check_explorations(cloud, query, &capped, None);
+    // Cancelled before the first root: nothing probed, nothing charged.
+    let control = pre_cancelled();
+    let remote = check_explorations(cloud, query, &config, Some(&control));
+    assert_eq!(remote, 0);
 }
 
 /// A hub whose neighbours are spread over every machine, so that every
@@ -232,24 +229,32 @@ fn check_case(cloud: &MemoryCloud, query: &QueryGraph, cap: usize) {
 #[test]
 fn early_exits_charge_exactly_what_was_probed() {
     // 0..4 are `a` roots; 4..12 `b`; 12..20 `c`. Roots 0 and 1 see both
-    // child labels, root 2 only `b` (its second child scan comes up empty),
-    // root 3 only `c` (its first does, and the second is never made).
-    let mut edges = Vec::new();
-    for m in 4..20u64 {
-        edges.extend([(0, m), (1, m)]);
-    }
-    edges.extend((4..12u64).map(|m| (2, m)));
-    edges.extend((12..20u64).map(|m| (3, m)));
-    let labels: Vec<u32> = (0..20u32)
+    // child labels, root 2 only `b`, root 3 only `c`: their signatures prune
+    // both. With `collide`, root 2 also sees vertex 20 and root 3 vertex 21,
+    // whose labels sit 64 above `c`'s and `b`'s and so set the missing bit:
+    // both pass the prune, root 2's second child scan comes up empty, and
+    // root 3's first does (the second is never made).
+    let labels: Vec<u32> = (0..22u32)
         .map(|v| match v {
             0..=3 => 0,
             4..=11 => 1,
-            _ => 2,
+            12..=19 => 2,
+            20 => 66,
+            _ => 65,
         })
         .collect();
-    for machines in 1..=4usize {
-        let cloud = SyntheticGraph::unlabeled(20, edges.clone())
-            .with_labels(labels.clone(), 3)
+    for (machines, collide) in (1..=4usize).flat_map(|m| [(m, false), (m, true)]) {
+        let mut edges = Vec::new();
+        for m in 4..20u64 {
+            edges.extend([(0, m), (1, m)]);
+        }
+        edges.extend((4..12u64).map(|m| (2, m)));
+        edges.extend((12..20u64).map(|m| (3, m)));
+        if collide {
+            edges.extend([(2, 20), (3, 21)]);
+        }
+        let cloud = SyntheticGraph::unlabeled(22, edges)
+            .with_labels(labels.clone(), 67)
             .build_cloud(machines, CostModel::default());
         let labels_of = |v: u64| cloud.label_of_global(VertexId(v)).unwrap();
         let mut qb = QueryGraph::builder();
@@ -266,33 +271,35 @@ fn early_exits_charge_exactly_what_was_probed() {
         // 64 rows per live root: 10 stops inside root 0, 64 at its end, 70
         // inside root 1.
         for cap in [None, Some(1), Some(10), Some(64), Some(70)] {
-            for pruning in [false, true] {
-                let config = base.clone().with_pruning(pruning).with_max_stwig_rows(cap);
-                // The coordinator's view: every root from machine 0, so
-                // remote roots are loaded (and charged) in place too.
-                let roots: Vec<VertexId> = (0..4).map(VertexId).collect();
-                let k = MachineId(0);
-                let tallied = observe(&cloud, |counters| {
-                    match_stwig(
-                        &cloud, k, &query, &stwig, &roots, &bindings, &config, None, counters,
-                    )
-                });
-                let probed = observe(&cloud, |counters| {
-                    reference_explore(
-                        &cloud, k, &query, &stwig, &roots, &bindings, &config, None, counters,
-                    )
-                });
-                assert_eq!(tallied, probed, "{machines} machines, {config:?}");
-                if cap.is_none() {
-                    assert_eq!(tallied.0.num_rows(), 128);
-                    // Roots 0 and 1 probe 16 neighbours twice; unpruned,
-                    // root 2 probes 8 twice and root 3 probes 8 once.
-                    let expected = if pruning { 64 } else { 64 + 16 + 8 };
-                    assert_eq!(tallied.1.label_probes, expected);
-                }
-                if machines > 1 {
-                    assert!(tallied.3 > 0, "some neighbour is remote to machine 0");
-                }
+            let config = base.clone().with_max_stwig_rows(cap);
+            // The coordinator's view: every root from machine 0, so remote
+            // roots are loaded (and charged) in place too.
+            let roots: Vec<VertexId> = (0..4).map(VertexId).collect();
+            let k = MachineId(0);
+            let tallied = observe(&cloud, |counters| {
+                match_stwig(
+                    &cloud, k, &query, &stwig, &roots, &bindings, &config, None, counters,
+                )
+            });
+            let probed = observe(&cloud, |counters| {
+                reference_explore(
+                    &cloud, k, &query, &stwig, &roots, &bindings, &config, None, counters,
+                )
+            });
+            assert_eq!(
+                tallied, probed,
+                "{machines} machines, {collide}, {config:?}"
+            );
+            if cap.is_none() {
+                assert_eq!(tallied.0.num_rows(), 128);
+                // Roots 0 and 1 probe 16 neighbours twice; let through,
+                // root 2 probes 9 twice and root 3 probes 9 once.
+                let (probes, pruned) = if collide { (64 + 18 + 9, 0) } else { (64, 2) };
+                assert_eq!(tallied.1.label_probes, probes);
+                assert_eq!(tallied.1.roots_pruned, pruned);
+            }
+            if machines > 1 {
+                assert!(tallied.3 > 0, "some neighbour is remote to machine 0");
             }
         }
     }
@@ -321,27 +328,23 @@ fn remote_roots_of_the_wrong_label_are_charged_their_read() {
     let k = MachineId(0);
     let remote = roots.iter().filter(|&&n| cloud.machine_of(n) != k).count() as u64;
     assert_eq!(remote, 6);
-    for pruning in [false, true] {
-        let config = MatchConfig::exhaustive()
-            .with_transport_mode(TransportMode::DirectRead)
-            .with_pruning(pruning);
-        let tallied = observe(&cloud, |counters| {
-            match_stwig(
-                &cloud, k, &query, &stwig, &roots, &bindings, &config, None, counters,
-            )
-        });
-        let probed = observe(&cloud, |counters| {
-            reference_explore(
-                &cloud, k, &query, &stwig, &roots, &bindings, &config, None, counters,
-            )
-        });
-        assert_eq!(tallied, probed, "{config:?}");
-        let (table, counters, traffic, reads) = tallied;
-        assert!(table.is_empty());
-        assert_eq!((counters.cells_loaded, counters.label_probes), (8, 0));
-        // Per remote root: the request, the reply, one direct remote read.
-        assert_eq!((traffic.total_messages(), reads), (2 * remote, remote));
-    }
+    let config = MatchConfig::exhaustive().with_transport_mode(TransportMode::DirectRead);
+    let tallied = observe(&cloud, |counters| {
+        match_stwig(
+            &cloud, k, &query, &stwig, &roots, &bindings, &config, None, counters,
+        )
+    });
+    let probed = observe(&cloud, |counters| {
+        reference_explore(
+            &cloud, k, &query, &stwig, &roots, &bindings, &config, None, counters,
+        )
+    });
+    assert_eq!(tallied, probed, "{config:?}");
+    let (table, counters, traffic, reads) = tallied;
+    assert!(table.is_empty());
+    assert_eq!((counters.cells_loaded, counters.label_probes), (8, 0));
+    // Per remote root: the request, the reply, one direct remote read.
+    assert_eq!((traffic.total_messages(), reads), (2 * remote, remote));
 }
 
 /// The whole exploration phase through `produce_stwig_tables`: equal under 1

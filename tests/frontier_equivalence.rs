@@ -209,11 +209,6 @@ fn check_case(
     };
     for_each_exploration(cloud, query, &capped, None, None, same);
 
-    // Signature pruning, with and without the cap.
-    for config in [base.clone().with_pruning(true), capped.with_pruning(true)] {
-        for_each_exploration(cloud, query, &config, None, None, same);
-    }
-
     // A query cancelled before it starts: nothing is loaded, requested
     // or emitted on either path.
     let token = CancelToken::new();
@@ -236,9 +231,7 @@ fn check_case(
     // the rows with a child it owns disappear — none is invented — and
     // the root-side work is untouched.
     let down = MachineId((seed % machines as u64) as u16);
-    let degrade = base
-        .with_pruning(true)
-        .with_failure_policy(FailurePolicy::Degrade);
+    let degrade = base.with_failure_policy(FailurePolicy::Degrade);
     for_each_exploration(
         cloud,
         query,

@@ -1,23 +1,27 @@
-//! Acceptance and soundness suite for neighborhood-signature candidate
-//! pruning (`MatchConfig::pruning`).
+//! Acceptance and soundness suite for neighborhood-signature root pruning,
+//! which every exploration applies, and for the planner half that
+//! `MatchConfig::pruning` still selects (label-pair-aware decomposition and
+//! join-order priors).
 //!
-//! * Differential: with pruning on, the engine must still return exactly the
-//!   VF2 baseline's embedding set across both transports and cache on/off —
-//!   signatures over-approximate neighborhoods, so pruning may only skip
-//!   roots that provably cannot anchor a match.
-//! * Determinism: prune on/off yields the same embedding set across
-//!   machines {1, 4} × threads {1, 4}, and the pruned run itself is
-//!   bit-identical across those configurations.
+//! * Differential: the engine returns exactly the VF2 baseline's embedding
+//!   set with the planner half off and on, across both transports and cache
+//!   on/off, and the default config prunes roots on the Zipf fixture —
+//!   signatures over-approximate, so the prune may only skip roots that
+//!   provably cannot anchor a match.
+//! * Determinism: planner half off/on yields the same embedding set across
+//!   machines {1, 4} × threads {1, 4}, and each setting is bit-identical with
+//!   itself across those thread counts.
 //! * Proptest soundness: any root the prune predicate would skip is a root
 //!   VF2 finds no embedding at.
 //! * The headline claim: on a skewed-label (Zipf) R-MAT workload, pruning
-//!   cuts exploration-phase bytes by at least 2× under `DirectRead` at equal
-//!   results, with `roots_pruned` surfaced through the metrics. Under
-//!   `Messages` rare child labels are resolved from their postings whether
-//!   the roots are pruned or not, so pruning saves root decodes there and
-//!   must merely never add traffic.
+//!   cuts `DirectRead` exploration bytes at least 2× against Algorithm 1
+//!   walked unpruned, at equal results, with `roots_pruned` surfaced through
+//!   the metrics. Under `Messages` rare child labels are resolved from their
+//!   postings, so pruning saves root decodes there rather than bytes.
 
 use proptest::prelude::*;
+use stwig::distributed::plan_query_with_config;
+use stwig::stwig::STwig;
 use stwig_match::prelude::*;
 use trinity_sim::neighbor_index::{required_mask, NeighborLabelIndex};
 
@@ -77,17 +81,20 @@ fn pruned_engine_matches_vf2_across_transport_and_cache() {
                              cache = {cache_on}, pass = {pass}"
                         );
                         verify_all(&cloud, q, &out.table).expect("embeddings verify");
-                        if !pruning {
-                            assert_eq!(
-                                out.metrics.explore.roots_pruned, 0,
-                                "pruning disabled must never count pruned roots"
-                            );
-                        }
                     }
                 }
             }
         }
     }
+
+    // The default config prunes roots too: only the planner half is off.
+    let mut roots_pruned = 0;
+    for (q, want) in queries.iter().zip(&expected) {
+        let out = stwig::match_query_distributed(&cloud, q, &MatchConfig::default()).unwrap();
+        assert_eq!(&canonical_rows(q, &out.table), want, "default config");
+        roots_pruned += out.metrics.explore.roots_pruned;
+    }
+    assert!(roots_pruned > 0, "the default config must prune here");
 }
 
 #[test]
@@ -99,8 +106,8 @@ fn prune_on_off_is_consistent_across_machines_and_threads() {
     let queries = workload(&reference_cloud);
 
     for (qi, query) in queries.iter().enumerate() {
-        // The embedding set every configuration must produce (pruning off,
-        // one machine, one thread).
+        // The embedding set every configuration must produce (planner half
+        // off, one machine, one thread).
         let off_config = MatchConfig::exhaustive()
             .with_num_threads(Some(1))
             .with_pruning(false);
@@ -115,10 +122,11 @@ fn prune_on_off_is_consistent_across_machines_and_threads() {
             let cloud = graph
                 .clone()
                 .build_cloud(machines, trinity_sim::network::CostModel::default());
-            // The pruned run must additionally be bit-identical with itself
-            // across thread counts (same rows, same order) — row order is
-            // only machine-count-dependent, like the rest of the engine.
-            let mut pruned_reference: Option<stwig::MatchOutput> = None;
+            // Each planner setting must additionally be bit-identical with
+            // itself across thread counts (same rows, same order, same
+            // prunes) — row order is only machine-count-dependent, like the
+            // rest of the engine.
+            let mut references: [Option<stwig::MatchOutput>; 2] = [None, None];
             for threads in [1usize, 4] {
                 for pruning in [false, true] {
                     let config = MatchConfig::exhaustive()
@@ -131,23 +139,20 @@ fn prune_on_off_is_consistent_across_machines_and_threads() {
                         "query {qi}: machines = {machines}, threads = {threads}, \
                          pruning = {pruning}"
                     );
-                    if !pruning {
-                        assert_eq!(out.metrics.explore.roots_pruned, 0);
-                        continue;
-                    }
-                    match &pruned_reference {
-                        None => pruned_reference = Some(out),
+                    let reference = &mut references[usize::from(pruning)];
+                    match reference {
+                        None => *reference = Some(out),
                         Some(reference) => {
                             assert_eq!(
                                 out.table, reference.table,
-                                "query {qi}: pruned table must be bit-identical across \
-                                 thread counts (machines = {machines}, threads = {threads})"
+                                "query {qi}: the table must be bit-identical across \
+                                 thread counts (machines = {machines}, pruning = {pruning})"
                             );
                             assert_eq!(
                                 out.metrics.explore.roots_pruned,
                                 reference.metrics.explore.roots_pruned,
                                 "query {qi}: prune decisions must not depend on the \
-                                 thread count (machines = {machines})"
+                                 thread count (machines = {machines}, pruning = {pruning})"
                             );
                         }
                     }
@@ -157,13 +162,51 @@ fn prune_on_off_is_consistent_across_machines_and_threads() {
     }
 }
 
+/// Algorithm 1 over every machine's postings with bindings off, each
+/// `Index.hasLabel` probe charged as it is made, with or without the
+/// signature prune: the exploration bytes and messages it costs.
+fn algorithm1_explore_traffic(
+    cloud: &MemoryCloud,
+    query: &QueryGraph,
+    stwigs: &[STwig],
+    prune: bool,
+) -> (u64, u64) {
+    cloud.reset_traffic();
+    for stwig in stwigs {
+        let required = required_mask(stwig.children.iter().map(|&c| query.label(c)));
+        for k in cloud.machines() {
+            for n in cloud.get_ids(k, query.label(stwig.root)).iter() {
+                let cell = cloud.load(k, n).expect("a local posting loads");
+                let dead = cell.neighbors.len() < stwig.children.len()
+                    || cloud
+                        .signature_of(n)
+                        .is_some_and(|s| !NeighborLabelIndex::covers(s, required));
+                if prune && dead {
+                    continue;
+                }
+                for &child in &stwig.children {
+                    let mut found = false;
+                    for m in cell.neighbors.iter() {
+                        found |= cloud.has_label(k, m, query.label(child));
+                    }
+                    if !found {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+    let traffic = cloud.traffic();
+    (traffic.total_bytes(), traffic.total_messages())
+}
+
 #[test]
 fn pruning_cuts_explore_traffic_at_least_2x_on_zipf_rmat() {
     // A star query rooted at a mid-frequency label whose children carry rare
     // labels: most candidate roots have no rare-labeled neighbor, so their
-    // signatures fail coverage and the frontier never fetches their
-    // neighborhoods. Bindings off so every STwig scans its full label
-    // posting — the configuration the pruning index is built for.
+    // signatures fail coverage and their neighborhoods are never probed.
+    // Bindings off so every STwig scans its full label posting — the
+    // configuration the pruning index is built for.
     let graph = zipf_rmat(600, 6.0, 12, 0xACCE);
     let cloud = graph.build_cloud(4, trinity_sim::network::CostModel::default());
     let mut qb = QueryGraph::builder();
@@ -172,62 +215,51 @@ fn pruning_cuts_explore_traffic_at_least_2x_on_zipf_rmat() {
     let c2 = qb.vertex_by_name(&cloud, "L9").unwrap();
     qb.edge(r, c1).edge(r, c2);
     let query = qb.build().unwrap();
+    let want = canonical_rows(&query, &vf2(&cloud, &query, None));
 
     let config = MatchConfig::exhaustive()
         .with_num_threads(Some(1))
         .with_bindings(false);
-    let mode = config.transport_mode;
-    let run = |pruning: bool| {
-        stwig::match_query_distributed(&cloud, &query, &config.clone().with_pruning(pruning))
-            .unwrap()
+    let stwigs = plan_query_with_config(&cloud, &query, &config)
+        .unwrap()
+        .stwigs;
+    let unpruned = algorithm1_explore_traffic(&cloud, &query, &stwigs, false);
+    let pruned = algorithm1_explore_traffic(&cloud, &query, &stwigs, true);
+    let run = |mode| {
+        let config = config.clone().with_transport_mode(mode);
+        stwig::match_query_distributed(&cloud, &query, &config).unwrap()
     };
-    let off = run(false);
-    let on = run(true);
-
-    assert_eq!(
-        canonical_rows(&query, &on.table),
-        canonical_rows(&query, &off.table),
-        "pruning changed the answer"
-    );
-    assert_eq!(off.metrics.explore.roots_pruned, 0);
-    assert!(
-        on.metrics.explore.roots_pruned > 0,
-        "the skewed workload must actually prune"
-    );
+    let direct = run(TransportMode::DirectRead);
+    let messages = run(TransportMode::Messages);
+    for out in [&direct, &messages] {
+        assert_eq!(canonical_rows(&query, &out.table), want, "wrong answer");
+        assert!(
+            out.metrics.explore.roots_pruned > 0,
+            "the skewed workload must actually prune"
+        );
+    }
     assert_eq!(cloud.signature_bytes_per_vertex(), 8);
 
-    let off_bytes = off.metrics.phase_traffic.explore_bytes;
-    let on_bytes = on.metrics.phase_traffic.explore_bytes;
-    // Per-mode gates. `DirectRead` charges every remote label probe
-    // individually, so pruning's savings show up one-for-one and the 2x bar
-    // holds. `Messages` resolves labels about the smaller side: the children
-    // here carry rare labels, so pruned or not an exploration fetches the
-    // same small postings instead of asking about the neighbors of every
-    // root. Pruning then saves the decode of the dead roots, not bytes — the
-    // *unpruned* run already ships fewer bytes than the pruned one did when
-    // every neighbor was asked about (2619 B on this fixture, against
-    // 4437 B unpruned) — and it may never add any.
-    match mode {
-        TransportMode::DirectRead => assert!(
-            off_bytes >= 2 * on_bytes,
-            "expected >= 2x exploration-byte reduction: off = {off_bytes}, on = {on_bytes}"
-        ),
-        TransportMode::Messages => {
-            assert!(
-                on_bytes <= off_bytes,
-                "pruning must not add exploration bytes: off = {off_bytes}, on = {on_bytes}"
-            );
-            assert!(
-                off_bytes < 2619,
-                "rare child labels must be resolved from their postings: off = {off_bytes}"
-            );
-        }
-    }
-    let off_msgs = off.metrics.phase_traffic.explore_messages;
-    let on_msgs = on.metrics.phase_traffic.explore_messages;
+    // `DirectRead` charges Algorithm 1's probes as if made one at a time:
+    // the engine costs what the pruned walk costs, and every probe of a
+    // pruned root is saved — at least half the bytes.
+    let phases = direct.metrics.phase_traffic;
+    assert_eq!((phases.explore_bytes, phases.explore_messages), pruned);
     assert!(
-        on_msgs <= off_msgs,
-        "pruning must not add exploration envelopes: off = {off_msgs}, on = {on_msgs}"
+        unpruned.0 >= 2 * pruned.0,
+        "expected >= 2x exploration-byte reduction: unpruned = {}, pruned = {}",
+        unpruned.0,
+        pruned.0
+    );
+    // `Messages` resolves labels about the smaller side. The children carry
+    // rare labels, so an exploration fetches their small postings instead of
+    // asking about the neighbors of every root; what pruning saves there is
+    // the decode of the dead roots. 2,619 B is what this fixture shipped
+    // when every collected neighbor was asked about.
+    let bytes = messages.metrics.phase_traffic.explore_bytes;
+    assert!(
+        bytes < 2619,
+        "rare child labels must be resolved from their postings: {bytes} B"
     );
 }
 
@@ -285,8 +317,8 @@ proptest! {
         }
     }
 
-    /// Prune on/off full-query equivalence on random graphs: the embedding
-    /// sets agree and the pruned run never reports more exploration traffic.
+    /// Planner half off/on full-query equivalence on random graphs: the
+    /// embedding sets agree and every pruned-run embedding verifies.
     #[test]
     fn prune_on_off_equivalence_on_random_graphs(
         n in 8u64..36,
@@ -309,7 +341,7 @@ proptest! {
                 canonical_rows(&query, &on.table),
                 canonical_rows(&query, &off.table)
             );
-            prop_assert_eq!(off.metrics.explore.roots_pruned, 0);
+            prop_assert!(verify_all(&cloud, &query, &off.table).is_ok());
             prop_assert!(verify_all(&cloud, &query, &on.table).is_ok());
         }
     }
