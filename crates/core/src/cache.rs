@@ -1168,13 +1168,6 @@ pub fn graph_fingerprint(cloud: &MemoryCloud) -> u64 {
     // their exploration configurations, and thus their population
     // side-channels, differ.
     cloud.signature_configuration().hash(&mut hasher);
-    // So is the storage-tier configuration. Compact and plain tiers are
-    // observationally equivalent *by contract*, but the fingerprint must
-    // not presume the contract holds: a representation bug on one tier must
-    // never be able to serve its tables to the other through the cache.
-    for tier in cloud.storage_configuration() {
-        tier.fingerprint_tag().hash(&mut hasher);
-    }
     for m in cloud.machines() {
         let partition = cloud.partition(m);
         partition.num_vertices().hash(&mut hasher);

@@ -287,12 +287,12 @@ impl<'c> QueryEngine<'c> {
         self.epochs.map(GraphEpochs::epoch)
     }
 
-    /// Merges all delta overlays into fresh per-partition bases (both
-    /// storage tiers), rebuilding signatures, label-pair statistics and id
-    /// maps — without changing the epoch number or any observable content,
-    /// so pinned readers and resident cache entries are unaffected. Runs
-    /// concurrently with queries; returns the (unchanged) current epoch, or
-    /// `None` for a static engine. See
+    /// Merges all delta overlays into fresh per-partition bases, rebuilding
+    /// the id maps and string indexes and carrying signatures and label-pair
+    /// statistics over — without changing the epoch number or any
+    /// observable content, so pinned readers and resident cache entries are
+    /// unaffected. Runs concurrently with queries; returns the (unchanged)
+    /// current epoch, or `None` for a static engine. See
     /// [`trinity_sim::epoch::GraphEpochs::seal_epoch`].
     pub fn seal_epoch(&self) -> Option<u64> {
         self.epochs.map(|epochs| {

@@ -221,8 +221,8 @@ pub fn stream_cloud(
     stream_cloud_with(stream, labels, StreamLoader::new(machines, cost))
 }
 
-/// [`stream_cloud`] with a caller-configured [`StreamLoader`] (explicit
-/// storage tier, directed flag, …).
+/// [`stream_cloud`] with a caller-configured [`StreamLoader`] (directed
+/// flag, machine count, cost model).
 pub fn stream_cloud_with(
     stream: &RmatStream,
     labels: &StreamingLabels,

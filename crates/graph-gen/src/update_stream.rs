@@ -184,12 +184,6 @@ impl GraphMirror {
     /// vertex/edge/label content — the reference graph a differential test
     /// compares the epoch overlay against.
     pub fn build_cloud(&self, num_machines: usize, cost: CostModel) -> MemoryCloud {
-        self.to_builder().build(num_machines, cost)
-    }
-
-    /// The mirror's content as a [`GraphBuilder`], for callers that pick
-    /// the storage tier of the rebuilt cloud themselves.
-    pub fn to_builder(&self) -> GraphBuilder {
         let mut gb = GraphBuilder::new_undirected();
         // Intern the pool first, in order, so LabelIds match the source
         // cloud's regardless of which vertices survived.
@@ -202,7 +196,7 @@ impl GraphMirror {
         for &(u, v) in &self.edges {
             gb.add_edge(VertexId(u), VertexId(v));
         }
-        gb
+        gb.build(num_machines, cost)
     }
 
     fn nth_vertex(&self, index: usize) -> u64 {

@@ -30,8 +30,6 @@ pub struct GraphBuilder {
     labels: HashMap<VertexId, LabelId>,
     edges: Vec<(VertexId, VertexId)>,
     directed: bool,
-    /// Storage tier the partitions are built in.
-    tier: StorageTier,
 }
 
 impl GraphBuilder {
@@ -52,10 +50,9 @@ impl GraphBuilder {
         }
     }
 
-    /// Overrides the storage tier the partitions are built in (default
-    /// [`StorageTier::Compact`]).
-    pub fn with_storage_tier(mut self, tier: StorageTier) -> Self {
-        self.tier = tier;
+    /// Accepts a [`StorageTier`] for compatibility and stores nothing:
+    /// every partition is compact.
+    pub fn with_storage_tier(self, _tier: StorageTier) -> Self {
         self
     }
 
@@ -130,7 +127,6 @@ impl GraphBuilder {
             labels,
             mut edges,
             directed,
-            tier,
         } = self;
         let num_labels = interner.len();
 
@@ -199,12 +195,11 @@ impl GraphBuilder {
         for (m, ids) in per_machine_ids.into_iter().enumerate() {
             let machine_labels: Vec<LabelId> = ids.iter().map(|v| labels[v]).collect();
             let adj = std::mem::take(&mut per_machine_adj[m]);
-            partitions.push(Partition::with_neighbor_labels_tier(
+            partitions.push(Partition::with_neighbor_labels(
                 ids,
                 machine_labels,
                 adj,
                 num_labels,
-                tier,
                 |n| labels.get(&n).copied(),
             ));
         }

@@ -3,7 +3,7 @@
 //! (`Cloud.Load`, `Index.getID`, `Index.hasLabel`) plus traffic accounting.
 
 use crate::cluster_graph::LabelPairCatalog;
-use crate::compact::{Neighbors, Postings, StorageTier};
+use crate::compact::{Neighbors, Postings};
 use crate::ids::{LabelId, LabelInterner, MachineId, VertexId};
 use crate::network::{CostModel, Network, TrafficSnapshot};
 use crate::partition::{Cell, Partition, StorageBytes};
@@ -295,16 +295,6 @@ impl MemoryCloud {
         } else {
             0
         }
-    }
-
-    /// Per-partition storage tiers. Like
-    /// [`MemoryCloud::signature_configuration`], this is part of the cloud
-    /// fingerprint: compact and plain clouds produce bit-identical tables by
-    /// construction, but the fingerprint must still distinguish physical
-    /// configurations so a representation bug can never silently serve a
-    /// stale cached table across tiers.
-    pub fn storage_configuration(&self) -> Vec<StorageTier> {
-        self.partitions.iter().map(|p| p.storage_tier()).collect()
     }
 
     /// Cloud-wide resident bytes broken down by storage component (summed

@@ -1,5 +1,5 @@
-//! The compact storage tier: delta/varint-encoded adjacency, succinct label
-//! postings and a slot-array id map.
+//! The partition store's one representation: delta/varint-encoded
+//! adjacency, succinct label postings and a slot-array id map.
 //!
 //! Trinity's cells live in flat memory trunks precisely because per-object
 //! overhead is what kills billion-node graphs (PAPER.md §3); the Compact
@@ -12,11 +12,9 @@
 //!   already sorted and deduplicated, so every delta is ≥ 1 and small ids
 //!   cluster into one- and two-byte codes. Per-vertex byte offsets live in a
 //!   `u32` or `u64` array, the width chosen once at build time.
-//! * [`Neighbors`] — a zero-copy view over either a plain `&[VertexId]` run
-//!   or an encoded byte run. Exploration iterates it directly
-//!   (decode-on-iterate, no allocation); multi-pass consumers materialize
-//!   into a caller-owned [`NeighborScratch`] whose small-degree fast path is
-//!   an inline stack array.
+//! * [`Neighbors`] — a zero-copy view over either an encoded byte run or a
+//!   sorted `&[VertexId]` slice (an overlay's merged list). Exploration
+//!   iterates it directly: decode-on-iterate, no allocation.
 //! * [`CompactLabelIndex`] — per-label postings over *local* vertex indices,
 //!   stored as whichever of a dense bitmap or a delta-varint list is smaller
 //!   for that label. [`Postings`] decodes back to sorted global ids against
@@ -24,59 +22,25 @@
 //! * [`CompactIdMap`] — an open-addressed slot array mapping global ids to
 //!   local indices in 4 bytes per slot (~8 bytes per vertex at 50% load)
 //!   instead of `HashMap`'s ~50 bytes per vertex.
-//!
-//! The tier is selected by [`StorageTier`] (default
-//! [`StorageTier::Compact`]) and must be *observationally equivalent* to the
-//! plain tier: every query path produces bit-identical tables on either
-//! tier.
 
 use crate::ids::{LabelId, VertexId};
 use serde::{Deserialize, Serialize};
 
-// ---------------------------------------------------------------------------
-// Storage tier knob
-// ---------------------------------------------------------------------------
-
-/// Which physical representation a partition stores its graph in.
-///
-/// Both tiers answer every query identically; they differ only in resident
-/// bytes and decode cost. `Plain` keeps the original flat `Vec` structures
-/// (8-byte neighbor entries, `Vec<Vec<_>>` postings, `HashMap` id map) and
-/// exists as the honest baseline the compact tier is measured against.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// The physical representation a partition stores its graph in. There is
+/// one, [`StorageTier::Compact`]; the type remains so callers that name a
+/// representation keep compiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageTier {
-    /// Uncompressed flat arrays and a `HashMap` id map.
-    Plain,
     /// Delta/varint CSR, bitmap-or-delta postings, open-addressed id map.
-    /// The default.
-    #[default]
     Compact,
 }
 
 impl StorageTier {
-    /// The tier name (`"plain"` / `"compact"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StorageTier::Plain => "plain",
-            StorageTier::Compact => "compact",
-        }
-    }
-
-    /// Stable one-byte tag hashed into cloud fingerprints. Explicit (rather
-    /// than a derived discriminant) so the fingerprint contract survives
-    /// enum reordering.
-    pub fn fingerprint_tag(self) -> u8 {
-        match self {
-            StorageTier::Plain => 0,
-            StorageTier::Compact => 1,
-        }
-    }
-}
-
-impl std::fmt::Display for StorageTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
+    /// Compatibility spelling of [`StorageTier::Compact`], kept for callers
+    /// written when an uncompressed tier existed. It selects the same (and
+    /// only) representation.
+    #[allow(non_upper_case_globals)]
+    pub const Plain: StorageTier = StorageTier::Compact;
 }
 
 // ---------------------------------------------------------------------------
@@ -180,20 +144,14 @@ impl Default for OffsetArray {
 // Zero-copy neighbor views
 // ---------------------------------------------------------------------------
 
-/// How many neighbor ids [`NeighborScratch`] holds without touching the
-/// heap. Degree histograms of the R-MAT and dataset-profile graphs put the
-/// overwhelming majority of vertices at or below this degree.
-pub const SCRATCH_INLINE: usize = 16;
-
-/// A zero-copy view of one vertex's sorted neighbor run, independent of the
-/// storage tier it lives in.
+/// A zero-copy view of one vertex's sorted neighbor run.
 ///
-/// Plain partitions hand out the underlying slice; compact partitions hand
-/// out the encoded bytes and decode on iteration, so the exploration hot
-/// path never materializes a `Vec` either way.
+/// A sealed partition hands out the encoded bytes and decodes on iteration;
+/// an overlay hands out its merged list as a slice. Either way the
+/// exploration hot path never materializes a `Vec`.
 #[derive(Clone, Copy)]
 pub enum Neighbors<'a> {
-    /// A plain sorted slice (the `StorageTier::Plain` representation).
+    /// A sorted slice: an overlay's merged adjacency, or the empty run.
     Slice(&'a [VertexId]),
     /// A delta/varint-encoded run of `len` ids (degree varint stripped).
     Compact {
@@ -239,8 +197,8 @@ impl<'a> Neighbors<'a> {
         }
     }
 
-    /// Whether `target` is in the run. Binary search on the plain tier; an
-    /// early-exit scan on the compact tier (runs are sorted, so the scan
+    /// Whether `target` is in the run. Binary search on a slice; an
+    /// early-exit scan on an encoded run (runs are sorted, so the scan
     /// stops at the first id past `target`).
     pub fn contains(&self, target: VertexId) -> bool {
         match *self {
@@ -261,35 +219,6 @@ impl<'a> Neighbors<'a> {
         match *self {
             Neighbors::Slice(s) => s.to_vec(),
             Neighbors::Compact { .. } => self.iter().collect(),
-        }
-    }
-
-    /// Materializes the run as a contiguous slice for multi-pass consumers
-    /// (exploration walks a root's neighbors once per STwig child).
-    ///
-    /// The plain tier returns the underlying slice untouched (zero-copy);
-    /// the compact tier decodes once into `scratch` — an inline stack array
-    /// for runs of at most [`SCRATCH_INLINE`] ids, the scratch's reusable
-    /// heap buffer above that.
-    pub fn materialize<'s>(&self, scratch: &'s mut NeighborScratch) -> &'s [VertexId]
-    where
-        'a: 's,
-    {
-        match *self {
-            Neighbors::Slice(s) => s,
-            Neighbors::Compact { len, .. } => {
-                let len = len as usize;
-                if len <= SCRATCH_INLINE {
-                    for (slot, n) in scratch.inline.iter_mut().zip(self.iter()) {
-                        *slot = n;
-                    }
-                    &scratch.inline[..len]
-                } else {
-                    scratch.heap.clear();
-                    scratch.heap.extend(self.iter());
-                    &scratch.heap
-                }
-            }
         }
     }
 }
@@ -343,7 +272,7 @@ impl std::fmt::Debug for Neighbors<'_> {
 /// Iterator over a [`Neighbors`] run.
 #[derive(Clone)]
 pub enum NeighborIter<'a> {
-    /// Plain-slice iteration.
+    /// Slice iteration.
     Slice(std::slice::Iter<'a, VertexId>),
     /// Varint decode-on-iterate.
     Compact {
@@ -395,30 +324,6 @@ impl Iterator for NeighborIter<'_> {
 }
 
 impl ExactSizeIterator for NeighborIter<'_> {}
-
-/// Reusable scratch space for [`Neighbors::materialize`]: an inline array
-/// covering the common small degrees plus a heap spill buffer that is
-/// allocated once and reused across roots.
-pub struct NeighborScratch {
-    inline: [VertexId; SCRATCH_INLINE],
-    heap: Vec<VertexId>,
-}
-
-impl NeighborScratch {
-    /// A fresh scratch with an empty spill buffer.
-    pub fn new() -> Self {
-        NeighborScratch {
-            inline: [VertexId(0); SCRATCH_INLINE],
-            heap: Vec::new(),
-        }
-    }
-}
-
-impl Default for NeighborScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Compact CSR
@@ -706,9 +611,10 @@ impl PostingList {
     }
 }
 
-/// The compact per-machine string index: label → succinct posting list over
-/// local vertex indices. Replaces [`crate::label_index::LabelIndex`]'s
-/// `Vec<Vec<VertexId>>` under [`StorageTier::Compact`].
+/// The per-machine string index (the paper's `Index.getID`): label →
+/// succinct posting list over local vertex indices. It is the only index
+/// the approach needs besides adjacency, linear in the local vertex count
+/// and built in one pass.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CompactLabelIndex {
     lists: Vec<PostingList>,
@@ -717,8 +623,9 @@ pub struct CompactLabelIndex {
 impl CompactLabelIndex {
     /// Builds the index from the partition's per-local-vertex label array
     /// (`labels[local]` is the label of local vertex `local`). `num_labels`
-    /// is the global label-space size; out-of-space labels are dropped with
-    /// a `debug_assert`, mirroring `LabelIndex::build`.
+    /// is the global label-space size. A label outside it is dropped — the
+    /// vertex is not indexed under it, and the label space never grows with
+    /// the data — and flagged with a `debug_assert`.
     pub fn build(labels: &[LabelId], num_labels: usize) -> Self {
         let n = labels.len();
         // Pass 1: per-label frequency and exact delta-encoded size.
@@ -836,11 +743,10 @@ impl CompactLabelIndex {
 }
 
 /// A zero-copy view of one label's local postings, decoded to sorted global
-/// vertex ids on iteration. The type both storage tiers answer
-/// `Index.getID` with.
+/// vertex ids on iteration. The type a partition answers `Index.getID` with.
 #[derive(Clone, Copy)]
 pub enum Postings<'a> {
-    /// A plain sorted slice of global ids (the plain tier).
+    /// A sorted slice of global ids: an overlay's merged list, or empty.
     Slice(&'a [VertexId]),
     /// A bitmap over local indices, mapped through `ids`.
     Bitmap {
@@ -956,7 +862,7 @@ impl std::fmt::Debug for Postings<'_> {
 /// Iterator over a [`Postings`] view.
 #[derive(Clone)]
 pub enum PostingsIter<'a> {
-    /// Plain-slice iteration.
+    /// Slice iteration.
     Slice(std::slice::Iter<'a, VertexId>),
     /// Bitmap scan (lowest set bit first).
     Bitmap {
@@ -1072,7 +978,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_csr_matches_plain_semantics() {
+    fn compact_csr_sorts_dedups_and_answers_reads() {
         let lists = vec![
             vec![v(3), v(1), v(3), v(100)],
             vec![],
@@ -1091,35 +997,25 @@ mod tests {
         assert!(!c.has_neighbor(0, v(2)));
         assert!(!c.has_neighbor(0, v(101)));
         assert_eq!(c.iter().count(), 4);
+        let empty = CompactCsr::from_lists(vec![]);
+        assert_eq!((empty.num_vertices(), empty.num_entries()), (0, 0));
     }
 
     #[test]
-    fn compact_csr_is_smaller_than_plain_for_small_ids() {
+    fn compact_csr_is_half_a_flat_csr_for_small_ids() {
         // 1000 vertices with ~8 neighbors each drawn from a 1000-id space:
-        // deltas fit in 1-2 bytes vs 8 bytes per entry in the plain tier.
+        // deltas fit in 1-2 bytes vs 8 bytes per entry in a flat `Vec` CSR
+        // (8-byte offsets plus 8-byte ids).
         let lists: Vec<Vec<VertexId>> = (0..1000u64)
             .map(|i| (0..8).map(|j| v((i * 37 + j * 131) % 1000)).collect())
             .collect();
-        let plain_bytes: usize = lists.iter().map(|l| l.len() * 8).sum::<usize>() + 1001 * 8;
+        let flat_bytes: usize = lists.iter().map(|l| l.len() * 8).sum::<usize>() + 1001 * 8;
         let c = CompactCsr::from_lists(lists);
         assert!(
-            c.memory_bytes() * 2 <= plain_bytes,
-            "compact {} vs plain {plain_bytes}",
+            c.memory_bytes() * 2 <= flat_bytes,
+            "compact {} vs flat {flat_bytes}",
             c.memory_bytes()
         );
-    }
-
-    #[test]
-    fn neighbors_materialize_inline_and_heap() {
-        let small: Vec<VertexId> = (0..5).map(|i| v(i * 10)).collect();
-        let large: Vec<VertexId> = (0..100).map(|i| v(i * 3 + 1)).collect();
-        let c = CompactCsr::from_lists(vec![small.clone(), large.clone()]);
-        let mut scratch = NeighborScratch::new();
-        assert_eq!(c.neighbors(0).materialize(&mut scratch), &small[..]);
-        assert_eq!(c.neighbors(1).materialize(&mut scratch), &large[..]);
-        // Plain slices pass through without copying.
-        let plain = Neighbors::Slice(&large);
-        assert_eq!(plain.materialize(&mut scratch).as_ptr(), large.as_ptr());
     }
 
     #[test]
@@ -1188,13 +1084,19 @@ mod tests {
     }
 
     #[test]
-    fn storage_tier_default_and_tags() {
-        assert_eq!(StorageTier::default(), StorageTier::Compact);
-        assert_ne!(
-            StorageTier::Plain.fingerprint_tag(),
-            StorageTier::Compact.fingerprint_tag()
-        );
-        assert_eq!(StorageTier::Compact.to_string(), "compact");
+    fn out_of_space_labels_are_dropped_not_grown() {
+        // A label id beyond `num_labels` must not grow the label space:
+        // debug builds flag it, release builds leave the vertex unindexed.
+        if cfg!(debug_assertions) {
+            let build = || CompactLabelIndex::build(&[l(5)], 2);
+            assert!(std::panic::catch_unwind(build).is_err());
+        } else {
+            let idx = CompactLabelIndex::build(&[l(5), l(1)], 2);
+            assert_eq!(idx.num_labels(), 2, "label space must not grow");
+            assert_eq!(idx.frequency(l(5)), 0);
+            assert_eq!(idx.get(l(1), &[v(1), v(2)]), &[v(2)]);
+            assert_eq!(idx.total_postings(), 1);
+        }
     }
 
     #[test]

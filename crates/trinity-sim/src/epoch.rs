@@ -14,9 +14,9 @@
 //!   merged views of every touched vertex and label laid over the `Arc`-
 //!   shared immutable base — and publishes a new cloud at epoch N+1.
 //!   [`GraphEpochs::seal_epoch`] re-encodes each overlaid partition's
-//!   merged view into a fresh base (both tiers), carrying signatures and
-//!   label-pair statistics over; content is observationally identical, so
-//!   the epoch number is kept and pinned readers are unaffected.
+//!   merged view into a fresh base, carrying signatures and label-pair
+//!   statistics over; content is observationally identical, so the epoch
+//!   number is kept and pinned readers are unaffected.
 //! * **Caches revalidate by label pair, root by root.** Exploration reads
 //!   the graph only as adjacency entries "root `x` labelled `r` has a
 //!   neighbour labelled `c`", so an STwig table for shape `(r; c1..ck)` can
@@ -835,12 +835,11 @@ impl GraphEpochs {
     }
 
     /// Merges every overlaid partition's overlay into a fresh immutable base
-    /// of the same storage tier (`Partition::sealed`: one pass over the
-    /// merged view, nothing recounted); partitions without an overlay are
-    /// shared as they are. Observable content is unchanged, so the epoch
-    /// number is kept: pinned readers hold the previous `Arc` untouched, and
-    /// caches keyed on `(lineage, epoch)` stay valid. Returns the
-    /// (unchanged) current epoch.
+    /// (`Partition::sealed`: one pass over the merged view, nothing
+    /// recounted); partitions without an overlay are shared as they are.
+    /// Observable content is unchanged, so the epoch number is kept: pinned
+    /// readers hold the previous `Arc` untouched, and caches keyed on
+    /// `(lineage, epoch)` stay valid. Returns the (unchanged) current epoch.
     pub fn seal_epoch(&self) -> u64 {
         let _writer = self.writer.lock().expect("epoch writer lock");
         let prev = Arc::clone(&self.current.read().expect("epoch lock"));
@@ -865,18 +864,15 @@ impl GraphEpochs {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::compact::StorageTier;
     use crate::cost::CostModel;
 
     fn v(x: u64) -> VertexId {
         VertexId(x)
     }
 
-    const TIERS: [StorageTier; 2] = [StorageTier::Plain, StorageTier::Compact];
-
     /// Triangle a(0)-b(1)-c(2)-a(0) plus a pendant d(3) on c.
-    fn small_cloud(machines: usize, tier: StorageTier) -> MemoryCloud {
-        let mut b = GraphBuilder::new_undirected().with_storage_tier(tier);
+    fn small_cloud(machines: usize) -> MemoryCloud {
+        let mut b = GraphBuilder::new_undirected();
         b.add_vertex(v(0), "a");
         b.add_vertex(v(1), "b");
         b.add_vertex(v(2), "c");
@@ -906,85 +902,77 @@ mod tests {
 
     #[test]
     fn fresh_manager_is_epoch_zero_with_lineage() {
-        for tier in TIERS {
-            let epochs = GraphEpochs::new(small_cloud(3, tier));
-            assert_eq!(epochs.epoch(), 0);
-            assert_ne!(epochs.lineage(), 0);
-            let snap = epochs.pin();
-            assert_eq!(snap.epoch(), 0);
-            assert_eq!(snap.lineage(), epochs.lineage());
-            assert_eq!(observe(snap.cloud()), observe(epochs.base_cloud()));
-        }
+        let epochs = GraphEpochs::new(small_cloud(3));
+        assert_eq!(epochs.epoch(), 0);
+        assert_ne!(epochs.lineage(), 0);
+        let snap = epochs.pin();
+        assert_eq!(snap.epoch(), 0);
+        assert_eq!(snap.lineage(), epochs.lineage());
+        assert_eq!(observe(snap.cloud()), observe(epochs.base_cloud()));
     }
 
     #[test]
     fn apply_adds_vertices_and_edges() {
-        for tier in TIERS {
-            let epochs = GraphEpochs::new(small_cloud(4, tier));
-            let e = epochs
-                .apply(
-                    &UpdateBatch::new()
-                        .add_vertex(v(9), "e")
-                        .add_edge(v(9), v(2)),
-                )
-                .unwrap();
-            assert_eq!(e, 1);
-            let snap = epochs.pin();
-            assert!(snap.contains_vertex(v(9)));
-            assert_eq!(snap.labels().get("e"), snap.label_of_global(v(9)));
-            assert_eq!(snap.neighbors_global(v(9)).to_vec(), vec![v(2)]);
-            assert!(snap.has_edge_global(v(2), v(9)));
-            assert_eq!(snap.num_vertices(), 5);
-            assert_eq!(snap.num_edges(), 5);
-            let le = snap.labels().get("e").unwrap();
-            assert_eq!(snap.label_frequency(le), 1);
-            assert_eq!(snap.all_ids_with_label(le), vec![v(9)]);
-        }
+        let epochs = GraphEpochs::new(small_cloud(4));
+        let e = epochs
+            .apply(
+                &UpdateBatch::new()
+                    .add_vertex(v(9), "e")
+                    .add_edge(v(9), v(2)),
+            )
+            .unwrap();
+        assert_eq!(e, 1);
+        let snap = epochs.pin();
+        assert!(snap.contains_vertex(v(9)));
+        assert_eq!(snap.labels().get("e"), snap.label_of_global(v(9)));
+        assert_eq!(snap.neighbors_global(v(9)).to_vec(), vec![v(2)]);
+        assert!(snap.has_edge_global(v(2), v(9)));
+        assert_eq!(snap.num_vertices(), 5);
+        assert_eq!(snap.num_edges(), 5);
+        let le = snap.labels().get("e").unwrap();
+        assert_eq!(snap.label_frequency(le), 1);
+        assert_eq!(snap.all_ids_with_label(le), vec![v(9)]);
     }
 
     #[test]
     fn apply_removes_vertex_and_incident_edges() {
-        for tier in TIERS {
-            let epochs = GraphEpochs::new(small_cloud(4, tier));
-            epochs
-                .apply(&UpdateBatch::new().remove_vertex(v(2)))
-                .unwrap();
-            let snap = epochs.pin();
-            assert!(!snap.contains_vertex(v(2)));
-            assert!(!snap.has_edge_global(v(1), v(2)));
-            assert!(!snap.has_edge_global(v(2), v(3)));
-            assert_eq!(snap.neighbors_global(v(3)).to_vec(), Vec::<VertexId>::new());
-            assert_eq!(snap.neighbors_global(v(0)).to_vec(), vec![v(1)]);
-            assert_eq!(snap.num_vertices(), 3);
-            assert_eq!(snap.num_edges(), 1);
-            let lc = snap.labels().get("c").unwrap();
-            assert_eq!(snap.label_frequency(lc), 0);
-            assert!(snap.all_ids_with_label(lc).is_empty());
-        }
+        let epochs = GraphEpochs::new(small_cloud(4));
+        epochs
+            .apply(&UpdateBatch::new().remove_vertex(v(2)))
+            .unwrap();
+        let snap = epochs.pin();
+        assert!(!snap.contains_vertex(v(2)));
+        assert!(!snap.has_edge_global(v(1), v(2)));
+        assert!(!snap.has_edge_global(v(2), v(3)));
+        assert_eq!(snap.neighbors_global(v(3)).to_vec(), Vec::<VertexId>::new());
+        assert_eq!(snap.neighbors_global(v(0)).to_vec(), vec![v(1)]);
+        assert_eq!(snap.num_vertices(), 3);
+        assert_eq!(snap.num_edges(), 1);
+        let lc = snap.labels().get("c").unwrap();
+        assert_eq!(snap.label_frequency(lc), 0);
+        assert!(snap.all_ids_with_label(lc).is_empty());
     }
 
     #[test]
     fn apply_relabel_updates_postings_frequency_and_signatures() {
-        for tier in TIERS {
-            let epochs = GraphEpochs::new(small_cloud(2, tier));
-            epochs
-                .apply(&UpdateBatch::new().add_vertex(v(3), "a"))
-                .unwrap();
-            let snap = epochs.pin();
-            let la = snap.labels().get("a").unwrap();
-            let ld = snap.labels().get("d").unwrap();
-            assert_eq!(snap.label_of_global(v(3)), Some(la));
-            assert_eq!(snap.label_frequency(la), 2);
-            assert_eq!(snap.label_frequency(ld), 0);
-            let mut with_a = snap.all_ids_with_label(la);
-            with_a.sort_unstable();
-            assert_eq!(with_a, vec![v(0), v(3)]);
-            // v(2) is v(3)'s only neighbor: its signature must now claim `a`
-            // (and no longer `d`).
-            let sig = snap.signature_of(v(2)).expect("builder always indexes");
-            assert_ne!(sig & label_bit(la), 0);
-            assert_eq!(sig & label_bit(ld), 0);
-        }
+        let epochs = GraphEpochs::new(small_cloud(2));
+        epochs
+            .apply(&UpdateBatch::new().add_vertex(v(3), "a"))
+            .unwrap();
+        let snap = epochs.pin();
+        let la = snap.labels().get("a").unwrap();
+        let ld = snap.labels().get("d").unwrap();
+        assert_eq!(snap.label_of_global(v(3)), Some(la));
+        assert_eq!(snap.label_frequency(la), 2);
+        assert_eq!(snap.label_frequency(ld), 0);
+        let mut with_a = snap.all_ids_with_label(la);
+        with_a.sort_unstable();
+        assert_eq!(with_a, vec![v(0), v(3)]);
+        // v(2) is v(3)'s only neighbor: its signature must now claim `a`
+        // (and no longer `d`).
+        let sig = snap.signature_of(v(2)).expect("builder always indexes");
+        assert_ne!(sig & label_bit(la), 0);
+        assert_eq!(sig & label_bit(ld), 0);
     }
 
     /// The signature a from-scratch build would give `id`: the OR of its
@@ -1009,303 +997,287 @@ mod tests {
 
     #[test]
     fn carried_signatures_equal_a_full_recompute() {
-        for tier in TIERS {
-            for machines in [1, 3] {
-                let epochs = GraphEpochs::new(small_cloud(machines, tier));
-                let bit = |name: &str| label_bit(epochs.pin().labels().get(name).unwrap());
+        for machines in [1, 3] {
+            let epochs = GraphEpochs::new(small_cloud(machines));
+            let bit = |name: &str| label_bit(epochs.pin().labels().get(name).unwrap());
 
-                // Gain-only batches: new edges between old vertices, and a new
-                // vertex attached to two of them. Nothing is scanned; every
-                // touched signature is its old one ORed with the new bits.
-                epochs
-                    .apply(&UpdateBatch::new().add_edge(v(0), v(3)).add_edge(v(1), v(3)))
-                    .unwrap();
-                assert_signatures_exact(&epochs.pin(), "edges gained");
-                assert_eq!(
-                    epochs.pin().signature_of(v(3)),
-                    Some(bit("a") | bit("b") | bit("c"))
-                );
-                epochs
-                    .apply(
-                        &UpdateBatch::new()
-                            .add_vertex(v(4), "d")
-                            .add_edge(v(4), v(2))
-                            .add_edge(v(4), v(0)),
-                    )
-                    .unwrap();
-                assert_signatures_exact(&epochs.pin(), "vertex gained");
-                assert_eq!(epochs.pin().signature_of(v(4)), Some(bit("a") | bit("c")));
+            // Gain-only batches: new edges between old vertices, and a new
+            // vertex attached to two of them. Nothing is scanned; every
+            // touched signature is its old one ORed with the new bits.
+            epochs
+                .apply(&UpdateBatch::new().add_edge(v(0), v(3)).add_edge(v(1), v(3)))
+                .unwrap();
+            assert_signatures_exact(&epochs.pin(), "edges gained");
+            assert_eq!(
+                epochs.pin().signature_of(v(3)),
+                Some(bit("a") | bit("b") | bit("c"))
+            );
+            epochs
+                .apply(
+                    &UpdateBatch::new()
+                        .add_vertex(v(4), "d")
+                        .add_edge(v(4), v(2))
+                        .add_edge(v(4), v(0)),
+                )
+                .unwrap();
+            assert_signatures_exact(&epochs.pin(), "vertex gained");
+            assert_eq!(epochs.pin().signature_of(v(4)), Some(bit("a") | bit("c")));
 
-                // c(2) now has two `d` neighbours, 3 and 4. Losing one of two
-                // carriers keeps the bit; losing the last one clears it.
-                epochs
-                    .apply(&UpdateBatch::new().remove_edge(v(2), v(3)))
-                    .unwrap();
-                assert_signatures_exact(&epochs.pin(), "one of two carriers lost");
-                assert_ne!(epochs.pin().signature_of(v(2)).unwrap() & bit("d"), 0);
-                epochs
-                    .apply(&UpdateBatch::new().remove_vertex(v(4)))
-                    .unwrap();
-                assert_signatures_exact(&epochs.pin(), "last carrier lost");
-                assert_eq!(epochs.pin().signature_of(v(2)), Some(bit("a") | bit("b")));
+            // c(2) now has two `d` neighbours, 3 and 4. Losing one of two
+            // carriers keeps the bit; losing the last one clears it.
+            epochs
+                .apply(&UpdateBatch::new().remove_edge(v(2), v(3)))
+                .unwrap();
+            assert_signatures_exact(&epochs.pin(), "one of two carriers lost");
+            assert_ne!(epochs.pin().signature_of(v(2)).unwrap() & bit("d"), 0);
+            epochs
+                .apply(&UpdateBatch::new().remove_vertex(v(4)))
+                .unwrap();
+            assert_signatures_exact(&epochs.pin(), "last carrier lost");
+            assert_eq!(epochs.pin().signature_of(v(2)), Some(bit("a") | bit("b")));
 
-                // A relabel is a loss and a gain for every neighbour; a bit lost
-                // and gained back in the same batch stays.
-                epochs
-                    .apply(&UpdateBatch::new().add_vertex(v(1), "a"))
-                    .unwrap();
-                assert_signatures_exact(&epochs.pin(), "neighbour relabelled");
-                assert_eq!(epochs.pin().signature_of(v(2)), Some(bit("a")));
-                epochs
-                    .apply(
-                        &UpdateBatch::new()
-                            .remove_edge(v(0), v(1))
-                            .add_vertex(v(5), "a")
-                            .add_edge(v(0), v(5)),
-                    )
-                    .unwrap();
-                assert_signatures_exact(&epochs.pin(), "lost and gained back");
+            // A relabel is a loss and a gain for every neighbour; a bit lost
+            // and gained back in the same batch stays.
+            epochs
+                .apply(&UpdateBatch::new().add_vertex(v(1), "a"))
+                .unwrap();
+            assert_signatures_exact(&epochs.pin(), "neighbour relabelled");
+            assert_eq!(epochs.pin().signature_of(v(2)), Some(bit("a")));
+            epochs
+                .apply(
+                    &UpdateBatch::new()
+                        .remove_edge(v(0), v(1))
+                        .add_vertex(v(5), "a")
+                        .add_edge(v(0), v(5)),
+                )
+                .unwrap();
+            assert_signatures_exact(&epochs.pin(), "lost and gained back");
 
-                // The seal carries the signatures over unchanged.
-                epochs.seal_epoch();
-                assert_signatures_exact(&epochs.pin(), "sealed");
-            }
+            // The seal carries the signatures over unchanged.
+            epochs.seal_epoch();
+            assert_signatures_exact(&epochs.pin(), "sealed");
         }
     }
 
     #[test]
     fn pinned_snapshot_is_isolated_from_later_epochs() {
-        for tier in TIERS {
-            let epochs = GraphEpochs::new(small_cloud(4, tier));
-            let before = epochs.pin();
-            let baseline = observe(before.cloud());
-            epochs
-                .apply(&UpdateBatch::new().remove_vertex(v(0)).add_vertex(v(7), "x"))
-                .unwrap();
-            epochs
-                .apply(&UpdateBatch::new().add_edge(v(7), v(1)))
-                .unwrap();
-            assert_eq!(epochs.epoch(), 2);
-            // The old pin still sees epoch 0, bit-identical.
-            assert_eq!(before.epoch(), 0);
-            assert_eq!(observe(before.cloud()), baseline);
-            assert!(before.contains_vertex(v(0)));
-            assert!(!before.contains_vertex(v(7)));
-        }
+        let epochs = GraphEpochs::new(small_cloud(4));
+        let before = epochs.pin();
+        let baseline = observe(before.cloud());
+        epochs
+            .apply(&UpdateBatch::new().remove_vertex(v(0)).add_vertex(v(7), "x"))
+            .unwrap();
+        epochs
+            .apply(&UpdateBatch::new().add_edge(v(7), v(1)))
+            .unwrap();
+        assert_eq!(epochs.epoch(), 2);
+        // The old pin still sees epoch 0, bit-identical.
+        assert_eq!(before.epoch(), 0);
+        assert_eq!(observe(before.cloud()), baseline);
+        assert!(before.contains_vertex(v(0)));
+        assert!(!before.contains_vertex(v(7)));
     }
 
     #[test]
     fn seal_keeps_epoch_and_content_and_drops_overlays() {
-        for tier in TIERS {
-            let mut b = GraphBuilder::new_undirected().with_storage_tier(tier);
-            b.add_vertex(v(0), "a");
-            b.add_vertex(v(1), "b");
-            b.add_vertex(v(2), "c");
-            b.add_edge(v(0), v(1));
-            b.add_edge(v(1), v(2));
-            let epochs = GraphEpochs::new(b.build(3, CostModel::default()));
-            epochs
-                .apply(
-                    &UpdateBatch::new()
-                        .add_vertex(v(5), "b")
-                        .add_edge(v(5), v(0))
-                        .remove_edge(v(1), v(2)),
-                )
-                .unwrap();
-            let dirty = epochs.pin();
-            let before = observe(dirty.cloud());
-            assert!(dirty.cloud().partitions.iter().any(Partition::has_overlay));
-            let sealed_epoch = epochs.seal_epoch();
-            assert_eq!(sealed_epoch, 1);
-            let sealed = epochs.pin();
-            assert_eq!(sealed.epoch(), 1);
-            assert!(!sealed.cloud().partitions.iter().any(Partition::has_overlay));
-            assert_eq!(observe(sealed.cloud()), before);
-            // The pre-seal pin still reads its overlaid view, identically.
-            assert_eq!(observe(dirty.cloud()), before);
-            // Pair-table statistics were rebuilt exactly for the new graph.
-            let lb = sealed.labels().get("b").unwrap();
-            let la = sealed.labels().get("a").unwrap();
-            let lc = sealed.labels().get("c").unwrap();
-            assert_eq!(sealed.label_pair_count(la, lb), 4, "a-b edges: 0-1, 0-5");
-            assert_eq!(sealed.label_pair_count(lb, lc), 0, "1-2 was removed");
-            // … and the overlay's delta had already kept them exact.
-            assert_eq!(dirty.label_pair_count(la, lb), 4);
-            assert_eq!(dirty.label_pair_count(lb, lc), 0);
-            assert_eq!(dirty.label_pair_total(), sealed.label_pair_total());
-            // Sealing an already-clean lineage is a no-op.
-            assert_eq!(epochs.seal_epoch(), 1);
-        }
+        let mut b = GraphBuilder::new_undirected();
+        b.add_vertex(v(0), "a");
+        b.add_vertex(v(1), "b");
+        b.add_vertex(v(2), "c");
+        b.add_edge(v(0), v(1));
+        b.add_edge(v(1), v(2));
+        let epochs = GraphEpochs::new(b.build(3, CostModel::default()));
+        epochs
+            .apply(
+                &UpdateBatch::new()
+                    .add_vertex(v(5), "b")
+                    .add_edge(v(5), v(0))
+                    .remove_edge(v(1), v(2)),
+            )
+            .unwrap();
+        let dirty = epochs.pin();
+        let before = observe(dirty.cloud());
+        assert!(dirty.cloud().partitions.iter().any(Partition::has_overlay));
+        let sealed_epoch = epochs.seal_epoch();
+        assert_eq!(sealed_epoch, 1);
+        let sealed = epochs.pin();
+        assert_eq!(sealed.epoch(), 1);
+        assert!(!sealed.cloud().partitions.iter().any(Partition::has_overlay));
+        assert_eq!(observe(sealed.cloud()), before);
+        // The pre-seal pin still reads its overlaid view, identically.
+        assert_eq!(observe(dirty.cloud()), before);
+        // Pair-table statistics were rebuilt exactly for the new graph.
+        let lb = sealed.labels().get("b").unwrap();
+        let la = sealed.labels().get("a").unwrap();
+        let lc = sealed.labels().get("c").unwrap();
+        assert_eq!(sealed.label_pair_count(la, lb), 4, "a-b edges: 0-1, 0-5");
+        assert_eq!(sealed.label_pair_count(lb, lc), 0, "1-2 was removed");
+        // … and the overlay's delta had already kept them exact.
+        assert_eq!(dirty.label_pair_count(la, lb), 4);
+        assert_eq!(dirty.label_pair_count(lb, lc), 0);
+        assert_eq!(dirty.label_pair_total(), sealed.label_pair_total());
+        // Sealing an already-clean lineage is a no-op.
+        assert_eq!(epochs.seal_epoch(), 1);
     }
 
     #[test]
     fn apply_validates_and_is_atomic() {
-        for tier in TIERS {
-            let epochs = GraphEpochs::new(small_cloud(3, tier));
-            let baseline = observe(epochs.pin().cloud());
-            let err = epochs
-                .apply(
-                    &UpdateBatch::new()
-                        .add_vertex(v(8), "x")
-                        .add_edge(v(8), v(99)),
-                )
-                .unwrap_err();
-            assert_eq!(err, TrinityError::UnknownVertex(v(99)));
-            assert_eq!(epochs.epoch(), 0, "failed batch must not publish");
-            assert_eq!(observe(epochs.pin().cloud()), baseline);
-            assert!(matches!(
-                epochs.apply(&UpdateBatch::new().remove_vertex(v(42))),
-                Err(TrinityError::UnknownVertex(_))
-            ));
-        }
+        let epochs = GraphEpochs::new(small_cloud(3));
+        let baseline = observe(epochs.pin().cloud());
+        let err = epochs
+            .apply(
+                &UpdateBatch::new()
+                    .add_vertex(v(8), "x")
+                    .add_edge(v(8), v(99)),
+            )
+            .unwrap_err();
+        assert_eq!(err, TrinityError::UnknownVertex(v(99)));
+        assert_eq!(epochs.epoch(), 0, "failed batch must not publish");
+        assert_eq!(observe(epochs.pin().cloud()), baseline);
+        assert!(matches!(
+            epochs.apply(&UpdateBatch::new().remove_vertex(v(42))),
+            Err(TrinityError::UnknownVertex(_))
+        ));
     }
 
     #[test]
     fn no_op_batches_keep_the_epoch() {
-        for tier in TIERS {
-            let epochs = GraphEpochs::new(small_cloud(3, tier));
-            // Absent-edge removal, existing-edge add, same-label relabel,
-            // self-loop: all no-ops.
-            let e = epochs
-                .apply(
-                    &UpdateBatch::new()
-                        .remove_edge(v(0), v(3))
-                        .add_edge(v(0), v(1))
-                        .add_vertex(v(0), "a")
-                        .add_edge(v(2), v(2)),
-                )
-                .unwrap();
-            assert_eq!(e, 0);
-            // Add-then-remove within one batch nets out too.
-            let e = epochs
-                .apply(
-                    &UpdateBatch::new()
-                        .add_vertex(v(9), "z")
-                        .add_edge(v(9), v(0))
-                        .remove_vertex(v(9)),
-                )
-                .unwrap();
-            assert_eq!(e, 0);
-        }
+        let epochs = GraphEpochs::new(small_cloud(3));
+        // Absent-edge removal, existing-edge add, same-label relabel,
+        // self-loop: all no-ops.
+        let e = epochs
+            .apply(
+                &UpdateBatch::new()
+                    .remove_edge(v(0), v(3))
+                    .add_edge(v(0), v(1))
+                    .add_vertex(v(0), "a")
+                    .add_edge(v(2), v(2)),
+            )
+            .unwrap();
+        assert_eq!(e, 0);
+        // Add-then-remove within one batch nets out too.
+        let e = epochs
+            .apply(
+                &UpdateBatch::new()
+                    .add_vertex(v(9), "z")
+                    .add_edge(v(9), v(0))
+                    .remove_vertex(v(9)),
+            )
+            .unwrap();
+        assert_eq!(e, 0);
     }
 
     #[test]
     fn remove_then_readd_nets_to_edge_removal() {
-        for tier in TIERS {
-            let epochs = GraphEpochs::new(small_cloud(3, tier));
-            let e = epochs
-                .apply(&UpdateBatch::new().remove_vertex(v(2)).add_vertex(v(2), "c"))
-                .unwrap();
-            assert_eq!(e, 1, "edges changed even though the vertex survived");
-            let snap = epochs.pin();
-            assert!(snap.contains_vertex(v(2)));
-            assert_eq!(snap.neighbors_global(v(2)).to_vec(), Vec::<VertexId>::new());
-            assert_eq!(snap.num_edges(), 1);
-        }
+        let epochs = GraphEpochs::new(small_cloud(3));
+        let e = epochs
+            .apply(&UpdateBatch::new().remove_vertex(v(2)).add_vertex(v(2), "c"))
+            .unwrap();
+        assert_eq!(e, 1, "edges changed even though the vertex survived");
+        let snap = epochs.pin();
+        assert!(snap.contains_vertex(v(2)));
+        assert_eq!(snap.neighbors_global(v(2)).to_vec(), Vec::<VertexId>::new());
+        assert_eq!(snap.num_edges(), 1);
     }
 
     #[test]
     fn deleted_base_vertex_can_come_back() {
-        for tier in TIERS {
-            let epochs = GraphEpochs::new(small_cloud(3, tier));
-            epochs
-                .apply(&UpdateBatch::new().remove_vertex(v(3)))
-                .unwrap();
-            epochs
-                .apply(
-                    &UpdateBatch::new()
-                        .add_vertex(v(3), "d2")
-                        .add_edge(v(3), v(0)),
-                )
-                .unwrap();
-            let snap = epochs.pin();
-            assert_eq!(
-                snap.label_of_global(v(3)),
-                Some(snap.labels().get("d2").unwrap())
-            );
-            assert_eq!(snap.neighbors_global(v(3)).to_vec(), vec![v(0)]);
-            assert_eq!(snap.num_vertices(), 4);
-        }
+        let epochs = GraphEpochs::new(small_cloud(3));
+        epochs
+            .apply(&UpdateBatch::new().remove_vertex(v(3)))
+            .unwrap();
+        epochs
+            .apply(
+                &UpdateBatch::new()
+                    .add_vertex(v(3), "d2")
+                    .add_edge(v(3), v(0)),
+            )
+            .unwrap();
+        let snap = epochs.pin();
+        assert_eq!(
+            snap.label_of_global(v(3)),
+            Some(snap.labels().get("d2").unwrap())
+        );
+        assert_eq!(snap.neighbors_global(v(3)).to_vec(), vec![v(0)]);
+        assert_eq!(snap.num_vertices(), 4);
     }
 
     #[test]
     fn touch_log_records_changed_entries_per_epoch() {
-        for tier in TIERS {
-            let epochs = GraphEpochs::new(small_cloud(3, tier));
-            let snap = epochs.pin();
-            let log = snap.epoch_touch_log().expect("managed cloud has a log");
-            let label = |cloud: &MemoryCloud, name: &str| cloud.labels().get(name).unwrap();
-            let (la, lb, lc, ld) = (
-                label(&snap, "a"),
-                label(&snap, "b"),
-                label(&snap, "c"),
-                label(&snap, "d"),
-            );
+        let epochs = GraphEpochs::new(small_cloud(3));
+        let snap = epochs.pin();
+        let log = snap.epoch_touch_log().expect("managed cloud has a log");
+        let label = |cloud: &MemoryCloud, name: &str| cloud.labels().get(name).unwrap();
+        let (la, lb, lc, ld) = (
+            label(&snap, "a"),
+            label(&snap, "b"),
+            label(&snap, "c"),
+            label(&snap, "d"),
+        );
 
-            // Epoch 1, an added edge: its two entries, under post-batch labels.
-            epochs
-                .apply(&UpdateBatch::new().add_edge(v(0), v(3)))
-                .unwrap();
-            assert_eq!(log.touched_roots(0, 1, la, &[ld]), Some(vec![v(0)]));
-            assert_eq!(log.touched_roots(0, 1, ld, &[la]), Some(vec![v(3)]));
-            // The same labels in another combination were not touched.
-            assert_eq!(log.touched_roots(0, 1, la, &[lb, lc]), Some(vec![]));
-            assert_eq!(log.touched_roots(0, 1, ld, &[lc]), Some(vec![]));
+        // Epoch 1, an added edge: its two entries, under post-batch labels.
+        epochs
+            .apply(&UpdateBatch::new().add_edge(v(0), v(3)))
+            .unwrap();
+        assert_eq!(log.touched_roots(0, 1, la, &[ld]), Some(vec![v(0)]));
+        assert_eq!(log.touched_roots(0, 1, ld, &[la]), Some(vec![v(3)]));
+        // The same labels in another combination were not touched.
+        assert_eq!(log.touched_roots(0, 1, la, &[lb, lc]), Some(vec![]));
+        assert_eq!(log.touched_roots(0, 1, ld, &[lc]), Some(vec![]));
 
-            // Epoch 2, a relabel b → b2 of v(1): every surviving entry of v(1)
-            // under the old and the new label, both directions.
-            epochs
-                .apply(&UpdateBatch::new().add_vertex(v(1), "b2"))
-                .unwrap();
-            let lb2 = label(&epochs.pin(), "b2");
-            for own in [lb, lb2] {
-                assert_eq!(log.touched_roots(1, 2, own, &[la, lc]), Some(vec![v(1)]));
-                assert_eq!(log.touched_roots(1, 2, la, &[own]), Some(vec![v(0)]));
-                assert_eq!(log.touched_roots(1, 2, lc, &[own]), Some(vec![v(2)]));
-            }
-            assert_eq!(log.touched_roots(1, 2, la, &[lc, ld]), Some(vec![]));
-            // Ranges union epochs; repeated child labels are one pair.
-            assert_eq!(log.touched_roots(0, 2, la, &[lb, lb, ld]), Some(vec![v(0)]));
-            assert_eq!(log.touched_roots(2, 2, la, &[lb]), Some(vec![]));
+        // Epoch 2, a relabel b → b2 of v(1): every surviving entry of v(1)
+        // under the old and the new label, both directions.
+        epochs
+            .apply(&UpdateBatch::new().add_vertex(v(1), "b2"))
+            .unwrap();
+        let lb2 = label(&epochs.pin(), "b2");
+        for own in [lb, lb2] {
+            assert_eq!(log.touched_roots(1, 2, own, &[la, lc]), Some(vec![v(1)]));
+            assert_eq!(log.touched_roots(1, 2, la, &[own]), Some(vec![v(0)]));
+            assert_eq!(log.touched_roots(1, 2, lc, &[own]), Some(vec![v(2)]));
+        }
+        assert_eq!(log.touched_roots(1, 2, la, &[lc, ld]), Some(vec![]));
+        // Ranges union epochs; repeated child labels are one pair.
+        assert_eq!(log.touched_roots(0, 2, la, &[lb, lb, ld]), Some(vec![v(0)]));
+        assert_eq!(log.touched_roots(2, 2, la, &[lb]), Some(vec![]));
 
-            // Epoch 3, an isolated vertex — even one labelled `a` — changes no
-            // entry: the epoch is covered and empty.
-            epochs
-                .apply(&UpdateBatch::new().add_vertex(v(9), "a"))
-                .unwrap();
-            for own in [la, lb, lb2, lc, ld] {
-                assert_eq!(
-                    log.touched_roots(2, 3, own, &[la, lb, lb2, lc, ld]),
-                    Some(vec![])
-                );
-            }
-
-            // Epoch 4, removing hub v(2) is the removal of its incident edges,
-            // under pre-batch labels; an add-then-remove inside the batch nets
-            // out and logs nothing.
-            epochs
-                .apply(
-                    &UpdateBatch::new()
-                        .add_edge(v(9), v(3))
-                        .remove_edge(v(9), v(3))
-                        .remove_vertex(v(2)),
-                )
-                .unwrap();
+        // Epoch 3, an isolated vertex — even one labelled `a` — changes no
+        // entry: the epoch is covered and empty.
+        epochs
+            .apply(&UpdateBatch::new().add_vertex(v(9), "a"))
+            .unwrap();
+        for own in [la, lb, lb2, lc, ld] {
             assert_eq!(
-                log.touched_roots(3, 4, lc, &[la, lb2, ld]),
-                Some(vec![v(2)])
-            );
-            assert_eq!(log.touched_roots(3, 4, la, &[lc]), Some(vec![v(0)]));
-            assert_eq!(log.touched_roots(3, 4, lb2, &[lc]), Some(vec![v(1)]));
-            assert_eq!(log.touched_roots(3, 4, ld, &[lc]), Some(vec![v(3)]));
-            assert_eq!(log.touched_roots(3, 4, la, &[ld]), Some(vec![]));
-            assert_eq!(log.len(), 4);
-            assert_eq!(
-                log.touched_roots(0, 5, lc, &[la]),
-                None,
-                "epoch 5 not recorded yet: coverage is incomplete"
+                log.touched_roots(2, 3, own, &[la, lb, lb2, lc, ld]),
+                Some(vec![])
             );
         }
+
+        // Epoch 4, removing hub v(2) is the removal of its incident edges,
+        // under pre-batch labels; an add-then-remove inside the batch nets
+        // out and logs nothing.
+        epochs
+            .apply(
+                &UpdateBatch::new()
+                    .add_edge(v(9), v(3))
+                    .remove_edge(v(9), v(3))
+                    .remove_vertex(v(2)),
+            )
+            .unwrap();
+        assert_eq!(
+            log.touched_roots(3, 4, lc, &[la, lb2, ld]),
+            Some(vec![v(2)])
+        );
+        assert_eq!(log.touched_roots(3, 4, la, &[lc]), Some(vec![v(0)]));
+        assert_eq!(log.touched_roots(3, 4, lb2, &[lc]), Some(vec![v(1)]));
+        assert_eq!(log.touched_roots(3, 4, ld, &[lc]), Some(vec![v(3)]));
+        assert_eq!(log.touched_roots(3, 4, la, &[ld]), Some(vec![]));
+        assert_eq!(log.len(), 4);
+        assert_eq!(
+            log.touched_roots(0, 5, lc, &[la]),
+            None,
+            "epoch 5 not recorded yet: coverage is incomplete"
+        );
     }
 
     #[test]
@@ -1348,37 +1320,35 @@ mod tests {
 
     #[test]
     fn readers_pinned_across_concurrent_seal_see_identical_data() {
-        for tier in TIERS {
-            let epochs = GraphEpochs::new(small_cloud(4, tier));
-            epochs
-                .apply(
-                    &UpdateBatch::new()
-                        .add_vertex(v(10), "x")
-                        .add_edge(v(10), v(0))
-                        .remove_edge(v(2), v(3)),
-                )
-                .unwrap();
-            let pinned = epochs.pin();
-            let baseline = observe(pinned.cloud());
-            std::thread::scope(|scope| {
-                let reader = scope.spawn(|| {
-                    for _ in 0..50 {
-                        assert_eq!(observe(pinned.cloud()), baseline);
-                    }
-                });
-                let writer = scope.spawn(|| {
-                    for i in 0..10u64 {
-                        epochs
-                            .apply(&UpdateBatch::new().add_vertex(v(100 + i), "y"))
-                            .unwrap();
-                        epochs.seal_epoch();
-                    }
-                });
-                reader.join().unwrap();
-                writer.join().unwrap();
+        let epochs = GraphEpochs::new(small_cloud(4));
+        epochs
+            .apply(
+                &UpdateBatch::new()
+                    .add_vertex(v(10), "x")
+                    .add_edge(v(10), v(0))
+                    .remove_edge(v(2), v(3)),
+            )
+            .unwrap();
+        let pinned = epochs.pin();
+        let baseline = observe(pinned.cloud());
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                for _ in 0..50 {
+                    assert_eq!(observe(pinned.cloud()), baseline);
+                }
             });
-            assert_eq!(epochs.epoch(), 11);
-            assert_eq!(observe(pinned.cloud()), baseline, "pin survived 10 seals");
-        }
+            let writer = scope.spawn(|| {
+                for i in 0..10u64 {
+                    epochs
+                        .apply(&UpdateBatch::new().add_vertex(v(100 + i), "y"))
+                        .unwrap();
+                    epochs.seal_epoch();
+                }
+            });
+            reader.join().unwrap();
+            writer.join().unwrap();
+        });
+        assert_eq!(epochs.epoch(), 11);
+        assert_eq!(observe(pinned.cloud()), baseline, "pin survived 10 seals");
     }
 }

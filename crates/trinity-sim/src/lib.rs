@@ -9,9 +9,13 @@
 //! of it the paper relies on, in-process:
 //!
 //! * a labeled graph **hash-partitioned** over `P` logical machines
-//!   ([`cloud::MemoryCloud`], [`partition::Partition`], [`csr::Csr`]);
+//!   ([`cloud::MemoryCloud`], [`partition::Partition`]), each partition
+//!   stored in one compact representation: delta/varint adjacency
+//!   ([`compact::CompactCsr`]) and an open-addressed id map
+//!   ([`compact::CompactIdMap`]);
 //! * the per-machine **string index** mapping labels to local vertex IDs
-//!   ([`label_index::LabelIndex`]) — the only index the approach uses;
+//!   ([`compact::CompactLabelIndex`], bitmap or delta-varint per label) —
+//!   the only index the approach uses;
 //! * optional **candidate-pruning indexes**: per-vertex neighborhood-label
 //!   signatures and a label-pair selectivity table
 //!   ([`neighbor_index::NeighborLabelIndex`],
@@ -56,14 +60,12 @@ pub mod cloud;
 pub mod cluster_graph;
 pub mod compact;
 pub mod cost;
-pub mod csr;
 pub mod edge_list;
 pub mod epoch;
 pub mod error;
 pub mod fault;
 pub mod hash;
 pub mod ids;
-pub mod label_index;
 pub mod loader;
 pub mod neighbor_index;
 pub mod network;
@@ -76,7 +78,7 @@ pub mod prelude {
     pub use crate::builder::GraphBuilder;
     pub use crate::cloud::{machine_for, MemoryCloud};
     pub use crate::cluster_graph::{ClusterGraph, LabelPairCatalog};
-    pub use crate::compact::{CompactCsr, NeighborScratch, Neighbors, Postings, StorageTier};
+    pub use crate::compact::{CompactCsr, Neighbors, Postings, StorageTier};
     pub use crate::epoch::{EpochTouchLog, GraphEpochs, SnapshotRef, UpdateBatch, UpdateOp};
     pub use crate::error::TrinityError;
     pub use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultyTransport, MachineCrash};

@@ -26,13 +26,12 @@
 
 use crate::cloud::{machine_for, MemoryCloud};
 use crate::cluster_graph::LabelPairCatalog;
-use crate::compact::{CompactCsrBuilder, StorageTier};
-use crate::csr::Csr;
+use crate::compact::{CompactCsr, CompactCsrBuilder, CompactIdMap, StorageTier};
 use crate::error::TrinityError;
 use crate::ids::{LabelId, LabelInterner, MachineId, VertexId};
 use crate::neighbor_index::{label_bit, LabelPairTable, NeighborLabelIndex};
 use crate::network::CostModel;
-use crate::partition::{Adjacency, IdMap, LabelPostings, Partition};
+use crate::partition::Partition;
 
 /// Builds a [`MemoryCloud`] from vertex and edge streams in bounded memory.
 ///
@@ -44,7 +43,6 @@ use crate::partition::{Adjacency, IdMap, LabelPostings, Partition};
 pub struct StreamLoader {
     num_machines: usize,
     cost: CostModel,
-    tier: StorageTier,
     directed: bool,
 }
 
@@ -54,14 +52,13 @@ impl StreamLoader {
         StreamLoader {
             num_machines,
             cost,
-            tier: StorageTier::default(),
             directed: false,
         }
     }
 
-    /// Overrides the storage tier (default [`StorageTier::Compact`]).
-    pub fn with_storage_tier(mut self, tier: StorageTier) -> Self {
-        self.tier = tier;
+    /// Accepts a [`StorageTier`] for compatibility and stores nothing:
+    /// every partition is compact.
+    pub fn with_storage_tier(self, _tier: StorageTier) -> Self {
         self
     }
 
@@ -99,7 +96,6 @@ impl StreamLoader {
         if m == 0 || m > u16::MAX as usize {
             return Err(TrinityError::InvalidMachineCount(m));
         }
-        let tier = self.tier;
         let num_labels = interner.len();
 
         // ------------------------------------------------------------------
@@ -147,9 +143,9 @@ impl StreamLoader {
         if num_vertices == 0 {
             return Err(TrinityError::EmptyGraph);
         }
-        let id_maps: Vec<IdMap> = machine_ids
+        let id_maps: Vec<CompactIdMap> = machine_ids
             .iter()
-            .map(|ids| IdMap::build(tier, ids))
+            .map(|ids| CompactIdMap::build(ids))
             .collect();
         let locate = |id: VertexId| -> Result<(usize, u32), TrinityError> {
             let mach = machine_for(id, m).index();
@@ -181,7 +177,7 @@ impl StreamLoader {
         // Passes 3..: per machine, scatter → sort/dedup in place → encode.
         // ------------------------------------------------------------------
         let mut catalog = LabelPairCatalog::new(m);
-        let mut adjacencies: Vec<Adjacency> = Vec::with_capacity(m);
+        let mut adjacencies: Vec<CompactCsr> = Vec::with_capacity(m);
         let mut neighbor_indexes: Vec<NeighborLabelIndex> = Vec::with_capacity(m);
         let mut pair_tables: Vec<LabelPairTable> = Vec::with_capacity(m);
         let mut total_entries = 0u64;
@@ -216,35 +212,30 @@ impl StreamLoader {
                 }
             }
             drop(cursor);
-            // Sort and deduplicate each run in place, compacting the flat
-            // array towards the front; build the pruning indexes and the
-            // catalog contribution over the deduplicated runs. Every unique
-            // edge appears in exactly two runs cloud-wide (one per
-            // endpoint), so recording one catalog edge per deduplicated
-            // entry reproduces the builder's symmetric `record_edge` pairs.
+            // Sort and deduplicate each run in place, then encode it; build
+            // the pruning indexes and the catalog contribution over the
+            // deduplicated runs. Every unique edge appears in exactly two
+            // runs cloud-wide (one per endpoint), so recording one catalog
+            // edge per deduplicated entry reproduces the builder's symmetric
+            // `record_edge` pairs.
             let mut sigs = Vec::with_capacity(n_local);
             let mut pair_table = LabelPairTable::new();
-            let mut compact_builder = match tier {
-                StorageTier::Compact => Some(CompactCsrBuilder::with_capacity(n_local)),
-                StorageTier::Plain => None,
-            };
-            let mut final_offsets: Vec<usize> = Vec::with_capacity(n_local + 1);
-            final_offsets.push(0);
-            let mut write = 0usize;
+            let mut adjacency = CompactCsrBuilder::with_capacity(n_local);
             for local in 0..n_local {
-                let (start, end) = (starts[local], starts[local + 1]);
-                staging[start..end].sort_unstable();
+                let run = &mut staging[starts[local]..starts[local + 1]];
+                run.sort_unstable();
                 let mut run_len = 0usize;
-                for r in start..end {
-                    if run_len > 0 && staging[r] == staging[write + run_len - 1] {
+                for r in 0..run.len() {
+                    if run_len > 0 && run[r] == run[run_len - 1] {
                         continue;
                     }
-                    staging[write + run_len] = staging[r];
+                    run[run_len] = run[r];
                     run_len += 1;
                 }
+                let run = &run[..run_len];
                 let own_label = machine_labels[mach][local];
                 let mut sig = 0u64;
-                for &nbr in &staging[write..write + run_len] {
+                for &nbr in run {
                     let (mn, ln) = locate(nbr)?;
                     let nbr_label = machine_labels[mn][ln as usize];
                     sig |= label_bit(nbr_label);
@@ -257,24 +248,11 @@ impl StreamLoader {
                     );
                 }
                 sigs.push(sig);
-                if let Some(b) = compact_builder.as_mut() {
-                    b.push_run(&staging[write..write + run_len]);
-                }
-                write += run_len;
-                final_offsets.push(write);
+                adjacency.push_run(run);
+                total_entries += run_len as u64;
             }
-            total_entries += write as u64;
-            adjacencies.push(match compact_builder {
-                Some(b) => {
-                    drop(staging);
-                    Adjacency::Compact(b.finish())
-                }
-                None => {
-                    staging.truncate(write);
-                    staging.shrink_to_fit();
-                    Adjacency::Plain(Csr::from_sorted_flat(final_offsets, staging))
-                }
-            });
+            drop(staging);
+            adjacencies.push(adjacency.finish());
             neighbor_indexes.push(NeighborLabelIndex::from_signatures(sigs));
             pair_tables.push(pair_table);
         }
@@ -292,13 +270,12 @@ impl StreamLoader {
             .zip(neighbor_indexes)
             .zip(pair_tables)
         {
-            let postings = LabelPostings::build(tier, &ids, &labels, num_labels);
             partitions.push(Partition::from_encoded_parts(
                 ids,
                 labels,
                 id_map,
                 adjacency,
-                postings,
+                num_labels,
                 Some(neighbor_index),
                 pair_table,
             ));
@@ -351,9 +328,8 @@ mod tests {
     fn build_via_builder(
         vertices: &[(VertexId, &'static str)],
         edges: &[(VertexId, VertexId)],
-        tier: StorageTier,
     ) -> MemoryCloud {
-        let mut b = GraphBuilder::new_undirected().with_storage_tier(tier);
+        let mut b = GraphBuilder::new_undirected();
         for &(id, name) in vertices {
             b.add_vertex(id, name);
         }
@@ -366,7 +342,6 @@ mod tests {
     fn build_via_loader(
         vertices: &[(VertexId, &'static str)],
         edges: &[(VertexId, VertexId)],
-        tier: StorageTier,
     ) -> MemoryCloud {
         let mut interner = LabelInterner::default();
         for name in ["a", "b", "c"] {
@@ -377,7 +352,6 @@ mod tests {
             .map(|&(id, name)| (id, interner.get(name).unwrap()))
             .collect();
         StreamLoader::new(4, CostModel::free())
-            .with_storage_tier(tier)
             .load(interner, vs, || edges.iter().copied())
             .unwrap()
     }
@@ -413,30 +387,19 @@ mod tests {
     }
 
     #[test]
-    fn loader_matches_builder_on_both_tiers() {
+    fn loader_matches_builder() {
         let (vertices, edges) = test_graph(500, 4);
-        for tier in [StorageTier::Plain, StorageTier::Compact] {
-            let from_builder = build_via_builder(&vertices, &edges, tier);
-            let from_loader = build_via_loader(&vertices, &edges, tier);
-            assert_clouds_equal(&from_builder, &from_loader);
-            assert_eq!(from_loader.storage_configuration(), vec![tier; 4]);
-        }
-    }
-
-    #[test]
-    fn loader_tiers_are_equivalent_to_each_other() {
-        let (vertices, edges) = test_graph(300, 3);
-        let plain = build_via_loader(&vertices, &edges, StorageTier::Plain);
-        let compact = build_via_loader(&vertices, &edges, StorageTier::Compact);
-        assert_clouds_equal(&plain, &compact);
-        assert!(compact.memory_bytes() < plain.memory_bytes());
+        let from_builder = build_via_builder(&vertices, &edges);
+        let from_loader = build_via_loader(&vertices, &edges);
+        assert_clouds_equal(&from_builder, &from_loader);
+        assert_eq!(from_builder.storage_bytes(), from_loader.storage_bytes());
     }
 
     #[test]
     fn self_loops_and_duplicate_edges_are_dropped() {
         let vertices = vec![(v(1), "a"), (v(2), "b")];
         let edges = vec![(v(1), v(2)), (v(2), v(1)), (v(1), v(1))];
-        let cloud = build_via_loader(&vertices, &edges, StorageTier::Compact);
+        let cloud = build_via_loader(&vertices, &edges);
         assert_eq!(cloud.num_edges(), 1);
         assert_eq!(cloud.neighbors_global(v(1)), &[v(2)]);
         assert_eq!(cloud.neighbors_global(v(2)), &[v(1)]);

@@ -49,7 +49,7 @@ pub fn required_mask(labels: impl IntoIterator<Item = LabelId>) -> u64 {
 
 /// Per-vertex neighborhood-label signatures for one partition, indexed by
 /// local vertex position (the same dense position space as the partition's
-/// CSR). Built in one pass next to [`crate::label_index::LabelIndex`].
+/// CSR). Built in one pass next to [`crate::compact::CompactLabelIndex`].
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct NeighborLabelIndex {
     sigs: Vec<u64>,

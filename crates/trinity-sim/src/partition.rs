@@ -1,31 +1,27 @@
 //! One logical machine of the memory cloud: the vertices assigned to it,
-//! their labels, their adjacency, and the local label index — each stored in
-//! the physical representation selected by [`StorageTier`].
+//! their labels, their adjacency, and the local label index, stored in the
+//! [`crate::compact`] representation.
 //!
 //! A partition is an immutable base ([`PartitionBase`], behind an `Arc` so
 //! epoch snapshots share untouched machines) plus an optional
 //! [`PartitionOverlay`]: a materialized delta the epoch manager lays over the
 //! base when the graph mutates. Every read method dispatches overlay-first,
-//! so static partitions (no overlay) run the exact pre-refactor code path.
+//! so static partitions (no overlay) read the base alone.
 
 use crate::compact::{
     CompactCsr, CompactCsrBuilder, CompactIdMap, CompactLabelIndex, Neighbors, Postings,
-    StorageTier,
 };
-use crate::csr::Csr;
 use crate::hash::FxHashMap;
 use crate::ids::{LabelId, VertexId};
-use crate::label_index::LabelIndex;
 use crate::neighbor_index::{LabelPairTable, NeighborLabelIndex, FULL_SIGNATURE};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A vertex record as returned by `Cloud.Load`: the vertex's label and the
 /// IDs of its neighbors (which may live on any machine). The neighbor run is
-/// a zero-copy [`Neighbors`] view into the owning partition — plain-tier
-/// partitions hand out the underlying slice, compact-tier partitions hand
-/// out the encoded bytes and decode on iteration.
+/// a zero-copy [`Neighbors`] view into the owning partition: the encoded
+/// bytes of a base vertex, decoded on iteration, or an overlay's merged
+/// list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cell<'a> {
     /// The vertex this cell describes.
@@ -77,12 +73,12 @@ impl CellBuf {
 /// reports; the breakdown is what the `storage` experiment CSV emits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StorageBytes {
-    /// Adjacency structure (offsets + neighbor entries, plain or encoded).
+    /// Adjacency structure (byte offsets + encoded neighbor runs).
     pub adjacency: usize,
     /// Per-vertex label array.
     pub labels: usize,
     /// Id mapping both ways: the local-index → global-id array plus the
-    /// global-id → local-index map (`HashMap` or open-addressed slots).
+    /// open-addressed global-id → local-index slots.
     pub id_map: usize,
     /// The label → vertex-id string index.
     pub postings: usize,
@@ -115,171 +111,9 @@ impl std::ops::AddAssign for StorageBytes {
     }
 }
 
-/// Tier-dispatched adjacency storage.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) enum Adjacency {
-    Plain(Csr),
-    Compact(CompactCsr),
-}
-
-impl Default for Adjacency {
-    fn default() -> Self {
-        Adjacency::Plain(Csr::default())
-    }
-}
-
-impl Adjacency {
-    #[inline]
-    fn neighbors(&self, local: usize) -> Neighbors<'_> {
-        match self {
-            Adjacency::Plain(c) => Neighbors::Slice(c.neighbors(local)),
-            Adjacency::Compact(c) => c.neighbors(local),
-        }
-    }
-
-    #[inline]
-    fn degree(&self, local: usize) -> usize {
-        match self {
-            Adjacency::Plain(c) => c.degree(local),
-            Adjacency::Compact(c) => c.degree(local),
-        }
-    }
-
-    #[inline]
-    fn has_neighbor(&self, local: usize, target: VertexId) -> bool {
-        match self {
-            Adjacency::Plain(c) => c.has_neighbor(local, target),
-            Adjacency::Compact(c) => c.has_neighbor(local, target),
-        }
-    }
-
-    fn num_entries(&self) -> usize {
-        match self {
-            Adjacency::Plain(c) => c.num_entries(),
-            Adjacency::Compact(c) => c.num_entries(),
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        match self {
-            Adjacency::Plain(c) => c.memory_bytes(),
-            Adjacency::Compact(c) => c.memory_bytes(),
-        }
-    }
-
-    fn tier(&self) -> StorageTier {
-        match self {
-            Adjacency::Plain(_) => StorageTier::Plain,
-            Adjacency::Compact(_) => StorageTier::Compact,
-        }
-    }
-}
-
-/// Tier-dispatched global-id → local-index map.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) enum IdMap {
-    Plain(HashMap<VertexId, u32>),
-    Compact(CompactIdMap),
-}
-
-impl Default for IdMap {
-    fn default() -> Self {
-        IdMap::Plain(HashMap::new())
-    }
-}
-
-impl IdMap {
-    pub(crate) fn build(tier: StorageTier, ids: &[VertexId]) -> Self {
-        match tier {
-            StorageTier::Plain => IdMap::Plain(
-                ids.iter()
-                    .enumerate()
-                    .map(|(i, &v)| (v, i as u32))
-                    .collect(),
-            ),
-            StorageTier::Compact => IdMap::Compact(CompactIdMap::build(ids)),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn get(&self, ids: &[VertexId], id: VertexId) -> Option<u32> {
-        match self {
-            IdMap::Plain(m) => m.get(&id).copied(),
-            IdMap::Compact(m) => m.get(ids, id),
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        match self {
-            // Key + value + per-entry bucket overhead, the honest estimate
-            // the plain tier always used.
-            IdMap::Plain(m) => {
-                m.len() * (std::mem::size_of::<VertexId>() + std::mem::size_of::<u32>() + 8)
-            }
-            IdMap::Compact(m) => m.memory_bytes(),
-        }
-    }
-}
-
-/// Tier-dispatched label postings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) enum LabelPostings {
-    Plain(LabelIndex),
-    Compact(CompactLabelIndex),
-}
-
-impl Default for LabelPostings {
-    fn default() -> Self {
-        LabelPostings::Plain(LabelIndex::default())
-    }
-}
-
-impl LabelPostings {
-    pub(crate) fn build(
-        tier: StorageTier,
-        ids: &[VertexId],
-        labels: &[LabelId],
-        num_labels: usize,
-    ) -> Self {
-        match tier {
-            StorageTier::Plain => LabelPostings::Plain(LabelIndex::build(
-                ids.iter().copied().zip(labels.iter().copied()),
-                num_labels,
-            )),
-            StorageTier::Compact => {
-                LabelPostings::Compact(CompactLabelIndex::build(labels, num_labels))
-            }
-        }
-    }
-
-    #[inline]
-    fn get<'a>(&'a self, label: LabelId, ids: &'a [VertexId]) -> Postings<'a> {
-        match self {
-            LabelPostings::Plain(idx) => Postings::Slice(idx.get(label)),
-            LabelPostings::Compact(idx) => idx.get(label, ids),
-        }
-    }
-
-    #[inline]
-    fn frequency(&self, label: LabelId) -> usize {
-        match self {
-            LabelPostings::Plain(idx) => idx.frequency(label),
-            LabelPostings::Compact(idx) => idx.frequency(label),
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        match self {
-            LabelPostings::Plain(idx) => idx.memory_bytes(),
-            LabelPostings::Compact(idx) => idx.memory_bytes(),
-        }
-    }
-}
-
 /// The immutable storage of one logical machine: vertex ids, labels,
-/// adjacency and indexes in their tiered physical representation. Shared via
-/// `Arc` between the partitions of successive epoch snapshots; never mutated
-/// after construction.
+/// adjacency and indexes. Shared via `Arc` between the partitions of
+/// successive epoch snapshots; never mutated after construction.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct PartitionBase {
     /// Global IDs of local vertices, in local-index order (ascending id).
@@ -287,11 +121,11 @@ struct PartitionBase {
     /// Label of each local vertex, parallel to `vertex_ids`.
     labels: Vec<LabelId>,
     /// Global → local index map.
-    id_map: IdMap,
+    id_map: CompactIdMap,
     /// Adjacency of local vertices.
-    adjacency: Adjacency,
+    adjacency: CompactCsr,
     /// Label → local vertex IDs.
-    postings: LabelPostings,
+    postings: CompactLabelIndex,
     /// Per-vertex neighborhood-label signatures, when built with label
     /// lookup (`None` disables signature pruning for this partition).
     neighbor_index: Option<NeighborLabelIndex>,
@@ -300,14 +134,13 @@ struct PartitionBase {
 }
 
 impl PartitionBase {
-    /// Canonicalizes inputs (ascending global id) and builds the tiered
-    /// storage. See [`Partition::new_with_tier`].
-    fn new_with_tier(
+    /// Canonicalizes inputs (ascending global id) and builds the storage.
+    /// See [`Partition::new`].
+    fn new(
         mut vertex_ids: Vec<VertexId>,
         mut labels: Vec<LabelId>,
         mut adjacency_lists: Vec<Vec<VertexId>>,
         num_labels: usize,
-        tier: StorageTier,
     ) -> Self {
         assert_eq!(vertex_ids.len(), labels.len());
         assert_eq!(vertex_ids.len(), adjacency_lists.len());
@@ -322,18 +155,12 @@ impl PartitionBase {
             }
             adjacency_lists = reordered;
         }
-        let id_map = IdMap::build(tier, &vertex_ids);
-        let postings = LabelPostings::build(tier, &vertex_ids, &labels, num_labels);
-        let adjacency = match tier {
-            StorageTier::Plain => Adjacency::Plain(Csr::from_lists(adjacency_lists)),
-            StorageTier::Compact => Adjacency::Compact(CompactCsr::from_lists(adjacency_lists)),
-        };
         PartitionBase {
+            id_map: CompactIdMap::build(&vertex_ids),
+            postings: CompactLabelIndex::build(&labels, num_labels),
+            adjacency: CompactCsr::from_lists(adjacency_lists),
             vertex_ids,
             labels,
-            id_map,
-            adjacency,
-            postings,
             neighbor_index: None,
             pair_table: LabelPairTable::default(),
         }
@@ -512,8 +339,7 @@ impl PartitionOverlay {
     }
 
     /// Rough resident bytes of the overlay's maps (hash overhead estimated
-    /// at 16 bytes/entry, matching the plain id-map estimate), charged to
-    /// the components they shadow.
+    /// at 16 bytes/entry), charged to the components they shadow.
     fn measure(&self) -> StorageBytes {
         let list = |len: usize| 16 + len * std::mem::size_of::<VertexId>();
         let mut bytes = StorageBytes {
@@ -593,44 +419,24 @@ impl<'a> Iterator for MergedIter<'a> {
 
 impl Partition {
     /// Assembles a partition from parallel vectors of vertex IDs, labels and
-    /// adjacency lists, in the default [`StorageTier`]. The three inputs must
-    /// have the same length.
+    /// adjacency lists. The three inputs must have the same length.
+    ///
+    /// Local indices are canonicalized to ascending global-id order (a no-op
+    /// for the builder, which pre-sorts): the posting lists index by local
+    /// position and rely on local order agreeing with id order to return
+    /// sorted ids.
     pub fn new(
         vertex_ids: Vec<VertexId>,
         labels: Vec<LabelId>,
         adjacency_lists: Vec<Vec<VertexId>>,
         num_labels: usize,
     ) -> Self {
-        Self::new_with_tier(
-            vertex_ids,
-            labels,
-            adjacency_lists,
-            num_labels,
-            StorageTier::default(),
-        )
-    }
-
-    /// [`Partition::new`] with an explicit storage tier.
-    ///
-    /// Local indices are canonicalized to ascending global-id order (a no-op
-    /// for the builder, which pre-sorts): the compact posting lists index by
-    /// local position and rely on local order agreeing with id order to
-    /// return sorted ids, and keeping both tiers in one canonical order
-    /// keeps them bit-identical everywhere.
-    pub fn new_with_tier(
-        vertex_ids: Vec<VertexId>,
-        labels: Vec<LabelId>,
-        adjacency_lists: Vec<Vec<VertexId>>,
-        num_labels: usize,
-        tier: StorageTier,
-    ) -> Self {
         Partition {
-            base: Arc::new(PartitionBase::new_with_tier(
+            base: Arc::new(PartitionBase::new(
                 vertex_ids,
                 labels,
                 adjacency_lists,
                 num_labels,
-                tier,
             )),
             overlay: None,
         }
@@ -650,27 +456,7 @@ impl Partition {
         num_labels: usize,
         neighbor_label: impl Fn(VertexId) -> Option<LabelId>,
     ) -> Self {
-        Self::with_neighbor_labels_tier(
-            vertex_ids,
-            labels,
-            adjacency_lists,
-            num_labels,
-            StorageTier::default(),
-            neighbor_label,
-        )
-    }
-
-    /// [`Partition::with_neighbor_labels`] with an explicit storage tier.
-    pub fn with_neighbor_labels_tier(
-        vertex_ids: Vec<VertexId>,
-        labels: Vec<LabelId>,
-        adjacency_lists: Vec<Vec<VertexId>>,
-        num_labels: usize,
-        tier: StorageTier,
-        neighbor_label: impl Fn(VertexId) -> Option<LabelId>,
-    ) -> Self {
-        let mut base =
-            PartitionBase::new_with_tier(vertex_ids, labels, adjacency_lists, num_labels, tier);
+        let mut base = PartitionBase::new(vertex_ids, labels, adjacency_lists, num_labels);
         let mut sigs = Vec::with_capacity(base.vertex_ids.len());
         let mut pair_table = LabelPairTable::new();
         for local in 0..base.vertex_ids.len() {
@@ -696,26 +482,26 @@ impl Partition {
     }
 
     /// Assembles a partition from components the streaming bulk loader (or
-    /// a seal) has built in final form: ids sorted ascending, adjacency
-    /// encoded, indexes filled. Crate-internal: invariants are the caller's.
-    #[allow(clippy::too_many_arguments)]
+    /// a seal) has built in final form — ids sorted ascending, id map over
+    /// them, adjacency encoded, pruning indexes filled — and builds its
+    /// string index. Crate-internal: invariants are the caller's.
     pub(crate) fn from_encoded_parts(
         vertex_ids: Vec<VertexId>,
         labels: Vec<LabelId>,
-        id_map: IdMap,
-        adjacency: Adjacency,
-        postings: LabelPostings,
+        id_map: CompactIdMap,
+        adjacency: CompactCsr,
+        num_labels: usize,
         neighbor_index: Option<NeighborLabelIndex>,
         pair_table: LabelPairTable,
     ) -> Self {
         debug_assert!(vertex_ids.windows(2).all(|w| w[0] < w[1]));
         Partition {
             base: Arc::new(PartitionBase {
+                postings: CompactLabelIndex::build(&labels, num_labels),
                 vertex_ids,
                 labels,
                 id_map,
                 adjacency,
-                postings,
                 neighbor_index,
                 pair_table,
             }),
@@ -733,22 +519,20 @@ impl Partition {
         }
     }
 
-    /// This partition with its overlay merged into a fresh base of the same
-    /// tier (itself when it has none), in one pass over the merged view:
-    /// adjacency runs go into one buffer (a compact run byte for byte), and
-    /// signatures and the pair table are carried over — the overlay keeps
-    /// both exact (DESIGN.md, "Seal"), so nothing is recounted.
+    /// This partition with its overlay merged into a fresh base (itself
+    /// when it has none), in one pass over the merged view: adjacency runs
+    /// go into one buffer (a base run byte for byte), and signatures and
+    /// the pair table are carried over — the overlay keeps both exact
+    /// (DESIGN.md, "Seal"), so nothing is recounted.
     pub(crate) fn sealed(&self, num_labels: usize) -> Partition {
         let Some(overlay) = self.overlay.as_deref() else {
             return self.clone();
         };
-        let (base, tier, n) = (&*self.base, self.storage_tier(), overlay.num_vertices);
+        let (base, n) = (&*self.base, overlay.num_vertices);
         let mut ids = Vec::with_capacity(n);
         let mut labels = Vec::with_capacity(n);
         let mut signatures = base.neighbor_index.as_ref().map(|_| Vec::with_capacity(n));
-        let compact_runs = if tier == StorageTier::Compact { n } else { 0 };
-        let mut compact = CompactCsrBuilder::with_capacity(compact_runs);
-        let (mut offsets, mut flat) = (vec![0], Vec::new());
+        let mut adjacency = CompactCsrBuilder::with_capacity(n);
         for m in self.merged() {
             let cell = base.merged_cell(&m);
             ids.push(cell.id);
@@ -759,26 +543,15 @@ impl Partition {
                     "a vertex of an indexed partition has a signature in the overlay or the base",
                 ));
             }
-            match tier {
-                StorageTier::Compact => compact.push_neighbors(cell.neighbors),
-                StorageTier::Plain => {
-                    flat.extend(cell.neighbors);
-                    offsets.push(flat.len());
-                }
-            }
+            adjacency.push_neighbors(cell.neighbors);
         }
-        let adjacency = match tier {
-            StorageTier::Compact => Adjacency::Compact(compact.finish()),
-            StorageTier::Plain => Adjacency::Plain(Csr::from_sorted_flat(offsets, flat)),
-        };
-        let id_map = IdMap::build(tier, &ids);
-        let postings = LabelPostings::build(tier, &ids, &labels, num_labels);
+        let id_map = CompactIdMap::build(&ids);
         Partition::from_encoded_parts(
             ids,
             labels,
             id_map,
-            adjacency,
-            postings,
+            adjacency.finish(),
+            num_labels,
             signatures.map(NeighborLabelIndex::from_signatures),
             base.pair_table.with_delta(&overlay.pair_delta),
         )
@@ -801,11 +574,6 @@ impl Partition {
     /// Whether this partition carries an unmerged delta overlay.
     pub fn has_overlay(&self) -> bool {
         self.overlay.is_some()
-    }
-
-    /// The storage tier this partition's adjacency is stored in.
-    pub fn storage_tier(&self) -> StorageTier {
-        self.base.adjacency.tier()
     }
 
     /// Number of vertices owned by this machine.
@@ -886,8 +654,8 @@ impl Partition {
 
     /// Local vertices with the given label (the paper's `Index.getID`,
     /// restricted to this machine), sorted ascending. The [`Postings`] view
-    /// decodes lazily on the compact tier; labels the overlay touched hand
-    /// out their pre-merged list.
+    /// decodes lazily; labels the overlay touched hand out their pre-merged
+    /// list.
     #[inline]
     pub fn vertices_with_label(&self, label: LabelId) -> Postings<'_> {
         match self.overlay.as_deref() {
@@ -1038,87 +806,72 @@ mod tests {
         LabelId(x)
     }
 
-    fn sample_partition_tier(tier: StorageTier) -> Partition {
+    fn sample_partition() -> Partition {
         // vertices 10 (label 0), 20 (label 1), 30 (label 0)
-        Partition::new_with_tier(
+        Partition::new(
             vec![v(10), v(20), v(30)],
             vec![l(0), l(1), l(0)],
             vec![vec![v(20), v(99)], vec![v(10)], vec![]],
             2,
-            tier,
         )
     }
 
-    const TIERS: [StorageTier; 2] = [StorageTier::Plain, StorageTier::Compact];
-
     #[test]
     fn load_local_cell() {
-        for tier in TIERS {
-            let p = sample_partition_tier(tier);
-            let cell = p.load(v(10)).unwrap();
-            assert_eq!(cell.label, l(0));
-            assert_eq!(cell.neighbors, &[v(20), v(99)]);
-            assert!(p.load(v(99)).is_none());
-        }
+        let p = sample_partition();
+        let cell = p.load(v(10)).unwrap();
+        assert_eq!(cell.label, l(0));
+        assert_eq!(cell.neighbors, &[v(20), v(99)]);
+        assert!(p.load(v(99)).is_none());
     }
 
     #[test]
     fn label_lookup() {
-        for tier in TIERS {
-            let p = sample_partition_tier(tier);
-            assert_eq!(p.vertices_with_label(l(0)), &[v(10), v(30)]);
-            assert_eq!(p.vertices_with_label(l(1)), &[v(20)]);
-            assert_eq!(p.label_frequency(l(0)), 2);
-            assert_eq!(p.label_of(v(20)), Some(l(1)));
-            assert_eq!(p.label_of(v(77)), None);
-        }
+        let p = sample_partition();
+        assert_eq!(p.vertices_with_label(l(0)), &[v(10), v(30)]);
+        assert_eq!(p.vertices_with_label(l(1)), &[v(20)]);
+        assert_eq!(p.label_frequency(l(0)), 2);
+        assert_eq!(p.label_of(v(20)), Some(l(1)));
+        assert_eq!(p.label_of(v(77)), None);
     }
 
     #[test]
     fn edge_and_degree_queries() {
-        for tier in TIERS {
-            let p = sample_partition_tier(tier);
-            assert!(p.has_edge(v(10), v(99)));
-            assert!(!p.has_edge(v(10), v(30)));
-            assert!(!p.has_edge(v(77), v(10)));
-            assert_eq!(p.degree_of(v(10)), Some(2));
-            assert_eq!(p.degree_of(v(30)), Some(0));
-        }
+        let p = sample_partition();
+        assert!(p.has_edge(v(10), v(99)));
+        assert!(!p.has_edge(v(10), v(30)));
+        assert!(!p.has_edge(v(77), v(10)));
+        assert_eq!(p.degree_of(v(10)), Some(2));
+        assert_eq!(p.degree_of(v(30)), Some(0));
     }
 
     #[test]
     fn ownership_and_iteration() {
-        for tier in TIERS {
-            let p = sample_partition_tier(tier);
-            assert!(p.owns(v(10)));
-            assert!(!p.owns(v(11)));
-            let ids: Vec<_> = p.iter_vertices().collect();
-            assert_eq!(ids, vec![v(10), v(20), v(30)]);
-            assert_eq!(p.iter_cells().count(), 3);
-            assert_eq!(p.num_vertices(), 3);
-            assert_eq!(p.num_edge_entries(), 3);
-        }
+        let p = sample_partition();
+        assert!(p.owns(v(10)));
+        assert!(!p.owns(v(11)));
+        let ids: Vec<_> = p.iter_vertices().collect();
+        assert_eq!(ids, vec![v(10), v(20), v(30)]);
+        assert_eq!(p.iter_cells().count(), 3);
+        assert_eq!(p.num_vertices(), 3);
+        assert_eq!(p.num_edge_entries(), 3);
     }
 
     #[test]
     fn unsorted_input_is_canonicalized() {
-        // Both tiers canonicalize local order to ascending global id, so a
-        // caller that presents vertices out of order still gets sorted
-        // postings and identical iteration order on either tier.
-        for tier in TIERS {
-            let p = Partition::new_with_tier(
-                vec![v(30), v(10), v(20)],
-                vec![l(0), l(0), l(1)],
-                vec![vec![], vec![v(20), v(99)], vec![v(10)]],
-                2,
-                tier,
-            );
-            let ids: Vec<_> = p.iter_vertices().collect();
-            assert_eq!(ids, vec![v(10), v(20), v(30)]);
-            assert_eq!(p.vertices_with_label(l(0)), &[v(10), v(30)]);
-            assert_eq!(p.load(v(10)).unwrap().neighbors, &[v(20), v(99)]);
-            assert_eq!(p.load(v(30)).unwrap().neighbors.len(), 0);
-        }
+        // Local order is canonicalized to ascending global id, so a caller
+        // that presents vertices out of order still gets sorted postings.
+        let p = Partition::new(
+            vec![v(30), v(10), v(20)],
+            vec![l(0), l(0), l(1)],
+            vec![vec![], vec![v(20), v(99)], vec![v(10)]],
+            2,
+        );
+        let ids: Vec<_> = p.iter_vertices().collect();
+        assert_eq!(ids, vec![v(10), v(20), v(30)]);
+        assert_eq!(p.vertices_with_label(l(0)), &[v(10), v(30)]);
+        assert_eq!(p.load(v(10)).unwrap().neighbors, &[v(20), v(99)]);
+        assert_eq!(p.load(v(30)).unwrap().neighbors.len(), 0);
     }
 
     #[test]
@@ -1128,119 +881,70 @@ mod tests {
     }
 
     #[test]
-    fn plain_partition_has_no_pruning_index() {
-        for tier in TIERS {
-            let p = sample_partition_tier(tier);
-            assert_eq!(p.signature_of(v(10)), None);
-            assert_eq!(p.signature_bits(), None);
-            assert_eq!(p.label_pair_total(), 0);
-        }
-    }
-
-    #[test]
-    fn storage_tier_is_reported() {
-        assert_eq!(
-            sample_partition_tier(StorageTier::Plain).storage_tier(),
-            StorageTier::Plain
-        );
-        assert_eq!(
-            sample_partition_tier(StorageTier::Compact).storage_tier(),
-            StorageTier::Compact
-        );
+    fn unindexed_partition_has_no_pruning_index() {
+        let p = sample_partition();
+        assert_eq!(p.signature_of(v(10)), None);
+        assert_eq!(p.signature_bits(), None);
+        assert_eq!(p.label_pair_total(), 0);
     }
 
     #[test]
     fn storage_bytes_breakdown_sums_to_total() {
-        for tier in TIERS {
-            let p = sample_partition_tier(tier);
-            let b = p.storage_bytes();
-            assert_eq!(b.total(), p.memory_bytes());
-            assert!(b.adjacency > 0);
-            assert!(b.labels > 0);
-            assert!(b.id_map > 0);
-            assert_eq!(b.signatures, 0, "no pruning index was built");
-        }
+        let p = sample_partition();
+        let b = p.storage_bytes();
+        assert_eq!(b.total(), p.memory_bytes());
+        assert!(b.adjacency > 0);
+        assert!(b.labels > 0);
+        assert!(b.id_map > 0);
+        assert_eq!(b.signatures, 0, "no pruning index was built");
     }
 
     #[test]
-    fn compact_tier_shrinks_id_map_at_scale() {
-        let n = 4096u64;
-        let ids: Vec<VertexId> = (0..n).map(|i| v(i * 3)).collect();
-        let labels = vec![l(0); n as usize];
-        let adj = vec![Vec::new(); n as usize];
-        let plain = Partition::new_with_tier(
-            ids.clone(),
-            labels.clone(),
-            adj.clone(),
-            1,
-            StorageTier::Plain,
-        );
-        let compact = Partition::new_with_tier(ids, labels, adj, 1, StorageTier::Compact);
-        let plain_map = plain.storage_bytes().id_map - n as usize * 8;
-        let compact_map = compact.storage_bytes().id_map - n as usize * 8;
-        assert!(
-            plain_map >= compact_map * 2,
-            "id map: plain {plain_map} vs compact {compact_map}"
-        );
+    fn id_map_is_at_most_half_a_hash_map_at_scale() {
+        // A `HashMap<VertexId, u32>` costs key + value + ~8 bytes of bucket
+        // overhead, 20 bytes an entry; the slot array must cost half that.
+        let n = 4096usize;
+        let ids: Vec<VertexId> = (0..n as u64).map(|i| v(i * 3)).collect();
+        let p = Partition::new(ids, vec![l(0); n], vec![Vec::new(); n], 1);
+        let slots = p.storage_bytes().id_map - n * std::mem::size_of::<VertexId>();
+        let hash_map = n * (std::mem::size_of::<VertexId>() + std::mem::size_of::<u32>() + 8);
+        assert!(slots * 2 <= hash_map, "id map {slots} vs {hash_map}");
     }
 
     #[test]
     fn neighbor_labels_build_signatures_and_pair_table() {
         use crate::neighbor_index::{label_bit, FULL_SIGNATURE};
-        for tier in TIERS {
-            // v(99) is a phantom remote neighbor the lookup cannot resolve:
-            // its owner's signature must widen to FULL to stay sound.
-            let p = Partition::with_neighbor_labels_tier(
-                vec![v(10), v(20), v(30)],
-                vec![l(0), l(1), l(0)],
-                vec![vec![v(20), v(99)], vec![v(10)], vec![]],
-                2,
-                tier,
-                |id| match id {
-                    VertexId(10) | VertexId(30) => Some(l(0)),
-                    VertexId(20) => Some(l(1)),
-                    _ => None,
-                },
-            );
-            assert_eq!(p.signature_of(v(10)), Some(FULL_SIGNATURE));
-            assert_eq!(p.signature_of(v(20)), Some(label_bit(l(0))));
-            assert_eq!(p.signature_of(v(30)), Some(0), "isolated vertex");
-            assert_eq!(p.signature_of(v(77)), None, "unowned vertex");
-            assert_eq!(p.signature_bits(), Some(64));
-            // Pair table counts only resolvable endpoints: 10-20 seen from
-            // both sides; 10-99 skipped.
-            assert_eq!(p.label_pair_count(l(0), l(1)), 2);
-            assert_eq!(p.label_pair_total(), 2);
-            // The indexes are part of the partition's memory accounting.
-            let plain = sample_partition_tier(tier);
-            assert!(p.memory_bytes() > plain.memory_bytes());
-        }
-    }
-
-    #[test]
-    fn tiers_are_observationally_identical() {
-        let a = sample_partition_tier(StorageTier::Plain);
-        let b = sample_partition_tier(StorageTier::Compact);
-        for id in [v(10), v(20), v(30)] {
-            assert_eq!(a.load(id), b.load(id));
-            assert_eq!(a.degree_of(id), b.degree_of(id));
-        }
-        for lab in [l(0), l(1)] {
-            assert_eq!(
-                a.vertices_with_label(lab).to_vec(),
-                b.vertices_with_label(lab).to_vec()
-            );
-            assert_eq!(a.label_frequency(lab), b.label_frequency(lab));
-        }
-        // ... at a strictly smaller footprint for the compact tier.
-        assert!(b.storage_bytes().id_map < a.storage_bytes().id_map);
+        // v(99) is a phantom remote neighbor the lookup cannot resolve:
+        // its owner's signature must widen to FULL to stay sound.
+        let p = Partition::with_neighbor_labels(
+            vec![v(10), v(20), v(30)],
+            vec![l(0), l(1), l(0)],
+            vec![vec![v(20), v(99)], vec![v(10)], vec![]],
+            2,
+            |id| match id {
+                VertexId(10) | VertexId(30) => Some(l(0)),
+                VertexId(20) => Some(l(1)),
+                _ => None,
+            },
+        );
+        assert_eq!(p.signature_of(v(10)), Some(FULL_SIGNATURE));
+        assert_eq!(p.signature_of(v(20)), Some(label_bit(l(0))));
+        assert_eq!(p.signature_of(v(30)), Some(0), "isolated vertex");
+        assert_eq!(p.signature_of(v(77)), None, "unowned vertex");
+        assert_eq!(p.signature_bits(), Some(64));
+        // Pair table counts only resolvable endpoints: 10-20 seen from
+        // both sides; 10-99 skipped.
+        assert_eq!(p.label_pair_count(l(0), l(1)), 2);
+        assert_eq!(p.label_pair_total(), 2);
+        // The indexes are part of the partition's memory accounting.
+        assert!(p.memory_bytes() > sample_partition().memory_bytes());
     }
 
     /// A hand-built overlay: delete v(30), add v(40) with label 1 and edge
     /// 20–40, so the merged view is {10: l0 ~ 20,99}, {20: l1 ~ 10,40},
     /// {40: l1 ~ 20}.
-    fn overlaid_partition(tier: StorageTier) -> Partition {
-        let base = sample_partition_tier(tier);
+    fn overlaid_partition() -> Partition {
+        let base = sample_partition();
         let mut overlay = PartitionOverlay {
             num_vertices: 3,
             num_edge_entries: 4,
@@ -1260,58 +964,55 @@ mod tests {
     }
 
     #[test]
-    fn overlay_shadows_base_reads_on_both_tiers() {
-        for tier in TIERS {
-            let p = overlaid_partition(tier);
-            assert!(p.has_overlay());
-            // Deleted vertex vanishes from every surface.
-            assert!(!p.owns(v(30)));
-            assert!(p.load(v(30)).is_none());
-            assert_eq!(p.label_of(v(30)), None);
-            assert_eq!(p.degree_of(v(30)), None);
-            // Added vertex is fully readable.
-            assert!(p.owns(v(40)));
-            assert_eq!(p.label_of(v(40)), Some(l(1)));
-            assert_eq!(p.load(v(40)).unwrap().neighbors, &[v(20)]);
-            // Touched vertex serves the merged adjacency; untouched vertex
-            // falls through to the base.
-            assert_eq!(p.load(v(20)).unwrap().neighbors, &[v(10), v(40)]);
-            assert!(p.has_edge(v(20), v(40)));
-            assert!(!p.has_edge(v(40), v(99)));
-            assert_eq!(p.load(v(10)).unwrap().neighbors, &[v(20), v(99)]);
-            // Postings and counts reflect the merge.
-            assert_eq!(p.vertices_with_label(l(0)).to_vec(), vec![v(10)]);
-            assert_eq!(p.vertices_with_label(l(1)).to_vec(), vec![v(20), v(40)]);
-            assert_eq!(p.label_frequency(l(1)), 2);
-            assert_eq!(p.num_vertices(), 3);
-            assert_eq!(p.num_edge_entries(), 4);
-            // Iteration merges deleted-out base ids with added ids, sorted.
-            let ids: Vec<_> = p.iter_vertices().collect();
-            assert_eq!(ids, vec![v(10), v(20), v(40)]);
-            let cells: Vec<_> = p.iter_cells().map(|c| c.id).collect();
-            assert_eq!(cells, vec![v(10), v(20), v(40)]);
-        }
+    fn overlay_shadows_base_reads() {
+        let p = overlaid_partition();
+        assert!(p.has_overlay());
+        // Deleted vertex vanishes from every surface.
+        assert!(!p.owns(v(30)));
+        assert!(p.load(v(30)).is_none());
+        assert_eq!(p.label_of(v(30)), None);
+        assert_eq!(p.degree_of(v(30)), None);
+        // Added vertex is fully readable.
+        assert!(p.owns(v(40)));
+        assert_eq!(p.label_of(v(40)), Some(l(1)));
+        assert_eq!(p.load(v(40)).unwrap().neighbors, &[v(20)]);
+        // Touched vertex serves the merged adjacency; untouched vertex
+        // falls through to the base.
+        assert_eq!(p.load(v(20)).unwrap().neighbors, &[v(10), v(40)]);
+        assert!(p.has_edge(v(20), v(40)));
+        assert!(!p.has_edge(v(40), v(99)));
+        assert_eq!(p.load(v(10)).unwrap().neighbors, &[v(20), v(99)]);
+        // Postings and counts reflect the merge.
+        assert_eq!(p.vertices_with_label(l(0)).to_vec(), vec![v(10)]);
+        assert_eq!(p.vertices_with_label(l(1)).to_vec(), vec![v(20), v(40)]);
+        assert_eq!(p.label_frequency(l(1)), 2);
+        assert_eq!(p.num_vertices(), 3);
+        assert_eq!(p.num_edge_entries(), 4);
+        // Iteration merges deleted-out base ids with added ids, sorted.
+        let ids: Vec<_> = p.iter_vertices().collect();
+        assert_eq!(ids, vec![v(10), v(20), v(40)]);
+        let cells: Vec<_> = p.iter_cells().map(|c| c.id).collect();
+        assert_eq!(cells, vec![v(10), v(20), v(40)]);
     }
 
     #[test]
     fn overlay_shares_base_storage() {
-        for tier in TIERS {
-            let base = sample_partition_tier(tier);
-            let overlaid = base.with_overlay(Some(PartitionOverlay {
-                num_vertices: base.num_vertices(),
-                num_edge_entries: base.num_edge_entries(),
-                ..PartitionOverlay::default()
-            }));
-            assert!(Arc::ptr_eq(&base.base, &overlaid.base));
-            // Dropping the overlay again restores the exact base view.
-            let restored = overlaid.with_overlay(None);
-            assert!(!restored.has_overlay());
-            assert_eq!(
-                restored.iter_vertices().collect::<Vec<_>>(),
-                base.iter_vertices().collect::<Vec<_>>()
-            );
-        }
+        let base = sample_partition();
+        let overlaid = base.with_overlay(Some(PartitionOverlay {
+            num_vertices: base.num_vertices(),
+            num_edge_entries: base.num_edge_entries(),
+            ..PartitionOverlay::default()
+        }));
+        assert!(Arc::ptr_eq(&base.base, &overlaid.base));
+        // Dropping the overlay again restores the exact base view.
+        let restored = overlaid.with_overlay(None);
+        assert!(!restored.has_overlay());
+        assert_eq!(
+            restored.iter_vertices().collect::<Vec<_>>(),
+            base.iter_vertices().collect::<Vec<_>>()
+        );
     }
+
     /// The six per-vertex reads of an overlaid partition against its sealed
     /// successor, for every kind of id: touched (adjacency, label), its
     /// untouched neighbours, deleted, added, deleted-then-re-added, never
@@ -1324,92 +1025,90 @@ mod tests {
         use crate::epoch::{GraphEpochs, UpdateBatch};
         use crate::network::CostModel;
         const BASE: u64 = 600;
-        for tier in TIERS {
-            let mut b = GraphBuilder::new_undirected().with_storage_tier(tier);
-            for i in 0..BASE {
-                b.add_vertex(v(i), ["a", "b", "c"][(i % 3) as usize]);
-            }
-            for i in 0..BASE {
-                b.add_edge(v(i), v((i + 1) % BASE));
-                b.add_edge(v(i), v((i * 7 + 3) % BASE));
-            }
-            let epochs = GraphEpochs::new(b.build(1, CostModel::default()));
-            let batches = [
-                UpdateBatch::new().remove_vertex(v(5)).remove_vertex(v(7)),
-                UpdateBatch::new()
-                    .add_vertex(v(7), "c")
-                    .add_edge(v(7), v(300))
-                    .add_vertex(v(1_000), "d")
-                    .add_edge(v(1_000), v(10))
-                    .add_vertex(v(20), "a")
-                    .remove_edge(v(30), v(31))
-                    .add_edge(v(40), v(50)),
-            ];
-            for batch in &batches {
-                epochs.apply(batch).unwrap();
-            }
-            let snap = epochs.pin();
-            let overlaid = &snap.partitions[0];
-            let overlay = overlaid.overlay.as_deref().expect("the batches touched it");
-            let sealed = overlaid.sealed(snap.labels().len());
-            assert!(!sealed.has_overlay());
-
-            let set_bits: HashSet<usize> = overlay
-                .vertices
-                .keys()
-                .map(|&id| overlay.filter_bit(id))
-                .collect();
-            let collides = |id: &VertexId| {
-                !overlay.vertices.contains_key(id) && set_bits.contains(&overlay.filter_bit(*id))
-            };
-            let colliding_base: Vec<VertexId> = (0..BASE).map(v).filter(collides).collect();
-            let colliding_absent: Vec<VertexId> =
-                (2_000..12_000).map(v).filter(collides).take(8).collect();
-            assert!(!colliding_base.is_empty() && !colliding_absent.is_empty());
-            for id in &colliding_base {
-                assert!(overlay.touched(*id).is_none() && overlaid.owns(*id));
-            }
-
-            // deleted, re-added, added, relabelled, adjacency-touched (and
-            // the neighbours of every one of them), untouched, never existing.
-            let mut probes = vec![v(5), v(7), v(1_000), v(20), v(30), v(31), v(40), v(50)];
-            probes.extend([
-                v(4),
-                v(6),
-                v(8),
-                v(300),
-                v(10),
-                v(19),
-                v(21),
-                v(100),
-                v(599),
-            ]);
-            probes.extend([v(BASE), v(1_001), v(u64::MAX)]);
-            probes.extend(colliding_base.iter().chain(&colliding_absent).copied());
-            for &id in &probes {
-                assert_eq!(overlaid.owns(id), sealed.owns(id), "owns {id} ({tier})");
-                assert_eq!(overlaid.load(id), sealed.load(id), "load {id} ({tier})");
-                assert_eq!(overlaid.label_of(id), sealed.label_of(id), "label {id}");
-                assert_eq!(overlaid.degree_of(id), sealed.degree_of(id), "degree {id}");
-                assert_eq!(
-                    overlaid.signature_of(id),
-                    sealed.signature_of(id),
-                    "sig {id}"
-                );
-                for &to in &probes {
-                    assert_eq!(
-                        overlaid.has_edge(id, to),
-                        sealed.has_edge(id, to),
-                        "{id} – {to}"
-                    );
-                }
-            }
-            assert!(!overlaid.owns(v(5)) && overlaid.owns(v(7)) && overlaid.owns(v(1_000)));
-            assert_eq!(overlaid.load(v(7)).unwrap().neighbors, &[v(300)]);
-            assert!(!overlaid.has_edge(v(6), v(5)) && !overlaid.has_edge(v(30), v(31)));
-            // The stored overlay figure is the walk's, filter included.
-            assert_eq!(overlay.bytes, overlay.measure());
-            assert!(overlay.bytes.id_map >= overlay.filter.len() * 8);
+        let mut b = GraphBuilder::new_undirected();
+        for i in 0..BASE {
+            b.add_vertex(v(i), ["a", "b", "c"][(i % 3) as usize]);
         }
+        for i in 0..BASE {
+            b.add_edge(v(i), v((i + 1) % BASE));
+            b.add_edge(v(i), v((i * 7 + 3) % BASE));
+        }
+        let epochs = GraphEpochs::new(b.build(1, CostModel::default()));
+        let batches = [
+            UpdateBatch::new().remove_vertex(v(5)).remove_vertex(v(7)),
+            UpdateBatch::new()
+                .add_vertex(v(7), "c")
+                .add_edge(v(7), v(300))
+                .add_vertex(v(1_000), "d")
+                .add_edge(v(1_000), v(10))
+                .add_vertex(v(20), "a")
+                .remove_edge(v(30), v(31))
+                .add_edge(v(40), v(50)),
+        ];
+        for batch in &batches {
+            epochs.apply(batch).unwrap();
+        }
+        let snap = epochs.pin();
+        let overlaid = &snap.partitions[0];
+        let overlay = overlaid.overlay.as_deref().expect("the batches touched it");
+        let sealed = overlaid.sealed(snap.labels().len());
+        assert!(!sealed.has_overlay());
+
+        let set_bits: HashSet<usize> = overlay
+            .vertices
+            .keys()
+            .map(|&id| overlay.filter_bit(id))
+            .collect();
+        let collides = |id: &VertexId| {
+            !overlay.vertices.contains_key(id) && set_bits.contains(&overlay.filter_bit(*id))
+        };
+        let colliding_base: Vec<VertexId> = (0..BASE).map(v).filter(collides).collect();
+        let colliding_absent: Vec<VertexId> =
+            (2_000..12_000).map(v).filter(collides).take(8).collect();
+        assert!(!colliding_base.is_empty() && !colliding_absent.is_empty());
+        for id in &colliding_base {
+            assert!(overlay.touched(*id).is_none() && overlaid.owns(*id));
+        }
+
+        // deleted, re-added, added, relabelled, adjacency-touched (and
+        // the neighbours of every one of them), untouched, never existing.
+        let mut probes = vec![v(5), v(7), v(1_000), v(20), v(30), v(31), v(40), v(50)];
+        probes.extend([
+            v(4),
+            v(6),
+            v(8),
+            v(300),
+            v(10),
+            v(19),
+            v(21),
+            v(100),
+            v(599),
+        ]);
+        probes.extend([v(BASE), v(1_001), v(u64::MAX)]);
+        probes.extend(colliding_base.iter().chain(&colliding_absent).copied());
+        for &id in &probes {
+            assert_eq!(overlaid.owns(id), sealed.owns(id), "owns {id}");
+            assert_eq!(overlaid.load(id), sealed.load(id), "load {id}");
+            assert_eq!(overlaid.label_of(id), sealed.label_of(id), "label {id}");
+            assert_eq!(overlaid.degree_of(id), sealed.degree_of(id), "degree {id}");
+            assert_eq!(
+                overlaid.signature_of(id),
+                sealed.signature_of(id),
+                "sig {id}"
+            );
+            for &to in &probes {
+                assert_eq!(
+                    overlaid.has_edge(id, to),
+                    sealed.has_edge(id, to),
+                    "{id} – {to}"
+                );
+            }
+        }
+        assert!(!overlaid.owns(v(5)) && overlaid.owns(v(7)) && overlaid.owns(v(1_000)));
+        assert_eq!(overlaid.load(v(7)).unwrap().neighbors, &[v(300)]);
+        assert!(!overlaid.has_edge(v(6), v(5)) && !overlaid.has_edge(v(30), v(31)));
+        // The stored overlay figure is the walk's, filter included.
+        assert_eq!(overlay.bytes, overlay.measure());
+        assert!(overlay.bytes.id_map >= overlay.filter.len() * 8);
     }
 }
