@@ -92,6 +92,10 @@ impl Row {
     }
 }
 
+/// Metric names of a figure's time rows ([`SuiteResult::time_rows`]): the
+/// simulated run time, then the measured wall-clock.
+pub const RUN_TIME: [&str; 2] = ["run_time_ms", "wall_ms"];
+
 /// Aggregate result of running a suite of queries against one graph.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SuiteResult {
@@ -129,6 +133,16 @@ pub struct SuiteResult {
 }
 
 impl SuiteResult {
+    /// The suite's mean query time twice, under `names`: first as simulated —
+    /// measured compute plus communication the cost model prices, the figure
+    /// the paper's plots report — then as measured wall-clock on this host.
+    pub fn time_rows(&self, experiment: &str, series: &str, x: f64, names: [&str; 2]) -> [Row; 2] {
+        [
+            Row::new(experiment, series, x, names[0], self.avg_simulated_ms),
+            Row::new(experiment, series, x, names[1], self.avg_wall_ms),
+        ]
+    }
+
     /// CSV rows for the per-phase traffic breakdown (exploration vs.
     /// binding sync vs. join shipping), alongside the run-time rows the
     /// experiments already emit.

@@ -265,13 +265,10 @@ pub fn overload(scale: Scale) -> Vec<Row> {
         })
         .collect();
     let shed = handles.len() as f64;
-    cloud.reset_traffic();
+    // The cloud's traffic only grows, by each retired query's ledger.
+    let before = cloud.traffic();
     let ((), ms) = timed(|| admit_all.drain());
-    assert_eq!(
-        cloud.traffic().total_messages(),
-        0,
-        "shedding touched the transport"
-    );
+    assert_eq!(cloud.traffic(), before, "shedding touched the transport");
     for handle in handles {
         assert!(handle.wait().expect("a shed request resolves").was_shed());
     }

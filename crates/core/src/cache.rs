@@ -1238,7 +1238,7 @@ mod tests {
     use crate::decompose::{decompose_ordered, UniformStats};
     use crate::distributed::{
         assemble_rk_tables, match_query_distributed_with_cache, plan_query_with_config,
-        produce_stwig_tables, stwig_join_priors,
+        produce_stwig_tables, stwig_join_priors, Link,
     };
     use crate::engine::{EngineConfig, QueryEngine};
     use crate::join::select_join_order_with_priors;
@@ -2022,8 +2022,12 @@ mod tests {
                 .expect("an answer");
                 let priors = stwig_join_priors(&cloud, &query, &plan.stwigs, &config);
                 let mut checked = 0;
+                // Load sets fetched in place, as `DirectRead` does.
+                let in_place =
+                    MatchConfig::default().with_transport_mode(TransportMode::DirectRead);
+                let link = Link::new(&cloud, cloud.network(), &in_place);
                 for k in 0..cloud.num_machines() {
-                    let rk = assemble_rk_tables(&cloud, plan, &tables, None, k).unwrap();
+                    let rk = assemble_rk_tables(plan, &tables, &link, k).unwrap();
                     if rk.tables[plan.head.head_index].is_empty() {
                         continue; // the machine never joined
                     }

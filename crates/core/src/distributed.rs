@@ -10,8 +10,8 @@
 //! 2. **Exploration.** Every machine matches each STwig in order with root
 //!    candidates restricted to *locally-owned* vertices (`Index.getID` is a
 //!    local index). After each STwig, binding sets are synchronized across
-//!    machines (a broadcast whose volume is charged to the simulated
-//!    network). Ownership-restricted roots keep per-machine result sets
+//!    machines (a broadcast whose volume is charged to the query's ledger).
+//!    Ownership-restricted roots keep per-machine result sets
 //!    disjoint by root and make Theorem 4's load sets sound; global binding
 //!    synchronization keeps the pruning lossless. This is the substitution we
 //!    document in DESIGN.md for the paper's informally-specified binding
@@ -23,8 +23,12 @@
 //!    partitioned, per-machine answers are disjoint and the final union needs
 //!    no deduplication.
 //!
-//! The simulated time of the run is the makespan over machines of
-//! (measured per-machine compute time + simulated communication time).
+//! **Traffic.** A query charges one ledger of its own ([`Network`]) and
+//! nothing else; each charge names its phase where it is made. When the query
+//! retires, its metrics read the ledger — priced with the cloud's cost model
+//! into the simulated makespan over machines of (measured compute time +
+//! simulated communication time) — and the ledger is added to the cloud's
+//! aggregate. Per-query traffic is exact whatever runs beside it.
 //!
 //! **Transport modes.** Under [`TransportMode::DirectRead`] a machine may
 //! dereference remote partitions in place (the legacy simulation shortcut;
@@ -37,9 +41,8 @@
 //! `JoinRows` messages, and single-vertex queries gather postings with
 //! `GetIds` exchanges. Result tables and `matches_found` are bit-identical
 //! across modes (swept by `tests/parallel_equality.rs` and the VF2
-//! differential); only the traffic recorded on the simulated network — now
-//! the envelopes actually sent — differs, and `Messages` performs **zero**
-//! direct cross-partition reads (`MemoryCloud::direct_remote_reads`).
+//! differential); only the traffic differs — the envelopes actually sent —
+//! and `Messages` performs **zero** direct cross-partition reads.
 //!
 //! **Threading model.** Logical machines explore in parallel: each
 //! machine's exploration step (per STwig) is a work item fanned out over
@@ -99,7 +102,8 @@ use crate::hash::VertexSet;
 use crate::head::{load_set, select_head, HeadSelection};
 use crate::matcher::{explore, Mode, Resolution, SharedPostings};
 use crate::metrics::{
-    ExploreCounters, FaultCounters, JoinCounters, MachineMetrics, QueryMetrics, QueryOutcome,
+    ExploreCounters, FaultCounters, JoinCounters, MachineMetrics, PhaseTraffic, QueryMetrics,
+    QueryOutcome,
 };
 use crate::pipeline::{join_order, pipelined_join_streaming, RoundSink};
 use crate::query::{QVid, QueryGraph};
@@ -113,7 +117,7 @@ use std::time::Instant;
 use trinity_sim::cluster_graph::ClusterGraph;
 use trinity_sim::fault::FaultyTransport;
 use trinity_sim::ids::{LabelId, MachineId, VertexId};
-use trinity_sim::network::TrafficSnapshot;
+use trinity_sim::network::{Network, Phase};
 use trinity_sim::transport::{ChannelTransport, Message, Transport, TransportError};
 use trinity_sim::MemoryCloud;
 
@@ -242,13 +246,20 @@ where
         .collect()
 }
 
-/// The per-query transport stack of `Messages` mode: a [`ChannelTransport`]
-/// carrying the config's per-exchange timeout, wrapped in a
-/// [`FaultyTransport`] when a fault plan is armed
-/// (`MatchConfig::fault_plan`). The wrapper
-/// is an enum rather than a boxed trait object so the fault-free path stays
-/// allocation-free.
-pub(crate) enum QueryTransport<'c> {
+/// How one phase of a query reaches the other machines, charging the
+/// query's ledger: a transport stack under `Messages` (its envelopes charge
+/// themselves), the ledger alone under `DirectRead`.
+pub(crate) struct Link<'c> {
+    ledger: &'c Network,
+    stack: Option<Stack<'c>>,
+}
+
+/// The transport stack of `Messages` mode: a [`ChannelTransport`] charging
+/// the query's ledger and carrying the config's per-exchange timeout, wrapped
+/// in a [`FaultyTransport`] when a fault plan is armed
+/// (`MatchConfig::fault_plan`). The wrapper is an enum rather than a boxed
+/// trait object so the fault-free path stays allocation-free.
+enum Stack<'c> {
     /// Fault-free mailboxes.
     Plain(ChannelTransport<'c>),
     /// Seeded fault injection around the mailboxes (boxed: the fault
@@ -257,59 +268,36 @@ pub(crate) enum QueryTransport<'c> {
     Faulty(Box<FaultyTransport<ChannelTransport<'c>>>),
 }
 
-impl<'c> QueryTransport<'c> {
-    fn for_config(cloud: &'c MemoryCloud, config: &MatchConfig) -> Self {
-        let mut tp = ChannelTransport::new(cloud);
-        if let Some(timeout) = config.retry.timeout() {
-            tp = tp.with_exchange_timeout(timeout);
-        }
-        match &config.fault_plan {
-            Some(plan) => QueryTransport::Faulty(Box::new(FaultyTransport::new(tp, plan.clone()))),
-            None => QueryTransport::Plain(tp),
+impl<'c> Link<'c> {
+    pub(crate) fn new(cloud: &'c MemoryCloud, ledger: &'c Network, config: &MatchConfig) -> Self {
+        let stack = (config.transport_mode == TransportMode::Messages).then(|| {
+            let mut tp = ChannelTransport::new(cloud).with_ledger(ledger);
+            if let Some(timeout) = config.retry.timeout() {
+                tp = tp.with_exchange_timeout(timeout);
+            }
+            match &config.fault_plan {
+                Some(plan) => Stack::Faulty(Box::new(FaultyTransport::new(tp, plan.clone()))),
+                None => Stack::Plain(tp),
+            }
+        });
+        Link { ledger, stack }
+    }
+
+    /// The transport of `Messages` mode; `None` under `DirectRead`.
+    fn transport(&self) -> Option<&dyn Transport> {
+        match self.stack.as_ref()? {
+            Stack::Plain(tp) => Some(tp),
+            Stack::Faulty(tp) => Some(&**tp),
         }
     }
 
     /// Drain-side duplicate deliveries suppressed so far (exactly-once
     /// accounting, harvested into `QueryMetrics::fault` per phase).
     fn duplicates_suppressed(&self) -> u64 {
-        match self {
-            QueryTransport::Plain(tp) => tp.duplicates_suppressed(),
-            QueryTransport::Faulty(tp) => tp.inner().duplicates_suppressed(),
-        }
-    }
-}
-
-impl Transport for QueryTransport<'_> {
-    fn exchange(
-        &self,
-        src: MachineId,
-        dst: MachineId,
-        msg: Message,
-    ) -> Result<Message, TransportError> {
-        match self {
-            QueryTransport::Plain(tp) => tp.exchange(src, dst, msg),
-            QueryTransport::Faulty(tp) => tp.exchange(src, dst, msg),
-        }
-    }
-
-    fn alloc_seq(&self, src: MachineId, dst: MachineId) -> u64 {
-        match self {
-            QueryTransport::Plain(tp) => tp.alloc_seq(src, dst),
-            QueryTransport::Faulty(tp) => tp.alloc_seq(src, dst),
-        }
-    }
-
-    fn post_envelope(&self, dst: MachineId, env: trinity_sim::transport::Envelope) {
-        match self {
-            QueryTransport::Plain(tp) => tp.post_envelope(dst, env),
-            QueryTransport::Faulty(tp) => tp.post_envelope(dst, env),
-        }
-    }
-
-    fn drain(&self, dst: MachineId) -> Vec<trinity_sim::transport::Envelope> {
-        match self {
-            QueryTransport::Plain(tp) => tp.drain(dst),
-            QueryTransport::Faulty(tp) => tp.drain(dst),
+        match &self.stack {
+            Some(Stack::Plain(tp)) => tp.duplicates_suppressed(),
+            Some(Stack::Faulty(tp)) => tp.inner().duplicates_suppressed(),
+            None => 0,
         }
     }
 }
@@ -540,6 +528,7 @@ pub fn produce_stwig_tables(
     machine_metrics: &mut [MachineMetrics],
 ) -> Result<Option<StwigTableSet>, StwigError> {
     check_cache(cloud, cache)?;
+    let ledger = Network::new(cloud.num_machines());
     // No slab: the config's own row cap bounds exploration.
     let (tables, answerable) = produce_tables(
         cloud,
@@ -549,9 +538,11 @@ pub fn produce_stwig_tables(
         config.max_stwig_rows,
         cache,
         control,
+        &ledger,
         metrics,
         machine_metrics,
     )?;
+    retire(cloud, &ledger, metrics);
     Ok(answerable.then_some(tables))
 }
 
@@ -571,8 +562,8 @@ fn check_cache(cloud: &MemoryCloud, cache: Option<&StwigCache>) -> Result<(), St
 /// beside `config`, whose `max_stwig_rows` stays the user's — the bound on
 /// what the cache may serve. Returns the tables of the STwigs it completed
 /// and whether the query can still have an answer (`false`: the last of
-/// them matched nowhere). The caller has passed `cache` through
-/// [`check_cache`].
+/// them matched nowhere). Every charge goes to `ledger`. The caller has
+/// passed `cache` through [`check_cache`].
 #[allow(clippy::too_many_arguments)]
 fn produce_tables(
     cloud: &MemoryCloud,
@@ -582,16 +573,15 @@ fn produce_tables(
     explore_cap: Option<usize>,
     cache: Option<&StwigCache>,
     control: Option<&QueryControl>,
+    ledger: &Network,
     metrics: &mut QueryMetrics,
     machine_metrics: &mut [MachineMetrics],
 ) -> Result<(StwigTableSet, bool), StwigError> {
     let threads = config.resolved_num_threads();
     // In `Messages` mode all exploration-phase communication — batched cell
-    // loads and binding deltas — travels over this transport; machines never
-    // dereference each other's partitions.
-    let transport = (config.transport_mode == TransportMode::Messages)
-        .then(|| QueryTransport::for_config(cloud, config));
-    let transport = transport.as_ref();
+    // loads and binding deltas — travels over this link's transport;
+    // machines never dereference each other's partitions.
+    let link = &Link::new(cloud, ledger, config);
     let mut set = StwigTableSet {
         stwigs: Vec::with_capacity(plan.stwigs.len()),
     };
@@ -632,21 +622,9 @@ fn produce_tables(
         // against the bindings of the STwigs before it otherwise; counters
         // and tables come back thread-locally and are merged in machine
         // order.
-        let mut before = cloud.traffic();
-        let mut record = |messages: &mut u64, bytes: &mut u64| {
-            let now = cloud.traffic();
-            record_phase(&before, &now, messages, bytes);
-            before = now;
-        };
-        // A copy, stored back below: merging a machine's work takes `metrics`.
-        let mut pt = metrics.phase_traffic;
         let via_cache = match cache {
             Some(cache) => {
-                let via_cache = explore_via_cache(
-                    cloud, transport, query, stwig, config, cache, control, threads,
-                )?;
-                record(&mut pt.explore_messages, &mut pt.explore_bytes);
-                via_cache
+                explore_via_cache(cloud, link, query, stwig, config, cache, control, threads)?
             }
             None => ViaCache::Unserved,
         };
@@ -675,7 +653,7 @@ fn produce_tables(
                         for ((served, &needed), tables) in waiting {
                             sync_bindings(
                                 cloud,
-                                transport,
+                                link,
                                 served,
                                 needed,
                                 tables,
@@ -683,25 +661,20 @@ fn produce_tables(
                                 &mut bindings,
                             )?;
                         }
-                        if synced < t {
-                            record(&mut pt.binding_sync_messages, &mut pt.binding_sync_bytes);
-                        }
                         let explore_cfg = explore_cfg.get_or_insert_with(|| MatchConfig {
                             max_stwig_rows: explore_cap,
                             ..config.clone()
                         });
-                        let results = explore_bound(
+                        explore_bound(
                             cloud,
-                            transport,
+                            link,
                             query,
                             stwig,
                             &bindings,
                             explore_cfg,
                             control,
                             threads,
-                        )?;
-                        record(&mut pt.explore_messages, &mut pt.explore_bytes);
-                        results
+                        )?
                     }
                 };
                 let mut tables = Vec::with_capacity(results.len());
@@ -717,7 +690,7 @@ fn produce_tables(
                 // vertices.
                 sync_bindings(
                     cloud,
-                    transport,
+                    link,
                     stwig,
                     needed_after[t],
                     &tables,
@@ -725,11 +698,9 @@ fn produce_tables(
                     &mut bindings,
                 )?;
                 synced = t + 1;
-                record(&mut pt.binding_sync_messages, &mut pt.binding_sync_bytes);
                 tables
             }
         };
-        metrics.phase_traffic = pt;
         let mut total_rows = 0u64;
         for (k, mm) in machine_metrics.iter_mut().enumerate() {
             let rows = tables.table(k).num_rows() as u64;
@@ -748,23 +719,21 @@ fn produce_tables(
             break;
         }
     }
-    if let Some(tp) = transport {
-        metrics.fault.duplicates_suppressed += tp.duplicates_suppressed();
-    }
+    metrics.fault.duplicates_suppressed += link.duplicates_suppressed();
     Ok((set, answerable))
 }
 
 /// Binding synchronization for one STwig's per-machine `tables`: each of its
 /// vertices a later STwig reads (`needed`, a vertex mask) is bound to the
 /// union over machines of the column's values, and the broadcast that makes
-/// every machine's view that union is charged to the simulated network.
+/// every machine's view that union is charged to the query's ledger.
 ///
 /// A served table is the *unbound* one, so only its rows the bindings so far
 /// admit take part — the rows bound exploration would have emitted; an
 /// explored table holds nothing else.
 fn sync_bindings(
     cloud: &MemoryCloud,
-    transport: Option<&QueryTransport<'_>>,
+    link: &Link<'_>,
     stwig: &STwig,
     needed: u64,
     tables: &StwigTables,
@@ -806,7 +775,7 @@ fn sync_bindings(
         Some(sets) => set.extend(admitted(table, sets).map(|row| row[ci])),
     };
     let num_machines = cloud.num_machines();
-    match transport {
+    match link.transport() {
         // `Messages`: every machine posts one `BindingDelta` — its
         // *distinct* newly-discovered values per synced column — to
         // every other machine, and the union is assembled from
@@ -892,7 +861,8 @@ fn sync_bindings(
                 let entries = rows as u64 * synced_cols.len() as u64;
                 for j in cloud.machines() {
                     if j.index() != k {
-                        cloud.ship_rows(MachineId(k as u16), j, entries, 1);
+                        link.ledger
+                            .ship_rows(MachineId(k as u16), j, entries, 1, Phase::Sync);
                     }
                 }
             }
@@ -904,22 +874,6 @@ fn sync_bindings(
     Ok(())
 }
 
-/// Accumulates the traffic-total delta between two snapshots into a phase's
-/// message/byte counters. Saturating: under concurrent multi-query batches
-/// another query may reset the shared counters mid-phase, in which case the
-/// attribution is best-effort (like every traffic-derived per-query metric).
-fn record_phase(
-    before: &TrafficSnapshot,
-    after: &TrafficSnapshot,
-    messages: &mut u64,
-    bytes: &mut u64,
-) {
-    *messages += after
-        .total_messages()
-        .saturating_sub(before.total_messages());
-    *bytes += after.total_bytes().saturating_sub(before.total_bytes());
-}
-
 /// One machine's exploration of one STwig over `roots`, dispatched on the
 /// transport mode: partition-local batched matching over the transport when
 /// one is in play, the direct-read matcher — over the STwig's `shared`
@@ -929,7 +883,7 @@ fn record_phase(
 #[allow(clippy::too_many_arguments)]
 fn explore_machine(
     cloud: &MemoryCloud,
-    transport: Option<&QueryTransport<'_>>,
+    link: &Link<'_>,
     k: MachineId,
     query: &QueryGraph,
     stwig: &STwig,
@@ -941,9 +895,9 @@ fn explore_machine(
     started: Instant,
 ) -> Result<MachineExplore, StwigError> {
     let mut work = MachineWork::default();
-    let mode = match transport {
+    let mode = match link.transport() {
         Some(tp) => Mode::Messages(tp, &mut work.faults),
-        None => Mode::InPlace(shared),
+        None => Mode::InPlace(shared, link.ledger),
     };
     let counters = &mut work.counters;
     let (table, resolution) = explore(
@@ -959,7 +913,7 @@ fn explore_machine(
 #[allow(clippy::too_many_arguments)]
 fn explore_bound(
     cloud: &MemoryCloud,
-    transport: Option<&QueryTransport<'_>>,
+    link: &Link<'_>,
     query: &QueryGraph,
     stwig: &STwig,
     bindings: &Bindings,
@@ -974,7 +928,7 @@ fn explore_bound(
             let t0 = Instant::now();
             let roots = local_roots(cloud, k, query, stwig, bindings, config);
             explore_machine(
-                cloud, transport, k, query, stwig, &roots, bindings, config, control, &shared, t0,
+                cloud, link, k, query, stwig, &roots, bindings, config, control, &shared, t0,
             )
         }),
         stwig,
@@ -1010,7 +964,7 @@ enum ViaCache {
 #[allow(clippy::too_many_arguments)]
 fn explore_via_cache(
     cloud: &MemoryCloud,
-    transport: Option<&QueryTransport<'_>>,
+    link: &Link<'_>,
     query: &QueryGraph,
     stwig: &STwig,
     config: &MatchConfig,
@@ -1068,7 +1022,7 @@ fn explore_via_cache(
             };
             explore_machine(
                 cloud,
-                transport,
+                link,
                 k,
                 query,
                 stwig,
@@ -1232,6 +1186,7 @@ pub fn join_stwig_tables(
     let canonical: Vec<QVid> = query.vertices().collect();
     let limit = config.result_limit();
     let mut state = StreamState::begin(None, &canonical, started);
+    let ledger = Network::new(cloud.num_machines());
     let pass = join_pass(
         cloud,
         query,
@@ -1242,10 +1197,12 @@ pub fn join_stwig_tables(
         limit,
         &control,
         &canonical,
+        &ledger,
         metrics,
         machine_metrics,
         &mut state,
     )?;
+    retire(cloud, &ledger, metrics);
     metrics.truncated = limit.is_some() && !pass.exhausted;
     Ok(state
         .finish(metrics)
@@ -1293,18 +1250,17 @@ pub(crate) struct Assembled<'a> {
 
 /// Assembles machine `ki`'s `R_k(q_t)` tables for every STwig `t`: its own
 /// exploration tables plus the load-set rows — drained from its transport
-/// mailbox in `Messages` mode, fetched (and charged) in place in
-/// `DirectRead` mode. An R_k(q_t) concatenated from a served STwig's tables
+/// mailbox in `Messages` mode, fetched in place (and charged to the link's
+/// ledger) in `DirectRead` mode. An R_k(q_t) concatenated from a served STwig's tables
 /// alone keeps that entry's index memo, addressed by what was concatenated;
 /// one whose rows really came through `JoinRows` does not (the rows are
 /// what arrived, not by construction what is cached). A malformed
 /// `JoinRows` envelope (wrong variant, out-of-range STwig index, foreign
 /// columns, ragged row payload) fails with [`StwigError::Transport`].
 pub(crate) fn assemble_rk_tables<'a>(
-    cloud: &MemoryCloud,
     plan: &QueryPlan,
     tables: &'a StwigTableSet,
-    transport: Option<&QueryTransport<'_>>,
+    link: &Link<'_>,
     ki: usize,
 ) -> Result<Assembled<'a>, StwigError> {
     let k = MachineId(ki as u16);
@@ -1316,7 +1272,7 @@ pub(crate) fn assemble_rk_tables<'a>(
     };
     // Without a served STwig there is no memo to keep, and no list of them.
     let memoized = (0..n).any(|t| tables.served(t).is_some());
-    if let Some(tp) = transport {
+    if let Some(tp) = link.transport() {
         for (t, stwig) in plan.stwigs.iter().enumerate() {
             let own = tables.table(ki, t);
             let mut table = ResultTable::with_capacity(stwig.vertices().collect(), own.num_rows());
@@ -1399,7 +1355,8 @@ pub(crate) fn assemble_rk_tables<'a>(
                 if remote.is_empty() {
                     continue;
                 }
-                cloud.ship_rows(*j, k, remote.num_rows() as u64, remote.width() as u64);
+                let (rows, width) = (remote.num_rows() as u64, remote.width() as u64);
+                link.ledger.ship_rows(*j, k, rows, width, Phase::Join);
                 rk.received += remote.num_rows() as u64;
                 table.append_rows(remote);
             }
@@ -1612,6 +1569,7 @@ fn join_pass(
     limit: Option<usize>,
     control: &QueryControl,
     canonical: &[QVid],
+    ledger: &Network,
     metrics: &mut QueryMetrics,
     machine_metrics: &mut [MachineMetrics],
     state: &mut StreamState<'_>,
@@ -1631,9 +1589,7 @@ fn join_pass(
     };
     // A single table or the given order leaves nothing to select.
     let memo = memo.filter(|_| config.optimize_join_order && plan.stwigs.len() > 1);
-    let before_join = cloud.traffic();
-    let transport = (config.transport_mode == TransportMode::Messages)
-        .then(|| QueryTransport::for_config(cloud, config));
+    let link = Link::new(cloud, ledger, config);
     let mut pass = JoinPass {
         rows: 0,
         exhausted: true,
@@ -1649,10 +1605,10 @@ fn join_pass(
             break;
         }
         let t0 = Instant::now();
-        if let Some(tp) = &transport {
+        if let Some(tp) = link.transport() {
             post_join_rows_to(tp, plan, tables, MachineId(ki as u16));
         }
-        let rk = assemble_rk_tables(cloud, plan, tables, transport.as_ref(), ki)?;
+        let rk = assemble_rk_tables(plan, tables, &link, ki)?;
         let mut counters = JoinCounters::default();
         let before = state.streamed;
         // A machine with no head-STwig results contributes nothing (§5.3),
@@ -1703,15 +1659,7 @@ fn join_pass(
             break;
         }
     }
-    if let Some(tp) = &transport {
-        metrics.fault.duplicates_suppressed += tp.duplicates_suppressed();
-    }
-    record_phase(
-        &before_join,
-        &cloud.traffic(),
-        &mut metrics.phase_traffic.join_ship_messages,
-        &mut metrics.phase_traffic.join_ship_bytes,
-    );
+    metrics.fault.duplicates_suppressed += link.duplicates_suppressed();
     Ok(pass)
 }
 
@@ -1783,7 +1731,8 @@ pub(crate) fn execute_query(
     }
     let started = Instant::now();
     let control = QueryControl::new(options, started);
-    cloud.reset_traffic();
+    // The query's one ledger: every charge it makes, and nothing else.
+    let ledger = Network::new(cloud.num_machines());
     let mut metrics = QueryMetrics {
         storage: Some(cloud.storage_bytes()),
         ..QueryMetrics::default()
@@ -1799,7 +1748,15 @@ pub(crate) fn execute_query(
     let mut state = StreamState::begin(sink, &canonical, started);
     metrics.truncated = if query.num_edges() == 0 {
         let label = query.label(v0);
-        scan_single_vertex(cloud, label, config, &control, &mut metrics, &mut state)?
+        scan_single_vertex(
+            cloud,
+            label,
+            config,
+            &control,
+            &ledger,
+            &mut metrics,
+            &mut state,
+        )?
     } else {
         explore_and_join(
             cloud,
@@ -1808,6 +1765,7 @@ pub(crate) fn execute_query(
             cache,
             &control,
             &canonical,
+            &ledger,
             &mut metrics,
             &mut machine_metrics,
             &mut state,
@@ -1824,7 +1782,7 @@ pub(crate) fn execute_query(
     };
     let table = state.finish(&mut metrics);
     metrics.machines = machine_metrics;
-    finalize(&mut metrics, cloud, started);
+    finalize(&mut metrics, cloud, &ledger, started);
     Ok((table, metrics))
 }
 
@@ -1838,20 +1796,19 @@ fn scan_single_vertex(
     label: LabelId,
     config: &MatchConfig,
     control: &QueryControl,
+    ledger: &Network,
     metrics: &mut QueryMetrics,
     state: &mut StreamState<'_>,
 ) -> Result<bool, StwigError> {
     let limit = config.result_limit();
-    let transport = (config.transport_mode == TransportMode::Messages)
-        .then(|| QueryTransport::for_config(cloud, config));
-    let before = cloud.traffic();
+    let link = Link::new(cloud, ledger, config);
     let proxy = MachineId(0);
     let mut limit_hit = false;
     'scan: for k in cloud.machines() {
         if control.interrupted() {
             break;
         }
-        let owned: Vec<VertexId> = match &transport {
+        let owned: Vec<VertexId> = match link.transport() {
             Some(tp) if k != proxy => fetch_postings(
                 tp,
                 cloud,
@@ -1875,19 +1832,8 @@ fn scan_single_vertex(
             state.deliver(&[id]);
         }
     }
-    if let Some(tp) = &transport {
-        metrics.fault.duplicates_suppressed += tp.duplicates_suppressed();
-    }
+    metrics.fault.duplicates_suppressed += link.duplicates_suppressed();
     metrics.explore_rounds = 1;
-    // The posting gather is the query's whole exploration; attribute its
-    // envelopes to the explore phase so the breakdown still partitions the
-    // totals.
-    record_phase(
-        &before,
-        &cloud.traffic(),
-        &mut metrics.phase_traffic.explore_messages,
-        &mut metrics.phase_traffic.explore_bytes,
-    );
     Ok(limit_hit)
 }
 
@@ -1903,6 +1849,7 @@ fn explore_and_join(
     cache: Option<&StwigCache>,
     control: &QueryControl,
     canonical: &[QVid],
+    ledger: &Network,
     metrics: &mut QueryMetrics,
     machine_metrics: &mut [MachineMetrics],
     state: &mut StreamState<'_>,
@@ -1950,6 +1897,7 @@ fn explore_and_join(
             effective_cap,
             cache,
             Some(control),
+            ledger,
             metrics,
             machine_metrics,
         )?;
@@ -1994,6 +1942,7 @@ fn explore_and_join(
                 remaining,
                 control,
                 canonical,
+                ledger,
                 metrics,
                 machine_metrics,
                 state,
@@ -2017,6 +1966,7 @@ fn explore_and_join(
             limit,
             control,
             canonical,
+            ledger,
             metrics,
             machine_metrics,
             &mut staging,
@@ -2053,25 +2003,28 @@ fn local_roots(
     postings.to_vec()
 }
 
-fn finalize(metrics: &mut QueryMetrics, cloud: &MemoryCloud, started: Instant) {
+/// Retires a ledger: its phase traffic into `metrics`, itself into the cloud's aggregate.
+fn retire(cloud: &MemoryCloud, ledger: &Network, metrics: &mut QueryMetrics) {
+    metrics.phase_traffic.merge(&PhaseTraffic::of(ledger));
+    cloud.network().absorb(ledger);
+}
+
+/// Reads the query's traffic off its ledger, prices it with the cloud's cost
+/// model, and retires the ledger. A query that fails retires nothing.
+fn finalize(metrics: &mut QueryMetrics, cloud: &MemoryCloud, ledger: &Network, started: Instant) {
     // One snapshot of the P×P counters serves every figure below.
-    let traffic = cloud.traffic();
-    let cost = cloud.network().cost_model();
+    let traffic = ledger.snapshot();
+    let cost = cloud.cost_model();
+    retire(cloud, ledger, metrics);
     metrics.network_messages = traffic.total_messages();
     metrics.network_bytes = traffic.total_bytes();
     metrics.wall_us = started.elapsed().as_secs_f64() * 1e6;
-    // Per-machine communication time and simulated makespan.
-    let mut makespan: f64 = 0.0;
+    // Per-machine communication time and the simulated makespan (every
+    // query reports one `MachineMetrics` per machine).
     for mm in &mut metrics.machines {
         let m = MachineId(mm.machine);
         mm.comm_us = cost.time_us(traffic.messages_from(m), traffic.bytes_from(m));
-        makespan = makespan.max(mm.compute_us + mm.comm_us);
-    }
-    if metrics.machines.is_empty() {
-        metrics.simulated_us =
-            metrics.wall_us + cost.time_us(metrics.network_messages, metrics.network_bytes);
-    } else {
-        metrics.simulated_us = makespan;
+        metrics.simulated_us = metrics.simulated_us.max(mm.compute_us + mm.comm_us);
     }
 }
 
@@ -2084,6 +2037,14 @@ mod tests {
 
     fn v(x: u64) -> VertexId {
         VertexId(x)
+    }
+
+    /// A `DirectRead` link charging the cloud's aggregate.
+    fn in_place(cloud: &MemoryCloud) -> Link<'_> {
+        Link {
+            ledger: cloud.network(),
+            stack: None,
+        }
     }
 
     fn sample_cloud(machines: usize) -> MemoryCloud {
@@ -2154,7 +2115,14 @@ mod tests {
         let config = MatchConfig::default().with_transport_mode(TransportMode::DirectRead);
         let run = |threads| {
             let explored = explore_bound(
-                &cloud, None, &query, &stwig, &bindings, &config, None, threads,
+                &cloud,
+                &in_place(&cloud),
+                &query,
+                &stwig,
+                &bindings,
+                &config,
+                None,
+                threads,
             );
             let explored = explored.unwrap();
             let sides: Vec<Resolution> = explored.iter().map(|r| r.work.resolution).collect();
@@ -2698,7 +2666,17 @@ mod tests {
             let hand_built = STwig::new(QVid(0), vec![QVid(1), QVid(2)]);
             assert!(!hand_built.has_canonical_children(&query));
             let via_cache = |stwig: &STwig, cache: &StwigCache| {
-                explore_via_cache(&cloud, None, &query, stwig, &config, cache, None, 1).unwrap()
+                explore_via_cache(
+                    &cloud,
+                    &in_place(&cloud),
+                    &query,
+                    stwig,
+                    &config,
+                    cache,
+                    None,
+                    1,
+                )
+                .unwrap()
             };
             let cache = StwigCache::new(&cloud, CacheConfig::default());
             // Cold cache: handed back for exploration, not probed, nothing
@@ -2717,7 +2695,7 @@ mod tests {
             let unbound = Bindings::new(query.num_vertices());
             let uncached: Vec<ResultTable> = explore_bound(
                 &cloud,
-                None,
+                &in_place(&cloud),
                 &query,
                 &hand_built,
                 &unbound,
@@ -2903,7 +2881,7 @@ mod tests {
         let insertions = cache.stats().insertions;
         let repaired = explore_via_cache(
             &snap,
-            None,
+            &in_place(&snap),
             &query,
             stwig,
             &config,
@@ -2988,6 +2966,8 @@ mod tests {
                     &base.clone().with_transport_mode(TransportMode::DirectRead),
                 )
                 .unwrap();
+                // The cloud's aggregate only grows: every retired query adds
+                // its ledger.
                 let direct_remote = cloud.direct_remote_reads();
                 let messages = match_query_distributed(
                     &cloud,
@@ -2998,7 +2978,7 @@ mod tests {
                 let ctx = format!("machines = {machines}, config = {name}");
                 assert_eq!(
                     cloud.direct_remote_reads(),
-                    0,
+                    direct_remote,
                     "Messages mode dereferenced a remote partition ({ctx})"
                 );
                 assert_eq!(direct.table, messages.table, "tables diverged ({ctx})");

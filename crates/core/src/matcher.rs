@@ -28,6 +28,7 @@ use std::ops::Range;
 use std::sync::OnceLock;
 use trinity_sim::compact::Neighbors;
 use trinity_sim::ids::{LabelId, MachineId, VertexId};
+use trinity_sim::network::Network;
 use trinity_sim::partition::Cell;
 use trinity_sim::transport::{Message, Transport, NOT_OWNED};
 use trinity_sim::MemoryCloud;
@@ -49,11 +50,12 @@ use trinity_sim::MemoryCloud;
 ///
 /// The output table's columns are `[root, child_1, .., child_k]`.
 ///
-/// Steps 1–2 are *charged* as written — a remote root's `Cloud.Load`, one
-/// [`MemoryCloud::has_label`] probe per (child scanned, neighbor) — as
-/// emission reaches each root, the probes tallied per owner and flushed once
-/// ([`MemoryCloud::charge_label_probes`]): a capped or interrupted
-/// exploration charges exactly what it probed, however far it prefetched.
+/// Steps 1–2 are *charged* to the cloud's traffic aggregate as written — a
+/// remote root's `Cloud.Load`, one [`MemoryCloud::has_label`] probe per
+/// (child scanned, neighbor) — as emission reaches each root, the probes
+/// tallied per owner and flushed once ([`Network::charge_label_probes`]): a
+/// capped or interrupted exploration charges exactly what it probed, however
+/// far it prefetched.
 #[allow(clippy::too_many_arguments)]
 pub fn match_stwig(
     cloud: &MemoryCloud,
@@ -67,7 +69,7 @@ pub fn match_stwig(
     counters: &mut ExploreCounters,
 ) -> ResultTable {
     let shared = SharedPostings::new();
-    let mode = Mode::InPlace(&shared);
+    let mode = Mode::InPlace(&shared, cloud.network());
     let explored = explore(
         cloud, mode, machine, query, stwig, roots, bindings, config, control, counters,
     );
@@ -80,8 +82,8 @@ pub(crate) type SharedPostings = OnceLock<FxHashMap<VertexId, u32>>;
 
 /// How an exploration meets the cloud: all the transport modes differ in.
 pub(crate) enum Mode<'a> {
-    /// `DirectRead`, over the STwig's shared postings.
-    InPlace(&'a SharedPostings),
+    /// `DirectRead`, over the STwig's shared postings, charging the ledger.
+    InPlace(&'a SharedPostings, &'a Network),
     /// `Messages`, tallying what the retry layer absorbed.
     Messages(&'a dyn Transport, &'a mut FaultCounters),
 }
@@ -116,7 +118,9 @@ pub(crate) fn explore(
     with_scratch(|scratch| {
         let filter = RootFilter::new(query, stwig);
         let frontier = &mut scratch.frontier;
-        let in_place = matches!(mode, Mode::InPlace(_));
+        let in_place = matches!(mode, Mode::InPlace(..));
+        // Where `DirectRead`'s estimate is charged; `Messages` charges itself.
+        let mut ledger = None;
         frontier.collect(
             cloud, machine, stwig, &filter, roots, bindings, config, control, in_place,
         );
@@ -129,7 +133,8 @@ pub(crate) fn explore(
         let (child_labels, neighbors) = (&child_labels[..], frontier.ids.len() as u64);
         let mut resolution = Resolution::default();
         match mode {
-            Mode::InPlace(shared) => {
+            Mode::InPlace(shared, charged) => {
+                ledger = Some(charged);
                 let postings = match shared.get() {
                     None if carriers >= neighbors * cloud.num_machines() as u64 => None,
                     _ => Some(shared.get_or_init(|| {
@@ -176,13 +181,16 @@ pub(crate) fn explore(
             &mut scratch.row,
             &mut Replay {
                 cloud,
+                ledger,
                 machine,
                 frontier,
                 span: 0..0,
             },
         );
-        for (owner, &probes) in frontier.probes.iter().enumerate() {
-            cloud.charge_label_probes(machine, MachineId(owner as u16), probes);
+        if let Some(ledger) = ledger {
+            for (owner, &probes) in frontier.probes.iter().enumerate() {
+                ledger.charge_label_probes(machine, MachineId(owner as u16), probes);
+            }
         }
         Ok((table, resolution))
     })
@@ -206,9 +214,11 @@ trait RootSource {
 
 /// A labeled [`Frontier`] replayed in the order it was collected (the core
 /// applies the same binding admission, so the sequences line up), charging
-/// Algorithm 1's estimate under `DirectRead`.
+/// Algorithm 1's estimate to `DirectRead`'s ledger.
 struct Replay<'a> {
     cloud: &'a MemoryCloud,
+    /// `None` under `Messages`, whose envelopes charge themselves.
+    ledger: Option<&'a Network>,
     machine: MachineId,
     frontier: &'a mut Frontier,
     /// The span of the root last loaded.
@@ -223,10 +233,14 @@ impl RootSource for Replay<'_> {
         let entry = frontier.roots.get(frontier.replayed).cloned();
         frontier.replayed += 1;
         let span = entry.unwrap_or(Err(Skip::Missing));
-        let remote = frontier.in_place && !self.cloud.owns_local(self.machine, n);
-        if remote && span != Err(Skip::Missing) {
+        let owner = self.cloud.machine_of(n);
+        let remote = self
+            .ledger
+            .filter(|_| owner != self.machine && span != Err(Skip::Missing));
+        if let Some(ledger) = remote {
             // The remote root's `Cloud.Load`, charged as emission reaches it.
-            self.cloud.load(self.machine, n);
+            let cell = self.cloud.partition(owner).load(n);
+            ledger.charge_load(self.machine, owner, cell.map_or(0, |c| c.neighbors.len()));
         }
         // `collect` left the root itself out of its span: all of it is probed.
         self.span = span?;
@@ -237,7 +251,7 @@ impl RootSource for Replay<'_> {
 
     fn scanned(&mut self, children: u64) {
         let frontier = &mut *self.frontier;
-        if frontier.in_place {
+        if self.ledger.is_some() {
             for &m in &frontier.ids[self.span.clone()] {
                 frontier.probes[self.cloud.machine_of(m).index()] += children;
             }
@@ -391,8 +405,6 @@ struct Frontier {
     roots: Vec<Result<Range<usize>, Skip>>,
     /// Entries of `roots` the emission pass has consumed.
     replayed: usize,
-    /// `DirectRead`: roots were read in place, and replay charges probes.
-    in_place: bool,
     /// `DirectRead`: the label probes replay charged, per owner.
     probes: Vec<u64>,
     /// The resolution's one hash table. Postings side: label of every
@@ -443,7 +455,6 @@ impl Frontier {
         self.ids.clear();
         self.roots.clear();
         self.replayed = 0;
-        self.in_place = in_place;
         self.probes.clear();
         self.probes.resize(cloud.num_machines(), 0);
         for (root_idx, &n) in roots.iter().enumerate() {
@@ -1772,7 +1783,7 @@ mod tests {
                 let mut resolution = Resolution::default();
                 let direct = observe(&cloud, |c| {
                     let shared = SharedPostings::new();
-                    let mode = Mode::InPlace(&shared);
+                    let mode = Mode::InPlace(&shared, cloud.network());
                     let explored = explore(
                         &cloud, mode, k, &query, &stwig, &roots, &bindings, &config, None, c,
                     );

@@ -7,6 +7,7 @@
 //! speed-up experiments (Fig. 9) are driven by the simulated numbers.
 
 use serde::{Deserialize, Serialize};
+use trinity_sim::network::{Network, Phase};
 use trinity_sim::partition::StorageBytes;
 
 /// How a query execution ended.
@@ -360,12 +361,11 @@ pub struct MetricsSnapshot {
 ///
 /// The totals (`QueryMetrics::network_messages` / `network_bytes`) answer
 /// "how much traveled"; this breakdown answers "which part of the algorithm
-/// sent it" — exploration (remote cell loads / label probes), binding
-/// synchronization between STwigs, and load-set result shipping for the
-/// distributed join. For a single query executed serially the three phases
-/// sum to the totals; under concurrent multi-query batches the shared
-/// counters make per-query attribution best-effort, like every other
-/// traffic-derived metric.
+/// sent it" — exploration (remote cell loads, label probes, postings),
+/// binding synchronization between STwigs, and load-set result shipping for
+/// the distributed join. Each charge names its phase where it is made (an
+/// envelope by its variant), and every query charges a ledger of its own, so
+/// the three phases sum to the totals exactly, whatever runs concurrently.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseTraffic {
     /// Cross-machine messages sent during STwig exploration.
@@ -391,6 +391,20 @@ impl PhaseTraffic {
         self.binding_sync_bytes += other.binding_sync_bytes;
         self.join_ship_messages += other.join_ship_messages;
         self.join_ship_bytes += other.join_ship_bytes;
+    }
+
+    /// The per-phase totals of a query's ledger.
+    pub fn of(ledger: &Network) -> Self {
+        let [explore, sync, join] =
+            [Phase::Explore, Phase::Sync, Phase::Join].map(|p| ledger.phase_totals(p));
+        PhaseTraffic {
+            explore_messages: explore.0,
+            explore_bytes: explore.1,
+            binding_sync_messages: sync.0,
+            binding_sync_bytes: sync.1,
+            join_ship_messages: join.0,
+            join_ship_bytes: join.1,
+        }
     }
 
     /// Total messages across the three phases.

@@ -51,7 +51,7 @@ pub fn machine_for(id: VertexId, num_machines: usize) -> MachineId {
 ///   operators a message-passing executor is allowed to use.
 /// * **Direct-read** (`load`, `has_label`, and the matcher's bulk
 ///   equivalents — `partition(owner)` reads or every owner's `get_ids`,
-///   charged through `charge_label_probes`): may dereference a *remote*
+///   charged through [`Network::charge_label_probes`]): may dereference a *remote*
 ///   partition in place, handing out borrows of
 ///   foreign memory (`Cell<'_>` borrowing the owner's adjacency). They model
 ///   Trinity's one-sided reads for the legacy `DirectRead` execution mode,
@@ -75,8 +75,8 @@ pub struct MemoryCloud {
     /// `Arc`-shared between snapshots like the catalog: an update copies it
     /// only when it interns a new label.
     pub(crate) interner: std::sync::Arc<LabelInterner>,
-    /// Shared across every snapshot of a lineage: traffic accounting spans
-    /// epochs, and queries pinned to different epochs charge one ledger.
+    /// The traffic aggregate, shared across every snapshot of a lineage:
+    /// queries pinned to different epochs retire into one total.
     pub(crate) network: std::sync::Arc<Network>,
     /// Global number of vertices carrying each label, indexed by `LabelId`.
     pub(crate) label_frequency: Vec<u64>,
@@ -96,6 +96,8 @@ pub struct MemoryCloud {
     pub(crate) lineage: u64,
     /// Per-epoch touched-entry log of this lineage, when managed.
     pub(crate) touch_log: Option<std::sync::Arc<crate::epoch::EpochTouchLog>>,
+    /// The price of traffic, which the executor applies to a query's ledger.
+    pub(crate) cost: CostModel,
 }
 
 // The distributed executor — and, one level up, the multi-query engine's
@@ -131,7 +133,7 @@ impl MemoryCloud {
         num_edges: u64,
         directed: bool,
     ) -> Self {
-        let network = std::sync::Arc::new(Network::new(partitions.len(), cost));
+        let network = std::sync::Arc::new(Network::new(partitions.len()));
         MemoryCloud {
             partitions,
             interner: std::sync::Arc::new(interner),
@@ -144,6 +146,7 @@ impl MemoryCloud {
             epoch: 0,
             lineage: 0,
             touch_log: None,
+            cost,
         }
     }
 
@@ -224,9 +227,16 @@ impl MemoryCloud {
         (0..self.partitions.len() as u16).map(MachineId)
     }
 
-    /// The traffic-accounting network layer.
+    /// The traffic aggregate: every retired query's ledger, plus what the
+    /// cloud's own direct-read operators and transports built with
+    /// [`crate::transport::ChannelTransport::new`] charged.
     pub fn network(&self) -> &Network {
         &self.network
+    }
+
+    /// The cost model traffic on this cloud is priced with.
+    pub fn cost_model(&self) -> CostModel {
+        self.cost
     }
 
     /// The label-pair catalog used to build query-specific cluster graphs.
@@ -331,13 +341,8 @@ impl MemoryCloud {
     pub fn load(&self, caller: MachineId, id: VertexId) -> Option<Cell<'_>> {
         let owner = self.machine_of(id);
         let cell = self.partitions[owner.index()].load(id)?;
-        if owner != caller {
-            // Request + reply carrying the neighbor list.
-            self.network.record_direct_remote_reads(1);
-            self.network.record(caller, owner, PROBE_BYTES);
-            self.network
-                .record(owner, caller, cell.neighbors.len() as u64 * VERTEX_ID_BYTES);
-        }
+        self.network
+            .charge_load(caller, owner, cell.neighbors.len());
         Some(cell)
     }
 
@@ -382,54 +387,29 @@ impl MemoryCloud {
     /// This is the cloud's public single-probe operator and the *reference*
     /// for what one probe costs. The `DirectRead` matcher does not call it
     /// per probe: it charges the same estimate through
-    /// [`MemoryCloud::charge_label_probes`], one call per owner per
+    /// [`Network::charge_label_probes`], one call per owner per
     /// exploration (`tests/direct_read_accounting.rs` pins that the two
     /// account identically, cell for cell).
     pub fn has_label(&self, caller: MachineId, id: VertexId, label: LabelId) -> bool {
         let owner = self.machine_of(id);
-        self.charge_label_probes(caller, owner, 1);
+        self.network.charge_label_probes(caller, owner, 1);
         self.partitions[owner.index()].label_of(id) == Some(label)
     }
 
-    /// Charges `probes` `Index.hasLabel` probes by `caller` against vertices
-    /// owned by `owner`, exactly as that many [`MemoryCloud::has_label`]
-    /// calls would: per probe one direct remote read, one
-    /// [`PROBE_BYTES`] request and one 1-byte reply. Free when `owner` is
-    /// the caller.
-    pub fn charge_label_probes(&self, caller: MachineId, owner: MachineId, probes: u64) {
-        if owner == caller || probes == 0 {
-            return;
-        }
-        self.network.record_direct_remote_reads(probes);
-        self.network
-            .record_bulk(caller, owner, probes, probes * PROBE_BYTES);
-        self.network.record_bulk(owner, caller, probes, probes);
-    }
-
-    /// Ships `rows` result rows of `row_width` vertex ids each from machine
-    /// `src` to machine `dst` (used when exchanging intermediate STwig results
-    /// for the distributed join).
-    pub fn ship_rows(&self, src: MachineId, dst: MachineId, rows: u64, row_width: u64) {
-        if src == dst || rows == 0 {
-            return;
-        }
-        self.network
-            .record_bulk(src, dst, 1, rows * row_width * VERTEX_ID_BYTES);
-    }
-
-    /// Snapshot of the traffic counters.
+    /// Snapshot of the traffic aggregate ([`MemoryCloud::network`]).
     pub fn traffic(&self) -> TrafficSnapshot {
         self.network.snapshot()
     }
 
-    /// Number of accesses since the last [`MemoryCloud::reset_traffic`] that
-    /// dereferenced a remote partition in place instead of going through a
-    /// transport (see the ownership invariant in the type docs).
+    /// Accesses in the traffic aggregate that dereferenced a remote
+    /// partition in place instead of going through a transport (see the
+    /// ownership invariant in the type docs).
     pub fn direct_remote_reads(&self) -> u64 {
         self.network.direct_remote_reads()
     }
 
-    /// Resets the traffic counters (between queries).
+    /// Zeroes the traffic aggregate. Queries never do: each charges a ledger
+    /// of its own and adds it here when it retires.
     pub fn reset_traffic(&self) {
         self.network.reset();
     }
@@ -488,6 +468,7 @@ impl MemoryCloud {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::network::Phase;
 
     fn v(x: u64) -> VertexId {
         VertexId(x)
@@ -660,9 +641,10 @@ mod tests {
         let (single, single_reads) = (cloud.traffic(), cloud.direct_remote_reads());
         assert_eq!(single_reads, 5);
         cloud.reset_traffic();
-        cloud.charge_label_probes(caller, cloud.machine_of(remote), 5);
-        cloud.charge_label_probes(caller, caller, 5); // local probes are free
-        cloud.charge_label_probes(caller, cloud.machine_of(remote), 0);
+        let network = cloud.network();
+        network.charge_label_probes(caller, cloud.machine_of(remote), 5);
+        network.charge_label_probes(caller, caller, 5); // local probes are free
+        network.charge_label_probes(caller, cloud.machine_of(remote), 0);
         assert_eq!(cloud.traffic(), single);
         assert_eq!(cloud.direct_remote_reads(), single_reads);
     }
@@ -702,10 +684,15 @@ mod tests {
     fn ship_rows_records_bytes() {
         let cloud = small_cloud(2);
         cloud.reset_traffic();
-        cloud.ship_rows(MachineId(0), MachineId(1), 10, 3);
+        let ship = |dst| {
+            cloud
+                .network()
+                .ship_rows(MachineId(0), dst, 10, 3, Phase::Join)
+        };
+        ship(MachineId(1));
         assert_eq!(cloud.traffic().total_bytes(), 10 * 3 * VERTEX_ID_BYTES);
         // local shipping is free
-        cloud.ship_rows(MachineId(0), MachineId(0), 10, 3);
+        ship(MachineId(0));
         assert_eq!(cloud.traffic().total_bytes(), 10 * 3 * VERTEX_ID_BYTES);
     }
 

@@ -829,6 +829,7 @@ impl GraphEpochs {
             epoch: next_epoch,
             lineage: prev.lineage(),
             touch_log: prev.touch_log.clone(),
+            cost: prev.cost,
         };
         *self.current.write().expect("epoch lock") = Arc::new(next);
         Ok(next_epoch)

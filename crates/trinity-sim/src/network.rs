@@ -1,14 +1,13 @@
 //! Simulated cluster interconnect: per-machine-pair traffic counters.
 //!
 //! The paper runs on a real Gigabit / InfiniBand cluster; here the "network"
-//! is an accounting layer: every cross-machine access performed through the
-//! [`crate::cloud::MemoryCloud`] — and every envelope sent over a
-//! [`crate::transport::Transport`] — records a message (and its payload size)
-//! in a per-machine-pair counter matrix. The [`CostModel`] (see
-//! [`crate::cost`]) converts these counters into simulated communication
-//! time, which the distributed executor combines with per-machine compute
-//! time to produce the simulated-wall-clock numbers reported by the speed-up
-//! experiments.
+//! is an accounting layer. A [`Network`] is a ledger: every envelope a
+//! [`crate::transport::Transport`] sends and every remote partition a
+//! direct-read operator dereferences records a message and its payload size
+//! in a per-machine-pair matrix and, off the diagonal, under the [`Phase`]
+//! the charge names. The distributed executor gives each query a ledger of
+//! its own and adds it to the cloud's aggregate once, when the query retires.
+//! Pricing is not the ledger's: the cloud keeps the [`CostModel`].
 //!
 //! The matrix additionally tallies **direct remote reads**: accesses where a
 //! caller dereferenced another machine's partition in place (`Cloud.Load` /
@@ -16,11 +15,23 @@
 //! transport. Message-passing execution must keep this counter at zero — the
 //! distributed executor's tests enforce it.
 
+use crate::cloud::{PROBE_BYTES, VERTEX_ID_BYTES};
 use crate::ids::MachineId;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use crate::cost::CostModel;
+
+/// The step of a query (§4.3) a charge belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// STwig exploration: remote cell loads, label probes, postings.
+    Explore,
+    /// Binding synchronization between STwigs.
+    Sync,
+    /// Load-set shipping for the distributed join (Theorem 4).
+    Join,
+}
 
 /// Per-machine-pair traffic counters.
 ///
@@ -33,9 +44,10 @@ pub struct Network {
     messages: Vec<AtomicU64>,
     /// bytes[src * machines + dst]
     bytes: Vec<AtomicU64>,
+    /// Cross-machine `[messages, bytes]`, indexed by [`Phase`].
+    phases: [[AtomicU64; 2]; 3],
     /// Cross-partition accesses that bypassed the transport (see module docs).
     direct_remote_reads: AtomicU64,
-    cost: CostModel,
 }
 
 /// A snapshot of the traffic counters, suitable for reporting.
@@ -91,100 +103,110 @@ impl TrafficSnapshot {
 }
 
 impl Network {
-    /// Creates a network connecting `machines` logical machines with the given
-    /// cost model.
-    pub fn new(machines: usize, cost: CostModel) -> Self {
+    /// Creates a ledger connecting `machines` logical machines.
+    pub fn new(machines: usize) -> Self {
         let cells = machines * machines;
         Network {
             machines,
             messages: (0..cells).map(|_| AtomicU64::new(0)).collect(),
             bytes: (0..cells).map(|_| AtomicU64::new(0)).collect(),
+            phases: Default::default(),
             direct_remote_reads: AtomicU64::new(0),
-            cost,
         }
     }
 
-    /// Number of logical machines.
-    pub fn num_machines(&self) -> usize {
-        self.machines
+    /// Every counter, in one fixed order.
+    fn counters(&self) -> impl Iterator<Item = &AtomicU64> {
+        (self.messages.iter().chain(&self.bytes))
+            .chain(self.phases.iter().flatten())
+            .chain([&self.direct_remote_reads])
     }
 
-    /// The cost model in effect.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
-    }
-
-    #[inline]
-    fn cell(&self, src: MachineId, dst: MachineId) -> usize {
-        src.index() * self.machines + dst.index()
-    }
-
-    /// Records one message of `payload_bytes` from `src` to `dst`.
+    /// Records `count` messages totalling `bytes` from `src` to `dst`.
     ///
     /// Messages from a machine to itself are recorded (on the diagonal) but do
     /// not contribute to cross-machine traffic totals or simulated time.
     #[inline]
-    pub fn record(&self, src: MachineId, dst: MachineId, payload_bytes: u64) {
-        let cell = self.cell(src, dst);
-        self.messages[cell].fetch_add(1, Ordering::Relaxed);
-        self.bytes[cell].fetch_add(payload_bytes, Ordering::Relaxed);
-    }
-
-    /// Records `count` messages totalling `payload_bytes` from `src` to `dst`.
-    #[inline]
-    pub fn record_bulk(&self, src: MachineId, dst: MachineId, count: u64, payload_bytes: u64) {
-        let cell = self.cell(src, dst);
+    pub fn record(&self, src: MachineId, dst: MachineId, count: u64, bytes: u64, phase: Phase) {
+        let cell = src.index() * self.machines + dst.index();
         self.messages[cell].fetch_add(count, Ordering::Relaxed);
-        self.bytes[cell].fetch_add(payload_bytes, Ordering::Relaxed);
+        self.bytes[cell].fetch_add(bytes, Ordering::Relaxed);
+        if src != dst {
+            let [m, b] = &self.phases[phase as usize];
+            m.fetch_add(count, Ordering::Relaxed);
+            b.fetch_add(bytes, Ordering::Relaxed);
+        }
     }
 
-    /// Tallies `count` accesses that dereferenced a remote partition in place
-    /// (without a transport round-trip): one per remote `load`, an
-    /// exploration's label probes in bulk. Called by the cloud's
-    /// `DirectRead`-style operators; message-passing execution must never
-    /// trigger it.
-    #[inline]
-    pub fn record_direct_remote_reads(&self, count: u64) {
-        self.direct_remote_reads.fetch_add(count, Ordering::Relaxed);
+    /// Charges `caller`'s in-place `Cloud.Load` of a cell `owner` holds: one
+    /// direct remote read, a [`PROBE_BYTES`] request and a reply carrying
+    /// `neighbors` ids. Free when `owner` is the caller.
+    pub fn charge_load(&self, caller: MachineId, owner: MachineId, neighbors: usize) {
+        if owner != caller {
+            self.direct_remote_reads.fetch_add(1, Ordering::Relaxed);
+            self.record(caller, owner, 1, PROBE_BYTES, Phase::Explore);
+            let reply = neighbors as u64 * VERTEX_ID_BYTES;
+            self.record(owner, caller, 1, reply, Phase::Explore);
+        }
     }
 
-    /// Number of direct remote reads since the last [`Network::reset`].
+    /// Charges `probes` `Index.hasLabel` probes by `caller` against vertices
+    /// owned by `owner`, exactly as that many
+    /// [`crate::cloud::MemoryCloud::has_label`] calls would: per probe one
+    /// direct remote read, one [`PROBE_BYTES`] request and one 1-byte reply.
+    /// Free when `owner` is the caller.
+    pub fn charge_label_probes(&self, caller: MachineId, owner: MachineId, probes: u64) {
+        if owner != caller && probes > 0 {
+            self.direct_remote_reads
+                .fetch_add(probes, Ordering::Relaxed);
+            let request = probes * PROBE_BYTES;
+            self.record(caller, owner, probes, request, Phase::Explore);
+            self.record(owner, caller, probes, probes, Phase::Explore);
+        }
+    }
+
+    /// Ships `rows` result rows of `width` vertex ids each from machine `src`
+    /// to machine `dst` as one message: `DirectRead`'s estimate of a binding
+    /// broadcast or a load-set table.
+    pub fn ship_rows(&self, src: MachineId, dst: MachineId, rows: u64, width: u64, phase: Phase) {
+        if src != dst && rows > 0 {
+            self.record(src, dst, 1, rows * width * VERTEX_ID_BYTES, phase);
+        }
+    }
+
+    /// Cross-machine `(messages, bytes)` charged to `phase`.
+    pub fn phase_totals(&self, phase: Phase) -> (u64, u64) {
+        let [m, b] = &self.phases[phase as usize];
+        (m.load(Ordering::Relaxed), b.load(Ordering::Relaxed))
+    }
+
+    /// Adds every counter of `ledger` (over as many machines) to this one:
+    /// how a retired query's ledger reaches the cloud's aggregate.
+    pub fn absorb(&self, ledger: &Network) {
+        for (total, part) in self.counters().zip(ledger.counters()) {
+            total.fetch_add(part.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+    }
+
+    /// Number of direct remote reads charged since creation or the last
+    /// [`Network::reset`].
     pub fn direct_remote_reads(&self) -> u64 {
         self.direct_remote_reads.load(Ordering::Relaxed)
     }
 
     /// Resets all counters to zero.
     pub fn reset(&self) {
-        for c in &self.messages {
-            c.store(0, Ordering::Relaxed);
-        }
-        for c in &self.bytes {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.direct_remote_reads.store(0, Ordering::Relaxed);
+        self.counters().for_each(|c| c.store(0, Ordering::Relaxed));
     }
 
-    /// Takes a snapshot of all counters.
+    /// Takes a snapshot of the matrix.
     pub fn snapshot(&self) -> TrafficSnapshot {
+        let load = |cells: &[AtomicU64]| cells.iter().map(|c| c.load(Ordering::Relaxed)).collect();
         TrafficSnapshot {
             machines: self.machines,
-            messages: self
-                .messages
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            bytes: self
-                .bytes
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
+            messages: load(&self.messages),
+            bytes: load(&self.bytes),
         }
-    }
-
-    /// Total simulated communication time across the cluster in microseconds.
-    pub fn simulated_total_time_us(&self) -> f64 {
-        let snap = self.snapshot();
-        self.cost.time_us(snap.total_messages(), snap.total_bytes())
     }
 }
 
@@ -198,11 +220,11 @@ mod tests {
 
     #[test]
     fn record_and_snapshot() {
-        let net = Network::new(3, CostModel::default());
-        net.record(m(0), m(1), 100);
-        net.record(m(0), m(1), 50);
-        net.record(m(1), m(2), 10);
-        net.record(m(2), m(2), 999); // local, excluded from totals
+        let net = Network::new(3);
+        net.record(m(0), m(1), 1, 100, Phase::Explore);
+        net.record(m(0), m(1), 1, 50, Phase::Explore);
+        net.record(m(1), m(2), 1, 10, Phase::Sync);
+        net.record(m(2), m(2), 1, 999, Phase::Join); // local, excluded from totals
         let snap = net.snapshot();
         assert_eq!(snap.total_messages(), 3);
         assert_eq!(snap.total_bytes(), 160);
@@ -213,66 +235,87 @@ mod tests {
 
     #[test]
     fn bulk_record() {
-        let net = Network::new(2, CostModel::default());
-        net.record_bulk(m(0), m(1), 10, 1000);
+        let net = Network::new(2);
+        net.record(m(0), m(1), 10, 1000, Phase::Join);
         let snap = net.snapshot();
         assert_eq!(snap.total_messages(), 10);
         assert_eq!(snap.total_bytes(), 1000);
     }
 
     #[test]
+    fn phases_partition_the_cross_machine_totals() {
+        let net = Network::new(3);
+        net.record(m(0), m(1), 1, 100, Phase::Explore);
+        net.charge_label_probes(m(0), m(2), 3);
+        net.charge_load(m(1), m(0), 4);
+        net.charge_load(m(1), m(1), 4); // local: free
+        net.ship_rows(m(1), m(2), 5, 2, Phase::Sync);
+        net.ship_rows(m(2), m(0), 7, 3, Phase::Join);
+        net.ship_rows(m(2), m(2), 7, 3, Phase::Join); // local: free
+        net.record(m(2), m(2), 1, 999, Phase::Join);
+        let explore = (1 + 6 + 2, 100 + 3 * (PROBE_BYTES + 1) + PROBE_BYTES + 4 * 8);
+        assert_eq!(net.phase_totals(Phase::Explore), explore);
+        assert_eq!(net.phase_totals(Phase::Sync), (1, 5 * 2 * 8));
+        assert_eq!(net.phase_totals(Phase::Join), (1, 7 * 3 * 8));
+        let snap = net.snapshot();
+        assert_eq!(snap.total_messages(), explore.0 + 2);
+        assert_eq!(snap.total_bytes(), explore.1 + 80 + 168);
+        assert_eq!(net.direct_remote_reads(), 3 + 1);
+    }
+
+    #[test]
+    fn absorb_adds_every_counter() {
+        let (total, ledger) = (Network::new(2), Network::new(2));
+        total.record(m(1), m(0), 1, 7, Phase::Sync);
+        ledger.record(m(0), m(1), 1, 10, Phase::Join);
+        ledger.charge_label_probes(m(1), m(0), 2);
+        total.absorb(&ledger);
+        total.absorb(&ledger);
+        let snap = total.snapshot();
+        assert_eq!(snap.total_messages(), 1 + 2 * 5);
+        assert_eq!(snap.messages_from(m(0)), 2 * 3);
+        assert_eq!(total.phase_totals(Phase::Join), (2, 20));
+        assert_eq!(total.phase_totals(Phase::Sync), (1, 7));
+        assert_eq!(total.direct_remote_reads(), 4);
+        // The ledger itself is left as it was.
+        assert_eq!(ledger.snapshot().total_messages(), 5);
+    }
+
+    #[test]
     fn reset_clears_counters() {
-        let net = Network::new(2, CostModel::default());
-        net.record(m(0), m(1), 10);
-        net.record_direct_remote_reads(1);
+        let net = Network::new(2);
+        net.record(m(0), m(1), 1, 10, Phase::Explore);
+        net.charge_load(m(1), m(0), 2);
         net.reset();
         assert_eq!(net.snapshot().total_messages(), 0);
+        assert_eq!(net.phase_totals(Phase::Explore), (0, 0));
         assert_eq!(net.direct_remote_reads(), 0);
     }
 
     #[test]
     fn direct_remote_reads_tally() {
-        let net = Network::new(2, CostModel::default());
+        let net = Network::new(2);
         assert_eq!(net.direct_remote_reads(), 0);
-        net.record_direct_remote_reads(1);
-        net.record_direct_remote_reads(1);
-        assert_eq!(net.direct_remote_reads(), 2);
-        net.record_direct_remote_reads(5);
-        assert_eq!(net.direct_remote_reads(), 7);
-        // The tally is separate from the message matrix.
-        assert_eq!(net.snapshot().total_messages(), 0);
-    }
-
-    #[test]
-    fn simulated_times_scale_with_traffic() {
-        let net = Network::new(2, CostModel::default());
-        net.record_bulk(m(0), m(1), 100, 10_000_000);
-        let t1 = net.simulated_total_time_us();
-        net.record_bulk(m(0), m(1), 100, 10_000_000);
-        let t2 = net.simulated_total_time_us();
-        assert!(t2 > t1);
-        // All of it is charged to the sender.
-        let (snap, cost) = (net.snapshot(), net.cost_model());
-        assert_eq!(
-            cost.time_us(snap.messages_from(m(0)), snap.bytes_from(m(0))),
-            t2
-        );
-        assert_eq!(
-            cost.time_us(snap.messages_from(m(1)), snap.bytes_from(m(1))),
-            0.0
-        );
+        net.charge_load(m(0), m(1), 3);
+        net.charge_load(m(0), m(0), 3); // local: no remote read
+        assert_eq!(net.direct_remote_reads(), 1);
+        net.charge_label_probes(m(1), m(0), 5);
+        net.charge_label_probes(m(1), m(0), 0);
+        assert_eq!(net.direct_remote_reads(), 6);
+        // One message each way per access.
+        assert_eq!(net.snapshot().total_messages(), 2 + 10);
     }
 
     #[test]
     fn concurrent_recording_is_consistent() {
         use std::sync::Arc;
-        let net = Arc::new(Network::new(2, CostModel::default()));
+        let net = Arc::new(Network::new(2));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let net = Arc::clone(&net);
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        net.record(m(0), m(1), 8);
+                        net.record(m(0), m(1), 1, 8, Phase::Explore);
                     }
                 })
             })
@@ -282,5 +325,6 @@ mod tests {
         }
         assert_eq!(net.snapshot().total_messages(), 4000);
         assert_eq!(net.snapshot().total_bytes(), 32000);
+        assert_eq!(net.phase_totals(Phase::Explore), (4000, 32000));
     }
 }

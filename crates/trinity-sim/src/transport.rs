@@ -15,9 +15,9 @@
 //! * [`ChannelTransport`] is the in-process backend: requests are served
 //!   against the owner's partition (the handler only ever touches the
 //!   destination machine's data), posts go through mutex-guarded mailboxes,
-//!   and **every envelope is charged to the traffic matrix with its actual
-//!   payload size** — the cost model then prices what was really sent,
-//!   rather than a per-access estimate.
+//!   and **every envelope is charged to the transport's ledger with its
+//!   actual payload size** under its [`Message::phase`] — the cost model then
+//!   prices what was really sent, rather than a per-access estimate.
 //!
 //! A socket- or process-based backend would implement [`Transport`] by
 //! serializing [`Message`] (all payload types are plain-old-data); the
@@ -34,6 +34,7 @@
 
 use crate::cloud::MemoryCloud;
 use crate::ids::{LabelId, MachineId, VertexId};
+use crate::network::{Network, Phase};
 use crate::partition::CellBuf;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -269,6 +270,15 @@ impl Message {
             }
     }
 
+    /// The query phase this message belongs to.
+    pub fn phase(&self) -> Phase {
+        match self {
+            Message::BindingDelta { .. } => Phase::Sync,
+            Message::JoinRows { .. } => Phase::Join,
+            _ => Phase::Explore,
+        }
+    }
+
     /// Whether this message is a request expecting a synchronous reply.
     pub fn is_request(&self) -> bool {
         matches!(
@@ -416,11 +426,12 @@ pub trait Transport: Send + Sync {
 /// requester never touches foreign memory; it gets owned [`CellBuf`]s,
 /// label vectors or id vectors back. One-way messages go through
 /// per-machine mailboxes (mutex-guarded vectors). All envelopes are recorded
-/// on the cloud's traffic matrix with their actual [`Message::wire_bytes`]
-/// size; envelopes between co-located endpoints are recorded on the diagonal
-/// and therefore free, like every other local access.
+/// on the transport's ledger with their actual [`Message::wire_bytes`] size;
+/// envelopes between co-located endpoints are recorded on the diagonal and
+/// therefore free, like every other local access.
 pub struct ChannelTransport<'c> {
     cloud: &'c MemoryCloud,
+    ledger: &'c Network,
     mailboxes: Vec<Mutex<Mailbox>>,
     /// Next sequence number per `src → dst` link, row-major `src * n + dst`.
     seqs: Vec<AtomicU64>,
@@ -450,17 +461,24 @@ impl std::fmt::Debug for ChannelTransport<'_> {
 }
 
 impl<'c> ChannelTransport<'c> {
-    /// Creates a transport connecting the machines of `cloud`.
+    /// Creates a transport connecting the machines of `cloud` (charging its aggregate).
     pub fn new(cloud: &'c MemoryCloud) -> Self {
         let n = cloud.num_machines();
         ChannelTransport {
             cloud,
+            ledger: cloud.network(),
             mailboxes: (0..n).map(|_| Mutex::new(Mailbox::default())).collect(),
             seqs: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
             exchange_timeout: None,
             stall_nanos: (0..n).map(|_| AtomicU64::new(0)).collect(),
             duplicates_suppressed: AtomicU64::new(0),
         }
+    }
+
+    /// Charges every envelope to `ledger` instead: a query's own counter.
+    pub fn with_ledger(mut self, ledger: &'c Network) -> Self {
+        self.ledger = ledger;
+        self
     }
 
     /// Bounds every [`Transport::exchange`] through this transport: a
@@ -519,7 +537,8 @@ impl<'c> ChannelTransport<'c> {
     }
 
     fn record(&self, src: MachineId, dst: MachineId, msg: &Message) {
-        self.cloud.network().record(src, dst, msg.wire_bytes());
+        self.ledger
+            .record(src, dst, 1, msg.wire_bytes(), msg.phase());
     }
 }
 
@@ -897,6 +916,36 @@ mod tests {
         );
         assert_eq!(cloud.traffic().total_messages(), 0);
         assert_eq!(transport.drain(MachineId(0)).len(), 1);
+    }
+
+    #[test]
+    fn a_ledger_transport_charges_its_ledger_by_phase_and_nothing_else() {
+        let cloud = small_cloud(2);
+        let ledger = Network::new(2);
+        let transport = ChannelTransport::new(&cloud).with_ledger(&ledger);
+        cloud.reset_traffic();
+        let (m0, m1) = (MachineId(0), MachineId(1));
+        let delta = Message::BindingDelta {
+            cols: vec![(0, vec![v(1)])],
+        };
+        let rows = Message::JoinRows {
+            stwig: 0,
+            columns: vec![0],
+            rows: vec![v(2)],
+        };
+        let request = Message::GetIdsRequest {
+            labels: vec![LabelId(0)],
+        };
+        let sizes = (delta.wire_bytes(), rows.wire_bytes());
+        transport.post(m0, m1, delta);
+        transport.post(m1, m0, rows);
+        let reply = transport.exchange(m0, m1, request.clone()).unwrap();
+        assert_eq!(ledger.phase_totals(Phase::Sync), (1, sizes.0));
+        assert_eq!(ledger.phase_totals(Phase::Join), (1, sizes.1));
+        let explore = request.wire_bytes() + reply.wire_bytes();
+        assert_eq!(ledger.phase_totals(Phase::Explore), (2, explore));
+        assert_eq!(ledger.snapshot().total_messages(), 4);
+        assert_eq!(cloud.traffic().total_messages(), 0);
     }
 
     #[test]

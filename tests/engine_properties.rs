@@ -3,7 +3,9 @@
 //! interleaved concurrent cached execution must give the uncached serial
 //! executor's answers — and, pass after pass, the very same tables — and a
 //! byte budget small enough to evict on every insert must never corrupt a
-//! table a concurrent query is reading — under both transports.
+//! table a concurrent query is reading — under both transports. Beside them,
+//! a fixed batch pins that each query's traffic record is its own, however
+//! many workers run beside it.
 
 use proptest::prelude::*;
 use stwig_match::prelude::*;
@@ -160,5 +162,61 @@ proptest! {
                 stats.bytes_resident
             );
         }
+    }
+}
+
+/// Every query charges a ledger of its own and adds it to the cloud's
+/// aggregate when it retires: on 4 workers, each query's traffic record —
+/// totals and per-phase split — is the one the serial run gives it, and the
+/// aggregate after the batch is the sum of the records. Eight distinct cold
+/// queries (cache off) eight times each, under both transports and a lossy
+/// fault plan.
+#[test]
+fn per_query_traffic_is_exact_whatever_runs_beside_it() {
+    let cloud =
+        synthetic_experiment_graph(1_500, 6.0, 5e-2, 0xBEEF).build_cloud(4, CostModel::default());
+    let distinct = query_batch(&cloud, 8, 5, None, 0x7EDC);
+    assert_eq!(distinct.len(), 8, "workload generation degenerated");
+    let queries: Vec<QueryGraph> = (0..8).flat_map(|_| distinct.clone()).collect();
+    let configs = [
+        (TransportMode::DirectRead, None),
+        (TransportMode::Messages, None),
+        (TransportMode::Messages, Some(FaultPlan::lossy(7))),
+    ];
+    for (mode, faults) in configs {
+        let config = MatchConfig::default()
+            .with_num_threads(Some(1))
+            .with_transport_mode(mode)
+            .with_fault_plan(faults.clone());
+        let ctx = format!("mode = {mode:?}, faults = {}", faults.is_some());
+        let records = |workers| {
+            let engine = QueryEngine::new(
+                &cloud,
+                EngineConfig::default()
+                    .with_workers(Some(workers))
+                    .with_cache(None)
+                    .with_match_config(config.clone()),
+            );
+            cloud.reset_traffic();
+            let records: Vec<(u64, u64, PhaseTraffic)> = (engine.run_batch(&queries).into_iter())
+                .map(|out| {
+                    let m = out.expect("query succeeds").metrics;
+                    (m.network_messages, m.network_bytes, m.phase_traffic)
+                })
+                .collect();
+            let sum: u64 = records.iter().map(|r| r.0).sum();
+            let ctx = format!("{ctx}, workers = {workers}");
+            assert_eq!(cloud.traffic().total_messages(), sum, "{ctx}");
+            if mode == TransportMode::Messages {
+                assert_eq!(cloud.direct_remote_reads(), 0, "{ctx}");
+            }
+            records
+        };
+        let serial = records(1);
+        assert!(
+            serial.iter().any(|r| r.0 > 0),
+            "no query crossed machines ({ctx})"
+        );
+        assert_eq!(records(4), serial, "{ctx}");
     }
 }

@@ -55,6 +55,8 @@ fn assert_parallel_matches_serial(cost_name: &str, cost: CostModel) {
                             "cost = {cost_name}, machines = {machines}, query = {qi}, \
                              config = {cfg_name}, mode = {mode:?}, threads = {threads}"
                         );
+                        // The cloud's aggregate adds every retired query.
+                        let direct_before = cloud.direct_remote_reads();
                         let run = match_query_distributed(
                             &cloud,
                             query,
@@ -67,7 +69,7 @@ fn assert_parallel_matches_serial(cost_name: &str, cost: CostModel) {
                         if mode == TransportMode::Messages {
                             assert_eq!(
                                 cloud.direct_remote_reads(),
-                                0,
+                                direct_before,
                                 "Messages mode touched a remote partition: {ctx}"
                             );
                         }

@@ -49,6 +49,7 @@ fn first_k_streams_exactly_k_valid_embeddings_in_both_modes() {
                         .with_transport_mode(mode)
                         .with_result_mode(ResultMode::FirstK(k));
                     let mut sink = CollectSink::new();
+                    let direct_before = cloud.direct_remote_reads();
                     let metrics = match_query_streaming(
                         &cloud,
                         query,
@@ -78,7 +79,7 @@ fn first_k_streams_exactly_k_valid_embeddings_in_both_modes() {
                     if mode == TransportMode::Messages {
                         assert_eq!(
                             cloud.direct_remote_reads(),
-                            0,
+                            direct_before,
                             "streaming must stay partition-local ({ctx})"
                         );
                     }
@@ -250,15 +251,20 @@ fn a_sink_gets_rows_as_machines_join_them_whatever_the_thread_count() {
             .with_transport_mode(mode)
             .with_num_threads(Some(4));
         // (a) When the first row arrives, later machines have not yet been
-        // shipped their load sets.
-        let mut bytes_at_first_row = None;
-        let mut sink = |_row: &[VertexId]| {
-            bytes_at_first_row.get_or_insert_with(|| cloud.traffic().total_bytes());
-        };
+        // shipped their load sets: a consumer that cancels on its first row
+        // leaves them unshipped.
+        let mut sink = |_row: &[VertexId]| {};
         let live = match_query_streaming(&cloud, query, &config, &QueryOptions::none(), &mut sink)
             .unwrap();
         assert!(live.rows_streamed > 1, "{mode:?}");
-        assert!(bytes_at_first_row.unwrap() < live.network_bytes, "{mode:?}");
+        let token = CancelToken::new();
+        let mut sink = |_row: &[VertexId]| token.cancel();
+        let options = QueryOptions::none().with_cancel(token.clone());
+        let first = match_query_streaming(&cloud, query, &config, &options, &mut sink).unwrap();
+        assert_eq!(first.outcome, QueryOutcome::Cancelled, "{mode:?}");
+        let explore = |m: &QueryMetrics| m.phase_traffic.explore_bytes;
+        assert_eq!(explore(&first), explore(&live), "{mode:?}");
+        assert!(first.network_bytes < live.network_bytes, "{mode:?}");
         // ... and nothing beyond a machine's R_k tables is ever resident.
         let serial = config.clone().with_num_threads(Some(1));
         let mut rows = 0u64;
