@@ -429,13 +429,11 @@ pub fn chaos(scale: Scale) -> Vec<Row> {
     rows
 }
 
-/// Planner-half ablation on a skewed-label (Zipf) R-MAT workload: run time,
-/// exploration traffic and pruned-root counts with the label-pair-aware
-/// planner (`MatchConfig::pruning`) off vs on. Both series prune roots on
-/// their neighborhood signatures, which every exploration does, and both pay
-/// the signature bytes; results are identical by construction. The CSV
-/// shows what the label-pair statistics buy on the workload they target —
-/// rare query labels over a skewed alphabet.
+/// Signature pruning on a skewed-label (Zipf) R-MAT workload: run time,
+/// messages, pruned-root counts and the signature bytes every vertex pays,
+/// for the one series `signature` — every exploration prunes roots on their
+/// neighborhood signatures. The workload is the one signatures target: rare
+/// query labels over a skewed alphabet.
 pub fn pruning(scale: Scale) -> Vec<Row> {
     let n = scale.base_vertices();
     let graph = {
@@ -449,35 +447,21 @@ pub fn pruning(scale: Scale) -> Vec<Row> {
     };
     let cloud = graph.build_cloud(DEFAULT_MACHINES, CostModel::default());
     let queries = query_batch(&cloud, scale.queries_per_point(), 4, None, 0x912F);
-    let mut rows = Vec::new();
-    for (series, planner) in [("planner-off", false), ("planner-on", true)] {
-        let config = MatchConfig::paper_default().with_pruning(planner);
-        let res = run_suite(&cloud, &queries, &config);
-        let x = 0.0;
-        rows.push(Row::new(
-            "pruning",
-            series,
-            x,
-            "run_time_ms",
-            res.avg_wall_ms,
-        ));
-        rows.push(Row::new("pruning", series, x, "messages", res.avg_messages));
-        rows.push(Row::new(
-            "pruning",
-            series,
-            x,
-            "roots_pruned",
-            res.avg_roots_pruned,
-        ));
-        rows.push(Row::new(
+    let res = run_suite(&cloud, &queries, &MatchConfig::paper_default());
+    let (series, x) = ("signature", 0.0);
+    let mut rows = vec![
+        Row::new("pruning", series, x, "run_time_ms", res.avg_wall_ms),
+        Row::new("pruning", series, x, "messages", res.avg_messages),
+        Row::new("pruning", series, x, "roots_pruned", res.avg_roots_pruned),
+        Row::new(
             "pruning",
             series,
             x,
             "signature_bytes_per_vertex",
             cloud.signature_bytes_per_vertex() as f64,
-        ));
-        rows.extend(res.phase_rows("pruning", series, x));
-    }
+        ),
+    ];
+    rows.extend(res.phase_rows("pruning", series, x));
     rows
 }
 
@@ -504,7 +488,6 @@ pub fn storage(scale: Scale) -> Vec<Row> {
             ("id_map_bytes_per_edge", bytes.id_map),
             ("posting_bytes_per_edge", bytes.postings),
             ("signature_bytes_per_edge", bytes.signatures),
-            ("pair_table_bytes_per_edge", bytes.pair_table),
             ("total_bytes_per_edge", bytes.total()),
         ] {
             row(metric, value as f64 / edges);
@@ -741,17 +724,10 @@ mod tests {
                 .value
         };
         for dataset in ["wordnet", "patents"] {
-            let components: f64 = [
-                "adjacency",
-                "label",
-                "id_map",
-                "posting",
-                "signature",
-                "pair_table",
-            ]
-            .iter()
-            .map(|c| value(dataset, &format!("{c}_bytes_per_edge")))
-            .sum();
+            let components: f64 = ["adjacency", "label", "id_map", "posting", "signature"]
+                .iter()
+                .map(|c| value(dataset, &format!("{c}_bytes_per_edge")))
+                .sum();
             let total = value(dataset, "total_bytes_per_edge");
             assert!(total > 0.0 && (components - total).abs() < 1e-9 * total);
             // Delta/varint adjacency stays under a flat CSR's 16 B per edge

@@ -97,8 +97,8 @@
 //! change, so the cache keeps them ([`StwigCache::plan`], [`PlanMemo`]):
 //!
 //! * **Key** — the query as submitted (vertex labels and edge list, in the
-//!   order given: no canonicalization) plus the config fields planning and
-//!   ordering read, `pruning`, `optimize_join_order` and `join_sample_size`.
+//!   order given: no canonicalization) plus the config fields join-order
+//!   selection reads, `optimize_join_order` and `join_sample_size`.
 //! * **Plan validity** — a plan holds for the snapshot epoch it was made at:
 //!   the label statistics it reads are fixed within an epoch, and a seal
 //!   keeps both the epoch and the statistics. A request at a later epoch
@@ -111,8 +111,8 @@
 //!   tables followed `k`'s. It is consulted only when every R_k(q_t) was
 //!   concatenated from one entry's tables (all its [`RkMemo`]s present), and
 //!   selected again only when those differ. A re-plan at a later epoch keeps
-//!   the orders when its STwigs are the old ones and no label-pair priors
-//!   feed the order (`pruning` off): the tables then say everything.
+//!   the orders when its STwigs are the old ones: an order is a function of
+//!   the tables alone.
 //! * **Bound** — a memo is charged to its shard's slice of the byte budget
 //!   (its orders at their largest, up front), counts in `bytes_resident`,
 //!   is evicted least-recently-used-first with the tables, and is dropped
@@ -218,40 +218,32 @@ impl CacheConfig {
     }
 }
 
-/// The canonical shape of an STwig: root label plus sorted child labels,
-/// tagged with the planner setting (`MatchConfig::pruning`) it was planned
-/// under. Two planned STwigs with the same shape have identical unbound
+/// The canonical shape of an STwig: root label plus sorted child labels.
+/// Two planned STwigs with the same shape have identical unbound
 /// exploration output up to the column names (see the module docs).
-///
-/// Every exploration prunes roots on their signatures whatever the setting,
-/// so the tables, counters and traffic of one shape are equal under both;
-/// the `pruned` bit only keeps the two planner configurations apart. It
-/// stays while `benchmark/src/layers.rs` builds shapes with it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StwigShape {
     root_label: LabelId,
     /// Child labels, sorted ascending.
     child_labels: Vec<LabelId>,
-    /// Whether the label-pair-aware planner was on.
-    pruned: bool,
 }
 
 impl StwigShape {
-    /// The canonical shape of `stwig` within `query`, under the given
-    /// planner setting (`MatchConfig::pruning`).
-    pub fn of(query: &QueryGraph, stwig: &STwig, pruned: bool) -> StwigShape {
+    /// The canonical shape of `stwig` within `query`. The third argument is
+    /// ignored: a shim for the frozen benchmark, which passes
+    /// `MatchConfig::pruning`; ROADMAP item 1 deletes it.
+    pub fn of(query: &QueryGraph, stwig: &STwig, _: bool) -> StwigShape {
         let (root_label, mut child_labels) = stwig.labels(query);
         child_labels.sort_unstable();
         StwigShape {
             root_label,
             child_labels,
-            pruned,
         }
     }
 
     /// Payload bytes attributed to the key itself.
     fn key_bytes(&self) -> usize {
-        std::mem::size_of::<LabelId>() * (1 + self.child_labels.len()) + 1
+        std::mem::size_of::<LabelId>() * (1 + self.child_labels.len())
     }
 }
 
@@ -407,18 +399,16 @@ impl<'a> RkMemo<'a> {
 }
 
 /// A plan memo's key: the query as submitted — vertex labels and edge list,
-/// in the order given — and the config fields planning and join-order
-/// selection read.
+/// in the order given — and the config fields join-order selection reads.
 struct PlanKey {
     labels: Vec<LabelId>,
     edges: Vec<(QVid, QVid)>,
     knobs: PlanKnobs,
 }
 
-/// The fields of a [`MatchConfig`] a plan or a join order depends on.
+/// The fields of a [`MatchConfig`] a join order depends on.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct PlanKnobs {
-    pruning: bool,
     optimize_join_order: bool,
     join_sample_size: usize,
 }
@@ -426,7 +416,6 @@ struct PlanKnobs {
 impl PlanKnobs {
     fn of(config: &MatchConfig) -> Self {
         PlanKnobs {
-            pruning: config.pruning,
             optimize_join_order: config.optimize_join_order,
             join_sample_size: config.join_sample_size,
         }
@@ -1054,11 +1043,9 @@ impl<'c> StwigCache<'c> {
         core.plan_misses.fetch_add(1, Ordering::Relaxed);
         let plan = plan()?;
         let orders = match earlier {
-            // The same STwigs and no priors: an order is a function of the
-            // tables its key names, whatever the epoch.
-            Some(earlier) if !config.pruning && earlier.plan.stwigs == plan.stwigs => {
-                Arc::clone(&earlier.orders)
-            }
+            // The same STwigs: an order is a function of the tables its key
+            // names, whatever the epoch.
+            Some(earlier) if earlier.plan.stwigs == plan.stwigs => Arc::clone(&earlier.orders),
             _ => (0..self.num_machines).map(|_| Mutex::default()).collect(),
         };
         let memo = Arc::new(PlanMemo {
@@ -1237,11 +1224,11 @@ mod tests {
     use crate::config::{ResultMode, TransportMode};
     use crate::decompose::{decompose_ordered, UniformStats};
     use crate::distributed::{
-        assemble_rk_tables, match_query_distributed_with_cache, plan_query_with_config,
-        produce_stwig_tables, stwig_join_priors, Link,
+        assemble_rk_tables, match_query_distributed_with_cache, plan_query, produce_stwig_tables,
+        Link,
     };
     use crate::engine::{EngineConfig, QueryEngine};
-    use crate::join::select_join_order_with_priors;
+    use crate::join::select_join_order;
     use crate::metrics::{MachineMetrics, QueryMetrics};
     use crate::query::QVid;
     use crate::serve::QueryRequest;
@@ -1315,22 +1302,6 @@ mod tests {
         assert!(shape.child_labels.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(shape.root_label, query.label(planned.root));
         assert_eq!(shape, StwigShape::of(&query, &planned, false));
-    }
-
-    #[test]
-    fn pruned_and_unpruned_shapes_never_alias() {
-        let (query, stwig) = unsorted_query();
-        let unpruned = StwigShape::of(&query, &stwig, false);
-        let pruned = StwigShape::of(&query, &stwig, true);
-        assert_ne!(unpruned, pruned);
-        let cloud = small_cloud();
-        let cache = StwigCache::new(&cloud, CacheConfig::default());
-        let t = table(&[0, 1, 2], &[&[1, 2, 3]]);
-        cache.insert(unpruned, shared([t.clone(), t]), &cloud);
-        assert!(
-            matches!(cache.lookup(&pruned, &cloud), CacheLookup::Miss),
-            "a table populated with the planner half off must not serve it on"
-        );
     }
 
     #[test]
@@ -1436,7 +1407,6 @@ mod tests {
             let shape = StwigShape {
                 root_label: LabelId(i),
                 child_labels: vec![LabelId(i + 100)],
-                pruned: false,
             };
             let rows: Vec<Vec<u64>> = (0..10u64).map(|r| vec![r, r + 1]).collect();
             let refs: Vec<&[u64]> = rows.iter().map(|r| r.as_slice()).collect();
@@ -1463,7 +1433,6 @@ mod tests {
         let shape = StwigShape {
             root_label: LabelId(i),
             child_labels: vec![LabelId(i + 100)],
-            pruned: false,
         };
         let rows: Vec<Vec<u64>> = (0..10u64).map(|r| vec![r / 2, r]).collect();
         let refs: Vec<&[u64]> = rows.iter().map(|r| r.as_slice()).collect();
@@ -1994,52 +1963,45 @@ mod tests {
     fn memoized_orders_equal_a_fresh_selection_on_every_machine() {
         let cloud = Mirror::chains().build(3);
         for labels in [["d", "e", "f", "g"], ["g", "f", "e", "d"]] {
-            for pruning in [false, true] {
-                let query = path(&cloud, labels);
-                let config = direct().with_pruning(pruning);
-                let cache = StwigCache::new(&cloud, CacheConfig::default());
-                match_query_distributed_with_cache(&cloud, &query, &config, Some(&cache)).unwrap();
-                let memo =
-                    (cache.plan(&query, &config, &cloud, || unreachable!("memoized"))).unwrap();
-                let plan = memo.plan();
-                assert!(plan.stwigs.len() > 1, "a join to order");
-                let mut metrics = QueryMetrics::default();
-                let mut machines: Vec<MachineMetrics> = (0..cloud.num_machines())
-                    .map(|_| MachineMetrics::default())
-                    .collect();
-                let cached = Some(&cache);
-                let tables = (produce_stwig_tables(
-                    &cloud,
-                    &query,
-                    plan,
-                    &config,
-                    cached,
-                    None,
-                    &mut metrics,
-                    &mut machines,
-                ))
-                .unwrap()
-                .expect("an answer");
-                let priors = stwig_join_priors(&cloud, &query, &plan.stwigs, &config);
-                let mut checked = 0;
-                // Load sets fetched in place, as `DirectRead` does.
-                let in_place =
-                    MatchConfig::default().with_transport_mode(TransportMode::DirectRead);
-                let link = Link::new(&cloud, cloud.network(), &in_place);
-                for k in 0..cloud.num_machines() {
-                    let rk = assemble_rk_tables(plan, &tables, &link, k).unwrap();
-                    if rk.tables[plan.head.head_index].is_empty() {
-                        continue; // the machine never joined
-                    }
-                    let sample = config.join_sample_size;
-                    let fresh =
-                        select_join_order_with_priors(&rk.tables, sample, priors.as_deref());
-                    let memoized = memo.join_order(k, &rk.memos, || unreachable!("memoized"));
-                    assert_eq!(memoized.as_deref(), Some(&fresh[..]), "machine {k}");
-                    checked += 1;
+            let query = path(&cloud, labels);
+            let config = direct();
+            let cache = StwigCache::new(&cloud, CacheConfig::default());
+            match_query_distributed_with_cache(&cloud, &query, &config, Some(&cache)).unwrap();
+            let memo = (cache.plan(&query, &config, &cloud, || unreachable!("memoized"))).unwrap();
+            let plan = memo.plan();
+            assert!(plan.stwigs.len() > 1, "a join to order");
+            let mut metrics = QueryMetrics::default();
+            let mut machines: Vec<MachineMetrics> = (0..cloud.num_machines())
+                .map(|_| MachineMetrics::default())
+                .collect();
+            let cached = Some(&cache);
+            let tables = (produce_stwig_tables(
+                &cloud,
+                &query,
+                plan,
+                &config,
+                cached,
+                None,
+                &mut metrics,
+                &mut machines,
+            ))
+            .unwrap()
+            .expect("an answer");
+            let mut checked = 0;
+            // Load sets fetched in place, as `DirectRead` does.
+            let in_place = MatchConfig::default().with_transport_mode(TransportMode::DirectRead);
+            let link = Link::new(&cloud, cloud.network(), &in_place);
+            for k in 0..cloud.num_machines() {
+                let rk = assemble_rk_tables(plan, &tables, &link, k).unwrap();
+                if rk.tables[plan.head.head_index].is_empty() {
+                    continue; // the machine never joined
                 }
-                assert!(checked > 1, "{labels:?}, pruning = {pruning}");
+                let fresh = select_join_order(&rk.tables, config.join_sample_size);
+                let memoized = memo.join_order(k, &rk.memos, || unreachable!("memoized"));
+                assert_eq!(memoized.as_deref(), Some(&fresh[..]), "machine {k}");
+                checked += 1;
             }
+            assert!(checked > 1, "{labels:?}");
         }
     }
 
@@ -2104,9 +2066,9 @@ mod tests {
         let base = epochs.base_cloud();
         let churned = path(base, ["d", "e", "f", "g"]);
         let quiet = path(base, ["p", "r", "s", "t"]);
-        // Pruning off: no label-pair priors feed an order, so a re-plan with
-        // the same STwigs keeps the orders.
-        let config = direct().with_pruning(false);
+        // An order is a function of its tables, so a re-plan with the same
+        // STwigs keeps the orders.
+        let config = direct();
         let cache = StwigCache::new(base, CacheConfig::default());
         let ask = |query: &QueryGraph, mirror: &Mirror| {
             let out =
@@ -2146,19 +2108,14 @@ mod tests {
     fn configs_that_plan_or_order_differently_never_share_a_memo() {
         let cloud = Mirror::chains().build(2);
         let query = path(&cloud, ["d", "e", "f", "g"]);
-        let sampled = |pruning: bool, join_sample_size: usize| MatchConfig {
+        let sampled = |join_sample_size: usize| MatchConfig {
             join_sample_size,
-            ..direct().with_pruning(pruning)
+            ..direct()
         };
-        let configs = [
-            sampled(false, 64),
-            sampled(true, 64),
-            sampled(false, 3),
-            sampled(false, 5),
-        ];
+        let configs = [sampled(64), sampled(3), sampled(5)];
         let cache = StwigCache::new(&cloud, CacheConfig::default());
         let plan = |config: &MatchConfig| {
-            let make = || plan_query_with_config(&cloud, &query, config);
+            let make = || plan_query(&cloud, &query);
             cache.plan(&query, config, &cloud, make).unwrap()
         };
         let memos: Vec<_> = configs.iter().map(plan).collect();
@@ -2168,7 +2125,7 @@ mod tests {
                 assert!(!Arc::ptr_eq(memo, other), "config {i} shares a memo");
             }
         }
-        assert_eq!(memo_counts(&cache.stats())[..2], [4, 4]);
+        assert_eq!(memo_counts(&cache.stats())[..2], [3, 3]);
         // Fields neither planning nor ordering reads share the memo.
         let streamed = MatchConfig {
             block_rows: 3,
@@ -2195,7 +2152,7 @@ mod tests {
         let config = MatchConfig::default();
         let (query, _) = star_query(["b", "c"]);
         let plan = |cache: &StwigCache| {
-            let make = || plan_query_with_config(&cloud, &query, &config);
+            let make = || plan_query(&cloud, &query);
             cache.plan(&query, &config, &cloud, make).unwrap()
         };
         let (shape_a, tables_a, _) = keyed_entry(0);

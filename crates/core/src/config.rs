@@ -226,12 +226,10 @@ pub struct MatchConfig {
     /// `trinity_sim::fault::FaultyTransport` (default `None`). Only
     /// effective in [`TransportMode::Messages`].
     pub fault_plan: Option<FaultPlan>,
-    /// Whether the planner uses the label-pair statistics built next to the
-    /// neighborhood signatures: label-pair-aware decomposition
-    /// (`PairAwareStats`) and join-order priors. It also keys the STwig cache
-    /// and the plan memo. Exploration does not read it: every exploration
-    /// prunes roots on their signatures (`trinity_sim::neighbor_index`),
-    /// which is sound, so no answer depends on it. Off by default.
+    /// Read by nothing: the planner is always the paper's f-value
+    /// decomposition, and every exploration prunes roots on their
+    /// neighborhood signatures. A shim for the frozen benchmark, which sets
+    /// it; ROADMAP item 1 deletes it.
     pub pruning: bool,
 }
 
@@ -356,14 +354,6 @@ impl MatchConfig {
         self
     }
 
-    /// Enables or disables the label-pair-aware planner (see
-    /// [`MatchConfig::pruning`]); the signature root prune stays on either
-    /// way.
-    pub fn with_pruning(mut self, on: bool) -> Self {
-        self.pruning = on;
-        self
-    }
-
     /// The worker-thread count this configuration resolves to on the current
     /// host.
     pub fn resolved_num_threads(&self) -> usize {
@@ -387,6 +377,7 @@ mod tests {
         assert_eq!(c.result_mode, ResultMode::All);
         assert!(c.use_bindings);
         assert!(c.optimize_join_order);
+        assert_eq!(c.fault_plan, None);
     }
 
     #[test]
@@ -466,15 +457,6 @@ mod tests {
         assert_eq!(c.fault_plan, Some(FaultPlan::lossy(3)));
         assert_eq!(c.retry.max_attempts, 1);
         assert_eq!(FailurePolicy::default(), FailurePolicy::Fail);
-    }
-
-    #[test]
-    fn pruning_knob() {
-        assert!(!MatchConfig::default().pruning);
-        assert_eq!(MatchConfig::default().fault_plan, None);
-        let on = MatchConfig::default().with_pruning(true);
-        assert!(on.pruning);
-        assert!(!on.with_pruning(false).pruning);
     }
 
     #[test]

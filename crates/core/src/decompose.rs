@@ -25,38 +25,11 @@ use trinity_sim::MemoryCloud;
 pub trait LabelStatistics {
     /// Number of data vertices carrying `label`.
     fn frequency(&self, label: LabelId) -> u64;
-
-    /// Number of data edges whose endpoint labels are `{a, b}` (unordered),
-    /// when the statistics source tracks label-pair counts. `None` (the
-    /// default) leaves edge scoring purely frequency-driven, which keeps the
-    /// statistics-free paper behaviour intact for sources without pair
-    /// tables.
-    fn pair_count(&self, _a: LabelId, _b: LabelId) -> Option<u64> {
-        None
-    }
 }
 
 impl LabelStatistics for MemoryCloud {
     fn frequency(&self, label: LabelId) -> u64 {
         self.label_frequency(label)
-    }
-}
-
-/// Pair-selectivity-aware statistics over a [`MemoryCloud`]: label
-/// frequencies as usual, plus the partition-level label-pair tables built by
-/// the pruning index tier. Selected when [`crate::config::MatchConfig`]'s
-/// `pruning` knob is on; clouds built without neighbor-label indexes report
-/// an empty pair table and fall back to frequency-only scoring.
-#[derive(Debug, Clone, Copy)]
-pub struct PairAwareStats<'c>(pub &'c MemoryCloud);
-
-impl LabelStatistics for PairAwareStats<'_> {
-    fn frequency(&self, label: LabelId) -> u64 {
-        self.0.label_frequency(label)
-    }
-
-    fn pair_count(&self, a: LabelId, b: LabelId) -> Option<u64> {
-        (self.0.label_pair_total() > 0).then(|| self.0.label_pair_count(a, b))
     }
 }
 
@@ -191,14 +164,8 @@ fn ordered_cover<S: LabelStatistics>(
         let (&(a, b), _) = candidate_edges
             .iter()
             .map(|e| {
-                let mut score =
+                let score =
                     f_value(query, &residual, stats, e.0) + f_value(query, &residual, stats, e.1);
-                if let Some(pc) = stats.pair_count(query.label(e.0), query.label(e.1)) {
-                    // Rarer label pairs are more selective starting points:
-                    // damp the score of common pairs. Monotone in the pair
-                    // count and never zero, so ties still break on f-values.
-                    score /= 1.0 + (pc as f64).ln_1p();
-                }
                 (e, score)
             })
             .fold(None::<(&(QVid, QVid), f64)>, |best, (e, s)| match best {
@@ -469,66 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_selectivity_steers_the_first_root() {
-        // Triangle x(l0)-y(l1)-z(l2): uniform frequencies and equal degrees
-        // make every edge score 4.0, so the sorted-order tie-break roots the
-        // cover at x. Pair statistics marking {l1, l2} rare and the other
-        // pairs common must redirect the first root to that edge.
-        struct PairStats;
-        impl LabelStatistics for PairStats {
-            fn frequency(&self, _label: LabelId) -> u64 {
-                1
-            }
-            fn pair_count(&self, a: LabelId, b: LabelId) -> Option<u64> {
-                let key = (a.0.min(b.0), a.0.max(b.0));
-                Some(if key == (1, 2) { 0 } else { 1_000 })
-            }
-        }
-        let triangle = || {
-            let mut b = QueryGraph::builder();
-            let x = b.vertex(l(0));
-            let y = b.vertex(l(1));
-            let z = b.vertex(l(2));
-            b.edge(x, y).edge(y, z).edge(z, x);
-            (b.build().unwrap(), x, y)
-        };
-        let (q, x, _) = triangle();
-        let plain = decompose_ordered(&q, &UniformStats).unwrap();
-        validate_cover(&q, &plain).unwrap();
-        assert_eq!(plain[0].root, x);
-        let (q, x, y) = triangle();
-        let pair_aware = decompose_ordered(&q, &PairStats).unwrap();
-        validate_cover(&q, &pair_aware).unwrap();
-        assert_ne!(pair_aware[0].root, x, "rare pair {{l1,l2}} must win");
-        assert_eq!(pair_aware[0].root, y);
-        let _ = y;
-    }
-
-    #[test]
-    fn pair_aware_stats_read_cloud_pair_tables() {
-        use trinity_sim::builder::GraphBuilder;
-        use trinity_sim::ids::VertexId;
-        use trinity_sim::network::CostModel;
-        let mut gb = GraphBuilder::new_undirected();
-        gb.add_vertex(VertexId(0), "a");
-        gb.add_vertex(VertexId(1), "b");
-        gb.add_vertex(VertexId(2), "b");
-        gb.add_edge(VertexId(0), VertexId(1));
-        gb.add_edge(VertexId(0), VertexId(2));
-        let cloud = gb.build(2, CostModel::free());
-        let stats = PairAwareStats(&cloud);
-        assert_eq!(stats.frequency(l(1)), 2);
-        // Each undirected edge is recorded from both endpoints, so the two
-        // a-b edges yield an incidence count of 4. The uniform 2x scaling is
-        // harmless for relative selectivity.
-        assert_eq!(stats.pair_count(l(0), l(1)), Some(4));
-        assert_eq!(stats.pair_count(l(1), l(0)), Some(4), "unordered lookup");
-        assert_eq!(stats.pair_count(l(0), l(0)), Some(0));
-        // The plain MemoryCloud impl keeps the default: pair-blind.
-        assert_eq!(LabelStatistics::pair_count(&cloud, l(0), l(1)), None);
-    }
-
-    #[test]
     fn random_decomposition_is_a_valid_cover() {
         let (q, _) = fig6_query();
         for seed in 0..20 {
@@ -569,9 +476,6 @@ mod tests {
         impl LabelStatistics for SkewStats {
             fn frequency(&self, label: LabelId) -> u64 {
                 1 + 7 * u64::from(label.0)
-            }
-            fn pair_count(&self, a: LabelId, b: LabelId) -> Option<u64> {
-                Some(u64::from(a.0 * b.0))
             }
         }
         let mut rng = rand::rngs::SmallRng::seed_from_u64(0xC0FFEE);

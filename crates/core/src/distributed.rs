@@ -96,7 +96,7 @@ use crate::cache::{
     StwigCache, StwigShape,
 };
 use crate::config::{FailurePolicy, MatchConfig, TransportMode};
-use crate::decompose::{decompose_ordered, PairAwareStats};
+use crate::decompose::decompose_ordered;
 use crate::error::StwigError;
 use crate::hash::VertexSet;
 use crate::head::{load_set, select_head, HeadSelection};
@@ -112,7 +112,7 @@ use crate::stream::{Interrupt, QueryControl, QueryOptions, ResultSink};
 use crate::stwig::STwig;
 use crate::table::ResultTable;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 use trinity_sim::cluster_graph::ClusterGraph;
 use trinity_sim::fault::FaultyTransport;
@@ -340,28 +340,11 @@ pub struct QueryPlan {
     pub head: HeadSelection,
 }
 
-/// Builds the query plan: decomposition + ordering, cluster graph, head
-/// STwig and the data needed for load sets. Statistics-wise this is the
-/// frequency-only paper behaviour; [`plan_query_with_config`] upgrades to
-/// label-pair-aware decomposition when pruning is enabled.
+/// Builds the query plan: decomposition + ordering by f-values
+/// (`deg(v) / freq(label(v))`, Algorithm 2), cluster graph, head STwig and
+/// the data needed for load sets.
 pub fn plan_query(cloud: &MemoryCloud, query: &QueryGraph) -> Result<QueryPlan, StwigError> {
-    plan_query_with_config(cloud, query, &MatchConfig::default())
-}
-
-/// [`plan_query`] with the config in hand: when `config.pruning` is on, the
-/// decomposition scores edges with the partition-level label-pair tables
-/// ([`PairAwareStats`]) built alongside the neighbor signatures, so rare
-/// label pairs anchor the STwig cover.
-pub fn plan_query_with_config(
-    cloud: &MemoryCloud,
-    query: &QueryGraph,
-    config: &MatchConfig,
-) -> Result<QueryPlan, StwigError> {
-    let stwigs = if config.pruning {
-        decompose_ordered(query, &PairAwareStats(cloud))?
-    } else {
-        decompose_ordered(query, cloud)?
-    };
+    let stwigs = decompose_ordered(query, cloud)?;
     let cluster = ClusterGraph::build(cloud.catalog(), &query.label_edges());
     if stwigs.is_empty() {
         return Err(StwigError::Internal(
@@ -374,6 +357,16 @@ pub fn plan_query_with_config(
         cluster,
         head,
     })
+}
+
+/// [`plan_query`]; the config plans nothing. A shim kept for the frozen
+/// benchmark, which calls it: ROADMAP item 1 deletes it.
+pub fn plan_query_with_config(
+    cloud: &MemoryCloud,
+    query: &QueryGraph,
+    _config: &MatchConfig,
+) -> Result<QueryPlan, StwigError> {
+    plan_query(cloud, query)
 }
 
 /// The output of a query execution: the embeddings and the metrics collected
@@ -980,7 +973,7 @@ fn explore_via_cache(
         (config.max_stwig_rows).is_none_or(|cap| entry.iter().all(|t| t.num_rows() <= cap))
     };
     let num_machines = cloud.num_machines();
-    let shape = StwigShape::of(query, stwig, config.pruning);
+    let shape = StwigShape::of(query, stwig, false);
     // On a repair: the resident tables and, per machine, the touched roots
     // it owns (ascending, like the log's answer).
     let stale = match cache.lookup(&shape, cloud) {
@@ -1127,42 +1120,6 @@ fn collect_explore_results(
         .collect()
 }
 
-/// Per-STwig label-pair selectivity priors for the join-order cost model:
-/// the product, over an STwig's edges, of the smoothed fraction of data-edge
-/// incidences carrying that label pair. Smaller means "rarer pair, joins
-/// will filter harder", pulling that table earlier in the join order. Only
-/// available when pruning is on and the cloud was built with pair tables;
-/// `None` falls back to the sampled-only estimator.
-pub(crate) fn stwig_join_priors(
-    cloud: &MemoryCloud,
-    query: &QueryGraph,
-    stwigs: &[STwig],
-    config: &MatchConfig,
-) -> Option<Vec<f64>> {
-    if !config.pruning {
-        return None;
-    }
-    let total = cloud.label_pair_total();
-    if total == 0 {
-        return None;
-    }
-    Some(
-        stwigs
-            .iter()
-            .map(|s| {
-                let root_label = query.label(s.root);
-                s.children
-                    .iter()
-                    .map(|&c| {
-                        (cloud.label_pair_count(root_label, query.label(c)) + 1) as f64
-                            / (total + 1) as f64
-                    })
-                    .product()
-            })
-            .collect(),
-    )
-}
-
 /// Phase 2 of the distributed execution on its own: the executor's one join
 /// pass ([`join_pass`]) over already-explored `tables`, into a table in
 /// canonical column order. Each machine fetches its load-set tables
@@ -1189,7 +1146,6 @@ pub fn join_stwig_tables(
     let ledger = Network::new(cloud.num_machines());
     let pass = join_pass(
         cloud,
-        query,
         plan,
         None,
         tables,
@@ -1556,12 +1512,10 @@ struct JoinPass {
 /// interrupt follows.
 ///
 /// `memo` is the cache's memo of `plan`: a machine whose R_k tables are all
-/// served takes its join order from it ([`PlanMemo::join_order`]), and only
-/// a machine that selects an order reads the label-pair priors.
+/// served takes its join order from it ([`PlanMemo::join_order`]).
 #[allow(clippy::too_many_arguments)]
 fn join_pass(
     cloud: &MemoryCloud,
-    query: &QueryGraph,
     plan: &QueryPlan,
     memo: Option<&PlanMemo>,
     tables: &StwigTableSet,
@@ -1581,12 +1535,6 @@ fn join_pass(
         cloud.num_machines(),
         "join_pass needs one MachineMetrics per machine"
     );
-    let priors = OnceLock::new();
-    let priors = || {
-        priors
-            .get_or_init(|| stwig_join_priors(cloud, query, &plan.stwigs, config))
-            .as_deref()
-    };
     // A single table or the given order leaves nothing to select.
     let memo = memo.filter(|_| config.optimize_join_order && plan.stwigs.len() > 1);
     let link = Link::new(cloud, ledger, config);
@@ -1614,7 +1562,7 @@ fn join_pass(
         // A machine with no head-STwig results contributes nothing (§5.3),
         // and nothing is all there was to enumerate.
         let exhausted = rk.tables[plan.head.head_index].is_empty() || {
-            let select = || join_order(&rk.tables, config, priors());
+            let select = || join_order(&rk.tables, config);
             let (memoized, selected);
             let order: &[usize] = match memo.and_then(|m| m.join_order(ki, &rk.memos, select)) {
                 Some(order) => {
@@ -1855,7 +1803,7 @@ fn explore_and_join(
     state: &mut StreamState<'_>,
 ) -> Result<bool, StwigError> {
     check_cache(cloud, cache)?;
-    let make_plan = || plan_query_with_config(cloud, query, config);
+    let make_plan = || plan_query(cloud, query);
     let memo = (cache.map(|cache| cache.plan(query, config, cloud, make_plan))).transpose()?;
     let fresh;
     let plan = match &memo {
@@ -1934,7 +1882,6 @@ fn explore_and_join(
             let remaining = limit.map(|l| (l as u64).saturating_sub(state.streamed) as usize);
             let pass = join_pass(
                 cloud,
-                query,
                 plan,
                 memo.as_deref(),
                 &tables,
@@ -1958,7 +1905,6 @@ fn explore_and_join(
         let mut staging = StreamState::begin(None, canonical, state.started);
         let pass = join_pass(
             cloud,
-            query,
             plan,
             memo.as_deref(),
             &tables,
@@ -2534,14 +2480,10 @@ mod tests {
         let [a, b, c, d] = ["a", "b", "c", "d"].map(|l| qb.vertex_by_name(&cloud, l).unwrap());
         qb.edge(a, b).edge(b, c).edge(c, d);
         let query = qb.build().unwrap();
-        // (Pair-aware planning would see that no c – d edge exists and start
-        // with the empty STwig: frequency-only planning, whatever the
-        // environment's default.)
         let config = MatchConfig::default()
             .with_num_threads(Some(1))
-            .with_pruning(false)
             .with_result_mode(ResultMode::FirstK(1));
-        let plan = plan_query_with_config(&cloud, &query, &config).unwrap();
+        let plan = plan_query(&cloud, &query).unwrap();
         assert_eq!((plan.stwigs[0].root, plan.stwigs[1].root), (b, c));
         // Without a cache the full slab of the first STwig could have hidden
         // the rows that join: exploration must grow it once to be sure.
@@ -2584,62 +2526,50 @@ mod tests {
         for machines in 1usize..=4 {
             let cloud = sample_cloud(machines);
             for mode in [TransportMode::DirectRead, TransportMode::Messages] {
-                for pruning in [false, true] {
-                    let config = MatchConfig::default()
-                        .with_transport_mode(mode)
-                        .with_pruning(pruning);
-                    let ctx = format!("machines = {machines}, {mode:?}, pruning = {pruning}");
-                    // The star is one STwig (a; b, c); numbering "c" before
-                    // "b" reverses its children against the id order.
-                    let forward = abc_query(&cloud, ["a", "b", "c"], false);
-                    let reversed = abc_query(&cloud, ["a", "c", "b"], false);
-                    let cache = StwigCache::new(&cloud, CacheConfig::default());
-                    let mut outputs = Vec::new();
-                    for query in [&forward, &reversed, &forward] {
-                        let plain = match_query_distributed(&cloud, query, &config).unwrap();
-                        let cached = match_query_distributed_with_cache(
-                            &cloud,
-                            query,
-                            &config,
-                            Some(&cache),
-                        )
-                        .unwrap();
-                        assert_eq!(plain.table, cached.table, "{ctx}");
-                        outputs.push(cached.table);
-                    }
-                    let stats = cache.stats();
-                    assert_eq!(
-                        (stats.misses, stats.insertions, stats.entries, stats.hits),
-                        (1, 1, 1, 2),
-                        "one populate serves both numberings ({ctx})"
-                    );
-                    // Columns are canonical for both numberings; the rows
-                    // are equal once "c" and "b" swap back.
-                    assert_eq!(outputs[0].columns(), &[QVid(0), QVid(1), QVid(2)]);
-                    assert_eq!(outputs[1].columns(), &[QVid(0), QVid(1), QVid(2)]);
-                    let swapped = outputs[1].rows().map(|r| [r[0], r[2], r[1]]);
-                    assert!(outputs[0].rows().eq(swapped), "{ctx}");
-
-                    // The triangle's STwigs bind each other: the renumbered
-                    // twin is served from the first one's entries through
-                    // the binding-filtered derivation.
-                    let forward = abc_query(&cloud, ["a", "b", "c"], true);
-                    let reversed = abc_query(&cloud, ["c", "b", "a"], true);
-                    let cache = StwigCache::new(&cloud, CacheConfig::default());
-                    for query in [&forward, &reversed] {
-                        let plain = match_query_distributed(&cloud, query, &config).unwrap();
-                        let cached = match_query_distributed_with_cache(
-                            &cloud,
-                            query,
-                            &config,
-                            Some(&cache),
-                        )
-                        .unwrap();
-                        assert_eq!(plain.table, cached.table, "{ctx}");
-                        assert_eq!(plain.metrics.stwig_rows, cached.metrics.stwig_rows);
-                    }
-                    assert!(cache.stats().hits > 0, "{ctx}");
+                let config = MatchConfig::default().with_transport_mode(mode);
+                let ctx = format!("machines = {machines}, {mode:?}");
+                // The star is one STwig (a; b, c); numbering "c" before
+                // "b" reverses its children against the id order.
+                let forward = abc_query(&cloud, ["a", "b", "c"], false);
+                let reversed = abc_query(&cloud, ["a", "c", "b"], false);
+                let cache = StwigCache::new(&cloud, CacheConfig::default());
+                let mut outputs = Vec::new();
+                for query in [&forward, &reversed, &forward] {
+                    let plain = match_query_distributed(&cloud, query, &config).unwrap();
+                    let cached =
+                        match_query_distributed_with_cache(&cloud, query, &config, Some(&cache))
+                            .unwrap();
+                    assert_eq!(plain.table, cached.table, "{ctx}");
+                    outputs.push(cached.table);
                 }
+                let stats = cache.stats();
+                assert_eq!(
+                    (stats.misses, stats.insertions, stats.entries, stats.hits),
+                    (1, 1, 1, 2),
+                    "one populate serves both numberings ({ctx})"
+                );
+                // Columns are canonical for both numberings; the rows
+                // are equal once "c" and "b" swap back.
+                assert_eq!(outputs[0].columns(), &[QVid(0), QVid(1), QVid(2)]);
+                assert_eq!(outputs[1].columns(), &[QVid(0), QVid(1), QVid(2)]);
+                let swapped = outputs[1].rows().map(|r| [r[0], r[2], r[1]]);
+                assert!(outputs[0].rows().eq(swapped), "{ctx}");
+
+                // The triangle's STwigs bind each other: the renumbered
+                // twin is served from the first one's entries through
+                // the binding-filtered derivation.
+                let forward = abc_query(&cloud, ["a", "b", "c"], true);
+                let reversed = abc_query(&cloud, ["c", "b", "a"], true);
+                let cache = StwigCache::new(&cloud, CacheConfig::default());
+                for query in [&forward, &reversed] {
+                    let plain = match_query_distributed(&cloud, query, &config).unwrap();
+                    let cached =
+                        match_query_distributed_with_cache(&cloud, query, &config, Some(&cache))
+                            .unwrap();
+                    assert_eq!(plain.table, cached.table, "{ctx}");
+                    assert_eq!(plain.metrics.stwig_rows, cached.metrics.stwig_rows);
+                }
+                assert!(cache.stats().hits > 0, "{ctx}");
             }
         }
     }
@@ -2653,9 +2583,7 @@ mod tests {
             // the label order the planner would use.
             let query = abc_query(&cloud, ["a", "c", "b"], false);
             let config = MatchConfig::default().with_num_threads(Some(1));
-            let planned = plan_query_with_config(&cloud, &query, &config)
-                .unwrap()
-                .stwigs;
+            let planned = plan_query(&cloud, &query).unwrap().stwigs;
             assert_eq!(
                 planned,
                 [STwig {
@@ -2747,13 +2675,12 @@ mod tests {
         cache: &StwigCache,
         cloud: &MemoryCloud,
         query: &QueryGraph,
-        config: &MatchConfig,
     ) -> Vec<(StwigShape, Option<crate::cache::CachedTables>)> {
-        let plan = plan_query_with_config(cloud, query, config).unwrap();
+        let plan = plan_query(cloud, query).unwrap();
         plan.stwigs
             .iter()
             .map(|stwig| {
-                let shape = StwigShape::of(query, stwig, config.pruning);
+                let shape = StwigShape::of(query, stwig, false);
                 let tables = match cache.lookup(&shape, cloud) {
                     CacheLookup::Hit(tables) => Some(tables),
                     _ => None,
@@ -2774,7 +2701,7 @@ mod tests {
         let warm = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
         let snap0 = epochs.pin();
         match_query_distributed_with_cache(&snap0, &query, &config, Some(&warm)).unwrap();
-        let before = resident(&warm, &snap0, &query, &config);
+        let before = resident(&warm, &snap0, &query);
 
         // One new a–b edge touches roots on at most two machines; then the
         // big batch touches every pair on every machine.
@@ -2791,10 +2718,10 @@ mod tests {
             assert!(warm.stats().repairs > repairs, "step {step} touched a pair");
             assert_eq!(warm.stats().stale_evictions, 0);
             assert_eq!(repaired.table, populated.table);
-            let after = resident(&warm, &snap, &query, &config);
+            let after = resident(&warm, &snap, &query);
             assert_eq!(
                 after,
-                resident(&cold, &snap, &query, &config),
+                resident(&cold, &snap, &query),
                 "repaired tables diverged from a cold populate (step {step})"
             );
             // A repair explores a subset of what a populate explores.
@@ -2834,7 +2761,7 @@ mod tests {
         // and by nothing at epoch 0.
         let probe = StwigCache::new(&snap0, CacheConfig::default());
         match_query_distributed_with_cache(&snap0, &query, &config, Some(&probe)).unwrap();
-        let cap = resident(&probe, &snap0, &query, &config)
+        let cap = resident(&probe, &snap0, &query)
             .iter()
             .flat_map(|(_, tables)| tables.as_ref().unwrap().iter())
             .map(|t| t.num_rows())
@@ -2854,7 +2781,7 @@ mod tests {
         let out = match_query_distributed_with_cache(&snap, &query, &config, Some(&cache)).unwrap();
         assert_eq!(out.table, plain.table);
         assert!(cache.stats().repairs > 0);
-        let tombstoned = resident(&cache, &snap, &query, &config)
+        let tombstoned = resident(&cache, &snap, &query)
             .iter()
             .filter(|(_, tables)| tables.is_none())
             .count();
@@ -2872,9 +2799,9 @@ mod tests {
         match_query_distributed_with_cache(&epochs.pin(), &query, &config, Some(&cache)).unwrap();
         epochs.apply(&batch).unwrap();
         let snap = epochs.pin();
-        let plan = plan_query_with_config(&snap, &query, &config).unwrap();
+        let plan = plan_query(&snap, &query).unwrap();
         let stwig = &plan.stwigs[0];
-        let shape = StwigShape::of(&query, stwig, config.pruning);
+        let shape = StwigShape::of(&query, stwig, false);
         let cancel = CancelToken::new();
         cancel.cancel();
         let control = QueryControl::new(&QueryOptions::none().with_cancel(cancel), Instant::now());

@@ -545,45 +545,17 @@ where
 ///
 /// Returns a permutation of `0..tables.len()`.
 pub fn select_join_order(tables: &[ResultTable], sample_size: usize) -> Vec<usize> {
-    select_join_order_with_priors(tables, sample_size, None)
-}
-
-/// [`select_join_order`] biased by per-table selectivity priors.
-///
-/// `priors[i]` in `(0, 1]` is an a-priori shrink factor for table `i` —
-/// e.g. the label-pair selectivity of its STwig's edges — with smaller
-/// values meaning "rarer, will filter harder". Priors scale both the driver
-/// choice (effective size `rows * prior`) and each candidate's step
-/// estimate, so a rare-pair table is pulled earlier in the order even when
-/// its sampled row count ties a common one. `None` (or a missing entry)
-/// reproduces [`select_join_order`] exactly.
-pub fn select_join_order_with_priors(
-    tables: &[ResultTable],
-    sample_size: usize,
-    priors: Option<&[f64]>,
-) -> Vec<usize> {
     let n = tables.len();
     if n <= 1 {
         return (0..n).collect();
     }
-    let prior = |i: usize| -> f64 {
-        priors
-            .and_then(|p| p.get(i).copied())
-            .filter(|p| p.is_finite() && *p > 0.0)
-            .unwrap_or(1.0)
-    };
     let mut remaining: Vec<usize> = (0..n).collect();
-    // Start from the smallest effective table (stable sort: exact ties keep
-    // index order, matching the prior-free behaviour).
-    remaining.sort_by(|&a, &b| {
-        let ea = tables[a].num_rows() as f64 * prior(a);
-        let eb = tables[b].num_rows() as f64 * prior(b);
-        ea.total_cmp(&eb)
-    });
+    // Start from the smallest table (stable sort: ties keep index order).
+    remaining.sort_by_key(|&i| tables[i].num_rows());
     let first = remaining.remove(0);
     let mut order = vec![first];
     let mut joined_columns: Vec<QVid> = tables[first].columns().to_vec();
-    let mut current_size = tables[first].num_rows() as f64 * prior(first);
+    let mut current_size = tables[first].num_rows() as f64;
 
     // The last position is decided once one table remains: no estimate.
     while remaining.len() > 1 {
@@ -593,8 +565,7 @@ pub fn select_join_order_with_priors(
                 .columns()
                 .iter()
                 .any(|c| joined_columns.contains(c));
-            let est =
-                estimate_step(tables, &order, ti, current_size, shares, sample_size) * prior(ti);
+            let est = estimate_step(tables, &order, ti, current_size, shares, sample_size);
             let better = match best {
                 None => true,
                 Some((_, be, bshares)) => (shares && !bshares) || (shares == bshares && est < be),
@@ -1023,38 +994,6 @@ mod tests {
             "good = {}, bad = {}",
             c_good.intermediate_rows,
             c_bad.intermediate_rows
-        );
-    }
-
-    #[test]
-    fn priors_bias_the_driver_and_reproduce_default_when_absent() {
-        // Two same-size tables sharing column 1: without priors the stable
-        // sort keeps index order, so t0 drives. A strong prior on t1 (its
-        // STwig covers a rare label pair) must flip the driver.
-        let t0 = table(&[0, 1], &[&[1, 2], &[3, 4]]);
-        let t1 = table(&[1, 2], &[&[2, 5], &[4, 6]]);
-        let tables = vec![t0, t1];
-        assert_eq!(select_join_order(&tables, 16), vec![0, 1]);
-        assert_eq!(
-            select_join_order_with_priors(&tables, 16, None),
-            vec![0, 1],
-            "no priors must reproduce select_join_order"
-        );
-        assert_eq!(
-            select_join_order_with_priors(&tables, 16, Some(&[1.0, 1.0])),
-            vec![0, 1],
-            "unit priors must reproduce select_join_order"
-        );
-        assert_eq!(
-            select_join_order_with_priors(&tables, 16, Some(&[1.0, 0.1])),
-            vec![1, 0],
-            "a rare-pair prior must pull its table forward"
-        );
-        // Degenerate priors (zero, NaN) are ignored rather than poisoning
-        // the order.
-        assert_eq!(
-            select_join_order_with_priors(&tables, 16, Some(&[0.0, f64::NAN])),
-            vec![0, 1]
         );
     }
 

@@ -108,7 +108,7 @@ pub mod prelude {
     pub use crate::cache::{CacheConfig, CacheLookup, StwigCache, StwigShape};
     pub use crate::config::{FailurePolicy, MatchConfig, ResultMode, RetryPolicy, TransportMode};
     pub use crate::decompose::{
-        decompose_ordered, decompose_random, LabelStatistics, PairAwareStats, UniformStats,
+        decompose_ordered, decompose_random, LabelStatistics, UniformStats,
     };
     pub use crate::distributed::{
         join_stwig_tables, match_query_distributed, match_query_distributed_with_cache,

@@ -511,7 +511,7 @@ pub struct QueryMetrics {
     pub machines: Vec<MachineMetrics>,
     /// Resident bytes of the cloud the query ran against, broken down by
     /// storage component (adjacency / labels / id map / postings /
-    /// signatures / pair table). A property of the cloud, not the query —
+    /// signatures). A property of the cloud, not the query —
     /// attached here so experiment CSVs can report storage next to query
     /// cost without a second accounting path.
     pub storage: Option<StorageBytes>,

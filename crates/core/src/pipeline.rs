@@ -10,7 +10,7 @@
 
 use crate::cache::RkMemo;
 use crate::config::MatchConfig;
-use crate::join::{select_join_order_with_priors, PreparedJoin, ProbeChain};
+use crate::join::{select_join_order, PreparedJoin, ProbeChain};
 use crate::metrics::JoinCounters;
 use crate::query::QVid;
 use crate::stream::QueryControl;
@@ -82,25 +82,12 @@ pub fn pipelined_join(
     config: &MatchConfig,
     counters: &mut JoinCounters,
 ) -> ResultTable {
-    pipelined_join_with_priors(tables, config, None, counters)
-}
-
-/// [`pipelined_join`] with per-table selectivity priors forwarded to
-/// [`select_join_order_with_priors`] — the label-pair-aware cost-model entry
-/// point used when `MatchConfig::pruning` is on. `None` priors make this
-/// identical to [`pipelined_join`].
-pub fn pipelined_join_with_priors(
-    tables: &[ResultTable],
-    config: &MatchConfig,
-    priors: Option<&[f64]>,
-    counters: &mut JoinCounters,
-) -> ResultTable {
     let mut output = None;
     pipelined_join_streaming(
         tables,
         &[],
         config,
-        &join_order(tables, config, priors),
+        &join_order(tables, config),
         config.result_limit(),
         None,
         counters,
@@ -110,16 +97,11 @@ pub fn pipelined_join_with_priors(
 }
 
 /// The order [`pipelined_join`] joins `tables` in: the cost model's choice
-/// under optional per-table selectivity `priors`
-/// ([`select_join_order_with_priors`]), or the given table order when
+/// ([`select_join_order`]), or the given table order when
 /// `MatchConfig::optimize_join_order` is off.
-pub(crate) fn join_order(
-    tables: &[ResultTable],
-    config: &MatchConfig,
-    priors: Option<&[f64]>,
-) -> Vec<usize> {
+pub(crate) fn join_order(tables: &[ResultTable], config: &MatchConfig) -> Vec<usize> {
     if config.optimize_join_order {
-        select_join_order_with_priors(tables, config.join_sample_size, priors)
+        select_join_order(tables, config.join_sample_size)
     } else {
         (0..tables.len()).collect()
     }
@@ -376,7 +358,7 @@ mod tests {
             }
         }
         // Unlimited: everything flows through, driver exhausted.
-        let order = join_order(&tables, &cfg, None);
+        let order = join_order(&tables, &cfg);
         let mut sink = Count::default();
         let mut c = JoinCounters::default();
         let run =
@@ -447,7 +429,7 @@ mod tests {
             &tables,
             &[],
             &cfg,
-            &join_order(&tables, &cfg, None),
+            &join_order(&tables, &cfg),
             None,
             Some(&control),
             &mut c,
@@ -469,7 +451,7 @@ mod tests {
             &tables,
             &[],
             &cfg,
-            &join_order(&tables, &cfg, None),
+            &join_order(&tables, &cfg),
             None,
             Some(&control),
             &mut c,

@@ -31,7 +31,7 @@ use std::cell::Cell;
 use stwig::bindings::Bindings;
 use stwig::cache::{CacheConfig, CacheLookup, StwigCache, StwigShape};
 use stwig::distributed::{
-    match_query_distributed_with_cache, match_query_streaming_with_cache, plan_query_with_config,
+    match_query_distributed_with_cache, match_query_streaming_with_cache, plan_query,
 };
 use stwig::head::load_set;
 use stwig::join::{hash_join, PreparedJoin};
@@ -463,10 +463,10 @@ fn a_warm_repeat_allocates_its_assembled_tables_and_little_else() {
     // What the join reads: per machine and STwig, the machine's own served
     // table and its load set's, copied into one table under the query's
     // column names.
-    let plan = plan_query_with_config(&cloud, &query, &config).unwrap();
+    let plan = plan_query(&cloud, &query).unwrap();
     let mut assembled = 0u64;
     for (t, stwig) in plan.stwigs.iter().enumerate() {
-        let shape = StwigShape::of(&query, stwig, config.pruning);
+        let shape = StwigShape::of(&query, stwig, false);
         let CacheLookup::Hit(entry) = cache.lookup(&shape, &cloud) else {
             panic!("every shape of the plan is resident");
         };

@@ -188,9 +188,8 @@ impl GraphBuilder {
 
         // Assemble partitions. The builder is the one place that knows every
         // endpoint's label (neighbors may live on other machines), so the
-        // candidate-pruning indexes — per-vertex neighborhood signatures and
-        // the per-partition label-pair table — are built here, in the same
-        // pass as the string index.
+        // per-vertex neighborhood signatures are built here, in the same pass
+        // as the string index.
         let mut partitions = Vec::with_capacity(num_machines);
         for (m, ids) in per_machine_ids.into_iter().enumerate() {
             let machine_labels: Vec<LabelId> = ids.iter().map(|v| labels[v]).collect();

@@ -268,27 +268,6 @@ impl MemoryCloud {
         self.partitions[self.machine_of(id).index()].signature_of(id)
     }
 
-    /// Cloud-wide count of adjacency entries whose endpoint labels are
-    /// `(a, b)` in either order — the selectivity statistic behind the
-    /// label-pair-aware cost models. Every (symmetrized) edge with resolved
-    /// endpoint labels is counted once per endpoint. Exact at every epoch,
-    /// sealed or not.
-    pub fn label_pair_count(&self, a: LabelId, b: LabelId) -> u64 {
-        self.partitions
-            .iter()
-            .map(|p| p.label_pair_count(a, b))
-            .sum()
-    }
-
-    /// Total adjacency entries recorded in the label-pair tables (the
-    /// normalizer for [`MemoryCloud::label_pair_count`] selectivities).
-    pub fn label_pair_total(&self) -> u64 {
-        self.partitions
-            .iter()
-            .map(Partition::label_pair_total)
-            .sum()
-    }
-
     /// Per-partition signature widths in bits (`None` for partitions built
     /// without the pruning index). Part of the cloud fingerprint: result
     /// tables computed with and without pruning indexes must never alias in

@@ -14,9 +14,9 @@
 //!   merged views of every touched vertex and label laid over the `Arc`-
 //!   shared immutable base — and publishes a new cloud at epoch N+1.
 //!   [`GraphEpochs::seal_epoch`] re-encodes each overlaid partition's
-//!   merged view into a fresh base, carrying signatures and label-pair
-//!   statistics over; content is observationally identical, so the epoch
-//!   number is kept and pinned readers are unaffected.
+//!   merged view into a fresh base, carrying signatures over; content is
+//!   observationally identical, so the epoch number is kept and pinned
+//!   readers are unaffected.
 //! * **Caches revalidate by label pair, root by root.** Exploration reads
 //!   the graph only as adjacency entries "root `x` labelled `r` has a
 //!   neighbour labelled `c`", so an STwig table for shape `(r; c1..ck)` can
@@ -36,8 +36,8 @@
 //!   entry and logs nothing (a vertex without neighbours roots no row and is
 //!   nobody's child). A cache entry none of whose pairs were touched since
 //!   it was built is provably still exact; otherwise only the touched roots
-//!   need re-exploring (see `stwig::cache`). The same signed list, summed per
-//!   owning machine, keeps the label-pair statistics exact under overlays.
+//!   need re-exploring (see `stwig::cache`). The same signed list keeps the
+//!   neighborhood signatures exact under overlays.
 //!
 //! Update semantics follow [`crate::builder::GraphBuilder`]: edges are
 //! undirected and symmetrized, self-loops are ignored, adding an existing
@@ -583,8 +583,8 @@ impl GraphEpochs {
         // `(x, label(x), y, label(y))` entries, signed: removed edges under
         // pre-batch labels, added edges under post-batch labels, and every
         // surviving entry with a relabelled endpoint once each way. This one
-        // list feeds the touched-root log and the overlays' pair-count
-        // deltas (see the module docs).
+        // list feeds the touched-root log and the signature refresh (see the
+        // module docs).
         let pre_label = |id: VertexId| prev.label_of_global(id).expect("pre-batch endpoint");
         let post_label = |id: VertexId| final_label(id).expect("post-batch endpoint");
         let mut relabeled_entries: BTreeSet<(VertexId, VertexId)> = BTreeSet::new();
@@ -663,15 +663,6 @@ impl GraphEpochs {
             entry_delta[machine] +=
                 list.len() as i64 - prev.partitions[machine].degree_of(u).unwrap_or(0) as i64;
             overlay_of(&mut overlays, &prev, machine).live_mut(u).adj = Some(list);
-        }
-
-        for &(((own, nbr), root), sign) in &changed {
-            let machine = prev.machine_of(root).index();
-            // Partitions built without the pruning indexes keep no pair
-            // statistics, sealed or not.
-            if prev.partitions[machine].signature_bits().is_some() {
-                overlay_of(&mut overlays, &prev, machine).add_pair_delta(own, nbr, sign);
-            }
         }
 
         // ---- Merged postings of every touched (machine, label) ----------
@@ -1107,16 +1098,6 @@ mod tests {
         assert_eq!(observe(sealed.cloud()), before);
         // The pre-seal pin still reads its overlaid view, identically.
         assert_eq!(observe(dirty.cloud()), before);
-        // Pair-table statistics were rebuilt exactly for the new graph.
-        let lb = sealed.labels().get("b").unwrap();
-        let la = sealed.labels().get("a").unwrap();
-        let lc = sealed.labels().get("c").unwrap();
-        assert_eq!(sealed.label_pair_count(la, lb), 4, "a-b edges: 0-1, 0-5");
-        assert_eq!(sealed.label_pair_count(lb, lc), 0, "1-2 was removed");
-        // … and the overlay's delta had already kept them exact.
-        assert_eq!(dirty.label_pair_count(la, lb), 4);
-        assert_eq!(dirty.label_pair_count(lb, lc), 0);
-        assert_eq!(dirty.label_pair_total(), sealed.label_pair_total());
         // Sealing an already-clean lineage is a no-op.
         assert_eq!(epochs.seal_epoch(), 1);
     }

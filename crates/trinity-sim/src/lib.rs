@@ -16,10 +16,9 @@
 //! * the per-machine **string index** mapping labels to local vertex IDs
 //!   ([`compact::CompactLabelIndex`], bitmap or delta-varint per label) —
 //!   the only index the approach uses;
-//! * optional **candidate-pruning indexes**: per-vertex neighborhood-label
-//!   signatures and a label-pair selectivity table
-//!   ([`neighbor_index::NeighborLabelIndex`],
-//!   [`neighbor_index::LabelPairTable`]), built in the same pass;
+//! * an optional **candidate-pruning index**: per-vertex neighborhood-label
+//!   signatures ([`neighbor_index::NeighborLabelIndex`]), built in the same
+//!   pass;
 //! * the paper's three atomic operators `Cloud.Load`, `Index.getID`,
 //!   `Index.hasLabel` with **cross-machine traffic accounting**
 //!   ([`network::Network`], [`cost::CostModel`]);
@@ -84,7 +83,7 @@ pub mod prelude {
     pub use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultyTransport, MachineCrash};
     pub use crate::ids::{LabelId, LabelInterner, MachineId, VertexId};
     pub use crate::loader::StreamLoader;
-    pub use crate::neighbor_index::{LabelPairTable, NeighborLabelIndex};
+    pub use crate::neighbor_index::NeighborLabelIndex;
     pub use crate::network::{CostModel, Network, TrafficSnapshot};
     pub use crate::partition::{Cell, CellBuf, Partition, StorageBytes};
     pub use crate::stats::{graph_stats, GraphStats};

@@ -16,8 +16,8 @@
 //! 3. **Per-machine fill passes**: for one machine at a time, scatter that
 //!    machine's neighbor entries into an exact-size flat array, then sort,
 //!    deduplicate and encode each run in place — building the partition's
-//!    adjacency, pruning signatures, pair table and catalog contributions in
-//!    the same sweep. Peak staging is the *largest single machine's* entry
+//!    adjacency, pruning signatures and catalog contributions in the same
+//!    sweep. Peak staging is the *largest single machine's* entry
 //!    count, not the whole graph's.
 //!
 //! The edge stream is supplied as a factory (`Fn() -> IntoIterator`) so the
@@ -29,7 +29,7 @@ use crate::cluster_graph::LabelPairCatalog;
 use crate::compact::{CompactCsr, CompactCsrBuilder, CompactIdMap, StorageTier};
 use crate::error::TrinityError;
 use crate::ids::{LabelId, LabelInterner, MachineId, VertexId};
-use crate::neighbor_index::{label_bit, LabelPairTable, NeighborLabelIndex};
+use crate::neighbor_index::{label_bit, NeighborLabelIndex};
 use crate::network::CostModel;
 use crate::partition::Partition;
 
@@ -179,7 +179,6 @@ impl StreamLoader {
         let mut catalog = LabelPairCatalog::new(m);
         let mut adjacencies: Vec<CompactCsr> = Vec::with_capacity(m);
         let mut neighbor_indexes: Vec<NeighborLabelIndex> = Vec::with_capacity(m);
-        let mut pair_tables: Vec<LabelPairTable> = Vec::with_capacity(m);
         let mut total_entries = 0u64;
         for mach in 0..m {
             let n_local = machine_ids[mach].len();
@@ -213,13 +212,12 @@ impl StreamLoader {
             }
             drop(cursor);
             // Sort and deduplicate each run in place, then encode it; build
-            // the pruning indexes and the catalog contribution over the
+            // the signatures and the catalog contribution over the
             // deduplicated runs. Every unique edge appears in exactly two
             // runs cloud-wide (one per endpoint), so recording one catalog
             // edge per deduplicated entry reproduces the builder's symmetric
             // `record_edge` pairs.
             let mut sigs = Vec::with_capacity(n_local);
-            let mut pair_table = LabelPairTable::new();
             let mut adjacency = CompactCsrBuilder::with_capacity(n_local);
             for local in 0..n_local {
                 let run = &mut staging[starts[local]..starts[local + 1]];
@@ -239,7 +237,6 @@ impl StreamLoader {
                     let (mn, ln) = locate(nbr)?;
                     let nbr_label = machine_labels[mn][ln as usize];
                     sig |= label_bit(nbr_label);
-                    pair_table.record(own_label, nbr_label);
                     catalog.record_edge(
                         MachineId(mach as u16),
                         own_label,
@@ -254,7 +251,6 @@ impl StreamLoader {
             drop(staging);
             adjacencies.push(adjacency.finish());
             neighbor_indexes.push(NeighborLabelIndex::from_signatures(sigs));
-            pair_tables.push(pair_table);
         }
         drop(degrees);
 
@@ -262,13 +258,12 @@ impl StreamLoader {
         // Assembly.
         // ------------------------------------------------------------------
         let mut partitions = Vec::with_capacity(m);
-        for (((((ids, labels), id_map), adjacency), neighbor_index), pair_table) in machine_ids
+        for ((((ids, labels), id_map), adjacency), neighbor_index) in machine_ids
             .into_iter()
             .zip(machine_labels)
             .zip(id_maps)
             .zip(adjacencies)
             .zip(neighbor_indexes)
-            .zip(pair_tables)
         {
             partitions.push(Partition::from_encoded_parts(
                 ids,
@@ -277,7 +272,6 @@ impl StreamLoader {
                 adjacency,
                 num_labels,
                 Some(neighbor_index),
-                pair_table,
             ));
         }
         Ok(MemoryCloud::from_parts(
@@ -378,12 +372,7 @@ mod tests {
             let l = LabelId(l);
             assert_eq!(a.label_frequency(l), b.label_frequency(l));
             assert_eq!(a.all_ids_with_label(l), b.all_ids_with_label(l));
-            for l2 in 0..a.labels().len() as u32 {
-                let l2 = LabelId(l2);
-                assert_eq!(a.label_pair_count(l, l2), b.label_pair_count(l, l2));
-            }
         }
-        assert_eq!(a.label_pair_total(), b.label_pair_total());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Candidate-pruning indexes built next to the string index: per-vertex
-//! neighborhood-label signatures and a partition-level label-pair table.
+//! The candidate-pruning index built next to the string index: per-vertex
+//! neighborhood-label signatures.
 //!
 //! The paper's exploration phase visits every vertex carrying the STwig root
 //! label and collects all of its neighbors before discovering that most roots
@@ -10,13 +10,7 @@
 //! the neighbor-label set (hash collisions only set extra bits), so a
 //! negative containment test is a proof that no match is rooted there —
 //! pruning on it can never drop a true match.
-//!
-//! [`LabelPairTable`] counts, per partition, the adjacency entries whose
-//! endpoint labels are `(a, b)`. Summed over the cloud it gives the join
-//! selectivity of a query edge (how many data edges can bind it), which the
-//! decomposition and join-order cost models consume.
 
-use crate::hash::FxHashMap;
 use crate::ids::LabelId;
 use serde::{Deserialize, Serialize};
 
@@ -93,76 +87,6 @@ impl NeighborLabelIndex {
     }
 }
 
-/// Partition-level count of adjacency entries by endpoint-label pair,
-/// keyed on the canonical (unordered) pair. Each partition counts the
-/// adjacency entries of the vertices it owns, so for a symmetrized graph a
-/// cloud-wide sum counts every edge once per endpoint — a consistent
-/// relative measure of how many data edges can bind a query edge.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct LabelPairTable {
-    counts: FxHashMap<(u32, u32), u64>,
-    total: u64,
-}
-
-impl LabelPairTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one adjacency entry with endpoint labels `a` and `b`.
-    pub fn record(&mut self, a: LabelId, b: LabelId) {
-        *self.counts.entry(Self::key(a, b)).or_insert(0) += 1;
-        self.total += 1;
-    }
-
-    /// Number of recorded adjacency entries with endpoint labels `(a, b)`
-    /// in either order.
-    pub fn count(&self, a: LabelId, b: LabelId) -> u64 {
-        self.counts.get(&Self::key(a, b)).copied().unwrap_or(0)
-    }
-
-    /// Total adjacency entries recorded (all pairs).
-    pub fn total_entries(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of distinct label pairs seen.
-    pub fn num_pairs(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Approximate memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.counts.len() * (std::mem::size_of::<(u32, u32)>() + std::mem::size_of::<u64>())
-    }
-
-    /// This table with a signed per-pair `delta` folded in. A pair whose
-    /// count reaches zero is dropped, so the result is the table a recount
-    /// of the changed adjacency would build.
-    pub(crate) fn with_delta(&self, delta: &FxHashMap<(u32, u32), i64>) -> Self {
-        let mut table = self.clone();
-        for (&key, &change) in delta {
-            let count = table.counts.entry(key).or_insert(0);
-            *count = count.saturating_add_signed(change);
-            if *count == 0 {
-                table.counts.remove(&key);
-            }
-            table.total = table.total.saturating_add_signed(change);
-        }
-        table
-    }
-
-    /// The canonical (unordered) key of a label pair.
-    pub(crate) fn key(a: LabelId, b: LabelId) -> (u32, u32) {
-        if a.0 <= b.0 {
-            (a.0, b.0)
-        } else {
-            (b.0, a.0)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,20 +133,5 @@ mod tests {
         assert_eq!(idx.signature(1), Some(0b10));
         assert_eq!(idx.signature(3), None);
         assert_eq!(idx.memory_bytes(), 3 * SIGNATURE_BYTES_PER_VERTEX);
-    }
-
-    #[test]
-    fn pair_table_is_symmetric_and_counts_totals() {
-        let mut t = LabelPairTable::new();
-        t.record(l(0), l(1));
-        t.record(l(1), l(0));
-        t.record(l(2), l(2));
-        assert_eq!(t.count(l(0), l(1)), 2);
-        assert_eq!(t.count(l(1), l(0)), 2);
-        assert_eq!(t.count(l(2), l(2)), 1);
-        assert_eq!(t.count(l(0), l(2)), 0);
-        assert_eq!(t.total_entries(), 3);
-        assert_eq!(t.num_pairs(), 2);
-        assert!(t.memory_bytes() > 0);
     }
 }

@@ -13,7 +13,7 @@ use crate::compact::{
 };
 use crate::hash::FxHashMap;
 use crate::ids::{LabelId, VertexId};
-use crate::neighbor_index::{LabelPairTable, NeighborLabelIndex, FULL_SIGNATURE};
+use crate::neighbor_index::{NeighborLabelIndex, FULL_SIGNATURE};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -84,19 +84,12 @@ pub struct StorageBytes {
     pub postings: usize,
     /// Per-vertex neighborhood-label signatures (0 without a pruning index).
     pub signatures: usize,
-    /// The label-pair selectivity table.
-    pub pair_table: usize,
 }
 
 impl StorageBytes {
     /// Total resident bytes across all components.
     pub fn total(&self) -> usize {
-        self.adjacency
-            + self.labels
-            + self.id_map
-            + self.postings
-            + self.signatures
-            + self.pair_table
+        self.adjacency + self.labels + self.id_map + self.postings + self.signatures
     }
 }
 
@@ -107,7 +100,6 @@ impl std::ops::AddAssign for StorageBytes {
         self.id_map += rhs.id_map;
         self.postings += rhs.postings;
         self.signatures += rhs.signatures;
-        self.pair_table += rhs.pair_table;
     }
 }
 
@@ -129,8 +121,6 @@ struct PartitionBase {
     /// Per-vertex neighborhood-label signatures, when built with label
     /// lookup (`None` disables signature pruning for this partition).
     neighbor_index: Option<NeighborLabelIndex>,
-    /// Adjacency-entry counts by endpoint-label pair.
-    pair_table: LabelPairTable,
 }
 
 impl PartitionBase {
@@ -162,7 +152,6 @@ impl PartitionBase {
             vertex_ids,
             labels,
             neighbor_index: None,
-            pair_table: LabelPairTable::default(),
         }
     }
 
@@ -263,11 +252,6 @@ pub(crate) struct PartitionOverlay {
     pub(crate) added: Vec<VertexId>,
     /// Complete merged posting list of every touched label.
     pub(crate) postings: FxHashMap<LabelId, Arc<[VertexId]>>,
-    /// Signed change, since the base was sealed, of the base pair table's
-    /// count per canonical label pair (zero entries dropped).
-    pub(crate) pair_delta: FxHashMap<(u32, u32), i64>,
-    /// Sum of `pair_delta`: the change of the table's total.
-    pub(crate) pair_total_delta: i64,
     /// Merged vertex count for this machine.
     pub(crate) num_vertices: usize,
     /// Merged adjacency-entry count for this machine.
@@ -282,18 +266,6 @@ pub(crate) struct PartitionOverlay {
 }
 
 impl PartitionOverlay {
-    /// Counts one appearing (`sign` = 1) or disappearing (-1) adjacency
-    /// entry of an owned vertex labelled `own` to a neighbour labelled `nbr`.
-    pub(crate) fn add_pair_delta(&mut self, own: LabelId, nbr: LabelId, sign: i64) {
-        let key = LabelPairTable::key(own, nbr);
-        let count = self.pair_delta.entry(key).or_insert(0);
-        *count += sign;
-        if *count == 0 {
-            self.pair_delta.remove(&key);
-        }
-        self.pair_total_delta += sign;
-    }
-
     /// The live record of `id`, created empty if the overlay had none.
     pub(crate) fn live_mut(&mut self, id: VertexId) -> &mut LiveVertex {
         match self
@@ -345,7 +317,6 @@ impl PartitionOverlay {
         let mut bytes = StorageBytes {
             id_map: self.added.len() * 16 + self.filter.len() * 8,
             postings: self.postings.values().map(|l| list(l.len())).sum(),
-            pair_table: self.pair_delta.len() * 24,
             ..StorageBytes::default()
         };
         for touched in self.vertices.values() {
@@ -442,13 +413,13 @@ impl Partition {
         }
     }
 
-    /// Like [`Partition::new`], but also builds the candidate-pruning
-    /// indexes ([`NeighborLabelIndex`], [`LabelPairTable`]) in the same
-    /// construction pass. `neighbor_label` resolves the label of *any*
-    /// vertex (neighbors may live on other machines); a neighbor whose label
-    /// it cannot resolve contributes the all-ones [`FULL_SIGNATURE`] — the
-    /// signature over-approximates, so an unknown label must claim every
-    /// bit to keep pruning sound — and is left out of the pair table.
+    /// Like [`Partition::new`], but also builds the neighborhood signatures
+    /// ([`NeighborLabelIndex`]) in the same construction pass.
+    /// `neighbor_label` resolves the label of *any* vertex (neighbors may
+    /// live on other machines); a neighbor whose label it cannot resolve
+    /// contributes the all-ones [`FULL_SIGNATURE`] — the signature
+    /// over-approximates, so an unknown label must claim every bit to keep
+    /// pruning sound.
     pub fn with_neighbor_labels(
         vertex_ids: Vec<VertexId>,
         labels: Vec<LabelId>,
@@ -458,23 +429,17 @@ impl Partition {
     ) -> Self {
         let mut base = PartitionBase::new(vertex_ids, labels, adjacency_lists, num_labels);
         let mut sigs = Vec::with_capacity(base.vertex_ids.len());
-        let mut pair_table = LabelPairTable::new();
         for local in 0..base.vertex_ids.len() {
-            let own_label = base.labels[local];
             let mut sig = 0u64;
             for m in base.adjacency.neighbors(local) {
                 match neighbor_label(m) {
-                    Some(l) => {
-                        sig |= crate::neighbor_index::label_bit(l);
-                        pair_table.record(own_label, l);
-                    }
+                    Some(l) => sig |= crate::neighbor_index::label_bit(l),
                     None => sig = FULL_SIGNATURE,
                 }
             }
             sigs.push(sig);
         }
         base.neighbor_index = Some(NeighborLabelIndex::from_signatures(sigs));
-        base.pair_table = pair_table;
         Partition {
             base: Arc::new(base),
             overlay: None,
@@ -483,7 +448,7 @@ impl Partition {
 
     /// Assembles a partition from components the streaming bulk loader (or
     /// a seal) has built in final form — ids sorted ascending, id map over
-    /// them, adjacency encoded, pruning indexes filled — and builds its
+    /// them, adjacency encoded, signatures filled — and builds its
     /// string index. Crate-internal: invariants are the caller's.
     pub(crate) fn from_encoded_parts(
         vertex_ids: Vec<VertexId>,
@@ -492,7 +457,6 @@ impl Partition {
         adjacency: CompactCsr,
         num_labels: usize,
         neighbor_index: Option<NeighborLabelIndex>,
-        pair_table: LabelPairTable,
     ) -> Self {
         debug_assert!(vertex_ids.windows(2).all(|w| w[0] < w[1]));
         Partition {
@@ -503,7 +467,6 @@ impl Partition {
                 id_map,
                 adjacency,
                 neighbor_index,
-                pair_table,
             }),
             overlay: None,
         }
@@ -521,9 +484,9 @@ impl Partition {
 
     /// This partition with its overlay merged into a fresh base (itself
     /// when it has none), in one pass over the merged view: adjacency runs
-    /// go into one buffer (a base run byte for byte), and signatures and
-    /// the pair table are carried over — the overlay keeps both exact
-    /// (DESIGN.md, "Seal"), so nothing is recounted.
+    /// go into one buffer (a base run byte for byte), and signatures are
+    /// carried over — the overlay keeps them exact (DESIGN.md, "Seal"), so
+    /// nothing is recounted.
     pub(crate) fn sealed(&self, num_labels: usize) -> Partition {
         let Some(overlay) = self.overlay.as_deref() else {
             return self.clone();
@@ -553,7 +516,6 @@ impl Partition {
             adjacency.finish(),
             num_labels,
             signatures.map(NeighborLabelIndex::from_signatures),
-            base.pair_table.with_delta(&overlay.pair_delta),
         )
     }
 
@@ -738,33 +700,6 @@ impl Partition {
             .map(|_| crate::neighbor_index::SIGNATURE_BITS as u32)
     }
 
-    /// Adjacency entries of this partition's vertices whose endpoint labels
-    /// are `(a, b)` in either order: the sealed base's table plus the
-    /// overlay's signed delta, so a snapshot, its sealed successor and a
-    /// rebuild from scratch report the same count (the planner's
-    /// decomposition must not change across a seal).
-    pub fn label_pair_count(&self, a: LabelId, b: LabelId) -> u64 {
-        let delta = self.overlay.as_deref().map_or(0, |o| {
-            o.pair_delta
-                .get(&LabelPairTable::key(a, b))
-                .copied()
-                .unwrap_or(0)
-        });
-        self.base
-            .pair_table
-            .count(a, b)
-            .saturating_add_signed(delta)
-    }
-
-    /// Total adjacency entries counted by [`Partition::label_pair_count`].
-    pub fn label_pair_total(&self) -> u64 {
-        let delta = self.overlay.as_deref().map_or(0, |o| o.pair_total_delta);
-        self.base
-            .pair_table
-            .total_entries()
-            .saturating_add_signed(delta)
-    }
-
     /// Resident bytes of this partition, broken down by storage component.
     pub fn storage_bytes(&self) -> StorageBytes {
         let base = &self.base;
@@ -778,7 +713,6 @@ impl Partition {
                 .neighbor_index
                 .as_ref()
                 .map_or(0, NeighborLabelIndex::memory_bytes),
-            pair_table: base.pair_table.memory_bytes(),
         };
         if let Some(o) = self.overlay.as_deref() {
             debug_assert_eq!(o.bytes, o.measure(), "overlay changed after publish");
@@ -885,7 +819,6 @@ mod tests {
         let p = sample_partition();
         assert_eq!(p.signature_of(v(10)), None);
         assert_eq!(p.signature_bits(), None);
-        assert_eq!(p.label_pair_total(), 0);
     }
 
     #[test]
@@ -912,7 +845,7 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_labels_build_signatures_and_pair_table() {
+    fn neighbor_labels_build_signatures() {
         use crate::neighbor_index::{label_bit, FULL_SIGNATURE};
         // v(99) is a phantom remote neighbor the lookup cannot resolve:
         // its owner's signature must widen to FULL to stay sound.
@@ -932,11 +865,7 @@ mod tests {
         assert_eq!(p.signature_of(v(30)), Some(0), "isolated vertex");
         assert_eq!(p.signature_of(v(77)), None, "unowned vertex");
         assert_eq!(p.signature_bits(), Some(64));
-        // Pair table counts only resolvable endpoints: 10-20 seen from
-        // both sides; 10-99 skipped.
-        assert_eq!(p.label_pair_count(l(0), l(1)), 2);
-        assert_eq!(p.label_pair_total(), 2);
-        // The indexes are part of the partition's memory accounting.
+        // The signatures are part of the partition's memory accounting.
         assert!(p.memory_bytes() > sample_partition().memory_bytes());
     }
 

@@ -3,8 +3,8 @@
 //! `QueryEngine`, cache on and off) must return exactly the VF2 baseline's
 //! embedding set for generated DFS-family and random-family queries, across
 //! machines {1, 4} × worker threads {1, 4} × transport mode
-//! {DirectRead, Messages} × label-pair planner (`MatchConfig::pruning`)
-//! {off, on}; every exploration prunes roots on their signatures.
+//! {DirectRead, Messages}; every exploration prunes roots on their
+//! signatures.
 //!
 //! VF2 is a completely independent implementation (state-space search, no
 //! decomposition, no joins, no cache), so agreement here certifies the whole
@@ -17,18 +17,14 @@ use stwig_match::prelude::*;
 const MACHINES: [usize; 2] = [1, 4];
 const THREADS: [usize; 2] = [1, 4];
 
-/// Every (worker threads, cache, transport, pruning) combination the oracle
-/// runs on each cloud.
-fn engine_axes() -> impl Iterator<Item = (usize, bool, TransportMode, bool)> {
+/// Every (worker threads, cache, transport) combination the oracle runs on
+/// each cloud.
+fn engine_axes() -> impl Iterator<Item = (usize, bool, TransportMode)> {
     THREADS.into_iter().flat_map(|threads| {
         [false, true].into_iter().flat_map(move |cache_on| {
             [TransportMode::DirectRead, TransportMode::Messages]
                 .into_iter()
-                .flat_map(move |mode| {
-                    [false, true]
-                        .into_iter()
-                        .map(move |pruning| (threads, cache_on, mode, pruning))
-                })
+                .map(move |mode| (threads, cache_on, mode))
         })
     })
 }
@@ -96,15 +92,14 @@ fn engine_matches_vf2_across_machines_threads_and_cache() {
                 .graph
                 .clone()
                 .build_cloud(machines, trinity_sim::network::CostModel::default());
-            for (threads, cache_on, mode, pruning) in engine_axes() {
+            for (threads, cache_on, mode) in engine_axes() {
                 let config = EngineConfig::default()
                     .with_workers(Some(threads))
                     .with_cache(cache_on.then(CacheConfig::default))
                     .with_match_config(
                         MatchConfig::exhaustive()
                             .with_num_threads(Some(1))
-                            .with_transport_mode(mode)
-                            .with_pruning(pruning),
+                            .with_transport_mode(mode),
                     );
                 let engine = QueryEngine::new(&cloud, config);
                 // Run the batch twice: the first pass populates the cache,
@@ -115,8 +110,7 @@ fn engine_matches_vf2_across_machines_threads_and_cache() {
                         let out = out.as_ref().expect("query succeeds");
                         let ctx = format!(
                             "graph = {}, machines = {machines}, threads = {threads}, \
-                             cache = {cache_on}, mode = {mode:?}, pruning = {pruning}, \
-                             pass = {pass}",
+                             cache = {cache_on}, mode = {mode:?}, pass = {pass}",
                             case.name
                         );
                         assert_eq!(
@@ -138,7 +132,7 @@ fn engine_matches_vf2_across_machines_threads_and_cache() {
                     assert!(
                         stats.hits > 0,
                         "second pass must hit the cache (graph = {}, \
-                         machines = {machines}, mode = {mode:?}, pruning = {pruning})",
+                         machines = {machines}, mode = {mode:?})",
                         case.name
                     );
                     // The plan memo filled while `threads` workers raced; the
@@ -148,7 +142,7 @@ fn engine_matches_vf2_across_machines_threads_and_cache() {
                         stats.plan_hits >= planned as u64 && stats.plan_misses <= planned as u64,
                         "second pass must take every plan from the memo \
                          (graph = {}, machines = {machines}, threads = {threads}, \
-                         mode = {mode:?}, pruning = {pruning}): {stats:?}",
+                         mode = {mode:?}): {stats:?}",
                         case.name
                     );
                 }
@@ -274,18 +268,18 @@ fn an_explored_stwig_among_served_ones_is_pruned_as_without_a_cache() {
                 .with_num_threads(Some(1))
                 .with_transport_mode(mode);
             for (i, q) in queries.iter().enumerate() {
-                let plan = plan_query_with_config(&cloud, q, &config).unwrap();
+                let plan = plan_query(&cloud, q).unwrap();
                 // The largest per-machine table of every STwig's shape.
                 let probe = StwigCache::new(&cloud, CacheConfig::default());
                 stwig::match_query_distributed_with_cache(&cloud, q, &config, Some(&probe))
                     .unwrap();
                 let largest: Vec<usize> = (plan.stwigs.iter())
-                    .filter_map(|s| {
-                        match probe.lookup(&StwigShape::of(q, s, config.pruning), &cloud) {
+                    .filter_map(
+                        |s| match probe.lookup(&StwigShape::of(q, s, false), &cloud) {
                             CacheLookup::Hit(e) => e.iter().map(|t| t.num_rows()).max(),
                             _ => None,
-                        }
-                    })
+                        },
+                    )
                     .collect();
                 if largest.len() < plan.stwigs.len() {
                     continue; // some STwig matched nowhere

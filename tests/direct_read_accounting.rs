@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use std::time::Instant;
 use stwig::bindings::Bindings;
-use stwig::distributed::{plan_query_with_config, produce_stwig_tables};
+use stwig::distributed::{plan_query, produce_stwig_tables};
 use stwig::matcher::match_stwig;
 use stwig::metrics::{ExploreCounters, MachineMetrics, QueryMetrics};
 use stwig::stream::{CancelToken, QueryControl, QueryOptions};
@@ -358,14 +358,12 @@ fn exploration_phase_accounts_like_the_reference_on_any_thread_count() {
     let graph = graph.with_labels(labels, 6);
     for machines in [1usize, 3, 4] {
         let cloud = graph.build_cloud(machines, CostModel::default());
-        for (seed, pruning) in [(1u64, false), (2, true), (3, false)] {
+        for seed in [1u64, 2, 3] {
             let Some(query) = dfs_query(&cloud, 5, seed) else {
                 continue;
             };
-            let config = MatchConfig::exhaustive()
-                .with_transport_mode(TransportMode::DirectRead)
-                .with_pruning(pruning);
-            let plan = plan_query_with_config(&cloud, &query, &config).unwrap();
+            let config = MatchConfig::exhaustive().with_transport_mode(TransportMode::DirectRead);
+            let plan = plan_query(&cloud, &query).unwrap();
             let run = |threads: usize| {
                 cloud.reset_traffic();
                 let config = config.clone().with_num_threads(Some(threads));

@@ -297,11 +297,11 @@ fn soak_keeps_the_touch_log_bounded_and_the_cache_exact() {
         qb.edge(x, y);
         qb.build().unwrap()
     };
-    let rare_shapes: Vec<StwigShape> = plan_query_with_config(&first, &rare, &config)
+    let rare_shapes: Vec<StwigShape> = plan_query(&first, &rare)
         .unwrap()
         .stwigs
         .iter()
-        .map(|s| StwigShape::of(&rare, s, config.pruning))
+        .map(|s| StwigShape::of(&rare, s, false))
         .collect();
     stwig::match_query_distributed_with_cache(&first, &rare, &config, Some(&cache)).unwrap();
     let log = first.epoch_touch_log().expect("managed cloud has a log");
@@ -401,13 +401,10 @@ fn a_repair_reindexes_the_repaired_shape_only() {
         qb.build().unwrap()
     };
     let (churned, quiet) = (path(["d", "e", "f", "g"]), path(["p", "r", "s", "t"]));
-    // Pruning off whatever the environment says: its label-pair priors
-    // would pick the driver, and the test counts on the row counts doing it.
     let config = MatchConfig::exhaustive()
         .with_num_threads(Some(1))
-        .with_transport_mode(TransportMode::DirectRead)
-        .with_pruning(false);
-    let plan = plan_query_with_config(&cloud, &churned, &config).unwrap();
+        .with_transport_mode(TransportMode::DirectRead);
+    let plan = plan_query(&cloud, &churned).unwrap();
     assert_eq!(plan.stwigs.len(), 2, "one join");
 
     let mut mirror = GraphMirror::from_cloud(&cloud);
@@ -490,9 +487,7 @@ proptest! {
     })]
 
     /// Satellite 2: a reader pinned before a churn of applies and a
-    /// `seal_epoch` sees bit-identical query results throughout — with
-    /// pruning (and with it pair-aware planning, whose
-    /// label-pair statistics must not move across a seal) off and on. Also
+    /// `seal_epoch` sees bit-identical query results throughout. Also
     /// checks seal itself is observationally invisible to the *current*
     /// snapshot (same epoch, same answers).
     #[test]
@@ -503,9 +498,8 @@ proptest! {
         machines in 1usize..4,
         seed in 0u64..500,
     ) {
-        for pruning in [false, true] {
-            let cloud = small_cloud(n, &labels, &edges, machines);
-            let Some(query) = dfs_query(&cloud, 3, seed) else { continue };
+        let cloud = small_cloud(n, &labels, &edges, machines);
+        if let Some(query) = dfs_query(&cloud, 3, seed) {
             let batches = update_stream(&cloud, &UpdateStreamConfig {
                 num_batches: 3,
                 ops_per_batch: 6,
@@ -515,9 +509,7 @@ proptest! {
             let epochs = GraphEpochs::new(cloud);
 
             let pinned = epochs.pin();
-            let config = MatchConfig::exhaustive()
-                .with_num_threads(Some(1))
-                .with_pruning(pruning);
+            let config = MatchConfig::exhaustive().with_num_threads(Some(1));
             let before = stwig::match_query_distributed(&pinned, &query, &config).unwrap();
 
             for batch in &batches {
@@ -528,81 +520,31 @@ proptest! {
             let sealed_epoch = epochs.seal_epoch();
             prop_assert_eq!(
                 sealed_epoch, current.epoch(),
-                "seal must keep the epoch number (pruning = {})", pruning
+                "seal must keep the epoch number"
             );
 
             // The old pinned reader: bit-identical to its pre-churn answer.
             let after = stwig::match_query_distributed(&pinned, &query, &config).unwrap();
             prop_assert_eq!(
                 &before.table, &after.table,
-                "pinned reader's table changed across applies + seal (pruning = {})",
-                pruning
+                "pinned reader's table changed across applies + seal"
             );
 
             // The pre-seal current snapshot: bit-identical across the seal,
             // and a fresh pin agrees too (seal is observationally invisible).
             let post_seal = stwig::match_query_distributed(&current, &query, &config).unwrap();
             prop_assert_eq!(&pre_seal.table, &post_seal.table,
-                "pre-seal snapshot changed across seal (pruning = {})", pruning);
+                "pre-seal snapshot changed across seal");
             let fresh = epochs.pin();
             let fresh_out = stwig::match_query_distributed(&fresh, &query, &config).unwrap();
             prop_assert_eq!(&pre_seal.table, &fresh_out.table,
-                "sealed base diverged from the overlay it replaced (pruning = {})",
-                pruning);
+                "sealed base diverged from the overlay it replaced");
         }
     }
 
-    /// The label-pair statistics the planner reads are exact at every
-    /// epoch: for every label pair, an unsealed snapshot (base table plus
-    /// overlay delta), its sealed successor (table rebuilt from scratch) and
-    /// an independent rebuild of the mirrored graph agree — so a seal can
-    /// never change a decomposition.
-    #[test]
-    fn label_pair_counts_agree_unsealed_sealed_and_rebuilt(
-        n in 8u64..40,
-        labels in proptest::collection::vec(0u32..3, 40),
-        edges in proptest::collection::vec((0u64..40, 0u64..40), 8..60),
-        machines in 1usize..4,
-        seed in 0u64..500,
-    ) {
-        let cloud = small_cloud(n, &labels, &edges, machines);
-        let batches = update_stream(&cloud, &UpdateStreamConfig {
-            num_batches: 4,
-            ops_per_batch: 8,
-            seed,
-            relabel_bias: 0.5,
-            ..UpdateStreamConfig::default()
-        });
-        let mut mirror = GraphMirror::from_cloud(&cloud);
-        let epochs = GraphEpochs::new(cloud);
-        let pair_counts = |cloud: &MemoryCloud| -> Vec<u64> {
-            let num_labels = cloud.labels().len() as u32;
-            let mut counts = vec![cloud.label_pair_total()];
-            for a in 0..num_labels {
-                for b in a..num_labels {
-                    counts.push(cloud.label_pair_count(LabelId(a), LabelId(b)));
-                }
-            }
-            counts
-        };
-        for (i, batch) in batches.iter().enumerate() {
-            epochs.apply(batch).expect("generated batches are valid");
-            mirror.apply(batch);
-            let unsealed = pair_counts(&epochs.pin());
-            let rebuilt = pair_counts(&mirror.build_cloud(machines, CostModel::default()));
-            prop_assert_eq!(&unsealed, &rebuilt,
-                "overlay delta drifted from a rebuild (batch {})", i);
-            if i % 2 == 1 {
-                epochs.seal_epoch();
-                prop_assert_eq!(&pair_counts(&epochs.pin()), &unsealed,
-                    "seal changed the pair statistics (batch {})", i);
-            }
-        }
-    }
-
-    /// A seal re-encodes the merged view and carries signatures and pair
-    /// counts over instead of recounting them, so query answers alone would
-    /// not show a drifted signature or table. After arbitrary churn — hub
+    /// A seal re-encodes the merged view and carries signatures over
+    /// instead of recounting them, so query answers alone would not show a
+    /// drifted signature. After arbitrary churn — hub
     /// removals, relabels, an edge added and removed inside one batch
     /// (`churn_batch`), a deleted base vertex re-added, a label the lineage
     /// never saw — every seal must leave a cloud equal to a
@@ -674,20 +616,13 @@ proptest! {
                         "{} signature of {}", ctx, id
                     );
                 }
-                for (i, &a) in all_labels.iter().enumerate() {
+                for &a in &all_labels {
                     prop_assert_eq!(
                         s.vertices_with_label(a).to_vec(), r.vertices_with_label(a).to_vec(),
                         "{} postings of {:?} on {}", ctx, a, k
                     );
                     prop_assert_eq!(s.label_frequency(a), r.label_frequency(a));
-                    for &b in &all_labels[i..] {
-                        prop_assert_eq!(
-                            s.label_pair_count(a, b), r.label_pair_count(a, b),
-                            "{} pair ({:?}, {:?}) on {}", ctx, a, b, k
-                        );
-                    }
                 }
-                prop_assert_eq!(s.label_pair_total(), r.label_pair_total(), "{}", ctx);
                 let (mut sb, mut rb) = (s.storage_bytes(), r.storage_bytes());
                 if !unsealed.partition(k).has_overlay() {
                     // Shared as it was, so its postings keep one slot
@@ -801,8 +736,7 @@ proptest! {
     /// cache serves — revalidated or repaired across one epoch or (queries
     /// skip steps) a gap of several, with a reader still pinned to an older
     /// epoch probing the same cache — is bit-identical to what a cold cache
-    /// populates on the same snapshot, with pruning on and off under either
-    /// transport; a repair's counters and traffic never exceed a populate's; and
+    /// populates on the same snapshot, under either transport; a repair's counters and traffic never exceed a populate's; and
     /// the answers equal VF2 on the mirrored graph.
     #[test]
     fn repaired_tables_equal_a_cold_populate(
@@ -812,14 +746,12 @@ proptest! {
         machines in 1usize..=4,
         seed in 0u64..500,
     ) {
-        let modes = [TransportMode::DirectRead, TransportMode::Messages];
-        for (pruning, mode) in [false, true].into_iter().flat_map(|p| modes.map(|m| (p, m))) {
+        for mode in [TransportMode::DirectRead, TransportMode::Messages] {
             let cloud = small_cloud(n, &labels, &edges, machines);
             let queries: Vec<QueryGraph> =
                 (0..4u64).filter_map(|j| dfs_query(&cloud, 3 + (j as usize % 2), seed + j)).collect();
             let config = MatchConfig::exhaustive()
                 .with_num_threads(Some(1))
-                .with_pruning(pruning)
                 .with_transport_mode(mode)
                 .with_fault_plan(None);
             let mut mirror = GraphMirror::from_cloud(&cloud);
@@ -845,8 +777,8 @@ proptest! {
                         canonical_rows(q, &vf2(&reference, q, None)),
                         "warm cache diverged from VF2 (step {}, query {})", step, j
                     );
-                    for stwig in &plan_query_with_config(&snap, q, &config).unwrap().stwigs {
-                        let shape = StwigShape::of(q, stwig, pruning);
+                    for stwig in &plan_query(&snap, q).unwrap().stwigs {
+                        let shape = StwigShape::of(q, stwig, false);
                         match (warm.lookup(&shape, &snap), cold.lookup(&shape, &snap)) {
                             (CacheLookup::Hit(a), CacheLookup::Hit(b)) => prop_assert_eq!(
                                 a, b, "repaired {} != repopulated (step {})", stwig, step

@@ -110,7 +110,6 @@ proptest! {
             // cover too — the planner hands out a valid cover whose STwigs
             // list their children in canonical (label, id) order.
             for other in [
-                decompose_ordered(&query, &PairAwareStats(&cloud)).unwrap(),
                 decompose_ordered(&query, &UniformStats).unwrap(),
                 decompose_random(&query, seed).unwrap(),
                 cover,

@@ -1,16 +1,14 @@
 //! Acceptance and soundness suite for neighborhood-signature root pruning,
-//! which every exploration applies, and for the planner half that
-//! `MatchConfig::pruning` still selects (label-pair-aware decomposition and
-//! join-order priors).
+//! which every exploration applies.
 //!
 //! * Differential: the engine returns exactly the VF2 baseline's embedding
-//!   set with the planner half off and on, across both transports and cache
-//!   on/off, and the default config prunes roots on the Zipf fixture —
-//!   signatures over-approximate, so the prune may only skip roots that
-//!   provably cannot anchor a match.
-//! * Determinism: planner half off/on yields the same embedding set across
-//!   machines {1, 4} × threads {1, 4}, and each setting is bit-identical with
-//!   itself across those thread counts.
+//!   set across both transports and cache on/off, and the default config
+//!   prunes roots on the Zipf fixture — signatures over-approximate, so the
+//!   prune may only skip roots that provably cannot anchor a match.
+//! * Prune on/off: the pruning engine ("on") agrees with VF2, which never
+//!   prunes ("off"), across machines {1, 4} × threads {1, 4} and on random
+//!   graphs, every row verifying, and is bit-identical with itself across
+//!   thread counts.
 //! * Proptest soundness: any root the prune predicate would skip is a root
 //!   VF2 finds no embedding at.
 //! * The headline claim: on a skewed-label (Zipf) R-MAT workload, pruning
@@ -20,7 +18,6 @@
 //!   postings, so pruning saves root decodes there rather than bytes.
 
 use proptest::prelude::*;
-use stwig::distributed::plan_query_with_config;
 use stwig::stwig::STwig;
 use stwig_match::prelude::*;
 use trinity_sim::neighbor_index::{required_mask, NeighborLabelIndex};
@@ -56,38 +53,34 @@ fn pruned_engine_matches_vf2_across_transport_and_cache() {
         .collect();
 
     let cloud = graph.build_cloud(4, trinity_sim::network::CostModel::default());
-    for pruning in [false, true] {
-        for mode in [TransportMode::DirectRead, TransportMode::Messages] {
-            for cache_on in [false, true] {
-                let config = EngineConfig::default()
-                    .with_workers(Some(4))
-                    .with_cache(cache_on.then(CacheConfig::default))
-                    .with_match_config(
-                        MatchConfig::exhaustive()
-                            .with_num_threads(Some(1))
-                            .with_transport_mode(mode)
-                            .with_pruning(pruning),
+    for mode in [TransportMode::DirectRead, TransportMode::Messages] {
+        for cache_on in [false, true] {
+            let config = EngineConfig::default()
+                .with_workers(Some(4))
+                .with_cache(cache_on.then(CacheConfig::default))
+                .with_match_config(
+                    MatchConfig::exhaustive()
+                        .with_num_threads(Some(1))
+                        .with_transport_mode(mode),
+                );
+            let engine = QueryEngine::new(&cloud, config);
+            // Two passes so the second one replays through the cache.
+            for pass in 0..2 {
+                let outputs = engine.run_batch(&queries);
+                for ((q, out), want) in queries.iter().zip(&outputs).zip(&expected) {
+                    let out = out.as_ref().expect("query succeeds");
+                    assert_eq!(
+                        &canonical_rows(q, &out.table),
+                        want,
+                        "diverged from VF2: mode = {mode:?}, cache = {cache_on}, pass = {pass}"
                     );
-                let engine = QueryEngine::new(&cloud, config);
-                // Two passes so the second one replays through the cache.
-                for pass in 0..2 {
-                    let outputs = engine.run_batch(&queries);
-                    for ((q, out), want) in queries.iter().zip(&outputs).zip(&expected) {
-                        let out = out.as_ref().expect("query succeeds");
-                        assert_eq!(
-                            &canonical_rows(q, &out.table),
-                            want,
-                            "diverged from VF2: pruning = {pruning}, mode = {mode:?}, \
-                             cache = {cache_on}, pass = {pass}"
-                        );
-                        verify_all(&cloud, q, &out.table).expect("embeddings verify");
-                    }
+                    verify_all(&cloud, q, &out.table).expect("embeddings verify");
                 }
             }
         }
     }
 
-    // The default config prunes roots too: only the planner half is off.
+    // The default config prunes roots too.
     let mut roots_pruned = 0;
     for (q, want) in queries.iter().zip(&expected) {
         let out = stwig::match_query_distributed(&cloud, q, &MatchConfig::default()).unwrap();
@@ -106,55 +99,38 @@ fn prune_on_off_is_consistent_across_machines_and_threads() {
     let queries = workload(&reference_cloud);
 
     for (qi, query) in queries.iter().enumerate() {
-        // The embedding set every configuration must produce (planner half
-        // off, one machine, one thread).
-        let off_config = MatchConfig::exhaustive()
-            .with_num_threads(Some(1))
-            .with_pruning(false);
-        let want = canonical_rows(
-            query,
-            &stwig::match_query_distributed(&reference_cloud, query, &off_config)
-                .unwrap()
-                .table,
-        );
+        // "Off": VF2 never prunes; its embedding set is the one every
+        // configuration of the pruning engine must produce.
+        let off = vf2(&reference_cloud, query, None);
+        verify_all(&reference_cloud, query, &off).expect("VF2 embeddings verify");
+        let want = canonical_rows(query, &off);
 
         for machines in [1usize, 4] {
             let cloud = graph
                 .clone()
                 .build_cloud(machines, trinity_sim::network::CostModel::default());
-            // Each planner setting must additionally be bit-identical with
-            // itself across thread counts (same rows, same order, same
-            // prunes) — row order is only machine-count-dependent, like the
-            // rest of the engine.
-            let mut references: [Option<stwig::MatchOutput>; 2] = [None, None];
+            // "On": the engine, which prunes roots on their signatures. It
+            // must additionally be bit-identical with itself across thread
+            // counts (same rows, same order, same prunes) — row order is
+            // only machine-count-dependent, like the rest of the engine.
+            let mut reference: Option<stwig::MatchOutput> = None;
             for threads in [1usize, 4] {
-                for pruning in [false, true] {
-                    let config = MatchConfig::exhaustive()
-                        .with_num_threads(Some(threads))
-                        .with_pruning(pruning);
-                    let out = stwig::match_query_distributed(&cloud, query, &config).unwrap();
-                    assert_eq!(
-                        canonical_rows(query, &out.table),
-                        want,
-                        "query {qi}: machines = {machines}, threads = {threads}, \
-                         pruning = {pruning}"
-                    );
-                    let reference = &mut references[usize::from(pruning)];
-                    match reference {
-                        None => *reference = Some(out),
-                        Some(reference) => {
-                            assert_eq!(
-                                out.table, reference.table,
-                                "query {qi}: the table must be bit-identical across \
-                                 thread counts (machines = {machines}, pruning = {pruning})"
-                            );
-                            assert_eq!(
-                                out.metrics.explore.roots_pruned,
-                                reference.metrics.explore.roots_pruned,
-                                "query {qi}: prune decisions must not depend on the \
-                                 thread count (machines = {machines}, pruning = {pruning})"
-                            );
-                        }
+                let config = MatchConfig::exhaustive().with_num_threads(Some(threads));
+                let on = stwig::match_query_distributed(&cloud, query, &config).unwrap();
+                let ctx = format!("query {qi}: machines = {machines}, threads = {threads}");
+                assert_eq!(canonical_rows(query, &on.table), want, "{ctx}");
+                verify_all(&cloud, query, &on.table).expect("embeddings verify");
+                match &reference {
+                    None => reference = Some(on),
+                    Some(reference) => {
+                        assert_eq!(
+                            on.table, reference.table,
+                            "{ctx}: the table must be bit-identical across thread counts"
+                        );
+                        assert_eq!(
+                            on.metrics.explore.roots_pruned, reference.metrics.explore.roots_pruned,
+                            "{ctx}: prune decisions must not depend on the thread count"
+                        );
                     }
                 }
             }
@@ -220,9 +196,7 @@ fn pruning_cuts_explore_traffic_at_least_2x_on_zipf_rmat() {
     let config = MatchConfig::exhaustive()
         .with_num_threads(Some(1))
         .with_bindings(false);
-    let stwigs = plan_query_with_config(&cloud, &query, &config)
-        .unwrap()
-        .stwigs;
+    let stwigs = plan_query(&cloud, &query).unwrap().stwigs;
     let unpruned = algorithm1_explore_traffic(&cloud, &query, &stwigs, false);
     let pruned = algorithm1_explore_traffic(&cloud, &query, &stwigs, true);
     let run = |mode| {
@@ -317,8 +291,9 @@ proptest! {
         }
     }
 
-    /// Planner half off/on full-query equivalence on random graphs: the
-    /// embedding sets agree and every pruned-run embedding verifies.
+    /// Prune on/off full-query equivalence on random graphs: the pruning
+    /// engine ("on") and VF2, which never prunes ("off"), return the same
+    /// embedding set, and every embedding of both verifies.
     #[test]
     fn prune_on_off_equivalence_on_random_graphs(
         n in 8u64..36,
@@ -329,19 +304,11 @@ proptest! {
         let g = gnm(n, n * 2, seed).with_labels(labels, 4);
         let cloud = g.build_cloud(machines, trinity_sim::network::CostModel::default());
         if let Some(query) = dfs_query(&cloud, 4, seed) {
-            let run = |pruning: bool| {
-                let config = MatchConfig::exhaustive()
-                    .with_num_threads(Some(1))
-                    .with_pruning(pruning);
-                stwig::match_query_distributed(&cloud, &query, &config).unwrap()
-            };
-            let off = run(false);
-            let on = run(true);
-            prop_assert_eq!(
-                canonical_rows(&query, &on.table),
-                canonical_rows(&query, &off.table)
-            );
-            prop_assert!(verify_all(&cloud, &query, &off.table).is_ok());
+            let config = MatchConfig::exhaustive().with_num_threads(Some(1));
+            let on = stwig::match_query_distributed(&cloud, &query, &config).unwrap();
+            let off = vf2(&cloud, &query, None);
+            prop_assert_eq!(canonical_rows(&query, &on.table), canonical_rows(&query, &off));
+            prop_assert!(verify_all(&cloud, &query, &off).is_ok());
             prop_assert!(verify_all(&cloud, &query, &on.table).is_ok());
         }
     }

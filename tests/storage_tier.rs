@@ -4,8 +4,10 @@
 //!   lists (empty vertices, degree-1 runs, hubs) must decode to exactly the
 //!   sorted, deduplicated `Vec<Vec<VertexId>>` reference: runs, degrees and
 //!   membership answers.
-//! * Differential sweep: transport × pruning × cache over compact
-//!   partitions must return exactly the VF2 baseline's embedding set.
+//! * Differential sweep: transport × cache over compact partitions must
+//!   return exactly the VF2 baseline's embedding set.
+//! * Label alphabet: resident bytes per edge must not grow with the number
+//!   of labels.
 
 use proptest::prelude::*;
 use stwig_match::prelude::*;
@@ -75,7 +77,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Differential sweep: transport × pruning × cache vs VF2
+// Differential sweep: transport × cache vs VF2
 // ---------------------------------------------------------------------------
 
 fn zipf_rmat(vertices: u64, avg_degree: f64, num_labels: usize, seed: u64) -> SyntheticGraph {
@@ -105,33 +107,57 @@ fn storage_sweep_matches_vf2() {
         .to_builder()
         .build(4, trinity_sim::network::CostModel::default());
     for mode in [TransportMode::DirectRead, TransportMode::Messages] {
-        for pruning in [false, true] {
-            for cache_on in [false, true] {
-                let config = EngineConfig::default()
-                    .with_workers(Some(4))
-                    .with_cache(cache_on.then(CacheConfig::default))
-                    .with_match_config(
-                        MatchConfig::exhaustive()
-                            .with_num_threads(Some(1))
-                            .with_transport_mode(mode)
-                            .with_pruning(pruning),
+        for cache_on in [false, true] {
+            let config = EngineConfig::default()
+                .with_workers(Some(4))
+                .with_cache(cache_on.then(CacheConfig::default))
+                .with_match_config(
+                    MatchConfig::exhaustive()
+                        .with_num_threads(Some(1))
+                        .with_transport_mode(mode),
+                );
+            let engine = QueryEngine::new(&cloud, config);
+            // Two passes so the second replays through the cache.
+            for pass in 0..2 {
+                let outputs = engine.run_batch(&queries);
+                for ((q, out), want) in queries.iter().zip(&outputs).zip(&expected) {
+                    let out = out.as_ref().expect("query succeeds");
+                    assert_eq!(
+                        &canonical_rows(q, &out.table),
+                        want,
+                        "diverged from VF2: mode = {mode:?}, cache = {cache_on}, pass = {pass}"
                     );
-                let engine = QueryEngine::new(&cloud, config);
-                // Two passes so the second replays through the cache.
-                for pass in 0..2 {
-                    let outputs = engine.run_batch(&queries);
-                    for ((q, out), want) in queries.iter().zip(&outputs).zip(&expected) {
-                        let out = out.as_ref().expect("query succeeds");
-                        assert_eq!(
-                            &canonical_rows(q, &out.table),
-                            want,
-                            "diverged from VF2: mode = {mode:?}, \
-                             pruning = {pruning}, cache = {cache_on}, pass = {pass}"
-                        );
-                        verify_all(&cloud, q, &out.table).expect("embeddings verify");
-                    }
+                    verify_all(&cloud, q, &out.table).expect("embeddings verify");
                 }
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Label alphabet: storage per edge does not grow with the label count
+// ---------------------------------------------------------------------------
+
+/// Every stored structure is per vertex, per adjacency entry or per posting,
+/// so the same 2^14-vertex R-MAT (average degree 16, 8 machines) must cost
+/// about the same bytes per edge under 4 labels as under 256: only the
+/// postings' per-label overhead may grow with the alphabet. A per-partition
+/// statistic over label pairs would grow with its square.
+#[test]
+fn storage_per_edge_does_not_grow_with_the_label_alphabet() {
+    let n = 1u64 << 14;
+    let graph = rmat(&RmatConfig::with_avg_degree(n, 16.0, 7));
+    let bytes_per_edge = |num_labels: usize| {
+        let labels = LabelModel::Uniform { num_labels }.assign(n, 9);
+        let cloud = graph
+            .clone()
+            .with_labels(labels, num_labels)
+            .build_cloud(8, trinity_sim::network::CostModel::default());
+        cloud.storage_bytes().total() as f64 / cloud.num_edges() as f64
+    };
+    let (few, many) = (bytes_per_edge(4), bytes_per_edge(256));
+    assert!(
+        (many - few).abs() < 1.0,
+        "4 labels: {few:.3} B/edge, 256 labels: {many:.3} B/edge"
+    );
 }
