@@ -1,5 +1,5 @@
 //! The partition store's one representation: delta/varint-encoded
-//! adjacency, succinct label postings and a slot-array id map.
+//! adjacency, succinct label postings and a rank-bitmap id index.
 //!
 //! Trinity's cells live in flat memory trunks precisely because per-object
 //! overhead is what kills billion-node graphs (PAPER.md §3); the Compact
@@ -15,13 +15,21 @@
 //! * [`Neighbors`] — a zero-copy view over either an encoded byte run or a
 //!   sorted `&[VertexId]` slice (an overlay's merged list). Exploration
 //!   iterates it directly: decode-on-iterate, no allocation.
-//! * [`CompactLabelIndex`] — per-label postings over *local* vertex indices,
-//!   stored as whichever of a dense bitmap or a delta-varint list is smaller
-//!   for that label. [`Postings`] decodes back to sorted global ids against
-//!   the partition's vertex-id array.
+//! * [`IdIndex`] — the partition's ids in both directions. Ids that fill
+//!   their range (a power-of-two machine count gives each partition one
+//!   residue class) are a presence bitmap over slots `(id - base) >> shift`
+//!   with a `u32` rank per word: 12 B per 64 slots, ~0.19 B a vertex when
+//!   the partition holds every id of its range. `id → local` is a rank,
+//!   `slot → id` is a shift and an add. Sparse ids fall back to the sorted
+//!   id array plus a [`CompactIdMap`] (16 B a vertex).
+//! * [`CompactLabelIndex`] — per-label postings over the id index's
+//!   *slots*, stored as whichever of a dense bitmap or a delta-varint list
+//!   is smaller for that label. [`Postings`] decodes a slot straight to its
+//!   global id ([`IdIndex::id_at`]), so no posting needs a `select`.
 //! * [`CompactIdMap`] — an open-addressed slot array mapping global ids to
 //!   local indices in 4 bytes per slot (~8 bytes per vertex at 50% load)
-//!   instead of `HashMap`'s ~50 bytes per vertex.
+//!   instead of `HashMap`'s ~50 bytes per vertex; the sparse-id arm of
+//!   [`IdIndex`].
 
 use crate::ids::{LabelId, VertexId};
 use serde::{Deserialize, Serialize};
@@ -31,7 +39,7 @@ use serde::{Deserialize, Serialize};
 /// representation keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageTier {
-    /// Delta/varint CSR, bitmap-or-delta postings, open-addressed id map.
+    /// Delta/varint CSR, bitmap-or-delta postings, rank-bitmap id index.
     Compact,
 }
 
@@ -486,8 +494,8 @@ impl CompactCsrBuilder {
 // ---------------------------------------------------------------------------
 
 /// Open-addressed global-id → local-index map storing only 4-byte local
-/// slots; the global ids themselves are read back from the partition's
-/// vertex-id array during probing, so the map adds no key storage at all.
+/// slots; the global ids themselves are read back from the id array of
+/// [`IdIndex::Hashed`] during probing, so the map adds no key storage at all.
 ///
 /// Capacity is a power of two at ≤ 50% load, giving ~8 bytes per vertex —
 /// better than 4× below the ~50 bytes per entry `HashMap<VertexId, u32>`
@@ -564,28 +572,297 @@ impl CompactIdMap {
 }
 
 // ---------------------------------------------------------------------------
+// Id index: rank bitmap over dense ids, hashed slots over sparse ones
+// ---------------------------------------------------------------------------
+
+/// Resident bytes of one [`IdIndex::Dense`] word: the bitmap word plus its
+/// `u32` rank.
+const DENSE_WORD_BYTES: u128 = 12;
+
+/// One partition's vertex ids, in both directions: global id → local index
+/// ([`IdIndex::local_of`]) and posting slot → global id
+/// ([`IdIndex::id_at`]). Local indices follow ascending id order.
+///
+/// Postings address vertices by *slot* rather than by local index, so
+/// decoding one is [`IdIndex::id_at`] — arithmetic on a dense index, an
+/// array read on a hashed one — and never a `select`. Slot order is id
+/// order in both variants; when a partition holds every id of its range,
+/// slot and local index coincide.
+///
+/// The data picks the variant ([`IdIndex::build`]): the bitmap whenever it
+/// is no larger than the id array it replaces. Under a non-power-of-two
+/// machine count `m` a partition holds about one id in `m` of its range,
+/// so the bitmap costs about `0.19·m` B a vertex and gives way to the
+/// hashed arm above `m ≈ 42`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub enum IdIndex {
+    /// Ids that fill their range: one presence bit per slot
+    /// `(id - base) >> shift`.
+    Dense {
+        /// The smallest id.
+        base: u64,
+        /// Trailing-zero count of the OR of every `id - base`: all ids
+        /// share one residue modulo `1 << shift`.
+        shift: u32,
+        /// Bit `s` set ⇔ `base + (s << shift)` is a member.
+        words: Vec<u64>,
+        /// Number of set bits before each word.
+        ranks: Vec<u32>,
+    },
+    /// Sparse ids: the sorted id array, with an open-addressed map over it.
+    /// A slot is a local index.
+    Hashed {
+        /// Global ids in local-index order (ascending).
+        ids: Vec<VertexId>,
+        /// Global id → local index.
+        map: CompactIdMap,
+    },
+}
+
+impl Default for IdIndex {
+    fn default() -> Self {
+        IdIndex::build(Vec::new())
+    }
+}
+
+impl IdIndex {
+    /// Indexes `ids`, which must be strictly ascending. Stores them as a
+    /// rank bitmap when `12 B × ⌈slots / 64⌉ ≤ 8 B × ids.len()`, and keeps
+    /// the array with a [`CompactIdMap`] over it otherwise.
+    pub fn build(mut ids: Vec<VertexId>) -> Self {
+        debug_assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "ids must be strictly ascending"
+        );
+        assert!(
+            ids.len() < u32::MAX as usize,
+            "partition too large for a u32 id index"
+        );
+        let (base, last) = match (ids.first(), ids.last()) {
+            (Some(first), Some(last)) => (first.0, last.0),
+            _ => (0, 0),
+        };
+        let stride_bits = ids.iter().fold(0u64, |acc, id| acc | (id.0 - base));
+        let shift = if stride_bits == 0 {
+            0
+        } else {
+            stride_bits.trailing_zeros()
+        };
+        let num_words = match ids.len() {
+            0 => 0,
+            _ => (u128::from((last - base) >> shift) + 1).div_ceil(64),
+        };
+        if DENSE_WORD_BYTES * num_words > 8 * ids.len() as u128 {
+            ids.shrink_to_fit();
+            let map = CompactIdMap::build(&ids);
+            return IdIndex::Hashed { ids, map };
+        }
+        let mut words = vec![0u64; num_words as usize];
+        for id in &ids {
+            let slot = (id.0 - base) >> shift;
+            words[(slot / 64) as usize] |= 1 << (slot % 64);
+        }
+        drop(ids);
+        let mut ranks = Vec::with_capacity(words.len());
+        let mut rank = 0u32;
+        for word in &words {
+            ranks.push(rank);
+            rank += word.count_ones();
+        }
+        IdIndex::Dense {
+            base,
+            shift,
+            words,
+            ranks,
+        }
+    }
+
+    /// Number of indexed ids.
+    pub fn len(&self) -> usize {
+        match self {
+            IdIndex::Dense { words, ranks, .. } => match (words.last(), ranks.last()) {
+                (Some(word), Some(&rank)) => rank as usize + word.count_ones() as usize,
+                _ => 0,
+            },
+            IdIndex::Hashed { ids, .. } => ids.len(),
+        }
+    }
+
+    /// Whether no id is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// One past the highest slot: the span a bitmap posting list covers.
+    pub fn slot_space(&self) -> usize {
+        match self {
+            IdIndex::Dense { words, .. } => words.last().map_or(0, |last| {
+                (words.len() - 1) * 64 + 64 - last.leading_zeros() as usize
+            }),
+            IdIndex::Hashed { ids, .. } => ids.len(),
+        }
+    }
+
+    /// The local index of `id`, or `None` when it is not indexed.
+    #[inline]
+    pub fn local_of(&self, id: VertexId) -> Option<usize> {
+        match self {
+            IdIndex::Dense {
+                base,
+                shift,
+                words,
+                ranks,
+            } => {
+                let offset = id.0.checked_sub(*base)?;
+                if offset & ((1u64 << shift) - 1) != 0 {
+                    return None;
+                }
+                let slot = offset >> shift;
+                let w = usize::try_from(slot / 64).ok()?;
+                let (word, bit) = (*words.get(w)?, slot % 64);
+                if (word >> bit) & 1 == 0 {
+                    return None;
+                }
+                let below = word & ((1u64 << bit) - 1);
+                Some(ranks[w] as usize + below.count_ones() as usize)
+            }
+            IdIndex::Hashed { ids, map } => map.get(ids, id).map(|local| local as usize),
+        }
+    }
+
+    /// The global id at posting slot `slot`, which must be a member's.
+    #[inline]
+    pub fn id_at(&self, slot: usize) -> VertexId {
+        match self {
+            IdIndex::Dense { base, shift, .. } => VertexId(base + ((slot as u64) << shift)),
+            IdIndex::Hashed { ids, .. } => ids[slot],
+        }
+    }
+
+    /// The members' slots in ascending order (one per local index).
+    pub fn slots(&self) -> Slots<'_> {
+        match self {
+            IdIndex::Dense { words, .. } => Slots::Bits(SetBits::new(words)),
+            IdIndex::Hashed { ids, .. } => Slots::Range(0..ids.len()),
+        }
+    }
+
+    /// The indexed ids in ascending (local-index) order.
+    pub fn iter(&self) -> Ids<'_> {
+        Ids {
+            index: self,
+            slots: self.slots(),
+        }
+    }
+
+    /// Resident bytes: bitmap words plus ranks, or ids plus map slots.
+    pub fn memory_bytes(&self) -> usize {
+        match self {
+            IdIndex::Dense { words, ranks, .. } => {
+                words.len() * std::mem::size_of::<u64>() + ranks.len() * std::mem::size_of::<u32>()
+            }
+            IdIndex::Hashed { ids, map } => {
+                ids.len() * std::mem::size_of::<VertexId>() + map.memory_bytes()
+            }
+        }
+    }
+}
+
+/// The positions of the set bits of a bitmap, lowest first.
+#[derive(Clone)]
+pub struct SetBits<'a> {
+    words: &'a [u64],
+    /// Index of the word `current` was loaded from.
+    word_idx: usize,
+    /// Unvisited bits of that word.
+    current: u64,
+}
+
+impl<'a> SetBits<'a> {
+    fn new(words: &'a [u64]) -> Self {
+        SetBits {
+            words,
+            word_idx: 0,
+            current: words.first().copied().unwrap_or(0),
+        }
+    }
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.current == 0 {
+            self.word_idx += 1;
+            self.current = *self.words.get(self.word_idx)?;
+        }
+        let bit = self.current.trailing_zeros() as usize;
+        self.current &= self.current - 1;
+        Some(self.word_idx * 64 + bit)
+    }
+}
+
+/// The member slots of an [`IdIndex`], ascending.
+#[derive(Clone)]
+pub enum Slots<'a> {
+    /// A dense index's set bits.
+    Bits(SetBits<'a>),
+    /// A hashed index's local indices.
+    Range(std::ops::Range<usize>),
+}
+
+impl Iterator for Slots<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Slots::Bits(bits) => bits.next(),
+            Slots::Range(range) => range.next(),
+        }
+    }
+}
+
+/// The ids of an [`IdIndex`], ascending.
+#[derive(Clone)]
+pub struct Ids<'a> {
+    index: &'a IdIndex,
+    slots: Slots<'a>,
+}
+
+impl Iterator for Ids<'_> {
+    type Item = VertexId;
+
+    #[inline]
+    fn next(&mut self) -> Option<VertexId> {
+        self.slots.next().map(|slot| self.index.id_at(slot))
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Succinct label postings
 // ---------------------------------------------------------------------------
 
-/// One label's posting list over *local* vertex indices, stored as whichever
-/// representation is smaller for this label: a dense bitmap over the local
-/// index space (cheap for frequent labels) or a delta-varint list (cheap for
-/// rare ones). Local indices are in ascending global-id order, so decoding
-/// yields sorted global ids.
+/// One label's posting list over [`IdIndex`] slots, stored as whichever
+/// representation is smaller for this label: a dense bitmap over the slot
+/// space (cheap for frequent labels) or a delta-varint list (cheap for
+/// rare ones). Slots are in ascending global-id order, so decoding yields
+/// sorted global ids.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum PostingList {
     /// No local vertex carries this label.
     Empty,
-    /// Bit `i` set ⇔ local vertex `i` carries the label.
+    /// Bit `s` set ⇔ the vertex at slot `s` carries the label.
     Bitmap {
-        /// `ceil(num_local / 64)` words.
+        /// `ceil(slot_space / 64)` words.
         words: Vec<u64>,
         /// Number of set bits (the label's local frequency).
         count: u32,
     },
-    /// `varint(first local)`, then `varint(delta ≥ 1)` per subsequent local.
+    /// `varint(first slot)`, then `varint(delta ≥ 1)` per subsequent slot.
     Deltas {
-        /// Encoded local indices.
+        /// Encoded slots.
         bytes: Vec<u8>,
         /// Number of encoded indices.
         count: u32,
@@ -612,7 +889,7 @@ impl PostingList {
 }
 
 /// The per-machine string index (the paper's `Index.getID`): label →
-/// succinct posting list over local vertex indices. It is the only index
+/// succinct posting list over id-index slots. It is the only index
 /// the approach needs besides adjacency, linear in the local vertex count
 /// and built in one pass.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -622,35 +899,37 @@ pub struct CompactLabelIndex {
 
 impl CompactLabelIndex {
     /// Builds the index from the partition's per-local-vertex label array
-    /// (`labels[local]` is the label of local vertex `local`). `num_labels`
-    /// is the global label-space size. A label outside it is dropped — the
-    /// vertex is not indexed under it, and the label space never grows with
-    /// the data — and flagged with a `debug_assert`.
-    pub fn build(labels: &[LabelId], num_labels: usize) -> Self {
-        let n = labels.len();
+    /// (`labels[local]` is the label of local vertex `local`) and its id
+    /// index, whose slots the postings address. `num_labels` is the global
+    /// label-space size. A label outside it is dropped — the vertex is not
+    /// indexed under it, and the label space never grows with the data —
+    /// and flagged with a `debug_assert`.
+    pub fn build(labels: &[LabelId], num_labels: usize, ids: &IdIndex) -> Self {
+        debug_assert_eq!(labels.len(), ids.len(), "one label per indexed id");
         // Pass 1: per-label frequency and exact delta-encoded size.
         let mut counts = vec![0u32; num_labels];
         let mut delta_bytes = vec![0usize; num_labels];
-        let mut last_local = vec![u64::MAX; num_labels];
-        for (local, l) in labels.iter().enumerate() {
+        let mut last_slot = vec![u64::MAX; num_labels];
+        for (slot, l) in ids.slots().zip(labels) {
             let Some(c) = counts.get_mut(l.index()) else {
                 debug_assert!(
                     false,
-                    "label {l:?} of local vertex {local} is outside the declared label space ({num_labels} labels)"
+                    "label {l:?} of the vertex at slot {slot} is outside the declared label space ({num_labels} labels)"
                 );
                 continue;
             };
-            let prev = last_local[l.index()];
+            let prev = last_slot[l.index()];
             delta_bytes[l.index()] += if prev == u64::MAX {
-                varint_len(local as u64)
+                varint_len(slot as u64)
             } else {
-                varint_len(local as u64 - prev)
+                varint_len(slot as u64 - prev)
             };
-            last_local[l.index()] = local as u64;
+            last_slot[l.index()] = slot as u64;
             *c += 1;
         }
         // Pass 2: pick the smaller representation per label and fill it.
-        let bitmap_bytes = n.div_ceil(64) * 8;
+        let num_words = ids.slot_space().div_ceil(64);
+        let bitmap_bytes = num_words * 8;
         let mut lists: Vec<PostingList> = counts
             .iter()
             .zip(&delta_bytes)
@@ -659,7 +938,7 @@ impl CompactLabelIndex {
                     PostingList::Empty
                 } else if bitmap_bytes < dbytes {
                     PostingList::Bitmap {
-                        words: vec![0u64; n.div_ceil(64)],
+                        words: vec![0u64; num_words],
                         count,
                     }
                 } else {
@@ -672,22 +951,22 @@ impl CompactLabelIndex {
             .collect();
         let mut prev = vec![0u64; num_labels];
         let mut seen = vec![false; num_labels];
-        for (local, l) in labels.iter().enumerate() {
+        for (slot, l) in ids.slots().zip(labels) {
             let Some(list) = lists.get_mut(l.index()) else {
                 continue;
             };
             match list {
                 PostingList::Bitmap { words, .. } => {
-                    words[local / 64] |= 1u64 << (local % 64);
+                    words[slot / 64] |= 1u64 << (slot % 64);
                 }
                 PostingList::Deltas { bytes, .. } => {
                     let delta = if seen[l.index()] {
-                        local as u64 - prev[l.index()]
+                        slot as u64 - prev[l.index()]
                     } else {
-                        local as u64
+                        slot as u64
                     };
                     push_varint(bytes, delta);
-                    prev[l.index()] = local as u64;
+                    prev[l.index()] = slot as u64;
                     seen[l.index()] = true;
                 }
                 PostingList::Empty => unreachable!("counted label has a list"),
@@ -696,10 +975,10 @@ impl CompactLabelIndex {
         CompactLabelIndex { lists }
     }
 
-    /// The postings of `label`, decoded against `ids` (the partition's
-    /// local-index → global-id array) to sorted global vertex ids.
+    /// The postings of `label`, decoded against `ids` (the id index the
+    /// postings were built over) to sorted global vertex ids.
     #[inline]
-    pub fn get<'a>(&'a self, label: LabelId, ids: &'a [VertexId]) -> Postings<'a> {
+    pub fn get<'a>(&'a self, label: LabelId, ids: &'a IdIndex) -> Postings<'a> {
         match self.lists.get(label.index()) {
             None | Some(PostingList::Empty) => Postings::Slice(&[]),
             Some(PostingList::Bitmap { words, count }) => Postings::Bitmap {
@@ -748,21 +1027,21 @@ impl CompactLabelIndex {
 pub enum Postings<'a> {
     /// A sorted slice of global ids: an overlay's merged list, or empty.
     Slice(&'a [VertexId]),
-    /// A bitmap over local indices, mapped through `ids`.
+    /// A bitmap over slots, mapped through `ids`.
     Bitmap {
-        /// Bit `i` set ⇔ local vertex `i` carries the label.
+        /// Bit `s` set ⇔ the vertex at slot `s` carries the label.
         words: &'a [u64],
-        /// Local-index → global-id array.
-        ids: &'a [VertexId],
+        /// Slot → global id.
+        ids: &'a IdIndex,
         /// Number of set bits.
         count: u32,
     },
-    /// Delta-varint local indices, mapped through `ids`.
+    /// Delta-varint slots, mapped through `ids`.
     Deltas {
-        /// Encoded local indices.
+        /// Encoded slots.
         bytes: &'a [u8],
-        /// Local-index → global-id array.
-        ids: &'a [VertexId],
+        /// Slot → global id.
+        ids: &'a IdIndex,
         /// Number of encoded indices.
         count: u32,
     },
@@ -794,10 +1073,8 @@ impl<'a> Postings<'a> {
         match *self {
             Postings::Slice(s) => PostingsIter::Slice(s.iter()),
             Postings::Bitmap { words, ids, count } => PostingsIter::Bitmap {
-                words,
+                slots: SetBits::new(words),
                 ids,
-                word_idx: 0,
-                current: words.first().copied().unwrap_or(0),
                 remaining: count,
             },
             Postings::Deltas { bytes, ids, count } => PostingsIter::Deltas {
@@ -866,28 +1143,24 @@ pub enum PostingsIter<'a> {
     Slice(std::slice::Iter<'a, VertexId>),
     /// Bitmap scan (lowest set bit first).
     Bitmap {
-        /// Bitmap words.
-        words: &'a [u64],
-        /// Local-index → global-id array.
-        ids: &'a [VertexId],
-        /// Index of the word `current` was loaded from.
-        word_idx: usize,
-        /// Remaining bits of the current word.
-        current: u64,
+        /// The bitmap's set bits.
+        slots: SetBits<'a>,
+        /// Slot → global id.
+        ids: &'a IdIndex,
         /// Set bits left to visit.
         remaining: u32,
     },
     /// Varint decode.
     Deltas {
-        /// Encoded local indices.
+        /// Encoded slots.
         bytes: &'a [u8],
-        /// Local-index → global-id array.
-        ids: &'a [VertexId],
+        /// Slot → global id.
+        ids: &'a IdIndex,
         /// Cursor into `bytes`.
         pos: usize,
-        /// Last decoded local index.
+        /// Last decoded slot.
         prev: u64,
-        /// Indices left to decode.
+        /// Slots left to decode.
         remaining: u32,
     },
 }
@@ -900,23 +1173,15 @@ impl Iterator for PostingsIter<'_> {
         match self {
             PostingsIter::Slice(it) => it.next().copied(),
             PostingsIter::Bitmap {
-                words,
+                slots,
                 ids,
-                word_idx,
-                current,
                 remaining,
             } => {
                 if *remaining == 0 {
                     return None;
                 }
-                while *current == 0 {
-                    *word_idx += 1;
-                    *current = words[*word_idx];
-                }
-                let bit = current.trailing_zeros() as usize;
-                *current &= *current - 1;
                 *remaining -= 1;
-                Some(ids[*word_idx * 64 + bit])
+                slots.next().map(|slot| ids.id_at(slot))
             }
             PostingsIter::Deltas {
                 bytes,
@@ -931,9 +1196,9 @@ impl Iterator for PostingsIter<'_> {
                 *remaining -= 1;
                 let at_start = *pos == 0;
                 let raw = read_varint(bytes, pos);
-                let local = if at_start { raw } else { *prev + raw };
-                *prev = local;
-                Some(ids[local as usize])
+                let slot = if at_start { raw } else { *prev + raw };
+                *prev = slot;
+                Some(ids.id_at(slot as usize))
             }
         }
     }
@@ -1048,13 +1313,154 @@ mod tests {
         assert_eq!(m.get(&[], v(0)), None);
     }
 
+    /// Builds an [`IdIndex`] over `ids` (strictly ascending) and checks
+    /// every promise it makes: the variant rule, `local_of` of members and
+    /// of non-members around them, `id_at` of every slot (directly and
+    /// through postings over the slots), and iteration order.
+    fn check_id_index(ids: &[u64]) -> IdIndex {
+        let ids: Vec<VertexId> = ids.iter().copied().map(v).collect();
+        let index = IdIndex::build(ids.clone());
+        assert_eq!(index.len(), ids.len());
+        assert_eq!(index.is_empty(), ids.is_empty());
+        assert_eq!(index.iter().collect::<Vec<_>>(), ids, "iteration order");
+
+        // The variant rule: the bitmap whenever it is no larger than the
+        // id array.
+        let (base, last) = (
+            ids.first().map_or(0, |x| x.0),
+            ids.last().map_or(0, |x| x.0),
+        );
+        let stride = ids.iter().fold(0u64, |acc, x| acc | (x.0 - base));
+        let shift = if stride == 0 {
+            0
+        } else {
+            stride.trailing_zeros()
+        };
+        let words = if ids.is_empty() {
+            0
+        } else {
+            (u128::from((last - base) >> shift) + 1).div_ceil(64)
+        };
+        let dense = 12 * words <= 8 * ids.len() as u128;
+        assert_eq!(matches!(index, IdIndex::Dense { .. }), dense, "variant");
+        if let IdIndex::Dense { shift: s, .. } = index {
+            assert_eq!(s, shift);
+        }
+        let bytes = index.memory_bytes();
+        match index {
+            IdIndex::Dense { .. } => assert_eq!(bytes as u128, 12 * words),
+            IdIndex::Hashed { ref map, .. } => {
+                assert_eq!(bytes, ids.len() * 8 + map.memory_bytes())
+            }
+        }
+
+        let members: std::collections::HashSet<u64> = ids.iter().map(|x| x.0).collect();
+        for (local, &id) in ids.iter().enumerate() {
+            assert_eq!(index.local_of(id), Some(local), "member {id}");
+        }
+        let mut outsiders = vec![0, 1, u64::MAX, u64::MAX - 1];
+        for &id in &ids {
+            outsiders.extend([id.0.wrapping_sub(1), id.0.wrapping_add(1)]);
+            // Off the stride, when there is one.
+            outsiders.push(id.0.wrapping_add(1 << shift.saturating_sub(1)));
+        }
+        outsiders.extend([base.wrapping_sub(1), base / 2, last.wrapping_add(1)]);
+        outsiders.push(last.wrapping_add(1 << shift));
+        for id in outsiders {
+            let want = ids.iter().position(|x| x.0 == id);
+            assert_eq!(members.contains(&id), want.is_some());
+            assert_eq!(index.local_of(v(id)), want, "probe {id}");
+        }
+
+        // Slots ascend, stay inside the slot space, and decode to the ids.
+        let slots: Vec<usize> = index.slots().collect();
+        assert_eq!(slots.len(), ids.len());
+        assert!(slots.windows(2).all(|w| w[0] < w[1]));
+        assert!(slots.last().map_or(0, |s| s + 1) == index.slot_space());
+        for (&slot, &id) in slots.iter().zip(&ids) {
+            assert_eq!(index.id_at(slot), id, "slot {slot}");
+        }
+        // Postings over the slots, both representations, decode to the
+        // members carrying each label.
+        let labels: Vec<LabelId> = (0..ids.len())
+            .map(|i| l(if i % 97 == 0 { 1 } else { 0 }))
+            .collect();
+        let postings = CompactLabelIndex::build(&labels, 2, &index);
+        for lab in 0..2 {
+            let want: Vec<VertexId> = ids
+                .iter()
+                .zip(&labels)
+                .filter(|(_, &x)| x == l(lab))
+                .map(|(&id, _)| id)
+                .collect();
+            assert_eq!(postings.get(l(lab), &index).to_vec(), want, "label {lab}");
+        }
+        index
+    }
+
+    #[test]
+    fn id_index_answers_both_directions_on_every_shape() {
+        let dense = |ids: &[u64]| {
+            let index = check_id_index(ids);
+            assert!(matches!(index, IdIndex::Dense { .. }), "{ids:?}");
+            index
+        };
+        let hashed = |ids: &[u64]| {
+            let index = check_id_index(ids);
+            assert!(matches!(index, IdIndex::Hashed { .. }), "{ids:?}");
+        };
+        assert_eq!(dense(&[]).memory_bytes(), 0);
+        // A single id: one word (12 B) is more than its 8 B array.
+        hashed(&[0]);
+        hashed(&[42]);
+        hashed(&[u64::MAX]);
+        dense(&[u64::MAX - 1, u64::MAX]);
+        // Ids near the top of the space: no overflow in slots or decoding.
+        dense(&(u64::MAX - 300..=u64::MAX).collect::<Vec<_>>());
+        dense(&(0..100).map(|i| u64::MAX - 4 * i).rev().collect::<Vec<_>>());
+        // All even ids: shift 1.
+        let evens = dense(&(0..2_000).map(|i| 2 * i).collect::<Vec<_>>());
+        assert!(matches!(evens, IdIndex::Dense { shift: 1, .. }));
+        // Stride 2^k from an odd base, with holes.
+        let strided: Vec<u64> = (0..3_000u64)
+            .filter(|i| i % 5 != 3)
+            .map(|i| 7 + (i << 4))
+            .collect();
+        assert!(matches!(dense(&strided), IdIndex::Dense { shift: 4, .. }));
+        // Exactly at the switch point: 4 words (48 B) for 6 ids (48 B) stay
+        // dense; one id fewer is 40 B of array and hashes.
+        dense(&[0, 1, 2, 3, 4, 255]);
+        hashed(&[0, 1, 2, 3, 255]);
+        // Random sparse ids hash; a random dense subset of a range does not.
+        let mut x = 0x1D_1D3Au64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..8 {
+            let mut sparse: Vec<u64> = (0..500 + round * 50).map(|_| next()).collect();
+            sparse.sort_unstable();
+            sparse.dedup();
+            hashed(&sparse);
+            let base = next() >> 8;
+            let subset: Vec<u64> = (0..4_000u64)
+                .filter(|_| next() % 4 != 0)
+                .map(|i| base + (i << round))
+                .collect();
+            dense(&subset);
+        }
+    }
+
     #[test]
     fn label_index_picks_representation_per_label() {
         // Label 0 on every vertex (bitmap wins), label 1 on one vertex
         // (deltas win), label 2 absent (Empty).
         let n = 1000usize;
         let labels: Vec<LabelId> = (0..n).map(|i| if i == 500 { l(1) } else { l(0) }).collect();
-        let idx = CompactLabelIndex::build(&labels, 3);
+        let ids = IdIndex::build((0..n as u64).map(v).collect());
+        let idx = CompactLabelIndex::build(&labels, 3, &ids);
         assert!(matches!(idx.lists[0], PostingList::Bitmap { .. }));
         assert!(matches!(idx.lists[1], PostingList::Deltas { .. }));
         assert!(matches!(idx.lists[2], PostingList::Empty));
@@ -1069,18 +1475,19 @@ mod tests {
     fn postings_decode_sorted_global_ids() {
         let ids: Vec<VertexId> = (0..200u64).map(|i| v(i * 5 + 2)).collect();
         let labels: Vec<LabelId> = (0..200).map(|i| l((i % 3) as u32)).collect();
-        let idx = CompactLabelIndex::build(&labels, 3);
+        let index = IdIndex::build(ids.clone());
+        let idx = CompactLabelIndex::build(&labels, 3, &index);
         for lab in 0..3u32 {
             let expect: Vec<VertexId> = (0..200usize)
                 .filter(|i| (i % 3) as u32 == lab)
                 .map(|i| ids[i])
                 .collect();
-            let got = idx.get(l(lab), &ids);
+            let got = idx.get(l(lab), &index);
             assert_eq!(got.len(), expect.len());
             assert_eq!(got.to_vec(), expect);
             assert_eq!(got, expect);
         }
-        assert_eq!(idx.get(l(99), &ids).len(), 0);
+        assert_eq!(idx.get(l(99), &index).len(), 0);
     }
 
     #[test]
@@ -1088,13 +1495,14 @@ mod tests {
         // A label id beyond `num_labels` must not grow the label space:
         // debug builds flag it, release builds leave the vertex unindexed.
         if cfg!(debug_assertions) {
-            let build = || CompactLabelIndex::build(&[l(5)], 2);
+            let build = || CompactLabelIndex::build(&[l(5)], 2, &IdIndex::build(vec![v(1)]));
             assert!(std::panic::catch_unwind(build).is_err());
         } else {
-            let idx = CompactLabelIndex::build(&[l(5), l(1)], 2);
+            let ids = IdIndex::build(vec![v(1), v(2)]);
+            let idx = CompactLabelIndex::build(&[l(5), l(1)], 2, &ids);
             assert_eq!(idx.num_labels(), 2, "label space must not grow");
             assert_eq!(idx.frequency(l(5)), 0);
-            assert_eq!(idx.get(l(1), &[v(1), v(2)]), &[v(2)]);
+            assert_eq!(idx.get(l(1), &ids), &[v(2)]);
             assert_eq!(idx.total_postings(), 1);
         }
     }

@@ -9,7 +9,9 @@
 //! `1 + M` passes over the edge stream (`M` = machine count):
 //!
 //! 1. **Vertex pass**: hash-partition `(id, label)` pairs, sort each
-//!    machine's vertices, build the id maps and label frequencies.
+//!    machine's vertices, move each machine's ids into its
+//!    [`IdIndex`] and count label frequencies. Edge endpoints are located
+//!    through the indexes; no id array outlives this pass.
 //! 2. **Degree pass**: one pass over the edges counting, per machine, each
 //!    local vertex's entry count (duplicates included — they are cheap to
 //!    count and removed at encode time).
@@ -26,7 +28,7 @@
 
 use crate::cloud::{machine_for, MemoryCloud};
 use crate::cluster_graph::LabelPairCatalog;
-use crate::compact::{CompactCsr, CompactCsrBuilder, CompactIdMap, StorageTier};
+use crate::compact::{CompactCsr, CompactCsrBuilder, IdIndex, StorageTier};
 use crate::error::TrinityError;
 use crate::ids::{LabelId, LabelInterner, MachineId, VertexId};
 use crate::neighbor_index::{label_bit, NeighborLabelIndex};
@@ -99,14 +101,14 @@ impl StreamLoader {
         let num_labels = interner.len();
 
         // ------------------------------------------------------------------
-        // Pass 1: vertices → per-machine sorted (id, label), id maps,
+        // Pass 1: vertices → per-machine sorted (id, label), id indexes,
         // label frequencies.
         // ------------------------------------------------------------------
         let mut per_machine: Vec<Vec<(VertexId, LabelId)>> = vec![Vec::new(); m];
         for (id, label) in vertices {
             per_machine[machine_for(id, m).index()].push((id, label));
         }
-        let mut machine_ids: Vec<Vec<VertexId>> = Vec::with_capacity(m);
+        let mut id_indexes: Vec<IdIndex> = Vec::with_capacity(m);
         let mut machine_labels: Vec<Vec<LabelId>> = Vec::with_capacity(m);
         let mut label_frequency = vec![0u64; num_labels];
         let mut num_vertices = 0u64;
@@ -136,21 +138,17 @@ impl StreamLoader {
             }
             list.clear();
             list.shrink_to_fit();
-            machine_ids.push(ids);
+            id_indexes.push(IdIndex::build(ids));
             machine_labels.push(labels);
         }
         drop(per_machine);
         if num_vertices == 0 {
             return Err(TrinityError::EmptyGraph);
         }
-        let id_maps: Vec<CompactIdMap> = machine_ids
-            .iter()
-            .map(|ids| CompactIdMap::build(ids))
-            .collect();
-        let locate = |id: VertexId| -> Result<(usize, u32), TrinityError> {
+        let locate = |id: VertexId| -> Result<(usize, usize), TrinityError> {
             let mach = machine_for(id, m).index();
-            id_maps[mach]
-                .get(&machine_ids[mach], id)
+            id_indexes[mach]
+                .local_of(id)
                 .map(|local| (mach, local))
                 .ok_or(TrinityError::UnknownVertex(id))
         };
@@ -159,9 +157,9 @@ impl StreamLoader {
         // Pass 2: count per-local-vertex entries (duplicates included),
         // validating endpoints once.
         // ------------------------------------------------------------------
-        let mut degrees: Vec<Vec<u32>> = machine_ids
+        let mut degrees: Vec<Vec<u32>> = machine_labels
             .iter()
-            .map(|ids| vec![0u32; ids.len()])
+            .map(|labels| vec![0u32; labels.len()])
             .collect();
         for (u, v) in edges() {
             if u == v {
@@ -169,8 +167,8 @@ impl StreamLoader {
             }
             let (mu, lu) = locate(u)?;
             let (mv, lv) = locate(v)?;
-            degrees[mu][lu as usize] += 1;
-            degrees[mv][lv as usize] += 1;
+            degrees[mu][lu] += 1;
+            degrees[mv][lv] += 1;
         }
 
         // ------------------------------------------------------------------
@@ -181,7 +179,7 @@ impl StreamLoader {
         let mut neighbor_indexes: Vec<NeighborLabelIndex> = Vec::with_capacity(m);
         let mut total_entries = 0u64;
         for mach in 0..m {
-            let n_local = machine_ids[mach].len();
+            let n_local = machine_labels[mach].len();
             let counts = std::mem::take(&mut degrees[mach]);
             let mut starts = Vec::with_capacity(n_local + 1);
             let mut running = 0usize;
@@ -201,13 +199,13 @@ impl StreamLoader {
                 }
                 if machine_for(u, m).index() == mach {
                     let (_, local) = locate(u)?;
-                    staging[cursor[local as usize]] = v;
-                    cursor[local as usize] += 1;
+                    staging[cursor[local]] = v;
+                    cursor[local] += 1;
                 }
                 if machine_for(v, m).index() == mach {
                     let (_, local) = locate(v)?;
-                    staging[cursor[local as usize]] = u;
-                    cursor[local as usize] += 1;
+                    staging[cursor[local]] = u;
+                    cursor[local] += 1;
                 }
             }
             drop(cursor);
@@ -235,7 +233,7 @@ impl StreamLoader {
                 let mut sig = 0u64;
                 for &nbr in run {
                     let (mn, ln) = locate(nbr)?;
-                    let nbr_label = machine_labels[mn][ln as usize];
+                    let nbr_label = machine_labels[mn][ln];
                     sig |= label_bit(nbr_label);
                     catalog.record_edge(
                         MachineId(mach as u16),
@@ -258,17 +256,15 @@ impl StreamLoader {
         // Assembly.
         // ------------------------------------------------------------------
         let mut partitions = Vec::with_capacity(m);
-        for ((((ids, labels), id_map), adjacency), neighbor_index) in machine_ids
+        for (((ids, labels), adjacency), neighbor_index) in id_indexes
             .into_iter()
             .zip(machine_labels)
-            .zip(id_maps)
             .zip(adjacencies)
             .zip(neighbor_indexes)
         {
             partitions.push(Partition::from_encoded_parts(
                 ids,
                 labels,
-                id_map,
                 adjacency,
                 num_labels,
                 Some(neighbor_index),

@@ -9,7 +9,7 @@
 //! so static partitions (no overlay) read the base alone.
 
 use crate::compact::{
-    CompactCsr, CompactCsrBuilder, CompactIdMap, CompactLabelIndex, Neighbors, Postings,
+    CompactCsr, CompactCsrBuilder, CompactLabelIndex, IdIndex, Ids, Neighbors, Postings,
 };
 use crate::hash::FxHashMap;
 use crate::ids::{LabelId, VertexId};
@@ -77,8 +77,9 @@ pub struct StorageBytes {
     pub adjacency: usize,
     /// Per-vertex label array.
     pub labels: usize,
-    /// Id mapping both ways: the local-index → global-id array plus the
-    /// open-addressed global-id → local-index slots.
+    /// Id mapping both ways, all of [`IdIndex::memory_bytes`]: a rank
+    /// bitmap's words and ranks when the ids fill their range, else the
+    /// local-index → global-id array plus the open-addressed slots.
     pub id_map: usize,
     /// The label → vertex-id string index.
     pub postings: usize,
@@ -108,15 +109,14 @@ impl std::ops::AddAssign for StorageBytes {
 /// successive epoch snapshots; never mutated after construction.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct PartitionBase {
-    /// Global IDs of local vertices, in local-index order (ascending id).
-    vertex_ids: Vec<VertexId>,
-    /// Label of each local vertex, parallel to `vertex_ids`.
+    /// Global ids of local vertices both ways; local-index order is
+    /// ascending id.
+    ids: IdIndex,
+    /// Label of each local vertex, in local-index order.
     labels: Vec<LabelId>,
-    /// Global → local index map.
-    id_map: CompactIdMap,
     /// Adjacency of local vertices.
     adjacency: CompactCsr,
-    /// Label → local vertex IDs.
+    /// Label → slots of `ids`.
     postings: CompactLabelIndex,
     /// Per-vertex neighborhood-label signatures, when built with label
     /// lookup (`None` disables signature pruning for this partition).
@@ -145,11 +145,11 @@ impl PartitionBase {
             }
             adjacency_lists = reordered;
         }
+        let ids = IdIndex::build(vertex_ids);
         PartitionBase {
-            id_map: CompactIdMap::build(&vertex_ids),
-            postings: CompactLabelIndex::build(&labels, num_labels),
+            postings: CompactLabelIndex::build(&labels, num_labels, &ids),
             adjacency: CompactCsr::from_lists(adjacency_lists),
-            vertex_ids,
+            ids,
             labels,
             neighbor_index: None,
         }
@@ -157,7 +157,7 @@ impl PartitionBase {
 
     #[inline]
     fn local_of(&self, id: VertexId) -> Option<usize> {
-        self.id_map.get(&self.vertex_ids, id).map(|l| l as usize)
+        self.ids.local_of(id)
     }
 
     fn load(&self, id: VertexId) -> Option<Cell<'_>> {
@@ -354,8 +354,8 @@ struct Merged<'a> {
 /// Merge-iterates base vertex ids (minus deleted) with overlay-added ids;
 /// both runs are sorted ascending and disjoint, so the merged run is too.
 struct MergedIter<'a> {
-    base_ids: &'a [VertexId],
-    next_local: usize,
+    /// Base `(local, id)` pairs, ascending.
+    base: std::iter::Peekable<std::iter::Enumerate<Ids<'a>>>,
     added: std::iter::Peekable<std::slice::Iter<'a, VertexId>>,
     overlay: Option<&'a PartitionOverlay>,
 }
@@ -365,16 +365,15 @@ impl<'a> Iterator for MergedIter<'a> {
 
     fn next(&mut self) -> Option<Merged<'a>> {
         loop {
-            let take_base = match (self.base_ids.get(self.next_local), self.added.peek()) {
-                (Some(b), Some(a)) => b < *a,
+            let take_base = match (self.base.peek(), self.added.peek()) {
+                (Some((_, b)), Some(a)) => b < *a,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => return None,
             };
             let (id, local) = if take_base {
-                self.next_local += 1;
-                let local = self.next_local - 1;
-                (self.base_ids[local], Some(local))
+                let (local, id) = self.base.next().expect("peeked");
+                (id, Some(local))
             } else {
                 (*self.added.next().expect("peeked"), None)
             };
@@ -428,8 +427,8 @@ impl Partition {
         neighbor_label: impl Fn(VertexId) -> Option<LabelId>,
     ) -> Self {
         let mut base = PartitionBase::new(vertex_ids, labels, adjacency_lists, num_labels);
-        let mut sigs = Vec::with_capacity(base.vertex_ids.len());
-        for local in 0..base.vertex_ids.len() {
+        let mut sigs = Vec::with_capacity(base.labels.len());
+        for local in 0..base.labels.len() {
             let mut sig = 0u64;
             for m in base.adjacency.neighbors(local) {
                 match neighbor_label(m) {
@@ -447,24 +446,22 @@ impl Partition {
     }
 
     /// Assembles a partition from components the streaming bulk loader (or
-    /// a seal) has built in final form — ids sorted ascending, id map over
-    /// them, adjacency encoded, signatures filled — and builds its
+    /// a seal) has built in final form — id index built, labels and
+    /// adjacency in its local order, signatures filled — and builds its
     /// string index. Crate-internal: invariants are the caller's.
     pub(crate) fn from_encoded_parts(
-        vertex_ids: Vec<VertexId>,
+        ids: IdIndex,
         labels: Vec<LabelId>,
-        id_map: CompactIdMap,
         adjacency: CompactCsr,
         num_labels: usize,
         neighbor_index: Option<NeighborLabelIndex>,
     ) -> Self {
-        debug_assert!(vertex_ids.windows(2).all(|w| w[0] < w[1]));
+        debug_assert_eq!(ids.len(), labels.len());
         Partition {
             base: Arc::new(PartitionBase {
-                postings: CompactLabelIndex::build(&labels, num_labels),
-                vertex_ids,
+                postings: CompactLabelIndex::build(&labels, num_labels, &ids),
+                ids,
                 labels,
-                id_map,
                 adjacency,
                 neighbor_index,
             }),
@@ -508,11 +505,9 @@ impl Partition {
             }
             adjacency.push_neighbors(cell.neighbors);
         }
-        let id_map = CompactIdMap::build(&ids);
         Partition::from_encoded_parts(
-            ids,
+            IdIndex::build(ids),
             labels,
-            id_map,
             adjacency.finish(),
             num_labels,
             signatures.map(NeighborLabelIndex::from_signatures),
@@ -543,7 +538,7 @@ impl Partition {
     pub fn num_vertices(&self) -> usize {
         match self.overlay.as_deref() {
             Some(o) => o.num_vertices,
-            None => self.base.vertex_ids.len(),
+            None => self.base.labels.len(),
         }
     }
 
@@ -621,10 +616,10 @@ impl Partition {
     #[inline]
     pub fn vertices_with_label(&self, label: LabelId) -> Postings<'_> {
         match self.overlay.as_deref() {
-            None => self.base.postings.get(label, &self.base.vertex_ids),
+            None => self.base.postings.get(label, &self.base.ids),
             Some(o) => match o.postings.get(&label) {
                 Some(list) => Postings::Slice(list),
-                None => self.base.postings.get(label, &self.base.vertex_ids),
+                None => self.base.postings.get(label, &self.base.ids),
             },
         }
     }
@@ -659,8 +654,7 @@ impl Partition {
     fn merged(&self) -> MergedIter<'_> {
         let overlay = self.overlay.as_deref();
         MergedIter {
-            base_ids: &self.base.vertex_ids,
-            next_local: 0,
+            base: self.base.ids.iter().enumerate().peekable(),
             added: overlay.map_or(&[][..], |o| &o.added).iter().peekable(),
             overlay,
         }
@@ -673,7 +667,8 @@ impl Partition {
 
     /// Iterates over `(vertex, label, neighbors)` of every local vertex, in
     /// ascending-id order. Base positions advance with the merge, so no id
-    /// map is probed — on a static partition this is a walk of the arrays.
+    /// is looked up — on a static partition this is a walk of the id
+    /// index's slots beside the arrays.
     pub fn iter_cells(&self) -> impl Iterator<Item = Cell<'_>> {
         self.merged().map(|m| self.base.merged_cell(&m))
     }
@@ -706,8 +701,7 @@ impl Partition {
         let mut bytes = StorageBytes {
             adjacency: base.adjacency.memory_bytes(),
             labels: base.labels.len() * std::mem::size_of::<LabelId>(),
-            id_map: base.vertex_ids.len() * std::mem::size_of::<VertexId>()
-                + base.id_map.memory_bytes(),
+            id_map: base.ids.memory_bytes(),
             postings: base.postings.memory_bytes(),
             signatures: base
                 .neighbor_index
@@ -833,13 +827,33 @@ mod tests {
     }
 
     #[test]
-    fn id_map_is_at_most_half_a_hash_map_at_scale() {
-        // A `HashMap<VertexId, u32>` costs key + value + ~8 bytes of bucket
-        // overhead, 20 bytes an entry; the slot array must cost half that.
+    fn dense_ids_cost_at_most_one_byte_a_vertex() {
+        // Every third id: one residue class, so a rank bitmap over the
+        // stride holds it at 12 B per 64 ids.
         let n = 4096usize;
         let ids: Vec<VertexId> = (0..n as u64).map(|i| v(i * 3)).collect();
         let p = Partition::new(ids, vec![l(0); n], vec![Vec::new(); n], 1);
-        let slots = p.storage_bytes().id_map - n * std::mem::size_of::<VertexId>();
+        let id_map = p.storage_bytes().id_map;
+        assert!(id_map <= n, "id map {id_map} B for {n} vertices");
+        assert!(matches!(p.base.ids, IdIndex::Dense { .. }));
+    }
+
+    #[test]
+    fn sparse_ids_cost_at_most_half_a_hash_map() {
+        // A `HashMap<VertexId, u32>` costs key + value + ~8 bytes of bucket
+        // overhead, 20 bytes an entry; ids too sparse for a bitmap keep
+        // their array, and the slot array must cost half that.
+        let n = 4096usize;
+        let ids: Vec<VertexId> = (0..n as u64).map(|i| v(i * 1_000_003 + i % 7)).collect();
+        let p = Partition::new(ids, vec![l(0); n], vec![Vec::new(); n], 1);
+        let IdIndex::Hashed { map, .. } = &p.base.ids else {
+            panic!("sparse ids must take the hashed arm");
+        };
+        let slots = map.memory_bytes();
+        assert_eq!(
+            p.storage_bytes().id_map,
+            n * std::mem::size_of::<VertexId>() + slots
+        );
         let hash_map = n * (std::mem::size_of::<VertexId>() + std::mem::size_of::<u32>() + 8);
         assert!(slots * 2 <= hash_map, "id map {slots} vs {hash_map}");
     }

@@ -9,11 +9,15 @@
 //! manager's two writes: an `apply` over a large overlay must copy pointers,
 //! not the overlay's lists, and a `seal_epoch` must re-encode the merged
 //! view into a few flat buffers, not one `Vec` per vertex.
+//!
+//! It also holds the id index's accounting to the heap: what
+//! `IdIndex::build` keeps is what `memory_bytes` reports, so
+//! `bytes_per_edge` cannot under-count it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use trinity_sim::compact::CompactCsr;
+use trinity_sim::compact::{CompactCsr, IdIndex};
 use trinity_sim::ids::VertexId;
 use trinity_sim::{CostModel, GraphBuilder, GraphEpochs, UpdateBatch};
 
@@ -195,4 +199,33 @@ fn epoch_seal_re_encodes_into_a_few_flat_buffers() {
         "sealing a {N}-vertex partition made {allocs} allocations — \
          one per vertex is the rebuild this replaced"
     );
+}
+
+#[test]
+fn id_index_keeps_exactly_the_heap_it_reports() {
+    // One residue class of a range (the rank bitmap), and ids no bitmap can
+    // hold (the id array plus its hash slots). The input arrives with spare
+    // capacity, which the index must not keep.
+    let dense = |i: u64| i * 4 + 1;
+    let sparse = |i: u64| i * 1_000_003 + i % 7;
+    for (name, id_of, want_dense) in [
+        ("dense", &dense as &dyn Fn(u64) -> u64, true),
+        ("sparse", &sparse, false),
+    ] {
+        let baseline = LIVE_BYTES.get();
+        let index = IdIndex::build({
+            let mut ids = Vec::with_capacity(2 * N);
+            ids.extend((0..N as u64).map(|i| VertexId(id_of(i))));
+            ids
+        });
+        let kept = (LIVE_BYTES.get() - baseline) as usize;
+        assert_eq!(matches!(index, IdIndex::Dense { .. }), want_dense, "{name}");
+        assert_eq!(index.len(), N);
+        assert_eq!(
+            kept,
+            index.memory_bytes(),
+            "{name} ids: the index keeps {kept} B of heap and reports {} B",
+            index.memory_bytes()
+        );
+    }
 }

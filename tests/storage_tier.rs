@@ -161,3 +161,86 @@ fn storage_per_edge_does_not_grow_with_the_label_alphabet() {
         "4 labels: {few:.3} B/edge, 256 labels: {many:.3} B/edge"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Id index: dense ids by rank, sparse ids by hash
+// ---------------------------------------------------------------------------
+
+/// The benchmark's R-MAT shape: 2^14 vertices, average degree 16.
+fn dense_rmat() -> SyntheticGraph {
+    let n = 1u64 << 14;
+    let labels = LabelModel::Uniform { num_labels: 64 }.assign(n, 11);
+    rmat(&RmatConfig::with_avg_degree(n, 16.0, 7)).with_labels(labels, 64)
+}
+
+/// Sparse image of a dense id: far apart, and off any common stride.
+fn sparse_id(v: u64) -> u64 {
+    v * 1_000_003 + v % 7
+}
+
+/// Ids `0..n` own one residue class per machine under a power-of-two
+/// machine count, and about one id in `m` of their range otherwise: a rank
+/// bitmap holds either in at most 1 B a vertex (12 B per 64 slots).
+#[test]
+fn dense_ids_store_at_most_one_byte_of_id_map_a_vertex() {
+    let graph = dense_rmat();
+    for machines in [4, 8, 3] {
+        let cloud = graph.build_cloud(machines, trinity_sim::network::CostModel::default());
+        let id_map = cloud.storage_bytes().id_map as f64 / cloud.num_vertices() as f64;
+        assert!(
+            id_map <= 1.0,
+            "{machines} machines: {id_map:.3} B of id map a vertex"
+        );
+    }
+}
+
+/// The same graph under ids no bitmap can hold keeps the id array and its
+/// hash slots, and answers every query exactly as VF2 does on it and as the
+/// dense graph does once its ids are mapped back.
+#[test]
+fn sparse_ids_take_the_hashed_index_and_answer_like_the_dense_graph() {
+    let graph = dense_rmat();
+    let dense = graph.build_cloud(4, trinity_sim::network::CostModel::default());
+    let mut b = GraphBuilder::new_undirected();
+    for i in 0..graph.num_labels as u32 {
+        b.intern_label(&SyntheticGraph::label_name(i));
+    }
+    for v in 0..graph.num_vertices {
+        let label = SyntheticGraph::label_name(graph.labels[v as usize]);
+        b.add_vertex(VertexId(sparse_id(v)), &label);
+    }
+    for &(u, v) in &graph.edges {
+        b.add_edge(VertexId(sparse_id(u)), VertexId(sparse_id(v)));
+    }
+    let sparse = b.build(4, trinity_sim::network::CostModel::default());
+    assert_eq!(sparse.num_edges(), dense.num_edges());
+    let id_map = sparse.storage_bytes().id_map as f64 / sparse.num_vertices() as f64;
+    assert!(
+        id_map >= 8.0,
+        "sparse ids: {id_map:.3} B of id map a vertex"
+    );
+
+    let queries = query_batch(&dense, 6, 4, None, 0x1D5);
+    assert!(!queries.is_empty());
+    let config = MatchConfig::exhaustive().with_num_threads(Some(1));
+    let mut total_rows = 0;
+    for q in &queries {
+        let on_sparse = stwig::match_query_distributed(&sparse, q, &config).expect("query");
+        verify_all(&sparse, q, &on_sparse.table).expect("embeddings verify");
+        let rows = canonical_rows(q, &on_sparse.table);
+        total_rows += rows.len();
+        assert_eq!(rows, canonical_rows(q, &vf2(&sparse, q, None)), "vs VF2");
+        let mut mapped_back: Vec<Vec<VertexId>> = rows
+            .iter()
+            .map(|row| row.iter().map(|id| VertexId(id.0 / 1_000_003)).collect())
+            .collect();
+        mapped_back.sort_unstable();
+        let on_dense = stwig::match_query_distributed(&dense, q, &config).expect("query");
+        assert_eq!(
+            mapped_back,
+            canonical_rows(q, &on_dense.table),
+            "vs the dense graph"
+        );
+    }
+    assert!(total_rows > 0, "the queries matched nothing");
+}
