@@ -122,7 +122,7 @@ mod tests {
 
     fn chain_cluster(n: usize) -> ClusterGraph {
         // machines 0-1-2-...-n-1 connected in a chain via label pair (0,0)
-        let mut cat = LabelPairCatalog::new(n);
+        let mut cat = LabelPairCatalog::new(n, 1);
         for i in 0..(n - 1) {
             cat.record_edge(MachineId(i as u16), l(0), MachineId(i as u16 + 1), l(0));
             cat.record_edge(MachineId(i as u16 + 1), l(0), MachineId(i as u16), l(0));

@@ -11,6 +11,12 @@
 //!   [`trinity_sim::loader::StreamLoader`]'s multi-pass protocol needs;
 //! * memory is `O(1)` regardless of graph size.
 //!
+//! Re-iteration costs one splitmix64 mix per level of every edge, and a
+//! streamed load reads the stream once per pass, so the kernel has no
+//! data-dependent branch: each level's draw is compared, as an integer,
+//! against thresholds `⌈p·2^53⌉`, which decide every draw exactly as the
+//! floating-point comparison `to_unit(draw) < p` does.
+//!
 //! Labels are assigned the same way: [`StreamingLabels::label_of`] hashes the
 //! vertex id instead of walking an RNG sequence, so no `Vec<u32>` of length
 //! `num_vertices` ever exists.
@@ -39,6 +45,15 @@ fn to_unit(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// The smallest top-53-bit draw `k` with `to_unit(k << 11) >= p`, i.e.
+/// `⌈p·2^53⌉`. Scaling by a power of two is exact, so `k < unit_threshold(p)`
+/// holds exactly when `to_unit(k << 11) < p`: comparing integers against it
+/// decides every draw the way the floating-point comparison does.
+#[inline]
+fn unit_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
 /// A counter-based R-MAT edge stream: edge `i` is a pure function of
 /// `(config.seed, i)`.
 ///
@@ -50,6 +65,9 @@ fn to_unit(x: u64) -> f64 {
 pub struct RmatStream {
     config: RmatConfig,
     levels: u32,
+    /// [`unit_threshold`] of `a`, `a + b` and `a + b + c`: a level's draw at
+    /// or above each one sets one quadrant bit.
+    thresholds: [u64; 3],
 }
 
 impl RmatStream {
@@ -61,7 +79,13 @@ impl RmatStream {
             "invalid R-MAT quadrant probabilities"
         );
         let levels = 64 - (config.num_vertices.max(2) - 1).leading_zeros();
-        RmatStream { config, levels }
+        let (a, b, c) = (config.a, config.b, config.c);
+        let thresholds = [a, a + b, a + b + c].map(unit_threshold);
+        RmatStream {
+            config,
+            levels,
+            thresholds,
+        }
     }
 
     /// Number of vertices in the generated graph.
@@ -74,8 +98,19 @@ impl RmatStream {
         self.config.num_edges
     }
 
+    /// The quadrant one level's `draw` picks, as `(row bit, col bit)`:
+    /// below `a` top-left, below `a + b` top-right, below `a + b + c`
+    /// bottom-left, else bottom-right. Three integer compares, no branch.
+    #[inline]
+    fn quadrant(&self, draw: u64) -> (u64, u64) {
+        let k = draw >> 11;
+        let [t1, t2, t3] = self.thresholds;
+        let (q1, q2, q3) = ((k >= t1) as u64, (k >= t2) as u64, (k >= t3) as u64);
+        (q2, (q1 & !q2) | q3)
+    }
+
     /// Edge `index` of the stream, computed from scratch — `O(log n)` mixes,
-    /// no per-edge state.
+    /// no per-edge state and no data-dependent branch.
     pub fn edge(&self, index: u64) -> (u64, u64) {
         // A private splitmix64 chain per edge, keyed by (seed, index).
         let mut state = self
@@ -84,25 +119,16 @@ impl RmatStream {
             .wrapping_add(splitmix64(index.wrapping_mul(0xD1B5_4A32_D192_ED03)));
         let (mut row, mut col) = (0u64, 0u64);
         for _ in 0..self.levels {
-            row <<= 1;
-            col <<= 1;
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let r = to_unit(splitmix64(state));
-            if r < self.config.a {
-                // top-left: nothing to add
-            } else if r < self.config.a + self.config.b {
-                col |= 1;
-            } else if r < self.config.a + self.config.b + self.config.c {
-                row |= 1;
-            } else {
-                row |= 1;
-                col |= 1;
-            }
+            let (r, c) = self.quadrant(splitmix64(state));
+            row = row << 1 | r;
+            col = col << 1 | c;
         }
-        (
-            row % self.config.num_vertices,
-            col % self.config.num_vertices,
-        )
+        // `levels` is the bit length of `n - 1`, so `row, col < 2n`: one
+        // conditional subtract is `% n`.
+        let n = self.config.num_vertices;
+        let fold = |x: u64| if x >= n { x - n } else { x };
+        (fold(row), fold(col))
     }
 
     /// A fresh pass over all edges. Cheap to call repeatedly — each pass
@@ -246,6 +272,96 @@ mod tests {
 
     fn stream() -> RmatStream {
         RmatStream::new(RmatConfig::with_avg_degree(2_000, 8.0, 0x5EED))
+    }
+
+    /// The per-level three-way `if` the branch-free kernel replaced, kept
+    /// as its reference.
+    fn branchy_quadrant(config: &RmatConfig, draw: u64) -> (u64, u64) {
+        let r = to_unit(draw);
+        if r < config.a {
+            (0, 0)
+        } else if r < config.a + config.b {
+            (0, 1)
+        } else if r < config.a + config.b + config.c {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    /// The kernel as it was before it went branch-free.
+    fn branchy_edge(s: &RmatStream, index: u64) -> (u64, u64) {
+        let config = &s.config;
+        let mut state = config
+            .seed
+            .wrapping_add(splitmix64(index.wrapping_mul(0xD1B5_4A32_D192_ED03)));
+        let (mut row, mut col) = (0u64, 0u64);
+        for _ in 0..s.levels {
+            row <<= 1;
+            col <<= 1;
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let (r, c) = branchy_quadrant(config, splitmix64(state));
+            row |= r;
+            col |= c;
+        }
+        (row % config.num_vertices, col % config.num_vertices)
+    }
+
+    #[test]
+    fn branch_free_edges_equal_the_branchy_reference() {
+        // Every threshold is an exact integer image of its probability.
+        for p in [0.0, 0.19, 0.57, 0.76, 0.95, 1.0] {
+            let k = unit_threshold(p);
+            if k < 1 << 53 {
+                assert!(to_unit(k << 11) >= p, "p = {p}: draw {k} is below p");
+            }
+            if k > 0 {
+                assert!(
+                    to_unit((k - 1) << 11) < p,
+                    "p = {p}: draw {} is not below p",
+                    k - 1
+                );
+            }
+        }
+        let corners = [
+            (0.57, 0.19, 0.19),
+            (1.0, 0.0, 0.0),
+            (0.5, 0.25, 0.25),
+            (0.19, 0.5, 0.31),
+        ];
+        for n in [1u64 << 17, 20_000, 1_000_003] {
+            for seed in [1u64, 0x5EED, 0xDEAD_BEEF_CAFE] {
+                for (a, b, c) in corners {
+                    let s = RmatStream::new(RmatConfig {
+                        a,
+                        b,
+                        c,
+                        ..RmatConfig::new(n, 1 << 16, seed)
+                    });
+                    // A draw exactly at each threshold and one below it.
+                    for t in s.thresholds {
+                        for k in [t.saturating_sub(1), t]
+                            .into_iter()
+                            .filter(|&k| k < 1 << 53)
+                        {
+                            let draw = k << 11 | 0x7FF;
+                            assert_eq!(
+                                s.quadrant(draw),
+                                branchy_quadrant(&s.config, draw),
+                                "({a}, {b}, {c}): draw {k}"
+                            );
+                        }
+                    }
+                    for i in 0..s.num_edges() {
+                        assert_eq!(
+                            s.edge(i),
+                            branchy_edge(&s, i),
+                            "n {n} seed {seed} ({a}, {b}, {c}) edge {i}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -170,7 +170,7 @@ impl GraphBuilder {
             .iter()
             .map(|ids| vec![Vec::new(); ids.len()])
             .collect();
-        let mut catalog = LabelPairCatalog::new(num_machines);
+        let mut catalog = LabelPairCatalog::new(num_machines, num_labels);
         for &(u, v) in &edges {
             let (mu, mv) = (machine_for(u, num_machines), machine_for(v, num_machines));
             let (lu, lv) = (labels[&u], labels[&v]);

@@ -16,21 +16,45 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// Distance value for unreachable machine pairs.
 pub const UNREACHABLE: u32 = u32::MAX;
 
+/// Estimated bytes a pair costs in a hashed set: its 12-byte key plus
+/// control byte and load-factor slack. The layout switch compares at it.
+const SET_BYTES_PER_PAIR: usize = 16;
+
 /// Label-pair catalog: for each ordered machine pair, the set of (source
 /// label, destination label) pairs realised by at least one edge.
+///
+/// The data picks the layout, as it does for
+/// [`crate::compact::IdIndex`]; there is no option. Pairs start in one
+/// hashed set keyed by cell. As soon as one `L × L`-bit bitmap per ordered
+/// machine pair (`L` = labels interned when the catalog is built) is no
+/// larger than that set at [`SET_BYTES_PER_PAIR`], every cell becomes its
+/// bitmap, and recording or testing a pair is one bit. The cells switch
+/// together, so no per-cell directory costs heap; with hash partitioning
+/// every cell sees the same label mix. Sparse pairs over a large alphabet
+/// stay hashed, and so does any pair naming a label `≥ L` (interned later,
+/// by an epoch update).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LabelPairCatalog {
     num_machines: usize,
-    /// `pairs[i * num_machines + j]` = label pairs observed from machine i to j.
-    pairs: Vec<FxHashSet<(LabelId, LabelId)>>,
+    /// `L`: labels below it address the bitmaps.
+    num_labels: usize,
+    /// Empty, or one bitmap per cell of [`Self::words_per_cell`] words: bit
+    /// `a · L + b` of cell `i · M + j` says pair `(a, b)` occurs from machine
+    /// `i` to machine `j`.
+    bits: Vec<u64>,
+    /// `(cell, a, b)` for every pair the bitmaps do not hold.
+    sparse: FxHashSet<(u32, LabelId, LabelId)>,
 }
 
 impl LabelPairCatalog {
-    /// Creates an empty catalog over `num_machines` machines.
-    pub fn new(num_machines: usize) -> Self {
+    /// Creates an empty catalog over `num_machines` machines whose bitmaps,
+    /// once chosen, cover the first `num_labels` labels.
+    pub fn new(num_machines: usize, num_labels: usize) -> Self {
         LabelPairCatalog {
             num_machines,
-            pairs: vec![FxHashSet::default(); num_machines * num_machines],
+            num_labels,
+            bits: Vec::new(),
+            sparse: FxHashSet::default(),
         }
     }
 
@@ -44,6 +68,31 @@ impl LabelPairCatalog {
         src.index() * self.num_machines + dst.index()
     }
 
+    fn words_per_cell(&self) -> usize {
+        self.num_labels.saturating_mul(self.num_labels).div_ceil(64)
+    }
+
+    /// The word and mask of a pair's bit, or `None` while the pairs are
+    /// hashed and for a label the bitmaps do not cover.
+    #[inline]
+    fn bit(&self, cell: usize, a: LabelId, b: LabelId) -> Option<(usize, u64)> {
+        let l = self.num_labels;
+        if self.bits.is_empty() || a.index() >= l || b.index() >= l {
+            return None;
+        }
+        let i = a.index() * l + b.index();
+        Some((cell * self.words_per_cell() + i / 64, 1 << (i % 64)))
+    }
+
+    fn record(&mut self, cell: usize, a: LabelId, b: LabelId) {
+        match self.bit(cell, a, b) {
+            Some((word, mask)) => self.bits[word] |= mask,
+            None => {
+                self.sparse.insert((cell as u32, a, b));
+            }
+        }
+    }
+
     /// Records that an edge from a vertex labeled `src_label` on `src` to a
     /// vertex labeled `dst_label` on `dst` exists.
     pub fn record_edge(
@@ -53,8 +102,23 @@ impl LabelPairCatalog {
         dst: MachineId,
         dst_label: LabelId,
     ) {
-        let cell = self.cell(src, dst);
-        self.pairs[cell].insert((src_label, dst_label));
+        self.record(self.cell(src, dst), src_label, dst_label);
+        if self.bits.is_empty() {
+            self.switch_if_smaller();
+        }
+    }
+
+    /// Moves every pair into the bitmaps once they are no larger than the
+    /// hashed set.
+    fn switch_if_smaller(&mut self) {
+        let words = (self.num_machines * self.num_machines).saturating_mul(self.words_per_cell());
+        if words == 0 || words.saturating_mul(8) > SET_BYTES_PER_PAIR * self.sparse.len() {
+            return;
+        }
+        self.bits = vec![0; words];
+        for (cell, a, b) in std::mem::take(&mut self.sparse) {
+            self.record(cell as usize, a, b);
+        }
     }
 
     /// Whether any edge with the given label pair exists from `src` to `dst`.
@@ -65,17 +129,37 @@ impl LabelPairCatalog {
         dst: MachineId,
         dst_label: LabelId,
     ) -> bool {
-        self.pairs[self.cell(src, dst)].contains(&(src_label, dst_label))
+        let cell = self.cell(src, dst);
+        match self.bit(cell, src_label, dst_label) {
+            Some((word, mask)) => self.bits[word] & mask != 0,
+            None => self.sparse.contains(&(cell as u32, src_label, dst_label)),
+        }
     }
 
     /// Number of distinct label pairs recorded between `src` and `dst`.
     pub fn pair_count(&self, src: MachineId, dst: MachineId) -> usize {
-        self.pairs[self.cell(src, dst)].len()
+        let cell = self.cell(src, dst);
+        let w = self.words_per_cell();
+        let in_bits = match self.bits.get(cell * w..(cell + 1) * w) {
+            Some(words) => words.iter().map(|x| x.count_ones() as usize).sum(),
+            None => 0,
+        };
+        in_bits + self.sparse.iter().filter(|p| p.0 as usize == cell).count()
     }
 
     /// Total number of catalog entries (a linear-size preprocessing structure).
     pub fn total_entries(&self) -> usize {
-        self.pairs.iter().map(|s| s.len()).sum()
+        let in_bits: usize = self.bits.iter().map(|x| x.count_ones() as usize).sum();
+        in_bits + self.sparse.len()
+    }
+
+    /// Heap bytes the catalog keeps: the bitmaps, exactly, plus one key and
+    /// one control byte for every pair the hashed set has room for. std's
+    /// table adds spare buckets (up to 1/7 more) and a control tail the
+    /// width of the target's probe group, which this leaves out.
+    pub fn memory_bytes(&self) -> usize {
+        let per_pair = std::mem::size_of::<(u32, LabelId, LabelId)>() + 1;
+        self.bits.capacity() * 8 + self.sparse.capacity() * per_pair
     }
 }
 
@@ -240,7 +324,7 @@ mod tests {
 
     fn chain_catalog() -> LabelPairCatalog {
         // 4 machines in a chain 0-1-2-3 realised only by label pair (0,1).
-        let mut c = LabelPairCatalog::new(4);
+        let mut c = LabelPairCatalog::new(4, 2);
         c.record_edge(m(0), l(0), m(1), l(1));
         c.record_edge(m(1), l(0), m(2), l(1));
         c.record_edge(m(2), l(0), m(3), l(1));
@@ -255,6 +339,72 @@ mod tests {
         assert!(!c.has_pair(m(0), l(1), m(1), l(0)));
         assert_eq!(c.pair_count(m(0), m(1)), 1);
         assert_eq!(c.total_entries(), 3);
+    }
+
+    #[test]
+    fn catalog_answers_like_a_pair_set() {
+        // (machines, L, records, bitmaps expected): the first six record
+        // enough distinct pairs for the bitmaps to be no larger than the
+        // set; the last two stay hashed, the sparse alphabet by far.
+        let cases = [
+            (1, 1, 50, true),
+            (3, 1, 50, true),
+            (4, 40, 4_000, true),
+            (1, 256, 20_000, true),
+            (3, 256, 40_000, true),
+            (4, 256, 40_000, true),
+            (4, 40, 100, false),
+            (4, 100_000, 5_000, false),
+        ];
+        let mut x = 0x5EED_u64;
+        let mut next = |bound: usize| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 33) % bound as u64) as usize
+        };
+        for (machines, labels, records, want_bits) in cases {
+            let mut c = LabelPairCatalog::new(machines, labels);
+            let mut reference = HashSet::new();
+            // Labels up to L + 2: some pairs name a label interned after
+            // the catalog was built.
+            let mut pair = || {
+                (
+                    m(next(machines) as u16),
+                    l(next(labels + 3) as u32),
+                    m(next(machines) as u16),
+                    l(next(labels + 3) as u32),
+                )
+            };
+            for _ in 0..records {
+                let (i, a, j, b) = pair();
+                c.record_edge(i, a, j, b);
+                reference.insert((i, a, j, b));
+            }
+            let what = format!("M = {machines}, L = {labels}");
+            assert_eq!(!c.bits.is_empty(), want_bits, "{what}: layout");
+            for &(i, a, j, b) in &reference {
+                assert!(c.has_pair(i, a, j, b), "{what}: recorded pair");
+            }
+            for _ in 0..2 * records {
+                let (i, a, j, b) = pair();
+                assert_eq!(
+                    c.has_pair(i, a, j, b),
+                    reference.contains(&(i, a, j, b)),
+                    "{what}: probe ({i:?}, {a:?}, {j:?}, {b:?})"
+                );
+            }
+            for i in 0..machines as u16 {
+                for j in 0..machines as u16 {
+                    let want = reference
+                        .iter()
+                        .filter(|p| p.0 == m(i) && p.2 == m(j))
+                        .count();
+                    assert_eq!(c.pair_count(m(i), m(j)), want, "{what}: cell {i} → {j}");
+                }
+            }
+            assert_eq!(c.total_entries(), reference.len(), "{what}: total");
+        }
     }
 
     #[test]
@@ -326,7 +476,7 @@ mod tests {
 
     #[test]
     fn single_machine_cluster() {
-        let c = LabelPairCatalog::new(1);
+        let c = LabelPairCatalog::new(1, 2);
         let cg = ClusterGraph::build(&c, &[(l(0), l(1))]);
         assert_eq!(cg.num_machines(), 1);
         assert_eq!(cg.distance(m(0), m(0)), 0);

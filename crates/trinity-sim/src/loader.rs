@@ -24,7 +24,9 @@
 //!
 //! The edge stream is supplied as a factory (`Fn() -> IntoIterator`) so the
 //! loader can re-iterate it; generators like `graph-gen`'s streaming R-MAT
-//! recompute edges from a counter instead of storing them.
+//! recompute edges from a counter instead of storing them. Reading the
+//! stream, not encoding, is most of a streamed load's time; DESIGN.md
+//! ("Streaming bulk load") gives the measured split.
 
 use crate::cloud::{machine_for, MemoryCloud};
 use crate::cluster_graph::LabelPairCatalog;
@@ -174,7 +176,7 @@ impl StreamLoader {
         // ------------------------------------------------------------------
         // Passes 3..: per machine, scatter → sort/dedup in place → encode.
         // ------------------------------------------------------------------
-        let mut catalog = LabelPairCatalog::new(m);
+        let mut catalog = LabelPairCatalog::new(m, num_labels);
         let mut adjacencies: Vec<CompactCsr> = Vec::with_capacity(m);
         let mut neighbor_indexes: Vec<NeighborLabelIndex> = Vec::with_capacity(m);
         let mut total_entries = 0u64;

@@ -12,13 +12,16 @@
 //!
 //! It also holds the id index's accounting to the heap: what
 //! `IdIndex::build` keeps is what `memory_bytes` reports, so
-//! `bytes_per_edge` cannot under-count it.
+//! `bytes_per_edge` cannot under-count it, and the label-pair catalog's
+//! `memory_bytes` to the heap it keeps (exactly for its bitmaps).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use trinity_sim::cloud::machine_for;
+use trinity_sim::cluster_graph::LabelPairCatalog;
 use trinity_sim::compact::{CompactCsr, IdIndex};
-use trinity_sim::ids::VertexId;
+use trinity_sim::ids::{LabelId, VertexId};
 use trinity_sim::{CostModel, GraphBuilder, GraphEpochs, UpdateBatch};
 
 struct PeakAllocator;
@@ -228,4 +231,68 @@ fn id_index_keeps_exactly_the_heap_it_reports() {
             index.memory_bytes()
         );
     }
+}
+
+/// One splitmix64 mix.
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The catalog of an R-MAT graph (a = 0.57, b = c = 0.19) on `2^levels`
+/// vertices with hashed labels, recorded both ways per edge as the builder
+/// does, edge by edge with nothing else kept.
+fn rmat_catalog(levels: u32, edges: u64, labels: usize, machines: usize) -> LabelPairCatalog {
+    let mut catalog = LabelPairCatalog::new(machines, labels);
+    let label = |v: u64| LabelId((mix(v ^ 0xAB) % labels as u64) as u32);
+    for i in 0..edges {
+        let (mut u, mut v) = (0u64, 0u64);
+        for level in 0..levels {
+            let r = (mix(i << 6 | level as u64) >> 11) as f64 / (1u64 << 53) as f64;
+            u = u << 1 | (r >= 0.76) as u64;
+            v = v << 1 | ((0.57..0.76).contains(&r) || r >= 0.95) as u64;
+        }
+        let (mu, mv) = (
+            machine_for(VertexId(u), machines),
+            machine_for(VertexId(v), machines),
+        );
+        catalog.record_edge(mu, label(u), mv, label(v));
+        catalog.record_edge(mv, label(v), mu, label(u));
+    }
+    catalog
+}
+
+#[test]
+fn label_pair_catalog_reports_the_heap_it_keeps() {
+    // 256 labels over 4 machines: one 8 KB bitmap per ordered machine pair,
+    // and the report is exact.
+    let baseline = LIVE_BYTES.get();
+    let catalog = rmat_catalog(15, 1 << 17, 256, 4);
+    let kept = (LIVE_BYTES.get() - baseline) as usize;
+    assert_eq!(
+        kept,
+        catalog.memory_bytes(),
+        "bitmaps: the catalog keeps {kept} B of heap and reports {} B",
+        catalog.memory_bytes()
+    );
+    assert!(kept <= 16 * 8_192, "bitmaps: {kept} B");
+    assert!(catalog.total_entries() > 0);
+
+    // 64 labels touched by 100 edges: a hashed set, well under the 8 KB the
+    // bitmaps would take. std's table layout is not its API, so the report
+    // counts one key and one control byte a slot of capacity: a lower bound
+    // that spare buckets (up to 1/7 more) and the target's control tail
+    // (alignment plus one probe group, under 64 B) stay within.
+    let baseline = LIVE_BYTES.get();
+    let catalog = rmat_catalog(10, 100, 64, 4);
+    let kept = (LIVE_BYTES.get() - baseline) as usize;
+    let reported = catalog.memory_bytes();
+    assert!(
+        reported <= kept && kept <= reported * 8 / 7 + 64,
+        "hashed: the catalog keeps {kept} B of heap and reports {reported} B"
+    );
+    assert!(kept <= 4_096, "hashed: {kept} B");
+    assert!(catalog.total_entries() > 0);
 }
