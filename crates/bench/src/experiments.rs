@@ -18,9 +18,9 @@
 //! [`storage`], [`updates`], [`parallel`], the ablations and the serving
 //! experiments — and [`EXPERIMENTS`] names every one.
 
-use crate::harness::{percentile, run_suite, timed, Row, Scale, RUN_TIME};
+use crate::harness::{percentile, run_suite, run_suite_under, timed, Row, Scale, RUN_TIME};
 use graph_gen::prelude::*;
-use stwig::MatchConfig;
+use stwig::{Faults, MatchConfig, QueryOptions};
 use trinity_sim::network::CostModel;
 use trinity_sim::MemoryCloud;
 
@@ -417,11 +417,14 @@ pub fn chaos(scale: Scale) -> Vec<Row> {
         ("lossy-s1", Some(FaultPlan::lossy(1))),
         ("lossy-s2", Some(FaultPlan::lossy(2))),
     ] {
-        let config = MatchConfig::paper_default()
-            .with_transport_mode(stwig::TransportMode::Messages)
-            .with_fault_plan(plan);
+        let config =
+            MatchConfig::paper_default().with_transport_mode(stwig::TransportMode::Messages);
+        let options = match plan {
+            Some(plan) => QueryOptions::none().with_faults(Faults::new(plan)),
+            None => QueryOptions::none(),
+        };
         let x = 0.0;
-        let res = run_suite(&cloud, &queries, &config);
+        let res = run_suite_under(&cloud, &queries, &config, &options);
         rows.push(Row::new("chaos", series, x, "run_time_ms", res.avg_wall_ms));
         rows.push(Row::new("chaos", series, x, "messages", res.avg_messages));
         rows.extend(res.fault_rows("chaos", series, x));

@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-use stwig::{MatchConfig, QueryGraph};
+use stwig::{MatchConfig, QueryGraph, QueryOptions};
 use trinity_sim::MemoryCloud;
 
 /// Experiment scale. The paper runs on clusters with billions of vertices;
@@ -194,6 +194,16 @@ impl SuiteResult {
 /// Runs a suite of queries and averages the metrics (the paper reports
 /// averages over 100 queries).
 pub fn run_suite(cloud: &MemoryCloud, queries: &[QueryGraph], config: &MatchConfig) -> SuiteResult {
+    run_suite_under(cloud, queries, config, &QueryOptions::none())
+}
+
+/// [`run_suite`] with every query under `options` (its fault stack, say).
+pub fn run_suite_under(
+    cloud: &MemoryCloud,
+    queries: &[QueryGraph],
+    config: &MatchConfig,
+    options: &QueryOptions,
+) -> SuiteResult {
     let mut out = SuiteResult {
         queries: queries.len(),
         ..Default::default()
@@ -202,8 +212,8 @@ pub fn run_suite(cloud: &MemoryCloud, queries: &[QueryGraph], config: &MatchConf
         return out;
     }
     for q in queries {
-        let result =
-            stwig::match_query_distributed(cloud, q, config).expect("query execution failed");
+        let result = stwig::match_query_distributed_with_options(cloud, q, config, options, None)
+            .expect("query execution failed");
         let m = &result.metrics;
         out.avg_wall_ms += m.wall_ms();
         out.avg_simulated_ms += m.simulated_ms();

@@ -97,8 +97,9 @@
 //! change, so the cache keeps them ([`StwigCache::plan`], [`PlanMemo`]):
 //!
 //! * **Key** — the query as submitted (vertex labels and edge list, in the
-//!   order given: no canonicalization) plus the config fields join-order
-//!   selection reads, `optimize_join_order` and `join_sample_size`.
+//!   order given: no canonicalization). No config field plans or orders:
+//!   the join always selects from fixed-size samples
+//!   ([`crate::pipeline::join_order`]).
 //! * **Plan validity** — a plan holds for the snapshot epoch it was made at:
 //!   the label statistics it reads are fixed within an epoch, and a seal
 //!   keeps both the epoch and the statistics. A request at a later epoch
@@ -164,7 +165,6 @@
 //! concurrent query is still reading — the reader's `Arc` keeps the data
 //! alive and the shard simply drops its reference.
 
-use crate::config::MatchConfig;
 use crate::distributed::QueryPlan;
 use crate::error::StwigError;
 use crate::hash::{FxHashMap, FxHasher};
@@ -231,7 +231,7 @@ pub struct StwigShape {
 impl StwigShape {
     /// The canonical shape of `stwig` within `query`. The third argument is
     /// ignored: a shim for the frozen benchmark, which passes
-    /// `MatchConfig::pruning`; ROADMAP item 1 deletes it.
+    /// `MatchConfig::pruning`; ROADMAP item 4 deletes it.
     pub fn of(query: &QueryGraph, stwig: &STwig, _: bool) -> StwigShape {
         let (root_label, mut child_labels) = stwig.labels(query);
         child_labels.sort_unstable();
@@ -399,43 +399,23 @@ impl<'a> RkMemo<'a> {
 }
 
 /// A plan memo's key: the query as submitted — vertex labels and edge list,
-/// in the order given — and the config fields join-order selection reads.
+/// in the order given.
 struct PlanKey {
     labels: Vec<LabelId>,
     edges: Vec<(QVid, QVid)>,
-    knobs: PlanKnobs,
-}
-
-/// The fields of a [`MatchConfig`] a join order depends on.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct PlanKnobs {
-    optimize_join_order: bool,
-    join_sample_size: usize,
-}
-
-impl PlanKnobs {
-    fn of(config: &MatchConfig) -> Self {
-        PlanKnobs {
-            optimize_join_order: config.optimize_join_order,
-            join_sample_size: config.join_sample_size,
-        }
-    }
 }
 
 impl PlanKey {
-    fn of(query: &QueryGraph, config: &MatchConfig) -> Self {
+    fn of(query: &QueryGraph) -> Self {
         PlanKey {
             labels: query.vertices().map(|v| query.label(v)).collect(),
             edges: query.edges().collect(),
-            knobs: PlanKnobs::of(config),
         }
     }
 
-    /// The hash `query` under `config` is filed under, computed without
-    /// building its key.
-    fn hash(query: &QueryGraph, config: &MatchConfig) -> u64 {
+    /// The hash `query` is filed under, computed without building its key.
+    fn hash(query: &QueryGraph) -> u64 {
         let mut hasher = FxHasher::default();
-        PlanKnobs::of(config).hash(&mut hasher);
         query
             .vertices()
             .for_each(|v| query.label(v).hash(&mut hasher));
@@ -443,9 +423,8 @@ impl PlanKey {
         hasher.finish()
     }
 
-    fn matches(&self, query: &QueryGraph, config: &MatchConfig) -> bool {
-        self.knobs == PlanKnobs::of(config)
-            && (self.labels.iter().copied()).eq(query.vertices().map(|v| query.label(v)))
+    fn matches(&self, query: &QueryGraph) -> bool {
+        (self.labels.iter().copied()).eq(query.vertices().map(|v| query.label(v)))
             && self.edges.iter().copied().eq(query.edges())
     }
 }
@@ -636,14 +615,9 @@ impl Shard {
         Some(entry)
     }
 
-    /// The plan memo of `query` under `config`, filed under their `hash`.
-    fn plan_slot(
-        &mut self,
-        hash: u64,
-        query: &QueryGraph,
-        config: &MatchConfig,
-    ) -> Option<&mut PlanSlot> {
-        (self.plans.get_mut(&hash)).filter(|slot| slot.key.matches(query, config))
+    /// The plan memo of `query`, filed under its `hash`.
+    fn plan_slot(&mut self, hash: u64, query: &QueryGraph) -> Option<&mut PlanSlot> {
+        (self.plans.get_mut(&hash)).filter(|slot| slot.key.matches(query))
     }
 
     /// Takes the plan memo filed under `hash` out of the map, the LRU index
@@ -1007,7 +981,7 @@ impl<'c> StwigCache<'c> {
         None
     }
 
-    /// The plan of `query` under `config` for a request pinned to `cloud`,
+    /// The plan of `query` for a request pinned to `cloud`,
     /// counting one of `plan_hits` or `plan_misses`: the memo made at
     /// `cloud`'s epoch, or — on a miss — a memo of the plan `plan` makes,
     /// filed for later requests unless the resident one is newer (this
@@ -1016,19 +990,18 @@ impl<'c> StwigCache<'c> {
     pub(crate) fn plan(
         &self,
         query: &QueryGraph,
-        config: &MatchConfig,
         cloud: &MemoryCloud,
         plan: impl FnOnce() -> Result<QueryPlan, StwigError>,
     ) -> Result<Arc<PlanMemo>, StwigError> {
         let core = &*self.core;
-        let hash = PlanKey::hash(query, config);
+        let hash = PlanKey::hash(query);
         let epoch = cloud.epoch();
         // The memo an earlier epoch made, whose orders may carry over.
         let earlier = {
             let stamp = core.tick.fetch_add(1, Ordering::Relaxed);
             let mut shard = core.shard_at(hash);
             let shard = &mut *shard;
-            match shard.plan_slot(hash, query, config) {
+            match shard.plan_slot(hash, query) {
                 Some(slot) if slot.memo.epoch == epoch => {
                     let previous = std::mem::replace(&mut slot.last_used, stamp);
                     let memo = Arc::clone(&slot.memo);
@@ -1054,7 +1027,7 @@ impl<'c> StwigCache<'c> {
             orders,
             core: Arc::downgrade(&self.core),
         });
-        let key = PlanKey::of(query, config);
+        let key = PlanKey::of(query);
         let bytes = plan_bytes(&key, &memo.plan, self.num_machines);
         if bytes > core.shard_budget {
             return Ok(memo);
@@ -1062,7 +1035,7 @@ impl<'c> StwigCache<'c> {
         let stamp = core.tick.fetch_add(1, Ordering::Relaxed);
         let mut shard = core.shard_at(hash);
         let shard = &mut *shard;
-        let resident = shard.plan_slot(hash, query, config);
+        let resident = shard.plan_slot(hash, query);
         if let Some(slot) = resident.filter(|slot| slot.memo.epoch >= epoch) {
             // A request racing this one filed the same epoch's plan first —
             // the same plan: it wins — or this request is pinned to an epoch
@@ -1221,15 +1194,15 @@ pub fn splice_roots(old: &ResultTable, touched: &[VertexId], fresh: &ResultTable
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ResultMode, TransportMode};
+    use crate::config::{MatchConfig, ResultMode, TransportMode};
     use crate::decompose::{decompose_ordered, UniformStats};
     use crate::distributed::{
         assemble_rk_tables, match_query_distributed_with_cache, plan_query, produce_stwig_tables,
         Link,
     };
     use crate::engine::{EngineConfig, QueryEngine};
-    use crate::join::select_join_order;
     use crate::metrics::{MachineMetrics, QueryMetrics};
+    use crate::pipeline::join_order;
     use crate::query::QVid;
     use crate::serve::QueryRequest;
     use crate::verify::canonical_rows;
@@ -1967,7 +1940,7 @@ mod tests {
             let config = direct();
             let cache = StwigCache::new(&cloud, CacheConfig::default());
             match_query_distributed_with_cache(&cloud, &query, &config, Some(&cache)).unwrap();
-            let memo = (cache.plan(&query, &config, &cloud, || unreachable!("memoized"))).unwrap();
+            let memo = (cache.plan(&query, &cloud, || unreachable!("memoized"))).unwrap();
             let plan = memo.plan();
             assert!(plan.stwigs.len() > 1, "a join to order");
             let mut metrics = QueryMetrics::default();
@@ -1990,13 +1963,13 @@ mod tests {
             let mut checked = 0;
             // Load sets fetched in place, as `DirectRead` does.
             let in_place = MatchConfig::default().with_transport_mode(TransportMode::DirectRead);
-            let link = Link::new(&cloud, cloud.network(), &in_place);
+            let link = Link::new(&cloud, cloud.network(), &in_place, None);
             for k in 0..cloud.num_machines() {
                 let rk = assemble_rk_tables(plan, &tables, &link, k).unwrap();
                 if rk.tables[plan.head.head_index].is_empty() {
                     continue; // the machine never joined
                 }
-                let fresh = select_join_order(&rk.tables, config.join_sample_size);
+                let fresh = join_order(&rk.tables);
                 let memoized = memo.join_order(k, &rk.memos, || unreachable!("memoized"));
                 assert_eq!(memoized.as_deref(), Some(&fresh[..]), "machine {k}");
                 checked += 1;
@@ -2105,55 +2078,61 @@ mod tests {
     }
 
     #[test]
-    fn configs_that_plan_or_order_differently_never_share_a_memo() {
+    fn configs_share_one_plan_memo_and_one_order_selection_per_machine() {
         let cloud = Mirror::chains().build(2);
         let query = path(&cloud, ["d", "e", "f", "g"]);
-        let sampled = |join_sample_size: usize| MatchConfig {
-            join_sample_size,
-            ..direct()
-        };
-        let configs = [sampled(64), sampled(3), sampled(5)];
+        // No config field plans or orders: each of these differs from the
+        // first in one field, and each runs on the first one's memo.
+        let configs = [
+            direct(),
+            direct().with_result_mode(ResultMode::FirstK(5)),
+            MatchConfig {
+                block_rows: 3,
+                ..direct()
+            },
+            direct().with_max_stwig_rows(Some(1 << 20)),
+            direct().with_transport_mode(TransportMode::Messages),
+        ];
         let cache = StwigCache::new(&cloud, CacheConfig::default());
-        let plan = |config: &MatchConfig| {
-            let make = || plan_query(&cloud, &query);
-            cache.plan(&query, config, &cloud, make).unwrap()
-        };
-        let memos: Vec<_> = configs.iter().map(plan).collect();
-        for (i, memo) in memos.iter().enumerate() {
-            assert!(Arc::ptr_eq(&plan(&configs[i]), memo));
-            for other in &memos[..i] {
-                assert!(!Arc::ptr_eq(memo, other), "config {i} shares a memo");
+        let mut first = None;
+        let mut selected = 0;
+        for (i, config) in configs.iter().enumerate() {
+            let before = cache.stats();
+            match_query_distributed_with_cache(&cloud, &query, config, Some(&cache)).unwrap();
+            let after = cache.stats();
+            let memo = (cache.plan(&query, &cloud, || unreachable!("memoized"))).unwrap();
+            let first = first.get_or_insert_with(|| Arc::clone(&memo));
+            assert!(
+                Arc::ptr_eq(first, &memo),
+                "config {i} has a memo of its own"
+            );
+            let (hits, misses) = (
+                after.order_hits - before.order_hits,
+                after.order_misses - before.order_misses,
+            );
+            if i == 0 {
+                // Every machine that joined selected its order once.
+                assert!(misses > 1 && hits == 0, "{after:?}");
+                selected = misses;
+            } else {
+                // Later configs select nothing: every join takes the memo's
+                // order (a first-k join may stop before the last machine).
+                assert_eq!(misses, 0, "config {i} selected an order again");
+                assert!(hits > 0 && hits <= selected, "config {i}: {hits} hits");
             }
         }
-        assert_eq!(memo_counts(&cache.stats())[..2], [3, 3]);
-        // Fields neither planning nor ordering reads share the memo.
-        let streamed = MatchConfig {
-            block_rows: 3,
-            ..configs[0].clone().with_result_mode(ResultMode::FirstK(5))
-        };
-        assert!(Arc::ptr_eq(&plan(&streamed), &memos[0]));
-        // Each config's first run selects its own orders; its second reuses them.
-        for config in &configs {
-            let run = || match_query_distributed_with_cache(&cloud, &query, config, Some(&cache));
-            let before = cache.stats();
-            run().unwrap();
-            let selected = cache.stats().order_misses - before.order_misses;
-            assert!(selected > 0);
-            run().unwrap();
-            let after = cache.stats();
-            assert_eq!(after.order_misses - before.order_misses, selected);
-            assert_eq!(after.order_hits - before.order_hits, selected);
-        }
+        let stats = cache.stats();
+        assert_eq!(stats.plan_misses, 1, "one plan for every config");
+        assert_eq!(stats.order_misses, selected);
     }
 
     #[test]
     fn plan_memos_are_evicted_lru_first_with_the_tables() {
         let cloud = small_cloud();
-        let config = MatchConfig::default();
         let (query, _) = star_query(["b", "c"]);
         let plan = |cache: &StwigCache| {
             let make = || plan_query(&cloud, &query);
-            cache.plan(&query, &config, &cloud, make).unwrap()
+            cache.plan(&query, &cloud, make).unwrap()
         };
         let (shape_a, tables_a, _) = keyed_entry(0);
         let (shape_b, tables_b, _) = keyed_entry(1);

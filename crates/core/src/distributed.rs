@@ -95,7 +95,7 @@ use crate::cache::{
     canonicalize_table, splice_roots, CacheLookup, CachedStwig, CachedTables, PlanMemo, RkMemo,
     StwigCache, StwigShape,
 };
-use crate::config::{FailurePolicy, MatchConfig, TransportMode};
+use crate::config::{MatchConfig, TransportMode};
 use crate::decompose::decompose_ordered;
 use crate::error::StwigError;
 use crate::hash::VertexSet;
@@ -107,7 +107,7 @@ use crate::metrics::{
 };
 use crate::pipeline::{join_order, pipelined_join_streaming, RoundSink};
 use crate::query::{QVid, QueryGraph};
-use crate::retry::fetch_postings;
+use crate::retry::{degraded_loss, fetch_postings, Faults};
 use crate::stream::{Interrupt, QueryControl, QueryOptions, ResultSink};
 use crate::stwig::STwig;
 use crate::table::ResultTable;
@@ -120,78 +120,6 @@ use trinity_sim::ids::{LabelId, MachineId, VertexId};
 use trinity_sim::network::{Network, Phase};
 use trinity_sim::transport::{ChannelTransport, Message, Transport, TransportError};
 use trinity_sim::MemoryCloud;
-
-/// Test-only transport fault injection.
-///
-/// Poisoning a `(cloud, label)` pair makes every distributed execution whose
-/// query touches that label on that cloud fail up front with
-/// [`StwigError::Transport`] ([`TransportError::UnexpectedReply`]) — as if a
-/// peer machine had answered a `Load` request with a lying reply variant —
-/// *before* any exploration work. The poison is scoped by an RAII guard so a
-/// panicking test cannot leak it into the rest of the suite, and keyed by
-/// cloud address so concurrent tests on different clouds don't interfere.
-///
-/// This exists to pin engine-level error isolation: one query's transport
-/// failure must surface on that query's handle only, never conflated across
-/// a batch.
-#[cfg(test)]
-pub(crate) mod fault {
-    use std::collections::HashSet;
-    use std::sync::Mutex;
-    use trinity_sim::ids::LabelId;
-    use trinity_sim::MemoryCloud;
-
-    static POISON: Mutex<Option<HashSet<(usize, LabelId)>>> = Mutex::new(None);
-
-    /// Removes its poison entry on drop (RAII).
-    pub(crate) struct PoisonGuard {
-        key: (usize, LabelId),
-    }
-
-    impl Drop for PoisonGuard {
-        fn drop(&mut self) {
-            if let Some(set) = POISON.lock().expect("poison lock").as_mut() {
-                set.remove(&self.key);
-            }
-        }
-    }
-
-    /// Poisons `label` on `cloud` until the returned guard drops.
-    pub(crate) fn poison(cloud: &MemoryCloud, label: LabelId) -> PoisonGuard {
-        let key = (cloud as *const MemoryCloud as usize, label);
-        POISON
-            .lock()
-            .expect("poison lock")
-            .get_or_insert_with(HashSet::new)
-            .insert(key);
-        PoisonGuard { key }
-    }
-
-    /// Whether `query` touches a poisoned label of `cloud`.
-    pub(crate) fn poisoned(cloud: &MemoryCloud, query: &crate::query::QueryGraph) -> bool {
-        let guard = POISON.lock().expect("poison lock");
-        let Some(set) = guard.as_ref() else {
-            return false;
-        };
-        if set.is_empty() {
-            return false;
-        }
-        let ptr = cloud as *const MemoryCloud as usize;
-        query
-            .vertices()
-            .any(|v| set.contains(&(ptr, query.label(v))))
-    }
-
-    /// The error a poisoned execution fails with.
-    pub(crate) fn injected_error() -> crate::error::StwigError {
-        crate::error::StwigError::Transport(
-            trinity_sim::transport::TransportError::UnexpectedReply {
-                expected: "CellBuf",
-                got: "Poisoned",
-            },
-        )
-    }
-}
 
 /// Runs `work` once per index in `0..num_items`, fanning the items out over
 /// `threads` worker threads with dynamic work-stealing (an atomic cursor over
@@ -246,6 +174,11 @@ where
         .collect()
 }
 
+/// Maximum vertex ids per batched `Load` request envelope under
+/// [`TransportMode::Messages`]: a destination's frontier larger than this is
+/// split into several envelopes. Moves message counts, never results.
+pub const LOAD_BATCH_IDS: usize = 4096;
+
 /// How one phase of a query reaches the other machines, charging the
 /// query's ledger: a transport stack under `Messages` (its envelopes charge
 /// themselves), the ledger alone under `DirectRead`.
@@ -255,10 +188,9 @@ pub(crate) struct Link<'c> {
 }
 
 /// The transport stack of `Messages` mode: a [`ChannelTransport`] charging
-/// the query's ledger and carrying the config's per-exchange timeout, wrapped
-/// in a [`FaultyTransport`] when a fault plan is armed
-/// (`MatchConfig::fault_plan`). The wrapper is an enum rather than a boxed
-/// trait object so the fault-free path stays allocation-free.
+/// the query's ledger, wrapped in a [`FaultyTransport`] when the request
+/// armed [`Faults`]. The wrapper is an enum rather than a boxed trait object
+/// so the fault-free path stays allocation-free.
 enum Stack<'c> {
     /// Fault-free mailboxes.
     Plain(ChannelTransport<'c>),
@@ -269,14 +201,21 @@ enum Stack<'c> {
 }
 
 impl<'c> Link<'c> {
-    pub(crate) fn new(cloud: &'c MemoryCloud, ledger: &'c Network, config: &MatchConfig) -> Self {
+    /// The link of `config`'s transport mode, injecting `faults` under
+    /// `Messages`. Every entry point has refused faults on a `DirectRead`
+    /// query ([`check_faults`]).
+    pub(crate) fn new(
+        cloud: &'c MemoryCloud,
+        ledger: &'c Network,
+        config: &MatchConfig,
+        faults: Option<&Faults>,
+    ) -> Self {
         let stack = (config.transport_mode == TransportMode::Messages).then(|| {
-            let mut tp = ChannelTransport::new(cloud).with_ledger(ledger);
-            if let Some(timeout) = config.retry.timeout() {
-                tp = tp.with_exchange_timeout(timeout);
-            }
-            match &config.fault_plan {
-                Some(plan) => Stack::Faulty(Box::new(FaultyTransport::new(tp, plan.clone()))),
+            let tp = ChannelTransport::new(cloud).with_ledger(ledger);
+            match faults {
+                Some(faults) => {
+                    Stack::Faulty(Box::new(FaultyTransport::new(tp, faults.plan.clone())))
+                }
                 None => Stack::Plain(tp),
             }
         });
@@ -360,7 +299,7 @@ pub fn plan_query(cloud: &MemoryCloud, query: &QueryGraph) -> Result<QueryPlan, 
 }
 
 /// [`plan_query`]; the config plans nothing. A shim kept for the frozen
-/// benchmark, which calls it: ROADMAP item 1 deletes it.
+/// benchmark, which calls it: ROADMAP item 4 deletes it.
 pub fn plan_query_with_config(
     cloud: &MemoryCloud,
     query: &QueryGraph,
@@ -412,7 +351,20 @@ pub fn match_query_distributed_with_cache(
     config: &MatchConfig,
     cache: Option<&StwigCache>,
 ) -> Result<MatchOutput, StwigError> {
-    let (table, metrics) = execute_query(cloud, query, config, &QueryOptions::none(), cache, None)?;
+    match_query_distributed_with_options(cloud, query, config, &QueryOptions::none(), cache)
+}
+
+/// [`match_query_distributed_with_cache`] under the per-query `options`:
+/// deadline, cancellation and the request's fault stack
+/// ([`QueryOptions::faults`]).
+pub fn match_query_distributed_with_options(
+    cloud: &MemoryCloud,
+    query: &QueryGraph,
+    config: &MatchConfig,
+    options: &QueryOptions,
+    cache: Option<&StwigCache>,
+) -> Result<MatchOutput, StwigError> {
+    let (table, metrics) = execute_query(cloud, query, config, options, cache, None)?;
     let table = table.expect("the table output hands its table back");
     Ok(MatchOutput { table, metrics })
 }
@@ -521,6 +473,7 @@ pub fn produce_stwig_tables(
     machine_metrics: &mut [MachineMetrics],
 ) -> Result<Option<StwigTableSet>, StwigError> {
     check_cache(cloud, cache)?;
+    check_faults(config, control)?;
     let ledger = Network::new(cloud.num_machines());
     // No slab: the config's own row cap bounds exploration.
     let (tables, answerable) = produce_tables(
@@ -537,6 +490,18 @@ pub fn produce_stwig_tables(
     )?;
     retire(cloud, &ledger, metrics);
     Ok(answerable.then_some(tables))
+}
+
+/// The fault guard: [`Faults`] need a transport to inject them into, and only
+/// `Messages` has one. Every public entry point that takes a request's
+/// control checks it before any work, so a fault run never silently runs
+/// fault-free.
+fn check_faults(config: &MatchConfig, control: Option<&QueryControl>) -> Result<(), StwigError> {
+    let armed = control.is_some_and(|c| c.faults().is_some());
+    if armed && config.transport_mode != TransportMode::Messages {
+        return Err(StwigError::FaultsNeedMessages);
+    }
+    Ok(())
 }
 
 /// The cache/cloud guard, lest a foreign cache serve another cloud's tables
@@ -574,7 +539,12 @@ fn produce_tables(
     // In `Messages` mode all exploration-phase communication — batched cell
     // loads and binding deltas — travels over this link's transport;
     // machines never dereference each other's partitions.
-    let link = &Link::new(cloud, ledger, config);
+    let link = &Link::new(
+        cloud,
+        ledger,
+        config,
+        control.and_then(QueryControl::faults),
+    );
     let mut set = StwigTableSet {
         stwigs: Vec::with_capacity(plan.stwigs.len()),
     };
@@ -889,7 +859,7 @@ fn explore_machine(
 ) -> Result<MachineExplore, StwigError> {
     let mut work = MachineWork::default();
     let mode = match link.transport() {
-        Some(tp) => Mode::Messages(tp, &mut work.faults),
+        Some(tp) => Mode::Messages(tp, &mut work.faults, LOAD_BATCH_IDS),
         None => Mode::InPlace(shared, link.ledger),
     };
     let counters = &mut work.counters;
@@ -925,7 +895,7 @@ fn explore_bound(
             )
         }),
         stwig,
-        config,
+        control,
     )
 }
 
@@ -1028,7 +998,7 @@ fn explore_via_cache(
             )
         }),
         stwig,
-        config,
+        control,
     )?;
     // An interrupted run may hold truncated tables; do not let them into the
     // cache or stand in for bound exploration — which the interrupt will
@@ -1086,22 +1056,23 @@ fn explore_via_cache(
 /// Collapses per-machine exploration results: the first transport error (in
 /// machine order, for determinism) fails the query.
 ///
-/// Under [`FailurePolicy::Degrade`] an item that failed whole-machine with
-/// [`StwigError::MachineUnavailable`] is replaced by an empty table with the
+/// An item that failed whole-machine with a loss the query goes on without
+/// ([`degraded_loss`]: `Degrade`) is replaced by an empty table with the
 /// STwig's columns (so the join schema stays intact) and the machine is
 /// recorded lost — the safety net behind the chunk-level degradation inside
 /// the matcher.
 fn collect_explore_results(
     results: Vec<Result<MachineExplore, StwigError>>,
     stwig: &STwig,
-    config: &MatchConfig,
+    control: Option<&QueryControl>,
 ) -> Result<Vec<MachineExplore>, StwigError> {
     results
         .into_iter()
         .map(|r| match r {
-            Err(StwigError::MachineUnavailable { machine, .. })
-                if config.failure_policy == FailurePolicy::Degrade =>
-            {
+            Err(err) => {
+                let Some(machine) = degraded_loss(&err, control) else {
+                    return Err(err);
+                };
                 let mut columns = Vec::with_capacity(1 + stwig.children.len());
                 columns.push(stwig.root);
                 columns.extend(stwig.children.iter().copied());
@@ -1535,9 +1506,9 @@ fn join_pass(
         cloud.num_machines(),
         "join_pass needs one MachineMetrics per machine"
     );
-    // A single table or the given order leaves nothing to select.
-    let memo = memo.filter(|_| config.optimize_join_order && plan.stwigs.len() > 1);
-    let link = Link::new(cloud, ledger, config);
+    // A single table leaves nothing to select.
+    let memo = memo.filter(|_| plan.stwigs.len() > 1);
+    let link = Link::new(cloud, ledger, config, control.faults());
     let mut pass = JoinPass {
         rows: 0,
         exhausted: true,
@@ -1562,7 +1533,7 @@ fn join_pass(
         // A machine with no head-STwig results contributes nothing (§5.3),
         // and nothing is all there was to enumerate.
         let exhausted = rk.tables[plan.head.head_index].is_empty() || {
-            let select = || join_order(&rk.tables, config);
+            let select = || join_order(&rk.tables);
             let (memoized, selected);
             let order: &[usize] = match memo.and_then(|m| m.join_order(ki, &rk.memos, select)) {
                 Some(order) => {
@@ -1673,12 +1644,9 @@ pub(crate) fn execute_query(
     cache: Option<&StwigCache>,
     sink: Option<&mut dyn ResultSink>,
 ) -> Result<(Option<ResultTable>, QueryMetrics), StwigError> {
-    #[cfg(test)]
-    if fault::poisoned(cloud, query) {
-        return Err(fault::injected_error());
-    }
     let started = Instant::now();
     let control = QueryControl::new(options, started);
+    check_faults(config, Some(&control))?;
     // The query's one ledger: every charge it makes, and nothing else.
     let ledger = Network::new(cloud.num_machines());
     let mut metrics = QueryMetrics {
@@ -1749,7 +1717,7 @@ fn scan_single_vertex(
     state: &mut StreamState<'_>,
 ) -> Result<bool, StwigError> {
     let limit = config.result_limit();
-    let link = Link::new(cloud, ledger, config);
+    let link = Link::new(cloud, ledger, config, control.faults());
     let proxy = MachineId(0);
     let mut limit_hit = false;
     'scan: for k in cloud.machines() {
@@ -1760,7 +1728,6 @@ fn scan_single_vertex(
             Some(tp) if k != proxy => fetch_postings(
                 tp,
                 cloud,
-                config,
                 proxy,
                 k,
                 &[label],
@@ -1804,7 +1771,7 @@ fn explore_and_join(
 ) -> Result<bool, StwigError> {
     check_cache(cloud, cache)?;
     let make_plan = || plan_query(cloud, query);
-    let memo = (cache.map(|cache| cache.plan(query, config, cloud, make_plan))).transpose()?;
+    let memo = (cache.map(|cache| cache.plan(query, cloud, make_plan))).transpose()?;
     let fresh;
     let plan = match &memo {
         Some(memo) => memo.plan(),
@@ -1977,6 +1944,7 @@ fn finalize(metrics: &mut QueryMetrics, cloud: &MemoryCloud, ledger: &Network, s
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::CollectSink;
     use crate::verify::{canonical_rows, same_answer, verify_all};
     use trinity_sim::builder::GraphBuilder;
     use trinity_sim::network::CostModel;
@@ -2694,10 +2662,7 @@ mod tests {
     fn repair_equals_populate_and_shares_untouched_machines() {
         use crate::cache::{CacheConfig, StwigCache};
         let (epochs, query, batch) = churned_triangle(4);
-        // No injected faults: retries would blur the traffic comparison.
-        let config = MatchConfig::default()
-            .with_num_threads(Some(1))
-            .with_fault_plan(None);
+        let config = MatchConfig::default().with_num_threads(Some(1));
         let warm = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
         let snap0 = epochs.pin();
         match_query_distributed_with_cache(&snap0, &query, &config, Some(&warm)).unwrap();
@@ -2833,17 +2798,18 @@ mod tests {
         let clean = MatchConfig::default()
             .with_num_threads(Some(1))
             .with_transport_mode(TransportMode::Messages);
-        let crashed = clean
-            .clone()
-            .with_failure_policy(FailurePolicy::Degrade)
-            .with_fault_plan(Some(FaultPlan::lossy(5).with_crash(1, 0)));
+        let crashed = QueryOptions::none().with_faults(Faults {
+            on_loss: crate::retry::FailurePolicy::Degrade,
+            ..Faults::new(FaultPlan::lossy(5).with_crash(1, 0))
+        });
         let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
         match_query_distributed_with_cache(&epochs.pin(), &query, &clean, Some(&cache)).unwrap();
         epochs.apply(&batch).unwrap();
         let snap = epochs.pin();
         let insertions = cache.stats().insertions;
         let partial =
-            match_query_distributed_with_cache(&snap, &query, &crashed, Some(&cache)).unwrap();
+            match_query_distributed_with_options(&snap, &query, &clean, &crashed, Some(&cache))
+                .unwrap();
         assert_eq!(partial.metrics.outcome, QueryOutcome::Partial);
         assert!(partial.metrics.fault.machines_lost.contains(&1));
         verify_all(&snap, &query, &partial.table).unwrap();
@@ -3029,7 +2995,6 @@ mod tests {
 
     #[test]
     fn streaming_all_mode_delivers_every_match_in_canonical_order() {
-        use crate::stream::CollectSink;
         for machines in [1usize, 3, 4] {
             let cloud = sample_cloud(machines);
             let query = triangle_query(&cloud);
@@ -3069,7 +3034,6 @@ mod tests {
     #[test]
     fn streaming_first_k_returns_exactly_k_valid_embeddings() {
         use crate::config::ResultMode;
-        use crate::stream::CollectSink;
         for machines in [1usize, 4] {
             let cloud = sample_cloud(machines);
             let query = triangle_query(&cloud);
@@ -3152,7 +3116,6 @@ mod tests {
     #[test]
     fn streaming_resumes_exploration_until_k_is_satisfied() {
         use crate::config::ResultMode;
-        use crate::stream::CollectSink;
         // One `a` hub fanning out to 300 b's and 300 c's: the (a, {b, c})
         // STwig has 90_000 unconstrained rows, but only the lexicographically
         // *last* (b, c) pair closes a triangle. The first slab (k = 1 → 256
@@ -3198,7 +3161,7 @@ mod tests {
     #[test]
     fn streaming_honors_pre_set_cancellation_and_deadlines() {
         use crate::metrics::QueryOutcome;
-        use crate::stream::{CancelToken, CollectSink, QueryOptions};
+        use crate::stream::CancelToken;
         let cloud = sample_cloud(4);
         let query = triangle_query(&cloud);
         // Pre-cancelled token: the first cooperative check fires before any

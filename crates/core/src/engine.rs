@@ -428,6 +428,7 @@ impl<'c> QueryEngine<'c> {
             work: Work::Query {
                 query,
                 mode: options.result_mode,
+                faults: options.faults.map(Box::new),
                 delivery,
                 snapshot,
             },
@@ -632,13 +633,14 @@ impl<'c> QueryEngine<'c> {
             return;
         }
 
-        let (query, mode, delivery, snapshot) = match work {
+        let (query, mode, faults, delivery, snapshot) = match work {
             Work::Query {
                 query,
                 mode,
+                faults,
                 delivery,
                 snapshot,
-            } => (query, mode, delivery, snapshot),
+            } => (query, mode, faults, delivery, snapshot),
             // Update application: the batch routes through the epochs
             // manager and the handle resolves with the post-apply epoch. No
             // snapshot, no executor, no shed/breaker checks (updates are
@@ -734,6 +736,7 @@ impl<'c> QueryEngine<'c> {
         let run_options = QueryOptions {
             deadline: deadline.map(|d| d.saturating_duration_since(now)),
             cancel: Some(shared.cancel_token().clone()),
+            faults: faults.map(|faults| *faults),
             ..QueryOptions::none()
         };
         // One executor, two outputs: a table it fills and hands back, or
@@ -1171,20 +1174,23 @@ mod tests {
         // A deadline alive at dispatch (so the door does not shed it) that
         // runs out mid-execution: every exchange is refused once, and the
         // first backoff outlasts the deadline.
-        let refusing = MatchConfig::default()
-            .with_transport_mode(TransportMode::Messages)
-            .with_fault_plan(Some(trinity_sim::fault::FaultPlan {
-                unavailable: 1.0,
-                ..Default::default()
-            }))
-            .with_retry(crate::config::RetryPolicy {
+        let messages = MatchConfig::default().with_transport_mode(TransportMode::Messages);
+        let refusing = crate::retry::Faults {
+            retry: crate::retry::RetryPolicy {
                 base_backoff_us: 2_000_000,
                 max_backoff_us: 2_000_000,
                 ..Default::default()
-            });
-        let engine = QueryEngine::new(&cloud, EngineConfig::default().with_match_config(refusing));
-        let request = QueryRequest::new(triangle_query(&cloud))
-            .with_deadline(std::time::Duration::from_millis(100));
+            },
+            ..crate::retry::Faults::new(trinity_sim::fault::FaultPlan {
+                unavailable: 1.0,
+                ..Default::default()
+            })
+        };
+        let engine = QueryEngine::new(&cloud, EngineConfig::default().with_match_config(messages));
+        let options = QueryOptions::none()
+            .with_deadline(std::time::Duration::from_millis(100))
+            .with_faults(refusing);
+        let request = QueryRequest::new(triangle_query(&cloud)).with_options(options);
         let handle = engine.submit(request).expect_accepted();
         engine.drain();
         let response = handle.wait().unwrap();
@@ -1205,37 +1211,44 @@ mod tests {
     #[test]
     fn a_transport_fault_fails_only_its_own_batch_slot() {
         let cloud = sample_cloud(3);
-        let engine = QueryEngine::new(&cloud, EngineConfig::default().with_workers(Some(2)));
-        let bad = triangle_query(&cloud); // touches label "c"
-        let mut qb = QueryGraph::builder();
-        let a = qb.vertex_by_name(&cloud, "a").unwrap();
-        let b = qb.vertex_by_name(&cloud, "b").unwrap();
-        qb.edge(a, b);
-        let good = qb.build().unwrap(); // labels "a"/"b" only
-        let c = cloud.labels().get("c").unwrap();
-        let _poison = crate::distributed::fault::poison(&cloud, c);
-        let outputs = engine.run_batch(&[bad.clone(), good.clone(), bad]);
-        assert_eq!(outputs.len(), 3);
-        for slot in [0, 2] {
-            match &outputs[slot] {
-                Err(StwigError::Transport(_)) => {}
-                other => {
-                    panic!("slot {slot} must fail with the injected transport error, got {other:?}")
-                }
-            }
-        }
-        // The healthy query's slot is untouched by its neighbors' faults.
-        let expected = match_query_distributed(
+        let config = MatchConfig::default().with_transport_mode(TransportMode::Messages);
+        let engine = QueryEngine::new(
             &cloud,
-            &good,
-            &MatchConfig::default().with_num_threads(Some(1)),
-        )
-        .unwrap();
+            EngineConfig::default()
+                .with_workers(Some(2))
+                .with_cache(None)
+                .with_match_config(config.clone()),
+        );
+        let query = triangle_query(&cloud);
+        // The same query three times, each exploring (no cache to serve
+        // it): the outer two requests run with machine 1 crashed, the
+        // middle one fault-free.
+        let plan = trinity_sim::fault::FaultPlan::default().with_crash(1, 0);
+        let crashed = QueryOptions::none().with_faults(crate::retry::Faults::new(plan));
+        let handles: Vec<QueryHandle> = [&crashed, &QueryOptions::none(), &crashed]
+            .map(|options| QueryRequest::new(query.clone()).with_options(options.clone()))
+            .map(|request| engine.submit(request).expect_accepted())
+            .into();
+        std::thread::scope(|scope| {
+            scope.spawn(|| engine.drain());
+            engine.drain();
+        });
+        let outputs: Vec<_> = handles.into_iter().map(QueryHandle::wait).collect();
+        for slot in [0, 2] {
+            assert!(
+                matches!(
+                    &outputs[slot],
+                    Err(StwigError::MachineUnavailable { machine: 1, .. })
+                ),
+                "slot {slot} must fail with the crashed machine, got {:?}",
+                outputs[slot]
+            );
+        }
+        // The healthy request's slot is untouched by its neighbors' faults.
+        let expected =
+            match_query_distributed(&cloud, &query, &config.with_num_threads(Some(1))).unwrap();
         let ok = outputs[1].as_ref().expect("healthy slot succeeds");
-        assert_eq!(ok.table, expected.table);
-        drop(_poison);
-        // Poison is scoped: the same query succeeds after the guard drops.
-        assert!(engine.run_one(&triangle_query(&cloud)).is_ok());
+        assert_eq!(ok.table.as_ref(), Some(&expected.table));
     }
 
     #[test]

@@ -50,6 +50,11 @@ pub enum StwigError {
         /// The error of the final attempt.
         last: TransportError,
     },
+    /// The request armed [`crate::retry::Faults`] on a
+    /// [`crate::config::TransportMode::DirectRead`] query, which has no
+    /// transport to inject them into. Refused before any work, so a fault
+    /// run never silently runs fault-free.
+    FaultsNeedMessages,
     /// A graph update batch was refused: it referenced an unknown vertex,
     /// or the engine serves a static cloud with no
     /// [`trinity_sim::epoch::GraphEpochs`] manager. Validation is atomic —
@@ -101,6 +106,10 @@ impl fmt::Display for StwigError {
                     "machine M{machine} unreachable after {attempts} attempt(s): {last}"
                 )
             }
+            StwigError::FaultsNeedMessages => write!(
+                f,
+                "faults were armed on a DirectRead query; only Messages mode has a transport to inject them into"
+            ),
             StwigError::Update(msg) => write!(f, "graph update refused: {msg}"),
             StwigError::Rejected(reason) => write!(f, "query rejected: {reason}"),
             StwigError::Internal(msg) => write!(f, "internal error: {msg}"),
@@ -140,6 +149,9 @@ mod tests {
             .contains("99"));
         assert!(StwigError::InvalidQueryVertex(3).to_string().contains('3'));
         assert!(StwigError::IsolatedQueryVertex(2).to_string().contains('2'));
+        assert!(StwigError::FaultsNeedMessages
+            .to_string()
+            .contains("DirectRead"));
         assert!(StwigError::Internal("oops".into())
             .to_string()
             .contains("oops"));

@@ -78,11 +78,12 @@ pub mod table;
 pub mod verify;
 
 pub use cache::{CacheConfig, CacheLookup, StwigCache};
-pub use config::{FailurePolicy, MatchConfig, ResultMode, RetryPolicy, TransportMode};
+pub use config::{MatchConfig, ResultMode, TransportMode};
 pub use distributed::{
     join_stwig_tables, match_query_distributed, match_query_distributed_with_cache,
-    match_query_streaming, match_query_streaming_with_cache, plan_query, plan_query_with_config,
-    produce_stwig_tables, MatchOutput, QueryPlan, StwigTableSet,
+    match_query_distributed_with_options, match_query_streaming, match_query_streaming_with_cache,
+    plan_query, plan_query_with_config, produce_stwig_tables, MatchOutput, QueryPlan,
+    StwigTableSet,
 };
 pub use engine::{EngineConfig, QueryEngine};
 pub use error::StwigError;
@@ -92,6 +93,7 @@ pub use metrics::{
 };
 pub use pattern::parse_pattern;
 pub use query::{QVid, QueryGraph, QueryGraphBuilder};
+pub use retry::{FailurePolicy, Faults, RetryPolicy};
 pub use serve::{
     AdmissionConfig, BreakerConfig, CostEstimator, Priority, QueryHandle, QueryRequest,
     QueryResponse, QueryStatus, RejectReason, SchedulerConfig, ServeConfig, Submit, TenantId,
@@ -106,14 +108,15 @@ pub use table::ResultTable;
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::cache::{CacheConfig, CacheLookup, StwigCache, StwigShape};
-    pub use crate::config::{FailurePolicy, MatchConfig, ResultMode, RetryPolicy, TransportMode};
+    pub use crate::config::{MatchConfig, ResultMode, TransportMode};
     pub use crate::decompose::{
         decompose_ordered, decompose_random, LabelStatistics, UniformStats,
     };
     pub use crate::distributed::{
         join_stwig_tables, match_query_distributed, match_query_distributed_with_cache,
-        match_query_streaming, match_query_streaming_with_cache, plan_query,
-        plan_query_with_config, produce_stwig_tables, MatchOutput, QueryPlan, StwigTableSet,
+        match_query_distributed_with_options, match_query_streaming,
+        match_query_streaming_with_cache, plan_query, plan_query_with_config, produce_stwig_tables,
+        MatchOutput, QueryPlan, StwigTableSet,
     };
     pub use crate::engine::{EngineConfig, QueryEngine};
     pub use crate::error::StwigError;
@@ -124,6 +127,7 @@ pub mod prelude {
     };
     pub use crate::pattern::parse_pattern;
     pub use crate::query::{QVid, QueryGraph, QueryGraphBuilder};
+    pub use crate::retry::{FailurePolicy, Faults, RetryPolicy};
     pub use crate::serve::{
         AdmissionConfig, BreakerConfig, CostEstimator, Priority, QueryHandle, QueryRequest,
         QueryResponse, QueryStatus, RejectReason, SchedulerConfig, ServeConfig, Submit, TenantId,

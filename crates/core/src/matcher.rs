@@ -84,8 +84,9 @@ pub(crate) type SharedPostings = OnceLock<FxHashMap<VertexId, u32>>;
 pub(crate) enum Mode<'a> {
     /// `DirectRead`, over the STwig's shared postings, charging the ledger.
     InPlace(&'a SharedPostings, &'a Network),
-    /// `Messages`, tallying what the retry layer absorbed.
-    Messages(&'a dyn Transport, &'a mut FaultCounters),
+    /// `Messages`, tallying what the retry layer absorbed, with `Load`
+    /// envelopes of at most the given number of ids.
+    Messages(&'a dyn Transport, &'a mut FaultCounters, usize),
 }
 
 /// Which side of its resolution rule one exploration took. Observability
@@ -159,14 +160,14 @@ pub(crate) fn explore(
                 }
             }
             // Ask about the smaller side; both counts are exact and already here.
-            Mode::Messages(tp, faults) if carriers < neighbors => {
-                let (labels, cfg) = (child_labels, config);
-                frontier.resolve_from_postings(cloud, tp, machine, labels, cfg, control, faults)?;
+            Mode::Messages(tp, faults, _) if carriers < neighbors => {
+                let labels = child_labels;
+                frontier.resolve_from_postings(cloud, tp, machine, labels, control, faults)?;
                 resolution.from_postings = true;
                 resolution.postings_entries = frontier.slot_of.len() as u64;
             }
-            Mode::Messages(tp, faults) => {
-                frontier.resolve_by_asking(cloud, tp, machine, config, control, faults)?
+            Mode::Messages(tp, faults, cap) => {
+                frontier.resolve_by_asking(cloud, tp, machine, cap, control, faults)?
             }
         }
         let table = explore_roots(
@@ -331,7 +332,7 @@ impl RootFilter {
 ///   labels' postings (`Index.getID`, one `GetIdsRequest` per other owner)
 ///   when their carriers are fewer than the neighbors collected, else the
 ///   distinct remote neighbors (`Index.hasLabel`, batched into projected
-///   `LoadRequest`s of at most `config.transport_batch_ids` ids). Postings
+///   `LoadRequest`s of at most `batch_ids` ids). Postings
 ///   traffic is therefore bounded by 8 B × neighbors collected.
 ///
 /// A transport protocol violation (a peer answering with the wrong variant,
@@ -343,11 +344,11 @@ impl RootFilter {
 /// labels only suppress rows, so every emitted row stays a valid partial
 /// match).
 ///
-/// Every exchange runs under `config.retry` and the query's failure policy
+/// Every exchange runs under the fault stack `control` carries
 /// ([`exchange_or_skip`]); what the retry layer absorbed is tallied into
 /// `faults`. A machine that stays unreachable after the budget fails the
 /// exploration with [`StwigError::MachineUnavailable`] under
-/// [`crate::config::FailurePolicy::Fail`]; under `Degrade` the machine is
+/// [`crate::retry::FailurePolicy::Fail`]; under `Degrade` the machine is
 /// recorded in `faults.machines_lost` and the labels of its vertices stay
 /// unknown — rows needing them are pruned, so every emitted row remains a
 /// verified partial match over the surviving machines.
@@ -361,11 +362,12 @@ pub fn match_stwig_batched(
     roots: &[VertexId],
     bindings: &Bindings,
     config: &MatchConfig,
+    batch_ids: usize,
     control: Option<&QueryControl>,
     counters: &mut ExploreCounters,
     faults: &mut FaultCounters,
 ) -> Result<ResultTable, StwigError> {
-    let mode = Mode::Messages(transport, faults);
+    let mode = Mode::Messages(transport, faults, batch_ids);
     let explored = explore(
         cloud, mode, machine, query, stwig, roots, bindings, config, control, counters,
     );
@@ -496,7 +498,6 @@ impl Frontier {
         transport: &dyn Transport,
         machine: MachineId,
         child_labels: &[LabelId],
-        config: &MatchConfig,
         control: Option<&QueryControl>,
         faults: &mut FaultCounters,
     ) -> Result<(), StwigError> {
@@ -515,7 +516,6 @@ impl Frontier {
             let fetched = fetch_postings(
                 transport,
                 cloud,
-                config,
                 machine,
                 owner,
                 child_labels,
@@ -536,8 +536,8 @@ impl Frontier {
     /// pass over the arena reads local labels in place and gives each
     /// *distinct* remote neighbor a dense slot (hubs are many roots'
     /// neighbor, so the distinct set stays far smaller than the scan); one
-    /// projected `Load` per owning machine (split into
-    /// `transport_batch_ids`-sized envelopes) brings their labels, and one
+    /// projected `Load` per owning machine (split into envelopes of at most
+    /// `cap` ids) brings their labels, and one
     /// linear pass writes them into the arena. STwig matching only consumes
     /// the frontier's *labels* (children are depth-1), so the owners keep
     /// their adjacency at home. Every attempt of an envelope carries the
@@ -547,7 +547,7 @@ impl Frontier {
         cloud: &MemoryCloud,
         transport: &dyn Transport,
         machine: MachineId,
-        config: &MatchConfig,
+        cap: usize,
         control: Option<&QueryControl>,
         faults: &mut FaultCounters,
     ) -> Result<(), StwigError> {
@@ -579,7 +579,7 @@ impl Frontier {
             self.slots.push(slot);
         }
 
-        let cap = config.transport_batch_ids.max(1);
+        let cap = cap.max(1);
         'flush: for (owner, batch) in self.per_owner.iter().enumerate() {
             let owner = MachineId(owner as u16);
             for (ids, slots) in batch.ids.chunks(cap).zip(batch.slots.chunks(cap)) {
@@ -593,7 +593,7 @@ impl Frontier {
                     with_neighbors: false,
                 };
                 let Some(reply) =
-                    exchange_or_skip(transport, config, machine, owner, &request, control, faults)?
+                    exchange_or_skip(transport, machine, owner, &request, control, faults)?
                 else {
                     // Graceful degradation: this owner's slots stay unknown,
                     // which only suppresses rows needing them. (After an
@@ -833,8 +833,9 @@ fn emit_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FailurePolicy;
+    use crate::distributed::LOAD_BATCH_IDS;
     use crate::query::QVid;
+    use crate::retry::{FailurePolicy, Faults};
     use trinity_sim::builder::GraphBuilder;
     use trinity_sim::network::CostModel;
 
@@ -1049,7 +1050,7 @@ mod tests {
             let transport = ChannelTransport::new(&cloud);
             // Sweep tiny batch caps so multi-envelope splitting is covered.
             for batch in [1usize, 2, 4096] {
-                let cfg = MatchConfig::default().with_transport_batch_ids(batch);
+                let cfg = MatchConfig::default();
                 let mut total = 0usize;
                 for k in cloud.machines() {
                     let roots = cloud.get_ids(k, query.label(a)).to_vec();
@@ -1078,6 +1079,7 @@ mod tests {
                         &roots,
                         &bindings,
                         &cfg,
+                        batch,
                         None,
                         &mut batched_counters,
                         &mut faults,
@@ -1108,7 +1110,7 @@ mod tests {
         let bindings = Bindings::new(query.num_vertices());
         let mut messages = Vec::new();
         for batch in [1usize, 64] {
-            let cfg = MatchConfig::default().with_transport_batch_ids(batch);
+            let cfg = MatchConfig::default();
             cloud.reset_traffic();
             for k in cloud.machines() {
                 let roots = cloud.get_ids(k, query.label(a)).to_vec();
@@ -1122,6 +1124,7 @@ mod tests {
                     &roots,
                     &bindings,
                     &cfg,
+                    batch,
                     None,
                     &mut counters,
                     &mut FaultCounters::default(),
@@ -1200,6 +1203,7 @@ mod tests {
                 &roots,
                 &bindings,
                 &MatchConfig::default(),
+                LOAD_BATCH_IDS,
                 None,
                 &mut ExploreCounters::default(),
                 &mut FaultCounters::default(),
@@ -1314,6 +1318,7 @@ mod tests {
                 &roots,
                 &Bindings::new(query.num_vertices()),
                 &MatchConfig::default(),
+                LOAD_BATCH_IDS,
                 None,
                 &mut ExploreCounters::default(),
                 &mut FaultCounters::default(),
@@ -1323,7 +1328,6 @@ mod tests {
             fetch_postings(
                 transport,
                 &cloud,
-                &MatchConfig::default(),
                 machine,
                 MachineId(1),
                 &child_labels,
@@ -1432,49 +1436,43 @@ mod tests {
                     }
                     let down = MachineId(((k.0 as usize + 1) % machines) as u16);
                     let asks_down = frontier.ids.iter().any(|&m| cloud.machine_of(m) == down);
-                    let crashed = FaultyTransport::new(
-                        ChannelTransport::new(&cloud),
-                        FaultPlan::default().with_crash(down.0, 0),
-                    );
+                    let crash = FaultPlan::default().with_crash(down.0, 0);
+                    let crashed =
+                        FaultyTransport::new(ChannelTransport::new(&cloud), crash.clone());
+                    let under = |faults: Faults| {
+                        QueryControl::new(&QueryOptions::none().with_faults(faults), Instant::now())
+                    };
+                    let failing = under(Faults::new(crash.clone()));
+                    let degrading = under(Faults {
+                        on_loss: FailurePolicy::Degrade,
+                        ..Faults::new(crash)
+                    });
 
                     for from_postings in [true, false] {
                         let resolve =
                             |frontier: &mut Frontier,
                              tp: &dyn Transport,
-                             config: &MatchConfig,
                              control: Option<&QueryControl>,
                              faults: &mut FaultCounters| {
                                 if from_postings {
+                                    let labels = &child_labels;
                                     frontier.resolve_from_postings(
-                                        &cloud,
-                                        tp,
-                                        k,
-                                        &child_labels,
-                                        config,
-                                        control,
-                                        faults,
+                                        &cloud, tp, k, labels, control, faults,
                                     )
                                 } else {
-                                    frontier
-                                        .resolve_by_asking(&cloud, tp, k, config, control, faults)
+                                    let cap = LOAD_BATCH_IDS;
+                                    frontier.resolve_by_asking(&cloud, tp, k, cap, control, faults)
                                 }
                             };
                         let mut faults = FaultCounters::default();
-                        resolve(&mut frontier, &transport, &config, None, &mut faults).unwrap();
+                        resolve(&mut frontier, &transport, None, &mut faults).unwrap();
                         assert!(!faults.any());
                         check_resolution(&cloud, &frontier, &child_labels, from_postings, |_| true);
 
                         // A pre-set cancel: no envelope leaves, and only what
                         // is read in place (asking: local labels) is known.
                         cloud.reset_traffic();
-                        resolve(
-                            &mut frontier,
-                            &transport,
-                            &config,
-                            Some(&cancelled),
-                            &mut faults,
-                        )
-                        .unwrap();
+                        resolve(&mut frontier, &transport, Some(&cancelled), &mut faults).unwrap();
                         assert_eq!(cloud.traffic().total_messages(), 0);
                         check_resolution(&cloud, &frontier, &child_labels, from_postings, |m| {
                             !from_postings && cloud.machine_of(m) == k
@@ -1486,9 +1484,9 @@ mod tests {
                         // The postings side asks every other owner, the
                         // asking side only owners of a collected neighbor.
                         let asked = from_postings || asks_down;
-                        let degrade = config.clone().with_failure_policy(FailurePolicy::Degrade);
-                        resolve(&mut frontier, &crashed, &degrade, None, &mut faults).unwrap();
-                        resolve(&mut frontier, &crashed, &degrade, None, &mut faults).unwrap();
+                        let degrade = Some(&degrading);
+                        resolve(&mut frontier, &crashed, degrade, &mut faults).unwrap();
+                        resolve(&mut frontier, &crashed, degrade, &mut faults).unwrap();
                         assert_eq!(
                             faults.machines_lost,
                             if asked { vec![down.0] } else { vec![] }
@@ -1499,8 +1497,7 @@ mod tests {
                         let failed = resolve(
                             &mut frontier,
                             &crashed,
-                            &config,
-                            None,
+                            Some(&failing),
                             &mut FaultCounters::default(),
                         );
                         match failed {
@@ -1528,6 +1525,7 @@ mod tests {
                     .to_vec(),
                 &unbound,
                 &MatchConfig::default(),
+                LOAD_BATCH_IDS,
                 Some(&cancelled),
                 &mut counters,
                 &mut FaultCounters::default(),
@@ -1632,6 +1630,7 @@ mod tests {
                     &roots,
                     &bindings,
                     &MatchConfig::default(),
+                    LOAD_BATCH_IDS,
                     None,
                     &mut ExploreCounters::default(),
                     &mut FaultCounters::default(),
@@ -1805,6 +1804,7 @@ mod tests {
                         &roots,
                         &bindings,
                         &config,
+                        LOAD_BATCH_IDS,
                         None,
                         c,
                         &mut faults,

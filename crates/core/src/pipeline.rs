@@ -65,8 +65,9 @@ pub(crate) struct JoinRun {
 /// Joins the STwig result tables into final embeddings using the block-based
 /// pipeline strategy.
 ///
-/// * The join order is chosen by [`crate::join::select_join_order`] (unless
-///   disabled in the config, in which case the given table order is used).
+/// * `order` is a permutation of the tables, driver first: the executor
+///   always joins in the order [`crate::join::select_join_order`] selects
+///   from 64-row samples; a caller may fix its own.
 /// * The first table in the join order becomes the *driver*; the other
 ///   tables are indexed **once** ([`PreparedJoin`]) and never copied.
 /// * Each driver row is extended depth-first through those indexes by one
@@ -80,6 +81,7 @@ pub(crate) struct JoinRun {
 pub fn pipelined_join(
     tables: &[ResultTable],
     config: &MatchConfig,
+    order: &[usize],
     counters: &mut JoinCounters,
 ) -> ResultTable {
     let mut output = None;
@@ -87,7 +89,7 @@ pub fn pipelined_join(
         tables,
         &[],
         config,
-        &join_order(tables, config),
+        order,
         config.result_limit(),
         None,
         counters,
@@ -96,15 +98,13 @@ pub fn pipelined_join(
     output.expect("join always announces a schema")
 }
 
-/// The order [`pipelined_join`] joins `tables` in: the cost model's choice
-/// ([`select_join_order`]), or the given table order when
-/// `MatchConfig::optimize_join_order` is off.
-pub(crate) fn join_order(tables: &[ResultTable], config: &MatchConfig) -> Vec<usize> {
-    if config.optimize_join_order {
-        select_join_order(tables, config.join_sample_size)
-    } else {
-        (0..tables.len()).collect()
-    }
+/// Rows sampled from each table to estimate a join's size.
+const JOIN_SAMPLE_ROWS: usize = 64;
+
+/// The order the executor joins `tables` in: the cost model's choice
+/// ([`select_join_order`]) from [`JOIN_SAMPLE_ROWS`]-row samples.
+pub(crate) fn join_order(tables: &[ResultTable]) -> Vec<usize> {
+    select_join_order(tables, JOIN_SAMPLE_ROWS)
 }
 
 /// The streaming core behind [`pipelined_join`]: identical join semantics,
@@ -234,7 +234,7 @@ mod tests {
             block_rows: 7,
             ..MatchConfig::default()
         };
-        let mut piped = pipelined_join(&tables, &cfg, &mut c2);
+        let mut piped = pipelined_join(&tables, &cfg, &join_order(&tables), &mut c2);
         assert_eq!(piped.num_rows(), full.num_rows());
         assert!(c2.pipeline_rounds > 1);
         // Same set of rows.
@@ -253,7 +253,7 @@ mod tests {
             ..MatchConfig::default()
         };
         let mut c = JoinCounters::default();
-        let out = pipelined_join(&tables, &cfg, &mut c);
+        let out = pipelined_join(&tables, &cfg, &join_order(&tables), &mut c);
         assert_eq!(out.num_rows(), 25);
         // Only a few rounds should have run (25 results at ≥10 per round).
         assert!(c.pipeline_rounds <= 4, "rounds = {}", c.pipeline_rounds);
@@ -267,7 +267,7 @@ mod tests {
             ..MatchConfig::default()
         };
         let mut c = JoinCounters::default();
-        let out = pipelined_join(&[t], &cfg, &mut c);
+        let out = pipelined_join(&[t], &cfg, &[0], &mut c);
         assert_eq!(out.num_rows(), 1);
     }
 
@@ -277,18 +277,23 @@ mod tests {
         let b = table(&[1, 2], &[&[1, 2]]);
         let cfg = MatchConfig::default();
         let mut c = JoinCounters::default();
-        let out = pipelined_join(&[a, b], &cfg, &mut c);
+        let out = pipelined_join(&[a, b], &cfg, &[0, 1], &mut c);
         assert!(out.is_empty());
         assert_eq!(out.width(), 3);
     }
 
     #[test]
-    fn pipeline_without_order_optimization() {
+    fn pipeline_in_a_given_order() {
         let tables = chain_tables(10);
-        let cfg = MatchConfig::default().with_join_order_optimization(false);
-        let mut c = JoinCounters::default();
-        let out = pipelined_join(&tables, &cfg, &mut c);
-        assert_eq!(out.num_rows(), 10);
+        let cfg = MatchConfig::default();
+        for order in [[0, 1], [1, 0]] {
+            let mut c = JoinCounters::default();
+            let out = pipelined_join(&tables, &cfg, &order, &mut c);
+            assert_eq!(out.num_rows(), 10, "order {order:?}");
+            // The given driver leads the output schema.
+            let driver = tables[order[0]].columns();
+            assert_eq!(&out.columns()[..driver.len()], driver, "order {order:?}");
+        }
     }
 
     #[test]
@@ -319,7 +324,7 @@ mod tests {
             ..MatchConfig::default()
         };
         let mut c = JoinCounters::default();
-        let out = pipelined_join(&tables, &cfg, &mut c);
+        let out = pipelined_join(&tables, &cfg, &join_order(&tables), &mut c);
         assert!(out.is_empty());
         assert_eq!(c.pipeline_rounds, 0, "zero budget must run zero rounds");
 
@@ -331,7 +336,7 @@ mod tests {
             ..MatchConfig::default()
         };
         let mut c = JoinCounters::default();
-        let out = pipelined_join(&tables, &cfg, &mut c);
+        let out = pipelined_join(&tables, &cfg, &join_order(&tables), &mut c);
         assert_eq!(out.num_rows(), 20);
         assert_eq!(c.pipeline_rounds, 2, "no phantom third round");
     }
@@ -358,7 +363,7 @@ mod tests {
             }
         }
         // Unlimited: everything flows through, driver exhausted.
-        let order = join_order(&tables, &cfg);
+        let order = join_order(&tables);
         let mut sink = Count::default();
         let mut c = JoinCounters::default();
         let run =
@@ -429,7 +434,7 @@ mod tests {
             &tables,
             &[],
             &cfg,
-            &join_order(&tables, &cfg),
+            &join_order(&tables),
             None,
             Some(&control),
             &mut c,
@@ -451,7 +456,7 @@ mod tests {
             &tables,
             &[],
             &cfg,
-            &join_order(&tables, &cfg),
+            &join_order(&tables),
             None,
             Some(&control),
             &mut c,
@@ -471,7 +476,7 @@ mod tests {
             ..MatchConfig::default()
         };
         let mut c = JoinCounters::default();
-        let out = pipelined_join(&tables, &cfg, &mut c);
+        let out = pipelined_join(&tables, &cfg, &join_order(&tables), &mut c);
         assert_eq!(out.num_rows(), 100);
         assert_eq!(c.pipeline_rounds, 10);
         assert_eq!(c.joins_performed, 10, "one rest table joined per round");

@@ -89,6 +89,9 @@ pub(crate) enum Work {
         query: QueryGraph,
         /// Per-query result mode override (`None` = engine default).
         mode: Option<ResultMode>,
+        /// The request's fault stack (`None` = fault-free); boxed, as the
+        /// fault-free common case should not size every queue entry.
+        faults: Option<Box<crate::retry::Faults>>,
         /// How results reach the caller.
         delivery: Delivery,
         /// The graph snapshot pinned at admission, when the engine serves a
@@ -403,6 +406,7 @@ mod tests {
             work: Work::Query {
                 query: chain_query(),
                 mode: None,
+                faults: None,
                 delivery: Delivery::Collect,
                 snapshot: None,
             },

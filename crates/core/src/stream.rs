@@ -77,6 +77,9 @@ pub struct QueryOptions {
     /// Per-query override of the engine's [`crate::config::ResultMode`]
     /// (`None` inherits the engine configuration).
     pub result_mode: Option<crate::config::ResultMode>,
+    /// The fault stack the query runs under (see [`crate::retry::Faults`]);
+    /// `None` runs it fault-free.
+    pub faults: Option<crate::retry::Faults>,
 }
 
 impl QueryOptions {
@@ -114,6 +117,12 @@ impl QueryOptions {
         self.result_mode = Some(mode);
         self
     }
+
+    /// Runs the query under `faults`.
+    pub fn with_faults(mut self, faults: crate::retry::Faults) -> Self {
+        self.faults = Some(faults);
+        self
+    }
 }
 
 /// Why a cooperative check asked the query to stop.
@@ -129,11 +138,14 @@ pub enum Interrupt {
 /// an absolute [`Instant`] at query admission. Checks are cheap (one atomic
 /// load, plus one clock read while a deadline is armed) and latch: once a
 /// check observes an interrupt, every later check reports the same one, so
-/// all layers of the executor agree on the outcome.
+/// all layers of the executor agree on the outcome. It also carries the
+/// query's fault stack to every exchange, which already takes it for its
+/// interruptible backoff.
 #[derive(Debug)]
 pub struct QueryControl {
     deadline: Option<Instant>,
     cancel: Option<CancelToken>,
+    faults: Option<crate::retry::Faults>,
     /// Latched interrupt (0 = none, 1 = cancelled, 2 = deadline), so the
     /// deadline race (cancel and expiry in the same superstep) resolves to
     /// whichever check fired first.
@@ -146,8 +158,14 @@ impl QueryControl {
         QueryControl {
             deadline: options.deadline.map(|d| admitted + d),
             cancel: options.cancel.clone(),
+            faults: options.faults.clone(),
             latched: std::sync::atomic::AtomicU8::new(0),
         }
+    }
+
+    /// The fault stack the query runs under; `None` runs it fault-free.
+    pub fn faults(&self) -> Option<&crate::retry::Faults> {
+        self.faults.as_ref()
     }
 
     /// The cooperative check: returns the interrupt to honor, if any.

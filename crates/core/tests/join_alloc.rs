@@ -140,12 +140,12 @@ fn pipelined_join_memory_is_bounded_by_the_block() {
     let tables = vec![left, right];
     let cfg = MatchConfig {
         block_rows: 1024,
-        // Keep the measured figure about the pipeline itself.
-        optimize_join_order: false,
         ..MatchConfig::default()
     };
     let mut counters = JoinCounters::default();
-    let (bytes, joined) = allocated_bytes_during(|| pipelined_join(&tables, &cfg, &mut counters));
+    // The given order keeps the measured figure about the pipeline itself.
+    let (bytes, joined) =
+        allocated_bytes_during(|| pipelined_join(&tables, &cfg, &[0, 1], &mut counters));
     assert_eq!(joined.num_rows() as u64, ROWS);
     assert_eq!(counters.pipeline_rounds, 64);
     const MB: u64 = 1 << 20;
@@ -172,10 +172,7 @@ fn materialized_join_allocates_its_output_and_little_else() {
     for i in 0..ROWS {
         right.push_row(&[VertexId(2_000_000 + i), VertexId(3_000_000 + i)]);
     }
-    let cfg = MatchConfig {
-        optimize_join_order: false,
-        ..MatchConfig::default()
-    };
+    let cfg = MatchConfig::default();
     let mut counters = JoinCounters::default();
     let ((index_allocs, index_bytes), _) = allocated_during(|| {
         let first = PreparedJoin::new(left.columns(), &mid, &mut counters);
@@ -185,7 +182,7 @@ fn materialized_join_allocates_its_output_and_little_else() {
     let tables = vec![left, mid, right];
     let mut counters = JoinCounters::default();
     let ((allocs, bytes), joined) =
-        allocated_during(|| pipelined_join(&tables, &cfg, &mut counters));
+        allocated_during(|| pipelined_join(&tables, &cfg, &[0, 1, 2], &mut counters));
     assert_eq!(joined.num_rows() as u64, ROWS);
     assert_eq!(
         (counters.pipeline_rounds, counters.joins_performed),
@@ -222,7 +219,8 @@ fn single_table_pipeline_with_limit_copies_at_most_limit_rows() {
     let tables = vec![table];
     let cfg = MatchConfig::default().with_result_mode(stwig::config::ResultMode::FirstK(1));
     let mut counters = JoinCounters::default();
-    let (bytes, out) = allocated_bytes_during(|| pipelined_join(&tables, &cfg, &mut counters));
+    let (bytes, out) =
+        allocated_bytes_during(|| pipelined_join(&tables, &cfg, &[0], &mut counters));
     assert_eq!(out.num_rows(), 1);
     assert!(
         bytes < 64 << 10,
@@ -296,8 +294,9 @@ fn warm_exploration_allocates_only_its_table_and_its_messages() {
     let (cloud, query, [qa, qb, qc]) = star_over_random_graph();
     let stwig = STwig::new(qa, vec![qb, qc]);
     let bindings = Bindings::new(query.num_vertices());
+    let config = MatchConfig::default();
     // Several envelopes per owner, so payload allocations are visible.
-    let config = MatchConfig::default().with_transport_batch_ids(256);
+    let batch_ids = 256;
     let transport = ChannelTransport::new(&cloud);
     let machine = cloud.machines().next().unwrap();
     let roots = cloud.get_ids(machine, query.label(qa)).to_vec();
@@ -311,6 +310,7 @@ fn warm_exploration_allocates_only_its_table_and_its_messages() {
             &roots,
             &bindings,
             &config,
+            batch_ids,
             None,
             &mut ExploreCounters::default(),
             &mut FaultCounters::default(),

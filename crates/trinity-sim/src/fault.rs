@@ -35,8 +35,8 @@
 //! Under such a plan the executor must produce **bit-identical** results to
 //! the fault-free run — the chaos differential suite pins exactly that.
 //!
-//! A plan is armed per query, as a value: `MatchConfig::fault_plan` in the
-//! `stwig` crate.
+//! A plan is armed per query, as a value: the `stwig` crate carries it with
+//! its retry and machine-loss policies in `QueryOptions::faults`.
 
 use crate::ids::MachineId;
 use crate::transport::{Envelope, Message, Transport, TransportError};
@@ -48,12 +48,10 @@ use std::sync::Mutex;
 ///
 /// A transient fault on an exchange fails it for the first one or two
 /// attempts (chosen deterministically from the seed) and then lets it
-/// through, so a [`RetryPolicy`] with `max_attempts > MAX_TRANSIENT_FAILURES`
-/// always absorbs transient faults. Keeping this below the default retry
-/// budget is what makes chaos runs deterministic-green instead of
-/// probabilistically flaky.
-///
-/// [`RetryPolicy`]: https://docs.rs/stwig
+/// through, so a retry policy with more attempts than this (the `stwig`
+/// crate's `RetryPolicy::max_attempts`) always absorbs transient faults.
+/// Keeping this below the default retry budget is what makes chaos runs
+/// deterministic-green instead of probabilistically flaky.
 pub const MAX_TRANSIENT_FAILURES: u32 = 2;
 
 /// A permanent machine loss: after `machine` has served `after_ops`

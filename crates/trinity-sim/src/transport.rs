@@ -41,7 +41,6 @@ use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// The label a [`Message::LabelReply`] carries for a requested id its sender
 /// does not own (or that does not exist): the reply stays aligned with the
@@ -88,8 +87,9 @@ pub enum TransportError {
         /// Human-readable description of the inconsistency.
         detail: String,
     },
-    /// An exchange did not complete within the per-exchange timeout
-    /// (wedged or overloaded peer). Transient: retry may succeed.
+    /// An exchange did not complete in time (a wedged or overloaded peer;
+    /// injected by [`crate::fault::FaultPlan::timeout`]). Transient: retry
+    /// may succeed.
     Timeout {
         /// The destination machine that failed to answer in time.
         dst: MachineId,
@@ -435,12 +435,6 @@ pub struct ChannelTransport<'c> {
     mailboxes: Vec<Mutex<Mailbox>>,
     /// Next sequence number per `src → dst` link, row-major `src * n + dst`.
     seqs: Vec<AtomicU64>,
-    /// Cooperative per-exchange deadline; `None` waits forever.
-    exchange_timeout: Option<Duration>,
-    /// Injected handler stall per machine in nanoseconds, 0 = none
-    /// (chaos/test instrumentation; an atomic so the exchange path of an
-    /// uninstrumented transport takes no lock).
-    stall_nanos: Vec<AtomicU64>,
     duplicates_suppressed: AtomicU64,
 }
 
@@ -469,8 +463,6 @@ impl<'c> ChannelTransport<'c> {
             ledger: cloud.network(),
             mailboxes: (0..n).map(|_| Mutex::new(Mailbox::default())).collect(),
             seqs: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
-            exchange_timeout: None,
-            stall_nanos: (0..n).map(|_| AtomicU64::new(0)).collect(),
             duplicates_suppressed: AtomicU64::new(0),
         }
     }
@@ -479,24 +471,6 @@ impl<'c> ChannelTransport<'c> {
     pub fn with_ledger(mut self, ledger: &'c Network) -> Self {
         self.ledger = ledger;
         self
-    }
-
-    /// Bounds every [`Transport::exchange`] through this transport: a
-    /// handler that has not answered within `timeout` fails with
-    /// [`TransportError::Timeout`] instead of blocking its caller forever.
-    pub fn with_exchange_timeout(mut self, timeout: Duration) -> Self {
-        self.exchange_timeout = Some(timeout);
-        self
-    }
-
-    /// Makes machine `m`'s request handler sit idle for `stall` before
-    /// serving each exchange — a wedged peer, for timeout tests and chaos
-    /// runs. The stall is cooperative: with an exchange timeout configured
-    /// the caller gets [`TransportError::Timeout`] at the deadline instead
-    /// of waiting out the full stall.
-    pub fn stall_machine(&self, m: MachineId, stall: Duration) {
-        let nanos = u64::try_from(stall.as_nanos()).unwrap_or(u64::MAX);
-        self.stall_nanos[m.index()].store(nanos, Ordering::Relaxed);
     }
 
     /// Number of duplicate envelope deliveries suppressed on drain.
@@ -554,34 +528,7 @@ impl Transport for ChannelTransport<'_> {
             return Err(TransportError::NotARequest { got: msg.kind() });
         }
         self.record(src, dst, &msg);
-        // Timeouts and stalls exist for chaos and timeout tests; without
-        // them an exchange reads no clock.
-        let deadline = self
-            .exchange_timeout
-            .and_then(|limit| Instant::now().checked_add(limit));
-        let timed_out = || deadline.is_some_and(|d| Instant::now() >= d);
-        let timeout = || TransportError::Timeout {
-            dst,
-            phase: msg.kind(),
-        };
-        let stall = Duration::from_nanos(self.stall_nanos[dst.index()].load(Ordering::Relaxed));
-        // Simulate the wedged handler in bounded slices so a configured
-        // timeout aborts the wait instead of sleeping out the stall.
-        let mut served = Duration::ZERO;
-        while served < stall {
-            if timed_out() {
-                return Err(timeout());
-            }
-            let slice = (stall - served).min(Duration::from_micros(500));
-            std::thread::sleep(slice);
-            served += slice;
-        }
         let reply = self.handle(dst, &msg)?;
-        if timed_out() {
-            // The reply exists but arrived past the deadline; the caller
-            // has already given up on this attempt.
-            return Err(timeout());
-        }
         self.record(dst, src, &reply);
         Ok(reply)
     }
@@ -821,59 +768,6 @@ mod tests {
         // A genuinely new send is delivered.
         transport.post(m1, m0, msg);
         assert_eq!(transport.drain(m0).len(), 1);
-    }
-
-    #[test]
-    fn stalled_handler_times_out_with_typed_error() {
-        let cloud = small_cloud(2);
-        let transport =
-            ChannelTransport::new(&cloud).with_exchange_timeout(Duration::from_millis(20));
-        let owner = cloud.machine_of(v(0));
-        let src = cloud.machines().find(|&m| m != owner).unwrap();
-        // The peer wedges for far longer than the timeout.
-        transport.stall_machine(owner, Duration::from_secs(5));
-        let started = Instant::now();
-        let err = transport
-            .exchange(
-                src,
-                owner,
-                Message::LoadRequest {
-                    ids: vec![v(0)],
-                    with_neighbors: false,
-                },
-            )
-            .unwrap_err();
-        assert_eq!(
-            err,
-            TransportError::Timeout {
-                dst: owner,
-                phase: "LoadRequest"
-            }
-        );
-        assert!(err.is_transient());
-        // The caller got its answer at the deadline, not after the stall.
-        assert!(started.elapsed() < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn short_stall_within_timeout_still_answers() {
-        let cloud = small_cloud(2);
-        let transport = ChannelTransport::new(&cloud).with_exchange_timeout(Duration::from_secs(5));
-        let owner = cloud.machine_of(v(0));
-        let src = cloud.machines().find(|&m| m != owner).unwrap();
-        transport.stall_machine(owner, Duration::from_millis(2));
-        let reply = transport
-            .exchange(
-                src,
-                owner,
-                Message::LoadRequest {
-                    ids: vec![v(0)],
-                    with_neighbors: false,
-                },
-            )
-            .unwrap();
-        let a = cloud.labels().get("a").unwrap();
-        assert_eq!(reply, Message::LabelReply { labels: vec![a] });
     }
 
     #[test]

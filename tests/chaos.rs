@@ -1,20 +1,24 @@
 //! Chaos differential suite: under any *eventually delivering* fault plan
 //! (drops, duplicates, delays, reorders, corrupted payloads, transient
-//! unavailability and timeouts), the retrying Messages-mode executor must
-//! return tables **bit-identical** to the fault-free run — across machine
-//! counts, transport modes, truncating and exhaustive configs, and table and
-//! sink outputs; behind a cache, the same *answer* as the fault-free run and
+//! unavailability and timeouts) armed on a request (`QueryOptions::faults`),
+//! the retrying Messages-mode executor must return tables **bit-identical**
+//! to the fault-free run — across machine counts, truncating and exhaustive
+//! configs, and table and sink outputs; behind a cache, the same *answer* as the fault-free run and
 //! bit-identical tables from one cached pass to the next; and on a dynamic
 //! engine, VF2's answer after every apply and seal. Under a *permanent* machine
 //! crash, `FailurePolicy::Fail` queries fail with a typed
 //! `MachineUnavailable` error, `FailurePolicy::Degrade` queries return a
 //! valid, flagged subset, and the serving layer's circuit breaker sheds
 //! follow-on queries in well under a millisecond with zero transport work.
+//! A `DirectRead` query has no transport to fault: arming faults on one is
+//! refused before any work.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
+use stwig::metrics::MachineMetrics;
 use stwig::serve::BreakerState;
+use stwig::stream::QueryControl;
 use stwig_match::prelude::*;
 use trinity_sim::ids::MachineId;
 use trinity_sim::transport::Envelope;
@@ -41,65 +45,74 @@ fn faults_seen(metrics: &QueryMetrics) -> u64 {
     f.retries + f.timeouts + f.transient_errors + f.duplicates_suppressed
 }
 
+/// Runs `q` through `engine` under `options`, table output.
+fn submit(engine: &QueryEngine, q: &QueryGraph, options: &QueryOptions) -> MatchOutput {
+    let request = QueryRequest::new(q.clone()).with_options(options.clone());
+    let handle = engine.submit(request).expect_accepted();
+    engine.drain();
+    let response = handle.wait().expect("chaos query succeeds");
+    MatchOutput {
+        table: response.table.expect("a table output"),
+        metrics: response.metrics,
+    }
+}
+
 /// Any eventually delivering plan must leave results bit-identical to the
 /// fault-free run: duplicates are suppressed by sequence number, reordered
 /// deliveries are canonicalized at the drain, and transient errors are
-/// absorbed by the retry policy.
+/// absorbed by the retry policy. Faults need a transport, so every arm runs
+/// in `Messages` mode; each arm of more than one machine must show the
+/// plan's faults in its metrics on every path (one machine sends nothing to
+/// fault).
 #[test]
 fn lossy_plans_are_bit_identical_to_fault_free_runs() {
     let graph = chaos_graph();
-    let mut fault_activity = 0u64;
     for machines in MACHINES {
         let cloud = graph.clone().build_cloud(machines, CostModel::default());
         let queries = workload(&cloud);
         let configs = [
             ("paper", MatchConfig::paper_default()),
             ("exhaustive", MatchConfig::exhaustive()),
-        ]
-        .into_iter()
-        .flat_map(|(name, base)| {
-            [TransportMode::DirectRead, TransportMode::Messages].map(|mode| {
-                let config = base.clone().with_num_threads(Some(1));
-                (name, mode, config.with_transport_mode(mode))
-            })
-        });
-        for (name, mode, clean_config) in configs {
+        ];
+        for (name, base) in configs {
+            let config = base
+                .with_num_threads(Some(1))
+                .with_transport_mode(TransportMode::Messages);
             let expected: Vec<_> = queries
                 .iter()
-                .map(|q| stwig::match_query_distributed(&cloud, q, &clean_config).unwrap())
+                .map(|q| stwig::match_query_distributed(&cloud, q, &config).unwrap())
                 .collect();
             for seed in SEEDS {
                 let plan = FaultPlan::lossy(seed);
                 assert!(plan.eventually_delivers(), "lossy plans must not crash");
-                let chaos_config = clean_config.clone().with_fault_plan(Some(plan));
+                let options = QueryOptions::none().with_faults(Faults::new(plan));
+                // Faults each path's metrics saw: table, sink, cached.
+                let mut activity = [0u64; 3];
                 for cache_on in [false, true] {
                     let cache = cache_on.then(|| StwigCache::new(&cloud, CacheConfig::default()));
                     let passes = if cache_on { 2 } else { 1 };
                     let mut populated = Vec::new();
                     for pass in 0..passes {
                         for (i, (q, want)) in queries.iter().zip(&expected).enumerate() {
-                            let out = stwig::match_query_distributed_with_cache(
+                            let out = stwig::match_query_distributed_with_options(
                                 &cloud,
                                 q,
-                                &chaos_config,
+                                &config,
+                                &options,
                                 cache.as_ref(),
                             )
                             .unwrap();
                             let ctx = format!(
-                                "machines = {machines}, config = {name}, mode = {mode:?}, \
-                                 seed = {seed}, cache = {cache_on}, pass = {pass}, query = {i}"
+                                "machines = {machines}, config = {name}, seed = {seed}, \
+                                 cache = {cache_on}, pass = {pass}, query = {i}"
                             );
                             if !cache_on {
                                 assert_eq!(out.table, want.table, "chaos run diverged: {ctx}");
+                                activity[0] += faults_seen(&out.metrics);
                                 // The sink output gets the very same rows.
                                 let mut sink = CollectSink::new();
-                                let options = QueryOptions::default();
-                                stwig::match_query_streaming(
-                                    &cloud,
-                                    q,
-                                    &chaos_config,
-                                    &options,
-                                    &mut sink,
+                                let streamed = stwig::match_query_streaming(
+                                    &cloud, q, &config, &options, &mut sink,
                                 )
                                 .unwrap();
                                 assert_eq!(
@@ -107,13 +120,14 @@ fn lossy_plans_are_bit_identical_to_fault_free_runs() {
                                     Some(&want.table),
                                     "streamed chaos run diverged: {ctx}"
                                 );
+                                activity[1] += faults_seen(&streamed);
                             } else {
                                 // A cache serves complete STwig tables, so
                                 // which 1024 witnesses a cut answer holds is
                                 // not the cache-free run's choice — but the
                                 // populating pass and the hitting pass must
                                 // make the same one, faults or not.
-                                let limit = chaos_config.result_limit();
+                                let limit = config.result_limit();
                                 same_answer(&cloud, q, &out.table, &want.table, limit)
                                     .unwrap_or_else(|e| panic!("chaos run diverged: {e} ({ctx})"));
                                 if pass == 0 {
@@ -121,14 +135,23 @@ fn lossy_plans_are_bit_identical_to_fault_free_runs() {
                                 } else {
                                     assert_eq!(out.table, populated[i], "hit != populate: {ctx}");
                                 }
+                                activity[2] += faults_seen(&out.metrics);
                             }
                             assert_eq!(
                                 out.metrics.outcome,
                                 QueryOutcome::Complete,
                                 "an eventually delivering plan must not degrade results"
                             );
-                            fault_activity += faults_seen(&out.metrics);
                         }
+                    }
+                }
+                if machines > 1 {
+                    for (path, seen) in ["table", "sink", "cached"].iter().zip(activity) {
+                        assert!(
+                            seen > 0,
+                            "machines = {machines}, config = {name}, seed = {seed}: the {path} \
+                             path never saw an injected fault"
+                        );
                     }
                 }
             }
@@ -150,25 +173,26 @@ fn lossy_plans_are_bit_identical_to_fault_free_runs() {
         let epochs = GraphEpochs::new(base);
         let config = MatchConfig::exhaustive()
             .with_num_threads(Some(1))
-            .with_transport_mode(TransportMode::Messages)
-            .with_fault_plan(Some(FaultPlan::lossy(seed)));
+            .with_transport_mode(TransportMode::Messages);
+        let options = QueryOptions::none().with_faults(Faults::new(FaultPlan::lossy(seed)));
         let engine = QueryEngine::for_epochs(
             &epochs,
             EngineConfig::default()
                 .with_workers(Some(1))
                 .with_match_config(config),
         );
+        let mut activity = 0u64;
         let mut check = |mirror: &GraphMirror, ctx: String| {
             let reference = mirror.build_cloud(1, CostModel::default());
             for q in query_batch(&epochs.pin(), 4, 4, None, seed) {
-                let out = engine.run_one(&q).expect("chaos query succeeds");
+                let out = submit(&engine, &q, &options);
                 assert_eq!(
                     canonical_rows(&q, &out.table),
                     canonical_rows(&q, &vf2(&reference, &q, None)),
                     "dynamic chaos run diverged from VF2: {ctx}"
                 );
                 assert_eq!(out.metrics.outcome, QueryOutcome::Complete, "{ctx}");
-                fault_activity += faults_seen(&out.metrics);
+                activity += faults_seen(&out.metrics);
             }
         };
         for (b, batch) in batches.iter().enumerate() {
@@ -180,19 +204,82 @@ fn lossy_plans_are_bit_identical_to_fault_free_runs() {
             engine.seal_epoch().expect("a dynamic engine seals");
             check(&mirror, format!("seed = {seed}, batch = {b}, sealed"));
         }
+        assert!(
+            activity > 0,
+            "seed = {seed}: the engine path never saw an injected fault"
+        );
     }
-    assert!(
-        fault_activity > 0,
-        "the lossy plans never actually injected a fault the metrics saw"
-    );
 }
 
-fn crash_config(machine: u16, policy: FailurePolicy) -> MatchConfig {
+/// Faults need a transport to inject them into: a `DirectRead` query that
+/// arms them fails typed on every front end before any work, instead of
+/// silently running fault-free.
+#[test]
+fn faults_on_a_direct_read_query_fail_typed_before_any_work() {
+    let cloud = chaos_graph().build_cloud(4, CostModel::default());
+    let queries = workload(&cloud);
+    let config = MatchConfig::exhaustive().with_num_threads(Some(1));
+    assert_eq!(config.transport_mode, TransportMode::DirectRead);
+    let options = QueryOptions::none().with_faults(Faults::new(FaultPlan::lossy(1)));
+    let control = QueryControl::new(&options, Instant::now());
+    let cache = StwigCache::new(&cloud, CacheConfig::default());
+    let engine = QueryEngine::new(
+        &cloud,
+        EngineConfig::default()
+            .with_workers(Some(1))
+            .with_cache(None)
+            .with_match_config(config.clone()),
+    );
+    let reads = cloud.direct_remote_reads();
+    let refused = Some(StwigError::FaultsNeedMessages);
+    for q in &queries {
+        for cache in [None, Some(&cache)] {
+            let out =
+                stwig::match_query_distributed_with_options(&cloud, q, &config, &options, cache);
+            assert_eq!(out.err(), refused);
+        }
+        let mut sink = CollectSink::new();
+        let streamed = stwig::match_query_streaming(&cloud, q, &config, &options, &mut sink);
+        assert_eq!(streamed.err(), refused);
+        assert_eq!(sink.num_rows(), 0);
+        let request = QueryRequest::new(q.clone()).with_options(options.clone());
+        let handle = engine.submit(request).expect_accepted();
+        engine.drain();
+        assert_eq!(handle.wait().err(), refused);
+        let plan = plan_query(&cloud, q).unwrap();
+        let mut metrics = QueryMetrics::default();
+        let mut machines = vec![MachineMetrics::default(); cloud.num_machines()];
+        let tables = produce_stwig_tables(
+            &cloud,
+            q,
+            &plan,
+            &config,
+            None,
+            Some(&control),
+            &mut metrics,
+            &mut machines,
+        );
+        assert_eq!(tables.err(), refused);
+    }
+    // Nothing was explored, nothing cached.
+    assert_eq!(cloud.direct_remote_reads(), reads);
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses, stats.plan_misses), (0, 0, 0));
+}
+
+/// A `Messages` config for the crash tests.
+fn messages() -> MatchConfig {
     MatchConfig::paper_default()
         .with_num_threads(Some(1))
         .with_transport_mode(TransportMode::Messages)
-        .with_failure_policy(policy)
-        .with_fault_plan(Some(FaultPlan::lossy(5).with_crash(machine, 0)))
+}
+
+/// Options arming a lossy plan with `machine` crashed from the start.
+fn crash(machine: u16, on_loss: FailurePolicy) -> QueryOptions {
+    QueryOptions::none().with_faults(Faults {
+        on_loss,
+        ..Faults::new(FaultPlan::lossy(5).with_crash(machine, 0))
+    })
 }
 
 /// With `FailurePolicy::Fail`, a permanently crashed machine surfaces as a
@@ -201,10 +288,10 @@ fn crash_config(machine: u16, policy: FailurePolicy) -> MatchConfig {
 fn crashed_machine_fails_typed_under_fail_policy() {
     let cloud = chaos_graph().build_cloud(4, CostModel::default());
     let queries = workload(&cloud);
-    let config = crash_config(1, FailurePolicy::Fail);
+    let (config, options) = (messages(), crash(1, FailurePolicy::Fail));
     let mut failures = 0usize;
     for q in &queries {
-        match stwig::match_query_distributed(&cloud, q, &config) {
+        match stwig::match_query_distributed_with_options(&cloud, q, &config, &options, None) {
             Err(StwigError::MachineUnavailable {
                 machine, attempts, ..
             }) => {
@@ -230,14 +317,11 @@ fn crashed_machine_fails_typed_under_fail_policy() {
 fn crashed_machine_degrades_to_valid_partial_results() {
     let cloud = chaos_graph().build_cloud(4, CostModel::default());
     let queries = workload(&cloud);
-    let clean_config = MatchConfig::paper_default()
-        .with_num_threads(Some(1))
-        .with_transport_mode(TransportMode::Messages);
-    let config = crash_config(1, FailurePolicy::Degrade);
+    let (config, options) = (messages(), crash(1, FailurePolicy::Degrade));
     let mut partials = 0usize;
     for (i, q) in queries.iter().enumerate() {
-        let full = stwig::match_query_distributed(&cloud, q, &clean_config).unwrap();
-        let out = stwig::match_query_distributed(&cloud, q, &config)
+        let full = stwig::match_query_distributed(&cloud, q, &config).unwrap();
+        let out = stwig::match_query_distributed_with_options(&cloud, q, &config, &options, None)
             .unwrap_or_else(|e| panic!("Degrade must not error (query {i}): {e:?}"));
         // Soundness: every delivered row verifies against the data graph.
         verify_all(&cloud, q, &out.table)
@@ -279,8 +363,10 @@ fn open_breaker_sheds_in_under_a_millisecond_with_zero_transport_work() {
         EngineConfig::default()
             .with_workers(Some(1))
             .with_cache(None)
-            .with_match_config(crash_config(1, FailurePolicy::Fail)),
+            .with_match_config(messages()),
     );
+    let options = crash(1, FailurePolicy::Fail);
+    let request = |q: &QueryGraph| QueryRequest::new(q.clone()).with_options(options.clone());
     // Burn queries against the dead machine until its breaker opens
     // (3 consecutive failures by default).
     let mut fed = 0usize;
@@ -291,7 +377,7 @@ fn open_breaker_sheds_in_under_a_millisecond_with_zero_transport_work() {
             "breaker never opened after {fed} failing queries"
         );
         let handle = engine
-            .submit(QueryRequest::new(queries[fed % queries.len()].clone()))
+            .submit(request(&queries[fed % queries.len()]))
             .expect_accepted();
         engine.drain();
         let _ = handle.wait();
@@ -299,9 +385,7 @@ fn open_breaker_sheds_in_under_a_millisecond_with_zero_transport_work() {
     // Now a queued query is shed at dispatch: zero transport work, <1ms.
     cloud.reset_traffic();
     let direct_before = cloud.direct_remote_reads();
-    let handle = engine
-        .submit(QueryRequest::new(queries[0].clone()))
-        .expect_accepted();
+    let handle = engine.submit(request(&queries[0])).expect_accepted();
     let started = Instant::now();
     engine.drain();
     let elapsed = started.elapsed();

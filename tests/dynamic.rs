@@ -752,8 +752,7 @@ proptest! {
                 (0..4u64).filter_map(|j| dfs_query(&cloud, 3 + (j as usize % 2), seed + j)).collect();
             let config = MatchConfig::exhaustive()
                 .with_num_threads(Some(1))
-                .with_transport_mode(mode)
-                .with_fault_plan(None);
+                .with_transport_mode(mode);
             let mut mirror = GraphMirror::from_cloud(&cloud);
             let epochs = GraphEpochs::new(cloud);
             let warm = StwigCache::new(epochs.base_cloud(), CacheConfig::default());

@@ -112,13 +112,11 @@ fn bindings_and_join_order_do_not_change_answers() {
                 let out = stwig::match_query_distributed(&cloud, q, &config).unwrap();
                 canonical_rows(q, &out.table)
             };
+            // The executor always selects its join order, so only the
+            // bindings vary here; `join_reference` holds joins in a given
+            // order to a nested loop.
             let want = run(exhaustive(mode));
             assert_eq!(run(exhaustive(mode).with_bindings(false)), want, "{mode:?}");
-            assert_eq!(
-                run(exhaustive(mode).with_join_order_optimization(false)),
-                want,
-                "{mode:?}"
-            );
         }
     }
 }

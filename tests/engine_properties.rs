@@ -186,9 +186,12 @@ fn per_query_traffic_is_exact_whatever_runs_beside_it() {
     for (mode, faults) in configs {
         let config = MatchConfig::default()
             .with_num_threads(Some(1))
-            .with_transport_mode(mode)
-            .with_fault_plan(faults.clone());
+            .with_transport_mode(mode);
         let ctx = format!("mode = {mode:?}, faults = {}", faults.is_some());
+        let options = match &faults {
+            Some(plan) => QueryOptions::none().with_faults(Faults::new(plan.clone())),
+            None => QueryOptions::none(),
+        };
         let records = |workers| {
             let engine = QueryEngine::new(
                 &cloud,
@@ -198,9 +201,21 @@ fn per_query_traffic_is_exact_whatever_runs_beside_it() {
                     .with_match_config(config.clone()),
             );
             cloud.reset_traffic();
-            let records: Vec<(u64, u64, PhaseTraffic)> = (engine.run_batch(&queries).into_iter())
-                .map(|out| {
-                    let m = out.expect("query succeeds").metrics;
+            // `run_batch` with the request's options: submit all, drain on
+            // `workers` threads, wait for each.
+            let handles: Vec<QueryHandle> = (queries.iter())
+                .map(|q| QueryRequest::new(q.clone()).with_options(options.clone()))
+                .map(|request| engine.submit(request).expect_accepted())
+                .collect();
+            std::thread::scope(|scope| {
+                for _ in 1..workers {
+                    scope.spawn(|| engine.drain());
+                }
+                engine.drain();
+            });
+            let records: Vec<(u64, u64, PhaseTraffic)> = (handles.into_iter())
+                .map(|handle| {
+                    let m = handle.wait().expect("query succeeds").metrics;
                     (m.network_messages, m.network_bytes, m.phase_traffic)
                 })
                 .collect();

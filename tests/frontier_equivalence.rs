@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use stwig::bindings::Bindings;
-use stwig::config::FailurePolicy;
+use stwig::distributed::LOAD_BATCH_IDS;
 use stwig::matcher::{match_stwig, match_stwig_batched};
 use stwig::metrics::{ExploreCounters, FaultCounters};
 use stwig::stream::{CancelToken, QueryControl, QueryOptions};
@@ -78,14 +78,17 @@ fn cloud_and_query(
     Some((cloud, query))
 }
 
-/// Explores every (machine, STwig) pair of the query's cover both ways and
-/// hands each pair of outcomes to `check`. `down` names a crashed machine:
-/// the transport then fails every exchange with it, and it explores nothing
+/// Explores every (machine, STwig) pair of the query's cover both ways —
+/// `Messages` in `Load` envelopes of at most `batch` ids — and hands each
+/// pair of outcomes to `check`. `down` names a crashed machine: the
+/// transport then fails every exchange with it, and it explores nothing
 /// itself.
+#[allow(clippy::too_many_arguments)]
 fn for_each_exploration(
     cloud: &MemoryCloud,
     query: &QueryGraph,
     config: &MatchConfig,
+    batch: usize,
     control: Option<&QueryControl>,
     down: Option<MachineId>,
     mut check: impl FnMut(
@@ -133,6 +136,7 @@ fn for_each_exploration(
                 &roots,
                 &bindings,
                 config,
+                batch,
                 control,
                 &mut counters,
                 &mut faults,
@@ -190,7 +194,7 @@ fn check_case(
     cap: usize,
     batch: usize,
 ) {
-    let base = MatchConfig::exhaustive().with_transport_batch_ids(batch);
+    let base = MatchConfig::exhaustive();
     let same = |direct: &ResultTable,
                 dc: &ExploreCounters,
                 batched: &ResultTable,
@@ -207,7 +211,7 @@ fn check_case(
         max_stwig_rows: Some(cap),
         ..base.clone()
     };
-    for_each_exploration(cloud, query, &capped, None, None, same);
+    for_each_exploration(cloud, query, &capped, batch, None, None, same);
 
     // A query cancelled before it starts: nothing is loaded, requested
     // or emitted on either path.
@@ -218,6 +222,7 @@ fn check_case(
         cloud,
         query,
         &base,
+        batch,
         Some(&control),
         None,
         |d, dc, b, bc, f| {
@@ -231,12 +236,17 @@ fn check_case(
     // the rows with a child it owns disappear — none is invented — and
     // the root-side work is untouched.
     let down = MachineId((seed % machines as u64) as u16);
-    let degrade = base.with_failure_policy(FailurePolicy::Degrade);
+    let degrade = QueryOptions::none().with_faults(Faults {
+        on_loss: FailurePolicy::Degrade,
+        ..Faults::new(FaultPlan::default().with_crash(down.0, 0))
+    });
+    let degrade = QueryControl::new(&degrade, Instant::now());
     for_each_exploration(
         cloud,
         query,
-        &degrade,
-        None,
+        &base,
+        batch,
+        Some(&degrade),
         Some(down),
         |d, dc, b, bc, faults| {
             let mut survivors = d.clone();
@@ -309,6 +319,7 @@ fn explore_hub_star(extra_b: u64) -> HubStar {
         &roots,
         &Bindings::new(query.num_vertices()),
         &MatchConfig::exhaustive(),
+        LOAD_BATCH_IDS,
         None,
         &mut ExploreCounters::default(),
         &mut FaultCounters::default(),

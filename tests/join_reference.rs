@@ -168,12 +168,11 @@ proptest! {
             for block_rows in [1usize, 7, 4096] {
                 let config = MatchConfig {
                     block_rows,
-                    optimize_join_order: false,
                     result_mode: limit.map_or(ResultMode::All, ResultMode::FirstK),
                     ..MatchConfig::default()
                 };
                 let mut c = JoinCounters::default();
-                let piped = pipelined_join(&[left.clone(), right.clone()], &config, &mut c);
+                let piped = pipelined_join(&[left.clone(), right.clone()], &config, &[0, 1], &mut c);
                 prop_assert_eq!(&piped, &expected, "block_rows {}", block_rows);
                 prop_assert_eq!(counted(&c), counts, "block_rows {}", block_rows);
 
@@ -182,7 +181,7 @@ proptest! {
                 let (chained, chain_counts) = nested_loops(&[&left, &right, &third], limit);
                 let tables = [left.clone(), right.clone(), third.clone()];
                 let mut c = JoinCounters::default();
-                let piped = pipelined_join(&tables, &config, &mut c);
+                let piped = pipelined_join(&tables, &config, &[0, 1, 2], &mut c);
                 prop_assert_eq!(&piped, &chained, "block_rows {}", block_rows);
                 prop_assert_eq!(counted(&c), chain_counts, "block_rows {}", block_rows);
             }
@@ -210,13 +209,12 @@ fn first_k_work_is_the_oracles_not_the_blocks() {
     );
     let config = MatchConfig {
         block_rows: 4096,
-        optimize_join_order: false,
         result_mode: ResultMode::FirstK(10),
         ..MatchConfig::default()
     };
     let (expected, counts) = nested_loops(&[&driver, &first, &second], Some(10));
     let mut c = JoinCounters::default();
-    let piped = pipelined_join(&[driver, first, second], &config, &mut c);
+    let piped = pipelined_join(&[driver, first, second], &config, &[0, 1, 2], &mut c);
     assert_eq!(piped, expected);
     assert_eq!(counted(&c), counts);
     // Two driver rows, five first-level rows, the ten answers — of 4096.
