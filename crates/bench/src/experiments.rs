@@ -461,7 +461,7 @@ pub fn pruning(scale: Scale) -> Vec<Row> {
             series,
             x,
             "signature_bytes_per_vertex",
-            cloud.signature_bytes_per_vertex() as f64,
+            trinity_sim::neighbor_index::SIGNATURE_BYTES_PER_VERTEX as f64,
         ),
     ];
     rows.extend(res.phase_rows("pruning", series, x));

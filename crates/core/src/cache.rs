@@ -1122,12 +1122,6 @@ pub fn graph_fingerprint(cloud: &MemoryCloud) -> u64 {
         name.hash(&mut hasher);
         cloud.label_frequency(label).hash(&mut hasher);
     }
-    // The candidate-pruning index configuration is part of the cloud's
-    // identity: tables cached against a cloud with signatures must not be
-    // served for an index-less rebuild of the same graph (and vice versa) —
-    // their exploration configurations, and thus their population
-    // side-channels, differ.
-    cloud.signature_configuration().hash(&mut hasher);
     for m in cloud.machines() {
         let partition = cloud.partition(m);
         partition.num_vertices().hash(&mut hasher);

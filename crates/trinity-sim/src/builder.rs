@@ -1,17 +1,17 @@
-//! Builder that assembles a [`MemoryCloud`] from vertices and edges.
+//! Builder that stages a labeled graph in memory and loads it into a
+//! [`MemoryCloud`].
 //!
-//! Mirrors the paper's loading phase (Table 2): one pass over the vertex set
-//! to partition vertices by hash and build the per-machine string index, and
-//! one pass over the edge set to build adjacency and the label-pair catalog.
-//! Everything is linear in the size of the graph.
+//! The builder only collects: a label per vertex and the raw edge list.
+//! Building hands both to [`StreamLoader`], the one pipeline every cloud is
+//! loaded through (the paper's loading phase, Table 2), which streams the
+//! staged edges once per pass.
 
-use crate::cloud::{machine_for, MemoryCloud};
-use crate::cluster_graph::LabelPairCatalog;
+use crate::cloud::MemoryCloud;
 use crate::compact::StorageTier;
 use crate::error::TrinityError;
 use crate::ids::{LabelId, LabelInterner, VertexId};
+use crate::loader::StreamLoader;
 use crate::network::CostModel;
-use crate::partition::Partition;
 use std::collections::HashMap;
 
 /// Incrementally collects a labeled graph and partitions it into a
@@ -72,12 +72,9 @@ impl GraphBuilder {
     /// Adds (or re-labels) a vertex with an already-interned label id.
     ///
     /// The label id must have been produced by [`GraphBuilder::intern_label`]
-    /// on this same builder.
+    /// on this same builder; building fails with
+    /// [`TrinityError::UnknownLabel`] otherwise.
     pub fn add_vertex_with_label_id(&mut self, id: VertexId, label: LabelId) {
-        debug_assert!(
-            label.index() < self.interner.len(),
-            "label id {label} was not interned on this builder"
-        );
         self.labels.insert(id, label);
     }
 
@@ -110,110 +107,22 @@ impl GraphBuilder {
             .expect("graph construction failed")
     }
 
-    /// Fallible version of [`GraphBuilder::build`].
+    /// Fallible version of [`GraphBuilder::build`]: the staged graph goes
+    /// through [`StreamLoader::load`], so its errors are the loader's.
     pub fn try_build(
         self,
         num_machines: usize,
         cost: CostModel,
     ) -> Result<MemoryCloud, TrinityError> {
-        if num_machines == 0 || num_machines > u16::MAX as usize {
-            return Err(TrinityError::InvalidMachineCount(num_machines));
-        }
-        if self.labels.is_empty() {
-            return Err(TrinityError::EmptyGraph);
-        }
         let GraphBuilder {
             interner,
             labels,
-            mut edges,
+            edges,
             directed,
         } = self;
-        let num_labels = interner.len();
-
-        // Validate edges and symmetrize.
-        for &(u, v) in &edges {
-            if !labels.contains_key(&u) {
-                return Err(TrinityError::UnknownVertex(u));
-            }
-            if !labels.contains_key(&v) {
-                return Err(TrinityError::UnknownVertex(v));
-            }
-        }
-        // Canonicalize to unordered pairs and dedup to count unique edges.
-        for e in &mut edges {
-            if e.0 > e.1 {
-                *e = (e.1, e.0);
-            }
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        let num_edges = edges.len() as u64;
-
-        // Assign vertices to machines and dense local indices.
-        let mut per_machine_ids: Vec<Vec<VertexId>> = vec![Vec::new(); num_machines];
-        for &v in labels.keys() {
-            per_machine_ids[machine_for(v, num_machines).index()].push(v);
-        }
-        for ids in &mut per_machine_ids {
-            ids.sort_unstable();
-        }
-        // local position of each vertex within its machine
-        let mut local_pos: HashMap<VertexId, u32> = HashMap::with_capacity(labels.len());
-        for ids in &per_machine_ids {
-            for (i, &v) in ids.iter().enumerate() {
-                local_pos.insert(v, i as u32);
-            }
-        }
-
-        // Build per-machine adjacency lists and the label-pair catalog.
-        let mut per_machine_adj: Vec<Vec<Vec<VertexId>>> = per_machine_ids
-            .iter()
-            .map(|ids| vec![Vec::new(); ids.len()])
-            .collect();
-        let mut catalog = LabelPairCatalog::new(num_machines, num_labels);
-        for &(u, v) in &edges {
-            let (mu, mv) = (machine_for(u, num_machines), machine_for(v, num_machines));
-            let (lu, lv) = (labels[&u], labels[&v]);
-            per_machine_adj[mu.index()][local_pos[&u] as usize].push(v);
-            per_machine_adj[mv.index()][local_pos[&v] as usize].push(u);
-            catalog.record_edge(mu, lu, mv, lv);
-            catalog.record_edge(mv, lv, mu, lu);
-        }
-
-        // Label frequencies over the whole cloud.
-        let mut label_frequency = vec![0u64; num_labels];
-        for &l in labels.values() {
-            label_frequency[l.index()] += 1;
-        }
-
-        // Assemble partitions. The builder is the one place that knows every
-        // endpoint's label (neighbors may live on other machines), so the
-        // per-vertex neighborhood signatures are built here, in the same pass
-        // as the string index.
-        let mut partitions = Vec::with_capacity(num_machines);
-        for (m, ids) in per_machine_ids.into_iter().enumerate() {
-            let machine_labels: Vec<LabelId> = ids.iter().map(|v| labels[v]).collect();
-            let adj = std::mem::take(&mut per_machine_adj[m]);
-            partitions.push(Partition::with_neighbor_labels(
-                ids,
-                machine_labels,
-                adj,
-                num_labels,
-                |n| labels.get(&n).copied(),
-            ));
-        }
-
-        let num_vertices = labels.len() as u64;
-        Ok(MemoryCloud::from_parts(
-            partitions,
-            interner,
-            cost,
-            label_frequency,
-            catalog,
-            num_vertices,
-            num_edges,
-            directed,
-        ))
+        StreamLoader::new(num_machines, cost)
+            .with_directed(directed)
+            .load(interner, labels, || edges.iter().copied())
     }
 }
 
@@ -273,6 +182,18 @@ mod tests {
         b.add_edge(v(1), v(2));
         let err = b.try_build(1, CostModel::free()).unwrap_err();
         assert_eq!(err, TrinityError::UnknownVertex(v(2)));
+    }
+
+    #[test]
+    fn a_label_id_interned_elsewhere_is_an_error() {
+        let mut b = GraphBuilder::new_undirected();
+        b.add_vertex(v(1), "a");
+        b.add_vertex_with_label_id(v(2), LabelId(7));
+        b.add_edge(v(1), v(2));
+        assert_eq!(
+            b.try_build(2, CostModel::free()).unwrap_err(),
+            TrinityError::UnknownLabel(LabelId(7))
+        );
     }
 
     #[test]

@@ -255,8 +255,7 @@ impl MemoryCloud {
 
     /// The neighborhood-label signature of vertex `id`, looked up in its
     /// owner's [`crate::neighbor_index::NeighborLabelIndex`]. Returns `None`
-    /// when the vertex does not exist or its partition was built without
-    /// the pruning index (pruning is then simply disabled for it).
+    /// when the vertex does not exist.
     ///
     /// Like the global statistics, signature probes are *not* charged to the
     /// network: the distributed executor only ever prunes roots owned by the
@@ -266,24 +265,6 @@ impl MemoryCloud {
     #[inline]
     pub fn signature_of(&self, id: VertexId) -> Option<u64> {
         self.partitions[self.machine_of(id).index()].signature_of(id)
-    }
-
-    /// Per-partition signature widths in bits (`None` for partitions built
-    /// without the pruning index). Part of the cloud fingerprint: result
-    /// tables computed with and without pruning indexes must never alias in
-    /// a cache.
-    pub fn signature_configuration(&self) -> Vec<Option<u32>> {
-        self.partitions.iter().map(|p| p.signature_bits()).collect()
-    }
-
-    /// Signature bytes per vertex paid by the pruning index (0 when no
-    /// partition carries one).
-    pub fn signature_bytes_per_vertex(&self) -> usize {
-        if self.partitions.iter().any(|p| p.signature_bits().is_some()) {
-            crate::neighbor_index::SIGNATURE_BYTES_PER_VERTEX
-        } else {
-            0
-        }
     }
 
     /// Cloud-wide resident bytes broken down by storage component (summed

@@ -355,19 +355,6 @@ pub struct CompactCsr {
 }
 
 impl CompactCsr {
-    /// Builds a compact CSR from per-vertex adjacency lists, sorting and
-    /// deduplicating each list. Every inner list is freed right after it is
-    /// encoded, so the peak is input plus the (much smaller) encoded output.
-    pub fn from_lists(lists: Vec<Vec<VertexId>>) -> Self {
-        let mut b = CompactCsrBuilder::with_capacity(lists.len());
-        for mut l in lists {
-            l.sort_unstable();
-            l.dedup();
-            b.push_run(&l);
-        }
-        b.finish()
-    }
-
     /// Number of local vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
@@ -1242,15 +1229,18 @@ mod tests {
         }
     }
 
+    /// Encodes sorted, deduplicated runs through the builder.
+    fn csr_of(runs: &[Vec<VertexId>]) -> CompactCsr {
+        let mut b = CompactCsrBuilder::with_capacity(runs.len());
+        for run in runs {
+            b.push_run(run);
+        }
+        b.finish()
+    }
+
     #[test]
-    fn compact_csr_sorts_dedups_and_answers_reads() {
-        let lists = vec![
-            vec![v(3), v(1), v(3), v(100)],
-            vec![],
-            vec![v(0)],
-            vec![v(7)],
-        ];
-        let c = CompactCsr::from_lists(lists);
+    fn compact_csr_answers_reads() {
+        let c = csr_of(&[vec![v(1), v(3), v(100)], vec![], vec![v(0)], vec![v(7)]]);
         assert_eq!(c.num_vertices(), 4);
         assert_eq!(c.num_entries(), 5);
         assert_eq!(c.neighbors(0), &[v(1), v(3), v(100)]);
@@ -1262,7 +1252,7 @@ mod tests {
         assert!(!c.has_neighbor(0, v(2)));
         assert!(!c.has_neighbor(0, v(101)));
         assert_eq!(c.iter().count(), 4);
-        let empty = CompactCsr::from_lists(vec![]);
+        let empty = csr_of(&[]);
         assert_eq!((empty.num_vertices(), empty.num_entries()), (0, 0));
     }
 
@@ -1272,10 +1262,14 @@ mod tests {
         // deltas fit in 1-2 bytes vs 8 bytes per entry in a flat `Vec` CSR
         // (8-byte offsets plus 8-byte ids).
         let lists: Vec<Vec<VertexId>> = (0..1000u64)
-            .map(|i| (0..8).map(|j| v((i * 37 + j * 131) % 1000)).collect())
+            .map(|i| {
+                let mut run: Vec<VertexId> = (0..8).map(|j| v((i * 37 + j * 131) % 1000)).collect();
+                run.sort_unstable();
+                run
+            })
             .collect();
         let flat_bytes: usize = lists.iter().map(|l| l.len() * 8).sum::<usize>() + 1001 * 8;
-        let c = CompactCsr::from_lists(lists);
+        let c = csr_of(&lists);
         assert!(
             c.memory_bytes() * 2 <= flat_bytes,
             "compact {} vs flat {flat_bytes}",
@@ -1286,7 +1280,7 @@ mod tests {
     #[test]
     fn neighbors_equality_and_debug() {
         let run: Vec<VertexId> = vec![v(2), v(5), v(9)];
-        let c = CompactCsr::from_lists(vec![run.clone()]);
+        let c = csr_of(std::slice::from_ref(&run));
         let compact = c.neighbors(0);
         assert_eq!(compact, Neighbors::Slice(&run));
         assert_eq!(compact, run.clone());
@@ -1509,7 +1503,7 @@ mod tests {
 
     #[test]
     fn offset_width_narrows_to_u32() {
-        let c = CompactCsr::from_lists(vec![vec![v(1)], vec![v(2)]]);
+        let c = csr_of(&[vec![v(1)], vec![v(2)]]);
         assert!(matches!(c.offsets, OffsetArray::U32(_)));
         assert_eq!(c.memory_bytes(), c.offsets.memory_bytes() + c.data.len());
     }
@@ -1517,7 +1511,7 @@ mod tests {
     #[test]
     fn hub_vertex_round_trips() {
         let hub: Vec<VertexId> = (0..10_000u64).map(|i| v(i * 2)).collect();
-        let c = CompactCsr::from_lists(vec![hub.clone()]);
+        let c = csr_of(std::slice::from_ref(&hub));
         assert_eq!(c.neighbors(0).to_vec(), hub);
         assert_eq!(c.degree(0), 10_000);
         assert!(c.has_neighbor(0, v(19_998)));

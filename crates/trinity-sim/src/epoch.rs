@@ -50,7 +50,7 @@ use crate::compact::Neighbors;
 use crate::error::TrinityError;
 use crate::hash::FxHashMap;
 use crate::ids::{LabelId, VertexId};
-use crate::neighbor_index::{label_bit, FULL_SIGNATURE};
+use crate::neighbor_index::label_bit;
 use crate::partition::{LiveVertex, Partition, PartitionOverlay, Touched};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -717,31 +717,17 @@ impl GraphEpochs {
         }
         for &u in &sig_touched {
             let machine = prev.machine_of(u).index();
-            if prev.partitions[machine].signature_bits().is_none() {
-                continue;
-            }
             // An added vertex starts from no neighbours.
             let old = prev.partitions[machine].signature_of(u).unwrap_or(0);
-            let sig = if old == FULL_SIGNATURE {
-                // Possibly widened for a neighbour without a label: which
-                // bits have carriers is unknown, so recompute.
-                post_neighbors(u)
-                    .iter()
-                    .fold(0, |sig, n| match final_label(n) {
-                        Some(l) => sig | label_bit(l),
-                        None => FULL_SIGNATURE,
-                    })
-            } else {
-                let (gained, lost) = bit_changes.get(&u).copied().unwrap_or_default();
-                let mut orphaned = lost & !gained;
-                for n in post_neighbors(u) {
-                    if orphaned == 0 {
-                        break;
-                    }
-                    orphaned &= !label_bit(post_label(n));
+            let (gained, lost) = bit_changes.get(&u).copied().unwrap_or_default();
+            let mut orphaned = lost & !gained;
+            for n in post_neighbors(u) {
+                if orphaned == 0 {
+                    break;
                 }
-                (old | gained) & !orphaned
-            };
+                orphaned &= !label_bit(post_label(n));
+            }
+            let sig = (old | gained) & !orphaned;
             overlay_of(&mut overlays, &prev, machine)
                 .live_mut(u)
                 .signature = Some(sig);
@@ -962,7 +948,9 @@ mod tests {
         assert_eq!(with_a, vec![v(0), v(3)]);
         // v(2) is v(3)'s only neighbor: its signature must now claim `a`
         // (and no longer `d`).
-        let sig = snap.signature_of(v(2)).expect("builder always indexes");
+        let sig = snap
+            .signature_of(v(2))
+            .expect("every vertex has a signature");
         assert_ne!(sig & label_bit(la), 0);
         assert_eq!(sig & label_bit(ld), 0);
     }

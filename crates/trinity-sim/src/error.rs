@@ -1,6 +1,6 @@
 //! Error types for building and loading graphs into the memory cloud.
 
-use crate::ids::VertexId;
+use crate::ids::{LabelId, VertexId};
 use std::fmt;
 
 /// Errors produced while assembling or loading a graph.
@@ -8,6 +8,8 @@ use std::fmt;
 pub enum TrinityError {
     /// An edge references a vertex that was never added.
     UnknownVertex(VertexId),
+    /// A vertex carries a label id its graph's label interner never issued.
+    UnknownLabel(LabelId),
     /// The requested number of machines is invalid (zero or too large).
     InvalidMachineCount(usize),
     /// The graph contains no vertices.
@@ -28,6 +30,9 @@ impl fmt::Display for TrinityError {
         match self {
             TrinityError::UnknownVertex(v) => {
                 write!(f, "edge references unknown vertex {v}")
+            }
+            TrinityError::UnknownLabel(l) => {
+                write!(f, "vertex carries label {l}, which was never interned")
             }
             TrinityError::InvalidMachineCount(n) => {
                 write!(f, "invalid machine count {n}: must be in 1..=65535")
@@ -58,6 +63,9 @@ mod tests {
         assert!(TrinityError::UnknownVertex(VertexId(7))
             .to_string()
             .contains("v7"));
+        assert!(TrinityError::UnknownLabel(LabelId(9))
+            .to_string()
+            .contains("never interned"));
         assert!(TrinityError::InvalidMachineCount(0)
             .to_string()
             .contains("0"));

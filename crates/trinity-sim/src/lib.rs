@@ -17,7 +17,7 @@
 //! * the per-machine **string index** mapping labels to local vertex IDs
 //!   ([`compact::CompactLabelIndex`], bitmap or delta-varint per label) —
 //!   the only index the approach uses;
-//! * an optional **candidate-pruning index**: per-vertex neighborhood-label
+//! * a **candidate-pruning index**: per-vertex neighborhood-label
 //!   signatures ([`neighbor_index::NeighborLabelIndex`]), built in the same
 //!   pass;
 //! * the paper's three atomic operators `Cloud.Load`, `Index.getID`,
@@ -32,7 +32,8 @@
 //! * the **label-pair catalog** and query-specific **cluster graph** of §5.3
 //!   used for head-STwig and load-set selection
 //!   ([`cluster_graph::LabelPairCatalog`], [`cluster_graph::ClusterGraph`]);
-//! * linear-time graph loading ([`builder::GraphBuilder`]), statistics
+//! * linear-time graph loading ([`loader::StreamLoader`], with
+//!   [`builder::GraphBuilder`] as its in-memory front end), statistics
 //!   ([`stats`]) and edge-list persistence ([`edge_list`]).
 //!
 //! ## Example

@@ -1,6 +1,8 @@
-//! Streaming bulk loader: builds a [`MemoryCloud`] from an *edge iterator*
-//! in bounded memory, without ever staging per-vertex `Vec<Vec<VertexId>>`
-//! adjacency the way [`crate::builder::GraphBuilder`] does.
+//! Streaming bulk loader: the one way a [`MemoryCloud`] is built. It reads
+//! an *edge iterator* in bounded memory, never staging the whole edge list
+//! or a per-vertex `Vec<Vec<VertexId>>` adjacency;
+//! [`crate::builder::GraphBuilder`] is a front end that stages its input
+//! and streams it through here.
 //!
 //! The paper loads billion-edge graphs into Trinity by streaming the input
 //! through a fixed loading pipeline (Table 2 reports the times); holding the
@@ -8,10 +10,11 @@
 //! exactly what a 10M+-vertex load cannot afford. The loader instead makes
 //! `1 + M` passes over the edge stream (`M` = machine count):
 //!
-//! 1. **Vertex pass**: hash-partition `(id, label)` pairs, sort each
-//!    machine's vertices, move each machine's ids into its
-//!    [`IdIndex`] and count label frequencies. Edge endpoints are located
-//!    through the indexes; no id array outlives this pass.
+//! 1. **Vertex pass**: hash-partition `(id, label)` pairs, rejecting a
+//!    label the interner never issued, sort each machine's vertices, move
+//!    each machine's ids into its [`IdIndex`] and count label frequencies.
+//!    Edge endpoints are located through the indexes; no id array outlives
+//!    this pass.
 //! 2. **Degree pass**: one pass over the edges counting, per machine, each
 //!    local vertex's entry count (duplicates included — they are cheap to
 //!    count and removed at encode time).
@@ -20,7 +23,8 @@
 //!    deduplicate and encode each run in place — building the partition's
 //!    adjacency, pruning signatures and catalog contributions in the same
 //!    sweep. Peak staging is the *largest single machine's* entry
-//!    count, not the whole graph's.
+//!    count, not the whole graph's (`tests/alloc_peak.rs` holds the load
+//!    to that bound).
 //!
 //! The edge stream is supplied as a factory (`Fn() -> IntoIterator`) so the
 //! loader can re-iterate it; generators like `graph-gen`'s streaming R-MAT
@@ -39,10 +43,10 @@ use crate::partition::Partition;
 
 /// Builds a [`MemoryCloud`] from vertex and edge streams in bounded memory.
 ///
-/// Produces exactly the same cloud as [`crate::builder::GraphBuilder`] over
-/// the same graph (same partitions, indexes, signatures, catalog and edge
-/// count) — pinned by the loader tests — while never materializing the edge
-/// list or nested adjacency.
+/// Every cloud is built here — [`crate::builder::GraphBuilder`] is a front
+/// end — and never materializes the edge list or nested adjacency. The
+/// loader tests hold its output to a naive reference computed from the raw
+/// vertex and edge lists.
 #[derive(Debug, Clone)]
 pub struct StreamLoader {
     num_machines: usize,
@@ -75,8 +79,8 @@ impl StreamLoader {
 
     /// Streams the graph into a cloud.
     ///
-    /// * `interner` — the label alphabet; every streamed [`LabelId`] must
-    ///   come from it.
+    /// * `interner` — the label alphabet; a streamed [`LabelId`] it never
+    ///   issued fails with [`TrinityError::UnknownLabel`].
     /// * `vertices` — one `(id, label)` pair per vertex; a repeated id
     ///   keeps its *last* label (same overwrite semantics as
     ///   [`crate::builder::GraphBuilder::add_vertex`]).
@@ -108,6 +112,9 @@ impl StreamLoader {
         // ------------------------------------------------------------------
         let mut per_machine: Vec<Vec<(VertexId, LabelId)>> = vec![Vec::new(); m];
         for (id, label) in vertices {
+            if label.index() >= num_labels {
+                return Err(TrinityError::UnknownLabel(label));
+            }
             per_machine[machine_for(id, m).index()].push((id, label));
         }
         let mut id_indexes: Vec<IdIndex> = Vec::with_capacity(m);
@@ -116,8 +123,8 @@ impl StreamLoader {
         let mut num_vertices = 0u64;
         for list in &mut per_machine {
             // Stable sort keeps duplicate ids in stream order; the compaction
-            // below keeps the *last* pair of each run of equal ids, matching
-            // the builder's insert-overwrites semantics.
+            // below keeps the *last* pair of each run of equal ids: a
+            // repeated id keeps its last label.
             list.sort_by_key(|&(id, _)| id);
             let mut w = 0usize;
             for r in 0..list.len() {
@@ -134,9 +141,7 @@ impl StreamLoader {
             for &(id, label) in list.iter() {
                 ids.push(id);
                 labels.push(label);
-                if let Some(f) = label_frequency.get_mut(label.index()) {
-                    *f += 1;
-                }
+                label_frequency[label.index()] += 1;
             }
             list.clear();
             list.shrink_to_fit();
@@ -215,8 +220,7 @@ impl StreamLoader {
             // the signatures and the catalog contribution over the
             // deduplicated runs. Every unique edge appears in exactly two
             // runs cloud-wide (one per endpoint), so recording one catalog
-            // edge per deduplicated entry reproduces the builder's symmetric
-            // `record_edge` pairs.
+            // edge per deduplicated entry records each edge both ways.
             let mut sigs = Vec::with_capacity(n_local);
             let mut adjacency = CompactCsrBuilder::with_capacity(n_local);
             for local in 0..n_local {
@@ -269,7 +273,7 @@ impl StreamLoader {
                 labels,
                 adjacency,
                 num_labels,
-                Some(neighbor_index),
+                neighbor_index,
             ));
         }
         Ok(MemoryCloud::from_parts(
@@ -289,6 +293,8 @@ impl StreamLoader {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn v(x: u64) -> VertexId {
         VertexId(x)
@@ -348,38 +354,141 @@ mod tests {
             .unwrap()
     }
 
-    fn assert_clouds_equal(a: &MemoryCloud, b: &MemoryCloud) {
-        assert_eq!(a.num_vertices(), b.num_vertices());
-        assert_eq!(a.num_edges(), b.num_edges());
-        assert_eq!(a.num_machines(), b.num_machines());
-        let mut ids: Vec<VertexId> = a.iter_vertices().collect();
-        ids.sort_unstable();
-        let mut ids_b: Vec<VertexId> = b.iter_vertices().collect();
-        ids_b.sort_unstable();
-        assert_eq!(ids, ids_b);
-        for &id in &ids {
-            assert_eq!(a.label_of_global(id), b.label_of_global(id), "label {id}");
+    /// Holds `cloud` to a reference computed from the raw vertex and edge
+    /// lists alone: the last label of every vertex, its sorted,
+    /// deduplicated, loop-free neighbour set and the OR of its neighbours'
+    /// label bits; each machine's sorted ids, overall and per label; the
+    /// distinct unordered edges and the label frequencies; and a catalog
+    /// pair both ways for every edge.
+    fn assert_matches_reference(
+        cloud: &MemoryCloud,
+        vertices: &[(VertexId, LabelId)],
+        edges: &[(VertexId, VertexId)],
+    ) {
+        let label: BTreeMap<VertexId, LabelId> = vertices.iter().copied().collect();
+        let mut neighbors: BTreeMap<VertexId, BTreeSet<VertexId>> = BTreeMap::new();
+        let mut pairs: BTreeSet<(VertexId, VertexId)> = BTreeSet::new();
+        for &(a, b) in edges.iter().filter(|(a, b)| a != b) {
+            neighbors.entry(a).or_default().insert(b);
+            neighbors.entry(b).or_default().insert(a);
+            pairs.insert((a.min(b), a.max(b)));
+        }
+        assert_eq!(cloud.num_vertices(), label.len() as u64);
+        assert_eq!(cloud.num_edges(), pairs.len() as u64);
+        let none = BTreeSet::new();
+        for (&id, &l) in &label {
+            let want = neighbors.get(&id).unwrap_or(&none);
+            assert_eq!(cloud.label_of_global(id), Some(l), "label {id}");
             assert_eq!(
-                a.neighbors_global(id).to_vec(),
-                b.neighbors_global(id).to_vec(),
+                cloud.neighbors_global(id).to_vec(),
+                want.iter().copied().collect::<Vec<_>>(),
                 "adjacency {id}"
             );
-            assert_eq!(a.signature_of(id), b.signature_of(id), "signature {id}");
+            let signature = want.iter().fold(0, |s, n| s | label_bit(label[n]));
+            assert_eq!(cloud.signature_of(id), Some(signature), "signature {id}");
         }
-        for l in 0..a.labels().len() as u32 {
-            let l = LabelId(l);
-            assert_eq!(a.label_frequency(l), b.label_frequency(l));
-            assert_eq!(a.all_ids_with_label(l), b.all_ids_with_label(l));
+        let owner = |id: VertexId| machine_for(id, cloud.num_machines());
+        for m in cloud.machines() {
+            let partition = cloud.partition(m);
+            let owned: Vec<VertexId> = label.keys().copied().filter(|&id| owner(id) == m).collect();
+            assert_eq!(partition.iter_vertices().collect::<Vec<_>>(), owned, "{m}");
+            for (l, _) in cloud.labels().iter() {
+                let want: Vec<VertexId> =
+                    owned.iter().copied().filter(|id| label[id] == l).collect();
+                assert_eq!(partition.vertices_with_label(l).to_vec(), want, "{m} {l}");
+            }
+        }
+        for (l, _) in cloud.labels().iter() {
+            let count = label.values().filter(|&&x| x == l).count() as u64;
+            assert_eq!(cloud.label_frequency(l), count, "frequency {l}");
+        }
+        for &(a, b) in &pairs {
+            let (ma, mb, la, lb) = (owner(a), owner(b), label[&a], label[&b]);
+            assert!(cloud.catalog().has_pair(ma, la, mb, lb), "catalog {a}-{b}");
+            assert!(cloud.catalog().has_pair(mb, lb, ma, la), "catalog {b}-{a}");
         }
     }
 
     #[test]
-    fn loader_matches_builder() {
+    fn loads_match_a_naive_reference() {
         let (vertices, edges) = test_graph(500, 4);
-        let from_builder = build_via_builder(&vertices, &edges);
-        let from_loader = build_via_loader(&vertices, &edges);
-        assert_clouds_equal(&from_builder, &from_loader);
-        assert_eq!(from_builder.storage_bytes(), from_loader.storage_bytes());
+        for cloud in [
+            build_via_loader(&vertices, &edges),
+            build_via_builder(&vertices, &edges),
+        ] {
+            let labeled: Vec<(VertexId, LabelId)> = vertices
+                .iter()
+                .map(|&(id, name)| (id, cloud.labels().get(name).unwrap()))
+                .collect();
+            assert_matches_reference(&cloud, &labeled, &edges);
+        }
+    }
+
+    /// Vertex indexes `0..n` with labels, a few relabelled again, and edges
+    /// among them; every third edge is repeated reversed. Small `n` makes
+    /// self loops and duplicates common.
+    #[allow(clippy::type_complexity)]
+    fn small_graph() -> impl Strategy<Value = (Vec<(u64, u32)>, Vec<(u64, u64)>)> {
+        (1u64..24)
+            .prop_flat_map(|n| {
+                (
+                    proptest::collection::vec(0u32..4, n as usize),
+                    proptest::collection::vec((0..n, 0u32..4), 0..6),
+                    proptest::collection::vec((0..n, 0..n), 0..60),
+                )
+            })
+            .prop_map(|(labels, relabels, mut edges)| {
+                let mut vertices: Vec<(u64, u32)> = (0..).zip(labels).collect();
+                vertices.extend(relabels);
+                let reversed: Vec<(u64, u64)> =
+                    edges.iter().step_by(3).map(|&(a, b)| (b, a)).collect();
+                edges.extend(reversed);
+                (vertices, edges)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        #[test]
+        fn small_loads_match_a_naive_reference(
+            graph in small_graph(),
+            machines in 1usize..7,
+            sparse in 0u64..2,
+        ) {
+            // Sparse ids are too far apart for a rank bitmap, so every
+            // partition takes `IdIndex::Hashed`.
+            let id = |i: u64| if sparse == 1 { v(i * 1_000_003 + i % 7) } else { v(i) };
+            let (vertices, edges) = graph;
+            let mut interner = LabelInterner::default();
+            for name in ["a", "b", "c", "d"] {
+                interner.intern(name);
+            }
+            let vertices: Vec<(VertexId, LabelId)> =
+                vertices.iter().map(|&(i, l)| (id(i), LabelId(l))).collect();
+            let edges: Vec<(VertexId, VertexId)> =
+                edges.iter().map(|&(a, b)| (id(a), id(b))).collect();
+            let cloud = StreamLoader::new(machines, CostModel::free())
+                .load(interner, vertices.iter().copied(), || edges.iter().copied())
+                .unwrap();
+            assert_matches_reference(&cloud, &vertices, &edges);
+            if sparse == 1 {
+                let ids = cloud.num_vertices() as usize * std::mem::size_of::<VertexId>();
+                prop_assert!(cloud.storage_bytes().id_map > ids, "hashed ids keep their array");
+            }
+        }
+    }
+
+    #[test]
+    fn a_label_the_interner_never_issued_is_an_error() {
+        let mut interner = LabelInterner::default();
+        let la = interner.intern("a");
+        let err = StreamLoader::new(2, CostModel::free())
+            .load(interner, vec![(v(1), la), (v(2), LabelId(3))], || {
+                [(v(1), v(2))].into_iter()
+            })
+            .unwrap_err();
+        assert_eq!(err, TrinityError::UnknownLabel(LabelId(3)));
     }
 
     #[test]

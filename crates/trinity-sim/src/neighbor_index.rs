@@ -23,11 +23,6 @@ pub const SIGNATURE_BITS: usize = 64;
 /// Bytes each vertex pays for its signature.
 pub const SIGNATURE_BYTES_PER_VERTEX: usize = SIGNATURE_BITS / 8;
 
-/// The all-ones signature: claims every label is present among the
-/// neighbors, so nothing is ever pruned on it. Used when a neighbor's label
-/// is unknown at build time (the over-approximation must stay sound).
-pub const FULL_SIGNATURE: u64 = u64::MAX;
-
 /// The signature bit a label maps to.
 #[inline]
 pub fn label_bit(label: LabelId) -> u64 {
@@ -113,9 +108,9 @@ mod tests {
         assert!(NeighborLabelIndex::covers(sig, label_bit(l(1))));
         assert!(NeighborLabelIndex::covers(sig, sig));
         assert!(!NeighborLabelIndex::covers(sig, label_bit(l(2))));
-        // Everything covers the empty requirement; FULL covers everything.
+        // Everything covers the empty requirement; all ones covers everything.
         assert!(NeighborLabelIndex::covers(0, 0));
-        assert!(NeighborLabelIndex::covers(FULL_SIGNATURE, u64::MAX));
+        assert!(NeighborLabelIndex::covers(u64::MAX, u64::MAX));
     }
 
     #[test]
@@ -127,7 +122,7 @@ mod tests {
 
     #[test]
     fn signature_lookup_by_local_position() {
-        let idx = NeighborLabelIndex::from_signatures(vec![0b1, 0b10, FULL_SIGNATURE]);
+        let idx = NeighborLabelIndex::from_signatures(vec![0b1, 0b10, u64::MAX]);
         assert_eq!(idx.len(), 3);
         assert!(!idx.is_empty());
         assert_eq!(idx.signature(1), Some(0b10));

@@ -13,7 +13,7 @@ use crate::compact::{
 };
 use crate::hash::FxHashMap;
 use crate::ids::{LabelId, VertexId};
-use crate::neighbor_index::{NeighborLabelIndex, FULL_SIGNATURE};
+use crate::neighbor_index::NeighborLabelIndex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -83,7 +83,7 @@ pub struct StorageBytes {
     pub id_map: usize,
     /// The label → vertex-id string index.
     pub postings: usize,
-    /// Per-vertex neighborhood-label signatures (0 without a pruning index).
+    /// Per-vertex neighborhood-label signatures.
     pub signatures: usize,
 }
 
@@ -107,7 +107,7 @@ impl std::ops::AddAssign for StorageBytes {
 /// The immutable storage of one logical machine: vertex ids, labels,
 /// adjacency and indexes. Shared via `Arc` between the partitions of
 /// successive epoch snapshots; never mutated after construction.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct PartitionBase {
     /// Global ids of local vertices both ways; local-index order is
     /// ascending id.
@@ -118,43 +118,11 @@ struct PartitionBase {
     adjacency: CompactCsr,
     /// Label → slots of `ids`.
     postings: CompactLabelIndex,
-    /// Per-vertex neighborhood-label signatures, when built with label
-    /// lookup (`None` disables signature pruning for this partition).
-    neighbor_index: Option<NeighborLabelIndex>,
+    /// Per-vertex neighborhood-label signatures, in local-index order.
+    neighbor_index: NeighborLabelIndex,
 }
 
 impl PartitionBase {
-    /// Canonicalizes inputs (ascending global id) and builds the storage.
-    /// See [`Partition::new`].
-    fn new(
-        mut vertex_ids: Vec<VertexId>,
-        mut labels: Vec<LabelId>,
-        mut adjacency_lists: Vec<Vec<VertexId>>,
-        num_labels: usize,
-    ) -> Self {
-        assert_eq!(vertex_ids.len(), labels.len());
-        assert_eq!(vertex_ids.len(), adjacency_lists.len());
-        if !vertex_ids.windows(2).all(|w| w[0] < w[1]) {
-            let mut order: Vec<usize> = (0..vertex_ids.len()).collect();
-            order.sort_unstable_by_key(|&i| vertex_ids[i]);
-            vertex_ids = order.iter().map(|&i| vertex_ids[i]).collect();
-            labels = order.iter().map(|&i| labels[i]).collect();
-            let mut reordered: Vec<Vec<VertexId>> = Vec::with_capacity(order.len());
-            for &i in &order {
-                reordered.push(std::mem::take(&mut adjacency_lists[i]));
-            }
-            adjacency_lists = reordered;
-        }
-        let ids = IdIndex::build(vertex_ids);
-        PartitionBase {
-            postings: CompactLabelIndex::build(&labels, num_labels, &ids),
-            adjacency: CompactCsr::from_lists(adjacency_lists),
-            ids,
-            labels,
-            neighbor_index: None,
-        }
-    }
-
     #[inline]
     fn local_of(&self, id: VertexId) -> Option<usize> {
         self.ids.local_of(id)
@@ -193,9 +161,7 @@ impl PartitionBase {
     }
 
     fn signature_of(&self, id: VertexId) -> Option<u64> {
-        let index = self.neighbor_index.as_ref()?;
-        let local = self.local_of(id)?;
-        index.signature(local)
+        self.neighbor_index.signature(self.local_of(id)?)
     }
 
     /// The cell of a merged-view vertex: overlay facets first, base position
@@ -224,8 +190,7 @@ pub(crate) struct LiveVertex {
     pub(crate) label: Option<LabelId>,
     /// Complete merged adjacency of an adjacency-touched vertex, sorted.
     pub(crate) adj: Option<Arc<[VertexId]>>,
-    /// Exact signature of a signature-touched vertex (only set when the
-    /// base carries a pruning index).
+    /// Exact signature of a signature-touched vertex.
     pub(crate) signature: Option<u64>,
 }
 
@@ -337,7 +302,7 @@ impl PartitionOverlay {
 /// base, plus the epoch manager's delta overlay when the graph has mutated
 /// since the base was sealed. Cloning a partition clones two `Arc`s, so
 /// epoch snapshots share all untouched storage.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Partition {
     base: Arc<PartitionBase>,
     overlay: Option<Arc<PartitionOverlay>>,
@@ -388,75 +353,20 @@ impl<'a> Iterator for MergedIter<'a> {
 }
 
 impl Partition {
-    /// Assembles a partition from parallel vectors of vertex IDs, labels and
-    /// adjacency lists. The three inputs must have the same length.
-    ///
-    /// Local indices are canonicalized to ascending global-id order (a no-op
-    /// for the builder, which pre-sorts): the posting lists index by local
-    /// position and rely on local order agreeing with id order to return
-    /// sorted ids.
-    pub fn new(
-        vertex_ids: Vec<VertexId>,
-        labels: Vec<LabelId>,
-        adjacency_lists: Vec<Vec<VertexId>>,
-        num_labels: usize,
-    ) -> Self {
-        Partition {
-            base: Arc::new(PartitionBase::new(
-                vertex_ids,
-                labels,
-                adjacency_lists,
-                num_labels,
-            )),
-            overlay: None,
-        }
-    }
-
-    /// Like [`Partition::new`], but also builds the neighborhood signatures
-    /// ([`NeighborLabelIndex`]) in the same construction pass.
-    /// `neighbor_label` resolves the label of *any* vertex (neighbors may
-    /// live on other machines); a neighbor whose label it cannot resolve
-    /// contributes the all-ones [`FULL_SIGNATURE`] — the signature
-    /// over-approximates, so an unknown label must claim every bit to keep
-    /// pruning sound.
-    pub fn with_neighbor_labels(
-        vertex_ids: Vec<VertexId>,
-        labels: Vec<LabelId>,
-        adjacency_lists: Vec<Vec<VertexId>>,
-        num_labels: usize,
-        neighbor_label: impl Fn(VertexId) -> Option<LabelId>,
-    ) -> Self {
-        let mut base = PartitionBase::new(vertex_ids, labels, adjacency_lists, num_labels);
-        let mut sigs = Vec::with_capacity(base.labels.len());
-        for local in 0..base.labels.len() {
-            let mut sig = 0u64;
-            for m in base.adjacency.neighbors(local) {
-                match neighbor_label(m) {
-                    Some(l) => sig |= crate::neighbor_index::label_bit(l),
-                    None => sig = FULL_SIGNATURE,
-                }
-            }
-            sigs.push(sig);
-        }
-        base.neighbor_index = Some(NeighborLabelIndex::from_signatures(sigs));
-        Partition {
-            base: Arc::new(base),
-            overlay: None,
-        }
-    }
-
     /// Assembles a partition from components the streaming bulk loader (or
-    /// a seal) has built in final form — id index built, labels and
-    /// adjacency in its local order, signatures filled — and builds its
-    /// string index. Crate-internal: invariants are the caller's.
+    /// a seal) has built in final form — id index built, labels,
+    /// adjacency and signatures in its local order — and builds its string
+    /// index. The only way a partition is built. Crate-internal: invariants
+    /// are the caller's.
     pub(crate) fn from_encoded_parts(
         ids: IdIndex,
         labels: Vec<LabelId>,
         adjacency: CompactCsr,
         num_labels: usize,
-        neighbor_index: Option<NeighborLabelIndex>,
+        neighbor_index: NeighborLabelIndex,
     ) -> Self {
         debug_assert_eq!(ids.len(), labels.len());
+        debug_assert_eq!(ids.len(), neighbor_index.len());
         Partition {
             base: Arc::new(PartitionBase {
                 postings: CompactLabelIndex::build(&labels, num_labels, &ids),
@@ -491,18 +401,18 @@ impl Partition {
         let (base, n) = (&*self.base, overlay.num_vertices);
         let mut ids = Vec::with_capacity(n);
         let mut labels = Vec::with_capacity(n);
-        let mut signatures = base.neighbor_index.as_ref().map(|_| Vec::with_capacity(n));
+        let mut signatures = Vec::with_capacity(n);
         let mut adjacency = CompactCsrBuilder::with_capacity(n);
         for m in self.merged() {
             let cell = base.merged_cell(&m);
             ids.push(cell.id);
             labels.push(cell.label);
-            if let (Some(signatures), Some(index)) = (&mut signatures, &base.neighbor_index) {
-                let carried = m.live.and_then(|live| live.signature);
-                signatures.push(carried.or_else(|| index.signature(m.local?)).expect(
-                    "a vertex of an indexed partition has a signature in the overlay or the base",
-                ));
-            }
+            let carried = m.live.and_then(|live| live.signature);
+            signatures.push(
+                carried
+                    .or_else(|| base.neighbor_index.signature(m.local?))
+                    .expect("a vertex has a signature in the overlay or the base"),
+            );
             adjacency.push_neighbors(cell.neighbors);
         }
         Partition::from_encoded_parts(
@@ -510,7 +420,7 @@ impl Partition {
             labels,
             adjacency.finish(),
             num_labels,
-            signatures.map(NeighborLabelIndex::from_signatures),
+            NeighborLabelIndex::from_signatures(signatures),
         )
     }
 
@@ -674,8 +584,7 @@ impl Partition {
     }
 
     /// The neighborhood-label signature of a locally-owned vertex, or
-    /// `None` when the vertex is not owned here or the partition was built
-    /// without the pruning index.
+    /// `None` when the vertex is not owned here.
     #[inline]
     pub fn signature_of(&self, id: VertexId) -> Option<u64> {
         match self.touched(id) {
@@ -683,16 +592,6 @@ impl Partition {
             Some(Touched::Deleted) => None,
             Some(Touched::Live(live)) => live.signature.or_else(|| self.base.signature_of(id)),
         }
-    }
-
-    /// Signature width in bits when the pruning index is present, `None`
-    /// otherwise. Part of the cloud fingerprint: caches keyed on a cloud
-    /// must distinguish index configurations.
-    pub fn signature_bits(&self) -> Option<u32> {
-        self.base
-            .neighbor_index
-            .as_ref()
-            .map(|_| crate::neighbor_index::SIGNATURE_BITS as u32)
     }
 
     /// Resident bytes of this partition, broken down by storage component.
@@ -703,10 +602,7 @@ impl Partition {
             labels: base.labels.len() * std::mem::size_of::<LabelId>(),
             id_map: base.ids.memory_bytes(),
             postings: base.postings.memory_bytes(),
-            signatures: base
-                .neighbor_index
-                .as_ref()
-                .map_or(0, NeighborLabelIndex::memory_bytes),
+            signatures: base.neighbor_index.memory_bytes(),
         };
         if let Some(o) = self.overlay.as_deref() {
             debug_assert_eq!(o.bytes, o.measure(), "overlay changed after publish");
@@ -734,12 +630,40 @@ mod tests {
         LabelId(x)
     }
 
+    /// A partition over ascending `ids` with their labels and sorted
+    /// neighbour runs, built through `from_encoded_parts` as the loader
+    /// builds one. A signature is the OR of the label bits of the
+    /// neighbours among `ids`; one outside them adds none.
+    fn encoded(
+        ids: Vec<VertexId>,
+        labels: Vec<LabelId>,
+        runs: &[&[VertexId]],
+        num_labels: usize,
+    ) -> Partition {
+        use crate::neighbor_index::label_bit;
+        let mut adjacency = CompactCsrBuilder::with_capacity(ids.len());
+        let mut signatures = Vec::with_capacity(ids.len());
+        for run in runs {
+            adjacency.push_run(run);
+            let local = run.iter().filter_map(|n| ids.iter().position(|id| id == n));
+            signatures.push(local.fold(0, |sig, i| sig | label_bit(labels[i])));
+        }
+        Partition::from_encoded_parts(
+            IdIndex::build(ids),
+            labels,
+            adjacency.finish(),
+            num_labels,
+            NeighborLabelIndex::from_signatures(signatures),
+        )
+    }
+
     fn sample_partition() -> Partition {
-        // vertices 10 (label 0), 20 (label 1), 30 (label 0)
-        Partition::new(
+        // vertices 10 (label 0), 20 (label 1), 30 (label 0); v(99) is a
+        // phantom remote neighbour
+        encoded(
             vec![v(10), v(20), v(30)],
             vec![l(0), l(1), l(0)],
-            vec![vec![v(20), v(99)], vec![v(10)], vec![]],
+            &[&[v(20), v(99)], &[v(10)], &[]],
             2,
         )
     }
@@ -786,36 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn unsorted_input_is_canonicalized() {
-        // Local order is canonicalized to ascending global id, so a caller
-        // that presents vertices out of order still gets sorted postings.
-        let p = Partition::new(
-            vec![v(30), v(10), v(20)],
-            vec![l(0), l(0), l(1)],
-            vec![vec![], vec![v(20), v(99)], vec![v(10)]],
-            2,
-        );
-        let ids: Vec<_> = p.iter_vertices().collect();
-        assert_eq!(ids, vec![v(10), v(20), v(30)]);
-        assert_eq!(p.vertices_with_label(l(0)), &[v(10), v(30)]);
-        assert_eq!(p.load(v(10)).unwrap().neighbors, &[v(20), v(99)]);
-        assert_eq!(p.load(v(30)).unwrap().neighbors.len(), 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn mismatched_lengths_panic() {
-        Partition::new(vec![v(1)], vec![l(0), l(1)], vec![vec![]], 2);
-    }
-
-    #[test]
-    fn unindexed_partition_has_no_pruning_index() {
-        let p = sample_partition();
-        assert_eq!(p.signature_of(v(10)), None);
-        assert_eq!(p.signature_bits(), None);
-    }
-
-    #[test]
     fn storage_bytes_breakdown_sums_to_total() {
         let p = sample_partition();
         let b = p.storage_bytes();
@@ -823,7 +717,7 @@ mod tests {
         assert!(b.adjacency > 0);
         assert!(b.labels > 0);
         assert!(b.id_map > 0);
-        assert_eq!(b.signatures, 0, "no pruning index was built");
+        assert_eq!(b.signatures, 8 * 3, "one 8-byte signature a vertex");
     }
 
     #[test]
@@ -832,7 +726,7 @@ mod tests {
         // stride holds it at 12 B per 64 ids.
         let n = 4096usize;
         let ids: Vec<VertexId> = (0..n as u64).map(|i| v(i * 3)).collect();
-        let p = Partition::new(ids, vec![l(0); n], vec![Vec::new(); n], 1);
+        let p = encoded(ids, vec![l(0); n], &vec![&[][..]; n], 1);
         let id_map = p.storage_bytes().id_map;
         assert!(id_map <= n, "id map {id_map} B for {n} vertices");
         assert!(matches!(p.base.ids, IdIndex::Dense { .. }));
@@ -845,7 +739,7 @@ mod tests {
         // their array, and the slot array must cost half that.
         let n = 4096usize;
         let ids: Vec<VertexId> = (0..n as u64).map(|i| v(i * 1_000_003 + i % 7)).collect();
-        let p = Partition::new(ids, vec![l(0); n], vec![Vec::new(); n], 1);
+        let p = encoded(ids, vec![l(0); n], &vec![&[][..]; n], 1);
         let IdIndex::Hashed { map, .. } = &p.base.ids else {
             panic!("sparse ids must take the hashed arm");
         };
@@ -856,31 +750,6 @@ mod tests {
         );
         let hash_map = n * (std::mem::size_of::<VertexId>() + std::mem::size_of::<u32>() + 8);
         assert!(slots * 2 <= hash_map, "id map {slots} vs {hash_map}");
-    }
-
-    #[test]
-    fn neighbor_labels_build_signatures() {
-        use crate::neighbor_index::{label_bit, FULL_SIGNATURE};
-        // v(99) is a phantom remote neighbor the lookup cannot resolve:
-        // its owner's signature must widen to FULL to stay sound.
-        let p = Partition::with_neighbor_labels(
-            vec![v(10), v(20), v(30)],
-            vec![l(0), l(1), l(0)],
-            vec![vec![v(20), v(99)], vec![v(10)], vec![]],
-            2,
-            |id| match id {
-                VertexId(10) | VertexId(30) => Some(l(0)),
-                VertexId(20) => Some(l(1)),
-                _ => None,
-            },
-        );
-        assert_eq!(p.signature_of(v(10)), Some(FULL_SIGNATURE));
-        assert_eq!(p.signature_of(v(20)), Some(label_bit(l(0))));
-        assert_eq!(p.signature_of(v(30)), Some(0), "isolated vertex");
-        assert_eq!(p.signature_of(v(77)), None, "unowned vertex");
-        assert_eq!(p.signature_bits(), Some(64));
-        // The signatures are part of the partition's memory accounting.
-        assert!(p.memory_bytes() > sample_partition().memory_bytes());
     }
 
     /// A hand-built overlay: delete v(30), add v(40) with label 1 and edge

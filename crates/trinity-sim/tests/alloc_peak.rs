@@ -1,9 +1,8 @@
-//! Peak-memory audit of CSR construction: `CompactCsr::from_lists` must not
-//! double-buffer the adjacency. It frees each input list as soon as its run
-//! is encoded, so the allocation high-water mark *above the already-live
-//! input* stays under one flat copy of the adjacency — not input plus a
-//! staged clone plus the output, the way a clone-and-collect implementation
-//! peaks. A live-bytes watermark allocator measures exactly that.
+//! Peak-memory audit of graph loading: `StreamLoader::load` stages one
+//! machine's adjacency at a time, so its allocation high-water mark stays
+//! within what its own buffers add to the cloud it returns — not the whole
+//! graph's staged entries. A live-bytes watermark allocator measures exactly
+//! that.
 //!
 //! The same allocator counts allocations and allocated bytes for the epoch
 //! manager's two writes: an `apply` over a large overlay must copy pointers,
@@ -20,8 +19,9 @@ use std::cell::Cell;
 
 use trinity_sim::cloud::machine_for;
 use trinity_sim::cluster_graph::LabelPairCatalog;
-use trinity_sim::compact::{CompactCsr, IdIndex};
-use trinity_sim::ids::{LabelId, VertexId};
+use trinity_sim::compact::IdIndex;
+use trinity_sim::ids::{LabelId, LabelInterner, VertexId};
+use trinity_sim::loader::StreamLoader;
 use trinity_sim::{CostModel, GraphBuilder, GraphEpochs, UpdateBatch};
 
 struct PeakAllocator;
@@ -96,41 +96,70 @@ fn allocations_of<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
 const N: usize = 10_000;
 const DEG: u64 = 16;
 
-/// Exact-capacity adjacency lists: `N` vertices of degree `DEG`.
-fn adjacency_lists() -> Vec<Vec<VertexId>> {
-    (0..N as u64)
-        .map(|v| {
-            let mut l = Vec::with_capacity(DEG as usize);
-            for k in 0..DEG {
-                l.push(VertexId((v + 1 + k * 37) % (10 * N as u64)));
-            }
-            l
-        })
-        .collect()
-}
+const MACHINES: usize = 8;
 
-/// Bytes per adjacency entry of a flat `Vec` CSR at degree `DEG`: an 8-byte
-/// id per entry plus an 8-byte offset per vertex.
-const FLAT_BYTES_PER_ENTRY: f64 = 8.0 + 8.0 / DEG as f64;
-
+/// `StreamLoader::load` of `N` vertices, each with `2 * DEG` adjacency
+/// entries, over `MACHINES` machines. Its peak above the caller's live bytes
+/// is bounded by the heap the returned cloud keeps plus the loader's own
+/// buffers:
+///
+/// ```text
+/// kept                   the cloud itself, measured after the load
+/// + 48 B × N             pass-1 (id, label) pairs: 16 B each, up to 3×
+///                        while a doubling `Vec` reallocates
+/// + 4 B × N              the degree counts
+/// + 16 B × n_max         the largest machine's `starts` and `cursor`
+/// + 8 B × e_max          its staging, one id per streamed entry
+/// + 64 KB                small fixed buffers and allocator rounding
+/// ```
+///
+/// `n_max` and `e_max` are the largest machine's vertex count and streamed
+/// entry count (duplicates included). Staging every machine at once adds
+/// `MACHINES - 1` more stagings, about 2.2 MB here: such a load peaks at
+/// 3.1 MB against a 1.4 MB bound.
 #[test]
-fn compact_csr_build_stays_within_the_plain_bound() {
-    // The encoder consumes the input list by list, so its transient peak
-    // stays under one flat copy of the adjacency even though its final
-    // footprint is far smaller. A staged second copy would add a whole
-    // flat copy on top.
-    let lists = adjacency_lists();
-    let entries: usize = lists.iter().map(|l| l.len()).sum();
-    let (peak, csr) = peak_above_baseline(|| CompactCsr::from_lists(lists));
-    let peak_per_entry = (peak.saturating_sub(64 << 10)) as f64 / entries as f64;
-    assert!(
-        peak_per_entry <= FLAT_BYTES_PER_ENTRY,
-        "compact build peaked {peak_per_entry:.2} B/entry above baseline \
-         (a flat CSR is {FLAT_BYTES_PER_ENTRY} B/entry)"
+fn stream_load_stages_one_machine_at_a_time() {
+    let n = N as u64;
+    let edges = || {
+        (0..n)
+            .flat_map(move |i| (0..DEG).map(move |k| (VertexId(i), VertexId((i + 1 + k * 37) % n))))
+    };
+    let mut vertices_on = [0usize; MACHINES];
+    let mut entries_on = [0usize; MACHINES];
+    for i in 0..n {
+        vertices_on[machine_for(VertexId(i), MACHINES).index()] += 1;
+    }
+    for (u, v) in edges() {
+        entries_on[machine_for(u, MACHINES).index()] += 1;
+        entries_on[machine_for(v, MACHINES).index()] += 1;
+    }
+    let (n_max, e_max) = (
+        vertices_on.iter().max().unwrap(),
+        entries_on.iter().max().unwrap(),
     );
+
+    let mut interner = LabelInterner::default();
+    for name in ["a", "b", "c", "d"] {
+        interner.intern(name);
+    }
+    let baseline = LIVE_BYTES.get();
+    let (peak, cloud) = peak_above_baseline(|| {
+        StreamLoader::new(MACHINES, CostModel::default())
+            .load(
+                interner,
+                (0..n).map(|i| (VertexId(i), LabelId((i % 4) as u32))),
+                edges,
+            )
+            .unwrap()
+    });
+    let kept = (LIVE_BYTES.get() - baseline) as usize;
+    assert_eq!(cloud.num_edges(), n * DEG);
+    let bound = kept + 48 * N + 4 * N + 16 * n_max + 8 * e_max + (64 << 10);
     assert!(
-        csr.memory_bytes() as f64 / (entries as f64) < 4.0,
-        "compact encoding should be well under half of 8 B/entry"
+        peak as usize <= bound,
+        "the load peaked {peak} B above baseline; its bound is {bound} B \
+         (the cloud keeps {kept} B, one machine stages {} B)",
+        8 * e_max
     );
 }
 

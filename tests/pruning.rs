@@ -212,7 +212,10 @@ fn pruning_cuts_explore_traffic_at_least_2x_on_zipf_rmat() {
             "the skewed workload must actually prune"
         );
     }
-    assert_eq!(cloud.signature_bytes_per_vertex(), 8);
+    assert_eq!(
+        cloud.storage_bytes().signatures,
+        8 * cloud.num_vertices() as usize
+    );
 
     // `DirectRead` charges Algorithm 1's probes as if made one at a time:
     // the engine costs what the pruned walk costs, and every probe of a

@@ -1,9 +1,9 @@
 //! Acceptance suite for the compact storage representation.
 //!
-//! * Proptest round-trip: a `CompactCsr` built from arbitrary adjacency
-//!   lists (empty vertices, degree-1 runs, hubs) must decode to exactly the
-//!   sorted, deduplicated `Vec<Vec<VertexId>>` reference: runs, degrees and
-//!   membership answers.
+//! * Proptest round-trip: arbitrary adjacency lists (empty vertices,
+//!   degree-1 runs, hubs), sorted, deduplicated and encoded through
+//!   `CompactCsrBuilder::push_run`, must decode to exactly those runs:
+//!   runs, degrees and membership answers.
 //! * Differential sweep: transport × cache over compact partitions must
 //!   return exactly the VF2 baseline's embedding set.
 //! * Label alphabet: resident bytes per edge must not grow with the number
@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use stwig_match::prelude::*;
-use trinity_sim::compact::CompactCsr;
+use trinity_sim::compact::CompactCsrBuilder;
 use trinity_sim::ids::VertexId;
 
 // ---------------------------------------------------------------------------
@@ -28,7 +28,11 @@ fn assert_round_trips(lists: Vec<Vec<VertexId>>) {
             l
         })
         .collect();
-    let compact = CompactCsr::from_lists(lists);
+    let mut builder = CompactCsrBuilder::with_capacity(reference.len());
+    for run in &reference {
+        builder.push_run(run);
+    }
+    let compact = builder.finish();
     assert_eq!(compact.num_vertices(), reference.len());
     assert_eq!(
         compact.num_entries(),
