@@ -3,11 +3,11 @@
 //! Baseline subgraph-isomorphism matchers used for correctness cross-checks
 //! and for the Table-1-style comparison experiments:
 //!
-//! * [`ullmann`] — Ullmann's 1976 backtracking algorithm with candidate
+//! * [`ullmann`](mod@ullmann) — Ullmann's 1976 backtracking algorithm with candidate
 //!   refinement (Table 1, group 1);
-//! * [`vf2`] — a VF2-style state-space matcher (Cordella et al. 2004, also
+//! * [`vf2`](mod@vf2) — a VF2-style state-space matcher (Cordella et al. 2004, also
 //!   group 1);
-//! * [`edge_join`] — an RDF-3X/BitMat-style edge-index join matcher
+//! * [`edge_join`](mod@edge_join) — an RDF-3X/BitMat-style edge-index join matcher
 //!   (Table 1, group 2), the strategy §3 of the paper argues against;
 //! * [`signature`] — a GraphQL/Zhao-Han-style neighborhood-signature index
 //!   matcher (Table 1, group 4), whose index is the super-linear structure

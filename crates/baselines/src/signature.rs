@@ -1,6 +1,6 @@
 //! Neighborhood-signature index baseline (Table 1, group 4).
 //!
-//! GraphQL [He & Singh 2008] and Zhao & Han [2010] index, for every data
+//! GraphQL [He & Singh 2008] and Zhao & Han \[2010\] index, for every data
 //! vertex, a summary of the labels found within radius `r`; query vertices
 //! are pruned against these signatures before a backtracking search. The
 //! index is effective but its size is `O(n · d^r)` and it must be rebuilt

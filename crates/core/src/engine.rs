@@ -16,7 +16,9 @@
 //!   deficit-round-robin scheduler (fair shares of estimated work across
 //!   tenants; earliest-deadline-first with aged priorities within one), and
 //!   are *shed* at dispatch — [`crate::metrics::QueryOutcome::Shed`], zero
-//!   execution work — once their deadline is hopeless;
+//!   execution work — once their deadline is hopeless. Shedding looks at
+//!   the request's own deadline only: the engine keeps no fault state, so
+//!   a machine failure under one request's fault plan never sheds another;
 //! * dispatch happens on caller threads: [`QueryEngine::serve`] loops as a
 //!   worker until told to stop, [`QueryEngine::drain`] runs the queue dry
 //!   inline. All of them share one read-only [`MemoryCloud`]
@@ -55,7 +57,6 @@ use crate::metrics::{
     CacheStats, EngineStats, MetricsSnapshot, QueryMetrics, QueryOutcome, SchedulerStats,
 };
 use crate::query::QueryGraph;
-use crate::serve::breaker::{BreakerBank, BreakerDecision};
 use crate::serve::scheduler::{Delivery, QueueEntry, Scheduler, Work};
 use crate::serve::{
     CostEstimator, QueryHandle, QueryRequest, QueryResponse, RejectReason, ServeConfig, Submit,
@@ -182,9 +183,6 @@ pub struct QueryEngine<'c> {
     /// Per-tenant queues + DRR state; the condvar signals enqueues to
     /// [`QueryEngine::serve`] workers parked on an empty queue.
     sched: Mutex<Scheduler>,
-    /// Per-machine circuit breakers consulted at dispatch (own lock so the
-    /// shed fast path never contends with enqueues).
-    breakers: Mutex<BreakerBank>,
     work_available: Condvar,
     queries_run: AtomicU64,
     /// Accumulated execution wall-clock, in integer µs.
@@ -200,7 +198,6 @@ pub struct QueryEngine<'c> {
     rejected_estimated_late: AtomicU64,
     shed_deadline_passed: AtomicU64,
     shed_predicted_late: AtomicU64,
-    shed_machine_down: AtomicU64,
     cancelled_while_queued: AtomicU64,
     queue_wait_us: AtomicU64,
     partial_completions: AtomicU64,
@@ -228,16 +225,13 @@ impl<'c> QueryEngine<'c> {
             .cache
             .clone()
             .map(|cache_config| StwigCache::new(cloud, cache_config));
-        let scheduler = Scheduler::new(config.serve.scheduler.clone());
-        let breakers = BreakerBank::new(config.serve.breaker, cloud.num_machines());
         QueryEngine {
             cloud,
             epochs: None,
             config,
             cache,
             estimator: CostEstimator::new(),
-            sched: Mutex::new(scheduler),
-            breakers: Mutex::new(breakers),
+            sched: Mutex::new(Scheduler::default()),
             work_available: Condvar::new(),
             queries_run: AtomicU64::new(0),
             busy_us: AtomicU64::new(0),
@@ -251,7 +245,6 @@ impl<'c> QueryEngine<'c> {
             rejected_estimated_late: AtomicU64::new(0),
             shed_deadline_passed: AtomicU64::new(0),
             shed_predicted_late: AtomicU64::new(0),
-            shed_machine_down: AtomicU64::new(0),
             cancelled_while_queued: AtomicU64::new(0),
             queue_wait_us: AtomicU64::new(0),
             partial_completions: AtomicU64::new(0),
@@ -300,12 +293,6 @@ impl<'c> QueryEngine<'c> {
             self.epochs_sealed.fetch_add(1, Ordering::Relaxed);
             epoch
         })
-    }
-
-    /// The state of machine `m`'s circuit breaker (for observability and
-    /// tests; dispatch consults the bank internally).
-    pub fn breaker_state(&self, m: u16) -> crate::serve::BreakerState {
-        self.breakers.lock().expect("breaker lock").state(m)
     }
 
     /// The cloud this engine serves.
@@ -406,7 +393,7 @@ impl<'c> QueryEngine<'c> {
                     .estimate_us(sched.queued_cost())
                     .unwrap_or(0.0)
                     / admission.servers.max(1) as f64;
-                let predicted_us = (wait_us + service_us) * admission.estimate_slack;
+                let predicted_us = wait_us + service_us;
                 let deadline_us = deadline.as_secs_f64() * 1e6;
                 if predicted_us > deadline_us {
                     self.rejected_estimated_late.fetch_add(1, Ordering::Relaxed);
@@ -643,8 +630,8 @@ impl<'c> QueryEngine<'c> {
             } => (query, mode, faults, delivery, snapshot),
             // Update application: the batch routes through the epochs
             // manager and the handle resolves with the post-apply epoch. No
-            // snapshot, no executor, no shed/breaker checks (updates are
-            // local, unsheddable work).
+            // snapshot, no executor, no shed check (updates are local,
+            // unsheddable work).
             Work::Update(batch) => {
                 let epochs = self
                     .epochs
@@ -659,6 +646,8 @@ impl<'c> QueryEngine<'c> {
                 stats.busy_us += wall_us;
                 if applied.is_ok() {
                     stats.completed += 1;
+                } else {
+                    stats.failed += 1;
                 }
                 drop(sched);
                 if applied.is_ok() {
@@ -686,8 +675,7 @@ impl<'c> QueryEngine<'c> {
                 Some(&self.shed_deadline_passed)
             } else if let Some(service_us) = self.estimator.estimate_us(cost) {
                 let remaining_us = deadline.duration_since(now).as_secs_f64() * 1e6;
-                let slack = self.config.serve.admission.estimate_slack;
-                (service_us * slack > remaining_us).then_some(&self.shed_predicted_late)
+                (service_us > remaining_us).then_some(&self.shed_predicted_late)
             } else {
                 None
             };
@@ -699,30 +687,6 @@ impl<'c> QueryEngine<'c> {
                 drop(sched);
                 respond_without_running(QueryOutcome::Shed);
                 return;
-            }
-        }
-
-        // Circuit-breaker check: every query fans out over the whole
-        // cluster, so an open breaker on any machine sheds the query in
-        // O(1) — no exploration work, no transport envelope.
-        let mut probing: Option<u16> = None;
-        if self.config.serve.breaker.enabled {
-            let mut breakers = self.breakers.lock().expect("breaker lock");
-            if breakers.any_tripped() {
-                match breakers.admit(now) {
-                    BreakerDecision::Allow => {}
-                    BreakerDecision::Probe(m) => probing = Some(m),
-                    BreakerDecision::Shed(_) => {
-                        drop(breakers);
-                        self.shed_machine_down.fetch_add(1, Ordering::Relaxed);
-                        self.shed.fetch_add(1, Ordering::Relaxed);
-                        let mut sched = self.sched.lock().expect("scheduler lock");
-                        sched.tenant_stats_mut(&tenant).shed += 1;
-                        drop(sched);
-                        respond_without_running(QueryOutcome::Shed);
-                        return;
-                    }
-                }
             }
         }
 
@@ -800,37 +764,12 @@ impl<'c> QueryEngine<'c> {
             }
             Err(_) => {
                 let mut sched = self.sched.lock().expect("scheduler lock");
-                sched.tenant_stats_mut(&tenant).busy_us += wall_us;
+                let stats = sched.tenant_stats_mut(&tenant);
+                stats.failed += 1;
+                stats.busy_us += wall_us;
             }
         }
 
-        // Feed the breakers: machines recorded lost (Degrade) or reported
-        // unavailable (Fail) count as failures; a clean run — every query
-        // fans out over every partition — counts as a success for all of
-        // them, and releases a half-open probe slot either way.
-        if self.config.serve.breaker.enabled {
-            let failed: Vec<u16> = match &result {
-                Ok((_, metrics)) => metrics.fault.machines_lost.clone(),
-                Err(StwigError::MachineUnavailable { machine, .. }) => vec![*machine],
-                Err(_) => Vec::new(),
-            };
-            let mut breakers = self.breakers.lock().expect("breaker lock");
-            if failed.is_empty() {
-                for m in 0..cloud.num_machines() as u16 {
-                    breakers.record_success(m);
-                }
-            } else {
-                let at = Instant::now();
-                for &m in &failed {
-                    breakers.record_failure(m, at);
-                }
-                if let Some(m) = probing {
-                    if !failed.contains(&m) {
-                        breakers.record_success(m);
-                    }
-                }
-            }
-        }
         shared.finish(result.map(|(table, metrics)| QueryResponse {
             table,
             metrics,
@@ -860,9 +799,9 @@ impl<'c> QueryEngine<'c> {
     /// queue is drained and the query resubmitted, so a batch larger than
     /// the queue still runs. Each query resolves through its own handle — a
     /// per-query error (an empty query, a transport failure on one machine)
-    /// fails that slot only. A query the engine sheds comes back with an
-    /// empty table and `metrics.outcome` [`QueryOutcome::Shed`]; one the
-    /// door refuses for any other reason, as [`StwigError::Rejected`].
+    /// fails that slot only. The requests carry no deadline, so none is
+    /// shed; one the door refuses for any other reason comes back as
+    /// [`StwigError::Rejected`].
     pub fn run_batch(&self, queries: &[QueryGraph]) -> Vec<Result<MatchOutput, StwigError>> {
         let workers = self.config.resolved_workers().min(queries.len().max(1));
         let drain = || {
@@ -934,10 +873,6 @@ impl<'c> QueryEngine<'c> {
     /// (sorted by tenant name). The scheduler section is taken under the
     /// scheduler lock, so queue depth and tenant counters agree.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let (breaker_opened, breaker_half_open_probes, breaker_closed) = {
-            let breakers = self.breakers.lock().expect("breaker lock");
-            (breakers.opened, breakers.half_open_probes, breakers.closed)
-        };
         let sched = self.sched.lock().expect("scheduler lock");
         let scheduler = SchedulerStats {
             queue_depth: sched.depth() as u64,
@@ -948,7 +883,6 @@ impl<'c> QueryEngine<'c> {
             rejected_estimated_late: self.rejected_estimated_late.load(Ordering::Relaxed),
             shed_deadline_passed: self.shed_deadline_passed.load(Ordering::Relaxed),
             shed_predicted_late: self.shed_predicted_late.load(Ordering::Relaxed),
-            shed_machine_down: self.shed_machine_down.load(Ordering::Relaxed),
             cancelled_while_queued: self.cancelled_while_queued.load(Ordering::Relaxed),
             queue_wait_us_total: self.queue_wait_us.load(Ordering::Relaxed) as f64,
             estimator_samples: self.estimator.samples(),
@@ -956,9 +890,6 @@ impl<'c> QueryEngine<'c> {
             timeouts_total: self.timeouts_total.load(Ordering::Relaxed),
             duplicates_suppressed_total: self.duplicates_suppressed_total.load(Ordering::Relaxed),
             partial_completions: self.partial_completions.load(Ordering::Relaxed),
-            breaker_opened,
-            breaker_half_open_probes,
-            breaker_closed,
         };
         let tenants = sched.tenant_snapshot();
         drop(sched);

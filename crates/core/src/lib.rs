@@ -95,9 +95,8 @@ pub use pattern::parse_pattern;
 pub use query::{QVid, QueryGraph, QueryGraphBuilder};
 pub use retry::{FailurePolicy, Faults, RetryPolicy};
 pub use serve::{
-    AdmissionConfig, BreakerConfig, CostEstimator, Priority, QueryHandle, QueryRequest,
-    QueryResponse, QueryStatus, RejectReason, SchedulerConfig, ServeConfig, Submit, TenantId,
-    TenantStats,
+    AdmissionConfig, CostEstimator, Priority, QueryHandle, QueryRequest, QueryResponse,
+    QueryStatus, RejectReason, ServeConfig, Submit, TenantId, TenantStats,
 };
 pub use stream::{
     CancelToken, ChannelSink, CollectSink, QueryOptions, ResultSink, RowBatch, RowStream,
@@ -129,9 +128,8 @@ pub mod prelude {
     pub use crate::query::{QVid, QueryGraph, QueryGraphBuilder};
     pub use crate::retry::{FailurePolicy, Faults, RetryPolicy};
     pub use crate::serve::{
-        AdmissionConfig, BreakerConfig, CostEstimator, Priority, QueryHandle, QueryRequest,
-        QueryResponse, QueryStatus, RejectReason, SchedulerConfig, ServeConfig, Submit, TenantId,
-        TenantStats,
+        AdmissionConfig, CostEstimator, Priority, QueryHandle, QueryRequest, QueryResponse,
+        QueryStatus, RejectReason, ServeConfig, Submit, TenantId, TenantStats,
     };
     pub use crate::stream::{
         CancelToken, ChannelSink, CollectSink, QueryOptions, ResultSink, RowBatch, RowStream,

@@ -26,10 +26,9 @@ pub enum QueryOutcome {
     /// The query's deadline expired mid-execution.
     DeadlineExceeded,
     /// The admitted query was refused at dispatch — its deadline had already
-    /// passed (or the cost model predicted it could not finish in time, or a
-    /// machine it needs is behind an open circuit breaker) — so the engine
-    /// spent **zero** execution work on it: no exploration, no join, no
-    /// transport envelope. See [`crate::serve`].
+    /// passed, or the cost model predicted it could not finish in time — so
+    /// the engine spent **zero** execution work on it: no exploration, no
+    /// join, no transport envelope. See [`crate::serve`].
     Shed,
     /// The query ran to its end under `FailurePolicy::Degrade` with one or
     /// more machines unreachable: every delivered row is a verified match,
@@ -299,10 +298,6 @@ pub struct SchedulerStats {
     /// gate rejection/shedding only once calibrated (see
     /// [`crate::serve::CostEstimator`]).
     pub estimator_samples: u64,
-    /// Admitted queries shed at dispatch because a machine they need sits
-    /// behind an open circuit breaker (resolved in O(1), zero transport
-    /// work).
-    pub shed_machine_down: u64,
     /// Exchange retries across all executed queries.
     pub retries_total: u64,
     /// Exchange timeouts across all executed queries.
@@ -312,13 +307,6 @@ pub struct SchedulerStats {
     /// Queries that resolved [`QueryOutcome::Partial`] under
     /// `FailurePolicy::Degrade`.
     pub partial_completions: u64,
-    /// Circuit-breaker transitions Closed→Open (see
-    /// [`crate::serve::BreakerBank`]).
-    pub breaker_opened: u64,
-    /// Circuit-breaker half-open probe queries allowed through.
-    pub breaker_half_open_probes: u64,
-    /// Circuit-breaker transitions HalfOpen→Closed (machine recovered).
-    pub breaker_closed: u64,
 }
 
 impl SchedulerStats {
@@ -329,16 +317,7 @@ impl SchedulerStats {
 
     /// All admitted queries resolved at dispatch without executing.
     pub fn shed(&self) -> u64 {
-        self.shed_deadline_passed + self.shed_predicted_late + self.shed_machine_down
-    }
-
-    /// Mean queue wait of dispatched queries, in µs (0 when none).
-    pub fn mean_queue_wait_us(&self, dispatched: u64) -> f64 {
-        if dispatched == 0 {
-            0.0
-        } else {
-            self.queue_wait_us_total / dispatched as f64
-        }
+        self.shed_deadline_passed + self.shed_predicted_late
     }
 }
 

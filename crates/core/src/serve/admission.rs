@@ -45,9 +45,6 @@ pub struct AdmissionConfig {
     /// wait + service time exceeds the deadline. Disable to shed only at
     /// dispatch.
     pub reject_estimated_late: bool,
-    /// Multiplier on the predicted time before comparing against the
-    /// deadline: values > 1 reject earlier (conservative), < 1 admit more.
-    pub estimate_slack: f64,
     /// Serving threads the wait predictor assumes drain the queue. Match
     /// this to the number of [`crate::engine::QueryEngine::serve`] workers.
     pub servers: usize,
@@ -58,7 +55,6 @@ impl Default for AdmissionConfig {
         AdmissionConfig {
             queue_capacity: 1024,
             reject_estimated_late: true,
-            estimate_slack: 1.0,
             servers: 1,
         }
     }
@@ -74,12 +70,6 @@ impl AdmissionConfig {
     /// Enables or disables estimated-too-late rejection.
     pub fn with_reject_estimated_late(mut self, on: bool) -> Self {
         self.reject_estimated_late = on;
-        self
-    }
-
-    /// Sets the estimate slack multiplier.
-    pub fn with_estimate_slack(mut self, slack: f64) -> Self {
-        self.estimate_slack = slack;
         self
     }
 
@@ -297,11 +287,9 @@ mod tests {
         let c = AdmissionConfig::default()
             .with_queue_capacity(0)
             .with_servers(0)
-            .with_estimate_slack(2.0)
             .with_reject_estimated_late(false);
         assert_eq!(c.queue_capacity, 1);
         assert_eq!(c.servers, 1);
         assert!(!c.reject_estimated_late);
-        assert!((c.estimate_slack - 2.0).abs() < 1e-9);
     }
 }

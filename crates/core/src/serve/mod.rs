@@ -19,19 +19,22 @@
 //!   no longer make their deadline;
 //! * [`tenant`] — tenant identity and per-tenant serving counters.
 //!
+//! The serving layer keeps no fault state. A fault plan is an option of one
+//! request ([`QueryOptions::faults`]), and what it does — retries, a typed
+//! [`StwigError::MachineUnavailable`], a
+//! [`crate::metrics::QueryOutcome::Partial`] answer — stays with that
+//! request: no failure of one request sheds, delays or reroutes another.
+//!
 //! Queries enter as a [`QueryRequest`] via
 //! [`crate::engine::QueryEngine::submit`], which answers
 //! [`Submit::Accepted`] with a [`QueryHandle`] (await the result, stream
 //! rows, poll status, cancel) or [`Submit::Rejected`] with the reason.
 
 pub mod admission;
-pub mod breaker;
 pub mod scheduler;
 pub mod tenant;
 
 pub use admission::{AdmissionConfig, CostEstimator};
-pub use breaker::{BreakerBank, BreakerConfig, BreakerDecision, BreakerState};
-pub use scheduler::SchedulerConfig;
 pub use tenant::{Priority, TenantId, TenantStats};
 
 use crate::error::StwigError;
@@ -42,34 +45,20 @@ use crate::table::ResultTable;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Configuration of the serving layer (admission + scheduling), carried by
-/// [`crate::engine::EngineConfig::serve`].
+/// Configuration of the serving layer, carried by
+/// [`crate::engine::EngineConfig::serve`]. The scheduler has no knobs: its
+/// DRR quantum adapts to the queued costs and its priority aging step is
+/// [`scheduler::AGING_STEP`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeConfig {
     /// Bounded-queue and cost-model knobs.
     pub admission: AdmissionConfig,
-    /// Fair-scheduling knobs (DRR quantum, priority aging).
-    pub scheduler: SchedulerConfig,
-    /// Per-machine circuit-breaker knobs (see [`breaker`]).
-    pub breaker: BreakerConfig,
 }
 
 impl ServeConfig {
     /// Sets the admission configuration.
     pub fn with_admission(mut self, admission: AdmissionConfig) -> Self {
         self.admission = admission;
-        self
-    }
-
-    /// Sets the scheduler configuration.
-    pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Sets the circuit-breaker configuration.
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = breaker;
         self
     }
 }

@@ -5,22 +5,24 @@
 //!
 //! * **Across tenants — deficit round-robin (DRR).** Tenants with queued
 //!   work sit in a ring. Each visit grants the tenant one quantum of
-//!   *cost credit* (costs come from [`crate::serve::CostEstimator`], so a
-//!   hub-heavy query debits more than a point lookup — the scheduler's
-//!   notion of fairness is estimated work, not request count). The tenant
-//!   dispatches queries while its deficit covers the head's cost, then
-//!   rotates to the back; unused deficit carries over, so a tenant whose
-//!   head is expensive saves up across rounds instead of being locked out.
-//!   A tenant with 10× the offered load gets the same service share as its
-//!   neighbor — the excess just waits in *its own* queue (or is refused by
-//!   admission), never in front of another tenant's work.
+//!   *cost credit*: the EWMA of enqueued costs, about one average query
+//!   per tenant per round. Costs come from [`crate::serve::CostEstimator`],
+//!   so a hub-heavy query debits more than a point lookup — the
+//!   scheduler's notion of fairness is estimated work, not request count.
+//!   The tenant dispatches queries while its deficit covers the head's
+//!   cost, then rotates to the back; unused deficit carries over, so a
+//!   tenant whose head is expensive saves up across rounds instead of being
+//!   locked out. A tenant with 10× the offered load gets the same service
+//!   share as its neighbor — the excess just waits in *its own* queue (or
+//!   is refused by admission), never in front of another tenant's work.
 //! * **Within a tenant — EDF, then aged priority.** The tenant's queue is a
 //!   heap ordered by (deadline, aged rank, submission): deadline-carrying
 //!   queries run earliest-deadline-first; among equal deadlines (including
 //!   the no-deadline bulk) a query's rank is its submission index minus a
-//!   head start of [`Priority::head_start`] × [`SchedulerConfig::aging_step`]
-//!   submissions. Priority is thus a *bounded* head start — a waiting query
-//!   ages past any fixed priority level, so low-priority work cannot starve.
+//!   head start of [`AGING_STEP`] submissions per
+//!   [`crate::serve::Priority`] level.
+//!   Priority is thus a *bounded* head start — a waiting query ages past
+//!   any fixed priority level, so low-priority work cannot starve.
 //!
 //! The scheduler is a passive data structure behind the engine's serve
 //! lock; it never blocks and never touches the graph.
@@ -29,45 +31,14 @@ use super::tenant::{TenantId, TenantStats};
 use super::{HandleShared, SubmitDisposition};
 use crate::config::ResultMode;
 use crate::query::QueryGraph;
-use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Configuration of the per-tenant fair scheduler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SchedulerConfig {
-    /// Cost credit granted per DRR visit. `None` adapts to the EWMA of
-    /// enqueued costs (≈ one average query per tenant per round), which is
-    /// the right default when workloads are heterogeneous.
-    pub quantum: Option<f64>,
-    /// Submissions of head start per [`crate::serve::Priority`] level
-    /// (floored at 1). Smaller values age priorities away faster.
-    pub aging_step: u64,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            quantum: None,
-            aging_step: 64,
-        }
-    }
-}
-
-impl SchedulerConfig {
-    /// Sets a fixed DRR quantum (`None` = adaptive).
-    pub fn with_quantum(mut self, quantum: Option<f64>) -> Self {
-        self.quantum = quantum;
-        self
-    }
-
-    /// Sets the priority aging step (floored at 1).
-    pub fn with_aging_step(mut self, step: u64) -> Self {
-        self.aging_step = step.max(1);
-        self
-    }
-}
+/// Submissions of head start per [`crate::serve::Priority`] level: a
+/// waiting query ages past a priority level once this many later
+/// submissions have arrived.
+pub const AGING_STEP: u64 = 64;
 
 /// How a finished query is delivered to its handle.
 #[derive(Debug)]
@@ -186,7 +157,6 @@ struct TenantQueue {
 /// counters behind [`crate::metrics::SchedulerStats`].
 #[derive(Debug, Default)]
 pub(crate) struct Scheduler {
-    config: SchedulerConfig,
     tenants: HashMap<TenantId, TenantQueue>,
     ring: VecDeque<TenantId>,
     depth: usize,
@@ -198,13 +168,6 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    pub(crate) fn new(config: SchedulerConfig) -> Self {
-        Scheduler {
-            config,
-            ..Default::default()
-        }
-    }
-
     /// Queries currently queued across all tenants.
     pub(crate) fn depth(&self) -> usize {
         self.depth
@@ -235,8 +198,7 @@ impl Scheduler {
     pub(crate) fn next_seq(&mut self, head_start: i64) -> (u64, i64) {
         let seq = self.seq;
         self.seq += 1;
-        let step = self.config.aging_step.max(1) as i64;
-        (seq, seq as i64 - head_start * step)
+        (seq, seq as i64 - head_start * AGING_STEP as i64)
     }
 
     /// Mutable access to a tenant's stats (creating the tenant on first
@@ -281,11 +243,7 @@ impl Scheduler {
         if self.depth == 0 {
             return None;
         }
-        let quantum = self
-            .config
-            .quantum
-            .unwrap_or_else(|| self.mean_cost())
-            .max(f64::MIN_POSITIVE);
+        let quantum = self.mean_cost().max(f64::MIN_POSITIVE);
         let mut granted_this_rotation = 0usize;
         let mut visited_since_service = 0usize;
         loop {
@@ -434,7 +392,7 @@ mod tests {
 
     #[test]
     fn drr_alternates_equal_cost_tenants_despite_skew() {
-        let mut sched = Scheduler::new(SchedulerConfig::default());
+        let mut sched = Scheduler::default();
         let heavy = TenantId::new("heavy");
         let light = TenantId::new("light");
         for _ in 0..20 {
@@ -456,7 +414,7 @@ mod tests {
 
     #[test]
     fn edf_orders_within_a_tenant_and_deadlines_preempt_bulk() {
-        let mut sched = Scheduler::new(SchedulerConfig::default());
+        let mut sched = Scheduler::default();
         let t = TenantId::new("t");
         let bulk = submit(&mut sched, &t, 1.0, Priority::Normal, None);
         let late = submit(
@@ -479,17 +437,16 @@ mod tests {
 
     #[test]
     fn priority_is_a_bounded_head_start() {
-        let config = SchedulerConfig::default().with_aging_step(4);
-        let mut sched = Scheduler::new(config);
+        let mut sched = Scheduler::default();
         let t = TenantId::new("t");
         let old_low = submit(&mut sched, &t, 1.0, Priority::Low, None);
         // A high-priority newcomer within the aging window jumps ahead…
         let fresh_high = submit(&mut sched, &t, 1.0, Priority::High, None);
         let first = sched.pop().unwrap().seq;
         assert_eq!(first, fresh_high);
-        // …but after `aging_step × levels` more arrivals, the old query's
+        // …but after `AGING_STEP × levels` more arrivals, the old query's
         // rank is older than any new high-priority arrival's.
-        for _ in 0..8 {
+        for _ in 0..AGING_STEP * 4 {
             submit(&mut sched, &t, 1.0, Priority::Normal, None);
         }
         let late_high = submit(&mut sched, &t, 1.0, Priority::High, None);
@@ -504,13 +461,20 @@ mod tests {
 
     #[test]
     fn expensive_heads_save_deficit_across_rounds() {
-        let mut sched = Scheduler::new(SchedulerConfig::default().with_quantum(Some(1.0)));
+        let mut sched = Scheduler::default();
         let a = TenantId::new("a");
         let b = TenantId::new("b");
-        let big = submit(&mut sched, &a, 100.0, Priority::Normal, None);
+        // Cheap heads first, so the adaptive quantum sits well below the
+        // expensive head and tenant `a` must save credit across rounds.
         let cheap: Vec<u64> = (0..3)
             .map(|_| submit(&mut sched, &b, 1.0, Priority::Normal, None))
             .collect();
+        let big = submit(&mut sched, &a, 100.0, Priority::Normal, None);
+        assert!(
+            sched.mean_cost() < 100.0 / 4.0,
+            "quantum {}",
+            sched.mean_cost()
+        );
         let order: Vec<u64> = std::iter::from_fn(|| sched.pop().map(|e| e.seq)).collect();
         assert_eq!(order.len(), 4, "the expensive query must still dispatch");
         assert!(order.contains(&big));
@@ -521,7 +485,7 @@ mod tests {
 
     #[test]
     fn depth_and_peak_track_the_queue() {
-        let mut sched = Scheduler::new(SchedulerConfig::default());
+        let mut sched = Scheduler::default();
         let t = TenantId::new("t");
         assert_eq!(sched.depth(), 0);
         assert!(sched.pop().is_none());

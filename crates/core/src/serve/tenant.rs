@@ -59,10 +59,10 @@ impl std::fmt::Display for TenantId {
 ///
 /// Priority is implemented as an **aged head start**, not an absolute rank:
 /// a query of priority `p` is ordered as if it had arrived
-/// `p × aging_step` submissions earlier (see
-/// [`crate::serve::SchedulerConfig::aging_step`]). A stream of high-priority
+/// `p × AGING_STEP` submissions earlier (see
+/// [`crate::serve::scheduler::AGING_STEP`]). A stream of high-priority
 /// arrivals therefore cannot starve an old low-priority query — once the
-/// low-priority query has waited `aging_step` arrivals per priority level,
+/// low-priority query has waited `AGING_STEP` arrivals per priority level,
 /// its effective rank is older than any newcomer's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Priority {
@@ -112,6 +112,11 @@ pub struct TenantStats {
     /// Requests that ended
     /// [`crate::metrics::QueryOutcome::DeadlineExceeded`] mid-execution.
     pub deadline_exceeded: u64,
+    /// Admitted requests that resolved with an error: a query that failed
+    /// (for example [`crate::StwigError::MachineUnavailable`]) or an update
+    /// batch that failed validation. Once the queue drains, `accepted`
+    /// equals `completed + cancelled + deadline_exceeded + shed + failed`.
+    pub failed: u64,
     /// Embedding rows delivered to this tenant (its goodput numerator).
     pub rows_delivered: u64,
     /// Wall-clock spent executing this tenant's queries, in µs.

@@ -202,6 +202,7 @@ fn open_loop_serving_sheds_hopeless_deadlines_and_completes_the_rest() {
     assert_eq!(completed, 8);
     let snapshot = engine.metrics_snapshot();
     assert_eq!(snapshot.scheduler.shed_deadline_passed, shed);
+    assert_eq!(snapshot.scheduler.shed(), shed);
     assert_eq!(snapshot.engine.queries_shed, shed);
     assert_eq!(snapshot.engine.queries_executed, completed);
     let tenant = snapshot
