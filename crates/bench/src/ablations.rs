@@ -264,7 +264,13 @@ pub fn figure3_candidate_counts(k: u64) -> Vec<Row> {
     // Join strategy: per-edge candidates.
     let (_result, stats) = baselines::edge_join(&cloud, &query, None);
     // Exploration strategy: STwig exploration rows.
-    let out = stwig::match_query_distributed(&cloud, &query, &MatchConfig::default()).unwrap();
+    let out = stwig::match_query(
+        &cloud,
+        &query,
+        &MatchConfig::default(),
+        stwig::Run::default(),
+    )
+    .unwrap();
     vec![
         Row::new(
             "figure3",

@@ -537,7 +537,8 @@ pub fn updates(scale: Scale) -> Vec<Row> {
     // Static reference: the plain suite on the unwrapped cloud.
     let mut static_ms: Vec<f64> = Vec::new();
     for q in &queries {
-        let (_, ms) = timed(|| stwig::match_query_distributed(&cloud, q, &config).unwrap());
+        let (_, ms) =
+            timed(|| stwig::match_query(&cloud, q, &config, stwig::Run::default()).unwrap());
         static_ms.push(ms);
     }
     static_ms.sort_by(f64::total_cmp);
@@ -572,7 +573,8 @@ pub fn updates(scale: Scale) -> Vec<Row> {
             applies += 1;
         }
         let snapshot = epochs.pin();
-        let (_, ms) = timed(|| stwig::match_query_distributed(&snapshot, q, &config).unwrap());
+        let (_, ms) =
+            timed(|| stwig::match_query(&snapshot, q, &config, stwig::Run::default()).unwrap());
         churn_ms.push(ms);
     }
     // Drain any batches the (short) query list didn't reach, so throughput
@@ -608,8 +610,9 @@ pub fn updates(scale: Scale) -> Vec<Row> {
     rows.push(Row::new("updates", "seal", 0.0, "latency_ms", seal_ms));
     // Post-seal sanity: a query on the sealed base still runs.
     let snapshot = epochs.pin();
-    let (_, ms) =
-        timed(|| stwig::match_query_distributed(&snapshot, &queries[0], &config).unwrap());
+    let (_, ms) = timed(|| {
+        stwig::match_query(&snapshot, &queries[0], &config, stwig::Run::default()).unwrap()
+    });
     rows.push(Row::new("updates", "query-sealed", 0.0, "run_time_ms", ms));
     rows
 }

@@ -212,8 +212,16 @@ pub fn run_suite_under(
         return out;
     }
     for q in queries {
-        let result = stwig::match_query_distributed_with_options(cloud, q, config, options, None)
-            .expect("query execution failed");
+        let result = stwig::match_query(
+            cloud,
+            q,
+            config,
+            stwig::Run {
+                options: options.clone(),
+                ..stwig::Run::default()
+            },
+        )
+        .expect("query execution failed");
         let m = &result.metrics;
         out.avg_wall_ms += m.wall_ms();
         out.avg_simulated_ms += m.simulated_ms();

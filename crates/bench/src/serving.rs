@@ -21,7 +21,7 @@ use trinity_sim::network::CostModel;
 use trinity_sim::MemoryCloud;
 
 const MACHINES: usize = 4;
-/// Engine batch workers, serve loops and the admission `servers` hint.
+/// Threads that drain a batch, serve loops and the admission `servers` hint.
 const SERVERS: usize = 2;
 const QUERY_NODES: usize = 5;
 const ZIPF_EXPONENT: f64 = 1.1;
@@ -30,11 +30,10 @@ const ZIPF_EXPONENT: f64 = 1.1;
 const BUDGETS: [usize; 3] = [0, 256 << 10, 32 << 20];
 const TENANTS: [&str; 3] = ["alpha", "beta", "gamma"];
 
-/// The engine both experiments serve with: [`SERVERS`] batch workers, each
-/// query explored on one thread, the paper's first-1024 result mode.
+/// The engine both experiments serve with: each query explored on one
+/// thread, the paper's first-1024 result mode.
 fn engine_config() -> EngineConfig {
     EngineConfig::default()
-        .with_workers(Some(SERVERS))
         .with_match_config(MatchConfig::paper_default().with_num_threads(Some(1)))
 }
 
@@ -45,7 +44,8 @@ pub fn serving(scale: Scale) -> Vec<Row> {
     rows
 }
 
-/// `run_batch` throughput of a 128-query Zipf workload per cache budget
+/// Batch throughput (submit all, drain on [`SERVERS`] threads, wait for
+/// each) of a 128-query Zipf workload per cache budget
 /// (series `cache`, X the budget in KiB), after one untimed pass fills the
 /// cache. Degree 48 over 60 labels: exploration scans every neighbor of
 /// every root candidate while the surviving STwig tables stay small, which
@@ -60,8 +60,21 @@ fn cache_qps(scale: Scale) -> Vec<Row> {
         let cache = (budget > 0).then(|| CacheConfig::default().with_budget_bytes(budget));
         let engine = QueryEngine::new(&cloud, engine_config().with_cache(cache));
         let pass = || {
-            let outputs = engine.run_batch(&workload);
-            assert!(outputs.iter().all(Result::is_ok), "a batched query failed");
+            let handles: Vec<QueryHandle> = (workload.iter())
+                .map(|query| {
+                    engine
+                        .submit(QueryRequest::new(query.clone()))
+                        .expect_accepted()
+                })
+                .collect();
+            std::thread::scope(|scope| {
+                for _ in 1..SERVERS {
+                    scope.spawn(|| engine.drain());
+                }
+                engine.drain();
+            });
+            let all_ok = handles.into_iter().all(|handle| handle.wait().is_ok());
+            assert!(all_ok, "a batched query failed");
         };
         pass();
         let ((), ms) = timed(|| (0..passes).for_each(|_| pass()));
@@ -156,7 +169,18 @@ fn stream(
     let mut delivered = 0u64;
     let mut sink = |_row: &[VertexId]| delivered += 1;
     let (metrics, ms) = timed(|| {
-        match_query_streaming(cloud, query, config, options, &mut sink).expect("the query runs")
+        match_query(
+            cloud,
+            query,
+            config,
+            Run {
+                options: options.clone(),
+                sink: Some(&mut sink),
+                ..Run::default()
+            },
+        )
+        .expect("the query runs")
+        .metrics
     });
     (metrics, delivered, ms)
 }

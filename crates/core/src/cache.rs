@@ -231,7 +231,8 @@ pub struct StwigShape {
 impl StwigShape {
     /// The canonical shape of `stwig` within `query`. The third argument is
     /// ignored: a shim for the frozen benchmark, which passes
-    /// `MatchConfig::pruning`; ROADMAP item 4 deletes it.
+    /// `MatchConfig::pruning`; the next `[benchmark]` PR deletes it with
+    /// `compat.rs`.
     pub fn of(query: &QueryGraph, stwig: &STwig, _: bool) -> StwigShape {
         let (root_label, mut child_labels) = stwig.labels(query);
         child_labels.sort_unstable();
@@ -1191,8 +1192,7 @@ mod tests {
     use crate::config::{MatchConfig, ResultMode, TransportMode};
     use crate::decompose::{decompose_ordered, UniformStats};
     use crate::distributed::{
-        assemble_rk_tables, match_query_distributed_with_cache, plan_query, produce_stwig_tables,
-        Link,
+        assemble_rk_tables, match_query, plan_query, produce_stwig_tables, Link, Run,
     };
     use crate::engine::{EngineConfig, QueryEngine};
     use crate::metrics::{MachineMetrics, QueryMetrics};
@@ -1907,7 +1907,9 @@ mod tests {
                 .with_match_config(direct()),
         );
         let ask = || {
-            let handle = (engine.submit(QueryRequest::new(query.clone()))).expect_accepted();
+            let handle = engine
+                .submit(QueryRequest::new(query.clone()))
+                .expect_accepted();
             engine.drain();
             let table = handle.wait().unwrap().table.expect("a table output");
             (table, engine.cache_stats().unwrap())
@@ -1933,7 +1935,16 @@ mod tests {
             let query = path(&cloud, labels);
             let config = direct();
             let cache = StwigCache::new(&cloud, CacheConfig::default());
-            match_query_distributed_with_cache(&cloud, &query, &config, Some(&cache)).unwrap();
+            match_query(
+                &cloud,
+                &query,
+                &config,
+                Run {
+                    cache: Some(&cache),
+                    ..Run::default()
+                },
+            )
+            .unwrap();
             let memo = (cache.plan(&query, &cloud, || unreachable!("memoized"))).unwrap();
             let plan = memo.plan();
             assert!(plan.stwigs.len() > 1, "a join to order");
@@ -1984,11 +1995,12 @@ mod tests {
                 .with_match_config(direct()),
         );
         let ask = |mirror: &Mirror| {
-            let out = engine.run_one(&query).unwrap();
-            assert_eq!(
-                canonical_rows(&query, &out.table),
-                mirror.embeddings(&query)
-            );
+            let handle = engine
+                .submit(QueryRequest::new(query.clone()))
+                .expect_accepted();
+            engine.drain();
+            let table = handle.wait().unwrap().table.unwrap();
+            assert_eq!(canonical_rows(&query, &table), mirror.embeddings(&query));
             let stats = engine.cache_stats().unwrap();
             (stats.plan_hits, stats.plan_misses)
         };
@@ -2009,7 +2021,15 @@ mod tests {
         let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
         let config = direct();
         let run = |snap: &MemoryCloud| {
-            let out = match_query_distributed_with_cache(snap, &query, &config, Some(&cache));
+            let out = match_query(
+                snap,
+                &query,
+                &config,
+                Run {
+                    cache: Some(&cache),
+                    ..Run::default()
+                },
+            );
             canonical_rows(&query, &out.unwrap().table)
         };
         let (old, before) = (epochs.pin(), mirror.clone());
@@ -2038,8 +2058,15 @@ mod tests {
         let config = direct();
         let cache = StwigCache::new(base, CacheConfig::default());
         let ask = |query: &QueryGraph, mirror: &Mirror| {
-            let out =
-                match_query_distributed_with_cache(&epochs.pin(), query, &config, Some(&cache));
+            let out = match_query(
+                &epochs.pin(),
+                query,
+                &config,
+                Run {
+                    cache: Some(&cache),
+                    ..Run::default()
+                },
+            );
             assert_eq!(
                 canonical_rows(query, &out.unwrap().table),
                 mirror.embeddings(query)
@@ -2092,7 +2119,16 @@ mod tests {
         let mut selected = 0;
         for (i, config) in configs.iter().enumerate() {
             let before = cache.stats();
-            match_query_distributed_with_cache(&cloud, &query, config, Some(&cache)).unwrap();
+            match_query(
+                &cloud,
+                &query,
+                config,
+                Run {
+                    cache: Some(&cache),
+                    ..Run::default()
+                },
+            )
+            .unwrap();
             let after = cache.stats();
             let memo = (cache.plan(&query, &cloud, || unreachable!("memoized"))).unwrap();
             let first = first.get_or_insert_with(|| Arc::clone(&memo));

@@ -97,12 +97,14 @@ pub struct MatchConfig {
     pub transport_mode: TransportMode,
     /// Read by nothing: a query's faults travel in
     /// [`crate::stream::QueryOptions::faults`]. A shim for the frozen
-    /// benchmark, which sets it; ROADMAP item 4 deletes it.
+    /// benchmark, which sets it: a field cannot move into `compat.rs`, so
+    /// the next `[benchmark]` PR deletes it with that file.
     pub fault_plan: Option<FaultPlan>,
     /// Read by nothing: the planner is always the paper's f-value
     /// decomposition, and every exploration prunes roots on their
     /// neighborhood signatures. A shim for the frozen benchmark, which sets
-    /// it; ROADMAP item 4 deletes it.
+    /// it: a field cannot move into `compat.rs`, so the next `[benchmark]`
+    /// PR deletes it with that file.
     pub pruning: bool,
 }
 

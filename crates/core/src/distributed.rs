@@ -56,15 +56,15 @@
 //! every thread count. See DESIGN.md for the full determinism argument.
 //!
 //! **One executor, two outputs.** Every entry point — this module's
-//! [`match_query_distributed`] / [`match_query_streaming`] (and their
-//! `_with_cache` forms) and the engine's `submit` / `submit_streaming` — runs
-//! the same function, `execute_query`, which differs only in where rows go:
-//! a table it fills and hands back, or the caller's
+//! [`match_query`] and the engine's `submit` / `submit_streaming` — runs the
+//! same function, `execute_query`, which differs only in where rows go: a
+//! table it fills and hands back, or the caller's
 //! [`crate::stream::ResultSink`]. Everywhere, rows are in **canonical column
 //! order** (query vertices ascending) whichever machine produced them and
 //! whatever join order it chose, and `FirstK(k)` / `Exists` mean the
 //! **slab-bounded early stop**: k genuine embeddings, not a prefix of the
-//! full enumeration.
+//! full enumeration. A request's [`QueryOptions::result_mode`] overrides the
+//! config's, in that one function.
 //!
 //! **Served STwigs.** With a [`StwigCache`], an STwig the cache serves — a
 //! hit, a repair, or the populate a miss performs — skips step 2 whole: its
@@ -84,11 +84,11 @@
 //! and join-order memo"): a warm request neither plans nor selects, and
 //! runs exactly the plan and orders it would have computed.
 //!
-//! **Split API.** The two phases are public on their own (the repo
-//! benchmark times them separately): [`produce_stwig_tables`] runs
-//! exploration with binding synchronization (optionally consulting a
-//! [`StwigCache`]) into a [`StwigTableSet`], and [`join_stwig_tables`] is
-//! the executor's join pass over one with a table output.
+//! **The phases on their own.** The repo benchmark times exploration and
+//! the join separately through the hidden `compat` module, whose wrappers call
+//! `produce_stwig_tables` (exploration with binding synchronization into a
+//! [`StwigTableSet`]) and `join_stwig_tables` (the executor's join pass over
+//! one, into a table).
 
 use crate::bindings::Bindings;
 use crate::cache::{
@@ -111,6 +111,7 @@ use crate::retry::{degraded_loss, fetch_postings, Faults};
 use crate::stream::{Interrupt, QueryControl, QueryOptions, ResultSink};
 use crate::stwig::STwig;
 use crate::table::ResultTable;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -298,16 +299,6 @@ pub fn plan_query(cloud: &MemoryCloud, query: &QueryGraph) -> Result<QueryPlan, 
     })
 }
 
-/// [`plan_query`]; the config plans nothing. A shim kept for the frozen
-/// benchmark, which calls it: ROADMAP item 4 deletes it.
-pub fn plan_query_with_config(
-    cloud: &MemoryCloud,
-    query: &QueryGraph,
-    _config: &MatchConfig,
-) -> Result<QueryPlan, StwigError> {
-    plan_query(cloud, query)
-}
-
 /// The output of a query execution: the embeddings and the metrics collected
 /// along the way.
 #[derive(Debug, Clone)]
@@ -325,47 +316,48 @@ impl MatchOutput {
     }
 }
 
+/// One request to [`match_query`]: what it may reuse, how it runs, and
+/// where its rows go. `Run::default()` is a plain query: no cache, no
+/// options, rows into the returned table.
+#[derive(Default)]
+pub struct Run<'a> {
+    /// A cross-query [`StwigCache`] to consult and fill. The answer is the
+    /// cache-free one — the same row set, or under a result limit `k`
+    /// distinct valid embeddings — and the same table every time at the
+    /// same cache state; a served STwig joins as its complete table, so the
+    /// row order and the choice of witnesses are not the cache-free run's
+    /// (see the module docs, "Served STwigs").
+    pub cache: Option<&'a StwigCache<'a>>,
+    /// Deadline, cancellation, the request's result mode (overriding
+    /// `MatchConfig::result_mode`) and its fault stack
+    /// ([`QueryOptions::faults`]).
+    pub options: QueryOptions,
+    /// Where rows go as they are produced; `None` collects them into
+    /// [`MatchOutput::table`].
+    pub sink: Option<&'a mut dyn ResultSink>,
+}
+
 /// Runs a subgraph query with every logical machine participating, as in
-/// §4.3. Returns the per-machine answers (disjoint by construction) as one
-/// table, plus per-machine metrics and the simulated makespan. A cloud of
-/// one partition is the paper's "cluster of size 1".
-pub fn match_query_distributed(
-    cloud: &MemoryCloud,
-    query: &QueryGraph,
-    config: &MatchConfig,
-) -> Result<MatchOutput, StwigError> {
-    match_query_distributed_with_cache(cloud, query, config, None)
-}
-
-/// [`match_query_distributed`] with an optional cross-query [`StwigCache`]:
-/// the executor with the table output and neither deadline nor cancellation.
+/// §4.3: the per-machine answers (disjoint by construction) in canonical
+/// column order, plus per-machine metrics and the simulated makespan. A
+/// cloud of one partition is the paper's "cluster of size 1".
 ///
-/// The answer is the cache-free one — the same row set, or under a result
-/// limit `k` distinct valid embeddings — and the same table every time at
-/// the same cache state; a served STwig joins as its complete table, so the
-/// row order and the choice of witnesses are not the cache-free run's (see
-/// the module docs, "Served STwigs").
-pub fn match_query_distributed_with_cache(
+/// With a sink, rows go to it and [`MatchOutput::table`] is the empty table
+/// in canonical columns; `metrics.rows_streamed` counts the rows the sink
+/// took.
+pub fn match_query(
     cloud: &MemoryCloud,
     query: &QueryGraph,
     config: &MatchConfig,
-    cache: Option<&StwigCache>,
+    run: Run<'_>,
 ) -> Result<MatchOutput, StwigError> {
-    match_query_distributed_with_options(cloud, query, config, &QueryOptions::none(), cache)
-}
-
-/// [`match_query_distributed_with_cache`] under the per-query `options`:
-/// deadline, cancellation and the request's fault stack
-/// ([`QueryOptions::faults`]).
-pub fn match_query_distributed_with_options(
-    cloud: &MemoryCloud,
-    query: &QueryGraph,
-    config: &MatchConfig,
-    options: &QueryOptions,
-    cache: Option<&StwigCache>,
-) -> Result<MatchOutput, StwigError> {
-    let (table, metrics) = execute_query(cloud, query, config, options, cache, None)?;
-    let table = table.expect("the table output hands its table back");
+    let Run {
+        cache,
+        options,
+        sink,
+    } = run;
+    let (table, metrics) = execute_query(cloud, query, config, &options, cache, sink)?;
+    let table = table.unwrap_or_else(|| ResultTable::new(query.vertices().collect()));
     Ok(MatchOutput { table, metrics })
 }
 
@@ -462,7 +454,7 @@ fn vertex_mask(stwig: &STwig) -> u64 {
 /// a pending interrupt makes this phase return early with whatever tables it
 /// completed. `None` never interrupts.
 #[allow(clippy::too_many_arguments)]
-pub fn produce_stwig_tables(
+pub(crate) fn produce_stwig_tables(
     cloud: &MemoryCloud,
     query: &QueryGraph,
     plan: &QueryPlan,
@@ -1100,7 +1092,7 @@ fn collect_explore_results(
 /// counters, per-machine receive/match counts and the truncation flag in the
 /// supplied metrics. Fails with [`StwigError::Transport`] if a peer ships a
 /// malformed `JoinRows` message.
-pub fn join_stwig_tables(
+pub(crate) fn join_stwig_tables(
     cloud: &MemoryCloud,
     query: &QueryGraph,
     plan: &QueryPlan,
@@ -1582,34 +1574,10 @@ fn join_pass(
     Ok(pass)
 }
 
-/// The streaming entry point without a cache.
-pub fn match_query_streaming(
-    cloud: &MemoryCloud,
-    query: &QueryGraph,
-    config: &MatchConfig,
-    options: &QueryOptions,
-    sink: &mut dyn ResultSink,
-) -> Result<QueryMetrics, StwigError> {
-    match_query_streaming_with_cache(cloud, query, config, options, None, sink)
-}
-
-/// The executor with a sink output: rows are delivered through `sink` (in
-/// canonical column order — query vertices ascending) as they are produced,
-/// under the per-query deadline/cancellation in `options`.
-pub fn match_query_streaming_with_cache(
-    cloud: &MemoryCloud,
-    query: &QueryGraph,
-    config: &MatchConfig,
-    options: &QueryOptions,
-    cache: Option<&StwigCache>,
-    sink: &mut dyn ResultSink,
-) -> Result<QueryMetrics, StwigError> {
-    execute_query(cloud, query, config, options, cache, Some(sink)).map(|(_, metrics)| metrics)
-}
-
 /// **The** query executor. Rows go to `sink` as they are produced, or —
 /// with no sink — into a table that is handed back; either way in canonical
 /// column order, under the per-query deadline/cancellation in `options`.
+/// `options.result_mode`, when set, replaces `config.result_mode`.
 ///
 /// Under [`crate::config::ResultMode::All`] exploration runs exactly once
 /// (uncapped) and the join delivers every row. Under `FirstK(k)` / `Exists`
@@ -1647,6 +1615,13 @@ pub(crate) fn execute_query(
     let started = Instant::now();
     let control = QueryControl::new(options, started);
     check_faults(config, Some(&control))?;
+    // The request's result mode outranks the config's: applied here, so
+    // every entry point means the same by it.
+    let config = match options.result_mode {
+        Some(mode) => Cow::Owned(config.clone().with_result_mode(mode)),
+        None => Cow::Borrowed(config),
+    };
+    let config = config.as_ref();
     // The query's one ledger: every charge it makes, and nothing else.
     let ledger = Network::new(cloud.num_machines());
     let mut metrics = QueryMetrics {
@@ -2098,7 +2073,7 @@ mod tests {
             let d = qb.vertex_by_name(&cloud, "d").unwrap();
             qb.edge(d, a).edge(a, b).edge(a, c).edge(b, c);
             let query = qb.build().unwrap();
-            let out = match_query_distributed(&cloud, &query, &MatchConfig::default()).unwrap();
+            let out = match_query(&cloud, &query, &MatchConfig::default(), Run::default()).unwrap();
             verify_all(&cloud, &query, &out.table).unwrap();
             // Canonical column order: [a, b, c, d] by query vertex index.
             assert_eq!(out.table.columns(), &[a, b, c, d], "machines = {machines}");
@@ -2116,7 +2091,7 @@ mod tests {
             let b = qb.vertex_by_name(&cloud, "b").unwrap();
             qb.edge(a, b);
             let edge = qb.build().unwrap();
-            let out = match_query_distributed(&cloud, &edge, &MatchConfig::default()).unwrap();
+            let out = match_query(&cloud, &edge, &MatchConfig::default(), Run::default()).unwrap();
             assert_eq!(out.num_matches(), 3, "machines = {machines}");
         }
     }
@@ -2124,13 +2099,18 @@ mod tests {
     #[test]
     fn distributed_equals_single_machine() {
         let one = sample_cloud(1);
-        let single =
-            match_query_distributed(&one, &triangle_query(&one), &MatchConfig::default()).unwrap();
+        let single = match_query(
+            &one,
+            &triangle_query(&one),
+            &MatchConfig::default(),
+            Run::default(),
+        )
+        .unwrap();
         for machines in [2usize, 4, 8] {
             let cloud = sample_cloud(machines);
             let query = triangle_query(&cloud);
             let distributed =
-                match_query_distributed(&cloud, &query, &MatchConfig::default()).unwrap();
+                match_query(&cloud, &query, &MatchConfig::default(), Run::default()).unwrap();
             assert_eq!(
                 canonical_rows(&query, &single.table),
                 canonical_rows(&query, &distributed.table),
@@ -2145,7 +2125,7 @@ mod tests {
     fn per_machine_results_are_disjoint() {
         let cloud = sample_cloud(4);
         let query = triangle_query(&cloud);
-        let out = match_query_distributed(&cloud, &query, &MatchConfig::default()).unwrap();
+        let out = match_query(&cloud, &query, &MatchConfig::default(), Run::default()).unwrap();
         // No duplicate embeddings in the union.
         let rows = canonical_rows(&query, &out.table);
         assert_eq!(rows.len(), out.num_matches());
@@ -2161,9 +2141,15 @@ mod tests {
         let d = qb.vertex_by_name(&cloud, "d").unwrap();
         qb.edge(a, b).edge(b, c).edge(c, a).edge(d, a).edge(d, b);
         let query = qb.build().unwrap();
-        let single =
-            match_query_distributed(&sample_cloud(1), &query, &MatchConfig::default()).unwrap();
-        let distributed = match_query_distributed(&cloud, &query, &MatchConfig::default()).unwrap();
+        let single = match_query(
+            &sample_cloud(1),
+            &query,
+            &MatchConfig::default(),
+            Run::default(),
+        )
+        .unwrap();
+        let distributed =
+            match_query(&cloud, &query, &MatchConfig::default(), Run::default()).unwrap();
         assert_eq!(
             canonical_rows(&query, &single.table),
             canonical_rows(&query, &distributed.table)
@@ -2179,7 +2165,7 @@ mod tests {
         let d2 = qb.vertex_by_name(&cloud, "d").unwrap();
         qb.edge(d1, d2);
         let query = qb.build().unwrap();
-        let out = match_query_distributed(&cloud, &query, &MatchConfig::default()).unwrap();
+        let out = match_query(&cloud, &query, &MatchConfig::default(), Run::default()).unwrap();
         assert_eq!(out.num_matches(), 0);
     }
 
@@ -2189,7 +2175,7 @@ mod tests {
         let mut qb = QueryGraph::builder();
         qb.vertex_by_name(&cloud, "d").unwrap();
         let query = qb.build().unwrap();
-        let out = match_query_distributed(&cloud, &query, &MatchConfig::default()).unwrap();
+        let out = match_query(&cloud, &query, &MatchConfig::default(), Run::default()).unwrap();
         assert_eq!(out.num_matches(), 5);
     }
 
@@ -2197,7 +2183,7 @@ mod tests {
     fn metrics_report_per_machine_breakdown() {
         let cloud = sample_cloud(4);
         let query = triangle_query(&cloud);
-        let out = match_query_distributed(&cloud, &query, &MatchConfig::default()).unwrap();
+        let out = match_query(&cloud, &query, &MatchConfig::default(), Run::default()).unwrap();
         assert_eq!(out.metrics.machines.len(), 4);
         let total_matches: u64 = out.metrics.machines.iter().map(|m| m.matches_found).sum();
         assert_eq!(total_matches, out.num_matches() as u64);
@@ -2210,7 +2196,7 @@ mod tests {
         let cloud = sample_cloud(2);
         let query = triangle_query(&cloud);
         let cfg = MatchConfig::default().with_result_mode(crate::config::ResultMode::FirstK(3));
-        let out = match_query_distributed(&cloud, &query, &cfg).unwrap();
+        let out = match_query(&cloud, &query, &cfg, Run::default()).unwrap();
         assert_eq!(out.num_matches(), 3);
         verify_all(&cloud, &query, &out.table).unwrap();
     }
@@ -2223,10 +2209,10 @@ mod tests {
             let cloud = sample_cloud(machines);
             let query = triangle_query(&cloud);
             let serial_cfg = MatchConfig::default().with_num_threads(Some(1));
-            let serial = match_query_distributed(&cloud, &query, &serial_cfg).unwrap();
+            let serial = match_query(&cloud, &query, &serial_cfg, Run::default()).unwrap();
             for threads in [2usize, 4, 7] {
                 let cfg = MatchConfig::default().with_num_threads(Some(threads));
-                let parallel = match_query_distributed(&cloud, &query, &cfg).unwrap();
+                let parallel = match_query(&cloud, &query, &cfg, Run::default()).unwrap();
                 assert_eq!(
                     serial.table, parallel.table,
                     "machines = {machines}, threads = {threads}"
@@ -2266,9 +2252,9 @@ mod tests {
         // results must still be identical to the serial run.
         let cloud = sample_cloud(7);
         let query = triangle_query(&cloud);
-        let auto = match_query_distributed(&cloud, &query, &MatchConfig::default()).unwrap();
+        let auto = match_query(&cloud, &query, &MatchConfig::default(), Run::default()).unwrap();
         let serial_cfg = MatchConfig::default().with_num_threads(Some(1));
-        let serial = match_query_distributed(&cloud, &query, &serial_cfg).unwrap();
+        let serial = match_query(&cloud, &query, &serial_cfg, Run::default()).unwrap();
         assert_eq!(auto.table, serial.table);
     }
 
@@ -2305,13 +2291,28 @@ mod tests {
             for (name, config) in configs {
                 let query = triangle_query(&cloud);
                 let cache = StwigCache::new(&cloud, CacheConfig::default());
-                let plain = match_query_distributed(&cloud, &query, &config).unwrap();
+                let plain = match_query(&cloud, &query, &config, Run::default()).unwrap();
                 // First run populates (all misses), second run hits.
-                let miss =
-                    match_query_distributed_with_cache(&cloud, &query, &config, Some(&cache))
-                        .unwrap();
-                let hit = match_query_distributed_with_cache(&cloud, &query, &config, Some(&cache))
-                    .unwrap();
+                let miss = match_query(
+                    &cloud,
+                    &query,
+                    &config,
+                    Run {
+                        cache: Some(&cache),
+                        ..Run::default()
+                    },
+                )
+                .unwrap();
+                let hit = match_query(
+                    &cloud,
+                    &query,
+                    &config,
+                    Run {
+                        cache: Some(&cache),
+                        ..Run::default()
+                    },
+                )
+                .unwrap();
                 let stats = cache.stats();
                 assert!(stats.insertions > 0, "first run must populate ({name})");
                 assert!(
@@ -2349,7 +2350,16 @@ mod tests {
             .with_transport_mode(TransportMode::DirectRead);
         let cache = StwigCache::new(&cloud, CacheConfig::default());
         let run = |config: &MatchConfig, cache: &StwigCache| {
-            match_query_distributed_with_cache(&cloud, &query, config, Some(cache)).unwrap()
+            match_query(
+                &cloud,
+                &query,
+                config,
+                Run {
+                    cache: Some(cache),
+                    ..Run::default()
+                },
+            )
+            .unwrap()
         };
         let cold = run(&direct, &cache);
         let built = cache.stats();
@@ -2371,7 +2381,7 @@ mod tests {
         assert!(stats.index_bytes > 0 && stats.index_bytes < stats.bytes_resident);
         // What the query holds is its assembled copies, not the cache's
         // tables: nothing during exploration, which lent them.
-        let plain = match_query_distributed(&cloud, &query, &direct).unwrap();
+        let plain = match_query(&cloud, &query, &direct, Run::default()).unwrap();
         assert!(warm.metrics.peak_table_bytes > 0);
         assert!(plain.metrics.peak_table_bytes > 0);
 
@@ -2387,7 +2397,16 @@ mod tests {
         let single = sample_cloud(1);
         let cache = StwigCache::new(&single, CacheConfig::default());
         let run = || {
-            match_query_distributed_with_cache(&single, &query, &messages, Some(&cache)).unwrap()
+            match_query(
+                &single,
+                &query,
+                &messages,
+                Run {
+                    cache: Some(&cache),
+                    ..Run::default()
+                },
+            )
+            .unwrap()
         };
         assert!(run().metrics.join.build_rows > 0);
         assert_eq!(run().metrics.join.build_rows, 0);
@@ -2403,12 +2422,29 @@ mod tests {
         let roomy = MatchConfig::default().with_num_threads(Some(1));
         let capped = roomy.clone().with_max_stwig_rows(Some(3));
         let cache = StwigCache::new(&cloud, CacheConfig::default());
-        match_query_distributed_with_cache(&cloud, &query, &roomy, Some(&cache)).unwrap();
+        match_query(
+            &cloud,
+            &query,
+            &roomy,
+            Run {
+                cache: Some(&cache),
+                ..Run::default()
+            },
+        )
+        .unwrap();
         let warm = cache.stats();
         assert!(warm.insertions > 0);
-        let plain = match_query_distributed(&cloud, &query, &capped).unwrap();
-        let cached =
-            match_query_distributed_with_cache(&cloud, &query, &capped, Some(&cache)).unwrap();
+        let plain = match_query(&cloud, &query, &capped, Run::default()).unwrap();
+        let cached = match_query(
+            &cloud,
+            &query,
+            &capped,
+            Run {
+                cache: Some(&cache),
+                ..Run::default()
+            },
+        )
+        .unwrap();
         assert!(cache.stats().hits > warm.hits, "the entries were found");
         assert_eq!(cached.table, plain.table);
         assert_eq!(cached.metrics.stwig_rows, plain.metrics.stwig_rows);
@@ -2416,8 +2452,16 @@ mod tests {
         assert_eq!(cached.metrics.join, plain.metrics.join);
         // A cold cache under the same cap populates, then explores too.
         let cold = StwigCache::new(&cloud, CacheConfig::default());
-        let populated =
-            match_query_distributed_with_cache(&cloud, &query, &capped, Some(&cold)).unwrap();
+        let populated = match_query(
+            &cloud,
+            &query,
+            &capped,
+            Run {
+                cache: Some(&cold),
+                ..Run::default()
+            },
+        )
+        .unwrap();
         assert!(cold.stats().insertions > 0);
         assert_eq!(populated.table, plain.table);
     }
@@ -2455,14 +2499,22 @@ mod tests {
         assert_eq!((plan.stwigs[0].root, plan.stwigs[1].root), (b, c));
         // Without a cache the full slab of the first STwig could have hidden
         // the rows that join: exploration must grow it once to be sure.
-        let plain = match_query_distributed(&cloud, &query, &config).unwrap();
+        let plain = match_query(&cloud, &query, &config, Run::default()).unwrap();
         assert_eq!(plain.metrics.explore_rounds, 2);
         // A served table is complete whatever its size: one round proves
         // there is no answer, populating or hitting.
         let cache = StwigCache::new(&cloud, CacheConfig::default());
         for _ in 0..2 {
-            let out =
-                match_query_distributed_with_cache(&cloud, &query, &config, Some(&cache)).unwrap();
+            let out = match_query(
+                &cloud,
+                &query,
+                &config,
+                Run {
+                    cache: Some(&cache),
+                    ..Run::default()
+                },
+            )
+            .unwrap();
             assert_eq!(out.metrics.stwig_rows, [300, 0]);
             assert_eq!(out.metrics.explore_rounds, 1);
             assert_eq!(out.metrics.outcome, QueryOutcome::Complete);
@@ -2503,10 +2555,17 @@ mod tests {
                 let cache = StwigCache::new(&cloud, CacheConfig::default());
                 let mut outputs = Vec::new();
                 for query in [&forward, &reversed, &forward] {
-                    let plain = match_query_distributed(&cloud, query, &config).unwrap();
-                    let cached =
-                        match_query_distributed_with_cache(&cloud, query, &config, Some(&cache))
-                            .unwrap();
+                    let plain = match_query(&cloud, query, &config, Run::default()).unwrap();
+                    let cached = match_query(
+                        &cloud,
+                        query,
+                        &config,
+                        Run {
+                            cache: Some(&cache),
+                            ..Run::default()
+                        },
+                    )
+                    .unwrap();
                     assert_eq!(plain.table, cached.table, "{ctx}");
                     outputs.push(cached.table);
                 }
@@ -2530,10 +2589,17 @@ mod tests {
                 let reversed = abc_query(&cloud, ["c", "b", "a"], true);
                 let cache = StwigCache::new(&cloud, CacheConfig::default());
                 for query in [&forward, &reversed] {
-                    let plain = match_query_distributed(&cloud, query, &config).unwrap();
-                    let cached =
-                        match_query_distributed_with_cache(&cloud, query, &config, Some(&cache))
-                            .unwrap();
+                    let plain = match_query(&cloud, query, &config, Run::default()).unwrap();
+                    let cached = match_query(
+                        &cloud,
+                        query,
+                        &config,
+                        Run {
+                            cache: Some(&cache),
+                            ..Run::default()
+                        },
+                    )
+                    .unwrap();
                     assert_eq!(plain.table, cached.table, "{ctx}");
                     assert_eq!(plain.metrics.stwig_rows, cached.metrics.stwig_rows);
                 }
@@ -2665,7 +2731,16 @@ mod tests {
         let config = MatchConfig::default().with_num_threads(Some(1));
         let warm = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
         let snap0 = epochs.pin();
-        match_query_distributed_with_cache(&snap0, &query, &config, Some(&warm)).unwrap();
+        match_query(
+            &snap0,
+            &query,
+            &config,
+            Run {
+                cache: Some(&warm),
+                ..Run::default()
+            },
+        )
+        .unwrap();
         let before = resident(&warm, &snap0, &query);
 
         // One new a–b edge touches roots on at most two machines; then the
@@ -2675,11 +2750,27 @@ mod tests {
             epochs.apply(update).unwrap();
             let snap = epochs.pin();
             let repairs = warm.stats().repairs;
-            let repaired =
-                match_query_distributed_with_cache(&snap, &query, &config, Some(&warm)).unwrap();
+            let repaired = match_query(
+                &snap,
+                &query,
+                &config,
+                Run {
+                    cache: Some(&warm),
+                    ..Run::default()
+                },
+            )
+            .unwrap();
             let cold = StwigCache::new(&snap, CacheConfig::default());
-            let populated =
-                match_query_distributed_with_cache(&snap, &query, &config, Some(&cold)).unwrap();
+            let populated = match_query(
+                &snap,
+                &query,
+                &config,
+                Run {
+                    cache: Some(&cold),
+                    ..Run::default()
+                },
+            )
+            .unwrap();
             assert!(warm.stats().repairs > repairs, "step {step} touched a pair");
             assert_eq!(warm.stats().stale_evictions, 0);
             assert_eq!(repaired.table, populated.table);
@@ -2725,7 +2816,16 @@ mod tests {
         // grows every shape, so a cap just above it is crossed by a repair
         // and by nothing at epoch 0.
         let probe = StwigCache::new(&snap0, CacheConfig::default());
-        match_query_distributed_with_cache(&snap0, &query, &config, Some(&probe)).unwrap();
+        match_query(
+            &snap0,
+            &query,
+            &config,
+            Run {
+                cache: Some(&probe),
+                ..Run::default()
+            },
+        )
+        .unwrap();
         let cap = resident(&probe, &snap0, &query)
             .iter()
             .flat_map(|(_, tables)| tables.as_ref().unwrap().iter())
@@ -2738,12 +2838,30 @@ mod tests {
             ..CacheConfig::default()
         };
         let cache = StwigCache::new(epochs.base_cloud(), capped);
-        match_query_distributed_with_cache(&snap0, &query, &config, Some(&cache)).unwrap();
+        match_query(
+            &snap0,
+            &query,
+            &config,
+            Run {
+                cache: Some(&cache),
+                ..Run::default()
+            },
+        )
+        .unwrap();
         assert_eq!(cache.stats().bypasses, 0);
         epochs.apply(&batch).unwrap();
         let snap = epochs.pin();
-        let plain = match_query_distributed(&snap, &query, &config).unwrap();
-        let out = match_query_distributed_with_cache(&snap, &query, &config, Some(&cache)).unwrap();
+        let plain = match_query(&snap, &query, &config, Run::default()).unwrap();
+        let out = match_query(
+            &snap,
+            &query,
+            &config,
+            Run {
+                cache: Some(&cache),
+                ..Run::default()
+            },
+        )
+        .unwrap();
         assert_eq!(out.table, plain.table);
         assert!(cache.stats().repairs > 0);
         let tombstoned = resident(&cache, &snap, &query)
@@ -2761,7 +2879,16 @@ mod tests {
         let (epochs, query, batch) = churned_triangle(3);
         let config = MatchConfig::default().with_num_threads(Some(1));
         let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
-        match_query_distributed_with_cache(&epochs.pin(), &query, &config, Some(&cache)).unwrap();
+        match_query(
+            &epochs.pin(),
+            &query,
+            &config,
+            Run {
+                cache: Some(&cache),
+                ..Run::default()
+            },
+        )
+        .unwrap();
         epochs.apply(&batch).unwrap();
         let snap = epochs.pin();
         let plan = plan_query(&snap, &query).unwrap();
@@ -2803,13 +2930,30 @@ mod tests {
             ..Faults::new(FaultPlan::lossy(5).with_crash(1, 0))
         });
         let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
-        match_query_distributed_with_cache(&epochs.pin(), &query, &clean, Some(&cache)).unwrap();
+        match_query(
+            &epochs.pin(),
+            &query,
+            &clean,
+            Run {
+                cache: Some(&cache),
+                ..Run::default()
+            },
+        )
+        .unwrap();
         epochs.apply(&batch).unwrap();
         let snap = epochs.pin();
         let insertions = cache.stats().insertions;
-        let partial =
-            match_query_distributed_with_options(&snap, &query, &clean, &crashed, Some(&cache))
-                .unwrap();
+        let partial = match_query(
+            &snap,
+            &query,
+            &clean,
+            Run {
+                cache: Some(&cache),
+                options: crashed.clone(),
+                ..Run::default()
+            },
+        )
+        .unwrap();
         assert_eq!(partial.metrics.outcome, QueryOutcome::Partial);
         assert!(partial.metrics.fault.machines_lost.contains(&1));
         verify_all(&snap, &query, &partial.table).unwrap();
@@ -2820,8 +2964,17 @@ mod tests {
             "degraded tables must never enter the cache"
         );
         // The entry is still there for a healthy repair, which is exact.
-        let full = match_query_distributed_with_cache(&snap, &query, &clean, Some(&cache)).unwrap();
-        let plain = match_query_distributed(&snap, &query, &clean).unwrap();
+        let full = match_query(
+            &snap,
+            &query,
+            &clean,
+            Run {
+                cache: Some(&cache),
+                ..Run::default()
+            },
+        )
+        .unwrap();
+        let plain = match_query(&snap, &query, &clean, Run::default()).unwrap();
         assert_eq!(full.table, plain.table);
         assert!(cache.stats().insertions > insertions);
     }
@@ -2833,11 +2986,14 @@ mod tests {
         let other = sample_cloud(3);
         let cache = StwigCache::new(&other, CacheConfig::default());
         let query = triangle_query(&cloud);
-        let err = match_query_distributed_with_cache(
+        let err = match_query(
             &cloud,
             &query,
             &MatchConfig::default(),
-            Some(&cache),
+            Run {
+                cache: Some(&cache),
+                ..Run::default()
+            },
         );
         assert!(err.is_err(), "mismatched fingerprint must be rejected");
     }
@@ -2853,19 +3009,21 @@ mod tests {
                 ("no-bindings", MatchConfig::default().with_bindings(false)),
             ] {
                 let query = triangle_query(&cloud);
-                let direct = match_query_distributed(
+                let direct = match_query(
                     &cloud,
                     &query,
                     &base.clone().with_transport_mode(TransportMode::DirectRead),
+                    Run::default(),
                 )
                 .unwrap();
                 // The cloud's aggregate only grows: every retired query adds
                 // its ledger.
                 let direct_remote = cloud.direct_remote_reads();
-                let messages = match_query_distributed(
+                let messages = match_query(
                     &cloud,
                     &query,
                     &base.clone().with_transport_mode(TransportMode::Messages),
+                    Run::default(),
                 )
                 .unwrap();
                 let ctx = format!("machines = {machines}, config = {name}");
@@ -2912,16 +3070,18 @@ mod tests {
             let mut qb = QueryGraph::builder();
             qb.vertex_by_name(&cloud, "d").unwrap();
             let query = qb.build().unwrap();
-            let direct = match_query_distributed(
+            let direct = match_query(
                 &cloud,
                 &query,
                 &MatchConfig::default().with_transport_mode(TransportMode::DirectRead),
+                Run::default(),
             )
             .unwrap();
-            let messages = match_query_distributed(
+            let messages = match_query(
                 &cloud,
                 &query,
                 &MatchConfig::default().with_transport_mode(TransportMode::Messages),
+                Run::default(),
             )
             .unwrap();
             assert_eq!(cloud.direct_remote_reads(), 0);
@@ -2949,7 +3109,7 @@ mod tests {
             let cloud = sample_cloud(4);
             let query = triangle_query(&cloud);
             let cfg = MatchConfig::default().with_transport_mode(mode);
-            let out = match_query_distributed(&cloud, &query, &cfg).unwrap();
+            let out = match_query(&cloud, &query, &cfg, Run::default()).unwrap();
             let pt = out.metrics.phase_traffic;
             // Exploration and join shipping both cross machines on this
             // graph; every message belongs to exactly one phase.
@@ -2977,11 +3137,27 @@ mod tests {
             let query = triangle_query(&cloud);
             let config = MatchConfig::default().with_transport_mode(TransportMode::Messages);
             let cache = StwigCache::new(&cloud, CacheConfig::default());
-            let plain = match_query_distributed(&cloud, &query, &config).unwrap();
-            let miss =
-                match_query_distributed_with_cache(&cloud, &query, &config, Some(&cache)).unwrap();
-            let hit =
-                match_query_distributed_with_cache(&cloud, &query, &config, Some(&cache)).unwrap();
+            let plain = match_query(&cloud, &query, &config, Run::default()).unwrap();
+            let miss = match_query(
+                &cloud,
+                &query,
+                &config,
+                Run {
+                    cache: Some(&cache),
+                    ..Run::default()
+                },
+            )
+            .unwrap();
+            let hit = match_query(
+                &cloud,
+                &query,
+                &config,
+                Run {
+                    cache: Some(&cache),
+                    ..Run::default()
+                },
+            )
+            .unwrap();
             assert!(cache.stats().hits > 0);
             assert_eq!(plain.table, miss.table, "machines = {machines}");
             assert_eq!(plain.table, hit.table, "machines = {machines}");
@@ -2999,16 +3175,19 @@ mod tests {
             let cloud = sample_cloud(machines);
             let query = triangle_query(&cloud);
             let config = MatchConfig::default();
-            let materialized = match_query_distributed(&cloud, &query, &config).unwrap();
+            let materialized = match_query(&cloud, &query, &config, Run::default()).unwrap();
             let mut sink = CollectSink::new();
-            let metrics = match_query_streaming(
+            let metrics = match_query(
                 &cloud,
                 &query,
                 &config,
-                &crate::stream::QueryOptions::none(),
-                &mut sink,
+                Run {
+                    sink: Some(&mut sink),
+                    ..Run::default()
+                },
             )
-            .unwrap();
+            .unwrap()
+            .metrics;
             let table = sink.into_table().unwrap();
             assert_eq!(
                 table.columns(),
@@ -3037,21 +3216,25 @@ mod tests {
         for machines in [1usize, 4] {
             let cloud = sample_cloud(machines);
             let query = triangle_query(&cloud);
-            let full = match_query_distributed(&cloud, &query, &MatchConfig::default()).unwrap();
+            let full =
+                match_query(&cloud, &query, &MatchConfig::default(), Run::default()).unwrap();
             let full_rows: std::collections::HashSet<Vec<VertexId>> =
                 canonical_rows(&query, &full.table).into_iter().collect();
             assert_eq!(full_rows.len(), 10);
             for k in [1usize, 3, 10, 25] {
                 let config = MatchConfig::default().with_result_mode(ResultMode::FirstK(k));
                 let mut sink = CollectSink::new();
-                let metrics = match_query_streaming(
+                let metrics = match_query(
                     &cloud,
                     &query,
                     &config,
-                    &crate::stream::QueryOptions::none(),
-                    &mut sink,
+                    Run {
+                        sink: Some(&mut sink),
+                        ..Run::default()
+                    },
                 )
-                .unwrap();
+                .unwrap()
+                .metrics;
                 let table = sink.into_table().unwrap();
                 assert_eq!(
                     table.num_rows(),
@@ -3082,14 +3265,17 @@ mod tests {
         // Positive: the triangle query has matches; exactly one row streams.
         let mut rows = 0u64;
         let mut sink = |_row: &[VertexId]| rows += 1;
-        let metrics = match_query_streaming(
+        let metrics = match_query(
             &cloud,
             &triangle_query(&cloud),
             &config,
-            &crate::stream::QueryOptions::none(),
-            &mut sink,
+            Run {
+                sink: Some(&mut sink),
+                ..Run::default()
+            },
         )
-        .unwrap();
+        .unwrap()
+        .metrics;
         assert_eq!(rows, 1);
         assert_eq!(metrics.rows_streamed, 1);
         // Negative: d-d edges do not exist; zero rows, Complete outcome.
@@ -3100,14 +3286,17 @@ mod tests {
         let none_query = qb.build().unwrap();
         let mut rows = 0u64;
         let mut sink = |_row: &[VertexId]| rows += 1;
-        let metrics = match_query_streaming(
+        let metrics = match_query(
             &cloud,
             &none_query,
             &config,
-            &crate::stream::QueryOptions::none(),
-            &mut sink,
+            Run {
+                sink: Some(&mut sink),
+                ..Run::default()
+            },
         )
-        .unwrap();
+        .unwrap()
+        .metrics;
         assert_eq!(rows, 0);
         assert_eq!(metrics.outcome, crate::metrics::QueryOutcome::Complete);
         assert_eq!(metrics.rows_streamed, 0);
@@ -3132,18 +3321,21 @@ mod tests {
         gb.add_edge(v(399), v(1299)); // the only b-c edge: b_299 - c_299
         let cloud = gb.build(1, CostModel::default());
         let query = triangle_query(&cloud);
-        let full = match_query_distributed(&cloud, &query, &MatchConfig::default()).unwrap();
+        let full = match_query(&cloud, &query, &MatchConfig::default(), Run::default()).unwrap();
         assert_eq!(full.num_matches(), 1, "exactly one triangle by design");
         let config = MatchConfig::default().with_result_mode(ResultMode::FirstK(1));
         let mut sink = CollectSink::new();
-        let metrics = match_query_streaming(
+        let metrics = match_query(
             &cloud,
             &query,
             &config,
-            &crate::stream::QueryOptions::none(),
-            &mut sink,
+            Run {
+                sink: Some(&mut sink),
+                ..Run::default()
+            },
         )
-        .unwrap();
+        .unwrap()
+        .metrics;
         let table = sink.into_table().unwrap();
         assert_eq!(table.num_rows(), 1);
         assert_eq!(
@@ -3169,26 +3361,36 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let mut sink = CollectSink::new();
-        let metrics = match_query_streaming(
+        let metrics = match_query(
             &cloud,
             &query,
             &MatchConfig::default(),
-            &QueryOptions::none().with_cancel(token),
-            &mut sink,
+            Run {
+                options: QueryOptions::none().with_cancel(token),
+                sink: Some(&mut sink),
+                ..Run::default()
+            },
         )
-        .unwrap();
+        .unwrap()
+        .metrics;
         assert_eq!(metrics.outcome, QueryOutcome::Cancelled);
         assert_eq!(metrics.rows_streamed, 0);
         // Already-expired deadline.
         let mut sink = CollectSink::new();
-        let metrics = match_query_streaming(
+        let metrics = match_query(
             &cloud,
             &query,
             &MatchConfig::default(),
-            &QueryOptions::none().with_deadline(std::time::Duration::ZERO),
-            &mut sink,
+            Run {
+                options: QueryOptions::none()
+                    .with_deadline(std::time::Duration::ZERO)
+                    .clone(),
+                sink: Some(&mut sink),
+                ..Run::default()
+            },
         )
-        .unwrap();
+        .unwrap()
+        .metrics;
         assert_eq!(metrics.outcome, QueryOutcome::DeadlineExceeded);
         assert_eq!(metrics.rows_streamed, 0);
     }
@@ -3202,14 +3404,17 @@ mod tests {
         let query = qb.build().unwrap();
         let mut rows: Vec<Vec<VertexId>> = Vec::new();
         let mut sink = |row: &[VertexId]| rows.push(row.to_vec());
-        let metrics = match_query_streaming(
+        let metrics = match_query(
             &cloud,
             &query,
             &MatchConfig::default(),
-            &crate::stream::QueryOptions::none(),
-            &mut sink,
+            Run {
+                sink: Some(&mut sink),
+                ..Run::default()
+            },
         )
-        .unwrap();
+        .unwrap()
+        .metrics;
         assert_eq!(rows.len(), 5);
         assert_eq!(metrics.rows_streamed, 5);
         assert!(!metrics.truncated);
@@ -3217,14 +3422,17 @@ mod tests {
         let config = MatchConfig::default().with_result_mode(ResultMode::FirstK(2));
         let mut rows = 0u64;
         let mut sink = |_row: &[VertexId]| rows += 1;
-        let metrics = match_query_streaming(
+        let metrics = match_query(
             &cloud,
             &query,
             &config,
-            &crate::stream::QueryOptions::none(),
-            &mut sink,
+            Run {
+                sink: Some(&mut sink),
+                ..Run::default()
+            },
         )
-        .unwrap();
+        .unwrap()
+        .metrics;
         assert_eq!(rows, 2);
         assert!(metrics.truncated);
     }

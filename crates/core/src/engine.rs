@@ -29,10 +29,6 @@
 //!   [`MetricsSnapshot`]: engine counters, admission/scheduling counters,
 //!   and per-tenant goodput.
 //!
-//! [`QueryEngine::run_one`] / [`QueryEngine::run_batch`] are conveniences
-//! composed from that same door (`submit` → `drain` → `wait`); they hold no
-//! route of their own.
-//!
 //! ## Determinism
 //!
 //! Execution is deterministic in its *results*: every submission runs the
@@ -42,7 +38,7 @@
 //! result table is a pure function of the cloud, the query, the
 //! `MatchConfig` and whether a cache serves its shapes, regardless of
 //! scheduling, interleaving or eviction. Without a cache it is the table
-//! [`crate::distributed::match_query_distributed`] returns; with one it is
+//! [`crate::distributed::match_query`] returns; with one it is
 //! the same answer — the same row set under `ResultMode::All`, `k` distinct
 //! valid embeddings under `FirstK(k)` — in the order, and with the
 //! witnesses, the join over the complete tables yields. Timing-derived
@@ -51,19 +47,17 @@
 
 use crate::cache::{CacheConfig, StwigCache};
 use crate::config::MatchConfig;
-use crate::distributed::{execute_query, MatchOutput};
+use crate::distributed::execute_query;
 use crate::error::StwigError;
 use crate::metrics::{
     CacheStats, EngineStats, MetricsSnapshot, QueryMetrics, QueryOutcome, SchedulerStats,
 };
-use crate::query::QueryGraph;
 use crate::serve::scheduler::{Delivery, QueueEntry, Scheduler, Work};
 use crate::serve::{
     CostEstimator, QueryHandle, QueryRequest, QueryResponse, RejectReason, ServeConfig, Submit,
     SubmitDisposition, TenantId,
 };
 use crate::stream::{ChannelSink, QueryOptions, ResultSink, RowStream};
-use crate::table::ResultTable;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -73,9 +67,10 @@ use trinity_sim::MemoryCloud;
 /// Configuration of a [`QueryEngine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Threads [`QueryEngine::run_batch`] drains the queue on. `None` uses
-    /// the host's available parallelism; `Some(1)` executes batches
-    /// serially (in input order).
+    /// Threads a caller that serves a batch drains the queue on (the
+    /// engine starts none: [`QueryEngine::serve`] and
+    /// [`QueryEngine::drain`] run on the caller's threads). `None` means the
+    /// host's available parallelism; `Some(1)` serves serially.
     pub workers: Option<usize>,
     /// STwig-result cache configuration; `None` disables caching.
     pub cache: Option<CacheConfig>,
@@ -123,16 +118,6 @@ impl EngineConfig {
     pub fn with_serve(mut self, serve: ServeConfig) -> Self {
         self.serve = serve;
         self
-    }
-
-    fn resolved_workers(&self) -> usize {
-        self.workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
-            .max(1)
     }
 }
 
@@ -211,7 +196,7 @@ pub struct QueryEngine<'c> {
 impl std::fmt::Debug for QueryEngine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryEngine")
-            .field("workers", &self.config.resolved_workers())
+            .field("workers", &self.config.workers)
             .field("cache", &self.cache.is_some())
             .field("stats", &self.stats())
             .finish()
@@ -448,13 +433,20 @@ impl<'c> QueryEngine<'c> {
     /// pre-update snapshots; queries admitted after it see the new epoch —
     /// updates never block queries and queries never block updates.
     ///
-    /// On a static engine (built with [`QueryEngine::new`]) the returned
-    /// handle resolves immediately with [`StwigError::Update`].
+    /// On a static engine (built with [`QueryEngine::new`]) the batch is
+    /// counted accepted and failed, and the returned handle resolves
+    /// immediately with [`StwigError::Update`].
     pub fn apply_updates(&self, batch: UpdateBatch) -> Submit {
         let now = Instant::now();
         let tenant = TenantId::new("updates");
         self.submitted.fetch_add(1, Ordering::Relaxed);
         if self.epochs.is_none() {
+            // Admitted and failed at once, so the counters still add up.
+            self.accepted.fetch_add(1, Ordering::Relaxed);
+            let mut sched = self.sched.lock().expect("scheduler lock");
+            sched.account_submit(&tenant, SubmitDisposition::Accepted);
+            sched.tenant_stats_mut(&tenant).failed += 1;
+            drop(sched);
             let shared = Arc::new(crate::serve::HandleShared::new(tenant, Default::default()));
             shared.finish(Err(StwigError::Update(
                 "engine serves a static cloud; build it with QueryEngine::for_epochs to accept updates"
@@ -693,13 +685,10 @@ impl<'c> QueryEngine<'c> {
         // Execute. The deadline was pinned at submission: the executor gets
         // what remains of it, so queue wait counts against the budget.
         shared.mark_running();
-        let mut config = self.config.match_config.clone();
-        if let Some(mode) = mode {
-            config.result_mode = mode;
-        }
         let run_options = QueryOptions {
             deadline: deadline.map(|d| d.saturating_duration_since(now)),
             cancel: Some(shared.cancel_token().clone()),
+            result_mode: mode,
             faults: faults.map(|faults| *faults),
             ..QueryOptions::none()
         };
@@ -718,7 +707,7 @@ impl<'c> QueryEngine<'c> {
         let result = execute_query(
             cloud,
             &query,
-            &config,
+            &self.config.match_config,
             &run_options,
             self.cache.as_ref(),
             channel.as_mut().map(|sink| sink as &mut dyn ResultSink),
@@ -777,71 +766,6 @@ impl<'c> QueryEngine<'c> {
             queue_wait_us,
             epoch,
         }));
-    }
-
-    // ------------------------------------------------------------------
-    // Conveniences over the door
-    // ------------------------------------------------------------------
-
-    /// Runs one query through the door and waits for it: [`run_batch`] of
-    /// one.
-    ///
-    /// [`run_batch`]: QueryEngine::run_batch
-    pub fn run_one(&self, query: &QueryGraph) -> Result<MatchOutput, StwigError> {
-        let mut outputs = self.run_batch(std::slice::from_ref(query));
-        outputs.pop().expect("batch of one yields one output")
-    }
-
-    /// Runs a batch of queries over the shared cloud, returning one output
-    /// per query **in input order**: [`QueryEngine::submit`] for each,
-    /// [`QueryEngine::drain`] on `workers` threads, [`QueryHandle::wait`]
-    /// for each. When the door answers [`RejectReason::QueueFull`] the
-    /// queue is drained and the query resubmitted, so a batch larger than
-    /// the queue still runs. Each query resolves through its own handle — a
-    /// per-query error (an empty query, a transport failure on one machine)
-    /// fails that slot only. The requests carry no deadline, so none is
-    /// shed; one the door refuses for any other reason comes back as
-    /// [`StwigError::Rejected`].
-    pub fn run_batch(&self, queries: &[QueryGraph]) -> Vec<Result<MatchOutput, StwigError>> {
-        let workers = self.config.resolved_workers().min(queries.len().max(1));
-        let drain = || {
-            std::thread::scope(|scope| {
-                for _ in 1..workers {
-                    scope.spawn(|| self.drain());
-                }
-                self.drain();
-            })
-        };
-        let handles: Vec<Result<QueryHandle, StwigError>> = queries
-            .iter()
-            .map(|query| loop {
-                match self.submit(QueryRequest::new(query.clone())) {
-                    Submit::Accepted(handle) => break Ok(handle),
-                    Submit::Rejected(RejectReason::QueueFull { capacity }) if capacity > 0 => {
-                        drain()
-                    }
-                    Submit::Rejected(reason) => {
-                        break Err(StwigError::Rejected(reason.to_string()))
-                    }
-                }
-            })
-            .collect();
-        drain();
-        handles
-            .into_iter()
-            .zip(queries)
-            .map(|(handle, query)| {
-                // drain() above ran our entries (or a concurrent server
-                // did); wait() only blocks in the latter, in-flight case.
-                let response = handle?.wait()?;
-                Ok(MatchOutput {
-                    table: response
-                        .table
-                        .unwrap_or_else(|| ResultTable::new(query.vertices().collect())),
-                    metrics: response.metrics,
-                })
-            })
-            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -905,7 +829,8 @@ impl<'c> QueryEngine<'c> {
 mod tests {
     use super::*;
     use crate::config::{ResultMode, TransportMode};
-    use crate::distributed::match_query_distributed;
+    use crate::distributed::{match_query, MatchOutput, Run};
+    use crate::query::QueryGraph;
     use crate::serve::{AdmissionConfig, Priority, QueryStatus, TenantId};
     use trinity_sim::builder::GraphBuilder;
     use trinity_sim::ids::VertexId;
@@ -952,6 +877,47 @@ mod tests {
         qb.build().unwrap()
     }
 
+    /// Serves `queries` through the door and waits for each, in input
+    /// order: `submit` each (draining and resubmitting on `QueueFull`),
+    /// drain on the configured worker count, `wait` for each.
+    fn run_batch(
+        engine: &QueryEngine<'_>,
+        queries: &[QueryGraph],
+    ) -> Vec<Result<MatchOutput, StwigError>> {
+        let workers = (engine.config().workers)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+            .clamp(1, queries.len().max(1));
+        let drain = || {
+            std::thread::scope(|scope| {
+                for _ in 1..workers {
+                    scope.spawn(|| engine.drain());
+                }
+                engine.drain();
+            })
+        };
+        let handles: Vec<QueryHandle> = (queries.iter())
+            .map(|query| loop {
+                match engine.submit(QueryRequest::new(query.clone())) {
+                    Submit::Accepted(handle) => break handle,
+                    Submit::Rejected(RejectReason::QueueFull { .. }) => drain(),
+                    Submit::Rejected(reason) => panic!("refused: {reason}"),
+                }
+            })
+            .collect();
+        drain();
+        (handles.into_iter().zip(queries))
+            .map(|(handle, query)| {
+                let response = handle.wait()?;
+                let table = (response.table)
+                    .unwrap_or_else(|| crate::table::ResultTable::new(query.vertices().collect()));
+                Ok(MatchOutput {
+                    table,
+                    metrics: response.metrics,
+                })
+            })
+            .collect()
+    }
+
     #[test]
     fn batch_outputs_match_the_serial_executor_in_input_order() {
         let cloud = sample_cloud(4);
@@ -962,13 +928,14 @@ mod tests {
             chain_query(&cloud),
         ];
         let engine = QueryEngine::new(&cloud, EngineConfig::default().with_workers(Some(4)));
-        let outputs = engine.run_batch(&queries);
+        let outputs = run_batch(&engine, &queries);
         assert_eq!(outputs.len(), queries.len());
         for (q, out) in queries.iter().zip(&outputs) {
-            let expected = match_query_distributed(
+            let expected = match_query(
                 &cloud,
                 q,
                 &MatchConfig::default().with_num_threads(Some(1)),
+                Run::default(),
             )
             .unwrap();
             let out = out.as_ref().expect("query succeeds");
@@ -985,7 +952,7 @@ mod tests {
                 .with_workers(Some(2))
                 .with_match_config(MatchConfig::default().with_transport_mode(mode));
             let engine = QueryEngine::new(&cloud, config);
-            let outputs = engine.run_batch(&queries);
+            let outputs = run_batch(&engine, &queries);
             assert!(outputs.iter().all(|o| o.is_ok()));
             let cache = engine.cache_stats().expect("cache enabled by default");
             assert!(cache.insertions > 0);
@@ -1037,7 +1004,9 @@ mod tests {
                     .with_workers(Some(2))
                     .with_match_config(MatchConfig::default().with_transport_mode(mode)),
             );
-            let out = engine.run_one(&triangle_query(&cloud)).unwrap();
+            let out = run_batch(&engine, &[triangle_query(&cloud)])
+                .remove(0)
+                .unwrap();
             assert_eq!(out.num_matches(), 12, "{mode:?}");
             assert!(engine.stats().cache.is_none());
         }
@@ -1048,8 +1017,10 @@ mod tests {
         let cloud = sample_cloud(2);
         let engine = QueryEngine::new(&cloud, EngineConfig::default().with_workers(Some(1)));
         let queries = vec![triangle_query(&cloud), chain_query(&cloud)];
-        engine.run_batch(&queries);
-        engine.run_one(&triangle_query(&cloud)).unwrap();
+        run_batch(&engine, &queries);
+        run_batch(&engine, &[triangle_query(&cloud)])
+            .remove(0)
+            .unwrap();
         let stats = engine.stats();
         assert_eq!(stats.queries_executed, 3);
         assert!(stats.busy_us > 0.0);
@@ -1059,7 +1030,9 @@ mod tests {
     fn first_k_and_exists_requests_stop_early() {
         let cloud = sample_cloud(3);
         let engine = QueryEngine::new(&cloud, EngineConfig::default());
-        let full = engine.run_one(&triangle_query(&cloud)).unwrap();
+        let full = run_batch(&engine, &[triangle_query(&cloud)])
+            .remove(0)
+            .unwrap();
         assert_eq!(full.num_matches(), 12);
         let submit = |mode| {
             let request = QueryRequest::new(triangle_query(&cloud)).with_result_mode(mode);
@@ -1131,15 +1104,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_is_a_no_op() {
-        let cloud = sample_cloud(1);
-        let engine = QueryEngine::new(&cloud, EngineConfig::default());
-        let outputs = engine.run_batch(&[]);
-        assert!(outputs.is_empty());
-        assert_eq!(engine.stats().queries_executed, 0);
-    }
-
-    #[test]
     fn a_transport_fault_fails_only_its_own_batch_slot() {
         let cloud = sample_cloud(3);
         let config = MatchConfig::default().with_transport_mode(TransportMode::Messages);
@@ -1176,8 +1140,13 @@ mod tests {
             );
         }
         // The healthy request's slot is untouched by its neighbors' faults.
-        let expected =
-            match_query_distributed(&cloud, &query, &config.with_num_threads(Some(1))).unwrap();
+        let expected = match_query(
+            &cloud,
+            &query,
+            &config.with_num_threads(Some(1)),
+            Run::default(),
+        )
+        .unwrap();
         let ok = outputs[1].as_ref().expect("healthy slot succeeds");
         assert_eq!(ok.table.as_ref(), Some(&expected.table));
     }
@@ -1186,10 +1155,11 @@ mod tests {
     fn submit_drain_wait_returns_the_executors_table() {
         let cloud = sample_cloud(3);
         let engine = QueryEngine::new(&cloud, EngineConfig::default());
-        let expected = match_query_distributed(
+        let expected = match_query(
             &cloud,
             &triangle_query(&cloud),
             &MatchConfig::default().with_num_threads(Some(1)),
+            Run::default(),
         )
         .unwrap();
         let handle = engine
@@ -1245,13 +1215,13 @@ mod tests {
             Submit::Rejected(RejectReason::QueueFull { capacity }) => assert_eq!(capacity, 2),
             other => panic!("expected QueueFull, got {other:?}"),
         }
-        // `run_batch` meets the same bound, drains, and resubmits: a batch
+        // A batch meets the same bound, drains, and resubmits: a batch
         // larger than the queue still runs whole.
-        let outputs = engine.run_batch(&[q.clone(), q.clone(), q.clone(), q]);
+        let outputs = run_batch(&engine, &[q.clone(), q.clone(), q.clone(), q]);
         assert!(outputs.iter().all(|out| out.is_ok()));
         let snapshot = engine.metrics_snapshot();
         assert!(snapshot.scheduler.rejected_queue_full >= 2);
-        assert_eq!(snapshot.scheduler.queue_depth, 0, "run_batch drained all");
+        assert_eq!(snapshot.scheduler.queue_depth, 0, "the batch drained all");
         assert_eq!(snapshot.engine.queries_executed, 6);
     }
 
@@ -1288,7 +1258,7 @@ mod tests {
     fn passed_deadline_is_shed_at_dispatch_without_execution() {
         let cloud = sample_cloud(2);
         let engine = QueryEngine::new(&cloud, EngineConfig::default());
-        cloud.reset_traffic();
+        cloud.network().reset();
         let direct_before = cloud.direct_remote_reads();
         let handle = engine
             .submit(QueryRequest::new(triangle_query(&cloud)).with_deadline(Duration::ZERO))
@@ -1317,7 +1287,7 @@ mod tests {
             .submit(QueryRequest::new(triangle_query(&cloud)))
             .expect_accepted();
         handle.cancel();
-        cloud.reset_traffic();
+        cloud.network().reset();
         engine.drain();
         let response = handle.wait().unwrap();
         assert_eq!(response.metrics.outcome, QueryOutcome::Cancelled);
@@ -1463,6 +1433,30 @@ mod tests {
         assert!(matches!(err, StwigError::Update(_)));
         assert_eq!(engine.stats().updates_applied, 0);
         assert_eq!(engine.stats().current_epoch, None);
+        // Counted accepted and failed, like any admitted request that
+        // resolves with an error.
+        let snapshot = engine.metrics_snapshot();
+        let scheduler = &snapshot.scheduler;
+        assert_eq!(
+            (
+                scheduler.submitted,
+                scheduler.accepted,
+                scheduler.rejected()
+            ),
+            (1, 1, 0)
+        );
+        let updates = &snapshot.tenants[0];
+        assert_eq!(updates.tenant, "updates");
+        assert_eq!((updates.accepted, updates.failed), (1, 1));
+        assert_eq!(
+            updates.accepted,
+            updates.completed
+                + updates.cancelled
+                + updates.deadline_exceeded
+                + updates.shed
+                + updates.failed
+                + updates.queued
+        );
     }
 
     #[test]
@@ -1481,8 +1475,8 @@ mod tests {
         assert_eq!(engine.stats().updates_applied, 0);
 
         // The graph is untouched: all 12 triangles still match.
-        let out = engine
-            .run_one(&triangle_query(epochs.base_cloud()))
+        let out = run_batch(&engine, &[triangle_query(epochs.base_cloud())])
+            .remove(0)
             .unwrap();
         assert_eq!(out.table.num_rows(), 12);
     }

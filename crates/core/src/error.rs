@@ -61,10 +61,6 @@ pub enum StwigError {
     /// a refused batch changed nothing (see
     /// [`trinity_sim::epoch::GraphEpochs::apply`]).
     Update(String),
-    /// The serving door refused the query and draining the queue could not
-    /// help (see [`crate::serve::RejectReason`], whose text this carries):
-    /// how [`crate::engine::QueryEngine::run_batch`] reports a rejection.
-    Rejected(String),
     /// Internal invariant violation (a bug if ever observed).
     Internal(String),
 }
@@ -111,7 +107,6 @@ impl fmt::Display for StwigError {
                 "faults were armed on a DirectRead query; only Messages mode has a transport to inject them into"
             ),
             StwigError::Update(msg) => write!(f, "graph update refused: {msg}"),
-            StwigError::Rejected(reason) => write!(f, "query rejected: {reason}"),
             StwigError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }

@@ -49,7 +49,7 @@
 //! qb.edge(p1, p2).edge(p1, c).edge(p2, c);
 //! let query = qb.build().unwrap();
 //!
-//! let out = stwig::match_query_distributed(&cloud, &query, &MatchConfig::default()).unwrap();
+//! let out = match_query(&cloud, &query, &MatchConfig::default(), Run::default()).unwrap();
 //! assert_eq!(out.num_matches(), 2); // (1,2,3) and (2,1,3)
 //! ```
 
@@ -57,6 +57,8 @@
 
 pub mod bindings;
 pub mod cache;
+#[doc(hidden)]
+pub mod compat;
 pub mod config;
 pub mod decompose;
 pub mod distributed;
@@ -79,12 +81,7 @@ pub mod verify;
 
 pub use cache::{CacheConfig, CacheLookup, StwigCache};
 pub use config::{MatchConfig, ResultMode, TransportMode};
-pub use distributed::{
-    join_stwig_tables, match_query_distributed, match_query_distributed_with_cache,
-    match_query_distributed_with_options, match_query_streaming, match_query_streaming_with_cache,
-    plan_query, plan_query_with_config, produce_stwig_tables, MatchOutput, QueryPlan,
-    StwigTableSet,
-};
+pub use distributed::{match_query, plan_query, MatchOutput, QueryPlan, Run, StwigTableSet};
 pub use engine::{EngineConfig, QueryEngine};
 pub use error::StwigError;
 pub use metrics::{
@@ -107,15 +104,17 @@ pub use table::ResultTable;
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::cache::{CacheConfig, CacheLookup, StwigCache, StwigShape};
+    #[doc(hidden)]
+    pub use crate::compat::{
+        join_stwig_tables, match_query_distributed, match_query_distributed_with_cache,
+        plan_query_with_config, produce_stwig_tables,
+    };
     pub use crate::config::{MatchConfig, ResultMode, TransportMode};
     pub use crate::decompose::{
         decompose_ordered, decompose_random, LabelStatistics, UniformStats,
     };
     pub use crate::distributed::{
-        join_stwig_tables, match_query_distributed, match_query_distributed_with_cache,
-        match_query_distributed_with_options, match_query_streaming,
-        match_query_streaming_with_cache, plan_query, plan_query_with_config, produce_stwig_tables,
-        MatchOutput, QueryPlan, StwigTableSet,
+        match_query, plan_query, MatchOutput, QueryPlan, Run, StwigTableSet,
     };
     pub use crate::engine::{EngineConfig, QueryEngine};
     pub use crate::error::StwigError;

@@ -1018,7 +1018,7 @@ mod tests {
         let (query, a, b, c) = simple_query(&cloud);
         let stwig = STwig::new(a, vec![b, c]);
         let bindings = Bindings::new(query.num_vertices());
-        cloud.reset_traffic();
+        cloud.network().reset();
         let mut counters = ExploreCounters::default();
         let mut total_rows = 0;
         for m in cloud.machines() {
@@ -1067,7 +1067,7 @@ mod tests {
                         None,
                         &mut direct_counters,
                     );
-                    cloud.reset_traffic();
+                    cloud.network().reset();
                     let mut batched_counters = ExploreCounters::default();
                     let mut faults = FaultCounters::default();
                     let batched = match_stwig_batched(
@@ -1111,7 +1111,7 @@ mod tests {
         let mut messages = Vec::new();
         for batch in [1usize, 64] {
             let cfg = MatchConfig::default();
-            cloud.reset_traffic();
+            cloud.network().reset();
             for k in cloud.machines() {
                 let roots = cloud.get_ids(k, query.label(a)).to_vec();
                 let mut counters = ExploreCounters::default();
@@ -1471,7 +1471,7 @@ mod tests {
 
                         // A pre-set cancel: no envelope leaves, and only what
                         // is read in place (asking: local labels) is known.
-                        cloud.reset_traffic();
+                        cloud.network().reset();
                         resolve(&mut frontier, &transport, Some(&cancelled), &mut faults).unwrap();
                         assert_eq!(cloud.traffic().total_messages(), 0);
                         check_resolution(&cloud, &frontier, &child_labels, from_postings, |m| {
@@ -1512,7 +1512,7 @@ mod tests {
             }
             // The whole exploration under the pre-set cancel: no row, no
             // envelope, nothing counted.
-            cloud.reset_traffic();
+            cloud.network().reset();
             let mut counters = ExploreCounters::default();
             let table = match_stwig_batched(
                 &cloud,
@@ -1617,7 +1617,7 @@ mod tests {
             let stwig = STwig::new(a, vec![b, c]);
             let transport = ChannelTransport::new(cloud);
             let bindings = Bindings::new(query.num_vertices());
-            cloud.reset_traffic();
+            cloud.network().reset();
             let mut total = 0usize;
             for k in cloud.machines() {
                 let roots = cloud.get_ids(k, query.label(a)).to_vec();
@@ -1760,7 +1760,7 @@ mod tests {
             cloud: &MemoryCloud,
             explore: impl FnOnce(&mut ExploreCounters) -> ResultTable,
         ) -> Observed {
-            cloud.reset_traffic();
+            cloud.network().reset();
             let mut counters = ExploreCounters::default();
             let table = explore(&mut counters);
             (

@@ -184,7 +184,7 @@ fn resolve_vertex(
 mod tests {
     use super::*;
     use crate::config::MatchConfig;
-    use crate::distributed::match_query_distributed;
+    use crate::distributed::{match_query, Run};
     use trinity_sim::builder::GraphBuilder;
     use trinity_sim::ids::VertexId;
     use trinity_sim::network::CostModel;
@@ -210,7 +210,7 @@ mod tests {
         let q = parse_pattern(&cloud, "(p1:person)-(p2:person), (p1)-(c:city), (p2)-(c)").unwrap();
         assert_eq!(q.num_vertices(), 3);
         assert_eq!(q.num_edges(), 3);
-        let out = match_query_distributed(&cloud, &q, &MatchConfig::default()).unwrap();
+        let out = match_query(&cloud, &q, &MatchConfig::default(), Run::default()).unwrap();
         assert_eq!(out.num_matches(), 2);
     }
 
@@ -285,8 +285,8 @@ mod tests {
         let y = qb.vertex_by_name(&cloud, "city").unwrap();
         qb.edge(x, y);
         let built = qb.build().unwrap();
-        let a = match_query_distributed(&cloud, &parsed, &MatchConfig::default()).unwrap();
-        let b = match_query_distributed(&cloud, &built, &MatchConfig::default()).unwrap();
+        let a = match_query(&cloud, &parsed, &MatchConfig::default(), Run::default()).unwrap();
+        let b = match_query(&cloud, &built, &MatchConfig::default(), Run::default()).unwrap();
         assert_eq!(
             crate::verify::canonical_rows(&parsed, &a.table),
             crate::verify::canonical_rows(&built, &b.table)

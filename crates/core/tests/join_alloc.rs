@@ -30,9 +30,7 @@ use std::cell::Cell;
 
 use stwig::bindings::Bindings;
 use stwig::cache::{CacheConfig, CacheLookup, StwigCache, StwigShape};
-use stwig::distributed::{
-    match_query_distributed_with_cache, match_query_streaming_with_cache, plan_query,
-};
+use stwig::distributed::{match_query, plan_query, Run};
 use stwig::head::load_set;
 use stwig::join::{hash_join, PreparedJoin};
 use stwig::matcher::match_stwig_batched;
@@ -41,7 +39,7 @@ use stwig::pipeline::pipelined_join;
 use stwig::query::{QVid, QueryGraph, QueryGraphBuilder};
 use stwig::stwig::STwig;
 use stwig::table::ResultTable;
-use stwig::{ChannelSink, MatchConfig, QueryOptions, ResultMode, RowStream};
+use stwig::{ChannelSink, MatchConfig, ResultMode, RowStream};
 use trinity_sim::builder::GraphBuilder;
 use trinity_sim::ids::VertexId;
 use trinity_sim::network::CostModel;
@@ -321,7 +319,7 @@ fn warm_exploration_allocates_only_its_table_and_its_messages() {
     // This test's thread starts with an empty scratch: the first exploration
     // grows it, the second finds it warm.
     let (cold, first) = allocations_during(explore);
-    cloud.reset_traffic();
+    cloud.network().reset();
     let (warm, second) = allocations_during(explore);
     let envelopes = cloud.traffic().total_messages() / 2;
     assert_eq!(first, second);
@@ -357,11 +355,19 @@ fn channel_delivery_allocates_per_batch_not_per_row() {
     let config = MatchConfig::default()
         .with_num_threads(Some(1))
         .with_result_mode(ResultMode::FirstK(K as usize));
-    let options = QueryOptions::none();
     let run = |sink: &mut dyn stwig::ResultSink| {
-        let metrics =
-            match_query_streaming_with_cache(&cloud, &query, &config, &options, Some(&cache), sink)
-                .unwrap();
+        let metrics = match_query(
+            &cloud,
+            &query,
+            &config,
+            Run {
+                cache: Some(&cache),
+                sink: Some(sink),
+                ..Run::default()
+            },
+        )
+        .unwrap()
+        .metrics;
         assert_eq!(metrics.rows_streamed, K);
     };
     // Populate the cache, then measure warm hits only.
@@ -400,17 +406,36 @@ fn table_output_allocates_its_answer_and_no_joined_tables() {
     let query = builder.build().unwrap();
     let cache = StwigCache::new(&cloud, CacheConfig::default());
     let config = MatchConfig::default().with_num_threads(Some(1));
-    let into_table =
-        || match_query_distributed_with_cache(&cloud, &query, &config, Some(&cache)).unwrap();
+    let into_table = || {
+        match_query(
+            &cloud,
+            &query,
+            &config,
+            Run {
+                cache: Some(&cache),
+                ..Run::default()
+            },
+        )
+        .unwrap()
+    };
     let answer = into_table().table; // populates the cache
     assert!(answer.num_rows() > 10_000, "an answer worth growing");
     let mut rows = 0usize;
     let mut count = |_row: &[VertexId]| rows += 1;
-    let options = QueryOptions::none();
     let ((closure_allocs, closure_bytes), _) = allocated_during(|| {
         let cache = Some(&cache);
-        match_query_streaming_with_cache(&cloud, &query, &config, &options, cache, &mut count)
-            .unwrap()
+        match_query(
+            &cloud,
+            &query,
+            &config,
+            Run {
+                cache,
+                sink: Some(&mut count),
+                ..Run::default()
+            },
+        )
+        .unwrap()
+        .metrics
     });
     assert_eq!(rows, answer.num_rows());
     let ((allocs, bytes), out) = allocated_during(into_table);
@@ -445,14 +470,23 @@ fn a_warm_repeat_allocates_its_assembled_tables_and_little_else() {
     let config = MatchConfig::default()
         .with_num_threads(Some(1))
         .with_transport_mode(stwig::TransportMode::DirectRead);
-    let options = QueryOptions::none();
     let mut rows = 0usize;
     let mut run = || {
         let mut count = |_row: &[VertexId]| rows += 1;
         let cache = Some(&cache);
         allocated_during(|| {
-            match_query_streaming_with_cache(&cloud, &query, &config, &options, cache, &mut count)
-                .unwrap()
+            match_query(
+                &cloud,
+                &query,
+                &config,
+                Run {
+                    cache,
+                    sink: Some(&mut count),
+                    ..Run::default()
+                },
+            )
+            .unwrap()
+            .metrics
         })
     };
     let ((_, cold_bytes), cold) = run();
@@ -504,7 +538,6 @@ fn a_round_of_a_streamed_join_allocates_nothing() {
     builder.edge(qa, qb).edge(qb, qc).edge(qc, qa2);
     let query = builder.build().unwrap();
     let cache = StwigCache::new(&cloud, CacheConfig::default());
-    let options = QueryOptions::none();
     let run = |block_rows: usize| {
         let config = MatchConfig {
             block_rows,
@@ -516,8 +549,18 @@ fn a_round_of_a_streamed_join_allocates_nothing() {
         let mut sink = |_row: &[VertexId]| rows += 1;
         let (allocs, metrics) = allocations_during(|| {
             let cache = Some(&cache);
-            match_query_streaming_with_cache(&cloud, &query, &config, &options, cache, &mut sink)
-                .unwrap()
+            match_query(
+                &cloud,
+                &query,
+                &config,
+                Run {
+                    cache,
+                    sink: Some(&mut sink),
+                    ..Run::default()
+                },
+            )
+            .unwrap()
+            .metrics
         });
         assert_eq!((rows, metrics.rows_streamed), (K, K));
         assert!(metrics.join.joins_performed > 0, "a joined answer");

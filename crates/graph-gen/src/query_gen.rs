@@ -326,8 +326,13 @@ mod tests {
         assert!(q.num_vertices() >= 2 && q.num_vertices() <= 6);
         assert!(q.is_connected());
         // A DFS query is an induced subgraph, so it must have ≥ 1 match.
-        let out = stwig::match_query_distributed(&cloud, &q, &stwig::MatchConfig::paper_default())
-            .unwrap();
+        let out = stwig::match_query(
+            &cloud,
+            &q,
+            &stwig::MatchConfig::paper_default(),
+            stwig::Run::default(),
+        )
+        .unwrap();
         assert!(out.num_matches() >= 1);
     }
 

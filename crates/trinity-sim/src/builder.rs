@@ -7,7 +7,6 @@
 //! staged edges once per pass.
 
 use crate::cloud::MemoryCloud;
-use crate::compact::StorageTier;
 use crate::error::TrinityError;
 use crate::ids::{LabelId, LabelInterner, VertexId};
 use crate::loader::StreamLoader;
@@ -48,12 +47,6 @@ impl GraphBuilder {
             directed: true,
             ..Default::default()
         }
-    }
-
-    /// Accepts a [`StorageTier`] for compatibility and stores nothing:
-    /// every partition is compact.
-    pub fn with_storage_tier(self, _tier: StorageTier) -> Self {
-        self
     }
 
     /// Interns a label string, returning its id. Useful for generators that

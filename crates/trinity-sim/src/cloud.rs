@@ -368,12 +368,6 @@ impl MemoryCloud {
         self.network.direct_remote_reads()
     }
 
-    /// Zeroes the traffic aggregate. Queries never do: each charges a ledger
-    /// of its own and adds it here when it retires.
-    pub fn reset_traffic(&self) {
-        self.network.reset();
-    }
-
     // ------------------------------------------------------------------
     // Accounting-free global accessors. Per the ownership invariant (type
     // docs): construction, statistics, verification and the single-machine
@@ -550,13 +544,13 @@ mod tests {
             .machines()
             .find(|&m| m != owner)
             .expect("at least two machines");
-        cloud.reset_traffic();
+        cloud.network().reset();
         let cell = cloud.load(other, id).unwrap();
         assert_eq!(cloud.labels().name(cell.label), Some("c"));
         assert_eq!(cell.neighbors.len(), 3);
         assert!(cloud.traffic().total_messages() >= 2);
 
-        cloud.reset_traffic();
+        cloud.network().reset();
         let _ = cloud.load(owner, id).unwrap();
         assert_eq!(cloud.traffic().total_messages(), 0);
     }
@@ -565,7 +559,7 @@ mod tests {
     fn get_ids_is_local_only() {
         let cloud = small_cloud(2);
         let label = cloud.labels().get("a").unwrap();
-        cloud.reset_traffic();
+        cloud.network().reset();
         let mut found = 0;
         for m in cloud.machines() {
             found += cloud.get_ids(m, label).len();
@@ -594,13 +588,13 @@ mod tests {
             .map(v)
             .find(|&id| cloud.machine_of(id) != caller)
             .expect("some vertex is remote to machine 0");
-        cloud.reset_traffic();
+        cloud.network().reset();
         for _ in 0..5 {
             cloud.has_label(caller, remote, la);
         }
         let (single, single_reads) = (cloud.traffic(), cloud.direct_remote_reads());
         assert_eq!(single_reads, 5);
-        cloud.reset_traffic();
+        cloud.network().reset();
         let network = cloud.network();
         network.charge_label_probes(caller, cloud.machine_of(remote), 5);
         network.charge_label_probes(caller, caller, 5); // local probes are free
@@ -612,7 +606,7 @@ mod tests {
     #[test]
     fn global_accessors_bypass_network() {
         let cloud = small_cloud(4);
-        cloud.reset_traffic();
+        cloud.network().reset();
         assert_eq!(cloud.neighbors_global(v(2)).len(), 3);
         assert_eq!(cloud.degree_global(v(3)), 1);
         assert!(cloud.has_edge_global(v(0), v(1)));
@@ -643,7 +637,7 @@ mod tests {
     #[test]
     fn ship_rows_records_bytes() {
         let cloud = small_cloud(2);
-        cloud.reset_traffic();
+        cloud.network().reset();
         let ship = |dst| {
             cloud
                 .network()
@@ -671,7 +665,7 @@ mod tests {
         let baseline: Vec<(Option<crate::ids::LabelId>, usize)> = (0..4u64)
             .map(|i| (cloud.label_of_global(v(i)), cloud.degree_global(v(i))))
             .collect();
-        cloud.reset_traffic();
+        cloud.network().reset();
         let rounds = 64usize;
         std::thread::scope(|scope| {
             for t in 0..4u16 {
@@ -703,7 +697,7 @@ mod tests {
         // Each thread charges a deterministic number of remote accesses per
         // round; the atomic counters must have lost none of them.
         let per_round: u64 = {
-            cloud.reset_traffic();
+            cloud.network().reset();
             let caller = MachineId(0);
             for i in 0..4u64 {
                 let id = v(i);
@@ -712,7 +706,7 @@ mod tests {
             }
             cloud.traffic().total_messages()
         };
-        cloud.reset_traffic();
+        cloud.network().reset();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let cloud = &cloud;

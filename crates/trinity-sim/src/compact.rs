@@ -34,23 +34,6 @@
 use crate::ids::{LabelId, VertexId};
 use serde::{Deserialize, Serialize};
 
-/// The physical representation a partition stores its graph in. There is
-/// one, [`StorageTier::Compact`]; the type remains so callers that name a
-/// representation keep compiling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StorageTier {
-    /// Delta/varint CSR, bitmap-or-delta postings, rank-bitmap id index.
-    Compact,
-}
-
-impl StorageTier {
-    /// Compatibility spelling of [`StorageTier::Compact`], kept for callers
-    /// written when an uncompressed tier existed. It selects the same (and
-    /// only) representation.
-    #[allow(non_upper_case_globals)]
-    pub const Plain: StorageTier = StorageTier::Compact;
-}
-
 // ---------------------------------------------------------------------------
 // Varint primitives (LEB128)
 // ---------------------------------------------------------------------------

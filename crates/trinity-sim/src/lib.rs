@@ -60,6 +60,8 @@ pub mod builder;
 pub mod cloud;
 pub mod cluster_graph;
 pub mod compact;
+#[doc(hidden)]
+pub mod compat;
 pub mod cost;
 pub mod edge_list;
 pub mod epoch;
@@ -79,7 +81,9 @@ pub mod prelude {
     pub use crate::builder::GraphBuilder;
     pub use crate::cloud::{machine_for, MemoryCloud};
     pub use crate::cluster_graph::{ClusterGraph, LabelPairCatalog};
-    pub use crate::compact::{CompactCsr, Neighbors, Postings, StorageTier};
+    pub use crate::compact::{CompactCsr, Neighbors, Postings};
+    #[doc(hidden)]
+    pub use crate::compat::StorageTier;
     pub use crate::epoch::{EpochTouchLog, GraphEpochs, SnapshotRef, UpdateBatch, UpdateOp};
     pub use crate::error::TrinityError;
     pub use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultyTransport, MachineCrash};

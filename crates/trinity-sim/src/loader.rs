@@ -34,7 +34,7 @@
 
 use crate::cloud::{machine_for, MemoryCloud};
 use crate::cluster_graph::LabelPairCatalog;
-use crate::compact::{CompactCsr, CompactCsrBuilder, IdIndex, StorageTier};
+use crate::compact::{CompactCsr, CompactCsrBuilder, IdIndex};
 use crate::error::TrinityError;
 use crate::ids::{LabelId, LabelInterner, MachineId, VertexId};
 use crate::neighbor_index::{label_bit, NeighborLabelIndex};
@@ -62,12 +62,6 @@ impl StreamLoader {
             cost,
             directed: false,
         }
-    }
-
-    /// Accepts a [`StorageTier`] for compatibility and stores nothing:
-    /// every partition is compact.
-    pub fn with_storage_tier(self, _tier: StorageTier) -> Self {
-        self
     }
 
     /// Marks the input as a directed graph. Adjacency is still symmetrized,

@@ -603,7 +603,7 @@ mod tests {
         let transport = ChannelTransport::new(&cloud);
         let owner = cloud.machine_of(v(2));
         let src = cloud.machines().find(|&m| m != owner).unwrap();
-        cloud.reset_traffic();
+        cloud.network().reset();
         let reply = transport
             .exchange(
                 src,
@@ -660,7 +660,7 @@ mod tests {
     fn non_request_exchange_is_a_typed_error_not_a_panic() {
         let cloud = small_cloud(2);
         let transport = ChannelTransport::new(&cloud);
-        cloud.reset_traffic();
+        cloud.network().reset();
         let err = transport
             .exchange(
                 MachineId(0),
@@ -789,7 +789,7 @@ mod tests {
     fn every_envelope_is_charged_with_actual_payload() {
         let cloud = small_cloud(2);
         let transport = ChannelTransport::new(&cloud);
-        cloud.reset_traffic();
+        cloud.network().reset();
         let msg = Message::JoinRows {
             stwig: 1,
             columns: vec![0, 1, 2],
@@ -800,7 +800,7 @@ mod tests {
         assert_eq!(cloud.traffic().total_messages(), 1);
         assert_eq!(cloud.traffic().total_bytes(), bytes);
         // Local posts land on the diagonal: recorded, but free.
-        cloud.reset_traffic();
+        cloud.network().reset();
         transport.post(
             MachineId(0),
             MachineId(0),
@@ -817,7 +817,7 @@ mod tests {
         let cloud = small_cloud(2);
         let ledger = Network::new(2);
         let transport = ChannelTransport::new(&cloud).with_ledger(&ledger);
-        cloud.reset_traffic();
+        cloud.network().reset();
         let (m0, m1) = (MachineId(0), MachineId(1));
         let delta = Message::BindingDelta {
             cols: vec![(0, vec![v(1)])],
@@ -966,7 +966,7 @@ mod tests {
         // answer and the traffic matrix must not lose envelopes.
         let cloud = small_cloud(4);
         let transport = ChannelTransport::new(&cloud);
-        cloud.reset_traffic();
+        cloud.network().reset();
         // Machine 0 sends: its own requests to remote owners, plus replies to
         // the three other callers for every vertex machine 0 owns.
         let remote_owners: u64 = (0..4u64)

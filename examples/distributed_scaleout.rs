@@ -28,7 +28,7 @@ fn main() {
         let mut total_msgs = 0u64;
         let mut total_bytes = 0u64;
         for q in &queries {
-            let out = match_query_distributed(&cloud, q, &config).unwrap();
+            let out = match_query(&cloud, q, &config, Run::default()).unwrap();
             total_ms += out.metrics.simulated_ms();
             total_matches += out.num_matches();
             total_msgs += out.metrics.network_messages;

@@ -128,7 +128,7 @@ fn main() {
             );
         }
 
-        let out = stwig::match_query_distributed(&cloud, &query, &config).unwrap();
+        let out = stwig::match_query(&cloud, &query, &config, stwig::Run::default()).unwrap();
         println!(
             "  {} matches (capped at 1024), simulated time {:.2} ms, {} messages, {} KiB shipped",
             out.num_matches(),

@@ -67,7 +67,7 @@ fn main() {
         ("bi-fan", bifan),
         ("hub-fork", fork),
     ] {
-        let out = stwig::match_query_distributed(&cloud, &query, &config).unwrap();
+        let out = stwig::match_query(&cloud, &query, &config, stwig::Run::default()).unwrap();
         // Cross-check a small sample against the VF2 baseline for confidence.
         let sample_ok = verify_all(&cloud, &query, &out.table).is_ok();
         println!(

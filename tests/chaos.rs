@@ -13,6 +13,9 @@
 //! A `DirectRead` query has no transport to fault: arming faults on one is
 //! refused before any work.
 
+mod common;
+
+use common::run_batch;
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::time::Instant;
@@ -79,7 +82,7 @@ fn lossy_plans_are_bit_identical_to_fault_free_runs() {
                 .with_transport_mode(TransportMode::Messages);
             let expected: Vec<_> = queries
                 .iter()
-                .map(|q| stwig::match_query_distributed(&cloud, q, &config).unwrap())
+                .map(|q| stwig::match_query(&cloud, q, &config, stwig::Run::default()).unwrap())
                 .collect();
             for seed in SEEDS {
                 let plan = FaultPlan::lossy(seed);
@@ -93,12 +96,15 @@ fn lossy_plans_are_bit_identical_to_fault_free_runs() {
                     let mut populated = Vec::new();
                     for pass in 0..passes {
                         for (i, (q, want)) in queries.iter().zip(&expected).enumerate() {
-                            let out = stwig::match_query_distributed_with_options(
+                            let out = stwig::match_query(
                                 &cloud,
                                 q,
                                 &config,
-                                &options,
-                                cache.as_ref(),
+                                stwig::Run {
+                                    cache: cache.as_ref(),
+                                    options: options.clone(),
+                                    ..stwig::Run::default()
+                                },
                             )
                             .unwrap();
                             let ctx = format!(
@@ -110,10 +116,18 @@ fn lossy_plans_are_bit_identical_to_fault_free_runs() {
                                 activity[0] += faults_seen(&out.metrics);
                                 // The sink output gets the very same rows.
                                 let mut sink = CollectSink::new();
-                                let streamed = stwig::match_query_streaming(
-                                    &cloud, q, &config, &options, &mut sink,
+                                let streamed = stwig::match_query(
+                                    &cloud,
+                                    q,
+                                    &config,
+                                    stwig::Run {
+                                        options: options.clone(),
+                                        sink: Some(&mut sink),
+                                        ..stwig::Run::default()
+                                    },
                                 )
-                                .unwrap();
+                                .unwrap()
+                                .metrics;
                                 assert_eq!(
                                     sink.into_table().as_ref(),
                                     Some(&want.table),
@@ -233,12 +247,29 @@ fn faults_on_a_direct_read_query_fail_typed_before_any_work() {
     let refused = Some(StwigError::FaultsNeedMessages);
     for q in &queries {
         for cache in [None, Some(&cache)] {
-            let out =
-                stwig::match_query_distributed_with_options(&cloud, q, &config, &options, cache);
+            let out = stwig::match_query(
+                &cloud,
+                q,
+                &config,
+                stwig::Run {
+                    cache,
+                    options: options.clone(),
+                    ..stwig::Run::default()
+                },
+            );
             assert_eq!(out.err(), refused);
         }
         let mut sink = CollectSink::new();
-        let streamed = stwig::match_query_streaming(&cloud, q, &config, &options, &mut sink);
+        let streamed = stwig::match_query(
+            &cloud,
+            q,
+            &config,
+            stwig::Run {
+                options: options.clone(),
+                sink: Some(&mut sink),
+                ..stwig::Run::default()
+            },
+        );
         assert_eq!(streamed.err(), refused);
         assert_eq!(sink.num_rows(), 0);
         let request = QueryRequest::new(q.clone()).with_options(options.clone());
@@ -290,7 +321,15 @@ fn crashed_machine_fails_typed_under_fail_policy() {
     let (config, options) = (messages(), crash(1, FailurePolicy::Fail));
     let mut failures = 0usize;
     for q in &queries {
-        match stwig::match_query_distributed_with_options(&cloud, q, &config, &options, None) {
+        match stwig::match_query(
+            &cloud,
+            q,
+            &config,
+            stwig::Run {
+                options: options.clone(),
+                ..stwig::Run::default()
+            },
+        ) {
             Err(StwigError::MachineUnavailable {
                 machine, attempts, ..
             }) => {
@@ -319,9 +358,17 @@ fn crashed_machine_degrades_to_valid_partial_results() {
     let (config, options) = (messages(), crash(1, FailurePolicy::Degrade));
     let mut partials = 0usize;
     for (i, q) in queries.iter().enumerate() {
-        let full = stwig::match_query_distributed(&cloud, q, &config).unwrap();
-        let out = stwig::match_query_distributed_with_options(&cloud, q, &config, &options, None)
-            .unwrap_or_else(|e| panic!("Degrade must not error (query {i}): {e:?}"));
+        let full = stwig::match_query(&cloud, q, &config, stwig::Run::default()).unwrap();
+        let out = stwig::match_query(
+            &cloud,
+            q,
+            &config,
+            stwig::Run {
+                options: options.clone(),
+                ..stwig::Run::default()
+            },
+        )
+        .unwrap_or_else(|e| panic!("Degrade must not error (query {i}): {e:?}"));
         // Soundness: every delivered row verifies against the data graph.
         verify_all(&cloud, q, &out.table)
             .unwrap_or_else(|r| panic!("degraded run produced invalid row {r} (query {i})"));
@@ -354,14 +401,14 @@ fn crashed_machine_degrades_to_valid_partial_results() {
 /// A crash armed on one request stays with that request: after several
 /// requests fail on a crashed machine, a fault-free request of the same
 /// query runs to completion and returns the fault-free answer, through
-/// `submit` and through `run_one`. The engine keeps no fault state that
+/// `submit` and through `run_batch`. The engine keeps no fault state that
 /// could shed it.
 #[test]
 fn another_requests_crash_never_sheds_a_fault_free_request() {
     let cloud = chaos_graph().build_cloud(4, CostModel::default());
     let queries = workload(&cloud);
     let config = messages();
-    let expected = stwig::match_query_distributed(&cloud, &queries[0], &config).unwrap();
+    let expected = stwig::match_query(&cloud, &queries[0], &config, stwig::Run::default()).unwrap();
     assert!(
         expected.table.num_rows() > 0,
         "the test needs a non-empty answer"
@@ -392,7 +439,9 @@ fn another_requests_crash_never_sheds_a_fault_free_request() {
     assert_eq!(response.metrics.outcome, QueryOutcome::Complete);
     assert_eq!(response.table.as_ref(), Some(&expected.table));
 
-    let one = engine.run_one(&queries[0]).expect("run_one succeeds");
+    let one = run_batch(&engine, std::slice::from_ref(&queries[0]))
+        .remove(0)
+        .expect("the fault-free request succeeds");
     assert_eq!(one.metrics.outcome, QueryOutcome::Complete);
     assert_eq!(one.table, expected.table);
     assert_eq!(engine.metrics_snapshot().scheduler.shed(), 0);

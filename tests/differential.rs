@@ -1,6 +1,6 @@
 //! Differential oracle for the concurrent multi-query engine: on seeded
-//! Erdős–Rényi and R-MAT graphs, `match_query_distributed` (through the
-//! `QueryEngine`, cache on and off) must return exactly the VF2 baseline's
+//! Erdős–Rényi and R-MAT graphs, `match_query` (and the `QueryEngine`,
+//! cache on and off) must return exactly the VF2 baseline's
 //! embedding set for generated DFS-family and random-family queries, across
 //! machines {1, 4} × worker threads {1, 4} × transport mode
 //! {DirectRead, Messages}; every exploration prunes roots on their
@@ -11,6 +11,9 @@
 //! STwig pipeline — including the cache's canonicalization and derivation —
 //! rather than comparing the engine with itself.
 
+mod common;
+
+use common::run_batch;
 use stwig::metrics::MachineMetrics;
 use stwig_match::prelude::*;
 
@@ -105,7 +108,7 @@ fn engine_matches_vf2_across_machines_threads_and_cache() {
                 // Run the batch twice: the first pass populates the cache,
                 // the second is all hits — both must agree with VF2.
                 for pass in 0..2 {
-                    let outputs = engine.run_batch(&queries);
+                    let outputs = run_batch(&engine, &queries);
                     for ((q, out), want) in queries.iter().zip(&outputs).zip(&expected) {
                         let out = out.as_ref().expect("query succeeds");
                         let ctx = format!(
@@ -160,7 +163,7 @@ fn cached_engine_is_bit_identical_to_uncached_serial_run() {
     // embeddings where it does (a cache serves complete STwig tables, so
     // which witnesses survive the cut is not the cache-free run's choice) —
     // and the exact table (row order included) must not depend on whether a
-    // pass populated the cache or hit it, on `run_batch` vs `submit()`, or
+    // pass populated the cache or hit it, on a batch vs one `submit()`, or
     // on the transport mode, or truncation would silently select different
     // witnesses from one request to the next. The uncached serial DirectRead
     // run is the single reference for both modes.
@@ -176,7 +179,9 @@ fn cached_engine_is_bit_identical_to_uncached_serial_run() {
         let limit = reference_config.result_limit();
         let plain: Vec<_> = queries
             .iter()
-            .map(|q| stwig::match_query_distributed(&cloud, q, &reference_config).unwrap())
+            .map(|q| {
+                stwig::match_query(&cloud, q, &reference_config, stwig::Run::default()).unwrap()
+            })
             .collect();
         // The populating pass's tables, which every later pass must repeat.
         let mut populated: Option<Vec<ResultTable>> = None;
@@ -190,7 +195,7 @@ fn cached_engine_is_bit_identical_to_uncached_serial_run() {
             // Every query retires its ledger into the cloud's aggregate.
             let direct_before = cloud.direct_remote_reads();
             for pass in 0..2 {
-                let outputs = engine.run_batch(&queries);
+                let outputs = run_batch(&engine, &queries);
                 let tables: Vec<ResultTable> = (outputs.into_iter())
                     .map(|out| out.unwrap().table)
                     .collect();
@@ -271,8 +276,16 @@ fn an_explored_stwig_among_served_ones_is_pruned_as_without_a_cache() {
                 let plan = plan_query(&cloud, q).unwrap();
                 // The largest per-machine table of every STwig's shape.
                 let probe = StwigCache::new(&cloud, CacheConfig::default());
-                stwig::match_query_distributed_with_cache(&cloud, q, &config, Some(&probe))
-                    .unwrap();
+                stwig::match_query(
+                    &cloud,
+                    q,
+                    &config,
+                    stwig::Run {
+                        cache: Some(&probe),
+                        ..stwig::Run::default()
+                    },
+                )
+                .unwrap();
                 let largest: Vec<usize> = (plan.stwigs.iter())
                     .filter_map(
                         |s| match probe.lookup(&StwigShape::of(q, s, false), &cloud) {
@@ -303,9 +316,16 @@ fn an_explored_stwig_among_served_ones_is_pruned_as_without_a_cache() {
                     },
                 );
                 // Populates the other shapes, tombstones the largest.
-                let out =
-                    stwig::match_query_distributed_with_cache(&cloud, q, &config, Some(&cache))
-                        .unwrap();
+                let out = stwig::match_query(
+                    &cloud,
+                    q,
+                    &config,
+                    stwig::Run {
+                        cache: Some(&cache),
+                        ..stwig::Run::default()
+                    },
+                )
+                .unwrap();
                 assert_eq!(
                     canonical_rows(q, &out.table),
                     canonical_rows(q, &vf2(&cloud, q, None)),
@@ -314,7 +334,7 @@ fn an_explored_stwig_among_served_ones_is_pruned_as_without_a_cache() {
                 let explore = |cache: Option<&StwigCache>| {
                     let mut metrics = QueryMetrics::default();
                     let mut machines = vec![MachineMetrics::default(); 4];
-                    cloud.reset_traffic();
+                    cloud.network().reset();
                     let tables = produce_stwig_tables(
                         &cloud,
                         q,

@@ -15,7 +15,8 @@
 use proptest::prelude::*;
 use std::time::Instant;
 use stwig::bindings::Bindings;
-use stwig::distributed::{plan_query, produce_stwig_tables};
+use stwig::compat::produce_stwig_tables;
+use stwig::distributed::plan_query;
 use stwig::matcher::match_stwig;
 use stwig::metrics::{ExploreCounters, MachineMetrics, QueryMetrics};
 use stwig::stream::{CancelToken, QueryControl, QueryOptions};
@@ -124,7 +125,7 @@ fn observe(
     cloud: &MemoryCloud,
     explore: impl FnOnce(&mut ExploreCounters) -> ResultTable,
 ) -> Observed {
-    cloud.reset_traffic();
+    cloud.network().reset();
     let mut counters = ExploreCounters::default();
     let table = explore(&mut counters);
     (
@@ -365,7 +366,7 @@ fn exploration_phase_accounts_like_the_reference_on_any_thread_count() {
             let config = MatchConfig::exhaustive().with_transport_mode(TransportMode::DirectRead);
             let plan = plan_query(&cloud, &query).unwrap();
             let run = |threads: usize| {
-                cloud.reset_traffic();
+                cloud.network().reset();
                 let config = config.clone().with_num_threads(Some(threads));
                 let mut metrics = QueryMetrics::default();
                 let mut per_machine = vec![MachineMetrics::default(); machines];
@@ -401,7 +402,7 @@ fn exploration_phase_accounts_like_the_reference_on_any_thread_count() {
             assert_eq!(serial, run(4), "{machines} machines, seed {seed}");
 
             // The reference, STwig by STwig under the same binding barrier.
-            cloud.reset_traffic();
+            cloud.network().reset();
             let mut counters = ExploreCounters::default();
             let mut bindings = Bindings::new(query.num_vertices());
             let mut reference: Vec<Vec<ResultTable>> = vec![Vec::new(); machines];

@@ -11,6 +11,9 @@
 //! The transport is set per test, in code: the oracle rotates it across
 //! schedules.
 
+mod common;
+
+use common::run_batch;
 use proptest::prelude::*;
 use stwig_match::prelude::*;
 use trinity_sim::ids::VertexId;
@@ -118,7 +121,9 @@ fn interleaved_updates_match_vf2_on_the_mutated_reference() {
                         seed ^ 0xF00 ^ (b as u64),
                     ));
                     for q in &queries {
-                        let out = engine.run_one(q).expect("post-update query succeeds");
+                        let out = run_batch(&engine, std::slice::from_ref(q))
+                            .remove(0)
+                            .expect("post-update query succeeds");
                         let want = canonical_rows(q, &vf2(&reference, q, None));
                         assert_eq!(
                             canonical_rows(q, &out.table),
@@ -158,8 +163,12 @@ fn cache_survives_label_disjoint_updates_and_never_serves_stale_entries() {
     );
 
     // Warm the cache, then hit it.
-    engine.run_one(&query).unwrap();
-    engine.run_one(&query).unwrap();
+    run_batch(&engine, std::slice::from_ref(&query))
+        .remove(0)
+        .unwrap();
+    run_batch(&engine, std::slice::from_ref(&query))
+        .remove(0)
+        .unwrap();
     let warm = engine.cache_stats().unwrap();
     assert!(warm.hits > 0, "second pass must hit the warm cache");
     assert_eq!(warm.stale_evictions, 0);
@@ -175,7 +184,9 @@ fn cache_survives_label_disjoint_updates_and_never_serves_stale_entries() {
     engine.apply_updates(island).expect_accepted();
     engine.drain();
     assert_eq!(epochs.epoch(), before + 1);
-    engine.run_one(&query).unwrap();
+    run_batch(&engine, std::slice::from_ref(&query))
+        .remove(0)
+        .unwrap();
     let disjoint = engine.cache_stats().unwrap();
     assert!(
         disjoint.hits > warm.hits,
@@ -192,14 +203,20 @@ fn cache_survives_label_disjoint_updates_and_never_serves_stale_entries() {
     // be served as-is — it is repaired at the touched roots — and the
     // re-computed answer must match VF2 on the mutated reference.
     let mut mirror = GraphMirror::from_cloud(&epochs.pin());
-    let target = engine.run_one(&query).unwrap().table.row(0)[0];
+    let target = run_batch(&engine, std::slice::from_ref(&query))
+        .remove(0)
+        .unwrap()
+        .table
+        .row(0)[0];
     let before = engine.cache_stats().unwrap();
     let batch = UpdateBatch::new().remove_vertex(target);
     engine.apply_updates(batch.clone()).expect_accepted();
     engine.drain();
     mirror.apply(&batch);
 
-    let out = engine.run_one(&query).unwrap();
+    let out = run_batch(&engine, std::slice::from_ref(&query))
+        .remove(0)
+        .unwrap();
     let stale = engine.cache_stats().unwrap();
     assert!(
         stale.repairs > before.repairs,
@@ -303,7 +320,16 @@ fn soak_keeps_the_touch_log_bounded_and_the_cache_exact() {
         .iter()
         .map(|s| StwigShape::of(&rare, s, false))
         .collect();
-    stwig::match_query_distributed_with_cache(&first, &rare, &config, Some(&cache)).unwrap();
+    stwig::match_query(
+        &first,
+        &rare,
+        &config,
+        stwig::Run {
+            cache: Some(&cache),
+            ..stwig::Run::default()
+        },
+    )
+    .unwrap();
     let log = first.epoch_touch_log().expect("managed cloud has a log");
 
     let mut applied = 1usize;
@@ -332,8 +358,16 @@ fn soak_keeps_the_touch_log_bounded_and_the_cache_exact() {
         let snap = epochs.pin();
         let reference = mirror.build_cloud(1, cost());
         for q in &queries {
-            let out =
-                stwig::match_query_distributed_with_cache(&snap, q, &config, Some(&cache)).unwrap();
+            let out = stwig::match_query(
+                &snap,
+                q,
+                &config,
+                stwig::Run {
+                    cache: Some(&cache),
+                    ..stwig::Run::default()
+                },
+            )
+            .unwrap();
             assert_eq!(
                 canonical_rows(q, &out.table),
                 canonical_rows(q, &vf2(&reference, q, None)),
@@ -360,8 +394,16 @@ fn soak_keeps_the_touch_log_bounded_and_the_cache_exact() {
         rare_shapes.len() as u64
     );
     let reference = mirror.build_cloud(1, cost());
-    let out =
-        stwig::match_query_distributed_with_cache(&snap, &rare, &config, Some(&cache)).unwrap();
+    let out = stwig::match_query(
+        &snap,
+        &rare,
+        &config,
+        stwig::Run {
+            cache: Some(&cache),
+            ..stwig::Run::default()
+        },
+    )
+    .unwrap();
     assert_eq!(
         canonical_rows(&rare, &out.table),
         canonical_rows(&rare, &vf2(&reference, &rare, None))
@@ -416,7 +458,9 @@ fn a_repair_reindexes_the_repaired_shape_only() {
             .with_match_config(config),
     );
     let ask = |query: &QueryGraph, mirror: &GraphMirror| {
-        let out = engine.run_one(query).unwrap();
+        let out = run_batch(&engine, std::slice::from_ref(query))
+            .remove(0)
+            .unwrap();
         let reference = mirror.build_cloud(1, trinity_sim::network::CostModel::default());
         assert_eq!(
             canonical_rows(query, &out.table),
@@ -510,13 +554,13 @@ proptest! {
 
             let pinned = epochs.pin();
             let config = MatchConfig::exhaustive().with_num_threads(Some(1));
-            let before = stwig::match_query_distributed(&pinned, &query, &config).unwrap();
+            let before = stwig::match_query(&pinned, &query, &config, stwig::Run::default()).unwrap();
 
             for batch in &batches {
                 epochs.apply(batch).expect("generated batches are valid");
             }
             let current = epochs.pin();
-            let pre_seal = stwig::match_query_distributed(&current, &query, &config).unwrap();
+            let pre_seal = stwig::match_query(&current, &query, &config, stwig::Run::default()).unwrap();
             let sealed_epoch = epochs.seal_epoch();
             prop_assert_eq!(
                 sealed_epoch, current.epoch(),
@@ -524,7 +568,7 @@ proptest! {
             );
 
             // The old pinned reader: bit-identical to its pre-churn answer.
-            let after = stwig::match_query_distributed(&pinned, &query, &config).unwrap();
+            let after = stwig::match_query(&pinned, &query, &config, stwig::Run::default()).unwrap();
             prop_assert_eq!(
                 &before.table, &after.table,
                 "pinned reader's table changed across applies + seal"
@@ -532,11 +576,11 @@ proptest! {
 
             // The pre-seal current snapshot: bit-identical across the seal,
             // and a fresh pin agrees too (seal is observationally invisible).
-            let post_seal = stwig::match_query_distributed(&current, &query, &config).unwrap();
+            let post_seal = stwig::match_query(&current, &query, &config, stwig::Run::default()).unwrap();
             prop_assert_eq!(&pre_seal.table, &post_seal.table,
                 "pre-seal snapshot changed across seal");
             let fresh = epochs.pin();
-            let fresh_out = stwig::match_query_distributed(&fresh, &query, &config).unwrap();
+            let fresh_out = stwig::match_query(&fresh, &query, &config, stwig::Run::default()).unwrap();
             prop_assert_eq!(&pre_seal.table, &fresh_out.table,
                 "sealed base diverged from the overlay it replaced");
         }
@@ -768,8 +812,8 @@ proptest! {
                     if (step as usize + j) % 3 == 2 {
                         continue;
                     }
-                    let w = stwig::match_query_distributed_with_cache(&snap, q, &config, Some(&warm)).unwrap();
-                    let p = stwig::match_query_distributed_with_cache(&snap, q, &config, Some(&cold)).unwrap();
+                    let w = stwig::match_query(&snap, q, &config, stwig::Run { cache: Some(&warm), ..stwig::Run::default() }).unwrap();
+                    let p = stwig::match_query(&snap, q, &config, stwig::Run { cache: Some(&cold), ..stwig::Run::default() }).unwrap();
                     prop_assert_eq!(&w.table, &p.table);
                     prop_assert_eq!(
                         canonical_rows(q, &w.table),
@@ -803,13 +847,13 @@ proptest! {
                     // cache-free run's rows; a cached join orders them its
                     // own way).
                     Some((old, answers)) => for (q, want) in queries.iter().zip(answers) {
-                        let got = stwig::match_query_distributed_with_cache(old, q, &config, Some(&warm)).unwrap();
+                        let got = stwig::match_query(old, q, &config, stwig::Run { cache: Some(&warm), ..stwig::Run::default() }).unwrap();
                         let same = same_answer(old, q, &got.table, want, config.result_limit());
                         prop_assert!(same.is_ok(), "pinned reader saw another epoch: {:?}", same);
                     },
                     None if step == 2 => {
                         let answers = queries.iter()
-                            .map(|q| stwig::match_query_distributed(&snap, q, &config).unwrap().table)
+                            .map(|q| stwig::match_query(&snap, q, &config, stwig::Run::default()).unwrap().table)
                             .collect();
                         pinned = Some((snap.clone(), answers));
                     }

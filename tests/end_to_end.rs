@@ -33,7 +33,8 @@ fn stwig_matches_vf2_on_dfs_queries() {
     for q in &queries {
         let reference = canonical_rows(q, &vf2(&cloud, q, None));
         for mode in MODES {
-            let ours = stwig::match_query_distributed(&cloud, q, &exhaustive(mode)).unwrap();
+            let ours =
+                stwig::match_query(&cloud, q, &exhaustive(mode), stwig::Run::default()).unwrap();
             assert_eq!(
                 canonical_rows(q, &ours.table),
                 reference,
@@ -53,7 +54,8 @@ fn stwig_matches_ullmann_on_random_queries() {
     for q in &queries {
         let reference = canonical_rows(q, &ullmann(&cloud, q, None));
         for mode in MODES {
-            let ours = stwig::match_query_distributed(&cloud, q, &exhaustive(mode)).unwrap();
+            let ours =
+                stwig::match_query(&cloud, q, &exhaustive(mode), stwig::Run::default()).unwrap();
             assert_eq!(canonical_rows(q, &ours.table), reference, "{mode:?}");
         }
     }
@@ -67,7 +69,8 @@ fn stwig_matches_edge_join_baseline() {
         let (reference, _stats) = edge_join(&cloud, q, None);
         let reference = canonical_rows(q, &reference);
         for mode in MODES {
-            let ours = stwig::match_query_distributed(&cloud, q, &exhaustive(mode)).unwrap();
+            let ours =
+                stwig::match_query(&cloud, q, &exhaustive(mode), stwig::Run::default()).unwrap();
             assert_eq!(canonical_rows(q, &ours.table), reference, "{mode:?}");
         }
     }
@@ -85,7 +88,8 @@ fn distributed_equals_single_machine_across_cluster_sizes() {
         .iter()
         .map(|q| {
             let config = exhaustive(TransportMode::DirectRead);
-            let out = stwig::match_query_distributed(&reference_cloud, q, &config).unwrap();
+            let out =
+                stwig::match_query(&reference_cloud, q, &config, stwig::Run::default()).unwrap();
             canonical_rows(q, &out.table)
         })
         .collect();
@@ -93,7 +97,8 @@ fn distributed_equals_single_machine_across_cluster_sizes() {
         let cloud = graph.build_cloud(machines, CostModel::default());
         for mode in MODES {
             for (q, want) in queries.iter().zip(&expected) {
-                let got = stwig::match_query_distributed(&cloud, q, &exhaustive(mode)).unwrap();
+                let got = stwig::match_query(&cloud, q, &exhaustive(mode), stwig::Run::default())
+                    .unwrap();
                 let ctx = format!("machines={machines}, {mode:?}");
                 assert_eq!(&canonical_rows(q, &got.table), want, "{ctx}");
                 verify_all(&cloud, q, &got.table).unwrap();
@@ -109,7 +114,7 @@ fn bindings_and_join_order_do_not_change_answers() {
     for mode in MODES {
         for q in &queries {
             let run = |config: MatchConfig| {
-                let out = stwig::match_query_distributed(&cloud, q, &config).unwrap();
+                let out = stwig::match_query(&cloud, q, &config, stwig::Run::default()).unwrap();
                 canonical_rows(q, &out.table)
             };
             // The executor always selects its join order, so only the
@@ -131,7 +136,8 @@ fn paper_default_truncates_but_returns_valid_matches() {
     qb.edge(a, b);
     let q = qb.build().unwrap();
     for mode in MODES {
-        let out = stwig::match_query_distributed(&cloud, &q, &paper_default(mode)).unwrap();
+        let out =
+            stwig::match_query(&cloud, &q, &paper_default(mode), stwig::Run::default()).unwrap();
         assert_eq!(out.num_matches(), 1024, "{mode:?}");
         assert!(out.metrics.truncated);
         verify_all(&cloud, &q, &out.table).unwrap();
@@ -150,7 +156,9 @@ fn dataset_profiles_answer_queries() {
         assert!(!queries.is_empty(), "{name}: no queries generated");
         for mode in MODES {
             for q in &queries {
-                let out = stwig::match_query_distributed(&cloud, q, &paper_default(mode)).unwrap();
+                let out =
+                    stwig::match_query(&cloud, q, &paper_default(mode), stwig::Run::default())
+                        .unwrap();
                 // DFS queries are induced subgraphs, so at least one match
                 // exists.
                 assert!(
@@ -169,7 +177,8 @@ fn per_machine_answers_are_disjoint_and_complete() {
     let queries = query_batch(&cloud, 5, 5, None, 700);
     for mode in MODES {
         for q in &queries {
-            let out = stwig::match_query_distributed(&cloud, q, &exhaustive(mode)).unwrap();
+            let out =
+                stwig::match_query(&cloud, q, &exhaustive(mode), stwig::Run::default()).unwrap();
             let rows = canonical_rows(q, &out.table);
             // canonical_rows dedups: if per-machine answers overlapped, the
             // deduplicated count would be smaller than the reported matches.
@@ -187,7 +196,8 @@ fn query_metrics_are_consistent() {
     let cloud = rmat_cloud(800, 8.0, 4, 4, 13);
     let q = dfs_query(&cloud, 6, 42).unwrap();
     for mode in MODES {
-        let out = stwig::match_query_distributed(&cloud, &q, &paper_default(mode)).unwrap();
+        let out =
+            stwig::match_query(&cloud, &q, &paper_default(mode), stwig::Run::default()).unwrap();
         let m = &out.metrics;
         assert_eq!(m.stwig_rows.len(), m.num_stwigs);
         assert_eq!(m.machines.len(), 4);

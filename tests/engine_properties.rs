@@ -7,6 +7,9 @@
 //! a fixed batch pins that each query's traffic record is its own, however
 //! many workers run beside it.
 
+mod common;
+
+use common::run_batch;
 use proptest::prelude::*;
 use stwig_match::prelude::*;
 
@@ -87,7 +90,7 @@ proptest! {
         for config in configs {
             let expected: Vec<_> = queries
                 .iter()
-                .map(|q| stwig::match_query_distributed(&cloud, q, &config).unwrap())
+                .map(|q| stwig::match_query(&cloud, q, &config, stwig::Run::default()).unwrap())
                 .collect();
             let engine = QueryEngine::new(
                 &cloud,
@@ -95,14 +98,14 @@ proptest! {
                     .with_workers(Some(4))
                     .with_match_config(config.clone()),
             );
-            let outputs = engine.run_batch(&queries);
+            let outputs = run_batch(&engine, &queries);
             for (i, (out, want)) in outputs.iter().zip(&expected).enumerate() {
                 let out = out.as_ref().expect("query succeeds");
                 let same = same_answer(&cloud, &queries[i], &out.table, &want.table, config.result_limit());
                 prop_assert!(same.is_ok(), "query {} diverged ({:?}): {:?}", i, config.transport_mode, same);
                 prop_assert_eq!(out.metrics.matches_found, want.metrics.matches_found);
             }
-            let again = engine.run_batch(&queries);
+            let again = run_batch(&engine, &queries);
             for (i, (out, first)) in again.iter().zip(&outputs).enumerate() {
                 let (out, first) = (out.as_ref().unwrap(), first.as_ref().unwrap());
                 prop_assert_eq!(&out.table, &first.table, "query {}: hit != populate", i);
@@ -129,7 +132,7 @@ proptest! {
                 .with_transport_mode(mode);
             let expected: Vec<_> = queries
                 .iter()
-                .map(|q| stwig::match_query_distributed(&cloud, q, &config).unwrap())
+                .map(|q| stwig::match_query(&cloud, q, &config, stwig::Run::default()).unwrap())
                 .collect();
             let engine = QueryEngine::new(
                 &cloud,
@@ -141,7 +144,7 @@ proptest! {
             // Two passes so later lookups race against earlier entries being
             // evicted by concurrent inserts.
             for _ in 0..2 {
-                let outputs = engine.run_batch(&queries);
+                let outputs = run_batch(&engine, &queries);
                 for (i, (out, want)) in outputs.iter().zip(&expected).enumerate() {
                     let out = out.as_ref().expect("query succeeds");
                     let same = same_answer(&cloud, &queries[i], &out.table, &want.table, None);
@@ -200,7 +203,7 @@ fn per_query_traffic_is_exact_whatever_runs_beside_it() {
                     .with_cache(None)
                     .with_match_config(config.clone()),
             );
-            cloud.reset_traffic();
+            cloud.network().reset();
             // `run_batch` with the request's options: submit all, drain on
             // `workers` threads, wait for each.
             let handles: Vec<QueryHandle> = (queries.iter())

@@ -309,7 +309,7 @@ fn explore_hub_star(extra_b: u64) -> HubStar {
     let query = qb.build().unwrap();
     let stwig = stwig::stwig::STwig::new(a, vec![b]);
     let transport = ChannelTransport::new(cloud);
-    cloud.reset_traffic();
+    cloud.network().reset();
     let table = match_stwig_batched(
         cloud,
         &transport,

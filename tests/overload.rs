@@ -115,7 +115,7 @@ fn rejected_submissions_cost_nothing_and_admitted_work_completes() {
             .with_serve(serve)
             .with_match_config(MatchConfig::default().with_transport_mode(mode));
         let engine = QueryEngine::new(&cloud, config);
-        cloud.reset_traffic();
+        cloud.network().reset();
         let direct_before = cloud.direct_remote_reads();
         let mut accepted = Vec::new();
         let mut rejected = 0usize;

@@ -37,13 +37,14 @@ fn assert_parallel_matches_serial(cost_name: &str, cost: CostModel) {
                 ("exhaustive", MatchConfig::default()),
                 ("paper", MatchConfig::paper_default()),
             ] {
-                let serial = match_query_distributed(
+                let serial = match_query(
                     &cloud,
                     query,
                     &base
                         .clone()
                         .with_num_threads(Some(1))
                         .with_transport_mode(TransportMode::DirectRead),
+                    Run::default(),
                 )
                 .unwrap();
                 for mode in [TransportMode::DirectRead, TransportMode::Messages] {
@@ -57,13 +58,14 @@ fn assert_parallel_matches_serial(cost_name: &str, cost: CostModel) {
                         );
                         // The cloud's aggregate adds every retired query.
                         let direct_before = cloud.direct_remote_reads();
-                        let run = match_query_distributed(
+                        let run = match_query(
                             &cloud,
                             query,
                             &base
                                 .clone()
                                 .with_num_threads(Some(threads))
                                 .with_transport_mode(mode),
+                            Run::default(),
                         )
                         .unwrap();
                         if mode == TransportMode::Messages {
@@ -118,7 +120,7 @@ fn submitted_queries_served_concurrently_match_serial() {
                 .with_transport_mode(mode);
             let expected: Vec<_> = queries
                 .iter()
-                .map(|q| match_query_distributed(&cloud, q, &config).unwrap())
+                .map(|q| match_query(&cloud, q, &config, Run::default()).unwrap())
                 .collect();
             let engine = QueryEngine::new(
                 &cloud,

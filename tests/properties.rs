@@ -60,7 +60,7 @@ proptest! {
             let reference = canonical_rows(&query, &vf2(&cloud, &query, None));
             for mode in MODES {
                 let config = MatchConfig::exhaustive().with_transport_mode(mode);
-                let ours = stwig::match_query_distributed(&cloud, &query, &config).unwrap();
+                let ours = stwig::match_query(&cloud, &query, &config, stwig::Run::default()).unwrap();
                 prop_assert_eq!(canonical_rows(&query, &ours.table), reference.clone());
                 prop_assert!(verify_all(&cloud, &query, &ours.table).is_ok());
             }
@@ -76,8 +76,8 @@ proptest! {
             let multi_cloud = build_cloud(&g, machines);
             for mode in MODES {
                 let config = MatchConfig::exhaustive().with_transport_mode(mode);
-                let single = stwig::match_query_distributed(&single_cloud, &query, &config).unwrap();
-                let multi = stwig::match_query_distributed(&multi_cloud, &query, &config).unwrap();
+                let single = stwig::match_query(&single_cloud, &query, &config, stwig::Run::default()).unwrap();
+                let multi = stwig::match_query(&multi_cloud, &query, &config, stwig::Run::default()).unwrap();
                 prop_assert_eq!(
                     canonical_rows(&query, &single.table),
                     canonical_rows(&query, &multi.table)
@@ -134,7 +134,7 @@ proptest! {
                 let config = MatchConfig::exhaustive()
                     .with_result_mode(ResultMode::FirstK(limit))
                     .with_transport_mode(mode);
-                let out = stwig::match_query_distributed(&cloud, &query, &config).unwrap();
+                let out = stwig::match_query(&cloud, &query, &config, stwig::Run::default()).unwrap();
                 prop_assert!(out.num_matches() <= limit);
                 prop_assert!(verify_all(&cloud, &query, &out.table).is_ok());
             }

@@ -17,6 +17,9 @@
 //!   the metrics. Under `Messages` rare child labels are resolved from their
 //!   postings, so pruning saves root decodes there rather than bytes.
 
+mod common;
+
+use common::run_batch;
 use proptest::prelude::*;
 use stwig::stwig::STwig;
 use stwig_match::prelude::*;
@@ -66,7 +69,7 @@ fn pruned_engine_matches_vf2_across_transport_and_cache() {
             let engine = QueryEngine::new(&cloud, config);
             // Two passes so the second one replays through the cache.
             for pass in 0..2 {
-                let outputs = engine.run_batch(&queries);
+                let outputs = run_batch(&engine, &queries);
                 for ((q, out), want) in queries.iter().zip(&outputs).zip(&expected) {
                     let out = out.as_ref().expect("query succeeds");
                     assert_eq!(
@@ -83,7 +86,8 @@ fn pruned_engine_matches_vf2_across_transport_and_cache() {
     // The default config prunes roots too.
     let mut roots_pruned = 0;
     for (q, want) in queries.iter().zip(&expected) {
-        let out = stwig::match_query_distributed(&cloud, q, &MatchConfig::default()).unwrap();
+        let out =
+            stwig::match_query(&cloud, q, &MatchConfig::default(), stwig::Run::default()).unwrap();
         assert_eq!(&canonical_rows(q, &out.table), want, "default config");
         roots_pruned += out.metrics.explore.roots_pruned;
     }
@@ -116,7 +120,7 @@ fn prune_on_off_is_consistent_across_machines_and_threads() {
             let mut reference: Option<stwig::MatchOutput> = None;
             for threads in [1usize, 4] {
                 let config = MatchConfig::exhaustive().with_num_threads(Some(threads));
-                let on = stwig::match_query_distributed(&cloud, query, &config).unwrap();
+                let on = stwig::match_query(&cloud, query, &config, stwig::Run::default()).unwrap();
                 let ctx = format!("query {qi}: machines = {machines}, threads = {threads}");
                 assert_eq!(canonical_rows(query, &on.table), want, "{ctx}");
                 verify_all(&cloud, query, &on.table).expect("embeddings verify");
@@ -147,7 +151,7 @@ fn algorithm1_explore_traffic(
     stwigs: &[STwig],
     prune: bool,
 ) -> (u64, u64) {
-    cloud.reset_traffic();
+    cloud.network().reset();
     for stwig in stwigs {
         let required = required_mask(stwig.children.iter().map(|&c| query.label(c)));
         for k in cloud.machines() {
@@ -201,7 +205,7 @@ fn pruning_cuts_explore_traffic_at_least_2x_on_zipf_rmat() {
     let pruned = algorithm1_explore_traffic(&cloud, &query, &stwigs, true);
     let run = |mode| {
         let config = config.clone().with_transport_mode(mode);
-        stwig::match_query_distributed(&cloud, &query, &config).unwrap()
+        stwig::match_query(&cloud, &query, &config, stwig::Run::default()).unwrap()
     };
     let direct = run(TransportMode::DirectRead);
     let messages = run(TransportMode::Messages);
@@ -308,7 +312,7 @@ proptest! {
         let cloud = g.build_cloud(machines, trinity_sim::network::CostModel::default());
         if let Some(query) = dfs_query(&cloud, 4, seed) {
             let config = MatchConfig::exhaustive().with_num_threads(Some(1));
-            let on = stwig::match_query_distributed(&cloud, &query, &config).unwrap();
+            let on = stwig::match_query(&cloud, &query, &config, stwig::Run::default()).unwrap();
             let off = vf2(&cloud, &query, None);
             prop_assert_eq!(canonical_rows(&query, &on.table), canonical_rows(&query, &off));
             prop_assert!(verify_all(&cloud, &query, &off).is_ok());

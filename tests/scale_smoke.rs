@@ -79,7 +79,7 @@ fn streamed_million_vertex_rmat_matches_its_stream() {
     for q in &queries {
         let tables = [TransportMode::DirectRead, TransportMode::Messages].map(|mode| {
             let config = MatchConfig::paper_default().with_transport_mode(mode);
-            let out = stwig::match_query_distributed(&cloud, q, &config).expect("query");
+            let out = stwig::match_query(&cloud, q, &config, stwig::Run::default()).expect("query");
             verify_all(&cloud, q, &out.table).expect("embeddings verify");
             total_matches += out.metrics.matches_found;
             canonical_rows(q, &out.table)

@@ -36,7 +36,13 @@ fn triangle_on_two_machines_matches_vf2() {
     let cloud = tiny_cloud();
     let query = triangle_query(&cloud);
 
-    let ours = stwig::match_query_distributed(&cloud, &query, &MatchConfig::exhaustive()).unwrap();
+    let ours = stwig::match_query(
+        &cloud,
+        &query,
+        &MatchConfig::exhaustive(),
+        stwig::Run::default(),
+    )
+    .unwrap();
     assert_eq!(ours.num_matches(), 1, "exactly one labeled triangle");
     verify_all(&cloud, &query, &ours.table).unwrap();
 
@@ -47,7 +53,13 @@ fn triangle_on_two_machines_matches_vf2() {
     );
 
     // The distributed path must agree on the same cloud.
-    let dist = stwig::match_query_distributed(&cloud, &query, &MatchConfig::exhaustive()).unwrap();
+    let dist = stwig::match_query(
+        &cloud,
+        &query,
+        &MatchConfig::exhaustive(),
+        stwig::Run::default(),
+    )
+    .unwrap();
     assert_eq!(
         canonical_rows(&query, &dist.table),
         canonical_rows(&query, &reference)

@@ -9,6 +9,9 @@
 //! * Label alphabet: resident bytes per edge must not grow with the number
 //!   of labels.
 
+mod common;
+
+use common::run_batch;
 use proptest::prelude::*;
 use stwig_match::prelude::*;
 use trinity_sim::compact::CompactCsrBuilder;
@@ -123,7 +126,7 @@ fn storage_sweep_matches_vf2() {
             let engine = QueryEngine::new(&cloud, config);
             // Two passes so the second replays through the cache.
             for pass in 0..2 {
-                let outputs = engine.run_batch(&queries);
+                let outputs = run_batch(&engine, &queries);
                 for ((q, out), want) in queries.iter().zip(&outputs).zip(&expected) {
                     let out = out.as_ref().expect("query succeeds");
                     assert_eq!(
@@ -229,7 +232,8 @@ fn sparse_ids_take_the_hashed_index_and_answer_like_the_dense_graph() {
     let config = MatchConfig::exhaustive().with_num_threads(Some(1));
     let mut total_rows = 0;
     for q in &queries {
-        let on_sparse = stwig::match_query_distributed(&sparse, q, &config).expect("query");
+        let on_sparse =
+            stwig::match_query(&sparse, q, &config, stwig::Run::default()).expect("query");
         verify_all(&sparse, q, &on_sparse.table).expect("embeddings verify");
         let rows = canonical_rows(q, &on_sparse.table);
         total_rows += rows.len();
@@ -239,7 +243,8 @@ fn sparse_ids_take_the_hashed_index_and_answer_like_the_dense_graph() {
             .map(|row| row.iter().map(|id| VertexId(id.0 / 1_000_003)).collect())
             .collect();
         mapped_back.sort_unstable();
-        let on_dense = stwig::match_query_distributed(&dense, q, &config).expect("query");
+        let on_dense =
+            stwig::match_query(&dense, q, &config, stwig::Run::default()).expect("query");
         assert_eq!(
             mapped_back,
             canonical_rows(q, &on_dense.table),

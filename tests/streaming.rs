@@ -37,7 +37,7 @@ fn first_k_streams_exactly_k_valid_embeddings_in_both_modes() {
     for machines in MACHINES {
         let cloud = test_cloud(machines);
         for (qi, query) in workload(&cloud).iter().enumerate() {
-            let full = match_query_distributed(&cloud, query, &MatchConfig::default()).unwrap();
+            let full = match_query(&cloud, query, &MatchConfig::default(), Run::default()).unwrap();
             let full_rows: HashSet<Vec<VertexId>> =
                 canonical_rows(query, &full.table).into_iter().collect();
             let total = full_rows.len();
@@ -50,14 +50,17 @@ fn first_k_streams_exactly_k_valid_embeddings_in_both_modes() {
                         .with_result_mode(ResultMode::FirstK(k));
                     let mut sink = CollectSink::new();
                     let direct_before = cloud.direct_remote_reads();
-                    let metrics = match_query_streaming(
+                    let metrics = match_query(
                         &cloud,
                         query,
                         &config,
-                        &QueryOptions::none(),
-                        &mut sink,
+                        Run {
+                            sink: Some(&mut sink),
+                            ..Run::default()
+                        },
                     )
-                    .unwrap();
+                    .unwrap()
+                    .metrics;
                     let table = sink.into_table().unwrap();
                     assert_eq!(metrics.outcome, QueryOutcome::Complete, "{ctx}");
                     assert_eq!(
@@ -89,6 +92,49 @@ fn first_k_streams_exactly_k_valid_embeddings_in_both_modes() {
     }
 }
 
+/// A request's result mode is applied in one place, the executor, so
+/// `match_query` into a table, `match_query` into a sink and the engine's
+/// `submit` all mean the same by `QueryOptions::with_result_mode`.
+#[test]
+fn a_requests_result_mode_means_the_same_at_every_entry_point() {
+    let cloud = test_cloud(4);
+    let config = MatchConfig::default();
+    let run_all = |query: &QueryGraph| match_query(&cloud, query, &config, Run::default()).unwrap();
+    let queries = workload(&cloud);
+    let query = (queries.iter())
+        .max_by_key(|query| run_all(query).num_matches())
+        .unwrap();
+    let all = run_all(query);
+    assert!(all.num_matches() > 1, "the override must have rows to cut");
+    let first = || QueryOptions::none().with_result_mode(ResultMode::FirstK(1));
+
+    let into_table = Run {
+        options: first(),
+        ..Run::default()
+    };
+    let table = match_query(&cloud, query, &config, into_table).unwrap();
+    assert_eq!(table.num_matches(), 1);
+
+    let mut sink = CollectSink::new();
+    let into_sink = Run {
+        options: first(),
+        sink: Some(&mut sink),
+        ..Run::default()
+    };
+    let streamed = match_query(&cloud, query, &config, into_sink).unwrap();
+    assert_eq!(streamed.metrics.rows_streamed, 1);
+    assert_eq!(streamed.num_matches(), 0, "a sink leaves the table empty");
+    assert_eq!(streamed.table.columns(), all.table.columns());
+    assert_eq!(sink.num_rows(), 1);
+
+    let engine = QueryEngine::new(&cloud, EngineConfig::default().with_match_config(config));
+    let handle = engine
+        .submit(QueryRequest::new(query.clone()).with_options(first()))
+        .expect_accepted();
+    engine.drain();
+    assert_eq!(handle.wait().unwrap().table.unwrap().num_rows(), 1);
+}
+
 #[test]
 fn exists_mode_handles_zero_match_queries_in_both_modes() {
     for machines in MACHINES {
@@ -98,7 +144,7 @@ fn exists_mode_handles_zero_match_queries_in_both_modes() {
         let queries = workload(&cloud);
         for mode in MODES {
             for (qi, query) in queries.iter().enumerate() {
-                let total = match_query_distributed(&cloud, query, &MatchConfig::default())
+                let total = match_query(&cloud, query, &MatchConfig::default(), Run::default())
                     .unwrap()
                     .num_matches();
                 let config = MatchConfig::default()
@@ -106,9 +152,17 @@ fn exists_mode_handles_zero_match_queries_in_both_modes() {
                     .with_result_mode(ResultMode::Exists);
                 let mut rows = 0u64;
                 let mut sink = |_row: &[VertexId]| rows += 1;
-                let metrics =
-                    match_query_streaming(&cloud, query, &config, &QueryOptions::none(), &mut sink)
-                        .unwrap();
+                let metrics = match_query(
+                    &cloud,
+                    query,
+                    &config,
+                    Run {
+                        sink: Some(&mut sink),
+                        ..Run::default()
+                    },
+                )
+                .unwrap()
+                .metrics;
                 let ctx = format!("machines = {machines}, mode = {mode:?}, query = {qi}");
                 assert_eq!(metrics.outcome, QueryOutcome::Complete, "{ctx}");
                 assert_eq!(
@@ -131,14 +185,18 @@ fn pre_cancelled_query_stops_before_exploring_in_both_modes() {
         token.cancel();
         let config = MatchConfig::default().with_transport_mode(mode);
         let mut sink = CollectSink::new();
-        let metrics = match_query_streaming(
+        let metrics = match_query(
             &cloud,
             query,
             &config,
-            &QueryOptions::none().with_cancel(token),
-            &mut sink,
+            Run {
+                options: QueryOptions::none().with_cancel(token),
+                sink: Some(&mut sink),
+                ..Run::default()
+            },
         )
-        .unwrap();
+        .unwrap()
+        .metrics;
         assert_eq!(metrics.outcome, QueryOutcome::Cancelled, "mode = {mode:?}");
         assert_eq!(metrics.rows_streamed, 0, "mode = {mode:?}");
     }
@@ -153,7 +211,7 @@ fn cancel_mid_stream_delivers_only_valid_pre_cancel_rows() {
     for mode in MODES {
         let cloud = test_cloud(4);
         for (qi, query) in workload(&cloud).iter().enumerate() {
-            let full = match_query_distributed(&cloud, query, &MatchConfig::default()).unwrap();
+            let full = match_query(&cloud, query, &MatchConfig::default(), Run::default()).unwrap();
             if full.num_matches() < 2 {
                 continue; // nothing to cancel mid-stream
             }
@@ -168,14 +226,18 @@ fn cancel_mid_stream_delivers_only_valid_pre_cancel_rows() {
                     sink_token.cancel();
                 };
                 let config = MatchConfig::default().with_transport_mode(mode);
-                let metrics = match_query_streaming(
+                let metrics = match_query(
                     &cloud,
                     query,
                     &config,
-                    &QueryOptions::none().with_cancel(token),
-                    &mut sink,
+                    Run {
+                        options: QueryOptions::none().with_cancel(token),
+                        sink: Some(&mut sink),
+                        ..Run::default()
+                    },
                 )
-                .unwrap();
+                .unwrap()
+                .metrics;
                 let ctx = format!("mode = {mode:?}, query = {qi}");
                 assert_eq!(metrics.outcome, QueryOutcome::Cancelled, "{ctx}");
                 assert!(metrics.rows_streamed >= 1, "{ctx}");
@@ -210,14 +272,18 @@ fn deadline_exceeded_query_returns_promptly_with_partial_rows() {
             let mut rows = 0u64;
             let started = Instant::now();
             let mut sink = |_row: &[VertexId]| rows += 1;
-            let metrics = match_query_streaming(
+            let metrics = match_query(
                 &cloud,
                 query,
                 &config,
-                &QueryOptions::none().with_deadline(deadline),
-                &mut sink,
+                Run {
+                    options: QueryOptions::none().with_deadline(deadline),
+                    sink: Some(&mut sink),
+                    ..Run::default()
+                },
             )
-            .unwrap();
+            .unwrap()
+            .metrics;
             let elapsed = started.elapsed();
             let ctx = format!("mode = {mode:?}, query = {qi}");
             // Generous CI bound; `experiments serving` reports the strict
@@ -254,13 +320,33 @@ fn a_sink_gets_rows_as_machines_join_them_whatever_the_thread_count() {
         // shipped their load sets: a consumer that cancels on its first row
         // leaves them unshipped.
         let mut sink = |_row: &[VertexId]| {};
-        let live = match_query_streaming(&cloud, query, &config, &QueryOptions::none(), &mut sink)
-            .unwrap();
+        let live = match_query(
+            &cloud,
+            query,
+            &config,
+            Run {
+                sink: Some(&mut sink),
+                ..Run::default()
+            },
+        )
+        .unwrap()
+        .metrics;
         assert!(live.rows_streamed > 1, "{mode:?}");
         let token = CancelToken::new();
         let mut sink = |_row: &[VertexId]| token.cancel();
         let options = QueryOptions::none().with_cancel(token.clone());
-        let first = match_query_streaming(&cloud, query, &config, &options, &mut sink).unwrap();
+        let first = match_query(
+            &cloud,
+            query,
+            &config,
+            Run {
+                options: options.clone(),
+                sink: Some(&mut sink),
+                ..Run::default()
+            },
+        )
+        .unwrap()
+        .metrics;
         assert_eq!(first.outcome, QueryOutcome::Cancelled, "{mode:?}");
         let explore = |m: &QueryMetrics| m.phase_traffic.explore_bytes;
         assert_eq!(explore(&first), explore(&live), "{mode:?}");
@@ -269,8 +355,17 @@ fn a_sink_gets_rows_as_machines_join_them_whatever_the_thread_count() {
         let serial = config.clone().with_num_threads(Some(1));
         let mut rows = 0u64;
         let mut sink = |_row: &[VertexId]| rows += 1;
-        let one = match_query_streaming(&cloud, query, &serial, &QueryOptions::none(), &mut sink)
-            .unwrap();
+        let one = match_query(
+            &cloud,
+            query,
+            &serial,
+            Run {
+                sink: Some(&mut sink),
+                ..Run::default()
+            },
+        )
+        .unwrap()
+        .metrics;
         assert_eq!(live.peak_table_bytes, one.peak_table_bytes, "{mode:?}");
         // (b) Rows delivered before a deadline stay delivered: the consumer
         // sits on its first row until the deadline has passed.
@@ -281,7 +376,18 @@ fn a_sink_gets_rows_as_machines_join_them_whatever_the_thread_count() {
             std::thread::sleep(if rows == 1 { deadline } else { Duration::ZERO });
         };
         let options = QueryOptions::none().with_deadline(deadline);
-        let cut = match_query_streaming(&cloud, query, &config, &options, &mut sink).unwrap();
+        let cut = match_query(
+            &cloud,
+            query,
+            &config,
+            Run {
+                options: options.clone(),
+                sink: Some(&mut sink),
+                ..Run::default()
+            },
+        )
+        .unwrap()
+        .metrics;
         assert_eq!(cut.outcome, QueryOutcome::DeadlineExceeded, "{mode:?}");
         assert_eq!(cut.rows_streamed, rows, "{mode:?}");
         assert!((1..live.rows_streamed).contains(&rows), "{mode:?}");
@@ -295,7 +401,7 @@ fn first_k_is_consistent_across_threads_and_cache() {
     // deliver exactly k valid rows.
     let cloud = test_cloud(4);
     let query = &workload(&cloud)[0];
-    let full = match_query_distributed(&cloud, query, &MatchConfig::default()).unwrap();
+    let full = match_query(&cloud, query, &MatchConfig::default(), Run::default()).unwrap();
     let full_rows: HashSet<Vec<VertexId>> =
         canonical_rows(query, &full.table).into_iter().collect();
     let k = 4usize.min(full_rows.len());
@@ -468,18 +574,34 @@ fn row_stream_yields_exactly_what_collect_sink_collects() {
             .clone()
             .with_transport_mode(mode)
             .with_num_threads(Some(threads));
-        let out = match_query_distributed(cloud, &query, &config).unwrap();
+        let out = match_query(cloud, &query, &config, Run::default()).unwrap();
         let mut collect = CollectSink::new();
-        let collected =
-            match_query_streaming(cloud, &query, &config, &QueryOptions::none(), &mut collect)
-                .unwrap();
+        let collected = match_query(
+            cloud,
+            &query,
+            &config,
+            Run {
+                sink: Some(&mut collect),
+                ..Run::default()
+            },
+        )
+        .unwrap()
+        .metrics;
         let table = collect.into_table().unwrap();
 
         let (tx, rx) = std::sync::mpsc::channel();
         let mut sink = ChannelSink::new(tx);
-        let streamed =
-            match_query_streaming(cloud, &query, &config, &QueryOptions::none(), &mut sink)
-                .unwrap();
+        let streamed = match_query(
+            cloud,
+            &query,
+            &config,
+            Run {
+                sink: Some(&mut sink),
+                ..Run::default()
+            },
+        )
+        .unwrap()
+        .metrics;
         drop(sink);
         let batches: Vec<RowBatch> = RowStream::new(rx).batches().collect();
 
