@@ -1,5 +1,6 @@
 //! The partition store's one representation: delta/varint-encoded
-//! adjacency, succinct label postings and a rank-bitmap id index.
+//! adjacency, succinct label postings, width-picked labels and an id index
+//! that is arithmetic on a full range.
 //!
 //! Trinity's cells live in flat memory trunks precisely because per-object
 //! overhead is what kills billion-node graphs (PAPER.md §3); the Compact
@@ -15,13 +16,18 @@
 //! * [`Neighbors`] — a zero-copy view over either an encoded byte run or a
 //!   sorted `&[VertexId]` slice (an overlay's merged list). Exploration
 //!   iterates it directly: decode-on-iterate, no allocation.
-//! * [`IdIndex`] — the partition's ids in both directions. Ids that fill
-//!   their range (a power-of-two machine count gives each partition one
-//!   residue class) are a presence bitmap over slots `(id - base) >> shift`
-//!   with a `u32` rank per word: 12 B per 64 slots, ~0.19 B a vertex when
-//!   the partition holds every id of its range. `id → local` is a rank,
-//!   `slot → id` is a shift and an add. Sparse ids fall back to the sorted
-//!   id array plus a [`CompactIdMap`] (16 B a vertex).
+//! * [`IdIndex`] — the partition's ids in both directions, over slots
+//!   `(id - base) >> shift`. Ids that fill their range (a power-of-two
+//!   machine count gives each partition one residue class) keep only
+//!   `base`, `shift` and the count: 0 B, `id → local` is a range check, a
+//!   stride check and a shift. A range with holes adds a presence bitmap
+//!   with a `u32` rank per word (12 B per 64 slots, ~0.19 B a vertex when
+//!   few slots are empty), and `id → local` is a rank. `slot → id` is a
+//!   shift and an add either way. Sparse ids fall back to the sorted id
+//!   array plus a [`CompactIdMap`] (16 B a vertex).
+//! * [`LabelArray`] — one label per local vertex at the narrowest width the
+//!   interned label count allows: 1 B up to 256 labels, 2 B up to 65,536,
+//!   else 4 B.
 //! * [`CompactLabelIndex`] — per-label postings over the id index's
 //!   *slots*, stored as whichever of a dense bitmap or a delta-varint list
 //!   is smaller for that label. [`Postings`] decodes a slot straight to its
@@ -128,6 +134,115 @@ impl OffsetArray {
 impl Default for OffsetArray {
     fn default() -> Self {
         OffsetArray::U32(vec![0])
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Label array with build-time width selection
+// ---------------------------------------------------------------------------
+
+/// Per-vertex labels, stored at the narrowest width that holds every label
+/// of the label space: `u8` when it has at most 256 labels, `u16` up to
+/// 65,536, `u32` beyond. The width is picked once from the interned label
+/// count `L`, the way [`CompactCsr`] picks its offset width, so a vertex
+/// pays one byte for its label on every workload whose `L ≤ 256`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub enum LabelArray {
+    /// At most 256 labels.
+    U8(Vec<u8>),
+    /// At most 65,536 labels.
+    U16(Vec<u16>),
+    /// Any label.
+    U32(Vec<u32>),
+}
+
+impl LabelArray {
+    /// An empty array for a label space of `num_labels`, with room for
+    /// `capacity` labels.
+    pub fn with_capacity(num_labels: usize, capacity: usize) -> Self {
+        if num_labels <= 1 << 8 {
+            LabelArray::U8(Vec::with_capacity(capacity))
+        } else if num_labels <= 1 << 16 {
+            LabelArray::U16(Vec::with_capacity(capacity))
+        } else {
+            LabelArray::U32(Vec::with_capacity(capacity))
+        }
+    }
+
+    /// `labels` for a label space of `num_labels`.
+    pub fn from_labels(num_labels: usize, labels: &[LabelId]) -> Self {
+        let mut array = LabelArray::with_capacity(num_labels, labels.len());
+        for &label in labels {
+            array.push(label);
+        }
+        array
+    }
+
+    /// Appends `label`. A label outside the space the width was picked for
+    /// widens the array rather than wrap, so a read never returns a label
+    /// that was not pushed.
+    pub fn push(&mut self, label: LabelId) {
+        match self {
+            LabelArray::U8(v) => match u8::try_from(label.0) {
+                Ok(x) => v.push(x),
+                Err(_) => self.widen_and_push(label),
+            },
+            LabelArray::U16(v) => match u16::try_from(label.0) {
+                Ok(x) => v.push(x),
+                Err(_) => self.widen_and_push(label),
+            },
+            LabelArray::U32(v) => v.push(label.0),
+        }
+    }
+
+    #[cold]
+    fn widen_and_push(&mut self, label: LabelId) {
+        let mut wide: Vec<u32> = self.iter().map(|l| l.0).collect();
+        wide.push(label.0);
+        *self = LabelArray::U32(wide);
+    }
+
+    /// The label of local vertex `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> LabelId {
+        LabelId(match self {
+            LabelArray::U8(v) => u32::from(v[i]),
+            LabelArray::U16(v) => u32::from(v[i]),
+            LabelArray::U32(v) => v[i],
+        })
+    }
+
+    /// Number of labels stored.
+    pub fn len(&self) -> usize {
+        match self {
+            LabelArray::U8(v) => v.len(),
+            LabelArray::U16(v) => v.len(),
+            LabelArray::U32(v) => v.len(),
+        }
+    }
+
+    /// Whether no label is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes a label takes: 1, 2 or 4.
+    pub fn width(&self) -> usize {
+        match self {
+            LabelArray::U8(_) => 1,
+            LabelArray::U16(_) => 2,
+            LabelArray::U32(_) => 4,
+        }
+    }
+
+    /// The labels in local-index order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = LabelId> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Resident bytes: the width times the count.
+    pub fn memory_bytes(&self) -> usize {
+        self.len() * self.width()
     }
 }
 
@@ -542,33 +657,47 @@ impl CompactIdMap {
 }
 
 // ---------------------------------------------------------------------------
-// Id index: rank bitmap over dense ids, hashed slots over sparse ones
+// Id index: a full strided range, a rank bitmap over one with holes, or
+// hashed slots over sparse ids
 // ---------------------------------------------------------------------------
 
-/// Resident bytes of one [`IdIndex::Dense`] word: the bitmap word plus its
+/// Resident bytes of one [`IdIndex::Ranked`] word: the bitmap word plus its
 /// `u32` rank.
-const DENSE_WORD_BYTES: u128 = 12;
+const RANKED_WORD_BYTES: u128 = 12;
 
 /// One partition's vertex ids, in both directions: global id → local index
 /// ([`IdIndex::local_of`]) and posting slot → global id
 /// ([`IdIndex::id_at`]). Local indices follow ascending id order.
 ///
 /// Postings address vertices by *slot* rather than by local index, so
-/// decoding one is [`IdIndex::id_at`] — arithmetic on a dense index, an
+/// decoding one is [`IdIndex::id_at`] — arithmetic on a strided index, an
 /// array read on a hashed one — and never a `select`. Slot order is id
-/// order in both variants; when a partition holds every id of its range,
+/// order in every variant; when a partition holds every id of its range,
 /// slot and local index coincide.
 ///
-/// The data picks the variant ([`IdIndex::build`]): the bitmap whenever it
-/// is no larger than the id array it replaces. Under a non-power-of-two
-/// machine count `m` a partition holds about one id in `m` of its range,
-/// so the bitmap costs about `0.19·m` B a vertex and gives way to the
-/// hashed arm above `m ≈ 42`.
+/// The data picks the variant ([`IdIndex::build`]): [`IdIndex::Full`] when
+/// the ids fill their strided range (a power-of-two machine count gives
+/// each partition one residue class, so every loaded workload partition
+/// is full); else the rank bitmap whenever it is no larger than the id
+/// array it replaces. Under a non-power-of-two machine count `m` a
+/// partition holds about one id in `m` of its range, so the bitmap costs
+/// about `0.19·m` B a vertex and gives way to the hashed arm above
+/// `m ≈ 42`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum IdIndex {
-    /// Ids that fill their range: one presence bit per slot
+    /// Ids that fill their range: exactly the `len` slots
+    /// `base + (s << shift)`, `s < len`. No heap at all.
+    Full {
+        /// The smallest id.
+        base: u64,
+        /// Trailing-zero count of the OR of every `id - base`.
+        shift: u32,
+        /// Number of ids, which is the number of slots.
+        len: usize,
+    },
+    /// Ids with holes in their range: one presence bit per slot
     /// `(id - base) >> shift`.
-    Dense {
+    Ranked {
         /// The smallest id.
         base: u64,
         /// Trailing-zero count of the OR of every `id - base`: all ids
@@ -595,10 +724,19 @@ impl Default for IdIndex {
     }
 }
 
+/// The slot of `id` in the strided range from `base`, or `None` when `id`
+/// is below `base` or off the stride. Membership is the caller's check.
+#[inline]
+fn strided_slot(base: u64, shift: u32, id: VertexId) -> Option<u64> {
+    let offset = id.0.checked_sub(base)?;
+    (offset & ((1u64 << shift) - 1) == 0).then_some(offset >> shift)
+}
+
 impl IdIndex {
-    /// Indexes `ids`, which must be strictly ascending. Stores them as a
-    /// rank bitmap when `12 B × ⌈slots / 64⌉ ≤ 8 B × ids.len()`, and keeps
-    /// the array with a [`CompactIdMap`] over it otherwise.
+    /// Indexes `ids`, which must be strictly ascending. Keeps nothing but
+    /// the range when the ids fill it, a rank bitmap when
+    /// `12 B × ⌈slots / 64⌉ ≤ 8 B × ids.len()`, and the array with a
+    /// [`CompactIdMap`] over it otherwise.
     pub fn build(mut ids: Vec<VertexId>) -> Self {
         debug_assert!(
             ids.windows(2).all(|w| w[0] < w[1]),
@@ -618,11 +756,21 @@ impl IdIndex {
         } else {
             stride_bits.trailing_zeros()
         };
-        let num_words = match ids.len() {
+        let num_slots = match ids.len() {
             0 => 0,
-            _ => (u128::from((last - base) >> shift) + 1).div_ceil(64),
+            _ => u128::from((last - base) >> shift) + 1,
         };
-        if DENSE_WORD_BYTES * num_words > 8 * ids.len() as u128 {
+        // Distinct ids of one residue class fill their range exactly when
+        // there are as many as it has slots.
+        if num_slots == ids.len() as u128 {
+            return IdIndex::Full {
+                base,
+                shift,
+                len: ids.len(),
+            };
+        }
+        let num_words = num_slots.div_ceil(64);
+        if RANKED_WORD_BYTES * num_words > 8 * ids.len() as u128 {
             ids.shrink_to_fit();
             let map = CompactIdMap::build(&ids);
             return IdIndex::Hashed { ids, map };
@@ -639,7 +787,7 @@ impl IdIndex {
             ranks.push(rank);
             rank += word.count_ones();
         }
-        IdIndex::Dense {
+        IdIndex::Ranked {
             base,
             shift,
             words,
@@ -650,7 +798,8 @@ impl IdIndex {
     /// Number of indexed ids.
     pub fn len(&self) -> usize {
         match self {
-            IdIndex::Dense { words, ranks, .. } => match (words.last(), ranks.last()) {
+            IdIndex::Full { len, .. } => *len,
+            IdIndex::Ranked { words, ranks, .. } => match (words.last(), ranks.last()) {
                 (Some(word), Some(&rank)) => rank as usize + word.count_ones() as usize,
                 _ => 0,
             },
@@ -666,7 +815,8 @@ impl IdIndex {
     /// One past the highest slot: the span a bitmap posting list covers.
     pub fn slot_space(&self) -> usize {
         match self {
-            IdIndex::Dense { words, .. } => words.last().map_or(0, |last| {
+            IdIndex::Full { len, .. } => *len,
+            IdIndex::Ranked { words, .. } => words.last().map_or(0, |last| {
                 (words.len() - 1) * 64 + 64 - last.leading_zeros() as usize
             }),
             IdIndex::Hashed { ids, .. } => ids.len(),
@@ -677,17 +827,17 @@ impl IdIndex {
     #[inline]
     pub fn local_of(&self, id: VertexId) -> Option<usize> {
         match self {
-            IdIndex::Dense {
+            IdIndex::Full { base, shift, len } => {
+                let slot = strided_slot(*base, *shift, id)?;
+                (slot < *len as u64).then_some(slot as usize)
+            }
+            IdIndex::Ranked {
                 base,
                 shift,
                 words,
                 ranks,
             } => {
-                let offset = id.0.checked_sub(*base)?;
-                if offset & ((1u64 << shift) - 1) != 0 {
-                    return None;
-                }
-                let slot = offset >> shift;
+                let slot = strided_slot(*base, *shift, id)?;
                 let w = usize::try_from(slot / 64).ok()?;
                 let (word, bit) = (*words.get(w)?, slot % 64);
                 if (word >> bit) & 1 == 0 {
@@ -700,11 +850,30 @@ impl IdIndex {
         }
     }
 
+    /// The slot of `id` (below [`IdIndex::slot_space`]), or `None` when it
+    /// is not indexed. A rank bitmap answers with the bit's position and
+    /// skips the rank; elsewhere a slot is the local index.
+    #[inline]
+    pub fn slot_of(&self, id: VertexId) -> Option<usize> {
+        match self {
+            IdIndex::Ranked {
+                base, shift, words, ..
+            } => {
+                let slot = strided_slot(*base, *shift, id)?;
+                let word = *words.get(usize::try_from(slot / 64).ok()?)?;
+                ((word >> (slot % 64)) & 1 == 1).then_some(slot as usize)
+            }
+            _ => self.local_of(id),
+        }
+    }
+
     /// The global id at posting slot `slot`, which must be a member's.
     #[inline]
     pub fn id_at(&self, slot: usize) -> VertexId {
         match self {
-            IdIndex::Dense { base, shift, .. } => VertexId(base + ((slot as u64) << shift)),
+            IdIndex::Full { base, shift, .. } | IdIndex::Ranked { base, shift, .. } => {
+                VertexId(base + ((slot as u64) << shift))
+            }
             IdIndex::Hashed { ids, .. } => ids[slot],
         }
     }
@@ -712,7 +881,8 @@ impl IdIndex {
     /// The members' slots in ascending order (one per local index).
     pub fn slots(&self) -> Slots<'_> {
         match self {
-            IdIndex::Dense { words, .. } => Slots::Bits(SetBits::new(words)),
+            IdIndex::Full { len, .. } => Slots::Range(0..*len),
+            IdIndex::Ranked { words, .. } => Slots::Bits(SetBits::new(words)),
             IdIndex::Hashed { ids, .. } => Slots::Range(0..ids.len()),
         }
     }
@@ -725,10 +895,12 @@ impl IdIndex {
         }
     }
 
-    /// Resident bytes: bitmap words plus ranks, or ids plus map slots.
+    /// Resident bytes: none for a full range, bitmap words plus ranks, or
+    /// ids plus map slots.
     pub fn memory_bytes(&self) -> usize {
         match self {
-            IdIndex::Dense { words, ranks, .. } => {
+            IdIndex::Full { .. } => 0,
+            IdIndex::Ranked { words, ranks, .. } => {
                 words.len() * std::mem::size_of::<u64>() + ranks.len() * std::mem::size_of::<u32>()
             }
             IdIndex::Hashed { ids, map } => {
@@ -776,9 +948,9 @@ impl Iterator for SetBits<'_> {
 /// The member slots of an [`IdIndex`], ascending.
 #[derive(Clone)]
 pub enum Slots<'a> {
-    /// A dense index's set bits.
+    /// A ranked index's set bits.
     Bits(SetBits<'a>),
-    /// A hashed index's local indices.
+    /// A full or hashed index's local indices.
     Range(std::ops::Range<usize>),
 }
 
@@ -874,13 +1046,13 @@ impl CompactLabelIndex {
     /// label-space size. A label outside it is dropped — the vertex is not
     /// indexed under it, and the label space never grows with the data —
     /// and flagged with a `debug_assert`.
-    pub fn build(labels: &[LabelId], num_labels: usize, ids: &IdIndex) -> Self {
+    pub fn build(labels: &LabelArray, num_labels: usize, ids: &IdIndex) -> Self {
         debug_assert_eq!(labels.len(), ids.len(), "one label per indexed id");
         // Pass 1: per-label frequency and exact delta-encoded size.
         let mut counts = vec![0u32; num_labels];
         let mut delta_bytes = vec![0usize; num_labels];
         let mut last_slot = vec![u64::MAX; num_labels];
-        for (slot, l) in ids.slots().zip(labels) {
+        for (slot, l) in ids.slots().zip(labels.iter()) {
             let Some(c) = counts.get_mut(l.index()) else {
                 debug_assert!(
                     false,
@@ -921,7 +1093,7 @@ impl CompactLabelIndex {
             .collect();
         let mut prev = vec![0u64; num_labels];
         let mut seen = vec![false; num_labels];
-        for (slot, l) in ids.slots().zip(labels) {
+        for (slot, l) in ids.slots().zip(labels.iter()) {
             let Some(list) = lists.get_mut(l.index()) else {
                 continue;
             };
@@ -1301,8 +1473,8 @@ mod tests {
         assert_eq!(index.is_empty(), ids.is_empty());
         assert_eq!(index.iter().collect::<Vec<_>>(), ids, "iteration order");
 
-        // The variant rule: the bitmap whenever it is no larger than the
-        // id array.
+        // The variant rule: nothing but the range when the ids fill it, else
+        // the bitmap whenever it is no larger than the id array.
         let (base, last) = (
             ids.first().map_or(0, |x| x.0),
             ids.last().map_or(0, |x| x.0),
@@ -1313,19 +1485,23 @@ mod tests {
         } else {
             stride.trailing_zeros()
         };
-        let words = if ids.is_empty() {
+        let slots = if ids.is_empty() {
             0
         } else {
-            (u128::from((last - base) >> shift) + 1).div_ceil(64)
+            u128::from((last - base) >> shift) + 1
         };
-        let dense = 12 * words <= 8 * ids.len() as u128;
-        assert_eq!(matches!(index, IdIndex::Dense { .. }), dense, "variant");
-        if let IdIndex::Dense { shift: s, .. } = index {
+        let words = slots.div_ceil(64);
+        let full = slots == ids.len() as u128;
+        let ranked = !full && 12 * words <= 8 * ids.len() as u128;
+        assert_eq!(matches!(index, IdIndex::Full { .. }), full, "variant");
+        assert_eq!(matches!(index, IdIndex::Ranked { .. }), ranked, "variant");
+        if let IdIndex::Full { shift: s, .. } | IdIndex::Ranked { shift: s, .. } = index {
             assert_eq!(s, shift);
         }
         let bytes = index.memory_bytes();
         match index {
-            IdIndex::Dense { .. } => assert_eq!(bytes as u128, 12 * words),
+            IdIndex::Full { .. } => assert_eq!(bytes, 0),
+            IdIndex::Ranked { .. } => assert_eq!(bytes as u128, 12 * words),
             IdIndex::Hashed { ref map, .. } => {
                 assert_eq!(bytes, ids.len() * 8 + map.memory_bytes())
             }
@@ -1334,6 +1510,8 @@ mod tests {
         let members: std::collections::HashSet<u64> = ids.iter().map(|x| x.0).collect();
         for (local, &id) in ids.iter().enumerate() {
             assert_eq!(index.local_of(id), Some(local), "member {id}");
+            let slot = index.slot_of(id).expect("a member has a slot");
+            assert_eq!(index.id_at(slot), id, "slot of {id}");
         }
         let mut outsiders = vec![0, 1, u64::MAX, u64::MAX - 1];
         for &id in &ids {
@@ -1347,6 +1525,7 @@ mod tests {
             let want = ids.iter().position(|x| x.0 == id);
             assert_eq!(members.contains(&id), want.is_some());
             assert_eq!(index.local_of(v(id)), want, "probe {id}");
+            assert_eq!(index.slot_of(v(id)).is_some(), want.is_some(), "slot {id}");
         }
 
         // Slots ascend, stay inside the slot space, and decode to the ids.
@@ -1362,7 +1541,7 @@ mod tests {
         let labels: Vec<LabelId> = (0..ids.len())
             .map(|i| l(if i % 97 == 0 { 1 } else { 0 }))
             .collect();
-        let postings = CompactLabelIndex::build(&labels, 2, &index);
+        let postings = CompactLabelIndex::build(&LabelArray::from_labels(2, &labels), 2, &index);
         for lab in 0..2 {
             let want: Vec<VertexId> = ids
                 .iter()
@@ -1377,38 +1556,46 @@ mod tests {
 
     #[test]
     fn id_index_answers_both_directions_on_every_shape() {
-        let dense = |ids: &[u64]| {
+        let arm = |ids: &[u64], want: &str| {
             let index = check_id_index(ids);
-            assert!(matches!(index, IdIndex::Dense { .. }), "{ids:?}");
+            let got = match index {
+                IdIndex::Full { .. } => "full",
+                IdIndex::Ranked { .. } => "ranked",
+                IdIndex::Hashed { .. } => "hashed",
+            };
+            assert_eq!(got, want, "{ids:?}");
             index
         };
-        let hashed = |ids: &[u64]| {
-            let index = check_id_index(ids);
-            assert!(matches!(index, IdIndex::Hashed { .. }), "{ids:?}");
-        };
-        assert_eq!(dense(&[]).memory_bytes(), 0);
-        // A single id: one word (12 B) is more than its 8 B array.
-        hashed(&[0]);
-        hashed(&[42]);
-        hashed(&[u64::MAX]);
-        dense(&[u64::MAX - 1, u64::MAX]);
+        assert_eq!(arm(&[], "full").memory_bytes(), 0);
+        // A single id fills its one-slot range.
+        arm(&[0], "full");
+        arm(&[42], "full");
+        arm(&[u64::MAX], "full");
+        arm(&[u64::MAX - 1, u64::MAX], "full");
         // Ids near the top of the space: no overflow in slots or decoding.
-        dense(&(u64::MAX - 300..=u64::MAX).collect::<Vec<_>>());
-        dense(&(0..100).map(|i| u64::MAX - 4 * i).rev().collect::<Vec<_>>());
-        // All even ids: shift 1.
-        let evens = dense(&(0..2_000).map(|i| 2 * i).collect::<Vec<_>>());
-        assert!(matches!(evens, IdIndex::Dense { shift: 1, .. }));
+        arm(&(u64::MAX - 300..=u64::MAX).collect::<Vec<_>>(), "full");
+        let top: Vec<u64> = (0..100).map(|i| u64::MAX - 4 * i).rev().collect();
+        arm(&top, "full");
+        // All even ids: shift 1, no heap.
+        let evens = arm(&(0..2_000).map(|i| 2 * i).collect::<Vec<_>>(), "full");
+        assert!(matches!(evens, IdIndex::Full { shift: 1, len: 2_000, .. }));
+        assert_eq!(evens.memory_bytes(), 0);
         // Stride 2^k from an odd base, with holes.
         let strided: Vec<u64> = (0..3_000u64)
             .filter(|i| i % 5 != 3)
             .map(|i| 7 + (i << 4))
             .collect();
-        assert!(matches!(dense(&strided), IdIndex::Dense { shift: 4, .. }));
+        assert!(matches!(
+            arm(&strided, "ranked"),
+            IdIndex::Ranked { shift: 4, .. }
+        ));
         // Exactly at the switch point: 4 words (48 B) for 6 ids (48 B) stay
-        // dense; one id fewer is 40 B of array and hashes.
-        dense(&[0, 1, 2, 3, 4, 255]);
-        hashed(&[0, 1, 2, 3, 255]);
-        // Random sparse ids hash; a random dense subset of a range does not.
+        // ranked; one id fewer is 40 B of array and hashes.
+        arm(&[0, 1, 2, 3, 4, 255], "ranked");
+        arm(&[0, 1, 2, 3, 255], "hashed");
+        // One hole is enough to leave the full arm.
+        arm(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 10], "ranked");
+        // Random sparse ids hash; a random dense subset of a range ranks.
         let mut x = 0x1D_1D3Au64;
         let mut next = || {
             x ^= x << 13;
@@ -1420,14 +1607,60 @@ mod tests {
             let mut sparse: Vec<u64> = (0..500 + round * 50).map(|_| next()).collect();
             sparse.sort_unstable();
             sparse.dedup();
-            hashed(&sparse);
+            arm(&sparse, "hashed");
             let base = next() >> 8;
             let subset: Vec<u64> = (0..4_000u64)
                 .filter(|_| next() % 4 != 0)
                 .map(|i| base + (i << round))
                 .collect();
-            dense(&subset);
+            arm(&subset, "ranked");
+            let whole: Vec<u64> = (0..1_000u64).map(|i| base + (i << round)).collect();
+            arm(&whole, "full");
         }
+    }
+
+    /// A full index answers every read exactly as a ranked index over the
+    /// same ids does, on members and on every kind of outsider.
+    #[test]
+    fn a_full_index_reads_like_a_ranked_one() {
+        let (base, shift, n) = (1_000u64, 3u32, 700u64);
+        let ids: Vec<VertexId> = (0..n).map(|i| v(base + (i << shift))).collect();
+        let full = IdIndex::build(ids.clone());
+        assert!(matches!(full, IdIndex::Full { len: 700, .. }));
+        // The same ids as a bitmap (the build would never pick it here).
+        let mut words = vec![0u64; (n as usize).div_ceil(64)];
+        for i in 0..n {
+            words[(i / 64) as usize] |= 1 << (i % 64);
+        }
+        let ranks = (0..words.len())
+            .map(|w| words[..w].iter().map(|x| x.count_ones()).sum())
+            .collect();
+        let ranked = IdIndex::Ranked {
+            base,
+            shift,
+            words,
+            ranks,
+        };
+        assert_eq!(full.len(), ranked.len());
+        assert_eq!(full.slot_space(), ranked.slot_space());
+        assert_eq!(full.slots().collect::<Vec<_>>(), ranked.slots().collect::<Vec<_>>());
+        assert_eq!(full.iter().collect::<Vec<_>>(), ranked.iter().collect::<Vec<_>>());
+        assert_eq!(full.iter().collect::<Vec<_>>(), ids);
+        for slot in 0..n as usize {
+            assert_eq!(full.id_at(slot), ranked.id_at(slot));
+        }
+        let last = base + ((n - 1) << shift);
+        let mut probes = vec![0, base - 1, base - (1 << shift), base + 1, base + 4];
+        probes.extend([last, last + 1, last + (1 << shift), last + (2 << shift)]);
+        probes.extend([u64::MAX, u64::MAX - 7, base + (n << shift)]);
+        probes.extend((base..last + 20).step_by(3));
+        for id in probes {
+            let id = v(id);
+            assert_eq!(full.local_of(id), ranked.local_of(id), "local_of {id}");
+            assert_eq!(full.slot_of(id), ranked.slot_of(id), "slot_of {id}");
+        }
+        assert_eq!(full.memory_bytes(), 0);
+        assert!(ranked.memory_bytes() > 0);
     }
 
     #[test]
@@ -1437,7 +1670,7 @@ mod tests {
         let n = 1000usize;
         let labels: Vec<LabelId> = (0..n).map(|i| if i == 500 { l(1) } else { l(0) }).collect();
         let ids = IdIndex::build((0..n as u64).map(v).collect());
-        let idx = CompactLabelIndex::build(&labels, 3, &ids);
+        let idx = CompactLabelIndex::build(&LabelArray::from_labels(3, &labels), 3, &ids);
         assert!(matches!(idx.lists[0], PostingList::Bitmap { .. }));
         assert!(matches!(idx.lists[1], PostingList::Deltas { .. }));
         assert!(matches!(idx.lists[2], PostingList::Empty));
@@ -1453,7 +1686,7 @@ mod tests {
         let ids: Vec<VertexId> = (0..200u64).map(|i| v(i * 5 + 2)).collect();
         let labels: Vec<LabelId> = (0..200).map(|i| l((i % 3) as u32)).collect();
         let index = IdIndex::build(ids.clone());
-        let idx = CompactLabelIndex::build(&labels, 3, &index);
+        let idx = CompactLabelIndex::build(&LabelArray::from_labels(3, &labels), 3, &index);
         for lab in 0..3u32 {
             let expect: Vec<VertexId> = (0..200usize)
                 .filter(|i| (i % 3) as u32 == lab)
@@ -1472,16 +1705,40 @@ mod tests {
         // A label id beyond `num_labels` must not grow the label space:
         // debug builds flag it, release builds leave the vertex unindexed.
         if cfg!(debug_assertions) {
-            let build = || CompactLabelIndex::build(&[l(5)], 2, &IdIndex::build(vec![v(1)]));
+            let labels = LabelArray::from_labels(2, &[l(5)]);
+            let build = || CompactLabelIndex::build(&labels, 2, &IdIndex::build(vec![v(1)]));
             assert!(std::panic::catch_unwind(build).is_err());
         } else {
             let ids = IdIndex::build(vec![v(1), v(2)]);
-            let idx = CompactLabelIndex::build(&[l(5), l(1)], 2, &ids);
+            let labels = LabelArray::from_labels(2, &[l(5), l(1)]);
+            let idx = CompactLabelIndex::build(&labels, 2, &ids);
             assert_eq!(idx.num_labels(), 2, "label space must not grow");
             assert_eq!(idx.frequency(l(5)), 0);
             assert_eq!(idx.get(l(1), &ids), &[v(2)]);
             assert_eq!(idx.total_postings(), 1);
         }
+    }
+
+    #[test]
+    fn label_width_follows_the_label_count() {
+        let labels: Vec<LabelId> = [0, 7, 255, 3].map(l).to_vec();
+        for (num_labels, width) in [(1, 1), (256, 1), (257, 2), (65_536, 2), (65_537, 4)] {
+            let array = LabelArray::from_labels(num_labels, &labels);
+            assert_eq!(array.width(), width, "{num_labels} labels");
+            assert_eq!(array.memory_bytes(), labels.len() * width);
+            assert_eq!(array.iter().collect::<Vec<_>>(), labels);
+        }
+        // The u32 arm holds what no narrower width can.
+        let wide = [l(65_536), l(0), l(u32::MAX - 1)];
+        let array = LabelArray::from_labels(65_537, &wide);
+        assert!(matches!(array, LabelArray::U32(_)));
+        assert_eq!((0..3).map(|i| array.get(i)).collect::<Vec<_>>(), wide);
+        assert_eq!(array.memory_bytes(), 12);
+        // A label past the width widens the array instead of wrapping.
+        let mut narrow = LabelArray::from_labels(2, &[l(1), l(0)]);
+        narrow.push(l(300));
+        assert_eq!(narrow.width(), 4);
+        assert_eq!(narrow.iter().collect::<Vec<_>>(), [l(1), l(0), l(300)]);
     }
 
     #[test]

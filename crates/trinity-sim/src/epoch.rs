@@ -1172,6 +1172,79 @@ mod tests {
         assert_eq!(snap.num_vertices(), 4);
     }
 
+    /// An update batch that interns the 257th label, then a seal: the
+    /// sealed bases store two bytes a label instead of one, and every read
+    /// equals that of a cloud loaded from scratch with the sealed content.
+    #[test]
+    fn sealing_past_256_labels_widens_the_label_array() {
+        use crate::loader::StreamLoader;
+        const N: u64 = 600;
+        let mut b = GraphBuilder::new_undirected();
+        for i in 0..N {
+            b.add_vertex(v(i), &format!("l{}", i % 256));
+        }
+        for i in 0..N {
+            b.add_edge(v(i), v((i + 1) % N));
+            b.add_edge(v(i), v((i * 7 + 3) % N));
+        }
+        let epochs = GraphEpochs::new(b.build(2, CostModel::default()));
+        assert_eq!(epochs.pin().labels().len(), 256);
+        assert_eq!(epochs.pin().storage_bytes().labels, N as usize);
+        let batch = UpdateBatch::new()
+            .add_vertex(v(N), "wide")
+            .add_edge(v(N), v(3))
+            .add_vertex(v(10), "wide")
+            .add_vertex(v(11), "l255")
+            .remove_vertex(v(20))
+            .remove_edge(v(40), v(41));
+        epochs.apply(&batch).unwrap();
+        let overlaid = epochs.pin();
+        assert_eq!(overlaid.labels().len(), 257);
+        epochs.seal_epoch();
+        let sealed = epochs.pin();
+        assert!(!sealed.partitions.iter().any(Partition::has_overlay));
+        let n = sealed.num_vertices() as usize;
+        assert_eq!(n, N as usize);
+        assert_eq!(sealed.storage_bytes().labels, 2 * n, "u16 labels");
+
+        let ids: Vec<VertexId> = sealed.iter_vertices().collect();
+        let vertices: Vec<(VertexId, LabelId)> = ids
+            .iter()
+            .map(|&id| (id, sealed.label_of_global(id).unwrap()))
+            .collect();
+        let edges: Vec<(VertexId, VertexId)> = ids
+            .iter()
+            .flat_map(|&id| sealed.neighbors_global(id).iter().map(move |n| (id, n)))
+            .collect();
+        let rebuilt = StreamLoader::new(2, CostModel::default())
+            .load(sealed.labels().clone(), vertices, || edges.iter().copied())
+            .unwrap();
+        assert_eq!(observe(sealed.cloud()), observe(&rebuilt));
+        assert_eq!(sealed.storage_bytes(), rebuilt.storage_bytes());
+        let mut probes = ids.clone();
+        probes.extend([v(20), v(N + 1), v(u64::MAX)]);
+        for m in sealed.machines() {
+            let (got, want) = (sealed.partition(m), rebuilt.partition(m));
+            for &id in &probes {
+                assert_eq!(got.owns(id), want.owns(id), "owns {id}");
+                assert_eq!(got.load(id), want.load(id), "load {id}");
+                assert_eq!(got.label_of(id), want.label_of(id), "label {id}");
+                assert_eq!(got.degree_of(id), want.degree_of(id), "degree {id}");
+                assert_eq!(got.signature_of(id), want.signature_of(id), "sig {id}");
+                assert_eq!(got.slot_of(id), want.slot_of(id), "slot {id}");
+            }
+            for (label, _) in sealed.labels().iter() {
+                let postings = got.vertices_with_label(label);
+                assert_eq!(postings, want.vertices_with_label(label), "{m} {label}");
+            }
+        }
+        let wide = sealed.labels().get("wide").unwrap();
+        assert_eq!(wide, LabelId(256));
+        assert_eq!(sealed.label_of_global(v(N)), Some(wide));
+        assert_eq!(sealed.label_of_global(v(10)), Some(wide));
+        assert_eq!(sealed.label_frequency(wide), 2);
+    }
+
     #[test]
     fn touch_log_records_changed_entries_per_epoch() {
         let epochs = GraphEpochs::new(small_cloud(3));

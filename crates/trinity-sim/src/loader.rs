@@ -12,7 +12,8 @@
 //!
 //! 1. **Vertex pass**: hash-partition `(id, label)` pairs, rejecting a
 //!    label the interner never issued, sort each machine's vertices, move
-//!    each machine's ids into its [`IdIndex`] and count label frequencies.
+//!    each machine's ids into its [`IdIndex`], stage its labels at the width
+//!    the label count picks ([`LabelArray`]) and count label frequencies.
 //!    Edge endpoints are located through the indexes; no id array outlives
 //!    this pass.
 //! 2. **Degree pass**: one pass over the edges counting, per machine, each
@@ -34,7 +35,7 @@
 
 use crate::cloud::{machine_for, MemoryCloud};
 use crate::cluster_graph::LabelPairCatalog;
-use crate::compact::{CompactCsr, CompactCsrBuilder, IdIndex};
+use crate::compact::{CompactCsr, CompactCsrBuilder, IdIndex, LabelArray};
 use crate::error::TrinityError;
 use crate::ids::{LabelId, LabelInterner, MachineId, VertexId};
 use crate::neighbor_index::{label_bit, NeighborLabelIndex};
@@ -112,7 +113,7 @@ impl StreamLoader {
             per_machine[machine_for(id, m).index()].push((id, label));
         }
         let mut id_indexes: Vec<IdIndex> = Vec::with_capacity(m);
-        let mut machine_labels: Vec<Vec<LabelId>> = Vec::with_capacity(m);
+        let mut machine_labels: Vec<LabelArray> = Vec::with_capacity(m);
         let mut label_frequency = vec![0u64; num_labels];
         let mut num_vertices = 0u64;
         for list in &mut per_machine {
@@ -131,7 +132,7 @@ impl StreamLoader {
             list.truncate(w);
             num_vertices += w as u64;
             let mut ids = Vec::with_capacity(w);
-            let mut labels = Vec::with_capacity(w);
+            let mut labels = LabelArray::with_capacity(num_labels, w);
             for &(id, label) in list.iter() {
                 ids.push(id);
                 labels.push(label);
@@ -229,11 +230,11 @@ impl StreamLoader {
                     run_len += 1;
                 }
                 let run = &run[..run_len];
-                let own_label = machine_labels[mach][local];
+                let own_label = machine_labels[mach].get(local);
                 let mut sig = 0u64;
                 for &nbr in run {
                     let (mn, ln) = locate(nbr)?;
-                    let nbr_label = machine_labels[mn][ln];
+                    let nbr_label = machine_labels[mn].get(ln);
                     sig |= label_bit(nbr_label);
                     catalog.record_edge(
                         MachineId(mach as u16),
@@ -449,26 +450,41 @@ mod tests {
             graph in small_graph(),
             machines in 1usize..7,
             sparse in 0u64..2,
+            wide in 0u32..2,
         ) {
             // Sparse ids are too far apart for a rank bitmap, so every
-            // partition takes `IdIndex::Hashed`.
+            // partition of two or more takes `IdIndex::Hashed`.
             let id = |i: u64| if sparse == 1 { v(i * 1_000_003 + i % 7) } else { v(i) };
+            // A wide label space (300 labels, some of them above 255) stores
+            // two bytes a label; four labels store one.
+            let (num_labels, stride, width) = if wide == 1 { (300, 97, 2) } else { (4, 1, 1) };
             let (vertices, edges) = graph;
             let mut interner = LabelInterner::default();
-            for name in ["a", "b", "c", "d"] {
-                interner.intern(name);
+            for i in 0..num_labels {
+                interner.intern(&format!("l{i}"));
             }
-            let vertices: Vec<(VertexId, LabelId)> =
-                vertices.iter().map(|&(i, l)| (id(i), LabelId(l))).collect();
+            let vertices: Vec<(VertexId, LabelId)> = vertices
+                .iter()
+                .map(|&(i, l)| (id(i), LabelId(l * stride)))
+                .collect();
             let edges: Vec<(VertexId, VertexId)> =
                 edges.iter().map(|&(a, b)| (id(a), id(b))).collect();
             let cloud = StreamLoader::new(machines, CostModel::free())
                 .load(interner, vertices.iter().copied(), || edges.iter().copied())
                 .unwrap();
             assert_matches_reference(&cloud, &vertices, &edges);
-            if sparse == 1 {
-                let ids = cloud.num_vertices() as usize * std::mem::size_of::<VertexId>();
-                prop_assert!(cloud.storage_bytes().id_map > ids, "hashed ids keep their array");
+            let n = cloud.num_vertices() as usize;
+            prop_assert_eq!(cloud.storage_bytes().labels, n * width);
+            for m in cloud.machines() {
+                let partition = cloud.partition(m);
+                let ids = partition.num_vertices() * std::mem::size_of::<VertexId>();
+                let id_map = partition.storage_bytes().id_map;
+                if sparse == 1 && partition.num_vertices() >= 2 {
+                    prop_assert!(id_map > ids, "hashed ids keep their array");
+                }
+                if sparse == 0 && machines == 1 {
+                    prop_assert_eq!(id_map, 0, "ids 0..n fill their range");
+                }
             }
         }
     }

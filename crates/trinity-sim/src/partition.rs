@@ -9,7 +9,8 @@
 //! so static partitions (no overlay) read the base alone.
 
 use crate::compact::{
-    CompactCsr, CompactCsrBuilder, CompactLabelIndex, IdIndex, Ids, Neighbors, Postings,
+    CompactCsr, CompactCsrBuilder, CompactLabelIndex, IdIndex, Ids, LabelArray, Neighbors,
+    Postings,
 };
 use crate::hash::FxHashMap;
 use crate::ids::{LabelId, VertexId};
@@ -75,11 +76,13 @@ impl CellBuf {
 pub struct StorageBytes {
     /// Adjacency structure (byte offsets + encoded neighbor runs).
     pub adjacency: usize,
-    /// Per-vertex label array.
+    /// Per-vertex label array ([`LabelArray`]): 1, 2 or 4 B a vertex as the
+    /// interned label count is at most 256, at most 65,536, or more.
     pub labels: usize,
-    /// Id mapping both ways, all of [`IdIndex::memory_bytes`]: a rank
-    /// bitmap's words and ranks when the ids fill their range, else the
-    /// local-index → global-id array plus the open-addressed slots.
+    /// Id mapping both ways, all of [`IdIndex::memory_bytes`]: nothing when
+    /// the ids fill their strided range, a rank bitmap's words and ranks
+    /// when the range has holes, else the local-index → global-id array
+    /// plus the open-addressed slots.
     pub id_map: usize,
     /// The label → vertex-id string index.
     pub postings: usize,
@@ -112,8 +115,9 @@ struct PartitionBase {
     /// Global ids of local vertices both ways; local-index order is
     /// ascending id.
     ids: IdIndex,
-    /// Label of each local vertex, in local-index order.
-    labels: Vec<LabelId>,
+    /// Label of each local vertex, in local-index order, at the width the
+    /// label count picked.
+    labels: LabelArray,
     /// Adjacency of local vertices.
     adjacency: CompactCsr,
     /// Label → slots of `ids`.
@@ -132,7 +136,7 @@ impl PartitionBase {
         let local = self.local_of(id)?;
         Some(Cell {
             id,
-            label: self.labels[local],
+            label: self.labels.get(local),
             neighbors: self.adjacency.neighbors(local),
         })
     }
@@ -142,7 +146,7 @@ impl PartitionBase {
     }
 
     fn label_of(&self, id: VertexId) -> Option<LabelId> {
-        self.local_of(id).map(|l| self.labels[l])
+        self.local_of(id).map(|l| self.labels.get(l))
     }
 
     fn degree_of(&self, id: VertexId) -> Option<usize> {
@@ -172,7 +176,7 @@ impl PartitionBase {
             id: m.id,
             label: match m.live.and_then(|live| live.label) {
                 Some(label) => label,
-                None => self.labels[local()],
+                None => self.labels.get(local()),
             },
             neighbors: match m.live.and_then(|live| live.adj.as_deref()) {
                 Some(list) => Neighbors::Slice(list),
@@ -360,7 +364,7 @@ impl Partition {
     /// are the caller's.
     pub(crate) fn from_encoded_parts(
         ids: IdIndex,
-        labels: Vec<LabelId>,
+        labels: LabelArray,
         adjacency: CompactCsr,
         num_labels: usize,
         neighbor_index: NeighborLabelIndex,
@@ -391,16 +395,18 @@ impl Partition {
 
     /// This partition with its overlay merged into a fresh base (itself
     /// when it has none), in one pass over the merged view: adjacency runs
-    /// go into one buffer (a base run byte for byte), and signatures are
-    /// carried over — the overlay keeps them exact (DESIGN.md, "Seal"), so
-    /// nothing is recounted.
+    /// go into one buffer (a base run byte for byte), labels into an array
+    /// as wide as `num_labels` — the interned count now, which an update may
+    /// have grown past the old width — and signatures are carried over —
+    /// the overlay keeps them exact (DESIGN.md, "Seal"), so nothing is
+    /// recounted.
     pub(crate) fn sealed(&self, num_labels: usize) -> Partition {
         let Some(overlay) = self.overlay.as_deref() else {
             return self.clone();
         };
         let (base, n) = (&*self.base, overlay.num_vertices);
         let mut ids = Vec::with_capacity(n);
-        let mut labels = Vec::with_capacity(n);
+        let mut labels = LabelArray::with_capacity(num_labels, n);
         let mut signatures = Vec::with_capacity(n);
         let mut adjacency = CompactCsrBuilder::with_capacity(n);
         for m in self.merged() {
@@ -466,6 +472,33 @@ impl Partition {
     #[inline]
     fn touched(&self, id: VertexId) -> Option<&Touched> {
         self.overlay.as_deref()?.touched(id)
+    }
+
+    /// The slot of a locally-owned vertex: a dense number below
+    /// [`Partition::slot_space`], the same for the vertex as long as this
+    /// partition stands, so per-vertex state can live in an array indexed
+    /// by it. A base vertex has its base id-index slot; a vertex an update
+    /// added comes after the base's slot space, numbered by its rank among
+    /// the added ids. A deleted or foreign id has none.
+    #[inline]
+    pub fn slot_of(&self, id: VertexId) -> Option<usize> {
+        let Some(overlay) = self.overlay.as_deref() else {
+            return self.base.ids.slot_of(id);
+        };
+        match overlay.touched(id) {
+            None => self.base.ids.slot_of(id),
+            Some(Touched::Deleted) => None,
+            Some(Touched::Live(_)) => self.base.ids.slot_of(id).or_else(|| {
+                let rank = overlay.added.binary_search(&id).ok()?;
+                Some(self.base.ids.slot_space() + rank)
+            }),
+        }
+    }
+
+    /// One past the highest [`Partition::slot_of`].
+    pub fn slot_space(&self) -> usize {
+        let added = self.overlay.as_deref().map_or(0, |o| o.added.len());
+        self.base.ids.slot_space() + added
     }
 
     /// Whether this machine owns vertex `id`.
@@ -599,7 +632,7 @@ impl Partition {
         let base = &self.base;
         let mut bytes = StorageBytes {
             adjacency: base.adjacency.memory_bytes(),
-            labels: base.labels.len() * std::mem::size_of::<LabelId>(),
+            labels: base.labels.memory_bytes(),
             id_map: base.ids.memory_bytes(),
             postings: base.postings.memory_bytes(),
             signatures: base.neighbor_index.memory_bytes(),
@@ -650,7 +683,7 @@ mod tests {
         }
         Partition::from_encoded_parts(
             IdIndex::build(ids),
-            labels,
+            LabelArray::from_labels(num_labels, &labels),
             adjacency.finish(),
             num_labels,
             NeighborLabelIndex::from_signatures(signatures),
@@ -722,14 +755,26 @@ mod tests {
 
     #[test]
     fn dense_ids_cost_at_most_one_byte_a_vertex() {
-        // Every third id: one residue class, so a rank bitmap over the
-        // stride holds it at 12 B per 64 ids.
+        // Every fourth id: one residue class modulo a power of two that
+        // fills its range, so the index is the range alone, at 0 B.
         let n = 4096usize;
-        let ids: Vec<VertexId> = (0..n as u64).map(|i| v(i * 3)).collect();
-        let p = encoded(ids, vec![l(0); n], &vec![&[][..]; n], 1);
-        let id_map = p.storage_bytes().id_map;
-        assert!(id_map <= n, "id map {id_map} B for {n} vertices");
-        assert!(matches!(p.base.ids, IdIndex::Dense { .. }));
+        let ids: Vec<VertexId> = (0..n as u64).map(|i| v(i * 4 + 1)).collect();
+        let p = encoded(ids.clone(), vec![l(0); n], &vec![&[][..]; n], 1);
+        assert_eq!(p.storage_bytes().id_map, 0);
+        assert!(matches!(p.base.ids, IdIndex::Full { shift: 2, .. }));
+        // One label byte a vertex under 257 labels.
+        assert_eq!(p.storage_bytes().labels, n);
+        // With one id missing, or every third id (a stride no shift
+        // expresses), a rank bitmap holds them at 12 B per 64 slots.
+        let holed: Vec<VertexId> = ids.into_iter().filter(|&id| id != v(301)).collect();
+        let thirds: Vec<VertexId> = (0..n as u64).map(|i| v(i * 3)).collect();
+        for ids in [holed, thirds] {
+            let len = ids.len();
+            let p = encoded(ids, vec![l(0); len], &vec![&[][..]; len], 1);
+            let id_map = p.storage_bytes().id_map;
+            assert!(id_map <= len, "id map {id_map} B for {len} vertices");
+            assert!(matches!(p.base.ids, IdIndex::Ranked { .. }));
+        }
     }
 
     #[test]
@@ -805,6 +850,26 @@ mod tests {
         assert_eq!(ids, vec![v(10), v(20), v(40)]);
         let cells: Vec<_> = p.iter_cells().map(|c| c.id).collect();
         assert_eq!(cells, vec![v(10), v(20), v(40)]);
+    }
+
+    #[test]
+    fn slots_number_live_ids_densely_and_skip_deleted_ones() {
+        // Ids 10, 20, 30 share stride 2: slots 0, 5 and 10 of a ranked
+        // index, whose slot space is 11.
+        let base = sample_partition();
+        assert_eq!(base.slot_space(), 11);
+        let slots: Vec<_> = [10, 20, 30].map(|i| base.slot_of(v(i))).to_vec();
+        assert_eq!(slots, [Some(0), Some(5), Some(10)]);
+        // Deleted v(30) keeps no slot; added v(40) comes after the base's.
+        let p = overlaid_partition();
+        assert_eq!(p.slot_space(), 12);
+        assert_eq!(p.slot_of(v(10)), Some(0));
+        assert_eq!(p.slot_of(v(20)), Some(5));
+        assert_eq!(p.slot_of(v(30)), None);
+        assert_eq!(p.slot_of(v(40)), Some(11));
+        for foreign in [0, 11, 12, 99, u64::MAX] {
+            assert_eq!(p.slot_of(v(foreign)), None, "{foreign}");
+        }
     }
 
     #[test]

@@ -235,14 +235,17 @@ fn epoch_seal_re_encodes_into_a_few_flat_buffers() {
 
 #[test]
 fn id_index_keeps_exactly_the_heap_it_reports() {
-    // One residue class of a range (the rank bitmap), and ids no bitmap can
-    // hold (the id array plus its hash slots). The input arrives with spare
-    // capacity, which the index must not keep.
-    let dense = |i: u64| i * 4 + 1;
+    // One residue class of a range (the range alone), the same with one id
+    // removed (the rank bitmap), and ids no bitmap can hold (the id array
+    // plus its hash slots). The input arrives with spare capacity, which the
+    // index must not keep.
+    let full = |i: u64| i * 4 + 1;
+    let holed = |i: u64| if i < 100 { i * 4 + 1 } else { (i + 1) * 4 + 1 };
     let sparse = |i: u64| i * 1_000_003 + i % 7;
-    for (name, id_of, want_dense) in [
-        ("dense", &dense as &dyn Fn(u64) -> u64, true),
-        ("sparse", &sparse, false),
+    for (name, id_of, want) in [
+        ("full", &full as &dyn Fn(u64) -> u64, "full"),
+        ("holed", &holed, "ranked"),
+        ("sparse", &sparse, "hashed"),
     ] {
         let baseline = LIVE_BYTES.get();
         let index = IdIndex::build({
@@ -251,7 +254,12 @@ fn id_index_keeps_exactly_the_heap_it_reports() {
             ids
         });
         let kept = (LIVE_BYTES.get() - baseline) as usize;
-        assert_eq!(matches!(index, IdIndex::Dense { .. }), want_dense, "{name}");
+        let arm = match index {
+            IdIndex::Full { .. } => "full",
+            IdIndex::Ranked { .. } => "ranked",
+            IdIndex::Hashed { .. } => "hashed",
+        };
+        assert_eq!(arm, want, "{name}");
         assert_eq!(index.len(), N);
         assert_eq!(
             kept,
@@ -259,6 +267,9 @@ fn id_index_keeps_exactly_the_heap_it_reports() {
             "{name} ids: the index keeps {kept} B of heap and reports {} B",
             index.memory_bytes()
         );
+        if want == "full" {
+            assert_eq!(kept, 0, "a full range keeps no heap");
+        }
     }
 }
 
