@@ -100,7 +100,7 @@ use crate::decompose::decompose_ordered;
 use crate::error::StwigError;
 use crate::hash::VertexSet;
 use crate::head::{load_set, select_head, HeadSelection};
-use crate::matcher::{explore, Mode, Resolution};
+use crate::matcher::{explore, Mode, Resolution, SharedPostings};
 use crate::metrics::{
     ExploreCounters, FaultCounters, JoinCounters, MachineMetrics, PhaseTraffic, QueryMetrics,
     QueryOutcome,
@@ -831,7 +831,8 @@ fn sync_bindings(
 
 /// One machine's exploration of one STwig over `roots`, dispatched on the
 /// transport mode: partition-local batched matching over the transport when
-/// one is in play, the direct-read matcher otherwise. Both emit bit-identical tables and counters. Only
+/// one is in play, the direct-read matcher — over the STwig's `shared`
+/// postings — otherwise. Both emit bit-identical tables and counters. Only
 /// the transport path can fail (protocol violations). `started` is when the
 /// caller began collecting `roots`, so `compute_us` covers that too.
 #[allow(clippy::too_many_arguments)]
@@ -845,12 +846,13 @@ fn explore_machine(
     bindings: &Bindings,
     config: &MatchConfig,
     control: Option<&QueryControl>,
+    shared: &SharedPostings,
     started: Instant,
 ) -> Result<MachineExplore, StwigError> {
     let mut work = MachineWork::default();
     let mode = match link.transport() {
         Some(tp) => Mode::Messages(tp, &mut work.faults, LOAD_BATCH_IDS),
-        None => Mode::InPlace(link.ledger),
+        None => Mode::InPlace(shared, link.ledger),
     };
     let counters = &mut work.counters;
     let (table, resolution) = explore(
@@ -874,13 +876,14 @@ fn explore_bound(
     control: Option<&QueryControl>,
     threads: usize,
 ) -> Result<Vec<MachineExplore>, StwigError> {
+    let shared = SharedPostings::new();
     collect_explore_results(
         run_work_stealing(cloud.num_machines(), threads, |ki| {
             let k = MachineId(ki as u16);
             let t0 = Instant::now();
             let roots = local_roots(cloud, k, query, stwig, bindings, config);
             explore_machine(
-                cloud, link, k, query, stwig, &roots, bindings, config, control, t0,
+                cloud, link, k, query, stwig, &roots, bindings, config, control, &shared, t0,
             )
         }),
         stwig,
@@ -957,6 +960,7 @@ fn explore_via_cache(
         ..config.clone()
     };
     let unbound_bindings = Bindings::new(query.num_vertices());
+    let shared = SharedPostings::new();
     let unbound = collect_explore_results(
         run_work_stealing(num_machines, threads, |ki| {
             let k = MachineId(ki as u16);
@@ -981,6 +985,7 @@ fn explore_via_cache(
                 &unbound_bindings,
                 &populate_cfg,
                 control,
+                &shared,
                 t0,
             )
         }),
@@ -1970,11 +1975,10 @@ mod tests {
     }
 
     #[test]
-    fn direct_read_machines_read_labels_in_place_on_any_thread_count() {
+    fn direct_read_machines_share_one_postings_map() {
         // Four machines, and an id's owner is its residue mod 4. Nine a-roots,
         // none on machine 0; each sees two of four b's and four d's of its
-        // own: 4 carriers against 18 neighbors per machine with roots, the
-        // postings side of `Messages`' rule — which `DirectRead` never takes.
+        // own: 4 carriers against 18 neighbors per machine with roots.
         let mut gb = GraphBuilder::new_undirected();
         let roots: Vec<u64> = (1..12).filter(|i| i % 4 != 0).collect();
         for &i in &roots {
@@ -2014,18 +2018,21 @@ mod tests {
             let tables: Vec<ResultTable> = explored.into_iter().map(|r| r.table).collect();
             (tables, sides)
         };
-        let in_place = |sides: &[Resolution]| {
-            sides
-                .iter()
-                .all(|s| !s.from_postings && s.postings_entries == 0)
-        };
         let (serial, sides) = run(1);
         assert_eq!(serial.iter().map(ResultTable::num_rows).sum::<usize>(), 18);
-        assert!(in_place(&sides), "{sides:?}");
+        // Machine 0 collects nothing and reads in place; machine 1 builds the
+        // map, and machines 2 and 3 find it built.
+        let postings = sides.iter().map(|s| (s.from_postings, s.postings_entries));
+        assert_eq!(
+            postings.collect::<Vec<_>>(),
+            [(false, 0), (true, 4), (true, 0), (true, 0)]
+        );
         for _ in 0..8 {
             let (parallel, sides) = run(4);
             assert_eq!(parallel, serial);
-            assert!(in_place(&sides), "{sides:?}");
+            let entries: u64 = sides.iter().map(|s| s.postings_entries).sum();
+            assert_eq!(entries, 4, "built once: {sides:?}");
+            assert!(sides[1..].iter().all(|s| s.from_postings));
         }
     }
 

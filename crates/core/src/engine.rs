@@ -67,10 +67,13 @@ use trinity_sim::MemoryCloud;
 /// Configuration of a [`QueryEngine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Threads a caller that serves a batch drains the queue on (the
-    /// engine starts none: [`QueryEngine::serve`] and
-    /// [`QueryEngine::drain`] run on the caller's threads). `None` means the
-    /// host's available parallelism; `Some(1)` serves serially.
+    /// Threads a caller that serves a batch may drain the queue on. No
+    /// library code reads it: the engine starts no threads, and
+    /// [`QueryEngine::serve`] and [`QueryEngine::drain`] run on the
+    /// caller's. Only the test helpers that drain a batch read it (`None`:
+    /// the host's available parallelism; `Some(1)`: serially), and the
+    /// frozen benchmark sets and asserts it, so it stays until the next
+    /// `[benchmark]` change deletes it (ROADMAP item 10(a)).
     pub workers: Option<usize>,
     /// STwig-result cache configuration; `None` disables caching.
     pub cache: Option<CacheConfig>,

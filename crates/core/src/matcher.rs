@@ -7,31 +7,28 @@
 //! arena, one resolution labels it, and the emission core ([`explore_roots`])
 //! replays it, so the modes' tables are bit-identical row for row. They
 //! differ only in loading — [`match_stwig`] (`DirectRead`) reads any root in
-//! place, [`match_stwig_batched`] (`Messages`) only its own — in resolution
-//! (`DirectRead` reads every neighbor's label in place, one slot-indexed
-//! load from its owner's label array; `Messages` fetches the child labels'
-//! postings or asks the owners, about the smaller side), and in charging
-//! (Algorithm 1's estimate as each root is replayed, or the envelopes
-//! sent). Either `Messages` side lands its answers in one byte per vertex,
-//! indexed by the owner's slot ([`Partition::slot_of`]): no hash table is
-//! built or probed per neighbor.
+//! place, [`match_stwig_batched`] (`Messages`) only its own — in resolution,
+//! about the smaller side either way (`DirectRead`: a postings map shared by
+//! the STwig's machines, or in place; `Messages`: postings fetched, or the
+//! owners asked), and in charging (Algorithm 1's estimate as each root is
+//! replayed, or the envelopes sent).
 
 use crate::bindings::Bindings;
 use crate::config::MatchConfig;
 use crate::error::StwigError;
+use crate::hash::FxHashMap;
 use crate::metrics::{ExploreCounters, FaultCounters};
-use crate::query::{QueryGraph, MAX_QUERY_VERTICES};
+use crate::query::QueryGraph;
 use crate::retry::{exchange_or_skip, fetch_postings};
 use crate::stream::QueryControl;
 use crate::stwig::STwig;
 use crate::table::ResultTable;
 use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::OnceLock;
 use trinity_sim::compact::Neighbors;
 use trinity_sim::ids::{LabelId, MachineId, VertexId};
 use trinity_sim::network::Network;
-#[cfg(doc)]
-use trinity_sim::partition::Partition;
 use trinity_sim::partition::Cell;
 use trinity_sim::transport::{Message, Transport, NOT_OWNED};
 use trinity_sim::MemoryCloud;
@@ -71,7 +68,8 @@ pub fn match_stwig(
     control: Option<&QueryControl>,
     counters: &mut ExploreCounters,
 ) -> ResultTable {
-    let mode = Mode::InPlace(cloud.network());
+    let shared = SharedPostings::new();
+    let mode = Mode::InPlace(&shared, cloud.network());
     let explored = explore(
         cloud, mode, machine, query, stwig, roots, bindings, config, control, counters,
     );
@@ -79,10 +77,13 @@ pub fn match_stwig(
     explored.map_or_else(|e| unreachable!("{e}"), |(table, _)| table)
 }
 
+/// One STwig's child-label carriers, `id → label`, built once per phase.
+pub(crate) type SharedPostings = OnceLock<FxHashMap<VertexId, u32>>;
+
 /// How an exploration meets the cloud: all the transport modes differ in.
 pub(crate) enum Mode<'a> {
-    /// `DirectRead`, reading labels in place, charging the ledger.
-    InPlace(&'a Network),
+    /// `DirectRead`, over the STwig's shared postings, charging the ledger.
+    InPlace(&'a SharedPostings, &'a Network),
     /// `Messages`, tallying what the retry layer absorbed, with `Load`
     /// envelopes of at most the given number of ids.
     Messages(&'a dyn Transport, &'a mut FaultCounters, usize),
@@ -92,15 +93,16 @@ pub(crate) enum Mode<'a> {
 /// only — [`ExploreCounters`] are equal on either side.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Resolution {
-    /// Labels came from fetched postings.
+    /// Labels came from postings: a shared map, or fetched.
     pub(crate) from_postings: bool,
-    /// Fetched carriers this exploration wrote into its owners' slot bytes.
+    /// Carriers this exploration inserted into a postings map.
     pub(crate) postings_entries: u64,
 }
 
 /// [`match_stwig`] or [`match_stwig_batched`] by `mode`, telling which side
-/// labeled the arena. `DirectRead` always reads in place: with labels by slot
-/// a read is what a postings side would build, so nothing is worth building.
+/// labeled the arena. `DirectRead` builds the shared map when the STwig's
+/// child-label carriers are fewer than the neighbors collected times the
+/// machine count, and uses it whenever it is built; else it reads in place.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn explore(
     cloud: &MemoryCloud,
@@ -123,30 +125,49 @@ pub(crate) fn explore(
         frontier.collect(
             cloud, machine, stwig, &filter, roots, bindings, config, control, in_place,
         );
+        let child_labels = &mut scratch.child_labels;
+        child_labels.clear();
+        child_labels.extend(stwig.children.iter().map(|&c| query.label(c)));
+        child_labels.sort_unstable();
+        child_labels.dedup();
+        let carriers: u64 = child_labels.iter().map(|&l| cloud.label_frequency(l)).sum();
+        let (child_labels, neighbors) = (&child_labels[..], frontier.ids.len() as u64);
         let mut resolution = Resolution::default();
         match mode {
-            Mode::InPlace(charged) => {
+            Mode::InPlace(shared, charged) => {
                 ledger = Some(charged);
+                let postings = match shared.get() {
+                    None if carriers >= neighbors * cloud.num_machines() as u64 => None,
+                    _ => Some(shared.get_or_init(|| {
+                        let mut map = FxHashMap::default();
+                        map.reserve(carriers as usize);
+                        for owner in cloud.machines() {
+                            for &label in child_labels {
+                                let carrying = cloud.get_ids(owner, label);
+                                map.extend(carrying.iter().map(|id| (id, label.0)));
+                            }
+                        }
+                        resolution.postings_entries = map.len() as u64;
+                        map
+                    })),
+                };
+                resolution.from_postings = postings.is_some();
+                let (slots, ids) = (&mut frontier.slots, &frontier.ids);
                 let read = |m| cloud.partition(cloud.machine_of(m)).label_of(m);
-                frontier.slots.clear();
-                (frontier.slots).extend(frontier.ids.iter().map(|&m| read(m).map_or(NO_LABEL, |l| l.0)));
+                match postings {
+                    Some(map) => label_slots(slots, ids, |m| map.get(&m).copied()),
+                    None => label_slots(slots, ids, |m| read(m).map(|l| l.0)),
+                }
+            }
+            // Ask about the smaller side; both counts are exact and already here.
+            Mode::Messages(tp, faults, _) if carriers < neighbors => {
+                let labels = child_labels;
+                frontier.resolve_from_postings(cloud, tp, machine, labels, control, faults)?;
+                resolution.from_postings = true;
+                resolution.postings_entries = frontier.slot_of.len() as u64;
             }
             Mode::Messages(tp, faults, cap) => {
-                let child_labels = &mut scratch.child_labels;
-                child_labels.clear();
-                child_labels.extend(stwig.children.iter().map(|&c| query.label(c)));
-                child_labels.sort_unstable();
-                child_labels.dedup();
-                let labels = &child_labels[..];
-                let carriers: u64 = labels.iter().map(|&l| cloud.label_frequency(l)).sum();
-                // Ask about the smaller side; both counts are exact and already here.
-                if carriers < frontier.ids.len() as u64 {
-                    resolution.from_postings = true;
-                    resolution.postings_entries = frontier
-                        .resolve_from_postings(cloud, tp, machine, labels, control, faults)?;
-                } else {
-                    frontier.resolve_by_asking(cloud, tp, machine, labels, cap, control, faults)?
-                }
+                frontier.resolve_by_asking(cloud, tp, machine, cap, control, faults)?
             }
         }
         let table = explore_roots(
@@ -353,24 +374,23 @@ pub fn match_stwig_batched(
     explored.map(|(table, _)| table)
 }
 
+/// Labels `ids` into `slots` with `label_of`; an id it knows no label for —
+/// from postings: one that carries no child label — gets [`NO_LABEL`].
+fn label_slots(slots: &mut Vec<u32>, ids: &[VertexId], label_of: impl Fn(VertexId) -> Option<u32>) {
+    slots.clear();
+    slots.extend(ids.iter().map(|&m| label_of(m).unwrap_or(NO_LABEL)));
+}
+
 /// Label slot of a neighbor that is no child candidate as far as this
 /// exploration knows: a dangling edge, a vertex whose owner never answered
-/// (interrupt, `Degrade`) or disowned it, or — on the `Messages` sides —
-/// one that carries none of the child labels. Equal to no real label, so it
+/// (interrupt, `Degrade`) or disowned it, or — on the postings side — one
+/// that carries none of the child labels. Equal to no real label, so it
 /// never matches a child.
 const NO_LABEL: u32 = NOT_OWNED.0;
 
-/// Tag bit of a label slot that still holds a remote neighbor's owner slot
-/// rather than a label. Labels are dense small integers, far below.
+/// Tag bit of a label slot that still holds a remote neighbor's dense slot
+/// number rather than a label. Labels are dense small integers, far below.
 const REMOTE_SLOT: u32 = 1 << 31;
-
-/// Slot byte of a vertex asked about whose owner has not answered.
-const ASKED: u8 = u8::MAX;
-
-// A slot byte is 0 (nothing known), a child-label ordinal `1..`, or
-// [`ASKED`]: the distinct child labels of one STwig are fewer than a query's
-// vertices.
-const _: () = assert!(MAX_QUERY_VERTICES < ASKED as usize);
 
 /// The neighbor arena of one exploration, labeled by one resolution and
 /// replayed by the emission core. The resolutions agree on every position
@@ -389,17 +409,17 @@ struct Frontier {
     replayed: usize,
     /// `DirectRead`: the label probes replay charged, per owner.
     probes: Vec<u64>,
-    /// `Messages`, per owning machine, one byte per slot of its partition
-    /// ([`Partition::slot_of`]): 0, a child-label ordinal (`i + 1` for the
-    /// `i`-th distinct child label) or [`ASKED`]. All zero between
-    /// resolutions: a resolution zeroes exactly the slots it set, listed in
-    /// `per_owner`, so no pass over a whole array is ever made. Sized to
-    /// the largest slot space seen, 1 B a vertex at most.
-    owner_bytes: Vec<Vec<u8>>,
-    /// `Messages`, per owning machine: the ids to request (asking side) and
-    /// the slots written, in first-appearance order. That order is a pure
-    /// function of the root order, so envelopes are deterministic without a
-    /// sort.
+    /// The resolution's one hash table. Postings side: label of every
+    /// vertex, cloud-wide, that carries a child label. Asking side: dense
+    /// slot of each distinct remote neighbor, in first-appearance order —
+    /// the dedup insert.
+    slot_of: FxHashMap<VertexId, u32>,
+    /// Asking side: label per remote slot; [`NO_LABEL`] until its owner
+    /// answers.
+    slot_labels: Vec<u32>,
+    /// Asking side, per owning machine: the ids to request and the slot each
+    /// answer fills, in first-appearance order. That order is a pure function
+    /// of the root order, so envelopes are deterministic without a sort.
     per_owner: Vec<OwnerBatch>,
 }
 
@@ -407,16 +427,6 @@ struct Frontier {
 struct OwnerBatch {
     ids: Vec<VertexId>,
     slots: Vec<u32>,
-}
-
-/// The label a slot byte stands for, given the STwig's distinct child
-/// labels: [`NO_LABEL`] for nothing known or an unanswered ask.
-#[inline]
-fn label_of_byte(byte: u8, child_labels: &[LabelId]) -> u32 {
-    match byte {
-        0 | ASKED => NO_LABEL,
-        ordinal => child_labels[usize::from(ordinal) - 1].0,
-    }
 }
 
 impl Frontier {
@@ -475,41 +485,12 @@ impl Frontier {
         }
     }
 
-    /// Readies the slot bytes and batches of every owner for one
-    /// resolution: empty batches, and arrays as large as each partition's
-    /// slot space (grown with zeros; never cleared here — they are zero).
-    fn begin_resolution(&mut self, cloud: &MemoryCloud) {
-        self.owner_bytes.resize_with(cloud.num_machines(), Vec::new);
-        self.per_owner
-            .resize_with(cloud.num_machines(), OwnerBatch::default);
-        for (owner, (bytes, batch)) in self.owner_bytes.iter_mut().zip(&mut self.per_owner).enumerate() {
-            let space = cloud.partition(MachineId(owner as u16)).slot_space();
-            if bytes.len() < space {
-                bytes.resize(space, 0);
-            }
-            batch.ids.clear();
-            batch.slots.clear();
-        }
-    }
-
-    /// Zeroes every slot byte the resolution set, through the slots it
-    /// recorded, leaving the arrays as [`Frontier::begin_resolution`] wants
-    /// them — also after a resolution that failed part-way.
-    fn end_resolution(&mut self) {
-        for (bytes, batch) in self.owner_bytes.iter_mut().zip(&self.per_owner) {
-            for &slot in &batch.slots {
-                bytes[slot as usize] = 0;
-            }
-        }
-    }
-
-    /// Step 2 of `Messages`, the postings side (`Index.getID`): gathers, for
-    /// every child label, who carries it from every other live owner in one
-    /// validated round-trip ([`fetch_postings`]), writing each carrier's
-    /// child-label ordinal into its owner's slot byte; then labels the arena
-    /// in one linear pass — a local neighbor in place, a remote one from its
-    /// owner's byte. An owner that is lost or not asked any more (interrupt)
-    /// leaves its vertices out, hence unknown. Returns the carriers written.
+    /// Step 2 of `Messages`, the postings side (`Index.getID`): gathers, for every
+    /// child label, who carries it — this machine's own postings from its
+    /// index, every other live owner's in one validated round-trip
+    /// ([`fetch_postings`]) — and labels the arena from that in one linear
+    /// pass. An owner that is lost or not asked any more (interrupt) leaves
+    /// its vertices out, hence unknown.
     #[allow(clippy::too_many_arguments)]
     fn resolve_from_postings(
         &mut self,
@@ -519,44 +500,18 @@ impl Frontier {
         child_labels: &[LabelId],
         control: Option<&QueryControl>,
         faults: &mut FaultCounters,
-    ) -> Result<u64, StwigError> {
-        self.begin_resolution(cloud);
-        let fetched = self.fetch_carriers(cloud, transport, machine, child_labels, control, faults);
-        if fetched.is_ok() {
-            self.slots.clear();
-            for &m in &self.ids {
-                let owner = cloud.machine_of(m);
-                let label = if owner == machine {
-                    cloud.label_of_local(machine, m).map_or(NO_LABEL, |l| l.0)
-                } else {
-                    match cloud.partition(owner).slot_of(m) {
-                        Some(slot) => {
-                            label_of_byte(self.owner_bytes[owner.index()][slot], child_labels)
-                        }
-                        None => NO_LABEL,
-                    }
-                };
-                self.slots.push(label);
-            }
-        }
-        self.end_resolution();
-        fetched
-    }
-
-    /// The fetching half of [`Frontier::resolve_from_postings`].
-    fn fetch_carriers(
-        &mut self,
-        cloud: &MemoryCloud,
-        transport: &dyn Transport,
-        machine: MachineId,
-        child_labels: &[LabelId],
-        control: Option<&QueryControl>,
-        faults: &mut FaultCounters,
-    ) -> Result<u64, StwigError> {
-        let mut written = 0u64;
-        for owner in cloud.machines().filter(|&owner| owner != machine) {
+    ) -> Result<(), StwigError> {
+        self.slot_of.clear();
+        for owner in cloud.machines() {
             if control.is_some_and(QueryControl::interrupted) {
                 break;
+            }
+            if owner == machine {
+                for &label in child_labels {
+                    let local = cloud.get_ids(machine, label);
+                    self.slot_of.extend(local.iter().map(|id| (id, label.0)));
+                }
+                continue;
             }
             let fetched = fetch_postings(
                 transport,
@@ -567,99 +522,66 @@ impl Frontier {
                 control,
                 faults,
             )?;
-            let partition = cloud.partition(owner);
-            let (bytes, batch) = (
-                &mut self.owner_bytes[owner.index()],
-                &mut self.per_owner[owner.index()],
-            );
-            for (ordinal, run) in (1u8..).zip(fetched.into_iter().flatten()) {
-                for id in run {
-                    // A listed id the owner has no slot for cannot be a
-                    // neighbor anyone collected.
-                    if let Some(slot) = partition.slot_of(id) {
-                        bytes[slot] = ordinal;
-                        batch.slots.push(slot as u32);
-                        written += 1;
-                    }
-                }
+            for (label, run) in child_labels.iter().zip(fetched.into_iter().flatten()) {
+                self.slot_of.extend(run.into_iter().map(|id| (id, label.0)));
             }
         }
-        Ok(written)
+        label_slots(&mut self.slots, &self.ids, |m| {
+            self.slot_of.get(&m).copied()
+        });
+        Ok(())
     }
 
-    /// Step 2 of `Messages`, the asking side (`Index.hasLabel`, batched): a
-    /// second pass over the arena reads local labels in place and marks
-    /// each *distinct* remote neighbor [`ASKED`] in its owner's slot byte
-    /// the first time it appears (hubs are many roots' neighbor, so the
-    /// distinct set stays far smaller than the scan); one projected `Load`
-    /// per owning machine (split into envelopes of at most `cap` ids)
-    /// brings their labels, each answer lands in its slot byte as a
-    /// child-label ordinal, and one linear pass writes them into the arena.
-    /// STwig matching only consumes the frontier's *labels* (children are
-    /// depth-1), so the owners keep their adjacency at home. A neighbor its
-    /// owner has no slot for — a dangling id, which no loaded or updated
-    /// cloud holds — is no child and is not asked about. Every attempt
-    /// of an envelope carries the same ids in the same order, which keeps
-    /// retries idempotent.
-    #[allow(clippy::too_many_arguments)]
+    /// Step 2 of `Messages`, the asking side (`Index.hasLabel`, batched): a second
+    /// pass over the arena reads local labels in place and gives each
+    /// *distinct* remote neighbor a dense slot (hubs are many roots'
+    /// neighbor, so the distinct set stays far smaller than the scan); one
+    /// projected `Load` per owning machine (split into envelopes of at most
+    /// `cap` ids) brings their labels, and one
+    /// linear pass writes them into the arena. STwig matching only consumes
+    /// the frontier's *labels* (children are depth-1), so the owners keep
+    /// their adjacency at home. Every attempt of an envelope carries the
+    /// same ids in the same order, which keeps retries idempotent.
     fn resolve_by_asking(
         &mut self,
         cloud: &MemoryCloud,
         transport: &dyn Transport,
         machine: MachineId,
-        child_labels: &[LabelId],
         cap: usize,
         control: Option<&QueryControl>,
         faults: &mut FaultCounters,
     ) -> Result<(), StwigError> {
-        self.begin_resolution(cloud);
+        self.slot_of.clear();
+        self.slot_labels.clear();
+        self.per_owner
+            .resize_with(cloud.num_machines(), OwnerBatch::default);
+        for batch in &mut self.per_owner {
+            batch.ids.clear();
+            batch.slots.clear();
+        }
         self.slots.clear();
         for &m in &self.ids {
             let owner = cloud.machine_of(m);
-            let label = if owner == machine {
+            let slot = if owner == machine {
                 cloud.label_of_local(machine, m).map_or(NO_LABEL, |l| l.0)
-            } else if let Some(slot) = cloud.partition(owner).slot_of(m) {
-                assert!(slot < (REMOTE_SLOT - 1) as usize, "slot exceeds 2^31");
-                let byte = &mut self.owner_bytes[owner.index()][slot];
-                if *byte == 0 {
-                    *byte = ASKED;
+            } else {
+                let next = self.slot_labels.len() as u32;
+                assert!(next < REMOTE_SLOT, "frontier exceeds 2^31 vertices");
+                let slot = *self.slot_of.entry(m).or_insert(next);
+                if slot == next {
+                    self.slot_labels.push(NO_LABEL);
                     let batch = &mut self.per_owner[owner.index()];
                     batch.ids.push(m);
-                    batch.slots.push(slot as u32);
+                    batch.slots.push(slot);
                 }
-                REMOTE_SLOT | slot as u32
-            } else {
-                NO_LABEL
+                REMOTE_SLOT | slot
             };
-            self.slots.push(label);
+            self.slots.push(slot);
         }
-        let asked = self.ask_owners(transport, machine, child_labels, cap, control, faults);
-        if asked.is_ok() {
-            for (slot, &m) in self.slots.iter_mut().zip(&self.ids) {
-                if *slot != NO_LABEL && *slot & REMOTE_SLOT != 0 {
-                    let bytes = &self.owner_bytes[cloud.machine_of(m).index()];
-                    *slot = label_of_byte(bytes[(*slot ^ REMOTE_SLOT) as usize], child_labels);
-                }
-            }
-        }
-        self.end_resolution();
-        asked
-    }
 
-    /// The envelope half of [`Frontier::resolve_by_asking`].
-    fn ask_owners(
-        &mut self,
-        transport: &dyn Transport,
-        machine: MachineId,
-        child_labels: &[LabelId],
-        cap: usize,
-        control: Option<&QueryControl>,
-        faults: &mut FaultCounters,
-    ) -> Result<(), StwigError> {
         let cap = cap.max(1);
         'flush: for (owner, batch) in self.per_owner.iter().enumerate() {
             let owner = MachineId(owner as u16);
-            let bytes = &mut self.owner_bytes[owner.index()];
             for (ids, slots) in batch.ids.chunks(cap).zip(batch.slots.chunks(cap)) {
                 // Cooperative check at every superstep flush: a cancelled or
                 // deadline-expired query stops issuing envelopes immediately.
@@ -682,8 +604,14 @@ impl Frontier {
                     .into_labels(ids.len())
                     .map_err(StwigError::Transport)?;
                 for (&slot, label) in slots.iter().zip(labels) {
-                    let ordinal = child_labels.binary_search(&label).map_or(0, |i| i + 1);
-                    bytes[slot as usize] = ordinal as u8;
+                    self.slot_labels[slot as usize] = label.0;
+                }
+            }
+        }
+        if !self.slot_labels.is_empty() {
+            for slot in &mut self.slots {
+                if *slot != NO_LABEL && *slot & REMOTE_SLOT != 0 {
+                    *slot = self.slot_labels[(*slot ^ REMOTE_SLOT) as usize];
                 }
             }
         }
@@ -1447,29 +1375,25 @@ mod tests {
         assert_eq!(fetch(&honest).unwrap().map(|runs| runs.len()), Some(2));
     }
 
-    /// What each resolution must leave in `slots`, position by position:
-    /// the label of every neighbor `machine` owns (read in place), the child
-    /// label of every remote one that carries one, [`NO_LABEL`] elsewhere.
+    /// What each resolution must leave in `slots`, position by position.
     /// `known(m)` says whether `m`'s owner could be consulted at all.
     fn check_resolution(
         cloud: &MemoryCloud,
         frontier: &Frontier,
-        machine: MachineId,
         child_labels: &[LabelId],
+        from_postings: bool,
         known: impl Fn(VertexId) -> bool,
     ) {
         assert_eq!(frontier.slots.len(), frontier.ids.len());
         for (&m, &slot) in frontier.ids.iter().zip(&frontier.slots) {
-            let local = cloud.machine_of(m) == machine;
-            let label = cloud.label_of_global(m).filter(|_| local || known(m));
+            let label = cloud.label_of_global(m).filter(|_| known(m));
             let want = match label {
-                Some(l) if local || child_labels.contains(&l) => l.0,
+                // The postings side only ever learns child labels.
+                Some(l) if !from_postings || child_labels.contains(&l) => l.0,
                 _ => NO_LABEL,
             };
-            assert_eq!(slot, want, "neighbor {m}");
+            assert_eq!(slot, want, "neighbor {m}, from_postings = {from_postings}");
         }
-        // Every slot byte is zero again.
-        assert!(frontier.owner_bytes.iter().flatten().all(|&b| b == 0));
     }
 
     #[test]
@@ -1511,10 +1435,7 @@ mod tests {
                         frontier.ids.push(v(999));
                     }
                     let down = MachineId(((k.0 as usize + 1) % machines) as u16);
-                    // Only a neighbor its owner holds a slot for is asked
-                    // about: never the dangling one.
-                    let asks_down = (frontier.ids.iter())
-                        .any(|&m| cloud.machine_of(m) == down && cloud.partition(down).owns(m));
+                    let asks_down = frontier.ids.iter().any(|&m| cloud.machine_of(m) == down);
                     let crash = FaultPlan::default().with_crash(down.0, 0);
                     let crashed =
                         FaultyTransport::new(ChannelTransport::new(&cloud), crash.clone());
@@ -1535,29 +1456,27 @@ mod tests {
                              faults: &mut FaultCounters| {
                                 if from_postings {
                                     let labels = &child_labels;
-                                    frontier
-                                        .resolve_from_postings(
-                                            &cloud, tp, k, labels, control, faults,
-                                        )
-                                        .map(|_| ())
-                                } else {
-                                    let (labels, cap) = (&child_labels, LOAD_BATCH_IDS);
-                                    frontier.resolve_by_asking(
-                                        &cloud, tp, k, labels, cap, control, faults,
+                                    frontier.resolve_from_postings(
+                                        &cloud, tp, k, labels, control, faults,
                                     )
+                                } else {
+                                    let cap = LOAD_BATCH_IDS;
+                                    frontier.resolve_by_asking(&cloud, tp, k, cap, control, faults)
                                 }
                             };
                         let mut faults = FaultCounters::default();
                         resolve(&mut frontier, &transport, None, &mut faults).unwrap();
                         assert!(!faults.any());
-                        check_resolution(&cloud, &frontier, k, &child_labels, |_| true);
+                        check_resolution(&cloud, &frontier, &child_labels, from_postings, |_| true);
 
                         // A pre-set cancel: no envelope leaves, and only what
-                        // is read in place (local labels) is known.
+                        // is read in place (asking: local labels) is known.
                         cloud.network().reset();
                         resolve(&mut frontier, &transport, Some(&cancelled), &mut faults).unwrap();
                         assert_eq!(cloud.traffic().total_messages(), 0);
-                        check_resolution(&cloud, &frontier, k, &child_labels, |_| false);
+                        check_resolution(&cloud, &frontier, &child_labels, from_postings, |m| {
+                            !from_postings && cloud.machine_of(m) == k
+                        });
 
                         if down == k {
                             continue; // one machine: nobody else to lose
@@ -1572,7 +1491,7 @@ mod tests {
                             faults.machines_lost,
                             if asked { vec![down.0] } else { vec![] }
                         );
-                        check_resolution(&cloud, &frontier, k, &child_labels, |m| {
+                        check_resolution(&cloud, &frontier, &child_labels, from_postings, |m| {
                             cloud.machine_of(m) != down
                         });
                         let failed = resolve(
@@ -1829,7 +1748,7 @@ mod tests {
     }
 
     #[test]
-    fn direct_read_reads_in_place_and_accounts_like_the_reference() {
+    fn direct_read_takes_either_side_and_accounts_alike() {
         use trinity_sim::transport::ChannelTransport;
         type Observed = (
             ResultTable,
@@ -1851,18 +1770,19 @@ mod tests {
                 cloud.direct_remote_reads(),
             )
         }
-        // 6 carriers (the postings side of `Messages`' rule) or 36 (the
-        // asking side, for most machines): `DirectRead` reads in place
-        // either way.
+        // 6 carriers: fewer than any machine's neighbors × 3. 36: fewer only
+        // than those of the machine with three hubs (it owns 1, 2 or 3).
         for extra_b in [0, 30] {
             let (cloud, query, stwig) = hub_star(extra_b);
             let transport = ChannelTransport::new(&cloud);
             let (bindings, config) = (Bindings::new(2), MatchConfig::default());
+            let mut sides = Vec::new();
             for k in cloud.machines() {
                 let roots = cloud.get_ids(k, query.label(stwig.root)).to_vec();
                 let mut resolution = Resolution::default();
                 let direct = observe(&cloud, |c| {
-                    let mode = Mode::InPlace(cloud.network());
+                    let shared = SharedPostings::new();
+                    let mode = Mode::InPlace(&shared, cloud.network());
                     let explored = explore(
                         &cloud, mode, k, &query, &stwig, &roots, &bindings, &config, None, c,
                     );
@@ -1894,7 +1814,17 @@ mod tests {
                 assert_eq!(direct, reference, "{extra_b} extra b's, machine {k}");
                 assert_eq!((&direct.0, direct.1), (&batched.0, batched.1));
                 assert!(direct.3 > 0 && batched.3 == 0);
-                assert!(!resolution.from_postings && resolution.postings_entries == 0);
+                let carriers = 6 + extra_b;
+                let looked_up = 6 * roots.len() as u64 * 3;
+                assert_eq!(resolution.from_postings, carriers < looked_up);
+                let entries = if carriers < looked_up { carriers } else { 0 };
+                assert_eq!(resolution.postings_entries, entries);
+                sides.push(resolution.from_postings);
+            }
+            if extra_b == 0 {
+                assert!(sides.iter().all(|&postings| postings), "{sides:?}");
+            } else {
+                assert!(sides.contains(&false) && sides.contains(&true), "{sides:?}");
             }
         }
     }

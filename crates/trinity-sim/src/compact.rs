@@ -850,23 +850,6 @@ impl IdIndex {
         }
     }
 
-    /// The slot of `id` (below [`IdIndex::slot_space`]), or `None` when it
-    /// is not indexed. A rank bitmap answers with the bit's position and
-    /// skips the rank; elsewhere a slot is the local index.
-    #[inline]
-    pub fn slot_of(&self, id: VertexId) -> Option<usize> {
-        match self {
-            IdIndex::Ranked {
-                base, shift, words, ..
-            } => {
-                let slot = strided_slot(*base, *shift, id)?;
-                let word = *words.get(usize::try_from(slot / 64).ok()?)?;
-                ((word >> (slot % 64)) & 1 == 1).then_some(slot as usize)
-            }
-            _ => self.local_of(id),
-        }
-    }
-
     /// The global id at posting slot `slot`, which must be a member's.
     #[inline]
     pub fn id_at(&self, slot: usize) -> VertexId {
@@ -1510,8 +1493,6 @@ mod tests {
         let members: std::collections::HashSet<u64> = ids.iter().map(|x| x.0).collect();
         for (local, &id) in ids.iter().enumerate() {
             assert_eq!(index.local_of(id), Some(local), "member {id}");
-            let slot = index.slot_of(id).expect("a member has a slot");
-            assert_eq!(index.id_at(slot), id, "slot of {id}");
         }
         let mut outsiders = vec![0, 1, u64::MAX, u64::MAX - 1];
         for &id in &ids {
@@ -1525,7 +1506,6 @@ mod tests {
             let want = ids.iter().position(|x| x.0 == id);
             assert_eq!(members.contains(&id), want.is_some());
             assert_eq!(index.local_of(v(id)), want, "probe {id}");
-            assert_eq!(index.slot_of(v(id)).is_some(), want.is_some(), "slot {id}");
         }
 
         // Slots ascend, stay inside the slot space, and decode to the ids.
@@ -1578,7 +1558,14 @@ mod tests {
         arm(&top, "full");
         // All even ids: shift 1, no heap.
         let evens = arm(&(0..2_000).map(|i| 2 * i).collect::<Vec<_>>(), "full");
-        assert!(matches!(evens, IdIndex::Full { shift: 1, len: 2_000, .. }));
+        assert!(matches!(
+            evens,
+            IdIndex::Full {
+                shift: 1,
+                len: 2_000,
+                ..
+            }
+        ));
         assert_eq!(evens.memory_bytes(), 0);
         // Stride 2^k from an odd base, with holes.
         let strided: Vec<u64> = (0..3_000u64)
@@ -1643,8 +1630,14 @@ mod tests {
         };
         assert_eq!(full.len(), ranked.len());
         assert_eq!(full.slot_space(), ranked.slot_space());
-        assert_eq!(full.slots().collect::<Vec<_>>(), ranked.slots().collect::<Vec<_>>());
-        assert_eq!(full.iter().collect::<Vec<_>>(), ranked.iter().collect::<Vec<_>>());
+        assert_eq!(
+            full.slots().collect::<Vec<_>>(),
+            ranked.slots().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            full.iter().collect::<Vec<_>>(),
+            ranked.iter().collect::<Vec<_>>()
+        );
         assert_eq!(full.iter().collect::<Vec<_>>(), ids);
         for slot in 0..n as usize {
             assert_eq!(full.id_at(slot), ranked.id_at(slot));
@@ -1657,7 +1650,6 @@ mod tests {
         for id in probes {
             let id = v(id);
             assert_eq!(full.local_of(id), ranked.local_of(id), "local_of {id}");
-            assert_eq!(full.slot_of(id), ranked.slot_of(id), "slot_of {id}");
         }
         assert_eq!(full.memory_bytes(), 0);
         assert!(ranked.memory_bytes() > 0);

@@ -1231,7 +1231,6 @@ mod tests {
                 assert_eq!(got.label_of(id), want.label_of(id), "label {id}");
                 assert_eq!(got.degree_of(id), want.degree_of(id), "degree {id}");
                 assert_eq!(got.signature_of(id), want.signature_of(id), "sig {id}");
-                assert_eq!(got.slot_of(id), want.slot_of(id), "slot {id}");
             }
             for (label, _) in sealed.labels().iter() {
                 let postings = got.vertices_with_label(label);

@@ -9,8 +9,7 @@
 //! so static partitions (no overlay) read the base alone.
 
 use crate::compact::{
-    CompactCsr, CompactCsrBuilder, CompactLabelIndex, IdIndex, Ids, LabelArray, Neighbors,
-    Postings,
+    CompactCsr, CompactCsrBuilder, CompactLabelIndex, IdIndex, Ids, LabelArray, Neighbors, Postings,
 };
 use crate::hash::FxHashMap;
 use crate::ids::{LabelId, VertexId};
@@ -474,33 +473,6 @@ impl Partition {
         self.overlay.as_deref()?.touched(id)
     }
 
-    /// The slot of a locally-owned vertex: a dense number below
-    /// [`Partition::slot_space`], the same for the vertex as long as this
-    /// partition stands, so per-vertex state can live in an array indexed
-    /// by it. A base vertex has its base id-index slot; a vertex an update
-    /// added comes after the base's slot space, numbered by its rank among
-    /// the added ids. A deleted or foreign id has none.
-    #[inline]
-    pub fn slot_of(&self, id: VertexId) -> Option<usize> {
-        let Some(overlay) = self.overlay.as_deref() else {
-            return self.base.ids.slot_of(id);
-        };
-        match overlay.touched(id) {
-            None => self.base.ids.slot_of(id),
-            Some(Touched::Deleted) => None,
-            Some(Touched::Live(_)) => self.base.ids.slot_of(id).or_else(|| {
-                let rank = overlay.added.binary_search(&id).ok()?;
-                Some(self.base.ids.slot_space() + rank)
-            }),
-        }
-    }
-
-    /// One past the highest [`Partition::slot_of`].
-    pub fn slot_space(&self) -> usize {
-        let added = self.overlay.as_deref().map_or(0, |o| o.added.len());
-        self.base.ids.slot_space() + added
-    }
-
     /// Whether this machine owns vertex `id`.
     #[inline]
     pub fn owns(&self, id: VertexId) -> bool {
@@ -850,26 +822,6 @@ mod tests {
         assert_eq!(ids, vec![v(10), v(20), v(40)]);
         let cells: Vec<_> = p.iter_cells().map(|c| c.id).collect();
         assert_eq!(cells, vec![v(10), v(20), v(40)]);
-    }
-
-    #[test]
-    fn slots_number_live_ids_densely_and_skip_deleted_ones() {
-        // Ids 10, 20, 30 share stride 2: slots 0, 5 and 10 of a ranked
-        // index, whose slot space is 11.
-        let base = sample_partition();
-        assert_eq!(base.slot_space(), 11);
-        let slots: Vec<_> = [10, 20, 30].map(|i| base.slot_of(v(i))).to_vec();
-        assert_eq!(slots, [Some(0), Some(5), Some(10)]);
-        // Deleted v(30) keeps no slot; added v(40) comes after the base's.
-        let p = overlaid_partition();
-        assert_eq!(p.slot_space(), 12);
-        assert_eq!(p.slot_of(v(10)), Some(0));
-        assert_eq!(p.slot_of(v(20)), Some(5));
-        assert_eq!(p.slot_of(v(30)), None);
-        assert_eq!(p.slot_of(v(40)), Some(11));
-        for foreign in [0, 11, 12, 99, u64::MAX] {
-            assert_eq!(p.slot_of(v(foreign)), None, "{foreign}");
-        }
     }
 
     #[test]

@@ -364,3 +364,108 @@ fn frontier_fetches_rare_child_postings_once_per_owner() {
     assert_eq!(traffic.total_messages(), 2 * 2);
     assert_eq!(traffic.total_bytes(), 2 * (16 + 4 + 16) + 8 * remote);
 }
+
+/// A graph over `ids` with five labels and a rare sixth, each vertex joined
+/// to three others by index arithmetic, built over four machines.
+fn labeled_ring(ids: &[VertexId]) -> MemoryCloud {
+    let n = ids.len() as u64;
+    let mut b = GraphBuilder::new_undirected();
+    for (i, &id) in (0u64..).zip(ids) {
+        let name = if i % 37 == 0 {
+            "rare"
+        } else {
+            ["a", "b", "c", "d", "e"][(i % 5) as usize]
+        };
+        b.add_vertex(id, name);
+    }
+    for i in 0..n {
+        for j in [i + 1, i * 7 + 3, i * 13 + 5] {
+            b.add_edge(ids[i as usize], ids[(j % n) as usize]);
+        }
+    }
+    b.build(4, CostModel::default())
+}
+
+/// `cloud`'s content loaded anew onto one machine, under the same label
+/// ids: the VF2 reference.
+fn rebuilt(cloud: &MemoryCloud) -> MemoryCloud {
+    let ids: Vec<VertexId> = cloud.iter_vertices().collect();
+    let vertices = ids
+        .iter()
+        .map(|&id| (id, cloud.label_of_global(id).unwrap()));
+    let edges: Vec<(VertexId, VertexId)> = ids
+        .iter()
+        .flat_map(|&id| cloud.neighbors_global(id).iter().map(move |n| (id, n)))
+        .collect();
+    StreamLoader::new(1, CostModel::default())
+        .load(cloud.labels().clone(), vertices, || edges.iter().copied())
+        .unwrap()
+}
+
+/// Every workload explores freshly loaded partitions whose ids fill their
+/// strided range, so a label read there is a range check, a shift and a
+/// byte. Exploration also has to hold on the other id layouts, and both
+/// are explored here under both transports — `Messages` on both sides of
+/// its rule — against VF2:
+///
+/// * a churned cloud whose overlays are not sealed: added, deleted and
+///   relabelled ids read through the overlay before the base;
+/// * a cloud of sparse ids, every partition on the hashed id index.
+#[test]
+fn exploration_matches_vf2_on_churned_and_sparse_clouds() {
+    let v = VertexId;
+    let dense: Vec<VertexId> = (0..400).map(v).collect();
+    let epochs = GraphEpochs::new(labeled_ring(&dense));
+    let batch = UpdateBatch::new()
+        .remove_vertex(v(5))
+        .remove_vertex(v(74))
+        .add_vertex(v(1_000), "b")
+        .add_edge(v(1_000), v(10))
+        .add_edge(v(1_000), v(11))
+        .add_edge(v(1_000), v(37))
+        .add_vertex(v(1_003), "rare")
+        .add_edge(v(1_003), v(1_000))
+        .add_edge(v(1_003), v(20))
+        .add_vertex(v(30), "rare")
+        .add_vertex(v(31), "a")
+        .remove_edge(v(40), v(41))
+        .add_edge(v(60), v(90));
+    epochs.apply(&batch).unwrap();
+    let churned = epochs.pin();
+    assert!(churned
+        .machines()
+        .any(|m| churned.partition(m).has_overlay()));
+    let sparse_ids: Vec<VertexId> = (0..400u64).map(|i| v(i * 1_000_003 + i % 7)).collect();
+    let sparse = labeled_ring(&sparse_ids);
+    assert!(
+        sparse.storage_bytes().id_map > 400 * 8,
+        "hashed ids keep their array"
+    );
+
+    for (name, cloud) in [("churned", churned.cloud()), ("sparse", &sparse)] {
+        let reference = rebuilt(cloud);
+        let (mut from_postings, mut by_asking) = (0, 0);
+        for seed in 0..24 {
+            let Some(query) = dfs_query(cloud, 3 + (seed % 3) as usize, seed) else {
+                continue;
+            };
+            let want = vf2(&reference, &query, None);
+            for mode in [TransportMode::DirectRead, TransportMode::Messages] {
+                let config = MatchConfig::exhaustive()
+                    .with_num_threads(Some(1))
+                    .with_transport_mode(mode);
+                let out = match_query(cloud, &query, &config, Run::default()).unwrap();
+                same_answer(cloud, &query, &out.table, &want, None)
+                    .unwrap_or_else(|e| panic!("{name}, {mode:?}, seed {seed}: {e}"));
+                if mode == TransportMode::Messages {
+                    from_postings += out.metrics.explore_from_postings;
+                    by_asking += out.metrics.explore_by_probing;
+                }
+            }
+        }
+        assert!(
+            from_postings > 0 && by_asking > 0,
+            "{name}: {from_postings} explorations from postings, {by_asking} by asking"
+        );
+    }
+}
