@@ -170,7 +170,8 @@ impl LabelArray {
     }
 
     /// `labels` for a label space of `num_labels`.
-    pub fn from_labels(num_labels: usize, labels: &[LabelId]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_labels(num_labels: usize, labels: &[LabelId]) -> Self {
         let mut array = LabelArray::with_capacity(num_labels, labels.len());
         for &label in labels {
             array.push(label);

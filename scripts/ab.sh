@@ -14,16 +14,18 @@
 # (10 s unless given), alternating which side runs first from one pair to
 # the next so a drift of the host does not favour either. Prints, per
 # workload and end-to-end metric, each pair's ratio b/a, how many pairs
-# b won (k/n, by the metric's direction in BENCHMARK.json) and the median
-# ratio and median values of each side. A run that is not `"correct": true`
-# with `"failed": 0` is reported and makes the exit status 1.
+# b won (k/n, by the metric's direction in BENCHMARK.json), the median
+# ratio, and each side's median with its quartiles [q1, q3]. A run that is
+# not `"correct": true` with `"failed": 0` is reported and makes the exit
+# status 1.
 #
 # WORKLOADS="explore_128k churn_mix" restricts the workloads. Ten 10-s pairs
-# over the four workloads take about 15 minutes on 2 vCPUs.
+# over the four workloads take about 20 minutes on 2 vCPUs, after two
+# builds of a few minutes each.
 set -euo pipefail
 
 usage() {
-    sed -n '2,22p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'
+    sed -n '2,24p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'
 }
 case "${1:-}" in
     -h | --help) usage; exit 0 ;;
@@ -121,10 +123,12 @@ for workload in workloads:
             continue
         ratios = [values[("b", p)] / values[("a", p)] if values[("a", p)] else float("nan") for p in pairs]
         wins = sum((r < 1) if lower else (r > 1) for r in ratios)
-        med_a = statistics.median(values[("a", p)] for p in pairs)
-        med_b = statistics.median(values[("b", p)] for p in pairs)
+        def spread(side):
+            xs = [values[(side, p)] for p in pairs]
+            q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
+            return f"{statistics.median(xs):.6g} [{q1:.6g}, {q3:.6g}]"
         print(f"  {name:16} b won {wins}/{len(pairs)}  median b/a {statistics.median(ratios):.4f}"
-              f"  (a {med_a:.6g}, b {med_b:.6g})  pairs " + " ".join(f"{r:.3f}" for r in ratios))
+              f"  a {spread('a')}  b {spread('b')}  pairs " + " ".join(f"{r:.3f}" for r in ratios))
 EOF
 echo "ab: raw rows in $results" >&2
 exit "$status"
