@@ -8,24 +8,29 @@
 //! through a fixed loading pipeline (Table 2 reports the times); holding the
 //! whole edge list — let alone a per-vertex nested structure — in memory is
 //! exactly what a 10M+-vertex load cannot afford. The loader instead makes
-//! `1 + M` passes over the edge stream (`M` = machine count):
+//! `1 + G` passes over the edge stream, where `G` is the number of machine
+//! groups below: at most `1 + ⌈M/2⌉` when every id is below 2^32 and at most
+//! `1 + M` otherwise (`M` = machine count):
 //!
 //! 1. **Vertex pass**: hash-partition `(id, label)` pairs, rejecting a
 //!    label the interner never issued, sort each machine's vertices, move
 //!    each machine's ids into its [`IdIndex`], stage its labels at the width
-//!    the label count picks ([`LabelArray`]) and count label frequencies.
-//!    Edge endpoints are located through the indexes; no id array outlives
-//!    this pass.
+//!    the label count picks ([`LabelArray`]), count label frequencies and
+//!    note the largest id. Edge endpoints are located through the indexes;
+//!    no id array outlives this pass.
 //! 2. **Degree pass**: one pass over the edges counting, per machine, each
 //!    local vertex's entry count (duplicates included — they are cheap to
 //!    count and removed at encode time).
-//! 3. **Per-machine fill passes**: for one machine at a time, scatter that
-//!    machine's neighbor entries into an exact-size flat array, then sort,
-//!    deduplicate and encode each run in place — building the partition's
-//!    adjacency, pruning signatures and catalog contributions in the same
-//!    sweep. Peak staging is the *largest single machine's* entry
-//!    count, not the whole graph's (`tests/alloc_peak.rs` holds the load
-//!    to that bound).
+//! 3. **Fill passes**: one per group of consecutive machines, scattering
+//!    the group's neighbor entries into one exact-size flat array, then
+//!    sorting, deduplicating and encoding each run in place — building each
+//!    partition's adjacency, pruning signatures and catalog contributions in
+//!    the same sweep. Entries stage as `u32` when every id is below 2^32,
+//!    else as `u64`, and a group holds as many machines as fit in the bytes
+//!    the *largest single machine* would stage at `u64` (with two offsets a
+//!    vertex): peak staging is bounded by one machine's entry count, not the
+//!    whole graph's (`tests/alloc_peak.rs` holds the load to that bound),
+//!    and narrow staging fills any two machines a pass.
 //!
 //! The edge stream is supplied as a factory (`Fn() -> IntoIterator`) so the
 //! loader can re-iterate it; generators like `graph-gen`'s streaming R-MAT
@@ -80,7 +85,10 @@ impl StreamLoader {
     ///   keeps its *last* label (same overwrite semantics as
     ///   [`crate::builder::GraphBuilder::add_vertex`]).
     /// * `edges` — a factory returning a fresh edge iterator each call; it
-    ///   is invoked `1 + num_machines` times. Self loops are ignored,
+    ///   is invoked once to count degrees and once per group of machines
+    ///   filled together: `1 + ⌈num_machines / 2⌉` times or fewer when
+    ///   every id is below 2^32, at most `1 + num_machines` times otherwise.
+    ///   Self loops are ignored,
     ///   duplicate edges deduplicated, and an edge endpoint that never
     ///   appeared in `vertices` fails with
     ///   [`TrinityError::UnknownVertex`].
@@ -103,13 +111,15 @@ impl StreamLoader {
 
         // ------------------------------------------------------------------
         // Pass 1: vertices → per-machine sorted (id, label), id indexes,
-        // label frequencies.
+        // label frequencies, the largest id.
         // ------------------------------------------------------------------
         let mut per_machine: Vec<Vec<(VertexId, LabelId)>> = vec![Vec::new(); m];
+        let mut max_id = 0u64;
         for (id, label) in vertices {
             if label.index() >= num_labels {
                 return Err(TrinityError::UnknownLabel(label));
             }
+            max_id = max_id.max(id.0);
             per_machine[machine_for(id, m).index()].push((id, label));
         }
         let mut id_indexes: Vec<IdIndex> = Vec::with_capacity(m);
@@ -147,14 +157,6 @@ impl StreamLoader {
         if num_vertices == 0 {
             return Err(TrinityError::EmptyGraph);
         }
-        let locate = |id: VertexId| -> Result<(usize, usize), TrinityError> {
-            let mach = machine_for(id, m).index();
-            id_indexes[mach]
-                .local_of(id)
-                .map(|local| (mach, local))
-                .ok_or(TrinityError::UnknownVertex(id))
-        };
-
         // ------------------------------------------------------------------
         // Pass 2: count per-local-vertex entries (duplicates included),
         // validating endpoints once.
@@ -167,91 +169,22 @@ impl StreamLoader {
             if u == v {
                 continue;
             }
-            let (mu, lu) = locate(u)?;
-            let (mv, lv) = locate(v)?;
+            let (mu, lu) = locate(&id_indexes, u)?;
+            let (mv, lv) = locate(&id_indexes, v)?;
             degrees[mu][lu] += 1;
             degrees[mv][lv] += 1;
         }
 
         // ------------------------------------------------------------------
-        // Passes 3..: per machine, scatter → sort/dedup in place → encode.
+        // Passes 3..: per group of machines, scatter → sort/dedup in place →
+        // encode, staging ids as `u32` when every id fits one.
         // ------------------------------------------------------------------
         let mut catalog = LabelPairCatalog::new(m, num_labels);
-        let mut adjacencies: Vec<CompactCsr> = Vec::with_capacity(m);
-        let mut neighbor_indexes: Vec<NeighborLabelIndex> = Vec::with_capacity(m);
-        let mut total_entries = 0u64;
-        for mach in 0..m {
-            let n_local = machine_labels[mach].len();
-            let counts = std::mem::take(&mut degrees[mach]);
-            let mut starts = Vec::with_capacity(n_local + 1);
-            let mut running = 0usize;
-            starts.push(0);
-            for &d in &counts {
-                running += d as usize;
-                starts.push(running);
-            }
-            drop(counts);
-            // Exact-size flat staging for this machine only: the loader's
-            // peak is max over machines, not the sum.
-            let mut staging = vec![VertexId(0); running];
-            let mut cursor: Vec<usize> = starts[..n_local].to_vec();
-            for (u, v) in edges() {
-                if u == v {
-                    continue;
-                }
-                if machine_for(u, m).index() == mach {
-                    let (_, local) = locate(u)?;
-                    staging[cursor[local]] = v;
-                    cursor[local] += 1;
-                }
-                if machine_for(v, m).index() == mach {
-                    let (_, local) = locate(v)?;
-                    staging[cursor[local]] = u;
-                    cursor[local] += 1;
-                }
-            }
-            drop(cursor);
-            // Sort and deduplicate each run in place, then encode it; build
-            // the signatures and the catalog contribution over the
-            // deduplicated runs. Every unique edge appears in exactly two
-            // runs cloud-wide (one per endpoint), so recording one catalog
-            // edge per deduplicated entry records each edge both ways.
-            let mut sigs = Vec::with_capacity(n_local);
-            let mut adjacency = CompactCsrBuilder::with_capacity(n_local);
-            for local in 0..n_local {
-                let run = &mut staging[starts[local]..starts[local + 1]];
-                run.sort_unstable();
-                let mut run_len = 0usize;
-                for r in 0..run.len() {
-                    if run_len > 0 && run[r] == run[run_len - 1] {
-                        continue;
-                    }
-                    run[run_len] = run[r];
-                    run_len += 1;
-                }
-                let run = &run[..run_len];
-                let own_label = machine_labels[mach].get(local);
-                let mut sig = 0u64;
-                for &nbr in run {
-                    let (mn, ln) = locate(nbr)?;
-                    let nbr_label = machine_labels[mn].get(ln);
-                    sig |= label_bit(nbr_label);
-                    catalog.record_edge(
-                        MachineId(mach as u16),
-                        own_label,
-                        MachineId(mn as u16),
-                        nbr_label,
-                    );
-                }
-                sigs.push(sig);
-                adjacency.push_run(run);
-                total_entries += run_len as u64;
-            }
-            drop(staging);
-            adjacencies.push(adjacency.finish());
-            neighbor_indexes.push(NeighborLabelIndex::from_signatures(sigs));
-        }
-        drop(degrees);
+        let (adjacencies, neighbor_indexes, total_entries) = if u32::try_from(max_id).is_ok() {
+            fill::<u32, _, _>(&edges, &id_indexes, &machine_labels, degrees, &mut catalog)?
+        } else {
+            fill::<VertexId, _, _>(&edges, &id_indexes, &machine_labels, degrees, &mut catalog)?
+        };
 
         // ------------------------------------------------------------------
         // Assembly.
@@ -284,11 +217,181 @@ impl StreamLoader {
     }
 }
 
+/// `id`'s machine and its slot there; an id no machine holds is an error.
+fn locate(id_indexes: &[IdIndex], id: VertexId) -> Result<(usize, usize), TrinityError> {
+    let mach = machine_for(id, id_indexes.len()).index();
+    id_indexes[mach]
+        .local_of(id)
+        .map(|local| (mach, local))
+        .ok_or(TrinityError::UnknownVertex(id))
+}
+
+/// A neighbor id as the fill passes stage it: a `u32` when every id of the
+/// load is below 2^32, else the whole [`VertexId`]. Only staging narrows; the
+/// encoded adjacency is the same either way.
+trait Staged: Copy + Ord {
+    const ZERO: Self;
+
+    /// `id`, which the load's largest id bounds.
+    fn stage(id: VertexId) -> Self;
+
+    /// `run` as ids, copied through `scratch` when the staged form is not.
+    fn ids<'a>(run: &'a [Self], scratch: &'a mut Vec<VertexId>) -> &'a [VertexId];
+}
+
+impl Staged for u32 {
+    const ZERO: Self = 0;
+
+    fn stage(id: VertexId) -> Self {
+        debug_assert!(id.0 <= u64::from(u32::MAX));
+        id.0 as u32
+    }
+
+    fn ids<'a>(run: &'a [u32], scratch: &'a mut Vec<VertexId>) -> &'a [VertexId] {
+        scratch.clear();
+        scratch.extend(run.iter().map(|&id| VertexId(u64::from(id))));
+        scratch
+    }
+}
+
+impl Staged for VertexId {
+    const ZERO: Self = VertexId(0);
+
+    fn stage(id: VertexId) -> Self {
+        id
+    }
+
+    fn ids<'a>(run: &'a [VertexId], _: &'a mut Vec<VertexId>) -> &'a [VertexId] {
+        run
+    }
+}
+
+/// Passes 3..: the machines in consecutive groups, one pass over the edges a
+/// group. A group takes the next machine while its staging and run offsets
+/// stay within `8 B × e_max + 16 B × n_max` (`e_max` and `n_max` are the
+/// largest machine's entry and vertex counts): the bytes one machine needed
+/// when it staged 8 B ids with two offsets a vertex. At 4 B an id and one
+/// offset a vertex, any two machines fit.
+///
+/// A pass scatters the group's entries into one exact-size buffer, placed by
+/// one array of run ends that the scatter decrements into run starts. Then
+/// each machine's runs are sorted, deduplicated and encoded in place, with
+/// its signatures and catalog contribution built over the deduplicated runs.
+/// Every unique edge appears in exactly two runs cloud-wide (one per
+/// endpoint), so recording one catalog edge per deduplicated entry records
+/// each edge both ways.
+fn fill<T: Staged, F, E>(
+    edges: &F,
+    id_indexes: &[IdIndex],
+    machine_labels: &[LabelArray],
+    mut degrees: Vec<Vec<u32>>,
+    catalog: &mut LabelPairCatalog,
+) -> Result<(Vec<CompactCsr>, Vec<NeighborLabelIndex>, u64), TrinityError>
+where
+    F: Fn() -> E,
+    E: IntoIterator<Item = (VertexId, VertexId)>,
+{
+    let m = id_indexes.len();
+    let vertices = |mach: usize| machine_labels[mach].len();
+    let entries: Vec<usize> = degrees
+        .iter()
+        .map(|counts| counts.iter().map(|&d| d as usize).sum())
+        .collect();
+    let budget = 8 * entries.iter().copied().max().unwrap_or(0)
+        + 16 * (0..m).map(vertices).max().unwrap_or(0);
+    let bytes = |mach: usize| {
+        std::mem::size_of::<T>() * entries[mach] + std::mem::size_of::<usize>() * vertices(mach)
+    };
+    let mut adjacencies = Vec::with_capacity(m);
+    let mut neighbor_indexes = Vec::with_capacity(m);
+    let mut total_entries = 0u64;
+    let mut scratch = Vec::new();
+    let mut first = 0;
+    while first < m {
+        let mut last = first + 1;
+        let mut group_bytes = bytes(first);
+        while last < m && group_bytes + bytes(last) <= budget {
+            group_bytes += bytes(last);
+            last += 1;
+        }
+        // Run ends over the group's vertices, machine after machine; machine
+        // `first + k`'s runs begin at `bounds[bases[k]]`.
+        let mut bases = Vec::with_capacity(last - first);
+        let mut bounds: Vec<usize> = Vec::with_capacity((first..last).map(vertices).sum());
+        let mut running = 0usize;
+        for counts in &mut degrees[first..last] {
+            bases.push(bounds.len());
+            for d in std::mem::take(counts) {
+                running += d as usize;
+                bounds.push(running);
+            }
+        }
+        let mut staging = vec![T::ZERO; running];
+        for (u, v) in edges() {
+            if u == v {
+                continue;
+            }
+            for (own, nbr) in [(u, v), (v, u)] {
+                let mach = machine_for(own, m).index();
+                if (first..last).contains(&mach) {
+                    let local = id_indexes[mach]
+                        .local_of(own)
+                        .ok_or(TrinityError::UnknownVertex(own))?;
+                    let end = &mut bounds[bases[mach - first] + local];
+                    *end -= 1;
+                    staging[*end] = T::stage(nbr);
+                }
+            }
+        }
+        for mach in first..last {
+            let n_local = vertices(mach);
+            let mut sigs = Vec::with_capacity(n_local);
+            let mut adjacency = CompactCsrBuilder::with_capacity(n_local);
+            for local in 0..n_local {
+                let slot = bases[mach - first] + local;
+                let stop = bounds.get(slot + 1).copied().unwrap_or(staging.len());
+                let run = &mut staging[bounds[slot]..stop];
+                run.sort_unstable();
+                let mut run_len = 0usize;
+                for r in 0..run.len() {
+                    if run_len > 0 && run[r] == run[run_len - 1] {
+                        continue;
+                    }
+                    run[run_len] = run[r];
+                    run_len += 1;
+                }
+                let run = T::ids(&run[..run_len], &mut scratch);
+                let own_label = machine_labels[mach].get(local);
+                let mut sig = 0u64;
+                for &nbr in run {
+                    let (mn, ln) = locate(id_indexes, nbr)?;
+                    let nbr_label = machine_labels[mn].get(ln);
+                    sig |= label_bit(nbr_label);
+                    catalog.record_edge(
+                        MachineId(mach as u16),
+                        own_label,
+                        MachineId(mn as u16),
+                        nbr_label,
+                    );
+                }
+                sigs.push(sig);
+                adjacency.push_run(run);
+                total_entries += run.len() as u64;
+            }
+            adjacencies.push(adjacency.finish());
+            neighbor_indexes.push(NeighborLabelIndex::from_signatures(sigs));
+        }
+        first = last;
+    }
+    Ok((adjacencies, neighbor_indexes, total_entries))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use proptest::prelude::*;
+    use std::cell::Cell;
     use std::collections::{BTreeMap, BTreeSet};
 
     fn v(x: u64) -> VertexId {
@@ -419,6 +522,42 @@ mod tests {
         }
     }
 
+    /// The edge factory is read once for degrees and once per group of
+    /// machines filled together: ids below 2^32 stage at 4 B, so any two
+    /// machines share a pass; ids of 2^32 and above stage at 8 B and never
+    /// take more passes than machines.
+    #[test]
+    fn narrow_ids_fill_two_machines_a_pass() {
+        let (vertices, edges) = test_graph(500, 4);
+        let reads = |machines: usize, offset: u64| {
+            let mut interner = LabelInterner::default();
+            for name in ["a", "b", "c"] {
+                interner.intern(name);
+            }
+            let vs: Vec<(VertexId, LabelId)> = vertices
+                .iter()
+                .map(|&(id, name)| (v(id.0 + offset), interner.get(name).unwrap()))
+                .collect();
+            let calls = Cell::new(0usize);
+            let cloud = StreamLoader::new(machines, CostModel::free())
+                .load(interner, vs, || {
+                    calls.set(calls.get() + 1);
+                    edges
+                        .iter()
+                        .map(move |&(a, b)| (v(a.0 + offset), v(b.0 + offset)))
+                })
+                .unwrap();
+            assert_eq!(cloud.num_vertices(), 500);
+            calls.get()
+        };
+        assert_eq!(reads(4, 0), 3);
+        assert_eq!(reads(1, 0), 2);
+        for machines in 1..7 {
+            assert!(reads(machines, 0) <= 1 + machines.div_ceil(2), "{machines}");
+            assert!(reads(machines, 1 << 32) <= 1 + machines, "{machines}");
+        }
+    }
+
     /// Vertex indexes `0..n` with labels, a few relabelled again, and edges
     /// among them; every third edge is repeated reversed. Small `n` makes
     /// self loops and duplicates common.
@@ -449,12 +588,17 @@ mod tests {
         fn small_loads_match_a_naive_reference(
             graph in small_graph(),
             machines in 1usize..7,
-            sparse in 0u64..2,
+            spread in 0u64..3,
             wide in 0u32..2,
         ) {
-            // Sparse ids are too far apart for a rank bitmap, so every
-            // partition of two or more takes `IdIndex::Hashed`.
-            let id = |i: u64| if sparse == 1 { v(i * 1_000_003 + i % 7) } else { v(i) };
+            // Sparse ids (1) are too far apart for a rank bitmap, so every
+            // partition of two or more takes `IdIndex::Hashed`; so do ids of
+            // 2^33 and above (2), which stage at 8 B instead of 4.
+            let id = |i: u64| match spread {
+                0 => v(i),
+                1 => v(i * 1_000_003 + i % 7),
+                _ => v((1 << 33) + i * 1_000_003),
+            };
             // A wide label space (300 labels, some of them above 255) stores
             // two bytes a label; four labels store one.
             let (num_labels, stride, width) = if wide == 1 { (300, 97, 2) } else { (4, 1, 1) };
@@ -479,10 +623,10 @@ mod tests {
                 let partition = cloud.partition(m);
                 let ids = partition.num_vertices() * std::mem::size_of::<VertexId>();
                 let id_map = partition.storage_bytes().id_map;
-                if sparse == 1 && partition.num_vertices() >= 2 {
+                if spread >= 1 && partition.num_vertices() >= 2 {
                     prop_assert!(id_map > ids, "hashed ids keep their array");
                 }
-                if sparse == 0 && machines == 1 {
+                if spread == 0 && machines == 1 {
                     prop_assert_eq!(id_map, 0, "ids 0..n fill their range");
                 }
             }

@@ -17,7 +17,9 @@
 # b won (k/n, by the metric's direction in BENCHMARK.json), the median
 # ratio, and each side's median with its quartiles [q1, q3]. A run that is
 # not `"correct": true` with `"failed": 0` is reported and makes the exit
-# status 1.
+# status 1, and so is a pair whose sides print different `hash` lines
+# (`sequence_hash`): they measured different data, so their ratios compare
+# nothing.
 #
 # WORKLOADS="explore_128k churn_mix" restricts the workloads. Ten 10-s pairs
 # over the four workloads take about 20 minutes on 2 vCPUs, after two
@@ -25,7 +27,7 @@
 set -euo pipefail
 
 usage() {
-    sed -n '2,24p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'
+    sed -n '2,26p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'
 }
 case "${1:-}" in
     -h | --help) usage; exit 0 ;;
@@ -71,11 +73,14 @@ fi
 target_a="$work/target-a"
 
 results="$work/results.tsv"
+hashes="$work/hashes.tsv"
 : > "$results"
+: > "$hashes"
 status=0
 
 # One run of `workload` on `side`: appends `side pair workload metric value`
-# rows for every `name value unit` line of the run.
+# rows for every `name value unit` line of the run, and `workload pair name
+# side value` rows for its `name value hash` lines.
 run_one() {
     local side="$1" pair="$2" workload="$3" tree target out last
     if [ "$side" = a ]; then tree="$tree_a"; target="$target_a"; else tree="$tree_b"; target="$target_b"; fi
@@ -90,6 +95,8 @@ run_one() {
     fi
     printf '%s\n' "$out" | awk -v s="$side" -v p="$pair" -v w="$workload" \
         'NF == 3 && $3 != "hash" && $2 ~ /^[-0-9.eE+]+$/ { print s "\t" p "\t" w "\t" $1 "\t" $2 }' >> "$results"
+    printf '%s\n' "$out" | awk -v s="$side" -v p="$pair" -v w="$workload" \
+        'NF == 3 && $3 == "hash" { print w "\t" p "\t" $1 "\t" s "\t" $2 }' >> "$hashes"
 }
 
 for ((pair = 1; pair <= pairs; pair++)); do
@@ -101,6 +108,19 @@ for ((pair = 1; pair <= pairs; pair++)); do
         echo "ab: pair $pair/$pairs $workload done" >&2
     done
 done
+
+# Both sides of a pair must have measured the same data.
+mismatches="$(awk -F'\t' '
+    { key = $1 " pair " $2 " " $3; keys[key] = 1; value[key, $4] = $5 }
+    END {
+        for (key in keys)
+            if (value[key, "a"] != value[key, "b"])
+                print "ab: " key " differs: a " value[key, "a"] ", b " value[key, "b"]
+    }' "$hashes")"
+if [ -n "$mismatches" ]; then
+    printf '%s\n' "$mismatches" | sort >&2
+    status=1
+fi
 
 echo "a = $rev_a (${commit_a:0:10}), b = $rev_b (${commit_b:0:10}), $pairs pairs of ${seconds}-s runs"
 python3 - "$results" BENCHMARK.json <<'EOF'
