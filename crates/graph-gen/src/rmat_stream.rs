@@ -233,7 +233,8 @@ impl StreamingLabels {
 
 /// Streams an R-MAT graph straight into a [`MemoryCloud`] via
 /// [`StreamLoader`], never materializing the edge list: peak memory is the
-/// finished cloud plus one machine's staging buffer.
+/// finished cloud plus one staging buffer, which fills two machines a pass
+/// within the bytes one machine's 8-byte staging would take.
 ///
 /// Labels are named `L<idx>` and interned in index order, matching
 /// [`crate::synthetic::SyntheticGraph::to_builder`], so `LabelId(i)`

@@ -528,15 +528,16 @@ impl CompactCsrBuilder {
     }
 
     /// Appends the next local vertex's neighbor run, which must be sorted
-    /// ascending and free of duplicates.
-    pub fn push_run(&mut self, run: &[VertexId]) {
+    /// ascending and free of duplicates. Its ids are [`VertexId`]s or a
+    /// narrower form of them, as the loader stages ids below 2^32.
+    pub fn push_run<T: Copy + Ord + Into<u64>>(&mut self, run: &[T]) {
         debug_assert!(
             run.windows(2).all(|w| w[0] < w[1]),
             "compact CSR runs must be strictly ascending"
         );
         push_varint(&mut self.data, run.len() as u64);
         let mut prev = 0u64;
-        for (i, &VertexId(id)) in run.iter().enumerate() {
+        for (i, id) in run.iter().map(|&id| id.into()).enumerate() {
             push_varint(&mut self.data, if i == 0 { id } else { id - prev });
             prev = id;
         }

@@ -35,6 +35,12 @@ impl From<u64> for VertexId {
     }
 }
 
+impl From<VertexId> for u64 {
+    fn from(id: VertexId) -> Self {
+        id.0
+    }
+}
+
 /// An interned label identifier. Dense, starting at zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct LabelId(pub u32);

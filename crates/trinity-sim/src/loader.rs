@@ -229,14 +229,11 @@ fn locate(id_indexes: &[IdIndex], id: VertexId) -> Result<(usize, usize), Trinit
 /// A neighbor id as the fill passes stage it: a `u32` when every id of the
 /// load is below 2^32, else the whole [`VertexId`]. Only staging narrows; the
 /// encoded adjacency is the same either way.
-trait Staged: Copy + Ord {
+trait Staged: Copy + Ord + Into<u64> {
     const ZERO: Self;
 
     /// `id`, which the load's largest id bounds.
     fn stage(id: VertexId) -> Self;
-
-    /// `run` as ids, copied through `scratch` when the staged form is not.
-    fn ids<'a>(run: &'a [Self], scratch: &'a mut Vec<VertexId>) -> &'a [VertexId];
 }
 
 impl Staged for u32 {
@@ -246,12 +243,6 @@ impl Staged for u32 {
         debug_assert!(id.0 <= u64::from(u32::MAX));
         id.0 as u32
     }
-
-    fn ids<'a>(run: &'a [u32], scratch: &'a mut Vec<VertexId>) -> &'a [VertexId] {
-        scratch.clear();
-        scratch.extend(run.iter().map(|&id| VertexId(u64::from(id))));
-        scratch
-    }
 }
 
 impl Staged for VertexId {
@@ -259,10 +250,6 @@ impl Staged for VertexId {
 
     fn stage(id: VertexId) -> Self {
         id
-    }
-
-    fn ids<'a>(run: &'a [VertexId], _: &'a mut Vec<VertexId>) -> &'a [VertexId] {
-        run
     }
 }
 
@@ -305,7 +292,6 @@ where
     let mut adjacencies = Vec::with_capacity(m);
     let mut neighbor_indexes = Vec::with_capacity(m);
     let mut total_entries = 0u64;
-    let mut scratch = Vec::new();
     let mut first = 0;
     while first < m {
         let mut last = first + 1;
@@ -360,11 +346,11 @@ where
                     run[run_len] = run[r];
                     run_len += 1;
                 }
-                let run = T::ids(&run[..run_len], &mut scratch);
+                let run = &run[..run_len];
                 let own_label = machine_labels[mach].get(local);
                 let mut sig = 0u64;
                 for &nbr in run {
-                    let (mn, ln) = locate(id_indexes, nbr)?;
+                    let (mn, ln) = locate(id_indexes, VertexId(nbr.into()))?;
                     let nbr_label = machine_labels[mn].get(ln);
                     sig |= label_bit(nbr_label);
                     catalog.record_edge(
