@@ -108,15 +108,15 @@ const MACHINES: usize = 8;
 /// + 48 B × N             pass-1 (id, label) pairs: 16 B each, up to 3×
 ///                        while a doubling `Vec` reallocates
 /// + 4 B × N              the degree counts
-/// + 16 B × n_max         the largest machine's `starts` and `cursor`
-/// + 8 B × e_max          its staging, one id per streamed entry
+/// + 16 B × n_max         one group's run ends and staging, within the
+/// + 8 B × e_max          largest machine's two offsets a vertex and one
+///                        8-byte id per streamed entry
 /// + 64 KB                small fixed buffers and allocator rounding
 /// ```
 ///
 /// `n_max` and `e_max` are the largest machine's vertex count and streamed
-/// entry count (duplicates included). The last two lines are one machine's
-/// bytes at 8 B an id with two offsets a vertex; the loader fills as many
-/// machines a pass as fit in them. Its ids are below 2^32, so it stages 4 B
+/// entry count (duplicates included); the loader fills as many machines a
+/// pass as fit in those two lines. Its ids are below 2^32, so it stages 4 B
 /// an id with one offset a vertex, and two machines fit: the edge factory is
 /// called once for degrees and once for each of `MACHINES / 2` groups.
 /// Staging every machine in one pass breaks the bound: such a load peaks at
