@@ -460,6 +460,14 @@ pub fn pruning(scale: Scale) -> Vec<Row> {
             "pruning",
             series,
             x,
+            "roots_admitted_empty",
+            res.avg_roots_admitted_empty,
+        ),
+        Row::new("pruning", series, x, "cells_loaded", res.avg_cells_loaded),
+        Row::new(
+            "pruning",
+            series,
+            x,
             "signature_bytes_per_vertex",
             trinity_sim::neighbor_index::SIGNATURE_BYTES_PER_VERTEX as f64,
         ),

@@ -130,6 +130,11 @@ pub struct SuiteResult {
     /// Mean root candidates skipped by the neighborhood-signature prune per
     /// query (every exploration prunes).
     pub avg_roots_pruned: f64,
+    /// Mean roots per query the prune let through whose decoded run emitted
+    /// no row.
+    pub avg_roots_admitted_empty: f64,
+    /// Mean `Cloud.Load`s per query, the base both root counts share.
+    pub avg_cells_loaded: f64,
 }
 
 impl SuiteResult {
@@ -233,6 +238,8 @@ pub fn run_suite_under(
         out.avg_sync_bytes += m.phase_traffic.binding_sync_bytes as f64;
         out.avg_join_bytes += m.phase_traffic.join_ship_bytes as f64;
         out.avg_roots_pruned += m.explore.roots_pruned as f64;
+        out.avg_roots_admitted_empty += m.explore.roots_admitted_empty as f64;
+        out.avg_cells_loaded += m.explore.cells_loaded as f64;
         out.avg_retries += m.fault.retries as f64;
         out.avg_timeouts += m.fault.timeouts as f64;
         out.avg_duplicates_suppressed += m.fault.duplicates_suppressed as f64;
@@ -251,6 +258,8 @@ pub fn run_suite_under(
     out.avg_sync_bytes /= n;
     out.avg_join_bytes /= n;
     out.avg_roots_pruned /= n;
+    out.avg_roots_admitted_empty /= n;
+    out.avg_cells_loaded /= n;
     out.avg_retries /= n;
     out.avg_timeouts /= n;
     out.avg_duplicates_suppressed /= n;

@@ -478,7 +478,7 @@ impl Frontier {
             let entry = loaded.map(|neighbors| {
                 let start = self.ids.len();
                 // The root itself is never probed: it is not its own child.
-                self.ids.extend(neighbors.into_iter().filter(|&m| m != n));
+                neighbors.decode_into(&mut self.ids, n);
                 start..self.ids.len()
             });
             self.roots.push(entry);
@@ -760,12 +760,14 @@ fn explore_roots(
         counters.label_probes += scanned * probed;
         source.scanned(scanned);
         if dead {
+            counters.roots_admitted_empty += 1;
             continue;
         }
 
         // Emit the cross product with injectivity among the STwig's vertices.
         row_buf.clear();
         row_buf.push(n);
+        let before = counters.rows_emitted;
         emit_rows(
             child_candidates,
             0,
@@ -775,6 +777,9 @@ fn explore_roots(
             control,
             counters,
         );
+        if counters.rows_emitted == before {
+            counters.roots_admitted_empty += 1;
+        }
     }
     table
 }

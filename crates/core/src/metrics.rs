@@ -127,6 +127,10 @@ pub struct ExploreCounters {
     /// probed. Pruned roots still count in `roots_scanned` and
     /// `cells_loaded`.
     pub roots_pruned: u64,
+    /// Roots the signature prune let through, whose run was decoded and
+    /// probed, that emitted no row: what a sharper prune could still skip.
+    /// They count in `cells_loaded` too.
+    pub roots_admitted_empty: u64,
 }
 
 impl ExploreCounters {
@@ -138,6 +142,7 @@ impl ExploreCounters {
         self.rows_emitted += other.rows_emitted;
         self.rows_pruned_by_bindings += other.rows_pruned_by_bindings;
         self.roots_pruned += other.roots_pruned;
+        self.roots_admitted_empty += other.roots_admitted_empty;
     }
 }
 
@@ -521,12 +526,14 @@ mod tests {
             rows_emitted: 4,
             rows_pruned_by_bindings: 5,
             roots_pruned: 6,
+            roots_admitted_empty: 7,
         };
         let b = a;
         a.merge(&b);
         assert_eq!(a.roots_scanned, 2);
         assert_eq!(a.rows_pruned_by_bindings, 10);
         assert_eq!(a.roots_pruned, 12);
+        assert_eq!(a.roots_admitted_empty, 14);
 
         let mut j = JoinCounters {
             joins_performed: 1,

@@ -1,6 +1,6 @@
-//! The partition store's one representation: delta/varint-encoded
-//! adjacency, succinct label postings, width-picked labels and an id index
-//! that is arithmetic on a full range.
+//! The partition store's one representation: block-packed adjacency,
+//! succinct label postings, width-picked labels and an id index that is
+//! arithmetic on a full range.
 //!
 //! Trinity's cells live in flat memory trunks precisely because per-object
 //! overhead is what kills billion-node graphs (PAPER.md §3); the Compact
@@ -8,14 +8,21 @@
 //! adjacency structure compresses to a few bits per edge without giving up
 //! sequential access. This module applies both ideas to the partition store:
 //!
-//! * [`CompactCsr`] — neighbor runs are stored as `varint(degree)`,
-//!   `varint(first id)`, then `varint(delta)` per subsequent id. Runs are
-//!   already sorted and deduplicated, so every delta is ≥ 1 and small ids
-//!   cluster into one- and two-byte codes. Per-vertex byte offsets live in a
-//!   `u32` or `u64` array, the width chosen once at build time.
-//! * [`Neighbors`] — a zero-copy view over either an encoded byte run or a
+//! * [`CompactCsr`] — a neighbor run is stored as `varint(degree)`,
+//!   `varint(first id)`, then its gaps in blocks of [`BLOCK`]. Runs are
+//!   sorted and deduplicated, so every gap is ≥ 1; a block stores one width
+//!   byte `w` (0–64) and its gaps minus one packed LSB-first at `w` bits
+//!   each, in `⌈n·w/8⌉` bytes. A block of consecutive ids is its width
+//!   byte alone. Each gap of a block is one unaligned word read, a shift
+//!   and a mask, independent of the others, so decoding has no byte-serial
+//!   chain the way LEB128 does (each varint's length gates the next).
+//!   Per-vertex byte offsets live in a `u32` or `u64` array, the width
+//!   chosen once at build time.
+//! * [`Neighbors`] — a zero-copy view over either an encoded run or a
 //!   sorted `&[VertexId]` slice (an overlay's merged list). Exploration
-//!   iterates it directly: decode-on-iterate, no allocation.
+//!   decodes it without allocating: one block at a time through
+//!   [`NeighborIter`], or whole into a caller's buffer through
+//!   [`Neighbors::decode_into`]; both run the same block kernel.
 //! * [`IdIndex`] — the partition's ids in both directions, over slots
 //!   `(id - base) >> shift`. Ids that fill their range (a power-of-two
 //!   machine count gives each partition one residue class) keep only
@@ -248,6 +255,130 @@ impl LabelArray {
 }
 
 // ---------------------------------------------------------------------------
+// Gap blocks
+// ---------------------------------------------------------------------------
+
+/// Gaps one block of an encoded run holds; a run's last block may hold
+/// fewer. A block's width fits its widest gap, so a wider block pays for
+/// one outlier at more gaps, and a narrower one pays its width byte more
+/// often: on R-MAT runs 8 stores the fewest bytes of 4, 8, 16, 32 and 64
+/// (DESIGN.md, "Compact storage").
+pub const BLOCK: usize = 8;
+
+/// Widest gap, in bits, one 64-bit word read serves: a gap may start at
+/// any bit of its first byte, so up to 7 bits of the word lie before it.
+const WORD_BITS: u32 = 56;
+
+/// Bytes of run a block's word reads may look at past its width byte: the
+/// last read of a full block of [`WORD_BITS`]-bit gaps starts at byte 49.
+const WINDOW: usize = 64;
+
+/// Bytes the gaps of a block of `n` take at `w` bits each.
+#[inline]
+fn packed_len(n: usize, w: u32) -> usize {
+    (n * w as usize).div_ceil(8)
+}
+
+/// Appends one block: its width byte, the bits of its widest entry, then
+/// `gaps` (each a gap minus one) packed LSB-first at that width.
+fn push_block(buf: &mut Vec<u8>, gaps: &[u64]) {
+    let w = 64 - gaps.iter().fold(0, |acc, &g| acc | g).leading_zeros();
+    buf.push(w as u8);
+    let (mut acc, mut bits) = (0u128, 0u32);
+    for &g in gaps {
+        acc |= u128::from(g) << bits;
+        bits += w;
+        if bits >= 64 {
+            buf.extend_from_slice(&(acc as u64).to_le_bytes());
+            acc >>= 64;
+            bits -= 64;
+        }
+    }
+    buf.extend_from_slice(&acc.to_le_bytes()[..bits.div_ceil(8) as usize]);
+}
+
+/// The block kernel: decodes the block whose width byte is `data[pos]`
+/// into `out` — its `out.len()` (1 to [`BLOCK`]) gaps, as the ids that
+/// follow `prev` — and returns the position after it.
+///
+/// Gap `k` sits at bit `k·w` of the packed bytes and is one little-endian
+/// word read at its byte, a shift by the bit within it and a mask to `w`
+/// bits. The reads do not depend on each other; only the prefix sum that
+/// turns gaps into ids is serial. A read may run past the block, into the
+/// next block or run, whose bits the mask drops; within [`WINDOW`] bytes of
+/// the end of `data` the reads see a zero-padded copy of the block instead.
+///
+/// # Panics
+/// On a truncated block — encoded runs are produced and consumed inside
+/// this crate, so truncation is a logic error.
+#[inline(always)]
+fn decode_block(data: &[u8], pos: usize, prev: u64, out: &mut [VertexId]) -> usize {
+    let w = u32::from(data[pos]);
+    let body = pos + 1;
+    let end = body + packed_len(out.len(), w);
+    let mut gaps = [0u64; BLOCK];
+    if w <= WORD_BITS {
+        let mask = (1u64 << w) - 1;
+        let mut pad;
+        let window: &[u8; WINDOW] = match data.get(body..body + WINDOW) {
+            Some(window) => window.try_into().expect("a WINDOW-byte slice"),
+            None => {
+                let block = &data[body..end];
+                pad = [0u8; WINDOW];
+                pad[..block.len()].copy_from_slice(block);
+                &pad
+            }
+        };
+        // All lanes, so the loop unrolls; those past `out.len()` go unread.
+        for (k, gap) in gaps.iter_mut().enumerate() {
+            let bit = k * w as usize;
+            let at = (bit / 8).min(WINDOW - 8);
+            let word = u64::from_le_bytes(window[at..at + 8].try_into().expect("8 bytes"));
+            *gap = (word >> (bit % 8)) & mask;
+        }
+    } else {
+        decode_wide(&data[body..end], w, &mut gaps[..out.len()]);
+    }
+    let mut id = prev;
+    for (slot, gap) in out.iter_mut().zip(gaps) {
+        id = id.wrapping_add(gap).wrapping_add(1);
+        *slot = VertexId(id);
+    }
+    end
+}
+
+/// The gaps of a block wider than [`WORD_BITS`]: each may span nine bytes,
+/// so it is read as a 128-bit word from a zero-padded copy of the block.
+#[cold]
+fn decode_wide(packed: &[u8], w: u32, gaps: &mut [u64]) {
+    let mut pad = [0u8; 8 * BLOCK + 16];
+    pad[..packed.len()].copy_from_slice(packed);
+    let mask = u64::MAX >> (64 - w);
+    for (k, gap) in gaps.iter_mut().enumerate() {
+        let bit = k * w as usize;
+        let word = u128::from_le_bytes(pad[bit / 8..bit / 8 + 16].try_into().expect("16 bytes"));
+        *gap = (word >> (bit % 8)) as u64 & mask;
+    }
+}
+
+/// Bytes the encoded run of `len` ids at the start of `data` takes: the
+/// first id's varint, then each block's width byte and packed gaps.
+fn run_len(data: &[u8], len: u32) -> usize {
+    if len == 0 {
+        return 0;
+    }
+    let mut pos = 0;
+    read_varint(data, &mut pos);
+    let mut left = len as usize - 1;
+    while left > 0 {
+        let n = left.min(BLOCK);
+        pos += 1 + packed_len(n, u32::from(data[pos]));
+        left -= n;
+    }
+    pos
+}
+
+// ---------------------------------------------------------------------------
 // Zero-copy neighbor views
 // ---------------------------------------------------------------------------
 
@@ -255,14 +386,17 @@ impl LabelArray {
 ///
 /// A sealed partition hands out the encoded bytes and decodes on iteration;
 /// an overlay hands out its merged list as a slice. Either way the
-/// exploration hot path never materializes a `Vec`.
+/// exploration hot path never materializes a `Vec` of its own.
 #[derive(Clone, Copy)]
 pub enum Neighbors<'a> {
     /// A sorted slice: an overlay's merged adjacency, or the empty run.
     Slice(&'a [VertexId]),
-    /// A delta/varint-encoded run of `len` ids (degree varint stripped).
+    /// A block-packed run of `len` ids (degree varint stripped).
     Compact {
-        /// Encoded bytes: `varint(first)`, then `varint(delta ≥ 1)` each.
+        /// `varint(first)`, then `⌈(len − 1)/8⌉` gap blocks (a width byte
+        /// `w`, then each gap minus one at `w` bits), then whatever follows
+        /// the run in its partition's buffer: a block's word reads may run
+        /// into those bytes, and mask them off.
         data: &'a [u8],
         /// Number of ids in the run.
         len: u32,
@@ -295,12 +429,43 @@ impl<'a> Neighbors<'a> {
     pub fn iter(&self) -> NeighborIter<'a> {
         match *self {
             Neighbors::Slice(s) => NeighborIter::Slice(s.iter()),
-            Neighbors::Compact { data, len } => NeighborIter::Compact {
-                data,
-                pos: 0,
-                remaining: len,
-                prev: 0,
-            },
+            Neighbors::Compact { data, len } => NeighborIter::Compact(BlockIter::new(data, len)),
+        }
+    }
+
+    /// Appends the run to `out` in ascending order, leaving out `skip`.
+    /// An encoded run grows `out` once and decodes each block in place.
+    #[inline]
+    pub fn decode_into(&self, out: &mut Vec<VertexId>, skip: VertexId) {
+        match *self {
+            Neighbors::Slice(s) => {
+                let (lo, hi) = (
+                    s.partition_point(|&m| m < skip),
+                    s.partition_point(|&m| m <= skip),
+                );
+                out.extend_from_slice(&s[..lo]);
+                out.extend_from_slice(&s[hi..]);
+            }
+            Neighbors::Compact { data, len } => {
+                if len == 0 {
+                    return;
+                }
+                let start = out.len();
+                out.resize(start + len as usize, VertexId(0));
+                let run = &mut out[start..];
+                let mut pos = 0;
+                let mut prev = read_varint(data, &mut pos);
+                run[0] = VertexId(prev);
+                for block in run[1..].chunks_mut(BLOCK) {
+                    pos = decode_block(data, pos, prev, block);
+                    prev = block[block.len() - 1].0;
+                }
+                if (run[0]..=VertexId(prev)).contains(&skip) {
+                    if let Ok(at) = run.binary_search(&skip) {
+                        out.remove(start + at);
+                    }
+                }
+            }
         }
     }
 
@@ -381,18 +546,74 @@ impl std::fmt::Debug for Neighbors<'_> {
 pub enum NeighborIter<'a> {
     /// Slice iteration.
     Slice(std::slice::Iter<'a, VertexId>),
-    /// Varint decode-on-iterate.
-    Compact {
-        /// Encoded run bytes.
-        data: &'a [u8],
-        /// Cursor into `data`.
-        pos: usize,
-        /// Ids left to decode.
-        remaining: u32,
-        /// Last decoded id (delta base); the first id is absolute.
-        prev: u64,
-    },
+    /// Block decode-on-iterate.
+    Compact(BlockIter<'a>),
 }
+
+/// Decode-on-iterate over an encoded run: the block kernel fills a buffer
+/// of [`BLOCK`] ids, which `next` hands out before decoding the next block.
+#[derive(Clone)]
+pub struct BlockIter<'a> {
+    /// The run's bytes, as [`Neighbors::Compact`] holds them.
+    data: &'a [u8],
+    /// Position of the next block's width byte.
+    pos: usize,
+    /// Gaps not yet decoded.
+    gaps_left: u32,
+    /// The ids decoded last; `block[at..filled]` are still to be returned.
+    block: [VertexId; BLOCK],
+    at: u8,
+    filled: u8,
+}
+
+impl<'a> BlockIter<'a> {
+    /// Starts on a run of `len` ids: the first id is decoded here.
+    #[inline]
+    fn new(data: &'a [u8], len: u32) -> Self {
+        let mut it = BlockIter {
+            data,
+            pos: 0,
+            gaps_left: len.saturating_sub(1),
+            block: [VertexId(0); BLOCK],
+            at: 0,
+            filled: 0,
+        };
+        if len > 0 {
+            it.block[0] = VertexId(read_varint(data, &mut it.pos));
+            it.filled = 1;
+        }
+        it
+    }
+}
+
+impl Iterator for BlockIter<'_> {
+    type Item = VertexId;
+
+    #[inline]
+    fn next(&mut self) -> Option<VertexId> {
+        if self.at == self.filled {
+            if self.gaps_left == 0 {
+                return None;
+            }
+            let n = (self.gaps_left as usize).min(BLOCK);
+            let prev = self.block[usize::from(self.filled) - 1].0;
+            self.pos = decode_block(self.data, self.pos, prev, &mut self.block[..n]);
+            self.gaps_left -= n as u32;
+            (self.at, self.filled) = (0, n as u8);
+        }
+        let id = self.block[usize::from(self.at)];
+        self.at += 1;
+        Some(id)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.gaps_left as usize + usize::from(self.filled - self.at);
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for BlockIter<'_> {}
 
 impl Iterator for NeighborIter<'_> {
     type Item = VertexId;
@@ -401,32 +622,16 @@ impl Iterator for NeighborIter<'_> {
     fn next(&mut self) -> Option<VertexId> {
         match self {
             NeighborIter::Slice(it) => it.next().copied(),
-            NeighborIter::Compact {
-                data,
-                pos,
-                remaining,
-                prev,
-            } => {
-                if *remaining == 0 {
-                    return None;
-                }
-                *remaining -= 1;
-                let at_start = *pos == 0;
-                let raw = read_varint(data, pos);
-                let id = if at_start { raw } else { *prev + raw };
-                *prev = id;
-                Some(VertexId(id))
-            }
+            NeighborIter::Compact(it) => it.next(),
         }
     }
 
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = match self {
-            NeighborIter::Slice(it) => it.len(),
-            NeighborIter::Compact { remaining, .. } => *remaining as usize,
-        };
-        (n, Some(n))
+        match self {
+            NeighborIter::Slice(it) => it.size_hint(),
+            NeighborIter::Compact(it) => it.size_hint(),
+        }
     }
 }
 
@@ -436,13 +641,13 @@ impl ExactSizeIterator for NeighborIter<'_> {}
 // Compact CSR
 // ---------------------------------------------------------------------------
 
-/// Delta/varint-encoded CSR adjacency over one partition's local vertices.
+/// Block-packed CSR adjacency over one partition's local vertices.
 ///
 /// Layout: one byte buffer holding, per local vertex, `varint(degree)`
-/// followed by the encoded run (`varint(first id)`, then `varint(delta)` per
-/// subsequent id — runs are sorted and deduplicated so every delta is ≥ 1),
-/// plus an [`OffsetArray`] of per-vertex byte offsets whose width (`u32` vs
-/// `u64`) is chosen once at build time.
+/// followed by the encoded run (`varint(first id)`, then the gaps in
+/// blocks of [`BLOCK`], see the module doc), plus an [`OffsetArray`] of
+/// per-vertex byte offsets whose width (`u32` vs `u64`) is chosen once at
+/// build time.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CompactCsr {
     /// `offsets[i]..offsets[i+1]` is the byte range of vertex `i`'s record.
@@ -469,13 +674,10 @@ impl CompactCsr {
     /// The encoded neighbor run of local vertex `local`.
     #[inline]
     pub fn neighbors(&self, local: usize) -> Neighbors<'_> {
-        let start = self.offsets.get(local);
-        let end = self.offsets.get(local + 1);
-        let record = &self.data[start..end];
-        let mut pos = 0usize;
-        let degree = read_varint(record, &mut pos) as u32;
+        let mut pos = self.offsets.get(local);
+        let degree = read_varint(&self.data, &mut pos) as u32;
         Neighbors::Compact {
-            data: &record[pos..],
+            data: &self.data[pos..],
             len: degree,
         }
     }
@@ -536,10 +738,18 @@ impl CompactCsrBuilder {
             "compact CSR runs must be strictly ascending"
         );
         push_varint(&mut self.data, run.len() as u64);
-        let mut prev = 0u64;
-        for (i, id) in run.iter().map(|&id| id.into()).enumerate() {
-            push_varint(&mut self.data, if i == 0 { id } else { id - prev });
-            prev = id;
+        if let Some((&first, rest)) = run.split_first() {
+            let mut prev: u64 = first.into();
+            push_varint(&mut self.data, prev);
+            let mut gaps = [0u64; BLOCK];
+            for chunk in rest.chunks(BLOCK) {
+                for (gap, &id) in gaps.iter_mut().zip(chunk) {
+                    let id: u64 = id.into();
+                    *gap = id.wrapping_sub(prev).wrapping_sub(1);
+                    prev = id;
+                }
+                push_block(&mut self.data, &gaps[..chunk.len()]);
+            }
         }
         self.num_entries += run.len() as u64;
         self.offsets.push(self.data.len() as u64);
@@ -547,13 +757,14 @@ impl CompactCsrBuilder {
 
     /// Appends the next local vertex's run from a [`Neighbors`] view. An
     /// encoded run already is what [`CompactCsrBuilder::push_run`] would
-    /// write for it, so it is copied byte for byte; a plain slice is encoded.
+    /// write for it, so exactly its bytes are copied; a plain slice is
+    /// encoded.
     pub fn push_neighbors(&mut self, run: Neighbors<'_>) {
         match run {
             Neighbors::Slice(ids) => self.push_run(ids),
             Neighbors::Compact { data, len } => {
                 push_varint(&mut self.data, u64::from(len));
-                self.data.extend_from_slice(data);
+                self.data.extend_from_slice(&data[..run_len(data, len)]);
                 self.num_entries += u64::from(len);
                 self.offsets.push(self.data.len() as u64);
             }

@@ -3,11 +3,14 @@
 #
 #   scripts/ab.sh <rev-a> <rev-b> [pairs] [seconds]
 #
-# Exports each rev's tree (`git archive`) into its own directory under
-# $TMPDIR, never inside this checkout, and builds its benchmark there once,
-# with its own target dir (one build when both revs name the same commit).
-# Then runs `pairs` pairs (10 unless given) over every workload
-# BENCHMARK.json declares:
+# Exports each rev's tree (`git archive`) into a directory of its own per
+# commit under $TMPDIR, $TMPDIR/stwig-ab-build.<commit>/{tree,target},
+# never inside this checkout, and builds its benchmark there with that
+# target dir. A later invocation naming the same commit reuses both (cargo
+# only checks that the build is fresh), so a commit is exported and built
+# once however many runs name it; remove those directories to reclaim their
+# space (about 110 MB a commit). Then runs `pairs` pairs (10 unless given)
+# over every workload BENCHMARK.json declares:
 #
 #   benchmark/run.sh --workload <name> --seed 1 --seconds <seconds> --trace 0
 #
@@ -22,12 +25,13 @@
 # nothing.
 #
 # WORKLOADS="explore_128k churn_mix" restricts the workloads. Ten 10-s pairs
-# over the four workloads take about 20 minutes on 2 vCPUs, after two
-# builds of a few minutes each.
+# over the four workloads take about 20 minutes on 2 vCPUs, after a build of
+# a few minutes for each commit not built before. Each invocation's raw rows
+# go to a fresh $TMPDIR/stwig-ab.XXXXXX directory.
 set -euo pipefail
 
 usage() {
-    sed -n '2,26p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'
+    awk 'NR > 1 && !/^#/ { exit } NR > 1' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'
 }
 case "${1:-}" in
     -h | --help) usage; exit 0 ;;
@@ -50,27 +54,35 @@ workloads="${WORKLOADS:-$(grep -o '{"name": "[^"]*", "why"' BENCHMARK.json | cut
 work="$(mktemp -d "${TMPDIR:-/tmp}/stwig-ab.XXXXXX")"
 echo "ab: working in $work" >&2
 
-# Exports and builds `commit` into $work/<side>; echoes the tree's path.
+# Exports `commit` once into its build directory and builds its benchmark
+# there; echoes the directory, which holds `tree` and `target`. The export
+# lands under a temporary name and is renamed into place whole, so a run
+# cut short mid-export is never taken for a finished tree.
 prepare() {
-    local side="$1" commit="$2"
-    local tree="$work/$side"
-    mkdir -p "$tree"
-    git archive "$commit" | tar -x -C "$tree"
-    echo "ab: building $side (${commit:0:10})" >&2
-    (cd "$tree" && CARGO_TARGET_DIR="$work/target-$side" \
+    local commit="$1"
+    local dir="${TMPDIR:-/tmp}/stwig-ab-build.$commit"
+    mkdir -p "$dir"
+    if [ ! -d "$dir/tree" ]; then
+        local staging
+        staging="$(mktemp -d "$dir/tree.XXXXXX")"
+        git archive "$commit" | tar -x -C "$staging"
+        mv -T "$staging" "$dir/tree" 2>/dev/null || rm -rf "$staging"
+    else
+        echo "ab: reusing the export of ${commit:0:10} in $dir" >&2
+    fi
+    echo "ab: building ${commit:0:10}" >&2
+    (cd "$dir/tree" && CARGO_TARGET_DIR="$dir/target" \
         cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml 1>&2)
-    echo "$tree"
+    echo "$dir"
 }
 
-tree_a="$(prepare a "$commit_a")"
-if [ "$commit_a" = "$commit_b" ]; then
-    tree_b="$tree_a"
-    target_b="$work/target-a"
-else
-    tree_b="$(prepare b "$commit_b")"
-    target_b="$work/target-b"
-fi
-target_a="$work/target-a"
+build_a="$(prepare "$commit_a")"
+build_b="$build_a"
+[ "$commit_a" = "$commit_b" ] || build_b="$(prepare "$commit_b")"
+tree_a="$build_a/tree"
+target_a="$build_a/target"
+tree_b="$build_b/tree"
+target_b="$build_b/target"
 
 results="$work/results.tsv"
 hashes="$work/hashes.tsv"

@@ -90,6 +90,7 @@ fn reference_explore(
             candidates.push(found);
         }
         if candidates.len() < stwig.children.len() {
+            counters.roots_admitted_empty += 1;
             continue;
         }
         // Injective cross product, first child outermost.
@@ -106,12 +107,16 @@ fn reference_explore(
                 })
                 .collect();
         }
+        let before = counters.rows_emitted;
         for row in rows {
             if full(&table) {
                 break;
             }
             table.push_row(&row);
             counters.rows_emitted += 1;
+        }
+        if counters.rows_emitted == before {
+            counters.roots_admitted_empty += 1;
         }
     }
     table

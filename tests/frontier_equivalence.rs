@@ -34,6 +34,10 @@ use trinity_sim::transport::{ChannelTransport, Envelope, Message, Transport, Tra
 static POSTINGS_REQUESTS: AtomicU64 = AtomicU64::new(0);
 static LOAD_REQUESTS: AtomicU64 = AtomicU64::new(0);
 
+/// Roots the sweep's equal explorations admitted, decoded and found empty:
+/// `roots_admitted_empty` is only compared if some exploration counts one.
+static ADMITTED_EMPTY: AtomicU64 = AtomicU64::new(0);
+
 /// Passes everything through and records the kind of every request.
 struct Recording<'a>(&'a dyn Transport);
 
@@ -184,6 +188,10 @@ fn frontier_reproduces_direct_reads_bit_for_bit() {
         postings > 0 && loads > 0,
         "one resolution was never exercised: {postings} postings fetches, {loads} projected loads"
     );
+    assert!(
+        ADMITTED_EMPTY.load(Ordering::Relaxed) > 0,
+        "no exploration admitted a root that emitted nothing"
+    );
 }
 
 fn check_case(
@@ -203,6 +211,7 @@ fn check_case(
         assert_eq!(direct, batched);
         assert_eq!(dc, bc);
         assert!(!faults.any());
+        ADMITTED_EMPTY.fetch_add(bc.roots_admitted_empty, Ordering::Relaxed);
     };
 
     // A tiny row cap: emission stops mid-root, long before the frontier
@@ -256,6 +265,8 @@ fn check_case(
                 (dc.roots_scanned, dc.cells_loaded, dc.roots_pruned),
                 (bc.roots_scanned, bc.cells_loaded, bc.roots_pruned)
             );
+            // Rows lost with the owner can only leave more roots empty.
+            assert!(bc.roots_admitted_empty >= dc.roots_admitted_empty);
             assert_eq!(bc.rows_emitted, b.num_rows() as u64);
             assert!(faults.machines_lost.is_empty() || faults.machines_lost == [down.0]);
         },
