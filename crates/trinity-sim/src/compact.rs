@@ -265,8 +265,10 @@ impl LabelArray {
 /// (DESIGN.md, "Compact storage").
 pub const BLOCK: usize = 8;
 
-/// Widest gap, in bits, one 64-bit word read serves: a gap may start at
-/// any bit of its first byte, so up to 7 bits of the word lie before it.
+/// Widest gap, in bits, the one-word read serves: seven whole bytes. A gap
+/// may start at any bit of its first byte, so up to 7 bits of the word lie
+/// before it and any width up to 57 would fit; wider ones take
+/// [`decode_wide`].
 const WORD_BITS: u32 = 56;
 
 /// Bytes of run a block's word reads may look at past its width byte: the
@@ -434,36 +436,32 @@ impl<'a> Neighbors<'a> {
     }
 
     /// Appends the run to `out` in ascending order, leaving out `skip`.
-    /// An encoded run grows `out` once and decodes each block in place.
     #[inline]
     pub fn decode_into(&self, out: &mut Vec<VertexId>, skip: VertexId) {
+        let start = out.len();
+        self.append_to(out);
+        if let Ok(at) = out[start..].binary_search(&skip) {
+            out.remove(start + at);
+        }
+    }
+
+    /// Appends the run to `out`. An encoded run grows `out` once by its
+    /// length and decodes each block in place.
+    #[inline]
+    fn append_to(&self, out: &mut Vec<VertexId>) {
         match *self {
-            Neighbors::Slice(s) => {
-                let (lo, hi) = (
-                    s.partition_point(|&m| m < skip),
-                    s.partition_point(|&m| m <= skip),
-                );
-                out.extend_from_slice(&s[..lo]);
-                out.extend_from_slice(&s[hi..]);
-            }
+            Neighbors::Slice(s) => out.extend_from_slice(s),
+            Neighbors::Compact { len: 0, .. } => {}
             Neighbors::Compact { data, len } => {
-                if len == 0 {
-                    return;
-                }
                 let start = out.len();
                 out.resize(start + len as usize, VertexId(0));
-                let run = &mut out[start..];
+                let (first, rest) = out[start..].split_at_mut(1);
                 let mut pos = 0;
                 let mut prev = read_varint(data, &mut pos);
-                run[0] = VertexId(prev);
-                for block in run[1..].chunks_mut(BLOCK) {
+                first[0] = VertexId(prev);
+                for block in rest.chunks_mut(BLOCK) {
                     pos = decode_block(data, pos, prev, block);
                     prev = block[block.len() - 1].0;
-                }
-                if (run[0]..=VertexId(prev)).contains(&skip) {
-                    if let Ok(at) = run.binary_search(&skip) {
-                        out.remove(start + at);
-                    }
                 }
             }
         }
@@ -488,10 +486,9 @@ impl<'a> Neighbors<'a> {
 
     /// Decodes into an owned `Vec`.
     pub fn to_vec(&self) -> Vec<VertexId> {
-        match *self {
-            Neighbors::Slice(s) => s.to_vec(),
-            Neighbors::Compact { .. } => self.iter().collect(),
-        }
+        let mut out = Vec::with_capacity(self.len());
+        self.append_to(&mut out);
+        out
     }
 }
 
@@ -586,20 +583,30 @@ impl<'a> BlockIter<'a> {
     }
 }
 
+impl BlockIter<'_> {
+    /// Decodes the next block into the buffer, or says the run is done.
+    /// Kept out of `next`, so that stays small enough to inline.
+    #[inline(never)]
+    fn refill(&mut self) -> bool {
+        if self.gaps_left == 0 {
+            return false;
+        }
+        let n = (self.gaps_left as usize).min(BLOCK);
+        let prev = self.block[usize::from(self.filled) - 1].0;
+        self.pos = decode_block(self.data, self.pos, prev, &mut self.block[..n]);
+        self.gaps_left -= n as u32;
+        (self.at, self.filled) = (0, n as u8);
+        true
+    }
+}
+
 impl Iterator for BlockIter<'_> {
     type Item = VertexId;
 
     #[inline]
     fn next(&mut self) -> Option<VertexId> {
-        if self.at == self.filled {
-            if self.gaps_left == 0 {
-                return None;
-            }
-            let n = (self.gaps_left as usize).min(BLOCK);
-            let prev = self.block[usize::from(self.filled) - 1].0;
-            self.pos = decode_block(self.data, self.pos, prev, &mut self.block[..n]);
-            self.gaps_left -= n as u32;
-            (self.at, self.filled) = (0, n as u8);
+        if self.at == self.filled && !self.refill() {
+            return None;
         }
         let id = self.block[usize::from(self.at)];
         self.at += 1;
@@ -1951,6 +1958,150 @@ mod tests {
         let c = csr_of(&[vec![v(1)], vec![v(2)]]);
         assert!(matches!(c.offsets, OffsetArray::U32(_)));
         assert_eq!(c.memory_bytes(), c.offsets.memory_bytes() + c.data.len());
+    }
+
+    /// Bytes the block format spells out for `run`: the degree's and the
+    /// first id's varints, then per block of up to eight gaps a width byte
+    /// and each gap minus one at the width of the block's widest.
+    fn spec_len(run: &[u64]) -> usize {
+        let Some((&first, _)) = run.split_first() else {
+            return varint_len(0);
+        };
+        let gaps: Vec<u64> = run.windows(2).map(|w| w[1] - w[0] - 1).collect();
+        let blocks: usize = gaps
+            .chunks(BLOCK)
+            .map(|b| {
+                let w = 64 - b.iter().fold(0, |a, &g| a | g).leading_zeros() as usize;
+                1 + (b.len() * w).div_ceil(8)
+            })
+            .sum();
+        varint_len(run.len() as u64) + varint_len(first) + blocks
+    }
+
+    /// Encodes each run twice — once followed by a long run, so its block
+    /// reads overrun into that run's bytes, and once last in the buffer,
+    /// where they read a padded copy — and checks everything a run answers
+    /// against the input: the iterator (with its exact length at every
+    /// step), the bulk decode (skipping an id, for each id probed, and
+    /// none), the degree, membership of each id probed and of its
+    /// neighbors in id space,
+    /// the byte count the format spells out, and the seal's byte copy.
+    fn check_runs(runs: &[Vec<u64>]) {
+        let filler: Vec<u64> = (0..200).map(|i| i * 1_000_003).collect();
+        for run in runs {
+            let ids: Vec<VertexId> = run.iter().copied().map(v).collect();
+            let c = csr_of(&[
+                ids.clone(),
+                filler.iter().copied().map(v).collect(),
+                ids.clone(),
+            ]);
+            assert_eq!(
+                c.data.len(),
+                2 * spec_len(run) + spec_len(&filler),
+                "{run:?}"
+            );
+            for local in [0, 2] {
+                let nb = c.neighbors(local);
+                assert_eq!(nb.len(), run.len());
+                assert_eq!(c.degree(local), run.len());
+                let mut it = nb.iter();
+                for (i, &want) in ids.iter().enumerate() {
+                    assert_eq!(it.len(), run.len() - i, "{run:?} at {i}");
+                    assert_eq!(it.next(), Some(want), "{run:?} at {i}");
+                }
+                assert_eq!((it.len(), it.next()), (0, None));
+                // Every id of a short run; a hub's first and last blocks
+                // and a stride through the rest.
+                let probed: Vec<u64> = (run.iter().enumerate())
+                    .filter(|&(i, _)| i < 40 || i % 97 == 0 || i + 20 >= run.len())
+                    .map(|(_, &id)| id)
+                    .collect();
+                let skips = probed.iter().copied().map(v).chain([v(u64::MAX ^ 0x5A5A)]);
+                for skip in skips {
+                    let mut out = vec![v(7)];
+                    nb.decode_into(&mut out, skip);
+                    let want: Vec<VertexId> = std::iter::once(v(7))
+                        .chain(ids.iter().copied().filter(|&m| m != skip))
+                        .collect();
+                    assert_eq!(out, want, "{run:?} skipping {skip}");
+                }
+                for &id in &probed {
+                    assert!(c.has_neighbor(local, v(id)), "{run:?} has {id}");
+                    for probe in [id.wrapping_sub(1), id.wrapping_add(1)] {
+                        let member = run.binary_search(&probe).is_ok();
+                        assert_eq!(
+                            c.has_neighbor(local, v(probe)),
+                            member,
+                            "{run:?} probe {probe}"
+                        );
+                    }
+                }
+            }
+            // The seal copies an encoded run byte for byte.
+            let mut sealed = CompactCsrBuilder::with_capacity(3);
+            for local in 0..3 {
+                sealed.push_neighbors(c.neighbors(local));
+            }
+            let sealed = sealed.finish();
+            assert_eq!(sealed.data, c.data, "{run:?}");
+            assert_eq!(sealed.num_entries(), c.num_entries());
+            assert_eq!(sealed.neighbors(2).to_vec(), ids);
+        }
+    }
+
+    #[test]
+    fn block_runs_round_trip_at_every_length_and_width() {
+        // Lengths around the block boundary (1 + 8k gaps), and a hub.
+        let mut runs: Vec<Vec<u64>> = [1, 2, 3, 8, 9, 10, 16, 17, 18, 25]
+            .iter()
+            .map(|&n| (0..n).map(|i| 3 + i * i * 37).collect())
+            .collect();
+        runs.push((0..5_000).map(|i| i * 3 + (i * i) % 3).collect());
+        // Consecutive ids: every block is its width byte alone.
+        runs.push((40..57).collect());
+        runs.push((u64::MAX - 16..=u64::MAX).collect());
+        // Each width 0..=64 in each lane: one gap minus one of exactly `w`
+        // bits among small ones, in full and partial blocks.
+        for w in 0..=64u32 {
+            for lane in 0..BLOCK {
+                for gaps in [BLOCK, lane + 1] {
+                    let mut run = vec![5u64];
+                    for k in 0..gaps {
+                        let minus_one = match (k == lane, w) {
+                            (true, 0) => 0,
+                            (true, w) => (1u64 << (w - 1)) | (k as u64 & 1),
+                            (false, _) => (k as u64 * 7) & ((1u64 << w.min(6)) - 1),
+                        };
+                        let last = *run.last().unwrap();
+                        run.push(last + minus_one + 1);
+                    }
+                    runs.push(run);
+                }
+            }
+        }
+        // Gaps of 2^56 and more, and the ends of the id space.
+        runs.push(vec![
+            0,
+            1 << 56,
+            (1 << 56) + (1 << 57) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ]);
+        runs.push(vec![0, u64::MAX]);
+        runs.push(vec![u64::MAX]);
+        runs.push((0..20).map(|i| i << 59).chain([u64::MAX]).collect());
+        check_runs(&runs);
+    }
+
+    #[test]
+    fn consecutive_ids_cost_a_width_byte_a_block() {
+        let c = csr_of(&[(100..117).map(v).collect()]);
+        // Degree, first id, and two width-0 blocks of 8 gaps.
+        assert_eq!(c.data, [17, 100, 0, 0]);
+        assert_eq!(
+            c.neighbors(0).to_vec(),
+            (100..117).map(v).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -12,7 +12,8 @@ use crate::loader::StreamLoader;
 /// one, [`StorageTier::Compact`] (`crate::compact`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageTier {
-    /// Delta/varint CSR, bitmap-or-delta postings, rank-bitmap id index.
+    /// Block-packed CSR, bitmap-or-delta postings, width-picked labels and
+    /// the id index.
     Compact,
 }
 

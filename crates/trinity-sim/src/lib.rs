@@ -10,10 +10,11 @@
 //!
 //! * a labeled graph **hash-partitioned** over `P` logical machines
 //!   ([`cloud::MemoryCloud`], [`partition::Partition`]), each partition
-//!   stored in one compact representation: delta/varint adjacency
-//!   ([`compact::CompactCsr`]) and an id index ([`compact::IdIndex`]) — a
-//!   rank bitmap when the partition's ids fill their range, an
-//!   open-addressed map over the sorted ids otherwise;
+//!   stored in one compact representation: block-packed adjacency
+//!   ([`compact::CompactCsr`]) and an id index ([`compact::IdIndex`]) —
+//!   arithmetic when the partition's ids fill their range, a rank bitmap
+//!   when it has holes, an open-addressed map over the sorted ids
+//!   otherwise;
 //! * the per-machine **string index** mapping labels to local vertex IDs
 //!   ([`compact::CompactLabelIndex`], bitmap or delta-varint per label) —
 //!   the only index the approach uses;

@@ -1,9 +1,12 @@
 //! Acceptance suite for the compact storage representation.
 //!
 //! * Proptest round-trip: arbitrary adjacency lists (empty vertices,
-//!   degree-1 runs, hubs), sorted, deduplicated and encoded through
-//!   `CompactCsrBuilder::push_run`, must decode to exactly those runs:
-//!   runs, degrees and membership answers.
+//!   degree-1 runs, hubs, runs at the block boundaries, ids anywhere in
+//!   the `u64` range), sorted, deduplicated and encoded through
+//!   `CompactCsrBuilder::push_run`, must decode to exactly those runs, by
+//!   the iterator and by the bulk decode alike: runs, degrees and
+//!   membership answers. A copy through `push_neighbors` (the seal's)
+//!   decodes equal and takes the same bytes.
 //! * Differential sweep: transport × cache over compact partitions must
 //!   return exactly the VF2 baseline's embedding set.
 //! * Label alphabet: resident bytes per edge must not grow with the number
@@ -41,17 +44,38 @@ fn assert_round_trips(lists: Vec<Vec<VertexId>>) {
         compact.num_entries(),
         reference.iter().map(Vec::len).sum::<usize>()
     );
+    let mut sealed = CompactCsrBuilder::with_capacity(reference.len());
     for (local, want) in reference.iter().enumerate() {
         let decoded: Vec<VertexId> = compact.neighbors(local).into_iter().collect();
         assert_eq!(&decoded, want, "vertex {local}: decoded run diverges");
         assert_eq!(compact.degree(local), want.len());
+        // The bulk decode agrees, leaving out the id it is told to skip.
+        let skip = want.get(want.len() / 2).copied().unwrap_or(VertexId(7));
+        let mut bulk = vec![VertexId(3)];
+        compact.neighbors(local).decode_into(&mut bulk, skip);
+        let kept = want.iter().copied().filter(|&m| m != skip);
+        assert_eq!(
+            bulk,
+            std::iter::once(VertexId(3)).chain(kept).collect::<Vec<_>>()
+        );
         for &n in want {
             assert!(compact.has_neighbor(local, n));
         }
         // One past the last neighbor (or an arbitrary id for an empty run)
         // is absent.
-        let absent = VertexId(want.last().map_or(7, |v| v.0 + 1));
-        assert!(!compact.has_neighbor(local, absent));
+        let absent = VertexId(want.last().map_or(7, |v| v.0.wrapping_add(1)));
+        assert_eq!(compact.has_neighbor(local, absent), want.contains(&absent));
+        sealed.push_neighbors(compact.neighbors(local));
+    }
+    let sealed = sealed.finish();
+    assert_eq!(sealed.memory_bytes(), compact.memory_bytes());
+    assert_eq!(sealed.num_entries(), compact.num_entries());
+    for (local, want) in reference.iter().enumerate() {
+        assert_eq!(
+            sealed.neighbors(local),
+            want.clone(),
+            "sealed vertex {local}"
+        );
     }
 }
 
@@ -63,6 +87,24 @@ fn roundtrip_edge_shapes() {
     assert_round_trips(vec![vec![VertexId(9)], vec![], vec![VertexId(0)]]);
     let hub: Vec<VertexId> = (0..5_000).map(|i| VertexId(i * 3 + 1)).collect();
     assert_round_trips(vec![vec![], hub, vec![VertexId(u64::MAX - 1)]]);
+    // Run lengths around the eight-gap block, consecutive ids (blocks of
+    // width 0), and gaps of 2^56 and more up to the top of the id space.
+    let lengths = [1u64, 2, 8, 9, 16, 17]
+        .map(|n| (0..n).map(|i| VertexId(10 + i * 5)).collect())
+        .to_vec();
+    assert_round_trips(lengths);
+    let consecutive = [1u64, 9, 17, 64].map(|n| (100..100 + n).map(VertexId).collect());
+    assert_round_trips(consecutive.to_vec());
+    let wide = vec![
+        [0, 1 << 56, (1 << 57) + 3, 1 << 63, u64::MAX]
+            .map(VertexId)
+            .to_vec(),
+        [0, u64::MAX].map(VertexId).to_vec(),
+        (0..17)
+            .map(|i| VertexId(u64::MAX - (16 - i) * (1 << 58)))
+            .collect(),
+    ];
+    assert_round_trips(wide);
 }
 
 proptest! {
@@ -73,10 +115,17 @@ proptest! {
         raw in proptest::collection::vec(
             proptest::collection::vec(0u64..1_000_000, 0..40),
             0..30,
-        )
+        ),
+        // Runs over `0..=u64::MAX >> s` for a drawn `s`: gaps of every
+        // width, up to 64 bits at `s = 0`.
+        wide in proptest::collection::vec(
+            (0u32..64).prop_flat_map(|s| proptest::collection::vec(0..=u64::MAX >> s, 0..40)),
+            0..6,
+        ),
     ) {
         let lists: Vec<Vec<VertexId>> = raw
             .into_iter()
+            .chain(wide)
             .map(|l| l.into_iter().map(VertexId).collect())
             .collect();
         assert_round_trips(lists);
