@@ -332,6 +332,8 @@ fn decode_block(data: &[u8], pos: usize, prev: u64, out: &mut [VertexId]) -> usi
             }
         };
         // All lanes, so the loop unrolls; those past `out.len()` go unread.
+        // The `min` never binds (`at ≤ 49`); it lets the compiler drop the
+        // bounds checks.
         for (k, gap) in gaps.iter_mut().enumerate() {
             let bit = k * w as usize;
             let at = (bit / 8).min(WINDOW - 8);
@@ -343,7 +345,7 @@ fn decode_block(data: &[u8], pos: usize, prev: u64, out: &mut [VertexId]) -> usi
     }
     let mut id = prev;
     for (slot, gap) in out.iter_mut().zip(gaps) {
-        id = id.wrapping_add(gap).wrapping_add(1);
+        id += gap + 1;
         *slot = VertexId(id);
     }
     end
@@ -581,9 +583,7 @@ impl<'a> BlockIter<'a> {
         }
         it
     }
-}
 
-impl BlockIter<'_> {
     /// Decodes the next block into the buffer, or says the run is done.
     /// Kept out of `next`, so that stays small enough to inline.
     #[inline(never)]
@@ -752,7 +752,7 @@ impl CompactCsrBuilder {
             for chunk in rest.chunks(BLOCK) {
                 for (gap, &id) in gaps.iter_mut().zip(chunk) {
                     let id: u64 = id.into();
-                    *gap = id.wrapping_sub(prev).wrapping_sub(1);
+                    *gap = id - prev - 1;
                     prev = id;
                 }
                 push_block(&mut self.data, &gaps[..chunk.len()]);
