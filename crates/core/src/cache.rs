@@ -78,7 +78,7 @@
 //! one entry's tables alone, that index is a function of the entry, the
 //! destination machine `k`, the machines whose tables were appended (the
 //! load set) and the key columns — so it is built once and kept in the
-//! entry, beside the tables, under that key ([`RkMemo`]). It is built on
+//! entry, beside the tables, under that key (`RkMemo`). It is built on
 //! first use with no lock held, its key map sized to the distinct keys (a
 //! slot per row would be 41 B a row; this is about 6), charged to the
 //! entry's shard like the tables are (evicting least-recently-used entries
@@ -94,12 +94,12 @@
 //! decomposition and order, cluster graph, head STwig — §5.1–5.3) and, on
 //! every machine, a sampled join order over its R_k tables (§4.2 step 3).
 //! For a query the cache serves both are functions of inputs that do not
-//! change, so the cache keeps them ([`StwigCache::plan`], [`PlanMemo`]):
+//! change, so the cache keeps them (`StwigCache::plan`, `PlanMemo`):
 //!
 //! * **Key** — the query as submitted (vertex labels and edge list, in the
 //!   order given: no canonicalization). No config field plans or orders:
 //!   the join always selects from fixed-size samples
-//!   ([`crate::pipeline::join_order`]).
+//!   (`pipeline::join_order`).
 //! * **Plan validity** — a plan holds for the snapshot epoch it was made at:
 //!   the label statistics it reads are fixed within an epoch, and a seal
 //!   keeps both the epoch and the statistics. A request at a later epoch
@@ -110,7 +110,7 @@
 //!   the cache, assigned when an entry is made, never an address — a repair
 //!   or re-populate is a new entry with a new serial) and the machines whose
 //!   tables followed `k`'s. It is consulted only when every R_k(q_t) was
-//!   concatenated from one entry's tables (all its [`RkMemo`]s present), and
+//!   concatenated from one entry's tables (all its `RkMemo`s present), and
 //!   selected again only when those differ. A re-plan at a later epoch keeps
 //!   the orders when its STwigs are the old ones: an order is a function of
 //!   the tables alone.
@@ -1189,11 +1189,10 @@ pub fn splice_roots(old: &ResultTable, touched: &[VertexId], fresh: &ResultTable
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compat::produce_stwig_tables;
     use crate::config::{MatchConfig, ResultMode, TransportMode};
     use crate::decompose::{decompose_ordered, UniformStats};
-    use crate::distributed::{
-        assemble_rk_tables, match_query, plan_query, produce_stwig_tables, Link, Run,
-    };
+    use crate::distributed::{match_query, plan_query, Link, Run};
     use crate::engine::{EngineConfig, QueryEngine};
     use crate::metrics::{MachineMetrics, QueryMetrics};
     use crate::pipeline::join_order;
@@ -1970,7 +1969,7 @@ mod tests {
             let in_place = MatchConfig::default().with_transport_mode(TransportMode::DirectRead);
             let link = Link::new(&cloud, cloud.network(), &in_place, None);
             for k in 0..cloud.num_machines() {
-                let rk = assemble_rk_tables(plan, &tables, &link, k).unwrap();
+                let rk = link.assemble_rk(plan, &tables, k).unwrap();
                 if rk.tables[plan.head.head_index].is_empty() {
                     continue; // the machine never joined
                 }

@@ -6,13 +6,16 @@
 use crate::cache::StwigCache;
 use crate::config::MatchConfig;
 use crate::distributed::{
-    self, match_query, plan_query, MatchOutput, QueryPlan, Run, StwigTableSet,
+    check_cache, check_faults, join_pass, match_query, plan_query, produce_tables, retire,
+    MatchOutput, QueryPlan, Run, StreamState, StwigTableSet,
 };
 use crate::error::StwigError;
 use crate::metrics::{MachineMetrics, QueryMetrics};
-use crate::query::QueryGraph;
-use crate::stream::QueryControl;
+use crate::query::{QVid, QueryGraph};
+use crate::stream::{QueryControl, QueryOptions};
 use crate::table::ResultTable;
+use std::time::Instant;
+use trinity_sim::network::Network;
 use trinity_sim::MemoryCloud;
 
 /// [`match_query`] with `Run::default()`.
@@ -62,20 +65,29 @@ pub fn produce_stwig_tables(
     metrics: &mut QueryMetrics,
     machine_metrics: &mut [MachineMetrics],
 ) -> Result<Option<StwigTableSet>, StwigError> {
-    distributed::produce_stwig_tables(
+    check_cache(cloud, cache)?;
+    check_faults(config, control)?;
+    let ledger = Network::new(cloud.num_machines());
+    // No slab: the config's own row cap bounds exploration.
+    let cap = config.max_stwig_rows;
+    let (tables, answerable) = produce_tables(
         cloud,
         query,
         plan,
         config,
+        cap,
         cache,
         control,
+        &ledger,
         metrics,
         machine_metrics,
-    )
+    )?;
+    retire(cloud, &ledger, metrics);
+    Ok(answerable.then_some(tables))
 }
 
 /// The join phase on its own: the executor's join pass over `tables`, into a
-/// table in canonical column order.
+/// table in canonical column order, under the config's result limit.
 pub fn join_stwig_tables(
     cloud: &MemoryCloud,
     query: &QueryGraph,
@@ -85,5 +97,29 @@ pub fn join_stwig_tables(
     metrics: &mut QueryMetrics,
     machine_metrics: &mut [MachineMetrics],
 ) -> Result<ResultTable, StwigError> {
-    distributed::join_stwig_tables(cloud, query, plan, tables, config, metrics, machine_metrics)
+    let started = Instant::now();
+    let control = QueryControl::new(&QueryOptions::none(), started);
+    let canonical: Vec<QVid> = query.vertices().collect();
+    let limit = config.result_limit();
+    let mut state = StreamState::begin(None, &canonical, started);
+    let ledger = Network::new(cloud.num_machines());
+    let pass = join_pass(
+        cloud,
+        plan,
+        None,
+        tables,
+        config,
+        limit,
+        &control,
+        &canonical,
+        &ledger,
+        metrics,
+        machine_metrics,
+        &mut state,
+    )?;
+    retire(cloud, &ledger, metrics);
+    metrics.truncated = limit.is_some() && !pass.exhausted;
+    Ok(state
+        .finish(metrics)
+        .expect("the table output hands its table back"))
 }

@@ -30,11 +30,11 @@
 //! simulated communication time) — and the ledger is added to the cloud's
 //! aggregate. Per-query traffic is exact whatever runs beside it.
 //!
-//! **Transport modes.** Under [`TransportMode::DirectRead`] a machine may
-//! dereference remote partitions in place (the legacy simulation shortcut;
-//! traffic is a per-access estimate). Under [`TransportMode::Messages`] every
-//! machine is strictly partition-local: exploration runs frontier/superstep
-//! style over a [`trinity_sim::transport::Transport`] (per owner either the
+//! **Transport modes** ([`crate::config::TransportMode`]). Under `DirectRead`
+//! a machine may dereference remote partitions in place (the legacy
+//! simulation shortcut; traffic is a per-access estimate). Under `Messages`
+//! every machine is strictly partition-local: exploration runs
+//! frontier/superstep style over a [`trinity_sim::transport::Transport`] (per owner either the
 //! child labels' postings or batched projected `Load` requests → owned
 //! label replies, whichever side is smaller), binding synchronization posts
 //! `BindingDelta` messages, the join phase ships load-set tables as
@@ -84,220 +84,38 @@
 //! and join-order memo"): a warm request neither plans nor selects, and
 //! runs exactly the plan and orders it would have computed.
 //!
-//! **The phases on their own.** The repo benchmark times exploration and
-//! the join separately through the hidden `compat` module, whose wrappers call
-//! `produce_stwig_tables` (exploration with binding synchronization into a
-//! [`StwigTableSet`]) and `join_stwig_tables` (the executor's join pass over
-//! one, into a table).
+//! **One file per phase.** `plan` is the proxy's step 1, `explore` step 2
+//! (exploration and binding synchronization into a [`StwigTableSet`]),
+//! `join_pass` step 3, and this file runs them: `execute_query` and its slab
+//! rounds. Every exchange between machines is a method of `link::Link`, the
+//! one place that knows the query's transport. The repo benchmark times
+//! exploration and the join separately through the hidden `compat` module,
+//! whose wrappers run `explore` and `join_pass` on their own.
 
-use crate::bindings::Bindings;
-use crate::cache::{
-    canonicalize_table, splice_roots, CacheLookup, CachedStwig, CachedTables, PlanMemo, RkMemo,
-    StwigCache, StwigShape,
-};
-use crate::config::{MatchConfig, TransportMode};
-use crate::decompose::decompose_ordered;
+mod explore;
+mod join_pass;
+mod link;
+mod plan;
+
+pub(crate) use explore::produce_tables;
+pub use explore::StwigTableSet;
+pub(crate) use join_pass::join_pass;
+pub use link::LOAD_BATCH_IDS;
+pub(crate) use link::{check_faults, Link};
+pub use plan::{plan_query, QueryPlan};
+
+use crate::cache::StwigCache;
+use crate::config::MatchConfig;
 use crate::error::StwigError;
-use crate::hash::VertexSet;
-use crate::head::{load_set, select_head, HeadSelection};
-use crate::matcher::{explore, Mode, Resolution, SharedPostings};
-use crate::metrics::{
-    ExploreCounters, FaultCounters, JoinCounters, MachineMetrics, PhaseTraffic, QueryMetrics,
-    QueryOutcome,
-};
-use crate::pipeline::{join_order, pipelined_join_streaming, RoundSink};
+use crate::metrics::{MachineMetrics, PhaseTraffic, QueryMetrics, QueryOutcome};
 use crate::query::{QVid, QueryGraph};
-use crate::retry::{degraded_loss, fetch_postings, Faults};
 use crate::stream::{Interrupt, QueryControl, QueryOptions, ResultSink};
-use crate::stwig::STwig;
 use crate::table::ResultTable;
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
-use trinity_sim::cluster_graph::ClusterGraph;
-use trinity_sim::fault::FaultyTransport;
 use trinity_sim::ids::{LabelId, MachineId, VertexId};
-use trinity_sim::network::{Network, Phase};
-use trinity_sim::transport::{ChannelTransport, Message, Transport, TransportError};
+use trinity_sim::network::Network;
 use trinity_sim::MemoryCloud;
-
-/// Runs `work` once per index in `0..num_items`, fanning the items out over
-/// `threads` worker threads with dynamic work-stealing (an atomic cursor over
-/// the item list, so unevenly-sized items balance). Results are returned in
-/// item order regardless of scheduling, which is what lets callers merge
-/// them deterministically. `threads <= 1` runs inline on the calling thread —
-/// the exact serial execution.
-///
-/// Used at machine granularity by this module and at query granularity by
-/// the [`crate::engine::QueryEngine`] worker pool.
-///
-/// A panic on any worker propagates to the caller.
-pub(crate) fn run_work_stealing<R, F>(num_items: usize, threads: usize, work: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    if threads <= 1 || num_items <= 1 {
-        return (0..num_items).map(work).collect();
-    }
-    let workers = threads.min(num_items);
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(num_items);
-    slots.resize_with(num_items, || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let work = &work;
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut done: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= num_items {
-                            break;
-                        }
-                        done.push((i, work(i)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, r) in handle.join().expect("worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index was processed"))
-        .collect()
-}
-
-/// Maximum vertex ids per batched `Load` request envelope under
-/// [`TransportMode::Messages`]: a destination's frontier larger than this is
-/// split into several envelopes. Moves message counts, never results.
-pub const LOAD_BATCH_IDS: usize = 4096;
-
-/// How one phase of a query reaches the other machines, charging the
-/// query's ledger: a transport stack under `Messages` (its envelopes charge
-/// themselves), the ledger alone under `DirectRead`.
-pub(crate) struct Link<'c> {
-    ledger: &'c Network,
-    stack: Option<Stack<'c>>,
-}
-
-/// The transport stack of `Messages` mode: a [`ChannelTransport`] charging
-/// the query's ledger, wrapped in a [`FaultyTransport`] when the request
-/// armed [`Faults`]. The wrapper is an enum rather than a boxed trait object
-/// so the fault-free path stays allocation-free.
-enum Stack<'c> {
-    /// Fault-free mailboxes.
-    Plain(ChannelTransport<'c>),
-    /// Seeded fault injection around the mailboxes (boxed: the fault
-    /// machinery dwarfs the plain variant, and this path already pays for
-    /// injected delays).
-    Faulty(Box<FaultyTransport<ChannelTransport<'c>>>),
-}
-
-impl<'c> Link<'c> {
-    /// The link of `config`'s transport mode, injecting `faults` under
-    /// `Messages`. Every entry point has refused faults on a `DirectRead`
-    /// query ([`check_faults`]).
-    pub(crate) fn new(
-        cloud: &'c MemoryCloud,
-        ledger: &'c Network,
-        config: &MatchConfig,
-        faults: Option<&Faults>,
-    ) -> Self {
-        let stack = (config.transport_mode == TransportMode::Messages).then(|| {
-            let tp = ChannelTransport::new(cloud).with_ledger(ledger);
-            match faults {
-                Some(faults) => {
-                    Stack::Faulty(Box::new(FaultyTransport::new(tp, faults.plan.clone())))
-                }
-                None => Stack::Plain(tp),
-            }
-        });
-        Link { ledger, stack }
-    }
-
-    /// The transport of `Messages` mode; `None` under `DirectRead`.
-    fn transport(&self) -> Option<&dyn Transport> {
-        match self.stack.as_ref()? {
-            Stack::Plain(tp) => Some(tp),
-            Stack::Faulty(tp) => Some(&**tp),
-        }
-    }
-
-    /// Drain-side duplicate deliveries suppressed so far (exactly-once
-    /// accounting, harvested into `QueryMetrics::fault` per phase).
-    fn duplicates_suppressed(&self) -> u64 {
-        match &self.stack {
-            Some(Stack::Plain(tp)) => tp.duplicates_suppressed(),
-            Some(Stack::Faulty(tp)) => tp.inner().duplicates_suppressed(),
-            None => 0,
-        }
-    }
-}
-
-/// Per-machine output of one exploration step.
-struct MachineExplore {
-    table: ResultTable,
-    work: MachineWork,
-}
-
-/// What one machine spent on one exploration step.
-#[derive(Default)]
-struct MachineWork {
-    counters: ExploreCounters,
-    faults: FaultCounters,
-    resolution: Resolution,
-    compute_us: f64,
-}
-
-impl MachineWork {
-    /// Adds the step to the query's totals and the machine's.
-    fn merge_into(&self, metrics: &mut QueryMetrics, machine: &mut MachineMetrics) {
-        metrics.explore.merge(&self.counters);
-        metrics.fault.merge(&self.faults);
-        metrics.explore_from_postings += u64::from(self.resolution.from_postings);
-        metrics.explore_by_probing += u64::from(!self.resolution.from_postings);
-        metrics.explore_postings_entries += self.resolution.postings_entries;
-        machine.compute_us += self.compute_us;
-    }
-}
-
-/// The centrally-computed query plan broadcast to every machine.
-#[derive(Debug, Clone)]
-pub struct QueryPlan {
-    /// Ordered STwig decomposition (Algorithm 2).
-    pub stwigs: Vec<STwig>,
-    /// The query-specific cluster graph.
-    pub cluster: ClusterGraph,
-    /// Head STwig selection and root distances.
-    pub head: HeadSelection,
-}
-
-/// Builds the query plan: decomposition + ordering by f-values
-/// (`deg(v) / freq(label(v))`, Algorithm 2), cluster graph, head STwig and
-/// the data needed for load sets.
-pub fn plan_query(cloud: &MemoryCloud, query: &QueryGraph) -> Result<QueryPlan, StwigError> {
-    let stwigs = decompose_ordered(query, cloud)?;
-    let cluster = ClusterGraph::build(cloud.catalog(), &query.label_edges());
-    if stwigs.is_empty() {
-        return Err(StwigError::Internal(
-            "plan_query requires a query with at least one edge".into(),
-        ));
-    }
-    let head = select_head(query, &stwigs, &cluster);
-    Ok(QueryPlan {
-        stwigs,
-        cluster,
-        head,
-    })
-}
 
 /// The output of a query execution: the embeddings and the metrics collected
 /// along the way.
@@ -361,937 +179,18 @@ pub fn match_query(
     Ok(MatchOutput { table, metrics })
 }
 
-/// The per-machine STwig result tables of the exploration phase: G_k(q_t),
-/// machine `k`'s matches of STwig `t`, for every STwig the phase completed
-/// (in plan order). An explored STwig's tables are the query's own, under
-/// its column names; one the cache served lends the cache's complete unbound
-/// tables — shared, under the cache's positional column names (column `i` is
-/// the `i`-th of the STwig's `vertices()`), with the entry's join-index memo
-/// riding along for the join phase.
-#[derive(Debug, Clone)]
-pub struct StwigTableSet {
-    stwigs: Vec<StwigTables>,
-}
-
-/// One STwig's tables, one per machine.
-#[derive(Debug, Clone)]
-enum StwigTables {
-    /// Exploration output under the bindings and row cap of the moment.
-    Explored(Vec<ResultTable>),
-    /// A cache entry (see [`crate::cache`], "What a served STwig
-    /// contributes").
-    Served(CachedTables),
-}
-
-impl StwigTables {
-    fn table(&self, machine: usize) -> &ResultTable {
-        match self {
-            StwigTables::Explored(tables) => &tables[machine],
-            StwigTables::Served(entry) => &entry[machine],
-        }
-    }
-
-    /// The query's own tables; `None` for ones the cache lends.
-    fn explored(&self) -> Option<&[ResultTable]> {
-        match self {
-            StwigTables::Explored(tables) => Some(tables),
-            StwigTables::Served(_) => None,
-        }
-    }
-}
-
-impl StwigTableSet {
-    /// How many STwigs (a prefix of the plan's) the set holds tables for.
-    pub fn num_stwigs(&self) -> usize {
-        self.stwigs.len()
-    }
-
-    /// G_k(q_t): the rows `machine` contributes for STwig `stwig`.
-    pub fn table(&self, machine: usize, stwig: usize) -> &ResultTable {
-        self.stwigs[stwig].table(machine)
-    }
-
-    /// The cache entry STwig `stwig`'s tables are lent from, if any.
-    fn served(&self, stwig: usize) -> Option<&CachedStwig> {
-        match &self.stwigs[stwig] {
-            StwigTables::Served(entry) => Some(entry),
-            StwigTables::Explored(_) => None,
-        }
-    }
-
-    /// Every table exploration produced for this query — the ones its row
-    /// cap bounds and the query holds; a served table is complete and lent.
-    fn explored(&self) -> impl Iterator<Item = &ResultTable> {
-        (self.stwigs.iter())
-            .filter_map(StwigTables::explored)
-            .flatten()
-    }
-}
-
-/// The bit of query vertex `v` in a vertex mask
-/// ([`crate::query::MAX_QUERY_VERTICES`] is 64).
-fn vertex_bit(v: QVid) -> u64 {
-    1 << v.0
-}
-
-/// The vertices of `stwig` as a mask.
-fn vertex_mask(stwig: &STwig) -> u64 {
-    stwig.vertices().map(vertex_bit).fold(0, |m, b| m | b)
-}
-
-/// Phase 1 of the distributed execution: every machine matches every STwig
-/// in plan order with binding synchronization between STwigs (§4.2/§4.3),
-/// optionally consulting a cross-query [`StwigCache`].
-///
-/// Returns `Ok(None)` when some STwig matched nowhere, which proves the
-/// query has no answer (exploration counters and the partial `stwig_rows`
-/// are still recorded in `metrics`) — **unless** a `control` interrupt is
-/// pending, in which case an empty table may simply mean exploration was
-/// cut short; the executor checks `control` before trusting the `None`.
-///
-/// `control` is the per-query deadline/cancellation handle: it is checked at
-/// every superstep flush inside exploration and at every STwig barrier, and
-/// a pending interrupt makes this phase return early with whatever tables it
-/// completed. `None` never interrupts.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn produce_stwig_tables(
-    cloud: &MemoryCloud,
-    query: &QueryGraph,
-    plan: &QueryPlan,
-    config: &MatchConfig,
-    cache: Option<&StwigCache>,
-    control: Option<&QueryControl>,
-    metrics: &mut QueryMetrics,
-    machine_metrics: &mut [MachineMetrics],
-) -> Result<Option<StwigTableSet>, StwigError> {
-    check_cache(cloud, cache)?;
-    check_faults(config, control)?;
-    let ledger = Network::new(cloud.num_machines());
-    // No slab: the config's own row cap bounds exploration.
-    let (tables, answerable) = produce_tables(
-        cloud,
-        query,
-        plan,
-        config,
-        config.max_stwig_rows,
-        cache,
-        control,
-        &ledger,
-        metrics,
-        machine_metrics,
-    )?;
-    retire(cloud, &ledger, metrics);
-    Ok(answerable.then_some(tables))
-}
-
-/// The fault guard: [`Faults`] need a transport to inject them into, and only
-/// `Messages` has one. Every public entry point that takes a request's
-/// control checks it before any work, so a fault run never silently runs
-/// fault-free.
-fn check_faults(config: &MatchConfig, control: Option<&QueryControl>) -> Result<(), StwigError> {
-    let armed = control.is_some_and(|c| c.faults().is_some());
-    if armed && config.transport_mode != TransportMode::Messages {
-        return Err(StwigError::FaultsNeedMessages);
-    }
-    Ok(())
-}
-
 /// The cache/cloud guard, lest a foreign cache serve another cloud's tables
 /// or plans. Every executor path that takes a cache checks it first.
-fn check_cache(cloud: &MemoryCloud, cache: Option<&StwigCache>) -> Result<(), StwigError> {
+pub(crate) fn check_cache(
+    cloud: &MemoryCloud,
+    cache: Option<&StwigCache>,
+) -> Result<(), StwigError> {
     if cache.is_some_and(|cache| !cache.matches_cloud(cloud)) {
         return Err(StwigError::Internal(
             "STwig cache was built for a different memory cloud".into(),
         ));
     }
     Ok(())
-}
-
-/// [`produce_stwig_tables`] with the exploration row cap of the round
-/// (`explore_cap`: the first-k slab, never above the user's cap) travelling
-/// beside `config`, whose `max_stwig_rows` stays the user's — the bound on
-/// what the cache may serve. Returns the tables of the STwigs it completed
-/// and whether the query can still have an answer (`false`: the last of
-/// them matched nowhere). Every charge goes to `ledger`. The caller has
-/// passed `cache` through [`check_cache`].
-#[allow(clippy::too_many_arguments)]
-fn produce_tables(
-    cloud: &MemoryCloud,
-    query: &QueryGraph,
-    plan: &QueryPlan,
-    config: &MatchConfig,
-    explore_cap: Option<usize>,
-    cache: Option<&StwigCache>,
-    control: Option<&QueryControl>,
-    ledger: &Network,
-    metrics: &mut QueryMetrics,
-    machine_metrics: &mut [MachineMetrics],
-) -> Result<(StwigTableSet, bool), StwigError> {
-    let threads = config.resolved_num_threads();
-    // In `Messages` mode all exploration-phase communication — batched cell
-    // loads and binding deltas — travels over this link's transport;
-    // machines never dereference each other's partitions.
-    let link = &Link::new(
-        cloud,
-        ledger,
-        config,
-        control.and_then(QueryControl::faults),
-    );
-    let mut set = StwigTableSet {
-        stwigs: Vec::with_capacity(plan.stwigs.len()),
-    };
-    let mut bindings = Bindings::new(query.num_vertices());
-    // Counters accumulate into `metrics` (the executor calls this once per
-    // slab round); the per-STwig row totals describe this call alone.
-    metrics.stwig_rows.clear();
-
-    // A binding set is only ever read while exploring a *later* STwig, so
-    // vertices that never appear again need no set built (and no broadcast):
-    // `needed_after[t]` is the union of the vertices of stwigs t+1.. — for
-    // the last STwig the whole synchronization barrier is skipped.
-    let mut needed_after = vec![0u64; plan.stwigs.len()];
-    for t in (1..plan.stwigs.len()).rev() {
-        needed_after[t - 1] = needed_after[t] | vertex_mask(&plan.stwigs[t]);
-    }
-    // STwigs `..synced` have had their columns folded into `bindings`. An
-    // explored table is synchronized at once, as the algorithm has it; a
-    // served one waits until a later STwig has to explore (if one ever
-    // does) — see `crate::cache`, "What a served STwig contributes".
-    let mut synced = 0usize;
-    // The config exploration runs under, made when a first STwig explores.
-    let mut explore_cfg: Option<MatchConfig> = None;
-
-    // The vertices of the STwigs before the current one.
-    let mut earlier = 0u64;
-
-    let mut answerable = true;
-    for (t, stwig) in plan.stwigs.iter().enumerate() {
-        // Cooperative check at the STwig barrier: an interrupted query stops
-        // producing tables (the caller decides what to do with the partial
-        // set).
-        if control.is_some_and(QueryControl::interrupted) {
-            break;
-        }
-        // Every machine produces this STwig's table in parallel — from the
-        // cache when one is supplied and can serve the shape, by exploration
-        // against the bindings of the STwigs before it otherwise; counters
-        // and tables come back thread-locally and are merged in machine
-        // order.
-        let via_cache = match cache {
-            Some(cache) => {
-                explore_via_cache(cloud, link, query, stwig, config, cache, control, threads)?
-            }
-            None => ViaCache::Unserved,
-        };
-        let tables = match via_cache {
-            ViaCache::Served(entry, work) => {
-                for (mm, work) in machine_metrics.iter_mut().zip(&work) {
-                    work.merge_into(metrics, mm);
-                }
-                StwigTables::Served(entry)
-            }
-            unserved => {
-                // A populate that hit its row cap stands in for bound
-                // exploration when nothing would distinguish the two: no
-                // earlier STwig binds one of this one's vertices, and the
-                // caps agree.
-                let unbound_is_bound = (!config.use_bindings || earlier & vertex_mask(stwig) == 0)
-                    && cache.is_some_and(|c| c.populate_row_cap() == explore_cap);
-                let results = match unserved {
-                    ViaCache::Capped(results) if unbound_is_bound => results,
-                    _ => {
-                        // Fold in the served tables still waiting, in plan
-                        // order, then explore under the bindings.
-                        let waiting = (plan.stwigs[synced..t].iter())
-                            .zip(&needed_after[synced..t])
-                            .zip(&set.stwigs[synced..t]);
-                        for ((served, &needed), tables) in waiting {
-                            sync_bindings(
-                                cloud,
-                                link,
-                                served,
-                                needed,
-                                tables,
-                                config,
-                                &mut bindings,
-                            )?;
-                        }
-                        let explore_cfg = explore_cfg.get_or_insert_with(|| MatchConfig {
-                            max_stwig_rows: explore_cap,
-                            ..config.clone()
-                        });
-                        explore_bound(
-                            cloud,
-                            link,
-                            query,
-                            stwig,
-                            &bindings,
-                            explore_cfg,
-                            control,
-                            threads,
-                        )?
-                    }
-                };
-                let mut tables = Vec::with_capacity(results.len());
-                for (mm, result) in machine_metrics.iter_mut().zip(results) {
-                    result.work.merge_into(metrics, mm);
-                    tables.push(result.table);
-                }
-                let tables = StwigTables::Explored(tables);
-                // Synchronize bindings (barrier): the global binding of each
-                // STwig vertex that a later STwig will read is the union of
-                // what every machine discovered, intersected (by `bind`)
-                // with what previous STwigs already established for shared
-                // vertices.
-                sync_bindings(
-                    cloud,
-                    link,
-                    stwig,
-                    needed_after[t],
-                    &tables,
-                    config,
-                    &mut bindings,
-                )?;
-                synced = t + 1;
-                tables
-            }
-        };
-        let mut total_rows = 0u64;
-        for (k, mm) in machine_metrics.iter_mut().enumerate() {
-            let rows = tables.table(k).num_rows() as u64;
-            mm.rows_produced += rows;
-            total_rows += rows;
-        }
-        metrics.stwig_rows.push(total_rows);
-        set.stwigs.push(tables);
-        earlier |= vertex_mask(stwig);
-        // What the query holds of its own: explored tables, not lent ones.
-        let resident: u64 = set.explored().map(|t| t.memory_bytes() as u64).sum();
-        metrics.peak_table_bytes = metrics.peak_table_bytes.max(resident);
-        if total_rows == 0 {
-            // No machine found a match for this STwig: the query has no answer.
-            answerable = false;
-            break;
-        }
-    }
-    metrics.fault.duplicates_suppressed += link.duplicates_suppressed();
-    Ok((set, answerable))
-}
-
-/// Binding synchronization for one STwig's per-machine `tables`: each of its
-/// vertices a later STwig reads (`needed`, a vertex mask) is bound to the
-/// union over machines of the column's values, and the broadcast that makes
-/// every machine's view that union is charged to the query's ledger.
-///
-/// A served table is the *unbound* one, so only its rows the bindings so far
-/// admit take part — the rows bound exploration would have emitted; an
-/// explored table holds nothing else.
-fn sync_bindings(
-    cloud: &MemoryCloud,
-    link: &Link<'_>,
-    stwig: &STwig,
-    needed: u64,
-    tables: &StwigTables,
-    config: &MatchConfig,
-    bindings: &mut Bindings,
-) -> Result<(), StwigError> {
-    if !config.use_bindings {
-        return Ok(());
-    }
-    // (vertex, column, the set it will be bound to) of every synchronized
-    // column, by ascending vertex.
-    let mut synced_cols: Vec<(QVid, usize, VertexSet)> = (stwig.vertices().enumerate())
-        .filter(|&(_, v)| needed & vertex_bit(v) != 0)
-        .map(|(ci, v)| (v, ci, VertexSet::default()))
-        .collect();
-    if synced_cols.is_empty() {
-        return Ok(());
-    }
-    synced_cols.sort_unstable_by_key(|&(v, ..)| v);
-    // The binding filter of a served table: a set probe per bound column.
-    // `None`: every row takes part, and the column scans keep their exact
-    // size hints.
-    let admit: Option<Vec<Option<&VertexSet>>> = match tables {
-        StwigTables::Served(_) => Some(stwig.vertices().map(|v| bindings.get(v)).collect()),
-        StwigTables::Explored(_) => None,
-    }
-    .filter(|sets: &Vec<_>| sets.iter().any(Option::is_some));
-    fn admitted<'a>(
-        table: &'a ResultTable,
-        sets: &'a [Option<&VertexSet>],
-    ) -> impl Iterator<Item = &'a [VertexId]> {
-        (table.rows()).filter(move |row| {
-            (sets.iter().zip(*row)).all(|(set, v)| set.is_none_or(|s| s.contains(v)))
-        })
-    }
-    // Adds column `ci` of `table`'s admitted rows to `set`.
-    let extend = |set: &mut VertexSet, table: &ResultTable, ci: usize| match &admit {
-        None => set.extend(table.rows().map(|row| row[ci])),
-        Some(sets) => set.extend(admitted(table, sets).map(|row| row[ci])),
-    };
-    let num_machines = cloud.num_machines();
-    match link.transport() {
-        // `Messages`: every machine posts one `BindingDelta` — its
-        // *distinct* newly-discovered values per synced column — to
-        // every other machine, and the union is assembled from
-        // machine 0's view (its own delta plus its inbox). Every
-        // machine's view is the same union; building it once keeps
-        // the in-process run cheap without changing what traveled.
-        Some(tp) => {
-            let deltas: Vec<Vec<(u16, Vec<VertexId>)>> = (0..num_machines)
-                .map(|k| {
-                    let table = tables.table(k);
-                    synced_cols
-                        .iter()
-                        .map(|&(col, ci, _)| {
-                            let mut distinct = VertexSet::default();
-                            extend(&mut distinct, table, ci);
-                            let mut vals: Vec<VertexId> = distinct.into_iter().collect();
-                            // Sorted payloads make the envelope
-                            // deterministic byte for byte.
-                            vals.sort_unstable();
-                            (col.0, vals)
-                        })
-                        .collect()
-                })
-                .collect();
-            for (k, cols) in deltas.iter().enumerate() {
-                for j in cloud.machines() {
-                    if j.index() != k {
-                        tp.post(
-                            MachineId(k as u16),
-                            j,
-                            Message::BindingDelta { cols: cols.clone() },
-                        );
-                    }
-                }
-            }
-            // Drain every mailbox (each machine consumes its inbox);
-            // machine 0's is the one we materialize the union from.
-            // The union is a set, so fault-injected reordering of
-            // the deltas cannot change it; duplicates were already
-            // suppressed by the drain-side dedup.
-            let inboxes: Vec<Vec<trinity_sim::transport::Envelope>> =
-                cloud.machines().map(|m| tp.drain(m)).collect();
-            let columns = synced_cols.len();
-            for (ci, (.., set)) in synced_cols.iter_mut().enumerate() {
-                set.extend(deltas[0][ci].1.iter().copied());
-                for env in &inboxes[0] {
-                    let msg = &env.msg;
-                    let Message::BindingDelta { cols } = msg else {
-                        // A malformed peer degrades this query only.
-                        return Err(StwigError::Transport(TransportError::UnexpectedMessage {
-                            phase: "binding sync",
-                            got: msg.kind(),
-                        }));
-                    };
-                    let Some((_, vals)) = cols.get(ci) else {
-                        return Err(StwigError::Transport(TransportError::MalformedPayload {
-                            detail: format!(
-                                "binding delta carries {} columns, expected {columns}",
-                                cols.len()
-                            ),
-                        }));
-                    };
-                    set.extend(vals.iter().copied());
-                }
-            }
-        }
-        // `DirectRead`: fill the union set per vertex directly,
-        // machine by machine in machine order, and charge the
-        // broadcast as a per-entry estimate (each machine ships its
-        // newly-discovered entries to every other machine).
-        None => {
-            for (_, ci, set) in &mut synced_cols {
-                for k in 0..num_machines {
-                    extend(set, tables.table(k), *ci);
-                }
-            }
-            for k in 0..num_machines {
-                let table = tables.table(k);
-                let rows = match &admit {
-                    None => table.num_rows(),
-                    Some(sets) => admitted(table, sets).count(),
-                };
-                let entries = rows as u64 * synced_cols.len() as u64;
-                for j in cloud.machines() {
-                    if j.index() != k {
-                        link.ledger
-                            .ship_rows(MachineId(k as u16), j, entries, 1, Phase::Sync);
-                    }
-                }
-            }
-        }
-    }
-    for (col, _, set) in synced_cols {
-        bindings.bind(col, set);
-    }
-    Ok(())
-}
-
-/// One machine's exploration of one STwig over `roots`, dispatched on the
-/// transport mode: partition-local batched matching over the transport when
-/// one is in play, the direct-read matcher — over the STwig's `shared`
-/// postings — otherwise. Both emit bit-identical tables and counters. Only
-/// the transport path can fail (protocol violations). `started` is when the
-/// caller began collecting `roots`, so `compute_us` covers that too.
-#[allow(clippy::too_many_arguments)]
-fn explore_machine(
-    cloud: &MemoryCloud,
-    link: &Link<'_>,
-    k: MachineId,
-    query: &QueryGraph,
-    stwig: &STwig,
-    roots: &[VertexId],
-    bindings: &Bindings,
-    config: &MatchConfig,
-    control: Option<&QueryControl>,
-    shared: &SharedPostings,
-    started: Instant,
-) -> Result<MachineExplore, StwigError> {
-    let mut work = MachineWork::default();
-    let mode = match link.transport() {
-        Some(tp) => Mode::Messages(tp, &mut work.faults, LOAD_BATCH_IDS),
-        None => Mode::InPlace(shared, link.ledger),
-    };
-    let counters = &mut work.counters;
-    let (table, resolution) = explore(
-        cloud, mode, k, query, stwig, roots, bindings, config, control, counters,
-    )?;
-    work.resolution = resolution;
-    work.compute_us = started.elapsed().as_secs_f64() * 1e6;
-    Ok(MachineExplore { table, work })
-}
-
-/// One STwig's per-machine tables by bound exploration: every machine
-/// matches it from its own roots under `bindings` and `config`'s row cap.
-#[allow(clippy::too_many_arguments)]
-fn explore_bound(
-    cloud: &MemoryCloud,
-    link: &Link<'_>,
-    query: &QueryGraph,
-    stwig: &STwig,
-    bindings: &Bindings,
-    config: &MatchConfig,
-    control: Option<&QueryControl>,
-    threads: usize,
-) -> Result<Vec<MachineExplore>, StwigError> {
-    let shared = SharedPostings::new();
-    collect_explore_results(
-        run_work_stealing(cloud.num_machines(), threads, |ki| {
-            let k = MachineId(ki as u16);
-            let t0 = Instant::now();
-            let roots = local_roots(cloud, k, query, stwig, bindings, config);
-            explore_machine(
-                cloud, link, k, query, stwig, &roots, bindings, config, control, &shared, t0,
-            )
-        }),
-        stwig,
-        control,
-    )
-}
-
-/// What asking the cache for one STwig came to.
-enum ViaCache {
-    /// The entry whose complete tables stand for the STwig's (resident, just
-    /// inserted, or — degraded — shared for this query only), and what
-    /// populating or repairing it cost each machine (nothing on a hit).
-    Served(CachedTables, Vec<MachineWork>),
-    /// A populate that reached its row cap (the shape is tombstoned): the
-    /// capped unbound tables — bound exploration's own output when nothing
-    /// binds the STwig and the two row caps agree.
-    Capped(Vec<MachineExplore>),
-    /// The STwig must be explored under the bindings.
-    Unserved,
-}
-
-/// One STwig by way of the cache: the resident entry on a hit; on a miss or
-/// a repair, the entry made of unbound exploration and inserted for the next
-/// query. A miss explores every local root into an empty table; a repair
-/// explores only the touched roots and splices their rows into the resident
-/// tables — one path, a populate being the repair of nothing — and all three
-/// serve the same tables. [`ViaCache::Unserved`] hands the STwig back to
-/// bound exploration: its children are not in the planner's canonical order
-/// (a hand-built STwig — the cache is not even probed), the shape is
-/// uncacheable (tombstoned before, or found too large just now), some table
-/// exceeds the user's row cap (`config`'s), a repair grew past the populate
-/// row cap, or the run hit an interrupt.
-#[allow(clippy::too_many_arguments)]
-fn explore_via_cache(
-    cloud: &MemoryCloud,
-    link: &Link<'_>,
-    query: &QueryGraph,
-    stwig: &STwig,
-    config: &MatchConfig,
-    cache: &StwigCache,
-    control: Option<&QueryControl>,
-    threads: usize,
-) -> Result<ViaCache, StwigError> {
-    if !stwig.has_canonical_children(query) {
-        return Ok(ViaCache::Unserved);
-    }
-    // A table the user's row cap would have cut is not served whole.
-    let within_user_cap = |entry: &CachedStwig| {
-        (config.max_stwig_rows).is_none_or(|cap| entry.iter().all(|t| t.num_rows() <= cap))
-    };
-    let num_machines = cloud.num_machines();
-    let shape = StwigShape::of(query, stwig, false);
-    // On a repair: the resident tables and, per machine, the touched roots
-    // it owns (ascending, like the log's answer).
-    let stale = match cache.lookup(&shape, cloud) {
-        CacheLookup::Hit(entry) if within_user_cap(&entry) => {
-            return Ok(ViaCache::Served(entry, Vec::new()));
-        }
-        CacheLookup::Hit(_) | CacheLookup::Bypass => return Ok(ViaCache::Unserved),
-        CacheLookup::Miss => None,
-        CacheLookup::Repair { tables, touched } => {
-            let mut owned = vec![Vec::new(); num_machines];
-            for root in touched {
-                owned[cloud.machine_of(root).index()].push(root);
-            }
-            Some((tables, owned))
-        }
-    };
-    // Explore unbound and untruncated (up to the populate row cap), so the
-    // result is reusable under any binding context.
-    let root_label = query.label(stwig.root);
-    let populate_cfg = MatchConfig {
-        max_stwig_rows: cache.populate_row_cap(),
-        ..config.clone()
-    };
-    let unbound_bindings = Bindings::new(query.num_vertices());
-    let shared = SharedPostings::new();
-    let unbound = collect_explore_results(
-        run_work_stealing(num_machines, threads, |ki| {
-            let k = MachineId(ki as u16);
-            let t0 = Instant::now();
-            let roots: Vec<VertexId> = match &stale {
-                None => cloud.get_ids(k, root_label).to_vec(),
-                // A touched root that was removed or relabelled away has no
-                // rows left; its old ones go in the splice.
-                Some((_, owned)) => owned[ki]
-                    .iter()
-                    .copied()
-                    .filter(|&root| cloud.label_of_local(k, root) == Some(root_label))
-                    .collect(),
-            };
-            explore_machine(
-                cloud,
-                link,
-                k,
-                query,
-                stwig,
-                &roots,
-                &unbound_bindings,
-                &populate_cfg,
-                control,
-                &shared,
-                t0,
-            )
-        }),
-        stwig,
-        control,
-    )?;
-    // An interrupted run may hold truncated tables; do not let them into the
-    // cache or stand in for bound exploration — which the interrupt will
-    // also cut short, letting the caller abort.
-    if control.is_some_and(QueryControl::interrupted) {
-        return Ok(ViaCache::Unserved);
-    }
-    // A run that lost a machine holds *degraded* tables — sound for this
-    // query under `Degrade`, but poison for the cache, which must only ever
-    // hold fault-free exploration output. Use them once, cache nothing (and
-    // do not trust a row-cap verdict a lost machine may have shrunk).
-    let degraded = (unbound.iter()).any(|r| !r.work.faults.machines_lost.is_empty());
-    let reached_cap = |rows: usize| cache.populate_row_cap().is_some_and(|cap| rows >= cap);
-    if stale.is_none() && unbound.iter().any(|r| reached_cap(r.table.num_rows())) {
-        // The unbound table reached the populate cap (a potentially
-        // pathological cross product): remember the shape as uncacheable so
-        // future queries skip the attempt entirely.
-        if !degraded {
-            cache.mark_uncacheable(shape, cloud);
-        }
-        return Ok(ViaCache::Capped(unbound));
-    }
-    let (fresh, work): (Vec<_>, Vec<_>) = unbound.into_iter().map(|r| (r.table, r.work)).unzip();
-    let canonical: Vec<Arc<ResultTable>> = fresh
-        .into_iter()
-        .enumerate()
-        .map(|(ki, fresh)| {
-            let fresh = canonicalize_table(fresh, query, stwig);
-            match &stale {
-                // No touched root here: the repaired entry shares the table.
-                Some((old, owned)) if owned[ki].is_empty() => Arc::clone(&old[ki]),
-                Some((old, owned)) => Arc::new(splice_roots(&old[ki], &owned[ki], &fresh)),
-                None => Arc::new(fresh),
-            }
-        })
-        .collect();
-    if canonical.iter().any(|t| reached_cap(t.num_rows())) {
-        // A repair grew the shape past the cap: tombstone it likewise.
-        if !degraded {
-            cache.mark_uncacheable(shape, cloud);
-        }
-        return Ok(ViaCache::Unserved);
-    }
-    let entry = if degraded {
-        Some(CachedStwig::detached(canonical))
-    } else {
-        cache.insert(shape, canonical, cloud)
-    };
-    Ok(match entry {
-        Some(entry) if within_user_cap(&entry) => ViaCache::Served(entry, work),
-        _ => ViaCache::Unserved,
-    })
-}
-
-/// Collapses per-machine exploration results: the first transport error (in
-/// machine order, for determinism) fails the query.
-///
-/// An item that failed whole-machine with a loss the query goes on without
-/// ([`degraded_loss`]: `Degrade`) is replaced by an empty table with the
-/// STwig's columns (so the join schema stays intact) and the machine is
-/// recorded lost — the safety net behind the chunk-level degradation inside
-/// the matcher.
-fn collect_explore_results(
-    results: Vec<Result<MachineExplore, StwigError>>,
-    stwig: &STwig,
-    control: Option<&QueryControl>,
-) -> Result<Vec<MachineExplore>, StwigError> {
-    results
-        .into_iter()
-        .map(|r| match r {
-            Err(err) => {
-                let Some(machine) = degraded_loss(&err, control) else {
-                    return Err(err);
-                };
-                let mut columns = Vec::with_capacity(1 + stwig.children.len());
-                columns.push(stwig.root);
-                columns.extend(stwig.children.iter().copied());
-                let mut faults = FaultCounters::default();
-                faults.record_lost(machine);
-                Ok(MachineExplore {
-                    table: ResultTable::new(columns),
-                    work: MachineWork {
-                        faults,
-                        ..MachineWork::default()
-                    },
-                })
-            }
-            other => other,
-        })
-        .collect()
-}
-
-/// Phase 2 of the distributed execution on its own: the executor's one join
-/// pass ([`join_pass`]) over already-explored `tables`, into a table in
-/// canonical column order. Each machine fetches its load-set tables
-/// (Theorem 4) and joins them with the block-based pipeline; the per-machine
-/// answers — disjoint by construction — land in machine order. Applies the
-/// configured result limit (`MatchConfig::result_limit`) and records join
-/// counters, per-machine receive/match counts and the truncation flag in the
-/// supplied metrics. Fails with [`StwigError::Transport`] if a peer ships a
-/// malformed `JoinRows` message.
-pub(crate) fn join_stwig_tables(
-    cloud: &MemoryCloud,
-    query: &QueryGraph,
-    plan: &QueryPlan,
-    tables: &StwigTableSet,
-    config: &MatchConfig,
-    metrics: &mut QueryMetrics,
-    machine_metrics: &mut [MachineMetrics],
-) -> Result<ResultTable, StwigError> {
-    let started = Instant::now();
-    let control = QueryControl::new(&QueryOptions::none(), started);
-    let canonical: Vec<QVid> = query.vertices().collect();
-    let limit = config.result_limit();
-    let mut state = StreamState::begin(None, &canonical, started);
-    let ledger = Network::new(cloud.num_machines());
-    let pass = join_pass(
-        cloud,
-        plan,
-        None,
-        tables,
-        config,
-        limit,
-        &control,
-        &canonical,
-        &ledger,
-        metrics,
-        machine_metrics,
-        &mut state,
-    )?;
-    retire(cloud, &ledger, metrics);
-    metrics.truncated = limit.is_some() && !pass.exhausted;
-    Ok(state
-        .finish(metrics)
-        .expect("the table output hands its table back"))
-}
-
-/// Ships every load-set table destined for machine `dest` as `JoinRows`
-/// posts (Theorem 4 bounds the senders): one envelope per non-empty
-/// (STwig, sender) pair, in (STwig, sender) order — the order
-/// [`assemble_rk_tables`] relies on for row-for-row determinism.
-fn post_join_rows_to(
-    tp: &dyn Transport,
-    plan: &QueryPlan,
-    tables: &StwigTableSet,
-    dest: MachineId,
-) {
-    for (t, stwig) in plan.stwigs.iter().enumerate() {
-        for j in load_set(&plan.cluster, &plan.head, dest, t) {
-            let remote = tables.table(j.index(), t);
-            if remote.is_empty() {
-                continue;
-            }
-            tp.post(
-                j,
-                dest,
-                Message::JoinRows {
-                    stwig: t as u32,
-                    columns: stwig.vertices().map(|c| c.0).collect(),
-                    rows: remote.rows().flatten().copied().collect(),
-                },
-            );
-        }
-    }
-}
-
-/// Machine `k`'s assembled R_k(q_t) tables, one per STwig and under the
-/// query's column names, beside the index memo of each one that holds
-/// nothing but one cache entry's rows.
-pub(crate) struct Assembled<'a> {
-    pub(crate) tables: Vec<ResultTable>,
-    pub(crate) memos: Vec<Option<RkMemo<'a>>>,
-    /// Rows received from other machines.
-    received: u64,
-}
-
-/// Assembles machine `ki`'s `R_k(q_t)` tables for every STwig `t`: its own
-/// exploration tables plus the load-set rows — drained from its transport
-/// mailbox in `Messages` mode, fetched in place (and charged to the link's
-/// ledger) in `DirectRead` mode. An R_k(q_t) concatenated from a served STwig's tables
-/// alone keeps that entry's index memo, addressed by what was concatenated;
-/// one whose rows really came through `JoinRows` does not (the rows are
-/// what arrived, not by construction what is cached). A malformed
-/// `JoinRows` envelope (wrong variant, out-of-range STwig index, foreign
-/// columns, ragged row payload) fails with [`StwigError::Transport`].
-pub(crate) fn assemble_rk_tables<'a>(
-    plan: &QueryPlan,
-    tables: &'a StwigTableSet,
-    link: &Link<'_>,
-    ki: usize,
-) -> Result<Assembled<'a>, StwigError> {
-    let k = MachineId(ki as u16);
-    let n = plan.stwigs.len();
-    let mut rk = Assembled {
-        tables: Vec::with_capacity(n),
-        memos: Vec::new(),
-        received: 0,
-    };
-    // Without a served STwig there is no memo to keep, and no list of them.
-    let memoized = (0..n).any(|t| tables.served(t).is_some());
-    if let Some(tp) = link.transport() {
-        for (t, stwig) in plan.stwigs.iter().enumerate() {
-            let own = tables.table(ki, t);
-            let mut table = ResultTable::with_capacity(stwig.vertices().collect(), own.num_rows());
-            table.append_rows(own);
-            rk.tables.push(table);
-            rk.memos.push(
-                tables
-                    .served(t)
-                    .map(|entry| RkMemo::new(entry, k, Vec::new())),
-            );
-        }
-        let mut inbox = tp.drain(k);
-        // Canonicalize arrival order. The fault-free posting order per
-        // destination is (STwig ascending, sender ascending) with at most
-        // one envelope per pair, so this sort is a stable no-op on a clean
-        // run — and under fault-injected delay/reorder it restores exactly
-        // that order, keeping R_k row-for-row deterministic.
-        inbox.sort_by_key(|env| match &env.msg {
-            Message::JoinRows { stwig, .. } => (*stwig, env.src.0, env.seq),
-            _ => (u32::MAX, env.src.0, env.seq),
-        });
-        for env in inbox {
-            let src = env.src;
-            let Message::JoinRows {
-                stwig,
-                columns,
-                rows,
-            } = env.msg
-            else {
-                return Err(StwigError::Transport(TransportError::UnexpectedMessage {
-                    phase: "join shipping",
-                    got: env.msg.kind(),
-                }));
-            };
-            let Some(table) = rk.tables.get_mut(stwig as usize) else {
-                return Err(StwigError::Transport(TransportError::MalformedPayload {
-                    detail: format!(
-                        "machine {src} shipped rows for STwig {stwig}, but the plan has {}",
-                        plan.stwigs.len()
-                    ),
-                }));
-            };
-            let expected: Vec<u16> = table.columns().iter().map(|c| c.0).collect();
-            if columns != expected {
-                return Err(StwigError::Transport(TransportError::MalformedPayload {
-                    detail: format!(
-                        "machine {src} shipped STwig {stwig} with columns {columns:?}, \
-                         expected {expected:?}"
-                    ),
-                }));
-            }
-            let width = table.width();
-            if width == 0 || rows.len() % width != 0 {
-                return Err(StwigError::Transport(TransportError::MalformedPayload {
-                    detail: format!(
-                        "machine {src} shipped {} ids for width-{width} STwig {stwig}",
-                        rows.len()
-                    ),
-                }));
-            }
-            for row in rows.chunks(width) {
-                table.push_row(row);
-            }
-            if let Some(memo) = rk.memos.get_mut(stwig as usize) {
-                *memo = None;
-            }
-            rk.received += (rows.len() / width) as u64;
-        }
-    } else {
-        for (t, stwig) in plan.stwigs.iter().enumerate() {
-            let own = tables.table(ki, t);
-            // Sized once for the machine's own rows plus its whole load set.
-            let senders: Vec<MachineId> = load_set(&plan.cluster, &plan.head, k, t);
-            let shipped = |j: &MachineId| tables.table(j.index(), t).num_rows();
-            let rows = own.num_rows() + senders.iter().map(shipped).sum::<usize>();
-            let mut table = ResultTable::with_capacity(stwig.vertices().collect(), rows);
-            table.append_rows(own);
-            for j in &senders {
-                let remote = tables.table(j.index(), t);
-                if remote.is_empty() {
-                    continue;
-                }
-                let (rows, width) = (remote.num_rows() as u64, remote.width() as u64);
-                link.ledger.ship_rows(*j, k, rows, width, Phase::Join);
-                rk.received += remote.num_rows() as u64;
-                table.append_rows(remote);
-            }
-            // No dedup pass: rows within one machine's table are
-            // distinct (the cross product emits each assignment once),
-            // and tables from different machines are root-disjoint
-            // because STwig roots are restricted to locally-owned
-            // vertices — so R_k is duplicate-free by construction.
-            rk.tables.push(table);
-            if memoized {
-                let memo = |entry| RkMemo::new(entry, k, senders);
-                rk.memos.push(tables.served(t).map(memo));
-            }
-        }
-    }
-    Ok(rk)
 }
 
 /// Initial per-machine, per-STwig exploration slab (in rows) for
@@ -1315,7 +214,7 @@ enum Output<'s> {
 /// A destination for canonical-order rows that tracks delivery: how many
 /// rows it took, and when the first one became readable. The query's output
 /// is one; so is a slab round's staging table, whose stamp nobody reads.
-struct StreamState<'s> {
+pub(crate) struct StreamState<'s> {
     output: Output<'s>,
     started: Instant,
     streamed: u64,
@@ -1325,7 +224,11 @@ struct StreamState<'s> {
 impl<'s> StreamState<'s> {
     /// Opens the output for rows in `columns` order: announces them to the
     /// sink when there is one, creates the table otherwise.
-    fn begin(sink: Option<&'s mut dyn ResultSink>, columns: &[QVid], started: Instant) -> Self {
+    pub(crate) fn begin(
+        sink: Option<&'s mut dyn ResultSink>,
+        columns: &[QVid],
+        started: Instant,
+    ) -> Self {
         let output = match sink {
             Some(sink) => {
                 sink.begin(columns);
@@ -1398,7 +301,7 @@ impl<'s> StreamState<'s> {
     /// Ends delivery — whatever stopped the query, the rows it delivered
     /// are flushed before its metrics say so — records the stream's
     /// counters, and hands back the table of a table output.
-    fn finish(mut self, metrics: &mut QueryMetrics) -> Option<ResultTable> {
+    pub(crate) fn finish(mut self, metrics: &mut QueryMetrics) -> Option<ResultTable> {
         self.flush();
         metrics.matches_found = self.streamed;
         metrics.rows_streamed = self.streamed;
@@ -1413,165 +316,6 @@ impl<'s> StreamState<'s> {
             Output::Table(table) => Some(table),
         }
     }
-}
-
-/// [`RoundSink`] adapter: re-projects each row of a machine's join output
-/// (whose column order depends on its join-order choice) into the canonical
-/// column order and delivers it as the join finishes it, flushing at the end
-/// of every round. Checks `control` before each row — an atomic load (the
-/// clock is only read while an untripped deadline is armed) — so no row is
-/// delivered after a cancellation the consumer raised mid-stream, even
-/// before the join's own next check stops it.
-struct ProjectingSink<'a, 's> {
-    canonical: &'a [QVid],
-    projection: Vec<usize>,
-    control: &'a QueryControl,
-    state: &'a mut StreamState<'s>,
-}
-
-impl RoundSink for ProjectingSink<'_, '_> {
-    fn on_schema(&mut self, columns: &[QVid]) {
-        self.projection = self
-            .canonical
-            .iter()
-            .map(|&c| {
-                columns
-                    .iter()
-                    .position(|&mc| mc == c)
-                    .expect("final join output covers every query vertex")
-            })
-            .collect();
-    }
-
-    fn on_row(&mut self, row: &[VertexId]) {
-        if !self.control.interrupted() {
-            self.state.deliver_projected(row, &self.projection);
-        }
-    }
-
-    fn end_round(&mut self) {
-        self.state.flush();
-    }
-}
-
-/// Outcome of one join pass over all machines.
-struct JoinPass {
-    /// Rows the pass delivered.
-    rows: u64,
-    /// Whether every contributing machine's join ran its driver dry — i.e.
-    /// the pass enumerated everything these tables contain. Means nothing
-    /// once `control` reports an interrupt.
-    exhausted: bool,
-}
-
-/// The one join pass: runs the per-machine load-set joins over `tables` in
-/// machine order on the calling thread, delivering surviving rows to `state`
-/// in canonical column order as they are joined, up to `limit`.
-///
-/// The pass stops at the machine that satisfies the limit; in `Messages`
-/// mode a machine's incoming load-set rows are shipped as `JoinRows` posts
-/// right before it joins, so a machine the pass never reaches costs neither
-/// the copy nor the simulated traffic. Each row stays delivered if an
-/// interrupt follows.
-///
-/// `memo` is the cache's memo of `plan`: a machine whose R_k tables are all
-/// served takes its join order from it ([`PlanMemo::join_order`]).
-#[allow(clippy::too_many_arguments)]
-fn join_pass(
-    cloud: &MemoryCloud,
-    plan: &QueryPlan,
-    memo: Option<&PlanMemo>,
-    tables: &StwigTableSet,
-    config: &MatchConfig,
-    limit: Option<usize>,
-    control: &QueryControl,
-    canonical: &[QVid],
-    ledger: &Network,
-    metrics: &mut QueryMetrics,
-    machine_metrics: &mut [MachineMetrics],
-    state: &mut StreamState<'_>,
-) -> Result<JoinPass, StwigError> {
-    // The pass walks the machines through their metrics: a short slice would
-    // silently skip machines and return an incomplete answer.
-    assert_eq!(
-        machine_metrics.len(),
-        cloud.num_machines(),
-        "join_pass needs one MachineMetrics per machine"
-    );
-    // A single table leaves nothing to select.
-    let memo = memo.filter(|_| plan.stwigs.len() > 1);
-    let link = Link::new(cloud, ledger, config, control.faults());
-    let mut pass = JoinPass {
-        rows: 0,
-        exhausted: true,
-    };
-    // A discarded slab round must not leave stale per-machine match counts.
-    for mm in machine_metrics.iter_mut() {
-        mm.matches_found = 0;
-    }
-    for (ki, mm) in machine_metrics.iter_mut().enumerate() {
-        let remaining = limit.map(|l| (l as u64).saturating_sub(pass.rows) as usize);
-        if remaining == Some(0) || control.interrupted() {
-            pass.exhausted = false;
-            break;
-        }
-        let t0 = Instant::now();
-        if let Some(tp) = link.transport() {
-            post_join_rows_to(tp, plan, tables, MachineId(ki as u16));
-        }
-        let rk = assemble_rk_tables(plan, tables, &link, ki)?;
-        let mut counters = JoinCounters::default();
-        let before = state.streamed;
-        // A machine with no head-STwig results contributes nothing (§5.3),
-        // and nothing is all there was to enumerate.
-        let exhausted = rk.tables[plan.head.head_index].is_empty() || {
-            let select = || join_order(&rk.tables);
-            let (memoized, selected);
-            let order: &[usize] = match memo.and_then(|m| m.join_order(ki, &rk.memos, select)) {
-                Some(order) => {
-                    memoized = order;
-                    &memoized
-                }
-                None => {
-                    selected = select();
-                    &selected
-                }
-            };
-            let mut sink = ProjectingSink {
-                canonical,
-                projection: Vec::new(),
-                control,
-                state,
-            };
-            pipelined_join_streaming(
-                &rk.tables,
-                &rk.memos,
-                config,
-                order,
-                remaining,
-                Some(control),
-                &mut counters,
-                &mut sink,
-            )
-            .exhausted
-        };
-        // `delivered` is what the output took of the machine's rows — a
-        // first-k "satisfied" decision must reflect delivered rows only.
-        let delivered = state.streamed - before;
-        pass.rows += delivered;
-        pass.exhausted &= exhausted;
-        metrics.join.merge(&counters);
-        let table_bytes = rk.tables.iter().map(|t| t.memory_bytes() as u64).sum();
-        metrics.peak_table_bytes = metrics.peak_table_bytes.max(table_bytes);
-        mm.rows_received += rk.received;
-        mm.compute_us += t0.elapsed().as_secs_f64() * 1e6;
-        mm.matches_found = delivered;
-        if control.interrupted() {
-            break;
-        }
-    }
-    metrics.fault.duplicates_suppressed += link.duplicates_suppressed();
-    Ok(pass)
 }
 
 /// **The** query executor. Rows go to `sink` as they are produced, or —
@@ -1678,10 +422,9 @@ pub(crate) fn execute_query(
 }
 
 /// A single-vertex query: delivers the per-machine postings of its label in
-/// machine order, stopping at the limit, with a cooperative check per
-/// machine. In `Messages` mode the proxy (machine 0) gathers every other
-/// machine's postings with one `GetIds` exchange each instead of reading
-/// their string indexes in place. Returns whether the limit cut the scan.
+/// machine order, as the proxy (machine 0) gathers them
+/// ([`Link::postings`]), stopping at the limit, with a cooperative check per
+/// machine. Returns whether the limit cut the scan.
 fn scan_single_vertex(
     cloud: &MemoryCloud,
     label: LabelId,
@@ -1699,21 +442,7 @@ fn scan_single_vertex(
         if control.interrupted() {
             break;
         }
-        let owned: Vec<VertexId> = match link.transport() {
-            Some(tp) if k != proxy => fetch_postings(
-                tp,
-                cloud,
-                proxy,
-                k,
-                &[label],
-                Some(control),
-                &mut metrics.fault,
-            )?
-            // One label asked, one run back (checked by the fetch).
-            .and_then(|mut runs| runs.pop())
-            .unwrap_or_default(),
-            _ => cloud.get_ids(k, label).to_vec(),
-        };
+        let owned = link.postings(cloud, proxy, k, label, control, &mut metrics.fault)?;
         for id in owned {
             if limit.is_some_and(|l| state.streamed >= l as u64) {
                 limit_hit = true;
@@ -1872,27 +601,8 @@ fn explore_and_join(
     }
 }
 
-/// Root candidates for `stwig` on machine `k`: locally-owned vertices with
-/// the root label, filtered by the (global) binding set when bound.
-fn local_roots(
-    cloud: &MemoryCloud,
-    k: MachineId,
-    query: &QueryGraph,
-    stwig: &STwig,
-    bindings: &Bindings,
-    config: &MatchConfig,
-) -> Vec<VertexId> {
-    let postings = cloud.get_ids(k, query.label(stwig.root));
-    if config.use_bindings {
-        if let Some(bound) = bindings.get(stwig.root) {
-            return postings.iter().filter(|v| bound.contains(v)).collect();
-        }
-    }
-    postings.to_vec()
-}
-
 /// Retires a ledger: its phase traffic into `metrics`, itself into the cloud's aggregate.
-fn retire(cloud: &MemoryCloud, ledger: &Network, metrics: &mut QueryMetrics) {
+pub(crate) fn retire(cloud: &MemoryCloud, ledger: &Network, metrics: &mut QueryMetrics) {
     metrics.phase_traffic.merge(&PhaseTraffic::of(ledger));
     cloud.network().absorb(ledger);
 }
@@ -1919,24 +629,21 @@ fn finalize(metrics: &mut QueryMetrics, cloud: &MemoryCloud, ledger: &Network, s
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{CacheLookup, StwigShape};
+    use crate::config::TransportMode;
+    use crate::metrics::{ExploreCounters, JoinCounters};
+    use crate::retry::Faults;
     use crate::stream::CollectSink;
     use crate::verify::{canonical_rows, same_answer, verify_all};
+    use std::sync::Arc;
     use trinity_sim::builder::GraphBuilder;
     use trinity_sim::network::CostModel;
 
-    fn v(x: u64) -> VertexId {
+    pub(super) fn v(x: u64) -> VertexId {
         VertexId(x)
     }
 
-    /// A `DirectRead` link charging the cloud's aggregate.
-    fn in_place(cloud: &MemoryCloud) -> Link<'_> {
-        Link {
-            ledger: cloud.network(),
-            stack: None,
-        }
-    }
-
-    fn sample_cloud(machines: usize) -> MemoryCloud {
+    pub(super) fn sample_cloud(machines: usize) -> MemoryCloud {
         // A slightly larger labeled graph with multiple triangles and squares.
         let mut gb = GraphBuilder::new_undirected();
         for i in 0..10u64 {
@@ -1965,75 +672,13 @@ mod tests {
         gb.build(machines, CostModel::default())
     }
 
-    fn triangle_query(cloud: &MemoryCloud) -> QueryGraph {
+    pub(super) fn triangle_query(cloud: &MemoryCloud) -> QueryGraph {
         let mut qb = QueryGraph::builder();
         let a = qb.vertex_by_name(cloud, "a").unwrap();
         let b = qb.vertex_by_name(cloud, "b").unwrap();
         let c = qb.vertex_by_name(cloud, "c").unwrap();
         qb.edge(a, b).edge(b, c).edge(c, a);
         qb.build().unwrap()
-    }
-
-    #[test]
-    fn direct_read_machines_share_one_postings_map() {
-        // Four machines, and an id's owner is its residue mod 4. Nine a-roots,
-        // none on machine 0; each sees two of four b's and four d's of its
-        // own: 4 carriers against 18 neighbors per machine with roots.
-        let mut gb = GraphBuilder::new_undirected();
-        let roots: Vec<u64> = (1..12).filter(|i| i % 4 != 0).collect();
-        for &i in &roots {
-            gb.add_vertex(v(i), "a");
-            gb.add_edge(v(i), v(100 + i % 4));
-            gb.add_edge(v(i), v(100 + (i + 1) % 4));
-            for d in 0..4 {
-                gb.add_vertex(v(200 + 4 * i + d), "d");
-                gb.add_edge(v(i), v(200 + 4 * i + d));
-            }
-        }
-        for b in 100..104 {
-            gb.add_vertex(v(b), "b");
-        }
-        let cloud = gb.build(4, CostModel::default());
-        let mut qb = QueryGraph::builder();
-        let a = qb.vertex_by_name(&cloud, "a").unwrap();
-        let b = qb.vertex_by_name(&cloud, "b").unwrap();
-        qb.edge(a, b);
-        let query = qb.build().unwrap();
-        let stwig = STwig::new(a, vec![b]);
-        let bindings = Bindings::new(2);
-        let config = MatchConfig::default().with_transport_mode(TransportMode::DirectRead);
-        let run = |threads| {
-            let explored = explore_bound(
-                &cloud,
-                &in_place(&cloud),
-                &query,
-                &stwig,
-                &bindings,
-                &config,
-                None,
-                threads,
-            );
-            let explored = explored.unwrap();
-            let sides: Vec<Resolution> = explored.iter().map(|r| r.work.resolution).collect();
-            let tables: Vec<ResultTable> = explored.into_iter().map(|r| r.table).collect();
-            (tables, sides)
-        };
-        let (serial, sides) = run(1);
-        assert_eq!(serial.iter().map(ResultTable::num_rows).sum::<usize>(), 18);
-        // Machine 0 collects nothing and reads in place; machine 1 builds the
-        // map, and machines 2 and 3 find it built.
-        let postings = sides.iter().map(|s| (s.from_postings, s.postings_entries));
-        assert_eq!(
-            postings.collect::<Vec<_>>(),
-            [(false, 0), (true, 4), (true, 0), (true, 0)]
-        );
-        for _ in 0..8 {
-            let (parallel, sides) = run(4);
-            assert_eq!(parallel, serial);
-            let entries: u64 = sides.iter().map(|s| s.postings_entries).sum();
-            assert_eq!(entries, 4, "built once: {sides:?}");
-            assert!(sides[1..].iter().all(|s| s.from_postings));
-        }
     }
 
     /// The running example of the paper (Figure 1): the query d–a, a–b,
@@ -2256,21 +901,6 @@ mod tests {
         let serial_cfg = MatchConfig::default().with_num_threads(Some(1));
         let serial = match_query(&cloud, &query, &serial_cfg, Run::default()).unwrap();
         assert_eq!(auto.table, serial.table);
-    }
-
-    #[test]
-    fn run_work_stealing_orders_results_and_balances() {
-        // Results come back in item order for any thread count, even with
-        // skewed per-item work.
-        for threads in [1usize, 2, 3, 8] {
-            let out = run_work_stealing(13, threads, |i| {
-                if i % 3 == 0 {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                }
-                i * 10
-            });
-            assert_eq!(out, (0..13).map(|i| i * 10).collect::<Vec<_>>());
-        }
     }
 
     #[test]
@@ -2527,7 +1157,7 @@ mod tests {
     /// A query over labels "a", "b", "c" whose vertices are created in the
     /// order of `names` (so the numbering can run with or against the label
     /// order): the star a–b, a–c, closed into a triangle when asked.
-    fn abc_query(cloud: &MemoryCloud, names: [&str; 3], triangle: bool) -> QueryGraph {
+    pub(super) fn abc_query(cloud: &MemoryCloud, names: [&str; 3], triangle: bool) -> QueryGraph {
         let mut qb = QueryGraph::builder();
         let mut id = std::collections::HashMap::new();
         for name in names {
@@ -2608,83 +1238,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hand_built_non_canonical_stwig_is_explored_and_never_cached() {
-        use crate::cache::{CacheConfig, StwigCache};
-        for machines in [1usize, 3] {
-            let cloud = sample_cloud(machines);
-            // q1 is "c", q2 is "b": `STwig::new` lists them by id, against
-            // the label order the planner would use.
-            let query = abc_query(&cloud, ["a", "c", "b"], false);
-            let config = MatchConfig::default().with_num_threads(Some(1));
-            let planned = plan_query(&cloud, &query).unwrap().stwigs;
-            assert_eq!(
-                planned,
-                [STwig {
-                    root: QVid(0),
-                    children: vec![QVid(2), QVid(1)],
-                }]
-            );
-            let hand_built = STwig::new(QVid(0), vec![QVid(1), QVid(2)]);
-            assert!(!hand_built.has_canonical_children(&query));
-            let via_cache = |stwig: &STwig, cache: &StwigCache| {
-                explore_via_cache(
-                    &cloud,
-                    &in_place(&cloud),
-                    &query,
-                    stwig,
-                    &config,
-                    cache,
-                    None,
-                    1,
-                )
-                .unwrap()
-            };
-            let cache = StwigCache::new(&cloud, CacheConfig::default());
-            // Cold cache: handed back for exploration, not probed, nothing
-            // inserted.
-            assert!(matches!(via_cache(&hand_built, &cache), ViaCache::Unserved));
-            assert_eq!(cache.stats(), crate::metrics::CacheStats::default());
-            // Warm cache (its planned twin's entry is resident): still
-            // explored — a served entry would carry the "b" column first.
-            let ViaCache::Served(twin, _) = via_cache(&planned[0], &cache) else {
-                panic!("the planned twin populates and is served");
-            };
-            let warm = cache.stats();
-            assert_eq!((warm.misses, warm.insertions), (1, 1));
-            assert!(matches!(via_cache(&hand_built, &cache), ViaCache::Unserved));
-            assert_eq!(cache.stats(), warm);
-            let unbound = Bindings::new(query.num_vertices());
-            let uncached: Vec<ResultTable> = explore_bound(
-                &cloud,
-                &in_place(&cloud),
-                &query,
-                &hand_built,
-                &unbound,
-                &config,
-                None,
-                1,
-            )
-            .unwrap()
-            .into_iter()
-            .map(|r| r.table)
-            .collect();
-            let c_label = query.label(QVid(1));
-            for (table, twin) in uncached.iter().zip(twin.iter()) {
-                assert_eq!(table.columns(), &[QVid(0), QVid(1), QVid(2)]);
-                assert_eq!(table.num_rows(), twin.num_rows());
-                for row in table.rows() {
-                    assert_eq!(cloud.label_of_global(row[1]), Some(c_label));
-                }
-            }
-        }
-    }
-
     /// The sample graph under an epoch manager, the triangle query, and a
     /// batch wiring unused `b`/`c` vertices into every `a`: each of the
     /// query's (root label, child label) pairs is touched at several roots
     /// on several machines, and every unbound STwig table grows.
-    fn churned_triangle(
+    pub(super) fn churned_triangle(
         machines: usize,
     ) -> (
         trinity_sim::epoch::GraphEpochs,
@@ -2870,51 +1428,6 @@ mod tests {
             .count();
         assert!(tombstoned > 0, "the outgrown shape must be tombstoned");
         assert!(cache.stats().bypasses > 0);
-    }
-
-    #[test]
-    fn interrupted_repair_inserts_nothing() {
-        use crate::cache::{CacheConfig, StwigCache};
-        use crate::stream::{CancelToken, QueryOptions};
-        let (epochs, query, batch) = churned_triangle(3);
-        let config = MatchConfig::default().with_num_threads(Some(1));
-        let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
-        match_query(
-            &epochs.pin(),
-            &query,
-            &config,
-            Run {
-                cache: Some(&cache),
-                ..Run::default()
-            },
-        )
-        .unwrap();
-        epochs.apply(&batch).unwrap();
-        let snap = epochs.pin();
-        let plan = plan_query(&snap, &query).unwrap();
-        let stwig = &plan.stwigs[0];
-        let shape = StwigShape::of(&query, stwig, false);
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let control = QueryControl::new(&QueryOptions::none().with_cancel(cancel), Instant::now());
-        let insertions = cache.stats().insertions;
-        let repaired = explore_via_cache(
-            &snap,
-            &in_place(&snap),
-            &query,
-            stwig,
-            &config,
-            &cache,
-            Some(&control),
-            1,
-        )
-        .unwrap();
-        assert!(matches!(repaired, ViaCache::Unserved));
-        assert_eq!(cache.stats().insertions, insertions);
-        assert!(
-            matches!(cache.lookup(&shape, &snap), CacheLookup::Repair { .. }),
-            "the stale entry must still be waiting for an uninterrupted repair"
-        );
     }
 
     #[test]

@@ -11,15 +11,14 @@
 //!
 //! An index is a pure function of the build side's rows and key columns, so
 //! a build side concatenated from cache-resident STwig tables takes its
-//! index from the memo kept beside those tables ([`RkMemo`]) instead of
+//! index from the memo kept beside those tables (`RkMemo`) instead of
 //! building one per query.
 
 use crate::cache::RkMemo;
 use crate::hash::{FxHashMap, InlineKey, INLINE_KEY_COLUMNS};
 use crate::metrics::JoinCounters;
-use crate::pipeline::RoundSink;
 use crate::query::QVid;
-use crate::stream::QueryControl;
+use crate::stream::{QueryControl, ResultSink};
 use crate::table::ResultTable;
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
@@ -279,7 +278,7 @@ pub(crate) struct ProbeChain<'a, S: ?Sized> {
     pub(crate) interrupted: bool,
 }
 
-impl<'a, S: RoundSink + ?Sized> ProbeChain<'a, S> {
+impl<'a, S: ResultSink + ?Sized> ProbeChain<'a, S> {
     /// A chain over `levels` (at least one) emitting rows of `width` values
     /// — the driver's columns plus every level's extras — to `sink`, at most
     /// `limit` of them.
@@ -368,7 +367,7 @@ impl<'a, S: RoundSink + ?Sized> ProbeChain<'a, S> {
         if depth + 1 < self.levels.len() {
             return self.probe(depth + 1, end);
         }
-        self.sink.on_row(&self.row);
+        self.sink.row(&self.row);
         self.budget -= 1;
         self.budget > 0
     }
@@ -541,7 +540,7 @@ where
 /// estimated against the *joined-columns set*: the per-key fanout is measured
 /// from the already-ordered table sharing the most columns with the
 /// candidate, then scaled to the current intermediate-size estimate (see
-/// [`estimate_step`]).
+/// `estimate_step`).
 ///
 /// Returns a permutation of `0..tables.len()`.
 pub fn select_join_order(tables: &[ResultTable], sample_size: usize) -> Vec<usize> {

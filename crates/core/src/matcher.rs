@@ -2,9 +2,9 @@
 //! graph exploration, its roots pruned on their neighborhood signatures and,
 //! optionally, by binding information from previously-processed STwigs.
 //!
-//! One core ([`explore`]) serves both transport modes in three steps:
-//! [`Frontier::collect`] decodes every live root's adjacency into one flat
-//! arena, one resolution labels it, and the emission core ([`explore_roots`])
+//! One core (`explore`) serves both transport modes in three steps:
+//! `Frontier::collect` decodes every live root's adjacency into one flat
+//! arena, one resolution labels it, and the emission core (`explore_roots`)
 //! replays it, so the modes' tables are bit-identical row for row. They
 //! differ only in loading — [`match_stwig`] (`DirectRead`) reads any root in
 //! place, [`match_stwig_batched`] (`Messages`) only its own — in resolution,
@@ -40,7 +40,7 @@ use trinity_sim::MemoryCloud;
 ///
 /// 1. `Cloud.Load(n)` fetches the cell (label + neighbors), and a root whose
 ///    degree or neighborhood signature rules the children out is dropped
-///    ([`RootFilter::admit`]);
+///    (`RootFilter::admit`);
 /// 2. for each child query vertex, candidate children are the neighbors of
 ///    `n` that carry the child's label (`Index.hasLabel`, a possibly-remote
 ///    probe) and are admitted by the child's binding set;

@@ -13,43 +13,8 @@ use crate::config::MatchConfig;
 use crate::join::{select_join_order, PreparedJoin, ProbeChain};
 use crate::metrics::JoinCounters;
 use crate::query::QVid;
-use crate::stream::QueryControl;
+use crate::stream::{CollectSink, QueryControl, ResultSink};
 use crate::table::ResultTable;
-use trinity_sim::ids::VertexId;
-
-/// Receives the pipeline's output incrementally: the schema once, then each
-/// surviving row the moment the probe chain finishes it, and a mark at every
-/// round boundary. This is what lets the streaming executor deliver the
-/// first row while the rest of its driver block — let alone later rounds or
-/// later machines — is still pending.
-pub(crate) trait RoundSink {
-    /// The column order of every `on_row` row.
-    fn on_schema(&mut self, columns: &[QVid]);
-    /// One finished row (the limit is already applied).
-    fn on_row(&mut self, row: &[VertexId]);
-    /// A round has ended: the moment to hand over anything buffered.
-    fn end_round(&mut self) {}
-}
-
-/// A table collects the rows it is handed; its columns are the schema.
-impl RoundSink for ResultTable {
-    fn on_schema(&mut self, columns: &[QVid]) {
-        debug_assert_eq!(self.columns(), columns);
-    }
-    fn on_row(&mut self, row: &[VertexId]) {
-        self.push_row(row);
-    }
-}
-
-/// The collecting sink: the output table, once the schema is known.
-impl RoundSink for Option<ResultTable> {
-    fn on_schema(&mut self, columns: &[QVid]) {
-        *self = Some(ResultTable::new(columns.to_vec()));
-    }
-    fn on_row(&mut self, row: &[VertexId]) {
-        self.as_mut().expect("schema precedes rows").push_row(row);
-    }
-}
 
 /// Report of one (possibly streamed) pipelined join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +49,7 @@ pub fn pipelined_join(
     order: &[usize],
     counters: &mut JoinCounters,
 ) -> ResultTable {
-    let mut output = None;
+    let mut output = CollectSink::new();
     pipelined_join_streaming(
         tables,
         &[],
@@ -95,7 +60,7 @@ pub fn pipelined_join(
         counters,
         &mut output,
     );
-    output.expect("join always announces a schema")
+    output.into_table().expect("join always announces a schema")
 }
 
 /// Rows sampled from each table to estimate a join's size.
@@ -118,7 +83,7 @@ pub(crate) fn join_order(tables: &[ResultTable]) -> Vec<usize> {
 /// `tables[i]` was concatenated from: a rest table that has one is not
 /// indexed again ([`PreparedJoin::with_memo`]).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn pipelined_join_streaming<S: RoundSink + ?Sized>(
+pub(crate) fn pipelined_join_streaming<S: ResultSink + ?Sized>(
     tables: &[ResultTable],
     memos: &[Option<RkMemo<'_>>],
     config: &MatchConfig,
@@ -133,11 +98,11 @@ pub(crate) fn pipelined_join_streaming<S: RoundSink + ?Sized>(
 
     if let [table] = tables {
         // Single-table fast path: hand over at most `limit` rows.
-        sink.on_schema(table.columns());
+        sink.begin(table.columns());
         counters.pipeline_rounds += 1;
         let take = limit.map_or(table.num_rows(), |l| l.min(table.num_rows()));
-        table.rows().take(take).for_each(|row| sink.on_row(row));
-        sink.end_round();
+        table.rows().take(take).for_each(|row| sink.row(row));
+        sink.flush();
         return JoinRun {
             exhausted: take == table.num_rows(),
             interrupted: false,
@@ -157,7 +122,7 @@ pub(crate) fn pipelined_join_streaming<S: RoundSink + ?Sized>(
         schema = join.output_columns(&schema);
         prepared.push(join);
     }
-    sink.on_schema(&schema);
+    sink.begin(&schema);
 
     let block_rows = config.block_rows.max(1);
     let mut chain = ProbeChain::new(&prepared, schema.len(), limit, control, counters, sink);
@@ -176,7 +141,7 @@ pub(crate) fn pipelined_join_streaming<S: RoundSink + ?Sized>(
         start = end;
         // `joins_performed` counts the levels each round reached.
         chain.counters.joins_performed += std::mem::take(&mut chain.deepest);
-        chain.sink.end_round();
+        chain.sink.flush();
     }
     JoinRun {
         exhausted: start >= driver.num_rows() && !chain.interrupted && chain.budget > 0,
@@ -299,14 +264,14 @@ mod tests {
     #[test]
     fn collecting_sinks_take_rows_one_at_a_time() {
         let round = table(&[0, 1], &[&[1, 2], &[3, 4]]);
-        let mut sink: Option<ResultTable> = None;
-        sink.on_schema(round.columns());
-        round.rows().for_each(|row| sink.on_row(row));
-        sink.end_round();
-        assert_eq!(sink.as_ref(), Some(&round));
-        let mut out = sink.expect("schema announced");
-        out.on_schema(round.columns());
-        out.on_row(round.row(0));
+        let mut sink = CollectSink::new();
+        sink.begin(round.columns());
+        round.rows().for_each(|row| sink.row(row));
+        sink.flush();
+        let mut out = sink.into_table().expect("schema announced");
+        assert_eq!(out, round);
+        out.begin(round.columns());
+        ResultSink::row(&mut out, round.row(0));
         assert!(out.rows().eq(round.rows().chain([round.row(0)])));
     }
 
@@ -353,12 +318,11 @@ mod tests {
             rows: usize,
             rounds_seen: usize,
         }
-        impl RoundSink for Count {
-            fn on_schema(&mut self, _columns: &[QVid]) {}
-            fn on_row(&mut self, _row: &[VertexId]) {
+        impl ResultSink for Count {
+            fn row(&mut self, _row: &[VertexId]) {
                 self.rows += 1;
             }
-            fn end_round(&mut self) {
+            fn flush(&mut self) {
                 self.rounds_seen += 1;
             }
         }
@@ -419,9 +383,8 @@ mod tests {
             rows: u64,
             token: CancelToken,
         }
-        impl RoundSink for CancelAtFirstRow {
-            fn on_schema(&mut self, _c: &[QVid]) {}
-            fn on_row(&mut self, _row: &[VertexId]) {
+        impl ResultSink for CancelAtFirstRow {
+            fn row(&mut self, _row: &[VertexId]) {
                 self.rows += 1;
                 // The chain must observe this at its next check, not at
                 // the round boundary.

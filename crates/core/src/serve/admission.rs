@@ -137,7 +137,7 @@ impl CostEstimator {
     }
 
     /// Predicted service time for `units` of work, in µs. `None` until the
-    /// estimator has observed [`CALIBRATION_SAMPLES`] completions — an
+    /// estimator has observed `CALIBRATION_SAMPLES` completions — an
     /// uncalibrated estimator must not reject anything.
     pub fn estimate_us(&self, units: f64) -> Option<f64> {
         let state = self.state.lock().expect("estimator lock");

@@ -272,6 +272,18 @@ impl ResultSink for CollectSink {
     }
 }
 
+/// A table takes the rows it is handed; the columns announced must be its
+/// own.
+impl ResultSink for ResultTable {
+    fn begin(&mut self, columns: &[QVid]) {
+        debug_assert_eq!(self.columns(), columns);
+    }
+
+    fn row(&mut self, row: &[VertexId]) {
+        self.push_row(row);
+    }
+}
+
 /// Rows a [`ChannelSink`] collects before it sends a [`RowBatch`] without
 /// being asked: large enough that the per-batch allocation, channel send and
 /// consumer wake-up vanish next to the rows themselves, small enough (a few

@@ -27,7 +27,7 @@ const SET_BYTES_PER_PAIR: usize = 16;
 /// [`crate::compact::IdIndex`]; there is no option. Pairs start in one
 /// hashed set keyed by cell. As soon as one `L × L`-bit bitmap per ordered
 /// machine pair (`L` = labels interned when the catalog is built) is no
-/// larger than that set at [`SET_BYTES_PER_PAIR`], every cell becomes its
+/// larger than that set at `SET_BYTES_PER_PAIR`, every cell becomes its
 /// bitmap, and recording or testing a pair is one bit. The cells switch
 /// together, so no per-cell directory costs heap; with hash partitioning
 /// every cell sees the same label mix. Sparse pairs over a large alphabet

@@ -652,7 +652,7 @@ impl ExactSizeIterator for NeighborIter<'_> {}
 ///
 /// Layout: one byte buffer holding, per local vertex, `varint(degree)`
 /// followed by the encoded run (`varint(first id)`, then the gaps in
-/// blocks of [`BLOCK`], see the module doc), plus an [`OffsetArray`] of
+/// blocks of [`BLOCK`], see the module doc), plus an `OffsetArray` of
 /// per-vertex byte offsets whose width (`u32` vs `u64`) is chosen once at
 /// build time.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]

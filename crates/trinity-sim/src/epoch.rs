@@ -10,7 +10,7 @@
 //!   never touch published ones, so a query admitted at epoch N sees exactly
 //!   epoch N even while N+1 is being built or sealed.
 //! * **Writers overlay, then seal.** [`GraphEpochs::apply`] folds a batch
-//!   into per-partition [`crate::partition::PartitionOverlay`]s — fully
+//!   into per-partition `PartitionOverlay`s — fully
 //!   merged views of every touched vertex and label laid over the `Arc`-
 //!   shared immutable base — and publishes a new cloud at epoch N+1.
 //!   [`GraphEpochs::seal_epoch`] re-encodes each overlaid partition's
@@ -168,7 +168,7 @@ const LOG_TRIPLE_CAP: usize = 1 << 16;
 /// changed, shared by every snapshot of a lineage. This is what lets a cache
 /// prove a stale entry still exact, or name the roots whose rows moved: an
 /// STwig table for shape `(r; c1..ck)` reads nothing but entries keyed
-/// `(r, ci)`. A ring of consecutive epochs capped at [`LOG_TRIPLE_CAP`]
+/// `(r, ci)`. A ring of consecutive epochs capped at `LOG_TRIPLE_CAP`
 /// triples; ranges reaching behind the ring are reported uncovered.
 #[derive(Debug)]
 pub struct EpochTouchLog {

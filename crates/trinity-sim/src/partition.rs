@@ -2,9 +2,9 @@
 //! their labels, their adjacency, and the local label index, stored in the
 //! [`crate::compact`] representation.
 //!
-//! A partition is an immutable base ([`PartitionBase`], behind an `Arc` so
+//! A partition is an immutable base (`PartitionBase`, behind an `Arc` so
 //! epoch snapshots share untouched machines) plus an optional
-//! [`PartitionOverlay`]: a materialized delta the epoch manager lays over the
+//! `PartitionOverlay`: a materialized delta the epoch manager lays over the
 //! base when the graph mutates. Every read method dispatches overlay-first,
 //! so static partitions (no overlay) read the base alone.
 
