@@ -34,15 +34,15 @@
 //! a machine may dereference remote partitions in place (the legacy
 //! simulation shortcut; traffic is a per-access estimate). Under `Messages`
 //! every machine is strictly partition-local: exploration runs
-//! frontier/superstep style over a [`trinity_sim::transport::Transport`] (per owner either the
-//! child labels' postings or batched projected `Load` requests → owned
-//! label replies, whichever side is smaller), binding synchronization posts
-//! `BindingDelta` messages, the join phase ships load-set tables as
-//! `JoinRows` messages, and single-vertex queries gather postings with
-//! `GetIds` exchanges. Result tables and `matches_found` are bit-identical
-//! across modes (swept by `tests/parallel_equality.rs` and the VF2
-//! differential); only the traffic differs — the envelopes actually sent —
-//! and `Messages` performs **zero** direct cross-partition reads.
+//! frontier/superstep style over a [`trinity_sim::transport::Transport`]
+//! (per owner either the child labels' postings or batched projected `Load`
+//! requests → owned label replies, whichever side is smaller), binding
+//! synchronization posts `BindingDelta` messages, the join phase ships
+//! load-set tables as `JoinRows` messages, and single-vertex queries gather
+//! postings with `GetIds` exchanges. Result tables and `matches_found` are
+//! bit-identical across modes (swept by `tests/parallel_equality.rs` and the
+//! VF2 differential); only the traffic differs — the envelopes actually
+//! sent — and `Messages` performs **zero** direct cross-partition reads.
 //!
 //! **Threading model.** Logical machines explore in parallel: each
 //! machine's exploration step (per STwig) is a work item fanned out over
