@@ -87,7 +87,7 @@ for workload in $workloads; do
     out="$(benchmark/run.sh --workload "$workload" --seed 1 --seconds "$seconds" --trace 0)"
     field() { printf '%s\n' "$out" | awk -v name="$1" '$1 == name { print $2 }'; }
     result="$(printf '%s\n' "$out" | tail -n 1)"
-    exact="$(exact_lines "$workload" | awk '{ printf "%s\"%s\": %s", NR > 1 ? ", " : "", $1, $2 }')"
+    exact="$(exact_lines "$workload" | awk '{ printf "%s\"%s\": %s", (NR > 1 ? ", " : ""), $1, $2 }')"
     rows+=("{\"pr\": \"$pr\", \"rev\": \"$rev\", \"workload\": \"$workload\", \"nproc\": $cpus, \"host_noise_frac\": $(field host_noise_frac), \"sequence_hash\": \"$(field sequence_hash)\", \"exact\": {$exact}, \"result\": $result}")
     echo "recorded $workload" >&2
 done
