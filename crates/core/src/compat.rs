@@ -6,7 +6,7 @@
 use crate::cache::StwigCache;
 use crate::config::MatchConfig;
 use crate::distributed::{
-    check_cache, check_faults, join_pass, match_query, plan_query, produce_tables, retire,
+    check_cache, check_faults, join_pass, match_query, plan_query, produce_tables, retire, Link,
     MatchOutput, QueryPlan, Run, StreamState, StwigTableSet,
 };
 use crate::error::StwigError;
@@ -68,6 +68,7 @@ pub fn produce_stwig_tables(
     check_cache(cloud, cache)?;
     check_faults(config, control)?;
     let ledger = Network::new(cloud.num_machines());
+    let link = Link::new(cloud, &ledger, config, control.and_then(QueryControl::faults));
     // No slab: the config's own row cap bounds exploration.
     let cap = config.max_stwig_rows;
     let (tables, answerable) = produce_tables(
@@ -78,10 +79,11 @@ pub fn produce_stwig_tables(
         cap,
         cache,
         control,
-        &ledger,
+        &link,
         metrics,
         machine_metrics,
     )?;
+    metrics.fault.duplicates_suppressed += link.duplicates_suppressed();
     retire(cloud, &ledger, metrics);
     Ok(answerable.then_some(tables))
 }
@@ -103,6 +105,7 @@ pub fn join_stwig_tables(
     let limit = config.result_limit();
     let mut state = StreamState::begin(None, &canonical, started);
     let ledger = Network::new(cloud.num_machines());
+    let link = Link::new(cloud, &ledger, config, control.faults());
     let pass = join_pass(
         cloud,
         plan,
@@ -112,11 +115,12 @@ pub fn join_stwig_tables(
         limit,
         &control,
         &canonical,
-        &ledger,
+        &link,
         metrics,
         machine_metrics,
         &mut state,
     )?;
+    metrics.fault.duplicates_suppressed += link.duplicates_suppressed();
     retire(cloud, &ledger, metrics);
     metrics.truncated = limit.is_some() && !pass.exhausted;
     Ok(state

@@ -24,7 +24,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use trinity_sim::ids::{MachineId, VertexId};
-use trinity_sim::network::Network;
 use trinity_sim::MemoryCloud;
 
 /// Runs `work` once per index in `0..num_items`, fanning the items out over
@@ -191,8 +190,8 @@ fn vertex_mask(stwig: &STwig) -> u64 {
 /// user's cap); `config`'s `max_stwig_rows` stays the user's — the bound on
 /// what the cache may serve. Returns the tables of the STwigs it completed
 /// and whether the query can still have an answer (`false`: the last of
-/// them matched nowhere). Every charge goes to `ledger`. The caller has
-/// passed `cache` through `check_cache`.
+/// them matched nowhere). Every exchange goes over `link`, the query's one
+/// link. The caller has passed `cache` through `check_cache`.
 ///
 /// `control` is checked at every superstep flush inside exploration and at
 /// every STwig barrier; a pending interrupt ends the phase early with the
@@ -206,20 +205,14 @@ pub(crate) fn produce_tables(
     explore_cap: Option<usize>,
     cache: Option<&StwigCache>,
     control: Option<&QueryControl>,
-    ledger: &Network,
+    link: &Link<'_>,
     metrics: &mut QueryMetrics,
     machine_metrics: &mut [MachineMetrics],
 ) -> Result<(StwigTableSet, bool), StwigError> {
     let threads = config.resolved_num_threads();
     // In `Messages` mode all exploration-phase communication — batched cell
-    // loads and binding deltas — travels over this link's transport;
+    // loads and binding deltas — travels over the link's transport;
     // machines never dereference each other's partitions.
-    let link = &Link::new(
-        cloud,
-        ledger,
-        config,
-        control.and_then(QueryControl::faults),
-    );
     let mut set = StwigTableSet {
         stwigs: Vec::with_capacity(plan.stwigs.len()),
     };
@@ -357,7 +350,6 @@ pub(crate) fn produce_tables(
             break;
         }
     }
-    metrics.fault.duplicates_suppressed += link.duplicates_suppressed();
     Ok((set, answerable))
 }
 

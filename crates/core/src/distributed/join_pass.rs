@@ -15,7 +15,6 @@ use crate::query::QVid;
 use crate::stream::{QueryControl, ResultSink};
 use std::time::Instant;
 use trinity_sim::ids::VertexId;
-use trinity_sim::network::Network;
 use trinity_sim::MemoryCloud;
 
 /// The join's sink: re-projects each row of a machine's join output
@@ -89,7 +88,7 @@ pub(crate) fn join_pass(
     limit: Option<usize>,
     control: &QueryControl,
     canonical: &[QVid],
-    ledger: &Network,
+    link: &Link<'_>,
     metrics: &mut QueryMetrics,
     machine_metrics: &mut [MachineMetrics],
     state: &mut StreamState<'_>,
@@ -103,7 +102,6 @@ pub(crate) fn join_pass(
     );
     // A single table leaves nothing to select.
     let memo = memo.filter(|_| plan.stwigs.len() > 1);
-    let link = Link::new(cloud, ledger, config, control.faults());
     let mut pass = JoinPass {
         rows: 0,
         exhausted: true,
@@ -170,6 +168,5 @@ pub(crate) fn join_pass(
             break;
         }
     }
-    metrics.fault.duplicates_suppressed += link.duplicates_suppressed();
     Ok(pass)
 }

@@ -1,4 +1,4 @@
-//! How one phase of a query reaches the other machines. [`Link`] is the one
+//! How a query reaches the other machines. [`Link`] is the one
 //! place in the executor that knows the query's transport: each exchange of
 //! §4.3 is one of its methods, holding the `Messages` arm (envelopes over the
 //! query's mailboxes) beside the `DirectRead` arm (reads in place, charged
@@ -28,9 +28,11 @@ use trinity_sim::MemoryCloud;
 /// split into several envelopes. Moves message counts, never results.
 pub const LOAD_BATCH_IDS: usize = 4096;
 
-/// How one phase of a query reaches the other machines, charging the
-/// query's ledger: a transport stack under `Messages` (its envelopes charge
-/// themselves), the ledger alone under `DirectRead`.
+/// How a query reaches the other machines, charging its ledger: a transport
+/// stack under `Messages` (its envelopes charge themselves), the ledger
+/// alone under `DirectRead`. A query builds one and every phase and slab
+/// round uses it, so the fault state of its stack — the exchanges each
+/// machine has served, a crash — lasts the whole query.
 pub(crate) struct Link<'c> {
     ledger: &'c Network,
     stack: Option<Stack<'c>>,
@@ -105,8 +107,9 @@ impl<'c> Link<'c> {
     }
 
     /// Drain-side duplicate deliveries suppressed so far (exactly-once
-    /// accounting, harvested into `QueryMetrics::fault` per phase).
-    pub(super) fn duplicates_suppressed(&self) -> u64 {
+    /// accounting, harvested into `QueryMetrics::fault` once, by whoever
+    /// built the link, after its last phase).
+    pub(crate) fn duplicates_suppressed(&self) -> u64 {
         match &self.stack {
             Some(Stack::Plain(tp)) => tp.duplicates_suppressed(),
             Some(Stack::Faulty(tp)) => tp.inner().duplicates_suppressed(),

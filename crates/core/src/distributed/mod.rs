@@ -88,7 +88,8 @@
 //! (exploration and binding synchronization into a [`StwigTableSet`]),
 //! `join_pass` step 3, and this file runs them: `execute_query` and its slab
 //! rounds. Every exchange between machines is a method of `link::Link`, the
-//! one place that knows the query's transport. The repo benchmark times
+//! one place that knows the query's transport; `execute_query` builds one a
+//! query and lends it to every phase and round. The repo benchmark times
 //! exploration and the join separately through the hidden `compat` module,
 //! whose wrappers run `explore` and `join_pass` on their own.
 
@@ -366,8 +367,12 @@ pub(crate) fn execute_query(
         None => Cow::Borrowed(config),
     };
     let config = config.as_ref();
-    // The query's one ledger: every charge it makes, and nothing else.
+    // The query's one ledger: every charge it makes, and nothing else; and
+    // its one link, over which every phase and slab round reaches the other
+    // machines, so a fault's state (a crashed machine) outlasts the phase
+    // it fired in.
     let ledger = Network::new(cloud.num_machines());
+    let link = Link::new(cloud, &ledger, config, control.faults());
     let mut metrics = QueryMetrics {
         storage: Some(cloud.storage_bytes()),
         ..QueryMetrics::default()
@@ -388,7 +393,7 @@ pub(crate) fn execute_query(
             label,
             config,
             &control,
-            &ledger,
+            &link,
             &mut metrics,
             &mut state,
         )?
@@ -400,12 +405,13 @@ pub(crate) fn execute_query(
             cache,
             &control,
             &canonical,
-            &ledger,
+            &link,
             &mut metrics,
             &mut machine_metrics,
             &mut state,
         )?
     };
+    metrics.fault.duplicates_suppressed += link.duplicates_suppressed();
     // Interrupts latch, so this check also reports one an inner layer
     // already acted on.
     metrics.outcome = match control.check() {
@@ -430,12 +436,11 @@ fn scan_single_vertex(
     label: LabelId,
     config: &MatchConfig,
     control: &QueryControl,
-    ledger: &Network,
+    link: &Link<'_>,
     metrics: &mut QueryMetrics,
     state: &mut StreamState<'_>,
 ) -> Result<bool, StwigError> {
     let limit = config.result_limit();
-    let link = Link::new(cloud, ledger, config, control.faults());
     let proxy = MachineId(0);
     let mut limit_hit = false;
     'scan: for k in cloud.machines() {
@@ -451,7 +456,6 @@ fn scan_single_vertex(
             state.deliver(&[id]);
         }
     }
-    metrics.fault.duplicates_suppressed += link.duplicates_suppressed();
     metrics.explore_rounds = 1;
     Ok(limit_hit)
 }
@@ -468,7 +472,7 @@ fn explore_and_join(
     cache: Option<&StwigCache>,
     control: &QueryControl,
     canonical: &[QVid],
-    ledger: &Network,
+    link: &Link<'_>,
     metrics: &mut QueryMetrics,
     machine_metrics: &mut [MachineMetrics],
     state: &mut StreamState<'_>,
@@ -516,7 +520,7 @@ fn explore_and_join(
             effective_cap,
             cache,
             Some(control),
-            ledger,
+            link,
             metrics,
             machine_metrics,
         )?;
@@ -560,7 +564,7 @@ fn explore_and_join(
                 remaining,
                 control,
                 canonical,
-                ledger,
+                link,
                 metrics,
                 machine_metrics,
                 state,
@@ -583,7 +587,7 @@ fn explore_and_join(
             limit,
             control,
             canonical,
-            ledger,
+            link,
             metrics,
             machine_metrics,
             &mut staging,

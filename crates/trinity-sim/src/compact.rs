@@ -8,16 +8,25 @@
 //! adjacency structure compresses to a few bits per edge without giving up
 //! sequential access. This module applies both ideas to the partition store:
 //!
-//! * [`CompactCsr`] — a neighbor run is stored as `varint(degree)`,
-//!   `varint(first id)`, then its gaps in blocks of [`BLOCK`]. Runs are
-//!   sorted and deduplicated, so every gap is ≥ 1; a block stores one width
-//!   byte `w` (0–64) and its gaps minus one packed LSB-first at `w` bits
-//!   each, in `⌈n·w/8⌉` bytes. A block of consecutive ids is its width
-//!   byte alone. Each gap of a block is one unaligned word read, a shift
-//!   and a mask, independent of the others, so decoding has no byte-serial
-//!   chain the way LEB128 does (each varint's length gates the next).
-//!   Per-vertex byte offsets live in a `u32` or `u64` array, the width
-//!   chosen once at build time.
+//! * [`CompactCsr`] — a vertex's record is `varint(degree)`, then, when the
+//!   degree is at least 1, its 8-byte neighborhood signature
+//!   ([`crate::neighbor_index`]) and the run: `varint(first id)`, then its
+//!   gaps in blocks of [`BLOCK`]. A vertex of degree 0 costs the one byte
+//!   `varint(0)`. Runs are sorted and deduplicated, so every gap is ≥ 1; a
+//!   gap block stores one width byte `w` (0–64) and its gaps minus one
+//!   packed LSB-first at `w` bits each, in `⌈n·w/8⌉` bytes. A block of
+//!   consecutive ids is its width byte alone. Each gap of a block is one
+//!   unaligned word read, a shift and a mask, independent of the others, so
+//!   decoding has no byte-serial chain the way LEB128 does (each varint's
+//!   length gates the next).
+//!   Records are found through two-level offsets: the vertices go in blocks
+//!   of [`OFFSET_BLOCK`], and each block keeps one base (`u32`, or `u64`
+//!   once the buffer passes 4 GiB) pointing at a header in the record
+//!   buffer: one width byte, then the offsets of the block's records 2..32
+//!   from the end of the header at 1, 2 or 4 B, the narrowest that the
+//!   block's span fits. The first record starts right after the header.
+//!   Finding a record is one read of the small base array and one of the
+//!   header, next to the record itself.
 //! * [`Neighbors`] — a zero-copy view over either an encoded run or a
 //!   sorted `&[VertexId]` slice (an overlay's merged list). Exploration
 //!   decodes it without allocating: one block at a time through
@@ -45,6 +54,7 @@
 //!   [`IdIndex`].
 
 use crate::ids::{LabelId, VertexId};
+use crate::neighbor_index::SIGNATURE_BYTES;
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
@@ -94,12 +104,18 @@ pub fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Offset array with build-time width selection
+// Two-level record offsets
 // ---------------------------------------------------------------------------
 
-/// Per-vertex byte offsets into an encoded data buffer, stored 4 bytes per
-/// vertex when the buffer fits in `u32` (it essentially always does: 4 GiB
-/// of encoded adjacency per partition) and 8 bytes otherwise.
+/// Vertices one offset block covers. A block pays a base and a width byte,
+/// and each of its records but the first one offset at the width its span
+/// needs: a wider block pays its base less often, and a narrower one keeps
+/// more spans under 256 B (DESIGN.md, "Compact storage").
+pub const OFFSET_BLOCK: usize = 32;
+
+/// One base per offset block: where the block's header sits in the record
+/// buffer. Stored 4 bytes a block while every base fits in `u32` (4 GiB of
+/// encoded adjacency per partition) and 8 bytes otherwise.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum OffsetArray {
     U32(Vec<u32>),
@@ -107,11 +123,11 @@ enum OffsetArray {
 }
 
 impl OffsetArray {
-    /// Narrows `offsets` to `u32` when every value fits.
-    fn from_u64s(offsets: Vec<u64>) -> Self {
-        match offsets.last() {
-            Some(&last) if last > u64::from(u32::MAX) => OffsetArray::U64(offsets),
-            _ => OffsetArray::U32(offsets.into_iter().map(|o| o as u32).collect()),
+    /// Narrows `bases`, which ascend, to `u32` when the last one fits.
+    fn from_u64s(bases: Vec<u64>) -> Self {
+        match bases.last() {
+            Some(&last) if last > u64::from(u32::MAX) => OffsetArray::U64(bases),
+            _ => OffsetArray::U32(bases.into_iter().map(|o| o as u32).collect()),
         }
     }
 
@@ -120,13 +136,6 @@ impl OffsetArray {
         match self {
             OffsetArray::U32(v) => v[i] as usize,
             OffsetArray::U64(v) => v[i] as usize,
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            OffsetArray::U32(v) => v.len(),
-            OffsetArray::U64(v) => v.len(),
         }
     }
 
@@ -140,8 +149,49 @@ impl OffsetArray {
 
 impl Default for OffsetArray {
     fn default() -> Self {
-        OffsetArray::U32(vec![0])
+        OffsetArray::U32(Vec::new())
     }
+}
+
+/// Bytes an offset takes in a block whose last record starts `span` bytes
+/// after its first: 1, 2 or 4, or 8 for a block past 4 GiB.
+fn offset_width(span: u64) -> usize {
+    match span {
+        0..=0xff => 1,
+        0x100..=0xffff => 2,
+        0x1_0000..=0xffff_ffff => 4,
+        _ => 8,
+    }
+}
+
+/// Appends the header of an offset block whose records start at `starts`,
+/// counted from the first (so `starts[0]` is 0 and is not stored): the width
+/// byte, then `starts[1..]` little-endian at that width.
+fn push_header(buf: &mut Vec<u8>, starts: &[u64]) {
+    let w = offset_width(starts.last().copied().unwrap_or(0));
+    buf.push(w as u8);
+    for &start in &starts[1..] {
+        buf.extend_from_slice(&start.to_le_bytes()[..w]);
+    }
+}
+
+/// Where record `k` of an offset block starts: the block of `count` records
+/// whose header is at `data[base]`.
+#[inline]
+fn record_start(data: &[u8], base: usize, count: usize, k: usize) -> usize {
+    let w = usize::from(data[base]);
+    let first = base + 1 + (count - 1) * w;
+    if k == 0 {
+        return first;
+    }
+    let at = base + 1 + (k - 1) * w;
+    first
+        + match w {
+            1 => usize::from(data[at]),
+            2 => usize::from(u16::from_le_bytes([data[at], data[at + 1]])),
+            4 => u32::from_le_bytes(data[at..at + 4].try_into().expect("4 bytes")) as usize,
+            _ => u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes")) as usize,
+        }
 }
 
 // ---------------------------------------------------------------------------
@@ -395,7 +445,8 @@ fn run_len(data: &[u8], len: u32) -> usize {
 pub enum Neighbors<'a> {
     /// A sorted slice: an overlay's merged adjacency, or the empty run.
     Slice(&'a [VertexId]),
-    /// A block-packed run of `len` ids (degree varint stripped).
+    /// A block-packed run of `len` ids (its record's degree and signature
+    /// stripped).
     Compact {
         /// `varint(first)`, then `⌈(len − 1)/8⌉` gap blocks (a width byte
         /// `w`, then each gap minus one at `w` bits), then whatever follows
@@ -650,26 +701,31 @@ impl ExactSizeIterator for NeighborIter<'_> {}
 
 /// Block-packed CSR adjacency over one partition's local vertices.
 ///
-/// Layout: one byte buffer holding, per local vertex, `varint(degree)`
-/// followed by the encoded run (`varint(first id)`, then the gaps in
-/// blocks of [`BLOCK`], see the module doc), plus an `OffsetArray` of
-/// per-vertex byte offsets whose width (`u32` vs `u64`) is chosen once at
-/// build time.
+/// Layout: one byte buffer holding, per block of [`OFFSET_BLOCK`] local
+/// vertices, the block's offset header and then each vertex's record —
+/// `varint(degree)`, its signature when the degree is at least 1, and the
+/// encoded run (`varint(first id)`, then the gaps in blocks of [`BLOCK`];
+/// see the module doc) — plus one base a block, `u32` or `u64` as the
+/// buffer's size picks.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CompactCsr {
-    /// `offsets[i]..offsets[i+1]` is the byte range of vertex `i`'s record.
-    offsets: OffsetArray,
-    /// Concatenated per-vertex records.
+    /// Where each offset block's header starts in `data`.
+    bases: OffsetArray,
+    /// Each offset block's header, then its records.
     data: Vec<u8>,
+    /// Number of local vertices.
+    num_vertices: usize,
     /// Total neighbor entries across all runs.
     num_entries: u64,
+    /// Records of degree ≥ 1, each of which carries a signature.
+    num_signed: usize,
 }
 
 impl CompactCsr {
     /// Number of local vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+        self.num_vertices
     }
 
     /// Total number of stored neighbor entries.
@@ -678,22 +734,43 @@ impl CompactCsr {
         self.num_entries as usize
     }
 
+    /// Where local vertex `local`'s record starts in the buffer.
+    #[inline]
+    fn record(&self, local: usize) -> usize {
+        let (block, k) = (local / OFFSET_BLOCK, local % OFFSET_BLOCK);
+        let count = (self.num_vertices - block * OFFSET_BLOCK).min(OFFSET_BLOCK);
+        record_start(&self.data, self.bases.get(block), count, k)
+    }
+
+    /// The encoded neighbor run of local vertex `local` and its
+    /// neighborhood signature, read from the same record: the OR of the
+    /// neighbors' label bits, so 0 for a vertex without neighbors.
+    #[inline]
+    pub fn run(&self, local: usize) -> (Neighbors<'_>, u64) {
+        let mut pos = self.record(local);
+        let degree = read_varint(&self.data, &mut pos) as u32;
+        if degree == 0 {
+            return (Neighbors::empty(), 0);
+        }
+        let signature = &self.data[pos..pos + SIGNATURE_BYTES];
+        let signature = u64::from_le_bytes(signature.try_into().expect("8 bytes"));
+        let neighbors = Neighbors::Compact {
+            data: &self.data[pos + SIGNATURE_BYTES..],
+            len: degree,
+        };
+        (neighbors, signature)
+    }
+
     /// The encoded neighbor run of local vertex `local`.
     #[inline]
     pub fn neighbors(&self, local: usize) -> Neighbors<'_> {
-        let mut pos = self.offsets.get(local);
-        let degree = read_varint(&self.data, &mut pos) as u32;
-        Neighbors::Compact {
-            data: &self.data[pos..],
-            len: degree,
-        }
+        self.run(local).0
     }
 
     /// Degree of local vertex `local` (decodes one varint).
     #[inline]
     pub fn degree(&self, local: usize) -> usize {
-        let start = self.offsets.get(local);
-        let mut pos = start;
+        let mut pos = self.record(local);
         read_varint(&self.data, &mut pos) as usize
     }
 
@@ -703,9 +780,15 @@ impl CompactCsr {
         self.neighbors(local).contains(target)
     }
 
-    /// Resident bytes: offsets plus the encoded buffer.
+    /// Resident bytes: the bases plus the buffer, signatures included.
     pub fn memory_bytes(&self) -> usize {
-        self.offsets.memory_bytes() + self.data.len()
+        self.bases.memory_bytes() + self.data.len()
+    }
+
+    /// Bytes of [`CompactCsr::memory_bytes`] that are signatures: 8 for each
+    /// vertex of degree ≥ 1.
+    pub fn signature_bytes(&self) -> usize {
+        self.num_signed * SIGNATURE_BYTES
     }
 
     /// Iterates `(local_index, neighbors)` pairs.
@@ -715,39 +798,47 @@ impl CompactCsr {
 }
 
 /// Incremental [`CompactCsr`] builder: push one sorted, deduplicated run per
-/// local vertex, then [`CompactCsrBuilder::finish`]. Used by the streaming
-/// bulk loader so no `Vec<Vec<VertexId>>` staging ever exists.
+/// local vertex, with its signature, then [`CompactCsrBuilder::finish`].
+/// Used by the streaming bulk loader so no `Vec<Vec<VertexId>>` staging ever
+/// exists. The records of the offset block being filled wait in a buffer of
+/// their own until the block's header, which their sizes pick, is written.
 #[derive(Debug, Default)]
 pub struct CompactCsrBuilder {
-    offsets: Vec<u64>,
+    bases: Vec<u64>,
     data: Vec<u8>,
+    /// Records of the offset block being filled.
+    block: Vec<u8>,
+    /// Where each of them starts in `block`.
+    starts: Vec<u64>,
+    num_vertices: usize,
     num_entries: u64,
+    num_signed: usize,
 }
 
 impl CompactCsrBuilder {
     /// A builder expecting about `num_vertices` runs.
     pub fn with_capacity(num_vertices: usize) -> Self {
-        let mut offsets = Vec::with_capacity(num_vertices + 1);
-        offsets.push(0);
         CompactCsrBuilder {
-            offsets,
-            data: Vec::new(),
-            num_entries: 0,
+            bases: Vec::with_capacity(num_vertices.div_ceil(OFFSET_BLOCK)),
+            starts: Vec::with_capacity(OFFSET_BLOCK),
+            ..CompactCsrBuilder::default()
         }
     }
 
-    /// Appends the next local vertex's neighbor run, which must be sorted
-    /// ascending and free of duplicates. Its ids are [`VertexId`]s or a
-    /// narrower form of them, as the loader stages ids below 2^32.
-    pub fn push_run<T: Copy + Ord + Into<u64>>(&mut self, run: &[T]) {
+    /// Appends the next local vertex's neighbor run and its `signature`
+    /// (which must be 0 for an empty run, whose record stores none). The run
+    /// must be sorted ascending and free of duplicates. Its ids are
+    /// [`VertexId`]s or a narrower form of them, as the loader stages ids
+    /// below 2^32.
+    pub fn push_run<T: Copy + Ord + Into<u64>>(&mut self, signature: u64, run: &[T]) {
         debug_assert!(
             run.windows(2).all(|w| w[0] < w[1]),
             "compact CSR runs must be strictly ascending"
         );
-        push_varint(&mut self.data, run.len() as u64);
+        self.begin_record(signature, run.len() as u32);
         if let Some((&first, rest)) = run.split_first() {
             let mut prev: u64 = first.into();
-            push_varint(&mut self.data, prev);
+            push_varint(&mut self.block, prev);
             let mut gaps = [0u64; BLOCK];
             for chunk in rest.chunks(BLOCK) {
                 for (gap, &id) in gaps.iter_mut().zip(chunk) {
@@ -755,41 +846,72 @@ impl CompactCsrBuilder {
                     *gap = id - prev - 1;
                     prev = id;
                 }
-                push_block(&mut self.data, &gaps[..chunk.len()]);
+                push_block(&mut self.block, &gaps[..chunk.len()]);
             }
         }
-        self.num_entries += run.len() as u64;
-        self.offsets.push(self.data.len() as u64);
+        self.end_record();
     }
 
-    /// Appends the next local vertex's run from a [`Neighbors`] view. An
-    /// encoded run already is what [`CompactCsrBuilder::push_run`] would
-    /// write for it, so exactly its bytes are copied; a plain slice is
-    /// encoded.
-    pub fn push_neighbors(&mut self, run: Neighbors<'_>) {
+    /// Appends the next local vertex's run from a [`Neighbors`] view, with
+    /// its `signature`. An encoded run already is what
+    /// [`CompactCsrBuilder::push_run`] would write for it, so exactly its
+    /// bytes are copied after the signature; a plain slice is encoded.
+    pub fn push_neighbors(&mut self, signature: u64, run: Neighbors<'_>) {
         match run {
-            Neighbors::Slice(ids) => self.push_run(ids),
+            Neighbors::Slice(ids) => self.push_run(signature, ids),
             Neighbors::Compact { data, len } => {
-                push_varint(&mut self.data, u64::from(len));
-                self.data.extend_from_slice(&data[..run_len(data, len)]);
-                self.num_entries += u64::from(len);
-                self.offsets.push(self.data.len() as u64);
+                self.begin_record(signature, len);
+                self.block.extend_from_slice(&data[..run_len(data, len)]);
+                self.end_record();
             }
         }
     }
 
-    /// Finalizes the CSR, narrowing the offset width where possible.
-    pub fn finish(self) -> CompactCsr {
-        let CompactCsrBuilder {
-            offsets,
-            mut data,
-            num_entries,
-        } = self;
-        data.shrink_to_fit();
+    /// Starts a record of `degree` neighbors: the degree, then the
+    /// signature unless the degree is 0.
+    fn begin_record(&mut self, signature: u64, degree: u32) {
+        self.starts.push(self.block.len() as u64);
+        push_varint(&mut self.block, u64::from(degree));
+        if degree == 0 {
+            debug_assert_eq!(signature, 0, "a vertex without neighbors has no label bits");
+        } else {
+            self.block.extend_from_slice(&signature.to_le_bytes());
+            self.num_signed += 1;
+        }
+        self.num_entries += u64::from(degree);
+        self.num_vertices += 1;
+    }
+
+    /// Ends a record, and with the last record of an offset block, the
+    /// block.
+    fn end_record(&mut self) {
+        if self.starts.len() == OFFSET_BLOCK {
+            self.flush_block();
+        }
+    }
+
+    /// Writes the pending offset block: its base, its header, its records.
+    fn flush_block(&mut self) {
+        if self.starts.is_empty() {
+            return;
+        }
+        self.bases.push(self.data.len() as u64);
+        push_header(&mut self.data, &self.starts);
+        self.data.extend_from_slice(&self.block);
+        self.block.clear();
+        self.starts.clear();
+    }
+
+    /// Finalizes the CSR, narrowing the base width where possible.
+    pub fn finish(mut self) -> CompactCsr {
+        self.flush_block();
+        self.data.shrink_to_fit();
         CompactCsr {
-            offsets: OffsetArray::from_u64s(offsets),
-            data,
-            num_entries,
+            bases: OffsetArray::from_u64s(self.bases),
+            data: self.data,
+            num_vertices: self.num_vertices,
+            num_entries: self.num_entries,
+            num_signed: self.num_signed,
         }
     }
 }
@@ -1587,11 +1709,18 @@ mod tests {
         }
     }
 
-    /// Encodes sorted, deduplicated runs through the builder.
+    /// A stand-in signature for `run`: a bit per id, so 0 exactly when the
+    /// run is empty, as a real one is.
+    fn sig_of(run: &[VertexId]) -> u64 {
+        run.iter().fold(0, |sig, id| sig | 1 << (id.0 % 61))
+    }
+
+    /// Encodes sorted, deduplicated runs through the builder, each with
+    /// [`sig_of`] as its signature.
     fn csr_of(runs: &[Vec<VertexId>]) -> CompactCsr {
         let mut b = CompactCsrBuilder::with_capacity(runs.len());
         for run in runs {
-            b.push_run(run);
+            b.push_run(sig_of(run), run);
         }
         b.finish()
     }
@@ -1604,6 +1733,10 @@ mod tests {
         assert_eq!(c.neighbors(0), &[v(1), v(3), v(100)]);
         assert_eq!(c.neighbors(1), &[] as &[VertexId]);
         assert_eq!(c.neighbors(2), &[v(0)]);
+        assert_eq!(c.run(0).1, sig_of(&[v(1), v(3), v(100)]));
+        assert_eq!(c.run(1), (Neighbors::empty(), 0));
+        assert_eq!(c.run(3).1, 1 << 7);
+        assert_eq!(c.signature_bytes(), 3 * SIGNATURE_BYTES);
         assert_eq!(c.degree(0), 3);
         assert_eq!(c.degree(1), 0);
         assert!(c.has_neighbor(0, v(3)));
@@ -1954,15 +2087,171 @@ mod tests {
     }
 
     #[test]
-    fn offset_width_narrows_to_u32() {
+    fn bases_narrow_to_u32_until_one_passes_4_gib() {
         let c = csr_of(&[vec![v(1)], vec![v(2)]]);
-        assert!(matches!(c.offsets, OffsetArray::U32(_)));
-        assert_eq!(c.memory_bytes(), c.offsets.memory_bytes() + c.data.len());
+        assert!(matches!(c.bases, OffsetArray::U32(_)));
+        assert_eq!(c.memory_bytes(), c.bases.memory_bytes() + c.data.len());
+        // Synthetic bases, no buffer behind them: the last one decides.
+        let max32 = u64::from(u32::MAX);
+        for (bases, wide) in [
+            (vec![], false),
+            (vec![0, 1_000, max32], false),
+            (vec![0, max32 + 1], true),
+            (vec![0, max32 - 5, max32, 1 << 32, (1 << 40) + 17], true),
+        ] {
+            let array = OffsetArray::from_u64s(bases.clone());
+            assert_eq!(matches!(array, OffsetArray::U64(_)), wide, "{bases:?}");
+            assert_eq!(array.memory_bytes(), bases.len() * if wide { 8 } else { 4 });
+            for (i, &base) in bases.iter().enumerate() {
+                assert_eq!(array.get(i) as u64, base, "{bases:?} at {i}");
+            }
+        }
     }
 
-    /// Bytes the block format spells out for `run`: the degree's and the
-    /// first id's varints, then per block of up to eight gaps a width byte
-    /// and each gap minus one at the width of the block's widest.
+    /// Every width the header codec picks, on synthetic record starts
+    /// (no records behind them): a block whose last record starts `span`
+    /// bytes after its first, at each count of records, with the span
+    /// exactly at each width's edge and past 4 GiB.
+    #[test]
+    fn offset_headers_take_the_narrowest_width_the_span_fits() {
+        let edges = [
+            (0, 1),
+            (255, 1),
+            (256, 2),
+            (65_535, 2),
+            (65_536, 4),
+            (u64::from(u32::MAX), 4),
+            (1 << 32, 8),
+            ((1 << 45) + 3, 8),
+        ];
+        for (span, width) in edges {
+            assert_eq!(offset_width(span), width, "span {span}");
+            for count in 1..=OFFSET_BLOCK {
+                let span = if count == 1 { 0 } else { span };
+                // Starts ascend to `span`; the one before it sits a third in.
+                let starts: Vec<u64> = (0..count as u64)
+                    .map(|k| match k {
+                        0 => 0,
+                        k if k + 1 == count as u64 => span,
+                        k => span / 3 * k / count as u64,
+                    })
+                    .collect();
+                let mut buf = vec![0xEE; 3];
+                push_header(&mut buf, &starts);
+                let w = offset_width(span);
+                assert_eq!(buf[3] as usize, w);
+                let header = 1 + (count - 1) * w;
+                assert_eq!(buf.len(), 3 + header, "span {span}, {count} records");
+                buf.extend_from_slice(&[0xEE; 8]);
+                for (k, &start) in starts.iter().enumerate() {
+                    let got = record_start(&buf, 3, count, k) as u64;
+                    assert_eq!(got, 3 + header as u64 + start, "span {span}, record {k}");
+                }
+            }
+        }
+    }
+
+    /// Where each record of `records` (their byte lengths, in order) starts
+    /// in a buffer laid out block by block: a flat prefix sum over the
+    /// records with each block's header in front of its first.
+    fn flat_starts(records: &[usize]) -> (Vec<usize>, usize) {
+        let mut starts = Vec::with_capacity(records.len());
+        let mut pos = 0;
+        for block in records.chunks(OFFSET_BLOCK) {
+            let span: usize = block[..block.len() - 1].iter().sum();
+            pos += 1 + (block.len() - 1) * offset_width(span as u64);
+            for &len in block {
+                starts.push(pos);
+                pos += len;
+            }
+        }
+        (starts, pos)
+    }
+
+    /// Builds a CSR over `runs` and holds every record to the flat layout
+    /// and to its run: the start, the run, its degree and its signature.
+    fn check_offsets(runs: &[Vec<VertexId>]) -> CompactCsr {
+        let c = csr_of(runs);
+        let lens: Vec<usize> = runs
+            .iter()
+            .map(|r| spec_len(&r.iter().map(|x| x.0).collect::<Vec<_>>()))
+            .collect();
+        let (starts, total) = flat_starts(&lens);
+        assert_eq!(c.data.len(), total);
+        assert_eq!(c.num_vertices(), runs.len());
+        assert_eq!(
+            c.bases.memory_bytes(),
+            4 * runs.len().div_ceil(OFFSET_BLOCK)
+        );
+        for (local, run) in runs.iter().enumerate() {
+            assert_eq!(c.record(local), starts[local], "record {local}");
+            assert_eq!(c.run(local), (Neighbors::Slice(run), sig_of(run)));
+            assert_eq!(c.degree(local), run.len());
+        }
+        let signed = runs.iter().filter(|r| !r.is_empty()).count();
+        assert_eq!(c.signature_bytes(), SIGNATURE_BYTES * signed);
+        c
+    }
+
+    #[test]
+    fn offset_blocks_round_trip_at_every_count_and_width() {
+        let run = |len: u64, step: u64, from: u64| -> Vec<VertexId> {
+            (0..len).map(|i| v(from + i * step)).collect()
+        };
+        // Counts either side of each block boundary: n mod 32 ∈ {0, 1, 31},
+        // a single partial block, and a last block only partly full.
+        for n in [0, 1, 2, 31, 32, 33, 63, 64, 65, 95, 96, 97, 100] {
+            // No neighbors anywhere: one byte a record, 1-byte offsets.
+            check_offsets(&vec![vec![]; n]);
+            // Small runs: every block's span fits 1 or 2 bytes.
+            let small: Vec<Vec<VertexId>> = (0..n as u64).map(|i| run(i % 7, 3, i)).collect();
+            check_offsets(&small);
+            // A hub early in each block widens that block to 2 B (its run
+            // is ~1 KB) or 4 B (~100 KB); blocks without one stay narrow.
+            for hub_len in [300, 20_000] {
+                let runs: Vec<Vec<VertexId>> = (0..n as u64)
+                    .map(|i| match i % 64 {
+                        3 => run(hub_len, (1 << 30) + i, 17),
+                        _ => run(i % 3, 2, i),
+                    })
+                    .collect();
+                let c = check_offsets(&runs);
+                for (block, records) in runs.chunks(OFFSET_BLOCK).enumerate() {
+                    let w = usize::from(c.data[c.bases.get(block)]);
+                    let hub = records.len() > 4 && block % 2 == 0;
+                    let want = match (hub, hub_len) {
+                        (false, _) => 1,
+                        (true, 300) => 2,
+                        (true, _) => 4,
+                    };
+                    assert_eq!(w, want, "n {n}, block {block}, hub {hub_len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_vertex_without_neighbors_costs_one_byte() {
+        // One block: its width byte, then one offset byte a later record.
+        let empty = csr_of(&[vec![]]);
+        assert_eq!(empty.data, [1, 0]);
+        assert_eq!(empty.signature_bytes(), 0);
+        let three = csr_of(&[vec![], vec![], vec![]]);
+        assert_eq!(three.data, [1, 1, 2, 0, 0, 0]);
+        // A neighbor brings its record's signature: 8 B after the degree.
+        let one = csr_of(&[vec![v(5)], vec![]]);
+        let mut want = vec![1, 10, 1];
+        want.extend_from_slice(&(1u64 << 5).to_le_bytes());
+        want.extend_from_slice(&[5, 0]);
+        assert_eq!(one.data, want);
+        assert_eq!(one.run(0), (Neighbors::Slice(&[v(5)]), 1 << 5));
+        assert_eq!(one.signature_bytes(), 8);
+    }
+
+    /// Bytes the record format spells out for `run`: the degree's varint,
+    /// then, for a run of at least one id, the signature, the first id's
+    /// varint, and per block of up to eight gaps a width byte and each gap
+    /// minus one at the width of the block's widest.
     fn spec_len(run: &[u64]) -> usize {
         let Some((&first, _)) = run.split_first() else {
             return varint_len(0);
@@ -1975,7 +2264,7 @@ mod tests {
                 1 + (b.len() * w).div_ceil(8)
             })
             .sum();
-        varint_len(run.len() as u64) + varint_len(first) + blocks
+        varint_len(run.len() as u64) + SIGNATURE_BYTES + varint_len(first) + blocks
     }
 
     /// Encodes each run twice — once followed by a long run, so its block
@@ -1995,11 +2284,8 @@ mod tests {
                 filler.iter().copied().map(v).collect(),
                 ids.clone(),
             ]);
-            assert_eq!(
-                c.data.len(),
-                2 * spec_len(run) + spec_len(&filler),
-                "{run:?}"
-            );
+            let (_, total) = flat_starts(&[spec_len(run), spec_len(&filler), spec_len(run)]);
+            assert_eq!(c.data.len(), total, "{run:?}");
             for local in [0, 2] {
                 let nb = c.neighbors(local);
                 assert_eq!(nb.len(), run.len());
@@ -2037,10 +2323,12 @@ mod tests {
                     }
                 }
             }
-            // The seal copies an encoded run byte for byte.
+            // The seal copies an encoded run byte for byte, after the
+            // signature it carries.
             let mut sealed = CompactCsrBuilder::with_capacity(3);
             for local in 0..3 {
-                sealed.push_neighbors(c.neighbors(local));
+                let (neighbors, signature) = c.run(local);
+                sealed.push_neighbors(signature, neighbors);
             }
             let sealed = sealed.finish();
             assert_eq!(sealed.data, c.data, "{run:?}");
@@ -2095,9 +2383,14 @@ mod tests {
 
     #[test]
     fn consecutive_ids_cost_a_width_byte_a_block() {
-        let c = csr_of(&[(100..117).map(v).collect()]);
-        // Degree, first id, and two width-0 blocks of 8 gaps.
-        assert_eq!(c.data, [17, 100, 0, 0]);
+        let ids: Vec<VertexId> = (100..117).map(v).collect();
+        let c = csr_of(std::slice::from_ref(&ids));
+        // The offset header's width byte, the degree, the signature, the
+        // first id, and two width-0 blocks of 8 gaps.
+        let mut want = vec![1, 17];
+        want.extend_from_slice(&sig_of(&ids).to_le_bytes());
+        want.extend_from_slice(&[100, 0, 0]);
+        assert_eq!(c.data, want);
         assert_eq!(
             c.neighbors(0).to_vec(),
             (100..117).map(v).collect::<Vec<_>>()
@@ -2112,5 +2405,28 @@ mod tests {
         assert_eq!(c.degree(0), 10_000);
         assert!(c.has_neighbor(0, v(19_998)));
         assert!(!c.has_neighbor(0, v(19_999)));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 64, ..Default::default() })]
+
+        /// The two-level offsets find every record where a flat prefix sum
+        /// over the records puts it.
+        #[test]
+        fn two_level_offsets_equal_a_flat_prefix_sum(
+            gaps in proptest::collection::vec(
+                (proptest::collection::vec(1u64..1_000, 0..40), 0u32..40),
+                0..150,
+            )
+        ) {
+            let runs: Vec<Vec<VertexId>> = gaps
+                .iter()
+                .map(|(gaps, shift)| {
+                    let mut id = 0;
+                    gaps.iter().map(|g| { id += g << shift; v(id) }).collect()
+                })
+                .collect();
+            check_offsets(&runs);
+        }
     }
 }

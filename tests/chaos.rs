@@ -398,6 +398,91 @@ fn crashed_machine_degrades_to_valid_partial_results() {
     );
 }
 
+/// A crash is for good within the query that armed it: the exchanges a
+/// machine serves count across the query's phases and slab rounds, so a
+/// machine that dies in one round is still dead in the next.
+///
+/// One `a` hub on machine 0 fans out to 300 `b`s and 300 `c`s spread over
+/// four machines, and only the last `(b, c)` pair closes a triangle, so a
+/// first-1 triangle query (two STwigs) explores slab after slab before it
+/// finds it. `n` is read off the query's own runs: the exchanges machine 1
+/// serves in one whole exploration, the smallest crash point an `All` run
+/// (one exploration round) outlives. A capped round explores no more than
+/// the whole, so no single round reaches `n`; the rounds together do, and
+/// the crash fires inside the exploration of a later round. Under `Fail`
+/// the first-1 query then fails with `MachineUnavailable(1)`; under
+/// `Degrade` it loses machine 1 and returns a verified subset.
+#[test]
+fn a_crash_outlasts_the_round_it_fired_in() {
+    let mut gb = GraphBuilder::new_undirected();
+    gb.add_vertex(VertexId(0), "a");
+    for i in 0..300u64 {
+        gb.add_vertex(VertexId(100 + i), "b");
+        gb.add_vertex(VertexId(1000 + i), "c");
+        gb.add_edge(VertexId(0), VertexId(100 + i));
+        gb.add_edge(VertexId(0), VertexId(1000 + i));
+    }
+    gb.add_edge(VertexId(399), VertexId(1299));
+    let cloud = gb.build(4, CostModel::default());
+    let q = stwig::parse_pattern(&cloud, "(a:a)-(b:b), (b)-(c:c), (c)-(a)").unwrap();
+    let whole = MatchConfig::exhaustive()
+        .with_num_threads(Some(1))
+        .with_transport_mode(TransportMode::Messages);
+    let first = whole.clone().with_result_mode(ResultMode::FirstK(1));
+    let run = |config: &MatchConfig, after_ops: u64, on_loss| {
+        let options = QueryOptions::none().with_faults(Faults {
+            on_loss,
+            ..Faults::new(FaultPlan::default().with_crash(1, after_ops))
+        });
+        let run = stwig::Run {
+            options,
+            ..stwig::Run::default()
+        };
+        stwig::match_query(&cloud, &q, config, run)
+    };
+    let full = stwig::match_query(&cloud, &q, &first, stwig::Run::default()).unwrap();
+    assert_eq!(full.num_matches(), 1);
+    assert!(full.metrics.num_stwigs >= 2, "a multi-STwig query");
+    assert!(
+        full.metrics.explore_rounds >= 3,
+        "the first slabs must undershoot ({} rounds)",
+        full.metrics.explore_rounds
+    );
+    let once = stwig::match_query(&cloud, &q, &whole, stwig::Run::default()).unwrap();
+    assert_eq!((once.num_matches(), once.metrics.explore_rounds), (1, 1));
+
+    // The smallest crash point one whole exploration outlives.
+    let outlives = |n| run(&whole, n, FailurePolicy::Fail).is_ok();
+    assert!(!outlives(0), "machine 1 serves the exploration");
+    let (mut dies, mut lives) = (0u64, 1u64);
+    while !outlives(lives) {
+        (dies, lives) = (lives, lives * 2);
+    }
+    while lives - dies > 1 {
+        let mid = (dies + lives) / 2;
+        if outlives(mid) {
+            lives = mid;
+        } else {
+            dies = mid;
+        }
+    }
+    let n = lives;
+
+    match run(&first, n, FailurePolicy::Fail) {
+        Err(StwigError::MachineUnavailable { machine, .. }) => assert_eq!(machine, 1),
+        other => panic!("machine 1 crashed after {n} exchanges in an earlier round: {other:?}"),
+    }
+    let degraded = run(&first, n, FailurePolicy::Degrade).expect("Degrade does not fail");
+    assert_eq!(degraded.metrics.outcome, QueryOutcome::Partial);
+    assert_eq!(degraded.metrics.fault.machines_lost, [1]);
+    assert!(degraded.metrics.fault.coverage(cloud.num_machines()) < 1.0);
+    verify_all(&cloud, &q, &degraded.table).expect("every degraded row is an embedding");
+    let full_rows: HashSet<_> = canonical_rows(&q, &full.table).into_iter().collect();
+    for row in canonical_rows(&q, &degraded.table) {
+        assert!(full_rows.contains(&row), "a row the fault-free run lacks");
+    }
+}
+
 /// A crash armed on one request stays with that request: after several
 /// requests fail on a crashed machine, a fault-free request of the same
 /// query runs to completion and returns the fault-free answer, through
