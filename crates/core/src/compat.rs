@@ -68,7 +68,12 @@ pub fn produce_stwig_tables(
     check_cache(cloud, cache)?;
     check_faults(config, control)?;
     let ledger = Network::new(cloud.num_machines());
-    let link = Link::new(cloud, &ledger, config, control.and_then(QueryControl::faults));
+    let link = Link::new(
+        cloud,
+        &ledger,
+        config,
+        control.and_then(QueryControl::faults),
+    );
     // No slab: the config's own row cap bounds exploration.
     let cap = config.max_stwig_rows;
     let (tables, answerable) = produce_tables(

@@ -190,9 +190,12 @@ impl StreamLoader {
         // Assembly.
         // ------------------------------------------------------------------
         let mut partitions = Vec::with_capacity(m);
-        for ((ids, labels), adjacency) in id_indexes.into_iter().zip(machine_labels).zip(adjacencies)
+        for ((ids, labels), adjacency) in
+            id_indexes.into_iter().zip(machine_labels).zip(adjacencies)
         {
-            partitions.push(Partition::from_encoded_parts(ids, labels, adjacency, num_labels));
+            partitions.push(Partition::from_encoded_parts(
+                ids, labels, adjacency, num_labels,
+            ));
         }
         Ok(MemoryCloud::from_parts(
             partitions,

@@ -419,12 +419,7 @@ impl Partition {
             labels.push(cell.label);
             adjacency.push_neighbors(cell.signature, cell.neighbors);
         }
-        Partition::from_encoded_parts(
-            IdIndex::build(ids),
-            labels,
-            adjacency.finish(),
-            num_labels,
-        )
+        Partition::from_encoded_parts(IdIndex::build(ids), labels, adjacency.finish(), num_labels)
     }
 
     /// The overlay the next update batch builds on: a copy of this
@@ -710,7 +705,11 @@ mod tests {
         assert!(b.labels > 0);
         assert!(b.id_map > 0);
         // Degrees 2, 1 and 0: a signature in each of the first two records.
-        assert_eq!(b.signatures, 8 * 2, "one 8-byte signature a vertex of degree ≥ 1");
+        assert_eq!(
+            b.signatures,
+            8 * 2,
+            "one 8-byte signature a vertex of degree ≥ 1"
+        );
     }
 
     #[test]

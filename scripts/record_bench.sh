@@ -30,6 +30,11 @@
 # line with the last row of that workload that has an "exact" object; any
 # difference, or a line one side lacks, makes the exit status 1.
 #
+# Every traced run's whole output is kept in target/record_bench/<name>.trace
+# (an invocation first removes those of the one before), so a check that
+# pins a line of it reads the file instead of making a traced run of its
+# own.
+#
 # The file is one JSON array with a row a line; rows are appended by
 # concatenation, so no JSON parser is needed to write it
 # (`python3 -m json.tool BENCH_TRAJECTORY.json` checks it). `rev` is the
@@ -46,9 +51,14 @@ cd "$here/.."
 file=BENCH_TRAJECTORY.json
 workloads="$(grep -o '{"name": "[^"]*", "why"' BENCHMARK.json | cut -d'"' -f4)"
 
-# The exact set, as `name value` lines of a traced run's output.
+traces=target/record_bench
+mkdir -p "$traces"
+rm -f "$traces"/*.trace
+
+# The exact set, as `name value` lines of a traced run's output; the whole
+# output goes to $traces/<workload>.trace.
 exact_lines() {
-    benchmark/run.sh --workload "$1" --seed 1 --seconds 2 --trace 1 | awk '
+    benchmark/run.sh --workload "$1" --seed 1 --seconds 2 --trace 1 | tee "$traces/$1.trace" | awk '
         NF != 3 { next }
         $1 ~ /^storage\.[a-z_]+_bytes$/ ||
         $1 ~ /^transport\.[a-z_]+_per_query$/ ||

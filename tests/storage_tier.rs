@@ -80,7 +80,11 @@ fn assert_round_trips(lists: Vec<Vec<VertexId>>) {
             want.clone(),
             "sealed vertex {local}"
         );
-        assert_eq!(sealed.run(local).1, signature(want), "sealed vertex {local}");
+        assert_eq!(
+            sealed.run(local).1,
+            signature(want),
+            "sealed vertex {local}"
+        );
     }
 }
 
