@@ -835,7 +835,8 @@ impl CompactCsrBuilder {
             run.windows(2).all(|w| w[0] < w[1]),
             "compact CSR runs must be strictly ascending"
         );
-        self.begin_record(signature, run.len() as u32);
+        let degree = u32::try_from(run.len()).expect("a run of at most u32::MAX ids");
+        self.begin_record(signature, degree);
         if let Some((&first, rest)) = run.split_first() {
             let mut prev: u64 = first.into();
             push_varint(&mut self.block, prev);
