@@ -289,6 +289,8 @@ pub(crate) fn produce_tables(
                                 needed,
                                 tables,
                                 config,
+                                control,
+                                &mut metrics.fault,
                                 &mut bindings,
                             )?;
                         }
@@ -326,6 +328,8 @@ pub(crate) fn produce_tables(
                     needed_after[t],
                     &tables,
                     config,
+                    control,
+                    &mut metrics.fault,
                     &mut bindings,
                 )?;
                 synced = t + 1;
@@ -360,7 +364,10 @@ pub(crate) fn produce_tables(
 ///
 /// A served table is the *unbound* one, so only its rows the bindings so far
 /// admit take part — the rows bound exploration would have emitted; an
-/// explored table holds nothing else.
+/// explored table holds nothing else. A machine that crashed since the last
+/// exchange is settled first ([`Link::settle_crashes`]) under `control`'s
+/// policy, into `faults`.
+#[allow(clippy::too_many_arguments)]
 fn sync_bindings(
     cloud: &MemoryCloud,
     link: &Link<'_>,
@@ -368,6 +375,8 @@ fn sync_bindings(
     needed: u64,
     tables: &StwigTables,
     config: &MatchConfig,
+    control: Option<&QueryControl>,
+    faults: &mut FaultCounters,
     bindings: &mut Bindings,
 ) -> Result<(), StwigError> {
     if !config.use_bindings {
@@ -408,6 +417,7 @@ fn sync_bindings(
         None => tables.table(k).num_rows(),
         Some(sets) => admitted(tables.table(k), sets).count(),
     };
+    link.settle_crashes(cloud, control, faults)?;
     link.broadcast_bindings(cloud, &mut synced_cols, extend, rows)?;
     for (col, _, set) in synced_cols {
         bindings.bind(col, set);

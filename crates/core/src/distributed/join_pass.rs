@@ -117,6 +117,7 @@ pub(crate) fn join_pass(
             break;
         }
         let t0 = Instant::now();
+        link.settle_crashes(cloud, Some(control), &mut metrics.fault)?;
         let rk = link.assemble_rk(plan, tables, ki)?;
         let mut counters = JoinCounters::default();
         let before = state.streamed;

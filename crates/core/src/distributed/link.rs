@@ -14,7 +14,7 @@ use crate::head::load_set;
 use crate::matcher::{Mode, SharedPostings};
 use crate::metrics::FaultCounters;
 use crate::query::QVid;
-use crate::retry::{fetch_postings, Faults};
+use crate::retry::{degraded_loss, fetch_postings, Faults};
 use crate::stream::QueryControl;
 use crate::table::ResultTable;
 use trinity_sim::fault::FaultyTransport;
@@ -115,6 +115,38 @@ impl<'c> Link<'c> {
             Some(Stack::Faulty(tp)) => tp.inner().duplicates_suppressed(),
             None => 0,
         }
+    }
+
+    /// The barrier before a one-way round (the binding broadcast, join
+    /// shipping). A post asks for no reply, so a crashed peer refuses none:
+    /// its envelopes would vanish unseen, and the round would go on as if it
+    /// had sent nothing. The fault stack knows which machines are down, as
+    /// a real barrier learns it from a missed heartbeat. Each one `faults`
+    /// has not recorded yet fails the query with
+    /// [`StwigError::MachineUnavailable`] under `FailurePolicy::Fail`, or is
+    /// recorded lost under `Degrade`. Without armed faults there is nothing
+    /// to settle.
+    pub(super) fn settle_crashes(
+        &self,
+        cloud: &MemoryCloud,
+        control: Option<&QueryControl>,
+        faults: &mut FaultCounters,
+    ) -> Result<(), StwigError> {
+        let Some(Stack::Faulty(tp)) = &self.stack else {
+            return Ok(());
+        };
+        for m in cloud.machines() {
+            if faults.is_lost(m.0) || !tp.is_down(m) {
+                continue;
+            }
+            let err = StwigError::MachineUnavailable {
+                machine: m.0,
+                attempts: 0,
+                last: TransportError::MachineDown { dst: m },
+            };
+            faults.record_lost(degraded_loss(&err, control).ok_or(err)?);
+        }
+        Ok(())
     }
 
     /// How one machine's exploration meets the cloud: partition-local

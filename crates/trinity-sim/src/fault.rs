@@ -236,6 +236,13 @@ impl<T: Transport> FaultyTransport<T> {
         self.state.lock().expect("fault state poisoned").log.len()
     }
 
+    /// Whether machine `m` has crashed: from then on its exchanges fail, its
+    /// posts vanish and its mailbox drains empty. A one-way round asks this
+    /// at its barrier, since no post it makes can be refused.
+    pub fn is_down(&self, m: MachineId) -> bool {
+        self.dead(&self.state.lock().expect("fault state poisoned"), m)
+    }
+
     fn dead(&self, state: &FaultState, m: MachineId) -> bool {
         self.plan.crash.is_some_and(|c| {
             c.machine == m.0 && state.served.get(&m.0).copied().unwrap_or(0) >= c.after_ops
@@ -570,8 +577,11 @@ mod tests {
             with_neighbors: false,
         };
         for i in 0..3 {
+            assert!(!tp.is_down(m1));
             assert!(tp.exchange(m0, m1, req(i)).is_ok());
         }
+        // Down once it has served its exchanges, before anyone asks again.
+        assert!(tp.is_down(m1) && !tp.is_down(m0));
         assert_eq!(
             tp.exchange(m0, m1, req(3)).unwrap_err(),
             TransportError::MachineDown { dst: m1 }

@@ -400,20 +400,27 @@ fn crashed_machine_degrades_to_valid_partial_results() {
 
 /// A crash is for good within the query that armed it: the exchanges a
 /// machine serves count across the query's phases and slab rounds, so a
-/// machine that dies in one round is still dead in the next.
+/// machine that dies in one phase or round is still dead in the next, and
+/// a one-way round (binding broadcast, join shipping) notices the death at
+/// its barrier even though no exchange follows to fail.
 ///
 /// One `a` hub on machine 0 fans out to 300 `b`s and 300 `c`s spread over
 /// four machines, and only the last `(b, c)` pair closes a triangle, so a
 /// first-1 triangle query (two STwigs) explores slab after slab before it
-/// finds it. `n` is read off the query's own runs: the exchanges machine 1
-/// serves in one whole exploration, the smallest crash point an `All` run
-/// (one exploration round) outlives. A capped round explores no more than
-/// the whole, so no single round reaches `n`; the rounds together do, and
-/// the crash fires inside the exploration of a later round. Under `Fail`
-/// the first-1 query then fails with `MachineUnavailable(1)`; under
-/// `Degrade` it loses machine 1 and returns a verified subset.
+/// finds it. `serves` is read off the query's own runs: the exchanges
+/// machine 1 serves in one whole exploration, one less than the smallest
+/// crash point an `All` run (one exploration round) outlives.
+/// * Crashing after `serves` exchanges kills machine 1 right after the
+///   exploration's last exchange; only the join's one-way shipping follows.
+/// * Crashing after `serves + 1` is out of reach of any single round (a
+///   capped round explores no more than the whole), but the first-1 query's
+///   rounds together reach it, inside the exploration of a later round.
+///
+/// Either way `Fail` must fail with `MachineUnavailable(1)`, and `Degrade`
+/// must lose machine 1 and return a verified subset, never a silently
+/// smaller "complete" answer.
 #[test]
-fn a_crash_outlasts_the_round_it_fired_in() {
+fn a_crash_outlasts_the_phase_and_round_it_fired_in() {
     let mut gb = GraphBuilder::new_undirected();
     gb.add_vertex(VertexId(0), "a");
     for i in 0..300u64 {
@@ -451,7 +458,6 @@ fn a_crash_outlasts_the_round_it_fired_in() {
     let once = stwig::match_query(&cloud, &q, &whole, stwig::Run::default()).unwrap();
     assert_eq!((once.num_matches(), once.metrics.explore_rounds), (1, 1));
 
-    // The smallest crash point one whole exploration outlives.
     let outlives = |n| run(&whole, n, FailurePolicy::Fail).is_ok();
     assert!(!outlives(0), "machine 1 serves the exploration");
     let (mut dies, mut lives) = (0u64, 1u64);
@@ -466,20 +472,80 @@ fn a_crash_outlasts_the_round_it_fired_in() {
             dies = mid;
         }
     }
-    let n = lives;
+    let serves = lives - 1;
 
-    match run(&first, n, FailurePolicy::Fail) {
-        Err(StwigError::MachineUnavailable { machine, .. }) => assert_eq!(machine, 1),
-        other => panic!("machine 1 crashed after {n} exchanges in an earlier round: {other:?}"),
-    }
-    let degraded = run(&first, n, FailurePolicy::Degrade).expect("Degrade does not fail");
-    assert_eq!(degraded.metrics.outcome, QueryOutcome::Partial);
-    assert_eq!(degraded.metrics.fault.machines_lost, [1]);
-    assert!(degraded.metrics.fault.coverage(cloud.num_machines()) < 1.0);
-    verify_all(&cloud, &q, &degraded.table).expect("every degraded row is an embedding");
     let full_rows: HashSet<_> = canonical_rows(&q, &full.table).into_iter().collect();
-    for row in canonical_rows(&q, &degraded.table) {
-        assert!(full_rows.contains(&row), "a row the fault-free run lacks");
+    for (config, n, when) in [
+        (&whole, serves, "after the exploration"),
+        (&first, serves + 1, "in a later round"),
+    ] {
+        match run(config, n, FailurePolicy::Fail) {
+            Err(StwigError::MachineUnavailable { machine, .. }) => assert_eq!(machine, 1),
+            other => panic!("machine 1 crashed {when} (n = {n}): {other:?}"),
+        }
+        let degraded = run(config, n, FailurePolicy::Degrade).expect("Degrade does not fail");
+        assert_eq!(degraded.metrics.outcome, QueryOutcome::Partial, "{when}");
+        assert_eq!(degraded.metrics.fault.machines_lost, [1], "{when}");
+        assert!(degraded.metrics.fault.coverage(cloud.num_machines()) < 1.0);
+        verify_all(&cloud, &q, &degraded.table).expect("every degraded row is an embedding");
+        for row in canonical_rows(&q, &degraded.table) {
+            assert!(full_rows.contains(&row), "a row the fault-free run lacks");
+        }
+    }
+
+    // Every crash point of machine 1 on the chaos workload, up to the first
+    // the query outlives: an answer the query returns as complete is the
+    // whole answer, and a partial one names the loss and is a verified
+    // subset, whichever phase the crash fell before.
+    let cloud = chaos_graph().build_cloud(4, CostModel::default());
+    for (i, q) in workload(&cloud).iter().enumerate() {
+        let full = stwig::match_query(&cloud, q, &whole, stwig::Run::default()).unwrap();
+        let full_rows: HashSet<_> = canonical_rows(q, &full.table).into_iter().collect();
+        let run = |n: u64, on_loss| {
+            let options = QueryOptions::none().with_faults(Faults {
+                on_loss,
+                ..Faults::new(FaultPlan::default().with_crash(1, n))
+            });
+            let run = stwig::Run {
+                options,
+                ..stwig::Run::default()
+            };
+            stwig::match_query(&cloud, q, &whole, run)
+        };
+        for n in 0.. {
+            let failed = match run(n, FailurePolicy::Fail) {
+                Err(StwigError::MachineUnavailable { machine, .. }) => machine == 1,
+                Ok(out) => {
+                    assert_eq!(out.table, full.table, "query {i}, n = {n}: complete");
+                    false
+                }
+                Err(other) => panic!("query {i}, n = {n}: {other:?}"),
+            };
+            assert!(
+                n < 64,
+                "query {i}: machine 1 serves fewer than 64 exchanges"
+            );
+            let out = run(n, FailurePolicy::Degrade).expect("Degrade does not fail");
+            if failed {
+                assert_eq!(
+                    out.metrics.outcome,
+                    QueryOutcome::Partial,
+                    "query {i}, n = {n}"
+                );
+                assert_eq!(out.metrics.fault.machines_lost, [1]);
+                verify_all(&cloud, q, &out.table).expect("every degraded row is an embedding");
+                for row in canonical_rows(q, &out.table) {
+                    assert!(
+                        full_rows.contains(&row),
+                        "query {i}, n = {n}: an invented row"
+                    );
+                }
+            } else {
+                assert_eq!(out.metrics.outcome, QueryOutcome::Complete);
+                assert_eq!(out.table, full.table, "query {i}, n = {n}");
+                break;
+            }
+        }
     }
 }
 
