@@ -433,8 +433,7 @@ pub fn chaos(scale: Scale) -> Vec<Row> {
 }
 
 /// Signature pruning on a skewed-label (Zipf) R-MAT workload: run time,
-/// messages, pruned-root counts and the signature bytes a vertex pays on
-/// average (8 for each vertex with a neighbor, none for one without),
+/// messages, pruned-root counts and the signature bytes every vertex pays,
 /// for the one series `signature` — every exploration prunes roots on their
 /// neighborhood signatures. The workload is the one signatures target: rare
 /// query labels over a skewed alphabet.
@@ -470,7 +469,7 @@ pub fn pruning(scale: Scale) -> Vec<Row> {
             series,
             x,
             "signature_bytes_per_vertex",
-            cloud.storage_bytes().signatures as f64 / cloud.num_vertices().max(1) as f64,
+            trinity_sim::neighbor_index::SIGNATURE_BYTES_PER_VERTEX as f64,
         ),
     ];
     rows.extend(res.phase_rows("pruning", series, x));

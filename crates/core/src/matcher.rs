@@ -297,17 +297,21 @@ impl RootFilter {
     /// probed, the roots that provably cannot satisfy the STwig: one with
     /// fewer neighbors than the STwig has children admits no injective child
     /// assignment, and one whose signature misses a required child-label bit
-    /// has no neighbor carrying that label (a clear bit is exact). The
-    /// signature is the cell's own, read with its degree. A pruned root
+    /// has no neighbor carrying that label (a clear bit is exact). A root
+    /// without a signature (`None`) is never pruned on labels. A pruned root
     /// would have emitted no row, so tables and every counter but
     /// `label_probes`/`roots_pruned` are what Algorithm 1 unpruned gives.
-    fn admit<'a>(&self, cell: Option<Cell<'a>>) -> Result<Neighbors<'a>, Skip> {
+    fn admit<'a>(
+        &self,
+        cell: Option<Cell<'a>>,
+        signature: impl FnOnce() -> Option<u64>,
+    ) -> Result<Neighbors<'a>, Skip> {
         let cell = cell.ok_or(Skip::Missing)?;
         if cell.label != self.root_label {
             return Err(Skip::WrongLabel);
         }
         if cell.neighbors.len() < self.num_children
-            || !trinity_sim::neighbor_index::covers(cell.signature, self.required)
+            || signature().is_some_and(|s| s & self.required != self.required)
         {
             return Err(Skip::Pruned);
         }
@@ -470,7 +474,7 @@ impl Frontier {
             } else {
                 cloud.load_local(machine, n)
             };
-            let loaded = filter.admit(cell);
+            let loaded = filter.admit(cell, || cloud.signature_of(n));
             let entry = loaded.map(|neighbors| {
                 let start = self.ids.len();
                 // The root itself is never probed: it is not its own child.

@@ -253,13 +253,15 @@ impl MemoryCloud {
             .unwrap_or(0)
     }
 
-    /// The neighborhood-label signature of vertex `id`, read from its cell
-    /// on the owner ([`crate::partition::Cell::signature`]). Returns `None`
+    /// The neighborhood-label signature of vertex `id`, looked up in its
+    /// owner's [`crate::neighbor_index::NeighborLabelIndex`]. Returns `None`
     /// when the vertex does not exist.
     ///
-    /// Like the global statistics, signature reads are *not* charged to the
-    /// network: the executor prunes a root on the signature its own cell
-    /// load brought along, on the machine that owns it.
+    /// Like the global statistics, signature probes are *not* charged to the
+    /// network: the distributed executor only ever prunes roots owned by the
+    /// executing machine, so the lookup is partition-local there; the
+    /// single-coordinator path treats the 8-byte-per-vertex signature tier
+    /// as replicated index metadata.
     #[inline]
     pub fn signature_of(&self, id: VertexId) -> Option<u64> {
         self.partitions[self.machine_of(id).index()].signature_of(id)

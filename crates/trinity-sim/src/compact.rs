@@ -8,12 +8,10 @@
 //! adjacency structure compresses to a few bits per edge without giving up
 //! sequential access. This module applies both ideas to the partition store:
 //!
-//! * [`CompactCsr`] — a vertex's record is `varint(degree)`, then, when the
-//!   degree is at least 1, its 8-byte neighborhood signature
-//!   ([`crate::neighbor_index`]) and the run: `varint(first id)`, then its
-//!   gaps in blocks of [`BLOCK`]. A vertex of degree 0 costs the one byte
-//!   `varint(0)`. Runs are sorted and deduplicated, so every gap is ≥ 1; a
-//!   gap block stores one width byte `w` (0–64) and its gaps minus one
+//! * [`CompactCsr`] — a vertex's record is `varint(degree)`, then its run:
+//!   `varint(first id)`, then its gaps in blocks of [`BLOCK`]. A vertex of
+//!   degree 0 costs the one byte `varint(0)`. Runs are sorted and
+//!   deduplicated, so every gap is ≥ 1; a gap block stores one width byte `w` (0–64) and its gaps minus one
 //!   packed LSB-first at `w` bits each, in `⌈n·w/8⌉` bytes. A block of
 //!   consecutive ids is its width byte alone. Each gap of a block is one
 //!   unaligned word read, a shift and a mask, independent of the others, so
@@ -54,7 +52,6 @@
 //!   [`IdIndex`].
 
 use crate::ids::{LabelId, VertexId};
-use crate::neighbor_index::SIGNATURE_BYTES;
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
@@ -445,7 +442,7 @@ fn run_len(data: &[u8], len: u32) -> usize {
 pub enum Neighbors<'a> {
     /// A sorted slice: an overlay's merged adjacency, or the empty run.
     Slice(&'a [VertexId]),
-    /// A block-packed run of `len` ids (its record's degree and signature
+    /// A block-packed run of `len` ids (its record's degree varint
     /// stripped).
     Compact {
         /// `varint(first)`, then `⌈(len − 1)/8⌉` gap blocks (a width byte
@@ -703,10 +700,9 @@ impl ExactSizeIterator for NeighborIter<'_> {}
 ///
 /// Layout: one byte buffer holding, per block of [`OFFSET_BLOCK`] local
 /// vertices, the block's offset header and then each vertex's record —
-/// `varint(degree)`, its signature when the degree is at least 1, and the
-/// encoded run (`varint(first id)`, then the gaps in blocks of [`BLOCK`];
-/// see the module doc) — plus one base a block, `u32` or `u64` as the
-/// buffer's size picks.
+/// `varint(degree)` and the encoded run (`varint(first id)`, then the gaps
+/// in blocks of [`BLOCK`]; see the module doc) — plus one base a block,
+/// `u32` or `u64` as the buffer's size picks.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CompactCsr {
     /// Where each offset block's header starts in `data`.
@@ -717,8 +713,6 @@ pub struct CompactCsr {
     num_vertices: usize,
     /// Total neighbor entries across all runs.
     num_entries: u64,
-    /// Records of degree ≥ 1, each of which carries a signature.
-    num_signed: usize,
 }
 
 impl CompactCsr {
@@ -742,29 +736,15 @@ impl CompactCsr {
         record_start(&self.data, self.bases.get(block), count, k)
     }
 
-    /// The encoded neighbor run of local vertex `local` and its
-    /// neighborhood signature, read from the same record: the OR of the
-    /// neighbors' label bits, so 0 for a vertex without neighbors.
-    #[inline]
-    pub fn run(&self, local: usize) -> (Neighbors<'_>, u64) {
-        let mut pos = self.record(local);
-        let degree = read_varint(&self.data, &mut pos) as u32;
-        if degree == 0 {
-            return (Neighbors::empty(), 0);
-        }
-        let signature = &self.data[pos..pos + SIGNATURE_BYTES];
-        let signature = u64::from_le_bytes(signature.try_into().expect("8 bytes"));
-        let neighbors = Neighbors::Compact {
-            data: &self.data[pos + SIGNATURE_BYTES..],
-            len: degree,
-        };
-        (neighbors, signature)
-    }
-
     /// The encoded neighbor run of local vertex `local`.
     #[inline]
     pub fn neighbors(&self, local: usize) -> Neighbors<'_> {
-        self.run(local).0
+        let mut pos = self.record(local);
+        let degree = read_varint(&self.data, &mut pos) as u32;
+        Neighbors::Compact {
+            data: &self.data[pos..],
+            len: degree,
+        }
     }
 
     /// Degree of local vertex `local` (decodes one varint).
@@ -780,15 +760,9 @@ impl CompactCsr {
         self.neighbors(local).contains(target)
     }
 
-    /// Resident bytes: the bases plus the buffer, signatures included.
+    /// Resident bytes: the bases plus the buffer.
     pub fn memory_bytes(&self) -> usize {
         self.bases.memory_bytes() + self.data.len()
-    }
-
-    /// Bytes of [`CompactCsr::memory_bytes`] that are signatures: 8 for each
-    /// vertex of degree ≥ 1.
-    pub fn signature_bytes(&self) -> usize {
-        self.num_signed * SIGNATURE_BYTES
     }
 
     /// Iterates `(local_index, neighbors)` pairs.
@@ -798,7 +772,7 @@ impl CompactCsr {
 }
 
 /// Incremental [`CompactCsr`] builder: push one sorted, deduplicated run per
-/// local vertex, with its signature, then [`CompactCsrBuilder::finish`].
+/// local vertex, then [`CompactCsrBuilder::finish`].
 /// Used by the streaming bulk loader so no `Vec<Vec<VertexId>>` staging ever
 /// exists. The records of the offset block being filled wait in a buffer of
 /// their own until the block's header, which their sizes pick, is written.
@@ -812,7 +786,6 @@ pub struct CompactCsrBuilder {
     starts: Vec<u64>,
     num_vertices: usize,
     num_entries: u64,
-    num_signed: usize,
 }
 
 impl CompactCsrBuilder {
@@ -825,18 +798,16 @@ impl CompactCsrBuilder {
         }
     }
 
-    /// Appends the next local vertex's neighbor run and its `signature`
-    /// (which must be 0 for an empty run, whose record stores none). The run
-    /// must be sorted ascending and free of duplicates. Its ids are
-    /// [`VertexId`]s or a narrower form of them, as the loader stages ids
-    /// below 2^32.
-    pub fn push_run<T: Copy + Ord + Into<u64>>(&mut self, signature: u64, run: &[T]) {
+    /// Appends the next local vertex's neighbor run, which must be sorted
+    /// ascending and free of duplicates. Its ids are [`VertexId`]s or a
+    /// narrower form of them, as the loader stages ids below 2^32.
+    pub fn push_run<T: Copy + Ord + Into<u64>>(&mut self, run: &[T]) {
         debug_assert!(
             run.windows(2).all(|w| w[0] < w[1]),
             "compact CSR runs must be strictly ascending"
         );
         let degree = u32::try_from(run.len()).expect("a run of at most u32::MAX ids");
-        self.begin_record(signature, degree);
+        self.begin_record(degree);
         if let Some((&first, rest)) = run.split_first() {
             let mut prev: u64 = first.into();
             push_varint(&mut self.block, prev);
@@ -853,32 +824,25 @@ impl CompactCsrBuilder {
         self.end_record();
     }
 
-    /// Appends the next local vertex's run from a [`Neighbors`] view, with
-    /// its `signature`. An encoded run already is what
-    /// [`CompactCsrBuilder::push_run`] would write for it, so exactly its
-    /// bytes are copied after the signature; a plain slice is encoded.
-    pub fn push_neighbors(&mut self, signature: u64, run: Neighbors<'_>) {
+    /// Appends the next local vertex's run from a [`Neighbors`] view. An
+    /// encoded run already is what [`CompactCsrBuilder::push_run`] would
+    /// write for it, so exactly its bytes are copied; a plain slice is
+    /// encoded.
+    pub fn push_neighbors(&mut self, run: Neighbors<'_>) {
         match run {
-            Neighbors::Slice(ids) => self.push_run(signature, ids),
+            Neighbors::Slice(ids) => self.push_run(ids),
             Neighbors::Compact { data, len } => {
-                self.begin_record(signature, len);
+                self.begin_record(len);
                 self.block.extend_from_slice(&data[..run_len(data, len)]);
                 self.end_record();
             }
         }
     }
 
-    /// Starts a record of `degree` neighbors: the degree, then the
-    /// signature unless the degree is 0.
-    fn begin_record(&mut self, signature: u64, degree: u32) {
+    /// Starts a record of `degree` neighbors with its degree.
+    fn begin_record(&mut self, degree: u32) {
         self.starts.push(self.block.len() as u64);
         push_varint(&mut self.block, u64::from(degree));
-        if degree == 0 {
-            debug_assert_eq!(signature, 0, "a vertex without neighbors has no label bits");
-        } else {
-            self.block.extend_from_slice(&signature.to_le_bytes());
-            self.num_signed += 1;
-        }
         self.num_entries += u64::from(degree);
         self.num_vertices += 1;
     }
@@ -912,7 +876,6 @@ impl CompactCsrBuilder {
             data: self.data,
             num_vertices: self.num_vertices,
             num_entries: self.num_entries,
-            num_signed: self.num_signed,
         }
     }
 }
@@ -1710,18 +1673,11 @@ mod tests {
         }
     }
 
-    /// A stand-in signature for `run`: a bit per id, so 0 exactly when the
-    /// run is empty, as a real one is.
-    fn sig_of(run: &[VertexId]) -> u64 {
-        run.iter().fold(0, |sig, id| sig | 1 << (id.0 % 61))
-    }
-
-    /// Encodes sorted, deduplicated runs through the builder, each with
-    /// [`sig_of`] as its signature.
+    /// Encodes sorted, deduplicated runs through the builder.
     fn csr_of(runs: &[Vec<VertexId>]) -> CompactCsr {
         let mut b = CompactCsrBuilder::with_capacity(runs.len());
         for run in runs {
-            b.push_run(sig_of(run), run);
+            b.push_run(run);
         }
         b.finish()
     }
@@ -1734,10 +1690,6 @@ mod tests {
         assert_eq!(c.neighbors(0), &[v(1), v(3), v(100)]);
         assert_eq!(c.neighbors(1), &[] as &[VertexId]);
         assert_eq!(c.neighbors(2), &[v(0)]);
-        assert_eq!(c.run(0).1, sig_of(&[v(1), v(3), v(100)]));
-        assert_eq!(c.run(1), (Neighbors::empty(), 0));
-        assert_eq!(c.run(3).1, 1 << 7);
-        assert_eq!(c.signature_bytes(), 3 * SIGNATURE_BYTES);
         assert_eq!(c.degree(0), 3);
         assert_eq!(c.degree(1), 0);
         assert!(c.has_neighbor(0, v(3)));
@@ -2170,7 +2122,7 @@ mod tests {
     }
 
     /// Builds a CSR over `runs` and holds every record to the flat layout
-    /// and to its run: the start, the run, its degree and its signature.
+    /// and to its run: the start, the run and its degree.
     fn check_offsets(runs: &[Vec<VertexId>]) -> CompactCsr {
         let c = csr_of(runs);
         let lens: Vec<usize> = runs
@@ -2186,11 +2138,9 @@ mod tests {
         );
         for (local, run) in runs.iter().enumerate() {
             assert_eq!(c.record(local), starts[local], "record {local}");
-            assert_eq!(c.run(local), (Neighbors::Slice(run), sig_of(run)));
+            assert_eq!(c.neighbors(local), Neighbors::Slice(run));
             assert_eq!(c.degree(local), run.len());
         }
-        let signed = runs.iter().filter(|r| !r.is_empty()).count();
-        assert_eq!(c.signature_bytes(), SIGNATURE_BYTES * signed);
         c
     }
 
@@ -2236,23 +2186,17 @@ mod tests {
         // One block: its width byte, then one offset byte a later record.
         let empty = csr_of(&[vec![]]);
         assert_eq!(empty.data, [1, 0]);
-        assert_eq!(empty.signature_bytes(), 0);
         let three = csr_of(&[vec![], vec![], vec![]]);
         assert_eq!(three.data, [1, 1, 2, 0, 0, 0]);
-        // A neighbor brings its record's signature: 8 B after the degree.
+        // A neighbor: the degree and the first id.
         let one = csr_of(&[vec![v(5)], vec![]]);
-        let mut want = vec![1, 10, 1];
-        want.extend_from_slice(&(1u64 << 5).to_le_bytes());
-        want.extend_from_slice(&[5, 0]);
-        assert_eq!(one.data, want);
-        assert_eq!(one.run(0), (Neighbors::Slice(&[v(5)]), 1 << 5));
-        assert_eq!(one.signature_bytes(), 8);
+        assert_eq!(one.data, [1, 2, 1, 5, 0]);
+        assert_eq!(one.neighbors(0), &[v(5)]);
     }
 
-    /// Bytes the record format spells out for `run`: the degree's varint,
-    /// then, for a run of at least one id, the signature, the first id's
-    /// varint, and per block of up to eight gaps a width byte and each gap
-    /// minus one at the width of the block's widest.
+    /// Bytes the record format spells out for `run`: the degree's and the
+    /// first id's varints, then per block of up to eight gaps a width byte
+    /// and each gap minus one at the width of the block's widest.
     fn spec_len(run: &[u64]) -> usize {
         let Some((&first, _)) = run.split_first() else {
             return varint_len(0);
@@ -2265,7 +2209,7 @@ mod tests {
                 1 + (b.len() * w).div_ceil(8)
             })
             .sum();
-        varint_len(run.len() as u64) + SIGNATURE_BYTES + varint_len(first) + blocks
+        varint_len(run.len() as u64) + varint_len(first) + blocks
     }
 
     /// Encodes each run twice — once followed by a long run, so its block
@@ -2324,12 +2268,10 @@ mod tests {
                     }
                 }
             }
-            // The seal copies an encoded run byte for byte, after the
-            // signature it carries.
+            // The seal copies an encoded run byte for byte.
             let mut sealed = CompactCsrBuilder::with_capacity(3);
             for local in 0..3 {
-                let (neighbors, signature) = c.run(local);
-                sealed.push_neighbors(signature, neighbors);
+                sealed.push_neighbors(c.neighbors(local));
             }
             let sealed = sealed.finish();
             assert_eq!(sealed.data, c.data, "{run:?}");
@@ -2384,14 +2326,10 @@ mod tests {
 
     #[test]
     fn consecutive_ids_cost_a_width_byte_a_block() {
-        let ids: Vec<VertexId> = (100..117).map(v).collect();
-        let c = csr_of(std::slice::from_ref(&ids));
-        // The offset header's width byte, the degree, the signature, the
-        // first id, and two width-0 blocks of 8 gaps.
-        let mut want = vec![1, 17];
-        want.extend_from_slice(&sig_of(&ids).to_le_bytes());
-        want.extend_from_slice(&[100, 0, 0]);
-        assert_eq!(c.data, want);
+        let c = csr_of(&[(100..117).map(v).collect()]);
+        // The offset header's width byte, the degree, the first id, and two
+        // width-0 blocks of 8 gaps.
+        assert_eq!(c.data, [1, 17, 100, 0, 0]);
         assert_eq!(
             c.neighbors(0).to_vec(),
             (100..117).map(v).collect::<Vec<_>>()

@@ -1231,12 +1231,6 @@ mod tests {
                 assert_eq!(got.label_of(id), want.label_of(id), "label {id}");
                 assert_eq!(got.degree_of(id), want.degree_of(id), "degree {id}");
                 assert_eq!(got.signature_of(id), want.signature_of(id), "sig {id}");
-                // The sealed record's signature is the OR of the neighbours'
-                // label bits, as a rebuild computes it.
-                if let Some(cell) = got.load(id) {
-                    let recomputed = recomputed_signature(sealed.cloud(), id);
-                    assert_eq!(cell.signature, recomputed, "sealed sig {id}");
-                }
             }
             for (label, _) in sealed.labels().iter() {
                 let postings = got.vertices_with_label(label);

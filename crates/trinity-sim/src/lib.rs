@@ -18,9 +18,9 @@
 //! * the per-machine **string index** mapping labels to local vertex IDs
 //!   ([`compact::CompactLabelIndex`], bitmap or delta-varint per label) —
 //!   the only index the approach uses;
-//! * a **candidate-pruning signature**: each vertex's neighborhood-label
-//!   bits ([`neighbor_index`]), stored in its adjacency record and built in
-//!   the same pass;
+//! * a **candidate-pruning index**: per-vertex neighborhood-label
+//!   signatures ([`neighbor_index::NeighborLabelIndex`]), built in the same
+//!   pass;
 //! * the paper's three atomic operators `Cloud.Load`, `Index.getID`,
 //!   `Index.hasLabel` with **cross-machine traffic accounting**
 //!   ([`network::Network`], [`cost::CostModel`]);
@@ -90,6 +90,7 @@ pub mod prelude {
     pub use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultyTransport, MachineCrash};
     pub use crate::ids::{LabelId, LabelInterner, MachineId, VertexId};
     pub use crate::loader::StreamLoader;
+    pub use crate::neighbor_index::NeighborLabelIndex;
     pub use crate::network::{CostModel, Network, TrafficSnapshot};
     pub use crate::partition::{Cell, CellBuf, Partition, StorageBytes};
     pub use crate::stats::{graph_stats, GraphStats};

@@ -43,7 +43,7 @@ use crate::cluster_graph::LabelPairCatalog;
 use crate::compact::{CompactCsr, CompactCsrBuilder, IdIndex, LabelArray};
 use crate::error::TrinityError;
 use crate::ids::{LabelId, LabelInterner, MachineId, VertexId};
-use crate::neighbor_index::label_bit;
+use crate::neighbor_index::{label_bit, NeighborLabelIndex};
 use crate::network::CostModel;
 use crate::partition::Partition;
 
@@ -180,7 +180,7 @@ impl StreamLoader {
         // encode, staging ids as `u32` when every id fits one.
         // ------------------------------------------------------------------
         let mut catalog = LabelPairCatalog::new(m, num_labels);
-        let (adjacencies, total_entries) = if u32::try_from(max_id).is_ok() {
+        let (adjacencies, neighbor_indexes, total_entries) = if u32::try_from(max_id).is_ok() {
             fill::<u32, _, _>(&edges, &id_indexes, &machine_labels, degrees, &mut catalog)?
         } else {
             fill::<VertexId, _, _>(&edges, &id_indexes, &machine_labels, degrees, &mut catalog)?
@@ -190,11 +190,18 @@ impl StreamLoader {
         // Assembly.
         // ------------------------------------------------------------------
         let mut partitions = Vec::with_capacity(m);
-        for ((ids, labels), adjacency) in
-            id_indexes.into_iter().zip(machine_labels).zip(adjacencies)
+        for (((ids, labels), adjacency), neighbor_index) in id_indexes
+            .into_iter()
+            .zip(machine_labels)
+            .zip(adjacencies)
+            .zip(neighbor_indexes)
         {
             partitions.push(Partition::from_encoded_parts(
-                ids, labels, adjacency, num_labels,
+                ids,
+                labels,
+                adjacency,
+                num_labels,
+                neighbor_index,
             ));
         }
         Ok(MemoryCloud::from_parts(
@@ -255,9 +262,8 @@ impl Staged for VertexId {
 ///
 /// A pass scatters the group's entries into one exact-size buffer, placed by
 /// one array of run ends that the scatter decrements into run starts. Then
-/// each machine's runs are sorted, deduplicated and encoded in place, each
-/// with its signature, and the catalog contribution is built over the
-/// deduplicated runs.
+/// each machine's runs are sorted, deduplicated and encoded in place, with
+/// its signatures and catalog contribution built over the deduplicated runs.
 /// Every unique edge appears in exactly two runs cloud-wide (one per
 /// endpoint), so recording one catalog edge per deduplicated entry records
 /// each edge both ways.
@@ -267,7 +273,7 @@ fn fill<T: Staged, F, E>(
     machine_labels: &[LabelArray],
     mut degrees: Vec<Vec<u32>>,
     catalog: &mut LabelPairCatalog,
-) -> Result<(Vec<CompactCsr>, u64), TrinityError>
+) -> Result<(Vec<CompactCsr>, Vec<NeighborLabelIndex>, u64), TrinityError>
 where
     F: Fn() -> E,
     E: IntoIterator<Item = (VertexId, VertexId)>,
@@ -284,6 +290,7 @@ where
         std::mem::size_of::<T>() * entries[mach] + std::mem::size_of::<usize>() * vertices(mach)
     };
     let mut adjacencies = Vec::with_capacity(m);
+    let mut neighbor_indexes = Vec::with_capacity(m);
     let mut total_entries = 0u64;
     let mut first = 0;
     while first < m {
@@ -324,6 +331,7 @@ where
         }
         for mach in first..last {
             let n_local = vertices(mach);
+            let mut sigs = Vec::with_capacity(n_local);
             let mut adjacency = CompactCsrBuilder::with_capacity(n_local);
             for local in 0..n_local {
                 let slot = bases[mach - first] + local;
@@ -352,14 +360,16 @@ where
                         nbr_label,
                     );
                 }
-                adjacency.push_run(sig, run);
+                sigs.push(sig);
+                adjacency.push_run(run);
                 total_entries += run.len() as u64;
             }
             adjacencies.push(adjacency.finish());
+            neighbor_indexes.push(NeighborLabelIndex::from_signatures(sigs));
         }
         first = last;
     }
-    Ok((adjacencies, total_entries))
+    Ok((adjacencies, neighbor_indexes, total_entries))
 }
 
 #[cfg(test)]
@@ -458,10 +468,8 @@ mod tests {
                 want.iter().copied().collect::<Vec<_>>(),
                 "adjacency {id}"
             );
-            // The signature the cell carries, read from its record.
             let signature = want.iter().fold(0, |s, n| s | label_bit(label[n]));
-            let cell = cloud.partition(cloud.machine_of(id)).load(id).unwrap();
-            assert_eq!(cell.signature, signature, "signature {id}");
+            assert_eq!(cloud.signature_of(id), Some(signature), "signature {id}");
         }
         let owner = |id: VertexId| machine_for(id, cloud.num_machines());
         for m in cloud.machines() {

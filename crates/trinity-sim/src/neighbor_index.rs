@@ -1,24 +1,18 @@
-//! The candidate-pruning signature stored with each vertex's adjacency:
-//! its neighborhood-label bits.
+//! The candidate-pruning index built next to the string index: per-vertex
+//! neighborhood-label signatures.
 //!
 //! The paper's exploration phase visits every vertex carrying the STwig root
 //! label and collects all of its neighbors before discovering that most roots
 //! cannot satisfy the STwig's child labels. Following the neighboring-label
 //! index of l2Match and the compact neighborhood signatures of CNI (see
-//! PAPERS.md), each vertex keeps a fixed-width bitset signature of its
-//! neighbor labels. A signature **over-approximates** the neighbor-label set
-//! (hash collisions only set extra bits), so a negative containment test is
-//! a proof that no match is rooted there — pruning on it can never drop a
-//! true match.
-//!
-//! The signature lives in the vertex's adjacency record, right after its
-//! degree ([`crate::compact::CompactCsr::run`]), so the read that loads a
-//! root's degree brings its signature along, and a [`crate::partition::Cell`] carries
-//! it. A vertex of degree 0 stores none: its signature is 0, and exploration
-//! rejects it by degree before asking. An overlay vertex keeps its own
-//! (see `crate::epoch`), which a seal writes into the new record.
+//! PAPERS.md), [`NeighborLabelIndex`] stores a fixed-width bitset signature
+//! of each local vertex's neighbor labels. A signature **over-approximates**
+//! the neighbor-label set (hash collisions only set extra bits), so a
+//! negative containment test is a proof that no match is rooted there —
+//! pruning on it can never drop a true match.
 
 use crate::ids::LabelId;
+use serde::{Deserialize, Serialize};
 
 /// Width of a neighborhood signature in bits. With at most 64 labels the
 /// signature is exact; beyond that, labels share bits and the signature
@@ -26,8 +20,8 @@ use crate::ids::LabelId;
 /// only *add* bits, never remove them).
 pub const SIGNATURE_BITS: usize = 64;
 
-/// Bytes a signature takes in a record: each vertex of degree ≥ 1 pays them.
-pub const SIGNATURE_BYTES: usize = SIGNATURE_BITS / 8;
+/// Bytes each vertex pays for its signature.
+pub const SIGNATURE_BYTES_PER_VERTEX: usize = SIGNATURE_BITS / 8;
 
 /// The signature bit a label maps to.
 #[inline]
@@ -42,12 +36,50 @@ pub fn required_mask(labels: impl IntoIterator<Item = LabelId>) -> u64 {
     labels.into_iter().fold(0u64, |m, l| m | label_bit(l))
 }
 
-/// Whether `signature` can cover `required` (every required bit set). A
-/// `false` answer proves some required label is absent from the
-/// neighborhood.
-#[inline]
-pub fn covers(signature: u64, required: u64) -> bool {
-    signature & required == required
+/// Per-vertex neighborhood-label signatures for one partition, indexed by
+/// local vertex position (the same dense position space as the partition's
+/// CSR). Built in one pass next to [`crate::compact::CompactLabelIndex`].
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct NeighborLabelIndex {
+    sigs: Vec<u64>,
+}
+
+impl NeighborLabelIndex {
+    /// Wraps precomputed signatures (one per local vertex, in local position
+    /// order).
+    pub fn from_signatures(sigs: Vec<u64>) -> Self {
+        NeighborLabelIndex { sigs }
+    }
+
+    /// The signature of the vertex at local position `pos`, or `None` when
+    /// the position is out of range.
+    #[inline]
+    pub fn signature(&self, pos: usize) -> Option<u64> {
+        self.sigs.get(pos).copied()
+    }
+
+    /// Whether `signature` can cover `required` (every required bit set). A
+    /// `false` answer proves some required label is absent from the
+    /// neighborhood.
+    #[inline]
+    pub fn covers(signature: u64, required: u64) -> bool {
+        signature & required == required
+    }
+
+    /// Number of signatures (local vertices).
+    pub fn len(&self) -> usize {
+        self.sigs.len()
+    }
+
+    /// Whether the index holds no signatures.
+    pub fn is_empty(&self) -> bool {
+        self.sigs.is_empty()
+    }
+
+    /// Approximate memory footprint in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.sigs.len() * std::mem::size_of::<u64>()
+    }
 }
 
 #[cfg(test)]
@@ -73,12 +105,12 @@ mod tests {
     #[test]
     fn covers_is_bitset_containment() {
         let sig = label_bit(l(1)) | label_bit(l(3));
-        assert!(covers(sig, label_bit(l(1))));
-        assert!(covers(sig, sig));
-        assert!(!covers(sig, label_bit(l(2))));
+        assert!(NeighborLabelIndex::covers(sig, label_bit(l(1))));
+        assert!(NeighborLabelIndex::covers(sig, sig));
+        assert!(!NeighborLabelIndex::covers(sig, label_bit(l(2))));
         // Everything covers the empty requirement; all ones covers everything.
-        assert!(covers(0, 0));
-        assert!(covers(u64::MAX, u64::MAX));
+        assert!(NeighborLabelIndex::covers(0, 0));
+        assert!(NeighborLabelIndex::covers(u64::MAX, u64::MAX));
     }
 
     #[test]
@@ -86,5 +118,15 @@ mod tests {
         let m = required_mask([l(0), l(2), l(0)]);
         assert_eq!(m, label_bit(l(0)) | label_bit(l(2)));
         assert_eq!(required_mask([]), 0);
+    }
+
+    #[test]
+    fn signature_lookup_by_local_position() {
+        let idx = NeighborLabelIndex::from_signatures(vec![0b1, 0b10, u64::MAX]);
+        assert_eq!(idx.len(), 3);
+        assert!(!idx.is_empty());
+        assert_eq!(idx.signature(1), Some(0b10));
+        assert_eq!(idx.signature(3), None);
+        assert_eq!(idx.memory_bytes(), 3 * SIGNATURE_BYTES_PER_VERTEX);
     }
 }

@@ -13,6 +13,7 @@ use crate::compact::{
 };
 use crate::hash::FxHashMap;
 use crate::ids::{LabelId, VertexId};
+use crate::neighbor_index::NeighborLabelIndex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -29,10 +30,6 @@ pub struct Cell<'a> {
     pub label: LabelId,
     /// Global IDs of all neighbors, sorted ascending.
     pub neighbors: Neighbors<'a>,
-    /// The neighborhood-label signature ([`crate::neighbor_index`]), read
-    /// from the record the degree came from: 0 without neighbors. It stays
-    /// with the owner; [`Cell::to_owned`] does not ship it.
-    pub signature: u64,
 }
 
 impl Cell<'_> {
@@ -76,8 +73,7 @@ impl CellBuf {
 /// reports; the breakdown is what the `storage` experiment CSV emits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StorageBytes {
-    /// Adjacency structure: the offset blocks' bases and headers and the
-    /// encoded neighbor records, less their signatures.
+    /// Adjacency structure (byte offsets + encoded neighbor runs).
     pub adjacency: usize,
     /// Per-vertex label array ([`LabelArray`]): 1, 2 or 4 B a vertex as the
     /// interned label count is at most 256, at most 65,536, or more.
@@ -89,8 +85,7 @@ pub struct StorageBytes {
     pub id_map: usize,
     /// The label → vertex-id string index.
     pub postings: usize,
-    /// Neighborhood-label signatures: 8 B in the record of each vertex of
-    /// degree ≥ 1, and what the overlay keeps.
+    /// Per-vertex neighborhood-label signatures.
     pub signatures: usize,
 }
 
@@ -126,6 +121,8 @@ struct PartitionBase {
     adjacency: CompactCsr,
     /// Label → slots of `ids`.
     postings: CompactLabelIndex,
+    /// Per-vertex neighborhood-label signatures, in local-index order.
+    neighbor_index: NeighborLabelIndex,
 }
 
 impl PartitionBase {
@@ -136,13 +133,15 @@ impl PartitionBase {
 
     fn load(&self, id: VertexId) -> Option<Cell<'_>> {
         let local = self.local_of(id)?;
-        let (neighbors, signature) = self.adjacency.run(local);
         Some(Cell {
             id,
             label: self.labels.get(local),
-            neighbors,
-            signature,
+            neighbors: self.adjacency.neighbors(local),
         })
+    }
+
+    fn neighbors_of(&self, id: VertexId) -> Option<Neighbors<'_>> {
+        self.local_of(id).map(|l| self.adjacency.neighbors(l))
     }
 
     fn label_of(&self, id: VertexId) -> Option<LabelId> {
@@ -164,30 +163,24 @@ impl PartitionBase {
         }
     }
 
+    fn signature_of(&self, id: VertexId) -> Option<u64> {
+        self.neighbor_index.signature(self.local_of(id)?)
+    }
+
     /// The cell of a merged-view vertex: overlay facets first, base position
-    /// for the rest (an added vertex carries every facet in the overlay, and
-    /// an overlay adjacency list comes with its signature).
+    /// for the rest (an added vertex carries both facets in the overlay).
     fn merged_cell<'a>(&'a self, m: &Merged<'a>) -> Cell<'a> {
         let local = || m.local.expect("a vertex outside the base has every facet");
-        let live = m.live;
-        let (neighbors, signature) = match live.and_then(|live| live.adj.as_deref()) {
-            Some(list) => (Neighbors::Slice(list), None),
-            None => {
-                let (neighbors, signature) = self.adjacency.run(local());
-                (neighbors, Some(signature))
-            }
-        };
         Cell {
             id: m.id,
-            label: match live.and_then(|live| live.label) {
+            label: match m.live.and_then(|live| live.label) {
                 Some(label) => label,
                 None => self.labels.get(local()),
             },
-            neighbors,
-            signature: live
-                .and_then(|live| live.signature)
-                .or(signature)
-                .expect("an overlay adjacency list comes with its signature"),
+            neighbors: match m.live.and_then(|live| live.adj.as_deref()) {
+                Some(list) => Neighbors::Slice(list),
+                None => self.adjacency.neighbors(local()),
+            },
         }
     }
 }
@@ -200,8 +193,7 @@ pub(crate) struct LiveVertex {
     pub(crate) label: Option<LabelId>,
     /// Complete merged adjacency of an adjacency-touched vertex, sorted.
     pub(crate) adj: Option<Arc<[VertexId]>>,
-    /// Exact signature of a signature-touched vertex; every vertex with an
-    /// overlay adjacency list has one.
+    /// Exact signature of a signature-touched vertex.
     pub(crate) signature: Option<u64>,
 }
 
@@ -365,24 +357,26 @@ impl<'a> Iterator for MergedIter<'a> {
 
 impl Partition {
     /// Assembles a partition from components the streaming bulk loader (or
-    /// a seal) has built in final form — id index built, labels and
-    /// adjacency (signatures in its records) in its local order — and builds
-    /// its string index. The only way a partition is built. Crate-internal:
-    /// invariants are the caller's.
+    /// a seal) has built in final form — id index built, labels,
+    /// adjacency and signatures in its local order — and builds its string
+    /// index. The only way a partition is built. Crate-internal: invariants
+    /// are the caller's.
     pub(crate) fn from_encoded_parts(
         ids: IdIndex,
         labels: LabelArray,
         adjacency: CompactCsr,
         num_labels: usize,
+        neighbor_index: NeighborLabelIndex,
     ) -> Self {
         debug_assert_eq!(ids.len(), labels.len());
-        debug_assert_eq!(ids.len(), adjacency.num_vertices());
+        debug_assert_eq!(ids.len(), neighbor_index.len());
         Partition {
             base: Arc::new(PartitionBase {
                 postings: CompactLabelIndex::build(&labels, num_labels, &ids),
                 ids,
                 labels,
                 adjacency,
+                neighbor_index,
             }),
             overlay: None,
         }
@@ -400,10 +394,10 @@ impl Partition {
 
     /// This partition with its overlay merged into a fresh base (itself
     /// when it has none), in one pass over the merged view: adjacency runs
-    /// go into one buffer (a base run byte for byte) with the signature
-    /// each cell carries, labels into an array as wide as `num_labels` — the
-    /// interned count now, which an update may have grown past the old width.
-    /// The overlay keeps signatures exact (DESIGN.md, "Seal"), so nothing is
+    /// go into one buffer (a base run byte for byte), labels into an array
+    /// as wide as `num_labels` — the interned count now, which an update may
+    /// have grown past the old width — and signatures are carried over —
+    /// the overlay keeps them exact (DESIGN.md, "Seal"), so nothing is
     /// recounted.
     pub(crate) fn sealed(&self, num_labels: usize) -> Partition {
         let Some(overlay) = self.overlay.as_deref() else {
@@ -412,14 +406,27 @@ impl Partition {
         let (base, n) = (&*self.base, overlay.num_vertices);
         let mut ids = Vec::with_capacity(n);
         let mut labels = LabelArray::with_capacity(num_labels, n);
+        let mut signatures = Vec::with_capacity(n);
         let mut adjacency = CompactCsrBuilder::with_capacity(n);
         for m in self.merged() {
             let cell = base.merged_cell(&m);
             ids.push(cell.id);
             labels.push(cell.label);
-            adjacency.push_neighbors(cell.signature, cell.neighbors);
+            let carried = m.live.and_then(|live| live.signature);
+            signatures.push(
+                carried
+                    .or_else(|| base.neighbor_index.signature(m.local?))
+                    .expect("a vertex has a signature in the overlay or the base"),
+            );
+            adjacency.push_neighbors(cell.neighbors);
         }
-        Partition::from_encoded_parts(IdIndex::build(ids), labels, adjacency.finish(), num_labels)
+        Partition::from_encoded_parts(
+            IdIndex::build(ids),
+            labels,
+            adjacency.finish(),
+            num_labels,
+            NeighborLabelIndex::from_signatures(signatures),
+        )
     }
 
     /// The overlay the next update batch builds on: a copy of this
@@ -483,12 +490,17 @@ impl Partition {
             Some(Touched::Deleted) => return None,
             Some(Touched::Live(live)) => live,
         };
-        let local = self.base.local_of(id);
-        Some(self.base.merged_cell(&Merged {
+        Some(Cell {
             id,
-            local,
-            live: Some(live),
-        }))
+            label: match live.label {
+                Some(label) => label,
+                None => self.base.label_of(id)?,
+            },
+            neighbors: match live.adj.as_deref() {
+                Some(list) => Neighbors::Slice(list),
+                None => self.base.neighbors_of(id)?,
+            },
+        })
     }
 
     /// Label of a locally-owned vertex.
@@ -576,23 +588,26 @@ impl Partition {
         self.merged().map(|m| self.base.merged_cell(&m))
     }
 
-    /// The neighborhood-label signature of a locally-owned vertex (its
-    /// [`Cell::signature`]), or `None` when the vertex is not owned here.
+    /// The neighborhood-label signature of a locally-owned vertex, or
+    /// `None` when the vertex is not owned here.
     #[inline]
     pub fn signature_of(&self, id: VertexId) -> Option<u64> {
-        self.load(id).map(|cell| cell.signature)
+        match self.touched(id) {
+            None => self.base.signature_of(id),
+            Some(Touched::Deleted) => None,
+            Some(Touched::Live(live)) => live.signature.or_else(|| self.base.signature_of(id)),
+        }
     }
 
     /// Resident bytes of this partition, broken down by storage component.
     pub fn storage_bytes(&self) -> StorageBytes {
         let base = &self.base;
-        let signatures = base.adjacency.signature_bytes();
         let mut bytes = StorageBytes {
-            adjacency: base.adjacency.memory_bytes() - signatures,
+            adjacency: base.adjacency.memory_bytes(),
             labels: base.labels.memory_bytes(),
             id_map: base.ids.memory_bytes(),
             postings: base.postings.memory_bytes(),
-            signatures,
+            signatures: base.neighbor_index.memory_bytes(),
         };
         if let Some(o) = self.overlay.as_deref() {
             debug_assert_eq!(o.bytes, o.measure(), "overlay changed after publish");
@@ -632,15 +647,18 @@ mod tests {
     ) -> Partition {
         use crate::neighbor_index::label_bit;
         let mut adjacency = CompactCsrBuilder::with_capacity(ids.len());
+        let mut signatures = Vec::with_capacity(ids.len());
         for run in runs {
+            adjacency.push_run(run);
             let local = run.iter().filter_map(|n| ids.iter().position(|id| id == n));
-            adjacency.push_run(local.fold(0, |sig, i| sig | label_bit(labels[i])), run);
+            signatures.push(local.fold(0, |sig, i| sig | label_bit(labels[i])));
         }
         Partition::from_encoded_parts(
             IdIndex::build(ids),
             LabelArray::from_labels(num_labels, &labels),
             adjacency.finish(),
             num_labels,
+            NeighborLabelIndex::from_signatures(signatures),
         )
     }
 
@@ -704,12 +722,7 @@ mod tests {
         assert!(b.adjacency > 0);
         assert!(b.labels > 0);
         assert!(b.id_map > 0);
-        // Degrees 2, 1 and 0: a signature in each of the first two records.
-        assert_eq!(
-            b.signatures,
-            8 * 2,
-            "one 8-byte signature a vertex of degree ≥ 1"
-        );
+        assert_eq!(b.signatures, 8 * 3, "one 8-byte signature a vertex");
     }
 
     #[test]
@@ -758,10 +771,8 @@ mod tests {
 
     /// A hand-built overlay: delete v(30), add v(40) with label 1 and edge
     /// 20–40, so the merged view is {10: l0 ~ 20,99}, {20: l1 ~ 10,40},
-    /// {40: l1 ~ 20}. Each overlay adjacency list comes with its signature,
-    /// as the epoch manager writes them.
+    /// {40: l1 ~ 20}.
     fn overlaid_partition() -> Partition {
-        use crate::neighbor_index::label_bit;
         let base = sample_partition();
         let mut overlay = PartitionOverlay {
             num_vertices: 3,
@@ -773,13 +784,9 @@ mod tests {
         *overlay.live_mut(v(40)) = LiveVertex {
             label: Some(l(1)),
             adj: Some([v(20)].into()),
-            signature: Some(label_bit(l(1))),
+            signature: None,
         };
-        *overlay.live_mut(v(20)) = LiveVertex {
-            label: None,
-            adj: Some([v(10), v(40)].into()),
-            signature: Some(label_bit(l(0)) | label_bit(l(1))),
-        };
+        overlay.live_mut(v(20)).adj = Some([v(10), v(40)].into());
         overlay.postings.insert(l(0), [v(10)].into());
         overlay.postings.insert(l(1), [v(20), v(40)].into());
         base.with_overlay(Some(overlay))
@@ -804,11 +811,6 @@ mod tests {
         assert!(p.has_edge(v(20), v(40)));
         assert!(!p.has_edge(v(40), v(99)));
         assert_eq!(p.load(v(10)).unwrap().neighbors, &[v(20), v(99)]);
-        // Signatures: the overlay's where it keeps one, else the base run's.
-        assert_eq!(p.signature_of(v(40)), Some(1 << 1));
-        assert_eq!(p.signature_of(v(20)), Some(0b11));
-        assert_eq!(p.signature_of(v(10)), Some(1 << 1));
-        assert_eq!(p.signature_of(v(30)), None);
         // Postings and counts reflect the merge.
         assert_eq!(p.vertices_with_label(l(0)).to_vec(), vec![v(10)]);
         assert_eq!(p.vertices_with_label(l(1)).to_vec(), vec![v(20), v(40)]);

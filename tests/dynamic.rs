@@ -653,9 +653,6 @@ proptest! {
                     prop_assert_eq!((a.id, b.id), (*id, *id));
                     prop_assert_eq!(a.label, b.label, "{} label of {}", ctx, id);
                     prop_assert_eq!(a.neighbors.to_vec(), b.neighbors.to_vec(), "{} run of {}", ctx, id);
-                    // The signature the sealed record carries is the one a
-                    // rebuild computes from the neighbours' labels.
-                    prop_assert_eq!(a.signature, b.signature, "{} cell signature of {}", ctx, id);
                     prop_assert_eq!(s.load(*id), Some(a));
                     prop_assert_eq!(s.degree_of(*id), r.degree_of(*id));
                     prop_assert_eq!(
