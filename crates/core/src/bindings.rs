@@ -45,14 +45,9 @@ impl Bindings {
         }
     }
 
-    /// Number of bound query vertices.
-    pub fn num_bound(&self) -> usize {
-        self.sets.iter().filter(|s| s.is_some()).count()
-    }
-
     /// Binds `q` to exactly `values` if unbound, or intersects the existing
     /// binding with `values` if already bound.
-    pub fn bind(&mut self, q: QVid, values: VertexSet) {
+    pub(crate) fn bind(&mut self, q: QVid, values: VertexSet) {
         let slot = &mut self.sets[q.index()];
         match slot {
             None => *slot = Some(values),
@@ -96,7 +91,6 @@ mod tests {
         let b = Bindings::new(3);
         assert!(!b.is_bound(q(0)));
         assert!(b.admits(q(0), v(42)));
-        assert_eq!(b.num_bound(), 0);
     }
 
     #[test]
@@ -107,7 +101,6 @@ mod tests {
         assert!(b.admits(q(0), v(1)));
         assert!(!b.admits(q(0), v(3)));
         assert_eq!(b.get(q(0)).unwrap().len(), 2);
-        assert_eq!(b.num_bound(), 1);
     }
 
     #[test]

@@ -26,11 +26,11 @@
 //! labels — and the stored value is the per-machine table in canonical
 //! column order: root, then children by ascending `(label, query-vertex id)`.
 //! That is the order the planner gives every STwig's children
-//! ([`STwig::sort_children_canonically`]), so the table exploration emits
+//! (`STwig::sort_children_canonically`), so the table exploration emits
 //! *is* the canonical table — same columns, same lexicographic row order —
 //! and two queries that number the same shape's vertices differently plan
 //! STwigs whose tables are equal up to the column names. Populating files
-//! the explored table under placeholder names ([`canonicalize_table`], a
+//! the explored table under placeholder names (`canonicalize_table`, a
 //! rename, not a copy); column `i` of a served table is the `i`-th of the
 //! STwig's `vertices()`. Children with equal labels need no rule beyond the id tie-break: their
 //! unbound candidate lists are the same list, so the table is symmetric
@@ -143,7 +143,7 @@
 //!   costs nothing. *Some*: the probe reports [`CacheLookup::Repair`] — the
 //!   resident tables plus the touched roots — and the caller re-explores
 //!   just those roots against its pinned snapshot and splices their rows
-//!   into the old tables ([`splice_roots`]); every other row is provably
+//!   into the old tables (`splice_roots`); every other row is provably
 //!   unchanged, so the result equals a fresh populate. Machines owning no
 //!   touched root keep sharing their `Arc`'d table. A repaired probe counts
 //!   as a miss plus a `repairs`. *Unknown* (the log's ring no longer covers
@@ -161,7 +161,7 @@
 //!
 //! The cache is sharded by key hash; each shard is an LRU map under its own
 //! mutex with a per-shard slice of the byte budget. Entries hand out
-//! [`CachedTables`], so eviction never invalidates a table a
+//! `CachedTables`, so eviction never invalidates a table a
 //! concurrent query is still reading — the reader's `Arc` keeps the data
 //! alive and the shard simply drops its reference.
 
@@ -272,7 +272,7 @@ struct Home {
 }
 
 /// A shared handle on one entry.
-pub type CachedTables = Arc<CachedStwig>;
+pub(crate) type CachedTables = Arc<CachedStwig>;
 
 /// What an index in an entry's memo was built over and on: the tables of
 /// `dest` then of each of `senders`, keyed on columns `key_cols`.
@@ -722,7 +722,7 @@ impl CacheCore {
 ///
 /// The cache borrows the cloud it was built for, so the cloud provably
 /// outlives it — which is what makes the pointer fast path in
-/// [`StwigCache::matches_cloud`] sound.
+/// `StwigCache::matches_cloud` sound.
 pub struct StwigCache<'c> {
     cloud: &'c MemoryCloud,
     core: Arc<CacheCore>,
@@ -791,7 +791,7 @@ impl<'c> StwigCache<'c> {
     /// build the cache from the cloud you intend to query. The cache's own
     /// fingerprint is taken from the borrowed (immutable) cloud on the first
     /// such comparison and kept.
-    pub fn matches_cloud(&self, cloud: &MemoryCloud) -> bool {
+    pub(crate) fn matches_cloud(&self, cloud: &MemoryCloud) -> bool {
         if std::ptr::eq(self.cloud, cloud) {
             return true;
         }
@@ -930,7 +930,7 @@ impl<'c> StwigCache<'c> {
     /// Marks `shape` uncacheable: its unbound exploration exceeded the
     /// populate row cap, so future queries skip straight to plain bound
     /// exploration instead of re-attempting (and re-paying) the populate.
-    pub fn mark_uncacheable(&self, shape: StwigShape, cloud: &MemoryCloud) {
+    pub(crate) fn mark_uncacheable(&self, shape: StwigShape, cloud: &MemoryCloud) {
         let bytes = shape.key_bytes() + std::mem::size_of::<Entry>();
         self.insert_entry(shape, None, bytes, cloud.epoch());
     }
@@ -1105,7 +1105,7 @@ impl<'c> StwigCache<'c> {
 /// edges (e.g. two `gnm` draws with different seeds) therefore fingerprint
 /// differently. Construction is O(V + E), the same order as building the
 /// cloud itself, and runs once per cache.
-pub fn graph_fingerprint(cloud: &MemoryCloud) -> u64 {
+pub(crate) fn graph_fingerprint(cloud: &MemoryCloud) -> u64 {
     let mut hasher = FxHasher::default();
     cloud.num_machines().hash(&mut hasher);
     cloud.num_vertices().hash(&mut hasher);
@@ -1143,7 +1143,11 @@ pub fn graph_fingerprint(cloud: &MemoryCloud) -> u64 {
 /// in canonical form. The planner's child order is the canonical column
 /// order and exploration emits rows lexicographically, so this is the same
 /// table under placeholder column names.
-pub fn canonicalize_table(table: ResultTable, query: &QueryGraph, stwig: &STwig) -> ResultTable {
+pub(crate) fn canonicalize_table(
+    table: ResultTable,
+    query: &QueryGraph,
+    stwig: &STwig,
+) -> ResultTable {
     debug_assert!(
         stwig.has_canonical_children(query),
         "only STwigs in canonical child order are offered to the cache"
@@ -1161,7 +1165,11 @@ pub fn canonicalize_table(table: ResultTable, query: &QueryGraph, stwig: &STwig)
 /// canonical rows re-explored for those roots, possibly none — takes their
 /// place. Canonical rows are sorted root-major and the two inputs then share
 /// no root, so one linear merge on the root column keeps the order.
-pub fn splice_roots(old: &ResultTable, touched: &[VertexId], fresh: &ResultTable) -> ResultTable {
+pub(crate) fn splice_roots(
+    old: &ResultTable,
+    touched: &[VertexId],
+    fresh: &ResultTable,
+) -> ResultTable {
     debug_assert!(touched.windows(2).all(|w| w[0] < w[1]));
     debug_assert!(old.rows_are_sorted() && fresh.rows_are_sorted());
     let mut out =

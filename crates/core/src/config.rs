@@ -195,7 +195,7 @@ impl MatchConfig {
 
     /// The worker-thread count this configuration resolves to on the current
     /// host.
-    pub fn resolved_num_threads(&self) -> usize {
+    pub(crate) fn resolved_num_threads(&self) -> usize {
         self.num_threads
             .unwrap_or_else(|| {
                 std::thread::available_parallelism()

@@ -14,7 +14,7 @@
 //!   [`crate::serve`]);
 //! * admitted queries wait in per-tenant queues dispatched by a
 //!   deficit-round-robin scheduler (fair shares of estimated work across
-//!   tenants; earliest-deadline-first with aged priorities within one), and
+//!   tenants; earliest-deadline-first, then submission order, within one), and
 //!   are *shed* at dispatch — [`crate::metrics::QueryOutcome::Shed`], zero
 //!   execution work — once their deadline is hopeless. Shedding looks at
 //!   the request's own deadline only: the engine keeps no fault state, so
@@ -264,7 +264,7 @@ impl<'c> QueryEngine<'c> {
     }
 
     /// The current epoch of a dynamic engine; `None` for a static one.
-    pub fn current_epoch(&self) -> Option<u64> {
+    pub(crate) fn current_epoch(&self) -> Option<u64> {
         self.epochs.map(GraphEpochs::epoch)
     }
 
@@ -307,7 +307,7 @@ impl<'c> QueryEngine<'c> {
     ///
     /// Returns [`Submit::Accepted`] with a [`QueryHandle`] — await the
     /// result with [`QueryHandle::wait`], poll with
-    /// [`QueryHandle::try_wait`], cancel with [`QueryHandle::cancel`] — or
+    /// [`QueryHandle::status`], cancel with [`QueryHandle::cancel`] — or
     /// [`Submit::Rejected`] when the bounded queue is full
     /// ([`RejectReason::QueueFull`]) or the calibrated cost model predicts
     /// the request's deadline cannot be met
@@ -316,7 +316,7 @@ impl<'c> QueryEngine<'c> {
     ///
     /// Admitted queries execute when a thread serves the queue — a
     /// [`QueryEngine::serve`] worker, or any call to
-    /// [`QueryEngine::drain`] / [`QueryEngine::run_next`]. The executor
+    /// [`QueryEngine::drain`] / `QueryEngine::run_next`. The executor
     /// fills a table in canonical column order ([`QueryResponse::table`]);
     /// to stream rows instead, use [`QueryEngine::submit_streaming`]. Both
     /// run the same executor under the request's deadline, cancel token
@@ -348,7 +348,6 @@ impl<'c> QueryEngine<'c> {
         let QueryRequest {
             query,
             tenant,
-            priority,
             options,
         } = request;
         // Pin the snapshot at admission: the query sees exactly the epoch
@@ -398,7 +397,7 @@ impl<'c> QueryEngine<'c> {
         sched.account_submit(&tenant, SubmitDisposition::Accepted);
         let cancel = options.cancel.unwrap_or_default();
         let shared = Arc::new(crate::serve::HandleShared::new(tenant.clone(), cancel));
-        let (seq, aged_rank) = sched.next_seq(priority.head_start());
+        let seq = sched.next_seq();
         let entry = QueueEntry {
             work: Work::Query {
                 query,
@@ -412,7 +411,6 @@ impl<'c> QueryEngine<'c> {
             cost: units,
             shared: Arc::clone(&shared),
             seq,
-            aged_rank,
         };
         sched.enqueue(&tenant, entry);
         drop(sched);
@@ -472,7 +470,7 @@ impl<'c> QueryEngine<'c> {
             tenant.clone(),
             Default::default(),
         ));
-        let (seq, aged_rank) = sched.next_seq(0);
+        let seq = sched.next_seq();
         let entry = QueueEntry {
             // DRR cost: one unit per op, so a huge batch debits the
             // updates tenant proportionally more than a single-edge tweak.
@@ -482,7 +480,6 @@ impl<'c> QueryEngine<'c> {
             submitted: now,
             shared: Arc::clone(&shared),
             seq,
-            aged_rank,
         };
         sched.enqueue(&tenant, entry);
         drop(sched);
@@ -496,7 +493,7 @@ impl<'c> QueryEngine<'c> {
 
     /// Dispatches and executes the next scheduled query on this thread.
     /// Returns `false` when the queue is empty.
-    pub fn run_next(&self) -> bool {
+    pub(crate) fn run_next(&self) -> bool {
         let entry = self.sched.lock().expect("scheduler lock").pop();
         match entry {
             Some(entry) => {
@@ -581,7 +578,6 @@ impl<'c> QueryEngine<'c> {
             cost,
             shared,
             seq: _,
-            aged_rank: _,
         } = entry;
         let now = Instant::now();
         let served_seq = self.served_seq.fetch_add(1, Ordering::Relaxed);
@@ -693,7 +689,6 @@ impl<'c> QueryEngine<'c> {
             cancel: Some(shared.cancel_token().clone()),
             result_mode: mode,
             faults: faults.map(|faults| *faults),
-            ..QueryOptions::none()
         };
         // One executor, two outputs: a table it fills and hands back, or
         // the handle's channel. A consumer that dropped its `RowStream`
@@ -834,7 +829,7 @@ mod tests {
     use crate::config::{ResultMode, TransportMode};
     use crate::distributed::{match_query, MatchOutput, Run};
     use crate::query::QueryGraph;
-    use crate::serve::{AdmissionConfig, Priority, QueryStatus, TenantId};
+    use crate::serve::{AdmissionConfig, QueryStatus};
     use trinity_sim::builder::GraphBuilder;
     use trinity_sim::ids::VertexId;
     use trinity_sim::network::CostModel;
@@ -1313,19 +1308,6 @@ mod tests {
         engine.drain();
         let response = handle.wait().unwrap();
         assert_eq!(response.table.unwrap().num_rows(), 4);
-    }
-
-    #[test]
-    fn options_carry_tenant_and_priority_into_the_request() {
-        let options = QueryOptions::none()
-            .with_tenant("analytics")
-            .with_priority(Priority::High)
-            .with_deadline(Duration::from_secs(1));
-        let cloud = sample_cloud(1);
-        let request = QueryRequest::new(chain_query(&cloud)).with_options(options);
-        assert_eq!(request.tenant, TenantId::new("analytics"));
-        assert_eq!(request.priority, Priority::High);
-        assert_eq!(request.options.deadline, Some(Duration::from_secs(1)));
     }
 
     #[test]

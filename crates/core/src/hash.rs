@@ -11,7 +11,7 @@
 //! crate use the same one — and is re-exported here under the names the join
 //! code has always used.
 //!
-//! The module also provides [`InlineKey`], a fixed-width stack-allocated join
+//! The module also provides `InlineKey`, a fixed-width stack-allocated join
 //! key for the 2–4 shared-column case, so neither side of a hash join has to
 //! heap-allocate a `Vec` per row (see [`crate::join`]).
 
@@ -20,11 +20,11 @@ use trinity_sim::ids::VertexId;
 
 /// A set of data vertices, as stored in binding sets and used to filter
 /// candidates on the exploration hot path.
-pub type VertexSet = FxHashSet<VertexId>;
+pub(crate) type VertexSet = FxHashSet<VertexId>;
 
 /// Maximum number of shared columns an [`InlineKey`] can hold before the join
 /// falls back to a heap-allocated key.
-pub const INLINE_KEY_COLUMNS: usize = 4;
+pub(crate) const INLINE_KEY_COLUMNS: usize = 4;
 
 /// A fixed-width, stack-allocated join key for up to [`INLINE_KEY_COLUMNS`]
 /// shared columns.
@@ -33,7 +33,7 @@ pub const INLINE_KEY_COLUMNS: usize = 4;
 /// key has the same number of live slots, so padded positions always compare
 /// equal and never affect the join result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct InlineKey([u64; INLINE_KEY_COLUMNS]);
+pub(crate) struct InlineKey([u64; INLINE_KEY_COLUMNS]);
 
 impl InlineKey {
     /// Padding for unused slots. The value is irrelevant for correctness (all
@@ -44,7 +44,7 @@ impl InlineKey {
     /// Builds a key from the values of `row` at `columns.len()` (≤ 4) column
     /// positions.
     #[inline]
-    pub fn from_row(row: &[VertexId], columns: &[usize]) -> Self {
+    pub(crate) fn from_row(row: &[VertexId], columns: &[usize]) -> Self {
         debug_assert!(columns.len() <= INLINE_KEY_COLUMNS);
         let mut slots = [Self::FILLER; INLINE_KEY_COLUMNS];
         for (slot, &c) in slots.iter_mut().zip(columns.iter()) {

@@ -34,7 +34,11 @@ pub struct HeadSelection {
 /// the smaller eccentricity, then the earlier STwig in processing order.
 ///
 /// `stwigs` must be non-empty.
-pub fn select_head(query: &QueryGraph, stwigs: &[STwig], cluster: &ClusterGraph) -> HeadSelection {
+pub(crate) fn select_head(
+    query: &QueryGraph,
+    stwigs: &[STwig],
+    cluster: &ClusterGraph,
+) -> HeadSelection {
     assert!(
         !stwigs.is_empty(),
         "cannot select a head from an empty decomposition"
@@ -78,21 +82,6 @@ pub fn load_set(
     }
     let d = selection.root_distances[stwig_index];
     cluster.machines_within(machine, d)
-}
-
-/// The full load-set matrix: `result[k][t]` is `F_{k,t}`.
-pub fn load_sets(
-    cluster: &ClusterGraph,
-    selection: &HeadSelection,
-    num_stwigs: usize,
-) -> Vec<Vec<Vec<MachineId>>> {
-    (0..cluster.num_machines() as u16)
-        .map(|k| {
-            (0..num_stwigs)
-                .map(|t| load_set(cluster, selection, MachineId(k), t))
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -188,16 +177,6 @@ mod tests {
         assert_eq!(f0, vec![MachineId(1), MachineId(2)]);
         let f1 = load_set(&cluster, &sel, MachineId(1), other);
         assert_eq!(f1, vec![MachineId(0), MachineId(2), MachineId(3)]);
-    }
-
-    #[test]
-    fn load_sets_matrix_shape() {
-        let (q, stwigs) = path_query();
-        let cluster = chain_cluster(3);
-        let sel = select_head(&q, &stwigs, &cluster);
-        let all = load_sets(&cluster, &sel, stwigs.len());
-        assert_eq!(all.len(), 3);
-        assert_eq!(all[0].len(), 2);
     }
 
     #[test]

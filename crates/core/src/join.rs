@@ -4,7 +4,7 @@
 //! The join is the per-row hot path of the whole matcher, so the build and
 //! probe sides avoid heap allocation: the shared-column key is a bare `u64`
 //! when one column is shared (the common case for STwig decompositions), a
-//! stack-allocated [`InlineKey`] for 2–4 shared columns, and only degrades to
+//! stack-allocated `InlineKey` for 2–4 shared columns, and only degrades to
 //! a `Vec` key beyond that. The build index is a chained hash index —
 //! one pre-sized map from key to chain head/tail plus one pre-sized `next`
 //! array — so building it performs no per-row allocation either.
@@ -403,7 +403,7 @@ where
 /// goes unnoticed (debug builds assert it).
 ///
 /// With exactly one shared column the key is a bare `u64` and neither side
-/// allocates per row; 2–4 shared columns use a stack [`InlineKey`]; only a
+/// allocates per row; 2–4 shared columns use a stack `InlineKey`; only a
 /// wider overlap falls back to `Vec` keys. This is a one-level `ProbeChain`;
 /// the pipelined join runs one chain through all its [`PreparedJoin`]s.
 pub fn hash_join(
@@ -432,7 +432,11 @@ pub fn hash_join(
 /// to `sample_size` rows of `left` and probing a per-key count table of
 /// `right` built on the shared columns (the sample-based method of
 /// [Garcia-Molina et al.]). Uses the same fixed-width keys as [`hash_join`].
-pub fn estimate_join_size(left: &ResultTable, right: &ResultTable, sample_size: usize) -> f64 {
+pub(crate) fn estimate_join_size(
+    left: &ResultTable,
+    right: &ResultTable,
+    sample_size: usize,
+) -> f64 {
     if left.is_empty() || right.is_empty() {
         return 0.0;
     }

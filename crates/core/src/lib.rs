@@ -92,8 +92,8 @@ pub use pattern::parse_pattern;
 pub use query::{QVid, QueryGraph, QueryGraphBuilder};
 pub use retry::{FailurePolicy, Faults, RetryPolicy};
 pub use serve::{
-    AdmissionConfig, CostEstimator, Priority, QueryHandle, QueryRequest, QueryResponse,
-    QueryStatus, RejectReason, ServeConfig, Submit, TenantId, TenantStats,
+    AdmissionConfig, CostEstimator, QueryHandle, QueryRequest, QueryResponse, QueryStatus,
+    RejectReason, ServeConfig, Submit, TenantId, TenantStats,
 };
 pub use stream::{
     CancelToken, ChannelSink, CollectSink, QueryOptions, ResultSink, RowBatch, RowStream,
@@ -118,7 +118,7 @@ pub mod prelude {
     };
     pub use crate::engine::{EngineConfig, QueryEngine};
     pub use crate::error::StwigError;
-    pub use crate::head::{load_set, select_head, HeadSelection};
+    pub use crate::head::{load_set, HeadSelection};
     pub use crate::metrics::{
         CacheStats, EngineStats, FaultCounters, MetricsSnapshot, PhaseTraffic, QueryMetrics,
         QueryOutcome, SchedulerStats,
@@ -127,13 +127,13 @@ pub mod prelude {
     pub use crate::query::{QVid, QueryGraph, QueryGraphBuilder};
     pub use crate::retry::{FailurePolicy, Faults, RetryPolicy};
     pub use crate::serve::{
-        AdmissionConfig, CostEstimator, Priority, QueryHandle, QueryRequest, QueryResponse,
-        QueryStatus, RejectReason, ServeConfig, Submit, TenantId, TenantStats,
+        AdmissionConfig, CostEstimator, QueryHandle, QueryRequest, QueryResponse, QueryStatus,
+        RejectReason, ServeConfig, Submit, TenantId, TenantStats,
     };
     pub use crate::stream::{
         CancelToken, ChannelSink, CollectSink, QueryOptions, ResultSink, RowBatch, RowStream,
     };
     pub use crate::stwig::STwig;
     pub use crate::table::ResultTable;
-    pub use crate::verify::{canonical_rows, is_valid_embedding, same_answer, verify_all};
+    pub use crate::verify::{canonical_rows, same_answer, verify_all};
 }

@@ -345,7 +345,7 @@ impl RootFilter {
 /// match).
 ///
 /// Every exchange runs under the fault stack `control` carries
-/// ([`exchange_or_skip`]); what the retry layer absorbed is tallied into
+/// (`exchange_or_skip`); what the retry layer absorbed is tallied into
 /// `faults`. A machine that stays unreachable after the budget fails the
 /// exploration with [`StwigError::MachineUnavailable`] under
 /// [`crate::retry::FailurePolicy::Fail`]; under `Degrade` the machine is

@@ -37,13 +37,7 @@ pub enum QueryOutcome {
     Partial,
 }
 
-impl QueryOutcome {
-    /// Whether the query was stopped by a deadline or cancellation, or shed
-    /// before it ever ran.
-    pub fn is_interrupted(&self) -> bool {
-        !matches!(self, QueryOutcome::Complete)
-    }
-}
+impl QueryOutcome {}
 
 /// Fault-tolerance counters of one query: what the retry layer absorbed and
 /// what was permanently lost.
@@ -77,14 +71,14 @@ impl FaultCounters {
     }
 
     /// Records machine `m` as permanently lost (idempotent).
-    pub fn record_lost(&mut self, m: u16) {
+    pub(crate) fn record_lost(&mut self, m: u16) {
         if let Err(pos) = self.machines_lost.binary_search(&m) {
             self.machines_lost.insert(pos, m);
         }
     }
 
     /// Whether machine `m` has been recorded as lost.
-    pub fn is_lost(&self, m: u16) -> bool {
+    pub(crate) fn is_lost(&self, m: u16) -> bool {
         self.machines_lost.binary_search(&m).is_ok()
     }
 
@@ -570,9 +564,6 @@ mod tests {
     fn outcome_defaults_to_complete() {
         let m = QueryMetrics::default();
         assert_eq!(m.outcome, QueryOutcome::Complete);
-        assert!(!m.outcome.is_interrupted());
-        assert!(QueryOutcome::Cancelled.is_interrupted());
-        assert!(QueryOutcome::DeadlineExceeded.is_interrupted());
         assert_eq!(m.rows_streamed, 0);
         assert_eq!(m.time_to_first_result_us, None);
     }
@@ -600,7 +591,6 @@ mod tests {
         assert!((FaultCounters::default().coverage(4) - 1.0).abs() < 1e-12);
         assert!(a.any());
         assert!(!FaultCounters::default().any());
-        assert!(QueryOutcome::Partial.is_interrupted());
     }
 
     #[test]

@@ -199,14 +199,17 @@ mod tests {
             block_rows: 7,
             ..MatchConfig::default()
         };
-        let mut piped = pipelined_join(&tables, &cfg, &join_order(&tables), &mut c2);
+        let piped = pipelined_join(&tables, &cfg, &join_order(&tables), &mut c2);
         assert_eq!(piped.num_rows(), full.num_rows());
         assert!(c2.pipeline_rounds > 1);
-        // Same set of rows.
-        piped.dedup_rows();
-        let mut full_sorted = full.clone();
-        full_sorted.dedup_rows();
-        assert_eq!(piped, full_sorted);
+        // Same rows.
+        fn sorted(t: &ResultTable) -> Vec<&[VertexId]> {
+            let mut rows: Vec<&[VertexId]> = t.rows().collect();
+            rows.sort_unstable();
+            rows
+        }
+        assert_eq!(piped.columns(), full.columns());
+        assert_eq!(sorted(&piped), sorted(&full));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use trinity_sim::MemoryCloud;
 /// Maximum number of vertices in a query graph. Queries in the paper have at
 /// most 15 nodes; 64 leaves ample headroom while keeping the all-pairs
 /// shortest-path work (O(n³)) negligible.
-pub const MAX_QUERY_VERTICES: usize = 64;
+pub(crate) const MAX_QUERY_VERTICES: usize = 64;
 
 /// A query-vertex identifier (dense index into the query graph).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -165,18 +165,6 @@ impl QueryGraph {
         }
         d
     }
-
-    /// Validates the query against a data graph: every query label must exist
-    /// in the cloud's label space.
-    pub fn validate_against(&self, cloud: &MemoryCloud) -> Result<(), StwigError> {
-        for v in self.vertices() {
-            let l = self.label(v);
-            if cloud.labels().name(l).is_none() {
-                return Err(StwigError::LabelNotFound(format!("{l}")));
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Incremental builder for [`QueryGraph`].
@@ -197,7 +185,7 @@ impl QueryGraphBuilder {
     }
 
     /// Adds a query vertex with a label id and an explicit diagnostic name.
-    pub fn named_vertex(&mut self, label: LabelId, name: &str) -> QVid {
+    pub(crate) fn named_vertex(&mut self, label: LabelId, name: &str) -> QVid {
         let id = self.vertex(label);
         self.names[id.index()] = name.to_string();
         id

@@ -71,7 +71,7 @@ impl RetryPolicy {
     /// up to 50% deterministic jitter derived from `salt` (callers pass a
     /// hash of the link) so synchronized retry storms de-correlate without
     /// sacrificing reproducibility.
-    pub fn backoff(&self, attempt: u32, salt: u64) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32, salt: u64) -> Duration {
         if self.base_backoff_us == 0 {
             return Duration::ZERO;
         }
@@ -150,7 +150,7 @@ impl Faults {
 /// `make_msg` is invoked once per attempt so the fault-free fast path pays
 /// no extra clone. Transient-failure accounting lands in `faults`
 /// (retries, timeouts, other transient errors).
-pub fn retry_exchange(
+pub(crate) fn retry_exchange(
     tp: &dyn Transport,
     policy: &RetryPolicy,
     src: MachineId,
@@ -208,7 +208,7 @@ pub fn retry_exchange(
 /// under [`FailurePolicy::Degrade`] (now recorded in
 /// `faults.machines_lost`), or the query was interrupted mid-backoff
 /// (latched in `control`).
-pub fn exchange_or_skip(
+pub(crate) fn exchange_or_skip(
     tp: &dyn Transport,
     src: MachineId,
     dst: MachineId,
@@ -246,7 +246,7 @@ pub(crate) fn degraded_loss(err: &StwigError, control: Option<&QueryControl>) ->
 /// without them ([`exchange_or_skip`]). The reply is validated before any id
 /// of it can reach an answer ([`Message::into_postings`]): its run count,
 /// and that `dst` owns every id it lists.
-pub fn fetch_postings(
+pub(crate) fn fetch_postings(
     tp: &dyn Transport,
     cloud: &MemoryCloud,
     src: MachineId,

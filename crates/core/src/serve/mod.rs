@@ -13,8 +13,8 @@
 //!   deadline-carrying queries predicted to miss
 //!   ([`RejectReason::EstimatedTooLate`]) before they cost anything;
 //! * [`scheduler`] — deficit round-robin across [`TenantId`]s (fair shares
-//!   of estimated work, not of request count), earliest-deadline-first with
-//!   aged [`Priority`] head starts within a tenant, and dispatch-time
+//!   of estimated work, not of request count), earliest-deadline-first and
+//!   then submission order within a tenant, and dispatch-time
 //!   shedding ([`crate::metrics::QueryOutcome::Shed`]) of queries that can
 //!   no longer make their deadline;
 //! * [`tenant`] — tenant identity and per-tenant serving counters.
@@ -35,7 +35,7 @@ pub mod scheduler;
 pub mod tenant;
 
 pub use admission::{AdmissionConfig, CostEstimator};
-pub use tenant::{Priority, TenantId, TenantStats};
+pub use tenant::{TenantId, TenantStats};
 
 use crate::error::StwigError;
 use crate::metrics::{QueryMetrics, QueryOutcome};
@@ -47,8 +47,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 /// Configuration of the serving layer, carried by
 /// [`crate::engine::EngineConfig::serve`]. The scheduler has no knobs: its
-/// DRR quantum adapts to the queued costs and its priority aging step is
-/// [`scheduler::AGING_STEP`].
+/// DRR quantum adapts to the queued costs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeConfig {
     /// Bounded-queue and cost-model knobs.
@@ -65,27 +64,23 @@ impl ServeConfig {
 
 /// One query submission: the pattern plus who is asking and under what
 /// service terms. Build with [`QueryRequest::new`] and the `with_*`
-/// builders, or attach a pre-built [`QueryOptions`] (whose tenant/priority,
-/// when set, take effect here).
+/// builders, or attach pre-built [`QueryOptions`].
 #[derive(Debug, Clone)]
 pub struct QueryRequest {
     /// The query pattern.
     pub query: QueryGraph,
     /// The tenant charged and scheduled for this query.
     pub tenant: TenantId,
-    /// Scheduling priority within the tenant.
-    pub priority: Priority,
     /// Serving options (deadline, cancellation, result mode).
     pub options: QueryOptions,
 }
 
 impl QueryRequest {
-    /// A request on the default tenant at normal priority, no options.
+    /// A request on the default tenant, no options.
     pub fn new(query: QueryGraph) -> Self {
         QueryRequest {
             query,
             tenant: TenantId::default(),
-            priority: Priority::default(),
             options: QueryOptions::none(),
         }
     }
@@ -96,22 +91,8 @@ impl QueryRequest {
         self
     }
 
-    /// Sets the priority.
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Attaches serving options. A tenant or non-default priority carried by
-    /// the options (see [`QueryOptions::with_tenant`] /
-    /// [`QueryOptions::with_priority`]) overrides the request's.
+    /// Attaches serving options.
     pub fn with_options(mut self, options: QueryOptions) -> Self {
-        if let Some(tenant) = options.tenant.clone() {
-            self.tenant = tenant;
-        }
-        if options.priority != Priority::default() {
-            self.priority = options.priority;
-        }
         self.options = options;
         self
     }
@@ -371,14 +352,6 @@ impl QueryHandle {
         self.shared.rows.lock().expect("rows lock").take()
     }
 
-    /// Non-blocking poll: the response if the query has finished.
-    pub fn try_wait(&self) -> Option<Result<QueryResponse, StwigError>> {
-        if !self.is_finished() {
-            return None;
-        }
-        self.shared.result.lock().expect("result lock").take()
-    }
-
     /// Blocks until the query finishes and returns its response.
     ///
     /// Only blocks while some other thread serves the queue; pair with
@@ -422,7 +395,6 @@ mod tests {
             shared: Arc::clone(&shared),
         };
         assert_eq!(handle.status(), QueryStatus::Queued);
-        assert!(handle.try_wait().is_none());
         shared.mark_running();
         assert_eq!(handle.status(), QueryStatus::Running);
         shared.finish(Ok(QueryResponse {

@@ -1,5 +1,5 @@
 //! Per-tenant fair scheduling: deficit round-robin across tenants,
-//! earliest-deadline-first with aged priorities within a tenant.
+//! earliest-deadline-first, then submission order, within a tenant.
 //!
 //! ## The model
 //!
@@ -15,14 +15,10 @@
 //!   locked out. A tenant with 10× the offered load gets the same service
 //!   share as its neighbor — the excess just waits in *its own* queue (or
 //!   is refused by admission), never in front of another tenant's work.
-//! * **Within a tenant — EDF, then aged priority.** The tenant's queue is a
-//!   heap ordered by (deadline, aged rank, submission): deadline-carrying
-//!   queries run earliest-deadline-first; among equal deadlines (including
-//!   the no-deadline bulk) a query's rank is its submission index minus a
-//!   head start of [`AGING_STEP`] submissions per
-//!   [`crate::serve::Priority`] level.
-//!   Priority is thus a *bounded* head start — a waiting query ages past
-//!   any fixed priority level, so low-priority work cannot starve.
+//! * **Within a tenant — EDF, then FIFO.** The tenant's queue is a heap
+//!   ordered by (deadline, submission): deadline-carrying queries run
+//!   earliest-deadline-first, and among equal deadlines (including the
+//!   no-deadline bulk) the earlier submission runs first.
 //!
 //! The scheduler is a passive data structure behind the engine's serve
 //! lock; it never blocks and never touches the graph.
@@ -34,11 +30,6 @@ use crate::query::QueryGraph;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Submissions of head start per [`crate::serve::Priority`] level: a
-/// waiting query ages past a priority level once this many later
-/// submissions have arrived.
-pub const AGING_STEP: u64 = 64;
 
 /// How a finished query is delivered to its handle.
 #[derive(Debug)]
@@ -91,12 +82,10 @@ pub(crate) struct QueueEntry {
     pub shared: Arc<HandleShared>,
     /// Global submission index (total order tie-break).
     pub seq: u64,
-    /// `seq` minus the priority head start: the aging key.
-    pub aged_rank: i64,
 }
 
 /// Heap wrapper ordering entries min-first: deadline-carrying entries first
-/// (earliest deadline wins), then the no-deadline bulk by (aged rank, seq).
+/// (earliest deadline wins), then the no-deadline bulk; ties by seq.
 /// `BinaryHeap` is a max-heap, so `Ord` is reversed.
 #[derive(Debug)]
 struct Ordered(QueueEntry);
@@ -106,17 +95,10 @@ impl Ordered {
     fn dispatch_cmp(&self, other: &Self) -> std::cmp::Ordering {
         use std::cmp::Ordering::*;
         match (self.0.deadline, other.0.deadline) {
-            (Some(a), Some(b)) => a
-                .cmp(&b)
-                .then(self.0.aged_rank.cmp(&other.0.aged_rank))
-                .then(self.0.seq.cmp(&other.0.seq)),
+            (Some(a), Some(b)) => a.cmp(&b).then(self.0.seq.cmp(&other.0.seq)),
             (Some(_), None) => Less,
             (None, Some(_)) => Greater,
-            (None, None) => self
-                .0
-                .aged_rank
-                .cmp(&other.0.aged_rank)
-                .then(self.0.seq.cmp(&other.0.seq)),
+            (None, None) => self.0.seq.cmp(&other.0.seq),
         }
     }
 }
@@ -193,12 +175,11 @@ impl Scheduler {
         }
     }
 
-    /// The next global submission index, and the aged rank a priority head
-    /// start turns it into.
-    pub(crate) fn next_seq(&mut self, head_start: i64) -> (u64, i64) {
+    /// The next global submission index.
+    pub(crate) fn next_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        (seq, seq as i64 - head_start * AGING_STEP as i64)
+        seq
     }
 
     /// Mutable access to a tenant's stats (creating the tenant on first
@@ -237,7 +218,7 @@ impl Scheduler {
         self.peak_depth = self.peak_depth.max(self.depth);
     }
 
-    /// Dispatches the next query under DRR + EDF + aging. `None` iff the
+    /// Dispatches the next query under DRR + EDF. `None` iff the
     /// queue is empty — the scheduler is work-conserving by construction.
     pub(crate) fn pop(&mut self) -> Option<QueueEntry> {
         if self.depth == 0 {
@@ -337,7 +318,6 @@ impl Scheduler {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tenant::Priority;
     use super::*;
     use std::time::Duration;
 
@@ -355,11 +335,10 @@ mod tests {
         sched: &mut Scheduler,
         tenant: &TenantId,
         cost: f64,
-        priority: Priority,
         deadline: Option<Duration>,
     ) -> QueueEntry {
         let now = Instant::now();
-        let (seq, aged_rank) = sched.next_seq(priority.head_start());
+        let seq = sched.next_seq();
         QueueEntry {
             work: Work::Query {
                 query: chain_query(),
@@ -373,7 +352,6 @@ mod tests {
             cost,
             shared: Arc::new(HandleShared::new(tenant.clone(), Default::default())),
             seq,
-            aged_rank,
         }
     }
 
@@ -381,10 +359,9 @@ mod tests {
         sched: &mut Scheduler,
         tenant: &TenantId,
         cost: f64,
-        priority: Priority,
         deadline: Option<Duration>,
     ) -> u64 {
-        let e = entry(sched, tenant, cost, priority, deadline);
+        let e = entry(sched, tenant, cost, deadline);
         let seq = e.seq;
         sched.enqueue(tenant, e);
         seq
@@ -396,10 +373,10 @@ mod tests {
         let heavy = TenantId::new("heavy");
         let light = TenantId::new("light");
         for _ in 0..20 {
-            submit(&mut sched, &heavy, 10.0, Priority::Normal, None);
+            submit(&mut sched, &heavy, 10.0, None);
         }
         let light_seqs: Vec<u64> = (0..2)
-            .map(|_| submit(&mut sched, &light, 10.0, Priority::Normal, None))
+            .map(|_| submit(&mut sched, &light, 10.0, None))
             .collect();
         let order: Vec<u64> = std::iter::from_fn(|| sched.pop().map(|e| e.seq)).collect();
         assert_eq!(order.len(), 22, "work conserving: every entry dispatches");
@@ -416,47 +393,13 @@ mod tests {
     fn edf_orders_within_a_tenant_and_deadlines_preempt_bulk() {
         let mut sched = Scheduler::default();
         let t = TenantId::new("t");
-        let bulk = submit(&mut sched, &t, 1.0, Priority::Normal, None);
-        let late = submit(
-            &mut sched,
-            &t,
-            1.0,
-            Priority::Normal,
-            Some(Duration::from_secs(60)),
-        );
-        let soon = submit(
-            &mut sched,
-            &t,
-            1.0,
-            Priority::Normal,
-            Some(Duration::from_secs(1)),
-        );
+        let bulk0 = submit(&mut sched, &t, 1.0, None);
+        let late = submit(&mut sched, &t, 1.0, Some(Duration::from_secs(60)));
+        let bulk1 = submit(&mut sched, &t, 1.0, None);
+        let soon = submit(&mut sched, &t, 1.0, Some(Duration::from_secs(1)));
+        let bulk2 = submit(&mut sched, &t, 1.0, None);
         let order: Vec<u64> = std::iter::from_fn(|| sched.pop().map(|e| e.seq)).collect();
-        assert_eq!(order, vec![soon, late, bulk]);
-    }
-
-    #[test]
-    fn priority_is_a_bounded_head_start() {
-        let mut sched = Scheduler::default();
-        let t = TenantId::new("t");
-        let old_low = submit(&mut sched, &t, 1.0, Priority::Low, None);
-        // A high-priority newcomer within the aging window jumps ahead…
-        let fresh_high = submit(&mut sched, &t, 1.0, Priority::High, None);
-        let first = sched.pop().unwrap().seq;
-        assert_eq!(first, fresh_high);
-        // …but after `AGING_STEP × levels` more arrivals, the old query's
-        // rank is older than any new high-priority arrival's.
-        for _ in 0..AGING_STEP * 4 {
-            submit(&mut sched, &t, 1.0, Priority::Normal, None);
-        }
-        let late_high = submit(&mut sched, &t, 1.0, Priority::High, None);
-        let order: Vec<u64> = std::iter::from_fn(|| sched.pop().map(|e| e.seq)).collect();
-        let low_pos = order.iter().position(|&s| s == old_low).unwrap();
-        let high_pos = order.iter().position(|&s| s == late_high).unwrap();
-        assert!(
-            low_pos < high_pos,
-            "aged low-priority query must dispatch before a fresh high-priority one"
-        );
+        assert_eq!(order, vec![soon, late, bulk0, bulk1, bulk2]);
     }
 
     #[test]
@@ -466,10 +409,8 @@ mod tests {
         let b = TenantId::new("b");
         // Cheap heads first, so the adaptive quantum sits well below the
         // expensive head and tenant `a` must save credit across rounds.
-        let cheap: Vec<u64> = (0..3)
-            .map(|_| submit(&mut sched, &b, 1.0, Priority::Normal, None))
-            .collect();
-        let big = submit(&mut sched, &a, 100.0, Priority::Normal, None);
+        let cheap: Vec<u64> = (0..3).map(|_| submit(&mut sched, &b, 1.0, None)).collect();
+        let big = submit(&mut sched, &a, 100.0, None);
         assert!(
             sched.mean_cost() < 100.0 / 4.0,
             "quantum {}",
@@ -490,7 +431,7 @@ mod tests {
         assert_eq!(sched.depth(), 0);
         assert!(sched.pop().is_none());
         for _ in 0..5 {
-            submit(&mut sched, &t, 2.0, Priority::Normal, None);
+            submit(&mut sched, &t, 2.0, None);
         }
         assert_eq!(sched.depth(), 5);
         assert!((sched.queued_cost() - 10.0).abs() < 1e-9);

@@ -1,12 +1,11 @@
-//! Tenants and priorities of the serving layer.
+//! Tenants of the serving layer.
 //!
 //! The engine serves an open stream of queries from many independent
 //! clients. A [`TenantId`] names the accounting and scheduling domain a
 //! query belongs to (a user, a product surface, an internal batch job); the
 //! deficit-round-robin scheduler in [`crate::serve::scheduler`] guarantees
 //! each active tenant a fair share of service regardless of how many
-//! requests the others have queued. A [`Priority`] orders queries *within*
-//! one tenant — it never lets a tenant take service away from another.
+//! requests the others have queued.
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -52,40 +51,6 @@ impl From<String> for TenantId {
 impl std::fmt::Display for TenantId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.0)
-    }
-}
-
-/// Scheduling priority of a query *within its tenant*.
-///
-/// Priority is implemented as an **aged head start**, not an absolute rank:
-/// a query of priority `p` is ordered as if it had arrived
-/// `p × AGING_STEP` submissions earlier (see
-/// [`crate::serve::scheduler::AGING_STEP`]). A stream of high-priority
-/// arrivals therefore cannot starve an old low-priority query — once the
-/// low-priority query has waited `AGING_STEP` arrivals per priority level,
-/// its effective rank is older than any newcomer's.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum Priority {
-    /// Background work: scheduled as if it arrived one aging step late.
-    Low,
-    /// The default interactive priority.
-    #[default]
-    Normal,
-    /// Latency-sensitive work: one aging step of head start.
-    High,
-    /// Reserved for operator traffic: three aging steps of head start.
-    Critical,
-}
-
-impl Priority {
-    /// The priority's head start, in aging steps. Negative = pushed back.
-    pub(crate) fn head_start(self) -> i64 {
-        match self {
-            Priority::Low => -1,
-            Priority::Normal => 0,
-            Priority::High => 1,
-            Priority::Critical => 3,
-        }
     }
 }
 
@@ -139,13 +104,5 @@ mod tests {
         assert_eq!(a.name(), "alpha");
         assert_eq!(a.to_string(), "alpha");
         assert_eq!(TenantId::default().name(), "default");
-    }
-
-    #[test]
-    fn priority_head_starts_are_ordered() {
-        assert!(Priority::Low.head_start() < Priority::Normal.head_start());
-        assert!(Priority::Normal.head_start() < Priority::High.head_start());
-        assert!(Priority::High.head_start() < Priority::Critical.head_start());
-        assert_eq!(Priority::default(), Priority::Normal);
     }
 }

@@ -19,7 +19,7 @@ use crate::query::QVid;
 use crate::table::ResultTable;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvError, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use trinity_sim::ids::VertexId;
@@ -42,21 +42,15 @@ impl CancelToken {
     }
 
     /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Acquire)
     }
 }
 
 /// Per-query serving options, orthogonal to the algorithmic knobs in
 /// [`crate::config::MatchConfig`].
-///
-/// Besides the execution controls (deadline, cancellation, result mode),
-/// options carry the *serving identity* of a query — the
-/// [`crate::serve::TenantId`] it is charged to and its
-/// [`crate::serve::Priority`] within that tenant — so a fully-specified
-/// request can be built with one fluent chain and handed to
-/// [`crate::engine::QueryEngine::submit`] (via
-/// [`crate::serve::QueryRequest::with_options`]).
+/// The tenant a submitted query is charged to is the request's
+/// ([`crate::serve::QueryRequest::with_tenant`]).
 #[derive(Debug, Clone, Default)]
 pub struct QueryOptions {
     /// Wall-clock budget measured from query admission. When it expires the
@@ -69,11 +63,6 @@ pub struct QueryOptions {
     /// External cancellation; see [`CancelToken`]. Reported as
     /// [`crate::metrics::QueryOutcome::Cancelled`].
     pub cancel: Option<CancelToken>,
-    /// The tenant this query is charged to and scheduled under; `None`
-    /// means the submitting request's tenant (or the default tenant).
-    pub tenant: Option<crate::serve::TenantId>,
-    /// Scheduling priority within the tenant.
-    pub priority: crate::serve::Priority,
     /// Per-query override of the engine's [`crate::config::ResultMode`]
     /// (`None` inherits the engine configuration).
     pub result_mode: Option<crate::config::ResultMode>,
@@ -97,18 +86,6 @@ impl QueryOptions {
     /// Attaches a cancel token.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Sets the tenant the query is charged to.
-    pub fn with_tenant(mut self, tenant: impl Into<crate::serve::TenantId>) -> Self {
-        self.tenant = Some(tenant.into());
-        self
-    }
-
-    /// Sets the scheduling priority within the tenant.
-    pub fn with_priority(mut self, priority: crate::serve::Priority) -> Self {
-        self.priority = priority;
         self
     }
 
@@ -335,7 +312,7 @@ impl RowBatch {
 ///
 /// A failed send means the receiver is gone. A sink built with
 /// [`ChannelSink::new`] ignores that and keeps swallowing rows; one given a
-/// token with [`ChannelSink::cancel_on_disconnect`] cancels it, which stops
+/// token with `ChannelSink::cancel_on_disconnect` cancels it, which stops
 /// a query running under the same token at its next cooperative check
 /// ([`crate::engine::QueryEngine::submit_streaming`] wires the handle's
 /// token this way).
@@ -359,7 +336,7 @@ impl ChannelSink {
 
     /// Cancels `token` on the first batch the receiver is no longer there
     /// to take.
-    pub fn cancel_on_disconnect(mut self, token: CancelToken) -> Self {
+    pub(crate) fn cancel_on_disconnect(mut self, token: CancelToken) -> Self {
         self.on_disconnect = Some(token);
         self
     }
@@ -407,7 +384,7 @@ impl Drop for ChannelSink {
 /// been read — for an engine query, when the query has finished, so the end
 /// of the stream means the last row is in hand.
 ///
-/// The row-at-a-time methods mirror [`std::sync::mpsc::Receiver`]'s and
+/// The row-at-a-time reads ([`RowStream::recv`], [`RowStream::iter`])
 /// allocate one `Vec` per row on the consumer's side;
 /// [`RowStream::batches`] hands out whole batches at no per-row cost. The
 /// two can be mixed: a batch partly read row by row yields its unread rest
@@ -431,12 +408,9 @@ impl RowStream {
         }
     }
 
-    /// The next row: from the batch in hand, else from the next batch
-    /// `next_batch` yields.
-    fn next_row<E>(
-        &self,
-        next_batch: impl Fn(&Receiver<RowBatch>) -> Result<RowBatch, E>,
-    ) -> Result<Vec<VertexId>, E> {
+    /// Blocks for the next row — from the batch in hand, else from the next
+    /// batch; `Err` once the stream has ended.
+    pub fn recv(&self) -> Result<Vec<VertexId>, RecvError> {
         let mut partial = self.partial.borrow_mut();
         loop {
             let (batch, taken) = &mut *partial;
@@ -444,23 +418,8 @@ impl RowStream {
                 *taken += 1;
                 return Ok(row.to_vec());
             }
-            *partial = (next_batch(&self.receiver)?, 0);
+            *partial = (self.receiver.recv()?, 0);
         }
-    }
-
-    /// Blocks for the next row; `Err` once the stream has ended.
-    pub fn recv(&self) -> Result<Vec<VertexId>, RecvError> {
-        self.next_row(Receiver::recv)
-    }
-
-    /// The next row if one has already arrived.
-    pub fn try_recv(&self) -> Result<Vec<VertexId>, TryRecvError> {
-        self.next_row(Receiver::try_recv)
-    }
-
-    /// Blocks for the next row for at most `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Vec<VertexId>, RecvTimeoutError> {
-        self.next_row(|receiver| receiver.recv_timeout(timeout))
     }
 
     /// Blocking iterator over the remaining rows; ends with the stream.
@@ -499,6 +458,7 @@ impl Iterator for RowStream {
 mod tests {
     use super::*;
     use crate::query::QVid;
+    use std::sync::mpsc::TryRecvError;
     use trinity_sim::ids::VertexId;
 
     #[test]
@@ -606,11 +566,6 @@ mod tests {
         const ROWS: u64 = 2 * BATCH_ROWS as u64 + 40;
         let (tx, rx) = std::sync::mpsc::channel();
         let stream = RowStream::new(rx);
-        assert!(matches!(stream.try_recv(), Err(TryRecvError::Empty)));
-        assert!(matches!(
-            stream.recv_timeout(Duration::ZERO),
-            Err(RecvTimeoutError::Timeout)
-        ));
         let mut sink = ChannelSink::new(tx);
         for i in 0..ROWS {
             sink.row(&pair(i));
@@ -620,9 +575,9 @@ mod tests {
         }
         drop(sink);
         let mut seen: Vec<Vec<VertexId>> = Vec::new();
-        seen.push(stream.recv().unwrap());
-        seen.push(stream.try_recv().unwrap());
-        seen.push(stream.recv_timeout(Duration::ZERO).unwrap());
+        for _ in 0..3 {
+            seen.push(stream.recv().unwrap());
+        }
         // Crossing into the next batch, then leaving it half read …
         seen.extend(stream.iter().take(10));
         // … its unread rest comes out as one batch, the next one whole.
@@ -647,7 +602,6 @@ mod tests {
         sink.begin(&[QVid(0), QVid(1)]);
         sink.flush();
         drop(sink);
-        assert!(matches!(stream.try_recv(), Err(TryRecvError::Disconnected)));
         assert!(stream.batches().next().is_none());
         assert!(stream.recv().is_err());
         assert_eq!(stream.into_iter().count(), 0);

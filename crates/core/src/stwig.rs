@@ -25,7 +25,7 @@ impl STwig {
     /// Creates an STwig with its children deduplicated and sorted by
     /// query-vertex id. That is *not* the canonical child order — the
     /// canonical one needs the query's labels and is the planner's:
-    /// [`STwig::sort_children_canonically`], applied by
+    /// `STwig::sort_children_canonically`, applied by
     /// [`crate::decompose`] to every STwig it returns.
     pub fn new(root: QVid, mut children: Vec<QVid>) -> Self {
         children.sort_unstable();
@@ -39,12 +39,12 @@ impl STwig {
     /// the column and row order the cross-query cache stores
     /// ([`crate::cache`], "Key canonicalization") and a cached table can be
     /// served to it by copy.
-    pub fn sort_children_canonically(&mut self, query: &QueryGraph) {
+    pub(crate) fn sort_children_canonically(&mut self, query: &QueryGraph) {
         self.children.sort_unstable_by_key(|&c| (query.label(c), c));
     }
 
     /// Whether the children are in canonical order (see
-    /// [`STwig::sort_children_canonically`]). Every planner-produced STwig
+    /// `STwig::sort_children_canonically`). Every planner-produced STwig
     /// is; a hand-built one that is not is never offered to the cache.
     pub fn has_canonical_children(&self, query: &QueryGraph) -> bool {
         self.children
@@ -121,19 +121,6 @@ pub fn validate_cover(query: &QueryGraph, stwigs: &[STwig]) -> Result<(), StwigE
         )));
     }
     Ok(())
-}
-
-/// Returns the set of query vertices that appear in at least one of the given
-/// STwigs (bound vertices after processing them in order).
-pub fn bound_vertices(stwigs: &[STwig]) -> HashSet<QVid> {
-    let mut out = HashSet::new();
-    for t in stwigs {
-        out.insert(t.root);
-        for &c in &t.children {
-            out.insert(c);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -216,17 +203,5 @@ mod tests {
         let q = square();
         let cover = vec![STwig::new(QVid(0), vec![])];
         assert!(validate_cover(&q, &cover).is_err());
-    }
-
-    #[test]
-    fn bound_vertices_union() {
-        let ts = vec![
-            STwig::new(QVid(0), vec![QVid(1)]),
-            STwig::new(QVid(2), vec![QVid(3)]),
-        ];
-        let bound = bound_vertices(&ts);
-        assert_eq!(bound.len(), 4);
-        assert!(bound.contains(&QVid(0)));
-        assert!(bound.contains(&QVid(3)));
     }
 }

@@ -68,7 +68,7 @@ impl ResultTable {
     }
 
     /// Index of a query vertex among the columns, if present.
-    pub fn column_index(&self, q: QVid) -> Option<usize> {
+    pub(crate) fn column_index(&self, q: QVid) -> Option<usize> {
         self.columns.iter().position(|&c| c == q)
     }
 
@@ -81,7 +81,7 @@ impl ResultTable {
 
     /// Makes room for `rows` more rows, so that appending them does not
     /// regrow the buffer.
-    pub fn reserve_rows(&mut self, rows: usize) {
+    pub(crate) fn reserve_rows(&mut self, rows: usize) {
         self.data.reserve(rows * self.columns.len());
     }
 
@@ -106,35 +106,11 @@ impl ResultTable {
     }
 
     /// Distinct values appearing in the column for query vertex `q`.
-    pub fn distinct_values(&self, q: QVid) -> VertexSet {
+    pub(crate) fn distinct_values(&self, q: QVid) -> VertexSet {
         match self.column_index(q) {
             None => VertexSet::default(),
             Some(c) => self.rows().map(|r| r[c]).collect(),
         }
-    }
-
-    /// Removes duplicate rows, leaving the survivors in sorted row order.
-    ///
-    /// Sorts row *indices* over the flat buffer instead of materializing one
-    /// `Vec` per row — this sits on the distributed join path for every
-    /// load-set union, where per-row allocation would dominate.
-    pub fn dedup_rows(&mut self) {
-        let w = self.width();
-        if w == 0 || self.data.is_empty() {
-            return;
-        }
-        let n = self.num_rows();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&a, &b| self.row(a as usize).cmp(self.row(b as usize)));
-        let mut out: Vec<VertexId> = Vec::with_capacity(self.data.len());
-        for (pos, &i) in order.iter().enumerate() {
-            let row = self.row(i as usize);
-            if pos > 0 && self.row(order[pos - 1] as usize) == row {
-                continue;
-            }
-            out.extend_from_slice(row);
-        }
-        self.data = out;
     }
 
     /// Keeps only rows for which `keep` returns true.
@@ -165,7 +141,7 @@ impl ResultTable {
     /// widths must agree. A cache-served STwig table keeps the cache's
     /// placeholder names, and lands in a table under the query's names this
     /// way.
-    pub fn append_rows(&mut self, other: &ResultTable) {
+    pub(crate) fn append_rows(&mut self, other: &ResultTable) {
         assert_eq!(self.width(), other.width(), "width mismatch in append");
         self.data.extend_from_slice(&other.data);
     }
@@ -175,7 +151,7 @@ impl ResultTable {
     /// buffer — how the executor lands a machine's join output (whose column
     /// order follows its join order) in a canonical-order table.
     #[inline]
-    pub fn push_projected(&mut self, row: &[VertexId], projection: &[usize]) {
+    pub(crate) fn push_projected(&mut self, row: &[VertexId], projection: &[usize]) {
         debug_assert_eq!(projection.len(), self.columns.len());
         self.data.extend(projection.iter().map(|&p| row[p]));
     }
@@ -183,7 +159,7 @@ impl ResultTable {
     /// Whether the rows are in ascending lexicographic order (duplicates
     /// allowed). Exploration emits rows in this order (sorted postings ×
     /// sorted adjacency); the STwig-result cache relies on it.
-    pub fn rows_are_sorted(&self) -> bool {
+    pub(crate) fn rows_are_sorted(&self) -> bool {
         let mut prev: Option<&[VertexId]> = None;
         for row in self.rows() {
             if let Some(p) = prev {
@@ -199,7 +175,7 @@ impl ResultTable {
     /// The same rows under other column names (same width), without a copy.
     /// The STwig-result cache files an explored table under positional
     /// placeholder names this way.
-    pub fn with_columns(mut self, columns: Vec<QVid>) -> ResultTable {
+    pub(crate) fn with_columns(mut self, columns: Vec<QVid>) -> ResultTable {
         debug_assert_eq!(columns.len(), self.width());
         self.columns = columns;
         self
@@ -264,13 +240,6 @@ mod tests {
         assert_eq!(d0.len(), 2);
         assert!(d0.contains(&v(1)));
         assert!(t.distinct_values(q(7)).is_empty());
-    }
-
-    #[test]
-    fn dedup_removes_duplicate_rows() {
-        let mut t = sample();
-        t.dedup_rows();
-        assert_eq!(t.num_rows(), 2);
     }
 
     #[test]

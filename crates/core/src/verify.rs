@@ -10,7 +10,7 @@ use trinity_sim::MemoryCloud;
 /// Checks that a single row of a result table is a valid embedding of the
 /// query: labels match, every query edge maps to a data edge, and the mapping
 /// is injective. `columns` gives the query vertex of each row position.
-pub fn is_valid_embedding(
+pub(crate) fn is_valid_embedding(
     cloud: &MemoryCloud,
     query: &QueryGraph,
     columns: &[crate::query::QVid],

@@ -18,35 +18,20 @@ use std::collections::HashMap;
 ///
 /// * Each vertex carries exactly one label (as in the paper's data model).
 /// * Adding the same vertex twice overwrites its label.
-/// * Edges are undirected for matching purposes; a graph built with
-///   [`GraphBuilder::new_directed`] keeps the `directed` flag for reporting
-///   but its adjacency is symmetrized, matching how the paper treats the
-///   citation and word graphs.
+/// * Edges are undirected: adjacency is symmetrized, matching how the paper
+///   treats the citation and word graphs.
 /// * Self loops are ignored.
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     interner: LabelInterner,
     labels: HashMap<VertexId, LabelId>,
     edges: Vec<(VertexId, VertexId)>,
-    directed: bool,
 }
 
 impl GraphBuilder {
     /// A builder for an undirected graph.
     pub fn new_undirected() -> Self {
-        GraphBuilder {
-            directed: false,
-            ..Default::default()
-        }
-    }
-
-    /// A builder for a directed input graph (adjacency is still symmetrized;
-    /// see the type-level docs).
-    pub fn new_directed() -> Self {
-        GraphBuilder {
-            directed: true,
-            ..Default::default()
-        }
+        GraphBuilder::default()
     }
 
     /// Interns a label string, returning its id. Useful for generators that
@@ -60,15 +45,6 @@ impl GraphBuilder {
         let l = self.interner.intern(label);
         self.labels.insert(id, l);
         l
-    }
-
-    /// Adds (or re-labels) a vertex with an already-interned label id.
-    ///
-    /// The label id must have been produced by [`GraphBuilder::intern_label`]
-    /// on this same builder; building fails with
-    /// [`TrinityError::UnknownLabel`] otherwise.
-    pub fn add_vertex_with_label_id(&mut self, id: VertexId, label: LabelId) {
-        self.labels.insert(id, label);
     }
 
     /// Adds an undirected edge. Unknown endpoints are detected at build time.
@@ -88,11 +64,6 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Whether this builder was created as directed.
-    pub fn is_directed(&self) -> bool {
-        self.directed
-    }
-
     /// Partitions the graph over `num_machines` logical machines and builds
     /// the memory cloud.
     pub fn build(self, num_machines: usize, cost: CostModel) -> MemoryCloud {
@@ -102,7 +73,7 @@ impl GraphBuilder {
 
     /// Fallible version of [`GraphBuilder::build`]: the staged graph goes
     /// through [`StreamLoader::load`], so its errors are the loader's.
-    pub fn try_build(
+    pub(crate) fn try_build(
         self,
         num_machines: usize,
         cost: CostModel,
@@ -111,11 +82,8 @@ impl GraphBuilder {
             interner,
             labels,
             edges,
-            directed,
         } = self;
-        StreamLoader::new(num_machines, cost)
-            .with_directed(directed)
-            .load(interner, labels, || edges.iter().copied())
+        StreamLoader::new(num_machines, cost).load(interner, labels, || edges.iter().copied())
     }
 }
 
@@ -178,18 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn a_label_id_interned_elsewhere_is_an_error() {
-        let mut b = GraphBuilder::new_undirected();
-        b.add_vertex(v(1), "a");
-        b.add_vertex_with_label_id(v(2), LabelId(7));
-        b.add_edge(v(1), v(2));
-        assert_eq!(
-            b.try_build(2, CostModel::free()).unwrap_err(),
-            TrinityError::UnknownLabel(LabelId(7))
-        );
-    }
-
-    #[test]
     fn empty_graph_is_an_error() {
         let b = GraphBuilder::new_undirected();
         assert_eq!(
@@ -242,18 +198,6 @@ mod tests {
         let (m1, m2) = (cloud.machine_of(v(1)), cloud.machine_of(v(2)));
         assert!(cloud.catalog().has_pair(m1, la, m2, lb));
         assert!(cloud.catalog().has_pair(m2, lb, m1, la));
-    }
-
-    #[test]
-    fn directed_flag_is_preserved() {
-        let mut b = GraphBuilder::new_directed();
-        b.add_vertex(v(1), "a");
-        b.add_vertex(v(2), "b");
-        b.add_edge(v(1), v(2));
-        let cloud = b.build(1, CostModel::free());
-        assert!(cloud.is_directed());
-        // adjacency is still symmetric
-        assert_eq!(cloud.neighbors_global(v(2)), &[v(1)]);
     }
 
     #[test]

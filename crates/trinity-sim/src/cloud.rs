@@ -9,9 +9,9 @@ use crate::network::{CostModel, Network, TrafficSnapshot};
 use crate::partition::{Cell, Partition, StorageBytes};
 
 /// Size, in bytes, charged for shipping one vertex id over the network.
-pub const VERTEX_ID_BYTES: u64 = 8;
+pub(crate) const VERTEX_ID_BYTES: u64 = 8;
 /// Size, in bytes, charged for a small control message (e.g. a label probe).
-pub const PROBE_BYTES: u64 = 16;
+pub(crate) const PROBE_BYTES: u64 = 16;
 
 /// Deterministic vertex → machine assignment.
 ///
@@ -46,8 +46,7 @@ pub fn machine_for(id: VertexId, num_machines: usize) -> MachineId {
 /// [`crate::partition::CellBuf`]s or id vectors back. The remaining access
 /// surfaces fall into three tiers:
 ///
-/// * **Partition-local** (`load_local`, `label_of_local`, `owns_local`,
-///   `get_ids`): only ever touch the calling machine's own partition — the
+/// * **Partition-local** (`load_local`, `label_of_local`, `get_ids`): only ever touch the calling machine's own partition — the
 ///   operators a message-passing executor is allowed to use.
 /// * **Direct-read** (`load`, `has_label`, and the matcher's bulk
 ///   equivalents — `partition(owner)` reads or every owner's `get_ids`,
@@ -86,7 +85,6 @@ pub struct MemoryCloud {
     pub(crate) catalog: std::sync::Arc<LabelPairCatalog>,
     pub(crate) num_vertices: u64,
     pub(crate) num_edges: u64,
-    pub(crate) directed: bool,
     /// Epoch this snapshot observes: 0 for a freshly built (static) cloud,
     /// bumped by every effective [`crate::epoch::GraphEpochs::apply`].
     pub(crate) epoch: u64,
@@ -122,7 +120,6 @@ const _: () = {
 impl MemoryCloud {
     /// Assembles a cloud from already-partitioned data. Intended to be called
     /// by [`crate::builder::GraphBuilder`].
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         partitions: Vec<Partition>,
         interner: LabelInterner,
@@ -131,7 +128,6 @@ impl MemoryCloud {
         catalog: LabelPairCatalog,
         num_vertices: u64,
         num_edges: u64,
-        directed: bool,
     ) -> Self {
         let network = std::sync::Arc::new(Network::new(partitions.len()));
         MemoryCloud {
@@ -142,7 +138,6 @@ impl MemoryCloud {
             catalog: std::sync::Arc::new(catalog),
             num_vertices,
             num_edges,
-            directed,
             epoch: 0,
             lineage: 0,
             touch_log: None,
@@ -197,12 +192,6 @@ impl MemoryCloud {
     /// Total number of (undirected) edges in the cloud.
     pub fn num_edges(&self) -> u64 {
         self.num_edges
-    }
-
-    /// Whether the graph was built as a directed graph (adjacency is still
-    /// symmetrized for exploration; see `GraphBuilder`).
-    pub fn is_directed(&self) -> bool {
-        self.directed
     }
 
     /// The label interner (string ⇄ id mapping).
@@ -323,13 +312,6 @@ impl MemoryCloud {
     #[inline]
     pub fn label_of_local(&self, machine: MachineId, id: VertexId) -> Option<LabelId> {
         self.partitions[machine.index()].label_of(id)
-    }
-
-    /// Whether `machine` owns vertex `id` (a pure hash computation — owning
-    /// machines can answer this for any id without communication).
-    #[inline]
-    pub fn owns_local(&self, machine: MachineId, id: VertexId) -> bool {
-        self.machine_of(id) == machine
     }
 
     /// `Index.getID(label)`: ids of vertices with `label` that are local to

@@ -11,10 +11,10 @@
 use crate::hash::FxHashSet;
 use crate::ids::{LabelId, MachineId};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// Distance value for unreachable machine pairs.
-pub const UNREACHABLE: u32 = u32::MAX;
+pub(crate) const UNREACHABLE: u32 = u32::MAX;
 
 /// Estimated bytes a pair costs in a hashed set: its 12-byte key plus
 /// control byte and load-factor slack. The layout switch compares at it.
@@ -122,7 +122,7 @@ impl LabelPairCatalog {
     }
 
     /// Whether any edge with the given label pair exists from `src` to `dst`.
-    pub fn has_pair(
+    pub(crate) fn has_pair(
         &self,
         src: MachineId,
         src_label: LabelId,
@@ -134,17 +134,6 @@ impl LabelPairCatalog {
             Some((word, mask)) => self.bits[word] & mask != 0,
             None => self.sparse.contains(&(cell as u32, src_label, dst_label)),
         }
-    }
-
-    /// Number of distinct label pairs recorded between `src` and `dst`.
-    pub fn pair_count(&self, src: MachineId, dst: MachineId) -> usize {
-        let cell = self.cell(src, dst);
-        let w = self.words_per_cell();
-        let in_bits = match self.bits.get(cell * w..(cell + 1) * w) {
-            Some(words) => words.iter().map(|x| x.count_ones() as usize).sum(),
-            None => 0,
-        };
-        in_bits + self.sparse.iter().filter(|p| p.0 as usize == cell).count()
     }
 
     /// Total number of catalog entries (a linear-size preprocessing structure).
@@ -298,19 +287,6 @@ pub fn communication_cost(cluster: &ClusterGraph, d_s: u32) -> u64 {
     total
 }
 
-/// Convenience: a map from unordered machine pairs to whether they are
-/// adjacent in the cluster graph (used in tests and diagnostics).
-pub fn adjacency_map(cluster: &ClusterGraph) -> HashMap<(u16, u16), bool> {
-    let mut out = HashMap::new();
-    let n = cluster.num_machines() as u16;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            out.insert((i, j), cluster.distance(MachineId(i), MachineId(j)) == 1);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,7 +313,6 @@ mod tests {
         assert!(c.has_pair(m(0), l(0), m(1), l(1)));
         assert!(!c.has_pair(m(1), l(0), m(0), l(1)));
         assert!(!c.has_pair(m(0), l(1), m(1), l(0)));
-        assert_eq!(c.pair_count(m(0), m(1)), 1);
         assert_eq!(c.total_entries(), 3);
     }
 
@@ -393,15 +368,6 @@ mod tests {
                     reference.contains(&(i, a, j, b)),
                     "{what}: probe ({i:?}, {a:?}, {j:?}, {b:?})"
                 );
-            }
-            for i in 0..machines as u16 {
-                for j in 0..machines as u16 {
-                    let want = reference
-                        .iter()
-                        .filter(|p| p.0 == m(i) && p.2 == m(j))
-                        .count();
-                    assert_eq!(c.pair_count(m(i), m(j)), want, "{what}: cell {i} → {j}");
-                }
             }
             assert_eq!(c.total_entries(), reference.len(), "{what}: total");
         }
@@ -463,15 +429,6 @@ mod tests {
         assert!(c1 < c3);
         // chain of 4: radius 3 reaches everyone from everyone = 4*3
         assert_eq!(c3, 12);
-    }
-
-    #[test]
-    fn adjacency_map_reports_edges() {
-        let c = chain_catalog();
-        let cg = ClusterGraph::build(&c, &[(l(0), l(1))]);
-        let map = adjacency_map(&cg);
-        assert!(map[&(0, 1)]);
-        assert!(!map[&(0, 3)]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! sequential access. This module applies both ideas to the partition store:
 //!
 //! * [`CompactCsr`] — a vertex's record is `varint(degree)`, then its run:
-//!   `varint(first id)`, then its gaps in blocks of [`BLOCK`]. A vertex of
+//!   `varint(first id)`, then its gaps in blocks of `BLOCK`. A vertex of
 //!   degree 0 costs the one byte `varint(0)`. Runs are sorted and
 //!   deduplicated, so every gap is ≥ 1; a gap block stores one width byte `w` (0–64) and its gaps minus one
 //!   packed LSB-first at `w` bits each, in `⌈n·w/8⌉` bytes. A block of
@@ -18,7 +18,7 @@
 //!   decoding has no byte-serial chain the way LEB128 does (each varint's
 //!   length gates the next).
 //!   Records are found through two-level offsets: the vertices go in blocks
-//!   of [`OFFSET_BLOCK`], and each block keeps one base (`u32`, or `u64`
+//!   of `OFFSET_BLOCK`, and each block keeps one base (`u32`, or `u64`
 //!   once the buffer passes 4 GiB) pointing at a header in the record
 //!   buffer: one width byte, then the offsets of the block's records 2..32
 //!   from the end of the header at 1, 2 or 4 B, the narrowest that the
@@ -39,13 +39,13 @@
 //!   few slots are empty), and `id → local` is a rank. `slot → id` is a
 //!   shift and an add either way. Sparse ids fall back to the sorted id
 //!   array plus a [`CompactIdMap`] (16 B a vertex).
-//! * [`LabelArray`] — one label per local vertex at the narrowest width the
+//! * `LabelArray` — one label per local vertex at the narrowest width the
 //!   interned label count allows: 1 B up to 256 labels, 2 B up to 65,536,
 //!   else 4 B.
-//! * [`CompactLabelIndex`] — per-label postings over the id index's
+//! * `CompactLabelIndex` — per-label postings over the id index's
 //!   *slots*, stored as whichever of a dense bitmap or a delta-varint list
 //!   is smaller for that label. [`Postings`] decodes a slot straight to its
-//!   global id ([`IdIndex::id_at`]), so no posting needs a `select`.
+//!   global id (`IdIndex::id_at`), so no posting needs a `select`.
 //! * [`CompactIdMap`] — an open-addressed slot array mapping global ids to
 //!   local indices in 4 bytes per slot (~8 bytes per vertex at 50% load)
 //!   instead of `HashMap`'s ~50 bytes per vertex; the sparse-id arm of
@@ -61,7 +61,7 @@ use serde::{Deserialize, Serialize};
 /// Appends `x` to `buf` as an LEB128 varint (7 data bits per byte, high bit
 /// set on continuation bytes).
 #[inline]
-pub fn push_varint(buf: &mut Vec<u8>, mut x: u64) {
+pub(crate) fn push_varint(buf: &mut Vec<u8>, mut x: u64) {
     loop {
         let byte = (x & 0x7f) as u8;
         x >>= 7;
@@ -75,7 +75,7 @@ pub fn push_varint(buf: &mut Vec<u8>, mut x: u64) {
 
 /// Number of bytes [`push_varint`] emits for `x`.
 #[inline]
-pub fn varint_len(x: u64) -> usize {
+pub(crate) fn varint_len(x: u64) -> usize {
     // ceil(bits/7), with 0 taking one byte.
     (64 - x.max(1).leading_zeros() as usize).div_ceil(7)
 }
@@ -86,7 +86,7 @@ pub fn varint_len(x: u64) -> usize {
 /// Panics (via slice indexing) on a truncated buffer — encoded runs are
 /// produced and consumed inside this crate, so truncation is a logic error.
 #[inline]
-pub fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
+pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
     let mut x = 0u64;
     let mut shift = 0u32;
     loop {
@@ -108,7 +108,7 @@ pub fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
 /// and each of its records but the first one offset at the width its span
 /// needs: a wider block pays its base less often, and a narrower one keeps
 /// more spans under 256 B (DESIGN.md, "Compact storage").
-pub const OFFSET_BLOCK: usize = 32;
+pub(crate) const OFFSET_BLOCK: usize = 32;
 
 /// One base per offset block: where the block's header sits in the record
 /// buffer. Stored 4 bytes a block while every base fits in `u32` (4 GiB of
@@ -201,7 +201,7 @@ fn record_start(data: &[u8], base: usize, count: usize, k: usize) -> usize {
 /// count `L`, the way [`CompactCsr`] picks its offset width, so a vertex
 /// pays one byte for its label on every workload whose `L ≤ 256`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum LabelArray {
+pub(crate) enum LabelArray {
     /// At most 256 labels.
     U8(Vec<u8>),
     /// At most 65,536 labels.
@@ -276,11 +276,6 @@ impl LabelArray {
         }
     }
 
-    /// Whether no label is stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Bytes a label takes: 1, 2 or 4.
     pub fn width(&self) -> usize {
         match self {
@@ -310,7 +305,7 @@ impl LabelArray {
 /// one outlier at more gaps, and a narrower one pays its width byte more
 /// often: on R-MAT runs 8 stores the fewest bytes of 4, 8, 16, 32 and 64
 /// (DESIGN.md, "Compact storage").
-pub const BLOCK: usize = 8;
+pub(crate) const BLOCK: usize = 8;
 
 /// Widest gap, in bits, the one-word read serves: seven whole bytes. A gap
 /// may start at any bit of its first byte, so up to 7 bits of the word lie
@@ -598,7 +593,7 @@ pub enum NeighborIter<'a> {
 }
 
 /// Decode-on-iterate over an encoded run: the block kernel fills a buffer
-/// of [`BLOCK`] ids, which `next` hands out before decoding the next block.
+/// of `BLOCK` ids, which `next` hands out before decoding the next block.
 #[derive(Clone)]
 pub struct BlockIter<'a> {
     /// The run's bytes, as [`Neighbors::Compact`] holds them.
@@ -698,10 +693,10 @@ impl ExactSizeIterator for NeighborIter<'_> {}
 
 /// Block-packed CSR adjacency over one partition's local vertices.
 ///
-/// Layout: one byte buffer holding, per block of [`OFFSET_BLOCK`] local
+/// Layout: one byte buffer holding, per block of `OFFSET_BLOCK` local
 /// vertices, the block's offset header and then each vertex's record —
 /// `varint(degree)` and the encoded run (`varint(first id)`, then the gaps
-/// in blocks of [`BLOCK`]; see the module doc) — plus one base a block,
+/// in blocks of `BLOCK`; see the module doc) — plus one base a block,
 /// `u32` or `u64` as the buffer's size picks.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CompactCsr {
@@ -972,11 +967,11 @@ impl CompactIdMap {
 const RANKED_WORD_BYTES: u128 = 12;
 
 /// One partition's vertex ids, in both directions: global id → local index
-/// ([`IdIndex::local_of`]) and posting slot → global id
-/// ([`IdIndex::id_at`]). Local indices follow ascending id order.
+/// (`IdIndex::local_of`) and posting slot → global id
+/// (`IdIndex::id_at`). Local indices follow ascending id order.
 ///
 /// Postings address vertices by *slot* rather than by local index, so
-/// decoding one is [`IdIndex::id_at`] — arithmetic on a strided index, an
+/// decoding one is `IdIndex::id_at` — arithmetic on a strided index, an
 /// array read on a hashed one — and never a `select`. Slot order is id
 /// order in every variant; when a partition holds every id of its range,
 /// slot and local index coincide.
@@ -1119,7 +1114,7 @@ impl IdIndex {
     }
 
     /// One past the highest slot: the span a bitmap posting list covers.
-    pub fn slot_space(&self) -> usize {
+    pub(crate) fn slot_space(&self) -> usize {
         match self {
             IdIndex::Full { len, .. } => *len,
             IdIndex::Ranked { words, .. } => words.last().map_or(0, |last| {
@@ -1131,7 +1126,7 @@ impl IdIndex {
 
     /// The local index of `id`, or `None` when it is not indexed.
     #[inline]
-    pub fn local_of(&self, id: VertexId) -> Option<usize> {
+    pub(crate) fn local_of(&self, id: VertexId) -> Option<usize> {
         match self {
             IdIndex::Full { base, shift, len } => {
                 let slot = strided_slot(*base, *shift, id)?;
@@ -1158,7 +1153,7 @@ impl IdIndex {
 
     /// The global id at posting slot `slot`, which must be a member's.
     #[inline]
-    pub fn id_at(&self, slot: usize) -> VertexId {
+    pub(crate) fn id_at(&self, slot: usize) -> VertexId {
         match self {
             IdIndex::Full { base, shift, .. } | IdIndex::Ranked { base, shift, .. } => {
                 VertexId(base + ((slot as u64) << shift))
@@ -1168,7 +1163,7 @@ impl IdIndex {
     }
 
     /// The members' slots in ascending order (one per local index).
-    pub fn slots(&self) -> Slots<'_> {
+    pub(crate) fn slots(&self) -> Slots<'_> {
         match self {
             IdIndex::Full { len, .. } => Slots::Range(0..*len),
             IdIndex::Ranked { words, .. } => Slots::Bits(SetBits::new(words)),
@@ -1236,7 +1231,7 @@ impl Iterator for SetBits<'_> {
 
 /// The member slots of an [`IdIndex`], ascending.
 #[derive(Clone)]
-pub enum Slots<'a> {
+pub(crate) enum Slots<'a> {
     /// A ranked index's set bits.
     Bits(SetBits<'a>),
     /// A full or hashed index's local indices.
@@ -1281,7 +1276,7 @@ impl Iterator for Ids<'_> {
 /// rare ones). Slots are in ascending global-id order, so decoding yields
 /// sorted global ids.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum PostingList {
+pub(crate) enum PostingList {
     /// No local vertex carries this label.
     Empty,
     /// Bit `s` set ⇔ the vertex at slot `s` carries the label.
@@ -1324,7 +1319,7 @@ impl PostingList {
 /// the approach needs besides adjacency, linear in the local vertex count
 /// and built in one pass.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct CompactLabelIndex {
+pub(crate) struct CompactLabelIndex {
     lists: Vec<PostingList>,
 }
 
@@ -1429,16 +1424,6 @@ impl CompactLabelIndex {
     #[inline]
     pub fn frequency(&self, label: LabelId) -> usize {
         self.lists.get(label.index()).map_or(0, PostingList::count)
-    }
-
-    /// Global label-space size this index was built for.
-    pub fn num_labels(&self) -> usize {
-        self.lists.len()
-    }
-
-    /// Total postings across all labels.
-    pub fn total_postings(&self) -> usize {
-        self.lists.iter().map(PostingList::count).sum()
     }
 
     /// Resident bytes: posting payloads plus the per-label enum headers.
@@ -1975,8 +1960,7 @@ mod tests {
         assert_eq!(idx.frequency(l(0)), n - 1);
         assert_eq!(idx.frequency(l(1)), 1);
         assert_eq!(idx.frequency(l(2)), 0);
-        assert_eq!(idx.total_postings(), n);
-        assert_eq!(idx.num_labels(), 3);
+        assert_eq!(idx.lists.len(), 3);
     }
 
     #[test]
@@ -2010,10 +1994,10 @@ mod tests {
             let ids = IdIndex::build(vec![v(1), v(2)]);
             let labels = LabelArray::from_labels(2, &[l(5), l(1)]);
             let idx = CompactLabelIndex::build(&labels, 2, &ids);
-            assert_eq!(idx.num_labels(), 2, "label space must not grow");
+            assert_eq!(idx.lists.len(), 2, "label space must not grow");
             assert_eq!(idx.frequency(l(5)), 0);
+            assert_eq!(idx.frequency(l(0)), 0);
             assert_eq!(idx.get(l(1), &ids), &[v(2)]);
-            assert_eq!(idx.total_postings(), 1);
         }
     }
 

@@ -16,10 +16,7 @@ use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
 
 /// Parses a label file from a reader, adding vertices to the builder.
-pub fn read_labels<R: BufRead>(
-    reader: R,
-    builder: &mut GraphBuilder,
-) -> Result<usize, TrinityError> {
+fn read_labels<R: BufRead>(reader: R, builder: &mut GraphBuilder) -> Result<usize, TrinityError> {
     let mut count = 0usize;
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
@@ -40,10 +37,7 @@ pub fn read_labels<R: BufRead>(
 }
 
 /// Parses an edge file from a reader, adding edges to the builder.
-pub fn read_edges<R: BufRead>(
-    reader: R,
-    builder: &mut GraphBuilder,
-) -> Result<usize, TrinityError> {
+fn read_edges<R: BufRead>(reader: R, builder: &mut GraphBuilder) -> Result<usize, TrinityError> {
     let mut count = 0usize;
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
@@ -72,16 +66,8 @@ fn parse_id(token: Option<&str>, lineno: usize) -> Result<u64, TrinityError> {
 }
 
 /// Loads a graph from a label file and an edge file on disk.
-pub fn load_graph_files(
-    label_path: &Path,
-    edge_path: &Path,
-    directed: bool,
-) -> Result<GraphBuilder, TrinityError> {
-    let mut builder = if directed {
-        GraphBuilder::new_directed()
-    } else {
-        GraphBuilder::new_undirected()
-    };
+pub fn load_graph_files(label_path: &Path, edge_path: &Path) -> Result<GraphBuilder, TrinityError> {
+    let mut builder = GraphBuilder::new_undirected();
     let labels = std::fs::File::open(label_path)?;
     read_labels(std::io::BufReader::new(labels), &mut builder)?;
     let edges = std::fs::File::open(edge_path)?;
@@ -156,7 +142,7 @@ mod tests {
         ];
         let edges = vec![(VertexId(1), VertexId(2))];
         save_graph_files(&vertices, &edges, &label_path, &edge_path).unwrap();
-        let builder = load_graph_files(&label_path, &edge_path, false).unwrap();
+        let builder = load_graph_files(&label_path, &edge_path).unwrap();
         let cloud = builder.build(1, CostModel::free());
         assert_eq!(cloud.num_vertices(), 2);
         assert_eq!(cloud.num_edges(), 1);
@@ -168,7 +154,6 @@ mod tests {
         let err = load_graph_files(
             Path::new("/nonexistent/labels.txt"),
             Path::new("/nonexistent/edges.txt"),
-            false,
         )
         .unwrap_err();
         assert!(matches!(err, TrinityError::Io(_)));

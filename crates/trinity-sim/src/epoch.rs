@@ -802,7 +802,6 @@ impl GraphEpochs {
             catalog,
             num_vertices,
             num_edges,
-            directed: prev.is_directed(),
             epoch: next_epoch,
             lineage: prev.lineage(),
             touch_log: prev.touch_log.clone(),

@@ -16,7 +16,7 @@
 //!   when it has holes, an open-addressed map over the sorted ids
 //!   otherwise;
 //! * the per-machine **string index** mapping labels to local vertex IDs
-//!   ([`compact::CompactLabelIndex`], bitmap or delta-varint per label) —
+//!   (`compact::CompactLabelIndex`, bitmap or delta-varint per label) —
 //!   the only index the approach uses;
 //! * a **candidate-pruning index**: per-vertex neighborhood-label
 //!   signatures ([`neighbor_index::NeighborLabelIndex`]), built in the same
@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::compat::StorageTier;
     pub use crate::epoch::{EpochTouchLog, GraphEpochs, SnapshotRef, UpdateBatch, UpdateOp};
     pub use crate::error::TrinityError;
-    pub use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultyTransport, MachineCrash};
+    pub use crate::fault::{FaultEvent, FaultPlan, FaultyTransport, MachineCrash};
     pub use crate::ids::{LabelId, LabelInterner, MachineId, VertexId};
     pub use crate::loader::StreamLoader;
     pub use crate::neighbor_index::NeighborLabelIndex;

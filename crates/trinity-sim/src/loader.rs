@@ -15,7 +15,7 @@
 //! 1. **Vertex pass**: hash-partition `(id, label)` pairs, rejecting a
 //!    label the interner never issued, sort each machine's vertices, move
 //!    each machine's ids into its [`IdIndex`], stage its labels at the width
-//!    the label count picks ([`LabelArray`]), count label frequencies and
+//!    the label count picks (`LabelArray`), count label frequencies and
 //!    note the largest id. Edge endpoints are located through the indexes;
 //!    no id array outlives this pass.
 //! 2. **Degree pass**: one pass over the edges counting, per machine, each
@@ -57,24 +57,12 @@ use crate::partition::Partition;
 pub struct StreamLoader {
     num_machines: usize,
     cost: CostModel,
-    directed: bool,
 }
 
 impl StreamLoader {
     /// A loader targeting `num_machines` logical machines.
     pub fn new(num_machines: usize, cost: CostModel) -> Self {
-        StreamLoader {
-            num_machines,
-            cost,
-            directed: false,
-        }
-    }
-
-    /// Marks the input as a directed graph. Adjacency is still symmetrized,
-    /// matching [`crate::builder::GraphBuilder::new_directed`].
-    pub fn with_directed(mut self, directed: bool) -> Self {
-        self.directed = directed;
-        self
+        StreamLoader { num_machines, cost }
     }
 
     /// Streams the graph into a cloud.
@@ -212,7 +200,6 @@ impl StreamLoader {
             catalog,
             num_vertices,
             total_entries / 2,
-            self.directed,
         ))
     }
 }
@@ -683,19 +670,5 @@ mod tests {
             .load(interner, vec![(v(1), la)], std::iter::empty)
             .unwrap_err();
         assert_eq!(err, TrinityError::InvalidMachineCount(0));
-    }
-
-    #[test]
-    fn directed_flag_is_preserved() {
-        let mut interner = LabelInterner::default();
-        let la = interner.intern("a");
-        let cloud = StreamLoader::new(1, CostModel::free())
-            .with_directed(true)
-            .load(interner, vec![(v(1), la), (v(2), la)], || {
-                [(v(1), v(2))].into_iter()
-            })
-            .unwrap();
-        assert!(cloud.is_directed());
-        assert_eq!(cloud.neighbors_global(v(2)), &[v(1)]);
     }
 }

@@ -18,14 +18,14 @@ use serde::{Deserialize, Serialize};
 /// signature is exact; beyond that, labels share bits and the signature
 /// degrades gracefully into a one-hash bloom filter (still sound: collisions
 /// only *add* bits, never remove them).
-pub const SIGNATURE_BITS: usize = 64;
+pub(crate) const SIGNATURE_BITS: usize = 64;
 
 /// Bytes each vertex pays for its signature.
 pub const SIGNATURE_BYTES_PER_VERTEX: usize = SIGNATURE_BITS / 8;
 
 /// The signature bit a label maps to.
 #[inline]
-pub fn label_bit(label: LabelId) -> u64 {
+pub(crate) fn label_bit(label: LabelId) -> u64 {
     1u64 << (label.index() % SIGNATURE_BITS)
 }
 
@@ -38,7 +38,7 @@ pub fn required_mask(labels: impl IntoIterator<Item = LabelId>) -> u64 {
 
 /// Per-vertex neighborhood-label signatures for one partition, indexed by
 /// local vertex position (the same dense position space as the partition's
-/// CSR). Built in one pass next to [`crate::compact::CompactLabelIndex`].
+/// CSR). Built in one pass next to `crate::compact::CompactLabelIndex`.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct NeighborLabelIndex {
     sigs: Vec<u64>,
@@ -47,7 +47,7 @@ pub struct NeighborLabelIndex {
 impl NeighborLabelIndex {
     /// Wraps precomputed signatures (one per local vertex, in local position
     /// order).
-    pub fn from_signatures(sigs: Vec<u64>) -> Self {
+    pub(crate) fn from_signatures(sigs: Vec<u64>) -> Self {
         NeighborLabelIndex { sigs }
     }
 

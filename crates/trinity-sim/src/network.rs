@@ -139,7 +139,7 @@ impl Network {
     }
 
     /// Charges `caller`'s in-place `Cloud.Load` of a cell `owner` holds: one
-    /// direct remote read, a [`PROBE_BYTES`] request and a reply carrying
+    /// direct remote read, a `PROBE_BYTES` request and a reply carrying
     /// `neighbors` ids. Free when `owner` is the caller.
     pub fn charge_load(&self, caller: MachineId, owner: MachineId, neighbors: usize) {
         if owner != caller {
@@ -153,7 +153,7 @@ impl Network {
     /// Charges `probes` `Index.hasLabel` probes by `caller` against vertices
     /// owned by `owner`, exactly as that many
     /// [`crate::cloud::MemoryCloud::has_label`] calls would: per probe one
-    /// direct remote read, one [`PROBE_BYTES`] request and one 1-byte reply.
+    /// direct remote read, one `PROBE_BYTES` request and one 1-byte reply.
     /// Free when `owner` is the caller.
     pub fn charge_label_probes(&self, caller: MachineId, owner: MachineId, probes: u64) {
         if owner != caller && probes > 0 {

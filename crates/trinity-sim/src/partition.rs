@@ -37,7 +37,7 @@ impl Cell<'_> {
     /// partition it borrows. This is what crosses machine boundaries in a
     /// [`crate::transport::Transport`] reply: the requester receives a copy
     /// of the cell, never a borrow of the remote partition.
-    pub fn to_owned(&self) -> CellBuf {
+    pub(crate) fn to_buf(self) -> CellBuf {
         CellBuf {
             id: self.id,
             label: self.label,
@@ -75,7 +75,7 @@ impl CellBuf {
 pub struct StorageBytes {
     /// Adjacency structure (byte offsets + encoded neighbor runs).
     pub adjacency: usize,
-    /// Per-vertex label array ([`LabelArray`]): 1, 2 or 4 B a vertex as the
+    /// Per-vertex label array (`LabelArray`): 1, 2 or 4 B a vertex as the
     /// interned label count is at most 256, at most 65,536, or more.
     pub labels: usize,
     /// Id mapping both ways, all of [`IdIndex::memory_bytes`]: nothing when

@@ -1,8 +1,7 @@
-//! Whole-graph statistics used by query optimization and by the experiment
-//! harness (degree distributions, label frequencies, memory accounting).
+//! Whole-graph statistics for the experiment harness: sizes, degrees, label
+//! density and memory accounting.
 
 use crate::cloud::MemoryCloud;
-use crate::ids::LabelId;
 use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a memory-cloud-resident graph.
@@ -77,34 +76,6 @@ pub fn graph_stats(cloud: &MemoryCloud) -> GraphStats {
     }
 }
 
-/// A histogram of label frequencies, sorted by decreasing frequency.
-pub fn label_histogram(cloud: &MemoryCloud) -> Vec<(LabelId, u64)> {
-    let mut hist: Vec<(LabelId, u64)> = cloud
-        .labels()
-        .iter()
-        .map(|(id, _)| (id, cloud.label_frequency(id)))
-        .collect();
-    hist.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    hist
-}
-
-/// Degree histogram with logarithmic (power-of-two) buckets: entry `i` counts
-/// vertices whose degree `d` satisfies `2^i <= d+1 < 2^(i+1)`.
-pub fn degree_histogram_log2(cloud: &MemoryCloud) -> Vec<u64> {
-    let mut buckets: Vec<u64> = Vec::new();
-    for m in cloud.machines() {
-        let p = cloud.partition(m);
-        for cell in p.iter_cells() {
-            let bucket = (usize::BITS - (cell.neighbors.len() + 1).leading_zeros() - 1) as usize;
-            if bucket >= buckets.len() {
-                buckets.resize(bucket + 1, 0);
-            }
-            buckets[bucket] += 1;
-        }
-    }
-    buckets
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,25 +113,5 @@ mod tests {
         assert_eq!(s.vertices_per_machine.iter().sum::<usize>(), 12);
         assert!(s.memory_bytes > 0);
         assert!((s.label_density - 3.0 / 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn label_histogram_is_sorted_by_frequency() {
-        let cloud = star_cloud(10, 2);
-        let hist = label_histogram(&cloud);
-        assert_eq!(hist.len(), 3);
-        assert_eq!(hist[0].1, 10); // "leaf"
-        assert!(hist[1].1 <= hist[0].1);
-        assert!(hist[2].1 <= hist[1].1);
-    }
-
-    #[test]
-    fn degree_histogram_buckets_sum_to_n() {
-        let cloud = star_cloud(17, 4);
-        let hist = degree_histogram_log2(&cloud);
-        assert_eq!(hist.iter().sum::<u64>(), cloud.num_vertices());
-        // hub has degree 17 → bucket log2(18) = 4
-        assert!(hist.len() >= 5);
-        assert!(hist[4] >= 1);
     }
 }

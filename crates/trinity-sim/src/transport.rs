@@ -35,7 +35,7 @@
 use crate::cloud::MemoryCloud;
 use crate::ids::{LabelId, MachineId, VertexId};
 use crate::network::{Network, Phase};
-use crate::partition::CellBuf;
+use crate::partition::{Cell, CellBuf};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
@@ -280,7 +280,7 @@ impl Message {
     }
 
     /// Whether this message is a request expecting a synchronous reply.
-    pub fn is_request(&self) -> bool {
+    pub(crate) fn is_request(&self) -> bool {
         matches!(
             self,
             Message::LoadRequest { .. } | Message::GetIdsRequest { .. }
@@ -489,7 +489,7 @@ impl<'c> ChannelTransport<'c> {
                 cells: ids
                     .iter()
                     .filter_map(|&id| partition.load(id))
-                    .map(|c| c.to_owned())
+                    .map(Cell::to_buf)
                     .collect(),
             }),
             Message::LoadRequest {

@@ -163,7 +163,7 @@ fn edge_list_roundtrip_preserves_query_answers() {
 
     // Reload and compare query answers against the in-memory build.
     let original = graph.build_cloud(2, CostModel::default());
-    let reloaded = edge_list::load_graph_files(&label_path, &edge_path, false)
+    let reloaded = edge_list::load_graph_files(&label_path, &edge_path)
         .unwrap()
         .build(2, CostModel::default());
     assert_eq!(original.num_vertices(), reloaded.num_vertices());
