@@ -8,7 +8,10 @@ use trinity_sim::MemoryCloud;
 
 /// Per-query-vertex candidate lists: all data vertices with the right label
 /// and at least the query vertex's degree.
-pub fn label_degree_candidates(cloud: &MemoryCloud, query: &QueryGraph) -> Vec<Vec<VertexId>> {
+pub(crate) fn label_degree_candidates(
+    cloud: &MemoryCloud,
+    query: &QueryGraph,
+) -> Vec<Vec<VertexId>> {
     query
         .vertices()
         .map(|q| {
@@ -24,7 +27,10 @@ pub fn label_degree_candidates(cloud: &MemoryCloud, query: &QueryGraph) -> Vec<V
 
 /// Builds a result table (columns = query vertices in index order) from a
 /// list of complete assignments.
-pub fn table_from_assignments(query: &QueryGraph, assignments: &[Vec<VertexId>]) -> ResultTable {
+pub(crate) fn table_from_assignments(
+    query: &QueryGraph,
+    assignments: &[Vec<VertexId>],
+) -> ResultTable {
     let columns: Vec<QVid> = query.vertices().collect();
     let mut table = ResultTable::with_capacity(columns.clone(), assignments.len());
     for a in assignments {
@@ -37,7 +43,7 @@ pub fn table_from_assignments(query: &QueryGraph, assignments: &[Vec<VertexId>])
 /// A search order over query vertices such that every vertex (after the
 /// first) is adjacent to an earlier one — keeps backtracking matchers
 /// connected so candidates can be drawn from neighbors of mapped vertices.
-pub fn connected_search_order(query: &QueryGraph) -> Vec<QVid> {
+pub(crate) fn connected_search_order(query: &QueryGraph) -> Vec<QVid> {
     let n = query.num_vertices();
     let mut order = Vec::with_capacity(n);
     let mut placed = vec![false; n];

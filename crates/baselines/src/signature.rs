@@ -86,7 +86,7 @@ impl SignatureIndex {
 
 /// The query-side signature of a query vertex: required label counts among
 /// its query neighbors.
-pub fn query_signature(query: &QueryGraph, u: QVid) -> Signature {
+pub(crate) fn query_signature(query: &QueryGraph, u: QVid) -> Signature {
     let mut sig = Signature::new();
     for w in query.neighbors(u) {
         *sig.entry(query.label(w)).or_insert(0) += 1;

@@ -118,6 +118,11 @@ pub(crate) fn join_pass(
         }
         let t0 = Instant::now();
         link.settle_crashes(cloud, Some(control), &mut metrics.fault)?;
+        // A lost machine joins nothing: its rows are not part of the answer.
+        if metrics.fault.is_lost(ki as u16) {
+            pass.exhausted = false;
+            continue;
+        }
         let rk = link.assemble_rk(plan, tables, ki)?;
         let mut counters = JoinCounters::default();
         let before = state.streamed;

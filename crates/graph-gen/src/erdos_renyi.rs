@@ -19,15 +19,6 @@ pub fn gnm(num_vertices: u64, num_edges: u64, seed: u64) -> SyntheticGraph {
     SyntheticGraph::unlabeled(num_vertices, edges)
 }
 
-/// Generates a G(n, p) graph by sampling the expected number of edges
-/// `p · n · (n-1) / 2` with the G(n, m) generator (exact G(n, p) enumeration
-/// is quadratic and unnecessary at the densities the experiments use).
-pub fn gnp(num_vertices: u64, p: f64, seed: u64) -> SyntheticGraph {
-    assert!((0.0..=1.0).contains(&p), "probability out of range");
-    let expected = p * num_vertices as f64 * (num_vertices.saturating_sub(1)) as f64 / 2.0;
-    gnm(num_vertices, expected.round() as u64, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -44,23 +35,5 @@ mod tests {
     fn gnm_deterministic() {
         assert_eq!(gnm(50, 100, 9), gnm(50, 100, 9));
         assert_ne!(gnm(50, 100, 9), gnm(50, 100, 10));
-    }
-
-    #[test]
-    fn gnp_expected_edge_count() {
-        let g = gnp(200, 0.01, 3);
-        let expected: f64 = 0.01 * 200.0 * 199.0 / 2.0;
-        assert_eq!(g.num_edges() as f64, expected.round());
-    }
-
-    #[test]
-    fn gnp_zero_probability_is_empty() {
-        assert_eq!(gnp(100, 0.0, 1).num_edges(), 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn gnp_invalid_probability_panics() {
-        gnp(10, 1.5, 1);
     }
 }

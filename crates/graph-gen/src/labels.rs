@@ -73,7 +73,7 @@ impl LabelModel {
 
 /// The number of labels implied by a *label density* (labels per vertex), as
 /// swept in Fig. 10(d): `num_labels = ceil(density * num_vertices)`, at least 1.
-pub fn labels_for_density(num_vertices: u64, density: f64) -> usize {
+pub(crate) fn labels_for_density(num_vertices: u64, density: f64) -> usize {
     ((num_vertices as f64 * density).ceil() as usize).max(1)
 }
 

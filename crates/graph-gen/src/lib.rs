@@ -20,10 +20,10 @@ pub mod synthetic;
 pub mod update_stream;
 
 pub use datasets::{facebook_like, patents_like, synthetic_experiment_graph, wordnet_like};
-pub use labels::{labels_for_density, LabelModel};
-pub use query_gen::{dfs_query, query_batch, random_query, zipf_indices, zipf_workload};
+pub use labels::LabelModel;
+pub use query_gen::{dfs_query, query_batch, random_query, zipf_workload};
 pub use rmat::{rmat, RmatConfig};
-pub use rmat_stream::{stream_cloud, stream_cloud_with, RmatStream, StreamingLabels};
+pub use rmat_stream::{stream_cloud_with, RmatStream, StreamingLabels};
 pub use synthetic::SyntheticGraph;
 pub use update_stream::{update_stream, GraphMirror, UpdateStreamConfig};
 
@@ -32,12 +32,12 @@ pub mod prelude {
     pub use crate::datasets::{
         facebook_like, patents_like, synthetic_experiment_graph, wordnet_like,
     };
-    pub use crate::erdos_renyi::{gnm, gnp};
-    pub use crate::labels::{labels_for_density, LabelModel};
+    pub use crate::erdos_renyi::gnm;
+    pub use crate::labels::LabelModel;
     pub use crate::power_law::preferential_attachment;
-    pub use crate::query_gen::{dfs_query, query_batch, random_query, zipf_indices, zipf_workload};
+    pub use crate::query_gen::{dfs_query, query_batch, random_query, zipf_workload};
     pub use crate::rmat::{rmat, RmatConfig};
-    pub use crate::rmat_stream::{stream_cloud, stream_cloud_with, RmatStream, StreamingLabels};
+    pub use crate::rmat_stream::{stream_cloud_with, RmatStream, StreamingLabels};
     pub use crate::synthetic::SyntheticGraph;
     pub use crate::update_stream::{update_stream, GraphMirror, UpdateStreamConfig};
 }

@@ -123,7 +123,7 @@ pub fn query_batch(
 /// per seed. Used to build skewed multi-query workloads, where a small set
 /// of popular queries dominates the traffic — the regime in which
 /// cross-query STwig caching pays off.
-pub fn zipf_indices(pool: usize, count: usize, exponent: f64, seed: u64) -> Vec<usize> {
+pub(crate) fn zipf_indices(pool: usize, count: usize, exponent: f64, seed: u64) -> Vec<usize> {
     assert!(pool > 0, "Zipf needs a non-empty pool");
     assert!(exponent >= 0.0, "Zipf exponent must be non-negative");
     let mut rng = SmallRng::seed_from_u64(seed);

@@ -26,7 +26,6 @@ use crate::rmat::RmatConfig;
 use trinity_sim::error::TrinityError;
 use trinity_sim::ids::{LabelId, LabelInterner, VertexId};
 use trinity_sim::loader::StreamLoader;
-use trinity_sim::network::CostModel;
 use trinity_sim::MemoryCloud;
 
 /// splitmix64 finalizer: a high-quality 64-bit mix of the input.
@@ -238,18 +237,8 @@ impl StreamingLabels {
 ///
 /// Labels are named `L<idx>` and interned in index order, matching
 /// [`crate::synthetic::SyntheticGraph::to_builder`], so `LabelId(i)`
-/// corresponds to `"L<i>"` exactly as in the materialized path.
-pub fn stream_cloud(
-    stream: &RmatStream,
-    labels: &StreamingLabels,
-    machines: usize,
-    cost: CostModel,
-) -> Result<MemoryCloud, TrinityError> {
-    stream_cloud_with(stream, labels, StreamLoader::new(machines, cost))
-}
-
-/// [`stream_cloud`] with a caller-configured [`StreamLoader`] (machine
-/// count, cost model).
+/// corresponds to `"L<i>"` exactly as in the materialized path. `loader`
+/// carries the machine count and the cost model.
 pub fn stream_cloud_with(
     stream: &RmatStream,
     labels: &StreamingLabels,
@@ -270,6 +259,7 @@ pub fn stream_cloud_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trinity_sim::network::CostModel;
 
     fn stream() -> RmatStream {
         RmatStream::new(RmatConfig::with_avg_degree(2_000, 8.0, 0x5EED))
@@ -435,7 +425,8 @@ mod tests {
     fn stream_cloud_builds_a_queryable_cloud() {
         let s = stream();
         let labels = StreamingLabels::new(LabelModel::Uniform { num_labels: 8 }, 0xAB);
-        let cloud = stream_cloud(&s, &labels, 4, CostModel::free()).unwrap();
+        let cloud =
+            stream_cloud_with(&s, &labels, StreamLoader::new(4, CostModel::free())).unwrap();
         assert_eq!(cloud.num_vertices(), 2_000);
         assert!(cloud.num_edges() > 0);
         // Every vertex's label round-trips through the cloud.
@@ -451,7 +442,8 @@ mod tests {
         // through SyntheticGraph/GraphBuilder must agree on the basics.
         let s = stream();
         let labels = StreamingLabels::new(LabelModel::Uniform { num_labels: 8 }, 0xAB);
-        let streamed = stream_cloud(&s, &labels, 4, CostModel::free()).unwrap();
+        let streamed =
+            stream_cloud_with(&s, &labels, StreamLoader::new(4, CostModel::free())).unwrap();
 
         let edges: Vec<_> = s.edges().collect();
         let label_vec: Vec<u32> = (0..2_000).map(|v| labels.label_of(v)).collect();

@@ -436,6 +436,29 @@ fn a_crash_outlasts_the_phase_and_round_it_fired_in() {
         .with_num_threads(Some(1))
         .with_transport_mode(TransportMode::Messages);
     let first = whole.clone().with_result_mode(ResultMode::FirstK(1));
+    // A machine recorded lost delivers nothing: no row is its join's (whose
+    // rows all have their head-STwig root on it), and it reports no match.
+    let lost_machine_delivers_nothing = |cloud: &MemoryCloud, q: &QueryGraph, out: &MatchOutput| {
+        assert_eq!(
+            out.metrics.machines[1].matches_found, 0,
+            "machine 1's matches"
+        );
+        let plan = stwig::plan_query(cloud, q).unwrap();
+        let head_root = plan.stwigs[plan.head.head_index].root;
+        let col = out
+            .table
+            .columns()
+            .iter()
+            .position(|&c| c == head_root)
+            .unwrap();
+        for row in out.table.rows() {
+            assert_ne!(
+                cloud.machine_of(row[col]),
+                MachineId(1),
+                "a row of machine 1"
+            );
+        }
+    };
     let run = |config: &MatchConfig, after_ops: u64, on_loss| {
         let options = QueryOptions::none().with_faults(Faults {
             on_loss,
@@ -488,6 +511,7 @@ fn a_crash_outlasts_the_phase_and_round_it_fired_in() {
         assert_eq!(degraded.metrics.fault.machines_lost, [1], "{when}");
         assert!(degraded.metrics.fault.coverage(cloud.num_machines()) < 1.0);
         verify_all(&cloud, &q, &degraded.table).expect("every degraded row is an embedding");
+        lost_machine_delivers_nothing(&cloud, &q, &degraded);
         for row in canonical_rows(&q, &degraded.table) {
             assert!(full_rows.contains(&row), "a row the fault-free run lacks");
         }
@@ -534,6 +558,7 @@ fn a_crash_outlasts_the_phase_and_round_it_fired_in() {
                 );
                 assert_eq!(out.metrics.fault.machines_lost, [1]);
                 verify_all(&cloud, q, &out.table).expect("every degraded row is an embedding");
+                lost_machine_delivers_nothing(&cloud, q, &out);
                 for row in canonical_rows(q, &out.table) {
                     assert!(
                         full_rows.contains(&row),
