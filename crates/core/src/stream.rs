@@ -48,9 +48,8 @@ impl CancelToken {
 }
 
 /// Per-query serving options, orthogonal to the algorithmic knobs in
-/// [`crate::config::MatchConfig`].
-/// The tenant a submitted query is charged to is the request's
-/// ([`crate::serve::QueryRequest::with_tenant`]).
+/// [`crate::config::MatchConfig`]. The tenant a submitted query is charged
+/// to is set on its request ([`crate::serve::QueryRequest::with_tenant`]).
 #[derive(Debug, Clone, Default)]
 pub struct QueryOptions {
     /// Wall-clock budget measured from query admission. When it expires the
