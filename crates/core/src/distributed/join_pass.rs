@@ -119,8 +119,9 @@ pub(crate) fn join_pass(
         let t0 = Instant::now();
         link.settle_crashes(cloud, Some(control), &mut metrics.fault)?;
         // A lost machine joins nothing: its rows are not part of the answer.
+        // The loss is reported as `Partial`; `exhausted` stays, as it only
+        // says whether the result limit cut the joins that ran.
         if metrics.fault.is_lost(ki as u16) {
-            pass.exhausted = false;
             continue;
         }
         let rk = link.assemble_rk(plan, tables, ki)?;

@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::compat::StorageTier;
     pub use crate::epoch::{EpochTouchLog, GraphEpochs, SnapshotRef, UpdateBatch, UpdateOp};
     pub use crate::error::TrinityError;
-    pub use crate::fault::{FaultEvent, FaultPlan, FaultyTransport, MachineCrash};
+    pub use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultyTransport, MachineCrash};
     pub use crate::ids::{LabelId, LabelInterner, MachineId, VertexId};
     pub use crate::loader::StreamLoader;
     pub use crate::neighbor_index::NeighborLabelIndex;

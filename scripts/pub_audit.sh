@@ -5,9 +5,9 @@
 # benchmark/src. Such an item is `pub` by habit, which hides it from rustc's
 # `dead_code` lint; narrow it to `pub(crate)` (or delete it).
 #
-# A name a public signature exposes (a return or field type) must stay `pub`
-# although no caller names it: those are listed, one a line, in
-# scripts/pub_allowlist.txt. Exits 1 if any other name is found.
+# A type a public signature exposes (as a return, argument, bound or field
+# type) must stay `pub` although no caller names it: those are listed, one
+# a line, in scripts/pub_allowlist.txt. Exits 1 if any other name is found.
 #
 #   scripts/pub_audit.sh
 set -euo pipefail
