@@ -82,7 +82,7 @@ mod tests {
     }
 
     fn small_cloud() -> MemoryCloud {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         b.add_vertex(v(1), "a");
         b.add_vertex(v(2), "a");
         b.add_vertex(v(3), "b");

@@ -107,7 +107,7 @@ mod tests {
     }
 
     fn sample_cloud() -> MemoryCloud {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         for i in 0..5 {
             b.add_vertex(v(i), "a");
         }

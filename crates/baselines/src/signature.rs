@@ -193,7 +193,7 @@ mod tests {
     }
 
     fn sample_cloud() -> MemoryCloud {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         for i in 0..6 {
             b.add_vertex(v(i), "a");
         }

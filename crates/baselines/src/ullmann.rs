@@ -127,7 +127,7 @@ mod tests {
     }
 
     fn triangle_cloud() -> MemoryCloud {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         for i in 0..3 {
             b.add_vertex(v(i), "x");
         }

@@ -239,7 +239,7 @@ pub fn ablation_explore(scale: Scale) -> Vec<Row> {
 pub fn figure3_candidate_counts(k: u64) -> Vec<Row> {
     // G1: one a connected to b1; b1 connected to c1, c2; b2..bk all connected
     // to c2 (useless for the query a-b-c).
-    let mut g1 = trinity_sim::GraphBuilder::new_undirected();
+    let mut g1 = trinity_sim::GraphBuilder::default();
     g1.add_vertex(trinity_sim::VertexId(0), "a");
     for i in 0..k {
         g1.add_vertex(trinity_sim::VertexId(100 + i), "b");

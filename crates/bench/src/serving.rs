@@ -196,9 +196,7 @@ fn stream(
 pub fn overload(scale: Scale) -> Vec<Row> {
     let cloud = rmat_fixed_labels(scale.base_vertices() / 2, 8.0, 20, 0x0DD0)
         .build_cloud(MACHINES, CostModel::default());
-    let admission = AdmissionConfig::default()
-        .with_queue_capacity(2 * SERVERS)
-        .with_servers(SERVERS);
+    let admission = AdmissionConfig::default().with_queue_capacity(2 * SERVERS);
     let serve = ServeConfig::default().with_admission(admission);
     let engine = QueryEngine::new(&cloud, engine_config().with_serve(serve));
     let workload = |count, seed| zipf_workload(&cloud, 12, count, QUERY_NODES, ZIPF_EXPONENT, seed);

@@ -1232,7 +1232,7 @@ mod tests {
     }
 
     fn small_cloud() -> MemoryCloud {
-        let mut gb = GraphBuilder::new_undirected();
+        let mut gb = GraphBuilder::default();
         gb.add_vertex(v(0), "a");
         gb.add_vertex(v(1), "b");
         gb.add_vertex(v(2), "c");
@@ -1515,7 +1515,7 @@ mod tests {
         // the fingerprint must tell them apart, or a foreign cache would
         // silently serve wrong exploration tables.
         let build = |edges: [(u64, u64); 2]| {
-            let mut gb = GraphBuilder::new_undirected();
+            let mut gb = GraphBuilder::default();
             gb.add_vertex(v(0), "a");
             gb.add_vertex(v(1), "b");
             gb.add_vertex(v(2), "b");
@@ -1775,7 +1775,7 @@ mod tests {
         let cloud = small_cloud();
         let cache = StwigCache::new(&cloud, CacheConfig::default());
         assert!(cache.matches_cloud(&cloud));
-        let mut gb = GraphBuilder::new_undirected();
+        let mut gb = GraphBuilder::default();
         gb.add_vertex(v(0), "a");
         gb.add_vertex(v(1), "b");
         gb.add_edge(v(0), v(1));
@@ -1831,7 +1831,7 @@ mod tests {
         }
 
         fn build(&self, machines: usize) -> MemoryCloud {
-            let mut gb = GraphBuilder::new_undirected();
+            let mut gb = GraphBuilder::default();
             for &(id, label) in &self.vertices {
                 gb.add_vertex(v(id), label);
             }

@@ -683,7 +683,7 @@ mod tests {
         // Four machines, and an id's owner is its residue mod 4. Nine a-roots,
         // none on machine 0; each sees two of four b's and four d's of its
         // own: 4 carriers against 18 neighbors per machine with roots.
-        let mut gb = GraphBuilder::new_undirected();
+        let mut gb = GraphBuilder::default();
         let roots: Vec<u64> = (1..12).filter(|i| i % 4 != 0).collect();
         for &i in &roots {
             gb.add_vertex(v(i), "a");

@@ -649,7 +649,7 @@ mod tests {
 
     pub(super) fn sample_cloud(machines: usize) -> MemoryCloud {
         // A slightly larger labeled graph with multiple triangles and squares.
-        let mut gb = GraphBuilder::new_undirected();
+        let mut gb = GraphBuilder::default();
         for i in 0..10u64 {
             gb.add_vertex(v(i), "a");
         }
@@ -690,7 +690,7 @@ mod tests {
     #[test]
     fn figure1_example_produces_expected_matches() {
         for machines in [1usize, 2, 4, 7] {
-            let mut gb = GraphBuilder::new_undirected();
+            let mut gb = GraphBuilder::default();
             // a1=1, a2=2, b1=11, b2=12, c1=21, d1=31
             for (id, label) in [
                 (1, "a"),
@@ -1109,7 +1109,7 @@ mod tests {
         // first-1 query — and the (c; d) STwig after it matches nowhere.
         // (Spare c's and many d's make b the rarest root, so the planner
         // starts there.)
-        let mut gb = GraphBuilder::new_undirected();
+        let mut gb = GraphBuilder::default();
         for i in 0..300u64 {
             gb.add_vertex(v(i), "a");
             gb.add_vertex(v(1000 + i), "b");
@@ -1827,7 +1827,7 @@ mod tests {
         // *last* (b, c) pair closes a triangle. The first slab (k = 1 → 256
         // rows) provably misses it, so the executor must resume with bigger
         // slabs and still deliver the single valid embedding.
-        let mut gb = GraphBuilder::new_undirected();
+        let mut gb = GraphBuilder::default();
         gb.add_vertex(v(0), "a");
         for i in 0..300u64 {
             gb.add_vertex(v(100 + i), "b");

@@ -49,17 +49,15 @@ use crate::cache::{CacheConfig, StwigCache};
 use crate::config::MatchConfig;
 use crate::distributed::execute_query;
 use crate::error::StwigError;
-use crate::metrics::{
-    CacheStats, EngineStats, MetricsSnapshot, QueryMetrics, QueryOutcome, SchedulerStats,
-};
-use crate::serve::scheduler::{Delivery, QueueEntry, Scheduler, Work};
+use crate::metrics::{CacheStats, EngineStats, MetricsSnapshot, QueryMetrics};
+use crate::serve::admission::CostEstimator;
+use crate::serve::scheduler::{Delivery, Dispatch, QueueEntry, Scheduler, Work};
 use crate::serve::{
-    CostEstimator, QueryHandle, QueryRequest, QueryResponse, RejectReason, ServeConfig, Submit,
-    SubmitDisposition, TenantId,
+    HandleShared, QueryHandle, QueryRequest, QueryResponse, ServeConfig, Submit, TenantId,
 };
-use crate::stream::{ChannelSink, QueryOptions, ResultSink, RowStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use crate::stream::{CancelToken, ChannelSink, QueryOptions, ResultSink, RowStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use trinity_sim::epoch::{GraphEpochs, UpdateBatch};
 use trinity_sim::MemoryCloud;
@@ -130,7 +128,7 @@ impl EngineConfig {
 /// use trinity_sim::prelude::*;
 /// use stwig::prelude::*;
 ///
-/// let mut gb = GraphBuilder::new_undirected();
+/// let mut gb = GraphBuilder::default();
 /// gb.add_vertex(VertexId(1), "person");
 /// gb.add_vertex(VertexId(2), "person");
 /// gb.add_vertex(VertexId(3), "city");
@@ -167,33 +165,11 @@ pub struct QueryEngine<'c> {
     epochs: Option<&'c GraphEpochs>,
     config: EngineConfig,
     cache: Option<StwigCache<'c>>,
-    estimator: CostEstimator,
-    /// Per-tenant queues + DRR state; the condvar signals enqueues to
+    /// The book: per-tenant queues, DRR state, the cost model and every
+    /// serving count. The condvar signals enqueues to
     /// [`QueryEngine::serve`] workers parked on an empty queue.
     sched: Mutex<Scheduler>,
     work_available: Condvar,
-    queries_run: AtomicU64,
-    /// Accumulated execution wall-clock, in integer µs.
-    busy_us: AtomicU64,
-    cancelled: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    shed: AtomicU64,
-    /// Global dispatch counter ([`QueryResponse::served_seq`]).
-    served_seq: AtomicU64,
-    submitted: AtomicU64,
-    accepted: AtomicU64,
-    rejected_queue_full: AtomicU64,
-    rejected_estimated_late: AtomicU64,
-    shed_deadline_passed: AtomicU64,
-    shed_predicted_late: AtomicU64,
-    cancelled_while_queued: AtomicU64,
-    queue_wait_us: AtomicU64,
-    partial_completions: AtomicU64,
-    retries_total: AtomicU64,
-    timeouts_total: AtomicU64,
-    duplicates_suppressed_total: AtomicU64,
-    updates_applied: AtomicU64,
-    epochs_sealed: AtomicU64,
 }
 
 impl std::fmt::Debug for QueryEngine<'_> {
@@ -218,29 +194,8 @@ impl<'c> QueryEngine<'c> {
             epochs: None,
             config,
             cache,
-            estimator: CostEstimator::new(),
             sched: Mutex::new(Scheduler::default()),
             work_available: Condvar::new(),
-            queries_run: AtomicU64::new(0),
-            busy_us: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            served_seq: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            rejected_queue_full: AtomicU64::new(0),
-            rejected_estimated_late: AtomicU64::new(0),
-            shed_deadline_passed: AtomicU64::new(0),
-            shed_predicted_late: AtomicU64::new(0),
-            cancelled_while_queued: AtomicU64::new(0),
-            queue_wait_us: AtomicU64::new(0),
-            partial_completions: AtomicU64::new(0),
-            retries_total: AtomicU64::new(0),
-            timeouts_total: AtomicU64::new(0),
-            duplicates_suppressed_total: AtomicU64::new(0),
-            updates_applied: AtomicU64::new(0),
-            epochs_sealed: AtomicU64::new(0),
         }
     }
 
@@ -257,15 +212,14 @@ impl<'c> QueryEngine<'c> {
         engine
     }
 
-    /// The epoch manager behind this engine, when it serves a dynamic
-    /// cloud.
-    pub fn epochs(&self) -> Option<&'c GraphEpochs> {
-        self.epochs
-    }
-
     /// The current epoch of a dynamic engine; `None` for a static one.
     pub(crate) fn current_epoch(&self) -> Option<u64> {
         self.epochs.map(GraphEpochs::epoch)
+    }
+
+    /// The book, locked.
+    fn book(&self) -> MutexGuard<'_, Scheduler> {
+        self.sched.lock().expect("scheduler lock")
     }
 
     /// Merges all delta overlays into fresh per-partition bases, rebuilding
@@ -278,7 +232,7 @@ impl<'c> QueryEngine<'c> {
     pub fn seal_epoch(&self) -> Option<u64> {
         self.epochs.map(|epochs| {
             let epoch = epochs.seal_epoch();
-            self.epochs_sealed.fetch_add(1, Ordering::Relaxed);
+            self.book().epochs_sealed += 1;
             epoch
         })
     }
@@ -293,12 +247,6 @@ impl<'c> QueryEngine<'c> {
         &self.config
     }
 
-    /// The learned cost model pricing queries for admission, scheduling and
-    /// shedding (see [`CostEstimator`]).
-    pub fn cost_estimator(&self) -> &CostEstimator {
-        &self.estimator
-    }
-
     // ------------------------------------------------------------------
     // The submit() front door
     // ------------------------------------------------------------------
@@ -309,14 +257,14 @@ impl<'c> QueryEngine<'c> {
     /// result with [`QueryHandle::wait`], poll with
     /// [`QueryHandle::status`], cancel with [`QueryHandle::cancel`] — or
     /// [`Submit::Rejected`] when the bounded queue is full
-    /// ([`RejectReason::QueueFull`]) or the calibrated cost model predicts
-    /// the request's deadline cannot be met
-    /// ([`RejectReason::EstimatedTooLate`]). Rejection costs O(query):
+    /// ([`crate::serve::RejectReason::QueueFull`]) or the calibrated cost
+    /// model predicts the request's deadline cannot be met
+    /// ([`crate::serve::RejectReason::EstimatedTooLate`]). Rejection costs O(query):
     /// no exploration work is spent and no transport envelope is charged.
     ///
     /// Admitted queries execute when a thread serves the queue — a
     /// [`QueryEngine::serve`] worker, or any call to
-    /// [`QueryEngine::drain`] / `QueryEngine::run_next`. The executor
+    /// [`QueryEngine::drain`]. The executor
     /// fills a table in canonical column order ([`QueryResponse::table`]);
     /// to stream rows instead, use [`QueryEngine::submit_streaming`]. Both
     /// run the same executor under the request's deadline, cancel token
@@ -332,7 +280,7 @@ impl<'c> QueryEngine<'c> {
     /// ends when the query finishes, after its last row. Dropping the
     /// `RowStream` while rows are still coming cancels the query: it stops
     /// at its next cooperative check and resolves
-    /// [`QueryOutcome::Cancelled`].
+    /// [`crate::metrics::QueryOutcome::Cancelled`].
     pub fn submit_streaming(&self, request: QueryRequest) -> Submit {
         let (sender, receiver) = std::sync::mpsc::channel();
         let submitted = self.submit_with(request, Delivery::Channel(sender));
@@ -342,9 +290,8 @@ impl<'c> QueryEngine<'c> {
         submitted
     }
 
-    /// The admission path behind both query doors.
+    /// Prices a query and hands it to the admission path.
     fn submit_with(&self, request: QueryRequest, delivery: Delivery) -> Submit {
-        let now = Instant::now();
         let QueryRequest {
             query,
             tenant,
@@ -355,60 +302,42 @@ impl<'c> QueryEngine<'c> {
         // queues or how many updates apply meanwhile — and it is priced on
         // that epoch's label frequencies, not the base cloud's.
         let snapshot = self.epochs.map(GraphEpochs::pin);
-        let units = CostEstimator::units(snapshot.as_deref().unwrap_or(self.cloud), &query);
-        let admission = &self.config.serve.admission;
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-
-        let mut sched = self.sched.lock().expect("scheduler lock");
-        if sched.depth() >= admission.queue_capacity {
-            self.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-            sched.account_submit(&tenant, SubmitDisposition::Rejected);
-            return Submit::Rejected(RejectReason::QueueFull {
-                capacity: admission.queue_capacity,
-            });
-        }
-        if admission.reject_estimated_late {
-            if let (Some(deadline), Some(service_us)) =
-                (options.deadline, self.estimator.estimate_us(units))
-            {
-                // Predicted wait: everything queued ahead, drained by the
-                // configured number of servers. The queue is per-tenant but
-                // the prediction is aggregate — an upper bound for light
-                // tenants, accurate under symmetry.
-                let wait_us = self
-                    .estimator
-                    .estimate_us(sched.queued_cost())
-                    .unwrap_or(0.0)
-                    / admission.servers.max(1) as f64;
-                let predicted_us = wait_us + service_us;
-                let deadline_us = deadline.as_secs_f64() * 1e6;
-                if predicted_us > deadline_us {
-                    self.rejected_estimated_late.fetch_add(1, Ordering::Relaxed);
-                    sched.account_submit(&tenant, SubmitDisposition::Rejected);
-                    return Submit::Rejected(RejectReason::EstimatedTooLate {
-                        predicted_us,
-                        deadline_us,
-                    });
-                }
-            }
-        }
-
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        sched.account_submit(&tenant, SubmitDisposition::Accepted);
+        let cost = CostEstimator::units(snapshot.as_deref().unwrap_or(self.cloud), &query);
+        let work = Work::Query {
+            query,
+            mode: options.result_mode,
+            faults: options.faults.map(Box::new),
+            delivery,
+            snapshot,
+        };
         let cancel = options.cancel.unwrap_or_default();
-        let shared = Arc::new(crate::serve::HandleShared::new(tenant.clone(), cancel));
+        self.admit(tenant, cancel, work, cost, options.deadline)
+    }
+
+    /// The admission path of queries and update batches: the book decides
+    /// and counts the submission; an admitted one is queued under a fresh
+    /// handle and wakes one server.
+    fn admit(
+        &self,
+        tenant: TenantId,
+        cancel: CancelToken,
+        work: Work,
+        cost: f64,
+        deadline: Option<Duration>,
+    ) -> Submit {
+        let now = Instant::now();
+        let mut sched = self.book();
+        let admission = &self.config.serve.admission;
+        if let Err(reason) = sched.admit(&tenant, cost, deadline, admission) {
+            return Submit::Rejected(reason);
+        }
+        let shared = Arc::new(HandleShared::new(tenant.clone(), cancel));
         let seq = sched.next_seq();
         let entry = QueueEntry {
-            work: Work::Query {
-                query,
-                mode: options.result_mode,
-                faults: options.faults.map(Box::new),
-                delivery,
-                snapshot,
-            },
-            deadline: options.deadline.map(|d| now + d),
+            work,
+            deadline: deadline.map(|d| now + d),
             submitted: now,
-            cost: units,
+            cost,
             shared: Arc::clone(&shared),
             seq,
         };
@@ -438,77 +367,46 @@ impl<'c> QueryEngine<'c> {
     /// counted accepted and failed, and the returned handle resolves
     /// immediately with [`StwigError::Update`].
     pub fn apply_updates(&self, batch: UpdateBatch) -> Submit {
-        let now = Instant::now();
         let tenant = TenantId::new("updates");
-        self.submitted.fetch_add(1, Ordering::Relaxed);
         if self.epochs.is_none() {
-            // Admitted and failed at once, so the counters still add up.
-            self.accepted.fetch_add(1, Ordering::Relaxed);
-            let mut sched = self.sched.lock().expect("scheduler lock");
-            sched.account_submit(&tenant, SubmitDisposition::Accepted);
-            sched.tenant_stats_mut(&tenant).failed += 1;
+            // Admitted and failed at once, so the counts still add up.
+            let mut sched = self.book();
+            let stats = sched.tenant_stats_mut(&tenant);
+            stats.submitted += 1;
+            stats.accepted += 1;
+            stats.failed += 1;
             drop(sched);
-            let shared = Arc::new(crate::serve::HandleShared::new(tenant, Default::default()));
+            let shared = Arc::new(HandleShared::new(tenant, CancelToken::default()));
             shared.finish(Err(StwigError::Update(
                 "engine serves a static cloud; build it with QueryEngine::for_epochs to accept updates"
                     .into(),
             )));
             return Submit::Accepted(QueryHandle::from_shared(shared));
         }
-        let admission = &self.config.serve.admission;
-        let mut sched = self.sched.lock().expect("scheduler lock");
-        if sched.depth() >= admission.queue_capacity {
-            self.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-            sched.account_submit(&tenant, SubmitDisposition::Rejected);
-            return Submit::Rejected(RejectReason::QueueFull {
-                capacity: admission.queue_capacity,
-            });
-        }
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        sched.account_submit(&tenant, SubmitDisposition::Accepted);
-        let shared = Arc::new(crate::serve::HandleShared::new(
-            tenant.clone(),
-            Default::default(),
-        ));
-        let seq = sched.next_seq();
-        let entry = QueueEntry {
-            // DRR cost: one unit per op, so a huge batch debits the
-            // updates tenant proportionally more than a single-edge tweak.
-            cost: (batch.len() as f64).max(1.0),
-            work: Work::Update(batch),
-            deadline: None,
-            submitted: now,
-            shared: Arc::clone(&shared),
-            seq,
-        };
-        sched.enqueue(&tenant, entry);
-        drop(sched);
-        self.work_available.notify_one();
-        Submit::Accepted(QueryHandle::from_shared(shared))
+        // DRR cost: one unit per op, so a huge batch debits the updates
+        // tenant proportionally more than a single-edge tweak.
+        let cost = (batch.len() as f64).max(1.0);
+        let work = Work::Update(batch);
+        self.admit(tenant, CancelToken::default(), work, cost, None)
     }
 
     // ------------------------------------------------------------------
     // Serving the queue
     // ------------------------------------------------------------------
 
-    /// Dispatches and executes the next scheduled query on this thread.
-    /// Returns `false` when the queue is empty.
-    pub(crate) fn run_next(&self) -> bool {
-        let entry = self.sched.lock().expect("scheduler lock").pop();
-        match entry {
-            Some(entry) => {
-                self.execute_entry(entry);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Runs the queue dry on this thread (in scheduled order), then
     /// returns. Queries admitted concurrently keep being served until a
     /// poll finds the queue empty.
     pub fn drain(&self) {
-        while self.run_next() {}
+        self.book().servers += 1;
+        loop {
+            let dispatch = self.book().pop();
+            match dispatch {
+                Some(dispatch) => self.execute(dispatch),
+                None => break,
+            }
+        }
+        self.book().servers -= 1;
     }
 
     /// Serves the queue on this thread until `stop` becomes true: the
@@ -531,11 +429,12 @@ impl<'c> QueryEngine<'c> {
     /// # }
     /// ```
     pub fn serve(&self, stop: &AtomicBool) {
+        self.book().servers += 1;
         while !stop.load(Ordering::Acquire) {
-            let entry = {
-                let mut sched = self.sched.lock().expect("scheduler lock");
+            let dispatch = {
+                let mut sched = self.book();
                 match sched.pop() {
-                    Some(entry) => Some(entry),
+                    Some(dispatch) => Some(dispatch),
                     None => {
                         let (mut sched, _timeout) = self
                             .work_available
@@ -545,69 +444,44 @@ impl<'c> QueryEngine<'c> {
                     }
                 }
             };
-            if let Some(entry) = entry {
-                self.execute_entry(entry);
+            if let Some(dispatch) = dispatch {
+                self.execute(dispatch);
             }
         }
+        self.book().servers -= 1;
     }
 
-    /// Queries currently waiting in the admission queue.
-    pub fn queue_depth(&self) -> usize {
-        self.sched.lock().expect("scheduler lock").depth()
-    }
-
-    /// Rolls one query's fault counters into the engine-wide totals.
-    fn observe_fault_counters(&self, fault: &crate::metrics::FaultCounters) {
-        self.retries_total
-            .fetch_add(fault.retries, Ordering::Relaxed);
-        self.timeouts_total
-            .fetch_add(fault.timeouts, Ordering::Relaxed);
-        self.duplicates_suppressed_total
-            .fetch_add(fault.duplicates_suppressed, Ordering::Relaxed);
-    }
-
-    /// Dispatches one queue entry: resolves it if cancelled while queued,
-    /// applies it if it is an update batch, sheds it if its deadline is
-    /// hopeless, otherwise executes it and publishes the response through
-    /// the handle.
-    fn execute_entry(&self, entry: QueueEntry) {
+    /// Runs one dispatched entry and publishes its response through the
+    /// handle: an entry dispatch settled (cancelled while queued, or shed)
+    /// resolves at once, an update batch applies, a query executes.
+    fn execute(&self, dispatch: Dispatch) {
+        let Dispatch {
+            entry,
+            served_seq,
+            queue_wait_us,
+            settled,
+        } = dispatch;
         let QueueEntry {
             work,
             deadline,
-            submitted,
             cost,
             shared,
-            seq: _,
+            ..
         } = entry;
-        let now = Instant::now();
-        let served_seq = self.served_seq.fetch_add(1, Ordering::Relaxed);
-        let queue_wait_us = now.duration_since(submitted).as_secs_f64() * 1e6;
-        self.queue_wait_us
-            .fetch_add(queue_wait_us as u64, Ordering::Relaxed);
-        let tenant = shared.tenant().clone();
-
-        let respond_without_running = |outcome: QueryOutcome| {
+        let tenant = shared.tenant();
+        let respond = |table, metrics, epoch| QueryResponse {
+            table,
+            metrics,
+            served_seq,
+            queue_wait_us,
+            epoch,
+        };
+        if let Some(outcome) = settled {
             let metrics = QueryMetrics {
                 outcome,
                 ..QueryMetrics::default()
             };
-            shared.finish(Ok(QueryResponse {
-                table: None,
-                metrics,
-                served_seq,
-                queue_wait_us,
-                epoch: None,
-            }));
-        };
-
-        // Cancelled while queued: resolve without executing.
-        if shared.cancel_token().is_cancelled() {
-            self.cancelled.fetch_add(1, Ordering::Relaxed);
-            self.cancelled_while_queued.fetch_add(1, Ordering::Relaxed);
-            let mut sched = self.sched.lock().expect("scheduler lock");
-            sched.tenant_stats_mut(&tenant).cancelled += 1;
-            drop(sched);
-            respond_without_running(QueryOutcome::Cancelled);
+            shared.finish(Ok(respond(None, metrics, None)));
             return;
         }
 
@@ -621,8 +495,7 @@ impl<'c> QueryEngine<'c> {
             } => (query, mode, faults, delivery, snapshot),
             // Update application: the batch routes through the epochs
             // manager and the handle resolves with the post-apply epoch. No
-            // snapshot, no executor, no shed check (updates are local,
-            // unsheddable work).
+            // snapshot, no executor.
             Work::Update(batch) => {
                 let epochs = self
                     .epochs
@@ -631,26 +504,9 @@ impl<'c> QueryEngine<'c> {
                 let started = Instant::now();
                 let applied = epochs.apply(&batch).map_err(StwigError::from);
                 let wall_us = started.elapsed().as_secs_f64() * 1e6;
-                self.busy_us.fetch_add(wall_us as u64, Ordering::Relaxed);
-                let mut sched = self.sched.lock().expect("scheduler lock");
-                let stats = sched.tenant_stats_mut(&tenant);
-                stats.busy_us += wall_us;
-                if applied.is_ok() {
-                    stats.completed += 1;
-                } else {
-                    stats.failed += 1;
-                }
-                drop(sched);
-                if applied.is_ok() {
-                    self.updates_applied.fetch_add(1, Ordering::Relaxed);
-                }
-                shared.finish(applied.map(|epoch| QueryResponse {
-                    table: None,
-                    metrics: QueryMetrics::default(),
-                    served_seq,
-                    queue_wait_us,
-                    epoch: Some(epoch),
-                }));
+                self.book().retire_update(tenant, wall_us, applied.is_ok());
+                let response = |epoch| respond(None, QueryMetrics::default(), Some(epoch));
+                shared.finish(applied.map(response));
                 return;
             }
         };
@@ -660,32 +516,11 @@ impl<'c> QueryEngine<'c> {
         let cloud: &MemoryCloud = snapshot.as_deref().unwrap_or(self.cloud);
         let epoch = snapshot.as_ref().map(|snap| snap.epoch());
 
-        // Shed checks — before any exploration work or transport envelope.
-        if let Some(deadline) = deadline {
-            let shed_reason = if now >= deadline {
-                Some(&self.shed_deadline_passed)
-            } else if let Some(service_us) = self.estimator.estimate_us(cost) {
-                let remaining_us = deadline.duration_since(now).as_secs_f64() * 1e6;
-                (service_us > remaining_us).then_some(&self.shed_predicted_late)
-            } else {
-                None
-            };
-            if let Some(counter) = shed_reason {
-                counter.fetch_add(1, Ordering::Relaxed);
-                self.shed.fetch_add(1, Ordering::Relaxed);
-                let mut sched = self.sched.lock().expect("scheduler lock");
-                sched.tenant_stats_mut(&tenant).shed += 1;
-                drop(sched);
-                respond_without_running(QueryOutcome::Shed);
-                return;
-            }
-        }
-
         // Execute. The deadline was pinned at submission: the executor gets
         // what remains of it, so queue wait counts against the budget.
         shared.mark_running();
         let run_options = QueryOptions {
-            deadline: deadline.map(|d| d.saturating_duration_since(now)),
+            deadline: deadline.map(|d| d.saturating_duration_since(Instant::now())),
             cancel: Some(shared.cancel_token().clone()),
             result_mode: mode,
             faults: faults.map(|faults| *faults),
@@ -712,58 +547,9 @@ impl<'c> QueryEngine<'c> {
         );
         drop(channel);
         let wall_us = started.elapsed().as_secs_f64() * 1e6;
-
-        self.queries_run.fetch_add(1, Ordering::Relaxed);
-        self.busy_us.fetch_add(wall_us as u64, Ordering::Relaxed);
-        match &result {
-            Ok((_, metrics)) => {
-                match metrics.outcome {
-                    QueryOutcome::Cancelled => {
-                        self.cancelled.fetch_add(1, Ordering::Relaxed);
-                    }
-                    QueryOutcome::DeadlineExceeded => {
-                        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                    }
-                    QueryOutcome::Partial => {
-                        self.partial_completions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    QueryOutcome::Complete | QueryOutcome::Shed => {}
-                }
-                if metrics.outcome == QueryOutcome::Complete {
-                    // Interrupted and degraded runs under-report their true
-                    // cost; only full completions calibrate the admission
-                    // estimator.
-                    self.estimator.observe(cost, wall_us);
-                }
-                self.observe_fault_counters(&metrics.fault);
-                let mut sched = self.sched.lock().expect("scheduler lock");
-                let stats = sched.tenant_stats_mut(&tenant);
-                match metrics.outcome {
-                    // A degraded query still delivered (partial) rows: it
-                    // counts as completed for tenant goodput.
-                    QueryOutcome::Complete | QueryOutcome::Partial => stats.completed += 1,
-                    QueryOutcome::Cancelled => stats.cancelled += 1,
-                    QueryOutcome::DeadlineExceeded => stats.deadline_exceeded += 1,
-                    QueryOutcome::Shed => {}
-                }
-                stats.rows_delivered += metrics.rows_streamed;
-                stats.busy_us += wall_us;
-            }
-            Err(_) => {
-                let mut sched = self.sched.lock().expect("scheduler lock");
-                let stats = sched.tenant_stats_mut(&tenant);
-                stats.failed += 1;
-                stats.busy_us += wall_us;
-            }
-        }
-
-        shared.finish(result.map(|(table, metrics)| QueryResponse {
-            table,
-            metrics,
-            served_seq,
-            queue_wait_us,
-            epoch,
-        }));
+        let metrics = result.as_ref().ok().map(|(_, metrics)| metrics);
+        self.book().retire_query(tenant, cost, wall_us, metrics);
+        shared.finish(result.map(|(table, metrics)| respond(table, metrics, epoch)));
     }
 
     // ------------------------------------------------------------------
@@ -777,49 +563,20 @@ impl<'c> QueryEngine<'c> {
 
     /// Snapshot of the engine-level counters.
     pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            queries_executed: self.queries_run.load(Ordering::Relaxed),
-            queries_cancelled: self.cancelled.load(Ordering::Relaxed),
-            queries_deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            queries_shed: self.shed.load(Ordering::Relaxed),
-            busy_us: self.busy_us.load(Ordering::Relaxed) as f64,
-            updates_applied: self.updates_applied.load(Ordering::Relaxed),
-            epochs_sealed: self.epochs_sealed.load(Ordering::Relaxed),
-            current_epoch: self.current_epoch(),
-            cache: self.cache_stats(),
-        }
+        self.metrics_snapshot().engine
     }
 
     /// One coherent export of everything the engine counts: engine-level
     /// counters, admission/scheduling counters, and per-tenant goodput
-    /// (sorted by tenant name). The scheduler section is taken under the
-    /// scheduler lock, so queue depth and tenant counters agree.
+    /// (sorted by tenant name). Every count is read from the scheduler's
+    /// book under one lock, and each total that is a sum over tenants is
+    /// summed from them, so the sections agree with each other; only the
+    /// cache counters are read beside it.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let sched = self.sched.lock().expect("scheduler lock");
-        let scheduler = SchedulerStats {
-            queue_depth: sched.depth() as u64,
-            peak_queue_depth: sched.peak_depth() as u64,
-            submitted: self.submitted.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
-            rejected_estimated_late: self.rejected_estimated_late.load(Ordering::Relaxed),
-            shed_deadline_passed: self.shed_deadline_passed.load(Ordering::Relaxed),
-            shed_predicted_late: self.shed_predicted_late.load(Ordering::Relaxed),
-            cancelled_while_queued: self.cancelled_while_queued.load(Ordering::Relaxed),
-            queue_wait_us_total: self.queue_wait_us.load(Ordering::Relaxed) as f64,
-            estimator_samples: self.estimator.samples(),
-            retries_total: self.retries_total.load(Ordering::Relaxed),
-            timeouts_total: self.timeouts_total.load(Ordering::Relaxed),
-            duplicates_suppressed_total: self.duplicates_suppressed_total.load(Ordering::Relaxed),
-            partial_completions: self.partial_completions.load(Ordering::Relaxed),
-        };
-        let tenants = sched.tenant_snapshot();
-        drop(sched);
-        MetricsSnapshot {
-            engine: self.stats(),
-            scheduler,
-            tenants,
-        }
+        let mut snapshot = self.book().snapshot();
+        snapshot.engine.current_epoch = self.current_epoch();
+        snapshot.engine.cache = self.cache_stats();
+        snapshot
     }
 }
 
@@ -828,8 +585,9 @@ mod tests {
     use super::*;
     use crate::config::{ResultMode, TransportMode};
     use crate::distributed::{match_query, MatchOutput, Run};
+    use crate::metrics::QueryOutcome;
     use crate::query::QueryGraph;
-    use crate::serve::{AdmissionConfig, QueryStatus};
+    use crate::serve::{AdmissionConfig, QueryStatus, RejectReason};
     use trinity_sim::builder::GraphBuilder;
     use trinity_sim::ids::VertexId;
     use trinity_sim::network::CostModel;
@@ -839,7 +597,7 @@ mod tests {
     }
 
     fn sample_cloud(machines: usize) -> MemoryCloud {
-        let mut gb = GraphBuilder::new_undirected();
+        let mut gb = GraphBuilder::default();
         for i in 0..12u64 {
             gb.add_vertex(v(i), "a");
         }
@@ -1164,7 +922,7 @@ mod tests {
             .submit(QueryRequest::new(triangle_query(&cloud)).with_tenant("t1"))
             .expect_accepted();
         assert_eq!(handle.status(), QueryStatus::Queued);
-        assert_eq!(engine.queue_depth(), 1);
+        assert_eq!(engine.metrics_snapshot().scheduler.queue_depth, 1);
         engine.drain();
         assert!(handle.is_finished());
         let response = handle.wait().unwrap();
@@ -1231,7 +989,7 @@ mod tests {
         let units = CostEstimator::units(&cloud, &q);
         // Teach the estimator that this workload takes ~1 s per submission.
         for _ in 0..16 {
-            engine.cost_estimator().observe(units, 1_000_000.0);
+            engine.book().estimator.observe(units, 1_000_000.0);
         }
         let request = QueryRequest::new(q.clone()).with_deadline(Duration::from_micros(50));
         match engine.submit(request) {

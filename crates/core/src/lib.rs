@@ -32,7 +32,7 @@
 //! use stwig::prelude::*;
 //!
 //! // Build a small labeled graph partitioned over 2 logical machines.
-//! let mut gb = GraphBuilder::new_undirected();
+//! let mut gb = GraphBuilder::default();
 //! gb.add_vertex(VertexId(1), "person");
 //! gb.add_vertex(VertexId(2), "person");
 //! gb.add_vertex(VertexId(3), "city");
@@ -92,8 +92,8 @@ pub use pattern::parse_pattern;
 pub use query::{QVid, QueryGraph, QueryGraphBuilder};
 pub use retry::{FailurePolicy, Faults, RetryPolicy};
 pub use serve::{
-    AdmissionConfig, CostEstimator, QueryHandle, QueryRequest, QueryResponse, QueryStatus,
-    RejectReason, ServeConfig, Submit, TenantId, TenantStats,
+    AdmissionConfig, QueryHandle, QueryRequest, QueryResponse, QueryStatus, RejectReason,
+    ServeConfig, Submit, TenantId, TenantStats,
 };
 pub use stream::{
     CancelToken, ChannelSink, CollectSink, QueryOptions, ResultSink, RowBatch, RowStream,
@@ -127,8 +127,8 @@ pub mod prelude {
     pub use crate::query::{QVid, QueryGraph, QueryGraphBuilder};
     pub use crate::retry::{FailurePolicy, Faults, RetryPolicy};
     pub use crate::serve::{
-        AdmissionConfig, CostEstimator, QueryHandle, QueryRequest, QueryResponse, QueryStatus,
-        RejectReason, ServeConfig, Submit, TenantId, TenantStats,
+        AdmissionConfig, QueryHandle, QueryRequest, QueryResponse, QueryStatus, RejectReason,
+        ServeConfig, Submit, TenantId, TenantStats,
     };
     pub use crate::stream::{
         CancelToken, ChannelSink, CollectSink, QueryOptions, ResultSink, RowBatch, RowStream,

@@ -851,7 +851,7 @@ mod tests {
     /// Builds the paper's Figure 5 data graph (a1..a3, b1..b4, c1..c3, d, e, f
     /// vertices with the edges needed for the q1 = (a, {b, c}) example).
     fn fig5_like_cloud(machines: usize) -> MemoryCloud {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         // a-nodes: 0..3 → a1, a2, a3
         for i in 0..3u64 {
             b.add_vertex(v(i), "a");
@@ -1264,7 +1264,7 @@ mod tests {
     /// adjacent to three b's, one c and two d's (19 carriers of a child label
     /// of the star a → {b, b, c}, 48 neighbors in all).
     fn star_cloud(machines: usize) -> MemoryCloud {
-        let mut g = GraphBuilder::new_undirected();
+        let mut g = GraphBuilder::default();
         for (name, ids) in [("a", 0..8u64), ("b", 10..16), ("c", 20..24), ("d", 30..40)] {
             for i in ids {
                 g.add_vertex(v(i), name);
@@ -1545,7 +1545,7 @@ mod tests {
     /// Fig-5-like cloud plus two dead "a" roots: one with only b-neighbors
     /// (label prune) and one with a single neighbor (degree prune).
     fn fig5_with_dead_roots(machines: usize) -> MemoryCloud {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         for i in 0..3u64 {
             b.add_vertex(v(i), "a");
         }
@@ -1703,7 +1703,7 @@ mod tests {
     /// each adjacent to all six b-vertices (6..12), over three machines, plus
     /// `extra_b` isolated b-vertices (12..), and the star a → b.
     fn hub_star(extra_b: u64) -> (MemoryCloud, QueryGraph, STwig) {
-        let mut g = GraphBuilder::new_undirected();
+        let mut g = GraphBuilder::default();
         for i in 0..12 + extra_b {
             g.add_vertex(v(i), if i < 6 { "a" } else { "b" });
         }
@@ -1839,7 +1839,7 @@ mod tests {
         // Graph: x labeled "p" connected to y labeled "q"; query STwig has a
         // root "p" with two children both labeled "q": only one data vertex
         // matches, so no injective assignment exists.
-        let mut gb = GraphBuilder::new_undirected();
+        let mut gb = GraphBuilder::default();
         gb.add_vertex(v(1), "p");
         gb.add_vertex(v(2), "q");
         gb.add_edge(v(1), v(2));

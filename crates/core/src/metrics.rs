@@ -37,8 +37,6 @@ pub enum QueryOutcome {
     Partial,
 }
 
-impl QueryOutcome {}
-
 /// Fault-tolerance counters of one query: what the retry layer absorbed and
 /// what was permanently lost.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -241,7 +239,8 @@ impl CacheStats {
 pub struct EngineStats {
     /// Queries executed (shed and cancelled-while-queued ones are not).
     pub queries_executed: u64,
-    /// Queries that ended [`QueryOutcome::Cancelled`] mid-execution.
+    /// Queries that ended [`QueryOutcome::Cancelled`], while queued or
+    /// mid-execution.
     pub queries_cancelled: u64,
     /// Queries that ended [`QueryOutcome::DeadlineExceeded`] mid-execution.
     pub queries_deadline_exceeded: u64,
@@ -295,7 +294,7 @@ pub struct SchedulerStats {
     pub queue_wait_us_total: f64,
     /// Completions the admission cost model has learned from; predictions
     /// gate rejection/shedding only once calibrated (see
-    /// [`crate::serve::CostEstimator`]).
+    /// [`crate::serve::admission`]).
     pub estimator_samples: u64,
     /// Exchange retries across all executed queries.
     pub retries_total: u64,

@@ -194,7 +194,7 @@ mod tests {
     }
 
     fn cloud() -> MemoryCloud {
-        let mut gb = GraphBuilder::new_undirected();
+        let mut gb = GraphBuilder::default();
         gb.add_vertex(v(1), "person");
         gb.add_vertex(v(2), "person");
         gb.add_vertex(v(3), "city");

@@ -12,20 +12,24 @@
 //!    [`crate::serve::RejectReason::QueueFull`].
 //! 2. **Deadline feasibility**: per-query work is estimated from label
 //!    frequencies (the same statistics the join-order estimator samples —
-//!    see [`CostEstimator`]) and converted to predicted µs by an EWMA over
-//!    *observed* (work → wall-clock) ratios of completed queries. If
-//!    predicted wait + service exceeds the request's deadline, the submit is
+//!    see `CostEstimator`) and converted to predicted µs by an EWMA over
+//!    *observed* (work → wall-clock) ratios of completed queries. The
+//!    predicted wait is the queued work's price divided by the threads
+//!    serving the queue at that moment (inside
+//!    [`crate::engine::QueryEngine::serve`] or
+//!    [`crate::engine::QueryEngine::drain`]; at least one). If predicted
+//!    wait + service exceeds the request's deadline, the submit is
 //!    [`crate::serve::RejectReason::EstimatedTooLate`]. The estimator
 //!    admits optimistically until it has seen enough completions to
 //!    calibrate.
 //!
 //! The same estimate prices queries for the deficit-round-robin scheduler
 //! (a heavy query debits more of its tenant's quantum) and backs the
-//! dispatch-time shed check.
+//! dispatch-time shed check. The estimator is a field of the scheduler's
+//! book, read and taught under its lock.
 
 use crate::query::QueryGraph;
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
 use trinity_sim::MemoryCloud;
 
 /// Completed queries the estimator must observe before its predictions are
@@ -45,9 +49,6 @@ pub struct AdmissionConfig {
     /// wait + service time exceeds the deadline. Disable to shed only at
     /// dispatch.
     pub reject_estimated_late: bool,
-    /// Serving threads the wait predictor assumes drain the queue. Match
-    /// this to the number of [`crate::engine::QueryEngine::serve`] workers.
-    pub servers: usize,
 }
 
 impl Default for AdmissionConfig {
@@ -55,7 +56,6 @@ impl Default for AdmissionConfig {
         AdmissionConfig {
             queue_capacity: 1024,
             reject_estimated_late: true,
-            servers: 1,
         }
     }
 }
@@ -72,19 +72,6 @@ impl AdmissionConfig {
         self.reject_estimated_late = on;
         self
     }
-
-    /// Sets the assumed number of serving threads (floored at 1).
-    pub fn with_servers(mut self, servers: usize) -> Self {
-        self.servers = servers.max(1);
-        self
-    }
-}
-
-/// EWMA state of the cost estimator, behind one short-lived lock.
-#[derive(Debug, Default)]
-struct EstimatorState {
-    us_per_unit: f64,
-    samples: u64,
 }
 
 /// Prices a query in abstract *work units* before execution, and learns the
@@ -97,19 +84,18 @@ struct EstimatorState {
 /// statistics behind `decompose`'s f-value ranking and the join-order
 /// estimator's sampling, so admission prices and execution costs move
 /// together; it is O(query vertices) and touches no partition data.
+/// A new estimator is uncalibrated: it admits everything.
 #[derive(Debug, Default)]
-pub struct CostEstimator {
-    state: Mutex<EstimatorState>,
+pub(crate) struct CostEstimator {
+    /// EWMA of observed µs per work unit.
+    us_per_unit: f64,
+    /// Completions observed so far.
+    pub(crate) samples: u64,
 }
 
 impl CostEstimator {
-    /// Creates an uncalibrated estimator (admits everything).
-    pub fn new() -> Self {
-        CostEstimator::default()
-    }
-
     /// The work-unit price of `query` on `cloud`.
-    pub fn units(cloud: &MemoryCloud, query: &QueryGraph) -> f64 {
+    pub(crate) fn units(cloud: &MemoryCloud, query: &QueryGraph) -> f64 {
         let mut units = 0.0;
         for v in query.vertices() {
             let freq = cloud.label_frequency(query.label(v)) as f64;
@@ -121,32 +107,25 @@ impl CostEstimator {
     /// Records an observed execution: `units` of estimated work took
     /// `wall_us` µs. Call only for runs that went to completion —
     /// interrupted queries under-report their true cost.
-    pub fn observe(&self, units: f64, wall_us: f64) {
+    pub(crate) fn observe(&mut self, units: f64, wall_us: f64) {
         // NaN-safe guard: refuse non-positive units and negative durations.
         if units.is_nan() || units <= 0.0 || wall_us.is_nan() || wall_us < 0.0 {
             return;
         }
         let ratio = wall_us / units;
-        let mut state = self.state.lock().expect("estimator lock");
-        if state.samples == 0 {
-            state.us_per_unit = ratio;
+        if self.samples == 0 {
+            self.us_per_unit = ratio;
         } else {
-            state.us_per_unit += EWMA_ALPHA * (ratio - state.us_per_unit);
+            self.us_per_unit += EWMA_ALPHA * (ratio - self.us_per_unit);
         }
-        state.samples += 1;
+        self.samples += 1;
     }
 
     /// Predicted service time for `units` of work, in µs. `None` until the
     /// estimator has observed `CALIBRATION_SAMPLES` completions — an
     /// uncalibrated estimator must not reject anything.
     pub(crate) fn estimate_us(&self, units: f64) -> Option<f64> {
-        let state = self.state.lock().expect("estimator lock");
-        (state.samples >= CALIBRATION_SAMPLES).then(|| units * state.us_per_unit)
-    }
-
-    /// Completions observed so far.
-    pub fn samples(&self) -> u64 {
-        self.state.lock().expect("estimator lock").samples
+        (self.samples >= CALIBRATION_SAMPLES).then(|| units * self.us_per_unit)
     }
 }
 
@@ -158,7 +137,7 @@ mod tests {
     use trinity_sim::network::CostModel;
 
     fn small_cloud() -> MemoryCloud {
-        let mut gb = GraphBuilder::new_undirected();
+        let mut gb = GraphBuilder::default();
         for i in 0..8u64 {
             gb.add_vertex(VertexId(i), "a");
         }
@@ -201,7 +180,7 @@ mod tests {
         // machine — and an empty-posting label must contribute exactly zero
         // units, so it cannot skew the µs-per-unit EWMA through systematic
         // over-pricing.
-        let mut gb = GraphBuilder::new_undirected();
+        let mut gb = GraphBuilder::default();
         for i in 0..8u64 {
             gb.add_vertex(VertexId(i), "a");
         }
@@ -244,7 +223,7 @@ mod tests {
 
     #[test]
     fn estimator_calibrates_after_enough_samples() {
-        let est = CostEstimator::new();
+        let mut est = CostEstimator::default();
         assert_eq!(est.estimate_us(100.0), None, "uncalibrated estimator");
         for _ in 0..CALIBRATION_SAMPLES {
             est.observe(10.0, 50.0); // 5 µs per unit
@@ -254,12 +233,12 @@ mod tests {
             (predicted - 500.0).abs() < 1e-6,
             "steady ratio must predict exactly: {predicted}"
         );
-        assert_eq!(est.samples(), CALIBRATION_SAMPLES);
+        assert_eq!(est.samples, CALIBRATION_SAMPLES);
     }
 
     #[test]
     fn estimator_tracks_a_ratio_shift() {
-        let est = CostEstimator::new();
+        let mut est = CostEstimator::default();
         for _ in 0..20 {
             est.observe(1.0, 10.0);
         }
@@ -275,21 +254,19 @@ mod tests {
 
     #[test]
     fn degenerate_observations_are_ignored() {
-        let est = CostEstimator::new();
+        let mut est = CostEstimator::default();
         est.observe(0.0, 100.0);
         est.observe(-1.0, 100.0);
         est.observe(1.0, f64::NAN);
-        assert_eq!(est.samples(), 0);
+        assert_eq!(est.samples, 0);
     }
 
     #[test]
     fn admission_config_builders_floor_inputs() {
         let c = AdmissionConfig::default()
             .with_queue_capacity(0)
-            .with_servers(0)
             .with_reject_estimated_late(false);
         assert_eq!(c.queue_capacity, 1);
-        assert_eq!(c.servers, 1);
         assert!(!c.reject_estimated_late);
     }
 }

@@ -34,7 +34,7 @@ pub mod admission;
 pub mod scheduler;
 pub mod tenant;
 
-pub use admission::{AdmissionConfig, CostEstimator};
+pub use admission::AdmissionConfig;
 pub use tenant::{TenantId, TenantStats};
 
 use crate::error::StwigError;
@@ -364,13 +364,6 @@ impl QueryHandle {
         }
         slot.take().expect("loop exits with a result")
     }
-}
-
-/// How a submission was disposed of at admission (scheduler accounting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SubmitDisposition {
-    Accepted,
-    Rejected,
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! * **Across tenants — deficit round-robin (DRR).** Tenants with queued
 //!   work sit in a ring. Each visit grants the tenant one quantum of
 //!   *cost credit*: the EWMA of enqueued costs, about one average query
-//!   per tenant per round. Costs come from [`crate::serve::CostEstimator`],
+//!   per tenant per round. Costs come from [`crate::serve::admission`],
 //!   so a hub-heavy query debits more than a point lookup — the
 //!   scheduler's notion of fairness is estimated work, not request count.
 //!   The tenant dispatches queries while its deficit covers the head's
@@ -20,16 +20,20 @@
 //!   earliest-deadline-first, and among equal deadlines (including the
 //!   no-deadline bulk) the earlier submission runs first.
 //!
-//! The scheduler is a passive data structure behind the engine's serve
-//! lock; it never blocks and never touches the graph.
+//! The scheduler is also the engine's book: admission's verdict, dispatch
+//! numbering, the shed check, the cost model and every serving count live
+//! here, behind the engine's one scheduler lock. It is a passive data
+//! structure; it never blocks and never touches the graph.
 
+use super::admission::{AdmissionConfig, CostEstimator};
 use super::tenant::{TenantId, TenantStats};
-use super::{HandleShared, SubmitDisposition};
+use super::{HandleShared, RejectReason};
 use crate::config::ResultMode;
+use crate::metrics::{EngineStats, MetricsSnapshot, QueryMetrics, QueryOutcome, SchedulerStats};
 use crate::query::QueryGraph;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// How a finished query is delivered to its handle.
 #[derive(Debug)]
@@ -135,31 +139,53 @@ struct TenantQueue {
     stats: TenantStats,
 }
 
-/// The engine's queue state: per-tenant queues, the DRR ring, and the
-/// counters behind [`crate::metrics::SchedulerStats`].
+/// A dispatched entry, numbered, with what dispatch settled for it.
+#[derive(Debug)]
+pub(crate) struct Dispatch {
+    pub entry: QueueEntry,
+    /// Its place in dispatch order ([`crate::serve::QueryResponse::served_seq`]).
+    pub served_seq: u64,
+    /// Wall-clock it spent queued, in µs.
+    pub queue_wait_us: f64,
+    /// How it resolves without running: [`QueryOutcome::Cancelled`] if it
+    /// was cancelled while queued, [`QueryOutcome::Shed`] if its deadline
+    /// is hopeless. `None`: run it.
+    pub settled: Option<QueryOutcome>,
+}
+
+/// The serving engine's book: per-tenant queues, the DRR ring, the cost
+/// model and every serving count, all behind the engine's one scheduler
+/// lock, so that each event is written once and a snapshot agrees with
+/// itself.
 #[derive(Debug, Default)]
 pub(crate) struct Scheduler {
     tenants: HashMap<TenantId, TenantQueue>,
     ring: VecDeque<TenantId>,
     depth: usize,
-    peak_depth: usize,
     seq: u64,
     /// EWMA of enqueued costs — the adaptive quantum.
     cost_ewma: f64,
     costs_seen: u64,
+    /// The learned price of a work unit, for admission and the shed check.
+    pub(crate) estimator: CostEstimator,
+    /// Threads inside `QueryEngine::serve` or `QueryEngine::drain`: the
+    /// servers the wait predictor divides the queued work by.
+    pub(crate) servers: usize,
+    /// Entries dispatched so far.
+    dispatched: u64,
+    /// The scheduler section's counts that are written as they happen; the
+    /// depth, the tenant sums and the estimator's samples are filled in by
+    /// [`Scheduler::snapshot`].
+    counts: SchedulerStats,
+    /// Queries executed ([`EngineStats::queries_executed`]).
+    executed: u64,
+    /// Update batches applied ([`EngineStats::updates_applied`]).
+    updates_applied: u64,
+    /// Seals served ([`EngineStats::epochs_sealed`]).
+    pub(crate) epochs_sealed: u64,
 }
 
 impl Scheduler {
-    /// Queries currently queued across all tenants.
-    pub(crate) fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// High-water mark of [`Scheduler::depth`].
-    pub(crate) fn peak_depth(&self) -> usize {
-        self.peak_depth
-    }
-
     /// Sum of estimated costs currently queued (all tenants).
     pub(crate) fn queued_cost(&self) -> f64 {
         self.tenants.values().map(|t| t.queued_cost).sum()
@@ -182,12 +208,10 @@ impl Scheduler {
         seq
     }
 
-    /// Mutable access to a tenant's stats (creating the tenant on first
-    /// sight) — used by the engine to account submissions, rejections and
-    /// completions.
+    /// Mutable access to a tenant's stats, creating the tenant on first
+    /// sight.
     pub(crate) fn tenant_stats_mut(&mut self, tenant: &TenantId) -> &mut TenantStats {
-        let tq = self.tenant_entry(tenant);
-        &mut tq.stats
+        &mut self.tenant_entry(tenant).stats
     }
 
     fn tenant_entry(&mut self, tenant: &TenantId) -> &mut TenantQueue {
@@ -196,6 +220,67 @@ impl Scheduler {
             tq.stats.tenant = tenant.name().to_string();
             tq
         })
+    }
+
+    /// Books a submission of `cost` work units for `tenant` and decides it:
+    /// refused when the queue is full, or when it carries a `deadline` that
+    /// the cost model predicts it misses; `Ok` admits it (enqueue it next).
+    pub(crate) fn admit(
+        &mut self,
+        tenant: &TenantId,
+        cost: f64,
+        deadline: Option<Duration>,
+        config: &AdmissionConfig,
+    ) -> Result<(), RejectReason> {
+        let verdict = self.admission(cost, deadline, config);
+        match verdict {
+            Ok(()) => {}
+            Err(RejectReason::QueueFull { .. }) => self.counts.rejected_queue_full += 1,
+            Err(RejectReason::EstimatedTooLate { .. }) => self.counts.rejected_estimated_late += 1,
+        }
+        let stats = self.tenant_stats_mut(tenant);
+        stats.submitted += 1;
+        if verdict.is_ok() {
+            stats.accepted += 1;
+        } else {
+            stats.rejected += 1;
+        }
+        verdict
+    }
+
+    fn admission(
+        &self,
+        cost: f64,
+        deadline: Option<Duration>,
+        config: &AdmissionConfig,
+    ) -> Result<(), RejectReason> {
+        if self.depth >= config.queue_capacity {
+            return Err(RejectReason::QueueFull {
+                capacity: config.queue_capacity,
+            });
+        }
+        let (Some(deadline), Some(service_us), true) = (
+            deadline,
+            self.estimator.estimate_us(cost),
+            config.reject_estimated_late,
+        ) else {
+            return Ok(());
+        };
+        // Predicted wait: everything queued ahead, drained by the threads
+        // serving now. The queue is per-tenant but the prediction is
+        // aggregate — an upper bound for light tenants, accurate under
+        // symmetry.
+        let queued_us = self.estimator.estimate_us(self.queued_cost());
+        let wait_us = queued_us.unwrap_or(0.0) / self.servers.max(1) as f64;
+        let predicted_us = wait_us + service_us;
+        let deadline_us = deadline.as_secs_f64() * 1e6;
+        if predicted_us > deadline_us {
+            return Err(RejectReason::EstimatedTooLate {
+                predicted_us,
+                deadline_us,
+            });
+        }
+        Ok(())
     }
 
     /// Admits `entry` into its tenant's queue.
@@ -215,12 +300,50 @@ impl Scheduler {
             self.ring.push_back(tenant.clone());
         }
         self.depth += 1;
-        self.peak_depth = self.peak_depth.max(self.depth);
+        let depth = self.depth as u64;
+        self.counts.peak_queue_depth = self.counts.peak_queue_depth.max(depth);
     }
 
-    /// Dispatches the next query under DRR + EDF. `None` iff the
-    /// queue is empty — the scheduler is work-conserving by construction.
-    pub(crate) fn pop(&mut self) -> Option<QueueEntry> {
+    /// Dispatches the next entry under DRR + EDF — `None` iff the queue is
+    /// empty: the scheduler is work-conserving by construction — numbers
+    /// it, and settles an entry that must not run: one cancelled while
+    /// queued, and a query whose deadline has passed or that the calibrated
+    /// cost model predicts cannot finish by it (shed).
+    pub(crate) fn pop(&mut self) -> Option<Dispatch> {
+        let entry = self.next_entry()?;
+        let now = Instant::now();
+        let served_seq = self.dispatched;
+        self.dispatched += 1;
+        let queue_wait_us = now.duration_since(entry.submitted).as_secs_f64() * 1e6;
+        self.counts.queue_wait_us_total += queue_wait_us;
+        let settled = if entry.shared.cancel_token().is_cancelled() {
+            self.counts.cancelled_while_queued += 1;
+            self.tenant_stats_mut(entry.shared.tenant()).cancelled += 1;
+            Some(QueryOutcome::Cancelled)
+        } else if let Some(deadline) = entry.deadline {
+            let passed = now >= deadline;
+            let remaining_us = deadline.saturating_duration_since(now).as_secs_f64() * 1e6;
+            let late = !passed
+                && (self.estimator.estimate_us(entry.cost)).is_some_and(|us| us > remaining_us);
+            self.counts.shed_deadline_passed += u64::from(passed);
+            self.counts.shed_predicted_late += u64::from(late);
+            (passed || late).then(|| {
+                self.tenant_stats_mut(entry.shared.tenant()).shed += 1;
+                QueryOutcome::Shed
+            })
+        } else {
+            None
+        };
+        Some(Dispatch {
+            entry,
+            served_seq,
+            queue_wait_us,
+            settled,
+        })
+    }
+
+    /// Takes the next entry under DRR + EDF; `None` iff the queue is empty.
+    fn next_entry(&mut self) -> Option<QueueEntry> {
         if self.depth == 0 {
             return None;
         }
@@ -298,20 +421,85 @@ impl Scheduler {
         }
     }
 
-    /// Snapshot of every tenant's stats, sorted by tenant name.
-    pub(crate) fn tenant_snapshot(&self) -> Vec<TenantStats> {
-        let mut out: Vec<TenantStats> = self.tenants.values().map(|t| t.stats.clone()).collect();
-        out.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-        out
+    /// Books a query that ran for `wall_us` µs: its metrics, or `None` if
+    /// it failed. A full completion teaches the cost model the price of its
+    /// `cost` work units; interrupted and degraded runs under-report theirs.
+    pub(crate) fn retire_query(
+        &mut self,
+        tenant: &TenantId,
+        cost: f64,
+        wall_us: f64,
+        metrics: Option<&QueryMetrics>,
+    ) {
+        self.executed += 1;
+        let Some(metrics) = metrics else {
+            let stats = self.tenant_stats_mut(tenant);
+            stats.failed += 1;
+            stats.busy_us += wall_us;
+            return;
+        };
+        match metrics.outcome {
+            QueryOutcome::Complete => self.estimator.observe(cost, wall_us),
+            QueryOutcome::Partial => self.counts.partial_completions += 1,
+            _ => {}
+        }
+        self.counts.retries_total += metrics.fault.retries;
+        self.counts.timeouts_total += metrics.fault.timeouts;
+        self.counts.duplicates_suppressed_total += metrics.fault.duplicates_suppressed;
+        let stats = self.tenant_stats_mut(tenant);
+        match metrics.outcome {
+            // A degraded query still delivered (partial) rows: it counts as
+            // completed for tenant goodput.
+            QueryOutcome::Complete | QueryOutcome::Partial => stats.completed += 1,
+            QueryOutcome::Cancelled => stats.cancelled += 1,
+            QueryOutcome::DeadlineExceeded => stats.deadline_exceeded += 1,
+            QueryOutcome::Shed => {}
+        }
+        stats.rows_delivered += metrics.rows_streamed;
+        stats.busy_us += wall_us;
     }
 
-    /// Records the admission disposition of a submission on its tenant.
-    pub(crate) fn account_submit(&mut self, tenant: &TenantId, disposition: SubmitDisposition) {
+    /// Books an update batch that ran for `wall_us` µs and applied, or
+    /// failed validation.
+    pub(crate) fn retire_update(&mut self, tenant: &TenantId, wall_us: f64, applied: bool) {
+        self.updates_applied += u64::from(applied);
         let stats = self.tenant_stats_mut(tenant);
-        stats.submitted += 1;
-        match disposition {
-            SubmitDisposition::Accepted => stats.accepted += 1,
-            SubmitDisposition::Rejected => stats.rejected += 1,
+        stats.busy_us += wall_us;
+        if applied {
+            stats.completed += 1;
+        } else {
+            stats.failed += 1;
+        }
+    }
+
+    /// Everything the book counts: tenants sorted by name, and the totals
+    /// that are sums over tenants summed here. The epoch and the cache
+    /// counters are kept elsewhere; the engine fills them in.
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        let mut tenants: Vec<TenantStats> =
+            self.tenants.values().map(|t| t.stats.clone()).collect();
+        tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
+        let sum = |count: fn(&TenantStats) -> u64| tenants.iter().map(count).sum();
+        MetricsSnapshot {
+            engine: EngineStats {
+                queries_executed: self.executed,
+                queries_cancelled: sum(|t| t.cancelled),
+                queries_deadline_exceeded: sum(|t| t.deadline_exceeded),
+                queries_shed: sum(|t| t.shed),
+                busy_us: tenants.iter().map(|t| t.busy_us).sum(),
+                updates_applied: self.updates_applied,
+                epochs_sealed: self.epochs_sealed,
+                current_epoch: None,
+                cache: None,
+            },
+            scheduler: SchedulerStats {
+                queue_depth: self.depth as u64,
+                submitted: sum(|t| t.submitted),
+                accepted: sum(|t| t.accepted),
+                estimator_samples: self.estimator.samples,
+                ..self.counts.clone()
+            },
+            tenants,
         }
     }
 }
@@ -378,7 +566,7 @@ mod tests {
         let light_seqs: Vec<u64> = (0..2)
             .map(|_| submit(&mut sched, &light, 10.0, None))
             .collect();
-        let order: Vec<u64> = std::iter::from_fn(|| sched.pop().map(|e| e.seq)).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| sched.pop().map(|d| d.entry.seq)).collect();
         assert_eq!(order.len(), 22, "work conserving: every entry dispatches");
         for (i, &seq) in light_seqs.iter().enumerate() {
             let pos = order.iter().position(|&s| s == seq).unwrap();
@@ -398,7 +586,7 @@ mod tests {
         let bulk1 = submit(&mut sched, &t, 1.0, None);
         let soon = submit(&mut sched, &t, 1.0, Some(Duration::from_secs(1)));
         let bulk2 = submit(&mut sched, &t, 1.0, None);
-        let order: Vec<u64> = std::iter::from_fn(|| sched.pop().map(|e| e.seq)).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| sched.pop().map(|d| d.entry.seq)).collect();
         assert_eq!(order, vec![soon, late, bulk0, bulk1, bulk2]);
     }
 
@@ -416,7 +604,7 @@ mod tests {
             "quantum {}",
             sched.mean_cost()
         );
-        let order: Vec<u64> = std::iter::from_fn(|| sched.pop().map(|e| e.seq)).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| sched.pop().map(|d| d.entry.seq)).collect();
         assert_eq!(order.len(), 4, "the expensive query must still dispatch");
         assert!(order.contains(&big));
         for c in cheap {
@@ -428,18 +616,18 @@ mod tests {
     fn depth_and_peak_track_the_queue() {
         let mut sched = Scheduler::default();
         let t = TenantId::new("t");
-        assert_eq!(sched.depth(), 0);
+        assert_eq!(sched.depth, 0);
         assert!(sched.pop().is_none());
         for _ in 0..5 {
             submit(&mut sched, &t, 2.0, None);
         }
-        assert_eq!(sched.depth(), 5);
+        assert_eq!(sched.depth, 5);
         assert!((sched.queued_cost() - 10.0).abs() < 1e-9);
         sched.pop().unwrap();
-        assert_eq!(sched.depth(), 4);
-        assert_eq!(sched.peak_depth(), 5);
-        let stats = sched.tenant_snapshot();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].queued, 4);
+        let snapshot = sched.snapshot();
+        assert_eq!(snapshot.scheduler.queue_depth, 4);
+        assert_eq!(snapshot.scheduler.peak_queue_depth, 5);
+        assert_eq!(snapshot.tenants.len(), 1);
+        assert_eq!(snapshot.tenants[0].queued, 4);
     }
 }

@@ -132,7 +132,7 @@ mod tests {
     }
 
     fn triangle_cloud() -> MemoryCloud {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         b.add_vertex(v(1), "a");
         b.add_vertex(v(2), "b");
         b.add_vertex(v(3), "c");

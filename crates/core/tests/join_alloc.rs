@@ -264,7 +264,7 @@ fn star_over_random_graph() -> (trinity_sim::MemoryCloud, QueryGraph, [QVid; 3])
 /// That graph, and a query builder holding one vertex per label.
 fn random_graph_and_vertices() -> (trinity_sim::MemoryCloud, [QVid; 3], QueryGraphBuilder) {
     const N: u64 = 3000;
-    let mut b = GraphBuilder::new_undirected();
+    let mut b = GraphBuilder::default();
     for i in 0..N {
         b.add_vertex(VertexId(i), ["a", "b", "c"][(i % 3) as usize]);
     }

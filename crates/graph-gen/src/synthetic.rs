@@ -82,7 +82,7 @@ impl SyntheticGraph {
 
     /// Converts into a [`GraphBuilder`] (labels rendered as `L<idx>`).
     pub fn to_builder(&self) -> GraphBuilder {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         // Intern labels in index order so LabelId(i) corresponds to "L<i>".
         for i in 0..self.num_labels as u32 {
             b.intern_label(&Self::label_name(i));

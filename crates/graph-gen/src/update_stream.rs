@@ -184,7 +184,7 @@ impl GraphMirror {
     /// vertex/edge/label content — the reference graph a differential test
     /// compares the epoch overlay against.
     pub fn build_cloud(&self, num_machines: usize, cost: CostModel) -> MemoryCloud {
-        let mut gb = GraphBuilder::new_undirected();
+        let mut gb = GraphBuilder::default();
         // Intern the pool first, in order, so LabelIds match the source
         // cloud's regardless of which vertices survived.
         for label in &self.label_pool {
@@ -303,7 +303,7 @@ mod tests {
     use trinity_sim::epoch::GraphEpochs;
 
     fn small_cloud() -> MemoryCloud {
-        let mut gb = GraphBuilder::new_undirected();
+        let mut gb = GraphBuilder::default();
         for i in 0..12u64 {
             gb.add_vertex(VertexId(i), if i % 3 == 0 { "a" } else { "b" });
         }

@@ -14,7 +14,7 @@ use crate::network::CostModel;
 use std::collections::HashMap;
 
 /// Incrementally collects a labeled graph and partitions it into a
-/// [`MemoryCloud`].
+/// [`MemoryCloud`]. Start from `GraphBuilder::default()`.
 ///
 /// * Each vertex carries exactly one label (as in the paper's data model).
 /// * Adding the same vertex twice overwrites its label.
@@ -29,11 +29,6 @@ pub struct GraphBuilder {
 }
 
 impl GraphBuilder {
-    /// A builder for an undirected graph.
-    pub fn new_undirected() -> Self {
-        GraphBuilder::default()
-    }
-
     /// Interns a label string, returning its id. Useful for generators that
     /// want to pre-intern a label alphabet.
     pub fn intern_label(&mut self, name: &str) -> LabelId {
@@ -97,7 +92,7 @@ mod tests {
 
     #[test]
     fn build_small_graph() {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         b.add_vertex(v(1), "a");
         b.add_vertex(v(2), "b");
         b.add_vertex(v(3), "c");
@@ -114,7 +109,7 @@ mod tests {
 
     #[test]
     fn duplicate_edges_and_self_loops_are_ignored() {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         b.add_vertex(v(1), "a");
         b.add_vertex(v(2), "b");
         b.add_edge(v(1), v(2));
@@ -127,7 +122,7 @@ mod tests {
 
     #[test]
     fn relabeling_overwrites() {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         b.add_vertex(v(1), "a");
         b.add_vertex(v(1), "b");
         let cloud = b.build(1, CostModel::free());
@@ -138,7 +133,7 @@ mod tests {
 
     #[test]
     fn unknown_vertex_is_an_error() {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         b.add_vertex(v(1), "a");
         b.add_edge(v(1), v(2));
         let err = b.try_build(1, CostModel::free()).unwrap_err();
@@ -147,7 +142,7 @@ mod tests {
 
     #[test]
     fn empty_graph_is_an_error() {
-        let b = GraphBuilder::new_undirected();
+        let b = GraphBuilder::default();
         assert_eq!(
             b.try_build(1, CostModel::free()).unwrap_err(),
             TrinityError::EmptyGraph
@@ -156,7 +151,7 @@ mod tests {
 
     #[test]
     fn invalid_machine_count_is_an_error() {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         b.add_vertex(v(1), "a");
         assert_eq!(
             b.clone().try_build(0, CostModel::free()).unwrap_err(),
@@ -170,7 +165,7 @@ mod tests {
 
     #[test]
     fn vertices_are_spread_across_machines() {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         for i in 0..1000u64 {
             b.add_vertex(v(i), if i % 2 == 0 { "even" } else { "odd" });
         }
@@ -188,7 +183,7 @@ mod tests {
 
     #[test]
     fn catalog_is_populated_symmetrically() {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         b.add_vertex(v(1), "a");
         b.add_vertex(v(2), "b");
         b.add_edge(v(1), v(2));
@@ -202,7 +197,7 @@ mod tests {
 
     #[test]
     fn label_frequencies_are_global() {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         for i in 0..10u64 {
             b.add_vertex(v(i), "x");
         }

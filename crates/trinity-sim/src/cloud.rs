@@ -413,7 +413,7 @@ mod tests {
     /// Builds a small test cloud over `machines` machines:
     /// a triangle a(0)-b(1)-c(2)-a(0) plus a pendant d(3) attached to c.
     fn small_cloud(machines: usize) -> MemoryCloud {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         b.add_vertex(v(0), "a");
         b.add_vertex(v(1), "b");
         b.add_vertex(v(2), "c");

@@ -67,7 +67,7 @@ fn parse_id(token: Option<&str>, lineno: usize) -> Result<u64, TrinityError> {
 
 /// Loads a graph from a label file and an edge file on disk.
 pub fn load_graph_files(label_path: &Path, edge_path: &Path) -> Result<GraphBuilder, TrinityError> {
-    let mut builder = GraphBuilder::new_undirected();
+    let mut builder = GraphBuilder::default();
     let labels = std::fs::File::open(label_path)?;
     read_labels(std::io::BufReader::new(labels), &mut builder)?;
     let edges = std::fs::File::open(edge_path)?;
@@ -106,7 +106,7 @@ mod tests {
     fn parse_labels_and_edges() {
         let labels = "# comment\n1 a\n2 b\n\n3 c\n";
         let edges = "1 2\n2 3\n# trailing comment\n";
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         assert_eq!(read_labels(Cursor::new(labels), &mut b).unwrap(), 3);
         assert_eq!(read_edges(Cursor::new(edges), &mut b).unwrap(), 2);
         let cloud = b.build(1, CostModel::free());
@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn malformed_label_line_is_an_error() {
         let labels = "1\n";
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         let err = read_labels(Cursor::new(labels), &mut b).unwrap_err();
         assert!(matches!(err, TrinityError::Parse { line: 1, .. }));
     }
@@ -125,7 +125,7 @@ mod tests {
     #[test]
     fn malformed_edge_line_is_an_error() {
         let edges = "1 x\n";
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         let err = read_edges(Cursor::new(edges), &mut b).unwrap_err();
         assert!(matches!(err, TrinityError::Parse { line: 1, .. }));
     }

@@ -849,7 +849,7 @@ mod tests {
 
     /// Triangle a(0)-b(1)-c(2)-a(0) plus a pendant d(3) on c.
     fn small_cloud(machines: usize) -> MemoryCloud {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         b.add_vertex(v(0), "a");
         b.add_vertex(v(1), "b");
         b.add_vertex(v(2), "c");
@@ -1059,7 +1059,7 @@ mod tests {
 
     #[test]
     fn seal_keeps_epoch_and_content_and_drops_overlays() {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         b.add_vertex(v(0), "a");
         b.add_vertex(v(1), "b");
         b.add_vertex(v(2), "c");
@@ -1178,7 +1178,7 @@ mod tests {
     fn sealing_past_256_labels_widens_the_label_array() {
         use crate::loader::StreamLoader;
         const N: u64 = 600;
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         for i in 0..N {
             b.add_vertex(v(i), &format!("l{}", i % 256));
         }

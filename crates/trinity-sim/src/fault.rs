@@ -436,7 +436,7 @@ mod tests {
     }
 
     fn cloud(machines: usize) -> crate::cloud::MemoryCloud {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         for i in 0..8 {
             b.add_vertex(v(i), if i % 2 == 0 { "a" } else { "b" });
         }

@@ -42,7 +42,7 @@
 //! ```
 //! use trinity_sim::prelude::*;
 //!
-//! let mut b = GraphBuilder::new_undirected();
+//! let mut b = GraphBuilder::default();
 //! b.add_vertex(VertexId(0), "a");
 //! b.add_vertex(VertexId(1), "b");
 //! b.add_edge(VertexId(0), VertexId(1));

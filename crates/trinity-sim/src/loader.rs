@@ -398,7 +398,7 @@ mod tests {
         vertices: &[(VertexId, &'static str)],
         edges: &[(VertexId, VertexId)],
     ) -> MemoryCloud {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         for &(id, name) in vertices {
             b.add_vertex(id, name);
         }

@@ -854,7 +854,7 @@ mod tests {
         use crate::epoch::{GraphEpochs, UpdateBatch};
         use crate::network::CostModel;
         const BASE: u64 = 600;
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         for i in 0..BASE {
             b.add_vertex(v(i), ["a", "b", "c"][(i % 3) as usize]);
         }

@@ -88,7 +88,7 @@ mod tests {
     }
 
     fn star_cloud(leaves: u64, machines: usize) -> MemoryCloud {
-        let mut b = GraphBuilder::new_undirected();
+        let mut b = GraphBuilder::default();
         b.add_vertex(v(0), "hub");
         for i in 1..=leaves {
             b.add_vertex(v(i), "leaf");

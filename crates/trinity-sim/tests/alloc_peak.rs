@@ -175,7 +175,7 @@ fn stream_load_stages_within_one_machines_bytes() {
 /// One machine holding a ring lattice: vertex `i` is adjacent to `i ± 1 ..=
 /// i ± reach`, so every adjacency list has `2 * reach` entries.
 fn ring_epochs(n: u64, reach: u64) -> GraphEpochs {
-    let mut b = GraphBuilder::new_undirected();
+    let mut b = GraphBuilder::default();
     for i in 0..n {
         b.add_vertex(VertexId(i), if i % 2 == 0 { "even" } else { "odd" });
     }

@@ -19,7 +19,7 @@ const PRODUCT_BASE: u64 = 300_000;
 
 fn build_knowledge_graph(persons: u64, companies: u64, cities: u64, products: u64) -> MemoryCloud {
     let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
-    let mut gb = GraphBuilder::new_undirected();
+    let mut gb = GraphBuilder::default();
     for p in 0..persons {
         gb.add_vertex(VertexId(p), "person");
     }

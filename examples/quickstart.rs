@@ -10,7 +10,7 @@ use stwig_match::prelude::*;
 fn main() {
     // --- 1. Build a toy social graph and load it into the memory cloud. ---
     // People know each other and live in cities; companies employ people.
-    let mut gb = GraphBuilder::new_undirected();
+    let mut gb = GraphBuilder::default();
     let people = ["ada", "bob", "cyd", "dan", "eve"];
     for (i, _) in people.iter().enumerate() {
         gb.add_vertex(VertexId(i as u64), "person");

@@ -421,7 +421,7 @@ fn crashed_machine_degrades_to_valid_partial_results() {
 /// smaller "complete" answer.
 #[test]
 fn a_crash_outlasts_the_phase_and_round_it_fired_in() {
-    let mut gb = GraphBuilder::new_undirected();
+    let mut gb = GraphBuilder::default();
     gb.add_vertex(VertexId(0), "a");
     for i in 0..300u64 {
         gb.add_vertex(VertexId(100 + i), "b");

@@ -246,7 +246,8 @@ fn cache_survives_label_disjoint_updates_and_never_serves_stale_entries() {
 /// Admission prices a query on the snapshot it will run on, not on the
 /// epoch-0 cloud the engine was built over: after a batch that multiplies a
 /// label's frequency, a calibrated engine's too-late prediction for a query
-/// on that label rises by exactly the added work units.
+/// on that label rises by exactly the added work units, at the price of a
+/// unit the engine learned.
 #[test]
 fn admission_prices_queries_on_the_current_epoch() {
     const ADDED: u64 = 400;
@@ -256,11 +257,22 @@ fn admission_prices_queries_on_the_current_epoch() {
     let b = qb.vertex_by_name(&base, "L1").unwrap();
     qb.edge(a, b);
     let query = qb.build().unwrap();
+    // Both query vertices have degree 1: a carrier of either label is
+    // 1 + 1 work units.
+    let frequency = |name| base.label_frequency(base.labels().get(name).unwrap());
+    let units = 2.0 * (frequency("L0") + frequency("L1")) as f64;
     let epochs = GraphEpochs::new(base);
     let engine = QueryEngine::for_epochs(&epochs, EngineConfig::default());
-    // Calibrate the estimator at one µs per work unit.
+    // Calibrate the estimator on served completions.
     for _ in 0..16 {
-        engine.cost_estimator().observe(1_000.0, 1_000.0);
+        let handle = engine
+            .submit(QueryRequest::new(query.clone()))
+            .expect_accepted();
+        engine.drain();
+        assert_eq!(
+            handle.wait().unwrap().metrics.outcome,
+            QueryOutcome::Complete
+        );
     }
     let predicted = || {
         let hopeless = std::time::Duration::from_nanos(1);
@@ -276,11 +288,12 @@ fn admission_prices_queries_on_the_current_epoch() {
     }
     engine.apply_updates(batch).expect_accepted();
     engine.drain();
-    // `L0` has degree 1 in the query: each new vertex is 1 + 1 work units.
-    let rise = predicted() - before;
+    // Each new `L0` vertex is 1 + 1 work units more, at the same price.
+    let ratio = predicted() / before;
+    let expected = (units + 2.0 * ADDED as f64) / units;
     assert!(
-        (rise - 2.0 * ADDED as f64).abs() < 1e-6,
-        "{ADDED} more `L0` vertices moved the prediction by {rise} µs"
+        (ratio - expected).abs() < 1e-9,
+        "{ADDED} more `L0` vertices scaled the prediction by {ratio}, not {expected}"
     );
 }
 
@@ -421,7 +434,7 @@ fn a_repair_reindexes_the_repaired_shape_only() {
     // Twenty chains e – f – g with two d's on every e, and a disjoint copy
     // under labels p, r, s, t. One machine, so every query is one join whose
     // build side is the larger table: (e; d, f), 40 rows against 20.
-    let mut builder = trinity_sim::builder::GraphBuilder::new_undirected();
+    let mut builder = trinity_sim::builder::GraphBuilder::default();
     for (labels, base) in [(["d", "e", "f", "g"], 0u64), (["p", "r", "s", "t"], 10_000)] {
         for i in 0..20 {
             let [d, e, f, g] = [0, 1_000, 2_000, 3_000].map(|row| v(base + row + i));
@@ -514,7 +527,7 @@ fn small_cloud(
     edges: &[(u64, u64)],
     machines: usize,
 ) -> MemoryCloud {
-    let mut gb = GraphBuilder::new_undirected();
+    let mut gb = GraphBuilder::default();
     for (i, &l) in labels.iter().enumerate().take(num_vertices as usize) {
         gb.add_vertex(VertexId(i as u64), &format!("l{l}"));
     }

@@ -380,7 +380,7 @@ fn frontier_fetches_rare_child_postings_once_per_owner() {
 /// to three others by index arithmetic, built over four machines.
 fn labeled_ring(ids: &[VertexId]) -> MemoryCloud {
     let n = ids.len() as u64;
-    let mut b = GraphBuilder::new_undirected();
+    let mut b = GraphBuilder::default();
     for (i, &id) in (0u64..).zip(ids) {
         let name = if i % 37 == 0 {
             "rare"

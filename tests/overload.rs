@@ -213,3 +213,84 @@ fn open_loop_serving_sheds_hopeless_deadlines_and_completes_the_rest() {
     assert_eq!(tenant.shed, shed);
     assert_eq!(tenant.completed, completed);
 }
+
+/// Every snapshot agrees with itself while the engine serves: two tenants
+/// submit against a queue of four drained by one `serve` worker (a fifth of
+/// the requests carry a deadline that has already passed, so they shed, and
+/// a fifth are cancelled right after admission), while this thread takes
+/// snapshots. In each one every submission is accepted or rejected, and the
+/// engine's totals are the sums of the tenants' counts.
+#[test]
+fn metrics_snapshots_agree_with_themselves_while_serving() {
+    const PER_TENANT: usize = 5_000;
+    let cloud = overload_cloud(1);
+    let query = shared_query(&cloud);
+    // Admit the expired deadlines, so that they reach dispatch and shed.
+    let admission = AdmissionConfig::default()
+        .with_queue_capacity(4)
+        .with_reject_estimated_late(false);
+    let serve = ServeConfig::default().with_admission(admission);
+    let engine = QueryEngine::new(&cloud, EngineConfig::default().with_serve(serve));
+    let stop = AtomicBool::new(false);
+    let (taken, disagreed) = std::thread::scope(|s| {
+        let worker = s.spawn(|| engine.serve(&stop));
+        let submitters = ["a", "b"].map(|tenant| {
+            let (engine, query) = (&engine, &query);
+            s.spawn(move || {
+                for i in 0..PER_TENANT {
+                    let mut request = QueryRequest::new(query.clone()).with_tenant(tenant);
+                    if i % 5 == 1 {
+                        request = request.with_deadline(Duration::ZERO);
+                    }
+                    if let Submit::Accepted(handle) = engine.submit(request) {
+                        if i % 5 == 2 {
+                            handle.cancel();
+                        }
+                    }
+                }
+            })
+        });
+        let mut taken = 0u64;
+        // Snapshots breaking each identity, in the order of the assertion.
+        let mut disagreed = [0u64; 4];
+        while submitters.iter().any(|t| !t.is_finished()) {
+            let snapshot = engine.metrics_snapshot();
+            let (scheduler, tenants) = (&snapshot.scheduler, &snapshot.tenants);
+            let sum = |count: fn(&TenantStats) -> u64| tenants.iter().map(count).sum::<u64>();
+            let broken = [
+                scheduler.submitted != scheduler.accepted + scheduler.rejected(),
+                sum(|t| t.submitted) != scheduler.submitted,
+                sum(|t| t.shed) != scheduler.shed(),
+                sum(|t| t.cancelled) != snapshot.engine.queries_cancelled,
+            ];
+            for (count, broken) in disagreed.iter_mut().zip(broken) {
+                *count += u64::from(broken);
+            }
+            taken += 1;
+        }
+        for submitter in submitters {
+            submitter.join().expect("submitter exits");
+        }
+        stop.store(true, Ordering::Release);
+        worker.join().expect("serve worker exits");
+        (taken, disagreed)
+    });
+    assert_eq!(
+        disagreed, [0; 4],
+        "of {taken} snapshots, these many broke: submitted = accepted + rejected, \
+         Σ tenant submitted, Σ tenant shed, Σ tenant cancelled"
+    );
+    // The run exercised every count the identities read.
+    let snapshot = engine.metrics_snapshot();
+    let scheduler = &snapshot.scheduler;
+    assert_eq!(scheduler.submitted, 2 * PER_TENANT as u64);
+    assert!(
+        scheduler.rejected() > 0 && scheduler.shed() > 0,
+        "{scheduler:?}"
+    );
+    assert!(
+        snapshot.engine.queries_cancelled > 0,
+        "{:?}",
+        snapshot.engine
+    );
+}

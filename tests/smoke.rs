@@ -8,7 +8,7 @@ use trinity_sim::ids::VertexId;
 /// Six vertices over two machines: a labeled triangle a-b-c plus a pendant
 /// vertex per label so the label index has non-trivial candidate lists.
 fn tiny_cloud() -> MemoryCloud {
-    let mut gb = GraphBuilder::new_undirected();
+    let mut gb = GraphBuilder::default();
     for (v, l) in [(0, "a"), (1, "b"), (2, "c"), (3, "a"), (4, "b"), (5, "c")] {
         gb.add_vertex(VertexId(v), l);
     }

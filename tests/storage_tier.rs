@@ -257,7 +257,7 @@ fn dense_ids_store_at_most_one_byte_of_id_map_a_vertex() {
 fn sparse_ids_take_the_hashed_index_and_answer_like_the_dense_graph() {
     let graph = dense_rmat();
     let dense = graph.build_cloud(4, trinity_sim::network::CostModel::default());
-    let mut b = GraphBuilder::new_undirected();
+    let mut b = GraphBuilder::default();
     for i in 0..graph.num_labels as u32 {
         b.intern_label(&SyntheticGraph::label_name(i));
     }

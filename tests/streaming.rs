@@ -435,7 +435,7 @@ fn first_k_is_consistent_across_threads_and_cache() {
 /// joins the last of each, so the triangle a–b–c has exactly one embedding
 /// and it is the last row of the hub's `fan`² -row star.
 fn hub_cloud(fan: u64) -> MemoryCloud {
-    let mut gb = GraphBuilder::new_undirected();
+    let mut gb = GraphBuilder::default();
     gb.add_vertex(VertexId(0), "a");
     for i in 0..fan {
         gb.add_vertex(VertexId(1_000 + i), "b");
