@@ -23,7 +23,7 @@ use trinity_sim::MemoryCloud;
 /// A1: compares exploration cost (STwig result rows and candidate loads)
 /// between Algorithm 2's ordered decomposition and the random 2-approximate
 /// cover, on random queries over the Patents-like profile.
-pub fn ablation_order(scale: Scale) -> Vec<Row> {
+pub(crate) fn ablation_order(scale: Scale) -> Vec<Row> {
     let cloud = patents_like(scale.base_vertices(), 0xA11CE).build_cloud(4, CostModel::default());
     // DFS queries: they are guaranteed to have matches, so the exploration
     // cost difference between the two decompositions is actually exercised
@@ -132,7 +132,7 @@ fn explore_cost(
 /// A2: communication cost `T(s)` (Eq. 2) of the chosen head STwig versus the
 /// worst head, over DFS queries on the Patents-like profile partitioned
 /// across 8 machines.
-pub fn ablation_head(scale: Scale) -> Vec<Row> {
+pub(crate) fn ablation_head(scale: Scale) -> Vec<Row> {
     let cloud = patents_like(scale.base_vertices(), 0xA11CE).build_cloud(8, CostModel::default());
     let queries = query_batch(&cloud, scale.queries_per_point(), 8, None, 0xAB2);
     let mut best_total = 0.0;
@@ -177,7 +177,7 @@ pub fn ablation_head(scale: Scale) -> Vec<Row> {
 /// A3: binding-aware exploration versus independent STwig matching + join
 /// (the §3 comparison), on random queries over the WordNet-like profile where
 /// label selectivity is low and the difference is most visible.
-pub fn ablation_explore(scale: Scale) -> Vec<Row> {
+pub(crate) fn ablation_explore(scale: Scale) -> Vec<Row> {
     let cloud = wordnet_like(scale.base_vertices(), 0xB0B).build_cloud(4, CostModel::default());
     let queries = query_batch(&cloud, scale.queries_per_point(), 6, Some(9), 0xAB3);
     let with = run_suite(&cloud, &queries, &MatchConfig::paper_default());
@@ -232,91 +232,48 @@ pub fn ablation_explore(scale: Scale) -> Vec<Row> {
     ]
 }
 
-/// Demonstrates the adversarial cases of Figure 3 (§3): builds the G1/G2/G3
-/// graphs and reports candidate counts for the join strategy versus the
-/// exploration strategy. Used by the `ablation-explore` discussion in
-/// EXPERIMENTS.md and exercised by tests.
-pub fn figure3_candidate_counts(k: u64) -> Vec<Row> {
-    // G1: one a connected to b1; b1 connected to c1, c2; b2..bk all connected
-    // to c2 (useless for the query a-b-c).
-    let mut g1 = trinity_sim::GraphBuilder::default();
-    g1.add_vertex(trinity_sim::VertexId(0), "a");
-    for i in 0..k {
-        g1.add_vertex(trinity_sim::VertexId(100 + i), "b");
-    }
-    g1.add_vertex(trinity_sim::VertexId(200), "c");
-    g1.add_vertex(trinity_sim::VertexId(201), "c");
-    g1.add_edge(trinity_sim::VertexId(0), trinity_sim::VertexId(100));
-    g1.add_edge(trinity_sim::VertexId(100), trinity_sim::VertexId(200));
-    g1.add_edge(trinity_sim::VertexId(100), trinity_sim::VertexId(201));
-    for i in 1..k {
-        g1.add_edge(trinity_sim::VertexId(100 + i), trinity_sim::VertexId(201));
-    }
-    let cloud = g1.build(1, CostModel::free());
-
-    let mut qb = QueryGraph::builder();
-    let a = qb.vertex_by_name(&cloud, "a").unwrap();
-    let b = qb.vertex_by_name(&cloud, "b").unwrap();
-    let c = qb.vertex_by_name(&cloud, "c").unwrap();
-    qb.edge(a, b).edge(b, c);
-    let query = qb.build().unwrap();
-
-    // Join strategy: per-edge candidates.
-    let (_result, stats) = baselines::edge_join(&cloud, &query, None);
-    // Exploration strategy: STwig exploration rows.
-    let out = stwig::match_query(
-        &cloud,
-        &query,
-        &MatchConfig::default(),
-        stwig::Run::default(),
-    )
-    .unwrap();
-    vec![
-        Row::new(
-            "figure3",
-            "edge_join",
-            k as f64,
-            "candidate_rows",
-            stats.candidate_rows as f64,
-        ),
-        Row::new(
-            "figure3",
-            "exploration",
-            k as f64,
-            "candidate_rows",
-            out.metrics.explore.rows_emitted as f64,
-        ),
-        Row::new(
-            "figure3",
-            "answers",
-            k as f64,
-            "matches",
-            out.num_matches() as f64,
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Figure 3 (§3), graph G1: one `a` joined to `b1`, which reaches `c1`
+    /// and `c2`, while `b2..bk` all reach `c2` too. The query a-b-c has
+    /// exactly 2 answers; the edge-join strategy materializes ~k useless
+    /// (b_i, c2) candidates first, exploration does not.
     #[test]
     fn figure3_exploration_beats_edge_join() {
-        let rows = figure3_candidate_counts(50);
-        let ej = rows.iter().find(|r| r.series == "edge_join").unwrap().value;
-        let ex = rows
-            .iter()
-            .find(|r| r.series == "exploration")
-            .unwrap()
-            .value;
-        // The query a-b-c on G1 has exactly 2 answers; the edge-join strategy
-        // materializes ~k useless (b_i, c_2) candidates first.
+        let k = 50;
+        let v = trinity_sim::VertexId;
+        let mut g1 = trinity_sim::GraphBuilder::default();
+        g1.add_vertex(v(0), "a");
+        for i in 0..k {
+            g1.add_vertex(v(100 + i), "b");
+        }
+        g1.add_vertex(v(200), "c");
+        g1.add_vertex(v(201), "c");
+        g1.add_edge(v(0), v(100));
+        g1.add_edge(v(100), v(200));
+        g1.add_edge(v(100), v(201));
+        for i in 1..k {
+            g1.add_edge(v(100 + i), v(201));
+        }
+        let cloud = g1.build(1, CostModel::free());
+        let mut qb = QueryGraph::builder();
+        let a = qb.vertex_by_name(&cloud, "a").unwrap();
+        let b = qb.vertex_by_name(&cloud, "b").unwrap();
+        let c = qb.vertex_by_name(&cloud, "c").unwrap();
+        qb.edge(a, b).edge(b, c);
+        let query = qb.build().unwrap();
+
+        let (_result, stats) = baselines::edge_join(&cloud, &query, None);
+        let config = MatchConfig::default();
+        let out = stwig::match_query(&cloud, &query, &config, stwig::Run::default()).unwrap();
+        let (ej, ex) = (stats.candidate_rows, out.metrics.explore.rows_emitted);
         assert!(
             ej > ex,
             "edge_join candidates {ej} should exceed exploration {ex}"
         );
-        let matches = rows.iter().find(|r| r.series == "answers").unwrap().value;
-        assert_eq!(matches, 2.0);
+        assert_eq!(out.num_matches(), 2);
     }
 
     #[test]

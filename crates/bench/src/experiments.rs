@@ -26,13 +26,13 @@ use trinity_sim::MemoryCloud;
 
 /// Default number of logical machines for the single-cluster experiments
 /// (the paper's cluster 1 has 8 machines).
-pub const DEFAULT_MACHINES: usize = 8;
+pub(crate) const DEFAULT_MACHINES: usize = 8;
 
 /// Label-alphabet size used by the graph-size and degree sweeps (Fig. 10(a–c)).
 /// The paper keeps the label model fixed while sweeping structure; a fixed
 /// alphabet avoids the degenerate near-unlabeled graphs that a *density*-
 /// derived alphabet would produce at laptop-scale node counts.
-pub const FIXED_LABELS: usize = 100;
+pub(crate) const FIXED_LABELS: usize = 100;
 
 /// An R-MAT graph with a fixed alphabet of `num_labels` uniform labels,
 /// whatever its size.
@@ -142,7 +142,7 @@ fn baseline_avg_times(cloud: &MemoryCloud, queries: &[stwig::QueryGraph]) -> (f6
 
 /// Table 2: graph loading time as the node count grows (fixed average
 /// degree 16, as in the paper's loading experiment).
-pub fn table2(scale: Scale) -> Vec<Row> {
+pub(crate) fn table2(scale: Scale) -> Vec<Row> {
     let sizes: Vec<u64> = match scale {
         Scale::Small => vec![1_000, 4_000, 16_000],
         Scale::Medium => vec![4_000, 16_000, 64_000, 256_000],
@@ -172,7 +172,7 @@ pub fn table2(scale: Scale) -> Vec<Row> {
 
 /// Fig. 8(a): run time vs query node count for DFS queries on the two real
 /// dataset profiles.
-pub fn fig8a(scale: Scale) -> Vec<Row> {
+pub(crate) fn fig8a(scale: Scale) -> Vec<Row> {
     let mut rows = Vec::new();
     let config = MatchConfig::paper_default();
     for (name, cloud) in [
@@ -197,7 +197,7 @@ pub fn fig8a(scale: Scale) -> Vec<Row> {
 }
 
 /// Fig. 8(b): run time vs query node count for random queries (E = 2N).
-pub fn fig8b(scale: Scale) -> Vec<Row> {
+pub(crate) fn fig8b(scale: Scale) -> Vec<Row> {
     let mut rows = Vec::new();
     let config = MatchConfig::paper_default();
     for (name, cloud) in [
@@ -228,7 +228,7 @@ pub fn fig8b(scale: Scale) -> Vec<Row> {
 }
 
 /// Fig. 8(c): run time vs query edge count (random queries, N = 10).
-pub fn fig8c(scale: Scale) -> Vec<Row> {
+pub(crate) fn fig8c(scale: Scale) -> Vec<Row> {
     let mut rows = Vec::new();
     let config = MatchConfig::paper_default();
     for (name, cloud) in [
@@ -252,12 +252,12 @@ pub fn fig8c(scale: Scale) -> Vec<Row> {
 }
 
 /// Fig. 9(a): speed-up vs machine count, DFS queries.
-pub fn fig9a(scale: Scale) -> Vec<Row> {
+pub(crate) fn fig9a(scale: Scale) -> Vec<Row> {
     speedup_experiment("fig9a", scale, None)
 }
 
 /// Fig. 9(b): speed-up vs machine count, random queries.
-pub fn fig9b(scale: Scale) -> Vec<Row> {
+pub(crate) fn fig9b(scale: Scale) -> Vec<Row> {
     speedup_experiment("fig9b", scale, Some(2))
 }
 
@@ -307,7 +307,7 @@ fn speedup_experiment(experiment: &str, scale: Scale, edges_factor: Option<usize
 }
 
 /// Fig. 10(a): run time vs graph size, fixed average degree 16.
-pub fn fig10a(scale: Scale) -> Vec<Row> {
+pub(crate) fn fig10a(scale: Scale) -> Vec<Row> {
     let sizes: Vec<u64> = match scale {
         Scale::Small => vec![1_000, 4_000, 16_000],
         Scale::Medium => vec![4_000, 16_000, 64_000, 256_000],
@@ -324,7 +324,7 @@ pub fn fig10a(scale: Scale) -> Vec<Row> {
 
 /// Fig. 10(b): run time vs graph size, fixed graph density (so the average
 /// degree grows with the node count).
-pub fn fig10b(scale: Scale) -> Vec<Row> {
+pub(crate) fn fig10b(scale: Scale) -> Vec<Row> {
     let (sizes, density): (Vec<u64>, f64) = match scale {
         Scale::Small => (vec![1_000, 2_000, 4_000], 4e-3),
         Scale::Medium => (vec![4_000, 8_000, 16_000, 32_000], 1e-3),
@@ -341,7 +341,7 @@ pub fn fig10b(scale: Scale) -> Vec<Row> {
 }
 
 /// Fig. 10(c): run time vs average degree (graph density) at fixed node count.
-pub fn fig10c(scale: Scale) -> Vec<Row> {
+pub(crate) fn fig10c(scale: Scale) -> Vec<Row> {
     let degrees: Vec<f64> = match scale {
         Scale::Small => vec![4.0, 8.0, 16.0],
         Scale::Medium => vec![4.0, 8.0, 16.0, 32.0],
@@ -364,7 +364,7 @@ pub fn fig10c(scale: Scale) -> Vec<Row> {
 /// corresponds to hundreds of labels, so a literal density transfer to a
 /// few-thousand-node graph would degenerate to an unlabeled graph and measure
 /// something the paper never ran.
-pub fn fig10d(scale: Scale) -> Vec<Row> {
+pub(crate) fn fig10d(scale: Scale) -> Vec<Row> {
     let densities: Vec<f64> = match scale {
         Scale::Small => vec![5e-3, 5e-2, 5e-1],
         Scale::Medium => vec![1e-3, 1e-2, 1e-1],

@@ -33,7 +33,7 @@ impl Scale {
     }
 
     /// Base vertex count used by graph-size-independent experiments.
-    pub fn base_vertices(self) -> u64 {
+    pub(crate) fn base_vertices(self) -> u64 {
         match self {
             Scale::Small => 2_000,
             Scale::Medium => 20_000,
@@ -42,7 +42,7 @@ impl Scale {
     }
 
     /// Number of queries per configuration point (the paper uses 100).
-    pub fn queries_per_point(self) -> usize {
+    pub(crate) fn queries_per_point(self) -> usize {
         match self {
             Scale::Small => 5,
             Scale::Medium => 20,
@@ -94,11 +94,11 @@ impl Row {
 
 /// Metric names of a figure's time rows ([`SuiteResult::time_rows`]): the
 /// simulated run time, then the measured wall-clock.
-pub const RUN_TIME: [&str; 2] = ["run_time_ms", "wall_ms"];
+pub(crate) const RUN_TIME: [&str; 2] = ["run_time_ms", "wall_ms"];
 
 /// Aggregate result of running a suite of queries against one graph.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SuiteResult {
+pub(crate) struct SuiteResult {
     /// Number of queries executed.
     pub queries: usize,
     /// Mean measured wall-clock per query, milliseconds.
@@ -141,7 +141,13 @@ impl SuiteResult {
     /// The suite's mean query time twice, under `names`: first as simulated —
     /// measured compute plus communication the cost model prices, the figure
     /// the paper's plots report — then as measured wall-clock on this host.
-    pub fn time_rows(&self, experiment: &str, series: &str, x: f64, names: [&str; 2]) -> [Row; 2] {
+    pub(crate) fn time_rows(
+        &self,
+        experiment: &str,
+        series: &str,
+        x: f64,
+        names: [&str; 2],
+    ) -> [Row; 2] {
         [
             Row::new(experiment, series, x, names[0], self.avg_simulated_ms),
             Row::new(experiment, series, x, names[1], self.avg_wall_ms),
@@ -151,7 +157,7 @@ impl SuiteResult {
     /// CSV rows for the per-phase traffic breakdown (exploration vs.
     /// binding sync vs. join shipping), alongside the run-time rows the
     /// experiments already emit.
-    pub fn phase_rows(&self, experiment: &str, series: &str, x: f64) -> Vec<Row> {
+    pub(crate) fn phase_rows(&self, experiment: &str, series: &str, x: f64) -> Vec<Row> {
         vec![
             Row::new(
                 experiment,
@@ -174,7 +180,7 @@ impl SuiteResult {
     /// CSV rows for the fault-tolerance counters (retries, timeouts,
     /// suppressed duplicates, degraded completions). All-zero on a healthy
     /// transport; meaningful under a `FaultPlan`.
-    pub fn fault_rows(&self, experiment: &str, series: &str, x: f64) -> Vec<Row> {
+    pub(crate) fn fault_rows(&self, experiment: &str, series: &str, x: f64) -> Vec<Row> {
         vec![
             Row::new(experiment, series, x, "retries", self.avg_retries),
             Row::new(experiment, series, x, "timeouts", self.avg_timeouts),
@@ -198,12 +204,16 @@ impl SuiteResult {
 
 /// Runs a suite of queries and averages the metrics (the paper reports
 /// averages over 100 queries).
-pub fn run_suite(cloud: &MemoryCloud, queries: &[QueryGraph], config: &MatchConfig) -> SuiteResult {
+pub(crate) fn run_suite(
+    cloud: &MemoryCloud,
+    queries: &[QueryGraph],
+    config: &MatchConfig,
+) -> SuiteResult {
     run_suite_under(cloud, queries, config, &QueryOptions::none())
 }
 
 /// [`run_suite`] with every query under `options` (its fault stack, say).
-pub fn run_suite_under(
+pub(crate) fn run_suite_under(
     cloud: &MemoryCloud,
     queries: &[QueryGraph],
     config: &MatchConfig,

@@ -16,4 +16,4 @@ pub mod experiments;
 pub mod harness;
 pub mod serving;
 
-pub use harness::{run_suite, Row, Scale, SuiteResult};
+pub use harness::{Row, Scale};

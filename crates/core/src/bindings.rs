@@ -64,15 +64,6 @@ impl Bindings {
             self.bind(col, values);
         }
     }
-
-    /// Total number of vertex ids stored across all binding sets (used to
-    /// charge binding-synchronization traffic).
-    pub fn total_entries(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.as_ref().map(|x| x.len()).unwrap_or(0))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -123,13 +114,5 @@ mod tests {
         assert_eq!(b.get(q(0)).unwrap().len(), 2);
         assert_eq!(b.get(q(1)).unwrap().len(), 1);
         assert!(!b.is_bound(q(2)));
-    }
-
-    #[test]
-    fn total_entries_counts_everything() {
-        let mut b = Bindings::new(2);
-        b.bind(q(0), [v(1), v(2)].into_iter().collect());
-        b.bind(q(1), [v(3)].into_iter().collect());
-        assert_eq!(b.total_entries(), 3);
     }
 }

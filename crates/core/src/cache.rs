@@ -808,7 +808,7 @@ impl<'c> StwigCache<'c> {
     }
 
     /// The populate-time row cap per machine (see [`CacheConfig`]).
-    pub fn populate_row_cap(&self) -> Option<usize> {
+    pub(crate) fn populate_row_cap(&self) -> Option<usize> {
         self.populate_row_cap
     }
 
@@ -898,7 +898,7 @@ impl<'c> StwigCache<'c> {
     /// instantly evicted) would be strictly slower than running without the
     /// cache, so this query explores the STwig bound like every later one
     /// will.
-    pub fn insert(
+    pub(crate) fn insert(
         &self,
         shape: StwigShape,
         tables: Vec<Arc<ResultTable>>,

@@ -388,7 +388,7 @@ mod tests {
         let q = b.build().unwrap();
         let cover = decompose_ordered(&q, &UniformStats).unwrap();
         assert_eq!(cover.len(), 1);
-        assert_eq!(cover[0].num_edges(), 1);
+        assert_eq!(cover[0].children.len(), 1);
         validate_cover(&q, &cover).unwrap();
     }
 
@@ -404,7 +404,7 @@ mod tests {
         let cover = decompose_ordered(&q, &UniformStats).unwrap();
         assert_eq!(cover.len(), 1);
         assert_eq!(cover[0].root, hub);
-        assert_eq!(cover[0].num_edges(), 4);
+        assert_eq!(cover[0].children.len(), 4);
     }
 
     #[test]

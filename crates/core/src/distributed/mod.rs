@@ -1606,13 +1606,14 @@ mod tests {
             assert_eq!(messages.metrics.matches_found, 5);
             // The posting-gather envelopes belong to the explore phase, so
             // the breakdown partitions the totals here too.
+            let pt = messages.metrics.phase_traffic;
             assert_eq!(
-                messages.metrics.phase_traffic.total_messages(),
+                pt.explore_messages + pt.binding_sync_messages + pt.join_ship_messages,
                 messages.metrics.network_messages,
                 "machines = {machines}"
             );
             assert_eq!(
-                messages.metrics.phase_traffic.total_bytes(),
+                pt.explore_bytes + pt.binding_sync_bytes + pt.join_ship_bytes,
                 messages.metrics.network_bytes,
                 "machines = {machines}"
             );
@@ -1633,12 +1634,12 @@ mod tests {
             assert!(pt.explore_messages > 0, "mode = {mode:?}");
             assert!(pt.join_ship_messages > 0, "mode = {mode:?}");
             assert_eq!(
-                pt.total_messages(),
+                pt.explore_messages + pt.binding_sync_messages + pt.join_ship_messages,
                 out.metrics.network_messages,
                 "phase breakdown must partition the totals (mode = {mode:?})"
             );
             assert_eq!(
-                pt.total_bytes(),
+                pt.explore_bytes + pt.binding_sync_bytes + pt.join_ship_bytes,
                 out.metrics.network_bytes,
                 "mode = {mode:?}"
             );

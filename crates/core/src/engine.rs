@@ -562,7 +562,7 @@ impl<'c> QueryEngine<'c> {
     }
 
     /// Snapshot of the engine-level counters.
-    pub fn stats(&self) -> EngineStats {
+    pub(crate) fn stats(&self) -> EngineStats {
         self.metrics_snapshot().engine
     }
 

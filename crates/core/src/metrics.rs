@@ -58,7 +58,7 @@ pub struct FaultCounters {
 
 impl FaultCounters {
     /// Adds another counter set into this one (lost machines are unioned).
-    pub fn merge(&mut self, other: &FaultCounters) {
+    pub(crate) fn merge(&mut self, other: &FaultCounters) {
         self.retries += other.retries;
         self.timeouts += other.timeouts;
         self.transient_errors += other.transient_errors;
@@ -371,7 +371,7 @@ impl PhaseTraffic {
     }
 
     /// The per-phase totals of a query's ledger.
-    pub fn of(ledger: &Network) -> Self {
+    pub(crate) fn of(ledger: &Network) -> Self {
         let [explore, sync, join] =
             [Phase::Explore, Phase::Sync, Phase::Join].map(|p| ledger.phase_totals(p));
         PhaseTraffic {
@@ -382,16 +382,6 @@ impl PhaseTraffic {
             join_ship_messages: join.0,
             join_ship_bytes: join.1,
         }
-    }
-
-    /// Total messages across the three phases.
-    pub fn total_messages(&self) -> u64 {
-        self.explore_messages + self.binding_sync_messages + self.join_ship_messages
-    }
-
-    /// Total bytes across the three phases.
-    pub fn total_bytes(&self) -> u64 {
-        self.explore_bytes + self.binding_sync_bytes + self.join_ship_bytes
     }
 }
 
@@ -543,7 +533,7 @@ mod tests {
     }
 
     #[test]
-    fn phase_traffic_merges_and_totals() {
+    fn phase_traffic_merges_per_phase() {
         let mut a = PhaseTraffic {
             explore_messages: 1,
             explore_bytes: 10,
@@ -553,10 +543,14 @@ mod tests {
             join_ship_bytes: 30,
         };
         a.merge(&a.clone());
-        assert_eq!(a.total_messages(), 12);
-        assert_eq!(a.total_bytes(), 120);
-        assert_eq!(a.explore_bytes, 20);
-        assert_eq!(a.join_ship_messages, 6);
+        let messages = (
+            a.explore_messages,
+            a.binding_sync_messages,
+            a.join_ship_messages,
+        );
+        assert_eq!(messages, (2, 4, 6));
+        let bytes = (a.explore_bytes, a.binding_sync_bytes, a.join_ship_bytes);
+        assert_eq!(bytes, (20, 40, 60));
     }
 
     #[test]

@@ -125,7 +125,7 @@ impl CostEstimator {
     /// estimator has observed `CALIBRATION_SAMPLES` completions — an
     /// uncalibrated estimator must not reject anything.
     pub(crate) fn estimate_us(&self, units: f64) -> Option<f64> {
-        (self.samples >= CALIBRATION_SAMPLES).then(|| units * self.us_per_unit)
+        (self.samples >= CALIBRATION_SAMPLES).then_some(units * self.us_per_unit)
     }
 }
 

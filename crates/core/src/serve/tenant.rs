@@ -24,7 +24,7 @@ impl TenantId {
     }
 
     /// The tenant's name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.0
     }
 }

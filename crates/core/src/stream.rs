@@ -140,12 +140,12 @@ impl QueryControl {
     }
 
     /// The fault stack the query runs under; `None` runs it fault-free.
-    pub fn faults(&self) -> Option<&crate::retry::Faults> {
+    pub(crate) fn faults(&self) -> Option<&crate::retry::Faults> {
         self.faults.as_ref()
     }
 
     /// The cooperative check: returns the interrupt to honor, if any.
-    pub fn check(&self) -> Option<Interrupt> {
+    pub(crate) fn check(&self) -> Option<Interrupt> {
         match self.latched.load(Ordering::Acquire) {
             1 => return Some(Interrupt::Cancelled),
             2 => return Some(Interrupt::DeadlineExceeded),
@@ -292,11 +292,6 @@ impl RowBatch {
     /// The rows, in stream order, borrowed from the batch's one buffer.
     pub fn rows(&self) -> impl Iterator<Item = &[VertexId]> {
         self.ids.chunks_exact(self.width.max(1))
-    }
-
-    /// The flat buffer: `width()` entries per row.
-    pub fn ids(&self) -> &[VertexId] {
-        &self.ids
     }
 }
 
@@ -531,7 +526,7 @@ mod tests {
         sink.flush(); // nothing held: sends nothing
         let batch = rx.recv().unwrap();
         assert_eq!((batch.width(), batch.num_rows()), (1, 1));
-        assert_eq!(batch.ids(), &[VertexId(7)]);
+        assert_eq!(batch.rows().collect::<Vec<_>>(), [&[VertexId(7)]]);
         assert!(rx.try_recv().is_err());
         // A full batch leaves on its own; the rest leaves with the sink,
         // and only then does the channel close.

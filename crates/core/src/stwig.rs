@@ -52,23 +52,18 @@ impl STwig {
             .all(|w| (query.label(w[0]), w[0]) < (query.label(w[1]), w[1]))
     }
 
-    /// Number of query edges this STwig covers (= number of children).
-    pub fn num_edges(&self) -> usize {
-        self.children.len()
-    }
-
     /// All query vertices touched by this STwig (root first, then children).
     pub fn vertices(&self) -> impl Iterator<Item = QVid> + '_ {
         std::iter::once(self.root).chain(self.children.iter().copied())
     }
 
     /// The edges (root, child) covered by this STwig.
-    pub fn edges(&self) -> impl Iterator<Item = (QVid, QVid)> + '_ {
+    pub(crate) fn edges(&self) -> impl Iterator<Item = (QVid, QVid)> + '_ {
         self.children.iter().map(move |&c| (self.root, c))
     }
 
     /// The root label and child labels of this STwig against a query.
-    pub fn labels(&self, query: &QueryGraph) -> (LabelId, Vec<LabelId>) {
+    pub(crate) fn labels(&self, query: &QueryGraph) -> (LabelId, Vec<LabelId>) {
         (
             query.label(self.root),
             self.children.iter().map(|&c| query.label(c)).collect(),
@@ -147,7 +142,6 @@ mod tests {
     fn stwig_canonical_form() {
         let t = STwig::new(QVid(0), vec![QVid(3), QVid(1), QVid(3)]);
         assert_eq!(t.children, vec![QVid(1), QVid(3)]);
-        assert_eq!(t.num_edges(), 2);
         assert_eq!(t.vertices().count(), 3);
         assert_eq!(t.to_string(), "STwig(q0 -> [q1, q3])");
     }

@@ -97,14 +97,6 @@ impl ResultTable {
         self.data.chunks_exact(self.width().max(1))
     }
 
-    /// The value in row `i` for query vertex `q` (panics if `q` is not a column).
-    pub fn value(&self, i: usize, q: QVid) -> VertexId {
-        let c = self
-            .column_index(q)
-            .expect("query vertex is not a column of this table");
-        self.row(i)[c]
-    }
-
     /// Distinct values appearing in the column for query vertex `q`.
     pub(crate) fn distinct_values(&self, q: QVid) -> VertexSet {
         match self.column_index(q) {
@@ -126,7 +118,7 @@ impl ResultTable {
     }
 
     /// Truncates the table to at most `rows` rows.
-    pub fn truncate(&mut self, rows: usize) {
+    pub(crate) fn truncate(&mut self, rows: usize) {
         let w = self.width();
         self.data.truncate(rows * w);
     }
@@ -227,7 +219,6 @@ mod tests {
         assert_eq!(t.width(), 2);
         assert_eq!(t.num_rows(), 3);
         assert_eq!(t.row(1), &[v(3), v(4)]);
-        assert_eq!(t.value(1, q(1)), v(4));
         assert_eq!(t.column_index(q(1)), Some(1));
         assert_eq!(t.column_index(q(9)), None);
         assert!(!t.is_empty());

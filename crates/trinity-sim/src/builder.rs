@@ -49,16 +49,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of vertices added so far.
-    pub fn num_vertices(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// Number of edge additions so far (before deduplication).
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Partitions the graph over `num_machines` logical machines and builds
     /// the memory cloud.
     pub fn build(self, num_machines: usize, cost: CostModel) -> MemoryCloud {

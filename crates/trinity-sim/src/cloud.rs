@@ -55,7 +55,7 @@ pub fn machine_for(id: VertexId, num_machines: usize) -> MachineId {
 ///   foreign memory (`Cell<'_>` borrowing the owner's adjacency). They model
 ///   Trinity's one-sided reads for the legacy `DirectRead` execution mode,
 ///   charge estimated traffic, and tally every remote dereference via
-///   [`Network::direct_remote_reads`] so tests can prove an execution
+///   `Network::direct_remote_reads` so tests can prove an execution
 ///   performed none.
 /// * **Global** (`*_global`, `all_ids_with_label`, `iter_vertices`,
 ///   `contains_vertex`): bypass both accounting and ownership. They exist

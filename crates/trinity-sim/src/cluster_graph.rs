@@ -59,7 +59,7 @@ impl LabelPairCatalog {
     }
 
     /// Number of machines this catalog covers.
-    pub fn num_machines(&self) -> usize {
+    pub(crate) fn num_machines(&self) -> usize {
         self.num_machines
     }
 
@@ -158,8 +158,6 @@ impl LabelPairCatalog {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClusterGraph {
     num_machines: usize,
-    /// Adjacency lists over machine indices.
-    adjacency: Vec<Vec<u16>>,
     /// All-pairs shortest distances (in hops); `UNREACHABLE` when disconnected.
     distances: Vec<u32>,
 }
@@ -196,7 +194,6 @@ impl ClusterGraph {
         let distances = all_pairs_bfs(&adjacency);
         ClusterGraph {
             num_machines: n,
-            adjacency,
             distances,
         }
     }
@@ -215,7 +212,6 @@ impl ClusterGraph {
         let distances = all_pairs_bfs(&adjacency);
         ClusterGraph {
             num_machines,
-            adjacency,
             distances,
         }
     }
@@ -223,11 +219,6 @@ impl ClusterGraph {
     /// Number of machines.
     pub fn num_machines(&self) -> usize {
         self.num_machines
-    }
-
-    /// Neighbors of machine `m` in the cluster graph.
-    pub fn neighbors(&self, m: MachineId) -> &[u16] {
-        &self.adjacency[m.index()]
     }
 
     /// Shortest distance `D_C(i, j)` in hops; `UNREACHABLE` if disconnected,
@@ -244,11 +235,6 @@ impl ClusterGraph {
             .map(MachineId)
             .filter(|&j| j != k && self.distance(k, j) <= d)
             .collect()
-    }
-
-    /// Number of edges in the cluster graph.
-    pub fn num_edges(&self) -> usize {
-        self.adjacency.iter().map(|a| a.len()).sum::<usize>() / 2
     }
 }
 
@@ -381,11 +367,9 @@ mod tests {
         assert_eq!(cg.distance(m(0), m(1)), 1);
         assert_eq!(cg.distance(m(0), m(2)), 2);
         assert_eq!(cg.distance(m(0), m(3)), 3);
-        assert_eq!(cg.num_edges(), 3);
         // Query uses a label pair that never occurs → empty cluster graph.
         let cg2 = ClusterGraph::build(&c, &[(l(5), l(6))]);
         assert_eq!(cg2.distance(m(0), m(1)), UNREACHABLE);
-        assert_eq!(cg2.num_edges(), 0);
     }
 
     #[test]
@@ -405,7 +389,6 @@ mod tests {
                 assert_eq!(cg.distance(m(i), m(j)), expected);
             }
         }
-        assert_eq!(cg.num_edges(), 10);
     }
 
     #[test]

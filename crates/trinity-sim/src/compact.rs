@@ -213,7 +213,7 @@ pub(crate) enum LabelArray {
 impl LabelArray {
     /// An empty array for a label space of `num_labels`, with room for
     /// `capacity` labels.
-    pub fn with_capacity(num_labels: usize, capacity: usize) -> Self {
+    pub(crate) fn with_capacity(num_labels: usize, capacity: usize) -> Self {
         if num_labels <= 1 << 8 {
             LabelArray::U8(Vec::with_capacity(capacity))
         } else if num_labels <= 1 << 16 {
@@ -236,7 +236,7 @@ impl LabelArray {
     /// Appends `label`. A label outside the space the width was picked for
     /// widens the array rather than wrap, so a read never returns a label
     /// that was not pushed.
-    pub fn push(&mut self, label: LabelId) {
+    pub(crate) fn push(&mut self, label: LabelId) {
         match self {
             LabelArray::U8(v) => match u8::try_from(label.0) {
                 Ok(x) => v.push(x),
@@ -259,7 +259,7 @@ impl LabelArray {
 
     /// The label of local vertex `i`.
     #[inline]
-    pub fn get(&self, i: usize) -> LabelId {
+    pub(crate) fn get(&self, i: usize) -> LabelId {
         LabelId(match self {
             LabelArray::U8(v) => u32::from(v[i]),
             LabelArray::U16(v) => u32::from(v[i]),
@@ -268,7 +268,7 @@ impl LabelArray {
     }
 
     /// Number of labels stored.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             LabelArray::U8(v) => v.len(),
             LabelArray::U16(v) => v.len(),
@@ -277,7 +277,7 @@ impl LabelArray {
     }
 
     /// Bytes a label takes: 1, 2 or 4.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         match self {
             LabelArray::U8(_) => 1,
             LabelArray::U16(_) => 2,
@@ -286,12 +286,12 @@ impl LabelArray {
     }
 
     /// The labels in local-index order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = LabelId> + '_ {
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = LabelId> + '_ {
         (0..self.len()).map(|i| self.get(i))
     }
 
     /// Resident bytes: the width times the count.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.len() * self.width()
     }
 }
@@ -451,11 +451,6 @@ pub enum Neighbors<'a> {
 }
 
 impl<'a> Neighbors<'a> {
-    /// The empty run.
-    pub fn empty() -> Neighbors<'static> {
-        Neighbors::Slice(&[])
-    }
-
     /// Number of neighbors in the run.
     #[inline]
     pub fn len(&self) -> usize {
@@ -515,7 +510,7 @@ impl<'a> Neighbors<'a> {
     /// Whether `target` is in the run. Binary search on a slice; an
     /// early-exit scan on an encoded run (runs are sorted, so the scan
     /// stops at the first id past `target`).
-    pub fn contains(&self, target: VertexId) -> bool {
+    pub(crate) fn contains(&self, target: VertexId) -> bool {
         match *self {
             Neighbors::Slice(s) => s.binary_search(&target).is_ok(),
             Neighbors::Compact { .. } => {
@@ -759,11 +754,6 @@ impl CompactCsr {
     pub fn memory_bytes(&self) -> usize {
         self.bases.memory_bytes() + self.data.len()
     }
-
-    /// Iterates `(local_index, neighbors)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, Neighbors<'_>)> {
-        (0..self.num_vertices()).map(move |i| (i, self.neighbors(i)))
-    }
 }
 
 /// Incremental [`CompactCsr`] builder: push one sorted, deduplicated run per
@@ -899,7 +889,7 @@ const EMPTY_SLOT: u32 = u32::MAX;
 impl CompactIdMap {
     /// Builds the map over `ids` (the partition's local-index → global-id
     /// array). Local indices must fit `u32::MAX - 1`.
-    pub fn build(ids: &[VertexId]) -> Self {
+    pub(crate) fn build(ids: &[VertexId]) -> Self {
         assert!(
             ids.len() < EMPTY_SLOT as usize,
             "partition too large for a u32 id map"
@@ -934,7 +924,7 @@ impl CompactIdMap {
     /// Looks up the local index of `id`. `ids` must be the same array the
     /// map was built over.
     #[inline]
-    pub fn get(&self, ids: &[VertexId], id: VertexId) -> Option<u32> {
+    pub(crate) fn get(&self, ids: &[VertexId], id: VertexId) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
         }
@@ -952,7 +942,7 @@ impl CompactIdMap {
     }
 
     /// Resident bytes of the slot array.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.slots.len() * std::mem::size_of::<u32>()
     }
 }
@@ -1172,7 +1162,7 @@ impl IdIndex {
     }
 
     /// The indexed ids in ascending (local-index) order.
-    pub fn iter(&self) -> Ids<'_> {
+    pub(crate) fn iter(&self) -> Ids<'_> {
         Ids {
             index: self,
             slots: self.slots(),
@@ -1330,7 +1320,7 @@ impl CompactLabelIndex {
     /// label-space size. A label outside it is dropped — the vertex is not
     /// indexed under it, and the label space never grows with the data —
     /// and flagged with a `debug_assert`.
-    pub fn build(labels: &LabelArray, num_labels: usize, ids: &IdIndex) -> Self {
+    pub(crate) fn build(labels: &LabelArray, num_labels: usize, ids: &IdIndex) -> Self {
         debug_assert_eq!(labels.len(), ids.len(), "one label per indexed id");
         // Pass 1: per-label frequency and exact delta-encoded size.
         let mut counts = vec![0u32; num_labels];
@@ -1404,7 +1394,7 @@ impl CompactLabelIndex {
     /// The postings of `label`, decoded against `ids` (the id index the
     /// postings were built over) to sorted global vertex ids.
     #[inline]
-    pub fn get<'a>(&'a self, label: LabelId, ids: &'a IdIndex) -> Postings<'a> {
+    pub(crate) fn get<'a>(&'a self, label: LabelId, ids: &'a IdIndex) -> Postings<'a> {
         match self.lists.get(label.index()) {
             None | Some(PostingList::Empty) => Postings::Slice(&[]),
             Some(PostingList::Bitmap { words, count }) => Postings::Bitmap {
@@ -1422,12 +1412,12 @@ impl CompactLabelIndex {
 
     /// Number of local vertices carrying `label`.
     #[inline]
-    pub fn frequency(&self, label: LabelId) -> usize {
+    pub(crate) fn frequency(&self, label: LabelId) -> usize {
         self.lists.get(label.index()).map_or(0, PostingList::count)
     }
 
     /// Resident bytes: posting payloads plus the per-label enum headers.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.lists.len() * std::mem::size_of::<PostingList>()
             + self
                 .lists
@@ -1464,24 +1454,13 @@ pub enum Postings<'a> {
 }
 
 impl<'a> Postings<'a> {
-    /// The empty postings.
-    pub fn empty() -> Postings<'static> {
-        Postings::Slice(&[])
-    }
-
     /// Number of ids in the posting list.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Postings::Slice(s) => s.len(),
             Postings::Bitmap { count, .. } | Postings::Deltas { count, .. } => *count as usize,
         }
-    }
-
-    /// Whether the posting list is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Iterates global ids in ascending order without allocating.
@@ -1680,7 +1659,6 @@ mod tests {
         assert!(c.has_neighbor(0, v(3)));
         assert!(!c.has_neighbor(0, v(2)));
         assert!(!c.has_neighbor(0, v(101)));
-        assert_eq!(c.iter().count(), 4);
         let empty = csr_of(&[]);
         assert_eq!((empty.num_vertices(), empty.num_entries()), (0, 0));
     }

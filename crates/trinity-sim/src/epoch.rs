@@ -132,11 +132,6 @@ impl UpdateBatch {
         self
     }
 
-    /// Appends an op in place.
-    pub fn push(&mut self, op: UpdateOp) {
-        self.ops.push(op);
-    }
-
     /// The batch's ops, in application order.
     pub fn ops(&self) -> &[UpdateOp] {
         &self.ops
@@ -371,11 +366,6 @@ impl GraphEpochs {
     /// execute against pinned snapshots of the same lineage.
     pub fn base_cloud(&self) -> &MemoryCloud {
         &self.base
-    }
-
-    /// The lineage id stamped on every snapshot of this manager.
-    pub fn lineage(&self) -> u64 {
-        self.base.lineage
     }
 
     /// The current epoch number.
@@ -881,10 +871,10 @@ mod tests {
     fn fresh_manager_is_epoch_zero_with_lineage() {
         let epochs = GraphEpochs::new(small_cloud(3));
         assert_eq!(epochs.epoch(), 0);
-        assert_ne!(epochs.lineage(), 0);
+        assert_ne!(epochs.base_cloud().lineage(), 0);
         let snap = epochs.pin();
         assert_eq!(snap.epoch(), 0);
-        assert_eq!(snap.lineage(), epochs.lineage());
+        assert_eq!(snap.lineage(), epochs.base_cloud().lineage());
         assert_eq!(observe(snap.cloud()), observe(epochs.base_cloud()));
     }
 

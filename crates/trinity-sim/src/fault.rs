@@ -215,11 +215,6 @@ impl<T: Transport> FaultyTransport<T> {
         &self.inner
     }
 
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Every fault injected so far, in injection order.
     pub fn fault_log(&self) -> Vec<FaultEvent> {
         self.state.lock().expect("fault state poisoned").log.clone()

@@ -54,7 +54,7 @@ impl LabelId {
 
     /// Returns the label id as a usize index.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -107,11 +107,6 @@ pub struct LabelInterner {
 }
 
 impl LabelInterner {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Interns `name`, returning its id. Idempotent.
     pub fn intern(&mut self, name: &str) -> LabelId {
         if let Some(&id) = self.by_name.get(name) {
@@ -179,7 +174,7 @@ mod tests {
 
     #[test]
     fn interner_is_idempotent() {
-        let mut i = LabelInterner::new();
+        let mut i = LabelInterner::default();
         let a = i.intern("person");
         let b = i.intern("movie");
         let a2 = i.intern("person");
@@ -193,7 +188,7 @@ mod tests {
 
     #[test]
     fn interner_iteration_order_is_id_order() {
-        let mut i = LabelInterner::new();
+        let mut i = LabelInterner::default();
         i.intern("a");
         i.intern("b");
         i.intern("c");
@@ -210,7 +205,7 @@ mod tests {
 
     #[test]
     fn empty_interner() {
-        let i = LabelInterner::new();
+        let i = LabelInterner::default();
         assert!(i.is_empty());
         assert_eq!(i.len(), 0);
         assert_eq!(i.name(LabelId(0)), None);

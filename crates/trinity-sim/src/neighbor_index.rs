@@ -54,7 +54,7 @@ impl NeighborLabelIndex {
     /// The signature of the vertex at local position `pos`, or `None` when
     /// the position is out of range.
     #[inline]
-    pub fn signature(&self, pos: usize) -> Option<u64> {
+    pub(crate) fn signature(&self, pos: usize) -> Option<u64> {
         self.sigs.get(pos).copied()
     }
 
@@ -67,17 +67,12 @@ impl NeighborLabelIndex {
     }
 
     /// Number of signatures (local vertices).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.sigs.len()
     }
 
-    /// Whether the index holds no signatures.
-    pub fn is_empty(&self) -> bool {
-        self.sigs.is_empty()
-    }
-
     /// Approximate memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.sigs.len() * std::mem::size_of::<u64>()
     }
 }
@@ -124,7 +119,6 @@ mod tests {
     fn signature_lookup_by_local_position() {
         let idx = NeighborLabelIndex::from_signatures(vec![0b1, 0b10, u64::MAX]);
         assert_eq!(idx.len(), 3);
-        assert!(!idx.is_empty());
         assert_eq!(idx.signature(1), Some(0b10));
         assert_eq!(idx.signature(3), None);
         assert_eq!(idx.memory_bytes(), 3 * SIGNATURE_BYTES_PER_VERTEX);

@@ -127,7 +127,14 @@ impl Network {
     /// Messages from a machine to itself are recorded (on the diagonal) but do
     /// not contribute to cross-machine traffic totals or simulated time.
     #[inline]
-    pub fn record(&self, src: MachineId, dst: MachineId, count: u64, bytes: u64, phase: Phase) {
+    pub(crate) fn record(
+        &self,
+        src: MachineId,
+        dst: MachineId,
+        count: u64,
+        bytes: u64,
+        phase: Phase,
+    ) {
         let cell = src.index() * self.machines + dst.index();
         self.messages[cell].fetch_add(count, Ordering::Relaxed);
         self.bytes[cell].fetch_add(bytes, Ordering::Relaxed);
@@ -190,7 +197,7 @@ impl Network {
 
     /// Number of direct remote reads charged since creation or the last
     /// [`Network::reset`].
-    pub fn direct_remote_reads(&self) -> u64 {
+    pub(crate) fn direct_remote_reads(&self) -> u64 {
         self.direct_remote_reads.load(Ordering::Relaxed)
     }
 

@@ -63,7 +63,7 @@ pub struct CellBuf {
 impl CellBuf {
     /// Payload size of this cell on the wire, in bytes: the vertex id, the
     /// label, and one id per neighbor.
-    pub fn wire_bytes(&self) -> u64 {
+    pub(crate) fn wire_bytes(&self) -> u64 {
         8 + 4 + self.neighbors.len() as u64 * 8
     }
 }
@@ -475,7 +475,7 @@ impl Partition {
 
     /// Whether this machine owns vertex `id`.
     #[inline]
-    pub fn owns(&self, id: VertexId) -> bool {
+    pub(crate) fn owns(&self, id: VertexId) -> bool {
         match self.touched(id) {
             None => self.base.owns(id),
             Some(touched) => matches!(touched, Touched::Live(_)),
@@ -552,7 +552,7 @@ impl Partition {
     }
 
     /// Whether a locally-owned vertex has a given neighbor.
-    pub fn has_edge(&self, from: VertexId, to: VertexId) -> bool {
+    pub(crate) fn has_edge(&self, from: VertexId, to: VertexId) -> bool {
         match self.touched(from) {
             // A deleted `to` forces `from` into the overlay with its merged
             // list (overlay invariant), so base fall-through never sees a
@@ -618,7 +618,7 @@ impl Partition {
 
     /// Approximate memory footprint of this partition in bytes (the total
     /// of [`Partition::storage_bytes`]).
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.storage_bytes().total()
     }
 }

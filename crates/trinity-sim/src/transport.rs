@@ -16,7 +16,7 @@
 //!   against the owner's partition (the handler only ever touches the
 //!   destination machine's data), posts go through mutex-guarded mailboxes,
 //!   and **every envelope is charged to the transport's ledger with its
-//!   actual payload size** under its [`Message::phase`] — the cost model then
+//!   actual payload size** under its `Message::phase` — the cost model then
 //!   prices what was really sent, rather than a per-access estimate.
 //!
 //! A socket- or process-based backend would implement [`Transport`] by
@@ -271,7 +271,7 @@ impl Message {
     }
 
     /// The query phase this message belongs to.
-    pub fn phase(&self) -> Phase {
+    pub(crate) fn phase(&self) -> Phase {
         match self {
             Message::BindingDelta { .. } => Phase::Sync,
             Message::JoinRows { .. } => Phase::Join,

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Lists every `pub` fn/struct/enum/trait/const/type of crates/core/src and
-# crates/trinity-sim/src whose name appears nowhere outside its own crate:
-# not in another crate's sources, tests/, crates/*/tests/, examples/ or
-# benchmark/src. Such an item is `pub` by habit, which hides it from rustc's
-# `dead_code` lint; narrow it to `pub(crate)` (or delete it).
+# Lists every `pub` fn/struct/enum/trait/const/type of the library sources
+# of crates/core, crates/trinity-sim and crates/bench whose name appears
+# nowhere outside that library: not in another crate's sources, tests/,
+# crates/*/tests/, examples/, benchmark/src, nor in the crate's own binaries
+# (src/bin, such as bench's `experiments`). Such an item is `pub` by habit,
+# which hides it from rustc's `dead_code` lint; narrow it to `pub(crate)`
+# (or delete it).
 #
 # A type a public signature exposes (as a return, argument, bound or field
 # type) must stay `pub` although no caller names it: those are listed, one
@@ -16,20 +18,22 @@ here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 cd "$here/.."
 
 allow="$(grep -v '^#' scripts/pub_allowlist.txt | grep -v '^$' || true)"
-callers=(crates src tests examples benchmark/src)
 found=0
-for crate in core trinity-sim; do
-    names="$(grep -rhoE '^\s*pub (const |unsafe )?(fn|struct|enum|trait|const|type) [A-Za-z_][A-Za-z0-9_]*' "crates/$crate/src" \
+for crate in core trinity-sim bench; do
+    lib="crates/$crate/src"
+    names="$(grep -rhoE --include='*.rs' --exclude-dir=bin \
+        '^\s*pub (const |unsafe )?(fn|struct|enum|trait|const|type) [A-Za-z_][A-Za-z0-9_]*' "$lib" \
         | awk '{ print $NF }' | sort -u)"
+    # Every source outside the library is a caller, its binaries included.
+    mapfile -t callers < <(
+        find crates src tests examples benchmark/src -name '*.rs' -not -path "$lib/*"
+        find "$lib" -path "$lib/bin/*" -name '*.rs'
+    )
     for name in $names; do
-        if grep -rqw --include='*.rs' --exclude-dir="$crate" -e "$name" "${callers[@]}" 2>/dev/null \
-            || grep -rqw --include='*.rs' -e "$name" "crates/$crate/tests" 2>/dev/null; then
+        if grep -qw -e "$name" "${callers[@]}" || grep -qx "$name" <<<"$allow"; then
             continue
         fi
-        if grep -qx "$name" <<<"$allow"; then
-            continue
-        fi
-        echo "crates/$crate/src: pub $name is named nowhere outside the crate"
+        echo "$lib: pub $name is named nowhere outside the library"
         found=1
     done
 done
