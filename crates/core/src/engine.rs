@@ -1097,6 +1097,24 @@ mod tests {
         assert_eq!(engine.stats().queries_executed, 4);
     }
 
+    #[test]
+    fn the_book_counts_the_threads_serving() {
+        let cloud = sample_cloud(1);
+        let engine = QueryEngine::new(&cloud, EngineConfig::default());
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| engine.serve(&stop));
+            scope.spawn(|| engine.serve(&stop));
+            while engine.book().servers < 2 {
+                std::thread::yield_now();
+            }
+            stop.store(true, Ordering::Release);
+        });
+        assert_eq!(engine.book().servers, 0);
+        engine.drain();
+        assert_eq!(engine.book().servers, 0);
+    }
+
     // ------------------------------------------------------------------
     // Dynamic graphs: epoch-pinned snapshots and the update door
     // ------------------------------------------------------------------

@@ -613,6 +613,29 @@ mod tests {
     }
 
     #[test]
+    fn the_wait_predictor_divides_queued_work_by_the_threads_serving() {
+        let mut sched = Scheduler::default();
+        for _ in 0..8 {
+            sched.estimator.observe(1.0, 1.0); // 1 µs a unit, calibrated
+        }
+        let t = TenantId::new("t");
+        submit(&mut sched, &t, 100.0, None);
+        let config = AdmissionConfig::default();
+        let hopeless = Some(Duration::from_nanos(1));
+        let mut predicted = |servers| {
+            sched.servers = servers;
+            match sched.admit(&t, 10.0, hopeless, &config) {
+                Err(RejectReason::EstimatedTooLate { predicted_us, .. }) => predicted_us,
+                other => panic!("expected EstimatedTooLate, got {other:?}"),
+            }
+        };
+        // No thread serving counts as one.
+        assert_eq!(predicted(0), 110.0);
+        assert_eq!(predicted(1), 110.0);
+        assert_eq!(predicted(2), 60.0);
+    }
+
+    #[test]
     fn depth_and_peak_track_the_queue() {
         let mut sched = Scheduler::default();
         let t = TenantId::new("t");
