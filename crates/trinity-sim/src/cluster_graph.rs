@@ -158,6 +158,8 @@ impl LabelPairCatalog {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClusterGraph {
     num_machines: usize,
+    /// Adjacency lists over machine indices.
+    adjacency: Vec<Vec<u16>>,
     /// All-pairs shortest distances (in hops); `UNREACHABLE` when disconnected.
     distances: Vec<u32>,
 }
@@ -194,6 +196,7 @@ impl ClusterGraph {
         let distances = all_pairs_bfs(&adjacency);
         ClusterGraph {
             num_machines: n,
+            adjacency,
             distances,
         }
     }
@@ -212,6 +215,7 @@ impl ClusterGraph {
         let distances = all_pairs_bfs(&adjacency);
         ClusterGraph {
             num_machines,
+            adjacency,
             distances,
         }
     }
@@ -219,6 +223,11 @@ impl ClusterGraph {
     /// Number of machines.
     pub fn num_machines(&self) -> usize {
         self.num_machines
+    }
+
+    /// Neighbors of machine `m` in the cluster graph.
+    pub fn neighbors(&self, m: MachineId) -> &[u16] {
+        &self.adjacency[m.index()]
     }
 
     /// Shortest distance `D_C(i, j)` in hops; `UNREACHABLE` if disconnected,
