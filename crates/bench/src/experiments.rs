@@ -3,16 +3,16 @@
 //! | Function | Paper artefact | What is swept |
 //! |---|---|---|
 //! | [`table1`]  | Table 1 | matching method (STwig vs Ullmann/VF2/edge-join): index size, load time, query time |
-//! | [`table2`]  | Table 2 | graph loading time vs node count |
-//! | [`fig8a`]   | Fig. 8(a) | query node count (DFS queries), Patents-like & WordNet-like |
-//! | [`fig8b`]   | Fig. 8(b) | query node count (random queries) |
-//! | [`fig8c`]   | Fig. 8(c) | query edge count (random queries) |
-//! | [`fig9a`]   | Fig. 9(a) | machine count (DFS queries) — speed-up |
-//! | [`fig9b`]   | Fig. 9(b) | machine count (random queries) — speed-up |
-//! | [`fig10a`]  | Fig. 10(a) | graph size at fixed average degree |
-//! | [`fig10b`]  | Fig. 10(b) | graph size at fixed graph density |
-//! | [`fig10c`]  | Fig. 10(c) | average degree |
-//! | [`fig10d`]  | Fig. 10(d) | label density |
+//! | `table2`   | Table 2 | graph loading time vs node count |
+//! | `fig8a`    | Fig. 8(a) | query node count (DFS queries), Patents-like & WordNet-like |
+//! | `fig8b`    | Fig. 8(b) | query node count (random queries) |
+//! | `fig8c`    | Fig. 8(c) | query edge count (random queries) |
+//! | `fig9a`    | Fig. 9(a) | machine count (DFS queries) — speed-up |
+//! | `fig9b`    | Fig. 9(b) | machine count (random queries) — speed-up |
+//! | `fig10a`   | Fig. 10(a) | graph size at fixed average degree |
+//! | `fig10b`   | Fig. 10(b) | graph size at fixed graph density |
+//! | `fig10c`   | Fig. 10(c) | average degree |
+//! | `fig10d`   | Fig. 10(d) | label density |
 //!
 //! Beside them sit sweeps with no paper counterpart — [`chaos`], [`pruning`],
 //! [`storage`], [`updates`], [`parallel`], the ablations and the serving
