@@ -272,7 +272,8 @@ pub struct SchedulerStats {
     pub queue_depth: u64,
     /// High-water mark of `queue_depth` since engine creation.
     pub peak_queue_depth: u64,
-    /// Submissions seen by `submit()` (accepted + rejected).
+    /// Submissions seen by `submit()`, `submit_streaming()` and
+    /// `apply_updates()` (accepted + rejected).
     pub submitted: u64,
     /// Submissions admitted into the queue.
     pub accepted: u64,
