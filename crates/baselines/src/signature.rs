@@ -66,15 +66,10 @@ impl SignatureIndex {
             + entries * (std::mem::size_of::<LabelId>() + std::mem::size_of::<u32>())
     }
 
-    /// The signature of a data vertex (empty if unknown).
-    pub fn signature(&self, v: VertexId) -> Option<&Signature> {
-        self.signatures.get(&v)
-    }
-
     /// Whether data vertex `v` can host query vertex `u`: `v`'s neighborhood
     /// must contain at least as many vertices of each label as `u`'s query
     /// neighborhood requires.
-    pub fn admits(&self, v: VertexId, query_signature: &Signature) -> bool {
+    pub(crate) fn admits(&self, v: VertexId, query_signature: &Signature) -> bool {
         let Some(sig) = self.signatures.get(&v) else {
             return false;
         };
@@ -220,7 +215,7 @@ mod tests {
         // vertex 0 has neighbors b,b,c
         let lb = cloud.labels().get("b").unwrap();
         let lc = cloud.labels().get("c").unwrap();
-        let sig = idx.signature(v(0)).unwrap();
+        let sig = &idx.signatures[&v(0)];
         assert_eq!(sig.get(&lb), Some(&2));
         assert_eq!(sig.get(&lc), Some(&1));
     }

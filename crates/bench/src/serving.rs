@@ -186,8 +186,10 @@ fn stream(
 }
 
 /// Overload serving behind a two-deep-per-server admission queue. Series
-/// `calibration`: a closed loop (one request in flight) measures the service
-/// time and feeds admission's cost estimator. Series `open-loop`, X the load
+/// `calibration`: a closed loop (one request in flight, submitted to the
+/// running serve loops and timed until `wait()` returns) measures the
+/// service time as an open-loop request pays it and feeds admission's cost
+/// estimator. Series `open-loop`, X the load
 /// multiplier: requests arrive on a fixed schedule at 1× / 2× / 10× of the
 /// calibrated capacity whatever the completions, with a deadline of several
 /// tail service times. Series `fail-fast`: what a refusal costs — a
@@ -205,17 +207,20 @@ pub fn overload(scale: Scale) -> Vec<Row> {
         rows.push(Row::new("overload", series, x, metric, value));
     };
 
-    let mut service_ms: Vec<f64> = workload(64, 0xCA11)
-        .into_iter()
-        .map(|query| {
-            let request = QueryRequest::new(query).with_tenant("calibration");
-            let handle = engine.submit(request).expect_accepted();
-            engine.drain();
-            let response = handle.wait().expect("a calibration query completes");
-            assert_eq!(response.metrics.outcome, QueryOutcome::Complete);
-            response.metrics.wall_us / 1e3
-        })
-        .collect();
+    let calibration = workload(64, 0xCA11);
+    let mut service_ms: Vec<f64> = with_servers(&engine, || {
+        (calibration.into_iter())
+            .map(|query| {
+                let request = QueryRequest::new(query).with_tenant("calibration");
+                let submitted = Instant::now();
+                let response = (engine.submit(request).expect_accepted())
+                    .wait()
+                    .expect("a calibration query completes");
+                assert_eq!(response.metrics.outcome, QueryOutcome::Complete);
+                submitted.elapsed().as_secs_f64() * 1e3
+            })
+            .collect()
+    });
     service_ms.sort_by(f64::total_cmp);
     let mean_ms = service_ms.iter().sum::<f64>() / service_ms.len() as f64;
     let capacity_qps = SERVERS as f64 / (mean_ms / 1e3).max(1e-9);
@@ -309,6 +314,22 @@ struct Phase {
     missed: usize,
 }
 
+/// Runs `f` while [`SERVERS`] serve loops drain `engine`'s queue.
+fn with_servers<T>(engine: &QueryEngine<'_>, f: impl FnOnce() -> T) -> T {
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..SERVERS)
+            .map(|_| s.spawn(|| engine.serve(&stop)))
+            .collect();
+        let out = f();
+        stop.store(true, Ordering::Release);
+        for worker in workers {
+            worker.join().expect("a serve loop exits");
+        }
+        out
+    })
+}
+
 /// Submits `queries` at `rate_qps` on a fixed schedule while [`SERVERS`]
 /// serve loops drain the queue; pushes each rejected `submit()`'s cost in µs
 /// to `reject_us`.
@@ -319,12 +340,8 @@ fn open_loop(
     deadline: Duration,
     reject_us: &mut Vec<f64>,
 ) -> Phase {
-    let stop = AtomicBool::new(false);
     let mut refused = 0;
-    let (handles, wall_s) = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..SERVERS)
-            .map(|_| s.spawn(|| engine.serve(&stop)))
-            .collect();
+    let (handles, wall_s) = with_servers(engine, || {
         let start = Instant::now();
         let mut handles = Vec::with_capacity(queries.len());
         for (i, query) in queries.iter().enumerate() {
@@ -348,12 +365,7 @@ fn open_loop(
         while handles.iter().any(|h| !h.is_finished()) {
             std::thread::yield_now();
         }
-        let wall_s = start.elapsed().as_secs_f64();
-        stop.store(true, Ordering::Release);
-        for worker in workers {
-            worker.join().expect("a serve loop exits");
-        }
-        (handles, wall_s)
+        (handles, start.elapsed().as_secs_f64())
     });
     let (mut latency_ms, mut missed) = (Vec::new(), 0);
     for handle in handles {

@@ -77,16 +77,15 @@
 //! the rows before it ([`crate::join`]). When R_k(q_t) was concatenated from
 //! one entry's tables alone, that index is a function of the entry, the
 //! destination machine `k`, the machines whose tables were appended (the
-//! load set) and the key columns — so it is built once and kept in the
-//! entry, beside the tables, under that key (`RkMemo`). It is built on
-//! first use with no lock held, its key map sized to the distinct keys (a
-//! slot per row would be 41 B a row; this is about 6), charged to the
-//! entry's shard like the tables are (evicting least-recently-used entries
-//! if that overflows the budget; an index its entry has no room for is used
-//! once and not kept), and dropped with the entry. A repair makes a new
-//! entry with an empty memo, so only repaired shapes index again, lazily.
-//! The memo owns nothing but the indexes: a reader that holds the entry
-//! holds its tables, and no index can outlive or be matched to other rows.
+//! load set) and the key columns — so it is built once and filed in the
+//! book with the entry, under that key (`RkMemo`). It is built on first use
+//! with no lock held, its key map sized to the distinct keys (a slot per row
+//! would be 41 B a row; this is about 6), and filed only if the entry it was
+//! built over — named by its serial — is still resident and has the room;
+//! it is charged to the budget like the tables are (evicting
+//! least-recently-used entries if that overflows it) and dropped with the
+//! entry. An index that is not filed is used once. A repair makes a new
+//! entry with no indexes, so only repaired shapes index again, lazily.
 //!
 //! ## The plan and join-order memo
 //!
@@ -105,19 +104,19 @@
 //!   keeps both the epoch and the statistics. A request at a later epoch
 //!   plans again and replaces the memo; one pinned to an older epoch plans
 //!   fresh and leaves it resident (as `lookup` treats tables).
-//! * **Orders** — machine `k`'s order is kept with the R_k(q_t) tables it
-//!   was selected over, named by each one's entry *serial* (unique within
-//!   the cache, assigned when an entry is made, never an address — a repair
-//!   or re-populate is a new entry with a new serial) and the machines whose
-//!   tables followed `k`'s. It is consulted only when every R_k(q_t) was
-//!   concatenated from one entry's tables (all its `RkMemo`s present), and
-//!   selected again only when those differ. A re-plan at a later epoch keeps
-//!   the orders when its STwigs are the old ones: an order is a function of
-//!   the tables alone.
-//! * **Bound** — a memo is charged to its shard's slice of the byte budget
-//!   (its orders at their largest, up front), counts in `bytes_resident`,
-//!   is evicted least-recently-used-first with the tables, and is dropped
-//!   with the cache. One too large for its shard is used once, not kept.
+//! * **Orders** — machine `k`'s order is filed in the memo's slot with the
+//!   R_k(q_t) tables it was selected over, named by each one's entry
+//!   *serial* (unique within the cache, assigned when an entry is made,
+//!   never an address — a repair or re-populate is a new entry with a new
+//!   serial) and the machines whose tables followed `k`'s. It is consulted
+//!   only when every R_k(q_t) was concatenated from one entry's tables (all
+//!   its `RkMemo`s present), and selected again only when those differ. A
+//!   re-plan at a later epoch moves the orders to its slot when its STwigs
+//!   are the old ones: an order is a function of the tables alone.
+//! * **Bound** — a memo is charged to the budget (its orders at their
+//!   largest, up front), counts in `bytes_resident`, is evicted
+//!   least-recently-used-first with the tables, and is dropped with the
+//!   cache. One larger than the budget is used once, not kept.
 //!
 //! The contract: the memo never changes which plan or order runs, only
 //! whether it is computed again — every answer is the one the same cache
@@ -159,11 +158,16 @@
 //!
 //! ## Concurrency and eviction
 //!
-//! The cache is sharded by key hash; each shard is an LRU map under its own
-//! mutex with a per-shard slice of the byte budget. Entries hand out
-//! `CachedTables`, so eviction never invalidates a table a
-//! concurrent query is still reading — the reader's `Arc` keeps the data
-//! alive and the shard simply drops its reference.
+//! The cache keeps one book under one mutex: the entries with their join
+//! indexes, the plan memos with their join orders, one LRU index over both,
+//! the bytes they hold against the whole budget, and every counter. So any
+//! entry up to the whole budget can be cached, eviction takes the least
+//! recently used entry or memo of the whole cache, and [`StwigCache::stats`]
+//! reads one state. The lock is held only to look up, file, count and
+//! evict: exploration, planning, index builds and order selection run
+//! outside it. Entries hand out `CachedTables`, so eviction never
+//! invalidates a table a concurrent query is still reading — the reader's
+//! `Arc` keeps the data alive and the book simply drops its reference.
 
 use crate::distributed::QueryPlan;
 use crate::error::StwigError;
@@ -173,9 +177,9 @@ use crate::metrics::CacheStats;
 use crate::query::{QVid, QueryGraph};
 use crate::stwig::STwig;
 use crate::table::ResultTable;
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::mem::size_of;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use trinity_sim::ids::{LabelId, MachineId, VertexId};
 use trinity_sim::MemoryCloud;
@@ -183,12 +187,10 @@ use trinity_sim::MemoryCloud;
 /// Tuning knobs of the [`StwigCache`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
-    /// Total byte budget across all shards (table payloads). When an insert
-    /// pushes a shard over its slice of the budget, least-recently-used
-    /// entries are evicted.
+    /// Total byte budget: tables, join indexes and plan memos. When a filing
+    /// pushes the cache over it, least-recently-used entries and memos are
+    /// evicted.
     pub budget_bytes: usize,
-    /// Number of independently-locked shards.
-    pub shards: usize,
     /// Row cap per machine when populating an entry: an unbound exploration
     /// that reaches this many rows is considered pathological, is *not*
     /// cached, and the query falls back to plain (bound) exploration for
@@ -200,7 +202,6 @@ impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             budget_bytes: 64 << 20,
-            shards: 8,
             // Matches the paper config's per-STwig exploration cap: shapes
             // whose *unbound* table exceeds it (hub-rooted cross products on
             // skewed graphs) are marked uncacheable instead of churning the
@@ -248,34 +249,33 @@ impl StwigShape {
     }
 }
 
-/// One entry's canonical tables, one per machine (it derefs to them), and
-/// beside them the memo of the join indexes built over them. The tables are
-/// shared individually so a repair can keep the machines it did not touch.
+/// One entry's canonical tables, one per machine (it derefs to them). The
+/// tables are shared individually so a repair can keep the machines it did
+/// not touch; the join indexes built over them are filed in the book.
 pub struct CachedStwig {
     tables: Vec<Arc<ResultTable>>,
-    memo: Mutex<Vec<(IndexKey, Arc<BuildIndex>)>>,
     /// Where the tables are resident. `None` for tables that are shared for
     /// one query and never offered to a cache (degraded): their indexes are
     /// per-query, and no join order is memoized over them.
     home: Option<Home>,
 }
 
-/// The cache an entry's tables are resident in — where its memo's bytes
-/// are charged — its key there, and its serial.
+/// The cache an entry's tables were made for — where its indexes are filed
+/// — its key there, and its serial.
 struct Home {
-    core: Weak<CacheCore>,
+    book: Weak<Mutex<Book>>,
     shape: StwigShape,
     /// Unique within the cache and assigned when the entry is made, so it
-    /// names these tables for as long as the cache lives (a memoized join
-    /// order is keyed by it; an address could be reused).
+    /// names these tables for as long as the cache lives (a filed index and
+    /// a memoized join order are keyed by it; an address could be reused).
     serial: u64,
 }
 
 /// A shared handle on one entry.
 pub(crate) type CachedTables = Arc<CachedStwig>;
 
-/// What an index in an entry's memo was built over and on: the tables of
-/// `dest` then of each of `senders`, keyed on columns `key_cols`.
+/// What a filed index was built over and on: the tables of `dest` then of
+/// each of `senders`, keyed on columns `key_cols`.
 struct IndexKey {
     dest: MachineId,
     senders: Vec<MachineId>,
@@ -285,21 +285,7 @@ struct IndexKey {
 impl CachedStwig {
     /// Tables that belong to no cache: shared for one query.
     pub(crate) fn detached(tables: Vec<Arc<ResultTable>>) -> CachedTables {
-        Arc::new(CachedStwig {
-            tables,
-            memo: Mutex::default(),
-            home: None,
-        })
-    }
-
-    fn lock_memo(&self) -> MutexGuard<'_, Vec<(IndexKey, Arc<BuildIndex>)>> {
-        self.memo.lock().expect("index memo poisoned")
-    }
-
-    /// The cache core, while the cache lives.
-    fn core(&self) -> Option<(Arc<CacheCore>, &StwigShape)> {
-        let home = self.home.as_ref()?;
-        Some((home.core.upgrade()?, &home.shape))
+        Arc::new(CachedStwig { tables, home: None })
     }
 
     /// The entry's serial in its cache; `None` for detached tables.
@@ -329,8 +315,9 @@ impl std::fmt::Debug for CachedStwig {
     }
 }
 
-/// The index memo of the entry an assembled R_k(q_t) was concatenated from,
-/// addressed for that concatenation: `dest`'s table, then each sender's.
+/// The indexes filed with the entry an assembled R_k(q_t) was concatenated
+/// from, addressed for that concatenation: `dest`'s table, then each
+/// sender's.
 pub(crate) struct RkMemo<'a> {
     entry: &'a CachedStwig,
     dest: MachineId,
@@ -354,47 +341,57 @@ impl<'a> RkMemo<'a> {
     }
 
     /// The index of this concatenation on `key_cols`, and whether this call
-    /// had to `build` it. A built index stays in the memo if the entry is
-    /// still resident and its shard has room; `build` runs with no lock held
-    /// (of two racing builders the second adopts the first's index).
+    /// had to `build` it. `build` runs with no lock held; the index is filed
+    /// if the entry is still resident and the budget has room (of two racing
+    /// builders the second adopts the first's).
     pub(crate) fn index(
         &self,
         key_cols: &[usize],
         build: impl FnOnce() -> BuildIndex,
     ) -> (Arc<BuildIndex>, bool) {
-        let find = |memo: &[(IndexKey, Arc<BuildIndex>)]| {
-            memo.iter()
+        let home = self.entry.home.as_ref();
+        let Some((home, book)) = home.and_then(|home| Some((home, home.book.upgrade()?))) else {
+            return (Arc::new(build()), true);
+        };
+        let find = |entry: &Entry| {
+            (entry.indexes.iter())
                 .find(|(key, _)| {
                     key.dest == self.dest && key.senders == self.senders && key.key_cols == key_cols
                 })
                 .map(|(_, index)| Arc::clone(index))
         };
-        let core = self.entry.core();
-        let resident = find(&self.entry.lock_memo());
-        if let Some(index) = resident {
-            if let Some((core, _)) = &core {
-                core.index_hits.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut book = lock(&book);
+            if let Some(index) = book.resident(home).and_then(|entry| find(entry)) {
+                book.counts.index_hits += 1;
+                return (index, false);
             }
-            return (index, false);
         }
         let built = Arc::new(build());
-        // Lock order: memo, then (inside `charge_index`) the shard. Nothing
-        // takes them the other way round.
-        let mut memo = self.entry.lock_memo();
-        if let Some(index) = find(&memo) {
+        let mut book = lock(&book);
+        let budget = book.budget;
+        let bytes = built.memory_bytes();
+        let Some(entry) = book.resident(home) else {
+            return (built, true);
+        };
+        if let Some(index) = find(entry) {
             return (index, true);
         }
-        let kept = core.is_some_and(|(core, shape)| {
-            core.charge_index(shape, self.entry, built.memory_bytes())
-        });
-        if kept {
-            let key = IndexKey {
-                dest: self.dest,
-                senders: self.senders.clone(),
-                key_cols: key_cols.to_vec(),
-            };
-            memo.push((key, Arc::clone(&built)));
+        if entry.bytes + bytes > budget {
+            return (built, true);
         }
+        let key = IndexKey {
+            dest: self.dest,
+            senders: self.senders.clone(),
+            key_cols: key_cols.to_vec(),
+        };
+        entry.indexes.push((key, Arc::clone(&built)));
+        entry.bytes += bytes;
+        entry.index_bytes += bytes;
+        book.bytes += bytes;
+        book.index_bytes += bytes;
+        book.counts.index_builds += 1;
+        book.evict_to_budget();
         (built, true)
     }
 }
@@ -431,9 +428,9 @@ impl PlanKey {
 }
 
 /// Bytes charged for memoizing `plan` under `key` on `machines` machines: the
-/// key, the plan (its cluster graph a distance matrix and adjacency over the
-/// machines) and every machine's order slot at its largest — per STwig a
-/// serial, a load set of every machine and a position.
+/// key, the plan (its cluster graph a distance matrix over the machines) and
+/// every machine's order slot at its largest — per STwig a serial, a load
+/// set of every machine and a position.
 fn plan_bytes(key: &PlanKey, plan: &QueryPlan, machines: usize) -> usize {
     let key_bytes = key.labels.len() * size_of::<LabelId>()
         + key.edges.len() * size_of::<(QVid, QVid)>()
@@ -441,27 +438,25 @@ fn plan_bytes(key: &PlanKey, plan: &QueryPlan, machines: usize) -> usize {
     let stwigs: usize = (plan.stwigs.iter())
         .map(|s| size_of::<STwig>() + s.children.len() * size_of::<QVid>())
         .sum();
-    let cluster =
-        machines * (machines * (size_of::<u32>() + size_of::<u16>()) + size_of::<Vec<u16>>());
+    let cluster = machines * machines * size_of::<u32>();
     let head = plan.head.root_distances.len() * size_of::<u32>();
     let n = plan.stwigs.len();
-    let order = size_of::<Mutex<Option<OrderMemo>>>()
+    let order = size_of::<Option<OrderMemo>>()
         + n * (size_of::<(u64, Vec<MachineId>)>() + machines * size_of::<MachineId>())
         + n * size_of::<usize>();
     key_bytes + size_of::<PlanMemo>() + stwigs + cluster + head + machines * order
 }
 
-/// A memoized [`QueryPlan`], made for one query at one snapshot epoch, and
-/// beside it each machine's memoized join order (see the module docs, "The
-/// plan and join-order memo"). Readers share it; evicting it drops only the
-/// cache's reference.
+/// A memoized [`QueryPlan`], made for one query at one snapshot epoch. Its
+/// machines' join orders are filed in its slot in the book (see the module
+/// docs, "The plan and join-order memo"). Readers share it; evicting it
+/// drops only the book's reference.
 pub(crate) struct PlanMemo {
     plan: QueryPlan,
     epoch: u64,
-    /// One slot per machine — shared with the memo of an earlier epoch when
-    /// the re-plan kept its orders.
-    orders: Arc<[Mutex<Option<OrderMemo>>]>,
-    core: Weak<CacheCore>,
+    /// The book its slot is filed in, and the hash it is filed under.
+    book: Weak<Mutex<Book>>,
+    hash: u64,
 }
 
 /// One machine's memoized join order and the R_k tables it was selected
@@ -480,9 +475,9 @@ impl PlanMemo {
     /// Machine `k`'s join order over R_k tables each concatenated from one
     /// entry of this cache, as `memos` describe them: the memoized one when
     /// it was selected over the same tables (an `order_hits`), otherwise the
-    /// one `select` makes, memoized (an `order_misses`). `None` — `select`
-    /// not called, nothing counted — when some R_k(q_t) is not one entry's
-    /// rows.
+    /// one `select` makes, filed while this memo is resident (an
+    /// `order_misses`). `None` — `select` not called, nothing counted — when
+    /// some R_k(q_t) is not one entry's rows, or the cache is gone.
     pub(crate) fn join_order(
         &self,
         k: usize,
@@ -495,42 +490,37 @@ impl PlanMemo {
         if memos.len() != self.plan.stwigs.len() || memos.iter().any(|m| rows(m).is_none()) {
             return None;
         }
-        let slot = &self.orders[k];
+        let book = self.book.upgrade()?;
         let same = |memo: &&OrderMemo| {
             (memo.over.len() == memos.len())
                 && (memo.over.iter().zip(memos))
                     .all(|((serial, senders), m)| rows(m) == Some((*serial, &senders[..])))
         };
-        let memoized = lock_order(slot)
-            .as_ref()
-            .filter(same)
-            .map(|m| Arc::clone(&m.order));
-        let hit = memoized.is_some();
-        let order = memoized.unwrap_or_else(|| {
-            let order: Arc<[usize]> = select().into();
-            let over = (memos.iter().filter_map(rows))
-                .map(|(serial, senders)| (serial, senders.to_vec()))
-                .collect();
-            *lock_order(slot) = Some(OrderMemo {
+        {
+            let mut book = lock(&book);
+            let memoized = (book.slot_of(self))
+                .and_then(|slot| slot.orders[k].as_ref())
+                .filter(same)
+                .map(|m| Arc::clone(&m.order));
+            if let Some(order) = memoized {
+                book.counts.order_hits += 1;
+                return Some(order);
+            }
+        }
+        let order: Arc<[usize]> = select().into();
+        let over = (memos.iter().filter_map(rows))
+            .map(|(serial, senders)| (serial, senders.to_vec()))
+            .collect();
+        let mut book = lock(&book);
+        book.counts.order_misses += 1;
+        if let Some(slot) = book.slot_of(self) {
+            slot.orders[k] = Some(OrderMemo {
                 over,
                 order: Arc::clone(&order),
             });
-            order
-        });
-        if let Some(core) = self.core.upgrade() {
-            let counter = if hit {
-                &core.order_hits
-            } else {
-                &core.order_misses
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
         }
         Some(order)
     }
-}
-
-fn lock_order(slot: &Mutex<Option<OrderMemo>>) -> MutexGuard<'_, Option<OrderMemo>> {
-    slot.lock().expect("order memo poisoned")
 }
 
 /// The outcomes of a cache probe.
@@ -556,14 +546,17 @@ pub enum CacheLookup {
 }
 
 /// One cached entry: the canonical per-machine tables — or an uncacheable
-/// tombstone — plus bookkeeping.
+/// tombstone — the join indexes filed over them, and bookkeeping.
 struct Entry {
     /// `None` marks an uncacheable shape (negative entry). Tombstones are
     /// tiny but participate in LRU so a budget squeeze can reclaim them.
     tables: Option<CachedTables>,
+    /// The join indexes built over the tables (see the module docs, "The
+    /// join-index memo").
+    indexes: Vec<(IndexKey, Arc<BuildIndex>)>,
     /// Everything charged for the entry: key, tables and `index_bytes`.
     bytes: usize,
-    /// The memoized join indexes' share of `bytes`.
+    /// The indexes' share of `bytes`.
     index_bytes: usize,
     last_used: u64,
     /// The cloud epoch the entry was explored under. Always 0 against a
@@ -574,11 +567,13 @@ struct Entry {
     epoch: u64,
 }
 
-/// One memoized plan in its shard: the full key (the map is keyed by its
-/// hash), the memo, and bookkeeping.
+/// One memoized plan in the book: the full key (the map is keyed by its
+/// hash), the memo, its machines' join orders, and bookkeeping.
 struct PlanSlot {
     key: PlanKey,
     memo: Arc<PlanMemo>,
+    /// One per machine.
+    orders: Vec<Option<OrderMemo>>,
     /// Everything charged for the slot (see [`plan_bytes`]).
     bytes: usize,
     last_used: u64,
@@ -591,23 +586,41 @@ enum Resident {
     Plan(u64),
 }
 
+/// Everything the cache knows, under its one lock (see the module docs,
+/// "Concurrency and eviction").
 #[derive(Default)]
-struct Shard {
-    map: FxHashMap<StwigShape, Entry>,
+struct Book {
+    entries: FxHashMap<StwigShape, Entry>,
     plans: FxHashMap<u64, PlanSlot>,
-    /// LRU side index: `last_used` stamp → key. Stamps are globally unique
-    /// (one `tick` per lookup/insert), so eviction pops the smallest stamp
-    /// in O(log n) instead of scanning the maps.
-    lru: std::collections::BTreeMap<u64, Resident>,
+    /// LRU side index: `last_used` stamp → key. Stamps are unique (one
+    /// `tick` per lookup and filing), so eviction pops the smallest stamp in
+    /// O(log n) instead of scanning the maps.
+    lru: BTreeMap<u64, Resident>,
+    budget: usize,
     bytes: usize,
     index_bytes: usize,
+    tick: u64,
+    /// The next entry's serial.
+    serials: u64,
+    /// Every counter; `stats` fills in the resident sizes.
+    counts: CacheStats,
 }
 
-impl Shard {
+fn lock(book: &Mutex<Book>) -> MutexGuard<'_, Book> {
+    book.lock().expect("cache book poisoned")
+}
+
+impl Book {
+    /// The next LRU stamp.
+    fn stamp(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
     /// Takes `shape`'s entry out of the map, the LRU index and the byte
     /// counts.
     fn remove(&mut self, shape: &StwigShape) -> Option<Entry> {
-        let entry = self.map.remove(shape)?;
+        let entry = self.entries.remove(shape)?;
         self.lru
             .remove(&entry.last_used)
             .expect("LRU index out of sync");
@@ -616,20 +629,31 @@ impl Shard {
         Some(entry)
     }
 
+    /// The entry `home` names, while it is the resident one.
+    fn resident(&mut self, home: &Home) -> Option<&mut Entry> {
+        (self.entries.get_mut(&home.shape))
+            .filter(|entry| entry.tables.as_ref().and_then(|t| t.serial()) == Some(home.serial))
+    }
+
     /// The plan memo of `query`, filed under its `hash`.
     fn plan_slot(&mut self, hash: u64, query: &QueryGraph) -> Option<&mut PlanSlot> {
         (self.plans.get_mut(&hash)).filter(|slot| slot.key.matches(query))
     }
 
+    /// The slot `memo` is filed in, while it is resident.
+    fn slot_of(&mut self, memo: &PlanMemo) -> Option<&mut PlanSlot> {
+        (self.plans.get_mut(&memo.hash)).filter(|slot| std::ptr::eq(Arc::as_ptr(&slot.memo), memo))
+    }
+
     /// Takes the plan memo filed under `hash` out of the map, the LRU index
     /// and the byte count.
-    fn remove_plan(&mut self, hash: u64) {
-        if let Some(slot) = self.plans.remove(&hash) {
-            self.lru
-                .remove(&slot.last_used)
-                .expect("LRU index out of sync");
-            self.bytes -= slot.bytes;
-        }
+    fn remove_plan(&mut self, hash: u64) -> Option<PlanSlot> {
+        let slot = self.plans.remove(&hash)?;
+        self.lru
+            .remove(&slot.last_used)
+            .expect("LRU index out of sync");
+        self.bytes -= slot.bytes;
+        Some(slot)
     }
 
     /// Moves what was stamped `previous` to `stamp`.
@@ -638,9 +662,9 @@ impl Shard {
         self.lru.insert(stamp, key);
     }
 
-    /// Evicts LRU-first (smallest stamp) until the shard fits `budget`.
-    fn evict_to(&mut self, budget: usize, evictions: &AtomicU64) {
-        while self.bytes > budget {
+    /// Evicts LRU-first (smallest stamp) until the book fits its budget.
+    fn evict_to_budget(&mut self) {
+        while self.bytes > self.budget {
             let Some(victim) = self.lru.values().next().cloned() else {
                 break;
             };
@@ -648,76 +672,60 @@ impl Shard {
                 Resident::Stwig(shape) => {
                     self.remove(&shape);
                 }
-                Resident::Plan(hash) => self.remove_plan(hash),
+                Resident::Plan(hash) => {
+                    self.remove_plan(hash);
+                }
             }
-            evictions.fetch_add(1, Ordering::Relaxed);
+            self.counts.evictions += 1;
         }
     }
-}
 
-/// The shards and counters: the part of the cache an entry's index memo
-/// reaches back into (through a `Weak`, so entries a reader still holds do
-/// not keep a dropped cache's other entries alive).
-struct CacheCore {
-    shards: Vec<Mutex<Shard>>,
-    shard_budget: usize,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    bypasses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    stale_evictions: AtomicU64,
-    repairs: AtomicU64,
-    index_builds: AtomicU64,
-    index_hits: AtomicU64,
-    /// The next entry's serial.
-    serials: AtomicU64,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
-    order_hits: AtomicU64,
-    order_misses: AtomicU64,
-}
-
-impl CacheCore {
-    fn shard_for(&self, shape: &StwigShape) -> MutexGuard<'_, Shard> {
-        let mut hasher = FxHasher::default();
-        shape.hash(&mut hasher);
-        self.shard_at(hasher.finish())
-    }
-
-    fn shard_at(&self, hash: u64) -> MutexGuard<'_, Shard> {
-        self.shards[(hash as usize) % self.shards.len()]
-            .lock()
-            .expect("cache shard poisoned")
-    }
-
-    /// Charges `bytes` of join index to `shape`'s entry — if `entry` is
-    /// still the resident one and has the room — evicting LRU-first if the
-    /// shard then overflows. `false`: nothing was charged, and the index
-    /// must not be kept.
-    fn charge_index(&self, shape: &StwigShape, entry: &CachedStwig, bytes: usize) -> bool {
-        let mut shard = self.shard_for(shape);
-        let shard = &mut *shard;
-        let Some(resident) = shard.map.get_mut(shape) else {
-            return false;
+    /// Files the entry unless one of the same or a newer epoch is resident;
+    /// returns that one's tables when it is of the *same* epoch.
+    fn file(
+        &mut self,
+        shape: StwigShape,
+        tables: Option<CachedTables>,
+        bytes: usize,
+        epoch: u64,
+    ) -> Option<CachedTables> {
+        if let Some(resident) = self.entries.get(&shape) {
+            if resident.epoch >= epoch {
+                // Same or newer version already resident: it wins (at equal
+                // epochs both entries were derived from identical
+                // exploration; a newer one must not be clobbered by a
+                // pinned straggler).
+                return (resident.epoch == epoch)
+                    .then(|| resident.tables.clone())
+                    .flatten();
+            }
+            // The resident entry is from an older epoch than the incoming
+            // one (typically its own repair) — replace it.
+            self.remove(&shape);
+        }
+        let stamp = self.stamp();
+        self.bytes += bytes;
+        self.lru.insert(stamp, Resident::Stwig(shape.clone()));
+        let entry = Entry {
+            tables,
+            indexes: Vec::new(),
+            bytes,
+            index_bytes: 0,
+            last_used: stamp,
+            epoch,
         };
-        let same = (resident.tables.as_ref()).is_some_and(|t| std::ptr::eq(Arc::as_ptr(t), entry));
-        if !same || resident.bytes + bytes > self.shard_budget {
-            return false;
-        }
-        resident.bytes += bytes;
-        resident.index_bytes += bytes;
-        shard.bytes += bytes;
-        shard.index_bytes += bytes;
-        self.index_builds.fetch_add(1, Ordering::Relaxed);
-        shard.evict_to(self.shard_budget, &self.evictions);
-        true
+        self.entries.insert(shape, entry);
+        self.counts.insertions += 1;
+        // `insert` tombstones data entries larger than the whole budget up
+        // front, so the entry just filed is only its own victim in the
+        // degenerate case of a budget smaller than a tombstone.
+        self.evict_to_budget();
+        None
     }
 }
 
-/// A sharded, byte-budgeted LRU cache of per-machine STwig result tables,
-/// shared read-mostly across the concurrent queries of a
+/// A byte-budgeted LRU cache of per-machine STwig result tables, shared
+/// read-mostly across the concurrent queries of a
 /// [`crate::engine::QueryEngine`].
 ///
 /// The cache borrows the cloud it was built for, so the cloud provably
@@ -725,7 +733,9 @@ impl CacheCore {
 /// `StwigCache::matches_cloud` sound.
 pub struct StwigCache<'c> {
     cloud: &'c MemoryCloud,
-    core: Arc<CacheCore>,
+    /// Entries and plan memos reach it through a `Weak`, so entries a reader
+    /// still holds do not keep a dropped cache's other entries alive.
+    book: Arc<Mutex<Book>>,
     populate_row_cap: Option<usize>,
     /// Fingerprint of the cloud this cache serves (graph + partitioning),
     /// computed on the first check against a foreign cloud.
@@ -740,9 +750,9 @@ pub struct StwigCache<'c> {
 
 impl std::fmt::Debug for StwigCache<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let budget = lock(&self.book).budget;
         f.debug_struct("StwigCache")
-            .field("shards", &self.core.shards.len())
-            .field("shard_budget", &self.core.shard_budget)
+            .field("budget", &budget)
             .field("stats", &self.stats())
             .finish()
     }
@@ -751,30 +761,12 @@ impl std::fmt::Debug for StwigCache<'_> {
 impl<'c> StwigCache<'c> {
     /// Creates a cache bound to `cloud` (borrowed for the cache's lifetime).
     pub fn new(cloud: &'c MemoryCloud, config: CacheConfig) -> Self {
-        let shards = config.shards.max(1);
-        let mut shard_vec = Vec::with_capacity(shards);
-        shard_vec.resize_with(shards, || Mutex::new(Shard::default()));
         StwigCache {
             cloud,
-            core: Arc::new(CacheCore {
-                shards: shard_vec,
-                shard_budget: (config.budget_bytes / shards).max(1),
-                tick: AtomicU64::new(0),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                bypasses: AtomicU64::new(0),
-                insertions: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
-                stale_evictions: AtomicU64::new(0),
-                repairs: AtomicU64::new(0),
-                index_builds: AtomicU64::new(0),
-                index_hits: AtomicU64::new(0),
-                serials: AtomicU64::new(0),
-                plan_hits: AtomicU64::new(0),
-                plan_misses: AtomicU64::new(0),
-                order_hits: AtomicU64::new(0),
-                order_misses: AtomicU64::new(0),
-            }),
+            book: Arc::new(Mutex::new(Book {
+                budget: config.budget_bytes,
+                ..Book::default()
+            })),
             populate_row_cap: config.populate_row_cap,
             fingerprint: OnceLock::new(),
             lineage: cloud.lineage(),
@@ -817,20 +809,19 @@ impl<'c> StwigCache<'c> {
     /// compared to the snapshot's epoch; see the module docs for the
     /// revalidate / repair / lazy-evict / leave-resident cases.
     pub fn lookup(&self, shape: &StwigShape, cloud: &MemoryCloud) -> CacheLookup {
-        let core = &*self.core;
         let epoch = cloud.epoch();
-        let stamp = core.tick.fetch_add(1, Ordering::Relaxed);
-        let mut shard = core.shard_for(shape);
-        let shard = &mut *shard;
-        let Some(entry) = shard.map.get_mut(shape) else {
-            core.misses.fetch_add(1, Ordering::Relaxed);
+        let mut book = lock(&self.book);
+        let book = &mut *book;
+        let stamp = book.stamp();
+        let Some(entry) = book.entries.get_mut(shape) else {
+            book.counts.misses += 1;
             return CacheLookup::Miss;
         };
         if entry.epoch > epoch {
             // The probing query is pinned to an epoch older than the entry.
             // Serving would leak the future into the snapshot; evicting
             // would punish current-epoch queries. Miss, leave it resident.
-            core.misses.fetch_add(1, Ordering::Relaxed);
+            book.counts.misses += 1;
             return CacheLookup::Miss;
         }
         if entry.epoch < epoch {
@@ -850,8 +841,8 @@ impl<'c> StwigCache<'c> {
                 // Exact everywhere but at the touched roots. The entry stays
                 // resident until the caller's repair replaces it.
                 (Some(touched), Some(tables)) => {
-                    core.misses.fetch_add(1, Ordering::Relaxed);
-                    core.repairs.fetch_add(1, Ordering::Relaxed);
+                    book.counts.misses += 1;
+                    book.counts.repairs += 1;
                     return CacheLookup::Repair {
                         tables: Arc::clone(tables),
                         touched,
@@ -861,30 +852,30 @@ impl<'c> StwigCache<'c> {
                 // nothing to repair (a tombstone): lazily evict and miss, so
                 // the caller repopulates against the pinned snapshot.
                 _ => {
-                    shard.remove(shape);
-                    core.stale_evictions.fetch_add(1, Ordering::Relaxed);
-                    core.misses.fetch_add(1, Ordering::Relaxed);
+                    book.remove(shape);
+                    book.counts.stale_evictions += 1;
+                    book.counts.misses += 1;
                     return CacheLookup::Miss;
                 }
             }
         }
-        let previous = std::mem::replace(&mut entry.last_used, stamp);
         let result = match &entry.tables {
             Some(tables) => {
-                core.hits.fetch_add(1, Ordering::Relaxed);
+                book.counts.hits += 1;
                 CacheLookup::Hit(Arc::clone(tables))
             }
             None => {
-                core.bypasses.fetch_add(1, Ordering::Relaxed);
+                book.counts.bypasses += 1;
                 CacheLookup::Bypass
             }
         };
-        shard.touch(previous, stamp);
+        let previous = std::mem::replace(&mut entry.last_used, stamp);
+        book.touch(previous, stamp);
         result
     }
 
     /// Inserts the canonical per-machine tables for `shape`, explored
-    /// against `cloud`, evicting least-recently-used entries if the shard
+    /// against `cloud`, evicting least-recently-used entries if the cache
     /// exceeds its byte budget, and returns the entry to read them through.
     /// If another query populated or repaired the same shape first at the
     /// same epoch, the resident entry wins and is the one returned (both
@@ -892,12 +883,11 @@ impl<'c> StwigCache<'c> {
     /// indexes); a resident entry from an older epoch is replaced — the
     /// shape stays resident, so that is not an eviction.
     ///
-    /// An entry that could never fit its shard's budget is recorded as an
-    /// uncacheable tombstone instead, and `None` comes back: re-populating
-    /// it on every occurrence (unbound exploration + canonicalization,
-    /// instantly evicted) would be strictly slower than running without the
-    /// cache, so this query explores the STwig bound like every later one
-    /// will.
+    /// An entry larger than the whole budget is recorded as an uncacheable
+    /// tombstone instead, and `None` comes back: re-populating it on every
+    /// occurrence (unbound exploration + canonicalization, instantly
+    /// evicted) would be strictly slower than running without the cache, so
+    /// this query explores the STwig bound like every later one will.
     pub(crate) fn insert(
         &self,
         shape: StwigShape,
@@ -910,20 +900,23 @@ impl<'c> StwigCache<'c> {
             "cache entries hold one table per machine"
         );
         let bytes = tables.iter().map(|t| t.memory_bytes()).sum::<usize>() + shape.key_bytes();
-        if bytes > self.core.shard_budget {
+        let mut book = lock(&self.book);
+        if bytes > book.budget {
+            drop(book);
             self.mark_uncacheable(shape, cloud);
             return None;
         }
+        let home = Home {
+            book: Arc::downgrade(&self.book),
+            shape: shape.clone(),
+            serial: book.serials,
+        };
+        book.serials += 1;
         let entry = Arc::new(CachedStwig {
             tables,
-            memo: Mutex::default(),
-            home: Some(Home {
-                core: Arc::downgrade(&self.core),
-                shape: shape.clone(),
-                serial: self.core.serials.fetch_add(1, Ordering::Relaxed),
-            }),
+            home: Some(home),
         });
-        let resident = self.insert_entry(shape, Some(Arc::clone(&entry)), bytes, cloud.epoch());
+        let resident = book.file(shape, Some(Arc::clone(&entry)), bytes, cloud.epoch());
         Some(resident.unwrap_or(entry))
     }
 
@@ -931,112 +924,50 @@ impl<'c> StwigCache<'c> {
     /// populate row cap, so future queries skip straight to plain bound
     /// exploration instead of re-attempting (and re-paying) the populate.
     pub(crate) fn mark_uncacheable(&self, shape: StwigShape, cloud: &MemoryCloud) {
-        let bytes = shape.key_bytes() + std::mem::size_of::<Entry>();
-        self.insert_entry(shape, None, bytes, cloud.epoch());
-    }
-
-    /// Files the entry unless one of the same or a newer epoch is resident;
-    /// returns that one's tables when it is of the *same* epoch.
-    fn insert_entry(
-        &self,
-        shape: StwigShape,
-        tables: Option<CachedTables>,
-        bytes: usize,
-        epoch: u64,
-    ) -> Option<CachedTables> {
-        let core = &*self.core;
-        let stamp = core.tick.fetch_add(1, Ordering::Relaxed);
-        let mut shard = core.shard_for(&shape);
-        let shard = &mut *shard;
-        if let Some(resident) = shard.map.get(&shape) {
-            if resident.epoch >= epoch {
-                // Same or newer version already resident: it wins (at equal
-                // epochs both entries were derived from identical
-                // exploration; a newer one must not be clobbered by a
-                // pinned straggler).
-                return (resident.epoch == epoch)
-                    .then(|| resident.tables.clone())
-                    .flatten();
-            }
-            // The resident entry is from an older epoch than the incoming
-            // one (typically its own repair) — replace it.
-            shard.remove(&shape);
-        }
-        shard.bytes += bytes;
-        shard.lru.insert(stamp, Resident::Stwig(shape.clone()));
-        shard.map.insert(
-            shape,
-            Entry {
-                tables,
-                bytes,
-                index_bytes: 0,
-                last_used: stamp,
-                epoch,
-            },
-        );
-        core.insertions.fetch_add(1, Ordering::Relaxed);
-        // `insert` tombstones data entries larger than the whole shard
-        // budget up front, so the entry just inserted is only its own victim
-        // in the degenerate case of a budget smaller than a tombstone.
-        shard.evict_to(core.shard_budget, &core.evictions);
-        None
+        let bytes = shape.key_bytes() + size_of::<Entry>();
+        lock(&self.book).file(shape, None, bytes, cloud.epoch());
     }
 
     /// The plan of `query` for a request pinned to `cloud`,
     /// counting one of `plan_hits` or `plan_misses`: the memo made at
     /// `cloud`'s epoch, or — on a miss — a memo of the plan `plan` makes,
     /// filed for later requests unless the resident one is newer (this
-    /// request is pinned to an older epoch: it stays) or the memo cannot fit
-    /// its shard. See the module docs, "The plan and join-order memo".
+    /// request is pinned to an older epoch: it stays) or the memo is larger
+    /// than the budget. See the module docs, "The plan and join-order memo".
     pub(crate) fn plan(
         &self,
         query: &QueryGraph,
         cloud: &MemoryCloud,
         plan: impl FnOnce() -> Result<QueryPlan, StwigError>,
     ) -> Result<Arc<PlanMemo>, StwigError> {
-        let core = &*self.core;
         let hash = PlanKey::hash(query);
         let epoch = cloud.epoch();
-        // The memo an earlier epoch made, whose orders may carry over.
-        let earlier = {
-            let stamp = core.tick.fetch_add(1, Ordering::Relaxed);
-            let mut shard = core.shard_at(hash);
-            let shard = &mut *shard;
-            match shard.plan_slot(hash, query) {
-                Some(slot) if slot.memo.epoch == epoch => {
-                    let previous = std::mem::replace(&mut slot.last_used, stamp);
-                    let memo = Arc::clone(&slot.memo);
-                    shard.touch(previous, stamp);
-                    core.plan_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(memo);
-                }
-                Some(slot) => (slot.memo.epoch < epoch).then(|| Arc::clone(&slot.memo)),
-                None => None,
+        {
+            let mut book = lock(&self.book);
+            let stamp = book.stamp();
+            let slot = book.plan_slot(hash, query);
+            if let Some(slot) = slot.filter(|slot| slot.memo.epoch == epoch) {
+                let previous = std::mem::replace(&mut slot.last_used, stamp);
+                let memo = Arc::clone(&slot.memo);
+                book.touch(previous, stamp);
+                book.counts.plan_hits += 1;
+                return Ok(memo);
             }
-        };
-        core.plan_misses.fetch_add(1, Ordering::Relaxed);
-        let plan = plan()?;
-        let orders = match earlier {
-            // The same STwigs: an order is a function of the tables its key
-            // names, whatever the epoch.
-            Some(earlier) if earlier.plan.stwigs == plan.stwigs => Arc::clone(&earlier.orders),
-            _ => (0..self.num_machines).map(|_| Mutex::default()).collect(),
-        };
+            book.counts.plan_misses += 1;
+        }
         let memo = Arc::new(PlanMemo {
-            plan,
+            plan: plan()?,
             epoch,
-            orders,
-            core: Arc::downgrade(&self.core),
+            book: Arc::downgrade(&self.book),
+            hash,
         });
         let key = PlanKey::of(query);
         let bytes = plan_bytes(&key, &memo.plan, self.num_machines);
-        if bytes > core.shard_budget {
+        let mut book = lock(&self.book);
+        if bytes > book.budget {
             return Ok(memo);
         }
-        let stamp = core.tick.fetch_add(1, Ordering::Relaxed);
-        let mut shard = core.shard_at(hash);
-        let shard = &mut *shard;
-        let resident = shard.plan_slot(hash, query);
+        let resident = book.plan_slot(hash, query);
         if let Some(slot) = resident.filter(|slot| slot.memo.epoch >= epoch) {
             // A request racing this one filed the same epoch's plan first —
             // the same plan: it wins — or this request is pinned to an epoch
@@ -1049,49 +980,37 @@ impl<'c> StwigCache<'c> {
             });
         }
         // An earlier epoch's memo, or another query's under the same hash.
-        shard.remove_plan(hash);
-        shard.bytes += bytes;
-        shard.lru.insert(stamp, Resident::Plan(hash));
+        // The same STwigs keep the earlier memo's orders: an order is a
+        // function of the tables its key names, whatever the epoch.
+        let orders = match book.remove_plan(hash) {
+            Some(old) if old.key.matches(query) && old.memo.plan.stwigs == memo.plan.stwigs => {
+                old.orders
+            }
+            _ => (0..self.num_machines).map(|_| None).collect(),
+        };
+        let stamp = book.stamp();
+        book.bytes += bytes;
+        book.lru.insert(stamp, Resident::Plan(hash));
         let slot = PlanSlot {
             key,
             memo: Arc::clone(&memo),
+            orders,
             bytes,
             last_used: stamp,
         };
-        shard.plans.insert(hash, slot);
-        shard.evict_to(core.shard_budget, &core.evictions);
+        book.plans.insert(hash, slot);
+        book.evict_to_budget();
         Ok(memo)
     }
 
-    /// Snapshot of the cache counters.
+    /// Snapshot of the cache counters, read in one state of the book.
     pub fn stats(&self) -> CacheStats {
-        let core = &*self.core;
-        let mut entries = 0u64;
-        let mut bytes_resident = 0u64;
-        let mut index_bytes = 0u64;
-        for shard in &core.shards {
-            let shard = shard.lock().expect("cache shard poisoned");
-            entries += shard.map.len() as u64;
-            bytes_resident += shard.bytes as u64;
-            index_bytes += shard.index_bytes as u64;
-        }
+        let book = lock(&self.book);
         CacheStats {
-            hits: core.hits.load(Ordering::Relaxed),
-            misses: core.misses.load(Ordering::Relaxed),
-            bypasses: core.bypasses.load(Ordering::Relaxed),
-            insertions: core.insertions.load(Ordering::Relaxed),
-            evictions: core.evictions.load(Ordering::Relaxed),
-            stale_evictions: core.stale_evictions.load(Ordering::Relaxed),
-            repairs: core.repairs.load(Ordering::Relaxed),
-            index_builds: core.index_builds.load(Ordering::Relaxed),
-            index_hits: core.index_hits.load(Ordering::Relaxed),
-            plan_hits: core.plan_hits.load(Ordering::Relaxed),
-            plan_misses: core.plan_misses.load(Ordering::Relaxed),
-            order_hits: core.order_hits.load(Ordering::Relaxed),
-            order_misses: core.order_misses.load(Ordering::Relaxed),
-            entries,
-            bytes_resident,
-            index_bytes,
+            entries: book.entries.len() as u64,
+            bytes_resident: book.bytes as u64,
+            index_bytes: book.index_bytes as u64,
+            ..book.counts
         }
     }
 }
@@ -1372,7 +1291,6 @@ mod tests {
         // A budget small enough that a handful of entries forces eviction.
         let config = CacheConfig {
             budget_bytes: 600,
-            shards: 1,
             populate_row_cap: None,
         };
         let cache = StwigCache::new(&cloud, config);
@@ -1419,7 +1337,6 @@ mod tests {
     fn one_shard(budget_bytes: usize) -> CacheConfig {
         CacheConfig {
             budget_bytes,
-            shards: 1,
             populate_row_cap: None,
         }
     }
@@ -1506,6 +1423,83 @@ mod tests {
         assert_eq!((stats.index_builds, stats.index_bytes), (0, 0));
         assert_eq!((stats.entries, stats.evictions), (1, 0));
         assert_eq!(cache.stats().index_builds, 1);
+    }
+
+    #[test]
+    fn an_entry_up_to_the_whole_budget_is_served_not_tombstoned() {
+        let cloud = small_cloud();
+        let (shape, tables, _) = keyed_entry(0);
+        let bytes = tables.iter().map(|t| t.memory_bytes()).sum::<usize>() + shape.key_bytes();
+        // The entry fills half the budget.
+        let config = CacheConfig::default().with_budget_bytes(2 * bytes);
+        let cache = StwigCache::new(&cloud, config);
+        let entry = cache.insert(shape.clone(), tables, &cloud);
+        let CacheLookup::Hit(hit) = cache.lookup(&shape, &cloud) else {
+            panic!("an entry within the budget must be served");
+        };
+        assert!(entry.is_some_and(|entry| Arc::ptr_eq(&entry, &hit)));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.bypasses, stats.entries), (1, 0, 1));
+        assert_eq!(stats.bytes_resident as usize, bytes);
+    }
+
+    #[test]
+    fn the_entry_evicted_is_the_least_recently_used_in_the_whole_cache() {
+        let cloud = small_cloud();
+        let entries: Vec<_> = (0..17).map(keyed_entry).collect();
+        let (shape, tables, _) = &entries[0];
+        let entry_bytes =
+            tables.iter().map(|t| t.memory_bytes()).sum::<usize>() + shape.key_bytes();
+        // Room for sixteen entries, not for a seventeenth.
+        let budget = 17 * entry_bytes - 1;
+        let cache = StwigCache::new(&cloud, CacheConfig::default().with_budget_bytes(budget));
+        for (shape, tables, _) in &entries[..16] {
+            assert!(cache
+                .insert(shape.clone(), tables.clone(), &cloud)
+                .is_some());
+        }
+        assert_eq!((cache.stats().entries, cache.stats().evictions), (16, 0));
+        // The first entry is used again, so the second is the least recent.
+        assert!(matches!(
+            cache.lookup(&entries[0].0, &cloud),
+            CacheLookup::Hit(_)
+        ));
+        let (shape, tables, _) = &entries[16];
+        cache.insert(shape.clone(), tables.clone(), &cloud);
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (16, 1));
+        for (i, (shape, _, _)) in entries.iter().enumerate() {
+            let hit = matches!(cache.lookup(shape, &cloud), CacheLookup::Hit(_));
+            assert_eq!(hit, i != 1, "entry {i}");
+        }
+    }
+
+    #[test]
+    fn racing_builders_of_one_index_file_one_and_share_it() {
+        let cloud = small_cloud();
+        let cache = StwigCache::new(&cloud, CacheConfig::default());
+        let (shape, tables, rk) = keyed_entry(0);
+        let entry = cache.insert(shape, tables, &cloud).unwrap();
+        let memo = RkMemo::new(&entry, MachineId(0), vec![MachineId(1)]);
+        // Both builders are past the lookup before either files its index.
+        let barrier = std::sync::Barrier::new(2);
+        let build = || {
+            memo.index(&[0], || {
+                barrier.wait();
+                BuildIndex::build(&rk, &[0], true)
+            })
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let (a, b) = (s.spawn(build), s.spawn(build));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(a.1 && b.1, "both built");
+        assert!(Arc::ptr_eq(&a.0, &b.0), "the second adopts the first's");
+        let stats = cache.stats();
+        assert_eq!((stats.index_builds, stats.index_hits), (1, 0));
+        assert_eq!(stats.index_bytes as usize, a.0.memory_bytes());
+        let (again, built) = memo.index(&[0], || unreachable!("filed"));
+        assert!(!built && Arc::ptr_eq(&again, &a.0));
     }
 
     #[test]

@@ -110,8 +110,8 @@ impl MachineWork {
 /// (in plan order). An explored STwig's tables are the query's own, under
 /// its column names; one the cache served lends the cache's complete unbound
 /// tables — shared, under the cache's positional column names (column `i` is
-/// the `i`-th of the STwig's `vertices()`), with the entry's join-index memo
-/// riding along for the join phase.
+/// the `i`-th of the STwig's `vertices()`), with the entry riding along so
+/// the join phase can take the indexes the cache filed with it.
 #[derive(Debug, Clone)]
 pub struct StwigTableSet {
     stwigs: Vec<StwigTables>,

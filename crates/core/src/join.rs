@@ -11,8 +11,8 @@
 //!
 //! An index is a pure function of the build side's rows and key columns, so
 //! a build side concatenated from cache-resident STwig tables takes its
-//! index from the memo kept beside those tables (`RkMemo`) instead of
-//! building one per query.
+//! index from those filed with their entry in the cache (`RkMemo`) instead
+//! of building one per query.
 
 use crate::cache::RkMemo;
 use crate::hash::{FxHashMap, InlineKey, INLINE_KEY_COLUMNS};

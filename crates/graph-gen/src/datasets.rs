@@ -73,12 +73,17 @@ mod tests {
     use trinity_sim::network::CostModel;
     use trinity_sim::stats::graph_stats;
 
+    /// Average degree implied by the generated edge list (2m/n).
+    fn avg_degree(g: &SyntheticGraph) -> f64 {
+        2.0 * g.edges.len() as f64 / g.num_vertices as f64
+    }
+
     #[test]
     fn patents_profile_ratios() {
         let g = patents_like(10_000, 1);
         assert_eq!(g.num_vertices, 10_000);
         // ≈ 4 edges per vertex
-        assert!(g.num_edges() > 30_000 && g.num_edges() < 45_000);
+        assert!(g.edges.len() > 30_000 && g.edges.len() < 45_000);
         assert_eq!(g.num_labels, 418);
         let cloud = g.build_cloud(2, CostModel::free());
         let stats = graph_stats(&cloud);
@@ -89,13 +94,13 @@ mod tests {
     fn wordnet_profile_ratios() {
         let g = wordnet_like(5_000, 2);
         assert_eq!(g.num_labels, 5);
-        assert_eq!(g.num_edges(), 8_000);
+        assert_eq!(g.edges.len(), 8_000);
     }
 
     #[test]
     fn facebook_profile_degree() {
         let g = facebook_like(2_000, 16.0, 3);
-        assert!((g.avg_degree() - 16.0).abs() < 0.1);
+        assert!((avg_degree(&g) - 16.0).abs() < 0.1);
         assert_eq!(g.num_labels, 100);
     }
 
@@ -103,7 +108,7 @@ mod tests {
     fn synthetic_experiment_graph_density() {
         let g = synthetic_experiment_graph(10_000, 8.0, 1e-3, 4);
         assert_eq!(g.num_labels, 10);
-        assert!((g.avg_degree() - 8.0).abs() < 0.1);
+        assert!((avg_degree(&g) - 8.0).abs() < 0.1);
         let g2 = synthetic_experiment_graph(10_000, 8.0, 1e-2, 4);
         assert_eq!(g2.num_labels, 100);
     }

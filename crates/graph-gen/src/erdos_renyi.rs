@@ -27,7 +27,7 @@ mod tests {
     fn gnm_sizes() {
         let g = gnm(100, 300, 1);
         assert_eq!(g.num_vertices, 100);
-        assert_eq!(g.num_edges(), 300);
+        assert_eq!(g.edges.len(), 300);
         assert!(g.edges.iter().all(|&(u, v)| u < 100 && v < 100));
     }
 

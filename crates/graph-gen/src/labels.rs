@@ -29,7 +29,7 @@ pub enum LabelModel {
 
 impl LabelModel {
     /// Size of the label alphabet.
-    pub fn num_labels(&self) -> usize {
+    pub(crate) fn num_labels(&self) -> usize {
         match *self {
             LabelModel::Uniform { num_labels } => num_labels,
             LabelModel::Zipf { num_labels, .. } => num_labels,

@@ -47,7 +47,7 @@ mod tests {
         let g = preferential_attachment(1000, 3, 11);
         assert_eq!(g.num_vertices, 1000);
         // roughly 3 edges per vertex after the first
-        assert!(g.num_edges() > 2500 && g.num_edges() < 3000);
+        assert!(g.edges.len() > 2500 && g.edges.len() < 3000);
     }
 
     #[test]

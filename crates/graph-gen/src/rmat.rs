@@ -26,7 +26,7 @@ pub struct RmatConfig {
 impl RmatConfig {
     /// The standard skewed R-MAT parameters (a=0.57, b=c=0.19, d=0.05) with
     /// the given size.
-    pub fn new(num_vertices: u64, num_edges: u64, seed: u64) -> Self {
+    pub(crate) fn new(num_vertices: u64, num_edges: u64, seed: u64) -> Self {
         RmatConfig {
             num_vertices,
             num_edges,
@@ -46,7 +46,7 @@ impl RmatConfig {
     }
 
     /// The implied probability of the bottom-right quadrant.
-    pub fn d(&self) -> f64 {
+    pub(crate) fn d(&self) -> f64 {
         1.0 - self.a - self.b - self.c
     }
 }
@@ -95,7 +95,7 @@ mod tests {
     fn generates_requested_sizes() {
         let g = rmat(&RmatConfig::new(1000, 5000, 42));
         assert_eq!(g.num_vertices, 1000);
-        assert_eq!(g.num_edges(), 5000);
+        assert_eq!(g.edges.len(), 5000);
         assert!(g.edges.iter().all(|&(u, v)| u < 1000 && v < 1000));
     }
 

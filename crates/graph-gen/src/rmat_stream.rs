@@ -88,13 +88,8 @@ impl RmatStream {
     }
 
     /// Number of vertices in the generated graph.
-    pub fn num_vertices(&self) -> u64 {
+    pub(crate) fn num_vertices(&self) -> u64 {
         self.config.num_vertices
-    }
-
-    /// Number of generated edges (before self-loop/duplicate removal).
-    pub fn num_edges(&self) -> u64 {
-        self.config.num_edges
     }
 
     /// The quadrant one level's `draw` picks, as `(row bit, col bit)`:
@@ -110,7 +105,7 @@ impl RmatStream {
 
     /// Edge `index` of the stream, computed from scratch — `O(log n)` mixes,
     /// no per-edge state and no data-dependent branch.
-    pub fn edge(&self, index: u64) -> (u64, u64) {
+    pub(crate) fn edge(&self, index: u64) -> (u64, u64) {
         // A private splitmix64 chain per edge, keyed by (seed, index).
         let mut state = self
             .config
@@ -212,7 +207,7 @@ impl StreamingLabels {
     }
 
     /// Size of the label alphabet.
-    pub fn num_labels(&self) -> usize {
+    pub(crate) fn num_labels(&self) -> usize {
         self.num_labels
     }
 
@@ -343,7 +338,7 @@ mod tests {
                             );
                         }
                     }
-                    for i in 0..s.num_edges() {
+                    for i in 0..s.config.num_edges {
                         assert_eq!(
                             s.edge(i),
                             branchy_edge(&s, i),
@@ -359,7 +354,7 @@ mod tests {
     fn edge_is_random_access_and_matches_iteration() {
         let s = stream();
         let collected: Vec<_> = s.edges().collect();
-        assert_eq!(collected.len(), s.num_edges() as usize);
+        assert_eq!(collected.len(), s.config.num_edges as usize);
         for (i, &e) in collected.iter().enumerate() {
             assert_eq!(s.edge(i as u64), e, "edge({i}) must match the stream");
         }

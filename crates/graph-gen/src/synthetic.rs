@@ -47,23 +47,10 @@ impl SyntheticGraph {
         format!("L{idx}")
     }
 
-    /// Number of (possibly duplicated) generated edges.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Average degree implied by the generated edge list (2m/n).
-    pub fn avg_degree(&self) -> f64 {
-        if self.num_vertices == 0 {
-            0.0
-        } else {
-            2.0 * self.edges.len() as f64 / self.num_vertices as f64
-        }
-    }
-
-    /// Adjacency lists (symmetrized, deduplicated) — used by the DFS query
-    /// generator.
-    pub fn adjacency(&self) -> Vec<Vec<u64>> {
+    /// Adjacency lists (symmetrized, deduplicated): the degree tests'
+    /// oracle.
+    #[cfg(test)]
+    pub(crate) fn adjacency(&self) -> Vec<Vec<u64>> {
         let n = self.num_vertices as usize;
         let mut adj: Vec<Vec<u64>> = vec![Vec::new(); n];
         for &(u, v) in &self.edges {
@@ -114,8 +101,7 @@ mod tests {
         let g = SyntheticGraph::unlabeled(3, vec![(0, 1), (1, 2)]);
         assert_eq!(g.labels, vec![0, 0, 0]);
         assert_eq!(g.num_labels, 1);
-        assert_eq!(g.num_edges(), 2);
-        assert!((g.avg_degree() - 4.0 / 3.0).abs() < 1e-9);
+        assert_eq!(g.edges.len(), 2);
     }
 
     #[test]

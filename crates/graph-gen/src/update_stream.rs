@@ -124,12 +124,12 @@ impl GraphMirror {
     }
 
     /// Number of vertices currently present.
-    pub fn num_vertices(&self) -> usize {
+    pub(crate) fn num_vertices(&self) -> usize {
         self.vertices.len()
     }
 
     /// Number of undirected edges currently present.
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.edges.len()
     }
 

@@ -158,8 +158,6 @@ impl LabelPairCatalog {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClusterGraph {
     num_machines: usize,
-    /// Adjacency lists over machine indices.
-    adjacency: Vec<Vec<u16>>,
     /// All-pairs shortest distances (in hops); `UNREACHABLE` when disconnected.
     distances: Vec<u32>,
 }
@@ -193,11 +191,9 @@ impl ClusterGraph {
                 v
             })
             .collect();
-        let distances = all_pairs_bfs(&adjacency);
         ClusterGraph {
             num_machines: n,
-            adjacency,
-            distances,
+            distances: all_pairs_bfs(&adjacency),
         }
     }
 
@@ -212,22 +208,15 @@ impl ClusterGraph {
                     .collect()
             })
             .collect();
-        let distances = all_pairs_bfs(&adjacency);
         ClusterGraph {
             num_machines,
-            adjacency,
-            distances,
+            distances: all_pairs_bfs(&adjacency),
         }
     }
 
     /// Number of machines.
     pub fn num_machines(&self) -> usize {
         self.num_machines
-    }
-
-    /// Neighbors of machine `m` in the cluster graph.
-    pub fn neighbors(&self, m: MachineId) -> &[u16] {
-        &self.adjacency[m.index()]
     }
 
     /// Shortest distance `D_C(i, j)` in hops; `UNREACHABLE` if disconnected,

@@ -7,14 +7,22 @@
 #
 # For each workload BENCHMARK.json declares, runs
 # `benchmark/run.sh --workload <name> --seed 1 --seconds <seconds> --trace 0`
-# (20 s unless given) from the root of this checkout, then one traced run,
-# `--seed 1 --seconds 2 --trace 1` (the length CI runs), and appends
+# (20 s unless given) three times from the root of this checkout, then one
+# traced run, `--seed 1 --seconds 2 --trace 1` (the length CI runs), and
+# appends
 #
 #   {"pr", "rev", "workload", "nproc", "host_noise_frac", "sequence_hash",
 #    "exact": {<name>: <value>, ...},
-#    "result": <the untraced run's last line, verbatim>}
+#    "runs": 3,
+#    "spread": {<end-to-end metric>: {"median", "min", "max"}, ...},
+#    "result": <the median run's last line>}
 #
-# to BENCH_TRAJECTORY.json there. "exact" holds the traced run's lines that
+# to BENCH_TRAJECTORY.json there. The median run is the one whose
+# throughput is the median of the three; "result", "host_noise_frac" and
+# "sequence_hash" are that run's, so a reader of one run's line reads it
+# as before, and "spread" gives each end-to-end metric's median, min and
+# max over the three (each metric's own median, whichever run it is from).
+# The three runs must print one `sequence_hash`, or nothing is recorded. "exact" holds the traced run's lines that
 # repeat to the digit for a seed whatever the run length (a 2-s and a 4-s
 # traced run agree on each): every `storage.*_bytes` line, every
 # `transport.*_per_query` line, the `explore.*` and `join.*` counts
@@ -92,13 +100,40 @@ fi
 
 rev="$(git describe --always --dirty --abbrev=7)"
 cpus="$(nproc)"
+runs=3
 rows=()
 for workload in $workloads; do
-    out="$(benchmark/run.sh --workload "$workload" --seed 1 --seconds "$seconds" --trace 0)"
-    field() { printf '%s\n' "$out" | awk -v name="$1" '$1 == name { print $2 }'; }
-    result="$(printf '%s\n' "$out" | tail -n 1)"
+    outs=()
+    for _ in $(seq "$runs"); do
+        outs+=("$(benchmark/run.sh --workload "$workload" --seed 1 --seconds "$seconds" --trace 0)")
+    done
     exact="$(exact_lines "$workload" | awk '{ printf "%s\"%s\": %s", (NR > 1 ? ", " : ""), $1, $2 }')"
-    rows+=("{\"pr\": \"$pr\", \"rev\": \"$rev\", \"workload\": \"$workload\", \"nproc\": $cpus, \"host_noise_frac\": $(field host_noise_frac), \"sequence_hash\": \"$(field sequence_hash)\", \"exact\": {$exact}, \"result\": $result}")
+    rows+=("$(python3 - "$pr" "$rev" "$workload" "$cpus" "{$exact}" "${outs[@]}" <<'PY'
+import json, statistics, sys
+pr, rev, workload, nproc, exact, *outs = sys.argv[1:]
+runs = []
+for out in outs:
+    lines = out.strip().splitlines()
+    fields = {f[0]: f[1] for f in map(str.split, lines) if len(f) == 3}
+    runs.append((fields, json.loads(lines[-1])))
+hashes = sorted({fields["sequence_hash"] for fields, _ in runs})
+if len(hashes) != 1:
+    sys.exit(f"{workload}: the runs print different sequence_hash lines {hashes}")
+value = lambda result, name: result["metrics"][name]["value"]
+spread = {}
+for name in runs[0][1]["metrics"]:
+    values = sorted(value(result, name) for _, result in runs)
+    spread[name] = {"median": statistics.median(values), "min": values[0], "max": values[-1]}
+by_throughput = sorted(runs, key=lambda run: value(run[1], "throughput_qps"))
+fields, result = by_throughput[len(runs) // 2]
+print(json.dumps({
+    "pr": pr, "rev": rev, "workload": workload, "nproc": int(nproc),
+    "host_noise_frac": float(fields["host_noise_frac"]),
+    "sequence_hash": fields["sequence_hash"], "exact": json.loads(exact),
+    "runs": len(runs), "spread": spread, "result": result,
+}))
+PY
+)")
     echo "recorded $workload" >&2
 done
 
