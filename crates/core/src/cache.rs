@@ -48,10 +48,13 @@
 //!
 //! An STwig the cache serves — a hit, a repair, or the populate a miss
 //! performs — contributes its **complete unbound per-machine tables, shared
-//! (`Arc`), to the join**: no per-query copy, no binding filter, no row cap,
-//! and no binding synchronization for it. Bindings (§4.2 step 2) exist to
-//! prune *exploration*, and a served STwig has none left to prune; the first-k
-//! slab and `max_stwig_rows` bound exploration too, and none happens. Hit,
+//! (`Arc`), to the join**: no per-query copy (each machine's join reads them
+//! in place, as the row runs of its R_k; only under `Messages` does a
+//! load-set table travel, as a `JoinRows` payload — the simulated wire), no
+//! binding filter, no row cap, and no binding synchronization for it.
+//! Bindings (§4.2 step 2) exist to prune *exploration*, and a served STwig
+//! has none left to prune; the first-k slab and `max_stwig_rows` bound
+//! exploration too, and none happens. Hit,
 //! repair and populate hand the join the same tables, so at one cache state
 //! a query returns the same rows every time. Two guards keep older promises:
 //! a table with more rows than the *user's* `max_stwig_rows` is not served
@@ -74,10 +77,10 @@
 //! ## The join-index memo
 //!
 //! The join indexes every rest table R_k(q_t) on the columns it shares with
-//! the rows before it ([`crate::join`]). When R_k(q_t) was concatenated from
-//! one entry's tables alone, that index is a function of the entry, the
-//! destination machine `k`, the machines whose tables were appended (the
-//! load set) and the key columns — so it is built once and filed in the
+//! the rows before it ([`crate::join`]). When R_k(q_t)'s row runs are one
+//! entry's tables alone — read in place, numbered end to end — that index is
+//! a function of the entry, the destination machine `k`, the machines whose
+//! tables follow `k`'s (the load set) and the key columns — so it is built once and filed in the
 //! book with the entry, under that key (`RkMemo`). It is built on first use
 //! with no lock held, its key map sized to the distinct keys (a slot per row
 //! would be 41 B a row; this is about 6), and filed only if the entry it was
@@ -109,8 +112,8 @@
 //!   *serial* (unique within the cache, assigned when an entry is made,
 //!   never an address — a repair or re-populate is a new entry with a new
 //!   serial) and the machines whose tables followed `k`'s. It is consulted
-//!   only when every R_k(q_t) was concatenated from one entry's tables (all
-//!   its `RkMemo`s present), and selected again only when those differ. A
+//!   only when every R_k(q_t) is one entry's tables (all its `RkMemo`s
+//!   present), and selected again only when those differ. A
 //!   re-plan at a later epoch moves the orders to its slot when its STwigs
 //!   are the old ones: an order is a function of the tables alone.
 //! * **Bound** — a memo is charged to the budget (its orders at their
@@ -315,9 +318,8 @@ impl std::fmt::Debug for CachedStwig {
     }
 }
 
-/// The indexes filed with the entry an assembled R_k(q_t) was concatenated
-/// from, addressed for that concatenation: `dest`'s table, then each
-/// sender's.
+/// The indexes filed with the entry whose tables are an R_k(q_t)'s row
+/// runs, addressed by those runs: `dest`'s table, then each sender's.
 pub(crate) struct RkMemo<'a> {
     entry: &'a CachedStwig,
     dest: MachineId,
@@ -333,14 +335,14 @@ impl<'a> RkMemo<'a> {
         }
     }
 
-    /// What names the concatenated rows for a memoized join order: the
+    /// What names the R_k(q_t) rows for a memoized join order: the
     /// entry's serial and the senders (`dest` is the order's machine).
     /// `None` for detached tables.
     fn rows(&self) -> Option<(u64, &[MachineId])> {
         Some((self.entry.serial()?, &self.senders))
     }
 
-    /// The index of this concatenation on `key_cols`, and whether this call
+    /// The index of these runs on `key_cols`, and whether this call
     /// had to `build` it. `build` runs with no lock held; the index is filed
     /// if the entry is still resident and the budget has room (of two racing
     /// builders the second adopts the first's).
@@ -472,8 +474,8 @@ impl PlanMemo {
         &self.plan
     }
 
-    /// Machine `k`'s join order over R_k tables each concatenated from one
-    /// entry of this cache, as `memos` describe them: the memoized one when
+    /// Machine `k`'s join order over R_k tables each of whose runs are one
+    /// entry of this cache's tables, as `memos` describe them: the memoized one when
     /// it was selected over the same tables (an `order_hits`), otherwise the
     /// one `select` makes, filed while this memo is resident (an
     /// `order_misses`). `None` — `select` not called, nothing counted — when
@@ -1320,7 +1322,7 @@ mod tests {
     }
 
     /// Two equal ten-row machine tables over five keys in column 0, the
-    /// R_0 they concatenate to, and a shape numbered `i` to file them under.
+    /// R_0 their two runs make, and a shape numbered `i` to file them under.
     fn keyed_entry(i: u32) -> (StwigShape, Vec<Arc<ResultTable>>, ResultTable) {
         let shape = StwigShape {
             root_label: LabelId(i),
@@ -1349,7 +1351,7 @@ mod tests {
         let entry = cache.insert(shape, tables, &cloud).unwrap();
         let tables_only = cache.stats().bytes_resident;
         let rk = &rk;
-        let on = |cols: &'static [usize]| move || BuildIndex::build(rk, cols, true);
+        let on = |cols: &'static [usize]| move || BuildIndex::build(&rk.into(), cols, true);
         let memo = RkMemo::new(&entry, MachineId(0), vec![MachineId(1)]);
         let (first, built) = memo.index(&[0], on(&[0]));
         assert!(built);
@@ -1374,7 +1376,7 @@ mod tests {
         let cloud = small_cloud();
         let (shape_a, tables_a, _) = keyed_entry(0);
         let (shape_b, tables_b, rk) = keyed_entry(1);
-        let index_bytes = BuildIndex::build(&rk, &[0], true).memory_bytes();
+        let index_bytes = BuildIndex::build(&(&rk).into(), &[0], true).memory_bytes();
         assert!(index_bytes > 0);
         let entry_bytes = {
             let probe = StwigCache::new(&cloud, one_shard(1 << 20));
@@ -1388,7 +1390,10 @@ mod tests {
         let b = cache.insert(shape_b.clone(), tables_b, &cloud).unwrap();
         assert_eq!((cache.stats().entries, cache.stats().evictions), (2, 0));
         let memo = RkMemo::new(&b, MachineId(0), vec![MachineId(1)]);
-        assert!(memo.index(&[0], || BuildIndex::build(&rk, &[0], true)).1);
+        assert!(
+            memo.index(&[0], || BuildIndex::build(&(&rk).into(), &[0], true))
+                .1
+        );
         let stats = cache.stats();
         assert_eq!(
             (stats.entries, stats.evictions, stats.index_builds),
@@ -1416,7 +1421,10 @@ mod tests {
             RkMemo::new(&a, MachineId(0), vec![MachineId(1)]),
         ] {
             for _ in 0..2 {
-                assert!(memo.index(&[0], || BuildIndex::build(&rk, &[0], true)).1);
+                assert!(
+                    memo.index(&[0], || BuildIndex::build(&(&rk).into(), &[0], true))
+                        .1
+                );
             }
         }
         let stats = tight.stats();
@@ -1486,7 +1494,7 @@ mod tests {
         let build = || {
             memo.index(&[0], || {
                 barrier.wait();
-                BuildIndex::build(&rk, &[0], true)
+                BuildIndex::build(&(&rk).into(), &[0], true)
             })
         };
         let (a, b) = std::thread::scope(|s| {

@@ -1,6 +1,7 @@
 //! The join phase (§4.3 step 3): every machine joins its R_k tables — its
-//! own STwig tables plus its load set's (Theorem 4) — with the block-based
-//! pipeline, delivering each row in canonical column order as it is joined.
+//! own STwig tables plus its load set's (Theorem 4), read where they lie as
+//! row runs — with the block-based pipeline, delivering each row in
+//! canonical column order as it is joined.
 
 use super::explore::StwigTableSet;
 use super::link::Link;
@@ -72,9 +73,11 @@ pub(crate) struct JoinPass {
 ///
 /// The pass stops at the machine that satisfies the limit; a machine's
 /// load-set rows are shipped to it right before it joins
-/// ([`Link::assemble_rk`]), so a machine the pass never reaches costs
-/// neither the copy nor the simulated traffic. Each row stays delivered if an
-/// interrupt follows.
+/// ([`Link::assemble_rk`]), so a machine the pass never reaches costs no
+/// simulated traffic. A machine it reaches reads its R_k tables where they
+/// lie: no row is copied for the join but a `JoinRows` payload under
+/// `Messages`, the simulated wire. Each row stays delivered if an interrupt
+/// follows.
 ///
 /// `memo` is the cache's memo of `plan`: a machine whose R_k tables are all
 /// served takes its join order from it ([`PlanMemo::join_order`]).

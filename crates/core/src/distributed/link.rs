@@ -16,7 +16,7 @@ use crate::metrics::FaultCounters;
 use crate::query::QVid;
 use crate::retry::{degraded_loss, fetch_postings, Faults};
 use crate::stream::QueryControl;
-use crate::table::ResultTable;
+use crate::table::RowRuns;
 use trinity_sim::fault::FaultyTransport;
 use trinity_sim::ids::{LabelId, MachineId, VertexId};
 use trinity_sim::network::{Network, Phase};
@@ -66,11 +66,11 @@ pub(crate) fn check_faults(
     Ok(())
 }
 
-/// Machine `k`'s assembled R_k(q_t) tables, one per STwig and under the
-/// query's column names, beside the index memo of each one that holds
-/// nothing but one cache entry's rows.
+/// Machine `k`'s R_k(q_t), one per STwig and under the query's column
+/// names — row runs read where they lie — beside the index memo of each one
+/// whose runs are all one cache entry's tables.
 pub(crate) struct Assembled<'a> {
-    pub(crate) tables: Vec<ResultTable>,
+    pub(crate) tables: Vec<RowRuns<'a>>,
     pub(crate) memos: Vec<Option<RkMemo<'a>>>,
     /// Rows received from other machines.
     pub(super) received: u64,
@@ -257,17 +257,21 @@ impl<'c> Link<'c> {
     }
 
     /// Machine `ki`'s `R_k(q_t)` for every STwig `t`: its own exploration
-    /// tables plus the rows of its load set (Theorem 4). `Messages`: every
-    /// load-set table bound for `ki` is posted as one `JoinRows` envelope
-    /// per non-empty (STwig, sender) pair, then drained from `ki`'s mailbox.
-    /// `DirectRead`: the tables are read in place and charged to the ledger.
+    /// table, then the rows of its load set (Theorem 4), each a run of the
+    /// result. `DirectRead`: every run is lent from `tables` where it lies,
+    /// explored or served, and each sender's rows are charged to the ledger.
+    /// `Messages`: every load-set table bound for `ki` is posted as one
+    /// `JoinRows` envelope per non-empty (STwig, sender) pair and drained
+    /// from `ki`'s mailbox; R_k(q_t) lends `ki`'s own table and takes each
+    /// payload, in (STwig, sender, sequence) order. Either way R_k(q_t)
+    /// reads row for row like the concatenation in that order.
     ///
-    /// An R_k(q_t) concatenated from a served STwig's tables alone keeps
-    /// that entry's index memo, addressed by what was concatenated; one whose
-    /// rows really came through `JoinRows` does not (the rows are what
-    /// arrived, not by construction what is cached). A malformed `JoinRows`
-    /// envelope (wrong variant, out-of-range STwig index, foreign columns,
-    /// ragged row payload) fails with [`StwigError::Transport`].
+    /// An R_k(q_t) whose runs are a served STwig's tables alone keeps that
+    /// entry's index memo, addressed by the machines whose tables they are;
+    /// one whose rows really came through `JoinRows` does not (the rows are
+    /// what arrived, not by construction what is cached). A malformed
+    /// `JoinRows` envelope (wrong variant, out-of-range STwig index, foreign
+    /// columns, ragged row payload) fails with [`StwigError::Transport`].
     pub(crate) fn assemble_rk<'a>(
         &self,
         plan: &QueryPlan,
@@ -286,14 +290,9 @@ impl<'c> Link<'c> {
             // of them.
             let memoized = (0..n).any(|t| tables.served(t).is_some());
             for (t, stwig) in plan.stwigs.iter().enumerate() {
-                let own = tables.table(ki, t);
-                // Sized once for the machine's own rows plus its whole load
-                // set.
+                let mut runs = RowRuns::new(stwig.vertices().collect());
+                runs.lend(tables.table(ki, t));
                 let senders: Vec<MachineId> = load_set(&plan.cluster, &plan.head, k, t);
-                let shipped = |j: &MachineId| tables.table(j.index(), t).num_rows();
-                let rows = own.num_rows() + senders.iter().map(shipped).sum::<usize>();
-                let mut table = ResultTable::with_capacity(stwig.vertices().collect(), rows);
-                table.append_rows(own);
                 for j in &senders {
                     let remote = tables.table(j.index(), t);
                     if remote.is_empty() {
@@ -301,15 +300,15 @@ impl<'c> Link<'c> {
                     }
                     let (rows, width) = (remote.num_rows() as u64, remote.width() as u64);
                     self.ledger.ship_rows(*j, k, rows, width, Phase::Join);
-                    rk.received += remote.num_rows() as u64;
-                    table.append_rows(remote);
+                    rk.received += rows;
+                    runs.lend(remote);
                 }
                 // No dedup pass: rows within one machine's table are
                 // distinct (the cross product emits each assignment once),
                 // and tables from different machines are root-disjoint
                 // because STwig roots are restricted to locally-owned
                 // vertices — so R_k is duplicate-free by construction.
-                rk.tables.push(table);
+                rk.tables.push(runs);
                 if memoized {
                     let memo = |entry| RkMemo::new(entry, k, senders);
                     rk.memos.push(tables.served(t).map(memo));
@@ -339,10 +338,9 @@ impl<'c> Link<'c> {
             }
         }
         for (t, stwig) in plan.stwigs.iter().enumerate() {
-            let own = tables.table(ki, t);
-            let mut table = ResultTable::with_capacity(stwig.vertices().collect(), own.num_rows());
-            table.append_rows(own);
-            rk.tables.push(table);
+            let mut runs = RowRuns::new(stwig.vertices().collect());
+            runs.lend(tables.table(ki, t));
+            rk.tables.push(runs);
             let memo = |entry| RkMemo::new(entry, k, Vec::new());
             rk.memos.push(tables.served(t).map(memo));
         }
@@ -367,14 +365,14 @@ impl<'c> Link<'c> {
                     got: env.msg.kind(),
                 }));
             };
-            let Some(table) = rk.tables.get_mut(stwig as usize) else {
+            let Some(runs) = rk.tables.get_mut(stwig as usize) else {
                 return Err(StwigError::Transport(TransportError::MalformedPayload {
                     detail: format!(
                         "machine {src} shipped rows for STwig {stwig}, but the plan has {n}"
                     ),
                 }));
             };
-            let expected: Vec<u16> = table.columns().iter().map(|c| c.0).collect();
+            let expected: Vec<u16> = runs.columns().iter().map(|c| c.0).collect();
             if columns != expected {
                 return Err(StwigError::Transport(TransportError::MalformedPayload {
                     detail: format!(
@@ -383,7 +381,7 @@ impl<'c> Link<'c> {
                     ),
                 }));
             }
-            let width = table.width();
+            let width = runs.width();
             if width == 0 || rows.len() % width != 0 {
                 return Err(StwigError::Transport(TransportError::MalformedPayload {
                     detail: format!(
@@ -392,11 +390,9 @@ impl<'c> Link<'c> {
                     ),
                 }));
             }
-            for row in rows.chunks(width) {
-                table.push_row(row);
-            }
-            rk.memos[stwig as usize] = None;
             rk.received += (rows.len() / width) as u64;
+            runs.take(rows);
+            rk.memos[stwig as usize] = None;
         }
         Ok(rk)
     }
@@ -429,10 +425,14 @@ impl<'c> Link<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{CacheConfig, StwigCache};
     use crate::compat::produce_stwig_tables;
     use crate::distributed::plan_query;
     use crate::distributed::tests::{sample_cloud, triangle_query};
-    use crate::metrics::{MachineMetrics, QueryMetrics};
+    use crate::metrics::{JoinCounters, MachineMetrics, QueryMetrics};
+    use crate::pipeline::{join_order, pipelined_join_streaming};
+    use crate::stream::CollectSink;
+    use crate::table::ResultTable;
 
     fn messages() -> MatchConfig {
         MatchConfig::default().with_transport_mode(TransportMode::Messages)
@@ -547,5 +547,151 @@ mod tests {
             // The well-formed envelopes alone assemble.
             assert!(link.assemble_rk(&plan, &tables, 0).is_ok());
         }
+    }
+
+    /// The rows a streamed join of `tables` in `order` emits, at most
+    /// `limit` of them.
+    fn joined(
+        tables: &[RowRuns<'_>],
+        memos: &[Option<RkMemo<'_>>],
+        order: &[usize],
+        limit: usize,
+    ) -> Vec<Vec<VertexId>> {
+        let mut sink = CollectSink::new();
+        let config = MatchConfig {
+            block_rows: 2,
+            ..MatchConfig::default()
+        };
+        let mut counters = JoinCounters::default();
+        pipelined_join_streaming(
+            tables,
+            memos,
+            &config,
+            order,
+            Some(limit),
+            None,
+            &mut counters,
+            &mut sink,
+        );
+        let table = sink.into_table().expect("a schema");
+        table.rows().map(<[VertexId]>::to_vec).collect()
+    }
+
+    #[test]
+    fn a_lent_rk_reads_row_for_row_like_the_concatenation() {
+        // Seven machines over ten triangles: some machine finds no root of
+        // some STwig, so its own table or a sender's is empty.
+        let cloud = sample_cloud(7);
+        let query = triangle_query(&cloud);
+        let plan = plan_query(&cloud, &query).unwrap();
+        assert!(plan.stwigs.len() > 1, "a join to run");
+        let (mut empty_own, mut empty_sender, mut second_runs, mut dropped) = (0, 0, 0, 0);
+        for mode in [TransportMode::DirectRead, TransportMode::Messages] {
+            let config = MatchConfig::default().with_transport_mode(mode);
+            for cache in [None, Some(StwigCache::new(&cloud, CacheConfig::default()))] {
+                let mut metrics = QueryMetrics::default();
+                let mut machines: Vec<_> = (0..7).map(|_| MachineMetrics::default()).collect();
+                let tables = produce_stwig_tables(
+                    &cloud,
+                    &query,
+                    &plan,
+                    &config,
+                    cache.as_ref(),
+                    None,
+                    &mut metrics,
+                    &mut machines,
+                )
+                .unwrap()
+                .expect("the triangle has answers");
+                let ledger = Network::new(cloud.num_machines());
+                let link = Link::new(&cloud, &ledger, &config, None);
+                for ki in 0..cloud.num_machines() {
+                    let k = MachineId(ki as u16);
+                    let rk = link.assemble_rk(&plan, &tables, ki).unwrap();
+                    let mut concatenated = Vec::new();
+                    for (t, stwig) in plan.stwigs.iter().enumerate() {
+                        // The own table, then the load set — in the order
+                        // `JoinRows` are drained under `Messages`.
+                        let mut senders = load_set(&plan.cluster, &plan.head, k, t);
+                        if mode == TransportMode::Messages {
+                            senders.sort_unstable();
+                        }
+                        let mut table = ResultTable::new(stwig.vertices().collect());
+                        for j in std::iter::once(k).chain(senders.iter().copied()) {
+                            let part = tables.table(j.index(), t);
+                            part.rows().for_each(|row| table.push_row(row));
+                            empty_sender += usize::from(j != k && part.is_empty());
+                        }
+                        let own = tables.table(ki, t);
+                        empty_own += usize::from(own.is_empty());
+                        let runs = &rk.tables[t];
+                        assert_eq!(runs.columns(), table.columns());
+                        assert_eq!(runs.num_rows(), table.num_rows());
+                        assert!(runs.rows().eq(table.rows()), "{mode:?} machine {ki}");
+                        assert!((0..table.num_rows()).all(|i| runs.row(i) == table.row(i)));
+                        assert_eq!(runs.memory_bytes(), table.memory_bytes());
+                        // Every table is lent where it lies, the own one
+                        // under both transports; only `JoinRows` payloads
+                        // are taken.
+                        let lent: Vec<*const VertexId> = (std::iter::once(k)
+                            .chain(senders.clone()))
+                        .map(|j| tables.table(j.index(), t))
+                        .filter(|part| !part.is_empty())
+                        .map(|part| part.row(0).as_ptr())
+                        .collect();
+                        let starts: Vec<*const VertexId> = runs.runs().map(<[_]>::as_ptr).collect();
+                        match mode {
+                            TransportMode::DirectRead => assert_eq!(starts, lent),
+                            TransportMode::Messages if !own.is_empty() => {
+                                assert_eq!(starts[0], own.row(0).as_ptr());
+                                assert!(!lent[1..].iter().any(|p| starts.contains(p)));
+                            }
+                            TransportMode::Messages => {}
+                        }
+                        // A limit inside the second run takes what the
+                        // concatenation's prefix holds.
+                        if let Some(first) = runs.runs().next().filter(|_| runs.runs().count() > 1)
+                        {
+                            let limit = first.len() / runs.width() + 1;
+                            let whole = [RowRuns::from(&table)];
+                            let lent = [runs.view()];
+                            assert_eq!(
+                                joined(&lent, &[], &[0], limit),
+                                joined(&whole, &[], &[0], limit)
+                            );
+                            second_runs += 1;
+                        }
+                        // Rows that came through `JoinRows` are not the
+                        // cache's by construction: their memo is dropped.
+                        let shipped = senders
+                            .iter()
+                            .any(|j| !tables.table(j.index(), t).is_empty());
+                        let received = mode == TransportMode::Messages && shipped;
+                        let served = tables.served(t).is_some();
+                        dropped += usize::from(received && served);
+                        let memo = rk.memos.get(t).is_some_and(Option::is_some);
+                        assert_eq!(memo, served && !received, "{mode:?} machine {ki} STwig {t}");
+                        concatenated.push(table);
+                    }
+                    // The whole join, limit by limit: the parent's rows.
+                    if rk.tables[plan.head.head_index].is_empty() {
+                        continue;
+                    }
+                    let whole: Vec<RowRuns<'_>> = concatenated.iter().map(RowRuns::from).collect();
+                    let order = join_order(&rk.tables);
+                    assert_eq!(order, join_order(&whole));
+                    let all = joined(&whole, &[], &order, usize::MAX);
+                    for limit in 0..=all.len() + 1 {
+                        let lent = joined(&rk.tables, &rk.memos, &order, limit);
+                        assert_eq!(lent, all[..limit.min(all.len())], "limit {limit}");
+                    }
+                }
+            }
+        }
+        assert!(
+            empty_own > 0 && empty_sender > 0,
+            "{empty_own} / {empty_sender}"
+        );
+        assert!(second_runs > 0 && dropped > 0, "{second_runs} / {dropped}");
     }
 }

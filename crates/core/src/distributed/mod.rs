@@ -1013,8 +1013,8 @@ mod tests {
         assert_eq!(stats.index_builds, built.index_builds);
         assert_eq!(stats.index_hits, built.index_builds, "one hit per index");
         assert!(stats.index_bytes > 0 && stats.index_bytes < stats.bytes_resident);
-        // What the query holds is its assembled copies, not the cache's
-        // tables: nothing during exploration, which lent them.
+        // What the query counts is its R_k runs during the join, not the
+        // cache's tables during exploration, which lent them.
         let plain = match_query(&cloud, &query, &direct, Run::default()).unwrap();
         assert!(warm.metrics.peak_table_bytes > 0);
         assert!(plain.metrics.peak_table_bytes > 0);

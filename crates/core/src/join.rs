@@ -9,17 +9,19 @@
 //! one pre-sized map from key to chain head/tail plus one pre-sized `next`
 //! array — so building it performs no per-row allocation either.
 //!
-//! An index is a pure function of the build side's rows and key columns, so
-//! a build side concatenated from cache-resident STwig tables takes its
-//! index from those filed with their entry in the cache (`RkMemo`) instead
-//! of building one per query.
+//! The build side is a `table::RowRuns`: row runs read where they lie,
+//! numbered end to end. A [`ResultTable`] is a one-run one. An index is a pure
+//! function of the build side's rows and key columns, so a build side whose
+//! runs are cache-resident STwig tables takes its index from those filed
+//! with their entry in the cache (`RkMemo`) instead of building one per
+//! query.
 
 use crate::cache::RkMemo;
 use crate::hash::{FxHashMap, InlineKey, INLINE_KEY_COLUMNS};
 use crate::metrics::JoinCounters;
 use crate::query::QVid;
 use crate::stream::{QueryControl, ResultSink};
-use crate::table::ResultTable;
+use crate::table::{ResultTable, RowRuns};
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -112,7 +114,7 @@ impl Iterator for ChainIter<'_> {
 
 /// The shared columns of a left schema and a right table as
 /// `(left_index, right_index)` pairs.
-fn shared_columns(left_columns: &[QVid], right: &ResultTable) -> Vec<(usize, usize)> {
+fn shared_columns(left_columns: &[QVid], right: &RowRuns<'_>) -> Vec<(usize, usize)> {
     left_columns
         .iter()
         .enumerate()
@@ -134,7 +136,7 @@ impl BuildIndex {
     /// Indexes `right` on `key_cols` (its positions of the shared columns).
     /// `resident` says the index will outlive the query (see
     /// [`ChainedIndex::with_rows`]).
-    pub(crate) fn build(right: &ResultTable, key_cols: &[usize], resident: bool) -> BuildIndex {
+    pub(crate) fn build(right: &RowRuns<'_>, key_cols: &[usize], resident: bool) -> BuildIndex {
         match key_cols {
             [] => BuildIndex::Cross,
             &[rc] => BuildIndex::Single(build_index(right, resident, |row| row[rc].0)),
@@ -167,7 +169,7 @@ impl BuildIndex {
 /// to the rest tables instead of the block. Prepare once against the left
 /// schema, then extend rows through a `ProbeChain`.
 pub struct PreparedJoin<'a> {
-    right: &'a ResultTable,
+    right: RowRuns<'a>,
     /// Left-row positions of the shared columns, in left-schema order.
     left_cols: Vec<usize>,
     /// Right-side columns that are not shared (appended to the output).
@@ -199,7 +201,7 @@ impl<'a> PreparedJoin<'a> {
     /// are exactly `left_columns`, counting the rows indexed in
     /// `counters.build_rows` (none for a cross product).
     pub fn new(left_columns: &[QVid], right: &'a ResultTable, counters: &mut JoinCounters) -> Self {
-        Self::with_memo(left_columns, right, None, counters)
+        Self::with_memo(left_columns, RowRuns::from(right), None, counters)
     }
 
     /// [`PreparedJoin::new`] for a `right` whose rows `memo` vouches for:
@@ -208,11 +210,11 @@ impl<'a> PreparedJoin<'a> {
     /// only rows this call indexed.
     pub(crate) fn with_memo(
         left_columns: &[QVid],
-        right: &'a ResultTable,
+        right: RowRuns<'a>,
         memo: Option<&RkMemo<'_>>,
         counters: &mut JoinCounters,
     ) -> Self {
-        let shared = shared_columns(left_columns, right);
+        let shared = shared_columns(left_columns, &right);
         let right_extra: Vec<usize> = (0..right.width())
             .filter(|ri| !shared.iter().any(|&(_, r)| r == *ri))
             .collect();
@@ -220,11 +222,11 @@ impl<'a> PreparedJoin<'a> {
         let (index, built) = match memo {
             Some(memo) if !right_cols.is_empty() => {
                 let (index, built) =
-                    memo.index(&right_cols, || BuildIndex::build(right, &right_cols, true));
+                    memo.index(&right_cols, || BuildIndex::build(&right, &right_cols, true));
                 (IndexRef::Memo(index), built)
             }
             _ => (
-                IndexRef::Own(BuildIndex::build(right, &right_cols, false)),
+                IndexRef::Own(BuildIndex::build(&right, &right_cols, false)),
                 !right_cols.is_empty(),
             ),
         };
@@ -321,7 +323,7 @@ impl<'a, S: ResultSink + ?Sized> ProbeChain<'a, S> {
     fn probe(&mut self, depth: usize, len: usize) -> bool {
         let join = &self.levels[depth];
         self.deepest = self.deepest.max(depth as u64 + 1);
-        let right = join.right;
+        let right = &join.right;
         match &*join.index {
             BuildIndex::Cross => right.rows().all(|rrow| self.extend(depth, len, rrow)),
             BuildIndex::Single(index) => {
@@ -374,7 +376,7 @@ impl<'a, S: ResultSink + ?Sized> ProbeChain<'a, S> {
 }
 
 /// Builds a chained hash index over `right`.
-fn build_index<K, F>(right: &ResultTable, resident: bool, key: F) -> ChainedIndex<K>
+fn build_index<K, F>(right: &RowRuns<'_>, resident: bool, key: F) -> ChainedIndex<K>
 where
     K: Hash + Eq,
     F: Fn(&[VertexId]) -> K,
@@ -433,8 +435,8 @@ pub fn hash_join(
 /// `right` built on the shared columns (the sample-based method of
 /// [Garcia-Molina et al.]). Uses the same fixed-width keys as [`hash_join`].
 pub(crate) fn estimate_join_size(
-    left: &ResultTable,
-    right: &ResultTable,
+    left: &RowRuns<'_>,
+    right: &RowRuns<'_>,
     sample_size: usize,
 ) -> f64 {
     if left.is_empty() || right.is_empty() {
@@ -476,8 +478,8 @@ pub(crate) fn estimate_join_size(
 }
 
 fn estimate_keyed<K, LK, RK>(
-    left: &ResultTable,
-    right: &ResultTable,
+    left: &RowRuns<'_>,
+    right: &RowRuns<'_>,
     sample_size: usize,
     left_key: LK,
     right_key: RK,
@@ -548,6 +550,12 @@ where
 ///
 /// Returns a permutation of `0..tables.len()`.
 pub fn select_join_order(tables: &[ResultTable], sample_size: usize) -> Vec<usize> {
+    let tables: Vec<RowRuns<'_>> = tables.iter().map(RowRuns::from).collect();
+    select_order(&tables, sample_size)
+}
+
+/// [`select_join_order`] over tables read in place.
+pub(crate) fn select_order(tables: &[RowRuns<'_>], sample_size: usize) -> Vec<usize> {
     let n = tables.len();
     if n <= 1 {
         return (0..n).collect();
@@ -602,7 +610,7 @@ pub fn select_join_order(tables: &[ResultTable], sample_size: usize) -> Vec<usiz
 /// columns with `ti` (the best available proxy for the intermediate on the
 /// join key), scaled from `|base|` rows to `current_size` rows.
 fn estimate_step(
-    tables: &[ResultTable],
+    tables: &[RowRuns<'_>],
     order: &[usize],
     ti: usize,
     current_size: f64,
@@ -673,6 +681,11 @@ mod tests {
     }
     fn q(x: u16) -> QVid {
         QVid(x)
+    }
+
+    /// [`estimate_join_size`] of two tables, each one run.
+    fn estimate(left: &ResultTable, right: &ResultTable, sample_size: usize) -> f64 {
+        estimate_join_size(&left.into(), &right.into(), sample_size)
     }
 
     fn table(cols: &[u16], rows: &[&[u64]]) -> ResultTable {
@@ -852,7 +865,7 @@ mod tests {
     fn estimate_matches_exact_for_uniform_keys() {
         let a = table(&[0, 1], &[&[1, 10], &[2, 10], &[3, 20]]);
         let b = table(&[1, 2], &[&[10, 100], &[20, 200]]);
-        let est = estimate_join_size(&a, &b, 100);
+        let est = estimate(&a, &b, 100);
         let mut c = JoinCounters::default();
         let exact = hash_join(&a, &b, None, &mut c).num_rows();
         assert!((est - exact as f64).abs() < 1.0, "est={est}, exact={exact}");
@@ -862,7 +875,7 @@ mod tests {
     fn estimate_multi_column_key() {
         let a = table(&[0, 1, 2], &[&[1, 10, 20], &[2, 10, 21]]);
         let b = table(&[1, 2, 3], &[&[10, 20, 90], &[10, 20, 91], &[10, 21, 92]]);
-        let est = estimate_join_size(&a, &b, 100);
+        let est = estimate(&a, &b, 100);
         let mut c = JoinCounters::default();
         let exact = hash_join(&a, &b, None, &mut c).num_rows();
         assert!((est - exact as f64).abs() < 1.0, "est={est}, exact={exact}");
@@ -893,7 +906,7 @@ mod tests {
             table(&[0, 1], &refs)
         };
         let right = table(&[0, 2], &[&[100, 900]]);
-        let est = estimate_join_size(&left, &right, sample);
+        let est = estimate(&left, &right, sample);
         assert!(est > 0.0, "tail matches must be sampled, got {est}");
         let mut c = JoinCounters::default();
         let exact = hash_join(&left, &right, None, &mut c).num_rows() as f64;
@@ -930,7 +943,7 @@ mod tests {
             table(&[0, 2], &refs)
         };
         let left = table(&[0, 1], &[&[7, 1]]);
-        let est = estimate_join_size(&left, &right, sample);
+        let est = estimate(&left, &right, sample);
         assert!(est > 0.0, "build-side tail keys must be sampled, got {est}");
     }
 
@@ -938,7 +951,7 @@ mod tests {
     fn estimate_empty_tables_is_zero() {
         let a = table(&[0], &[]);
         let b = table(&[0], &[&[1]]);
-        assert_eq!(estimate_join_size(&a, &b, 10), 0.0);
+        assert_eq!(estimate(&a, &b, 10), 0.0);
     }
 
     #[test]

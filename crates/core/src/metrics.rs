@@ -453,12 +453,12 @@ pub struct QueryMetrics {
     /// requests satisfied by the initial slab, +1 per resume (each resume
     /// grows the slab geometrically — 8x).
     pub explore_rounds: u64,
-    /// High-water mark of the intermediate-table bytes the query itself
-    /// allocated (explored per-machine STwig tables; a machine's assembled
-    /// load-set tables during the join, plus whatever the pass stages before
-    /// delivering — a slab round's rows, a parallel pass's per-machine
-    /// rows). Tables the cache holds and lends are not the query's. The
-    /// number first-k serving bounds.
+    /// High-water mark of the intermediate-table bytes the query works on
+    /// (explored per-machine STwig tables; during the join, a machine's R_k
+    /// tables at the bytes one buffer of their row runs would hold, lent or
+    /// not, plus whatever the pass stages before delivering — a slab round's
+    /// rows, a parallel pass's per-machine rows). A table the cache lends
+    /// counts only as an R_k run. The number first-k serving bounds.
     pub peak_table_bytes: u64,
     /// Measured wall-clock time of the whole query, in µs.
     pub wall_us: f64,

@@ -10,11 +10,11 @@
 
 use crate::cache::RkMemo;
 use crate::config::MatchConfig;
-use crate::join::{select_join_order, PreparedJoin, ProbeChain};
+use crate::join::{select_order, PreparedJoin, ProbeChain};
 use crate::metrics::JoinCounters;
 use crate::query::QVid;
 use crate::stream::{CollectSink, QueryControl, ResultSink};
-use crate::table::ResultTable;
+use crate::table::{ResultTable, RowRuns};
 
 /// Report of one (possibly streamed) pipelined join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,9 +49,10 @@ pub fn pipelined_join(
     order: &[usize],
     counters: &mut JoinCounters,
 ) -> ResultTable {
+    let tables: Vec<RowRuns<'_>> = tables.iter().map(RowRuns::from).collect();
     let mut output = CollectSink::new();
     pipelined_join_streaming(
-        tables,
+        &tables,
         &[],
         config,
         order,
@@ -67,9 +68,10 @@ pub fn pipelined_join(
 const JOIN_SAMPLE_ROWS: usize = 64;
 
 /// The order the executor joins `tables` in: the cost model's choice
-/// ([`select_join_order`]) from [`JOIN_SAMPLE_ROWS`]-row samples.
-pub(crate) fn join_order(tables: &[ResultTable]) -> Vec<usize> {
-    select_join_order(tables, JOIN_SAMPLE_ROWS)
+/// ([`crate::join::select_join_order`]) from [`JOIN_SAMPLE_ROWS`]-row
+/// samples.
+pub(crate) fn join_order(tables: &[RowRuns<'_>]) -> Vec<usize> {
+    select_order(tables, JOIN_SAMPLE_ROWS)
 }
 
 /// The streaming core behind [`pipelined_join`]: identical join semantics,
@@ -80,11 +82,11 @@ pub(crate) fn join_order(tables: &[ResultTable]) -> Vec<usize> {
 /// join promptly, and the join `order` (a permutation of the tables, driver
 /// first) is the caller's — [`join_order`], or one it memoized.
 /// `memos[i]`, where present, is the index memo of the cache-resident tables
-/// `tables[i]` was concatenated from: a rest table that has one is not
-/// indexed again ([`PreparedJoin::with_memo`]).
+/// that are `tables[i]`'s runs: a rest table that has one is not indexed
+/// again ([`PreparedJoin::with_memo`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pipelined_join_streaming<S: ResultSink + ?Sized>(
-    tables: &[ResultTable],
+    tables: &[RowRuns<'_>],
     memos: &[Option<RkMemo<'_>>],
     config: &MatchConfig,
     order: &[usize],
@@ -118,7 +120,7 @@ pub(crate) fn pipelined_join_streaming<S: ResultSink + ?Sized>(
     let mut prepared: Vec<PreparedJoin<'_>> = Vec::with_capacity(order.len() - 1);
     for &i in &order[1..] {
         let memo = memos.get(i).and_then(Option::as_ref);
-        let join = PreparedJoin::with_memo(&schema, &tables[i], memo, counters);
+        let join = PreparedJoin::with_memo(&schema, tables[i].view(), memo, counters);
         schema = join.output_columns(&schema);
         prepared.push(join);
     }
@@ -163,6 +165,16 @@ mod tests {
         QVid(x)
     }
 
+    /// Each table as one run.
+    fn runs(tables: &[ResultTable]) -> Vec<RowRuns<'_>> {
+        tables.iter().map(RowRuns::from).collect()
+    }
+
+    /// [`join_order`] over whole tables.
+    fn order_of(tables: &[ResultTable]) -> Vec<usize> {
+        join_order(&runs(tables))
+    }
+
     fn table(cols: &[u16], rows: &[&[u64]]) -> ResultTable {
         let mut t = ResultTable::new(cols.iter().map(|&c| q(c)).collect());
         for r in rows {
@@ -199,7 +211,7 @@ mod tests {
             block_rows: 7,
             ..MatchConfig::default()
         };
-        let piped = pipelined_join(&tables, &cfg, &join_order(&tables), &mut c2);
+        let piped = pipelined_join(&tables, &cfg, &order_of(&tables), &mut c2);
         assert_eq!(piped.num_rows(), full.num_rows());
         assert!(c2.pipeline_rounds > 1);
         // Same rows.
@@ -221,7 +233,7 @@ mod tests {
             ..MatchConfig::default()
         };
         let mut c = JoinCounters::default();
-        let out = pipelined_join(&tables, &cfg, &join_order(&tables), &mut c);
+        let out = pipelined_join(&tables, &cfg, &order_of(&tables), &mut c);
         assert_eq!(out.num_rows(), 25);
         // Only a few rounds should have run (25 results at ≥10 per round).
         assert!(c.pipeline_rounds <= 4, "rounds = {}", c.pipeline_rounds);
@@ -292,7 +304,7 @@ mod tests {
             ..MatchConfig::default()
         };
         let mut c = JoinCounters::default();
-        let out = pipelined_join(&tables, &cfg, &join_order(&tables), &mut c);
+        let out = pipelined_join(&tables, &cfg, &order_of(&tables), &mut c);
         assert!(out.is_empty());
         assert_eq!(c.pipeline_rounds, 0, "zero budget must run zero rounds");
 
@@ -304,7 +316,7 @@ mod tests {
             ..MatchConfig::default()
         };
         let mut c = JoinCounters::default();
-        let out = pipelined_join(&tables, &cfg, &join_order(&tables), &mut c);
+        let out = pipelined_join(&tables, &cfg, &order_of(&tables), &mut c);
         assert_eq!(out.num_rows(), 20);
         assert_eq!(c.pipeline_rounds, 2, "no phantom third round");
     }
@@ -330,11 +342,19 @@ mod tests {
             }
         }
         // Unlimited: everything flows through, driver exhausted.
-        let order = join_order(&tables);
+        let order = order_of(&tables);
         let mut sink = Count::default();
         let mut c = JoinCounters::default();
-        let run =
-            pipelined_join_streaming(&tables, &[], &cfg, &order, None, None, &mut c, &mut sink);
+        let run = pipelined_join_streaming(
+            &runs(&tables),
+            &[],
+            &cfg,
+            &order,
+            None,
+            None,
+            &mut c,
+            &mut sink,
+        );
         assert_eq!(sink.rows, 50);
         assert_eq!(sink.rounds_seen, 5);
         assert!(run.exhausted);
@@ -346,7 +366,7 @@ mod tests {
         let mut sink = Count::default();
         let mut c = JoinCounters::default();
         let run = pipelined_join_streaming(
-            &tables,
+            &runs(&tables),
             &[],
             &cfg,
             &order,
@@ -364,8 +384,16 @@ mod tests {
         let single = vec![tables[0].clone()];
         let mut any = Count::default();
         let mut c = JoinCounters::default();
-        let run =
-            pipelined_join_streaming(&single, &[], &cfg, &[0], Some(3), None, &mut c, &mut any);
+        let run = pipelined_join_streaming(
+            &runs(&single),
+            &[],
+            &cfg,
+            &[0],
+            Some(3),
+            None,
+            &mut c,
+            &mut any,
+        );
         assert_eq!((any.rows, any.rounds_seen), (3, 1));
         assert!(!run.exhausted);
     }
@@ -397,10 +425,10 @@ mod tests {
         let mut sink = CancelAtFirstRow { rows: 0, token };
         let mut c = JoinCounters::default();
         let run = pipelined_join_streaming(
-            &tables,
+            &runs(&tables),
             &[],
             &cfg,
-            &join_order(&tables),
+            &order_of(&tables),
             None,
             Some(&control),
             &mut c,
@@ -419,10 +447,10 @@ mod tests {
         // Already interrupted at the first boundary: no round at all.
         let mut c = JoinCounters::default();
         let run = pipelined_join_streaming(
-            &tables,
+            &runs(&tables),
             &[],
             &cfg,
-            &join_order(&tables),
+            &order_of(&tables),
             None,
             Some(&control),
             &mut c,
@@ -442,7 +470,7 @@ mod tests {
             ..MatchConfig::default()
         };
         let mut c = JoinCounters::default();
-        let out = pipelined_join(&tables, &cfg, &join_order(&tables), &mut c);
+        let out = pipelined_join(&tables, &cfg, &order_of(&tables), &mut c);
         assert_eq!(out.num_rows(), 100);
         assert_eq!(c.pipeline_rounds, 10);
         assert_eq!(c.joins_performed, 10, "one rest table joined per round");

@@ -7,6 +7,7 @@
 use crate::hash::VertexSet;
 use crate::query::QVid;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use trinity_sim::ids::VertexId;
 
 /// A table of partial matches: `columns[i]` names the query vertex whose data
@@ -126,15 +127,6 @@ impl ResultTable {
     /// Appends all rows of `other`, which must have identical columns.
     pub fn append(&mut self, other: &ResultTable) {
         assert_eq!(self.columns, other.columns, "column mismatch in append");
-        self.append_rows(other);
-    }
-
-    /// Appends all rows of `other` whatever its columns are called; only the
-    /// widths must agree. A cache-served STwig table keeps the cache's
-    /// placeholder names, and lands in a table under the query's names this
-    /// way.
-    pub(crate) fn append_rows(&mut self, other: &ResultTable) {
-        assert_eq!(self.width(), other.width(), "width mismatch in append");
         self.data.extend_from_slice(&other.data);
     }
 
@@ -191,6 +183,167 @@ impl ResultTable {
             }
         }
         false
+    }
+}
+
+/// A table the join reads in place: column names over an ordered list of
+/// row runs, each a whole number of rows. Row `i` is the `i`-th row of the
+/// runs laid end to end — the numbering their concatenation would have, so
+/// an index built or a join order selected over one holds for the other.
+///
+/// Machine `k`'s R_k(q_t) (§4.3, Theorem 4) is one: its own table of STwig
+/// `t` and then each of its load set's, every one lent from where it lies
+/// (explored, or served by the cache under the cache's column names), and
+/// under `Messages` the rows of a `JoinRows` envelope, moved in. A
+/// [`ResultTable`] is a one-run table (`RowRuns::from`), so the join has one
+/// build-side representation and one probe path.
+pub(crate) struct RowRuns<'a> {
+    columns: Cow<'a, [QVid]>,
+    width: usize,
+    /// The first run that has rows — all of them, for a one-run table — so
+    /// a row there costs one compare to find.
+    first: Cow<'a, [VertexId]>,
+    first_rows: usize,
+    /// Every later run, beside the number of the row after its last.
+    rest: Vec<(usize, Cow<'a, [VertexId]>)>,
+}
+
+impl<'a> RowRuns<'a> {
+    /// No rows yet, under `columns`.
+    pub(crate) fn new(columns: Vec<QVid>) -> Self {
+        debug_assert!(!columns.is_empty(), "a table needs at least one column");
+        RowRuns {
+            width: columns.len(),
+            columns: Cow::Owned(columns),
+            first: Cow::Borrowed(&[]),
+            first_rows: 0,
+            rest: Vec::new(),
+        }
+    }
+
+    /// Lends `table`'s rows as the next run, whatever its columns are
+    /// called; only the widths must agree (a cache-served table keeps the
+    /// cache's placeholder names).
+    pub(crate) fn lend(&mut self, table: &'a ResultTable) {
+        assert_eq!(self.width, table.width(), "width mismatch in a row run");
+        self.push(Cow::Borrowed(&table.data));
+    }
+
+    /// Takes `rows`, flat and `width` values a row, as the next run.
+    pub(crate) fn take(&mut self, rows: Vec<VertexId>) {
+        assert_eq!(rows.len() % self.width, 0, "a run of whole rows");
+        self.push(Cow::Owned(rows));
+    }
+
+    fn push(&mut self, run: Cow<'a, [VertexId]>) {
+        let rows = run.len() / self.width;
+        if rows == 0 {
+            return;
+        }
+        if self.first_rows == 0 {
+            (self.first, self.first_rows) = (run, rows);
+        } else {
+            self.rest.push((self.num_rows() + rows, run));
+        }
+    }
+
+    /// The same rows, every run borrowed from this one.
+    pub(crate) fn view(&self) -> RowRuns<'_> {
+        RowRuns {
+            columns: Cow::Borrowed(&self.columns),
+            width: self.width,
+            first: Cow::Borrowed(&self.first),
+            first_rows: self.first_rows,
+            rest: (self.rest.iter())
+                .map(|(end, run)| (*end, Cow::Borrowed(&**run)))
+                .collect(),
+        }
+    }
+
+    /// The columns (query vertices).
+    pub(crate) fn columns(&self) -> &[QVid] {
+        &self.columns
+    }
+
+    /// Number of columns.
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of rows.
+    pub(crate) fn num_rows(&self) -> usize {
+        self.rest.last().map_or(self.first_rows, |&(end, _)| end)
+    }
+
+    /// Whether the table has no rows.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.first_rows == 0
+    }
+
+    /// Index of a query vertex among the columns, if present.
+    pub(crate) fn column_index(&self, q: QVid) -> Option<usize> {
+        self.columns.iter().position(|&c| c == q)
+    }
+
+    /// Row `i`: one compare in the first run, and one more per run end
+    /// passed after it. Always inlined: it is the probe's one look-up per
+    /// matching row.
+    #[inline(always)]
+    pub(crate) fn row(&self, i: usize) -> &[VertexId] {
+        let (run, at) = if i < self.first_rows {
+            (&*self.first, i)
+        } else {
+            self.later(i)
+        };
+        &run[at * self.width..(at + 1) * self.width]
+    }
+
+    /// The later run holding row `i` and the row's place in it; past the
+    /// last row, an empty run (the caller's slice then panics).
+    #[inline(always)]
+    fn later(&self, i: usize) -> (&[VertexId], usize) {
+        let mut start = self.first_rows;
+        for (end, run) in &self.rest {
+            if i < *end {
+                return (run, i - start);
+            }
+            start = *end;
+        }
+        (&[], i)
+    }
+
+    /// The runs, in row order (none empty).
+    pub(crate) fn runs(&self) -> impl Iterator<Item = &[VertexId]> {
+        let first = (self.first_rows > 0).then_some(&*self.first);
+        first
+            .into_iter()
+            .chain(self.rest.iter().map(|(_, run)| &**run))
+    }
+
+    /// Iterates over all rows.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &[VertexId]> {
+        let w = self.width;
+        self.runs().flat_map(move |run| run.chunks_exact(w))
+    }
+
+    /// Bytes of the rows and the column names: what the table would hold
+    /// were its runs one buffer.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.num_rows() * self.width * std::mem::size_of::<VertexId>()
+            + self.width * std::mem::size_of::<QVid>()
+    }
+}
+
+/// A table is a one-run table under its own names: nothing is copied.
+impl<'a> From<&'a ResultTable> for RowRuns<'a> {
+    fn from(table: &'a ResultTable) -> Self {
+        RowRuns {
+            columns: Cow::Borrowed(&table.columns),
+            width: table.width(),
+            first: Cow::Borrowed(&table.data),
+            first_rows: table.num_rows(),
+            rest: Vec::new(),
+        }
     }
 }
 
@@ -251,12 +404,40 @@ mod tests {
         assert_eq!(t.row(5), t2.row(2));
         t.reserve_rows(100);
         assert_eq!(t.num_rows(), 6);
-        // Renamed in place, and appended across names: same rows.
+        // Renamed in place: same rows.
         let renamed = sample().with_columns(vec![q(7), q(8)]);
         assert_eq!(renamed.columns(), &[q(7), q(8)]);
         assert!(renamed.rows().eq(t2.rows()));
-        t.append_rows(&renamed);
-        assert_eq!((t.num_rows(), t.row(8)), (9, t2.row(2)));
+    }
+
+    #[test]
+    fn row_runs_number_rows_like_their_concatenation() {
+        let (a, b) = (sample(), sample().with_columns(vec![q(7), q(8)]));
+        let empty = ResultTable::new(vec![q(0), q(1)]);
+        let mut runs = RowRuns::new(vec![q(0), q(1)]);
+        assert!(runs.is_empty());
+        // Empty runs anywhere, one taken, one lent across names.
+        runs.lend(&empty);
+        runs.lend(&a);
+        runs.lend(&empty);
+        runs.take(vec![v(5), v(6)]);
+        runs.lend(&b);
+        let mut concatenated = a.clone();
+        concatenated.push_row(&[v(5), v(6)]);
+        b.rows().for_each(|row| concatenated.push_row(row));
+        assert_eq!((runs.num_rows(), runs.runs().count()), (7, 3));
+        assert!(runs.rows().eq(concatenated.rows()));
+        assert!((0..7).all(|i| runs.row(i) == concatenated.row(i)));
+        assert_eq!(runs.memory_bytes(), concatenated.memory_bytes());
+        // Lent runs point at the rows they were lent: no copy.
+        assert!(std::ptr::eq(runs.runs().next().unwrap(), &a.data[..]));
+        let view = runs.view();
+        assert!(view.rows().eq(runs.rows()) && view.columns() == runs.columns());
+        // A table is one run under its own names.
+        let one = RowRuns::from(&a);
+        assert_eq!((one.columns(), one.num_rows()), (a.columns(), 3));
+        assert!(one.rows().eq(a.rows()));
+        assert!(RowRuns::from(&empty).runs().next().is_none());
     }
 
     #[test]

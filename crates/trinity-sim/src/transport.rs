@@ -33,11 +33,11 @@
 //! program, not of thread scheduling.
 
 use crate::cloud::MemoryCloud;
+use crate::hash::FxHashSet;
 use crate::ids::{LabelId, MachineId, VertexId};
 use crate::network::{Network, Phase};
 use crate::partition::{Cell, CellBuf};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -440,10 +440,12 @@ pub struct ChannelTransport<'c> {
 
 /// One machine's inbox: queued envelopes plus every `(src, seq)` identity it
 /// has ever accepted, so re-deliveries are suppressed even across drains.
+/// The identities are machine ids and sequence numbers, and nothing reads
+/// the set's order, so the workspace's fast hasher keys it.
 #[derive(Default)]
 struct Mailbox {
     queue: Vec<Envelope>,
-    seen: HashSet<(u16, u64)>,
+    seen: FxHashSet<(u16, u64)>,
 }
 
 impl std::fmt::Debug for ChannelTransport<'_> {
