@@ -414,6 +414,9 @@ struct Frontier {
     /// slot of each distinct remote neighbor, in first-appearance order —
     /// the dedup insert.
     slot_of: FxHashMap<VertexId, u32>,
+    /// Postings side: one of the own machine's labels, decoded whole before
+    /// its ids are filed in `slot_of`.
+    postings: Vec<VertexId>,
     /// Asking side: label per remote slot; [`NO_LABEL`] until its owner
     /// answers.
     slot_labels: Vec<u32>,
@@ -508,8 +511,9 @@ impl Frontier {
             }
             if owner == machine {
                 for &label in child_labels {
-                    let local = cloud.get_ids(machine, label);
-                    self.slot_of.extend(local.iter().map(|id| (id, label.0)));
+                    self.postings.clear();
+                    cloud.get_ids(machine, label).append_to(&mut self.postings);
+                    (self.slot_of).extend(self.postings.iter().map(|&id| (id, label.0)));
                 }
                 continue;
             }

@@ -1,5 +1,5 @@
-//! The partition store's one representation: block-packed adjacency,
-//! succinct label postings, width-picked labels and an id index that is
+//! The partition store's one representation: block-packed adjacency and
+//! label postings in one codec, width-picked labels and an id index that is
 //! arithmetic on a full range.
 //!
 //! Trinity's cells live in flat memory trunks precisely because per-object
@@ -43,9 +43,10 @@
 //!   interned label count allows: 1 B up to 256 labels, 2 B up to 65,536,
 //!   else 4 B.
 //! * `CompactLabelIndex` — per-label postings over the id index's
-//!   *slots*, stored as whichever of a dense bitmap or a delta-varint list
-//!   is smaller for that label. [`Postings`] decodes a slot straight to its
-//!   global id (`IdIndex::id_at`), so no posting needs a `select`.
+//!   *slots*: a [`CompactCsr`] with one record per label, so a label's
+//!   slots are one encoded run and its frequency is the record's degree.
+//!   [`Postings`] decodes a slot straight to its global id
+//!   (`IdIndex::id_at`), so no posting needs a `select`.
 //! * [`CompactIdMap`] — an open-addressed slot array mapping global ids to
 //!   local indices in 4 bytes per slot (~8 bytes per vertex at 50% load)
 //!   instead of `HashMap`'s ~50 bytes per vertex; the sparse-id arm of
@@ -71,13 +72,6 @@ pub(crate) fn push_varint(buf: &mut Vec<u8>, mut x: u64) {
         }
         buf.push(byte | 0x80);
     }
-}
-
-/// Number of bytes [`push_varint`] emits for `x`.
-#[inline]
-pub(crate) fn varint_len(x: u64) -> usize {
-    // ceil(bits/7), with 0 taking one byte.
-    (64 - x.max(1).leading_zeros() as usize).div_ceil(7)
 }
 
 /// Reads one varint starting at `*pos`, advancing `*pos` past it.
@@ -726,15 +720,20 @@ impl CompactCsr {
         record_start(&self.data, self.bases.get(block), count, k)
     }
 
+    /// The run of local vertex `local`: its bytes from the first id to the
+    /// end of the buffer, and its length.
+    #[inline]
+    fn run(&self, local: usize) -> (&[u8], u32) {
+        let mut pos = self.record(local);
+        let degree = read_varint(&self.data, &mut pos) as u32;
+        (&self.data[pos..], degree)
+    }
+
     /// The encoded neighbor run of local vertex `local`.
     #[inline]
     pub fn neighbors(&self, local: usize) -> Neighbors<'_> {
-        let mut pos = self.record(local);
-        let degree = read_varint(&self.data, &mut pos) as u32;
-        Neighbors::Compact {
-            data: &self.data[pos..],
-            len: degree,
-        }
+        let (data, len) = self.run(local);
+        Neighbors::Compact { data, len }
     }
 
     /// Degree of local vertex `local` (decodes one varint).
@@ -1103,7 +1102,7 @@ impl IdIndex {
         self.len() == 0
     }
 
-    /// One past the highest slot: the span a bitmap posting list covers.
+    /// One past the highest slot.
     pub(crate) fn slot_space(&self) -> usize {
         match self {
             IdIndex::Full { len, .. } => *len,
@@ -1152,6 +1151,24 @@ impl IdIndex {
         }
     }
 
+    /// Rewrites each slot of `slots` (held as a [`VertexId`]), which must
+    /// be a member's, to the global id at it.
+    #[inline]
+    pub(crate) fn slots_to_ids(&self, slots: &mut [VertexId]) {
+        match self {
+            IdIndex::Full { base, shift, .. } | IdIndex::Ranked { base, shift, .. } => {
+                for slot in slots {
+                    slot.0 = base + (slot.0 << shift);
+                }
+            }
+            IdIndex::Hashed { ids, .. } => {
+                for slot in slots {
+                    *slot = ids[slot.0 as usize];
+                }
+            }
+        }
+    }
+
     /// The members' slots in ascending order (one per local index).
     pub(crate) fn slots(&self) -> Slots<'_> {
         match self {
@@ -1186,7 +1203,7 @@ impl IdIndex {
 
 /// The positions of the set bits of a bitmap, lowest first.
 #[derive(Clone)]
-pub struct SetBits<'a> {
+pub(crate) struct SetBits<'a> {
     words: &'a [u64],
     /// Index of the word `current` was loaded from.
     word_idx: usize,
@@ -1257,60 +1274,18 @@ impl Iterator for Ids<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Succinct label postings
+// Label postings
 // ---------------------------------------------------------------------------
 
-/// One label's posting list over [`IdIndex`] slots, stored as whichever
-/// representation is smaller for this label: a dense bitmap over the slot
-/// space (cheap for frequent labels) or a delta-varint list (cheap for
-/// rare ones). Slots are in ascending global-id order, so decoding yields
-/// sorted global ids.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) enum PostingList {
-    /// No local vertex carries this label.
-    Empty,
-    /// Bit `s` set ⇔ the vertex at slot `s` carries the label.
-    Bitmap {
-        /// `ceil(slot_space / 64)` words.
-        words: Vec<u64>,
-        /// Number of set bits (the label's local frequency).
-        count: u32,
-    },
-    /// `varint(first slot)`, then `varint(delta ≥ 1)` per subsequent slot.
-    Deltas {
-        /// Encoded slots.
-        bytes: Vec<u8>,
-        /// Number of encoded indices.
-        count: u32,
-    },
-}
-
-impl PostingList {
-    fn count(&self) -> usize {
-        match self {
-            PostingList::Empty => 0,
-            PostingList::Bitmap { count, .. } | PostingList::Deltas { count, .. } => {
-                *count as usize
-            }
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        match self {
-            PostingList::Empty => 0,
-            PostingList::Bitmap { words, .. } => words.len() * 8,
-            PostingList::Deltas { bytes, .. } => bytes.len(),
-        }
-    }
-}
-
-/// The per-machine string index (the paper's `Index.getID`): label →
-/// succinct posting list over id-index slots. It is the only index
-/// the approach needs besides adjacency, linear in the local vertex count
-/// and built in one pass.
+/// The per-machine string index (the paper's `Index.getID`): one
+/// [`CompactCsr`] record per label of the label space, in label order, empty
+/// labels included. A label's record is its frequency, then the id-index
+/// slots that carry it, ascending, as one encoded run — the codec adjacency
+/// runs use. It is the only index the approach needs besides adjacency,
+/// linear in the local vertex count and built in one counting-sort pass.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub(crate) struct CompactLabelIndex {
-    lists: Vec<PostingList>,
+    runs: CompactCsr,
 }
 
 impl CompactLabelIndex {
@@ -1322,134 +1297,99 @@ impl CompactLabelIndex {
     /// and flagged with a `debug_assert`.
     pub(crate) fn build(labels: &LabelArray, num_labels: usize, ids: &IdIndex) -> Self {
         debug_assert_eq!(labels.len(), ids.len(), "one label per indexed id");
-        // Pass 1: per-label frequency and exact delta-encoded size.
-        let mut counts = vec![0u32; num_labels];
-        let mut delta_bytes = vec![0usize; num_labels];
-        let mut last_slot = vec![u64::MAX; num_labels];
-        for (slot, l) in ids.slots().zip(labels.iter()) {
-            let Some(c) = counts.get_mut(l.index()) else {
-                debug_assert!(
-                    false,
-                    "label {l:?} of the vertex at slot {slot} is outside the declared label space ({num_labels} labels)"
-                );
-                continue;
-            };
-            let prev = last_slot[l.index()];
-            delta_bytes[l.index()] += if prev == u64::MAX {
-                varint_len(slot as u64)
-            } else {
-                varint_len(slot as u64 - prev)
-            };
-            last_slot[l.index()] = slot as u64;
-            *c += 1;
-        }
-        // Pass 2: pick the smaller representation per label and fill it.
-        let num_words = ids.slot_space().div_ceil(64);
-        let bitmap_bytes = num_words * 8;
-        let mut lists: Vec<PostingList> = counts
-            .iter()
-            .zip(&delta_bytes)
-            .map(|(&count, &dbytes)| {
-                if count == 0 {
-                    PostingList::Empty
-                } else if bitmap_bytes < dbytes {
-                    PostingList::Bitmap {
-                        words: vec![0u64; num_words],
-                        count,
-                    }
-                } else {
-                    PostingList::Deltas {
-                        bytes: Vec::with_capacity(dbytes),
-                        count,
-                    }
-                }
-            })
-            .collect();
-        let mut prev = vec![0u64; num_labels];
-        let mut seen = vec![false; num_labels];
-        for (slot, l) in ids.slots().zip(labels.iter()) {
-            let Some(list) = lists.get_mut(l.index()) else {
-                continue;
-            };
-            match list {
-                PostingList::Bitmap { words, .. } => {
-                    words[slot / 64] |= 1u64 << (slot % 64);
-                }
-                PostingList::Deltas { bytes, .. } => {
-                    let delta = if seen[l.index()] {
-                        slot as u64 - prev[l.index()]
-                    } else {
-                        slot as u64
-                    };
-                    push_varint(bytes, delta);
-                    prev[l.index()] = slot as u64;
-                    seen[l.index()] = true;
-                }
-                PostingList::Empty => unreachable!("counted label has a list"),
-            }
-        }
-        CompactLabelIndex { lists }
+        // Slots stage as `u32` while every slot fits one, as the loader
+        // stages ids.
+        let runs = if ids.slot_space() <= 1 << 32 {
+            label_runs(labels, num_labels, ids, |slot| slot as u32)
+        } else {
+            label_runs(labels, num_labels, ids, |slot| slot as u64)
+        };
+        CompactLabelIndex { runs }
     }
 
     /// The postings of `label`, decoded against `ids` (the id index the
     /// postings were built over) to sorted global vertex ids.
     #[inline]
     pub(crate) fn get<'a>(&'a self, label: LabelId, ids: &'a IdIndex) -> Postings<'a> {
-        match self.lists.get(label.index()) {
-            None | Some(PostingList::Empty) => Postings::Slice(&[]),
-            Some(PostingList::Bitmap { words, count }) => Postings::Bitmap {
-                words,
-                ids,
-                count: *count,
-            },
-            Some(PostingList::Deltas { bytes, count }) => Postings::Deltas {
-                bytes,
-                ids,
-                count: *count,
-            },
+        if label.index() >= self.runs.num_vertices() {
+            return Postings::Slice(&[]);
         }
+        let (data, len) = self.runs.run(label.index());
+        Postings::Compact { data, len, ids }
     }
 
     /// Number of local vertices carrying `label`.
     #[inline]
     pub(crate) fn frequency(&self, label: LabelId) -> usize {
-        self.lists.get(label.index()).map_or(0, PostingList::count)
+        if label.index() >= self.runs.num_vertices() {
+            return 0;
+        }
+        self.runs.degree(label.index())
     }
 
-    /// Resident bytes: posting payloads plus the per-label enum headers.
+    /// Resident bytes: the record bases and the records.
     pub(crate) fn memory_bytes(&self) -> usize {
-        self.lists.len() * std::mem::size_of::<PostingList>()
-            + self
-                .lists
-                .iter()
-                .map(PostingList::memory_bytes)
-                .sum::<usize>()
+        self.runs.memory_bytes()
     }
 }
 
+/// The label runs of [`CompactLabelIndex::build`], each label's slots staged
+/// through `stage`: one pass counts the labels, one places every slot at
+/// its label's cursor (slots ascend, so each label's run comes out sorted),
+/// and each label's run is encoded in label order.
+fn label_runs<T: Copy + Ord + Into<u64>>(
+    labels: &LabelArray,
+    num_labels: usize,
+    ids: &IdIndex,
+    stage: impl Fn(usize) -> T,
+) -> CompactCsr {
+    // `ends[l]` is first label `l`'s count, then its run's start, and after
+    // placement its run's end.
+    let mut ends = vec![0usize; num_labels];
+    for (local, l) in labels.iter().enumerate() {
+        match ends.get_mut(l.index()) {
+            Some(count) => *count += 1,
+            None => debug_assert!(
+                false,
+                "label {l:?} of local vertex {local} is outside the declared label space ({num_labels} labels)"
+            ),
+        }
+    }
+    let mut total = 0;
+    for end in &mut ends {
+        (*end, total) = (total, total + *end);
+    }
+    let mut staged = vec![stage(0); total];
+    for (slot, l) in ids.slots().zip(labels.iter()) {
+        if let Some(at) = ends.get_mut(l.index()) {
+            staged[*at] = stage(slot);
+            *at += 1;
+        }
+    }
+    let mut builder = CompactCsrBuilder::with_capacity(num_labels);
+    let mut start = 0;
+    for &end in &ends {
+        builder.push_run(&staged[start..end]);
+        start = end;
+    }
+    builder.finish()
+}
+
 /// A zero-copy view of one label's local postings, decoded to sorted global
-/// vertex ids on iteration. The type a partition answers `Index.getID` with.
+/// vertex ids. The type a partition answers `Index.getID` with.
 #[derive(Clone, Copy)]
 pub enum Postings<'a> {
     /// A sorted slice of global ids: an overlay's merged list, or empty.
     Slice(&'a [VertexId]),
-    /// A bitmap over slots, mapped through `ids`.
-    Bitmap {
-        /// Bit `s` set ⇔ the vertex at slot `s` carries the label.
-        words: &'a [u64],
+    /// A label's record of its partition's label index: an encoded run of
+    /// id-index slots, each mapped through `ids` to its global id.
+    Compact {
+        /// The run's bytes, as [`Neighbors::Compact`] holds them.
+        data: &'a [u8],
+        /// Number of slots in the run.
+        len: u32,
         /// Slot → global id.
         ids: &'a IdIndex,
-        /// Number of set bits.
-        count: u32,
-    },
-    /// Delta-varint slots, mapped through `ids`.
-    Deltas {
-        /// Encoded slots.
-        bytes: &'a [u8],
-        /// Slot → global id.
-        ids: &'a IdIndex,
-        /// Number of encoded indices.
-        count: u32,
     },
 }
 
@@ -1459,7 +1399,7 @@ impl<'a> Postings<'a> {
     pub(crate) fn len(&self) -> usize {
         match self {
             Postings::Slice(s) => s.len(),
-            Postings::Bitmap { count, .. } | Postings::Deltas { count, .. } => *count as usize,
+            Postings::Compact { len, .. } => *len as usize,
         }
     }
 
@@ -1467,27 +1407,31 @@ impl<'a> Postings<'a> {
     pub fn iter(&self) -> PostingsIter<'a> {
         match *self {
             Postings::Slice(s) => PostingsIter::Slice(s.iter()),
-            Postings::Bitmap { words, ids, count } => PostingsIter::Bitmap {
-                slots: SetBits::new(words),
+            Postings::Compact { data, len, ids } => PostingsIter::Compact {
+                slots: BlockIter::new(data, len),
                 ids,
-                remaining: count,
             },
-            Postings::Deltas { bytes, ids, count } => PostingsIter::Deltas {
-                bytes,
-                ids,
-                pos: 0,
-                prev: 0,
-                remaining: count,
-            },
+        }
+    }
+
+    /// Appends the ids to `out` in ascending order: an encoded run grows
+    /// `out` once, decodes its slots in place and maps them to ids there.
+    pub fn append_to(&self, out: &mut Vec<VertexId>) {
+        match *self {
+            Postings::Slice(s) => out.extend_from_slice(s),
+            Postings::Compact { data, len, ids } => {
+                let start = out.len();
+                Neighbors::Compact { data, len }.append_to(out);
+                ids.slots_to_ids(&mut out[start..]);
+            }
         }
     }
 
     /// Decodes into an owned `Vec`.
     pub fn to_vec(&self) -> Vec<VertexId> {
-        match *self {
-            Postings::Slice(s) => s.to_vec(),
-            _ => self.iter().collect(),
-        }
+        let mut out = Vec::with_capacity(self.len());
+        self.append_to(&mut out);
+        out
     }
 }
 
@@ -1536,27 +1480,12 @@ impl std::fmt::Debug for Postings<'_> {
 pub enum PostingsIter<'a> {
     /// Slice iteration.
     Slice(std::slice::Iter<'a, VertexId>),
-    /// Bitmap scan (lowest set bit first).
-    Bitmap {
-        /// The bitmap's set bits.
-        slots: SetBits<'a>,
+    /// Block decode of the slots, each mapped to its id.
+    Compact {
+        /// The run's slots.
+        slots: BlockIter<'a>,
         /// Slot → global id.
         ids: &'a IdIndex,
-        /// Set bits left to visit.
-        remaining: u32,
-    },
-    /// Varint decode.
-    Deltas {
-        /// Encoded slots.
-        bytes: &'a [u8],
-        /// Slot → global id.
-        ids: &'a IdIndex,
-        /// Cursor into `bytes`.
-        pos: usize,
-        /// Last decoded slot.
-        prev: u64,
-        /// Slots left to decode.
-        remaining: u32,
     },
 }
 
@@ -1567,46 +1496,18 @@ impl Iterator for PostingsIter<'_> {
     fn next(&mut self) -> Option<VertexId> {
         match self {
             PostingsIter::Slice(it) => it.next().copied(),
-            PostingsIter::Bitmap {
-                slots,
-                ids,
-                remaining,
-            } => {
-                if *remaining == 0 {
-                    return None;
-                }
-                *remaining -= 1;
-                slots.next().map(|slot| ids.id_at(slot))
-            }
-            PostingsIter::Deltas {
-                bytes,
-                ids,
-                pos,
-                prev,
-                remaining,
-            } => {
-                if *remaining == 0 {
-                    return None;
-                }
-                *remaining -= 1;
-                let at_start = *pos == 0;
-                let raw = read_varint(bytes, pos);
-                let slot = if at_start { raw } else { *prev + raw };
-                *prev = slot;
-                Some(ids.id_at(slot as usize))
+            PostingsIter::Compact { slots, ids } => {
+                slots.next().map(|slot| ids.id_at(slot.0 as usize))
             }
         }
     }
 
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = match self {
-            PostingsIter::Slice(it) => it.len(),
-            PostingsIter::Bitmap { remaining, .. } | PostingsIter::Deltas { remaining, .. } => {
-                *remaining as usize
-            }
-        };
-        (n, Some(n))
+        match self {
+            PostingsIter::Slice(it) => it.size_hint(),
+            PostingsIter::Compact { slots, .. } => slots.size_hint(),
+        }
     }
 }
 
@@ -1623,6 +1524,11 @@ mod tests {
         LabelId(x)
     }
 
+    /// Bytes [`push_varint`] emits for `x`: ⌈bits/7⌉, with 0 taking one.
+    fn varint_bytes(x: u64) -> usize {
+        (64 - x.max(1).leading_zeros() as usize).div_ceil(7)
+    }
+
     #[test]
     fn varint_roundtrip() {
         let mut buf = Vec::new();
@@ -1630,7 +1536,7 @@ mod tests {
         for &x in &values {
             buf.clear();
             push_varint(&mut buf, x);
-            assert_eq!(buf.len(), varint_len(x), "len of {x}");
+            assert_eq!(buf.len(), varint_bytes(x), "len of {x}");
             let mut pos = 0;
             assert_eq!(read_varint(&buf, &mut pos), x);
             assert_eq!(pos, buf.len());
@@ -1785,8 +1691,8 @@ mod tests {
         for (&slot, &id) in slots.iter().zip(&ids) {
             assert_eq!(index.id_at(slot), id, "slot {slot}");
         }
-        // Postings over the slots, both representations, decode to the
-        // members carrying each label.
+        // Postings over the slots, a dense label and a sparse one, decode to
+        // the members carrying each label.
         let labels: Vec<LabelId> = (0..ids.len())
             .map(|i| l(if i % 97 == 0 { 1 } else { 0 }))
             .collect();
@@ -1926,19 +1832,166 @@ mod tests {
 
     #[test]
     fn label_index_picks_representation_per_label() {
-        // Label 0 on every vertex (bitmap wins), label 1 on one vertex
-        // (deltas win), label 2 absent (Empty).
+        // Label 0 on every vertex but one, label 1 on that one, label 2
+        // absent: one record each, the empty one included.
         let n = 1000usize;
         let labels: Vec<LabelId> = (0..n).map(|i| if i == 500 { l(1) } else { l(0) }).collect();
         let ids = IdIndex::build((0..n as u64).map(v).collect());
         let idx = CompactLabelIndex::build(&LabelArray::from_labels(3, &labels), 3, &ids);
-        assert!(matches!(idx.lists[0], PostingList::Bitmap { .. }));
-        assert!(matches!(idx.lists[1], PostingList::Deltas { .. }));
-        assert!(matches!(idx.lists[2], PostingList::Empty));
         assert_eq!(idx.frequency(l(0)), n - 1);
         assert_eq!(idx.frequency(l(1)), 1);
         assert_eq!(idx.frequency(l(2)), 0);
-        assert_eq!(idx.lists.len(), 3);
+        assert_eq!(idx.runs.num_vertices(), 3);
+    }
+
+    /// Builds the label index of `labels` (one a vertex of `ids`) over the
+    /// id index of `ids`, and checks each label's postings against a filter
+    /// of the input: the frequency, the iterator (with its exact length at
+    /// every step), the decode into a buffer that already holds an id, and
+    /// `to_vec`.
+    fn check_postings(
+        ids: &[VertexId],
+        labels: &[LabelId],
+        num_labels: usize,
+    ) -> CompactLabelIndex {
+        let index = IdIndex::build(ids.to_vec());
+        let idx = CompactLabelIndex::build(
+            &LabelArray::from_labels(num_labels, labels),
+            num_labels,
+            &index,
+        );
+        assert_eq!(idx.runs.num_vertices(), num_labels);
+        for lab in 0..num_labels as u32 {
+            let want: Vec<VertexId> = (ids.iter().zip(labels))
+                .filter(|&(_, &x)| x == l(lab))
+                .map(|(&id, _)| id)
+                .collect();
+            let got = idx.get(l(lab), &index);
+            assert_eq!(idx.frequency(l(lab)), want.len(), "label {lab}");
+            assert_eq!(got.len(), want.len(), "label {lab}");
+            let mut it = got.iter();
+            for (i, &id) in want.iter().enumerate() {
+                assert_eq!(it.len(), want.len() - i, "label {lab} at {i}");
+                assert_eq!(it.next(), Some(id), "label {lab} at {i}");
+            }
+            assert_eq!((it.len(), it.next()), (0, None));
+            let mut out = vec![v(7)];
+            got.append_to(&mut out);
+            assert_eq!((out[0], &out[1..]), (v(7), &want[..]), "label {lab}");
+            assert_eq!(got.to_vec(), want, "label {lab}");
+        }
+        idx
+    }
+
+    /// `n` ids of each id-index arm: a full strided range, a strided range
+    /// with holes, and sparse ids.
+    fn id_shapes(n: usize) -> [Vec<VertexId>; 3] {
+        let full = (0..n as u64).map(|i| v(3 + (i << 2))).collect();
+        let ranked = (0..u64::MAX)
+            .filter(|i| i % 5 != 3)
+            .take(n)
+            .map(|i| v(7 + (i << 4)))
+            .collect();
+        let mut x = 0x9E37_79B9u64;
+        let mut sparse: Vec<VertexId> = (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                v(x)
+            })
+            .collect();
+        sparse.sort_unstable();
+        let shapes = [full, ranked, sparse];
+        for (shape, arm) in shapes.iter().zip(["full", "ranked", "hashed"]) {
+            let got = match IdIndex::build(shape.clone()) {
+                IdIndex::Full { .. } => "full",
+                IdIndex::Ranked { .. } => "ranked",
+                IdIndex::Hashed { .. } => "hashed",
+            };
+            assert_eq!((shape.len(), got), (n, arm));
+        }
+        shapes
+    }
+
+    /// Labels of 0, 1, 8, 9 and 17 vertices (a first slot and one, full
+    /// and partial gap blocks) round-trip on every id-index arm, each once
+    /// ahead of a long run, whose bytes its block reads overrun, and once as
+    /// the last record of the buffer, where they read a padded copy.
+    #[test]
+    fn postings_round_trip_mid_buffer_and_as_the_last_record() {
+        let counts = [0usize, 1, 8, 9, 17];
+        let n = 1_000;
+        // Each counted label's vertices, then the filler's, shuffled.
+        let mut order: Vec<usize> = (0..counts.len())
+            .flat_map(|k| std::iter::repeat_n(k, counts[k]))
+            .chain(std::iter::repeat_n(
+                counts.len(),
+                n - counts.iter().sum::<usize>(),
+            ))
+            .collect();
+        let mut x = 0x51_7CC1u64;
+        for i in (1..order.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            order.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        for ids in id_shapes(n) {
+            // The filler last: every counted record sits mid-buffer.
+            let labels: Vec<LabelId> = order.iter().map(|&k| l(k as u32)).collect();
+            let idx = check_postings(&ids, &labels, counts.len() + 1);
+            assert!(idx.runs.run(4).0.len() > 2 * WINDOW);
+            // The filler first: the 17-vertex record ends the buffer.
+            let labels: Vec<LabelId> = order
+                .iter()
+                .map(|&k| l(((k + 1) % (counts.len() + 1)) as u32))
+                .collect();
+            let idx = check_postings(&ids, &labels, counts.len() + 1);
+            assert_eq!(idx.frequency(l(counts.len() as u32)), 17);
+            assert!(idx.runs.run(counts.len()).0.len() < WINDOW);
+        }
+    }
+
+    /// A label on every slot and a label on one slot, on every id-index arm.
+    #[test]
+    fn postings_of_every_slot_and_of_one_slot_round_trip() {
+        for n in [64, 65, 1_000] {
+            for ids in id_shapes(n) {
+                check_postings(&ids, &vec![l(1); n], 3);
+                for one in [0, n / 2, n - 1] {
+                    let labels: Vec<LabelId> = (0..n).map(|i| l(u32::from(i == one))).collect();
+                    check_postings(&ids, &labels, 2);
+                }
+            }
+        }
+    }
+
+    /// The decode into a buffer yields what the iterator yields, label by
+    /// label, on every id-index arm.
+    #[test]
+    fn postings_decode_into_a_buffer_equals_the_iterator() {
+        let mut x = 0xC0FFEEu64;
+        for ids in id_shapes(3_000) {
+            let labels: Vec<LabelId> = (0..ids.len())
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    // Skewed: label 0 on half, 1 on a quarter, …
+                    l(x.trailing_zeros().min(9))
+                })
+                .collect();
+            let idx = check_postings(&ids, &labels, 12);
+            let index = IdIndex::build(ids.clone());
+            let mut buf = Vec::new();
+            for lab in 0..12 {
+                let postings = idx.get(l(lab), &index);
+                buf.clear();
+                postings.append_to(&mut buf);
+                assert_eq!(buf, postings.iter().collect::<Vec<_>>(), "label {lab}");
+            }
+        }
     }
 
     #[test]
@@ -1972,7 +2025,7 @@ mod tests {
             let ids = IdIndex::build(vec![v(1), v(2)]);
             let labels = LabelArray::from_labels(2, &[l(5), l(1)]);
             let idx = CompactLabelIndex::build(&labels, 2, &ids);
-            assert_eq!(idx.lists.len(), 2, "label space must not grow");
+            assert_eq!(idx.runs.num_vertices(), 2, "label space must not grow");
             assert_eq!(idx.frequency(l(5)), 0);
             assert_eq!(idx.frequency(l(0)), 0);
             assert_eq!(idx.get(l(1), &ids), &[v(2)]);
@@ -2161,7 +2214,7 @@ mod tests {
     /// and each gap minus one at the width of the block's widest.
     fn spec_len(run: &[u64]) -> usize {
         let Some((&first, _)) = run.split_first() else {
-            return varint_len(0);
+            return varint_bytes(0);
         };
         let gaps: Vec<u64> = run.windows(2).map(|w| w[1] - w[0] - 1).collect();
         let blocks: usize = gaps
@@ -2171,7 +2224,7 @@ mod tests {
                 1 + (b.len() * w).div_ceil(8)
             })
             .sum();
-        varint_len(run.len() as u64) + varint_len(first) + blocks
+        varint_bytes(run.len() as u64) + varint_bytes(first) + blocks
     }
 
     /// Encodes each run twice — once followed by a long run, so its block

@@ -12,8 +12,8 @@ use crate::loader::StreamLoader;
 /// one, [`StorageTier::Compact`] (`crate::compact`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageTier {
-    /// Block-packed CSR, bitmap-or-delta postings, width-picked labels and
-    /// the id index.
+    /// Block-packed CSR, label postings in the same codec, width-picked
+    /// labels and the id index.
     Compact,
 }
 

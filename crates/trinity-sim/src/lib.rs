@@ -16,8 +16,8 @@
 //!   when it has holes, an open-addressed map over the sorted ids
 //!   otherwise;
 //! * the per-machine **string index** mapping labels to local vertex IDs
-//!   (`compact::CompactLabelIndex`, bitmap or delta-varint per label) —
-//!   the only index the approach uses;
+//!   (`compact::CompactLabelIndex`, one block-packed run of slots per
+//!   label, in the adjacency's codec) — the only index the approach uses;
 //! * a **candidate-pruning index**: per-vertex neighborhood-label
 //!   signatures ([`neighbor_index::NeighborLabelIndex`]), built in the same
 //!   pass;

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Lists every `pub` fn/struct/enum/trait/const/type of the library sources
-# of crates/core, crates/trinity-sim and crates/bench whose name appears
-# nowhere outside that library: not in another crate's sources, tests/,
-# crates/*/tests/, examples/, benchmark/src, nor in the crate's own binaries
-# (src/bin, such as bench's `experiments`). Such an item is `pub` by habit,
-# which hides it from rustc's `dead_code` lint; narrow it to `pub(crate)`
-# (or delete it).
+# of crates/core, crates/trinity-sim, crates/bench, crates/graph-gen and
+# crates/baselines whose name appears nowhere outside that library: not in
+# another crate's sources, tests/, crates/*/tests/, examples/,
+# benchmark/src, nor in the crate's own binaries (src/bin, such as bench's
+# `experiments`). Such an item is `pub` by habit, which hides it from
+# rustc's `dead_code` lint; narrow it to `pub(crate)` (or delete it).
 #
 # A type a public signature exposes (as a return, argument, bound or field
 # type) must stay `pub` although no caller names it: those are listed, one
@@ -19,7 +19,7 @@ cd "$here/.."
 
 allow="$(grep -v '^#' scripts/pub_allowlist.txt | grep -v '^$' || true)"
 found=0
-for crate in core trinity-sim bench; do
+for crate in core trinity-sim bench graph-gen baselines; do
     lib="crates/$crate/src"
     names="$(grep -rhoE --include='*.rs' --exclude-dir=bin \
         '^\s*pub (const |unsafe )?(fn|struct|enum|trait|const|type) [A-Za-z_][A-Za-z0-9_]*' "$lib" \

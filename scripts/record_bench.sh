@@ -4,6 +4,7 @@
 #
 #   scripts/record_bench.sh <pr> [seconds]
 #   scripts/record_bench.sh --check
+#   scripts/record_bench.sh --tree [<rev>]
 #
 # For each workload BENCHMARK.json declares, runs
 # `benchmark/run.sh --workload <name> --seed 1 --seconds <seconds> --trace 0`
@@ -11,7 +12,7 @@
 # traced run, `--seed 1 --seconds 2 --trace 1` (the length CI runs), and
 # appends
 #
-#   {"pr", "rev", "workload", "nproc", "host_noise_frac", "sequence_hash",
+#   {"pr", "rev", "tree", "workload", "nproc", "host_noise_frac", "sequence_hash",
 #    "exact": {<name>: <value>, ...},
 #    "runs": 3,
 #    "spread": {<end-to-end metric>: {"median", "min", "max"}, ...},
@@ -47,9 +48,16 @@
 # concatenation, so no JSON parser is needed to write it
 # (`python3 -m json.tool BENCH_TRAJECTORY.json` checks it). `rev` is the
 # checked-out commit, suffixed `-dirty` when the tree has changes on top.
+# `tree` names the files the rows were measured on: the tree `git
+# write-tree` gives for the checkout as `git add -A` would stage it, less
+# BENCH_TRAJECTORY.json itself (a row cannot name a tree that holds it),
+# written through a temporary index so the real one is untouched.
+# `--tree` prints that hash for the checkout, and `--tree <rev>` for a
+# commit: once the recorded checkout is committed unchanged,
+# `scripts/record_bench.sh --tree HEAD` prints the rows' "tree".
 set -euo pipefail
 
-usage='usage: scripts/record_bench.sh <pr> [seconds] | --check'
+usage='usage: scripts/record_bench.sh <pr> [seconds] | --check | --tree [<rev>]'
 pr="${1:?$usage}"
 seconds="${2:-20}"
 
@@ -57,6 +65,27 @@ here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 cd "$here/.."
 
 file=BENCH_TRAJECTORY.json
+
+# The tree of the checkout, or of commit $1 when given, less $file.
+tree_of() {
+    local index
+    index="$(mktemp)"
+    if [ $# -eq 0 ]; then
+        cp "$(git rev-parse --git-path index)" "$index"
+        GIT_INDEX_FILE="$index" git add -A
+    else
+        GIT_INDEX_FILE="$index" git read-tree "$1"
+    fi
+    GIT_INDEX_FILE="$index" git rm -q --cached --ignore-unmatch "$file" > /dev/null
+    GIT_INDEX_FILE="$index" git write-tree
+    rm -f "$index"
+}
+
+if [ "$pr" = --tree ]; then
+    tree_of ${2:+"$2"}
+    exit
+fi
+
 workloads="$(grep -o '{"name": "[^"]*", "why"' BENCHMARK.json | cut -d'"' -f4)"
 
 traces=target/record_bench
@@ -99,6 +128,7 @@ sys.exit(1 if bad else 0)
 fi
 
 rev="$(git describe --always --dirty --abbrev=7)"
+tree="$(tree_of)"
 cpus="$(nproc)"
 runs=3
 rows=()
@@ -108,9 +138,9 @@ for workload in $workloads; do
         outs+=("$(benchmark/run.sh --workload "$workload" --seed 1 --seconds "$seconds" --trace 0)")
     done
     exact="$(exact_lines "$workload" | awk '{ printf "%s\"%s\": %s", (NR > 1 ? ", " : ""), $1, $2 }')"
-    rows+=("$(python3 - "$pr" "$rev" "$workload" "$cpus" "{$exact}" "${outs[@]}" <<'PY'
+    rows+=("$(python3 - "$pr" "$rev" "$tree" "$workload" "$cpus" "{$exact}" "${outs[@]}" <<'PY'
 import json, statistics, sys
-pr, rev, workload, nproc, exact, *outs = sys.argv[1:]
+pr, rev, tree, workload, nproc, exact, *outs = sys.argv[1:]
 runs = []
 for out in outs:
     lines = out.strip().splitlines()
@@ -127,7 +157,7 @@ for name in runs[0][1]["metrics"]:
 by_throughput = sorted(runs, key=lambda run: value(run[1], "throughput_qps"))
 fields, result = by_throughput[len(runs) // 2]
 print(json.dumps({
-    "pr": pr, "rev": rev, "workload": workload, "nproc": int(nproc),
+    "pr": pr, "rev": rev, "tree": tree, "workload": workload, "nproc": int(nproc),
     "host_noise_frac": float(fields["host_noise_frac"]),
     "sequence_hash": fields["sequence_hash"], "exact": json.loads(exact),
     "runs": len(runs), "spread": spread, "result": result,
