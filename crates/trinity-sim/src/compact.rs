@@ -1299,7 +1299,7 @@ impl CompactLabelIndex {
         debug_assert_eq!(labels.len(), ids.len(), "one label per indexed id");
         // Slots stage as `u32` while every slot fits one, as the loader
         // stages ids.
-        let runs = if ids.slot_space() <= 1 << 32 {
+        let runs = if u32::try_from(ids.slot_space()).is_ok() {
             label_runs(labels, num_labels, ids, |slot| slot as u32)
         } else {
             label_runs(labels, num_labels, ids, |slot| slot as u64)
