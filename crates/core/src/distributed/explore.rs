@@ -654,13 +654,13 @@ fn local_roots(
     bindings: &Bindings,
     config: &MatchConfig,
 ) -> Vec<VertexId> {
-    let postings = cloud.get_ids(k, query.label(stwig.root));
+    let mut roots = cloud.get_ids(k, query.label(stwig.root)).to_vec();
     if config.use_bindings {
         if let Some(bound) = bindings.get(stwig.root) {
-            return postings.iter().filter(|v| bound.contains(v)).collect();
+            roots.retain(|v| bound.contains(v));
         }
     }
-    postings.to_vec()
+    roots
 }
 
 #[cfg(test)]

@@ -141,10 +141,13 @@ pub(crate) fn explore(
                     _ => Some(shared.get_or_init(|| {
                         let mut map = FxHashMap::default();
                         map.reserve(carriers as usize);
+                        // Each label is decoded whole into one buffer, then mapped.
+                        let carrying = &mut frontier.postings;
                         for owner in cloud.machines() {
                             for &label in child_labels {
-                                let carrying = cloud.get_ids(owner, label);
-                                map.extend(carrying.iter().map(|id| (id, label.0)));
+                                carrying.clear();
+                                cloud.get_ids(owner, label).append_to(carrying);
+                                map.extend(carrying.iter().map(|&id| (id, label.0)));
                             }
                         }
                         resolution.postings_entries = map.len() as u64;
@@ -414,8 +417,8 @@ struct Frontier {
     /// slot of each distinct remote neighbor, in first-appearance order —
     /// the dedup insert.
     slot_of: FxHashMap<VertexId, u32>,
-    /// Postings side: one of the own machine's labels, decoded whole before
-    /// its ids are filed in `slot_of`.
+    /// Postings side: one label's postings, decoded whole before its ids are
+    /// filed in `slot_of` (or, under `DirectRead`, in the shared map).
     postings: Vec<VertexId>,
     /// Asking side: label per remote slot; [`NO_LABEL`] until its owner
     /// answers.
@@ -513,7 +516,8 @@ impl Frontier {
                 for &label in child_labels {
                     self.postings.clear();
                     cloud.get_ids(machine, label).append_to(&mut self.postings);
-                    (self.slot_of).extend(self.postings.iter().map(|&id| (id, label.0)));
+                    self.slot_of
+                        .extend(self.postings.iter().map(|&id| (id, label.0)));
                 }
                 continue;
             }

@@ -1102,17 +1102,6 @@ impl IdIndex {
         self.len() == 0
     }
 
-    /// One past the highest slot.
-    pub(crate) fn slot_space(&self) -> usize {
-        match self {
-            IdIndex::Full { len, .. } => *len,
-            IdIndex::Ranked { words, .. } => words.last().map_or(0, |last| {
-                (words.len() - 1) * 64 + 64 - last.leading_zeros() as usize
-            }),
-            IdIndex::Hashed { ids, .. } => ids.len(),
-        }
-    }
-
     /// The local index of `id`, or `None` when it is not indexed.
     #[inline]
     pub(crate) fn local_of(&self, id: VertexId) -> Option<usize> {
@@ -1295,16 +1284,44 @@ impl CompactLabelIndex {
     /// label-space size. A label outside it is dropped — the vertex is not
     /// indexed under it, and the label space never grows with the data —
     /// and flagged with a `debug_assert`.
+    ///
+    /// One counting sort: a pass counts the labels, a pass places every slot
+    /// at its label's cursor (slots ascend, so each label's run comes out
+    /// sorted), and each label's run is encoded in label order.
     pub(crate) fn build(labels: &LabelArray, num_labels: usize, ids: &IdIndex) -> Self {
         debug_assert_eq!(labels.len(), ids.len(), "one label per indexed id");
-        // Slots stage as `u32` while every slot fits one, as the loader
-        // stages ids.
-        let runs = if u32::try_from(ids.slot_space()).is_ok() {
-            label_runs(labels, num_labels, ids, |slot| slot as u32)
-        } else {
-            label_runs(labels, num_labels, ids, |slot| slot as u64)
-        };
-        CompactLabelIndex { runs }
+        // `ends[l]` is first label `l`'s count, then its run's start, and
+        // after placement its run's end.
+        let mut ends = vec![0usize; num_labels];
+        for (local, l) in labels.iter().enumerate() {
+            match ends.get_mut(l.index()) {
+                Some(count) => *count += 1,
+                None => debug_assert!(
+                    false,
+                    "label {l:?} of local vertex {local} is outside the declared label space ({num_labels} labels)"
+                ),
+            }
+        }
+        let mut total = 0;
+        for end in &mut ends {
+            (*end, total) = (total, total + *end);
+        }
+        let mut staged = vec![0u64; total];
+        for (slot, l) in ids.slots().zip(labels.iter()) {
+            if let Some(at) = ends.get_mut(l.index()) {
+                staged[*at] = slot as u64;
+                *at += 1;
+            }
+        }
+        let mut builder = CompactCsrBuilder::with_capacity(num_labels);
+        let mut start = 0;
+        for &end in &ends {
+            builder.push_run(&staged[start..end]);
+            start = end;
+        }
+        CompactLabelIndex {
+            runs: builder.finish(),
+        }
     }
 
     /// The postings of `label`, decoded against `ids` (the id index the
@@ -1331,48 +1348,6 @@ impl CompactLabelIndex {
     pub(crate) fn memory_bytes(&self) -> usize {
         self.runs.memory_bytes()
     }
-}
-
-/// The label runs of [`CompactLabelIndex::build`], each label's slots staged
-/// through `stage`: one pass counts the labels, one places every slot at
-/// its label's cursor (slots ascend, so each label's run comes out sorted),
-/// and each label's run is encoded in label order.
-fn label_runs<T: Copy + Ord + Into<u64>>(
-    labels: &LabelArray,
-    num_labels: usize,
-    ids: &IdIndex,
-    stage: impl Fn(usize) -> T,
-) -> CompactCsr {
-    // `ends[l]` is first label `l`'s count, then its run's start, and after
-    // placement its run's end.
-    let mut ends = vec![0usize; num_labels];
-    for (local, l) in labels.iter().enumerate() {
-        match ends.get_mut(l.index()) {
-            Some(count) => *count += 1,
-            None => debug_assert!(
-                false,
-                "label {l:?} of local vertex {local} is outside the declared label space ({num_labels} labels)"
-            ),
-        }
-    }
-    let mut total = 0;
-    for end in &mut ends {
-        (*end, total) = (total, total + *end);
-    }
-    let mut staged = vec![stage(0); total];
-    for (slot, l) in ids.slots().zip(labels.iter()) {
-        if let Some(at) = ends.get_mut(l.index()) {
-            staged[*at] = stage(slot);
-            *at += 1;
-        }
-    }
-    let mut builder = CompactCsrBuilder::with_capacity(num_labels);
-    let mut start = 0;
-    for &end in &ends {
-        builder.push_run(&staged[start..end]);
-        start = end;
-    }
-    builder.finish()
 }
 
 /// A zero-copy view of one label's local postings, decoded to sorted global
@@ -1683,11 +1658,10 @@ mod tests {
             assert_eq!(index.local_of(v(id)), want, "probe {id}");
         }
 
-        // Slots ascend, stay inside the slot space, and decode to the ids.
+        // Slots ascend and decode to the ids.
         let slots: Vec<usize> = index.slots().collect();
         assert_eq!(slots.len(), ids.len());
         assert!(slots.windows(2).all(|w| w[0] < w[1]));
-        assert!(slots.last().map_or(0, |s| s + 1) == index.slot_space());
         for (&slot, &id) in slots.iter().zip(&ids) {
             assert_eq!(index.id_at(slot), id, "slot {slot}");
         }
@@ -1804,7 +1778,6 @@ mod tests {
             ranks,
         };
         assert_eq!(full.len(), ranked.len());
-        assert_eq!(full.slot_space(), ranked.slot_space());
         assert_eq!(
             full.slots().collect::<Vec<_>>(),
             ranked.slots().collect::<Vec<_>>()
@@ -1831,7 +1804,7 @@ mod tests {
     }
 
     #[test]
-    fn label_index_picks_representation_per_label() {
+    fn label_index_has_one_record_per_label_with_its_frequency() {
         // Label 0 on every vertex but one, label 1 on that one, label 2
         // absent: one record each, the empty one included.
         let n = 1000usize;
