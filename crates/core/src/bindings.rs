@@ -5,10 +5,14 @@
 //! these sets to restrict root candidates and filter children, which is the
 //! exploration-side pruning that replaces most of the join work.
 
-use crate::hash::VertexSet;
 use crate::query::QVid;
 use crate::table::ResultTable;
+use trinity_sim::hash::FxHashSet;
 use trinity_sim::ids::VertexId;
+
+/// A set of data vertices, as stored in binding sets and used to filter
+/// candidates on the exploration hot path.
+pub(crate) type VertexSet = FxHashSet<VertexId>;
 
 /// Per-query-vertex binding sets. `None` means the vertex is still unbound
 /// (any data vertex with the right label is eligible).

@@ -174,7 +174,6 @@
 
 use crate::distributed::QueryPlan;
 use crate::error::StwigError;
-use crate::hash::{FxHashMap, FxHasher};
 use crate::join::BuildIndex;
 use crate::metrics::CacheStats;
 use crate::query::{QVid, QueryGraph};
@@ -184,6 +183,7 @@ use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::mem::size_of;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
+use trinity_sim::hash::{FxHashMap, FxHasher};
 use trinity_sim::ids::{LabelId, MachineId, VertexId};
 use trinity_sim::MemoryCloud;
 

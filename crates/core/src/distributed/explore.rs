@@ -6,13 +6,13 @@
 use super::link::Link;
 use super::plan::QueryPlan;
 use crate::bindings::Bindings;
+use crate::bindings::VertexSet;
 use crate::cache::{
     canonicalize_table, splice_roots, CacheLookup, CachedStwig, CachedTables, StwigCache,
     StwigShape,
 };
 use crate::config::MatchConfig;
 use crate::error::StwigError;
-use crate::hash::VertexSet;
 use crate::matcher::{explore, Resolution, SharedPostings};
 use crate::metrics::{ExploreCounters, FaultCounters, MachineMetrics, QueryMetrics};
 use crate::query::{QVid, QueryGraph};

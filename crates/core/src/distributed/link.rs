@@ -6,10 +6,10 @@
 
 use super::explore::StwigTableSet;
 use super::plan::QueryPlan;
+use crate::bindings::VertexSet;
 use crate::cache::RkMemo;
 use crate::config::{MatchConfig, TransportMode};
 use crate::error::StwigError;
-use crate::hash::VertexSet;
 use crate::head::load_set;
 use crate::matcher::{Mode, SharedPostings};
 use crate::metrics::FaultCounters;

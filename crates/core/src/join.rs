@@ -2,11 +2,13 @@
 //! sample-based join-cardinality estimation and greedy join-order selection.
 //!
 //! The join is the per-row hot path of the whole matcher, so the build and
-//! probe sides avoid heap allocation: the shared-column key is a bare `u64`
-//! when one column is shared (the common case for STwig decompositions), a
-//! stack-allocated `InlineKey` for 2–4 shared columns, and only degrades to
-//! a `Vec` key beyond that. The build index is a chained hash index —
-//! one pre-sized map from key to chain head/tail plus one pre-sized `next`
+//! probe sides avoid heap allocation: whatever the number of shared columns,
+//! a row's key is one `u64` ([`join_key`]) — the bare vertex id when one
+//! column is shared (the common case for STwig decompositions), the values
+//! folded into one word when more are, and `0` when none is. A probe skips a
+//! chain row whose shared values differ from its own, so keys that fold
+//! alike never join. The build index is a chained hash index — one
+//! pre-sized map from key to chain head/tail plus one pre-sized `next`
 //! array — so building it performs no per-row allocation either.
 //!
 //! The build side is a `table::RowRuns`: row runs read where they lie,
@@ -17,14 +19,13 @@
 //! query.
 
 use crate::cache::RkMemo;
-use crate::hash::{FxHashMap, InlineKey, INLINE_KEY_COLUMNS};
 use crate::metrics::JoinCounters;
 use crate::query::QVid;
 use crate::stream::{QueryControl, ResultSink};
 use crate::table::{ResultTable, RowRuns};
 use std::collections::hash_map::Entry;
-use std::hash::Hash;
 use std::sync::Arc;
+use trinity_sim::hash::FxHashMap;
 use trinity_sim::ids::VertexId;
 
 /// Output rows between cooperative deadline/cancel checks inside one probe
@@ -34,61 +35,87 @@ use trinity_sim::ids::VertexId;
 /// branch.
 const CONTROL_CHECK_JOIN_ROWS: u64 = 256;
 
-/// Sentinel terminating a row chain in [`ChainedIndex`].
+/// Sentinel terminating a row chain in a [`BuildIndex`].
 const NO_ROW: u32 = u32::MAX;
 
-/// A chained hash index over the rows of a build-side table: `map` points at
-/// the first and last row of each key's chain and `next` links rows with the
-/// same key in insertion (ascending) order.
-pub(crate) struct ChainedIndex<K> {
-    map: FxHashMap<K, (u32, u32)>,
+/// Odd multiplier folding a later key column into a join key: the 64-bit
+/// golden-ratio constant, as in the Fx hash.
+const FOLD: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The join key of `row` on `cols`: the first value, folded with each later
+/// one as `(key.rotate_left(5) ^ v).wrapping_mul(FOLD)`; `0` for no columns.
+/// A one-column key is the vertex id itself, so it is exact; keys on two or
+/// more columns may fold alike, and the probe checks the values themselves.
+#[inline]
+pub(crate) fn join_key(row: &[VertexId], cols: &[usize]) -> u64 {
+    let Some((&first, rest)) = cols.split_first() else {
+        return 0;
+    };
+    (rest.iter()).fold(row[first].0, |key, &c| {
+        (key.rotate_left(5) ^ row[c].0).wrapping_mul(FOLD)
+    })
+}
+
+/// A chained hash index over the rows of a build side on its shared
+/// columns: `map` points at the first and last row of each [`join_key`]'s
+/// chain and `next` links rows with the same key in insertion (ascending)
+/// order. With no shared column every row is in the one chain under key
+/// `0`: the cartesian product.
+pub(crate) struct BuildIndex {
+    map: FxHashMap<u64, (u32, u32)>,
     next: Vec<u32>,
 }
 
-impl<K: Hash + Eq> ChainedIndex<K> {
-    /// An empty index over `rows` rows whose key map starts with room for
-    /// `keys` keys. An index used once is sized for a key per row, so that
-    /// inserting never rehashes; one that stays resident starts empty and
-    /// grows to its distinct keys — a slot per row would cost 41 B a row
-    /// where most rows share their key with others.
-    fn with_rows(rows: usize, keys: usize) -> Self {
+impl BuildIndex {
+    /// Indexes `right` on `key_cols` (its positions of the shared columns).
+    /// An index used once sizes its key map for a key per row, so that
+    /// inserting never rehashes; a `resident` one, which outlives the query,
+    /// starts empty and grows to its distinct keys — a slot per row would
+    /// cost 41 B a row where most rows share their key with others.
+    pub(crate) fn build(right: &RowRuns<'_>, key_cols: &[usize], resident: bool) -> BuildIndex {
+        let rows = right.num_rows();
         assert!(
             rows < NO_ROW as usize,
             "build side exceeds u32 row indexing"
         );
-        ChainedIndex {
+        let keys = if resident || key_cols.is_empty() {
+            0
+        } else {
+            rows
+        };
+        let mut index = BuildIndex {
             map: FxHashMap::with_capacity_and_hasher(keys, Default::default()),
             next: vec![NO_ROW; rows],
+        };
+        for (ri, row) in right.rows().enumerate() {
+            let ri = ri as u32;
+            match index.map.entry(join_key(row, key_cols)) {
+                Entry::Occupied(mut e) => {
+                    let (_, tail) = e.get_mut();
+                    index.next[*tail as usize] = ri;
+                    *tail = ri;
+                }
+                Entry::Vacant(e) => {
+                    e.insert((ri, ri));
+                }
+            }
         }
+        index
     }
 
     /// Heap bytes held: the chain links plus the key map's buckets (entry
     /// and control byte each; `capacity` is 7/8 of the buckets).
-    fn memory_bytes(&self) -> usize {
-        let bucket = std::mem::size_of::<(K, (u32, u32))>() + 1;
+    pub(crate) fn memory_bytes(&self) -> usize {
+        let bucket = std::mem::size_of::<(u64, (u32, u32))>() + 1;
         self.next.len() * std::mem::size_of::<u32>() + self.map.capacity() * 8 / 7 * bucket
-    }
-
-    #[inline]
-    fn insert(&mut self, key: K, row: u32) {
-        match self.map.entry(key) {
-            Entry::Occupied(mut e) => {
-                let (_, tail) = e.get_mut();
-                self.next[*tail as usize] = row;
-                *tail = row;
-            }
-            Entry::Vacant(e) => {
-                e.insert((row, row));
-            }
-        }
     }
 
     /// Iterates the rows stored under `key` in insertion order.
     #[inline]
-    fn probe(&self, key: &K) -> ChainIter<'_> {
+    fn probe(&self, key: u64) -> ChainIter<'_> {
         ChainIter {
             next: &self.next,
-            cur: self.map.get(key).map_or(NO_ROW, |&(head, _)| head),
+            cur: self.map.get(&key).map_or(NO_ROW, |&(head, _)| head),
         }
     }
 }
@@ -122,44 +149,6 @@ fn shared_columns(left_columns: &[QVid], right: &RowRuns<'_>) -> Vec<(usize, usi
         .collect()
 }
 
-/// The build-side hash index, pre-built over the shared columns at one of
-/// the three key widths [`hash_join`] monomorphizes over.
-pub(crate) enum BuildIndex {
-    /// No shared column: cartesian product, nothing to index.
-    Cross,
-    Single(ChainedIndex<u64>),
-    Inline(ChainedIndex<InlineKey>),
-    Wide(ChainedIndex<Vec<VertexId>>),
-}
-
-impl BuildIndex {
-    /// Indexes `right` on `key_cols` (its positions of the shared columns).
-    /// `resident` says the index will outlive the query (see
-    /// [`ChainedIndex::with_rows`]).
-    pub(crate) fn build(right: &RowRuns<'_>, key_cols: &[usize], resident: bool) -> BuildIndex {
-        match key_cols {
-            [] => BuildIndex::Cross,
-            &[rc] => BuildIndex::Single(build_index(right, resident, |row| row[rc].0)),
-            _ if key_cols.len() <= INLINE_KEY_COLUMNS => {
-                BuildIndex::Inline(build_index(right, resident, |row| {
-                    InlineKey::from_row(row, key_cols)
-                }))
-            }
-            _ => BuildIndex::Wide(build_index(right, resident, |row| wide_key(row, key_cols))),
-        }
-    }
-
-    /// Heap bytes held (a `Vec` key's own buffer is not counted).
-    pub(crate) fn memory_bytes(&self) -> usize {
-        match self {
-            BuildIndex::Cross => 0,
-            BuildIndex::Single(index) => index.memory_bytes(),
-            BuildIndex::Inline(index) => index.memory_bytes(),
-            BuildIndex::Wide(index) => index.memory_bytes(),
-        }
-    }
-}
-
 /// A hash join whose build side has been indexed once and is probed by left
 /// rows of one column schema.
 ///
@@ -172,6 +161,8 @@ pub struct PreparedJoin<'a> {
     right: RowRuns<'a>,
     /// Left-row positions of the shared columns, in left-schema order.
     left_cols: Vec<usize>,
+    /// Right-row positions of the same columns, pairwise with `left_cols`.
+    right_cols: Vec<usize>,
     /// Right-side columns that are not shared (appended to the output).
     right_extra: Vec<usize>,
     index: IndexRef,
@@ -236,6 +227,7 @@ impl<'a> PreparedJoin<'a> {
         PreparedJoin {
             right,
             left_cols,
+            right_cols,
             right_extra,
             index,
         }
@@ -249,11 +241,6 @@ impl<'a> PreparedJoin<'a> {
         columns.extend(self.right_extra.iter().map(|&ri| self.right.columns()[ri]));
         columns
     }
-}
-
-/// The `Vec` key of a join on more than [`INLINE_KEY_COLUMNS`] columns.
-fn wide_key(row: &[VertexId], columns: &[usize]) -> Vec<VertexId> {
-    columns.iter().map(|&c| row[c]).collect()
 }
 
 /// One depth-first probe chain through prepared joins: a single row buffer
@@ -319,26 +306,17 @@ impl<'a, S: ResultSink + ?Sized> ProbeChain<'a, S> {
 
     /// Probes level `depth` with the `len`-value prefix of the row buffer.
     /// The key is taken before the buffer is extended, and the chain it
-    /// selects borrows the level, not the buffer.
+    /// selects borrows the level, not the buffer. A chain row whose shared
+    /// values differ from the prefix's (a key that folded alike) is skipped.
     fn probe(&mut self, depth: usize, len: usize) -> bool {
         let join = &self.levels[depth];
         self.deepest = self.deepest.max(depth as u64 + 1);
-        let right = &join.right;
-        match &*join.index {
-            BuildIndex::Cross => right.rows().all(|rrow| self.extend(depth, len, rrow)),
-            BuildIndex::Single(index) => {
-                let key = self.row[join.left_cols[0]].0;
-                (index.probe(&key)).all(|ri| self.extend(depth, len, right.row(ri)))
-            }
-            BuildIndex::Inline(index) => {
-                let key = InlineKey::from_row(&self.row, &join.left_cols);
-                (index.probe(&key)).all(|ri| self.extend(depth, len, right.row(ri)))
-            }
-            BuildIndex::Wide(index) => {
-                let key = wide_key(&self.row, &join.left_cols);
-                (index.probe(&key)).all(|ri| self.extend(depth, len, right.row(ri)))
-            }
-        }
+        let key = join_key(&self.row, &join.left_cols);
+        join.index.probe(key).all(|ri| {
+            let rrow = join.right.row(ri);
+            let same = |(&lc, &rc): (&usize, &usize)| self.row[lc] == rrow[rc];
+            !join.left_cols.iter().zip(&join.right_cols).all(same) || self.extend(depth, len, rrow)
+        })
     }
 
     /// Appends `rrow`'s extra values to the `len`-value prefix — unless one
@@ -375,20 +353,6 @@ impl<'a, S: ResultSink + ?Sized> ProbeChain<'a, S> {
     }
 }
 
-/// Builds a chained hash index over `right`.
-fn build_index<K, F>(right: &RowRuns<'_>, resident: bool, key: F) -> ChainedIndex<K>
-where
-    K: Hash + Eq,
-    F: Fn(&[VertexId]) -> K,
-{
-    let rows = right.num_rows();
-    let mut index = ChainedIndex::with_rows(rows, if resident { 0 } else { rows });
-    for (ri, row) in right.rows().enumerate() {
-        index.insert(key(row), ri as u32);
-    }
-    index
-}
-
 /// Hash-joins two tables on their shared columns (natural join).
 ///
 /// * Output columns are `left`'s columns followed by `right`'s non-shared
@@ -404,10 +368,9 @@ where
 /// are tested against the row they extend, so a repeat *within* a left row
 /// goes unnoticed (debug builds assert it).
 ///
-/// With exactly one shared column the key is a bare `u64` and neither side
-/// allocates per row; 2–4 shared columns use a stack `InlineKey`; only a
-/// wider overlap falls back to `Vec` keys. This is a one-level `ProbeChain`;
-/// the pipelined join runs one chain through all its [`PreparedJoin`]s.
+/// The key is one `u64` on any number of shared columns, so neither side
+/// allocates per row. This is a one-level `ProbeChain`; the pipelined join
+/// runs one chain through all its [`PreparedJoin`]s.
 pub fn hash_join(
     left: &ResultTable,
     right: &ResultTable,
@@ -433,7 +396,9 @@ pub fn hash_join(
 /// Estimates the number of rows `left ⨝ right` would produce, by sampling up
 /// to `sample_size` rows of `left` and probing a per-key count table of
 /// `right` built on the shared columns (the sample-based method of
-/// [Garcia-Molina et al.]). Uses the same fixed-width keys as [`hash_join`].
+/// [Garcia-Molina et al.]). Counts by the [`join_key`] [`hash_join`] probes
+/// with, so rows whose keys fold alike count together: exact on one shared
+/// column, at worst an over-estimate on more.
 pub(crate) fn estimate_join_size(
     left: &RowRuns<'_>,
     right: &RowRuns<'_>,
@@ -442,53 +407,19 @@ pub(crate) fn estimate_join_size(
     if left.is_empty() || right.is_empty() {
         return 0.0;
     }
-    let shared = shared_columns(left.columns(), right);
-    match shared.len() {
-        0 => {
-            // Cartesian product.
-            left.num_rows() as f64 * right.num_rows() as f64
-        }
-        1 => {
-            let (lc, rc) = shared[0];
-            estimate_keyed(left, right, sample_size, |row| row[lc].0, |row| row[rc].0)
-        }
-        2..=INLINE_KEY_COLUMNS => {
-            let left_cols: Vec<usize> = shared.iter().map(|&(lc, _)| lc).collect();
-            let right_cols: Vec<usize> = shared.iter().map(|&(_, rc)| rc).collect();
-            estimate_keyed(
-                left,
-                right,
-                sample_size,
-                |row| InlineKey::from_row(row, &left_cols),
-                |row| InlineKey::from_row(row, &right_cols),
-            )
-        }
-        _ => {
-            let left_cols: Vec<usize> = shared.iter().map(|&(lc, _)| lc).collect();
-            let right_cols: Vec<usize> = shared.iter().map(|&(_, rc)| rc).collect();
-            estimate_keyed(
-                left,
-                right,
-                sample_size,
-                |row| wide_key(row, &left_cols),
-                |row| wide_key(row, &right_cols),
-            )
-        }
-    }
+    let (left_cols, right_cols): (Vec<usize>, Vec<usize>) =
+        shared_columns(left.columns(), right).into_iter().unzip();
+    estimate_keyed(left, right, sample_size, &left_cols, &right_cols)
 }
 
-fn estimate_keyed<K, LK, RK>(
+/// [`estimate_join_size`] on the given key columns of each side.
+fn estimate_keyed(
     left: &RowRuns<'_>,
     right: &RowRuns<'_>,
     sample_size: usize,
-    left_key: LK,
-    right_key: RK,
-) -> f64
-where
-    K: Hash + Eq,
-    LK: Fn(&[VertexId]) -> K,
-    RK: Fn(&[VertexId]) -> K,
-{
+    left_cols: &[usize],
+    right_cols: &[usize],
+) -> f64 {
     // Count right rows per key — over a stratified sample of the right side
     // when it is large (estimation sits on the per-machine join path of
     // every query, so a full build per candidate pair would cost more than
@@ -504,12 +435,14 @@ where
     let rn = right.num_rows();
     let build_cap = sample_size.max(1).saturating_mul(8).max(512);
     let rstep = rn.div_ceil(build_cap).max(1);
-    let mut key_counts: FxHashMap<K, u64> =
+    let mut key_counts: FxHashMap<u64, u64> =
         FxHashMap::with_capacity_and_hasher(rn.min(build_cap) + 1, Default::default());
     let mut rsampled = 0u64;
     let mut ri = 0usize;
     while ri < rn {
-        *key_counts.entry(right_key(right.row(ri))).or_insert(0) += 1;
+        *key_counts
+            .entry(join_key(right.row(ri), right_cols))
+            .or_insert(0) += 1;
         rsampled += 1;
         ri += rstep;
     }
@@ -526,7 +459,7 @@ where
     let mut sampled = 0u64;
     let mut i = 0usize;
     while i < n {
-        let key = left_key(left.row(i));
+        let key = join_key(left.row(i), left_cols);
         total_matches += key_counts.get(&key).copied().unwrap_or(0);
         sampled += 1;
         i += step;
@@ -727,8 +660,8 @@ mod tests {
     }
 
     #[test]
-    fn multi_column_inline_key_join() {
-        // Two shared columns (1 and 2) exercise the InlineKey path.
+    fn two_column_key_join() {
+        // Two shared columns (1 and 2): a folded key.
         let a = table(&[0, 1, 2], &[&[1, 10, 20], &[2, 10, 21], &[3, 11, 20]]);
         let b = table(&[1, 2, 3], &[&[10, 20, 90], &[11, 20, 91], &[10, 22, 92]]);
         let mut c = JoinCounters::default();
@@ -740,8 +673,8 @@ mod tests {
     }
 
     #[test]
-    fn wide_key_join_falls_back_to_vec_keys() {
-        // Five shared columns exceed INLINE_KEY_COLUMNS.
+    fn five_column_key_join() {
+        // Five shared columns fold into one key as two do.
         let a = table(
             &[0, 1, 2, 3, 4, 5],
             &[&[1, 2, 3, 4, 5, 100], &[1, 2, 3, 4, 6, 101]],
@@ -757,6 +690,22 @@ mod tests {
             joined.row(0),
             &[v(1), v(2), v(3), v(4), v(5), v(100), v(200)]
         );
+    }
+
+    #[test]
+    fn keys_that_fold_alike_do_not_join() {
+        // (1, 2) and (2, 98) fold alike: 1 << 5 ^ 2 = 2 << 5 ^ 98 = 34.
+        let collides = [v(2), v(98)];
+        assert_eq!(
+            join_key(&[v(1), v(2)], &[0, 1]),
+            join_key(&collides, &[0, 1])
+        );
+        let a = table(&[0, 1, 2], &[&[1, 2, 7]]);
+        let b = table(&[0, 1, 3], &[&[2, 98, 9], &[1, 2, 10]]);
+        let mut c = JoinCounters::default();
+        let joined = hash_join(&a, &b, None, &mut c);
+        assert_eq!(joined, table(&[0, 1, 2, 3], &[&[1, 2, 7, 10]]));
+        assert_eq!((c.intermediate_rows, c.rows_pruned_injective), (1, 0));
     }
 
     #[test]
@@ -792,8 +741,8 @@ mod tests {
     #[test]
     fn limit_is_spent_before_a_row_is_produced_on_every_path() {
         // Two left rows, each matching a chain of three right rows, over
-        // `shared` key columns: 1 is the bare-u64 path, 2 the inline key,
-        // 5 the `Vec` key, 0 the cross product (one chain of three for all).
+        // `shared` key columns: 1 is the bare vertex id, 2 and 5 a folded
+        // key, 0 the cross product (one chain of three for all).
         for shared in [1u16, 2, 5, 0] {
             let key = |base: u64| (0..shared).map(move |j| base + u64::from(j));
             let mut left = ResultTable::new((0..shared).chain([50]).map(q).collect());

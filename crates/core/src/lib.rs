@@ -23,7 +23,7 @@
 //! | §5.1–5.2 decomposition + ordering (Algorithm 2) | [`decompose`] |
 //! | §5.3 head STwig & load sets | [`head`] |
 //! | §4.3 distributed execution | [`distributed`] |
-//! | — | [`config`], [`hash`], [`metrics`], [`verify`], [`error`] |
+//! | — | [`config`], [`metrics`], [`verify`], [`error`] |
 //!
 //! ## Quick start
 //!
@@ -64,7 +64,6 @@ pub mod decompose;
 pub mod distributed;
 pub mod engine;
 pub mod error;
-pub mod hash;
 pub mod head;
 pub mod join;
 pub mod matcher;

@@ -16,7 +16,6 @@
 use crate::bindings::Bindings;
 use crate::config::MatchConfig;
 use crate::error::StwigError;
-use crate::hash::FxHashMap;
 use crate::metrics::{ExploreCounters, FaultCounters};
 use crate::query::QueryGraph;
 use crate::retry::{exchange_or_skip, fetch_postings};
@@ -27,6 +26,7 @@ use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::OnceLock;
 use trinity_sim::compact::Neighbors;
+use trinity_sim::hash::FxHashMap;
 use trinity_sim::ids::{LabelId, MachineId, VertexId};
 use trinity_sim::network::Network;
 use trinity_sim::partition::Cell;

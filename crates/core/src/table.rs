@@ -4,7 +4,7 @@
 //! vertices and whose rows are data vertices. The join step (§4.2 step 3)
 //! combines these tables into full embeddings.
 
-use crate::hash::VertexSet;
+use crate::bindings::VertexSet;
 use crate::query::QVid;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;

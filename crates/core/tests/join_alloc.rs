@@ -1,11 +1,11 @@
 //! Allocation audits of the two hot paths, on one counting allocator.
 //!
-//! * Join: with exactly one shared column, `hash_join` must perform **zero
-//!   per-row heap allocations** — the key is a bare `u64`, the build index is
-//!   a pre-sized chained index, and output rows are built in place. The test
-//!   counts allocator calls around a large join and asserts the total stays
-//!   far below the row count (only setup costs and the output buffer
-//!   remain).
+//! * Join: on one shared column or several, `hash_join` must perform **zero
+//!   per-row heap allocations** — the key is one `u64` (the vertex id, or
+//!   the shared values folded into one), the build index is a pre-sized
+//!   chained index, and output rows are built in place. The test counts
+//!   allocator calls around a large join and asserts the total stays far
+//!   below the row count (only setup costs and the output buffer remain).
 //! * Join output: a materialized pipelined join allocates the table it
 //!   returns and O(1) more — no driver-block copy, no table between two
 //!   joins — and a round of a streamed one allocates nothing. A whole query
@@ -111,18 +111,33 @@ fn single_key_tables(rows: u64) -> (ResultTable, ResultTable) {
 }
 
 #[test]
-fn single_shared_column_join_does_not_allocate_per_row() {
+fn join_on_1_3_or_5_shared_columns_does_not_allocate_per_row() {
     const ROWS: u64 = 65_536;
-    let (left, right) = single_key_tables(ROWS);
-    let mut counters = JoinCounters::default();
-    let (allocs, joined) = allocations_during(|| hash_join(&left, &right, None, &mut counters));
-    assert_eq!(joined.num_rows() as u64, ROWS);
-    // Setup (schema vectors, index map + chain array) and the output buffer,
-    // reserved up front; anything per-row would add tens of thousands.
-    assert!(
-        allocs < 100,
-        "expected O(1) + O(log rows) allocations for {ROWS} rows, got {allocs}"
-    );
+    for shared in [1u16, 3, 5] {
+        // Columns 0..shared are shared; each side has one column of its own.
+        let mut left = ResultTable::new((0..shared).chain([100]).map(QVid).collect());
+        let mut right = ResultTable::new((0..shared).chain([101]).map(QVid).collect());
+        for i in 0..ROWS {
+            let key = (0..u64::from(shared)).map(|c| VertexId(i * 8 + c));
+            left.push_row(
+                &key.clone()
+                    .chain([VertexId(1_000_000 + i)])
+                    .collect::<Vec<_>>(),
+            );
+            right.push_row(&key.chain([VertexId(2_000_000 + i)]).collect::<Vec<_>>());
+        }
+        let mut counters = JoinCounters::default();
+        let (allocs, joined) = allocations_during(|| hash_join(&left, &right, None, &mut counters));
+        assert_eq!(joined.num_rows() as u64, ROWS);
+        // Setup (schema vectors, index map + chain array) and the output
+        // buffer, reserved up front; anything per-row would add tens of
+        // thousands.
+        assert!(
+            allocs < 100,
+            "expected O(1) + O(log rows) allocations for {ROWS} rows on {shared} \
+             shared columns, got {allocs}"
+        );
+    }
 }
 
 #[test]
@@ -225,30 +240,6 @@ fn single_table_pipeline_with_limit_copies_at_most_limit_rows() {
         bytes < 64 << 10,
         "single-table FirstK(1) allocated {bytes} bytes — the driver is being \
          cloned wholesale before truncation"
-    );
-}
-
-#[test]
-fn wide_key_fallback_demonstrates_the_counter_works() {
-    // Five shared columns exceed the inline-key width and fall back to
-    // heap-allocated `Vec` keys — at least one allocation per build and per
-    // probe row. This is the contrast proving the counter actually measures
-    // the join (and why the fallback is reserved for >4 shared columns).
-    const ROWS: u64 = 4_096;
-    let cols: Vec<QVid> = (0..5).map(QVid).collect();
-    let mut left = ResultTable::new(cols.clone());
-    let mut right = ResultTable::new(cols);
-    for i in 0..ROWS {
-        let row: Vec<VertexId> = (0..5).map(|c| VertexId(i * 8 + c)).collect();
-        left.push_row(&row);
-        right.push_row(&row);
-    }
-    let mut counters = JoinCounters::default();
-    let (allocs, joined) = allocations_during(|| hash_join(&left, &right, None, &mut counters));
-    assert_eq!(joined.num_rows() as u64, ROWS);
-    assert!(
-        allocs > ROWS,
-        "Vec-keyed fallback must allocate per row ({ROWS} rows, {allocs} allocations)"
     );
 }
 

@@ -384,7 +384,7 @@ impl MemoryCloud {
     pub fn all_ids_with_label(&self, label: LabelId) -> Vec<VertexId> {
         let mut out = Vec::new();
         for p in &self.partitions {
-            out.extend(p.vertices_with_label(label));
+            p.vertices_with_label(label).append_to(&mut out);
         }
         out
     }

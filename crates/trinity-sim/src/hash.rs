@@ -7,7 +7,7 @@
 //! hash (the scheme used by rustc's `FxHasher`) is enough: one rotate, one
 //! xor and one multiply per 8-byte word. The overlay reads of
 //! [`crate::partition`], the fold maps of [`crate::epoch`] and the join hot
-//! path of the `stwig` crate (which re-exports these names) all use it.
+//! path of the `stwig` crate all use it.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -77,7 +77,7 @@ impl Hasher for FxHasher {
 }
 
 /// `BuildHasher` producing [`FxHasher`]s.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed by the Fx hash.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
