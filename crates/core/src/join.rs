@@ -3,7 +3,7 @@
 //!
 //! The join is the per-row hot path of the whole matcher, so the build and
 //! probe sides avoid heap allocation: whatever the number of shared columns,
-//! a row's key is one `u64` ([`join_key`]) — the bare vertex id when one
+//! a row's key is one `u64` (`join_key`) — the bare vertex id when one
 //! column is shared (the common case for STwig decompositions), the values
 //! folded into one word when more are, and `0` when none is. A probe skips a
 //! chain row whose shared values differ from its own, so keys that fold
