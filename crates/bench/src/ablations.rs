@@ -17,7 +17,7 @@ use stwig::matcher::match_stwig;
 use stwig::metrics::ExploreCounters;
 use stwig::{MatchConfig, QueryGraph};
 use trinity_sim::ids::MachineId;
-use trinity_sim::network::CostModel;
+use trinity_sim::network::{CostModel, Network};
 use trinity_sim::MemoryCloud;
 
 /// A1: compares exploration cost (STwig result rows and candidate loads)
@@ -100,6 +100,7 @@ fn explore_cost(
     };
     let mut bindings = Bindings::new(query.num_vertices());
     let mut counters = ExploreCounters::default();
+    let ledger = Network::new(cloud.num_machines());
     for stwig in &stwigs {
         let roots = if config.use_bindings && bindings.is_bound(stwig.root) {
             let mut r: Vec<_> = bindings.get(stwig.root).unwrap().iter().copied().collect();
@@ -110,6 +111,7 @@ fn explore_cost(
         };
         let table = match_stwig(
             cloud,
+            &ledger,
             MachineId(0),
             query,
             stwig,

@@ -39,10 +39,9 @@
 //! other order is explored, never cached
 //! ([`STwig::has_canonical_children`]).
 //!
-//! A fingerprint of the cloud guards against a cache being reused across
-//! clouds. It is computed on the first check against a cloud that is
-//! neither the cache's own nor of its lineage — the only check that reads
-//! it — so building a cache costs no pass over the graph.
+//! A cache serves the cloud it was built from, known by address, and the
+//! snapshots of that cloud's lineage; it refuses every other cloud, an equal
+//! rebuild included, so no check ever reads the graph.
 //!
 //! ## What a served STwig contributes (the contract)
 //!
@@ -182,7 +181,7 @@ use crate::table::ResultTable;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::mem::size_of;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use trinity_sim::hash::{FxHashMap, FxHasher};
 use trinity_sim::ids::{LabelId, MachineId, VertexId};
 use trinity_sim::MemoryCloud;
@@ -739,13 +738,10 @@ pub struct StwigCache<'c> {
     /// still holds do not keep a dropped cache's other entries alive.
     book: Arc<Mutex<Book>>,
     populate_row_cap: Option<usize>,
-    /// Fingerprint of the cloud this cache serves (graph + partitioning),
-    /// computed on the first check against a foreign cloud.
-    fingerprint: OnceLock<u64>,
     /// Lineage of the cloud this cache serves: nonzero when the cloud is a
     /// [`trinity_sim::epoch::GraphEpochs`] snapshot, in which case every
-    /// same-lineage snapshot (any epoch) is accepted without refingerprinting
-    /// — the per-entry epoch tags carry the version discipline.
+    /// same-lineage snapshot (any epoch) is accepted — the per-entry epoch
+    /// tags carry the version discipline.
     lineage: u64,
     num_machines: usize,
 }
@@ -770,35 +766,19 @@ impl<'c> StwigCache<'c> {
                 ..Book::default()
             })),
             populate_row_cap: config.populate_row_cap,
-            fingerprint: OnceLock::new(),
             lineage: cloud.lineage(),
             num_machines: cloud.num_machines(),
         }
     }
 
-    /// Whether this cache serves `cloud`. The cloud the cache was built from
-    /// is recognized by pointer identity (sound: the borrow keeps it alive,
-    /// so no other cloud can occupy its address); a snapshot of the same
-    /// dynamic lineage — any epoch — is recognized by lineage id (sound:
-    /// per-entry epoch tags keep versions from ever aliasing, see `lookup`);
-    /// any other instance pays the full O(V + E) fingerprint comparison —
-    /// build the cache from the cloud you intend to query. The cache's own
-    /// fingerprint is taken from the borrowed (immutable) cloud on the first
-    /// such comparison and kept.
+    /// Whether this cache serves `cloud`: the cloud it was built from, by
+    /// address (sound: the borrow keeps it alive, so no other cloud can
+    /// occupy its address), or a snapshot of the same dynamic lineage — any
+    /// epoch — by lineage id (sound: per-entry epoch tags keep versions from
+    /// ever aliasing, see `lookup`). Any other cloud is refused, an equal
+    /// rebuild included: build the cache from the cloud you intend to query.
     pub(crate) fn matches_cloud(&self, cloud: &MemoryCloud) -> bool {
-        if std::ptr::eq(self.cloud, cloud) {
-            return true;
-        }
-        if self.lineage != 0 && cloud.lineage() == self.lineage {
-            return true;
-        }
-        if self.num_machines != cloud.num_machines() {
-            return false;
-        }
-        let own = *self
-            .fingerprint
-            .get_or_init(|| graph_fingerprint(self.cloud));
-        graph_fingerprint(cloud) == own
+        std::ptr::eq(self.cloud, cloud) || (self.lineage != 0 && cloud.lineage() == self.lineage)
     }
 
     /// The populate-time row cap per machine (see [`CacheConfig`]).
@@ -1017,49 +997,6 @@ impl<'c> StwigCache<'c> {
     }
 }
 
-/// A deterministic fingerprint of a cloud's graph content and partitioning,
-/// used to reject a cache built for a different cloud.
-///
-/// Beyond the global counts and label statistics, every partition's cell
-/// data — vertex id, label, degree and the full neighbor run — is folded
-/// in. Two clouds with identical sizes and label frequencies but different
-/// edges (e.g. two `gnm` draws with different seeds) therefore fingerprint
-/// differently. Construction is O(V + E), the same order as building the
-/// cloud itself, and runs once per cache.
-pub(crate) fn graph_fingerprint(cloud: &MemoryCloud) -> u64 {
-    let mut hasher = FxHasher::default();
-    cloud.num_machines().hash(&mut hasher);
-    cloud.num_vertices().hash(&mut hasher);
-    cloud.num_edges().hash(&mut hasher);
-    // A dynamic cloud's identity includes *which version* it is: the
-    // lineage it belongs to and the epoch of this snapshot. Two snapshots
-    // of one lineage at different epochs must never fingerprint alike (an
-    // epoch-N cache entry must not be mistaken for epoch N+1), and a
-    // dynamic snapshot never aliases a static rebuild of the same content.
-    // Static clouds all contribute the constant (0, 0), so fingerprint
-    // equality between static clouds is unaffected.
-    cloud.epoch().hash(&mut hasher);
-    cloud.lineage().hash(&mut hasher);
-    for (label, name) in cloud.labels().iter() {
-        name.hash(&mut hasher);
-        cloud.label_frequency(label).hash(&mut hasher);
-    }
-    for m in cloud.machines() {
-        let partition = cloud.partition(m);
-        partition.num_vertices().hash(&mut hasher);
-        partition.num_edge_entries().hash(&mut hasher);
-        for cell in partition.iter_cells() {
-            cell.id.hash(&mut hasher);
-            cell.label.hash(&mut hasher);
-            cell.neighbors.len().hash(&mut hasher);
-            for n in cell.neighbors {
-                n.hash(&mut hasher);
-            }
-        }
-    }
-    hasher.finish()
-}
-
 /// Files one machine's *unbound, untruncated* exploration table for `stwig`
 /// in canonical form. The planner's child order is the canonical column
 /// order and exploration emits rows lexicographically, so this is the same
@@ -1121,7 +1058,7 @@ mod tests {
     use crate::compat::produce_stwig_tables;
     use crate::config::{MatchConfig, ResultMode, TransportMode};
     use crate::decompose::{decompose_ordered, UniformStats};
-    use crate::distributed::{match_query, plan_query, Link, Run};
+    use crate::distributed::{check_cache, match_query, plan_query, Link, Run};
     use crate::engine::{EngineConfig, QueryEngine};
     use crate::metrics::{MachineMetrics, QueryMetrics};
     use crate::pipeline::join_order;
@@ -1130,7 +1067,7 @@ mod tests {
     use crate::verify::canonical_rows;
     use trinity_sim::builder::GraphBuilder;
     use trinity_sim::epoch::{GraphEpochs, UpdateBatch};
-    use trinity_sim::network::CostModel;
+    use trinity_sim::network::{CostModel, Network};
 
     fn v(x: u64) -> VertexId {
         VertexId(x)
@@ -1511,34 +1448,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_detects_same_sized_graph_with_different_edges() {
-        // Identical machine count, vertex count, edge count and label
-        // frequencies — only the edge set differs. The structural part of
-        // the fingerprint must tell them apart, or a foreign cache would
-        // silently serve wrong exploration tables.
-        let build = |edges: [(u64, u64); 2]| {
-            let mut gb = GraphBuilder::default();
-            gb.add_vertex(v(0), "a");
-            gb.add_vertex(v(1), "b");
-            gb.add_vertex(v(2), "b");
-            gb.add_vertex(v(3), "c");
-            for (a, b) in edges {
-                gb.add_edge(v(a), v(b));
-            }
-            gb.build(2, CostModel::free())
-        };
-        let cloud_a = build([(0, 1), (2, 3)]);
-        let cloud_b = build([(0, 2), (1, 3)]);
-        assert_ne!(graph_fingerprint(&cloud_a), graph_fingerprint(&cloud_b));
-        let cache = StwigCache::new(&cloud_a, CacheConfig::default());
-        assert!(cache.matches_cloud(&cloud_a));
-        assert!(!cache.matches_cloud(&cloud_b));
-        // Re-validation is memoized per instance but stays exact: the same
-        // cache accepts cloud A again after probing cloud B.
-        assert!(cache.matches_cloud(&cloud_a));
-    }
-
-    #[test]
     fn stale_entry_with_a_touched_pair_is_repaired_not_served() {
         let epochs = GraphEpochs::new(small_cloud());
         let cache = StwigCache::new(epochs.base_cloud(), CacheConfig::default());
@@ -1560,11 +1469,6 @@ mod tests {
         epochs.apply(&batch).unwrap();
         let snap1 = epochs.pin();
         assert!(cache.matches_cloud(&snap1), "same lineage must match");
-        assert_ne!(
-            graph_fingerprint(&snap0),
-            graph_fingerprint(&snap1),
-            "epoch advance must change the fingerprint"
-        );
         let CacheLookup::Repair { tables, touched } = cache.lookup(&shape, &snap1) else {
             panic!("an epoch-0 entry with a touched pair must not serve epoch 1 as-is");
         };
@@ -1773,7 +1677,7 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_distinguishes_clouds() {
+    fn a_foreign_cloud_is_refused() {
         let cloud = small_cloud();
         let cache = StwigCache::new(&cloud, CacheConfig::default());
         assert!(cache.matches_cloud(&cloud));
@@ -1786,20 +1690,14 @@ mod tests {
     }
 
     #[test]
-    fn an_identical_rebuild_is_accepted_and_only_it_pays_the_fingerprint() {
+    fn an_identical_rebuild_is_refused() {
         let cloud = small_cloud();
         let cache = StwigCache::new(&cloud, CacheConfig::default());
-        assert!(
-            cache.fingerprint.get().is_none(),
-            "a new cache reads no graph"
-        );
-        assert!(cache.matches_cloud(&cloud));
-        assert!(
-            cache.fingerprint.get().is_none(),
-            "its own cloud is known by address"
-        );
-        assert!(cache.matches_cloud(&small_cloud()), "an identical rebuild");
-        assert_eq!(cache.fingerprint.get(), Some(&graph_fingerprint(&cloud)));
+        assert!(cache.matches_cloud(&cloud), "its own cloud, by address");
+        assert!(!cache.matches_cloud(&small_cloud()), "an equal rebuild");
+        assert!(!cache.matches_cloud(&cloud.clone()), "a copy");
+        let err = check_cache(&small_cloud(), Some(&cache));
+        assert!(err.is_err(), "refused like any foreign cloud");
     }
 
     // The plan and join-order memo.
@@ -1977,7 +1875,8 @@ mod tests {
             let mut checked = 0;
             // Load sets fetched in place, as `DirectRead` does.
             let in_place = MatchConfig::default().with_transport_mode(TransportMode::DirectRead);
-            let link = Link::new(&cloud, cloud.network(), &in_place, None);
+            let ledger = Network::new(cloud.num_machines());
+            let link = Link::new(&cloud, &ledger, &in_place, None);
             for k in 0..cloud.num_machines() {
                 let rk = link.assemble_rk(plan, &tables, k).unwrap();
                 if rk.tables[plan.head.head_index].is_empty() {

@@ -89,7 +89,7 @@ pub fn produce_stwig_tables(
         machine_metrics,
     )?;
     metrics.fault.duplicates_suppressed += link.duplicates_suppressed();
-    retire(cloud, &ledger, metrics);
+    retire(&ledger, metrics);
     Ok(answerable.then_some(tables))
 }
 
@@ -126,7 +126,7 @@ pub fn join_stwig_tables(
         &mut state,
     )?;
     metrics.fault.duplicates_suppressed += link.duplicates_suppressed();
-    retire(cloud, &ledger, metrics);
+    retire(&ledger, metrics);
     metrics.truncated = limit.is_some() && !pass.exhausted;
     Ok(state
         .finish(metrics)

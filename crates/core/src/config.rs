@@ -14,7 +14,8 @@ pub enum TransportMode {
     /// Legacy simulation shortcut: machines dereference remote partitions in
     /// place (`Cloud.Load` / `Index.hasLabel` on foreign vertices) and the
     /// network matrix is charged a per-access estimate. Every such access is
-    /// tallied by `MemoryCloud::direct_remote_reads`. The default.
+    /// tallied in the query's `QueryMetrics::direct_remote_reads`. The
+    /// default.
     #[default]
     DirectRead,
     /// Partition-local execution over an explicit batched transport

@@ -670,12 +670,12 @@ mod tests {
     use crate::distributed::tests::{abc_query, churned_triangle, sample_cloud, v};
     use crate::distributed::{match_query, plan_query, Run};
     use trinity_sim::builder::GraphBuilder;
-    use trinity_sim::network::CostModel;
+    use trinity_sim::network::{CostModel, Network};
 
-    /// A `DirectRead` link charging the cloud's aggregate.
-    fn in_place(cloud: &MemoryCloud) -> Link<'_> {
+    /// A `DirectRead` link charging `ledger`.
+    fn in_place<'c>(cloud: &'c MemoryCloud, ledger: &'c Network) -> Link<'c> {
         let direct = MatchConfig::default().with_transport_mode(TransportMode::DirectRead);
-        Link::new(cloud, cloud.network(), &direct, None)
+        Link::new(cloud, ledger, &direct, None)
     }
 
     #[test]
@@ -709,7 +709,7 @@ mod tests {
         let run = |threads| {
             let explored = explore_bound(
                 &cloud,
-                &in_place(&cloud),
+                &in_place(&cloud, &Network::new(cloud.num_machines())),
                 &query,
                 &stwig,
                 &bindings,
@@ -777,7 +777,7 @@ mod tests {
             let via_cache = |stwig: &STwig, cache: &StwigCache| {
                 explore_via_cache(
                     &cloud,
-                    &in_place(&cloud),
+                    &in_place(&cloud, &Network::new(cloud.num_machines())),
                     &query,
                     stwig,
                     &config,
@@ -804,7 +804,7 @@ mod tests {
             let unbound = Bindings::new(query.num_vertices());
             let uncached: Vec<ResultTable> = explore_bound(
                 &cloud,
-                &in_place(&cloud),
+                &in_place(&cloud, &Network::new(cloud.num_machines())),
                 &query,
                 &hand_built,
                 &unbound,
@@ -855,7 +855,7 @@ mod tests {
         let insertions = cache.stats().insertions;
         let repaired = explore_via_cache(
             &snap,
-            &in_place(&snap),
+            &in_place(&snap, &Network::new(snap.num_machines())),
             &query,
             stwig,
             &config,

@@ -25,10 +25,11 @@
 //!
 //! **Traffic.** A query charges one ledger of its own ([`Network`]) and
 //! nothing else; each charge names its phase where it is made. When the query
-//! retires, its metrics read the ledger — priced with the cloud's cost model
-//! into the simulated makespan over machines of (measured compute time +
-//! simulated communication time) — and the ledger is added to the cloud's
-//! aggregate. Per-query traffic is exact whatever runs beside it.
+//! retires, its metrics read the ledger — its direct remote reads, and its
+//! traffic priced with the cloud's cost model into the simulated makespan
+//! over machines of (measured compute time + simulated communication time).
+//! No other book exists: the cloud keeps no traffic, so per-query traffic is
+//! exact whatever runs beside it.
 //!
 //! **Transport modes** ([`crate::config::TransportMode`]). Under `DirectRead`
 //! a machine may dereference remote partitions in place (the legacy
@@ -605,10 +606,10 @@ fn explore_and_join(
     }
 }
 
-/// Retires a ledger: its phase traffic into `metrics`, itself into the cloud's aggregate.
-pub(crate) fn retire(cloud: &MemoryCloud, ledger: &Network, metrics: &mut QueryMetrics) {
+/// Retires a ledger into `metrics`: its phase traffic and its direct remote reads.
+pub(crate) fn retire(ledger: &Network, metrics: &mut QueryMetrics) {
     metrics.phase_traffic.merge(&PhaseTraffic::of(ledger));
-    cloud.network().absorb(ledger);
+    metrics.direct_remote_reads += ledger.direct_remote_reads();
 }
 
 /// Reads the query's traffic off its ledger, prices it with the cloud's cost
@@ -617,7 +618,7 @@ fn finalize(metrics: &mut QueryMetrics, cloud: &MemoryCloud, ledger: &Network, s
     // One snapshot of the P×P counters serves every figure below.
     let traffic = ledger.snapshot();
     let cost = cloud.cost_model();
-    retire(cloud, ledger, metrics);
+    retire(ledger, metrics);
     metrics.network_messages = traffic.total_messages();
     metrics.network_bytes = traffic.total_bytes();
     metrics.wall_us = started.elapsed().as_secs_f64() * 1e6;
@@ -1512,7 +1513,7 @@ mod tests {
                 ..Run::default()
             },
         );
-        assert!(err.is_err(), "mismatched fingerprint must be rejected");
+        assert!(err.is_err(), "a foreign cache must be rejected");
     }
 
     #[test]
@@ -1533,9 +1534,7 @@ mod tests {
                     Run::default(),
                 )
                 .unwrap();
-                // The cloud's aggregate only grows: every retired query adds
-                // its ledger.
-                let direct_remote = cloud.direct_remote_reads();
+                let direct_remote = direct.metrics.direct_remote_reads;
                 let messages = match_query(
                     &cloud,
                     &query,
@@ -1545,8 +1544,7 @@ mod tests {
                 .unwrap();
                 let ctx = format!("machines = {machines}, config = {name}");
                 assert_eq!(
-                    cloud.direct_remote_reads(),
-                    direct_remote,
+                    messages.metrics.direct_remote_reads, 0,
                     "Messages mode dereferenced a remote partition ({ctx})"
                 );
                 assert_eq!(direct.table, messages.table, "tables diverged ({ctx})");
@@ -1601,7 +1599,8 @@ mod tests {
                 Run::default(),
             )
             .unwrap();
-            assert_eq!(cloud.direct_remote_reads(), 0);
+            assert_eq!(direct.metrics.direct_remote_reads, 0);
+            assert_eq!(messages.metrics.direct_remote_reads, 0);
             assert_eq!(direct.table, messages.table, "machines = {machines}");
             assert_eq!(messages.metrics.matches_found, 5);
             // The posting-gather envelopes belong to the explore phase, so
@@ -1679,11 +1678,12 @@ mod tests {
             assert!(cache.stats().hits > 0);
             assert_eq!(plain.table, miss.table, "machines = {machines}");
             assert_eq!(plain.table, hit.table, "machines = {machines}");
-            assert_eq!(
-                cloud.direct_remote_reads(),
-                0,
-                "cache populate path must stay partition-local"
-            );
+            for out in [&plain, &miss, &hit] {
+                assert_eq!(
+                    out.metrics.direct_remote_reads, 0,
+                    "cache populate path must stay partition-local"
+                );
+            }
         }
     }
 

@@ -1014,8 +1014,6 @@ mod tests {
     fn passed_deadline_is_shed_at_dispatch_without_execution() {
         let cloud = sample_cloud(2);
         let engine = QueryEngine::new(&cloud, EngineConfig::default());
-        cloud.network().reset();
-        let direct_before = cloud.direct_remote_reads();
         let handle = engine
             .submit(QueryRequest::new(triangle_query(&cloud)).with_deadline(Duration::ZERO))
             .expect_accepted();
@@ -1025,8 +1023,8 @@ mod tests {
         assert_eq!(response.metrics.outcome, QueryOutcome::Shed);
         assert!(response.table.is_none());
         // Zero execution work: no envelopes, no remote reads, no rows.
-        assert_eq!(cloud.traffic().total_messages(), 0);
-        assert_eq!(cloud.direct_remote_reads(), direct_before);
+        assert_eq!(response.metrics.network_messages, 0);
+        assert_eq!(response.metrics.direct_remote_reads, 0);
         let stats = engine.stats();
         assert_eq!(stats.queries_shed, 1);
         assert_eq!(stats.queries_executed, 0);
@@ -1043,11 +1041,10 @@ mod tests {
             .submit(QueryRequest::new(triangle_query(&cloud)))
             .expect_accepted();
         handle.cancel();
-        cloud.network().reset();
         engine.drain();
         let response = handle.wait().unwrap();
         assert_eq!(response.metrics.outcome, QueryOutcome::Cancelled);
-        assert_eq!(cloud.traffic().total_messages(), 0);
+        assert_eq!(response.metrics.network_messages, 0);
         let snapshot = engine.metrics_snapshot();
         assert_eq!(snapshot.scheduler.cancelled_while_queued, 1);
         assert_eq!(snapshot.engine.queries_cancelled, 1);

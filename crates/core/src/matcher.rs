@@ -50,8 +50,8 @@ use trinity_sim::MemoryCloud;
 ///
 /// The output table's columns are `[root, child_1, .., child_k]`.
 ///
-/// Steps 1–2 are *charged* to the cloud's traffic aggregate as written — a
-/// remote root's `Cloud.Load`, one [`MemoryCloud::has_label`] probe per
+/// Steps 1–2 are *charged* to `ledger` as written — a remote root's
+/// `Cloud.Load` ([`Network::charge_load`]), one `Index.hasLabel` probe per
 /// (child scanned, neighbor) — as emission reaches each root, the probes
 /// tallied per owner and flushed once ([`Network::charge_label_probes`]): a
 /// capped or interrupted exploration charges exactly what it probed, however
@@ -59,6 +59,7 @@ use trinity_sim::MemoryCloud;
 #[allow(clippy::too_many_arguments)]
 pub fn match_stwig(
     cloud: &MemoryCloud,
+    ledger: &Network,
     machine: MachineId,
     query: &QueryGraph,
     stwig: &STwig,
@@ -69,7 +70,7 @@ pub fn match_stwig(
     counters: &mut ExploreCounters,
 ) -> ResultTable {
     let shared = SharedPostings::new();
-    let mode = Mode::InPlace(&shared, cloud.network());
+    let mode = Mode::InPlace(&shared, ledger);
     let explored = explore(
         cloud, mode, machine, query, stwig, roots, bindings, config, control, counters,
     );
@@ -908,6 +909,7 @@ mod tests {
         let mut counters = ExploreCounters::default();
         let table = match_stwig(
             &cloud,
+            &Network::new(cloud.num_machines()),
             MachineId(0),
             &query,
             &stwig,
@@ -938,6 +940,7 @@ mod tests {
         let mut counters = ExploreCounters::default();
         let table = match_stwig(
             &cloud,
+            &Network::new(cloud.num_machines()),
             MachineId(0),
             &query,
             &stwig,
@@ -964,6 +967,7 @@ mod tests {
         let cfg = MatchConfig::default().with_bindings(false);
         let table = match_stwig(
             &cloud,
+            &Network::new(cloud.num_machines()),
             MachineId(0),
             &query,
             &stwig,
@@ -990,6 +994,7 @@ mod tests {
         };
         let table = match_stwig(
             &cloud,
+            &Network::new(cloud.num_machines()),
             MachineId(0),
             &query,
             &stwig,
@@ -1013,6 +1018,7 @@ mod tests {
         let mut counters = ExploreCounters::default();
         let table = match_stwig(
             &cloud,
+            &Network::new(cloud.num_machines()),
             MachineId(0),
             &query,
             &stwig,
@@ -1026,18 +1032,19 @@ mod tests {
     }
 
     #[test]
-    fn remote_probes_are_charged_to_the_network() {
+    fn remote_probes_are_charged_to_the_callers_ledger() {
         let cloud = fig5_like_cloud(4);
         let (query, a, b, c) = simple_query(&cloud);
         let stwig = STwig::new(a, vec![b, c]);
         let bindings = Bindings::new(query.num_vertices());
-        cloud.network().reset();
+        let ledger = Network::new(4);
         let mut counters = ExploreCounters::default();
         let mut total_rows = 0;
         for m in cloud.machines() {
             let roots = cloud.get_ids(m, query.label(a)).to_vec();
             let t = match_stwig(
                 &cloud,
+                &ledger,
                 m,
                 &query,
                 &stwig,
@@ -1050,7 +1057,8 @@ mod tests {
             total_rows += t.num_rows();
         }
         assert_eq!(total_rows, 10);
-        assert!(cloud.traffic().total_messages() > 0);
+        assert!(ledger.snapshot().total_messages() > 0);
+        assert!(ledger.direct_remote_reads() > 0);
     }
 
     #[test]
@@ -1060,7 +1068,8 @@ mod tests {
             let cloud = fig5_like_cloud(machines);
             let (query, a, b, c) = simple_query(&cloud);
             let stwig = STwig::new(a, vec![b, c]);
-            let transport = ChannelTransport::new(&cloud);
+            let ledger = Network::new(machines);
+            let transport = ChannelTransport::new(&cloud).with_ledger(&ledger);
             // Sweep tiny batch caps so multi-envelope splitting is covered.
             for batch in [1usize, 2, 4096] {
                 let cfg = MatchConfig::default();
@@ -1071,6 +1080,7 @@ mod tests {
                     let mut direct_counters = ExploreCounters::default();
                     let direct = match_stwig(
                         &cloud,
+                        &Network::new(machines),
                         k,
                         &query,
                         &stwig,
@@ -1080,7 +1090,6 @@ mod tests {
                         None,
                         &mut direct_counters,
                     );
-                    cloud.network().reset();
                     let mut batched_counters = ExploreCounters::default();
                     let mut faults = FaultCounters::default();
                     let batched = match_stwig_batched(
@@ -1102,7 +1111,7 @@ mod tests {
                     assert_eq!(direct, batched, "machine {k}, batch {batch}");
                     assert_eq!(direct_counters, batched_counters);
                     assert_eq!(
-                        cloud.direct_remote_reads(),
+                        ledger.direct_remote_reads(),
                         0,
                         "batched matching must never dereference a remote partition"
                     );
@@ -1119,12 +1128,12 @@ mod tests {
         let cloud = fig5_like_cloud(4);
         let (query, a, b, c) = simple_query(&cloud);
         let stwig = STwig::new(a, vec![b, c]);
-        let transport = ChannelTransport::new(&cloud);
         let bindings = Bindings::new(query.num_vertices());
         let mut messages = Vec::new();
         for batch in [1usize, 64] {
             let cfg = MatchConfig::default();
-            cloud.network().reset();
+            let ledger = Network::new(4);
+            let transport = ChannelTransport::new(&cloud).with_ledger(&ledger);
             for k in cloud.machines() {
                 let roots = cloud.get_ids(k, query.label(a)).to_vec();
                 let mut counters = ExploreCounters::default();
@@ -1144,7 +1153,7 @@ mod tests {
                 )
                 .unwrap();
             }
-            messages.push(cloud.traffic().total_messages());
+            messages.push(ledger.snapshot().total_messages());
         }
         assert!(
             messages[0] > messages[1],
@@ -1426,7 +1435,9 @@ mod tests {
                 query.label(stwig.children[0]),
                 query.label(stwig.children[2]),
             ];
-            let transport = ChannelTransport::new(&cloud);
+            let ledger = Network::new(machines);
+            let transport = ChannelTransport::new(&cloud).with_ledger(&ledger);
+            let sent = || ledger.snapshot().total_messages();
             let mut unbound = Bindings::new(query.num_vertices());
             let mut bound = unbound.clone();
             bound.bind(stwig.root, (0..6).map(v).collect());
@@ -1484,9 +1495,9 @@ mod tests {
 
                         // A pre-set cancel: no envelope leaves, and only what
                         // is read in place (asking: local labels) is known.
-                        cloud.network().reset();
+                        let before = sent();
                         resolve(&mut frontier, &transport, Some(&cancelled), &mut faults).unwrap();
-                        assert_eq!(cloud.traffic().total_messages(), 0);
+                        assert_eq!(sent(), before);
                         check_resolution(&cloud, &frontier, &child_labels, from_postings, |m| {
                             !from_postings && cloud.machine_of(m) == k
                         });
@@ -1525,7 +1536,7 @@ mod tests {
             }
             // The whole exploration under the pre-set cancel: no row, no
             // envelope, nothing counted.
-            cloud.network().reset();
+            let before = sent();
             let mut counters = ExploreCounters::default();
             let table = match_stwig_batched(
                 &cloud,
@@ -1546,7 +1557,7 @@ mod tests {
             .unwrap();
             assert!(table.is_empty());
             assert_eq!(counters, ExploreCounters::default());
-            assert_eq!(cloud.traffic().total_messages(), 0);
+            assert_eq!(sent(), before);
         }
     }
 
@@ -1594,6 +1605,7 @@ mod tests {
             let mut counters = ExploreCounters::default();
             let table = match_stwig(
                 cloud,
+                &Network::new(cloud.num_machines()),
                 MachineId(0),
                 &query,
                 &stwig,
@@ -1628,9 +1640,9 @@ mod tests {
         let explore_all = |cloud: &MemoryCloud| {
             let (query, a, b, c) = simple_query(cloud);
             let stwig = STwig::new(a, vec![b, c]);
-            let transport = ChannelTransport::new(cloud);
+            let ledger = Network::new(cloud.num_machines());
+            let transport = ChannelTransport::new(cloud).with_ledger(&ledger);
             let bindings = Bindings::new(query.num_vertices());
-            cloud.network().reset();
             let mut total = 0usize;
             for k in cloud.machines() {
                 let roots = cloud.get_ids(k, query.label(a)).to_vec();
@@ -1651,7 +1663,7 @@ mod tests {
                 .unwrap();
                 total += t.num_rows();
             }
-            (total, cloud.traffic().total_bytes())
+            (total, ledger.snapshot().total_bytes())
         };
         let dead = fig5_with_dead_roots(4);
         for (root, neighbor) in [(3, 12), (4, 10)] {
@@ -1729,9 +1741,11 @@ mod tests {
     }
 
     /// Algorithm 1 for a one-child STwig, unbound and uncapped: one
-    /// `Index.hasLabel` per neighbor.
+    /// `Index.hasLabel` per neighbor, each access charged to `ledger` as it
+    /// is made.
     fn probe_each_neighbor(
         cloud: &MemoryCloud,
+        ledger: &Network,
         machine: MachineId,
         query: &QueryGraph,
         stwig: &STwig,
@@ -1742,16 +1756,19 @@ mod tests {
         let child = query.label(stwig.children[0]);
         for &n in roots {
             counters.roots_scanned += 1;
-            let Some(cell) = cloud.load(machine, n) else {
+            let owner = cloud.machine_of(n);
+            let Some(cell) = cloud.partition(owner).load(n) else {
                 continue;
             };
+            ledger.charge_load(machine, owner, cell.neighbors.len());
             counters.cells_loaded += 1;
             if cell.label != query.label(stwig.root) {
                 continue;
             }
             for m in cell.neighbors.iter() {
                 counters.label_probes += 1;
-                if cloud.has_label(machine, m, child) {
+                ledger.charge_label_probes(machine, cloud.machine_of(m), 1);
+                if cloud.label_of_global(m) == Some(child) {
                     table.push_row(&[n, m]);
                     counters.rows_emitted += 1;
                 }
@@ -1771,31 +1788,26 @@ mod tests {
         );
         fn observe(
             cloud: &MemoryCloud,
-            explore: impl FnOnce(&mut ExploreCounters) -> ResultTable,
+            explore: impl FnOnce(&mut ExploreCounters, &Network) -> ResultTable,
         ) -> Observed {
-            cloud.network().reset();
+            let ledger = Network::new(cloud.num_machines());
             let mut counters = ExploreCounters::default();
-            let table = explore(&mut counters);
-            (
-                table,
-                counters,
-                cloud.traffic(),
-                cloud.direct_remote_reads(),
-            )
+            let table = explore(&mut counters, &ledger);
+            let reads = ledger.direct_remote_reads();
+            (table, counters, ledger.snapshot(), reads)
         }
         // 6 carriers: fewer than any machine's neighbors × 3. 36: fewer only
         // than those of the machine with three hubs (it owns 1, 2 or 3).
         for extra_b in [0, 30] {
             let (cloud, query, stwig) = hub_star(extra_b);
-            let transport = ChannelTransport::new(&cloud);
             let (bindings, config) = (Bindings::new(2), MatchConfig::default());
             let mut sides = Vec::new();
             for k in cloud.machines() {
                 let roots = cloud.get_ids(k, query.label(stwig.root)).to_vec();
                 let mut resolution = Resolution::default();
-                let direct = observe(&cloud, |c| {
+                let direct = observe(&cloud, |c, ledger| {
                     let shared = SharedPostings::new();
-                    let mode = Mode::InPlace(&shared, cloud.network());
+                    let mode = Mode::InPlace(&shared, ledger);
                     let explored = explore(
                         &cloud, mode, k, &query, &stwig, &roots, &bindings, &config, None, c,
                     );
@@ -1803,10 +1815,11 @@ mod tests {
                     resolution = side;
                     table
                 });
-                let reference = observe(&cloud, |c| {
-                    probe_each_neighbor(&cloud, k, &query, &stwig, &roots, c)
+                let reference = observe(&cloud, |c, ledger| {
+                    probe_each_neighbor(&cloud, ledger, k, &query, &stwig, &roots, c)
                 });
-                let batched = observe(&cloud, |c| {
+                let batched = observe(&cloud, |c, ledger| {
+                    let transport = ChannelTransport::new(&cloud).with_ledger(ledger);
                     let mut faults = FaultCounters::default();
                     match_stwig_batched(
                         &cloud,
@@ -1863,6 +1876,7 @@ mod tests {
         let mut counters = ExploreCounters::default();
         let table = match_stwig(
             &cloud,
+            &Network::new(cloud.num_machines()),
             MachineId(0),
             &query,
             &stwig,

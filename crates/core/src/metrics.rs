@@ -471,6 +471,11 @@ pub struct QueryMetrics {
     /// Traffic broken down by phase (exploration, binding sync, join
     /// shipping).
     pub phase_traffic: PhaseTraffic,
+    /// Accesses that dereferenced another machine's partition in place
+    /// instead of going through the transport: `DirectRead`'s remote
+    /// `Cloud.Load`s and `Index.hasLabel` probes. Always 0 under
+    /// `TransportMode::Messages`.
+    pub direct_remote_reads: u64,
     /// What the fault-tolerance layer absorbed (retries, timeouts,
     /// suppressed duplicates) and lost (unreachable machines) during this
     /// query. All-zero on a fault-free run.

@@ -43,7 +43,7 @@ use stwig::table::ResultTable;
 use stwig::{ChannelSink, MatchConfig, ResultMode, RowStream};
 use trinity_sim::builder::GraphBuilder;
 use trinity_sim::ids::VertexId;
-use trinity_sim::network::CostModel;
+use trinity_sim::network::{CostModel, Network};
 use trinity_sim::transport::ChannelTransport;
 
 struct CountingAllocator;
@@ -287,7 +287,8 @@ fn warm_exploration_allocates_only_its_table_and_its_messages() {
     let config = MatchConfig::default();
     // Several envelopes per owner, so payload allocations are visible.
     let batch_ids = 256;
-    let transport = ChannelTransport::new(&cloud);
+    let ledger = Network::new(cloud.num_machines());
+    let transport = ChannelTransport::new(&cloud).with_ledger(&ledger);
     let machine = cloud.machines().next().unwrap();
     let roots = cloud.get_ids(machine, query.label(qa)).to_vec();
     let explore = || {
@@ -311,9 +312,9 @@ fn warm_exploration_allocates_only_its_table_and_its_messages() {
     // This test's thread starts with an empty scratch: the first exploration
     // grows it, the second finds it warm.
     let (cold, first) = allocations_during(explore);
-    cloud.network().reset();
+    let sent = ledger.snapshot().total_messages();
     let (warm, second) = allocations_during(explore);
-    let envelopes = cloud.traffic().total_messages() / 2;
+    let envelopes = (ledger.snapshot().total_messages() - sent) / 2;
     assert_eq!(first, second);
     assert!(second.num_rows() > 1000, "a table worth growing");
     assert!(envelopes > 3, "more than one envelope per owner");

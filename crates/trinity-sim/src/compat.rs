@@ -1,12 +1,14 @@
 //! What only the frozen repo benchmark (`benchmark/`) still names, kept so
-//! its `prelude` imports keep resolving: a storage-tier type with one
-//! representation, the setters that accept it and store nothing, and a
-//! reset of the cloud's traffic aggregate. The next `[benchmark]` PR
-//! deletes this file.
+//! its `prelude` imports and calls keep resolving: a storage-tier type with
+//! one representation, the setters that accept it and store nothing, a
+//! traffic reset with nothing to reset, and an uncharged `load` of any
+//! cell. The next `[benchmark]` PR deletes this file.
 
 use crate::builder::GraphBuilder;
 use crate::cloud::MemoryCloud;
+use crate::ids::{MachineId, VertexId};
 use crate::loader::StreamLoader;
+use crate::partition::Cell;
 
 /// The physical representation a partition stores its graph in. There is
 /// one, [`StorageTier::Compact`] (`crate::compact`).
@@ -39,10 +41,13 @@ impl GraphBuilder {
 }
 
 impl MemoryCloud {
-    /// Zeroes the traffic aggregate ([`crate::network::Network::reset`]).
-    /// Queries never do: each charges a ledger of its own and adds it here
-    /// when it retires.
-    pub fn reset_traffic(&self) {
-        self.network().reset();
+    /// Does nothing: the cloud keeps no traffic. Every query charges a
+    /// ledger of its own ([`crate::network::Network`]).
+    pub fn reset_traffic(&self) {}
+
+    /// The cell of `id`, read in place from whichever partition owns it;
+    /// charges nothing. `_caller` names the reading machine.
+    pub fn load(&self, _caller: MachineId, id: VertexId) -> Option<Cell<'_>> {
+        self.partition(self.machine_of(id)).load(id)
     }
 }

@@ -787,7 +787,6 @@ impl GraphEpochs {
         let next = MemoryCloud {
             partitions,
             interner,
-            network: Arc::clone(&prev.network),
             label_frequency,
             catalog,
             num_vertices,

@@ -22,8 +22,9 @@
 //!   signatures ([`neighbor_index::NeighborLabelIndex`]), built in the same
 //!   pass;
 //! * the paper's three atomic operators `Cloud.Load`, `Index.getID`,
-//!   `Index.hasLabel` with **cross-machine traffic accounting**
-//!   ([`network::Network`], [`cost::CostModel`]);
+//!   `Index.hasLabel` as reads of one partition, and **cross-machine
+//!   traffic accounting** on ledgers their readers own
+//!   ([`network::Network`], priced by [`cost::CostModel`]);
 //! * an explicit **batched message transport** between machines
 //!   ([`transport::Transport`], [`transport::ChannelTransport`]) carrying
 //!   typed messages — batched `Load` requests answered with owned labels
@@ -51,7 +52,7 @@
 //! let label_a = cloud.labels().get("a").unwrap();
 //! assert_eq!(cloud.label_frequency(label_a), 1);
 //! let owner = cloud.machine_of(VertexId(0));
-//! let cell = cloud.load(owner, VertexId(0)).unwrap();
+//! let cell = cloud.load_local(owner, VertexId(0)).unwrap();
 //! assert_eq!(cell.neighbors, &[VertexId(1)]);
 //! ```
 

@@ -1,26 +1,32 @@
 //! Simulated cluster interconnect: per-machine-pair traffic counters.
 //!
 //! The paper runs on a real Gigabit / InfiniBand cluster; here the "network"
-//! is an accounting layer. A [`Network`] is a ledger: every envelope a
-//! [`crate::transport::Transport`] sends and every remote partition a
-//! direct-read operator dereferences records a message and its payload size
-//! in a per-machine-pair matrix and, off the diagonal, under the [`Phase`]
-//! the charge names. The distributed executor gives each query a ledger of
-//! its own and adds it to the cloud's aggregate once, when the query retires.
-//! Pricing is not the ledger's: the cloud keeps the [`CostModel`].
+//! is an accounting layer. A [`Network`] is a ledger its caller owns: every
+//! envelope a [`crate::transport::Transport`] sends and every remote
+//! partition a direct-read operator dereferences records a message and its
+//! payload size in a per-machine-pair matrix and, off the diagonal, under the
+//! [`Phase`] the charge names. The distributed executor gives each query a
+//! ledger of its own; a test that wants to count something builds one with
+//! [`Network::new`]. No ledger is shared across queries, and the memory
+//! cloud keeps none. Pricing is not the ledger's: the cloud keeps the
+//! [`CostModel`].
 //!
 //! The matrix additionally tallies **direct remote reads**: accesses where a
 //! caller dereferenced another machine's partition in place (`Cloud.Load` /
 //! `Index.hasLabel` with a remote owner) instead of going through a
-//! transport. Message-passing execution must keep this counter at zero — the
-//! distributed executor's tests enforce it.
+//! transport. Message-passing execution must keep this counter at zero; the
+//! executor reports it per query.
 
-use crate::cloud::{PROBE_BYTES, VERTEX_ID_BYTES};
 use crate::ids::MachineId;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use crate::cost::CostModel;
+
+/// Size, in bytes, charged for shipping one vertex id over the network.
+const VERTEX_ID_BYTES: u64 = 8;
+/// Size, in bytes, charged for a small control message (e.g. a label probe).
+const PROBE_BYTES: u64 = 16;
 
 /// The step of a query (§4.3) a charge belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,6 +55,12 @@ pub struct Network {
     /// Cross-partition accesses that bypassed the transport (see module docs).
     direct_remote_reads: AtomicU64,
 }
+
+// A query's ledger is charged from every worker thread of the query.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Network>();
+};
 
 /// A snapshot of the traffic counters, suitable for reporting.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -115,13 +127,6 @@ impl Network {
         }
     }
 
-    /// Every counter, in one fixed order.
-    fn counters(&self) -> impl Iterator<Item = &AtomicU64> {
-        (self.messages.iter().chain(&self.bytes))
-            .chain(self.phases.iter().flatten())
-            .chain([&self.direct_remote_reads])
-    }
-
     /// Records `count` messages totalling `bytes` from `src` to `dst`.
     ///
     /// Messages from a machine to itself are recorded (on the diagonal) but do
@@ -158,10 +163,9 @@ impl Network {
     }
 
     /// Charges `probes` `Index.hasLabel` probes by `caller` against vertices
-    /// owned by `owner`, exactly as that many
-    /// [`crate::cloud::MemoryCloud::has_label`] calls would: per probe one
-    /// direct remote read, one `PROBE_BYTES` request and one 1-byte reply.
-    /// Free when `owner` is the caller.
+    /// owned by `owner`: per probe one direct remote read, one `PROBE_BYTES`
+    /// request and one 1-byte reply, so `n` probes charged at once cost what
+    /// `n` charged one by one do. Free when `owner` is the caller.
     pub fn charge_label_probes(&self, caller: MachineId, owner: MachineId, probes: u64) {
         if owner != caller && probes > 0 {
             self.direct_remote_reads
@@ -187,23 +191,9 @@ impl Network {
         (m.load(Ordering::Relaxed), b.load(Ordering::Relaxed))
     }
 
-    /// Adds every counter of `ledger` (over as many machines) to this one:
-    /// how a retired query's ledger reaches the cloud's aggregate.
-    pub fn absorb(&self, ledger: &Network) {
-        for (total, part) in self.counters().zip(ledger.counters()) {
-            total.fetch_add(part.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-    }
-
-    /// Number of direct remote reads charged since creation or the last
-    /// [`Network::reset`].
-    pub(crate) fn direct_remote_reads(&self) -> u64 {
+    /// Number of direct remote reads charged to this ledger (see module docs).
+    pub fn direct_remote_reads(&self) -> u64 {
         self.direct_remote_reads.load(Ordering::Relaxed)
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.counters().for_each(|c| c.store(0, Ordering::Relaxed));
     }
 
     /// Takes a snapshot of the matrix.
@@ -271,32 +261,19 @@ mod tests {
     }
 
     #[test]
-    fn absorb_adds_every_counter() {
-        let (total, ledger) = (Network::new(2), Network::new(2));
-        total.record(m(1), m(0), 1, 7, Phase::Sync);
-        ledger.record(m(0), m(1), 1, 10, Phase::Join);
-        ledger.charge_label_probes(m(1), m(0), 2);
-        total.absorb(&ledger);
-        total.absorb(&ledger);
-        let snap = total.snapshot();
-        assert_eq!(snap.total_messages(), 1 + 2 * 5);
-        assert_eq!(snap.messages_from(m(0)), 2 * 3);
-        assert_eq!(total.phase_totals(Phase::Join), (2, 20));
-        assert_eq!(total.phase_totals(Phase::Sync), (1, 7));
-        assert_eq!(total.direct_remote_reads(), 4);
-        // The ledger itself is left as it was.
-        assert_eq!(ledger.snapshot().total_messages(), 5);
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let net = Network::new(2);
-        net.record(m(0), m(1), 1, 10, Phase::Explore);
-        net.charge_load(m(1), m(0), 2);
-        net.reset();
-        assert_eq!(net.snapshot().total_messages(), 0);
-        assert_eq!(net.phase_totals(Phase::Explore), (0, 0));
-        assert_eq!(net.direct_remote_reads(), 0);
+    fn bulk_probe_charge_equals_that_many_single_probes() {
+        let (single, bulk) = (Network::new(3), Network::new(3));
+        for _ in 0..5 {
+            single.charge_label_probes(m(0), m(2), 1);
+        }
+        bulk.charge_label_probes(m(0), m(2), 5);
+        bulk.charge_label_probes(m(0), m(0), 5); // local probes are free
+        bulk.charge_label_probes(m(0), m(2), 0);
+        assert_eq!(bulk.snapshot(), single.snapshot());
+        let explore = |net: &Network| net.phase_totals(Phase::Explore);
+        assert_eq!(explore(&bulk), explore(&single));
+        assert_eq!(bulk.direct_remote_reads(), 5);
+        assert_eq!(single.direct_remote_reads(), 5);
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //! * [`ChannelTransport`] is the in-process backend: requests are served
 //!   against the owner's partition (the handler only ever touches the
 //!   destination machine's data), posts go through mutex-guarded mailboxes,
-//!   and **every envelope is charged to the transport's ledger with its
-//!   actual payload size** under its `Message::phase` — the cost model then
-//!   prices what was really sent, rather than a per-access estimate.
+//!   and, when the transport is given a ledger
+//!   ([`ChannelTransport::with_ledger`]), **every envelope is charged to it
+//!   with its actual payload size** under its `Message::phase` — the cost
+//!   model then prices what was really sent, rather than a per-access
+//!   estimate.
 //!
 //! A socket- or process-based backend would implement [`Transport`] by
 //! serializing [`Message`] (all payload types are plain-old-data); the
@@ -426,12 +428,14 @@ pub trait Transport: Send + Sync {
 /// requester never touches foreign memory; it gets owned [`CellBuf`]s,
 /// label vectors or id vectors back. One-way messages go through
 /// per-machine mailboxes (mutex-guarded vectors). All envelopes are recorded
-/// on the transport's ledger with their actual [`Message::wire_bytes`] size;
-/// envelopes between co-located endpoints are recorded on the diagonal and
-/// therefore free, like every other local access.
+/// on the transport's ledger, when it has one, with their actual
+/// [`Message::wire_bytes`] size; envelopes between co-located endpoints are
+/// recorded on the diagonal and therefore free, like every other local
+/// access.
 pub struct ChannelTransport<'c> {
     cloud: &'c MemoryCloud,
-    ledger: &'c Network,
+    /// `None` charges nothing.
+    ledger: Option<&'c Network>,
     mailboxes: Vec<Mutex<Mailbox>>,
     /// Next sequence number per `src → dst` link, row-major `src * n + dst`.
     seqs: Vec<AtomicU64>,
@@ -457,21 +461,22 @@ impl std::fmt::Debug for ChannelTransport<'_> {
 }
 
 impl<'c> ChannelTransport<'c> {
-    /// Creates a transport connecting the machines of `cloud` (charging its aggregate).
+    /// Creates a transport connecting the machines of `cloud`, charging
+    /// nothing until it is given a ledger.
     pub fn new(cloud: &'c MemoryCloud) -> Self {
         let n = cloud.num_machines();
         ChannelTransport {
             cloud,
-            ledger: cloud.network(),
+            ledger: None,
             mailboxes: (0..n).map(|_| Mutex::new(Mailbox::default())).collect(),
             seqs: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
             duplicates_suppressed: AtomicU64::new(0),
         }
     }
 
-    /// Charges every envelope to `ledger` instead: a query's own counter.
+    /// Charges every envelope to `ledger`: a query's own, or a test's.
     pub fn with_ledger(mut self, ledger: &'c Network) -> Self {
-        self.ledger = ledger;
+        self.ledger = Some(ledger);
         self
     }
 
@@ -513,8 +518,9 @@ impl<'c> ChannelTransport<'c> {
     }
 
     fn record(&self, src: MachineId, dst: MachineId, msg: &Message) {
-        self.ledger
-            .record(src, dst, 1, msg.wire_bytes(), msg.phase());
+        if let Some(ledger) = self.ledger {
+            ledger.record(src, dst, 1, msg.wire_bytes(), msg.phase());
+        }
     }
 }
 
@@ -602,10 +608,10 @@ mod tests {
     #[test]
     fn load_exchange_returns_owned_cells_in_request_order() {
         let cloud = small_cloud(3);
-        let transport = ChannelTransport::new(&cloud);
+        let ledger = Network::new(3);
+        let transport = ChannelTransport::new(&cloud).with_ledger(&ledger);
         let owner = cloud.machine_of(v(2));
         let src = cloud.machines().find(|&m| m != owner).unwrap();
-        cloud.network().reset();
         let reply = transport
             .exchange(
                 src,
@@ -624,17 +630,18 @@ mod tests {
         assert_eq!(cells[0].id, v(2));
         assert_eq!(cells[0].neighbors, vec![v(0), v(1), v(3)]);
         // Request + reply were both charged as one envelope each.
-        assert_eq!(cloud.traffic().total_messages(), 2);
-        assert!(cloud.traffic().total_bytes() >= cells[0].wire_bytes());
+        assert_eq!(ledger.snapshot().total_messages(), 2);
+        assert!(ledger.snapshot().total_bytes() >= cells[0].wire_bytes());
         // No direct remote read happened: the handler served its own
         // partition.
-        assert_eq!(cloud.network().direct_remote_reads(), 0);
+        assert_eq!(ledger.direct_remote_reads(), 0);
     }
 
     #[test]
     fn get_ids_exchange_returns_remote_postings() {
         let cloud = small_cloud(4);
-        let transport = ChannelTransport::new(&cloud);
+        let ledger = Network::new(4);
+        let transport = ChannelTransport::new(&cloud).with_ledger(&ledger);
         let label = cloud.labels().get("d").unwrap();
         let owner = cloud.machine_of(v(3));
         let src = cloud.machines().find(|&m| m != owner).unwrap();
@@ -653,7 +660,7 @@ mod tests {
         assert_eq!(reply, Message::GetIdsReply { runs });
         // 4 B per label out, 8 B per id back, plus the two headers.
         assert_eq!(
-            cloud.traffic().total_bytes(),
+            ledger.snapshot().total_bytes(),
             2 * HEADER_BYTES + 3 * 4 + 2 * 8
         );
     }
@@ -661,8 +668,8 @@ mod tests {
     #[test]
     fn non_request_exchange_is_a_typed_error_not_a_panic() {
         let cloud = small_cloud(2);
-        let transport = ChannelTransport::new(&cloud);
-        cloud.network().reset();
+        let ledger = Network::new(2);
+        let transport = ChannelTransport::new(&cloud).with_ledger(&ledger);
         let err = transport
             .exchange(
                 MachineId(0),
@@ -678,7 +685,7 @@ mod tests {
         );
         assert!(err.to_string().contains("BindingDelta"));
         // The refused envelope was never charged to the wire.
-        assert_eq!(cloud.traffic().total_messages(), 0);
+        assert_eq!(ledger.snapshot().total_messages(), 0);
         let err = transport
             .exchange(
                 MachineId(0),
@@ -790,8 +797,8 @@ mod tests {
     #[test]
     fn every_envelope_is_charged_with_actual_payload() {
         let cloud = small_cloud(2);
-        let transport = ChannelTransport::new(&cloud);
-        cloud.network().reset();
+        let ledger = Network::new(2);
+        let transport = ChannelTransport::new(&cloud).with_ledger(&ledger);
         let msg = Message::JoinRows {
             stwig: 1,
             columns: vec![0, 1, 2],
@@ -799,10 +806,9 @@ mod tests {
         };
         let bytes = msg.wire_bytes();
         transport.post(MachineId(0), MachineId(1), msg);
-        assert_eq!(cloud.traffic().total_messages(), 1);
-        assert_eq!(cloud.traffic().total_bytes(), bytes);
+        assert_eq!(ledger.snapshot().total_messages(), 1);
+        assert_eq!(ledger.snapshot().total_bytes(), bytes);
         // Local posts land on the diagonal: recorded, but free.
-        cloud.network().reset();
         transport.post(
             MachineId(0),
             MachineId(0),
@@ -810,7 +816,7 @@ mod tests {
                 labels: vec![LabelId(0)],
             },
         );
-        assert_eq!(cloud.traffic().total_messages(), 0);
+        assert_eq!(ledger.snapshot().total_messages(), 1);
         assert_eq!(transport.drain(MachineId(0)).len(), 1);
     }
 
@@ -819,7 +825,6 @@ mod tests {
         let cloud = small_cloud(2);
         let ledger = Network::new(2);
         let transport = ChannelTransport::new(&cloud).with_ledger(&ledger);
-        cloud.network().reset();
         let (m0, m1) = (MachineId(0), MachineId(1));
         let delta = Message::BindingDelta {
             cols: vec![(0, vec![v(1)])],
@@ -841,7 +846,11 @@ mod tests {
         let explore = request.wire_bytes() + reply.wire_bytes();
         assert_eq!(ledger.phase_totals(Phase::Explore), (2, explore));
         assert_eq!(ledger.snapshot().total_messages(), 4);
-        assert_eq!(cloud.traffic().total_messages(), 0);
+        // A transport without a ledger carries the same envelopes and
+        // charges no one.
+        let bare = ChannelTransport::new(&cloud);
+        assert_eq!(bare.exchange(m0, m1, request).unwrap(), reply);
+        assert_eq!(ledger.snapshot().total_messages(), 4);
     }
 
     #[test]
@@ -967,8 +976,8 @@ mod tests {
         // every owner concurrently: replies must always match the serial
         // answer and the traffic matrix must not lose envelopes.
         let cloud = small_cloud(4);
-        let transport = ChannelTransport::new(&cloud);
-        cloud.network().reset();
+        let ledger = Network::new(4);
+        let transport = ChannelTransport::new(&cloud).with_ledger(&ledger);
         // Machine 0 sends: its own requests to remote owners, plus replies to
         // the three other callers for every vertex machine 0 owns.
         let remote_owners: u64 = (0..4u64)
@@ -1006,7 +1015,7 @@ mod tests {
                 });
             }
         });
-        let snap = cloud.traffic();
+        let snap = ledger.snapshot();
         let m0_traffic = snap.messages_from(MachineId(0));
         assert_eq!(m0_traffic, 32 * (remote_owners + 3 * owned_by_zero));
     }

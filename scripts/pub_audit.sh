@@ -9,7 +9,9 @@
 #
 # A type a public signature exposes (as a return, argument, bound or field
 # type) must stay `pub` although no caller names it: those are listed, one
-# a line, in scripts/pub_allowlist.txt. Exits 1 if any other name is found.
+# a line, in scripts/pub_allowlist.txt. Exits 1 if any other name is found,
+# or if an allowlist line names no `pub` item of the five libraries any more
+# (a stale entry, left behind by a deletion).
 #
 #   scripts/pub_audit.sh
 set -euo pipefail
@@ -19,11 +21,13 @@ cd "$here/.."
 
 allow="$(grep -v '^#' scripts/pub_allowlist.txt | grep -v '^$' || true)"
 found=0
+every=""
 for crate in core trinity-sim bench graph-gen baselines; do
     lib="crates/$crate/src"
     names="$(grep -rhoE --include='*.rs' --exclude-dir=bin \
         '^\s*pub (const |unsafe )?(fn|struct|enum|trait|const|type) [A-Za-z_][A-Za-z0-9_]*' "$lib" \
         | awk '{ print $NF }' | sort -u)"
+    every+="$names"$'\n'
     # Every source outside the library is a caller, its binaries included.
     mapfile -t callers < <(
         find crates src tests examples benchmark/src -name '*.rs' -not -path "$lib/*"
@@ -36,5 +40,11 @@ for crate in core trinity-sim bench graph-gen baselines; do
         echo "$lib: pub $name is named nowhere outside the library"
         found=1
     done
+done
+for name in $allow; do
+    if ! grep -qx "$name" <<<"$every"; then
+        echo "scripts/pub_allowlist.txt: $name names no pub item of the libraries"
+        found=1
+    fi
 done
 exit "$found"

@@ -192,12 +192,24 @@ fn cached_engine_is_bit_identical_to_uncached_serial_run() {
                     .with_workers(Some(1))
                     .with_match_config(reference_config.clone().with_transport_mode(mode)),
             );
-            // Every query retires its ledger into the cloud's aggregate.
-            let direct_before = cloud.direct_remote_reads();
+            let local_only = |metrics: &QueryMetrics| {
+                if mode == TransportMode::Messages {
+                    assert_eq!(
+                        metrics.direct_remote_reads, 0,
+                        "Messages-mode engine batches dereferenced a remote partition \
+                         (graph = {})",
+                        case.name
+                    );
+                }
+            };
             for pass in 0..2 {
                 let outputs = run_batch(&engine, &queries);
                 let tables: Vec<ResultTable> = (outputs.into_iter())
-                    .map(|out| out.unwrap().table)
+                    .map(|out| {
+                        let out = out.unwrap();
+                        local_only(&out.metrics);
+                        out.table
+                    })
                     .collect();
                 for (i, (table, want)) in tables.iter().zip(&plain).enumerate() {
                     let ctx = format!(
@@ -235,15 +247,7 @@ fn cached_engine_is_bit_identical_to_uncached_serial_run() {
                      (graph = {}, query = {i}, mode = {mode:?})",
                     case.name
                 );
-            }
-            if mode == TransportMode::Messages {
-                assert_eq!(
-                    cloud.direct_remote_reads(),
-                    direct_before,
-                    "Messages-mode engine batches dereferenced a remote partition \
-                     (graph = {})",
-                    case.name
-                );
+                local_only(&response.metrics);
             }
         }
     }
@@ -334,7 +338,6 @@ fn an_explored_stwig_among_served_ones_is_pruned_as_without_a_cache() {
                 let explore = |cache: Option<&StwigCache>| {
                     let mut metrics = QueryMetrics::default();
                     let mut machines = vec![MachineMetrics::default(); 4];
-                    cloud.network().reset();
                     let tables = produce_stwig_tables(
                         &cloud,
                         q,

@@ -1,8 +1,10 @@
 //! The `DirectRead` matcher's bulk-tallied traffic accounting against its
 //! reference: Algorithm 1 walked literally after the signature prune every
-//! exploration applies, one `MemoryCloud::has_label` probe per (child,
-//! neighbor), each remote probe charging its direct remote read, request and
-//! reply on the spot.
+//! exploration applies, one `Index.hasLabel` probe per (child, neighbor),
+//! each access charged on the spot to a ledger the reference owns — a remote
+//! root's `Cloud.Load` through `Network::charge_load`, each probe through
+//! `Network::charge_label_probes(.., 1)`: its direct remote read, request and
+//! reply.
 //!
 //! [`match_stwig`] decodes every root into an arena up front, labels it in
 //! one pass (in place, or from the STwig's postings), charges as emission
@@ -26,13 +28,14 @@ use stwig_match::prelude::*;
 use trinity_sim::ids::{MachineId, VertexId};
 use trinity_sim::neighbor_index::required_mask;
 
-/// Algorithm 1 with `Index.hasLabel` called per probe. Mirrors the
-/// matcher's stop conditions (row cap before each root and each row, the
+/// Algorithm 1 with `Index.hasLabel` charged to `ledger` per probe. Mirrors
+/// the matcher's stop conditions (row cap before each root and each row, the
 /// interrupt check every 32 roots) and its counters, and nothing of its
 /// structure.
 #[allow(clippy::too_many_arguments)]
 fn reference_explore(
     cloud: &MemoryCloud,
+    ledger: &Network,
     machine: MachineId,
     query: &QueryGraph,
     stwig: &STwig,
@@ -55,9 +58,11 @@ fn reference_explore(
             counters.rows_pruned_by_bindings += 1;
             continue;
         }
-        let Some(cell) = cloud.load(machine, n) else {
+        let owner = cloud.machine_of(n);
+        let Some(cell) = cloud.partition(owner).load(n) else {
             continue;
         };
+        ledger.charge_load(machine, owner, cell.neighbors.len());
         counters.cells_loaded += 1;
         if cell.label != query.label(stwig.root) {
             continue;
@@ -75,7 +80,8 @@ fn reference_explore(
             let mut found = Vec::new();
             for m in cell.neighbors.iter().filter(|&m| m != n) {
                 counters.label_probes += 1;
-                if !cloud.has_label(machine, m, query.label(child)) {
+                ledger.charge_label_probes(machine, cloud.machine_of(m), 1);
+                if cloud.label_of_global(m) != Some(query.label(child)) {
                     continue;
                 }
                 if admits(child, m) {
@@ -125,20 +131,16 @@ fn reference_explore(
 /// Everything the accounting of one exploration leaves behind.
 type Observed = (ResultTable, ExploreCounters, TrafficSnapshot, u64);
 
-/// Runs `explore` on a freshly reset network and collects what it left.
+/// Runs `explore` charging a fresh ledger and collects what it left.
 fn observe(
     cloud: &MemoryCloud,
-    explore: impl FnOnce(&mut ExploreCounters) -> ResultTable,
+    explore: impl FnOnce(&mut ExploreCounters, &Network) -> ResultTable,
 ) -> Observed {
-    cloud.network().reset();
+    let ledger = Network::new(cloud.num_machines());
     let mut counters = ExploreCounters::default();
-    let table = explore(&mut counters);
-    (
-        table,
-        counters,
-        cloud.traffic(),
-        cloud.direct_remote_reads(),
-    )
+    let table = explore(&mut counters, &ledger);
+    let reads = ledger.direct_remote_reads();
+    (table, counters, ledger.snapshot(), reads)
 }
 
 /// Explores every (machine, STwig) pair of the query's cover both ways under
@@ -159,14 +161,14 @@ fn check_explorations(
             // Every local posting, not only the bound ones: the matcher's
             // own root-admission branch then runs too.
             let roots = cloud.get_ids(k, query.label(stwig.root)).to_vec();
-            let tallied = observe(cloud, |c| {
+            let tallied = observe(cloud, |c, ledger| {
                 match_stwig(
-                    cloud, k, query, &stwig, &roots, &bindings, config, control, c,
+                    cloud, ledger, k, query, &stwig, &roots, &bindings, config, control, c,
                 )
             });
-            let probed = observe(cloud, |c| {
+            let probed = observe(cloud, |c, ledger| {
                 reference_explore(
-                    cloud, k, query, &stwig, &roots, &bindings, config, control, c,
+                    cloud, ledger, k, query, &stwig, &roots, &bindings, config, control, c,
                 )
             });
             assert_eq!(tallied, probed, "machine {k}, STwig {stwig:?}, {config:?}");
@@ -282,14 +284,14 @@ fn early_exits_charge_exactly_what_was_probed() {
             // roots are loaded (and charged) in place too.
             let roots: Vec<VertexId> = (0..4).map(VertexId).collect();
             let k = MachineId(0);
-            let tallied = observe(&cloud, |counters| {
+            let tallied = observe(&cloud, |counters, ledger| {
                 match_stwig(
-                    &cloud, k, &query, &stwig, &roots, &bindings, &config, None, counters,
+                    &cloud, ledger, k, &query, &stwig, &roots, &bindings, &config, None, counters,
                 )
             });
-            let probed = observe(&cloud, |counters| {
+            let probed = observe(&cloud, |counters, ledger| {
                 reference_explore(
-                    &cloud, k, &query, &stwig, &roots, &bindings, &config, None, counters,
+                    &cloud, ledger, k, &query, &stwig, &roots, &bindings, &config, None, counters,
                 )
             });
             assert_eq!(
@@ -335,14 +337,14 @@ fn remote_roots_of_the_wrong_label_are_charged_their_read() {
     let remote = roots.iter().filter(|&&n| cloud.machine_of(n) != k).count() as u64;
     assert_eq!(remote, 6);
     let config = MatchConfig::exhaustive().with_transport_mode(TransportMode::DirectRead);
-    let tallied = observe(&cloud, |counters| {
+    let tallied = observe(&cloud, |counters, ledger| {
         match_stwig(
-            &cloud, k, &query, &stwig, &roots, &bindings, &config, None, counters,
+            &cloud, ledger, k, &query, &stwig, &roots, &bindings, &config, None, counters,
         )
     });
-    let probed = observe(&cloud, |counters| {
+    let probed = observe(&cloud, |counters, ledger| {
         reference_explore(
-            &cloud, k, &query, &stwig, &roots, &bindings, &config, None, counters,
+            &cloud, ledger, k, &query, &stwig, &roots, &bindings, &config, None, counters,
         )
     });
     assert_eq!(tallied, probed, "{config:?}");
@@ -371,7 +373,6 @@ fn exploration_phase_accounts_like_the_reference_on_any_thread_count() {
             let config = MatchConfig::exhaustive().with_transport_mode(TransportMode::DirectRead);
             let plan = plan_query(&cloud, &query).unwrap();
             let run = |threads: usize| {
-                cloud.network().reset();
                 let config = config.clone().with_num_threads(Some(threads));
                 let mut metrics = QueryMetrics::default();
                 let mut per_machine = vec![MachineMetrics::default(); machines];
@@ -395,19 +396,14 @@ fn exploration_phase_accounts_like_the_reference_on_any_thread_count() {
                         })
                         .collect()
                 });
-                (
-                    tables,
-                    metrics.explore,
-                    metrics.phase_traffic,
-                    cloud.traffic(),
-                    cloud.direct_remote_reads(),
-                )
+                let reads = metrics.direct_remote_reads;
+                (tables, metrics.explore, metrics.phase_traffic, reads)
             };
             let serial = run(1);
             assert_eq!(serial, run(4), "{machines} machines, seed {seed}");
 
             // The reference, STwig by STwig under the same binding barrier.
-            cloud.network().reset();
+            let ledger = Network::new(machines);
             let mut counters = ExploreCounters::default();
             let mut bindings = Bindings::new(query.num_vertices());
             let mut reference: Vec<Vec<ResultTable>> = vec![Vec::new(); machines];
@@ -422,6 +418,7 @@ fn exploration_phase_accounts_like_the_reference_on_any_thread_count() {
                         .collect();
                     let table = reference_explore(
                         &cloud,
+                        &ledger,
                         k,
                         &query,
                         stwig,
@@ -439,17 +436,17 @@ fn exploration_phase_accounts_like_the_reference_on_any_thread_count() {
                 }
                 bindings.update_from_table(&merged);
             }
-            let (tables, explore, phases, _, reads) = serial;
+            let (tables, explore, phases, reads) = serial;
             if let Some(tables) = tables {
                 assert_eq!(tables, reference, "{machines} machines, seed {seed}");
             }
             assert_eq!(explore, counters);
-            let traffic = cloud.traffic();
+            let traffic = ledger.snapshot();
             assert_eq!(
                 (phases.explore_messages, phases.explore_bytes),
                 (traffic.total_messages(), traffic.total_bytes())
             );
-            assert_eq!(reads, cloud.direct_remote_reads());
+            assert_eq!(reads, ledger.direct_remote_reads());
         }
     }
 }

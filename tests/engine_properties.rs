@@ -5,7 +5,8 @@
 //! byte budget small enough to evict on every insert must never corrupt a
 //! table a concurrent query is reading — under both transports. Beside them,
 //! a fixed batch pins that each query's traffic record is its own, however
-//! many workers run beside it.
+//! many workers run beside it, and two concurrently served queries pin that
+//! each reports its own direct remote reads.
 
 mod common;
 
@@ -168,12 +169,11 @@ proptest! {
     }
 }
 
-/// Every query charges a ledger of its own and adds it to the cloud's
-/// aggregate when it retires: on 4 workers, each query's traffic record —
-/// totals and per-phase split — is the one the serial run gives it, and the
-/// aggregate after the batch is the sum of the records. Eight distinct cold
-/// queries (cache off) eight times each, under both transports and a lossy
-/// fault plan.
+/// Every query charges a ledger of its own: on 4 workers, each query's
+/// traffic record — totals, per-phase split and direct remote reads — is the
+/// one the serial run gives it, and a `Messages` query reads nothing remote.
+/// Eight distinct cold queries (cache off) eight times each, under both
+/// transports and a lossy fault plan.
 #[test]
 fn per_query_traffic_is_exact_whatever_runs_beside_it() {
     let cloud =
@@ -203,7 +203,6 @@ fn per_query_traffic_is_exact_whatever_runs_beside_it() {
                     .with_cache(None)
                     .with_match_config(config.clone()),
             );
-            cloud.network().reset();
             // `run_batch` with the request's options: submit all, drain on
             // `workers` threads, wait for each.
             let handles: Vec<QueryHandle> = (queries.iter())
@@ -216,17 +215,16 @@ fn per_query_traffic_is_exact_whatever_runs_beside_it() {
                 }
                 engine.drain();
             });
-            let records: Vec<(u64, u64, PhaseTraffic)> = (handles.into_iter())
+            let records: Vec<(u64, u64, PhaseTraffic, u64)> = (handles.into_iter())
                 .map(|handle| {
                     let m = handle.wait().expect("query succeeds").metrics;
-                    (m.network_messages, m.network_bytes, m.phase_traffic)
+                    let reads = m.direct_remote_reads;
+                    (m.network_messages, m.network_bytes, m.phase_traffic, reads)
                 })
                 .collect();
-            let sum: u64 = records.iter().map(|r| r.0).sum();
-            let ctx = format!("{ctx}, workers = {workers}");
-            assert_eq!(cloud.traffic().total_messages(), sum, "{ctx}");
             if mode == TransportMode::Messages {
-                assert_eq!(cloud.direct_remote_reads(), 0, "{ctx}");
+                let ctx = format!("{ctx}, workers = {workers}");
+                assert!(records.iter().all(|r| r.3 == 0), "{ctx}");
             }
             records
         };
@@ -236,5 +234,64 @@ fn per_query_traffic_is_exact_whatever_runs_beside_it() {
             "no query crossed machines ({ctx})"
         );
         assert_eq!(records(4), serial, "{ctx}");
+    }
+}
+
+/// The transport is an engine's setting, so two engines share one cloud: a
+/// `DirectRead` one and a `Messages` one, each drained by its own `serve`
+/// thread at the same time. Each query reports the direct remote reads its
+/// serial run reports — the `Messages` query none — however the other
+/// query's reads interleave with it.
+#[test]
+fn per_query_direct_reads_are_exact_beside_a_concurrent_query() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let cloud =
+        synthetic_experiment_graph(1_500, 6.0, 5e-2, 0xBEEF).build_cloud(4, CostModel::default());
+    let query = query_batch(&cloud, 1, 5, None, 0x7EDC)
+        .pop()
+        .expect("workload generation degenerated");
+    let engine_for = |mode| {
+        let config = MatchConfig::default()
+            .with_num_threads(Some(1))
+            .with_transport_mode(mode);
+        let config = EngineConfig::default()
+            .with_workers(Some(1))
+            .with_cache(None)
+            .with_match_config(config);
+        QueryEngine::new(&cloud, config)
+    };
+    let engines = [
+        engine_for(TransportMode::DirectRead),
+        engine_for(TransportMode::Messages),
+    ];
+    let serial = engines.each_ref().map(|engine| {
+        let config = &engine.config().match_config;
+        let out = match_query(&cloud, &query, config, Run::default()).unwrap();
+        out.metrics.direct_remote_reads
+    });
+    assert!(
+        serial[0] > 0,
+        "the DirectRead query reads remote partitions"
+    );
+    assert_eq!(serial[1], 0, "the Messages query reads nothing remote");
+    for round in 0..8 {
+        let handles = engines.each_ref().map(|engine| {
+            let request = QueryRequest::new(query.clone());
+            engine.submit(request).expect_accepted()
+        });
+        let stop = AtomicBool::new(false);
+        let reads = std::thread::scope(|scope| {
+            for engine in &engines {
+                let stop = &stop;
+                scope.spawn(move || engine.serve(stop));
+            }
+            let reads = handles.map(|handle| {
+                let response = handle.wait().expect("query succeeds");
+                response.metrics.direct_remote_reads
+            });
+            stop.store(true, Ordering::Release);
+            reads
+        });
+        assert_eq!(reads, serial, "round {round}");
     }
 }

@@ -120,6 +120,7 @@ fn for_each_exploration(
             let mut direct_counters = ExploreCounters::default();
             let direct = match_stwig(
                 cloud,
+                &Network::new(cloud.num_machines()),
                 k,
                 query,
                 &stwig,
@@ -319,8 +320,8 @@ fn explore_hub_star(extra_b: u64) -> HubStar {
     qb.edge(a, b);
     let query = qb.build().unwrap();
     let stwig = stwig::stwig::STwig::new(a, vec![b]);
-    let transport = ChannelTransport::new(cloud);
-    cloud.network().reset();
+    let ledger = Network::new(cloud.num_machines());
+    let transport = ChannelTransport::new(cloud).with_ledger(&ledger);
     let table = match_stwig_batched(
         cloud,
         &transport,
@@ -338,7 +339,7 @@ fn explore_hub_star(extra_b: u64) -> HubStar {
     .unwrap();
     assert_eq!(table.num_rows(), 6 * roots.len());
     HubStar {
-        traffic: cloud.traffic(),
+        traffic: ledger.snapshot(),
         remote: remote.len() as u64,
         owners: owners.len() as u64,
     }

@@ -56,8 +56,6 @@ fn assert_parallel_matches_serial(cost_name: &str, cost: CostModel) {
                             "cost = {cost_name}, machines = {machines}, query = {qi}, \
                              config = {cfg_name}, mode = {mode:?}, threads = {threads}"
                         );
-                        // The cloud's aggregate adds every retired query.
-                        let direct_before = cloud.direct_remote_reads();
                         let run = match_query(
                             &cloud,
                             query,
@@ -68,12 +66,12 @@ fn assert_parallel_matches_serial(cost_name: &str, cost: CostModel) {
                             Run::default(),
                         )
                         .unwrap();
+                        let reads = run.metrics.direct_remote_reads;
                         if mode == TransportMode::Messages {
-                            assert_eq!(
-                                cloud.direct_remote_reads(),
-                                direct_before,
-                                "Messages mode touched a remote partition: {ctx}"
-                            );
+                            assert_eq!(reads, 0, "Messages mode touched a remote partition: {ctx}");
+                        } else {
+                            let want = serial.metrics.direct_remote_reads;
+                            assert_eq!(reads, want, "direct reads diverged: {ctx}");
                         }
                         // Bit-identical, not just set-equal: same rows in the
                         // same order, so truncating configs pick the same

@@ -151,12 +151,12 @@ fn algorithm1_explore_traffic(
     stwigs: &[STwig],
     prune: bool,
 ) -> (u64, u64) {
-    cloud.network().reset();
+    let ledger = Network::new(cloud.num_machines());
     for stwig in stwigs {
         let required = required_mask(stwig.children.iter().map(|&c| query.label(c)));
         for k in cloud.machines() {
             for n in cloud.get_ids(k, query.label(stwig.root)).iter() {
-                let cell = cloud.load(k, n).expect("a local posting loads");
+                let cell = cloud.load_local(k, n).expect("a local posting loads");
                 let dead = cell.neighbors.len() < stwig.children.len()
                     || cloud
                         .signature_of(n)
@@ -167,7 +167,8 @@ fn algorithm1_explore_traffic(
                 for &child in &stwig.children {
                     let mut found = false;
                     for m in cell.neighbors.iter() {
-                        found |= cloud.has_label(k, m, query.label(child));
+                        ledger.charge_label_probes(k, cloud.machine_of(m), 1);
+                        found |= cloud.label_of_global(m) == Some(query.label(child));
                     }
                     if !found {
                         break;
@@ -176,7 +177,7 @@ fn algorithm1_explore_traffic(
             }
         }
     }
-    let traffic = cloud.traffic();
+    let traffic = ledger.snapshot();
     (traffic.total_bytes(), traffic.total_messages())
 }
 

@@ -49,7 +49,6 @@ fn first_k_streams_exactly_k_valid_embeddings_in_both_modes() {
                         .with_transport_mode(mode)
                         .with_result_mode(ResultMode::FirstK(k));
                     let mut sink = CollectSink::new();
-                    let direct_before = cloud.direct_remote_reads();
                     let metrics = match_query(
                         &cloud,
                         query,
@@ -81,8 +80,7 @@ fn first_k_streams_exactly_k_valid_embeddings_in_both_modes() {
                     verify_all(&cloud, query, &table).unwrap();
                     if mode == TransportMode::Messages {
                         assert_eq!(
-                            cloud.direct_remote_reads(),
-                            direct_before,
+                            metrics.direct_remote_reads, 0,
                             "streaming must stay partition-local ({ctx})"
                         );
                     }
