@@ -1,15 +1,21 @@
 //! Edge-index join baseline (the RDF-3X / BitMat strategy of Table 1 row 2):
 //! decompose the query into its individual edges, materialize a candidate
-//! table per query edge from an edge index, and answer the query with a
-//! multi-way join.
+//! table per query edge from an edge index, and answer the query by joining
+//! them level by level: each binary join materializes its whole output
+//! before the next one reads it.
 //!
 //! This is the strategy §3 argues against for general subgraph matching: the
 //! per-edge tables are large and the join does all the work. It serves both
 //! as a correctness cross-check and as the comparison point for the
-//! exploration-vs-join experiments.
+//! exploration-vs-join experiments. Each binary step is a two-table
+//! [`pipelined_join`], so the baseline joins with the matcher's own probe;
+//! what it keeps of its own is the materialized table between the steps.
 
-use stwig::join::{multiway_join, select_join_order};
+use std::mem;
+use stwig::config::{MatchConfig, ResultMode};
+use stwig::join::select_join_order;
 use stwig::metrics::JoinCounters;
+use stwig::pipeline::pipelined_join;
 use stwig::query::QueryGraph;
 use stwig::table::ResultTable;
 use trinity_sim::ids::LabelId;
@@ -20,9 +26,10 @@ use trinity_sim::MemoryCloud;
 pub struct EdgeJoinStats {
     /// Total rows materialized across all per-edge candidate tables.
     pub candidate_rows: u64,
-    /// Join counters of the final multi-way join.
+    /// Binary joins performed: one per step of the level-by-level join, up
+    /// to the step whose output was empty.
     pub joins_performed: u64,
-    /// Rows produced by intermediate joins.
+    /// Rows produced by the binary joins, the last one's included.
     pub intermediate_rows: u64,
 }
 
@@ -49,11 +56,33 @@ pub fn edge_join(
     }
 
     let order = select_join_order(&tables, 64);
+    let (&first, rest) = order.split_first().expect("a query with an edge");
+    let limited = |limit: Option<usize>| MatchConfig {
+        result_mode: limit.map_or(ResultMode::All, ResultMode::FirstK),
+        ..MatchConfig::default()
+    };
     let mut counters = JoinCounters::default();
-    let result = multiway_join(&tables, &order, max_results, &mut counters);
-    stats.joins_performed = counters.joins_performed;
+    let mut acc = mem::take(&mut tables[first]);
+    if rest.is_empty() {
+        acc = pipelined_join(&[acc], &limited(max_results), &[0], &mut counters);
+    }
+    for (step, &ti) in rest.iter().enumerate() {
+        // No limit on intermediate joins: a limit is only safe on the final
+        // output (earlier truncation could drop rows that would survive).
+        let limit = if step + 1 == rest.len() {
+            max_results
+        } else {
+            None
+        };
+        let pair = [acc, mem::take(&mut tables[ti])];
+        acc = pipelined_join(&pair, &limited(limit), &[0, 1], &mut counters);
+        stats.joins_performed += 1;
+        if acc.is_empty() {
+            break;
+        }
+    }
     stats.intermediate_rows = counters.intermediate_rows;
-    (result, stats)
+    (acc, stats)
 }
 
 /// Materializes the candidate table of one query edge: every data edge whose
@@ -174,6 +203,24 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_intermediate_join_ends_the_steps() {
+        // Every b has one c neighbor, so b–c ⨝ b–c' keeps no injective row
+        // and the a–b table is never joined.
+        let cloud = sample_cloud();
+        let mut qb = QueryGraph::builder();
+        let a = qb.vertex_by_name(&cloud, "a").unwrap();
+        let b = qb.vertex_by_name(&cloud, "b").unwrap();
+        let c = qb.vertex_by_name(&cloud, "c").unwrap();
+        let c2 = qb.vertex_by_name(&cloud, "c").unwrap();
+        qb.edge(a, b).edge(b, c).edge(b, c2);
+        let q = qb.build().unwrap();
+        let (result, stats) = edge_join(&cloud, &q, None);
+        assert!(result.is_empty());
+        assert_eq!(stats.joins_performed, 1);
+        assert!(ullmann(&cloud, &q, None).is_empty());
+    }
+
+    #[test]
     fn result_limit_respected() {
         let cloud = sample_cloud();
         let mut qb = QueryGraph::builder();
@@ -181,7 +228,8 @@ mod tests {
         let b = qb.vertex_by_name(&cloud, "b").unwrap();
         qb.edge(a, b);
         let q = qb.build().unwrap();
-        let (result, _) = edge_join(&cloud, &q, Some(3));
+        let (result, stats) = edge_join(&cloud, &q, Some(3));
         assert_eq!(result.num_rows(), 3);
+        assert_eq!(stats.joins_performed, 0, "one edge, nothing to join");
     }
 }

@@ -108,7 +108,8 @@ pub fn join_stwig_tables(
     let control = QueryControl::new(&QueryOptions::none(), started);
     let canonical: Vec<QVid> = query.vertices().collect();
     let limit = config.result_limit();
-    let mut state = StreamState::begin(None, &canonical, started);
+    let mut table = ResultTable::new(canonical.clone());
+    let mut state = StreamState::begin(&mut table, &canonical, started);
     let ledger = Network::new(cloud.num_machines());
     let link = Link::new(cloud, &ledger, config, control.faults());
     let pass = join_pass(
@@ -128,7 +129,6 @@ pub fn join_stwig_tables(
     metrics.fault.duplicates_suppressed += link.duplicates_suppressed();
     retire(&ledger, metrics);
     metrics.truncated = limit.is_some() && !pass.exhausted;
-    Ok(state
-        .finish(metrics)
-        .expect("the table output hands its table back"))
+    state.finish(metrics);
+    Ok(table)
 }

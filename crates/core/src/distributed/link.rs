@@ -431,7 +431,6 @@ mod tests {
     use crate::distributed::tests::{sample_cloud, triangle_query};
     use crate::metrics::{JoinCounters, MachineMetrics, QueryMetrics};
     use crate::pipeline::{join_order, pipelined_join_streaming};
-    use crate::stream::CollectSink;
     use crate::table::ResultTable;
 
     fn messages() -> MatchConfig {
@@ -557,7 +556,7 @@ mod tests {
         order: &[usize],
         limit: usize,
     ) -> Vec<Vec<VertexId>> {
-        let mut sink = CollectSink::new();
+        let mut sink = ResultTable::default();
         let config = MatchConfig {
             block_rows: 2,
             ..MatchConfig::default()
@@ -573,7 +572,7 @@ mod tests {
             &mut counters,
             &mut sink,
         );
-        let table = sink.into_table().expect("a schema");
+        let table = sink;
         table.rows().map(<[VertexId]>::to_vec).collect()
     }
 

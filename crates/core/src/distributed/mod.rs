@@ -176,8 +176,15 @@ pub fn match_query(
         options,
         sink,
     } = run;
-    let (table, metrics) = execute_query(cloud, query, config, &options, cache, sink)?;
-    let table = table.unwrap_or_else(|| ResultTable::new(query.vertices().collect()));
+    let mut table = ResultTable::default();
+    let metrics = match sink {
+        Some(sink) => {
+            let metrics = execute_query(cloud, query, config, &options, cache, sink)?;
+            table = ResultTable::new(query.vertices().collect());
+            metrics
+        }
+        None => execute_query(cloud, query, config, &options, cache, &mut table)?,
+    };
     Ok(MatchOutput { table, metrics })
 }
 
@@ -203,46 +210,25 @@ const FIRST_K_MIN_SLAB: usize = 256;
 /// of the final round.
 const SLAB_GROWTH: usize = 8;
 
-/// Where rows end up: the caller's sink, or a table.
-enum Output<'s> {
-    Sink {
-        sink: &'s mut dyn ResultSink,
-        /// A re-projected row on its way to `sink.row`.
-        row_buf: Vec<VertexId>,
-    },
-    Table(ResultTable),
-}
-
-/// A destination for canonical-order rows that tracks delivery: how many
-/// rows it took, and when the first one became readable. The query's output
-/// is one; so is a slab round's staging table, whose stamp nobody reads.
+/// The query's output: the sink every row goes to, and what delivery
+/// tracks — how many rows it took, and when the first one became readable.
+/// A slab round's staging table is one too, whose stamp nobody reads.
 pub(crate) struct StreamState<'s> {
-    output: Output<'s>,
+    sink: &'s mut dyn ResultSink,
+    /// A re-projected row on its way to `sink.row`.
+    row_buf: Vec<VertexId>,
     started: Instant,
     streamed: u64,
     first_us: Option<f64>,
 }
 
 impl<'s> StreamState<'s> {
-    /// Opens the output for rows in `columns` order: announces them to the
-    /// sink when there is one, creates the table otherwise.
-    pub(crate) fn begin(
-        sink: Option<&'s mut dyn ResultSink>,
-        columns: &[QVid],
-        started: Instant,
-    ) -> Self {
-        let output = match sink {
-            Some(sink) => {
-                sink.begin(columns);
-                Output::Sink {
-                    sink,
-                    row_buf: Vec::with_capacity(columns.len()),
-                }
-            }
-            None => Output::Table(ResultTable::new(columns.to_vec())),
-        };
+    /// Opens `sink` for rows in `columns` order: announces them.
+    pub(crate) fn begin(sink: &'s mut dyn ResultSink, columns: &[QVid], started: Instant) -> Self {
+        sink.begin(columns);
         StreamState {
-            output,
+            sink,
+            row_buf: Vec::with_capacity(columns.len()),
             started,
             streamed: 0,
             first_us: None,
@@ -251,78 +237,48 @@ impl<'s> StreamState<'s> {
 
     /// Delivers a row that is already in the output's column order.
     fn deliver(&mut self, row: &[VertexId]) {
-        match &mut self.output {
-            Output::Sink { sink, .. } => sink.row(row),
-            Output::Table(table) => table.push_row(row),
-        }
-        self.delivered(1);
+        self.sink.row(row);
+        self.delivered();
     }
 
-    /// Delivers a staged table's rows, already in the output's column order.
-    fn deliver_all(&mut self, rows: &ResultTable) {
-        match &mut self.output {
-            Output::Sink { .. } => rows.rows().for_each(|row| self.deliver(row)),
-            Output::Table(table) => {
-                table.append(rows);
-                self.delivered(rows.num_rows() as u64);
-            }
-        }
-    }
-
-    /// Delivers `row` re-projected into the output's column order: one
-    /// write per value into a table, through the row buffer into a sink.
+    /// Delivers `row` re-projected into the output's column order, through
+    /// the row buffer.
     fn deliver_projected(&mut self, row: &[VertexId], projection: &[usize]) {
-        match &mut self.output {
-            Output::Sink { sink, row_buf } => {
-                row_buf.clear();
-                row_buf.extend(projection.iter().map(|&p| row[p]));
-                sink.row(row_buf);
-            }
-            Output::Table(table) => table.push_projected(row, projection),
-        }
-        self.delivered(1);
+        self.row_buf.clear();
+        self.row_buf.extend(projection.iter().map(|&p| row[p]));
+        self.sink.row(&self.row_buf);
+        self.delivered();
     }
 
-    fn delivered(&mut self, rows: u64) {
-        self.streamed += rows;
-        if self.first_us.is_none() && rows > 0 {
+    fn delivered(&mut self) {
+        self.streamed += 1;
+        if self.first_us.is_none() {
             // The first row does not wait in a buffering sink for company:
             // the stamp is when the consumer could read it.
-            self.flush();
+            self.sink.flush();
             self.first_us = Some(self.started.elapsed().as_secs_f64() * 1e6);
         }
     }
 
     /// Has a buffering sink hand over what it holds.
     fn flush(&mut self) {
-        if let Output::Sink { sink, .. } = &mut self.output {
-            sink.flush();
-        }
+        self.sink.flush();
     }
 
     /// Ends delivery — whatever stopped the query, the rows it delivered
-    /// are flushed before its metrics say so — records the stream's
-    /// counters, and hands back the table of a table output.
-    pub(crate) fn finish(mut self, metrics: &mut QueryMetrics) -> Option<ResultTable> {
+    /// are flushed before its metrics say so — and records the stream's
+    /// counters.
+    pub(crate) fn finish(mut self, metrics: &mut QueryMetrics) {
         self.flush();
         metrics.matches_found = self.streamed;
         metrics.rows_streamed = self.streamed;
         metrics.time_to_first_result_us = self.first_us;
-        self.into_table()
-    }
-
-    /// The table of a table output.
-    fn into_table(self) -> Option<ResultTable> {
-        match self.output {
-            Output::Sink { .. } => None,
-            Output::Table(table) => Some(table),
-        }
     }
 }
 
-/// **The** query executor. Rows go to `sink` as they are produced, or —
-/// with no sink — into a table that is handed back; either way in canonical
-/// column order, under the per-query deadline/cancellation in `options`.
+/// **The** query executor. Rows go to `sink` as they are produced, in
+/// canonical column order, under the per-query deadline/cancellation in
+/// `options`; a caller that wants a table passes one.
 /// `options.result_mode`, when set, replaces `config.result_mode`.
 ///
 /// Under [`crate::config::ResultMode::All`] exploration runs exactly once
@@ -356,8 +312,8 @@ pub(crate) fn execute_query(
     config: &MatchConfig,
     options: &QueryOptions,
     cache: Option<&StwigCache>,
-    sink: Option<&mut dyn ResultSink>,
-) -> Result<(Option<ResultTable>, QueryMetrics), StwigError> {
+    sink: &mut dyn ResultSink,
+) -> Result<QueryMetrics, StwigError> {
     let started = Instant::now();
     let control = QueryControl::new(options, started);
     check_faults(config, Some(&control))?;
@@ -422,10 +378,10 @@ pub(crate) fn execute_query(
         Some(Interrupt::Cancelled) => QueryOutcome::Cancelled,
         Some(Interrupt::DeadlineExceeded) => QueryOutcome::DeadlineExceeded,
     };
-    let table = state.finish(&mut metrics);
+    state.finish(&mut metrics);
     metrics.machines = machine_metrics;
     finalize(&mut metrics, cloud, &ledger, started);
-    Ok((table, metrics))
+    Ok(metrics)
 }
 
 /// A single-vertex query: delivers the per-machine postings of its label in
@@ -578,7 +534,8 @@ fn explore_and_join(
         // re-explore with a bigger slab — rows must never be delivered
         // twice, and a bigger slab's join output is not a superset of this
         // one's.
-        let mut staging = StreamState::begin(None, canonical, state.started);
+        let mut staging = ResultTable::new(canonical.to_vec());
+        let mut staged = StreamState::begin(&mut staging, canonical, state.started);
         let pass = join_pass(
             cloud,
             plan,
@@ -591,15 +548,13 @@ fn explore_and_join(
             link,
             metrics,
             machine_metrics,
-            &mut staging,
+            &mut staged,
         )?;
-        let staging = staging
-            .into_table()
-            .expect("a sinkless state holds a table");
+        drop(staged);
         metrics.peak_table_bytes = metrics.peak_table_bytes.max(staging.memory_bytes() as u64);
         let satisfied = limit.is_some_and(|l| pass.rows >= l as u64);
         if satisfied || control.interrupted() {
-            state.deliver_all(&staging);
+            staging.rows().for_each(|row| state.deliver(row));
             return Ok(satisfied);
         }
         slab = slab.map(|s| s.saturating_mul(SLAB_GROWTH));
@@ -638,7 +593,6 @@ mod tests {
     use crate::config::TransportMode;
     use crate::metrics::{ExploreCounters, JoinCounters};
     use crate::retry::Faults;
-    use crate::stream::CollectSink;
     use crate::verify::{canonical_rows, same_answer, verify_all};
     use std::sync::Arc;
     use trinity_sim::builder::GraphBuilder;
@@ -1694,7 +1648,7 @@ mod tests {
             let query = triangle_query(&cloud);
             let config = MatchConfig::default();
             let materialized = match_query(&cloud, &query, &config, Run::default()).unwrap();
-            let mut sink = CollectSink::new();
+            let mut sink = ResultTable::default();
             let metrics = match_query(
                 &cloud,
                 &query,
@@ -1706,7 +1660,7 @@ mod tests {
             )
             .unwrap()
             .metrics;
-            let table = sink.into_table().unwrap();
+            let table = sink;
             assert_eq!(
                 table.columns(),
                 query.vertices().collect::<Vec<_>>(),
@@ -1741,7 +1695,7 @@ mod tests {
             assert_eq!(full_rows.len(), 10);
             for k in [1usize, 3, 10, 25] {
                 let config = MatchConfig::default().with_result_mode(ResultMode::FirstK(k));
-                let mut sink = CollectSink::new();
+                let mut sink = ResultTable::default();
                 let metrics = match_query(
                     &cloud,
                     &query,
@@ -1753,7 +1707,7 @@ mod tests {
                 )
                 .unwrap()
                 .metrics;
-                let table = sink.into_table().unwrap();
+                let table = sink;
                 assert_eq!(
                     table.num_rows(),
                     k.min(10),
@@ -1842,7 +1796,7 @@ mod tests {
         let full = match_query(&cloud, &query, &MatchConfig::default(), Run::default()).unwrap();
         assert_eq!(full.num_matches(), 1, "exactly one triangle by design");
         let config = MatchConfig::default().with_result_mode(ResultMode::FirstK(1));
-        let mut sink = CollectSink::new();
+        let mut sink = ResultTable::default();
         let metrics = match_query(
             &cloud,
             &query,
@@ -1854,7 +1808,7 @@ mod tests {
         )
         .unwrap()
         .metrics;
-        let table = sink.into_table().unwrap();
+        let table = sink;
         assert_eq!(table.num_rows(), 1);
         assert_eq!(
             canonical_rows(&query, &table),
@@ -1878,7 +1832,7 @@ mod tests {
         // row is produced.
         let token = CancelToken::new();
         token.cancel();
-        let mut sink = CollectSink::new();
+        let mut sink = ResultTable::default();
         let metrics = match_query(
             &cloud,
             &query,
@@ -1894,7 +1848,7 @@ mod tests {
         assert_eq!(metrics.outcome, QueryOutcome::Cancelled);
         assert_eq!(metrics.rows_streamed, 0);
         // Already-expired deadline.
-        let mut sink = CollectSink::new();
+        let mut sink = ResultTable::default();
         let metrics = match_query(
             &cloud,
             &query,

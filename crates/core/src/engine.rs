@@ -56,6 +56,7 @@ use crate::serve::{
     HandleShared, QueryHandle, QueryRequest, QueryResponse, ServeConfig, Submit, TenantId,
 };
 use crate::stream::{CancelToken, ChannelSink, QueryOptions, ResultSink, RowStream};
+use crate::table::ResultTable;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -525,16 +526,21 @@ impl<'c> QueryEngine<'c> {
             result_mode: mode,
             faults: faults.map(|faults| *faults),
         };
-        // One executor, two outputs: a table it fills and hands back, or
-        // the handle's channel. A consumer that dropped its `RowStream`
-        // stops the query instead of leaving it to enumerate for nobody;
-        // the sink (and with it the channel) goes away after its last batch
-        // and before the handle resolves.
+        // Rows go to a sink: a table the response hands back, or the
+        // handle's channel. A consumer that dropped its `RowStream` stops
+        // the query instead of leaving it to enumerate for nobody; the sink
+        // (and with it the channel) goes away after its last batch and
+        // before the handle resolves.
+        let mut table = ResultTable::default();
         let mut channel = match delivery {
             Delivery::Collect => None,
             Delivery::Channel(sender) => {
                 Some(ChannelSink::new(sender).cancel_on_disconnect(shared.cancel_token().clone()))
             }
+        };
+        let sink: &mut dyn ResultSink = match &mut channel {
+            Some(channel) => channel,
+            None => &mut table,
         };
         let started = Instant::now();
         let result = execute_query(
@@ -543,13 +549,14 @@ impl<'c> QueryEngine<'c> {
             &self.config.match_config,
             &run_options,
             self.cache.as_ref(),
-            channel.as_mut().map(|sink| sink as &mut dyn ResultSink),
+            sink,
         );
+        let table = channel.is_none().then_some(table);
         drop(channel);
         let wall_us = started.elapsed().as_secs_f64() * 1e6;
-        let metrics = result.as_ref().ok().map(|(_, metrics)| metrics);
-        self.book().retire_query(tenant, cost, wall_us, metrics);
-        shared.finish(result.map(|(table, metrics)| respond(table, metrics, epoch)));
+        self.book()
+            .retire_query(tenant, cost, wall_us, result.as_ref().ok());
+        shared.finish(result.map(|metrics| respond(table, metrics, epoch)));
     }
 
     // ------------------------------------------------------------------
@@ -665,7 +672,7 @@ mod tests {
             .map(|(handle, query)| {
                 let response = handle.wait()?;
                 let table = (response.table)
-                    .unwrap_or_else(|| crate::table::ResultTable::new(query.vertices().collect()));
+                    .unwrap_or_else(|| ResultTable::new(query.vertices().collect()));
                 Ok(MatchOutput {
                     table,
                     metrics: response.metrics,

@@ -353,52 +353,12 @@ impl<'a, S: ResultSink + ?Sized> ProbeChain<'a, S> {
     }
 }
 
-/// Hash-joins two tables on their shared columns (natural join).
-///
-/// * Output columns are `left`'s columns followed by `right`'s non-shared
-///   columns.
-/// * Rows that map two different query vertices to the same data vertex are
-///   dropped (`enforce injectivity`): a valid embedding is a bijection.
-/// * If the tables share no column the result is the (injectivity-filtered)
-///   cartesian product.
-/// * `limit` caps the number of output rows; `Some(0)` yields none.
-///
-/// **Precondition:** every row of `left` is injective, as every row that
-/// exploration emits or a join returns is. Only the values the join appends
-/// are tested against the row they extend, so a repeat *within* a left row
-/// goes unnoticed (debug builds assert it).
-///
-/// The key is one `u64` on any number of shared columns, so neither side
-/// allocates per row. This is a one-level `ProbeChain`; the pipelined join
-/// runs one chain through all its [`PreparedJoin`]s.
-pub fn hash_join(
-    left: &ResultTable,
-    right: &ResultTable,
-    limit: Option<usize>,
-    counters: &mut JoinCounters,
-) -> ResultTable {
-    let join = PreparedJoin::new(left.columns(), right, counters);
-    let mut out = ResultTable::new(join.output_columns(left.columns()));
-    out.reserve_rows(left.num_rows().min(limit.unwrap_or(usize::MAX)));
-    counters.joins_performed += 1;
-    let levels = std::slice::from_ref(&join);
-    let mut chain = ProbeChain::new(levels, out.width(), limit, None, counters, &mut out);
-    if limit != Some(0) {
-        for row in left.rows() {
-            if !chain.drive(row) {
-                break;
-            }
-        }
-    }
-    out
-}
-
 /// Estimates the number of rows `left ⨝ right` would produce, by sampling up
 /// to `sample_size` rows of `left` and probing a per-key count table of
 /// `right` built on the shared columns (the sample-based method of
-/// [Garcia-Molina et al.]). Counts by the [`join_key`] [`hash_join`] probes
-/// with, so rows whose keys fold alike count together: exact on one shared
-/// column, at worst an over-estimate on more.
+/// [Garcia-Molina et al.]). Counts by the [`join_key`] the probe chain
+/// probes with, so rows whose keys fold alike count together: exact on one
+/// shared column, at worst an over-estimate on more.
 pub(crate) fn estimate_join_size(
     left: &RowRuns<'_>,
     right: &RowRuns<'_>,
@@ -572,41 +532,11 @@ fn estimate_step(
     pair * (current_size.max(1.0) / tables[base].num_rows().max(1) as f64)
 }
 
-/// Joins all tables in the given order, applying a result limit.
-pub fn multiway_join(
-    tables: &[ResultTable],
-    order: &[usize],
-    limit: Option<usize>,
-    counters: &mut JoinCounters,
-) -> ResultTable {
-    assert!(!tables.is_empty(), "cannot join zero tables");
-    assert_eq!(tables.len(), order.len());
-    let mut acc = tables[order[0]].clone();
-    if tables.len() == 1 {
-        if let Some(l) = limit {
-            acc.truncate(l);
-        }
-        return acc;
-    }
-    for &ti in &order[1..] {
-        // No limit on intermediate joins: a limit is only safe on the final
-        // output (earlier truncation could drop rows that would survive).
-        let is_last = ti == order[order.len() - 1];
-        let step_limit = if is_last { limit } else { None };
-        acc = hash_join(&acc, &tables[ti], step_limit, counters);
-        if acc.is_empty() {
-            break;
-        }
-    }
-    if let Some(l) = limit {
-        acc.truncate(l);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{MatchConfig, ResultMode};
+    use crate::pipeline::pipelined_join;
     use crate::query::QVid;
 
     fn v(x: u64) -> VertexId {
@@ -619,6 +549,21 @@ mod tests {
     /// [`estimate_join_size`] of two tables, each one run.
     fn estimate(left: &ResultTable, right: &ResultTable, sample_size: usize) -> f64 {
         estimate_join_size(&left.into(), &right.into(), sample_size)
+    }
+
+    /// `left ⨝ right`, `left` driving: the two-table pipelined join under
+    /// `limit`.
+    fn join(
+        left: &ResultTable,
+        right: &ResultTable,
+        limit: Option<usize>,
+        counters: &mut JoinCounters,
+    ) -> ResultTable {
+        let config = MatchConfig {
+            result_mode: limit.map_or(ResultMode::All, ResultMode::FirstK),
+            ..MatchConfig::default()
+        };
+        pipelined_join(&[left.clone(), right.clone()], &config, &[0, 1], counters)
     }
 
     fn table(cols: &[u16], rows: &[&[u64]]) -> ResultTable {
@@ -635,7 +580,7 @@ mod tests {
         let a = table(&[0, 1], &[&[1, 10], &[2, 20], &[3, 30]]);
         let b = table(&[1, 2], &[&[10, 100], &[10, 101], &[30, 300]]);
         let mut c = JoinCounters::default();
-        let joined = hash_join(&a, &b, None, &mut c);
+        let joined = join(&a, &b, None, &mut c);
         assert_eq!(joined.columns(), &[q(0), q(1), q(2)]);
         assert_eq!(joined.num_rows(), 3);
         assert_eq!(c.joins_performed, 1);
@@ -649,7 +594,7 @@ mod tests {
         let a = table(&[0, 1], &[&[1, 10], &[2, 10], &[3, 30]]);
         let b = table(&[1, 2], &[&[10, 100], &[10, 101], &[10, 102], &[30, 300]]);
         let mut c = JoinCounters::default();
-        let joined = hash_join(&a, &b, None, &mut c);
+        let joined = join(&a, &b, None, &mut c);
         assert_eq!(joined.num_rows(), 7);
         // Probe row (1, 10) matches build rows in build order: 100, 101, 102.
         assert_eq!(joined.row(0), &[v(1), v(10), v(100)]);
@@ -665,7 +610,7 @@ mod tests {
         let a = table(&[0, 1, 2], &[&[1, 10, 20], &[2, 10, 21], &[3, 11, 20]]);
         let b = table(&[1, 2, 3], &[&[10, 20, 90], &[11, 20, 91], &[10, 22, 92]]);
         let mut c = JoinCounters::default();
-        let joined = hash_join(&a, &b, None, &mut c);
+        let joined = join(&a, &b, None, &mut c);
         assert_eq!(joined.columns(), &[q(0), q(1), q(2), q(3)]);
         assert_eq!(joined.num_rows(), 2);
         assert_eq!(joined.row(0), &[v(1), v(10), v(20), v(90)]);
@@ -684,7 +629,7 @@ mod tests {
             &[&[1, 2, 3, 4, 5, 200], &[9, 2, 3, 4, 5, 201]],
         );
         let mut c = JoinCounters::default();
-        let joined = hash_join(&a, &b, None, &mut c);
+        let joined = join(&a, &b, None, &mut c);
         assert_eq!(joined.num_rows(), 1);
         assert_eq!(
             joined.row(0),
@@ -703,7 +648,7 @@ mod tests {
         let a = table(&[0, 1, 2], &[&[1, 2, 7]]);
         let b = table(&[0, 1, 3], &[&[2, 98, 9], &[1, 2, 10]]);
         let mut c = JoinCounters::default();
-        let joined = hash_join(&a, &b, None, &mut c);
+        let joined = join(&a, &b, None, &mut c);
         assert_eq!(joined, table(&[0, 1, 2, 3], &[&[1, 2, 7, 10]]));
         assert_eq!((c.intermediate_rows, c.rows_pruned_injective), (1, 0));
     }
@@ -714,7 +659,7 @@ mod tests {
         let a = table(&[0, 1], &[&[10, 5]]);
         let b = table(&[1, 2], &[&[5, 10], &[5, 11]]);
         let mut c = JoinCounters::default();
-        let joined = hash_join(&a, &b, None, &mut c);
+        let joined = join(&a, &b, None, &mut c);
         assert_eq!(joined.num_rows(), 1);
         assert_eq!(joined.row(0), &[v(10), v(5), v(11)]);
         assert_eq!(c.rows_pruned_injective, 1);
@@ -725,7 +670,7 @@ mod tests {
         let a = table(&[0], &[&[1], &[2]]);
         let b = table(&[1], &[&[3], &[4]]);
         let mut c = JoinCounters::default();
-        let joined = hash_join(&a, &b, None, &mut c);
+        let joined = join(&a, &b, None, &mut c);
         assert_eq!(joined.num_rows(), 4);
     }
 
@@ -734,7 +679,7 @@ mod tests {
         let a = table(&[0], &[&[1], &[2], &[3]]);
         let b = table(&[1], &[&[7], &[8], &[9]]);
         let mut c = JoinCounters::default();
-        let joined = hash_join(&a, &b, Some(4), &mut c);
+        let joined = join(&a, &b, Some(4), &mut c);
         assert_eq!(joined.num_rows(), 4);
     }
 
@@ -758,16 +703,16 @@ mod tests {
                     right.push_row(&row);
                 }
             }
-            let full = hash_join(&left, &right, None, &mut JoinCounters::default());
+            let full = join(&left, &right, None, &mut JoinCounters::default());
             assert_eq!(full.num_rows(), 6, "{shared} shared columns");
             // Nothing, one row, inside the first chain, at its end, inside
             // the second, everything, more than everything.
             for limit in [0usize, 1, 2, 3, 4, 6, 9] {
                 let mut c = JoinCounters::default();
-                let out = hash_join(&left, &right, Some(limit), &mut c);
+                let out = join(&left, &right, Some(limit), &mut c);
                 assert!(out.rows().eq(full.rows().take(limit)), "limit {limit}");
                 assert_eq!(c.intermediate_rows, limit.min(6) as u64);
-                assert_eq!(c.joins_performed, 1);
+                assert_eq!(c.joins_performed, u64::from(limit > 0));
                 // The chain stops at the left row that fills the budget.
                 let consumed = [0, 1, 1, 1, 2, 2, 2][limit.min(6)];
                 assert_eq!(c.driver_rows, consumed, "limit {limit}");
@@ -816,7 +761,7 @@ mod tests {
         let b = table(&[1, 2], &[&[10, 100], &[20, 200]]);
         let est = estimate(&a, &b, 100);
         let mut c = JoinCounters::default();
-        let exact = hash_join(&a, &b, None, &mut c).num_rows();
+        let exact = join(&a, &b, None, &mut c).num_rows();
         assert!((est - exact as f64).abs() < 1.0, "est={est}, exact={exact}");
     }
 
@@ -826,7 +771,7 @@ mod tests {
         let b = table(&[1, 2, 3], &[&[10, 20, 90], &[10, 20, 91], &[10, 21, 92]]);
         let est = estimate(&a, &b, 100);
         let mut c = JoinCounters::default();
-        let exact = hash_join(&a, &b, None, &mut c).num_rows();
+        let exact = join(&a, &b, None, &mut c).num_rows();
         assert!((est - exact as f64).abs() < 1.0, "est={est}, exact={exact}");
     }
 
@@ -858,7 +803,7 @@ mod tests {
         let est = estimate(&left, &right, sample);
         assert!(est > 0.0, "tail matches must be sampled, got {est}");
         let mut c = JoinCounters::default();
-        let exact = hash_join(&left, &right, None, &mut c).num_rows() as f64;
+        let exact = join(&left, &right, None, &mut c).num_rows() as f64;
         // The stratified estimate cannot be exact, but it must be the right
         // order of magnitude instead of a systematic zero.
         assert!(
@@ -947,63 +892,7 @@ mod tests {
         let tables = vec![t0, t1, t2, t3];
 
         let order = select_join_order(&tables, 256);
+        // That it is the cheaper order, `tests/join_reference.rs` counts.
         assert_eq!(order, vec![0, 1, 2, 3], "selective table must come third");
-
-        // The fixed order is provably cheaper: count intermediate rows.
-        let mut c_good = JoinCounters::default();
-        multiway_join(&tables, &order, None, &mut c_good);
-        let mut c_bad = JoinCounters::default();
-        multiway_join(&tables, &[0, 1, 3, 2], None, &mut c_bad);
-        assert!(
-            c_good.intermediate_rows < c_bad.intermediate_rows,
-            "good = {}, bad = {}",
-            c_good.intermediate_rows,
-            c_bad.intermediate_rows
-        );
-    }
-
-    #[test]
-    fn multiway_join_produces_full_embeddings() {
-        // q0-q1 pairs, q1-q2 pairs, q2-q3 pairs chained.
-        let t1 = table(&[0, 1], &[&[1, 2], &[10, 20]]);
-        let t2 = table(&[1, 2], &[&[2, 3], &[20, 30]]);
-        let t3 = table(&[2, 3], &[&[3, 4], &[30, 40]]);
-        let tables = vec![t1, t2, t3];
-        let order = select_join_order(&tables, 8);
-        let mut c = JoinCounters::default();
-        let result = multiway_join(&tables, &order, None, &mut c);
-        assert_eq!(result.num_rows(), 2);
-        assert_eq!(result.width(), 4);
-        assert_eq!(c.joins_performed, 2);
-    }
-
-    #[test]
-    fn multiway_join_limit_truncates() {
-        let t1 = table(&[0], &[&[1], &[2], &[3]]);
-        let t2 = table(&[1], &[&[4], &[5]]);
-        let tables = vec![t1, t2];
-        let mut c = JoinCounters::default();
-        let result = multiway_join(&tables, &[0, 1], Some(2), &mut c);
-        assert_eq!(result.num_rows(), 2);
-    }
-
-    #[test]
-    fn multiway_join_single_table() {
-        let t1 = table(&[0], &[&[1], &[2], &[3]]);
-        let mut c = JoinCounters::default();
-        let result = multiway_join(&[t1], &[0], Some(2), &mut c);
-        assert_eq!(result.num_rows(), 2);
-        assert_eq!(c.joins_performed, 0);
-    }
-
-    #[test]
-    fn empty_join_short_circuits() {
-        let t1 = table(&[0, 1], &[&[1, 2]]);
-        let t2 = table(&[1, 2], &[]);
-        let t3 = table(&[2, 3], &[&[5, 6]]);
-        let tables = vec![t1, t2, t3];
-        let mut c = JoinCounters::default();
-        let result = multiway_join(&tables, &[0, 1, 2], None, &mut c);
-        assert!(result.is_empty());
     }
 }

@@ -94,9 +94,7 @@ pub use serve::{
     AdmissionConfig, QueryHandle, QueryRequest, QueryResponse, QueryStatus, RejectReason,
     ServeConfig, Submit, TenantId, TenantStats,
 };
-pub use stream::{
-    CancelToken, ChannelSink, CollectSink, QueryOptions, ResultSink, RowBatch, RowStream,
-};
+pub use stream::{CancelToken, ChannelSink, QueryOptions, ResultSink, RowBatch, RowStream};
 pub use stwig::STwig;
 pub use table::ResultTable;
 
@@ -130,7 +128,7 @@ pub mod prelude {
         ServeConfig, Submit, TenantId, TenantStats,
     };
     pub use crate::stream::{
-        CancelToken, ChannelSink, CollectSink, QueryOptions, ResultSink, RowBatch, RowStream,
+        CancelToken, ChannelSink, QueryOptions, ResultSink, RowBatch, RowStream,
     };
     pub use crate::stwig::STwig;
     pub use crate::table::ResultTable;

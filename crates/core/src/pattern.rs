@@ -78,40 +78,44 @@ fn syntax(term: usize, message: &str) -> StwigError {
     }
 }
 
-/// Splits one term `"(a:x)-(b:y)"` into its two vertex references.
+/// Splits one term `"(a:x)-(b:y)"` into its two vertex references. Nothing
+/// may stand before the first or after the second, and the connector
+/// between them is a dash (`-` or `--`, optionally surrounded by
+/// whitespace).
 fn split_edge(term: &str, term_index: usize) -> Result<(VertexRef, VertexRef), StwigError> {
     let mut parts = Vec::new();
+    // The text around the references: before, between, after.
+    let mut outside = Vec::new();
     let mut rest = term;
     while let Some(start) = rest.find('(') {
         let Some(end_rel) = rest[start..].find(')') else {
             return Err(syntax(term_index, "unclosed '(' in vertex reference"));
         };
+        outside.push(rest[..start].trim());
         let inner = &rest[start + 1..start + end_rel];
         parts.push(parse_vertex_ref(inner, term_index)?);
         rest = &rest[start + end_rel + 1..];
     }
-    if parts.len() != 2 {
+    outside.push(rest.trim());
+    let ([a, b], [before, connector, after]) = (&parts[..], &outside[..]) else {
         return Err(syntax(
             term_index,
             "each pattern term must contain exactly two vertex references, e.g. (a:person)-(b:city)",
         ));
-    }
-    let connector_ok = {
-        // Everything between the two references must be a dash (optionally
-        // surrounded by whitespace); anything else is a syntax error.
-        let between_start = term.find(')').unwrap_or(0) + 1;
-        let between_end = term.rfind('(').unwrap_or(term.len());
-        let connector = term[between_start..between_end.max(between_start)].trim();
-        connector == "-" || connector == "--" || connector.is_empty()
     };
-    if !connector_ok {
+    if !before.is_empty() || !after.is_empty() {
+        return Err(syntax(
+            term_index,
+            "nothing may stand outside a term's two vertex references",
+        ));
+    }
+    if !matches!(*connector, "-" | "--") {
         return Err(syntax(
             term_index,
             "vertex references must be connected with '-'",
         ));
     }
-    let mut it = parts.into_iter();
-    Ok((it.next().unwrap(), it.next().unwrap()))
+    Ok((a.clone(), b.clone()))
 }
 
 fn parse_vertex_ref(inner: &str, term_index: usize) -> Result<VertexRef, StwigError> {
@@ -249,6 +253,9 @@ mod tests {
             "(a:person)-(b:)",                // empty label
             "(a:person-(b:person)",           // unclosed paren
             "()-(b:person)",                  // empty reference
+            "x(a:person)-(b:person)",         // text before the first reference
+            "(a:person)-(b:person)y",         // text after the second
+            "(a:person)(b:person)",           // no connector
             "",                               // empty pattern
         ] {
             assert!(

@@ -209,53 +209,25 @@ impl<F: FnMut(&[VertexId])> ResultSink for F {
     }
 }
 
-/// A sink that materializes the stream into a [`ResultTable`] (canonical
-/// column order) — the bridge from streaming delivery back to the
-/// table-shaped API.
-#[derive(Debug, Default)]
-pub struct CollectSink {
-    table: Option<ResultTable>,
-}
-
-impl CollectSink {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        CollectSink::default()
-    }
-
-    /// The collected table; empty-with-no-columns only if the query never
-    /// started streaming (errored before `begin`).
-    pub fn into_table(self) -> Option<ResultTable> {
-        self.table
-    }
-
-    /// Rows collected so far.
-    pub fn num_rows(&self) -> usize {
-        self.table.as_ref().map_or(0, ResultTable::num_rows)
-    }
-}
-
-impl ResultSink for CollectSink {
-    fn begin(&mut self, columns: &[QVid]) {
-        self.table = Some(ResultTable::new(columns.to_vec()));
-    }
-
-    fn row(&mut self, row: &[VertexId]) {
-        self.table
-            .as_mut()
-            .expect("begin precedes rows")
-            .push_row(row);
-    }
-}
-
-/// A table takes the rows it is handed; the columns announced must be its
-/// own.
+/// A table collects the rows it is handed: the one way to turn a stream
+/// back into a table. A table with no columns yet (`ResultTable::default()`)
+/// takes the columns `begin` announces; any other must be announced its
+/// own. Both that and each row's width are checked in every build — a row
+/// of another schema would corrupt the table silently.
 impl ResultSink for ResultTable {
     fn begin(&mut self, columns: &[QVid]) {
-        debug_assert_eq!(self.columns(), columns);
+        if self.width() == 0 {
+            *self = ResultTable::new(columns.to_vec());
+        }
+        assert_eq!(
+            self.columns(),
+            columns,
+            "a table takes rows of its own columns"
+        );
     }
 
     fn row(&mut self, row: &[VertexId]) {
+        assert_eq!(row.len(), self.width(), "a row as wide as the table");
         self.push_row(row);
     }
 }
@@ -501,14 +473,24 @@ mod tests {
     }
 
     #[test]
-    fn collect_sink_materializes_rows_in_order() {
-        let mut sink = CollectSink::new();
+    fn a_table_without_columns_adopts_the_announced_ones() {
+        let mut table = ResultTable::default();
+        let sink: &mut dyn ResultSink = &mut table;
         sink.begin(&[QVid(0), QVid(1)]);
         sink.row(&[VertexId(1), VertexId(2)]);
         sink.row(&[VertexId(3), VertexId(4)]);
-        assert_eq!(sink.num_rows(), 2);
-        let table = sink.into_table().unwrap();
+        // Announcing its own columns again keeps the rows.
+        sink.begin(&[QVid(0), QVid(1)]);
+        assert_eq!(table.columns(), &[QVid(0), QVid(1)]);
+        assert_eq!(table.num_rows(), 2);
         assert_eq!(table.row(1), &[VertexId(3), VertexId(4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a row as wide as the table")]
+    fn a_table_refuses_a_row_of_another_width() {
+        let mut table = ResultTable::new(vec![QVid(0), QVid(1)]);
+        ResultSink::row(&mut table, &[VertexId(1), VertexId(2), VertexId(3)]);
     }
 
     /// Row `i` of a width-2 test stream.

@@ -12,7 +12,10 @@ use trinity_sim::ids::VertexId;
 
 /// A table of partial matches: `columns[i]` names the query vertex whose data
 /// vertex occupies position `i` of every row. Rows are stored flat.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// `ResultTable::default()` has no columns yet: as a
+/// [`crate::stream::ResultSink`] it takes the columns its stream announces.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ResultTable {
     columns: Vec<QVid>,
     /// Flattened rows, `columns.len()` entries per row.
@@ -80,12 +83,6 @@ impl ResultTable {
         self.data.extend_from_slice(row);
     }
 
-    /// Makes room for `rows` more rows, so that appending them does not
-    /// regrow the buffer.
-    pub(crate) fn reserve_rows(&mut self, rows: usize) {
-        self.data.reserve(rows * self.columns.len());
-    }
-
     /// Returns row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[VertexId] {
@@ -118,26 +115,10 @@ impl ResultTable {
         self.data = out;
     }
 
-    /// Truncates the table to at most `rows` rows.
-    pub(crate) fn truncate(&mut self, rows: usize) {
-        let w = self.width();
-        self.data.truncate(rows * w);
-    }
-
     /// Appends all rows of `other`, which must have identical columns.
     pub fn append(&mut self, other: &ResultTable) {
         assert_eq!(self.columns, other.columns, "column mismatch in append");
         self.data.extend_from_slice(&other.data);
-    }
-
-    /// Appends one row given in another column order: entry `i` of the new
-    /// row is `row[projection[i]]`. One write per value, no intermediate
-    /// buffer — how the executor lands a machine's join output (whose column
-    /// order follows its join order) in a canonical-order table.
-    #[inline]
-    pub(crate) fn push_projected(&mut self, row: &[VertexId], projection: &[usize]) {
-        debug_assert_eq!(projection.len(), self.columns.len());
-        self.data.extend(projection.iter().map(|&p| row[p]));
     }
 
     /// Whether the rows are in ascending lexicographic order (duplicates
@@ -387,23 +368,19 @@ mod tests {
     }
 
     #[test]
-    fn retain_and_truncate() {
+    fn retain_keeps_the_rows_asked_for() {
         let mut t = sample();
         t.retain_rows(|r| r[0] == v(1));
         assert_eq!(t.num_rows(), 2);
-        t.truncate(1);
-        assert_eq!(t.num_rows(), 1);
     }
 
     #[test]
-    fn append_and_reserve() {
+    fn append_and_rename() {
         let mut t = sample();
         let t2 = sample();
         t.append(&t2);
         assert_eq!(t.num_rows(), 6);
         assert_eq!(t.row(5), t2.row(2));
-        t.reserve_rows(100);
-        assert_eq!(t.num_rows(), 6);
         // Renamed in place: same rows.
         let renamed = sample().with_columns(vec![q(7), q(8)]);
         assert_eq!(renamed.columns(), &[q(7), q(8)]);
@@ -460,16 +437,6 @@ mod tests {
         let mut t = ResultTable::new(vec![q(0)]);
         let t2 = ResultTable::new(vec![q(1)]);
         t.append(&t2);
-    }
-
-    #[test]
-    fn push_projected_reorders_columns() {
-        let mut t = ResultTable::new(vec![q(0), q(1), q(2)]);
-        t.push_row(&[v(1), v(2), v(3)]);
-        // Source rows are in (q2, q0, q1) order.
-        t.push_projected(&[v(30), v(10), v(20)], &[1, 2, 0]);
-        assert_eq!(t.num_rows(), 2);
-        assert_eq!(t.row(1), &[v(10), v(20), v(30)]);
     }
 
     #[test]

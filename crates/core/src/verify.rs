@@ -207,7 +207,7 @@ mod tests {
         t.push_row(&[v(1), v(2), v(3)]);
         t.push_row(&[v(1), v(4), v(3)]);
         assert_eq!(verify_all(&cloud, &q, &t), Err(1));
-        t.truncate(1);
+        t.retain_rows(|row| row[1] == v(2));
         assert_eq!(verify_all(&cloud, &q, &t), Ok(()));
     }
 

@@ -1,11 +1,12 @@
 //! Allocation audits of the two hot paths, on one counting allocator.
 //!
-//! * Join: on one shared column or several, `hash_join` must perform **zero
-//!   per-row heap allocations** — the key is one `u64` (the vertex id, or
-//!   the shared values folded into one), the build index is a pre-sized
-//!   chained index, and output rows are built in place. The test counts
-//!   allocator calls around a large join and asserts the total stays far
-//!   below the row count (only setup costs and the output buffer remain).
+//! * Join: on one shared column or several, a two-table `pipelined_join`
+//!   must perform **zero per-row heap allocations** — the key is one `u64`
+//!   (the vertex id, or the shared values folded into one), the build index
+//!   is a pre-sized chained index, and output rows are built in place. The
+//!   test counts allocator calls around a large join and asserts the total
+//!   stays far below the row count (only setup costs and the output buffer
+//!   remain).
 //! * Join output: a materialized pipelined join allocates the table it
 //!   returns and O(1) more — no driver-block copy, no table between two
 //!   joins — and a round of a streamed one allocates nothing. A whole query
@@ -33,7 +34,7 @@ use stwig::bindings::Bindings;
 use stwig::cache::{CacheConfig, CacheLookup, StwigCache, StwigShape};
 use stwig::distributed::{match_query, plan_query, Run};
 use stwig::head::load_set;
-use stwig::join::{hash_join, PreparedJoin};
+use stwig::join::PreparedJoin;
 use stwig::matcher::match_stwig_batched;
 use stwig::metrics::{ExploreCounters, FaultCounters, JoinCounters};
 use stwig::pipeline::pipelined_join;
@@ -126,12 +127,14 @@ fn join_on_1_3_or_5_shared_columns_does_not_allocate_per_row() {
             );
             right.push_row(&key.chain([VertexId(2_000_000 + i)]).collect::<Vec<_>>());
         }
+        let tables = [left, right];
+        let cfg = MatchConfig::default();
         let mut counters = JoinCounters::default();
-        let (allocs, joined) = allocations_during(|| hash_join(&left, &right, None, &mut counters));
+        let (allocs, joined) =
+            allocations_during(|| pipelined_join(&tables, &cfg, &[0, 1], &mut counters));
         assert_eq!(joined.num_rows() as u64, ROWS);
         // Setup (schema vectors, index map + chain array) and the output
-        // buffer, reserved up front; anything per-row would add tens of
-        // thousands.
+        // buffer's doublings; anything per-row would add tens of thousands.
         assert!(
             allocs < 100,
             "expected O(1) + O(log rows) allocations for {ROWS} rows on {shared} \

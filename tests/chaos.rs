@@ -115,7 +115,7 @@ fn lossy_plans_are_bit_identical_to_fault_free_runs() {
                                 assert_eq!(out.table, want.table, "chaos run diverged: {ctx}");
                                 activity[0] += faults_seen(&out.metrics);
                                 // The sink output gets the very same rows.
-                                let mut sink = CollectSink::new();
+                                let mut sink = ResultTable::default();
                                 let streamed = stwig::match_query(
                                     &cloud,
                                     q,
@@ -129,8 +129,7 @@ fn lossy_plans_are_bit_identical_to_fault_free_runs() {
                                 .unwrap()
                                 .metrics;
                                 assert_eq!(
-                                    sink.into_table().as_ref(),
-                                    Some(&want.table),
+                                    &sink, &want.table,
                                     "streamed chaos run diverged: {ctx}"
                                 );
                                 activity[1] += faults_seen(&streamed);
@@ -258,7 +257,7 @@ fn faults_on_a_direct_read_query_fail_typed_before_any_work() {
             );
             assert_eq!(out.err(), refused);
         }
-        let mut sink = CollectSink::new();
+        let mut sink = ResultTable::default();
         let streamed = stwig::match_query(
             &cloud,
             q,

@@ -1,5 +1,5 @@
-//! The joins against a nested loop: `hash_join` and `pipelined_join` must
-//! write exactly the rows — in exactly the order — that the textbook loop
+//! The join against a nested loop: `pipelined_join` must write exactly the
+//! rows — in exactly the order — that the textbook loop
 //! nest over (driver row, table-1 row, table-2 row, …) writes, stop where it
 //! stops under a limit — at every level, not only the last — and count what
 //! it counts. The probe chain builds each row in place and tests only the
@@ -8,7 +8,7 @@
 //! dropped) shows up here.
 
 use proptest::prelude::*;
-use stwig::join::hash_join;
+use stwig::join::select_join_order;
 use stwig::metrics::JoinCounters;
 use stwig::pipeline::pipelined_join;
 use stwig::query::QVid;
@@ -159,12 +159,8 @@ proptest! {
         for limit in limits {
             let (expected, counts) = nested_loops(&[&left, &right], limit);
 
-            let mut c = JoinCounters::default();
-            prop_assert_eq!(&hash_join(&left, &right, limit, &mut c), &expected);
-            prop_assert_eq!(counted(&c), counts);
-            prop_assert_eq!(c.joins_performed, 1);
-
-            // The block pipeline over the same tables in the same order.
+            // The block pipeline over the two tables, left driving, and over
+            // three — whatever the block size.
             for block_rows in [1usize, 7, 4096] {
                 let config = MatchConfig {
                     block_rows,
@@ -222,6 +218,41 @@ fn first_k_work_is_the_oracles_not_the_blocks() {
     assert_eq!(c.pipeline_rounds, 1);
 }
 
+/// The order the cost model selects is the cheaper one by the oracle's own
+/// count, and the pipeline counts what the oracle counts in either order:
+///
+///   t0 [0]    : 1 row
+///   t1 [0, 1] : 1 row
+///   t2 [1, 2] : 100 rows, exactly 1 matching t1's column 1
+///   t3 [0, 3] : 50 rows, all matching t0's column 0
+///
+/// After t0 and t1, joining t2 keeps one row and joining t3 first makes 50.
+#[test]
+fn the_selected_join_order_builds_fewer_rows_than_the_other() {
+    let t0 = table(&[0], &[vec![1]], |_, x| x);
+    let t1 = table(&[0, 1], &[vec![1, 10]], |_, x| x);
+    let t2_rows: Vec<Vec<u64>> = std::iter::once(vec![10, 200])
+        .chain((0..99).map(|i| vec![300 + i, 500 + i]))
+        .collect();
+    let t2 = table(&[1, 2], &t2_rows, |_, x| x);
+    let t3_rows: Vec<Vec<u64>> = (0..50).map(|i| vec![1, 1000 + i]).collect();
+    let t3 = table(&[0, 3], &t3_rows, |_, x| x);
+    let tables = [t0, t1, t2, t3];
+    let order = select_join_order(&tables, 256);
+    assert_eq!(order, [0, 1, 2, 3]);
+    let mut built = Vec::new();
+    for order in [[0, 1, 2, 3], [0, 1, 3, 2]] {
+        let in_order: Vec<&ResultTable> = order.iter().map(|&i| &tables[i]).collect();
+        let (expected, counts) = nested_loops(&in_order, None);
+        let mut c = JoinCounters::default();
+        let piped = pipelined_join(&tables, &MatchConfig::default(), &order, &mut c);
+        assert_eq!(piped, expected, "order {order:?}");
+        assert_eq!(counted(&c), counts, "order {order:?}");
+        built.push(counts.0);
+    }
+    assert!(built[0] < built[1], "intermediate rows {built:?}");
+}
+
 /// A left row that maps two query vertices to one data vertex breaks the
 /// precondition the appended-values-only check rests on; debug builds say
 /// so instead of letting the row through.
@@ -231,5 +262,11 @@ fn first_k_work_is_the_oracles_not_the_blocks() {
 fn a_non_injective_left_row_trips_the_debug_assert() {
     let left = table(&[0, 1], &[vec![5, 5]], |_, raw| raw);
     let right = table(&[1, 2], &[vec![5, 6]], |_, raw| raw);
-    hash_join(&left, &right, None, &mut JoinCounters::default());
+    let tables = [left, right];
+    pipelined_join(
+        &tables,
+        &MatchConfig::default(),
+        &[0, 1],
+        &mut JoinCounters::default(),
+    );
 }

@@ -48,7 +48,7 @@ fn first_k_streams_exactly_k_valid_embeddings_in_both_modes() {
                     let config = MatchConfig::default()
                         .with_transport_mode(mode)
                         .with_result_mode(ResultMode::FirstK(k));
-                    let mut sink = CollectSink::new();
+                    let mut sink = ResultTable::default();
                     let metrics = match_query(
                         &cloud,
                         query,
@@ -60,7 +60,7 @@ fn first_k_streams_exactly_k_valid_embeddings_in_both_modes() {
                     )
                     .unwrap()
                     .metrics;
-                    let table = sink.into_table().unwrap();
+                    let table = sink;
                     assert_eq!(metrics.outcome, QueryOutcome::Complete, "{ctx}");
                     assert_eq!(
                         table.num_rows(),
@@ -113,7 +113,7 @@ fn a_requests_result_mode_means_the_same_at_every_entry_point() {
     let table = match_query(&cloud, query, &config, into_table).unwrap();
     assert_eq!(table.num_matches(), 1);
 
-    let mut sink = CollectSink::new();
+    let mut sink = ResultTable::default();
     let into_sink = Run {
         options: first(),
         sink: Some(&mut sink),
@@ -182,7 +182,7 @@ fn pre_cancelled_query_stops_before_exploring_in_both_modes() {
         let token = CancelToken::new();
         token.cancel();
         let config = MatchConfig::default().with_transport_mode(mode);
-        let mut sink = CollectSink::new();
+        let mut sink = ResultTable::default();
         let metrics = match_query(
             &cloud,
             query,
@@ -462,12 +462,14 @@ fn labelled_query(cloud: &MemoryCloud, labels: &[&str], edges: &[(usize, usize)]
 /// The cap on a `ChannelSink` batch (`stream.rs`, private `BATCH_ROWS`).
 const BATCH_CAP: usize = 256;
 
-/// The executor's three outputs — the table it hands back, a same-thread
-/// `CollectSink`, a `RowStream` across a channel — carry the same rows in the
-/// same order with the same counters, in every result mode, under both
-/// transports, with serial and with parallel exploration.
+/// Every way rows reach a caller — the table `Run::default()` hands back, a
+/// caller's own `ResultTable` as the sink, a `RowStream` across a channel —
+/// carries the same rows in the same order with the same counters, in every
+/// result mode, under both transports, with serial and with parallel
+/// exploration, and across slab rounds (a round that re-explores stages its
+/// join in a table before it delivers).
 #[test]
-fn row_stream_yields_exactly_what_collect_sink_collects() {
+fn row_stream_yields_exactly_what_a_callers_table_collects() {
     let hub = hub_cloud(300);
     let small_hub = hub_cloud(20);
     let small_star = labelled_query(&small_hub, &["a", "b", "c"], &[(0, 1), (0, 2)]);
@@ -565,6 +567,7 @@ fn row_stream_yields_exactly_what_collect_sink_collects() {
     let cases = cases
         .iter()
         .flat_map(|case| sweep.clone().map(move |s| (case, s)));
+    let mut re_explored = 0;
     for ((what, cloud, query, config, expected), (mode, threads)) in cases {
         let what = format!("{what}/{mode:?}/{threads} threads");
         let (query, expected) = (query.clone(), *expected);
@@ -573,7 +576,7 @@ fn row_stream_yields_exactly_what_collect_sink_collects() {
             .with_transport_mode(mode)
             .with_num_threads(Some(threads));
         let out = match_query(cloud, &query, &config, Run::default()).unwrap();
-        let mut collect = CollectSink::new();
+        let mut collect = ResultTable::new(query.vertices().collect());
         let collected = match_query(
             cloud,
             &query,
@@ -585,7 +588,7 @@ fn row_stream_yields_exactly_what_collect_sink_collects() {
         )
         .unwrap()
         .metrics;
-        let table = collect.into_table().unwrap();
+        let table = collect;
 
         let (tx, rx) = std::sync::mpsc::channel();
         let mut sink = ChannelSink::new(tx);
@@ -606,7 +609,7 @@ fn row_stream_yields_exactly_what_collect_sink_collects() {
         if let Some(rows) = expected {
             assert_eq!(table.num_rows() as u64, rows, "{what}");
         }
-        assert_eq!(out.table, table, "table output vs CollectSink ({what})");
+        assert_eq!(out.table, table, "returned table vs the caller's ({what})");
         let (t, c) = (&out.metrics, &collected);
         assert_eq!(
             (t.matches_found, t.truncated, t.explore_rounds),
@@ -636,7 +639,25 @@ fn row_stream_yields_exactly_what_collect_sink_collects() {
             batches.len() <= full + 2 + 2 * streamed.join.pipeline_rounds as usize,
             "{what}"
         );
+        re_explored += usize::from(collected.explore_rounds > 1);
     }
+    assert!(re_explored > 0, "no case ran a second slab round");
+}
+
+/// A caller's table takes only rows of its own columns — in release builds
+/// too: a one-column table handed a three-vertex query refuses the rows
+/// instead of storing them three values to a one-value row.
+#[test]
+#[should_panic(expected = "a table takes rows of its own columns")]
+fn a_callers_table_of_another_schema_refuses_the_rows() {
+    let hub = hub_cloud(20);
+    let star = labelled_query(&hub, &["a", "b", "c"], &[(0, 1), (0, 2)]);
+    let mut table = ResultTable::new(vec![QVid(0)]);
+    let run = Run {
+        sink: Some(&mut table),
+        ..Run::default()
+    };
+    let _ = match_query(&hub, &star, &MatchConfig::default(), run);
 }
 
 #[test]
