@@ -56,16 +56,17 @@
 //! as it is joined. Results and metrics totals are therefore identical for
 //! every thread count. See DESIGN.md for the full determinism argument.
 //!
-//! **One executor, two outputs.** Every entry point — this module's
+//! **One executor, one output.** Every entry point — this module's
 //! [`match_query`] and the engine's `submit` / `submit_streaming` — runs the
-//! same function, `execute_query`, which differs only in where rows go: a
-//! table it fills and hands back, or the caller's
-//! [`crate::stream::ResultSink`]. Everywhere, rows are in **canonical column
-//! order** (query vertices ascending) whichever machine produced them and
-//! whatever join order it chose, and `FirstK(k)` / `Exists` mean the
-//! **slab-bounded early stop**: k genuine embeddings, not a prefix of the
-//! full enumeration. A request's [`QueryOptions::result_mode`] overrides the
-//! config's, in that one function.
+//! same function, `execute_query`, and every row it produces leaves through
+//! the one [`crate::stream::ResultSink`] it is given: the caller's, or a
+//! [`ResultTable`] the entry point hands back. Everywhere, rows are in
+//! **canonical column order** (query vertices ascending) whichever machine
+//! produced them and whatever join order it chose, and `FirstK(k)` /
+//! `Exists` mean the **slab-bounded early stop**: k genuine embeddings, not
+//! a prefix of the full enumeration. A request's
+//! [`QueryOptions::result_mode`] overrides the config's, in that one
+//! function.
 //!
 //! **Served STwigs.** With a [`StwigCache`], an STwig the cache serves — a
 //! hit, a repair, or the populate a miss performs — skips step 2 whole: its
@@ -152,8 +153,8 @@ pub struct Run<'a> {
     /// `MatchConfig::result_mode`) and its fault stack
     /// ([`QueryOptions::faults`]).
     pub options: QueryOptions,
-    /// Where rows go as they are produced; `None` collects them into
-    /// [`MatchOutput::table`].
+    /// Where rows go as they are produced; `None` has the executor write
+    /// them into [`MatchOutput::table`], a [`ResultTable`] as its sink.
     pub sink: Option<&'a mut dyn ResultSink>,
 }
 
@@ -212,10 +213,12 @@ const SLAB_GROWTH: usize = 8;
 
 /// The query's output: the sink every row goes to, and what delivery
 /// tracks — how many rows it took, and when the first one became readable.
-/// A slab round's staging table is one too, whose stamp nobody reads.
+/// A slab round stages its join through one over a table of its own, whose
+/// stamp nobody reads.
 pub(crate) struct StreamState<'s> {
     sink: &'s mut dyn ResultSink,
-    /// A re-projected row on its way to `sink.row`.
+    /// The scratch row of a sink that re-projects through
+    /// [`ResultSink::row`].
     row_buf: Vec<VertexId>,
     started: Instant,
     streamed: u64,
@@ -241,12 +244,9 @@ impl<'s> StreamState<'s> {
         self.delivered();
     }
 
-    /// Delivers `row` re-projected into the output's column order, through
-    /// the row buffer.
+    /// Delivers `row` re-projected into the output's column order.
     fn deliver_projected(&mut self, row: &[VertexId], projection: &[usize]) {
-        self.row_buf.clear();
-        self.row_buf.extend(projection.iter().map(|&p| row[p]));
-        self.sink.row(&self.row_buf);
+        (self.sink).row_projected(row, projection, &mut self.row_buf);
         self.delivered();
     }
 
@@ -550,7 +550,6 @@ fn explore_and_join(
             machine_metrics,
             &mut staged,
         )?;
-        drop(staged);
         metrics.peak_table_bytes = metrics.peak_table_bytes.max(staging.memory_bytes() as u64);
         let satisfied = limit.is_some_and(|l| pass.rows >= l as u64);
         if satisfied || control.interrupted() {

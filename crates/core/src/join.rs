@@ -1,5 +1,8 @@
-//! Join processing (§4.2 step 3): hash joins over STwig result tables,
-//! sample-based join-cardinality estimation and greedy join-order selection.
+//! Join processing (§4.2 step 3): the prepared hash joins and the
+//! depth-first probe chain the block-based pipelined join
+//! ([`crate::pipeline::pipelined_join`]) runs through them, sample-based
+//! join-cardinality estimation and greedy join-order selection. There is
+//! no level-by-level join: a binary join is the two-table pipelined join.
 //!
 //! The join is the per-row hot path of the whole matcher, so the build and
 //! probe sides avoid heap allocation: whatever the number of shared columns,

@@ -141,8 +141,8 @@ impl ExploreCounters {
 /// Counters collected during the join phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JoinCounters {
-    /// Number of binary joins performed: one per `hash_join`, and in the
-    /// pipelined join the levels of the probe chain each round reached.
+    /// Binary joins performed: the levels of the probe chain each round of
+    /// the pipelined join reached (a two-table join counts one a round).
     pub joins_performed: u64,
     /// Rows produced across all intermediate join results.
     pub intermediate_rows: u64,

@@ -7,6 +7,10 @@
 //! results stream out before the full join completes and the query can stop
 //! as soon as the requested number of matches (1024 in the paper's
 //! experiments) has been produced.
+//!
+//! It is the one join: every row goes to a [`ResultSink`] as the probe
+//! chain finishes it — the executor's, or, for [`pipelined_join`], a
+//! [`ResultTable`] it hands back. A binary join is its two-table case.
 
 use crate::cache::RkMemo;
 use crate::config::MatchConfig;
@@ -43,6 +47,15 @@ pub(crate) struct JoinRun {
 /// * `config.block_rows` driver rows make a round; a round boundary is where
 ///   a satisfied limit or an interrupt is noticed *before* the next round is
 ///   counted, and where a streaming sink flushes.
+///
+/// Over two tables in the order `[0, 1]` this is the natural join
+/// `tables[0] ⨝ tables[1]`: the driver's columns followed by the other
+/// table's non-shared ones, a row that maps two query vertices to one data
+/// vertex dropped, the cartesian product when no column is shared, and
+/// rows in the order a nested loop over (driver row, other row) writes
+/// them. **Precondition:** every driver row is injective, as every row
+/// exploration emits or a join keeps is; only the values a join appends
+/// are tested (debug builds assert it).
 pub fn pipelined_join(
     tables: &[ResultTable],
     config: &MatchConfig,
@@ -225,6 +238,7 @@ mod tests {
         let mut c = JoinCounters::default();
         let out = pipelined_join(&[t], &cfg, &[0], &mut c);
         assert_eq!(out.num_rows(), 1);
+        assert_eq!(c.joins_performed, 0, "one table joins nothing");
     }
 
     #[test]

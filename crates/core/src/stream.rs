@@ -192,6 +192,22 @@ pub trait ResultSink {
     /// Delivers one valid embedding.
     fn row(&mut self, row: &[VertexId]);
 
+    /// Delivers one valid embedding given in another column order: value
+    /// `i` of the row is `row[projection[i]]`. The default builds the row
+    /// in the caller's `scratch` buffer and hands it to
+    /// [`ResultSink::row`]; a sink that can land each value where it
+    /// belongs without that copy overrides it.
+    fn row_projected(
+        &mut self,
+        row: &[VertexId],
+        projection: &[usize],
+        scratch: &mut Vec<VertexId>,
+    ) {
+        scratch.clear();
+        scratch.extend(projection.iter().map(|&p| row[p]));
+        self.row(scratch);
+    }
+
     /// Asks a sink that buffers rows to hand over what it holds. The
     /// executor calls it right after a query's first row (so the time to
     /// the first result is the time the consumer could read it), at the end
@@ -229,6 +245,12 @@ impl ResultSink for ResultTable {
     fn row(&mut self, row: &[VertexId]) {
         assert_eq!(row.len(), self.width(), "a row as wide as the table");
         self.push_row(row);
+    }
+
+    /// One write per value, straight into the table's buffer.
+    fn row_projected(&mut self, row: &[VertexId], projection: &[usize], _: &mut Vec<VertexId>) {
+        assert_eq!(projection.len(), self.width(), "a row as wide as the table");
+        self.push_projected(row, projection);
     }
 }
 
@@ -491,6 +513,24 @@ mod tests {
     fn a_table_refuses_a_row_of_another_width() {
         let mut table = ResultTable::new(vec![QVid(0), QVid(1)]);
         ResultSink::row(&mut table, &[VertexId(1), VertexId(2), VertexId(3)]);
+    }
+
+    #[test]
+    fn a_projected_row_lands_in_canonical_order_in_every_sink() {
+        // Source rows are in (q2, q0, q1) order.
+        let (row, projection) = ([VertexId(30), VertexId(10), VertexId(20)], [1, 2, 0]);
+        let canonical = [VertexId(10), VertexId(20), VertexId(30)];
+        let mut scratch = Vec::new();
+        let mut table = ResultTable::new(vec![QVid(0), QVid(1), QVid(2)]);
+        table.row_projected(&row, &projection, &mut scratch);
+        assert!(scratch.is_empty(), "the table writes in place");
+        let mut seen = Vec::new();
+        let mut closure = |row: &[VertexId]| seen.push(row.to_vec());
+        closure.row_projected(&row, &projection, &mut scratch);
+        assert_eq!(
+            (table.row(0), &seen[..]),
+            (&canonical[..], &[canonical.to_vec()][..])
+        );
     }
 
     /// Row `i` of a width-2 test stream.

@@ -121,6 +121,16 @@ impl ResultTable {
         self.data.extend_from_slice(&other.data);
     }
 
+    /// Appends one row given in another column order: entry `i` of the new
+    /// row is `row[projection[i]]`. One write per value, no intermediate
+    /// buffer — how the executor lands a machine's join output (whose column
+    /// order follows its join order) in a canonical-order table.
+    #[inline]
+    pub(crate) fn push_projected(&mut self, row: &[VertexId], projection: &[usize]) {
+        debug_assert_eq!(projection.len(), self.columns.len());
+        self.data.extend(projection.iter().map(|&p| row[p]));
+    }
+
     /// Whether the rows are in ascending lexicographic order (duplicates
     /// allowed). Exploration emits rows in this order (sorted postings ×
     /// sorted adjacency); the STwig-result cache relies on it.
@@ -437,6 +447,16 @@ mod tests {
         let mut t = ResultTable::new(vec![q(0)]);
         let t2 = ResultTable::new(vec![q(1)]);
         t.append(&t2);
+    }
+
+    #[test]
+    fn push_projected_reorders_columns() {
+        let mut t = ResultTable::new(vec![q(0), q(1), q(2)]);
+        t.push_row(&[v(1), v(2), v(3)]);
+        // Source rows are in (q2, q0, q1) order.
+        t.push_projected(&[v(30), v(10), v(20)], &[1, 2, 0]);
+        assert_eq!(t.num_rows(), 2);
+        assert_eq!(t.row(1), &[v(10), v(20), v(30)]);
     }
 
     #[test]
