@@ -25,14 +25,14 @@ use trinity_sim::MemoryCloud;
 /// clock is only read while an untripped deadline is armed) — so no row is
 /// delivered after a cancellation the consumer raised mid-stream, even
 /// before the join's own next check stops it.
-struct ProjectingSink<'a, 's> {
+struct ProjectingSink<'a, 's, S: ResultSink + ?Sized> {
     canonical: &'a [QVid],
     projection: Vec<usize>,
     control: &'a QueryControl,
-    state: &'a mut StreamState<'s>,
+    state: &'a mut StreamState<'s, S>,
 }
 
-impl ResultSink for ProjectingSink<'_, '_> {
+impl<S: ResultSink + ?Sized> ResultSink for ProjectingSink<'_, '_, S> {
     fn begin(&mut self, columns: &[QVid]) {
         self.projection = self
             .canonical
@@ -82,7 +82,7 @@ pub(crate) struct JoinPass {
 /// `memo` is the cache's memo of `plan`: a machine whose R_k tables are all
 /// served takes its join order from it ([`PlanMemo::join_order`]).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn join_pass(
+pub(crate) fn join_pass<S: ResultSink + ?Sized>(
     cloud: &MemoryCloud,
     plan: &QueryPlan,
     memo: Option<&PlanMemo>,
@@ -94,7 +94,7 @@ pub(crate) fn join_pass(
     link: &Link<'_>,
     metrics: &mut QueryMetrics,
     machine_metrics: &mut [MachineMetrics],
-    state: &mut StreamState<'_>,
+    state: &mut StreamState<'_, S>,
 ) -> Result<JoinPass, StwigError> {
     // The pass walks the machines through their metrics: a short slice would
     // silently skip machines and return an incomplete answer.

@@ -214,9 +214,11 @@ const SLAB_GROWTH: usize = 8;
 /// The query's output: the sink every row goes to, and what delivery
 /// tracks — how many rows it took, and when the first one became readable.
 /// A slab round stages its join through one over a table of its own, whose
-/// stamp nobody reads.
-pub(crate) struct StreamState<'s> {
-    sink: &'s mut dyn ResultSink,
+/// stamp nobody reads. Generic over the sink's type, so the probe chain
+/// calls a table's or a channel's `row_projected` directly, not through a
+/// vtable: the row is the join's innermost loop.
+pub(crate) struct StreamState<'s, S: ResultSink + ?Sized> {
+    sink: &'s mut S,
     /// The scratch row of a sink that re-projects through
     /// [`ResultSink::row`].
     row_buf: Vec<VertexId>,
@@ -225,9 +227,9 @@ pub(crate) struct StreamState<'s> {
     first_us: Option<f64>,
 }
 
-impl<'s> StreamState<'s> {
+impl<'s, S: ResultSink + ?Sized> StreamState<'s, S> {
     /// Opens `sink` for rows in `columns` order: announces them.
-    pub(crate) fn begin(sink: &'s mut dyn ResultSink, columns: &[QVid], started: Instant) -> Self {
+    pub(crate) fn begin(sink: &'s mut S, columns: &[QVid], started: Instant) -> Self {
         sink.begin(columns);
         StreamState {
             sink,
@@ -278,7 +280,8 @@ impl<'s> StreamState<'s> {
 
 /// **The** query executor. Rows go to `sink` as they are produced, in
 /// canonical column order, under the per-query deadline/cancellation in
-/// `options`; a caller that wants a table passes one.
+/// `options`; a caller that wants a table passes one. `S` is the sink's
+/// type — a `ResultTable`, a `ChannelSink`, or a caller's `dyn ResultSink`.
 /// `options.result_mode`, when set, replaces `config.result_mode`.
 ///
 /// Under [`crate::config::ResultMode::All`] exploration runs exactly once
@@ -306,13 +309,13 @@ impl<'s> StreamState<'s> {
 /// keeps the valid rows it delivered, and reports
 /// [`QueryOutcome::Cancelled`] / [`QueryOutcome::DeadlineExceeded`] in the
 /// returned metrics.
-pub(crate) fn execute_query(
+pub(crate) fn execute_query<S: ResultSink + ?Sized>(
     cloud: &MemoryCloud,
     query: &QueryGraph,
     config: &MatchConfig,
     options: &QueryOptions,
     cache: Option<&StwigCache>,
-    sink: &mut dyn ResultSink,
+    sink: &mut S,
 ) -> Result<QueryMetrics, StwigError> {
     let started = Instant::now();
     let control = QueryControl::new(options, started);
@@ -388,14 +391,14 @@ pub(crate) fn execute_query(
 /// machine order, as the proxy (machine 0) gathers them
 /// ([`Link::postings`]), stopping at the limit, with a cooperative check per
 /// machine. Returns whether the limit cut the scan.
-fn scan_single_vertex(
+fn scan_single_vertex<S: ResultSink + ?Sized>(
     cloud: &MemoryCloud,
     label: LabelId,
     config: &MatchConfig,
     control: &QueryControl,
     link: &Link<'_>,
     metrics: &mut QueryMetrics,
-    state: &mut StreamState<'_>,
+    state: &mut StreamState<'_, S>,
 ) -> Result<bool, StwigError> {
     let limit = config.result_limit();
     let proxy = MachineId(0);
@@ -422,7 +425,7 @@ fn scan_single_vertex(
 /// rounds (one for `All`, slab by slab for `FirstK` / `Exists`) into
 /// `state`. Returns whether the result limit cut the answer short.
 #[allow(clippy::too_many_arguments)]
-fn explore_and_join(
+fn explore_and_join<S: ResultSink + ?Sized>(
     cloud: &MemoryCloud,
     query: &QueryGraph,
     config: &MatchConfig,
@@ -432,7 +435,7 @@ fn explore_and_join(
     link: &Link<'_>,
     metrics: &mut QueryMetrics,
     machine_metrics: &mut [MachineMetrics],
-    state: &mut StreamState<'_>,
+    state: &mut StreamState<'_, S>,
 ) -> Result<bool, StwigError> {
     check_cache(cloud, cache)?;
     let make_plan = || plan_query(cloud, query);

@@ -55,7 +55,7 @@ use crate::serve::scheduler::{Delivery, Dispatch, QueueEntry, Scheduler, Work};
 use crate::serve::{
     HandleShared, QueryHandle, QueryRequest, QueryResponse, ServeConfig, Submit, TenantId,
 };
-use crate::stream::{CancelToken, ChannelSink, QueryOptions, ResultSink, RowStream};
+use crate::stream::{CancelToken, ChannelSink, QueryOptions, RowStream};
 use crate::table::ResultTable;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -538,19 +538,12 @@ impl<'c> QueryEngine<'c> {
                 Some(ChannelSink::new(sender).cancel_on_disconnect(shared.cancel_token().clone()))
             }
         };
-        let sink: &mut dyn ResultSink = match &mut channel {
-            Some(channel) => channel,
-            None => &mut table,
-        };
         let started = Instant::now();
-        let result = execute_query(
-            cloud,
-            &query,
-            &self.config.match_config,
-            &run_options,
-            self.cache.as_ref(),
-            sink,
-        );
+        let (config, cache) = (&self.config.match_config, self.cache.as_ref());
+        let result = match &mut channel {
+            Some(channel) => execute_query(cloud, &query, config, &run_options, cache, channel),
+            None => execute_query(cloud, &query, config, &run_options, cache, &mut table),
+        };
         let table = channel.is_none().then_some(table);
         drop(channel);
         let wall_us = started.elapsed().as_secs_f64() * 1e6;
