@@ -69,11 +69,7 @@ pub fn edge_join(
     for (step, &ti) in rest.iter().enumerate() {
         // No limit on intermediate joins: a limit is only safe on the final
         // output (earlier truncation could drop rows that would survive).
-        let limit = if step + 1 == rest.len() {
-            max_results
-        } else {
-            None
-        };
+        let limit = max_results.filter(|_| step + 1 == rest.len());
         let pair = [acc, mem::take(&mut tables[ti])];
         acc = pipelined_join(&pair, &limited(limit), &[0, 1], &mut counters);
         stats.joins_performed += 1;

@@ -1,8 +1,7 @@
 //! The join against a nested loop: `pipelined_join` must write exactly the
-//! rows — in exactly the order — that the textbook loop
-//! nest over (driver row, table-1 row, table-2 row, …) writes, stop where it
-//! stops under a limit — at every level, not only the last — and count what
-//! it counts. The probe chain builds each row in place and tests only the
+//! rows — in exactly the order — that the textbook loop nest over (driver
+//! row, table-1 row, table-2 row, …) writes, stop where it stops under a
+//! limit — at every level, not only the last — and count what it counts. The probe chain builds each row in place and tests only the
 //! values it appends; the reference builds the whole row and runs the full
 //! pairwise duplicate check, so any row the shortcut let through (or
 //! dropped) shows up here.
